@@ -24,11 +24,10 @@
 //!   stay tiny ("the individual checkpoint files are extremely small",
 //!   §V-C). Used at the paper's 32,768-rank scale.
 
-use bytes::{BufMut, Bytes, BytesMut};
 use std::sync::Arc;
 use xsim_ckpt::{Checkpoint, CheckpointManager, ModeWriter};
 use xsim_core::vp::VpProgram;
-use xsim_core::SimTime;
+use xsim_core::{Bytes, SimTime};
 use xsim_fs::FsService;
 use xsim_mpi::{mpi_program, CkptMode, Comm, MpiCtx, MpiError, ReduceOp};
 use xsim_proc::Work;
@@ -246,11 +245,11 @@ impl Grid {
     /// Pack the interior face adjacent to direction `dir`
     /// (0=+x, 1=−x, 2=+y, 3=−y, 4=+z, 5=−z).
     fn pack_face(&self, dir: usize) -> Bytes {
-        let mut out = BytesMut::new();
+        let mut out = Vec::new();
         self.for_face(dir, false, |g, idx| {
-            out.put_f64_le(g.data[idx]);
+            out.extend_from_slice(&g.data[idx].to_le_bytes());
         });
-        out.freeze()
+        out.into()
     }
 
     /// Unpack received data into the halo layer of direction `dir`.
@@ -333,15 +332,15 @@ pub mod sections {
 }
 
 pub(crate) fn config_fingerprint(cfg: &HeatConfig) -> Bytes {
-    let mut b = BytesMut::new();
+    let mut b = Vec::new();
     for d in 0..3 {
-        b.put_u64_le(cfg.global[d] as u64);
-        b.put_u64_le(cfg.ranks[d] as u64);
+        b.extend_from_slice(&(cfg.global[d] as u64).to_le_bytes());
+        b.extend_from_slice(&(cfg.ranks[d] as u64).to_le_bytes());
     }
-    b.put_u64_le(cfg.iterations);
-    b.put_u64_le(cfg.halo_interval);
-    b.put_u64_le(cfg.ckpt_interval);
-    b.freeze()
+    b.extend_from_slice(&cfg.iterations.to_le_bytes());
+    b.extend_from_slice(&cfg.halo_interval.to_le_bytes());
+    b.extend_from_slice(&cfg.ckpt_interval.to_le_bytes());
+    b.into()
 }
 
 async fn halo_exchange(
@@ -389,11 +388,11 @@ async fn write_checkpoint(
         .with_section(sections::CONFIG, config_fingerprint(cfg));
     ckpt = match state {
         State::Real(g) => {
-            let mut b = BytesMut::with_capacity(g.data.len() * 8);
+            let mut b = Vec::with_capacity(g.data.len() * 8);
             for v in &g.data {
-                b.put_f64_le(*v);
+                b.extend_from_slice(&v.to_le_bytes());
             }
-            ckpt.with_section(sections::GRID, b.freeze())
+            ckpt.with_section(sections::GRID, b.into())
         }
         State::Modeled { token } => {
             ckpt.with_section(sections::TOKEN, Bytes::from(token.to_le_bytes().to_vec()))

@@ -35,11 +35,10 @@
 //! where real grids would be pointless weight.
 
 use crate::heat3d::{config_fingerprint, mix_token, sections, ComputeMode, HeatConfig};
-use bytes::{BufMut, Bytes, BytesMut};
 use std::sync::Arc;
 use xsim_ckpt::{Checkpoint, CheckpointManager};
 use xsim_core::vp::VpProgram;
-use xsim_core::SimTime;
+use xsim_core::{Bytes, SimTime};
 use xsim_fs::FsService;
 use xsim_mpi::replication::{HeartbeatConfig, ProtectionScheme, ReplicaMap, Replicated};
 use xsim_mpi::{mpi_program, MpiCtx, MpiError};
@@ -224,10 +223,10 @@ pub fn program(cfg: RepHeatConfig) -> Arc<dyn VpProgram> {
             if logical == 0 {
                 // Every live replica of logical 0 writes the (identical)
                 // marker: idempotent, and immune to leader-detection lag.
-                let mut b = BytesMut::with_capacity(DONE_DIGEST_LEN);
-                b.put_u64_le(digest[0]);
-                b.put_u64_le(digest[1]);
-                xsim_fs::write(&cfg.done_marker(), b.freeze())
+                let mut b = Vec::with_capacity(DONE_DIGEST_LEN);
+                b.extend_from_slice(&digest[0].to_le_bytes());
+                b.extend_from_slice(&digest[1].to_le_bytes());
+                xsim_fs::write(&cfg.done_marker(), b.into())
                     .await
                     .map_err(|e| MpiError::Io(e.to_string()))?;
             }
@@ -309,10 +308,10 @@ mod tests {
 
     #[test]
     fn done_marker_round_trips() {
-        let mut b = BytesMut::new();
-        b.put_u64_le(7);
-        b.put_u64_le(13);
-        assert_eq!(decode_done_marker(&b.freeze()), Some((7, 13)));
+        let mut b = Vec::new();
+        b.extend_from_slice(&7u64.to_le_bytes());
+        b.extend_from_slice(&13u64.to_le_bytes());
+        assert_eq!(decode_done_marker(&b), Some((7, 13)));
         assert_eq!(decode_done_marker(&[0u8; 3]), None);
     }
 }

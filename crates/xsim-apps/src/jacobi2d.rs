@@ -5,10 +5,9 @@
 //! motivates for co-design studies. Runs real numerics; used by tests
 //! and examples at small scale.
 
-use bytes::{BufMut, Bytes, BytesMut};
 use std::sync::Arc;
 use xsim_core::vp::VpProgram;
-use xsim_core::SimTime;
+use xsim_core::{Bytes, SimTime};
 use xsim_mpi::{mpi_program, MpiCtx, MpiError, ReduceOp};
 use xsim_proc::Work;
 
@@ -65,11 +64,11 @@ pub struct JacobiOutcome {
 }
 
 fn pack_row(row: &[f64]) -> Bytes {
-    let mut b = BytesMut::with_capacity(row.len() * 8);
+    let mut b = Vec::with_capacity(row.len() * 8);
     for v in row {
-        b.put_f64_le(*v);
+        b.extend_from_slice(&v.to_le_bytes());
     }
-    b.freeze()
+    b.into()
 }
 
 fn unpack_row(data: &[u8], row: &mut [f64]) {

@@ -1,10 +1,9 @@
 //! Microbenchmark kernels: small applications used by tests, examples
 //! and the scalability/ablation benches.
 
-use bytes::Bytes;
 use std::sync::Arc;
 use xsim_core::vp::VpProgram;
-use xsim_core::SimTime;
+use xsim_core::{Bytes, SimTime};
 use xsim_mpi::{mpi_program, MpiCtx, MpiError, ReduceOp};
 
 /// Token ring: rank 0 injects a token that visits every rank `laps`

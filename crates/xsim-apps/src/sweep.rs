@@ -11,10 +11,9 @@
 //! cadence, and a single slow (or failed) rank stalls the whole
 //! wavefront — co-design behaviour quite different from the heat app's.
 
-use bytes::Bytes;
 use std::sync::Arc;
 use xsim_core::vp::VpProgram;
-use xsim_core::SimTime;
+use xsim_core::{Bytes, SimTime};
 use xsim_mpi::{mpi_program, MpiCtx, MpiError};
 use xsim_proc::Work;
 

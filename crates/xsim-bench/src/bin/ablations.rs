@@ -6,12 +6,11 @@
 //! cargo run --release -p xsim-bench --bin ablations
 //! ```
 
-use bytes::Bytes;
 use std::sync::Arc;
 use xsim_apps::heat3d::{self, HeatConfig};
 use xsim_bench::{apply_env_faults, paper_builder};
 use xsim_core::vp::VpProgram;
-use xsim_core::SimTime;
+use xsim_core::{Bytes, SimTime};
 use xsim_fs::FsModel;
 use xsim_mpi::{
     mpi_program, CollAlgo, Detector, ErrHandler, LossyTransport, MpiCtx, ReduceOp, SimBuilder,

@@ -8,8 +8,8 @@
 //! over the header and every section, so truncation (a writer that
 //! failed mid-checkpoint) and bit damage are both detected.
 
-use bytes::{BufMut, Bytes, BytesMut};
 use std::fmt;
+use xsim_core::Bytes;
 
 const MAGIC: &[u8; 4] = b"XCKP";
 const VERSION: u16 = 1;
@@ -64,7 +64,7 @@ impl std::error::Error for CodecError {}
 ///
 /// ```
 /// use xsim_ckpt::Checkpoint;
-/// use bytes::Bytes;
+/// use xsim_core::Bytes;
 ///
 /// let ckpt = Checkpoint::new(7, 250).with_section("grid", Bytes::from_static(b"data"));
 /// let encoded = ckpt.encode();
@@ -108,26 +108,26 @@ impl Checkpoint {
 
     /// Serialize with checksums.
     pub fn encode(&self) -> Bytes {
-        let mut buf = BytesMut::new();
-        buf.put_slice(MAGIC);
-        buf.put_u16_le(VERSION);
-        buf.put_u32_le(self.rank);
-        buf.put_u64_le(self.iteration);
-        buf.put_u32_le(self.sections.len() as u32);
+        let mut buf = Vec::new();
+        buf.extend_from_slice(MAGIC);
+        buf.extend_from_slice(&VERSION.to_le_bytes());
+        buf.extend_from_slice(&self.rank.to_le_bytes());
+        buf.extend_from_slice(&self.iteration.to_le_bytes());
+        buf.extend_from_slice(&(self.sections.len() as u32).to_le_bytes());
         let header_crc = crc32(&buf);
-        buf.put_u32_le(header_crc);
+        buf.extend_from_slice(&header_crc.to_le_bytes());
         for (name, data) in &self.sections {
             let name_b = name.as_bytes();
-            buf.put_u32_le(name_b.len() as u32);
-            buf.put_slice(name_b);
-            buf.put_u64_le(data.len() as u64);
-            buf.put_slice(data);
+            buf.extend_from_slice(&(name_b.len() as u32).to_le_bytes());
+            buf.extend_from_slice(name_b);
+            buf.extend_from_slice(&(data.len() as u64).to_le_bytes());
+            buf.extend_from_slice(data);
             let mut crc_input = Vec::with_capacity(name_b.len() + data.len());
             crc_input.extend_from_slice(name_b);
             crc_input.extend_from_slice(data);
-            buf.put_u32_le(crc32(&crc_input));
+            buf.extend_from_slice(&crc32(&crc_input).to_le_bytes());
         }
-        buf.freeze()
+        buf.into()
     }
 
     /// Deserialize and verify checksums. Any truncation or damage yields

@@ -9,9 +9,8 @@
 //! before writing) are removed between runs by a cleanup step.
 
 use crate::codec::Checkpoint;
-use bytes::Bytes;
 use std::sync::Arc;
-use xsim_core::{ctx, SimTime};
+use xsim_core::{ctx, Bytes, SimTime};
 use xsim_fs::{self as fs, FileState, FsError, FsStore};
 use xsim_obs::service as obs;
 use xsim_obs::{ids, ObsSpan};

@@ -29,9 +29,8 @@
 
 use crate::codec::Checkpoint;
 use crate::manager::CheckpointManager;
-use bytes::{BufMut, Bytes, BytesMut};
 use std::sync::Arc;
-use xsim_core::ctx;
+use xsim_core::{ctx, Bytes};
 use xsim_fs::{self as fs, FileState, FsService, FsStore};
 use xsim_mpi::{CkptMode, MpiCtx, MpiError};
 use xsim_obs::ids;
@@ -65,7 +64,7 @@ pub fn member_section(rank: u32) -> String {
 }
 
 // ----------------------------------------------------------------------
-// Pure diff math (proptested in `tests/incremental_prop.rs`)
+// Pure diff math (property-tested in `tests/modes_prop.rs`)
 // ----------------------------------------------------------------------
 
 /// Block-diff `cur` against `base`: changed block indices plus their
@@ -74,7 +73,7 @@ pub fn member_section(rank: u32) -> String {
 pub fn block_diff(base: &[u8], cur: &[u8], block: usize) -> (Vec<u32>, Bytes) {
     assert!(block > 0, "diff block size must be positive");
     let mut indices = Vec::new();
-    let mut data = BytesMut::new();
+    let mut data = Vec::new();
     let n_blocks = cur.len().div_ceil(block);
     for i in 0..n_blocks {
         let lo = i * block;
@@ -87,10 +86,10 @@ pub fn block_diff(base: &[u8], cur: &[u8], block: usize) -> (Vec<u32>, Bytes) {
         };
         if cur_b != base_b {
             indices.push(i as u32);
-            data.put_slice(cur_b);
+            data.extend_from_slice(cur_b);
         }
     }
-    (indices, data.freeze())
+    (indices, data.into())
 }
 
 /// Apply a block diff to `base`, producing the `new_len`-byte result.
@@ -126,16 +125,16 @@ pub fn encode_diff(
     cur: &[u8],
 ) -> Checkpoint {
     let (indices, data) = block_diff(base, cur, DIFF_BLOCK);
-    let mut idx = BytesMut::with_capacity(indices.len() * 4);
+    let mut idx = Vec::with_capacity(indices.len() * 4);
     for i in &indices {
-        idx.put_u32_le(*i);
+        idx.extend_from_slice(&i.to_le_bytes());
     }
     Checkpoint::new(rank, generation)
         .with_section(
             diff_sections::BASE,
             Bytes::from(base_gen.to_le_bytes().to_vec()),
         )
-        .with_section(diff_sections::BLOCKS, idx.freeze())
+        .with_section(diff_sections::BLOCKS, idx.into())
         .with_section(diff_sections::DATA, data)
         .with_section(
             diff_sections::LEN,
@@ -188,11 +187,11 @@ pub fn decode_diff(ckpt: &Checkpoint) -> Option<DiffFile> {
 fn frame(enc: &Bytes, model_bytes: Option<u64>) -> Bytes {
     let body = 8 + enc.len();
     let total = body.max(model_bytes.unwrap_or(0) as usize);
-    let mut out = BytesMut::with_capacity(total);
-    out.put_u64_le(enc.len() as u64);
-    out.put_slice(enc);
-    out.put_slice(&vec![0u8; total - body]);
-    out.freeze()
+    let mut out = Vec::with_capacity(total);
+    out.extend_from_slice(&(enc.len() as u64).to_le_bytes());
+    out.extend_from_slice(enc);
+    out.resize(total, 0);
+    out.into()
 }
 
 /// Strip the framing; errors on malformed payloads.

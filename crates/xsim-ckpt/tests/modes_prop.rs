@@ -1,39 +1,41 @@
 //! Property-based tests for the checkpoint modes: the incremental diff
 //! chain always restores to the exact bytes of a fresh full checkpoint,
-//! and buddy memory copies / partnerless spills are lossless.
+//! and buddy memory copies / partnerless spills are lossless. Every
+//! property runs `CASES` cases, case `i` drawing from
+//! `DetRng::stream(SEED, i)`.
 
-use bytes::Bytes;
-use proptest::prelude::*;
 use xsim_ckpt::{
     apply_diff, block_diff, encode_diff, resolve_latest, Checkpoint, CheckpointManager,
 };
+use xsim_core::rng::for_each_case;
+use xsim_core::Bytes;
 use xsim_fs::FsStore;
 use xsim_mpi::CkptMode;
 
-proptest! {
-    /// Pure diff math: `apply(diff(base → cur)) == cur` for any inputs
-    /// and any block size.
-    #[test]
-    fn diff_round_trips(
-        base in proptest::collection::vec(any::<u8>(), 0..2048),
-        cur in proptest::collection::vec(any::<u8>(), 0..2048),
-        block in 1usize..64,
-    ) {
+const SEED: u64 = 0xC0DE_0006;
+const CASES: u64 = 64;
+
+/// Pure diff math: `apply(diff(base → cur)) == cur` for any inputs
+/// and any block size.
+#[test]
+fn diff_round_trips() {
+    for_each_case(SEED, CASES, |g| {
+        let base = g.gen_bytes(0..2048);
+        let cur = g.gen_bytes(0..2048);
+        let block = g.gen_in(1..64) as usize;
         let (idx, data) = block_diff(&base, &cur, block);
         let out = apply_diff(&base, &idx, &data, cur.len(), block);
-        prop_assert_eq!(out, cur);
-    }
+        assert_eq!(out, cur);
+    });
+}
 
-    /// A stored chain (one full checkpoint + a diff per later
-    /// generation) restores to exactly the checkpoint a fresh full
-    /// write of the final state would produce.
-    #[test]
-    fn incremental_chain_restores_like_full(
-        states in proptest::collection::vec(
-            proptest::collection::vec(any::<u8>(), 0..1500),
-            1..6,
-        ),
-    ) {
+/// A stored chain (one full checkpoint + a diff per later
+/// generation) restores to exactly the checkpoint a fresh full
+/// write of the final state would produce.
+#[test]
+fn incremental_chain_restores_like_full() {
+    for_each_case(SEED, CASES, |g| {
+        let states: Vec<Vec<u8>> = (0..g.gen_in(1..6)).map(|_| g.gen_bytes(0..1500)).collect();
         let store = FsStore::new();
         let mgr = CheckpointManager::new("prop");
         let encs: Vec<Bytes> = states
@@ -55,19 +57,20 @@ proptest! {
         }
         let mode = CkptMode::Incremental { full_every: 4 };
         let resolved = resolve_latest(&store, &mgr, mode, 0, 1).expect("chain resolves");
-        prop_assert_eq!(resolved.chain_len, encs.len());
-        prop_assert_eq!(resolved.generation, encs.len() as u64 * 10);
+        assert_eq!(resolved.chain_len, encs.len());
+        assert_eq!(resolved.generation, encs.len() as u64 * 10);
         let fresh = Checkpoint::decode(&encs[encs.len() - 1]).expect("valid checkpoint");
-        prop_assert_eq!(resolved.ckpt, fresh);
-    }
+        assert_eq!(resolved.ckpt, fresh);
+    });
+}
 
-    /// Buddy restore is lossless whichever single holder survives, and
-    /// the partnerless spill path round-trips through the PFS files.
-    #[test]
-    fn buddy_copies_and_spills_are_lossless(
-        payload in proptest::collection::vec(any::<u8>(), 0..1500),
-        lose_own in any::<bool>(),
-    ) {
+/// Buddy restore is lossless whichever single holder survives, and
+/// the partnerless spill path round-trips through the PFS files.
+#[test]
+fn buddy_copies_and_spills_are_lossless() {
+    for_each_case(SEED, CASES, |g| {
+        let payload = g.gen_bytes(0..1500);
+        let lose_own = g.gen_bool();
         let store = FsStore::new();
         let mgr = CheckpointManager::new("prop");
         let ckpt = Checkpoint::new(0, 7).with_section("s", Bytes::from(payload.clone()));
@@ -78,11 +81,11 @@ proptest! {
         store.put(&mgr.mem_file_name(7, 0, 1), enc.clone());
         store.delete(&mgr.mem_file_name(7, 0, if lose_own { 0 } else { 1 }));
         let r = resolve_latest(&store, &mgr, CkptMode::Buddy, 0, 2).expect("buddy resolves");
-        prop_assert_eq!(&r.ckpt, &ckpt);
+        assert_eq!(&r.ckpt, &ckpt);
         // Partnerless rank (2 of 3): the spill file on the PFS.
         let spill = Checkpoint::new(2, 7).with_section("s", Bytes::from(payload));
         store.put(&mgr.file_name(7, 2), spill.encode());
         let r = resolve_latest(&store, &mgr, CkptMode::Buddy, 2, 3).expect("spill resolves");
-        prop_assert_eq!(r.ckpt, spill);
-    }
+        assert_eq!(r.ckpt, spill);
+    });
 }

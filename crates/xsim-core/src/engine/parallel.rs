@@ -87,10 +87,13 @@ use crate::kernel::Kernel;
 use crate::report::{EngineProfile, SimReport};
 use crate::time::SimTime;
 use crate::vp::VpProgram;
-use parking_lot::Mutex;
 use std::ops::Range;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Barrier};
+use std::sync::{Arc, Barrier, Mutex};
+
+/// A poisoned shard, slot or profile lock means another worker panicked
+/// mid-window and left it half-updated: propagate instead of simulating on.
+const POISONED: &str = "a parallel-engine worker panicked while holding this lock";
 
 /// Shared synchronization state of one parallel run.
 struct SyncState {
@@ -223,8 +226,11 @@ pub fn run_parallel(
         });
     }
 
-    let kernels: Vec<Kernel> = kernels.into_iter().map(|m| m.into_inner()).collect();
-    let profile = *sync.profile.lock();
+    let kernels: Vec<Kernel> = kernels
+        .into_iter()
+        .map(|m| m.into_inner().expect(POISONED))
+        .collect();
+    let profile = *sync.profile.lock().expect(POISONED);
     assemble_report(&cfg, kernels, profile, start.elapsed())
 }
 
@@ -268,7 +274,7 @@ fn worker_loop(
             while let Some(tickets) = claim(&sync.ticket, end, chunk) {
                 for t in tickets {
                     let s = t % n_shards;
-                    let mut k = kernels[s].lock();
+                    let mut k = kernels[s].lock().expect(POISONED);
                     if window == 0 {
                         // First touch of this shard: install services and
                         // scheduled injections before publishing its bound.
@@ -279,7 +285,7 @@ fn worker_loop(
                         while bits != 0 {
                             let src = w * 64 + bits.trailing_zeros() as usize;
                             bits &= bits - 1;
-                            let mut slot = sync.slots[s][src].lock();
+                            let mut slot = sync.slots[s][src].lock().expect(POISONED);
                             prof.batched_events += slot.len() as u64;
                             prof.batch_max_events = prof.batch_max_events.max(slot.len() as u64);
                             // drain() keeps the slot's capacity: the buffer
@@ -351,7 +357,7 @@ fn worker_loop(
                 if s % nthreads != worker_id {
                     window_steals += 1;
                 }
-                let mut k = kernels[s].lock();
+                let mut k = kernels[s].lock().expect(POISONED);
                 let next = sync.next_times[cur][s].load(Ordering::SeqCst);
                 // The sole shard with pending work drains unboundedly,
                 // under the dynamic emission clamp below; everyone else
@@ -425,7 +431,7 @@ fn worker_loop(
                             );
                         }
                     }
-                    let mut slot = sync.slots[dst][s].lock();
+                    let mut slot = sync.slots[dst][s].lock().expect(POISONED);
                     debug_assert!(slot.is_empty(), "exchange slot not drained in Phase A");
                     // Swap the filled lane in and take the drained slot
                     // buffer back as next window's lane: zero-copy
@@ -465,5 +471,5 @@ fn worker_loop(
         window += 1;
     }
 
-    sync.profile.lock().merge(&prof);
+    sync.profile.lock().expect(POISONED).merge(&prof);
 }

@@ -45,6 +45,7 @@ pub mod engine;
 pub mod error;
 pub mod event;
 pub mod kernel;
+pub mod payload;
 pub mod queue;
 pub mod rank;
 pub mod report;
@@ -58,6 +59,7 @@ pub use ctx::{block, current_rank, now, sleep, with_kernel, yield_now};
 pub use error::SimError;
 pub use event::{Action, CallFn, EventKey, EventRec};
 pub use kernel::Kernel;
+pub use payload::Bytes;
 pub use queue::{EventQueue, QueueImpl, QueueStats};
 pub use rank::Rank;
 pub use report::{EngineProfile, ExitKind, ShardStats, SimReport, VpTimingStats};

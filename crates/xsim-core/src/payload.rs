@@ -1,6 +1,7 @@
-//! Offline stub of the `bytes` crate surface xsim uses: an immutable,
-//! cheaply-clonable `Bytes` with zero-copy `slice`, a growable
-//! `BytesMut`, and the `BufMut` writer methods the codecs call.
+//! The one message/file payload type of the simulator: an immutable,
+//! cheaply-clonable byte string with zero-copy [`Bytes::slice`].
+//!
+//! Writers build a `Vec<u8>` and convert it with `.into()`.
 //!
 //! Three representations sit behind the one 32-byte `Bytes` value:
 //!
@@ -9,19 +10,21 @@
 //!   redundancy envelopes, sub-eager payloads) allocates nothing; this
 //!   is the zero-allocation small-message fast path the MPI layer rides.
 //! * **Static** — `from_static` borrows the `'static` slice, no copy.
-//! * **Shared** — an `Arc<Vec<u8>>` plus a view range, same refcounted
-//!   sharing semantics as the real crate for large payloads.
+//! * **Shared** — an `Arc<Vec<u8>>` plus a view range: clones and
+//!   slices of large payloads share one refcounted allocation.
 //!
-//! All equality/order/hash is by content, so the representations mix
-//! freely.
+//! Equality is by content, so the representations mix freely.
 
-use std::ops::{Bound, Deref, DerefMut, RangeBounds};
+use std::ops::{Bound, Deref, RangeBounds};
 use std::sync::Arc;
 
 #[derive(Clone)]
 enum Repr {
     /// Payload stored in the value itself; no allocation.
-    Inline { len: u8, buf: [u8; Bytes::INLINE_CAP] },
+    Inline {
+        len: u8,
+        buf: [u8; Bytes::INLINE_CAP],
+    },
     /// Borrowed static slice; no allocation, no copy.
     Static(&'static [u8]),
     /// Refcounted heap buffer with a zero-copy view range.
@@ -63,18 +66,6 @@ impl Bytes {
         })
     }
 
-    fn from_vec(v: Vec<u8>) -> Self {
-        if v.len() <= Bytes::INLINE_CAP {
-            return Bytes::inline_from(&v);
-        }
-        let end = v.len();
-        Bytes(Repr::Shared {
-            buf: Arc::new(v),
-            start: 0,
-            end,
-        })
-    }
-
     pub fn from_static(b: &'static [u8]) -> Self {
         Bytes(Repr::Static(b))
     }
@@ -83,13 +74,14 @@ impl Bytes {
         if b.len() <= Bytes::INLINE_CAP {
             Bytes::inline_from(b)
         } else {
-            Bytes::from_vec(b.to_vec())
+            b.to_vec().into()
         }
     }
 
     /// Whether the payload is stored without a heap allocation (inline
-    /// or static). Exposed for pool/bench accounting.
-    pub fn is_inline(&self) -> bool {
+    /// or static).
+    #[cfg(test)]
+    fn is_inline(&self) -> bool {
         !matches!(self.0, Repr::Shared { .. })
     }
 
@@ -102,10 +94,9 @@ impl Bytes {
         }
     }
 
-    /// Zero-copy sub-view sharing the backing allocation (the real
-    /// crate's `Bytes::slice`); inline payloads copy into a new inline
-    /// value. Panics on an out-of-range or inverted range, like the
-    /// real crate.
+    /// Zero-copy sub-view sharing the backing allocation; inline
+    /// payloads copy into a new inline value. Panics on an out-of-range
+    /// or inverted range.
     pub fn slice(&self, range: impl RangeBounds<usize>) -> Bytes {
         let len = self.as_slice().len();
         let lo = match range.start_bound() {
@@ -141,12 +132,6 @@ impl Deref for Bytes {
     }
 }
 
-impl AsRef<[u8]> for Bytes {
-    fn as_ref(&self) -> &[u8] {
-        self
-    }
-}
-
 impl PartialEq for Bytes {
     fn eq(&self, other: &Self) -> bool {
         **self == **other
@@ -155,45 +140,17 @@ impl PartialEq for Bytes {
 
 impl Eq for Bytes {}
 
-impl PartialOrd for Bytes {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl Ord for Bytes {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        (**self).cmp(&**other)
-    }
-}
-
-impl std::hash::Hash for Bytes {
-    fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
-        (**self).hash(state)
-    }
-}
-
 impl From<Vec<u8>> for Bytes {
     fn from(v: Vec<u8>) -> Self {
-        Bytes::from_vec(v)
-    }
-}
-
-impl From<&'static [u8]> for Bytes {
-    fn from(b: &'static [u8]) -> Self {
-        Bytes::from_static(b)
-    }
-}
-
-impl From<String> for Bytes {
-    fn from(s: String) -> Self {
-        Bytes::from_vec(s.into_bytes())
-    }
-}
-
-impl From<&'static str> for Bytes {
-    fn from(s: &'static str) -> Self {
-        Bytes::from_static(s.as_bytes())
+        if v.len() <= Bytes::INLINE_CAP {
+            return Bytes::inline_from(&v);
+        }
+        let end = v.len();
+        Bytes(Repr::Shared {
+            buf: Arc::new(v),
+            start: 0,
+            end,
+        })
     }
 }
 
@@ -206,71 +163,6 @@ impl std::fmt::Debug for Bytes {
             }
         }
         write!(f, "\"")
-    }
-}
-
-#[derive(Clone, Default, Debug, PartialEq, Eq)]
-pub struct BytesMut(Vec<u8>);
-
-impl BytesMut {
-    pub fn new() -> Self {
-        BytesMut(Vec::new())
-    }
-
-    pub fn with_capacity(cap: usize) -> Self {
-        BytesMut(Vec::with_capacity(cap))
-    }
-
-    pub fn freeze(self) -> Bytes {
-        Bytes::from_vec(self.0)
-    }
-}
-
-impl Deref for BytesMut {
-    type Target = [u8];
-    fn deref(&self) -> &[u8] {
-        &self.0
-    }
-}
-
-impl DerefMut for BytesMut {
-    fn deref_mut(&mut self) -> &mut [u8] {
-        &mut self.0
-    }
-}
-
-pub trait BufMut {
-    fn put_slice(&mut self, src: &[u8]);
-
-    fn put_u8(&mut self, v: u8) {
-        self.put_slice(&[v]);
-    }
-    fn put_u16_le(&mut self, v: u16) {
-        self.put_slice(&v.to_le_bytes());
-    }
-    fn put_u32_le(&mut self, v: u32) {
-        self.put_slice(&v.to_le_bytes());
-    }
-    fn put_u64_le(&mut self, v: u64) {
-        self.put_slice(&v.to_le_bytes());
-    }
-    fn put_i64_le(&mut self, v: i64) {
-        self.put_slice(&v.to_le_bytes());
-    }
-    fn put_f64_le(&mut self, v: f64) {
-        self.put_slice(&v.to_le_bytes());
-    }
-}
-
-impl BufMut for BytesMut {
-    fn put_slice(&mut self, src: &[u8]) {
-        self.0.extend_from_slice(src);
-    }
-}
-
-impl BufMut for Vec<u8> {
-    fn put_slice(&mut self, src: &[u8]) {
-        self.extend_from_slice(src);
     }
 }
 
@@ -318,15 +210,5 @@ mod tests {
     #[should_panic(expected = "out of range")]
     fn out_of_range_slice_panics() {
         Bytes::copy_from_slice(b"abc").slice(1..5);
-    }
-
-    #[test]
-    fn freeze_round_trips() {
-        let mut m = BytesMut::with_capacity(16);
-        m.put_u32_le(0xdeadbeef);
-        m.put_slice(b"xy");
-        let b = m.freeze();
-        assert_eq!(b.len(), 6);
-        assert!(b.is_inline());
     }
 }

@@ -20,7 +20,7 @@
 //!
 //! Both pop the *current minimum* [`EventKey`]; since keys are globally
 //! unique, the two implementations produce byte-identical pop sequences
-//! for any push/pop interleaving — pinned by the oracle proptest in
+//! for any push/pop interleaving — pinned by the oracle property in
 //! `tests/prop.rs` and the seeded differential test below.
 //!
 //! ## Compact records and the call slab
@@ -998,8 +998,7 @@ mod tests {
     /// Seeded randomized differential test: interleaved push/pop (with
     /// heavy timestamp collisions and far-future outliers that force
     /// overflow migrations, ring growth, and occupancy splits) pops
-    /// byte-identically on both implementations. Runs in stub mode,
-    /// unlike the proptest twin in `tests/prop.rs`.
+    /// byte-identically on both implementations.
     #[test]
     fn calendar_matches_heap_oracle_seeded() {
         for seed in [
@@ -1172,58 +1171,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    /// Seeded mirror of the banded/burst proptest in `tests/prop.rs`:
-    /// interleaved push/pop traffic over three time bands (tie-dense,
-    /// mid-range across many slices, far-future overflow) with
-    /// same-time bursts crossing the bounded-memmove cap. Runs in every
-    /// local build, where the proptest needs the real `proptest` crate.
-    #[test]
-    fn banded_burst_traffic_matches_heap() {
-        let mut heap = EventQueue::heap();
-        let mut cal = EventQueue::calendar();
-        let mut seq = 0u64;
-        let mut state = 0x1234_5678_9abc_def0u64;
-        let mut rng = move || {
-            state ^= state << 13;
-            state ^= state >> 7;
-            state ^= state << 17;
-            state
-        };
-        for _ in 0..1_200 {
-            let r = rng();
-            if r & 1 == 1 || heap.is_empty() {
-                let t = (r >> 8) % 512;
-                let t = match (r >> 1) % 3 {
-                    0 => t,
-                    1 => t << 12,
-                    _ => t << 40,
-                };
-                let burst = 1 + 48 * ((r >> 24) % 3);
-                for _ in 0..burst {
-                    let e = ev(t, ((r >> 32) % 16) as u32, ((r >> 40) % 16) as u32, seq);
-                    seq += 1;
-                    heap.push(clone_ev(&e));
-                    cal.push(e);
-                }
-            } else {
-                let a = heap.pop().map(|e| e.key);
-                let b = cal.pop().map(|e| e.key);
-                assert_eq!(a, b, "banded pop diverged");
-            }
-            assert_eq!(heap.len(), cal.len());
-            assert_eq!(heap.next_time(), cal.next_time());
-        }
-        loop {
-            let a = heap.pop().map(|e| e.key);
-            let b = cal.pop().map(|e| e.key);
-            assert_eq!(a, b, "banded drain diverged");
-            if a.is_none() {
-                break;
-            }
-        }
-        assert!(cal.stats().bucket_hwm > INSERT_MOVE_CAP as u64);
     }
 
     /// `Call` closures round-trip through the facade slab: popped events

@@ -26,13 +26,11 @@
 //! checkpoint layer does), otherwise parallel-engine runs may order
 //! same-name commits differently than sequential runs.
 
-use bytes::Bytes;
-use parking_lot::Mutex;
 use std::collections::BTreeMap;
 use std::fmt;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard};
 use xsim_core::vp::WaitClass;
-use xsim_core::{ctx, Rank, SimTime};
+use xsim_core::{ctx, Bytes, Rank, SimTime};
 use xsim_obs::service as obs;
 use xsim_obs::{ids, ObsSpan};
 
@@ -145,18 +143,24 @@ impl FsStore {
         Arc::new(FsStore::default())
     }
 
+    /// No caller code runs under the lock, so poison can only mean a
+    /// store operation itself panicked.
+    fn lock(&self) -> MutexGuard<'_, StoreInner> {
+        self.inner.lock().expect("FsStore operation panicked")
+    }
+
     /// Install an I/O fault rule.
     pub fn inject_fault(&self, rule: IoFaultRule) {
-        self.inner.lock().faults.push(rule);
+        self.lock().faults.push(rule);
     }
 
     /// Remove all fault rules.
     pub fn clear_faults(&self) {
-        self.inner.lock().faults.clear();
+        self.lock().faults.clear();
     }
 
     fn check_fault(&self, name: &str, kind: IoFaultKind, rank: Rank) -> Result<(), FsError> {
-        let mut inner = self.inner.lock();
+        let mut inner = self.lock();
         for rule in &mut inner.faults {
             if rule.kind == kind
                 && rule.remaining > 0
@@ -173,7 +177,7 @@ impl FsStore {
     /// Begin a two-phase write: the name becomes visible as a partial
     /// file (its contents are not durable until commit).
     pub fn begin_write(&self, name: &str) {
-        let mut inner = self.inner.lock();
+        let mut inner = self.lock();
         inner
             .files
             .insert(name.to_string(), FileState::Partial(Bytes::new()));
@@ -181,7 +185,7 @@ impl FsStore {
 
     /// Commit a write begun with [`begin_write`](Self::begin_write).
     pub fn commit_write(&self, name: &str, data: Bytes) {
-        let mut inner = self.inner.lock();
+        let mut inner = self.lock();
         inner.writes += 1;
         inner.bytes_written += data.len() as u64;
         inner
@@ -197,7 +201,7 @@ impl FsStore {
 
     /// Read a file's state (complete or partial).
     pub fn get(&self, name: &str) -> Option<FileState> {
-        let mut inner = self.inner.lock();
+        let mut inner = self.lock();
         let state = inner.files.get(name).cloned();
         if let Some(s) = &state {
             inner.reads += 1;
@@ -208,20 +212,19 @@ impl FsStore {
 
     /// Whether a file exists (complete or partial).
     pub fn exists(&self, name: &str) -> bool {
-        self.inner.lock().files.contains_key(name)
+        self.lock().files.contains_key(name)
     }
 
     /// Delete a file; returns whether it existed.
     pub fn delete(&self, name: &str) -> bool {
-        self.inner.lock().files.remove(name).is_some()
+        self.lock().files.remove(name).is_some()
     }
 
     /// The first stored file name at or after `cursor` (lexicographic).
     /// Enables O(log n) directory-style iteration without cloning whole
     /// listings.
     pub fn first_key_at_or_after(&self, cursor: &str) -> Option<String> {
-        self.inner
-            .lock()
+        self.lock()
             .files
             .range(cursor.to_string()..)
             .next()
@@ -230,8 +233,7 @@ impl FsStore {
 
     /// All file names with the given prefix, sorted.
     pub fn list_prefix(&self, prefix: &str) -> Vec<String> {
-        self.inner
-            .lock()
+        self.lock()
             .files
             .range(prefix.to_string()..)
             .take_while(|(k, _)| k.starts_with(prefix))
@@ -245,7 +247,7 @@ impl FsStore {
     /// script", §V-B).
     pub fn delete_prefix(&self, prefix: &str) -> usize {
         let names = self.list_prefix(prefix);
-        let mut inner = self.inner.lock();
+        let mut inner = self.lock();
         for n in &names {
             inner.files.remove(n);
         }
@@ -254,7 +256,7 @@ impl FsStore {
 
     /// Number of stored files.
     pub fn len(&self) -> usize {
-        self.inner.lock().files.len()
+        self.lock().files.len()
     }
 
     /// Whether the store is empty.
@@ -264,7 +266,7 @@ impl FsStore {
 
     /// Aggregate I/O statistics.
     pub fn stats(&self) -> FsStats {
-        let inner = self.inner.lock();
+        let inner = self.lock();
         FsStats {
             writes: inner.writes,
             reads: inner.reads,

@@ -36,7 +36,7 @@
 //! values) so the cross-shard arrival/completion events always land
 //! beyond the conservative window bound.
 
-use parking_lot::Mutex;
+use std::sync::{Mutex, MutexGuard};
 use xsim_core::event::Action;
 use xsim_core::vp::{VpState, WaitClass};
 use xsim_core::{ctx, Kernel, Rank, SimTime};
@@ -205,9 +205,15 @@ impl PfsState {
         }
     }
 
+    /// No caller code runs under the lock, so poison can only mean a
+    /// server-state operation itself panicked.
+    fn lock(&self) -> MutexGuard<'_, PfsInner> {
+        self.inner.lock().expect("PfsState operation panicked")
+    }
+
     /// Serve one request FCFS at `node`: returns `(queued, finish)`.
     fn serve(&self, node: u32, arrival: SimTime, service: SimTime) -> (SimTime, SimTime) {
-        let mut inner = self.inner.lock();
+        let mut inner = self.lock();
         let busy = inner.busy_until[node as usize];
         let start = busy.max(arrival);
         let finish = start + service;
@@ -216,7 +222,7 @@ impl PfsState {
     }
 
     fn op_begin(&self, rank: usize, parts: u32) {
-        let mut inner = self.inner.lock();
+        let mut inner = self.lock();
         if inner.pending.len() <= rank {
             inner.pending.resize(rank + 1, 0);
         }
@@ -226,19 +232,19 @@ impl PfsState {
 
     /// Decrement the rank's outstanding count; true when it reaches 0.
     fn op_complete(&self, rank: usize) -> bool {
-        let mut inner = self.inner.lock();
+        let mut inner = self.lock();
         inner.pending[rank] -= 1;
         inner.pending[rank] == 0
     }
 
     fn op_pending(&self, rank: usize) -> bool {
-        let inner = self.inner.lock();
+        let inner = self.lock();
         inner.pending.get(rank).is_some_and(|p| *p > 0)
     }
 
     /// Per-node busy horizons (test/diagnostic view).
     pub fn busy_until(&self) -> Vec<SimTime> {
-        self.inner.lock().busy_until.clone()
+        self.lock().busy_until.clone()
     }
 }
 

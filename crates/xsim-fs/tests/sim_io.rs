@@ -2,8 +2,7 @@
 //! the two-phase write semantics that produce the paper's "corrupted
 //! checkpoint (exists, but misses some information)" (§V-B).
 
-use bytes::Bytes;
-use xsim_core::{ExitKind, SimTime};
+use xsim_core::{Bytes, ExitKind, SimTime};
 use xsim_fs::{FileState, FsModel};
 use xsim_mpi::SimBuilder;
 use xsim_net::NetModel;

@@ -10,9 +10,8 @@ use crate::state::{
     PowerService,
 };
 use crate::trace::{Trace, TraceEvent, TraceService};
-use parking_lot::Mutex;
 use std::future::Future;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use xsim_core::vp::VpProgram;
 use xsim_core::{
     engine, CoreConfig, EngineKind, Kernel, LookaheadProvider, Rank, SimError, SimReport, SimTime,
@@ -21,6 +20,11 @@ use xsim_fs::{FsModel, FsService, FsStore};
 use xsim_net::{LinkStateTable, NetFault, NetModel};
 use xsim_obs::{ids as metric_ids, ChromeTraceWriter, ObsReport, ObsService, ObsSink};
 use xsim_proc::{PowerModel, PowerReport, ProcModel};
+
+/// The sinks are read only after `engine::run` returned, which
+/// propagates worker panics; poison then means a service panicked while
+/// flushing, and its totals cannot be trusted.
+const SINK_POISONED: &str = "a service panicked while flushing into its sink";
 
 /// A per-shard setup hook registered via [`SimBuilder::setup_hook`].
 type SetupHook = Arc<dyn Fn(&mut Kernel) + Send + Sync>;
@@ -566,9 +570,9 @@ impl SimBuilder {
         // The setup closure (and the services it captured) is dropped by
         // now, so the busy sink holds every shard's accounting.
         drop(setup);
-        let mpi = *stats_sink.lock();
+        let mpi = *stats_sink.lock().expect(SINK_POISONED);
         let power = power_model.map(|model| {
-            let busy = busy_sink.lock();
+            let busy = busy_sink.lock().expect(SINK_POISONED);
             PowerReport::assemble(
                 &model,
                 &busy,
@@ -613,7 +617,8 @@ impl SimBuilder {
             }
         }
         let trace = trace_enabled.then(|| {
-            let mut events: Vec<TraceEvent> = std::mem::take(&mut trace_sink.lock());
+            let mut events: Vec<TraceEvent> =
+                std::mem::take(&mut trace_sink.lock().expect(SINK_POISONED));
             // Surface file-system spans as FileIo phases so the MPI
             // trace covers I/O even though xsim-fs sits below this layer.
             if let Some(obs) = &metrics {

@@ -14,8 +14,7 @@ use crate::comm::CommId;
 use crate::error::MpiError;
 use crate::p2p;
 use crate::state::MpiService;
-use bytes::{BufMut, Bytes, BytesMut};
-use xsim_core::ctx;
+use xsim_core::{ctx, Bytes};
 use xsim_obs::ids as metric_ids;
 use xsim_obs::service as obs;
 
@@ -673,13 +672,13 @@ pub fn ring_rounds(size: usize) -> u32 {
 /// Pack multiple byte strings into one (length-prefixed).
 pub fn encode_multi(parts: &[Bytes]) -> Bytes {
     let total: usize = 4 + parts.iter().map(|p| 4 + p.len()).sum::<usize>();
-    let mut buf = BytesMut::with_capacity(total);
-    buf.put_u32_le(parts.len() as u32);
+    let mut buf = Vec::with_capacity(total);
+    buf.extend_from_slice(&(parts.len() as u32).to_le_bytes());
     for p in parts {
-        buf.put_u32_le(p.len() as u32);
-        buf.put_slice(p);
+        buf.extend_from_slice(&(p.len() as u32).to_le_bytes());
+        buf.extend_from_slice(p);
     }
-    buf.freeze()
+    buf.into()
 }
 
 /// Unpack a [`encode_multi`] payload. Returns `None` on malformed input.
@@ -709,11 +708,11 @@ pub fn decode_multi(data: &Bytes) -> Option<Vec<Bytes>> {
 
 /// Serialize an `f64` slice (little-endian).
 pub fn f64_to_bytes(v: &[f64]) -> Bytes {
-    let mut buf = BytesMut::with_capacity(v.len() * 8);
+    let mut buf = Vec::with_capacity(v.len() * 8);
     for x in v {
-        buf.put_f64_le(*x);
+        buf.extend_from_slice(&x.to_le_bytes());
     }
-    buf.freeze()
+    buf.into()
 }
 
 /// Deserialize an `f64` slice; `None` if the length is not a multiple of 8.
@@ -730,11 +729,11 @@ pub fn bytes_to_f64(data: &[u8]) -> Option<Vec<f64>> {
 
 /// Serialize a `u64` slice (little-endian).
 pub fn u64_to_bytes(v: &[u64]) -> Bytes {
-    let mut buf = BytesMut::with_capacity(v.len() * 8);
+    let mut buf = Vec::with_capacity(v.len() * 8);
     for x in v {
-        buf.put_u64_le(*x);
+        buf.extend_from_slice(&x.to_le_bytes());
     }
-    buf.freeze()
+    buf.into()
 }
 
 /// Deserialize a `u64` slice; `None` if the length is not a multiple of 8.

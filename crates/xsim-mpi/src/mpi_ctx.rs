@@ -16,11 +16,10 @@ use crate::request::{RecvOut, ReqId};
 use crate::state::MpiService;
 use crate::trace;
 use crate::ulfm;
-use bytes::{BufMut, Bytes, BytesMut};
 use std::future::Future;
 use std::sync::Arc;
 use xsim_core::vp::{VpExit, VpFuture, VpProgram};
-use xsim_core::{ctx, Rank, SimTime};
+use xsim_core::{ctx, Bytes, Rank, SimTime};
 use xsim_proc::Work;
 
 /// Handle to the simulated MPI world for one application process.
@@ -449,11 +448,11 @@ impl MpiCtx {
         key: i64,
     ) -> Result<Option<Comm>, MpiError> {
         // Exchange (color, key) among members via allgather.
-        let mut enc = BytesMut::with_capacity(13);
-        enc.put_u8(color.is_some() as u8);
-        enc.put_u32_le(color.unwrap_or(0));
-        enc.put_i64_le(key);
-        let entries = self.allgather(comm, enc.freeze()).await?;
+        let mut enc = Vec::with_capacity(13);
+        enc.push(color.is_some() as u8);
+        enc.extend_from_slice(&color.unwrap_or(0).to_le_bytes());
+        enc.extend_from_slice(&key.to_le_bytes());
+        let entries = self.allgather(comm, enc.into()).await?;
 
         let members = ctx::with_kernel(|k, me| {
             let svc = k.service::<MpiService>();

@@ -14,9 +14,8 @@
 //! P−1 of them, paper §V-C).
 
 use crate::comm::CommId;
-use bytes::Bytes;
 use std::collections::{HashMap, VecDeque};
-use xsim_core::{Rank, SimTime};
+use xsim_core::{Bytes, Rank, SimTime};
 
 /// Wildcard-capable source selector (`MPI_ANY_SOURCE`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

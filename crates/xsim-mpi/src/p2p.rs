@@ -36,10 +36,9 @@ use crate::request::{RecvOut, ReqId, ReqKind, ReqResult};
 use crate::state::{
     escalate_unreachable, schedule_request_failure, MpiService, RankMpi, TxOutcome,
 };
-use bytes::Bytes;
 use xsim_core::event::Action;
 use xsim_core::vp::WaitClass;
-use xsim_core::{ctx, Kernel, Rank, SimTime};
+use xsim_core::{ctx, Bytes, Kernel, Rank, SimTime};
 use xsim_net::NetClass;
 use xsim_obs::ids;
 use xsim_obs::service as obs;

@@ -17,7 +17,7 @@ use crate::collective;
 use crate::comm::Comm;
 use crate::error::MpiError;
 use crate::mpi_ctx::MpiCtx;
-use bytes::Bytes;
+use xsim_core::Bytes;
 
 /// Outcome of a redundant verification point.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

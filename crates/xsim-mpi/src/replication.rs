@@ -52,11 +52,10 @@ use crate::mpi_ctx::MpiCtx;
 use crate::p2p;
 use crate::request::ReqId;
 use crate::state::Detector;
-use bytes::{BufMut, Bytes, BytesMut};
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 use std::str::FromStr;
-use xsim_core::{ctx, DetRng, Rank, SimTime};
+use xsim_core::{ctx, Bytes, DetRng, Rank, SimTime};
 use xsim_obs::{ids, service as obs};
 use xsim_proc::Work;
 
@@ -775,11 +774,11 @@ impl Replicated {
     }
 
     fn frame(app_tag: u32, seq: u64, data: &Bytes) -> Bytes {
-        let mut buf = BytesMut::with_capacity(12 + data.len());
-        buf.put_u32_le(app_tag);
-        buf.put_u64_le(seq);
-        buf.put_slice(data);
-        buf.freeze()
+        let mut buf = Vec::with_capacity(12 + data.len());
+        buf.extend_from_slice(&app_tag.to_le_bytes());
+        buf.extend_from_slice(&seq.to_le_bytes());
+        buf.extend_from_slice(data);
+        buf.into()
     }
 
     fn unframe(app_tag: u32, seq: u64, data: &Bytes) -> Result<Bytes, MpiError> {
@@ -1014,11 +1013,11 @@ impl Replicated {
     pub async fn allreduce_u64_max(&mut self, vals: &[u64]) -> Result<Vec<u64>, MpiError> {
         let n = self.logical_size();
         let encode = |v: &[u64]| {
-            let mut b = BytesMut::with_capacity(v.len() * 8);
+            let mut b = Vec::with_capacity(v.len() * 8);
             for x in v {
-                b.put_u64_le(*x);
+                b.extend_from_slice(&x.to_le_bytes());
             }
-            b.freeze()
+            b.into()
         };
         let decode = |d: &Bytes| -> Result<Vec<u64>, MpiError> {
             if !d.len().is_multiple_of(8) {

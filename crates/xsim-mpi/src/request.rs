@@ -3,9 +3,8 @@
 use crate::comm::CommId;
 use crate::error::MpiError;
 use crate::msg::SrcSel;
-use bytes::Bytes;
 use std::collections::HashMap;
-use xsim_core::{Rank, SimTime};
+use xsim_core::{Bytes, Rank, SimTime};
 
 /// Handle to a nonblocking operation, analogous to `MPI_Request`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]

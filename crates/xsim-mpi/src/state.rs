@@ -5,10 +5,9 @@ use crate::comm::CommTable;
 use crate::error::{ErrHandler, MpiError};
 use crate::msg::{Envelope, MatchQueues};
 use crate::request::{ReqId, RequestTable};
-use parking_lot::Mutex;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::ops::Range;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, PoisonError};
 use xsim_core::event::Action;
 use xsim_core::{DetRng, Kernel, Rank, SimTime};
 use xsim_net::{NetClass, NetModel};
@@ -336,7 +335,9 @@ impl PowerService {
 
 impl Drop for PowerService {
     fn drop(&mut self) {
-        let mut sink = self.sink.lock();
+        // `Drop` may run mid-unwind and must not panic; the sink only
+        // accumulates, so a poisoned one is still consistent.
+        let mut sink = self.sink.lock().unwrap_or_else(PoisonError::into_inner);
         if sink.len() < self.busy.len() {
             sink.resize(self.busy.len(), SimTime::ZERO);
         }
@@ -516,7 +517,11 @@ impl Drop for MpiService {
         for rm in self.ranks.iter().flatten() {
             agg.merge(&rm.stats);
         }
-        self.stats_sink.lock().merge(&agg);
+        // As for `PowerService`: never panic in `Drop`.
+        self.stats_sink
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .merge(&agg);
     }
 }
 
@@ -691,7 +696,7 @@ mod tests {
             svc.rank_mut(Rank(2)).stats.sends = 4;
             svc.rank_mut(Rank(2)).stats.bytes_sent = 100;
         }
-        let agg = *sink.lock();
+        let agg = *sink.lock().unwrap();
         assert_eq!(agg.sends, 7);
         assert_eq!(agg.bytes_sent, 100);
     }

@@ -8,10 +8,9 @@
 //! breakdown a performance investigation starts from. Enable with
 //! `SimBuilder::trace(true)`.
 
-use parking_lot::Mutex;
 use std::fmt;
 use std::io;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, PoisonError};
 use xsim_core::{Rank, SimTime};
 
 /// What a trace event describes.
@@ -96,7 +95,12 @@ impl TraceService {
     /// `Drop` as a backstop.
     pub fn flush(&mut self) {
         if !self.events.is_empty() {
-            self.sink.lock().append(&mut self.events);
+            // Runs from `Drop`, possibly mid-unwind: never panic here. The
+            // sink is append-only, so a poisoned one is still consistent.
+            self.sink
+                .lock()
+                .unwrap_or_else(PoisonError::into_inner)
+                .append(&mut self.events);
         }
     }
 }
@@ -306,10 +310,10 @@ mod tests {
         let mut svc = TraceService::new(sink.clone());
         svc.record(ev(0, PhaseKind::Compute, 0, 5));
         svc.flush();
-        assert_eq!(sink.lock().len(), 1);
+        assert_eq!(sink.lock().unwrap().len(), 1);
         svc.flush();
         drop(svc); // Drop backstop must not duplicate
-        assert_eq!(sink.lock().len(), 1);
+        assert_eq!(sink.lock().unwrap().len(), 1);
     }
 
     #[test]

@@ -12,10 +12,9 @@ use crate::comm::{Comm, CommId};
 use crate::error::{ErrHandler, MpiError};
 use crate::p2p::{self, with_mpi};
 use crate::state::MpiService;
-use bytes::{BufMut, Bytes, BytesMut};
 use std::sync::Arc;
 use xsim_core::event::Action;
-use xsim_core::{ctx, Kernel, Rank, SimTime};
+use xsim_core::{ctx, Bytes, Kernel, Rank, SimTime};
 
 /// Tag space for shrink recovery traffic (flows with the revoked-comm
 /// exemption).
@@ -246,12 +245,12 @@ pub fn set_errhandler(comm: CommId, handler: ErrHandler) -> Result<(), MpiError>
 }
 
 fn encode_ranks(v: &[Rank]) -> Bytes {
-    let mut buf = BytesMut::with_capacity(4 + v.len() * 4);
-    buf.put_u32_le(v.len() as u32);
+    let mut buf = Vec::with_capacity(4 + v.len() * 4);
+    buf.extend_from_slice(&(v.len() as u32).to_le_bytes());
     for r in v {
-        buf.put_u32_le(r.0);
+        buf.extend_from_slice(&r.0.to_le_bytes());
     }
-    buf.freeze()
+    buf.into()
 }
 
 fn decode_ranks(data: &[u8]) -> Option<Vec<Rank>> {

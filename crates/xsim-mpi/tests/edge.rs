@@ -1,10 +1,9 @@
 //! Edge-case tests of the simulated MPI layer: self-sends, rendezvous ×
 //! failure interplay, custom error handlers, statistics, tag isolation.
 
-use bytes::Bytes;
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Arc;
-use xsim_core::{ExitKind, SimTime};
+use xsim_core::{Bytes, ExitKind, SimTime};
 use xsim_mpi::{ErrHandler, MpiError, SimBuilder};
 use xsim_net::NetModel;
 

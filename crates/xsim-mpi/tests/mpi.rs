@@ -1,7 +1,6 @@
 //! End-to-end tests of the simulated MPI layer.
 
-use bytes::Bytes;
-use xsim_core::{ExitKind, SimTime};
+use xsim_core::{Bytes, ExitKind, SimTime};
 use xsim_mpi::{ErrHandler, MpiError, ReduceOp, SimBuilder};
 use xsim_net::NetModel;
 use xsim_proc::ProcModel;

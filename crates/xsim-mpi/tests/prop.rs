@@ -1,10 +1,10 @@
 //! Model-based property tests: the indexed matching engine must behave
 //! exactly like a naive reference implementation of the MPI matching
-//! rules, for arbitrary interleavings of posts and deliveries.
+//! rules, for arbitrary interleavings of posts and deliveries. Case `i`
+//! draws from `DetRng::stream(SEED, i)`.
 
-use bytes::Bytes;
-use proptest::prelude::*;
-use xsim_core::{Rank, SimTime};
+use xsim_core::rng::for_each_case;
+use xsim_core::{Bytes, DetRng, Rank, SimTime};
 use xsim_mpi::msg::{Envelope, MatchQueues, PostedRecv, SrcSel, TagSel};
 use xsim_mpi::CommId;
 
@@ -16,13 +16,25 @@ enum Op {
     Cancel { nth_post: usize },
 }
 
-fn arb_op() -> impl Strategy<Value = Op> {
-    prop_oneof![
-        (0u32..4, 0u32..3).prop_map(|(src, tag)| Op::Deliver { src, tag }),
-        (proptest::option::of(0u32..4), proptest::option::of(0u32..3))
-            .prop_map(|(src, tag)| Op::Post { src, tag }),
-        (0usize..20).prop_map(|nth_post| Op::Cancel { nth_post }),
-    ]
+/// A wildcard (`None`) or a value below `bound`.
+fn arb_sel(g: &mut DetRng, bound: u64) -> Option<u32> {
+    g.gen_bool().then(|| g.gen_in(0..bound) as u32)
+}
+
+fn arb_op(g: &mut DetRng) -> Op {
+    match g.gen_in(0..3) {
+        0 => Op::Deliver {
+            src: g.gen_in(0..4) as u32,
+            tag: g.gen_in(0..3) as u32,
+        },
+        1 => Op::Post {
+            src: arb_sel(g, 4),
+            tag: arb_sel(g, 3),
+        },
+        _ => Op::Cancel {
+            nth_post: g.gen_in(0..20) as usize,
+        },
+    }
 }
 
 /// Naive reference: linear scans in post/delivery order.
@@ -95,23 +107,21 @@ fn recv(req: u64, src: Option<u32>, tag: Option<u32>) -> PostedRecv {
     }
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(256))]
-
-    #[test]
-    fn matches_naive_reference(ops in proptest::collection::vec(arb_op(), 0..60)) {
+#[test]
+fn matches_naive_reference() {
+    for_each_case(0xC0DE_0003, 256, |g| {
         let mut fast = MatchQueues::default();
         let mut naive = NaiveQueues::default();
         let mut seq = 0u64;
         let mut req = 0u64;
         let mut posted_reqs: Vec<u64> = Vec::new();
-        for op in ops {
-            match op {
+        for _ in 0..g.gen_in(0..60) {
+            match arb_op(g) {
                 Op::Deliver { src, tag } => {
                     seq += 1;
                     let fast_m = fast.deliver(env(src, tag, seq)).map(|(p, _)| p.req);
                     let naive_m = naive.deliver(env(src, tag, seq));
-                    prop_assert_eq!(fast_m, naive_m, "deliver diverged");
+                    assert_eq!(fast_m, naive_m, "deliver diverged");
                 }
                 Op::Post { src, tag } => {
                     req += 1;
@@ -119,7 +129,7 @@ proptest! {
                         .post(recv(req, src, tag))
                         .map(|e| (e.src, e.tag, e.seq));
                     let naive_m = naive.post(recv(req, src, tag));
-                    prop_assert_eq!(fast_m, naive_m, "post diverged");
+                    assert_eq!(fast_m, naive_m, "post diverged");
                     if fast_m.is_none() {
                         posted_reqs.push(req);
                     }
@@ -131,11 +141,11 @@ proptest! {
                     let id = posted_reqs[nth_post % posted_reqs.len()];
                     let a = fast.cancel_posted(id);
                     let b = naive.cancel(id);
-                    prop_assert_eq!(a, b, "cancel diverged");
+                    assert_eq!(a, b, "cancel diverged");
                 }
             }
-            prop_assert_eq!(fast.unexpected_len(), naive.unexpected.len());
-            prop_assert_eq!(fast.posted_len(), naive.posted.len());
+            assert_eq!(fast.unexpected_len(), naive.unexpected.len());
+            assert_eq!(fast.posted_len(), naive.posted.len());
         }
-    }
+    });
 }

@@ -1,113 +1,154 @@
-//! Property-based tests for topologies and the communication model.
+//! Seeded property tests for topologies and the communication model.
+//! Every property runs `CASES` cases, case `i` drawing from
+//! `DetRng::stream(SEED, i)`.
 
-use proptest::prelude::*;
-use xsim_core::{Rank, SimTime};
-use xsim_net::{NetModel, Topology};
+use xsim_core::rng::for_each_case;
+use xsim_core::{DetRng, Rank, SimTime};
+use xsim_net::{LinkFaultKind, LinkStateTable, NetFault, NetModel, Topology};
 
-fn arb_dims() -> impl Strategy<Value = [usize; 3]> {
-    (1usize..=8, 1usize..=8, 1usize..=8).prop_map(|(a, b, c)| [a, b, c])
+const SEED: u64 = 0xC0DE_0002;
+const CASES: u64 = 64;
+
+/// Arbitrary `usize` seed, reduced mod a node count in the test body.
+fn arb_seed(g: &mut DetRng) -> usize {
+    g.next_u64() as usize
 }
 
-fn arb_topology() -> impl Strategy<Value = Topology> {
-    prop_oneof![
-        arb_dims().prop_map(|dims| Topology::Torus3d { dims }),
-        arb_dims().prop_map(|dims| Topology::Mesh3d { dims }),
-        (1usize..=256).prop_map(|nodes| Topology::FullyConnected { nodes }),
-        (1usize..=256).prop_map(|nodes| Topology::Star { nodes }),
-        (0u32..=8).prop_map(|dim| Topology::Hypercube { dim }),
-    ]
+fn arb_dims(g: &mut DetRng) -> [usize; 3] {
+    [(); 3].map(|_| g.gen_in(1..9) as usize)
 }
 
-proptest! {
-    #[test]
-    fn hops_symmetric_and_bounded(topo in arb_topology(), a_seed: usize, b_seed: usize) {
+fn arb_topology(g: &mut DetRng) -> Topology {
+    match g.gen_in(0..5) {
+        0 => Topology::Torus3d { dims: arb_dims(g) },
+        1 => Topology::Mesh3d { dims: arb_dims(g) },
+        2 => Topology::FullyConnected {
+            nodes: g.gen_in(1..257) as usize,
+        },
+        3 => Topology::Star {
+            nodes: g.gen_in(1..257) as usize,
+        },
+        _ => Topology::Hypercube {
+            dim: g.gen_in(0..9) as u32,
+        },
+    }
+}
+
+#[test]
+fn hops_symmetric_and_bounded() {
+    for_each_case(SEED, CASES, |g| {
+        let topo = arb_topology(g);
         let n = topo.nodes();
-        prop_assume!(n > 0);
-        let a = a_seed % n;
-        let b = b_seed % n;
+        let a = arb_seed(g) % n;
+        let b = arb_seed(g) % n;
         let ab = topo.hops(a, b);
-        prop_assert_eq!(ab, topo.hops(b, a), "symmetry");
-        prop_assert_eq!(ab == 0, a == b, "zero iff same node");
-        prop_assert!(ab <= topo.diameter(), "within diameter");
-    }
+        assert_eq!(ab, topo.hops(b, a), "symmetry");
+        assert_eq!(ab == 0, a == b, "zero iff same node");
+        assert!(ab <= topo.diameter(), "within diameter");
+    });
+}
 
-    #[test]
-    fn torus_triangle_inequality(dims in arb_dims(), s in proptest::collection::vec(0usize..4096, 3)) {
-        let t = Topology::Torus3d { dims };
+#[test]
+fn torus_triangle_inequality() {
+    for_each_case(SEED, CASES, |g| {
+        let t = Topology::Torus3d { dims: arb_dims(g) };
         let n = t.nodes();
-        let (a, b, c) = (s[0] % n, s[1] % n, s[2] % n);
-        prop_assert!(t.hops(a, c) <= t.hops(a, b) + t.hops(b, c));
-    }
+        let [a, b, c] = [(); 3].map(|_| g.gen_in(0..4096) as usize % n);
+        assert!(t.hops(a, c) <= t.hops(a, b) + t.hops(b, c));
+    });
+}
 
-    #[test]
-    fn mesh_triangle_inequality(dims in arb_dims(), s in proptest::collection::vec(0usize..4096, 3)) {
-        let t = Topology::Mesh3d { dims };
+#[test]
+fn mesh_triangle_inequality() {
+    for_each_case(SEED, CASES, |g| {
+        let t = Topology::Mesh3d { dims: arb_dims(g) };
         let n = t.nodes();
-        let (a, b, c) = (s[0] % n, s[1] % n, s[2] % n);
-        prop_assert!(t.hops(a, c) <= t.hops(a, b) + t.hops(b, c));
-    }
+        let [a, b, c] = [(); 3].map(|_| g.gen_in(0..4096) as usize % n);
+        assert!(t.hops(a, c) <= t.hops(a, b) + t.hops(b, c));
+    });
+}
 
-    #[test]
-    fn coords_round_trip(dims in arb_dims(), seed: usize) {
+#[test]
+fn coords_round_trip() {
+    for_each_case(SEED, CASES, |g| {
+        let dims = arb_dims(g);
+        let seed = arb_seed(g);
         for topo in [Topology::Torus3d { dims }, Topology::Mesh3d { dims }] {
             let n = topo.nodes();
             let node = seed % n;
-            prop_assert_eq!(topo.node_at(topo.coords(node)), node);
+            assert_eq!(topo.node_at(topo.coords(node)), node);
         }
-    }
+    });
+}
 
-    #[test]
-    fn neighbors_are_mutual(dims in arb_dims(), seed: usize) {
-        let t = Topology::Torus3d { dims };
+#[test]
+fn neighbors_are_mutual() {
+    for_each_case(SEED, CASES, |g| {
+        let t = Topology::Torus3d { dims: arb_dims(g) };
         let n = t.nodes();
-        let node = seed % n;
+        let node = arb_seed(g) % n;
         for nb in t.torus_neighbors(node).into_iter().flatten() {
             let back = t.torus_neighbors(nb);
-            prop_assert!(
+            assert!(
                 back.into_iter().flatten().any(|x| x == node),
                 "neighbor relation must be mutual"
             );
         }
-    }
+    });
+}
 
-    #[test]
-    fn p2p_timing_monotone_in_size(bytes_a in 0usize..10_000_000, bytes_b in 0usize..10_000_000) {
+#[test]
+fn p2p_timing_monotone_in_size() {
+    for_each_case(SEED, CASES, |g| {
+        let bytes_a = g.gen_in(0..10_000_000) as usize;
+        let bytes_b = g.gen_in(0..10_000_000) as usize;
         let m = NetModel::paper_machine();
-        let (lo, hi) = if bytes_a <= bytes_b { (bytes_a, bytes_b) } else { (bytes_b, bytes_a) };
+        let (lo, hi) = if bytes_a <= bytes_b {
+            (bytes_a, bytes_b)
+        } else {
+            (bytes_b, bytes_a)
+        };
         let t_lo = m.p2p(Rank(0), Rank(1), lo);
         let t_hi = m.p2p(Rank(0), Rank(1), hi);
-        prop_assert!(t_lo.transfer <= t_hi.transfer);
-        prop_assert_eq!(t_lo.latency, t_hi.latency, "latency independent of size");
-    }
+        assert!(t_lo.transfer <= t_hi.transfer);
+        assert_eq!(t_lo.latency, t_hi.latency, "latency independent of size");
+    });
+}
 
-    #[test]
-    fn min_latency_is_lower_bound_for_cross_rank(src in 0u32..32768, dst in 0u32..32768, bytes in 0usize..1_000_000) {
-        let m = NetModel::paper_machine();
-        let t = m.p2p(Rank(src), Rank(dst), bytes);
-        if src != dst {
-            // Cross-rank messages respect the conservative lookahead.
-            prop_assert!(t.latency >= m.min_latency());
-        }
-        // Even self-sends (same node, on-node class, lookahead-exempt
-        // since they never cross engine shards) have positive latency.
-        prop_assert!(t.latency > SimTime::ZERO);
+fn assert_min_latency_is_lower_bound(src: u32, dst: u32, bytes: usize) {
+    let m = NetModel::paper_machine();
+    let t = m.p2p(Rank(src), Rank(dst), bytes);
+    if src != dst {
+        // Cross-rank messages respect the conservative lookahead.
+        assert!(t.latency >= m.min_latency());
     }
+    // Even self-sends (same node, on-node class, lookahead-exempt
+    // since they never cross engine shards) have positive latency.
+    assert!(t.latency > SimTime::ZERO);
+}
+
+#[test]
+fn min_latency_is_lower_bound_for_cross_rank() {
+    for_each_case(SEED, CASES, |g| {
+        let src = g.gen_in(0..32768) as u32;
+        let dst = g.gen_in(0..32768) as u32;
+        assert_min_latency_is_lower_bound(src, dst, g.gen_in(0..1_000_000) as usize);
+    });
+}
+
+/// Pinned regression (a past shrunk failure): an empty self-send.
+#[test]
+fn min_latency_holds_for_empty_self_send() {
+    assert_min_latency_is_lower_bound(24198, 24198, 0);
 }
 
 // ---------------------------------------------------------------------
 // Fault-aware routing properties (link/switch faults on the torus).
 
-use xsim_net::{LinkFaultKind, LinkStateTable, NetFault};
-
-fn arb_torus() -> impl Strategy<Value = Topology> {
-    (2usize..=4, 2usize..=4, 2usize..=4).prop_map(|(a, b, c)| Topology::Torus3d { dims: [a, b, c] })
-}
-
-/// Seeds for up to 8 dead links; `node` seeds are reduced mod the node
-/// count in the test body (keeps the strategy independent of the
-/// generated topology — no `prop_flat_map` needed).
-fn arb_link_fault_seeds() -> impl Strategy<Value = Vec<(usize, usize)>> {
-    proptest::collection::vec((0usize..4096, 0usize..6), 0..8)
+fn arb_torus(g: &mut DetRng) -> Topology {
+    Topology::Torus3d {
+        dims: [(); 3].map(|_| g.gen_in(2..5) as usize),
+    }
 }
 
 /// Independent connectivity/distance oracle: plain BFS over links the
@@ -128,16 +169,17 @@ fn oracle_dist(tbl: &LinkStateTable, src: usize, dst: usize, t: SimTime) -> Opti
     dist[dst]
 }
 
-proptest! {
-    /// One dead link never partitions a torus (every dimension is a
-    /// ring): the reroute is finite, at least as long as the fault-free
-    /// route, and the single-link detour costs at most two extra hops.
-    #[test]
-    fn single_dead_link_reroutes_finite_and_no_shorter(
-        topo in arb_torus(), node_s: usize, dir in 0usize..6, a_s: usize, b_s: usize,
-    ) {
+/// One dead link never partitions a torus (every dimension is a
+/// ring): the reroute is finite, at least as long as the fault-free
+/// route, and the single-link detour costs at most two extra hops.
+#[test]
+fn single_dead_link_reroutes_finite_and_no_shorter() {
+    for_each_case(SEED, CASES, |g| {
+        let topo = arb_torus(g);
         let n = topo.nodes();
-        let (node, a, b) = (node_s % n, a_s % n, b_s % n);
+        let node = arb_seed(g) % n;
+        let dir = g.gen_in(0..6) as usize;
+        let (a, b) = (arb_seed(g) % n, arb_seed(g) % n);
         let mut tbl = LinkStateTable::new(topo.clone());
         tbl.add(NetFault {
             node,
@@ -146,98 +188,119 @@ proptest! {
             from: SimTime::ZERO,
             until: None,
         });
-        let r = tbl.route(a, b, SimTime::ZERO)
+        let r = tbl
+            .route(a, b, SimTime::ZERO)
             .expect("a single dead link cannot partition a torus");
         let base = topo.hops(a, b);
-        prop_assert!(r.hops >= base, "reroute never shortens: {} < {base}", r.hops);
-        prop_assert!(r.hops <= base + 2, "one-link detour is at most +2 hops");
-    }
+        assert!(
+            r.hops >= base,
+            "reroute never shortens: {} < {base}",
+            r.hops
+        );
+        assert!(r.hops <= base + 2, "one-link detour is at most +2 hops");
+    });
+}
 
-    /// Against an independent BFS oracle: whenever the fault set leaves
-    /// `a` and `b` connected, `route()` finds exactly the minimal live
-    /// distance (≥ the fault-free hops); whenever it cuts them apart,
-    /// partition detection fires (`None`) — never a bogus finite route.
-    #[test]
-    fn routing_matches_oracle_under_arbitrary_cuts(
-        topo in arb_torus(), seeds in arb_link_fault_seeds(), a_s: usize, b_s: usize,
-    ) {
+/// Against an independent BFS oracle: whenever the fault set leaves
+/// `a` and `b` connected, `route()` finds exactly the minimal live
+/// distance (≥ the fault-free hops); whenever it cuts them apart,
+/// partition detection fires (`None`) — never a bogus finite route.
+#[test]
+fn routing_matches_oracle_under_arbitrary_cuts() {
+    for_each_case(SEED, CASES, |g| {
+        let topo = arb_torus(g);
         let n = topo.nodes();
-        let (a, b) = (a_s % n, b_s % n);
         let mut tbl = LinkStateTable::new(topo.clone());
-        for (node_s, dir) in seeds {
+        // Up to 7 dead links.
+        for _ in 0..g.gen_in(0..8) {
             tbl.add(NetFault {
-                node: node_s % n,
-                dir: Some(dir),
+                node: g.gen_in(0..4096) as usize % n,
+                dir: Some(g.gen_in(0..6) as usize),
                 kind: LinkFaultKind::Down,
                 from: SimTime::ZERO,
                 until: None,
             });
         }
+        let (a, b) = (arb_seed(g) % n, arb_seed(g) % n);
         let got = tbl.route(a, b, SimTime::ZERO).map(|r| r.hops);
         let want = oracle_dist(&tbl, a, b, SimTime::ZERO);
-        prop_assert_eq!(got, want, "route() must agree with the BFS oracle");
+        assert_eq!(got, want, "route() must agree with the BFS oracle");
         if let Some(h) = got {
-            prop_assert!(h >= topo.hops(a, b), "live route no shorter than fault-free");
+            assert!(
+                h >= topo.hops(a, b),
+                "live route no shorter than fault-free"
+            );
         }
-    }
+    });
+}
 
-    /// The epoch-keyed route cache is semantically invisible: for random
-    /// windowed (activate + repair) fault schedules, the cached
-    /// [`LinkStateTable::route`] equals the cache-bypassing
-    /// [`LinkStateTable::route_uncached`] oracle at every probe — taken
-    /// on, just before and just after every epoch boundary, where a
-    /// stale entry would leak a neighbouring epoch's link state — and
-    /// the warm (hit) path answers identically to the cold (miss) path.
-    #[test]
-    fn cached_routes_equal_fresh_bfs_across_epochs(
-        topo in arb_torus(),
-        seeds in proptest::collection::vec((0usize..4096, 0usize..6, 0u64..200, 1u64..100, 0u8..2), 1..6),
-        pairs in proptest::collection::vec((0usize..4096, 0usize..4096), 1..5),
-        extra_t in 0u64..400,
-    ) {
+/// The epoch-keyed route cache is semantically invisible: for random
+/// windowed (activate + repair) fault schedules, the cached
+/// [`LinkStateTable::route`] equals the cache-bypassing
+/// [`LinkStateTable::route_uncached`] oracle at every probe — taken
+/// on, just before and just after every epoch boundary, where a
+/// stale entry would leak a neighbouring epoch's link state — and
+/// the warm (hit) path answers identically to the cold (miss) path.
+#[test]
+fn cached_routes_equal_fresh_bfs_across_epochs() {
+    for_each_case(SEED, CASES, |g| {
+        let topo = arb_torus(g);
         let n = topo.nodes();
         let mut tbl = LinkStateTable::new(topo.clone());
-        for (node_s, dir, from, dur, kind) in seeds {
+        for _ in 0..g.gen_in(1..6) {
+            let from = g.gen_in(0..200);
+            let dur = g.gen_in(1..100);
             tbl.add(NetFault {
-                node: node_s % n,
-                dir: Some(dir),
-                kind: if kind == 0 { LinkFaultKind::Down } else { LinkFaultKind::Degraded(0.5) },
+                node: g.gen_in(0..4096) as usize % n,
+                dir: Some(g.gen_in(0..6) as usize),
+                kind: if g.gen_bool() {
+                    LinkFaultKind::Down
+                } else {
+                    LinkFaultKind::Degraded(0.5)
+                },
                 from: SimTime(from),
                 until: Some(SimTime(from + dur)),
             });
         }
+        let pairs: Vec<(usize, usize)> = (0..g.gen_in(1..5))
+            .map(|_| {
+                (
+                    g.gen_in(0..4096) as usize % n,
+                    g.gen_in(0..4096) as usize % n,
+                )
+            })
+            .collect();
         // Probe instants straddling every epoch boundary, plus an
         // arbitrary one.
-        let mut probes = vec![SimTime(extra_t)];
+        let mut probes = vec![SimTime(g.gen_in(0..400))];
         for e in 1..tbl.epoch_count() {
             let b = tbl.epoch_bound(e - 1);
             probes.push(SimTime(b.0.saturating_sub(1)));
             probes.push(b);
             probes.push(SimTime(b.0 + 1));
         }
-        for &(a_s, b_s) in &pairs {
-            let (a, b) = (a_s % n, b_s % n);
+        for &(a, b) in &pairs {
             for &t in &probes {
                 let want = tbl.route_uncached(a, b, t);
-                prop_assert_eq!(tbl.route(a, b, t), want, "cold at t={:?}", t);
-                prop_assert_eq!(tbl.route(a, b, t), want, "warm at t={:?}", t);
+                assert_eq!(tbl.route(a, b, t), want, "cold at t={t:?}");
+                assert_eq!(tbl.route(a, b, t), want, "warm at t={t:?}");
             }
         }
-    }
+    });
+}
 
-    /// A switch fault isolates its node completely: routing to or from
-    /// it reports a partition from every other node, at the table and
-    /// at the model level (`p2p_at` → `None`), while traffic between
-    /// the remaining nodes still routes.
-    #[test]
-    fn switch_cut_fires_partition_detection(
-        topo in arb_torus(), victim_s: usize, other_s: usize,
-    ) {
+/// A switch fault isolates its node completely: routing to or from
+/// it reports a partition from every other node, at the table and
+/// at the model level (`p2p_at` → `None`), while traffic between
+/// the remaining nodes still routes.
+#[test]
+fn switch_cut_fires_partition_detection() {
+    for_each_case(SEED, CASES, |g| {
+        let topo = arb_torus(g); // at least 2x2x2: always a third node
         let n = topo.nodes();
-        prop_assume!(n > 2);
-        let victim = victim_s % n;
-        let other = other_s % n;
-        prop_assume!(other != victim);
+        let victim = arb_seed(g) % n;
+        // Any node but the victim.
+        let other = (victim + 1 + arb_seed(g) % (n - 1)) % n;
         let fault = NetFault {
             node: victim,
             dir: None, // the node's switch: all its links
@@ -247,22 +310,23 @@ proptest! {
         };
         let mut tbl = LinkStateTable::new(topo.clone());
         tbl.add(fault);
-        prop_assert_eq!(tbl.route(other, victim, SimTime::ZERO), None, "unreachable");
-        prop_assert_eq!(tbl.route(victim, other, SimTime::ZERO), None, "symmetric");
+        assert_eq!(tbl.route(other, victim, SimTime::ZERO), None, "unreachable");
+        assert_eq!(tbl.route(victim, other, SimTime::ZERO), None, "symmetric");
         // Survivors still reach each other around the dead switch.
         let third = (0..n).find(|x| *x != victim && *x != other).expect("n > 2");
-        prop_assert!(tbl.route(other, third, SimTime::ZERO).is_some());
+        assert!(tbl.route(other, third, SimTime::ZERO).is_some());
 
         // Model level: paper_machine maps rank i to node i 1:1.
         let mut m = NetModel::paper_machine();
         m.topology = topo;
         let m = m.with_faults(tbl);
-        prop_assert!(
-            m.p2p_at(Rank(other as u32), Rank(victim as u32), 64, SimTime::ZERO).is_none(),
+        assert!(
+            m.p2p_at(Rank(other as u32), Rank(victim as u32), 64, SimTime::ZERO)
+                .is_none(),
             "p2p_at must surface the partition"
         );
-        prop_assert!(
-            m.p2p_at(Rank(other as u32), Rank(third as u32), 64, SimTime::ZERO).is_some()
-        );
-    }
+        assert!(m
+            .p2p_at(Rank(other as u32), Rank(third as u32), 64, SimTime::ZERO)
+            .is_some());
+    });
 }

@@ -7,9 +7,8 @@
 //! [`ObsReport`] after the run.
 
 use crate::metrics::MetricSet;
-use parking_lot::Mutex;
 use std::fmt::Write as _;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, PoisonError};
 use xsim_core::{Kernel, Rank, SimReport, SimTime};
 
 /// One timed subsystem interval (a file-system transfer, a checkpoint
@@ -81,7 +80,9 @@ impl ObsService {
         if self.spans.is_empty() && !self.set.any_activity() {
             return;
         }
-        let mut sink = self.sink.lock();
+        // Runs from `Drop`, possibly mid-unwind: never panic here. The
+        // sink only accumulates, so a poisoned one is still consistent.
+        let mut sink = self.sink.lock().unwrap_or_else(PoisonError::into_inner);
         sink.set.merge_from(&mut self.set);
         sink.spans.append(&mut self.spans);
     }
@@ -133,7 +134,11 @@ pub struct ObsReport {
 impl ObsReport {
     /// Drain the shared sink into a report (deterministic span order).
     pub fn assemble(sink: &Mutex<ObsSink>) -> Self {
-        let inner = std::mem::take(&mut *sink.lock());
+        let inner = std::mem::take(
+            &mut *sink
+                .lock()
+                .expect("an ObsService panicked while flushing into the sink"),
+        );
         let mut spans = inner.spans;
         spans.sort_by_key(|s| (s.start, s.rank, s.end, s.name));
         ObsReport {

@@ -5,7 +5,6 @@
 //! cargo run --example quickstart
 //! ```
 
-use bytes::Bytes;
 use xsim::prelude::*;
 
 fn main() {

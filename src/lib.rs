@@ -32,7 +32,6 @@
 //!
 //! ```
 //! use xsim::prelude::*;
-//! use bytes::Bytes;
 //!
 //! let report = SimBuilder::new(4)
 //!     .net(NetModel::small(4))
@@ -66,7 +65,9 @@ pub mod prelude {
     pub use xsim_ckpt::{
         CampaignResult, Checkpoint, CheckpointManager, Orchestrator, ProtectionCampaign,
     };
-    pub use xsim_core::{EngineKind, EngineProfile, ExitKind, Rank, SimError, SimReport, SimTime};
+    pub use xsim_core::{
+        Bytes, EngineKind, EngineProfile, ExitKind, Rank, SimError, SimReport, SimTime,
+    };
     pub use xsim_fault::{FailureModel, FailureSchedule, FaultSchedule, NetReliability};
     pub use xsim_fs::{FsModel, FsStore};
     pub use xsim_mpi::{

@@ -10,7 +10,6 @@
 //! stats, window/steal/barrier profile, wall clock) legitimately varies
 //! with the worker count and is excluded by construction.
 
-use bytes::Bytes;
 use xsim::apps::heat3d::{self, HeatConfig};
 use xsim::apps::jacobi2d::{self, JacobiConfig};
 use xsim::prelude::*;

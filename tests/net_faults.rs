@@ -2,7 +2,6 @@
 //! retransmission + backoff, degraded-mode rerouting on the torus, and
 //! escalation of unreachable peers into the ULFM recovery path.
 
-use bytes::Bytes;
 use xsim::prelude::*;
 use xsim_obs::ids;
 

@@ -45,7 +45,7 @@ fn waiting_ranks_draw_idle_power() {
         .run_app(|mpi| async move {
             if mpi.rank == 0 {
                 mpi.compute(Work::native_time(SimTime::from_secs(10))).await;
-                mpi.send(mpi.world(), 1, 0, bytes::Bytes::new()).await?;
+                mpi.send(mpi.world(), 1, 0, Bytes::new()).await?;
             } else {
                 // Blocked waiting ~10 s: idle.
                 mpi.recv(mpi.world(), Some(0), Some(0)).await?;
@@ -87,8 +87,7 @@ fn network_energy_counts_traffic() {
         .run_app(|mpi| async move {
             let w = mpi.world();
             if mpi.rank == 0 {
-                mpi.send(w, 1, 0, bytes::Bytes::from(vec![0u8; 100]))
-                    .await?;
+                mpi.send(w, 1, 0, Bytes::from(vec![0u8; 100])).await?;
             } else {
                 mpi.recv(w, Some(0), Some(0)).await?;
             }

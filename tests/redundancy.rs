@@ -2,7 +2,6 @@
 //! injected into one replica are detected by double redundancy and
 //! corrected by triple redundancy.
 
-use bytes::Bytes;
 use xsim::fault::soft::{self, SoftErrorPlan};
 use xsim::mpi::{Redundant, Verdict};
 use xsim::prelude::*;

@@ -17,7 +17,6 @@
 //!    `MPI_ERR_PROC_FAILED` and the survivors recover with
 //!    ULFM revoke + shrink.
 
-use bytes::Bytes;
 use xsim::apps::heat3d::{ComputeMode, HeatConfig};
 use xsim::apps::heat3d_rep::{self, RepHeatConfig};
 use xsim::obs::ids;

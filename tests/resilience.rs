@@ -1,7 +1,6 @@
 //! Resilience-feature integration tests across crates: soft errors,
 //! I/O fault injection, detector variants, failure schedules.
 
-use bytes::Bytes;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use xsim::apps::kernels;

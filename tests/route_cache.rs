@@ -8,7 +8,6 @@
 //! `tests/engine_diff.rs` and `tests/net_faults.rs` pin the cross-engine
 //! surface; this file pins cached-vs-uncached equivalence.
 
-use bytes::Bytes;
 use xsim::prelude::*;
 use xsim_net::{LinkFaultKind, LinkStateTable, NetFault};
 

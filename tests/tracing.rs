@@ -1,6 +1,5 @@
 //! Execution-trace integration tests.
 
-use bytes::Bytes;
 use xsim::mpi::{PhaseKind, Trace};
 use xsim::prelude::*;
 
