@@ -197,15 +197,17 @@ fn bench_engine() {
 
 /// The `--bench-msgpath` sweep: a point-to-point storm on the paper's
 /// 32³ torus with link faults active for the whole run, measured with
-/// the epoch-keyed route cache enabled and disabled
-/// (`XSIM_NET_ROUTE_CACHE=off` reproduces the pre-cache message path,
-/// where every fault-window send recomputes its route). Writes the wall
-/// times, per-message means and the speedup to `BENCH_msgpath.json`.
+/// the epoch-keyed detour memo enabled and disabled
+/// (`XSIM_NET_ROUTE_CACHE=off`: every send whose dimension-ordered path
+/// crosses a dead link re-runs the BFS; sends over live paths are
+/// answered by the walk either way). Writes the wall times, per-message
+/// means, BFS runs and the speedup to `BENCH_msgpath.json`.
 fn bench_msgpath(workers: usize) {
     let dims = [32usize, 32, 32];
     let topo = Topology::Torus3d { dims };
     // Faults active from t=0 for the whole run: two dead links (traffic
-    // crossing them must BFS a detour) and one half-bandwidth link.
+    // whose dimension-ordered path crosses one must BFS a detour) and
+    // one half-bandwidth link.
     let faults = vec![
         NetFault {
             node: topo.node_at([1, 0, 0]),
@@ -231,16 +233,17 @@ fn bench_msgpath(workers: usize) {
     ];
     // Storm ranks occupy the first z-planes of the 32k-node torus
     // (rank→node is 1:1 on the paper machine); the strides put every
-    // pair ~32 hops apart, so an uncached fault-window route pays a
-    // near-full BFS over all 32768 nodes. Metrics stay off in the timed
-    // runs (identical recording cost would dilute the routing contrast);
-    // the deterministic message count is rounds × strides × ranks.
+    // pair ~32 hops apart, so a detoured route pays a near-full BFS over
+    // all 32768 nodes. Metrics stay off in the timed runs (identical
+    // recording cost would dilute the routing contrast); an untimed
+    // repeat with metrics on reads back how many searches the row paid.
+    // The deterministic message count is rounds × strides × ranks.
     let ranks = 4096usize;
     let (rounds, payload) = (32u32, 256usize);
     let strides = vec![16 + 16 * dims[0], 13 + 10 * dims[0]];
     let msgs = rounds as u64 * strides.len() as u64 * ranks as u64;
     let mut json = String::new();
-    json.push_str("{\"schema\":\"xsim-bench-msgpath-v1\"");
+    json.push_str("{\"schema\":\"xsim-bench-msgpath-v2\"");
     let _ = write!(
         json,
         ",\"workload\":\"p2p_storm(rounds={rounds},strides={strides:?},payload={payload}) \
@@ -249,36 +252,46 @@ fn bench_msgpath(workers: usize) {
     );
     json.push_str(",\"results\":[");
     println!(
-        "{:>16} {:>10} {:>12} {:>14} {:>10}",
-        "route cache", "wall", "messages", "wall/msg", "speedup"
+        "{:>16} {:>10} {:>12} {:>14} {:>10} {:>10}",
+        "route cache", "wall", "messages", "wall/msg", "bfs runs", "speedup"
     );
     let mut base_wall = 0.0f64;
     let mut first = true;
     for (label, cache) in [("off", false), ("on", true)] {
         std::env::set_var("XSIM_NET_ROUTE_CACHE", if cache { "on" } else { "off" });
+        let storm = |metrics: bool| {
+            SimBuilder::new(ranks)
+                .net({
+                    let mut net = NetModel::paper_machine();
+                    net.topology = topo.clone();
+                    net
+                })
+                .net_faults(faults.clone())
+                .workers(workers)
+                .metrics(metrics)
+                .run(kernels::p2p_storm(rounds, strides.clone(), payload))
+                .expect("bench-msgpath run")
+        };
         let t = std::time::Instant::now();
-        SimBuilder::new(ranks)
-            .net({
-                let mut net = NetModel::paper_machine();
-                net.topology = topo.clone();
-                net
-            })
-            .net_faults(faults.clone())
-            .workers(workers)
-            .run(kernels::p2p_storm(rounds, strides.clone(), payload))
-            .expect("bench-msgpath run");
+        storm(false);
         let wall = t.elapsed();
         let per_msg = wall.as_secs_f64() / msgs as f64;
+        let bfs_runs = storm(true)
+            .metrics
+            .expect("metrics enabled")
+            .set
+            .value(xsim_obs::ids::NET_ROUTE_BFS_RUNS);
         if !cache {
             base_wall = wall.as_secs_f64();
         }
         let speedup = base_wall / wall.as_secs_f64();
         println!(
-            "{:>16} {:>10.2?} {:>12} {:>12.2}µs {:>9.2}x",
+            "{:>16} {:>10.2?} {:>12} {:>12.2}µs {:>10} {:>9.2}x",
             label,
             wall,
             msgs,
             per_msg * 1e6,
+            bfs_runs,
             speedup
         );
         if !first {
@@ -288,7 +301,8 @@ fn bench_msgpath(workers: usize) {
         let _ = write!(
             json,
             "{{\"route_cache\":\"{label}\",\"wall_us\":{},\"messages\":{msgs},\
-             \"wall_per_msg_ns\":{:.0},\"speedup_vs_uncached\":{speedup:.3}}}",
+             \"wall_per_msg_ns\":{:.0},\"bfs_runs\":{bfs_runs},\
+             \"speedup_vs_uncached\":{speedup:.3}}}",
             wall.as_micros(),
             per_msg * 1e9
         );

@@ -402,10 +402,10 @@ impl SimBuilder {
             // Rerouting only lengthens routes and degradation only lowers
             // bandwidth, so the fault-free min_latency() below stays a
             // valid conservative lookahead.
-            let mut table = LinkStateTable::new(self.net.topology.clone());
-            for f in &self.net_faults {
-                table.add(*f);
-            }
+            let table = LinkStateTable::from_faults(
+                self.net.topology.clone(),
+                self.net_faults.iter().copied(),
+            );
             self.net.with_faults(table)
         };
         // The topology is final here: materialize the dense healthy hop
@@ -605,15 +605,17 @@ impl SimBuilder {
             );
             m.set
                 .add(metric_ids::ENGINE_QUEUE_BUCKET_HWM, p.queue_bucket_hwm);
-            // Route-cache effectiveness, read back from the shared fault
-            // table. Volatile: shards can race to fill the same entry,
-            // so the counts (not the routes) vary with scheduling.
+            // What fault-aware routing fell back to (detour-memo traffic
+            // and BFS runs), read back from the shared fault table.
+            // Volatile: shards can race to fill the same entry, so the
+            // counts (not the routes) vary with scheduling.
             if let Some(table) = &world.net.faults {
                 let s = table.route_cache_stats();
                 m.set.add(metric_ids::NET_ROUTE_CACHE_HITS, s.hits);
                 m.set.add(metric_ids::NET_ROUTE_CACHE_MISSES, s.misses);
                 m.set
                     .add(metric_ids::NET_ROUTE_CACHE_EVICTIONS, s.evictions);
+                m.set.add(metric_ids::NET_ROUTE_BFS_RUNS, s.bfs_runs);
             }
         }
         let trace = trace_enabled.then(|| {

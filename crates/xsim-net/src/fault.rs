@@ -14,8 +14,8 @@
 //! [`Topology::torus_neighbors`]); on other topologies the table is
 //! inert and routing falls back to the fault-free [`Topology::hops`].
 
-use crate::topology::{NodeId, Topology};
-use std::collections::{HashMap, VecDeque};
+use crate::topology::{Grid, NodeId, Topology};
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 use xsim_core::SimTime;
@@ -58,9 +58,34 @@ pub struct RouteInfo {
     pub min_factor: f64,
 }
 
-/// One fault window on a canonical (undirected) link.
+impl RouteInfo {
+    /// The zero-hop route every path accumulation starts from.
+    const EMPTY: RouteInfo = RouteInfo {
+        hops: 0,
+        min_factor: 1.0,
+    };
+
+    /// Extend the route over one live link of bandwidth `factor`.
+    fn cross(&mut self, factor: f64) {
+        self.hops += 1;
+        self.min_factor = self.min_factor.min(factor);
+    }
+}
+
+/// Canonical undirected link, `min node << 32 | max node`: one integer
+/// compare per probe of the compiled state ([`LinkStateTable::new`]
+/// checks that node ids fit).
+type LinkKey = u64;
+
+#[inline]
+fn link_key(a: NodeId, b: NodeId) -> LinkKey {
+    ((a.min(b) as u64) << 32) | a.max(b) as u64
+}
+
+/// One fault window on a link.
 #[derive(Debug, Clone, Copy)]
 struct Window {
+    link: LinkKey,
     kind: LinkFaultKind,
     from: SimTime,
     until: Option<SimTime>,
@@ -72,19 +97,61 @@ impl Window {
     }
 }
 
-/// Counter snapshot of the epoch-keyed route cache (see
-/// [`LinkStateTable::route_cache_stats`]). The counts are
-/// execution-shape data: under the parallel engine two shards can race
-/// to fill the same entry, so hit/miss totals vary run to run even
-/// though the cached *routes* are identical by construction.
+/// The sorted, deduplicated activation/repair instants of `windows`.
+fn edges(windows: &[Window]) -> Vec<SimTime> {
+    let mut edges: Vec<SimTime> = windows
+        .iter()
+        .flat_map(|w| [Some(w.from), w.until].into_iter().flatten())
+        .collect();
+    edges.sort_unstable();
+    edges.dedup();
+    edges
+}
+
+/// Bandwidth factor of a link at `t` given all of its windows: `1.0`
+/// healthy, `0.0` down (a `Down` window or a non-positive degradation),
+/// otherwise the worst active degradation.
+fn factor_at(windows: &[Window], t: SimTime) -> f64 {
+    let mut factor = 1.0f64;
+    for w in windows.iter().filter(|w| w.active(t)) {
+        match w.kind {
+            LinkFaultKind::Down => return 0.0,
+            LinkFaultKind::Degraded(f) if f <= 0.0 => return 0.0,
+            LinkFaultKind::Degraded(f) => factor = factor.min(f),
+        }
+    }
+    factor
+}
+
+/// One entry of the compiled link state: `link` carries `factor`
+/// (`0.0` = down) from fault epoch `epoch` until its next step.
+#[derive(Debug, Clone, Copy)]
+struct Step {
+    link: LinkKey,
+    epoch: u32,
+    factor: f64,
+}
+
+/// Counter snapshot of the routing fallback — the epoch-keyed detour
+/// memo and the searches behind it (see
+/// [`LinkStateTable::route_cache_stats`]). A query whose
+/// dimension-ordered path is live is answered by the walk and moves
+/// none of these. The counts are execution-shape data: under the
+/// parallel engine two shards can race to fill the same entry, so the
+/// totals vary run to run even though the cached *routes* are identical
+/// by construction.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RouteCacheStats {
-    /// Queries answered from the cache.
+    /// Detour/partition queries answered from the memo.
     pub hits: u64,
-    /// Queries that ran the BFS and filled an entry.
+    /// Detour/partition queries that ran the BFS and filled an entry.
     pub misses: u64,
     /// Entries discarded when a shard hit its capacity bound.
     pub evictions: u64,
+    /// Breadth-first searches run, by [`LinkStateTable::route`] (memo
+    /// misses, or every fallback with the memo disabled) and by
+    /// [`LinkStateTable::route_uncached`].
+    pub bfs_runs: u64,
 }
 
 /// Lock shards of the route cache; keys spread by `src ^ dst`.
@@ -97,20 +164,59 @@ const CACHE_SHARD_CAP: usize = 1 << 15;
 /// = the fault set partitions the pair).
 type RouteShard = Mutex<HashMap<(NodeId, NodeId, u32), Option<RouteInfo>>>;
 
-/// Epoch-keyed `(src, dst, epoch) → route` memo. Within one fault epoch
-/// the live link state is constant, so the BFS result is too — a cached
-/// entry is byte-identical to a fresh computation and the memo cannot
-/// perturb determinism. Shared across engine shards via the
+/// Reusable BFS working set. `seen[v] == mark` marks `v` visited in the
+/// current search, so starting a search is a counter bump, not an
+/// `O(nodes)` clear.
+#[derive(Debug)]
+struct BfsScratch {
+    mark: u32,
+    seen: Vec<u32>,
+    parent: Vec<u32>,
+    queue: Vec<u32>,
+}
+
+impl BfsScratch {
+    fn new(nodes: usize) -> Self {
+        BfsScratch {
+            mark: 0,
+            seen: vec![0; nodes],
+            parent: vec![0; nodes],
+            queue: Vec::new(),
+        }
+    }
+
+    /// Start a new search: forget every visited mark.
+    fn reset(&mut self) {
+        if self.mark == u32::MAX {
+            self.seen.fill(0);
+            self.mark = 0;
+        }
+        self.mark += 1;
+        self.queue.clear();
+    }
+}
+
+/// The run-time state behind the routing fallback: the epoch-keyed
+/// `(src, dst, epoch) → route` memo of pairs whose dimension-ordered
+/// path crosses a dead link, and the BFS scratch pool. Within one fault
+/// epoch the live link state is constant, so the BFS result is too — a
+/// cached entry is byte-identical to a fresh computation and the memo
+/// cannot perturb determinism. Shared across engine shards via the
 /// `Arc<LinkStateTable>`, hence the internal locking; counters are
-/// atomics so the hot path never takes more than one shard lock.
+/// atomics so a memo hit never takes more than one shard lock.
 struct RouteCache {
     /// `XSIM_NET_ROUTE_CACHE=off|0|false` disables the memo (every
-    /// query runs the BFS) — the escape hatch differential tests use.
+    /// query the walk cannot answer runs the BFS) — the escape hatch
+    /// differential tests use.
     enabled: bool,
     shards: Vec<RouteShard>,
+    /// Idle BFS working sets, one per thread that ever searched at the
+    /// same time as another; allocated on the first search.
+    scratch: Mutex<Vec<BfsScratch>>,
     hits: AtomicU64,
     misses: AtomicU64,
     evictions: AtomicU64,
+    bfs_runs: AtomicU64,
 }
 
 impl RouteCache {
@@ -124,9 +230,11 @@ impl RouteCache {
             shards: (0..CACHE_SHARDS)
                 .map(|_| Mutex::new(HashMap::new()))
                 .collect(),
+            scratch: Mutex::new(Vec::new()),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             evictions: AtomicU64::new(0),
+            bfs_runs: AtomicU64::new(0),
         }
     }
 
@@ -169,6 +277,7 @@ impl RouteCache {
             hits: self.hits.load(Ordering::Relaxed),
             misses: self.misses.load(Ordering::Relaxed),
             evictions: self.evictions.load(Ordering::Relaxed),
+            bfs_runs: self.bfs_runs.load(Ordering::Relaxed),
         }
     }
 }
@@ -201,16 +310,19 @@ impl std::fmt::Debug for RouteCache {
 /// Time is partitioned into **fault epochs**: the sorted, deduplicated
 /// activation/repair instants of all windows split the timeline into
 /// half-open intervals over which every link's state is constant. The
-/// epoch index makes `any_active` a binary search instead of a window
-/// scan, and keys the route cache so the BFS runs once per
-/// `(src, dst, epoch)` instead of once per message.
+/// windows are compiled against that index once, at build time, into a
+/// sorted list of per-link state changes; a link-state lookup is then
+/// one binary search over `(link, epoch)` with no hashing and no window
+/// scan. Memory is `O(fault windows)` — independent of the node count
+/// and of nodes × epochs.
 #[derive(Debug, Clone)]
 pub struct LinkStateTable {
     topo: Topology,
-    /// Canonical undirected link `(min node, max node)` → fault windows.
-    faults: HashMap<(NodeId, NodeId), Vec<Window>>,
-    /// Earliest activation over all windows (fast reject before it).
-    earliest: SimTime,
+    /// `topo`'s grid geometry; `None` on topologies without
+    /// neighbor-level link addressing, where the table is inert.
+    grid: Option<Grid>,
+    /// Every fault window, sorted by link.
+    windows: Vec<Window>,
     /// Sorted, deduplicated fault state-transition instants. Epoch `e`
     /// covers `[epoch_bounds[e-1], epoch_bounds[e])` (epoch 0 is
     /// everything before the first transition).
@@ -218,21 +330,41 @@ pub struct LinkStateTable {
     /// Per-epoch precomputed "any window active" flag
     /// (`epoch_active.len() == epoch_bounds.len() + 1`).
     epoch_active: Vec<bool>,
-    /// Epoch-keyed route memo (see [`RouteCache`]).
+    /// Compiled link state, sorted by `(link, epoch)`: a link's state
+    /// in epoch `e` is its last step at or before `e`, healthy if it
+    /// has none.
+    steps: Vec<Step>,
+    /// Detour memo, BFS scratch and counters (see [`RouteCache`]).
     cache: RouteCache,
 }
 
 impl LinkStateTable {
     /// An empty (all-links-healthy) table over a topology.
+    ///
+    /// # Panics
+    /// If the topology has more than `u32::MAX` nodes: link keys and the
+    /// BFS working set store node ids as `u32`.
     pub fn new(topo: Topology) -> Self {
+        assert!(
+            u32::try_from(topo.nodes()).is_ok(),
+            "link fault tables index nodes with u32"
+        );
         LinkStateTable {
+            grid: topo.grid(),
             topo,
-            faults: HashMap::new(),
-            earliest: SimTime::MAX,
+            windows: Vec::new(),
             epoch_bounds: Vec::new(),
             epoch_active: vec![false],
+            steps: Vec::new(),
             cache: RouteCache::new(),
         }
+    }
+
+    /// A table over `topo` holding `faults`, compiled once.
+    pub fn from_faults(topo: Topology, faults: impl IntoIterator<Item = NetFault>) -> Self {
+        let mut table = Self::new(topo);
+        table.extend(faults);
+        table
     }
 
     /// The topology the table is defined over.
@@ -242,56 +374,82 @@ impl LinkStateTable {
 
     /// Number of links carrying at least one fault window.
     pub fn faulty_links(&self) -> usize {
-        self.faults.len()
+        self.windows.chunk_by(|a, b| a.link == b.link).count()
     }
 
     /// Add a fault. Switch faults (`dir = None`) expand into faults on
     /// all of the node's links; directions that do not exist (mesh
     /// edges, non-neighbor topologies) are ignored.
     pub fn add(&mut self, f: NetFault) {
-        let neighbors = self.topo.torus_neighbors(f.node);
-        let dirs: Vec<usize> = match f.dir {
-            Some(d) => vec![d],
-            None => (0..6).collect(),
-        };
-        for d in dirs {
-            let Some(Some(nb)) = neighbors.get(d).copied() else {
-                continue;
-            };
-            let key = (f.node.min(nb), f.node.max(nb));
-            self.faults.entry(key).or_default().push(Window {
-                kind: f.kind,
-                from: f.from,
-                until: f.until,
-            });
-            self.earliest = self.earliest.min(f.from);
-        }
-        self.rebuild_epochs();
+        self.extend([f]);
     }
 
-    /// Recompute the epoch index after a schedule mutation. Tables are
-    /// built up front and then queried, so this construction-time
-    /// O(windows log windows) pass keeps every query O(log epochs).
-    fn rebuild_epochs(&mut self) {
-        let mut bounds: Vec<SimTime> = self
-            .faults
-            .values()
-            .flat_map(|ws| ws.iter())
-            .flat_map(|w| [Some(w.from), w.until].into_iter().flatten())
-            .collect();
-        bounds.sort_unstable();
-        bounds.dedup();
-        self.epoch_active = (0..=bounds.len())
-            .map(|e| {
-                // Link state is constant within an epoch, so one
-                // representative instant decides the whole flag.
-                let t = if e == 0 { SimTime::ZERO } else { bounds[e - 1] };
-                self.faults
-                    .values()
-                    .any(|ws| ws.iter().any(|w| w.active(t)))
+    /// Add a batch of faults (each as [`add`](Self::add) would) and
+    /// recompile the epoch index and link state once for the batch.
+    pub fn extend(&mut self, faults: impl IntoIterator<Item = NetFault>) {
+        for f in faults {
+            let neighbors = self.topo.torus_neighbors(f.node);
+            let dirs = match f.dir {
+                Some(d) => d..d + 1,
+                None => 0..6,
+            };
+            for nb in dirs.filter_map(|d| neighbors.get(d).copied().flatten()) {
+                self.windows.push(Window {
+                    link: link_key(f.node, nb),
+                    kind: f.kind,
+                    from: f.from,
+                    until: f.until,
+                });
+            }
+        }
+        self.compile();
+    }
+
+    /// Recompute the epoch index and the per-link state steps after a
+    /// schedule mutation. Tables are built up front and then queried, so
+    /// this construction-time O(windows log windows) pass keeps every
+    /// query O(log windows).
+    fn compile(&mut self) {
+        self.epoch_bounds = edges(&self.windows);
+
+        // Windows open (+1) and close (−1) at epoch boundaries; the
+        // running sum is the number active in each epoch.
+        let mut delta = vec![0i64; self.epoch_count()];
+        for w in &self.windows {
+            if w.until.is_none_or(|u| u > w.from) {
+                delta[self.epoch_at(w.from) as usize] += 1;
+                if let Some(u) = w.until {
+                    delta[self.epoch_at(u) as usize] -= 1;
+                }
+            }
+        }
+        let mut open = 0i64;
+        self.epoch_active = delta
+            .iter()
+            .map(|d| {
+                open += d;
+                open > 0
             })
             .collect();
-        self.epoch_bounds = bounds;
+
+        // A link changes state only at its own windows' edges, each of
+        // which is the first instant of an epoch.
+        self.windows.sort_by_key(|w| w.link);
+        self.steps.clear();
+        for ws in self.windows.chunk_by(|a, b| a.link == b.link) {
+            let mut factor = 1.0f64;
+            for t in edges(ws) {
+                let next = factor_at(ws, t);
+                if next != factor {
+                    factor = next;
+                    self.steps.push(Step {
+                        link: ws[0].link,
+                        epoch: self.epoch_at(t),
+                        factor,
+                    });
+                }
+            }
+        }
         self.cache.clear();
     }
 
@@ -314,12 +472,13 @@ impl LinkStateTable {
         self.epoch_bounds[i]
     }
 
-    /// Hit/miss/eviction counters of the epoch-keyed route cache.
+    /// Counters of the routing fallback: detour-memo hits, misses and
+    /// evictions, and BFS runs.
     pub fn route_cache_stats(&self) -> RouteCacheStats {
         self.cache.stats()
     }
 
-    /// Whether the route cache is consulted (`XSIM_NET_ROUTE_CACHE=off`
+    /// Whether the detour memo is consulted (`XSIM_NET_ROUTE_CACHE=off`
     /// at table construction disables it).
     pub fn route_cache_enabled(&self) -> bool {
         self.cache.enabled
@@ -328,9 +487,6 @@ impl LinkStateTable {
     /// Whether any fault window is active at `t` — a binary search over
     /// the precomputed epoch index.
     pub fn any_active(&self, t: SimTime) -> bool {
-        if t < self.earliest {
-            return false;
-        }
         self.epoch_active[self.epoch_at(t) as usize]
     }
 
@@ -339,118 +495,174 @@ impl LinkStateTable {
     /// healthy, `Some(f < 1.0)` when degraded. Overlapping degradations
     /// combine to the worst factor.
     pub fn link_factor(&self, a: NodeId, b: NodeId, t: SimTime) -> Option<f64> {
-        let Some(ws) = self.faults.get(&(a.min(b), a.max(b))) else {
-            return Some(1.0);
-        };
-        let mut factor = 1.0f64;
-        for w in ws.iter().filter(|w| w.active(t)) {
-            match w.kind {
-                LinkFaultKind::Down => return None,
-                LinkFaultKind::Degraded(f) if f <= 0.0 => return None,
-                LinkFaultKind::Degraded(f) => factor = factor.min(f),
-            }
-        }
-        Some(factor)
+        let factor = self.link_state(a, b, self.epoch_at(t));
+        (factor > 0.0).then_some(factor)
     }
 
-    /// Fault-aware minimal route between two nodes at time `t`: a BFS
-    /// over live links (fixed neighbor order → deterministic route
-    /// choice), returning `None` when the fault set partitions the
-    /// network between `src` and `dst`.
+    /// Compiled state of link `a`–`b` in `epoch`: its bandwidth factor,
+    /// `0.0` when down.
+    #[inline]
+    fn link_state(&self, a: NodeId, b: NodeId, epoch: u32) -> f64 {
+        let link = link_key(a, b);
+        let after = self
+            .steps
+            .partition_point(|s| (s.link, s.epoch) <= (link, epoch));
+        match after.checked_sub(1).map(|i| &self.steps[i]) {
+            Some(s) if s.link == link => s.factor,
+            _ => 1.0,
+        }
+    }
+
+    /// Fault-aware minimal route between two nodes at time `t`: the
+    /// route a BFS over live links with the fixed neighbor order (+x,
+    /// −x, +y, −y, +z, −z) picks, `None` when the fault set partitions
+    /// the network between `src` and `dst`.
     ///
     /// With no fault active at `t` — or on a topology without
     /// neighbor-level link addressing — this reduces to the fault-free
-    /// [`Topology::hops`]. Otherwise the BFS result is memoized per
-    /// `(src, dst, epoch)`: link state is constant within an epoch, so
-    /// the cached route is exactly what a fresh BFS would return
-    /// ([`route_uncached`](Self::route_uncached) is the bypassing oracle).
+    /// [`Topology::hops`]. Otherwise the dimension-ordered path is
+    /// walked first (see `walk`): when none of its links is down it *is*
+    /// the BFS's answer, and the query returns without taking a lock,
+    /// hashing or allocating — it reads the compiled steps and touches
+    /// no counter, so [`route_cache_stats`](Self::route_cache_stats)
+    /// does not move. Only a path that crosses a dead link falls through
+    /// to the BFS, memoized per `(src, dst, epoch)`: link state is
+    /// constant within an epoch, so the cached route is exactly what a
+    /// fresh BFS would return. [`route_uncached`](Self::route_uncached)
+    /// is the oracle that bypasses both.
     pub fn route(&self, src: NodeId, dst: NodeId, t: SimTime) -> Option<RouteInfo> {
-        if src == dst {
-            return Some(RouteInfo {
-                hops: 0,
-                min_factor: 1.0,
-            });
-        }
-        let addressable = matches!(
-            self.topo,
-            Topology::Torus3d { .. } | Topology::Mesh3d { .. }
-        );
-        if !addressable || !self.any_active(t) {
-            return Some(RouteInfo {
-                hops: self.topo.hops(src, dst),
-                min_factor: 1.0,
-            });
+        let Some((grid, epoch)) = self.faulted_epoch(src, dst, t) else {
+            return Some(self.fault_free(src, dst));
+        };
+        if let Some(live) = self.walk(&grid, src, dst, epoch) {
+            return Some(live);
         }
         if !self.cache.enabled {
-            return self.route_bfs(src, dst, t);
+            return self.route_bfs(&grid, src, dst, epoch);
         }
-        let epoch = self.epoch_at(t);
         if let Some(cached) = self.cache.get(src, dst, epoch) {
             return cached;
         }
-        let fresh = self.route_bfs(src, dst, t);
+        let fresh = self.route_bfs(&grid, src, dst, epoch);
         self.cache.insert(src, dst, epoch, fresh);
         fresh
     }
 
-    /// [`route`](Self::route) with the memo bypassed: always recomputes
-    /// the BFS. The differential oracle for cache-correctness tests.
+    /// [`route`](Self::route) by plain BFS: no walk, no memo. The
+    /// differential oracle for the equivalence tests.
     pub fn route_uncached(&self, src: NodeId, dst: NodeId, t: SimTime) -> Option<RouteInfo> {
-        if src == dst {
-            return Some(RouteInfo {
-                hops: 0,
-                min_factor: 1.0,
-            });
+        match self.faulted_epoch(src, dst, t) {
+            Some((grid, epoch)) => self.route_bfs(&grid, src, dst, epoch),
+            None => Some(self.fault_free(src, dst)),
         }
-        let addressable = matches!(
-            self.topo,
-            Topology::Torus3d { .. } | Topology::Mesh3d { .. }
-        );
-        if !addressable || !self.any_active(t) {
-            return Some(RouteInfo {
-                hops: self.topo.hops(src, dst),
-                min_factor: 1.0,
-            });
-        }
-        self.route_bfs(src, dst, t)
     }
 
-    /// The BFS body shared by the cached and uncached entry points.
-    fn route_bfs(&self, src: NodeId, dst: NodeId, t: SimTime) -> Option<RouteInfo> {
-        let n = self.topo.nodes();
-        let mut dist = vec![u32::MAX; n];
-        let mut parent = vec![usize::MAX; n];
-        dist[src] = 0;
-        parent[src] = src;
-        let mut q = VecDeque::new();
-        q.push_back(src);
-        'bfs: while let Some(u) = q.pop_front() {
-            for v in self.topo.torus_neighbors(u).into_iter().flatten() {
-                if dist[v] != u32::MAX || self.link_factor(u, v, t).is_none() {
-                    continue;
+    /// The query prelude: the grid and fault epoch a `src → dst` query
+    /// at `t` must be routed in, or `None` when the closed form answers
+    /// it (same node, no link addressing, or no fault active at `t`).
+    fn faulted_epoch(&self, src: NodeId, dst: NodeId, t: SimTime) -> Option<(Grid, u32)> {
+        let grid = self.grid?;
+        let epoch = self.epoch_at(t);
+        (src != dst && self.epoch_active[epoch as usize]).then_some((grid, epoch))
+    }
+
+    fn fault_free(&self, src: NodeId, dst: NodeId) -> RouteInfo {
+        RouteInfo {
+            hops: self.topo.hops(src, dst),
+            min_factor: 1.0,
+        }
+    }
+
+    /// Walk the dimension-ordered minimal path — all x moves, then y,
+    /// then z; on a torus the shorter way round each ring, `+` on a
+    /// half-extent tie — and return its hop count and worst factor, or
+    /// `None` if it meets a down link.
+    ///
+    /// Why this is the BFS's answer whenever it is live: a FIFO BFS
+    /// with a fixed neighbor order reaches every node by the shortest
+    /// live path whose direction sequence is lexicographically smallest
+    /// in that order. On a healthy grid that path is this one (x
+    /// directions sort before y before z, and `+` before `−` where both
+    /// ways round are minimal). Faults only remove paths: while every
+    /// link of this one is up — healthy or degraded — it is still
+    /// shortest and still the smallest, so the BFS would return exactly
+    /// these hops and this `min_factor`.
+    fn walk(&self, grid: &Grid, src: NodeId, dst: NodeId, epoch: u32) -> Option<RouteInfo> {
+        let (from, to) = (grid.coords(src), grid.coords(dst));
+        let mut node = src;
+        let mut route = RouteInfo::EMPTY;
+        for dim in 0..3 {
+            let (mut c, extent) = (from[dim], grid.dims[dim]);
+            let plus = if grid.wrap {
+                let ahead = if to[dim] >= c {
+                    to[dim] - c
+                } else {
+                    to[dim] + extent - c
+                };
+                ahead <= extent - ahead
+            } else {
+                to[dim] >= c
+            };
+            while c != to[dim] {
+                let (next, next_c) = grid
+                    .step(node, c, dim, plus)
+                    .expect("a minimal path stays on the grid");
+                let factor = self.link_state(node, next, epoch);
+                if factor <= 0.0 {
+                    return None;
                 }
-                dist[v] = dist[u] + 1;
-                parent[v] = u;
-                if v == dst {
-                    break 'bfs;
-                }
-                q.push_back(v);
+                route.cross(factor);
+                (node, c) = (next, next_c);
             }
         }
-        if dist[dst] == u32::MAX {
-            return None; // partition between src and dst
+        Some(route)
+    }
+
+    /// The search behind [`route`](Self::route)'s fallback and all of
+    /// [`route_uncached`](Self::route_uncached): FIFO BFS over live
+    /// links in the fixed neighbor order.
+    fn route_bfs(&self, grid: &Grid, src: NodeId, dst: NodeId, epoch: u32) -> Option<RouteInfo> {
+        self.cache.bfs_runs.fetch_add(1, Ordering::Relaxed);
+        let idle = self.cache.scratch.lock().expect("bfs scratch lock").pop();
+        let mut s = idle.unwrap_or_else(|| BfsScratch::new(self.topo.nodes()));
+        s.reset();
+        s.seen[src] = s.mark;
+        s.queue.push(src as u32);
+        let mut found = false;
+        let mut head = 0;
+        'bfs: while let Some(&u) = s.queue.get(head) {
+            head += 1;
+            let u = u as usize;
+            let c = grid.coords(u);
+            for dir in 0..6 {
+                let Some((v, _)) = grid.step(u, c[dir / 2], dir / 2, dir % 2 == 0) else {
+                    continue;
+                };
+                if s.seen[v] == s.mark || self.link_state(u, v, epoch) <= 0.0 {
+                    continue;
+                }
+                s.seen[v] = s.mark;
+                s.parent[v] = u as u32;
+                if v == dst {
+                    found = true;
+                    break 'bfs;
+                }
+                s.queue.push(v as u32);
+            }
         }
-        let mut min_factor = 1.0f64;
-        let mut v = dst;
-        while v != src {
-            let u = parent[v];
-            min_factor = min_factor.min(self.link_factor(u, v, t).unwrap_or(1.0));
-            v = u;
-        }
-        Some(RouteInfo {
-            hops: dist[dst],
-            min_factor,
-        })
+        // `None` = partition between src and dst.
+        let route = found.then(|| {
+            let mut route = RouteInfo::EMPTY;
+            let mut v = dst;
+            while v != src {
+                let u = s.parent[v] as usize;
+                route.cross(self.link_state(u, v, epoch));
+                v = u;
+            }
+            route
+        });
+        self.cache.scratch.lock().expect("bfs scratch lock").push(s);
+        route
     }
 
     /// Fault-aware hop count (`None` = partitioned) — the live-state

@@ -223,44 +223,64 @@ impl Topology {
     /// ±y, ±z). Used by halo-exchange decompositions. For a mesh,
     /// out-of-range neighbours are `None`.
     pub fn torus_neighbors(&self, node: NodeId) -> [Option<NodeId>; 6] {
+        let Some(grid) = self.grid() else {
+            return [None; 6];
+        };
+        let c = grid.coords(node);
+        std::array::from_fn(|dir| {
+            grid.step(node, c[dir / 2], dir / 2, dir % 2 == 0)
+                .map(|(nb, _)| nb)
+        })
+    }
+
+    /// The grid geometry of a neighbour-addressable topology (3-D torus
+    /// or mesh); `None` for every other shape.
+    pub(crate) fn grid(&self) -> Option<Grid> {
         match *self {
-            Topology::Torus3d { dims } => {
-                let c = self.coords(node);
-                let mut out = [None; 6];
-                for (i, slot) in out.iter_mut().enumerate() {
-                    let dim = i / 2;
-                    let mut cc = c;
-                    cc[dim] = if i % 2 == 0 {
-                        (c[dim] + 1) % dims[dim]
-                    } else {
-                        (c[dim] + dims[dim] - 1) % dims[dim]
-                    };
-                    *slot = Some(self.node_at(cc));
-                }
-                out
+            Topology::Torus3d { dims } => Some(Grid { dims, wrap: true }),
+            Topology::Mesh3d { dims } => Some(Grid { dims, wrap: false }),
+            _ => None,
+        }
+    }
+}
+
+/// Geometry of a 3-D torus or mesh, for code that moves along a
+/// dimension one link at a time (the fault-aware router): a step is a
+/// stride added to the node index, not a coordinate decode/re-encode.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Grid {
+    /// Extent in x, y, z.
+    pub dims: [usize; 3],
+    /// Wraparound links (torus) or hard edges (mesh).
+    pub wrap: bool,
+}
+
+impl Grid {
+    /// Node index to coordinates (x fastest), as [`Topology::coords`].
+    #[inline]
+    pub fn coords(&self, node: NodeId) -> [usize; 3] {
+        let [dx, dy, _] = self.dims;
+        [node % dx, (node / dx) % dy, node / (dx * dy)]
+    }
+
+    /// The neighbour of `node` one link along `dim` in the `+` (`plus`)
+    /// or `−` direction, with its coordinate in that dimension; `c` is
+    /// the node's own. `None` past a mesh edge; on a torus the step
+    /// wraps (an extent-1 dimension wraps onto the node itself).
+    #[inline]
+    pub fn step(&self, node: NodeId, c: usize, dim: usize, plus: bool) -> Option<(NodeId, usize)> {
+        let stride = [1, self.dims[0], self.dims[0] * self.dims[1]][dim];
+        let last = self.dims[dim] - 1;
+        if plus {
+            if c < last {
+                Some((node + stride, c + 1))
+            } else {
+                self.wrap.then(|| (node - last * stride, 0))
             }
-            Topology::Mesh3d { dims } => {
-                let c = self.coords(node);
-                let mut out = [None; 6];
-                for (i, slot) in out.iter_mut().enumerate() {
-                    let dim = i / 2;
-                    let mut cc = c;
-                    if i % 2 == 0 {
-                        if c[dim] + 1 >= dims[dim] {
-                            continue;
-                        }
-                        cc[dim] = c[dim] + 1;
-                    } else {
-                        if c[dim] == 0 {
-                            continue;
-                        }
-                        cc[dim] = c[dim] - 1;
-                    }
-                    *slot = Some(self.node_at(cc));
-                }
-                out
-            }
-            _ => [None; 6],
+        } else if c > 0 {
+            Some((node - stride, c - 1))
+        } else {
+            self.wrap.then(|| (node + last * stride, last))
         }
     }
 }

@@ -234,59 +234,183 @@ fn routing_matches_oracle_under_arbitrary_cuts() {
     });
 }
 
-/// The epoch-keyed route cache is semantically invisible: for random
-/// windowed (activate + repair) fault schedules, the cached
-/// [`LinkStateTable::route`] equals the cache-bypassing
-/// [`LinkStateTable::route_uncached`] oracle at every probe — taken
-/// on, just before and just after every epoch boundary, where a
-/// stale entry would leak a neighbouring epoch's link state — and
-/// the warm (hit) path answers identically to the cold (miss) path.
+/// Either grid shape with extents 1..=5: degenerate rings (extent 1
+/// wraps onto itself, extent 2 has one link for both directions), odd
+/// extents, and even ones with a half-way tie.
+fn arb_grid(g: &mut DetRng) -> Topology {
+    let dims = [(); 3].map(|_| g.gen_in(1..6) as usize);
+    if g.gen_bool() {
+        Topology::Torus3d { dims }
+    } else {
+        Topology::Mesh3d { dims }
+    }
+}
+
+/// A down, degraded or switch fault, permanent or windowed, with edges
+/// on a coarse time grid so that windows overlap and share boundaries.
+fn arb_fault(g: &mut DetRng, nodes: usize) -> NetFault {
+    let from = 10 * g.gen_in(0..4);
+    NetFault {
+        node: g.gen_index(nodes),
+        dir: (g.gen_in(0..4) > 0).then(|| g.gen_index(6)),
+        kind: match g.gen_in(0..3) {
+            0 => LinkFaultKind::Degraded(0.25 * g.gen_in(1..4) as f64),
+            _ => LinkFaultKind::Down,
+        },
+        from: SimTime(from),
+        until: g.gen_bool().then(|| SimTime(from + 10 * g.gen_in(1..4))),
+    }
+}
+
+/// The walk and the detour memo are semantically invisible: on random
+/// tori *and meshes*, under random down/degraded/switch fault
+/// schedules, [`LinkStateTable::route`] equals the plain-BFS
+/// [`LinkStateTable::route_uncached`] oracle — hops *and* worst factor
+/// — for **every** `(src, dst)` pair at every probe, taken on, just
+/// before and just after every epoch boundary (where a stale entry or
+/// a mis-compiled step would leak a neighbouring epoch's link state),
+/// and the warm (memo-hit) answer equals the cold one.
 #[test]
-fn cached_routes_equal_fresh_bfs_across_epochs() {
+fn route_equals_fresh_bfs_on_all_pairs_across_epochs() {
+    let (mut detoured, mut partitioned) = (0u64, 0u64);
     for_each_case(SEED, CASES, |g| {
-        let topo = arb_torus(g);
+        let topo = arb_grid(g);
         let n = topo.nodes();
-        let mut tbl = LinkStateTable::new(topo.clone());
-        for _ in 0..g.gen_in(1..6) {
-            let from = g.gen_in(0..200);
-            let dur = g.gen_in(1..100);
-            tbl.add(NetFault {
-                node: g.gen_in(0..4096) as usize % n,
-                dir: Some(g.gen_in(0..6) as usize),
-                kind: if g.gen_bool() {
-                    LinkFaultKind::Down
-                } else {
-                    LinkFaultKind::Degraded(0.5)
-                },
-                from: SimTime(from),
-                until: Some(SimTime(from + dur)),
-            });
-        }
-        let pairs: Vec<(usize, usize)> = (0..g.gen_in(1..5))
-            .map(|_| {
-                (
-                    g.gen_in(0..4096) as usize % n,
-                    g.gen_in(0..4096) as usize % n,
-                )
-            })
-            .collect();
-        // Probe instants straddling every epoch boundary, plus an
-        // arbitrary one.
-        let mut probes = vec![SimTime(g.gen_in(0..400))];
+        let faults: Vec<NetFault> = (0..g.gen_in(1..7)).map(|_| arb_fault(g, n)).collect();
+        let tbl = LinkStateTable::from_faults(topo.clone(), faults);
+        let mut probes = vec![SimTime(g.gen_in(0..80))];
         for e in 1..tbl.epoch_count() {
             let b = tbl.epoch_bound(e - 1);
             probes.push(SimTime(b.0.saturating_sub(1)));
             probes.push(b);
             probes.push(SimTime(b.0 + 1));
         }
-        for &(a, b) in &pairs {
-            for &t in &probes {
-                let want = tbl.route_uncached(a, b, t);
-                assert_eq!(tbl.route(a, b, t), want, "cold at t={t:?}");
-                assert_eq!(tbl.route(a, b, t), want, "warm at t={t:?}");
+        for &t in &probes {
+            for a in 0..n {
+                for b in 0..n {
+                    let want = tbl.route_uncached(a, b, t);
+                    assert_eq!(tbl.route(a, b, t), want, "{topo}: cold {a}->{b} at {t:?}");
+                    assert_eq!(tbl.route(a, b, t), want, "{topo}: warm {a}->{b} at {t:?}");
+                    match want {
+                        Some(r) => detoured += u64::from(r.hops > topo.hops(a, b)),
+                        None => partitioned += 1,
+                    }
+                }
             }
         }
     });
+    assert!(
+        detoured > 0 && partitioned > 0,
+        "the schedules must exercise the search: {detoured} detours, {partitioned} partitions"
+    );
+}
+
+/// Bulk construction is `add` in a loop: same epochs, same link state.
+#[test]
+fn bulk_and_incremental_construction_agree() {
+    for_each_case(SEED, CASES, |g| {
+        let topo = arb_grid(g);
+        let n = topo.nodes();
+        let faults: Vec<NetFault> = (0..g.gen_in(0..7)).map(|_| arb_fault(g, n)).collect();
+        let bulk = LinkStateTable::from_faults(topo.clone(), faults.iter().copied());
+        let mut one_by_one = LinkStateTable::new(topo.clone());
+        for f in &faults {
+            one_by_one.add(*f);
+        }
+        assert_eq!(bulk.epoch_count(), one_by_one.epoch_count());
+        assert_eq!(bulk.faulty_links(), one_by_one.faulty_links());
+        for t in (0..80).map(SimTime) {
+            assert_eq!(bulk.any_active(t), one_by_one.any_active(t), "at {t:?}");
+            for a in 0..n {
+                for b in topo.torus_neighbors(a).into_iter().flatten() {
+                    assert_eq!(
+                        bulk.link_factor(a, b, t),
+                        one_by_one.link_factor(a, b, t),
+                        "{topo}: link {a}-{b} at {t:?}"
+                    );
+                }
+            }
+        }
+    });
+}
+
+/// Half-extent tie on an even ring: both ways round are minimal and the
+/// BFS's neighbor order prefers `+`. A *degraded* `+` path is still
+/// live, so the answer carries its factor even though the `−` path is
+/// clean; only a *dead* `+` path moves the route to the `−` side.
+#[test]
+fn half_extent_tie_takes_the_plus_path_while_it_is_live() {
+    let topo = Topology::Torus3d { dims: [4, 4, 4] };
+    let (a, b) = (topo.node_at([0, 1, 2]), topo.node_at([2, 1, 2]));
+    let fault = |kind| NetFault {
+        node: topo.node_at([1, 1, 2]),
+        dir: Some(0), // +x: the second link of the + path
+        kind,
+        from: SimTime::ZERO,
+        until: None,
+    };
+    let degraded = LinkStateTable::from_faults(topo.clone(), [fault(LinkFaultKind::Degraded(0.5))]);
+    let r = degraded.route(a, b, SimTime::ZERO).unwrap();
+    assert_eq!((r.hops, r.min_factor), (2, 0.5), "+ path, degraded factor");
+    assert_eq!(Some(r), degraded.route_uncached(a, b, SimTime::ZERO));
+    // The reverse query's + path is the other half of the ring: clean.
+    let back = degraded.route(b, a, SimTime::ZERO).unwrap();
+    assert_eq!((back.hops, back.min_factor), (2, 1.0));
+    assert_eq!(Some(back), degraded.route_uncached(b, a, SimTime::ZERO));
+
+    let dead = LinkStateTable::from_faults(topo.clone(), [fault(LinkFaultKind::Down)]);
+    let r = dead.route(a, b, SimTime::ZERO).unwrap();
+    assert_eq!((r.hops, r.min_factor), (2, 1.0), "− path, same length");
+    assert_eq!(Some(r), dead.route_uncached(a, b, SimTime::ZERO));
+}
+
+/// A query whose dimension-ordered path is live is answered by the walk
+/// alone — no memo lock, no search: the fallback counters do not move.
+/// A query whose path crosses the dead link searches once and is served
+/// from the memo afterwards.
+#[test]
+fn live_paths_bypass_the_memo_and_dead_ones_search_once() {
+    let topo = Topology::Torus3d { dims: [8, 8, 8] };
+    let tbl = LinkStateTable::from_faults(
+        topo.clone(),
+        [
+            NetFault {
+                node: topo.node_at([1, 0, 0]),
+                dir: Some(0),
+                kind: LinkFaultKind::Down,
+                from: SimTime::ZERO,
+                until: None,
+            },
+            NetFault {
+                node: topo.node_at([0, 5, 0]),
+                dir: Some(2),
+                kind: LinkFaultKind::Degraded(0.5),
+                from: SimTime::ZERO,
+                until: None,
+            },
+        ],
+    );
+    let idle = tbl.route_cache_stats();
+    // x first along y = 3 (clear of the dead link), then up the degraded
+    // y link: live, degraded, and invisible to the counters.
+    let (a, b) = (topo.node_at([5, 3, 0]), topo.node_at([0, 6, 0]));
+    for _ in 0..3 {
+        let r = tbl.route(a, b, SimTime::ZERO).unwrap();
+        assert_eq!((r.hops, r.min_factor), (topo.hops(a, b), 0.5));
+    }
+    assert_eq!(tbl.route_cache_stats(), idle, "the walk touches no counter");
+
+    // 0 → 3 along y = 0 crosses the dead (1,0,0)-(2,0,0) link.
+    let (a, b) = (topo.node_at([0, 0, 0]), topo.node_at([3, 0, 0]));
+    for _ in 0..3 {
+        assert_eq!(tbl.hops_at(a, b, SimTime::ZERO), Some(5), "detour: +2 hops");
+    }
+    let s = tbl.route_cache_stats();
+    if tbl.route_cache_enabled() {
+        assert_eq!((s.misses, s.hits, s.bfs_runs), (1, 2, 1), "{s:?}");
+    } else {
+        assert_eq!((s.misses, s.hits, s.bfs_runs), (0, 0, 3), "{s:?}");
+    }
 }
 
 /// A switch fault isolates its node completely: routing to or from

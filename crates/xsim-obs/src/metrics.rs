@@ -219,12 +219,14 @@ pub mod ids {
     pub const ENGINE_BATCHED_EVENTS: usize = 33;
     /// Largest single (src,dst) exchange batch (volatile).
     pub const ENGINE_BATCH_MAX: usize = 34;
-    /// Fault-aware route queries answered by the epoch-keyed cache
-    /// (volatile: parallel shards race to fill entries, so the counts —
-    /// never the routes — vary with scheduling).
+    /// Fault-aware route queries answered by the epoch-keyed detour
+    /// memo. Only queries whose dimension-ordered path crosses a dead
+    /// link reach the memo; the rest are answered by the walk and
+    /// counted nowhere. (Volatile: parallel shards race to fill entries,
+    /// so the counts — never the routes — vary with scheduling.)
     pub const NET_ROUTE_CACHE_HITS: usize = 35;
-    /// Fault-aware route queries that ran the BFS and filled the cache
-    /// (volatile, see `NET_ROUTE_CACHE_HITS`).
+    /// Fault-aware route queries that missed the detour memo, ran the
+    /// BFS and filled an entry (volatile, see `NET_ROUTE_CACHE_HITS`).
     pub const NET_ROUTE_CACHE_MISSES: usize = 36;
     /// Route-cache entries discarded at a shard capacity bound
     /// (volatile, see `NET_ROUTE_CACHE_HITS`).
@@ -295,6 +297,10 @@ pub mod ids {
     /// Restore-chain length distribution: files replayed per restored
     /// rank state (1 = plain full checkpoint, k+1 = full + k diffs).
     pub const CKPT_RESTORE_CHAIN: usize = 60;
+    /// Breadth-first route searches the fault table ran: memo misses,
+    /// or every dead-link query with `XSIM_NET_ROUTE_CACHE=off`
+    /// (volatile, see `NET_ROUTE_CACHE_HITS`).
+    pub const NET_ROUTE_BFS_RUNS: usize = 61;
 }
 
 /// The metric schema, indexed by [`ids`].
@@ -369,6 +375,7 @@ pub const SPEC: &[MetricDef] = &[
     MetricDef::counter("ckpt.mode.diff_blocks", Unit::Count),
     MetricDef::counter("ckpt.mode.diff_writes", Unit::Count),
     MetricDef::histogram("ckpt.mode.restore_chain", Unit::Count, CHAIN_BUCKETS),
+    MetricDef::counter("net.route_bfs_runs", Unit::Count).volatile(),
 ];
 
 /// A filled histogram.
@@ -577,7 +584,7 @@ mod tests {
 
     #[test]
     fn spec_ids_line_up() {
-        assert_eq!(SPEC.len(), ids::CKPT_RESTORE_CHAIN + 1);
+        assert_eq!(SPEC.len(), ids::NET_ROUTE_BFS_RUNS + 1);
         assert_eq!(SPEC[ids::NET_MSGS_EAGER].name, "net.msgs_eager");
         assert_eq!(SPEC[ids::MPI_UNEXPECTED_HWM].kind, MetricKind::Gauge);
         assert_eq!(SPEC[ids::FS_WRITE_NS].kind, MetricKind::Histogram);
@@ -618,13 +625,15 @@ mod tests {
             SPEC[ids::CKPT_RESTORE_CHAIN].name,
             "ckpt.mode.restore_chain"
         );
+        assert_eq!(SPEC[ids::NET_ROUTE_BFS_RUNS].name, "net.route_bfs_runs");
         // Exactly the execution-shape metrics (engine profile + route
         // cache occupancy + event-core pool/queue shape) are volatile;
         // payload accounting is part of the deterministic snapshot.
         for (id, def) in SPEC.iter().enumerate() {
             let expect_volatile = (ids::ENGINE_WINDOWS..=ids::NET_ROUTE_CACHE_EVICTIONS)
                 .contains(&id)
-                || (ids::ENGINE_INGEST_SKIPS..=ids::ENGINE_QUEUE_BUCKET_HWM).contains(&id);
+                || (ids::ENGINE_INGEST_SKIPS..=ids::ENGINE_QUEUE_BUCKET_HWM).contains(&id)
+                || id == ids::NET_ROUTE_BFS_RUNS;
             assert_eq!(def.volatile, expect_volatile, "volatility of {}", def.name);
         }
         // Names are unique.
