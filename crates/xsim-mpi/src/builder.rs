@@ -455,6 +455,7 @@ impl SimBuilder {
 
         let world = Arc::new(MpiWorld {
             n_ranks: self.n_ranks,
+            members: Arc::new((0..self.n_ranks).map(Rank::new).collect()),
             net,
             proc: self.proc,
             notify_delay,
@@ -528,7 +529,7 @@ impl SimBuilder {
                     pfs_state.clone(),
                 ));
                 if power_model.is_some() {
-                    k.install_service(PowerService::new(world.n_ranks, busy_sink.clone()));
+                    k.install_service(PowerService::new(owned.clone(), busy_sink.clone()));
                 }
                 if trace_enabled {
                     k.install_service(TraceService::new(trace_sink.clone()));

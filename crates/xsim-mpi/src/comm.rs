@@ -7,7 +7,7 @@
 //! sequential one.
 
 use crate::error::ErrHandler;
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 use std::sync::Arc;
 use xsim_core::{Rank, SimTime};
 
@@ -65,11 +65,15 @@ impl CommView {
     }
 }
 
-/// One rank's communicator table.
+/// One rank's communicator table, indexed by the dense [`CommId`]: the
+/// world view lives inline, derived communicators in a `Vec` that stays
+/// unallocated until the first `comm_dup`/`comm_split`/`comm_shrink`.
 #[derive(Debug)]
 pub struct CommTable {
-    views: HashMap<CommId, CommView>,
-    next_id: u32,
+    world: CommView,
+    /// View of communicator `i + 1`; `None` where this rank skipped the
+    /// id (not a member). The next id is `derived.len() + 1`.
+    derived: Vec<Option<CommView>>,
 }
 
 impl CommTable {
@@ -91,51 +95,49 @@ impl CommTable {
         me: Rank,
         default_handler: ErrHandler,
     ) -> Self {
-        let mut views = HashMap::new();
-        views.insert(
-            CommId::WORLD,
-            CommView {
+        CommTable {
+            world: CommView {
                 members,
                 my_rank: me.idx(),
                 errhandler: default_handler,
                 revoked: None,
                 coll_seq: 0,
             },
-        );
-        CommTable { views, next_id: 1 }
+            derived: Vec::new(),
+        }
     }
 
     /// Look up a communicator view.
     pub fn view(&self, id: CommId) -> Option<&CommView> {
-        self.views.get(&id)
+        match id.0.checked_sub(1) {
+            None => Some(&self.world),
+            Some(i) => self.derived.get(i as usize)?.as_ref(),
+        }
     }
 
     /// Look up a communicator view mutably.
     pub fn view_mut(&mut self, id: CommId) -> Option<&mut CommView> {
-        self.views.get_mut(&id)
+        match id.0.checked_sub(1) {
+            None => Some(&mut self.world),
+            Some(i) => self.derived.get_mut(i as usize)?.as_mut(),
+        }
     }
 
     /// Install a derived communicator with the next deterministic id.
     /// Every member must perform the same installation sequence, so ids
     /// agree across ranks (MPI's collective-order requirement).
     pub fn install(&mut self, members: Arc<Vec<Rank>>, me: Rank, handler: ErrHandler) -> CommId {
-        let id = CommId(self.next_id);
-        self.next_id += 1;
         let my_rank = members
             .iter()
             .position(|r| *r == me)
             .expect("installing a communicator this rank is not a member of");
-        self.views.insert(
-            id,
-            CommView {
-                members,
-                my_rank,
-                errhandler: handler,
-                revoked: None,
-                coll_seq: 0,
-            },
-        );
-        id
+        self.push(Some(CommView {
+            members,
+            my_rank,
+            errhandler: handler,
+            revoked: None,
+            coll_seq: 0,
+        }))
     }
 
     /// Advance the id counter without installing a view — used by ranks
@@ -143,15 +145,18 @@ impl CommTable {
     /// (undefined), so their next derived communicator id stays in sync
     /// with members'.
     pub fn skip_id(&mut self) -> CommId {
-        let id = CommId(self.next_id);
-        self.next_id += 1;
-        id
+        self.push(None)
+    }
+
+    fn push(&mut self, view: Option<CommView>) -> CommId {
+        self.derived.push(view);
+        CommId(u32::try_from(self.derived.len()).expect("communicator ids fit u32"))
     }
 
     /// Mark a communicator revoked at `time` (idempotent, keeps the
     /// earliest time).
     pub fn revoke(&mut self, id: CommId, time: SimTime) {
-        if let Some(v) = self.views.get_mut(&id) {
+        if let Some(v) = self.view_mut(id) {
             v.revoked = Some(match v.revoked {
                 Some(t) => t.min(time),
                 None => time,
@@ -165,21 +170,19 @@ impl CommTable {
 /// `(parent_rank, color, key)` per member, parent-rank-ordered. `None`
 /// colors (MPI_UNDEFINED) join no group.
 pub fn split_groups(entries: &[(Rank, Option<u32>, i64)]) -> Vec<(u32, Vec<Rank>)> {
-    let mut by_color: HashMap<u32, Vec<(i64, Rank)>> = HashMap::new();
+    let mut by_color: BTreeMap<u32, Vec<(i64, Rank)>> = BTreeMap::new();
     for (rank, color, key) in entries {
         if let Some(c) = color {
             by_color.entry(*c).or_default().push((*key, *rank));
         }
     }
-    let mut out: Vec<(u32, Vec<Rank>)> = by_color
+    by_color
         .into_iter()
         .map(|(c, mut v)| {
             v.sort(); // by key, then parent (world) rank
             (c, v.into_iter().map(|(_, r)| r).collect())
         })
-        .collect();
-    out.sort_by_key(|(c, _)| *c);
-    out
+        .collect()
 }
 
 #[cfg(test)]

@@ -37,6 +37,7 @@ pub mod p2p;
 pub mod redundancy;
 pub mod replication;
 pub mod request;
+mod smallmap;
 pub mod state;
 pub mod trace;
 pub mod ulfm;

@@ -8,13 +8,15 @@
 //! * non-overtaking holds because message *headers* between a given pair
 //!   share latency and therefore arrive (and are delivered) in send order.
 //!
-//! The queues are index-backed so matching stays O(1) for the dominant
-//! specific-source/specific-tag case even with tens of thousands of
-//! outstanding receives (a linear-algorithm collective at the root posts
-//! P−1 of them, paper §V-C).
+//! The queues live in one [`SmallMap`] ordered by `(comm, src, tag,
+//! stamp)`: a flat scan for the handful of entries a rank usually has,
+//! an ordered tree at depth, so the dominant specific-source/specific-tag
+//! match stays O(log n) even with tens of thousands of outstanding
+//! receives or unexpected messages (a linear-algorithm collective at the
+//! root holds P−1 of them, paper §V-C).
 
 use crate::comm::CommId;
-use std::collections::{HashMap, VecDeque};
+use crate::smallmap::SmallMap;
 use xsim_core::{Bytes, Rank, SimTime};
 
 /// Wildcard-capable source selector (`MPI_ANY_SOURCE`).
@@ -40,6 +42,14 @@ impl SrcSel {
     pub fn is_any(self) -> bool {
         matches!(self, SrcSel::Any)
     }
+
+    /// The specific rank, `None` for the wildcard.
+    pub fn rank(self) -> Option<Rank> {
+        match self {
+            SrcSel::Of(r) => Some(r),
+            SrcSel::Any => None,
+        }
+    }
 }
 
 /// Wildcard-capable tag selector (`MPI_ANY_TAG`).
@@ -58,6 +68,14 @@ impl TagSel {
         match self {
             TagSel::Of(t) => t == tag,
             TagSel::Any => true,
+        }
+    }
+
+    /// The specific tag, `None` for the wildcard.
+    pub fn tag(self) -> Option<u32> {
+        match self {
+            TagSel::Of(t) => Some(t),
+            TagSel::Any => None,
         }
     }
 }
@@ -119,30 +137,46 @@ pub struct PostedRecv {
     pub post_seq: u64,
 }
 
+/// Where an item queues: `(communicator, source, tag)`, `None` standing
+/// for a wildcard selector (only posted receives have those).
+type Bucket = (CommId, Option<Rank>, Option<u32>);
+
+/// A bucket plus the item's queue stamp. The derived tuple order keeps a
+/// bucket's items adjacent and oldest-first, and puts every bucket of
+/// one `(communicator, source)` pair in one contiguous key range.
+type MatchKey = (CommId, Option<Rank>, Option<u32>, u64);
+
+fn stamped((comm, src, tag): Bucket, stamp: u64) -> MatchKey {
+    (comm, src, tag, stamp)
+}
+
+fn key_range(bucket: Bucket) -> (MatchKey, MatchKey) {
+    (stamped(bucket, 0), stamped(bucket, u64::MAX))
+}
+
 #[derive(Debug)]
-struct QueuedEnv {
-    order: u64,
-    env: Envelope,
+enum Item {
+    /// An unexpected message (always in an exact bucket).
+    Env(Envelope),
+    /// A posted, unmatched receive.
+    Recv(PostedRecv),
 }
 
 /// The matching state of one receiver: unexpected messages and posted
-/// (unmatched) receives.
+/// (unmatched) receives, in one keyed container.
+///
+/// For an exact `(comm, src, tag)` bucket a queued message and a posted
+/// receive never coexist (either would have matched the other), so one
+/// entry kind per bucket serves both sides. Entries are removed the
+/// moment they match or are cancelled — an idle receiver holds nothing.
 #[derive(Debug, Default)]
 pub struct MatchQueues {
-    // Unexpected side: FIFO per (comm, src, tag) bucket, with a global
-    // delivery-order stamp for wildcard competition.
-    unexpected: HashMap<(CommId, Rank, u32), VecDeque<QueuedEnv>>,
+    items: SmallMap<MatchKey, Item>,
+    /// Delivery/post order stamp: earlier = matched first.
+    stamp: u64,
+    /// How many of `items` are unexpected messages (the rest are posted
+    /// receives).
     n_unexpected: usize,
-    deliver_counter: u64,
-    // Posted side: receives by request id plus four selector indexes
-    // holding request ids in post order. Index entries are removed
-    // lazily (skipped when the id is no longer in `posted`).
-    posted: HashMap<u64, PostedRecv>,
-    post_counter: u64,
-    idx_exact: HashMap<(CommId, Rank, u32), VecDeque<u64>>,
-    idx_any_src: HashMap<(CommId, u32), VecDeque<u64>>,
-    idx_any_tag: HashMap<(CommId, Rank), VecDeque<u64>>,
-    idx_any_any: HashMap<CommId, VecDeque<u64>>,
 }
 
 impl MatchQueues {
@@ -153,214 +187,128 @@ impl MatchQueues {
 
     /// Number of posted unmatched receives.
     pub fn posted_len(&self) -> usize {
-        self.posted.len()
+        self.items.len() - self.n_unexpected
     }
 
-    fn front_live(&mut self, key: FrontKey) -> Option<u64> {
-        let posted = &self.posted;
-        let q = match key {
-            FrontKey::Exact(k) => self.idx_exact.get_mut(&k),
-            FrontKey::AnySrc(k) => self.idx_any_src.get_mut(&k),
-            FrontKey::AnyTag(k) => self.idx_any_tag.get_mut(&k),
-            FrontKey::AnyAny(k) => self.idx_any_any.get_mut(&k),
-        }?;
-        while let Some(&req) = q.front() {
-            if posted.contains_key(&req) {
-                return Some(req);
-            }
-            q.pop_front();
-        }
-        None
+    /// Entries physically held (messages, receives and whatever indexes
+    /// them): zero once every message matched and every receive matched
+    /// or was cancelled. Test probe for leaked index entries.
+    #[doc(hidden)]
+    pub fn retained_entries(&self) -> usize {
+        self.items.len()
+    }
+
+    fn next_stamp(&mut self) -> u64 {
+        self.stamp += 1;
+        self.stamp
     }
 
     /// Deliver an arrived envelope: match it against the earliest-posted
     /// fitting receive, or queue it as unexpected. Returns the matched
     /// receive and the envelope when a match happened.
     pub fn deliver(&mut self, env: Envelope) -> Option<(PostedRecv, Envelope)> {
-        let keys = [
-            FrontKey::Exact((env.comm, env.src, env.tag)),
-            FrontKey::AnySrc((env.comm, env.tag)),
-            FrontKey::AnyTag((env.comm, env.src)),
-            FrontKey::AnyAny(env.comm),
-        ];
-        let mut best: Option<u64> = None;
-        for key in keys {
-            if let Some(req) = self.front_live(key) {
-                let seq = self.posted[&req].post_seq;
-                best = match best {
-                    Some(b) if self.posted[&b].post_seq <= seq => best,
-                    _ => Some(req),
-                };
+        let (src, tag) = (Some(env.src), Some(env.tag));
+        let exact = (env.comm, src, tag);
+        let mut best: Option<MatchKey> = None;
+        for bucket in [
+            exact,
+            (env.comm, None, tag),
+            (env.comm, src, None),
+            (env.comm, None, None),
+        ] {
+            let (lo, hi) = key_range(bucket);
+            // The exact bucket may hold earlier unexpected messages
+            // instead of receives: then it offers no candidate.
+            if let Some((key, Item::Recv(_))) = self.items.first_in(lo, hi) {
+                if best.is_none_or(|b| key.3 < b.3) {
+                    best = Some(key);
+                }
             }
         }
         match best {
-            Some(req) => {
-                let posted = self.posted.remove(&req).expect("live front");
+            Some(key) => {
+                let Some(Item::Recv(posted)) = self.items.remove(&key) else {
+                    unreachable!("candidate is a posted receive");
+                };
                 Some((posted, env))
             }
             None => {
-                self.deliver_counter += 1;
-                let order = self.deliver_counter;
+                let stamp = self.next_stamp();
                 self.n_unexpected += 1;
-                self.unexpected
-                    .entry((env.comm, env.src, env.tag))
-                    .or_default()
-                    .push_back(QueuedEnv { order, env });
+                self.items.insert(stamped(exact, stamp), Item::Env(env));
                 None
             }
+        }
+    }
+
+    /// The earliest-delivered unexpected message fitting the selectors.
+    fn earliest_unexpected(
+        &self,
+        comm: CommId,
+        src: SrcSel,
+        tag: TagSel,
+    ) -> Option<(MatchKey, &Envelope)> {
+        let found = match (src, tag) {
+            (SrcSel::Of(s), TagSel::Of(t)) => {
+                let (lo, hi) = key_range((comm, Some(s), Some(t)));
+                self.items.first_in(lo, hi)
+            }
+            // Wildcard: scan, keeping the lowest delivery stamp.
+            _ => self
+                .items
+                .iter()
+                .filter(|(k, item)| {
+                    matches!(item, Item::Env(_))
+                        && k.0 == comm
+                        && k.1.is_some_and(|s| src.matches(s))
+                        && k.2.is_some_and(|t| tag.matches(t))
+                })
+                .min_by_key(|(k, _)| k.3),
+        };
+        match found {
+            Some((key, Item::Env(env))) => Some((key, env)),
+            _ => None,
         }
     }
 
     /// Post a receive: match it against the earliest-delivered fitting
     /// unexpected message, or queue it. Returns the matched envelope.
     pub fn post(&mut self, mut recv: PostedRecv) -> Option<Envelope> {
-        // Locate the best unexpected bucket for this selector.
-        let best_bucket: Option<(CommId, Rank, u32)> = match (recv.src, recv.tag) {
-            (SrcSel::Of(s), TagSel::Of(t)) => {
-                let k = (recv.comm, s, t);
-                self.unexpected.get(&k).filter(|q| !q.is_empty()).map(|_| k)
-            }
-            _ => {
-                // Wildcard: scan buckets of this communicator, pick the
-                // one whose front has the lowest delivery order.
-                let mut best: Option<((CommId, Rank, u32), u64)> = None;
-                for (k, q) in &self.unexpected {
-                    if k.0 != recv.comm {
-                        continue;
-                    }
-                    if !recv.src.matches(k.1) || !recv.tag.matches(k.2) {
-                        continue;
-                    }
-                    if let Some(front) = q.front() {
-                        best = match best {
-                            Some((_, o)) if o <= front.order => best,
-                            _ => Some((*k, front.order)),
-                        };
-                    }
-                }
-                best.map(|(k, _)| k)
-            }
-        };
-        match best_bucket {
-            Some(k) => {
-                let q = self.unexpected.get_mut(&k).expect("bucket exists");
-                let qe = q.pop_front().expect("non-empty bucket");
-                if q.is_empty() {
-                    self.unexpected.remove(&k);
-                }
-                self.n_unexpected -= 1;
-                Some(qe.env)
-            }
-            None => {
-                self.post_counter += 1;
-                recv.post_seq = self.post_counter;
-                let req = recv.req;
-                match (recv.src, recv.tag) {
-                    (SrcSel::Of(s), TagSel::Of(t)) => self
-                        .idx_exact
-                        .entry((recv.comm, s, t))
-                        .or_default()
-                        .push_back(req),
-                    (SrcSel::Any, TagSel::Of(t)) => self
-                        .idx_any_src
-                        .entry((recv.comm, t))
-                        .or_default()
-                        .push_back(req),
-                    (SrcSel::Of(s), TagSel::Any) => self
-                        .idx_any_tag
-                        .entry((recv.comm, s))
-                        .or_default()
-                        .push_back(req),
-                    (SrcSel::Any, TagSel::Any) => self
-                        .idx_any_any
-                        .entry(recv.comm)
-                        .or_default()
-                        .push_back(req),
-                }
-                self.posted.insert(req, recv);
-                None
-            }
+        if let Some((key, _)) = self.earliest_unexpected(recv.comm, recv.src, recv.tag) {
+            let Some(Item::Env(env)) = self.items.remove(&key) else {
+                unreachable!("found above");
+            };
+            self.n_unexpected -= 1;
+            return Some(env);
         }
+        recv.post_seq = self.next_stamp();
+        let bucket = (recv.comm, recv.src.rank(), recv.tag.tag());
+        self.items
+            .insert(stamped(bucket, recv.post_seq), Item::Recv(recv));
+        None
     }
 
     /// Non-destructively find the earliest-delivered unexpected message
     /// matching the selectors (`MPI_Probe`/`MPI_Iprobe`): returns
     /// `(src, tag, payload bytes)`.
     pub fn peek(&self, comm: CommId, src: SrcSel, tag: TagSel) -> Option<(Rank, u32, usize)> {
-        let mut best: Option<(&QueuedEnv, u64)> = None;
-        for (k, q) in &self.unexpected {
-            if k.0 != comm || !src.matches(k.1) || !tag.matches(k.2) {
-                continue;
-            }
-            if let Some(front) = q.front() {
-                best = match best {
-                    Some((_, o)) if o <= front.order => best,
-                    _ => Some((front, front.order)),
-                };
-            }
-        }
-        best.map(|(qe, _)| (qe.env.src, qe.env.tag, qe.env.data.len()))
+        self.earliest_unexpected(comm, src, tag)
+            .map(|(_, env)| (env.src, env.tag, env.data.len()))
     }
 
-    /// Remove and return every posted receive whose source selector can
-    /// only be satisfied by `failed_src` — plus, if `include_any_source`
-    /// is set, every wildcard-source receive. Used by the failure/abort
-    /// release machinery (paper §IV-C).
-    pub fn take_recvs_involving(
-        &mut self,
-        failed_src: Rank,
-        include_any_source: bool,
-    ) -> Vec<PostedRecv> {
-        let ids: Vec<u64> = self
-            .posted
-            .values()
-            .filter(|p| match p.src {
-                SrcSel::Of(r) => r == failed_src,
-                SrcSel::Any => include_any_source,
-            })
-            .map(|p| p.req)
-            .collect();
-        let mut out: Vec<PostedRecv> = ids
-            .into_iter()
-            .map(|id| self.posted.remove(&id).expect("listed"))
-            .collect();
-        out.sort_by_key(|p| p.post_seq);
-        out
+    /// Remove the posted receive `req`, which was posted on `comm` with
+    /// source selector `src`. Returns whether it was present.
+    pub fn cancel_posted(&mut self, req: u64, comm: CommId, src: SrcSel) -> bool {
+        let src = src.rank();
+        // Every tag bucket of this (comm, src): `None` sorts first.
+        let (lo, hi) = ((comm, src, None, 0), (comm, src, Some(u32::MAX), u64::MAX));
+        let found = self
+            .items
+            .range(lo, hi)
+            .find(|(_, item)| matches!(item, Item::Recv(p) if p.req == req))
+            .map(|(key, _)| key);
+        found.is_some_and(|key| self.items.remove(&key).is_some())
     }
-
-    /// Remove a posted receive by request id. Returns whether it was
-    /// present (index entries are cleaned lazily).
-    pub fn cancel_posted(&mut self, req: u64) -> bool {
-        self.posted.remove(&req).is_some()
-    }
-
-    /// Drop every unexpected message originating from `src`. (xSim keeps
-    /// already-arrived messages from failed peers, so the failure path
-    /// does *not* call this; communicator teardown may.)
-    pub fn purge_unexpected_from(&mut self, src: Rank) -> usize {
-        let keys: Vec<_> = self
-            .unexpected
-            .keys()
-            .filter(|k| k.1 == src)
-            .cloned()
-            .collect();
-        let mut purged = 0;
-        for k in keys {
-            if let Some(q) = self.unexpected.remove(&k) {
-                purged += q.len();
-            }
-        }
-        self.n_unexpected -= purged;
-        purged
-    }
-}
-
-#[derive(Clone, Copy)]
-enum FrontKey {
-    Exact((CommId, Rank, u32)),
-    AnySrc((CommId, u32)),
-    AnyTag((CommId, Rank)),
-    AnyAny(CommId),
 }
 
 #[cfg(test)]
@@ -479,30 +427,24 @@ mod tests {
     }
 
     #[test]
-    fn take_recvs_involving_failed_rank() {
-        let mut q = MatchQueues::default();
-        q.post(recv(0, SrcSel::Of(Rank(1)), TagSel::Any));
-        q.post(recv(1, SrcSel::Of(Rank(2)), TagSel::Any));
-        q.post(recv(2, SrcSel::Any, TagSel::Any));
-        let released = q.take_recvs_involving(Rank(1), false);
-        assert_eq!(released.len(), 1);
-        assert_eq!(released[0].req, 0);
-        let released = q.take_recvs_involving(Rank(1), true);
-        assert_eq!(released.len(), 1);
-        assert_eq!(released[0].req, 2, "wildcard released when requested");
-        assert_eq!(q.posted_len(), 1);
-    }
-
-    #[test]
-    fn cancel_posted_removes_lazily() {
+    fn cancel_posted_removes_the_entry() {
         let mut q = MatchQueues::default();
         q.post(recv(7, SrcSel::Any, TagSel::Any));
         q.post(recv(8, SrcSel::Any, TagSel::Any));
-        assert!(q.cancel_posted(7));
-        assert!(!q.cancel_posted(7));
-        // The stale index entry must be skipped: the delivery matches 8.
+        q.post(recv(9, SrcSel::Of(Rank(1)), TagSel::Of(1)));
+        assert!(q.cancel_posted(7, CommId(0), SrcSel::Any));
+        assert!(!q.cancel_posted(7, CommId(0), SrcSel::Any));
+        assert!(
+            !q.cancel_posted(9, CommId(0), SrcSel::Any),
+            "wrong selector"
+        );
+        assert_eq!(q.posted_len(), 2);
+        // The delivery matches 8, the earliest receive still posted.
         let (r, _) = q.deliver(env(1, 1, 0, 1)).unwrap();
         assert_eq!(r.req, 8);
+        assert!(q.cancel_posted(9, CommId(0), SrcSel::Of(Rank(1))));
+        assert_eq!(q.posted_len(), 0);
+        assert_eq!(q.retained_entries(), 0);
     }
 
     #[test]
@@ -523,16 +465,6 @@ mod tests {
             .peek(CommId(0), SrcSel::Of(Rank(3)), TagSel::Any)
             .is_none());
         assert_eq!(q.unexpected_len(), 2, "peek must not consume");
-    }
-
-    #[test]
-    fn purge_unexpected() {
-        let mut q = MatchQueues::default();
-        q.deliver(env(1, 0, 0, 1));
-        q.deliver(env(1, 3, 1, 2));
-        q.deliver(env(2, 0, 0, 3));
-        assert_eq!(q.purge_unexpected_from(Rank(1)), 2);
-        assert_eq!(q.unexpected_len(), 1);
     }
 
     #[test]

@@ -96,35 +96,42 @@ pub(crate) async fn isend_ex(
     let (req, overhead) = ctx::with_kernel(|k, me| {
         with_mpi(k, |k, svc| {
             let now = k.vp(me).clock();
-            let rm = svc.rank(me);
+            let rm = svc.rank_mut(me);
             entry_checks_ex(rm, comm, allow_revoked)?;
             let view = rm.comms.view(comm).expect("checked");
             let dst_world = view
                 .world_rank(dst)
                 .ok_or(MpiError::Invalid("destination rank out of range"))?;
-
-            let base = svc.world.net.p2p(me, dst_world, data.len());
-            // Fault-aware route at injection time: None means the live
-            // link faults partition the network between the two nodes.
-            let route = svc.world.net.p2p_at(me, dst_world, data.len(), now);
-            let send_overhead = svc.world.net.send_overhead;
-            let world = svc.world.clone();
-
-            // Hottest per-send metrics accumulate in the service-local
-            // batch (plain field adds) instead of paying a registry
-            // lookup each; the batch lands at engine shutdown.
-            svc.net_batch
-                .observe(base.eager, base.class, data.len() as u64);
-
-            let rm = svc.rank_mut(me);
             rm.stats.sends += 1;
             rm.stats.bytes_sent += data.len() as u64;
             let seq = rm.next_send_seq(dst_world);
             let req = rm
                 .reqs
                 .create(ReqKind::Send, comm, SrcSel::Of(dst_world), tag, now);
+            let known_failed = rm.failed.get(dst_world);
 
-            if let Some(&tof) = rm.failed.get(&dst_world) {
+            // The shared configuration is borrowed, not cloned: the
+            // refcount is one cache line every worker would hammer.
+            let world = &*svc.world;
+            let send_overhead = world.net.send_overhead;
+            // Fault-aware route at injection time: None means the live
+            // link faults partition the network between the two nodes.
+            let route = world.net.p2p_at(me, dst_world, data.len(), now);
+            // Protocol and network class do not depend on link state.
+            let (eager, class) = match &route {
+                Some(r) => (r.timing.eager, r.timing.class),
+                None => {
+                    let base = world.net.p2p(me, dst_world, data.len());
+                    (base.eager, base.class)
+                }
+            };
+
+            // Hottest per-send metrics accumulate in the service-local
+            // batch (plain field adds) instead of paying a registry
+            // lookup each; the batch lands at engine shutdown.
+            svc.net_batch.observe(eager, class, data.len() as u64);
+
+            if let Some(tof) = known_failed {
                 // Known-failed destination: the send request fails per
                 // the configured detector; nothing is transmitted (paper
                 // §IV-B: messages to a failed process are deleted).
@@ -158,7 +165,7 @@ pub(crate) async fn isend_ex(
             // memory stays reliable.
             let lossy_here = world
                 .lossy
-                .filter(|l| base.class == NetClass::System && l.applies(me, dst_world));
+                .filter(|l| class == NetClass::System && l.applies(me, dst_world));
             if let Some(lossy) = lossy_here {
                 let mut attempt = 0u32;
                 loop {
@@ -269,7 +276,7 @@ pub(crate) fn irecv_ex(
     ctx::with_kernel(|k, me| {
         with_mpi(k, |k, svc| {
             let now = k.vp(me).clock();
-            let rm = svc.rank(me);
+            let rm = svc.rank_mut(me);
             entry_checks_ex(rm, comm, allow_revoked)?;
             let view = rm.comms.view(comm).expect("checked");
             let src_sel = match src {
@@ -284,25 +291,24 @@ pub(crate) fn irecv_ex(
                 None => TagSel::Any,
             };
 
-            let world = svc.world.clone();
-            let rm = svc.rank_mut(me);
             rm.stats.recvs += 1;
             let req = rm
                 .reqs
                 .create(ReqKind::Recv, comm, src_sel, tag.unwrap_or(0), now);
 
             // Failure interactions (paper §IV-C).
-            if let SrcSel::Of(s) = src_sel {
-                if let Some(&tof) = rm.failed.get(&s) {
-                    let at = world.failure_error_time(me, s, now, tof);
-                    schedule_request_failure(k, me, req, at, s, tof);
-                    return Ok(req); // never posted; cannot match
-                }
-            } else if let Some((dead, tof)) = rm.first_unacked_failure() {
+            let failure = match src_sel {
+                SrcSel::Of(s) => rm.failed.get(s).map(|tof| (s, tof)),
                 // Wildcard receives fail while an unacknowledged failure
                 // exists — unless a message matches first.
-                let at = world.failure_error_time(me, dead, now, tof);
+                SrcSel::Any => rm.failed.first_unacked(),
+            };
+            if let Some((dead, tof)) = failure {
+                let at = svc.world.failure_error_time(me, dead, now, tof);
                 schedule_request_failure(k, me, req, at, dead, tof);
+                if !src_sel.is_any() {
+                    return Ok(req); // never posted; cannot match
+                }
             }
 
             let posted = PostedRecv {
@@ -491,15 +497,31 @@ pub fn test_raw(req: ReqId) -> Option<ReqResult> {
     }
 }
 
-/// Drain the completion feed and return the drained ids. Entries for
-/// requests the caller does not hold are safe to drop: a fresh wait
-/// always performs an initial full scan that catches pre-completed
-/// requests.
-fn drain_completion_feed() -> Vec<u64> {
+/// Drain the completion feed into `ids`. Entries for requests the
+/// caller does not hold are safe to drop: a fresh wait always performs
+/// an initial full scan that catches pre-completed requests.
+fn drain_completion_feed(ids: &mut Vec<u64>) {
     ctx::with_kernel(|k, me| {
         let svc = k.service_mut::<MpiService>();
-        std::mem::take(&mut svc.rank_mut(me).completion_feed)
+        svc.rank_mut(me).drain_completions(ids);
     })
+}
+
+/// Turn the calling rank's completion feed on or off. A `waitall`/
+/// `waitany` watches from its initial scan to its return; outside that
+/// window nobody reads the feed and nothing is recorded.
+fn watch_completions(on: bool) {
+    ctx::with_kernel(|k, me| {
+        let svc = k.service_mut::<MpiService>();
+        svc.rank_mut(me).watch_completions(on);
+    })
+}
+
+/// The requests a `waitall`/`waitany` still waits on, as `(request id,
+/// position in the caller's slice)` sorted by id.
+fn waiting_position(waiting: &[(u64, usize)], id: u64) -> Option<usize> {
+    let at = waiting.binary_search_by_key(&id, |(id, _)| *id).ok()?;
+    Some(waiting[at].1)
 }
 
 /// Wait for all requests (`MPI_Waitall`). On error, the first failing
@@ -507,26 +529,42 @@ fn drain_completion_feed() -> Vec<u64> {
 ///
 /// After an initial scan, each wakeup re-checks only requests named in
 /// the per-rank completion feed, keeping a P-receive wait (a linear
-/// collective root) at O(P) total instead of O(P²).
+/// collective root) at O(P log P) total instead of O(P²).
 pub async fn waitall_raw(reqs: &[ReqId]) -> Result<Vec<Option<RecvOut>>, MpiError> {
-    use std::collections::HashMap;
     let mut out: Vec<Option<Option<RecvOut>>> = vec![None; reqs.len()];
-    let mut index: HashMap<u64, usize> = HashMap::with_capacity(reqs.len());
-    let mut remaining = 0usize;
+    let mut waiting: Vec<(u64, usize)> = Vec::new();
     for (i, &req) in reqs.iter().enumerate() {
         match poll_request(req) {
             WaitStep::Ready(Ok(v)) => out[i] = Some(v),
             WaitStep::Ready(Err(e)) => return Err(e),
-            WaitStep::Pending => {
-                index.insert(req.0, i);
-                remaining += 1;
-            }
+            WaitStep::Pending => waiting.push((req.0, i)),
         }
     }
+    if !waiting.is_empty() {
+        waiting.sort_unstable();
+        watch_completions(true);
+        let waited = wait_for_rest(&waiting, &mut out).await;
+        watch_completions(false);
+        waited?;
+    }
+    Ok(out.into_iter().map(|v| v.expect("all done")).collect())
+}
+
+/// The blocking part of [`waitall_raw`]: fill `out` for every request
+/// in `waiting` as the completion feed names it.
+async fn wait_for_rest(
+    waiting: &[(u64, usize)],
+    out: &mut [Option<Option<RecvOut>>],
+) -> Result<(), MpiError> {
+    let mut remaining = waiting.len();
+    let mut fresh = Vec::new();
     while remaining > 0 {
         ctx::block(WaitClass::Message, "MPI waitall").await;
-        for id in drain_completion_feed() {
-            let Some(&i) = index.get(&id) else { continue };
+        drain_completion_feed(&mut fresh);
+        for &id in &fresh {
+            let Some(i) = waiting_position(waiting, id) else {
+                continue;
+            };
             if out[i].is_some() {
                 continue;
             }
@@ -540,31 +578,38 @@ pub async fn waitall_raw(reqs: &[ReqId]) -> Result<Vec<Option<RecvOut>>, MpiErro
             }
         }
     }
-    Ok(out.into_iter().map(|v| v.expect("all done")).collect())
+    Ok(())
 }
 
 /// Wait for any one of the requests (`MPI_Waitany`): returns the index
 /// of the completed request and its result.
 pub async fn waitany_raw(reqs: &[ReqId]) -> (usize, ReqResult) {
-    use std::collections::HashMap;
-    let mut index: HashMap<u64, usize> = HashMap::with_capacity(reqs.len());
+    let mut waiting: Vec<(u64, usize)> = Vec::with_capacity(reqs.len());
     for (i, &req) in reqs.iter().enumerate() {
         match poll_request(req) {
             WaitStep::Ready(r) => return (i, r),
-            WaitStep::Pending => {
-                index.insert(req.0, i);
-            }
+            WaitStep::Pending => waiting.push((req.0, i)),
         }
     }
-    loop {
+    waiting.sort_unstable();
+    watch_completions(true);
+    let mut fresh = Vec::new();
+    let done = loop {
         ctx::block(WaitClass::Message, "MPI waitany").await;
-        for id in drain_completion_feed() {
-            let Some(&i) = index.get(&id) else { continue };
-            if let WaitStep::Ready(r) = poll_request(ReqId(id)) {
-                return (i, r);
+        drain_completion_feed(&mut fresh);
+        let hit = fresh.iter().find_map(|&id| {
+            let i = waiting_position(&waiting, id)?;
+            match poll_request(ReqId(id)) {
+                WaitStep::Ready(r) => Some((i, r)),
+                WaitStep::Pending => None,
             }
+        });
+        if let Some(hit) = hit {
+            break hit;
         }
-    }
+    };
+    watch_completions(false);
+    done
 }
 
 /// Nonblocking probe (`MPI_Iprobe`): report the earliest matching
@@ -616,13 +661,14 @@ pub async fn probe_raw(
             match src {
                 Some(cr) => {
                     let s = view.world_rank(cr)?;
-                    rm.failed.get(&s).map(|&tof| MpiError::ProcFailed {
+                    rm.failed.get(s).map(|tof| MpiError::ProcFailed {
                         rank: s,
                         time_of_failure: tof,
                     })
                 }
                 None => rm
-                    .first_unacked_failure()
+                    .failed
+                    .first_unacked()
                     .map(|(r, tof)| MpiError::ProcFailed {
                         rank: r,
                         time_of_failure: tof,

@@ -3,7 +3,7 @@
 use crate::comm::CommId;
 use crate::error::MpiError;
 use crate::msg::SrcSel;
-use std::collections::HashMap;
+use crate::smallmap::SmallMap;
 use xsim_core::{Bytes, Rank, SimTime};
 
 /// Handle to a nonblocking operation, analogous to `MPI_Request`.
@@ -62,10 +62,12 @@ impl Request {
     }
 }
 
-/// The per-rank request table.
+/// The per-rank request table. Ids are handed out in program order;
+/// the table holds no heap until the first request and gives all but
+/// one slot back whenever it drains.
 #[derive(Debug, Default)]
 pub struct RequestTable {
-    map: HashMap<u64, Request>,
+    map: SmallMap<u64, Request>,
     next: u64,
 }
 
@@ -127,18 +129,12 @@ impl RequestTable {
     /// If `id` is done and its completion time has been reached by the
     /// caller's clock, remove it and return `(completion time, result)`.
     pub fn try_take(&mut self, id: ReqId, now: SimTime) -> Option<(SimTime, ReqResult)> {
-        match self.map.get(&id.0) {
-            Some(Request {
-                state: ReqState::Done { at, .. },
-                ..
-            }) if *at <= now => {
-                let r = self.map.remove(&id.0).expect("checked above");
-                match r.state {
-                    ReqState::Done { at, result } => Some((at, result)),
-                    ReqState::Pending => unreachable!(),
-                }
-            }
-            _ => None,
+        if !self.is_done(id, now) {
+            return None;
+        }
+        match self.map.remove(&id.0)?.state {
+            ReqState::Done { at, result } => Some((at, result)),
+            ReqState::Pending => unreachable!("checked done above"),
         }
     }
 
@@ -159,33 +155,29 @@ impl RequestTable {
     /// source. Returned with their post times so the caller can compute
     /// the paper's timeout-adjusted error completion times (§IV-C).
     pub fn pending_involving(&self, dead: Rank, include_any_source: bool) -> Vec<(ReqId, SimTime)> {
-        let mut v: Vec<(ReqId, SimTime, u64)> = self
+        self.pending_where(|r| match r.peer {
+            SrcSel::Of(p) => p == dead,
+            SrcSel::Any => include_any_source && r.kind == ReqKind::Recv,
+        })
+    }
+
+    /// Ids and post times of the pending requests `fits` accepts, in id
+    /// order.
+    fn pending_where(&self, fits: impl Fn(&Request) -> bool) -> Vec<(ReqId, SimTime)> {
+        let mut v: Vec<(ReqId, SimTime)> = self
             .map
             .iter()
-            .filter(|(_, r)| {
-                r.is_pending()
-                    && match r.peer {
-                        SrcSel::Of(p) => p == dead,
-                        SrcSel::Any => include_any_source && r.kind == ReqKind::Recv,
-                    }
-            })
-            .map(|(id, r)| (ReqId(*id), r.posted_at, *id))
+            .filter(|(_, r)| r.is_pending() && fits(r))
+            .map(|(id, r)| (ReqId(id), r.posted_at))
             .collect();
-        v.sort_by_key(|(_, _, id)| *id);
-        v.into_iter().map(|(id, t, _)| (id, t)).collect()
+        v.sort_by_key(|(id, _)| id.0);
+        v
     }
 
     /// Ids and post times of pending requests on a communicator, in id
     /// order. Used by `MPI_Comm_revoke` to release in-flight operations.
     pub fn pending_on_comm(&self, comm: CommId) -> Vec<(ReqId, SimTime)> {
-        let mut v: Vec<(u64, SimTime)> = self
-            .map
-            .iter()
-            .filter(|(_, r)| r.is_pending() && r.comm == comm)
-            .map(|(id, r)| (*id, r.posted_at))
-            .collect();
-        v.sort_by_key(|(id, _)| *id);
-        v.into_iter().map(|(id, t)| (ReqId(id), t)).collect()
+        self.pending_where(|r| r.comm == comm)
     }
 
     /// Drop a request outright (used on communicator teardown).

@@ -4,8 +4,8 @@
 use crate::comm::CommTable;
 use crate::error::{ErrHandler, MpiError};
 use crate::msg::{Envelope, MatchQueues};
-use crate::request::{ReqId, RequestTable};
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use crate::request::{ReqId, ReqKind, RequestTable};
+use crate::smallmap::SmallMap;
 use std::ops::Range;
 use std::sync::{Arc, Mutex, PoisonError};
 use xsim_core::event::Action;
@@ -157,6 +157,9 @@ impl LossyTransport {
 pub struct MpiWorld {
     /// Number of ranks in `MPI_COMM_WORLD`.
     pub n_ranks: usize,
+    /// The world group, `Rank(0)..Rank(n_ranks)`: built once per run and
+    /// shared by every rank's `MPI_COMM_WORLD` view on every shard.
+    pub members: Arc<Vec<Rank>>,
     /// The network model.
     pub net: NetModel,
     /// The processor model.
@@ -223,7 +226,74 @@ impl MpiStats {
     }
 }
 
+/// One entry of a rank's failed-process list.
+#[derive(Debug, Clone, Copy)]
+struct FailedPeer {
+    rank: Rank,
+    tof: SimTime,
+    /// Acknowledged via `MPI_Comm_failure_ack`.
+    acked: bool,
+}
+
+/// A rank's list of known-failed processes and their times of failure
+/// — "each simulated MPI process maintains its own list of failed
+/// simulated MPI processes" (paper §IV-B) — with the ULFM
+/// acknowledgement mark of each. Sorted by rank; empty (no heap) until
+/// the first failure notice.
+#[derive(Debug, Default)]
+pub struct FailedList(Vec<FailedPeer>);
+
+impl FailedList {
+    fn position(&self, rank: Rank) -> Result<usize, usize> {
+        self.0.binary_search_by_key(&rank, |f| f.rank)
+    }
+
+    /// Time of failure of `rank`, if it is known to have failed.
+    pub fn get(&self, rank: Rank) -> Option<SimTime> {
+        self.position(rank).ok().map(|i| self.0[i].tof)
+    }
+
+    /// Record a failure. Returns `false` (and changes nothing) if the
+    /// rank was already listed.
+    pub fn insert(&mut self, rank: Rank, tof: SimTime) -> bool {
+        match self.position(rank) {
+            Ok(_) => false,
+            Err(i) => {
+                let acked = false; // until the next `MPI_Comm_failure_ack`
+                self.0.insert(i, FailedPeer { rank, tof, acked });
+                true
+            }
+        }
+    }
+
+    /// Acknowledge every failure listed so far.
+    pub fn ack_all(&mut self) {
+        self.0.iter_mut().for_each(|f| f.acked = true);
+    }
+
+    /// Known failures in ascending rank order.
+    pub fn iter(&self) -> impl Iterator<Item = (Rank, SimTime)> + '_ {
+        self.0.iter().map(|f| (f.rank, f.tof))
+    }
+
+    /// Acknowledged failures in ascending rank order.
+    pub fn acked(&self) -> impl Iterator<Item = Rank> + '_ {
+        self.0.iter().filter(|f| f.acked).map(|f| f.rank)
+    }
+
+    /// The lowest-ranked failure not yet acknowledged (drives wildcard
+    /// receive failures, paper §IV-C / ULFM semantics).
+    pub fn first_unacked(&self) -> Option<(Rank, SimTime)> {
+        self.0.iter().find(|f| !f.acked).map(|f| (f.rank, f.tof))
+    }
+}
+
 /// The MPI state of one simulated rank.
+///
+/// Everything here is inline or unallocated until used: a rank that
+/// never communicates owns no heap besides the shared world group, and
+/// the containers give their memory back when they drain (DESIGN.md
+/// §2.5 has the budget).
 pub struct RankMpi {
     /// This rank.
     pub me: Rank,
@@ -233,27 +303,29 @@ pub struct RankMpi {
     pub reqs: RequestTable,
     /// Communicator table.
     pub comms: CommTable,
-    /// This rank's list of known-failed processes and their times of
-    /// failure — "each simulated MPI process maintains its own list of
-    /// failed simulated MPI processes" (paper §IV-B).
-    pub failed: BTreeMap<Rank, SimTime>,
-    /// ULFM: failures acknowledged via `MPI_Comm_failure_ack`.
-    pub acked: BTreeSet<Rank>,
+    /// This rank's list of known-failed processes.
+    pub failed: FailedList,
     /// Set when this rank has observed (or initiated) an abort.
     pub aborted: Option<SimTime>,
     /// Whether `finalize` was called.
     pub finalized: bool,
-    /// Per-destination send sequence numbers (non-overtaking bookkeeping).
-    pub send_seq: HashMap<Rank, u64>,
+    /// Per-destination send sequence numbers (non-overtaking bookkeeping
+    /// and the key of the lossy-transport draws).
+    send_seq: SmallMap<Rank, u64>,
     /// Receiver-NIC drain horizon for the optional contention model
     /// (`NetModel::serialize_recv`): no message completion at this rank
     /// may precede it.
     pub recv_free: SimTime,
-    /// Request ids completed since the owning VP last drained the feed.
-    /// Lets `waitall`/`waitany` re-check only fresh completions instead
-    /// of rescanning every outstanding request (O(P²) at a linear
-    /// collective root otherwise).
-    pub completion_feed: Vec<u64>,
+    /// Request ids completed since the owning VP last drained the feed;
+    /// `Some` only while a `waitall`/`waitany` of this rank is watching.
+    /// Lets those re-check only fresh completions instead of rescanning
+    /// every outstanding request (O(P²) at a linear collective root
+    /// otherwise); a program that only ever blocks in `wait` records
+    /// nothing. Boxed on purpose: 8 inline bytes instead of 24 for
+    /// state that exists only during such a wait, in a struct every
+    /// idle rank pays for.
+    #[allow(clippy::box_collection)]
+    completion_feed: Option<Box<Vec<u64>>>,
     /// Local statistics.
     pub stats: MpiStats,
 }
@@ -265,44 +337,71 @@ impl RankMpi {
             queues: MatchQueues::default(),
             reqs: RequestTable::default(),
             comms: CommTable::new_world_shared(world_members, me, default_handler),
-            failed: BTreeMap::new(),
-            acked: BTreeSet::new(),
+            failed: FailedList::default(),
             aborted: None,
             finalized: false,
-            send_seq: HashMap::new(),
+            send_seq: SmallMap::default(),
             recv_free: SimTime::ZERO,
-            completion_feed: Vec::new(),
+            completion_feed: None,
             stats: MpiStats::default(),
         }
     }
 
     /// Next send sequence number towards `dst`.
     pub fn next_send_seq(&mut self, dst: Rank) -> u64 {
-        let c = self.send_seq.entry(dst).or_insert(0);
-        let s = *c;
-        *c += 1;
-        s
-    }
-
-    /// Record a completed request id in the feed, compacting the feed
-    /// when stale entries (already-consumed requests) accumulate.
-    pub fn push_completion(&mut self, id: u64) {
-        self.completion_feed.push(id);
-        if self.completion_feed.len() > 2 * self.reqs.len() + 64 {
-            let reqs = &self.reqs;
-            self.completion_feed
-                .retain(|i| reqs.get(crate::request::ReqId(*i)).is_some());
+        match self.send_seq.get_mut(&dst) {
+            Some(next) => {
+                *next += 1;
+                *next - 1
+            }
+            None => {
+                self.send_seq.insert(dst, 1);
+                0
+            }
         }
     }
 
-    /// The earliest-failed rank not yet acknowledged (drives wildcard
-    /// receive failures, paper §IV-C / ULFM semantics).
-    pub fn first_unacked_failure(&self) -> Option<(Rank, SimTime)> {
-        self.failed
-            .iter()
-            .filter(|(r, _)| !self.acked.contains(r))
-            .map(|(r, t)| (*r, *t))
-            .next()
+    /// Complete the pending request `id` with `err` at `at`: its posted
+    /// receive (if any) leaves the matching queue, and a watching
+    /// `waitall`/`waitany` is told. Returns `false` (and changes
+    /// nothing) if the request is unknown or already complete.
+    pub(crate) fn fail_request(&mut self, id: ReqId, at: SimTime, err: MpiError) -> bool {
+        let Some(req) = self.reqs.get(id) else {
+            return false;
+        };
+        let (kind, comm, peer) = (req.kind, req.comm, req.peer);
+        if !self.reqs.complete(id, at, Err(err)) {
+            return false;
+        }
+        if kind == ReqKind::Recv {
+            self.queues.cancel_posted(id.0, comm, peer);
+        }
+        self.push_completion(id.0);
+        true
+    }
+
+    /// Start (or stop) recording completed request ids. A watcher turns
+    /// the feed on after its own full scan of the requests it holds, so
+    /// completions before that point need no record.
+    pub(crate) fn watch_completions(&mut self, on: bool) {
+        self.completion_feed = on.then(Box::default);
+    }
+
+    /// Record a completed request id, if a `waitall`/`waitany` watches.
+    pub fn push_completion(&mut self, id: u64) {
+        if let Some(feed) = &mut self.completion_feed {
+            feed.push(id);
+        }
+    }
+
+    /// Move the ids recorded since the last drain into `into`
+    /// (replacing its contents; the buffers trade places, so a long wait
+    /// allocates two, not one per wakeup).
+    pub(crate) fn drain_completions(&mut self, into: &mut Vec<u64>) {
+        into.clear();
+        if let Some(feed) = &mut self.completion_feed {
+            std::mem::swap(&mut **feed, into);
+        }
     }
 }
 
@@ -312,24 +411,27 @@ impl RankMpi {
 /// shared sink on drop so the builder can assemble the energy report.
 #[derive(Debug)]
 pub struct PowerService {
-    /// Busy virtual time per rank (indexed by world rank; only owned
-    /// ranks are written).
-    pub busy: Vec<SimTime>,
+    /// Busy virtual time of each owned rank, indexed `rank − base`.
+    busy: Vec<SimTime>,
+    /// First owned world rank.
+    base: usize,
     sink: Arc<Mutex<Vec<SimTime>>>,
 }
 
 impl PowerService {
-    /// Service sized for the world, flushing into `sink` on drop.
-    pub fn new(n_ranks: usize, sink: Arc<Mutex<Vec<SimTime>>>) -> Self {
+    /// Service for the shard owning `owned`, flushing into the
+    /// world-rank-indexed `sink` on drop.
+    pub fn new(owned: Range<usize>, sink: Arc<Mutex<Vec<SimTime>>>) -> Self {
         PowerService {
-            busy: vec![SimTime::ZERO; n_ranks],
+            busy: vec![SimTime::ZERO; owned.len()],
+            base: owned.start,
             sink,
         }
     }
 
-    /// Add busy time to a rank.
+    /// Add busy time to an owned rank.
     pub fn add_busy(&mut self, rank: Rank, d: SimTime) {
-        self.busy[rank.idx()] += d;
+        self.busy[rank.idx() - self.base] += d;
     }
 }
 
@@ -338,10 +440,11 @@ impl Drop for PowerService {
         // `Drop` may run mid-unwind and must not panic; the sink only
         // accumulates, so a poisoned one is still consistent.
         let mut sink = self.sink.lock().unwrap_or_else(PoisonError::into_inner);
-        if sink.len() < self.busy.len() {
-            sink.resize(self.busy.len(), SimTime::ZERO);
+        let end = self.base + self.busy.len();
+        if sink.len() < end {
+            sink.resize(end, SimTime::ZERO);
         }
-        for (slot, b) in sink.iter_mut().zip(&self.busy) {
+        for (slot, b) in sink[self.base..end].iter_mut().zip(&self.busy) {
             *slot += *b;
         }
     }
@@ -429,7 +532,9 @@ const ENV_POOL_CAP: usize = 1024;
 pub struct MpiService {
     /// Shared world configuration.
     pub world: Arc<MpiWorld>,
-    ranks: Vec<Option<RankMpi>>,
+    /// State of the owned ranks only, indexed `rank − owned.start`:
+    /// per-shard memory is O(owned ranks), never O(world).
+    ranks: Vec<RankMpi>,
     owned: Range<usize>,
     /// Cross-shard statistics sink, flushed on drop.
     stats_sink: Arc<Mutex<MpiStats>>,
@@ -450,15 +555,16 @@ impl MpiService {
         owned: Range<usize>,
         stats_sink: Arc<Mutex<MpiStats>>,
     ) -> Self {
-        let mut ranks: Vec<Option<RankMpi>> = (0..world.n_ranks).map(|_| None).collect();
-        let members: Arc<Vec<Rank>> = Arc::new((0..world.n_ranks).map(Rank::new).collect());
-        for r in owned.clone() {
-            ranks[r] = Some(RankMpi::new(
-                Rank::new(r),
-                members.clone(),
-                world.default_errhandler.clone(),
-            ));
-        }
+        let ranks = owned
+            .clone()
+            .map(|r| {
+                RankMpi::new(
+                    Rank::new(r),
+                    world.members.clone(),
+                    world.default_errhandler.clone(),
+                )
+            })
+            .collect();
         MpiService {
             world,
             ranks,
@@ -493,15 +599,17 @@ impl MpiService {
 
     /// The MPI state of an owned rank.
     pub fn rank(&self, r: Rank) -> &RankMpi {
-        self.ranks[r.idx()]
-            .as_ref()
+        // A rank below `owned.start` wraps to a huge index: one check
+        // rejects both sides of the range.
+        self.ranks
+            .get(r.idx().wrapping_sub(self.owned.start))
             .expect("rank not on this shard")
     }
 
     /// The MPI state of an owned rank, mutably.
     pub fn rank_mut(&mut self, r: Rank) -> &mut RankMpi {
-        self.ranks[r.idx()]
-            .as_mut()
+        self.ranks
+            .get_mut(r.idx().wrapping_sub(self.owned.start))
             .expect("rank not on this shard")
     }
 
@@ -514,7 +622,7 @@ impl MpiService {
 impl Drop for MpiService {
     fn drop(&mut self) {
         let mut agg = MpiStats::default();
-        for rm in self.ranks.iter().flatten() {
+        for rm in &self.ranks {
             agg.merge(&rm.stats);
         }
         // As for `PowerService`: never panic in `Drop`.
@@ -567,16 +675,15 @@ fn on_failure_notice(k: &mut Kernel, me: Rank, dead: Rank, tof: SimTime) {
     }
     let releases: Vec<(ReqId, SimTime)> = {
         let svc = k.service_mut::<MpiService>();
-        let world = svc.world.clone();
         let rm = svc.rank_mut(me);
-        if rm.failed.contains_key(&dead) {
+        if !rm.failed.insert(dead, tof) {
             return;
         }
-        rm.failed.insert(dead, tof);
         // Release unmatched receives from the dead peer and — per the
         // paper — unmatched MPI_ANY_SOURCE receives, plus pending send
         // requests towards the dead peer.
         let ids = rm.reqs.pending_involving(dead, true);
+        let world = &svc.world;
         ids.into_iter()
             .map(|(id, posted_at)| (id, world.failure_error_time(me, dead, posted_at, tof)))
             .collect()
@@ -628,18 +735,16 @@ pub fn schedule_request_failure(
             let completed = {
                 let svc = k.service_mut::<MpiService>();
                 let rm = svc.rank_mut(me);
-                let done = rm.reqs.complete(
+                let done = rm.fail_request(
                     id,
                     at,
-                    Err(MpiError::ProcFailed {
+                    MpiError::ProcFailed {
                         rank: dead,
                         time_of_failure: tof,
-                    }),
+                    },
                 );
                 if done {
-                    rm.queues.cancel_posted(id.0);
                     rm.stats.proc_failed_errors += 1;
-                    rm.push_completion(id.0);
                 }
                 done
             };
@@ -660,6 +765,7 @@ mod tests {
     fn world(n: usize) -> Arc<MpiWorld> {
         Arc::new(MpiWorld {
             n_ranks: n,
+            members: Arc::new((0..n).map(Rank::new).collect()),
             net: NetModel::small(n),
             proc: ProcModel::default(),
             notify_delay: SimTime::from_micros(1),
@@ -685,6 +791,22 @@ mod tests {
         let sink = Arc::new(Mutex::new(MpiStats::default()));
         let svc = MpiService::new(world(8), 2..5, sink);
         let _ = svc.rank(Rank(7));
+    }
+
+    #[test]
+    #[should_panic(expected = "rank not on this shard")]
+    fn foreign_rank_below_owned_panics() {
+        let sink = Arc::new(Mutex::new(MpiStats::default()));
+        let svc = MpiService::new(world(8), 2..5, sink);
+        let _ = svc.rank(Rank(1));
+    }
+
+    #[test]
+    #[should_panic(expected = "rank not on this shard")]
+    fn foreign_rank_above_owned_panics_mutably() {
+        let sink = Arc::new(Mutex::new(MpiStats::default()));
+        let mut svc = MpiService::new(world(8), 2..5, sink);
+        let _ = svc.rank_mut(Rank(5));
     }
 
     #[test]
@@ -715,15 +837,59 @@ mod tests {
     fn first_unacked_failure_respects_acks() {
         let sink = Arc::new(Mutex::new(MpiStats::default()));
         let mut svc = MpiService::new(world(4), 0..4, sink);
+        let failed = &mut svc.rank_mut(Rank(0)).failed;
+        assert!(failed.first_unacked().is_none());
+        assert!(failed.insert(Rank(2), SimTime(10)));
+        assert!(!failed.insert(Rank(2), SimTime(99)), "first notice wins");
+        assert_eq!(failed.first_unacked(), Some((Rank(2), SimTime(10))));
+        failed.ack_all();
+        assert!(failed.first_unacked().is_none());
+        assert!(failed.insert(Rank(1), SimTime(20)));
+        assert!(failed.insert(Rank(3), SimTime(30)));
+        assert_eq!(failed.first_unacked(), Some((Rank(1), SimTime(20))));
+        assert_eq!(failed.get(Rank(3)), Some(SimTime(30)));
+        assert_eq!(failed.get(Rank(0)), None);
+        assert_eq!(failed.acked().collect::<Vec<_>>(), vec![Rank(2)]);
+        let ranks: Vec<Rank> = failed.iter().map(|(r, _)| r).collect();
+        assert_eq!(ranks, vec![Rank(1), Rank(2), Rank(3)]);
+    }
+
+    #[test]
+    fn completions_are_recorded_only_while_watched() {
+        let sink = Arc::new(Mutex::new(MpiStats::default()));
+        let mut svc = MpiService::new(world(2), 0..2, sink);
         let rm = svc.rank_mut(Rank(0));
-        assert!(rm.first_unacked_failure().is_none());
-        rm.failed.insert(Rank(2), SimTime(10));
-        rm.failed.insert(Rank(1), SimTime(20));
-        assert_eq!(rm.first_unacked_failure(), Some((Rank(1), SimTime(20))));
-        rm.acked.insert(Rank(1));
-        assert_eq!(rm.first_unacked_failure(), Some((Rank(2), SimTime(10))));
-        rm.acked.insert(Rank(2));
-        assert!(rm.first_unacked_failure().is_none());
+        let mut ids = vec![9];
+        rm.push_completion(1);
+        rm.drain_completions(&mut ids);
+        assert!(ids.is_empty(), "nobody is watching");
+        rm.watch_completions(true);
+        rm.push_completion(2);
+        rm.push_completion(3);
+        rm.drain_completions(&mut ids);
+        assert_eq!(ids, vec![2, 3]);
+        rm.drain_completions(&mut ids);
+        assert!(ids.is_empty());
+        rm.watch_completions(false);
+        rm.push_completion(4);
+        rm.drain_completions(&mut ids);
+        assert!(ids.is_empty());
+    }
+
+    #[test]
+    fn power_service_covers_its_shard_only() {
+        let sink = Arc::new(Mutex::new(Vec::new()));
+        {
+            let mut hi = PowerService::new(6..8, sink.clone());
+            let mut lo = PowerService::new(2..4, sink.clone());
+            hi.add_busy(Rank(7), SimTime(5));
+            lo.add_busy(Rank(2), SimTime(3));
+            lo.add_busy(Rank(2), SimTime(1));
+        }
+        let busy = sink.lock().unwrap().clone();
+        assert_eq!(busy.len(), 8);
+        assert_eq!((busy[2], busy[7]), (SimTime(4), SimTime(5)));
+        assert_eq!(busy.iter().map(|t| t.as_nanos()).sum::<u64>(), 9);
     }
 
     #[test]

@@ -88,11 +88,7 @@ fn apply_revoke(svc: &mut MpiService, rank: Rank, comm: CommId, at: SimTime) -> 
         if rm.reqs.get(id).is_some_and(|r| r.tag >= SHRINK_TAG) {
             continue;
         }
-        if rm.reqs.complete(id, at, Err(MpiError::Revoked)) {
-            rm.queues.cancel_posted(id.0);
-            rm.push_completion(id.0);
-            any = true;
-        }
+        any |= rm.fail_request(id, at, MpiError::Revoked);
     }
     any
 }
@@ -106,8 +102,7 @@ pub fn failure_ack() -> Result<(), MpiError> {
         if let Some(t) = rm.aborted {
             return Err(MpiError::Aborted { time: t });
         }
-        let known: Vec<Rank> = rm.failed.keys().copied().collect();
-        rm.acked.extend(known);
+        rm.failed.ack_all();
         Ok(())
     })
 }
@@ -117,7 +112,7 @@ pub fn failure_ack() -> Result<(), MpiError> {
 pub fn failure_get_acked() -> Vec<Rank> {
     ctx::with_kernel(|k, me| {
         let svc = k.service::<MpiService>();
-        svc.rank(me).acked.iter().copied().collect()
+        svc.rank(me).failed.acked().collect()
     })
 }
 
@@ -126,7 +121,7 @@ pub fn failure_get_acked() -> Vec<Rank> {
 pub fn known_failures() -> Vec<(Rank, SimTime)> {
     ctx::with_kernel(|k, me| {
         let svc = k.service::<MpiService>();
-        svc.rank(me).failed.iter().map(|(r, t)| (*r, *t)).collect()
+        svc.rank(me).failed.iter().collect()
     })
 }
 
@@ -157,7 +152,7 @@ pub async fn comm_shrink(comm: CommId) -> Result<Comm, MpiError> {
             let failed: Vec<Rank> = view
                 .members
                 .iter()
-                .filter(|m| rm.failed.contains_key(m))
+                .filter(|m| rm.failed.get(**m).is_some())
                 .copied()
                 .collect();
             Ok((me, view.members.clone(), failed))
