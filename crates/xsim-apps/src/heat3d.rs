@@ -24,6 +24,7 @@
 //!   stay tiny ("the individual checkpoint files are extremely small",
 //!   §V-C). Used at the paper's 32,768-rank scale.
 
+use crate::{pack_f64s, unpack_f64s};
 use std::sync::Arc;
 use xsim_ckpt::{Checkpoint, CheckpointManager, ModeWriter};
 use xsim_core::vp::VpProgram;
@@ -194,26 +195,30 @@ enum State {
 struct Grid {
     l: [usize; 3],
     data: Vec<f64>,
+    /// Two z-planes of scratch for [`step`](Self::step): the pre-sweep
+    /// values of the plane being rewritten and of the one below it.
+    planes: Vec<f64>,
 }
 
 impl Grid {
     fn new(cfg: &HeatConfig, rank: usize) -> Self {
         let l = cfg.local();
         let dims = [l[0] + 2, l[1] + 2, l[2] + 2];
-        let data = vec![0.0; dims[0] * dims[1] * dims[2]];
+        let mut g = Grid {
+            l,
+            data: vec![0.0; dims[0] * dims[1] * dims[2]],
+            planes: vec![0.0; 2 * dims[0] * dims[1]],
+        };
         // Initial/boundary condition: the global x=0 face is held hot.
-        let rc = cfg.rank_coords(rank);
-        if rc[0] == 0 {
-            let mut g = Grid { l, data };
+        if cfg.rank_coords(rank)[0] == 0 {
             for k in 0..dims[2] {
                 for j in 0..dims[1] {
                     let idx = g.idx(0, j, k);
                     g.data[idx] = 100.0;
                 }
             }
-            return g;
         }
-        Grid { l, data }
+        g
     }
 
     #[inline]
@@ -221,86 +226,81 @@ impl Grid {
         (k * (self.l[1] + 2) + j) * (self.l[0] + 2) + i
     }
 
-    /// One 7-point relaxation sweep over the interior.
+    /// One 7-point relaxation sweep over the interior, in place: every
+    /// point is computed from pre-sweep values only (a Jacobi sweep, not
+    /// Gauss-Seidel), halo cells are left as they are. Plane `k` is
+    /// rewritten from a saved copy of itself (centre, x and y
+    /// neighbours), the saved pre-sweep plane `k-1` and the not yet
+    /// touched plane `k+1`. The operand order
+    /// `((((x⁻+x⁺)+y⁻)+y⁺)+z⁻)+z⁺`, then `(c+sum)/7`, is part of the
+    /// result: `perf/golden.json` pins the grid bits.
     fn step(&mut self) {
         let (lx, ly, lz) = (self.l[0], self.l[1], self.l[2]);
-        let mut next = self.data.clone();
+        let nx = lx + 2;
+        let plane = nx * (ly + 2);
+        let (mut below, mut cur) = self.planes.split_at_mut(plane);
+        below.copy_from_slice(&self.data[..plane]);
         for k in 1..=lz {
+            let (head, above) = self.data.split_at_mut((k + 1) * plane);
+            let out = &mut head[k * plane..];
+            cur.copy_from_slice(out);
             for j in 1..=ly {
+                let row = j * nx..(j + 1) * nx;
+                let c = &cur[row.clone()];
+                let y_lo = &cur[row.start - nx..row.start];
+                let y_hi = &cur[row.end..row.end + nx];
+                let z_lo = &below[row.clone()];
+                let z_hi = &above[row.clone()];
+                let out = &mut out[row];
                 for i in 1..=lx {
-                    let c = self.idx(i, j, k);
-                    let sum = self.data[self.idx(i - 1, j, k)]
-                        + self.data[self.idx(i + 1, j, k)]
-                        + self.data[self.idx(i, j - 1, k)]
-                        + self.data[self.idx(i, j + 1, k)]
-                        + self.data[self.idx(i, j, k - 1)]
-                        + self.data[self.idx(i, j, k + 1)];
-                    next[c] = (self.data[c] + sum) / 7.0;
+                    let sum = c[i - 1] + c[i + 1] + y_lo[i] + y_hi[i] + z_lo[i] + z_hi[i];
+                    out[i] = (c[i] + sum) / 7.0;
                 }
             }
+            std::mem::swap(&mut below, &mut cur);
         }
-        self.data = next;
     }
 
     /// Pack the interior face adjacent to direction `dir`
     /// (0=+x, 1=−x, 2=+y, 3=−y, 4=+z, 5=−z).
     fn pack_face(&self, dir: usize) -> Bytes {
-        let mut out = Vec::new();
-        self.for_face(dir, false, |g, idx| {
-            out.extend_from_slice(&g.data[idx].to_le_bytes());
-        });
+        let face = self.face(dir, false);
+        let mut out = Vec::with_capacity(face.len() * 8);
+        for idx in face.indices() {
+            out.extend_from_slice(&self.data[idx].to_le_bytes());
+        }
         out.into()
     }
 
     /// Unpack received data into the halo layer of direction `dir`.
     fn unpack_halo(&mut self, dir: usize, data: &[u8]) {
-        let mut vals = data
-            .chunks_exact(8)
-            .map(|c| f64::from_le_bytes(c.try_into().expect("chunk of 8")));
-        // Collect indices first to avoid borrowing issues.
-        let mut idxs = Vec::new();
-        self.for_face(dir, true, |_, idx| idxs.push(idx));
-        for idx in idxs {
-            if let Some(v) = vals.next() {
-                self.data[idx] = v;
-            }
+        for (idx, chunk) in self.face(dir, true).indices().zip(data.chunks_exact(8)) {
+            self.data[idx] = f64::from_le_bytes(chunk.try_into().expect("chunk of 8"));
         }
     }
 
-    /// Visit the face (interior boundary layer when `halo == false`, the
-    /// halo layer when `halo == true`) for a direction.
-    fn for_face(&self, dir: usize, halo: bool, mut f: impl FnMut(&Grid, usize)) {
-        let (lx, ly, lz) = (self.l[0], self.l[1], self.l[2]);
+    /// The face for a direction: the interior boundary layer when
+    /// `halo == false`, the halo layer when `halo == true`.
+    fn face(&self, dir: usize, halo: bool) -> Face {
+        let nx = self.l[0] + 2;
+        let plane = nx * (self.l[1] + 2);
         let dim = dir / 2;
-        let positive = dir.is_multiple_of(2);
-        let fixed = match (dim, positive, halo) {
-            (d, true, false) => self.l[d],    // interior high layer
-            (d, true, true) => self.l[d] + 1, // high halo
-            (_, false, false) => 1,           // interior low layer
-            (_, false, true) => 0,            // low halo
+        let fixed = match (dir.is_multiple_of(2), halo) {
+            (true, false) => self.l[dim],    // interior high layer
+            (true, true) => self.l[dim] + 1, // high halo
+            (false, false) => 1,             // interior low layer
+            (false, true) => 0,              // low halo
         };
-        match dim {
-            0 => {
-                for k in 1..=lz {
-                    for j in 1..=ly {
-                        f(self, self.idx(fixed, j, k));
-                    }
-                }
-            }
-            1 => {
-                for k in 1..=lz {
-                    for i in 1..=lx {
-                        f(self, self.idx(i, fixed, k));
-                    }
-                }
-            }
-            _ => {
-                for j in 1..=ly {
-                    for i in 1..=lx {
-                        f(self, self.idx(i, j, fixed));
-                    }
-                }
-            }
+        let strides = [1, nx, plane];
+        let (inner, outer) = match dim {
+            0 => (1, 2),
+            1 => (0, 2),
+            _ => (0, 1),
+        };
+        Face {
+            base: fixed * strides[dim],
+            outer: (self.l[outer], strides[outer]),
+            inner: (self.l[inner], strides[inner]),
         }
     }
 
@@ -312,6 +312,27 @@ impl Grid {
             h = h.wrapping_mul(0x1000_0000_01b3);
         }
         h
+    }
+}
+
+/// One face of a [`Grid`]: the points `base + o·outer.1 + i·inner.1` for
+/// `o` in `1..=outer.0`, `i` in `1..=inner.0`, visited `i` fastest (the
+/// wire order of a halo message).
+struct Face {
+    base: usize,
+    outer: (usize, usize),
+    inner: (usize, usize),
+}
+
+impl Face {
+    fn len(&self) -> usize {
+        self.outer.0 * self.inner.0
+    }
+
+    fn indices(self) -> impl Iterator<Item = usize> {
+        (1..=self.outer.0).flat_map(move |o| {
+            (1..=self.inner.0).map(move |i| self.base + o * self.outer.1 + i * self.inner.1)
+        })
     }
 }
 
@@ -387,13 +408,7 @@ async fn write_checkpoint(
     let mut ckpt = Checkpoint::new(mpi.rank as u32, it)
         .with_section(sections::CONFIG, config_fingerprint(cfg));
     ckpt = match state {
-        State::Real(g) => {
-            let mut b = Vec::with_capacity(g.data.len() * 8);
-            for v in &g.data {
-                b.extend_from_slice(&v.to_le_bytes());
-            }
-            ckpt.with_section(sections::GRID, b.into())
-        }
+        State::Real(g) => ckpt.with_section(sections::GRID, pack_f64s(&g.data)),
         State::Modeled { token } => {
             ckpt.with_section(sections::TOKEN, Bytes::from(token.to_le_bytes().to_vec()))
         }
@@ -416,9 +431,7 @@ fn restore_state(cfg: &HeatConfig, ckpt: &Checkpoint, rank: usize) -> Option<(St
             if raw.len() != g.data.len() * 8 {
                 return None;
             }
-            for (slot, chunk) in g.data.iter_mut().zip(raw.chunks_exact(8)) {
-                *slot = f64::from_le_bytes(chunk.try_into().expect("chunk of 8"));
-            }
+            unpack_f64s(raw, &mut g.data);
             State::Real(g)
         }
         ComputeMode::Modeled => {
@@ -587,6 +600,87 @@ mod tests {
         assert!(g.data[probe] > 0.0, "heat did not diffuse");
         // Conservation-ish sanity: values stay within [0, 100].
         assert!(g.data.iter().all(|&v| (0.0..=100.0).contains(&v)));
+    }
+
+    /// The sweep as first written: a full copy, `idx()` per neighbour.
+    fn step_reference(g: &Grid) -> Vec<f64> {
+        let mut next = g.data.clone();
+        for k in 1..=g.l[2] {
+            for j in 1..=g.l[1] {
+                for i in 1..=g.l[0] {
+                    let sum = g.data[g.idx(i - 1, j, k)]
+                        + g.data[g.idx(i + 1, j, k)]
+                        + g.data[g.idx(i, j - 1, k)]
+                        + g.data[g.idx(i, j + 1, k)]
+                        + g.data[g.idx(i, j, k - 1)]
+                        + g.data[g.idx(i, j, k + 1)];
+                    next[g.idx(i, j, k)] = (g.data[g.idx(i, j, k)] + sum) / 7.0;
+                }
+            }
+        }
+        next
+    }
+
+    #[test]
+    fn in_place_sweep_is_bit_identical_to_the_copying_sweep() {
+        let c = HeatConfig {
+            global: [10, 6, 8],
+            ranks: [2, 2, 2],
+            ..HeatConfig::small()
+        };
+        let mut g = Grid::new(&c, 0);
+        let mut rng = xsim_core::DetRng::stream(7, 0);
+        for v in g.data.iter_mut() {
+            // Mixed magnitudes, so a reassociated sum would round apart.
+            *v = (rng.gen_f64() - 0.5) * 10f64.powi(rng.gen_in(0..12) as i32);
+        }
+        for _ in 0..4 {
+            let expect = step_reference(&g);
+            g.step();
+            let same = g
+                .data
+                .iter()
+                .zip(&expect)
+                .all(|(a, b)| a.to_bits() == b.to_bits());
+            assert!(same, "halo cells carry over, interior bits match");
+        }
+    }
+
+    #[test]
+    fn faces_visit_points_in_wire_order() {
+        let c = HeatConfig {
+            global: [10, 6, 8],
+            ranks: [2, 2, 2],
+            ..HeatConfig::small()
+        };
+        let g = Grid::new(&c, 0);
+        let [lx, ly, lz] = g.l;
+        for dir in 0..6 {
+            for halo in [false, true] {
+                let fixed = match (dir % 2 == 0, halo) {
+                    (true, false) => g.l[dir / 2],
+                    (true, true) => g.l[dir / 2] + 1,
+                    (false, false) => 1,
+                    (false, true) => 0,
+                };
+                let mut expect = Vec::new();
+                match dir / 2 {
+                    0 => (1..=lz)
+                        .for_each(|k| (1..=ly).for_each(|j| expect.push(g.idx(fixed, j, k)))),
+                    1 => (1..=lz)
+                        .for_each(|k| (1..=lx).for_each(|i| expect.push(g.idx(i, fixed, k)))),
+                    _ => (1..=ly)
+                        .for_each(|j| (1..=lx).for_each(|i| expect.push(g.idx(i, j, fixed)))),
+                }
+                let face = g.face(dir, halo);
+                assert_eq!(face.len(), expect.len());
+                assert_eq!(
+                    face.indices().collect::<Vec<_>>(),
+                    expect,
+                    "dir {dir} halo {halo}"
+                );
+            }
+        }
     }
 
     #[test]

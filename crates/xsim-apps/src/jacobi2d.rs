@@ -5,9 +5,10 @@
 //! motivates for co-design studies. Runs real numerics; used by tests
 //! and examples at small scale.
 
+use crate::{pack_f64s, unpack_f64s};
 use std::sync::Arc;
 use xsim_core::vp::VpProgram;
-use xsim_core::{Bytes, SimTime};
+use xsim_core::SimTime;
 use xsim_mpi::{mpi_program, MpiCtx, MpiError, ReduceOp};
 use xsim_proc::Work;
 
@@ -63,20 +64,6 @@ pub struct JacobiOutcome {
     pub residual: f64,
 }
 
-fn pack_row(row: &[f64]) -> Bytes {
-    let mut b = Vec::with_capacity(row.len() * 8);
-    for v in row {
-        b.extend_from_slice(&v.to_le_bytes());
-    }
-    b.into()
-}
-
-fn unpack_row(data: &[u8], row: &mut [f64]) {
-    for (slot, chunk) in row.iter_mut().zip(data.chunks_exact(8)) {
-        *slot = f64::from_le_bytes(chunk.try_into().expect("chunk of 8"));
-    }
-}
-
 /// Build the Jacobi application. `on_done` (rank 0 only) receives the
 /// outcome, letting tests assert convergence.
 pub fn program(
@@ -115,12 +102,12 @@ pub fn program(
                 let mut reqs = Vec::new();
                 if let Some(up) = up {
                     reqs.push((0usize, mpi.irecv(w, Some(up), Some(1))?));
-                    let _ = mpi.isend(w, up, 0, pack_row(&u[nx..2 * nx])).await?;
+                    let _ = mpi.isend(w, up, 0, pack_f64s(&u[nx..2 * nx])).await?;
                 }
                 if let Some(down) = down {
                     reqs.push((1usize, mpi.irecv(w, Some(down), Some(0))?));
                     let _ = mpi
-                        .isend(w, down, 1, pack_row(&u[rows * nx..(rows + 1) * nx]))
+                        .isend(w, down, 1, pack_f64s(&u[rows * nx..(rows + 1) * nx]))
                         .await?;
                 }
                 let ids: Vec<_> = reqs.iter().map(|(_, r)| *r).collect();
@@ -128,8 +115,8 @@ pub fn program(
                 for ((which, _), out) in reqs.iter().zip(outs) {
                     let msg = out.expect("halo payload");
                     match which {
-                        0 => unpack_row(&msg.data, &mut u[0..nx]),
-                        _ => unpack_row(&msg.data, &mut u[(rows + 1) * nx..(rows + 2) * nx]),
+                        0 => unpack_f64s(&msg.data, &mut u[0..nx]),
+                        _ => unpack_f64s(&msg.data, &mut u[(rows + 1) * nx..(rows + 2) * nx]),
                     }
                 }
 
@@ -183,14 +170,5 @@ mod tests {
             ..JacobiConfig::small()
         };
         assert!(tiny.validate(4).is_err());
-    }
-
-    #[test]
-    fn row_codec_round_trips() {
-        let row = [1.0, -2.5, 3.25];
-        let packed = pack_row(&row);
-        let mut out = [0.0; 3];
-        unpack_row(&packed, &mut out);
-        assert_eq!(out, row);
     }
 }

@@ -29,7 +29,7 @@ pub mod modes;
 pub mod orchestrator;
 pub mod protection;
 
-pub use codec::{crc32, Checkpoint, CodecError};
+pub use codec::{crc32, Checkpoint, CodecError, Crc32};
 pub use daly::{
     compare_overhead, daly_interval, expected_runtime, predicted_overhead_fraction, young_interval,
     OverheadComparison,

@@ -61,7 +61,13 @@ impl CheckpointManager {
     /// diff files), with the same metrics/span accounting as
     /// [`write`](Self::write). Call from within a VP.
     pub async fn write_at(&self, name: &str, ckpt: &Checkpoint) -> Result<(), FsError> {
-        let data = ckpt.encode();
+        self.write_encoded(name, ckpt.encode()).await
+    }
+
+    /// [`write_at`](Self::write_at) for a checkpoint the caller has
+    /// already encoded (the incremental writer keeps the encoded bytes
+    /// as its diff base, so it encodes once and hands them over).
+    pub async fn write_encoded(&self, name: &str, data: Bytes) -> Result<(), FsError> {
         let nbytes = data.len() as u64;
         let t0 = obs_clock();
         fs::write(name, data).await?;
@@ -135,7 +141,7 @@ impl CheckpointManager {
         for generation in self.generations_for(store, rank) {
             let name = self.file_name(generation, rank);
             match fs::read(&name).await {
-                Ok(FileState::Complete(data)) => match Checkpoint::decode(&data) {
+                Ok(FileState::Complete(data)) => match Checkpoint::decode_bytes(&data) {
                     Ok(c) => {
                         ctx::with_kernel(|k, _| obs::record(k, ids::CKPT_LOADS, 1));
                         return Some(c);
@@ -181,7 +187,7 @@ impl CheckpointManager {
             let complete = files.len() as u32 == n_ranks
                 && files.iter().all(|f| {
                     matches!(store.get(f), Some(FileState::Complete(data))
-                        if Checkpoint::decode(&data).is_ok())
+                        if Checkpoint::verify(&data).is_ok())
                 });
             if !complete {
                 store.delete_prefix(&self.generation_prefix(generation));
@@ -198,7 +204,7 @@ impl CheckpointManager {
         gens.into_iter().find(|&g| {
             (0..n_ranks).all(|r| {
                 matches!(store.get(&self.file_name(g, r)), Some(FileState::Complete(d))
-                    if Checkpoint::decode(&d).is_ok())
+                    if Checkpoint::verify(&d).is_ok())
             })
         })
     }

@@ -93,26 +93,49 @@ pub fn block_diff(base: &[u8], cur: &[u8], block: usize) -> (Vec<u32>, Bytes) {
 }
 
 /// Apply a block diff to `base`, producing the `new_len`-byte result.
-/// Inverse of [`block_diff`] for the same block size.
+/// Inverse of [`block_diff`] for the same block size. `None` when the
+/// diff is not one `block_diff` could have produced against this base:
+/// a block index at or past `new_len`, fewer `data` bytes than the
+/// indexed blocks need, or a `new_len` the base and `data` together
+/// cannot fill (the fields of a diff *file* are checksummed but not
+/// otherwise validated, so a malformed one must not panic the loader).
 pub fn apply_diff(
     base: &[u8],
     indices: &[u32],
     data: &[u8],
     new_len: usize,
     block: usize,
-) -> Vec<u8> {
-    assert!(block > 0, "diff block size must be positive");
+) -> Option<Vec<u8>> {
     let mut out = base.to_vec();
-    out.resize(new_len, 0);
-    let mut off = 0usize;
-    for &i in indices {
-        let lo = (i as usize) * block;
-        let hi = (lo + block).min(new_len);
-        let n = hi.saturating_sub(lo);
-        out[lo..hi].copy_from_slice(&data[off..off + n]);
-        off += n;
+    patch(&mut out, indices, data, new_len, block)?;
+    Some(out)
+}
+
+/// [`apply_diff`] in place: `out` holds the base on entry and the
+/// result on success (and is unspecified on `None`).
+fn patch(
+    out: &mut Vec<u8>,
+    indices: &[u32],
+    data: &[u8],
+    new_len: usize,
+    block: usize,
+) -> Option<()> {
+    assert!(block > 0, "diff block size must be positive");
+    // Bytes past the base always count as changed, so a genuine diff
+    // carries them all: this bounds the allocation by the input size.
+    if new_len > out.len().checked_add(data.len())? {
+        return None;
     }
-    out
+    out.resize(new_len, 0);
+    let mut rest = data;
+    for &i in indices {
+        let lo = (i as usize).checked_mul(block).filter(|&lo| lo < new_len)?;
+        let hi = lo.saturating_add(block).min(new_len);
+        let (chunk, tail) = rest.split_at_checked(hi - lo)?;
+        out[lo..hi].copy_from_slice(chunk);
+        rest = tail;
+    }
+    Some(())
 }
 
 /// Encode a diff of `cur` against `(base_gen, base)` as a standalone
@@ -176,6 +199,32 @@ pub fn decode_diff(ckpt: &Checkpoint) -> Option<DiffFile> {
     })
 }
 
+/// Replay a restore chain onto its full checkpoint `base` (encoded
+/// bytes and their decoding): `frames` newest first, as the loaders
+/// collect them walking `ibase` links down. With no diff to apply the
+/// base is returned as is — no copy, no second checksum pass; otherwise
+/// it is copied once, patched in place per frame and decoded. `None`
+/// marks a corrupt candidate: a malformed diff, or a result that is not
+/// a valid checkpoint.
+fn restore_chain(base: (Bytes, Checkpoint), frames: &[DiffFile]) -> Option<(Bytes, Checkpoint)> {
+    if frames.is_empty() {
+        return Some(base);
+    }
+    let mut bytes = base.0.to_vec();
+    for diff in frames.iter().rev() {
+        patch(
+            &mut bytes,
+            &diff.indices,
+            &diff.data,
+            diff.new_len,
+            DIFF_BLOCK,
+        )?;
+    }
+    let bytes = Bytes::from(bytes);
+    let ckpt = Checkpoint::decode_bytes(&bytes).ok()?;
+    Some((bytes, ckpt))
+}
+
 // ----------------------------------------------------------------------
 // Message framing (aggregated/buddy network copies)
 // ----------------------------------------------------------------------
@@ -194,15 +243,24 @@ fn frame(enc: &Bytes, model_bytes: Option<u64>) -> Bytes {
     out.into()
 }
 
-/// Strip the framing; errors on malformed payloads.
-fn unframe(data: &[u8]) -> Result<Bytes, MpiError> {
-    if data.len() < 8 {
+/// Strip the framing; errors on malformed payloads. An unpadded frame
+/// (real-compute runs) yields a zero-copy slice of `data`; a padded one
+/// is a surrogate that is mostly zeros, so its few real bytes are copied
+/// out rather than pinning the padding wherever the result is stored.
+fn unframe(data: &Bytes) -> Result<Bytes, MpiError> {
+    let Some(prefix) = data.first_chunk::<8>() else {
         return Err(MpiError::Io("short checkpoint frame".into()));
-    }
-    let len = u64::from_le_bytes(data[..8].try_into().expect("8 bytes")) as usize;
-    data.get(8..8 + len)
-        .map(|s| Bytes::from(s.to_vec()))
-        .ok_or_else(|| MpiError::Io("truncated checkpoint frame".into()))
+    };
+    let end = usize::try_from(u64::from_le_bytes(*prefix))
+        .ok()
+        .and_then(|len| len.checked_add(8))
+        .filter(|&end| end <= data.len())
+        .ok_or_else(|| MpiError::Io("truncated checkpoint frame".into()))?;
+    Ok(if end == data.len() {
+        data.slice(8..end)
+    } else {
+        Bytes::copy_from_slice(&data[8..end])
+    })
 }
 
 fn io_err(e: impl std::fmt::Display) -> MpiError {
@@ -285,7 +343,7 @@ impl CheckpointManager {
                 else {
                     return false;
                 };
-                let Ok(container) = Checkpoint::decode(&data) else {
+                let Ok(container) = Checkpoint::decode_bytes(&data) else {
                     return false;
                 };
                 let lo = g * group;
@@ -293,7 +351,7 @@ impl CheckpointManager {
                 (lo..hi).all(|r| {
                     container
                         .section(&member_section(r))
-                        .is_some_and(|d| Checkpoint::decode(d).is_ok())
+                        .is_some_and(|d| Checkpoint::verify(d).is_ok())
                 })
             });
             if !complete {
@@ -325,7 +383,7 @@ impl CheckpointManager {
         gens.sort_unstable();
         let valid_mem = |g: u64, owner: u32, holder: u32| {
             matches!(store.get(&self.mem_file_name(g, owner, holder)),
-                Some(FileState::Complete(d)) if Checkpoint::decode(&d).is_ok())
+                Some(FileState::Complete(d)) if Checkpoint::verify(&d).is_ok())
         };
         let mut removed = Vec::new();
         for generation in gens {
@@ -333,7 +391,7 @@ impl CheckpointManager {
                 let partner = r ^ 1;
                 if partner >= n_ranks {
                     matches!(store.get(&self.file_name(generation, r)),
-                        Some(FileState::Complete(d)) if Checkpoint::decode(&d).is_ok())
+                        Some(FileState::Complete(d)) if Checkpoint::verify(&d).is_ok())
                 } else {
                     valid_mem(generation, r, r) || valid_mem(generation, r, partner)
                 }
@@ -358,7 +416,7 @@ impl CheckpointManager {
         let mut valid: Vec<u64> = Vec::new();
         for generation in gens {
             let ok = match store.get(&self.file_name(generation, 0)) {
-                Some(FileState::Complete(d)) => match Checkpoint::decode(&d) {
+                Some(FileState::Complete(d)) => match Checkpoint::decode_bytes(&d) {
                     Ok(c) => match decode_diff(&c) {
                         Some(diff) => valid.contains(&diff.base_gen),
                         None => true,
@@ -428,7 +486,7 @@ impl ModeWriter {
         model_bytes: Option<u64>,
     ) -> Result<(), MpiError> {
         match self.mode {
-            CkptMode::Full => self.write_full(ckpt, model_bytes).await,
+            CkptMode::Full => self.write_full(ckpt, ckpt.encode(), model_bytes).await,
             CkptMode::Aggregated { group } => self.write_agg(mpi, ckpt, model_bytes, group).await,
             CkptMode::Buddy => self.write_buddy(mpi, ckpt, model_bytes).await,
             CkptMode::Incremental { full_every } => {
@@ -437,15 +495,18 @@ impl ModeWriter {
         }
     }
 
+    /// Write `ckpt`'s rank file from its already-encoded bytes.
     async fn write_full(
         &self,
         ckpt: &Checkpoint,
+        enc: Bytes,
         model_bytes: Option<u64>,
     ) -> Result<(), MpiError> {
         if let Some(b) = model_bytes {
             fs::charge_write(b as usize).await;
         }
-        self.mgr.write(ckpt).await.map_err(io_err)
+        let name = self.mgr.file_name(ckpt.iteration, ckpt.rank);
+        self.mgr.write_encoded(&name, enc).await.map_err(io_err)
     }
 
     async fn write_agg(
@@ -467,8 +528,10 @@ impl ModeWriter {
             return Ok(());
         }
         // Aggregator: gather the group's checkpoints (explicit sources,
-        // deterministic order), coalesce into one container file.
-        let mut parts: Vec<(u32, Bytes)> = vec![(mpi.rank as u32, enc)];
+        // deterministic order), coalesce into one container file whose
+        // sections hold the members' bytes by refcount until the encode.
+        let mut container = Checkpoint::new(mpi.rank as u32, ckpt.iteration)
+            .with_section(&member_section(mpi.rank as u32), enc);
         let mut reqs = Vec::new();
         for m in (g0 + 1)..hi {
             reqs.push(mpi.irecv(w, Some(m), Some(CKPT_TAG))?);
@@ -476,16 +539,12 @@ impl ModeWriter {
         let outs = mpi.waitall(w, &reqs).await?;
         for (m, out) in ((g0 + 1)..hi).zip(outs) {
             let msg = out.ok_or_else(|| MpiError::Io("aggregation gather lost".into()))?;
-            parts.push((m as u32, unframe(&msg.data)?));
+            container = container.with_section(&member_section(m as u32), unframe(&msg.data)?);
             ctx::with_kernel(|k, _| obs::record(k, ids::CKPT_AGG_GATHERS, 1));
-        }
-        let mut container = Checkpoint::new(mpi.rank as u32, ckpt.iteration);
-        for (r, data) in &parts {
-            container = container.with_section(&member_section(*r), data.clone());
         }
         if let Some(b) = model_bytes {
             // One coalesced charge for the whole group's state volume.
-            fs::charge_write(b as usize * parts.len()).await;
+            fs::charge_write(b as usize * container.sections.len()).await;
         }
         let name = self
             .mgr
@@ -503,7 +562,7 @@ impl ModeWriter {
         if partner >= mpi.size {
             // Partnerless rank: spill to the PFS on demand.
             ctx::with_kernel(|k, _| obs::record(k, ids::CKPT_BUDDY_SPILLS, 1));
-            return self.write_full(ckpt, model_bytes).await;
+            return self.write_full(ckpt, ckpt.encode(), model_bytes).await;
         }
         let w = mpi.world();
         let enc = ckpt.encode();
@@ -539,7 +598,7 @@ impl ModeWriter {
         let gen = ckpt.iteration;
         let full = self.prev.is_none() || self.pos == 0;
         if full {
-            self.write_full(ckpt, model_bytes).await?;
+            self.write_full(ckpt, enc.clone(), model_bytes).await?;
         } else {
             let (base_gen, base) = self.prev.as_ref().expect("diff requires a base");
             let diff = encode_diff(mpi.rank as u32, gen, *base_gen, base, &enc);
@@ -661,10 +720,10 @@ impl ModeWriter {
             let name = self.mgr.agg_file_name(generation, g);
             match fs::read(&name).await {
                 Ok(FileState::Complete(data)) => {
-                    let inner = Checkpoint::decode(&data).ok().and_then(|container| {
+                    let inner = Checkpoint::decode_bytes(&data).ok().and_then(|container| {
                         container
                             .section(&member_section(mpi.rank as u32))
-                            .and_then(|d| Checkpoint::decode(d).ok())
+                            .and_then(|d| Checkpoint::decode_bytes(d).ok())
                     });
                     match inner {
                         Some(c) => {
@@ -702,7 +761,7 @@ impl ModeWriter {
             for holder in [rank, partner as u32] {
                 let name = self.mgr.mem_file_name(generation, rank, holder);
                 if let Some(FileState::Complete(data)) = store.get(&name) {
-                    if let Ok(c) = Checkpoint::decode(&data) {
+                    if let Ok(c) = Checkpoint::decode_bytes(&data) {
                         ctx::with_kernel(|k, _| obs::record(k, ids::CKPT_LOADS, 1));
                         record_restore_chain(1);
                         return Some(c);
@@ -730,7 +789,7 @@ impl ModeWriter {
                     Ok(FileState::Complete(d)) => d,
                     _ => continue 'candidates,
                 };
-                let Ok(c) = Checkpoint::decode(&raw) else {
+                let Ok(c) = Checkpoint::decode_bytes(&raw) else {
                     continue 'candidates;
                 };
                 match decode_diff(&c) {
@@ -739,21 +798,16 @@ impl ModeWriter {
                         frames.push(diff);
                         chain.push(cur_gen);
                     }
-                    None => break raw,
+                    None => break (raw, c),
                 }
             };
-            // Replay the diffs forward, oldest first.
-            let mut bytes = base.to_vec();
-            for diff in frames.iter().rev() {
-                bytes = apply_diff(&bytes, &diff.indices, &diff.data, diff.new_len, DIFF_BLOCK);
-            }
-            let Ok(c) = Checkpoint::decode(&bytes) else {
+            let Some((bytes, c)) = restore_chain(base, &frames) else {
                 continue 'candidates;
             };
             ctx::with_kernel(|k, _| obs::record(k, ids::CKPT_LOADS, 1));
             record_restore_chain(chain.len() as u64);
             // Prime the chain state so the next writes continue it.
-            self.prev = Some((generation, Bytes::from(bytes)));
+            self.prev = Some((generation, bytes));
             self.pos = chain.len() as u64 % full_every.max(1);
             self.last_was_full = chain.len() == 1;
             self.retained = chain[1..].to_vec();
@@ -799,7 +853,7 @@ pub fn resolve_latest(
         CkptMode::Full => {
             for generation in mgr.generations_for(store, rank) {
                 if let Some(d) = read_valid(&mgr.file_name(generation, rank)) {
-                    if let Ok(ckpt) = Checkpoint::decode(&d) {
+                    if let Ok(ckpt) = Checkpoint::decode_bytes(&d) {
                         return Some(ResolvedCheckpoint {
                             ckpt,
                             generation,
@@ -816,10 +870,10 @@ pub fn resolve_latest(
                 let Some(d) = read_valid(&mgr.agg_file_name(generation, g)) else {
                     continue;
                 };
-                let inner = Checkpoint::decode(&d).ok().and_then(|container| {
+                let inner = Checkpoint::decode_bytes(&d).ok().and_then(|container| {
                     container
                         .section(&member_section(rank))
-                        .and_then(|b| Checkpoint::decode(b).ok())
+                        .and_then(|b| Checkpoint::decode_bytes(b).ok())
                 });
                 if let Some(ckpt) = inner {
                     return Some(ResolvedCheckpoint {
@@ -839,7 +893,7 @@ pub fn resolve_latest(
             for generation in mgr.mem_generations(store) {
                 for holder in [rank, partner] {
                     if let Some(d) = read_valid(&mgr.mem_file_name(generation, rank, holder)) {
-                        if let Ok(ckpt) = Checkpoint::decode(&d) {
+                        if let Ok(ckpt) = Checkpoint::decode_bytes(&d) {
                             return Some(ResolvedCheckpoint {
                                 ckpt,
                                 generation,
@@ -860,7 +914,7 @@ pub fn resolve_latest(
                     let Some(raw) = read_valid(&mgr.file_name(cur_gen, rank)) else {
                         continue 'candidates;
                     };
-                    let Ok(c) = Checkpoint::decode(&raw) else {
+                    let Ok(c) = Checkpoint::decode_bytes(&raw) else {
                         continue 'candidates;
                     };
                     match decode_diff(&c) {
@@ -869,14 +923,10 @@ pub fn resolve_latest(
                             chain_len += 1;
                             frames.push(diff);
                         }
-                        None => break raw,
+                        None => break (raw, c),
                     }
                 };
-                let mut bytes = base.to_vec();
-                for diff in frames.iter().rev() {
-                    bytes = apply_diff(&bytes, &diff.indices, &diff.data, diff.new_len, DIFF_BLOCK);
-                }
-                let Ok(ckpt) = Checkpoint::decode(&bytes) else {
+                let Some((_, ckpt)) = restore_chain(base, &frames) else {
                     continue 'candidates;
                 };
                 return Some(ResolvedCheckpoint {
@@ -906,7 +956,7 @@ mod tests {
         // (extension) change; block 2 is untouched.
         assert!(idx.contains(&0) && idx.contains(&1) && !idx.contains(&2));
         let out = apply_diff(&base, &idx, &data, cur.len(), DIFF_BLOCK);
-        assert_eq!(out, cur);
+        assert_eq!(out.as_deref(), Some(&cur[..]));
     }
 
     #[test]
@@ -917,13 +967,16 @@ mod tests {
         // A pure shrink needs no changed blocks: `new_len` truncates.
         assert!(idx.is_empty());
         let out = apply_diff(&base, &idx, &data, cur.len(), DIFF_BLOCK);
-        assert_eq!(out, cur);
+        assert_eq!(out.as_deref(), Some(&cur[..]));
         // Shrink plus a tail edit still round-trips.
         let mut cur2 = cur.clone();
         cur2[299] = 9;
         let (idx, data) = block_diff(&base, &cur2, DIFF_BLOCK);
         assert_eq!(idx, vec![1]);
-        assert_eq!(apply_diff(&base, &idx, &data, cur2.len(), DIFF_BLOCK), cur2);
+        assert_eq!(
+            apply_diff(&base, &idx, &data, cur2.len(), DIFF_BLOCK),
+            Some(cur2)
+        );
     }
 
     #[test]
@@ -931,7 +984,7 @@ mod tests {
         let b = vec![5u8; 4096];
         let (idx, data) = block_diff(&b, &b, DIFF_BLOCK);
         assert!(idx.is_empty() && data.is_empty());
-        assert_eq!(apply_diff(&b, &idx, &data, b.len(), DIFF_BLOCK), b);
+        assert_eq!(apply_diff(&b, &idx, &data, b.len(), DIFF_BLOCK), Some(b));
     }
 
     #[test]
@@ -949,7 +1002,7 @@ mod tests {
         assert_eq!(d.base_gen, 10);
         assert_eq!(d.new_len, cur.len());
         let out = apply_diff(&base, &d.indices, &d.data, d.new_len, DIFF_BLOCK);
-        assert_eq!(Bytes::from(out), cur);
+        assert_eq!(out.map(Bytes::from), Some(cur.clone()));
         // Regular checkpoints are not diffs.
         assert!(decode_diff(&Checkpoint::decode(&base).unwrap()).is_none());
     }
@@ -963,7 +1016,52 @@ mod tests {
         let f = frame(&enc, None);
         assert_eq!(f.len(), 48, "unpadded in real-compute runs");
         assert_eq!(unframe(&f).unwrap(), enc);
-        assert!(unframe(&f[..7]).is_err());
+        assert!(unframe(&f.slice(..7)).is_err());
+    }
+
+    /// The length prefix is input from another rank: a value no frame
+    /// can hold (including ones whose `+ 8` overflows) is an error, not
+    /// an out-of-range slice.
+    #[test]
+    fn unframe_rejects_lengths_past_the_frame() {
+        for len in [41u64, 1 << 40, u64::MAX - 7, u64::MAX] {
+            let mut f = frame(&Bytes::from(vec![9u8; 40]), None).to_vec();
+            f[..8].copy_from_slice(&len.to_le_bytes());
+            assert!(unframe(&f.into()).is_err(), "length {len}");
+        }
+    }
+
+    #[test]
+    fn unframed_payload_shares_an_unpadded_frame_only() {
+        let enc = Bytes::from(vec![9u8; 4096]);
+        let f = frame(&enc, None);
+        let inner = unframe(&f).unwrap();
+        assert!(f.as_ptr_range().contains(&inner.as_ptr()), "zero-copy");
+        let f = frame(&enc, Some(1 << 16));
+        let inner = unframe(&f).unwrap();
+        assert!(!f.as_ptr_range().contains(&inner.as_ptr()), "copied out");
+        assert_eq!(inner, enc);
+    }
+
+    #[test]
+    fn malformed_diffs_are_rejected_not_indexed() {
+        let base = vec![7u8; 1000];
+        let mut cur = base.clone();
+        cur[300] = 1;
+        let (idx, data) = block_diff(&base, &cur, DIFF_BLOCK);
+        assert_eq!(idx, vec![1]);
+        let apply =
+            |idx: &[u32], data: &[u8], new_len| apply_diff(&base, idx, data, new_len, DIFF_BLOCK);
+        assert_eq!(apply(&idx, &data, 1000), Some(cur));
+        // Block index at or past the end of the result.
+        assert_eq!(apply(&[4], &data, 1000), None);
+        assert_eq!(apply(&[u32::MAX], &data, 1000), None);
+        // Fewer data bytes than the indexed blocks need.
+        assert_eq!(apply(&idx, &data[..255], 1000), None);
+        assert_eq!(apply(&[0, 1], &data, 1000), None);
+        // A length nothing in the diff could fill.
+        assert_eq!(apply(&idx, &data, 1000 + 256 + 1), None);
+        assert_eq!(apply(&idx, &data, usize::MAX), None);
     }
 
     #[test]

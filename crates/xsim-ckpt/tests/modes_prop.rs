@@ -1,11 +1,13 @@
 //! Property-based tests for the checkpoint modes: the incremental diff
 //! chain always restores to the exact bytes of a fresh full checkpoint,
-//! and buddy memory copies / partnerless spills are lossless. Every
+//! a mangled diff file is a corrupt candidate and never a panic, and
+//! buddy memory copies / partnerless spills are lossless. Every
 //! property runs `CASES` cases, case `i` drawing from
 //! `DetRng::stream(SEED, i)`.
 
 use xsim_ckpt::{
-    apply_diff, block_diff, encode_diff, resolve_latest, Checkpoint, CheckpointManager,
+    apply_diff, block_diff, decode_diff, encode_diff, resolve_latest, Checkpoint,
+    CheckpointManager, DIFF_BLOCK,
 };
 use xsim_core::rng::for_each_case;
 use xsim_core::Bytes;
@@ -25,7 +27,63 @@ fn diff_round_trips() {
         let block = g.gen_in(1..64) as usize;
         let (idx, data) = block_diff(&base, &cur, block);
         let out = apply_diff(&base, &idx, &data, cur.len(), block);
-        assert_eq!(out, cur);
+        assert_eq!(out, Some(cur));
+    });
+}
+
+/// A diff file whose checksums are intact but whose fields are not what
+/// `block_diff` wrote — indices, data and length are mangled
+/// independently and the file re-encoded — either still applies or is
+/// refused; the loader then falls back to the newest generation that
+/// does restore. Nothing panics and nothing allocates past the inputs.
+#[test]
+fn mangled_diffs_never_panic_the_loader() {
+    for_each_case(SEED, CASES, |g| {
+        let full = Checkpoint::new(0, 10)
+            .with_section("s", Bytes::from(g.gen_bytes(0..1500)))
+            .encode();
+        let cur = Checkpoint::new(0, 20)
+            .with_section("s", Bytes::from(g.gen_bytes(0..1500)))
+            .encode();
+        let good = decode_diff(&encode_diff(0, 20, 10, &full, &cur)).expect("diff sections");
+
+        let mut indices = good.indices.clone();
+        match g.gen_in(0..4) {
+            0 => indices.push(g.next_u64() as u32),
+            1 => indices.iter_mut().for_each(|i| *i = g.next_u64() as u32),
+            2 => drop(indices.pop()),
+            _ => {}
+        }
+        let data = match g.gen_in(0..3) {
+            0 => good.data.slice(..g.gen_index(good.data.len() + 1)),
+            1 => Bytes::from(g.gen_bytes(0..64)),
+            _ => good.data.clone(),
+        };
+        let new_len = match g.gen_in(0..4) {
+            0 => g.next_u64(),
+            1 => u64::MAX,
+            2 => g.gen_in(0..4096),
+            _ => good.new_len as u64,
+        };
+        let applied = apply_diff(&full, &indices, &data, new_len as usize, DIFF_BLOCK);
+        if let Some(out) = &applied {
+            assert_eq!(out.len() as u64, new_len);
+        }
+
+        let idx_bytes: Vec<u8> = indices.iter().flat_map(|i| i.to_le_bytes()).collect();
+        let mangled = Checkpoint::new(0, 20)
+            .with_section("ibase", Bytes::copy_from_slice(&10u64.to_le_bytes()))
+            .with_section("iblocks", idx_bytes.into())
+            .with_section("idata", data)
+            .with_section("ilen", Bytes::copy_from_slice(&new_len.to_le_bytes()));
+        let store = FsStore::new();
+        let mgr = CheckpointManager::new("prop");
+        store.put(&mgr.file_name(10, 0), full.clone());
+        store.put(&mgr.file_name(20, 0), mangled.encode());
+        let mode = CkptMode::Incremental { full_every: 4 };
+        let r = resolve_latest(&store, &mgr, mode, 0, 1).expect("the full generation restores");
+        let restores = applied.is_some_and(|out| Checkpoint::verify(&out).is_ok());
+        assert_eq!(r.generation, if restores { 20 } else { 10 });
     });
 }
 
