@@ -72,11 +72,14 @@ fn main() {
     let p = &report.profile;
     println!(
         "event core: {} window(s) ({} ingest-skipped), pool reuse {:.1}%, \
-         bucket hwm {}, steal hwm {}",
+         bucket hwm {}, ring hwm {}, {} empty step(s), {} rebuild(s), steal hwm {}",
         p.windows,
         p.ingest_skips,
         p.pool_reuse_ratio() * 100.0,
         p.queue_bucket_hwm,
+        p.queue_ring_hwm,
+        p.queue_empty_steps,
+        p.queue_rebuilds,
         p.window_steal_hwm,
     );
     assert_eq!(

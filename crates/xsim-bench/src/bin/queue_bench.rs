@@ -1,15 +1,17 @@
-//! Self-gating event-queue churn benchmark: uniform hold-model churn at
-//! the standard pending tiers (1k / 100k / 1M), calendar queue vs. the
-//! binary-heap oracle.
+//! Self-gating event-queue churn benchmark, calendar queue vs. a binary
+//! heap over the keys: uniform hold-model churn on a long-lived queue at
+//! the standard pending tiers (1k / 100k / 1M), and the campaign shape —
+//! far timers behind a nanosecond front, a fresh queue per short run
+//! with construction and drop on the clock — at 256 and 16,384 pending.
 //!
 //! ```text
 //! cargo run --release -p xsim-bench --bin queue_bench [-- --quick | --ops N]
 //! ```
 //!
 //! Exits non-zero if the calendar queue falls below 1.0× the heap at any
-//! tier (the `ckpt_scaling` regression-gate pattern): ordered per-bucket
-//! insertion is supposed to make the calendar strictly dominate, and CI
-//! smokes this so a hot-path regression fails the build instead of only
+//! tier (the `ckpt_scaling` regression-gate pattern): the calendar is
+//! kept only because it beats the heap, and CI smokes this so a hot-path
+//! or per-instance regression fails the build instead of only
 //! discoloring `BENCH_engine.json`. `--quick` trims the timed span for
 //! CI; the tiers and the gate stay the same.
 
@@ -32,12 +34,12 @@ fn main() {
     }
 
     println!(
-        "{:>10} {:>10} {:>14} {:>16} {:>8}",
-        "pending", "ops", "heap ns/op", "calendar ns/op", "speedup"
+        "{:>10} {:>9} {:>10} {:>14} {:>16} {:>8}",
+        "pending", "shape", "ops", "heap ns/op", "calendar ns/op", "speedup"
     );
     let mut gate_ok = true;
-    for pending in QUEUE_TIERS {
-        let tier = run_queue_tier(pending, ops);
+    for (pending, shape) in QUEUE_TIERS {
+        let tier = run_queue_tier(pending, shape, ops);
         let speedup = tier.speedup();
         let flag = if speedup >= 1.0 {
             ""
@@ -45,8 +47,13 @@ fn main() {
             "  << below heap"
         };
         println!(
-            "{:>10} {:>10} {:>14.1} {:>16.1} {:>7.2}x{flag}",
-            tier.pending, tier.ops, tier.heap_ns_per_op, tier.calendar_ns_per_op, speedup
+            "{:>10} {:>9} {:>10} {:>14.1} {:>16.1} {:>7.2}x{flag}",
+            tier.pending,
+            shape.name(),
+            tier.ops,
+            tier.heap_ns_per_op,
+            tier.calendar_ns_per_op,
+            speedup
         );
         gate_ok &= speedup >= 1.0;
     }

@@ -104,8 +104,8 @@ fn bench_engine() {
     }
     json.push(']');
 
-    // Event-queue microbench: steady-state hold-model churn, calendar
-    // vs. the retired binary-heap oracle, across pending-set sizes. The
+    // Event-queue microbench: hold-model churn, calendar vs. a binary
+    // heap over the keys, across pending-set sizes and delta shapes. The
     // calendar's O(1) pops are what the worker sweep above rides on.
     // The self-gating `queue_bench` bin runs the same tiers and fails CI
     // when the calendar drops below 1.0x at any of them. Measured
@@ -115,14 +115,16 @@ fn bench_engine() {
     // comparison with a cost no fresh process pays.
     json.push_str(",\"queue_bench\":[");
     println!(
-        "\n{:>10} {:>14} {:>14} {:>8}",
-        "pending", "heap ns/op", "calendar ns/op", "speedup"
+        "\n{:>10} {:>9} {:>14} {:>14} {:>8}",
+        "pending", "shape", "heap ns/op", "calendar ns/op", "speedup"
     );
-    for (i, pending) in xsim_bench::QUEUE_TIERS.into_iter().enumerate() {
-        let tier = xsim_bench::run_queue_tier(pending, 200_000);
+    for (i, (pending, shape)) in xsim_bench::QUEUE_TIERS.into_iter().enumerate() {
+        let tier = xsim_bench::run_queue_tier(pending, shape, 200_000);
+        let shape = shape.name();
         println!(
-            "{:>10} {:>14.1} {:>14.1} {:>7.2}x",
+            "{:>10} {:>9} {:>14.1} {:>14.1} {:>7.2}x",
             tier.pending,
+            shape,
             tier.heap_ns_per_op,
             tier.calendar_ns_per_op,
             tier.speedup()
@@ -132,7 +134,7 @@ fn bench_engine() {
         }
         let _ = write!(
             json,
-            "{{\"pending\":{},\"ops\":{},\"heap_ns_per_op\":{:.1},\
+            "{{\"pending\":{},\"shape\":\"{shape}\",\"ops\":{},\"heap_ns_per_op\":{:.1},\
              \"calendar_ns_per_op\":{:.1},\"speedup\":{:.3}}}",
             tier.pending,
             tier.ops,

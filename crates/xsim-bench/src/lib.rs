@@ -12,12 +12,15 @@
 //!
 //! Criterion micro-benchmarks live under `benches/`.
 
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 use std::sync::Arc;
 use xsim_apps::heat3d::{self, HeatConfig};
 use xsim_apps::heat3d_rep::{self, RepHeatConfig};
 use xsim_ckpt::{CampaignResult, CheckpointManager, Orchestrator, ProtectionCampaign};
+use xsim_core::event::{Action, EventKey, EventRec};
 use xsim_core::vp::VpProgram;
-use xsim_core::{SimError, SimTime};
+use xsim_core::{Rank, SimError, SimTime};
 use xsim_fault::{
     Component, FailureModel, FailureSchedule, FaultSchedule, NodeReliability, SystemReliability,
 };
@@ -569,9 +572,37 @@ pub fn run_vp_scaling_rung(vps: usize, workers: usize, rounds: u32) -> VpScaling
     }
 }
 
-/// Pending-set tiers of the event-queue churn comparison (uniform hold
-/// model, calendar vs. the binary-heap oracle).
-pub const QUEUE_TIERS: [usize; 3] = [1_000, 100_000, 1_000_000];
+/// Delta distribution of a queue-churn tier.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum QueueShape {
+    /// Uniform hold model on one long-lived queue: successors 1 ns –
+    /// 10 µs ahead, geometry conditioned before the timed span.
+    Uniform,
+    /// The campaign shape: one push in 32 is a timer 1 ms – 65 s out
+    /// (log-uniform), the rest land 1 – 4,096 ns ahead; a fresh queue
+    /// per trial, construction, drain and drop inside the timed span.
+    Campaign,
+}
+
+impl QueueShape {
+    /// Name of the shape in tables and `BENCH_engine.json`.
+    pub fn name(self) -> &'static str {
+        match self {
+            QueueShape::Uniform => "uniform",
+            QueueShape::Campaign => "campaign",
+        }
+    }
+}
+
+/// Tiers of the event-queue churn comparison (calendar queue vs. a
+/// binary heap over the keys): pending population and delta shape.
+pub const QUEUE_TIERS: [(usize, QueueShape); 5] = [
+    (1_000, QueueShape::Uniform),
+    (100_000, QueueShape::Uniform),
+    (1_000_000, QueueShape::Uniform),
+    (256, QueueShape::Campaign),
+    (16_384, QueueShape::Campaign),
+];
 
 /// One tier of the calendar-vs-heap churn comparison.
 #[derive(Debug, Clone, Copy)]
@@ -596,19 +627,19 @@ impl QueueTier {
 /// Trials per implementation per tier; the reported cost is the
 /// minimum, which discards scheduler/cache noise (any single trial can
 /// only be *slowed* by interference, never sped up).
-pub const QUEUE_TRIALS: usize = 3;
+pub const QUEUE_TRIALS: usize = 5;
 
-/// Time one churn tier for both queue implementations, best-of-
-/// [`QUEUE_TRIALS`], interleaving the two so ambient load perturbs them
-/// evenly.
-pub fn run_queue_tier(pending: usize, ops: usize) -> QueueTier {
+/// Time one churn tier for the calendar queue and the heap oracle,
+/// best-of-[`QUEUE_TRIALS`], interleaving the two so ambient load
+/// perturbs them evenly.
+pub fn run_queue_tier(pending: usize, shape: QueueShape, ops: usize) -> QueueTier {
     let mut heap_ns_per_op = f64::INFINITY;
     let mut calendar_ns_per_op = f64::INFINITY;
     for _ in 0..QUEUE_TRIALS {
-        let mut heap = xsim_core::EventQueue::heap();
-        heap_ns_per_op = heap_ns_per_op.min(queue_churn_ns_per_op(&mut heap, pending, ops));
-        let mut cal = xsim_core::EventQueue::calendar();
-        calendar_ns_per_op = calendar_ns_per_op.min(queue_churn_ns_per_op(&mut cal, pending, ops));
+        heap_ns_per_op = heap_ns_per_op.min(churn_ns_per_op::<HeapOracle>(pending, shape, ops));
+        calendar_ns_per_op = calendar_ns_per_op.min(churn_ns_per_op::<xsim_core::EventQueue>(
+            pending, shape, ops,
+        ));
     }
     QueueTier {
         pending,
@@ -618,59 +649,128 @@ pub fn run_queue_tier(pending: usize, ops: usize) -> QueueTier {
     }
 }
 
-/// Steady-state churn cost of an event queue in nanoseconds per
-/// operation: prefill `pending` events, condition with `ops` untimed
-/// hold operations, then time `ops` more (pop the minimum, push a
-/// successor a pseudorandom distance into the future). Keys are unique,
-/// as the engine guarantees.
-///
-/// The untimed conditioning pass matters for adaptive implementations:
-/// the prefill distribution (uniform over 1 ms) is ~100× sparser than
-/// the steady hold-model front, so the calendar queue re-fits its
-/// bucket geometry during the first churn epoch. Those one-time O(n)
-/// redistributions amortize to nothing over a real simulation run and
-/// would otherwise dominate a short measured window; the gate asserts
-/// the steady-state cost a long run actually pays.
-pub fn queue_churn_ns_per_op(queue: &mut xsim_core::EventQueue, pending: usize, ops: usize) -> f64 {
-    use xsim_core::event::{Action, EventKey, EventRec};
-    use xsim_core::Rank;
-    fn xorshift(s: &mut u64) -> u64 {
-        *s ^= *s << 13;
-        *s ^= *s >> 7;
-        *s ^= *s << 17;
-        *s
+/// What the churn driver asks of a queue.
+trait HoldQueue: Default {
+    fn push(&mut self, ev: EventRec);
+    fn pop(&mut self) -> Option<EventKey>;
+}
+
+impl HoldQueue for xsim_core::EventQueue {
+    fn push(&mut self, ev: EventRec) {
+        self.push(ev);
     }
-    fn push_at(q: &mut xsim_core::EventQueue, rng: &mut u64, seq: &mut u64, time: u64) {
-        let r = xorshift(rng);
-        *seq += 1;
+    fn pop(&mut self) -> Option<EventKey> {
+        self.pop().map(|e| e.key)
+    }
+}
+
+/// The oracle the calendar queue is gated against: a binary heap over
+/// the keys.
+#[derive(Default)]
+struct HeapOracle(BinaryHeap<Reverse<EventKey>>);
+
+impl HoldQueue for HeapOracle {
+    fn push(&mut self, ev: EventRec) {
+        self.0.push(Reverse(ev.key));
+    }
+    fn pop(&mut self) -> Option<EventKey> {
+        self.0.pop().map(|r| r.0)
+    }
+}
+
+/// The hold-model driver: pop the minimum, push a successor a
+/// pseudorandom distance into the future. Keys are unique, as the
+/// engine guarantees.
+struct Churn {
+    rng: u64,
+    seq: u64,
+    shape: QueueShape,
+}
+
+impl Churn {
+    fn next(&mut self) -> u64 {
+        self.rng ^= self.rng << 13;
+        self.rng ^= self.rng >> 7;
+        self.rng ^= self.rng << 17;
+        self.rng
+    }
+
+    fn delta(&mut self) -> u64 {
+        let r = self.next();
+        match self.shape {
+            QueueShape::Uniform => 1 + r % 10_000,
+            QueueShape::Campaign if r & 31 != 0 => 1 + (r >> 8) % 4_096,
+            QueueShape::Campaign => {
+                let octave = 1_000_000u64 << ((r >> 8) % 16);
+                octave + self.next() % octave
+            }
+        }
+    }
+
+    fn push_at<Q: HoldQueue>(&mut self, q: &mut Q, time: u64) {
+        let r = self.next();
+        self.seq += 1;
         q.push(EventRec {
             key: EventKey {
                 time: SimTime(time),
                 dst: Rank((r >> 8) as u32 & 0x3f),
                 src: Rank((r >> 16) as u32 & 0x3f),
-                seq: *seq,
+                seq: self.seq,
             },
             action: Action::Spawn,
         });
     }
-    let mut rng = 0x9e3779b97f4a7c15u64;
-    let mut seq = 0u64;
+
+    fn hold<Q: HoldQueue>(&mut self, q: &mut Q, ops: usize) {
+        for _ in 0..ops {
+            let now = q.pop().expect("hold-model queue never empties");
+            let t = now.time.as_nanos() + self.delta();
+            self.push_at(q, t);
+        }
+    }
+}
+
+/// Churn cost of a queue in nanoseconds per hold operation.
+///
+/// [`QueueShape::Uniform`] prefills `pending` events, conditions with
+/// `ops` untimed hold operations, then times `ops` more. The untimed
+/// pass matters for adaptive implementations: the prefill distribution
+/// (uniform over 1 ms) is ~100× sparser than the steady hold-model
+/// front, so the calendar queue re-fits its bucket width during the
+/// first churn epoch — a one-time cost a long run amortizes to nothing.
+///
+/// [`QueueShape::Campaign`] is the opposite regime, one short run: the
+/// clock covers construction, the prefill, `ops` hold operations, the
+/// drain and the drop, so whatever a queue costs per *instance* — a
+/// ring sized to the timers' span, say — is in the number.
+fn churn_ns_per_op<Q: HoldQueue>(pending: usize, shape: QueueShape, ops: usize) -> f64 {
+    let mut c = Churn {
+        rng: 0x9e3779b97f4a7c15,
+        seq: 0,
+        shape,
+    };
+    let created = std::time::Instant::now();
+    let mut queue = Q::default();
     for _ in 0..pending {
-        let t = xorshift(&mut rng) % 1_000_000;
-        push_at(queue, &mut rng, &mut seq, t);
+        let t = match shape {
+            QueueShape::Uniform => c.next() % 1_000_000,
+            QueueShape::Campaign => c.delta(),
+        };
+        c.push_at(&mut queue, t);
     }
-    for _ in 0..ops {
-        let ev = queue.pop().expect("hold-model queue never empties");
-        let delta = 1 + xorshift(&mut rng) % 10_000;
-        push_at(queue, &mut rng, &mut seq, ev.key.time.as_nanos() + delta);
-    }
-    let t0 = std::time::Instant::now();
-    for _ in 0..ops {
-        let ev = queue.pop().expect("hold-model queue never empties");
-        let delta = 1 + xorshift(&mut rng) % 10_000;
-        push_at(queue, &mut rng, &mut seq, ev.key.time.as_nanos() + delta);
-    }
-    let ns = t0.elapsed().as_nanos() as f64 / ops.max(1) as f64;
-    while queue.pop().is_some() {}
-    ns
+    let elapsed = match shape {
+        QueueShape::Uniform => {
+            c.hold(&mut queue, ops);
+            let conditioned = std::time::Instant::now();
+            c.hold(&mut queue, ops);
+            conditioned.elapsed()
+        }
+        QueueShape::Campaign => {
+            c.hold(&mut queue, ops);
+            while queue.pop().is_some() {}
+            drop(queue);
+            created.elapsed()
+        }
+    };
+    elapsed.as_nanos() as f64 / ops.max(1) as f64
 }

@@ -74,6 +74,9 @@ pub(crate) fn assemble_report(
         profile.pool_pushes += qs.pushes;
         profile.pool_reused += qs.reused;
         profile.queue_bucket_hwm = profile.queue_bucket_hwm.max(qs.bucket_hwm);
+        profile.queue_ring_hwm = profile.queue_ring_hwm.max(qs.ring_hwm);
+        profile.queue_empty_steps += qs.empty_steps;
+        profile.queue_rebuilds += qs.rebuilds;
         blocked.extend(shard.blocked_summary());
         for (r, clock, term) in shard.drain_results() {
             final_clocks[r] = clock;

@@ -60,7 +60,7 @@ pub use error::SimError;
 pub use event::{Action, CallFn, EventKey, EventRec};
 pub use kernel::Kernel;
 pub use payload::Bytes;
-pub use queue::{EventQueue, QueueImpl, QueueStats};
+pub use queue::{EventQueue, QueueStats};
 pub use rank::Rank;
 pub use report::{EngineProfile, ExitKind, ShardStats, SimReport, VpTimingStats};
 pub use rng::DetRng;

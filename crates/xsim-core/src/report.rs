@@ -110,8 +110,15 @@ pub struct EngineProfile {
     /// pool reuse ratio.
     pub pool_reused: u64,
     /// Largest number of events resident in a single calendar-queue
-    /// bucket across all shards (0 under the heap oracle).
+    /// bucket across all shards.
     pub queue_bucket_hwm: u64,
+    /// Largest calendar-queue ring of any shard, in buckets.
+    pub queue_ring_hwm: u64,
+    /// Empty buckets the queues' window heads stepped over (all shards).
+    pub queue_empty_steps: u64,
+    /// Bulk redistribution passes of the queues (all shards) — see
+    /// [`crate::queue::QueueStats::rebuilds`].
+    pub queue_rebuilds: u64,
 }
 
 impl EngineProfile {
@@ -130,6 +137,9 @@ impl EngineProfile {
         self.pool_pushes += other.pool_pushes;
         self.pool_reused += other.pool_reused;
         self.queue_bucket_hwm = self.queue_bucket_hwm.max(other.queue_bucket_hwm);
+        self.queue_ring_hwm = self.queue_ring_hwm.max(other.queue_ring_hwm);
+        self.queue_empty_steps += other.queue_empty_steps;
+        self.queue_rebuilds += other.queue_rebuilds;
     }
 
     /// Fraction of queue pushes served without allocating (0.0 when no
@@ -276,6 +286,9 @@ mod tests {
             pool_pushes: 100,
             pool_reused: 90,
             queue_bucket_hwm: 5,
+            queue_ring_hwm: 256,
+            queue_empty_steps: 30,
+            queue_rebuilds: 2,
         };
         let b = EngineProfile {
             windows: 10,
@@ -289,6 +302,9 @@ mod tests {
             pool_pushes: 50,
             pool_reused: 10,
             queue_bucket_hwm: 9,
+            queue_ring_hwm: 1024,
+            queue_empty_steps: 12,
+            queue_rebuilds: 1,
         };
         a.merge(&b);
         assert_eq!(a.windows, 10); // same global window sequence: max
@@ -302,6 +318,9 @@ mod tests {
         assert_eq!(a.pool_pushes, 150);
         assert_eq!(a.pool_reused, 100);
         assert_eq!(a.queue_bucket_hwm, 9);
+        assert_eq!(a.queue_ring_hwm, 1024);
+        assert_eq!(a.queue_empty_steps, 42);
+        assert_eq!(a.queue_rebuilds, 3);
         assert!((a.pool_reuse_ratio() - 100.0 / 150.0).abs() < 1e-12);
     }
 

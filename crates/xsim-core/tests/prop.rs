@@ -3,6 +3,8 @@
 //! equivalence over randomized programs. Every property runs a fixed
 //! number of cases, case `i` drawing from `DetRng::stream(SEED, i)`.
 
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 use std::sync::Arc;
 use xsim_core::engine;
 use xsim_core::event::{Action, EventKey, EventRec};
@@ -138,84 +140,233 @@ fn event_queue_total_order_is_interleaving_independent() {
     });
 }
 
-/// The calendar queue is byte-identical to the binary-heap oracle
-/// under arbitrary *interleaved* push/pop traffic — not just
+/// The queue in lock-step with the oracle — a binary heap over the
+/// keys. Every pop checks `next_key`, the popped key and `len` against
+/// it, and that the ring stayed sized to the population: never above
+/// `max(256, 2 · next_pow2(len high-water mark))` buckets.
+#[derive(Default)]
+struct Checked {
+    q: EventQueue,
+    oracle: BinaryHeap<Reverse<EventKey>>,
+    len_hwm: usize,
+    seq: u64,
+}
+
+impl Checked {
+    /// Push a fresh key at `time`; `seq` keeps keys unique, as the
+    /// engine's per-source counter does.
+    fn push(&mut self, time: u64, dst: u32, src: u32) {
+        self.push_key(EventKey {
+            time: SimTime(time),
+            dst: Rank(dst),
+            src: Rank(src),
+            seq: self.seq,
+        });
+        self.seq += 1;
+    }
+
+    fn push_key(&mut self, key: EventKey) {
+        self.oracle.push(Reverse(key));
+        self.q.push(EventRec {
+            key,
+            action: Action::Spawn,
+        });
+        self.len_hwm = self.len_hwm.max(self.oracle.len());
+    }
+
+    fn pop(&mut self) -> Option<EventKey> {
+        let want = self.oracle.pop().map(|r| r.0);
+        assert_eq!(self.q.next_key(), want, "next_key diverged from the oracle");
+        assert_eq!(
+            self.q.pop().map(|e| e.key),
+            want,
+            "pop diverged from the oracle"
+        );
+        assert_eq!(self.q.len(), self.oracle.len());
+        let bound = 256.max(2 * self.len_hwm.next_power_of_two()) as u64;
+        let ring = self.q.stats().ring_hwm;
+        assert!(
+            ring <= bound,
+            "{ring} buckets for {} events at most",
+            self.len_hwm
+        );
+        want
+    }
+
+    fn drain(&mut self) {
+        while self.pop().is_some() {}
+    }
+}
+
+/// `lo · 2^u` for a uniform `u`: log-uniform over `[lo, lo · 2^bits)`.
+fn log_uniform(g: &mut DetRng, lo: u64, bits: u64) -> u64 {
+    let octave = lo << g.gen_in(0..bits);
+    octave + g.gen_in(0..octave)
+}
+
+/// The queue pops exactly as the binary-heap oracle does under
+/// arbitrary *interleaved* push/pop traffic — not just
 /// push-all-then-pop-all. Times are drawn from three bands: a small
 /// range where same-timestamp ties (broken by `(dst, src, seq)`)
-/// are common, a mid band that spreads events over many slices
-/// (ring growth, width re-fits, the settle scan's buffer
-/// recycling), and a far-future band exercising the overflow lane
-/// and its migration/re-fit path. Each push op optionally becomes a
-/// same-time *burst* whose size crosses the bounded-memmove cap, so
-/// both the in-order insertion and the append-and-sort-once
-/// fallback run against the oracle, interleaved with pops and
-/// geometry changes.
+/// are common, a mid band that spreads events over many slices, and a
+/// far-future band that parks in the lane and comes back through
+/// migrations. Each push op optionally becomes a same-time *burst*
+/// whose size crosses the bounded-memmove cap, so both the in-order
+/// insertion and the append-and-sort-once fallback run against the
+/// oracle, interleaved with pops and geometry changes.
 #[test]
-fn calendar_queue_matches_heap_under_interleaved_ops() {
+fn queue_matches_oracle_under_interleaved_ops() {
     /// Deepest burst; must exceed the queue's 64-event memmove cap.
     const MAX_BURST: u64 = 1 + 48 * 2;
     let mut bucket_hwm = 0;
     for_each_case(SEED, CASES, |g| {
-        let mut heap = EventQueue::heap();
-        let mut cal = EventQueue::calendar();
-        let mut seq = 0u64;
+        let mut c = Checked::default();
         for _ in 0..g.gen_in(1..250) {
             let push = g.gen_bool();
             let t = g.gen_in(0..512);
             let (dst, src) = (g.gen_in(0..16) as u32, g.gen_in(0..16) as u32);
             let (band, burst) = (g.gen_in(0..3), g.gen_in(0..3));
-            if push || heap.is_empty() {
-                // Unique keys, as the engine guarantees: the per-source
-                // seq counter disambiguates colliding (time, dst, src).
+            if push || c.oracle.is_empty() {
                 let time = match band {
-                    0 => SimTime(t),
-                    1 => SimTime(t.saturating_mul(1 << 12)),
-                    _ => SimTime(t.saturating_mul(1 << 40)),
+                    0 => t,
+                    1 => t << 12,
+                    _ => t << 40,
                 };
                 // A burst stacks same-(time, dst, src) events whose
                 // order is decided by seq alone — deep enough to force
                 // the memmove-capped path inside one bucket.
-                let burst_len = 1 + 48 * burst;
-                for _ in 0..burst_len {
-                    let key = EventKey {
-                        time,
-                        dst: Rank(dst),
-                        src: Rank(src),
-                        seq,
-                    };
-                    seq += 1;
-                    heap.push(EventRec {
-                        key,
-                        action: Action::Spawn,
-                    });
-                    cal.push(EventRec {
-                        key,
-                        action: Action::Spawn,
-                    });
+                for _ in 0..1 + 48 * burst {
+                    c.push(time, dst, src);
                 }
             } else {
-                let h = heap.pop().map(|e| e.key);
-                let c = cal.pop().map(|e| e.key);
-                assert_eq!(c, h, "pop diverged from the heap oracle");
-            }
-            assert_eq!(cal.len(), heap.len());
-            assert_eq!(cal.next_time(), heap.next_time());
-        }
-        // Drain both to the end: the tails must agree too.
-        loop {
-            let h = heap.pop().map(|e| e.key);
-            let c = cal.pop().map(|e| e.key);
-            assert_eq!(c, h, "drain diverged from the heap oracle");
-            if h.is_none() {
-                break;
+                c.pop();
             }
         }
-        bucket_hwm = bucket_hwm.max(cal.stats().bucket_hwm);
+        c.drain();
+        bucket_hwm = bucket_hwm.max(c.q.stats().bucket_hwm);
     });
     assert!(
         bucket_hwm >= MAX_BURST,
         "no case stacked a full burst in one bucket (hwm {bucket_hwm})"
     );
+}
+
+/// The campaign shape: a dense nanosecond cluster in front of sparse
+/// millisecond-to-kilosecond timers, at populations from 50 to 20,000.
+/// The near chain keeps dying out (one push in eight is a far timer),
+/// so the ring drains to the lane again and again and every migration
+/// must re-fit the width to whatever front the lane then has.
+#[test]
+fn queue_matches_oracle_on_campaign_shapes() {
+    let mut rebuilds = 0;
+    for_each_case(SEED, 24, |g| {
+        let population = log_uniform(g, 50, 8).min(20_000);
+        let far_one_in = g.gen_in(2..64);
+        let mut c = Checked::default();
+        let delta = |g: &mut DetRng| {
+            if g.gen_in(0..far_one_in) == 0 {
+                log_uniform(g, 1_000_000, 20)
+            } else {
+                g.gen_in(1..4_097)
+            }
+        };
+        for _ in 0..population {
+            let t = delta(g);
+            c.push(t, g.gen_in(0..64) as u32, 0);
+        }
+        for _ in 0..(4 * population).min(30_000) {
+            let now = c.pop().expect("hold model never empties").time.as_nanos();
+            let t = now + delta(g);
+            c.push(t, g.gen_in(0..64) as u32, 0);
+        }
+        c.drain();
+        rebuilds += c.q.stats().rebuilds;
+    });
+    assert!(
+        rebuilds > 24,
+        "the lane was hardly used ({rebuilds} passes)"
+    );
+}
+
+/// Floods: waves of identical timestamps whose order is decided by
+/// `(dst, src, seq)` alone, pushed ascending, descending or shuffled,
+/// with pops between the waves. A flood cannot be spread over slices;
+/// it must sort once and pop in key order.
+#[test]
+fn queue_matches_oracle_on_same_time_floods() {
+    for_each_case(SEED, 24, |g| {
+        let mut c = Checked::default();
+        let gap = [0, 1, 1_000, 1_000_000_000][g.gen_index(4)];
+        let mut seq = 0;
+        for wave in 0..g.gen_in(1..6) {
+            let n = g.gen_in(1..3_000);
+            let mut order: Vec<u64> = (0..n).collect();
+            match g.gen_in(0..3) {
+                0 => {}
+                1 => order.reverse(),
+                _ => (1..order.len())
+                    .rev()
+                    .for_each(|i| order.swap(i, g.gen_index(i + 1))),
+            }
+            for j in order {
+                c.push_key(EventKey {
+                    time: SimTime(wave * gap),
+                    dst: Rank((j / 7) as u32),
+                    src: Rank((j % 7) as u32),
+                    seq: seq + j,
+                });
+            }
+            seq += n;
+            for _ in 0..g.gen_in(0..n + 1) {
+                c.pop();
+            }
+        }
+        c.drain();
+    });
+}
+
+/// Lane overtaking (the PR 8 soundness bug): events parked beyond the
+/// window fall inside it as the window slides, while pushes keep
+/// landing between the window head and the earliest parked event —
+/// before it, at exactly its time, and after it. A push that rides the
+/// ring past a parked event pops out of order.
+#[test]
+fn queue_matches_oracle_when_the_window_slides_past_parked_events() {
+    for_each_case(SEED, CASES, |g| {
+        let mut c = Checked::default();
+        // Where the parked events sit: from just past a 256-slice
+        // window of the cluster's width to far beyond any window.
+        let park = 1u64 << g.gen_in(8..40);
+        for _ in 0..g.gen_in(2..400) {
+            let t = g.gen_in(0..1_000);
+            c.push(t, g.gen_in(0..8) as u32, 0);
+        }
+        for _ in 0..g.gen_in(1..40) {
+            let t = park + g.gen_in(0..1_000);
+            c.push(t, g.gen_in(0..8) as u32, 1);
+        }
+        for _ in 0..g.gen_in(1..60) {
+            let mut now = 0;
+            for _ in 0..g.gen_in(1..20) {
+                if let Some(k) = c.pop() {
+                    now = k.time.as_nanos();
+                }
+            }
+            // Around the earliest parked event, ties with it included.
+            let times = c.oracle.iter().map(|r| r.0.time.as_nanos());
+            let parked = times.filter(|&t| t >= park).min();
+            for _ in 0..g.gen_in(1..8) {
+                let t = match (g.gen_in(0..4), parked) {
+                    (0, _) | (_, None) => now + g.gen_in(0..2_000),
+                    (1, Some(p)) => now + g.gen_in(0..p.saturating_sub(now) + 1),
+                    (2, Some(_)) => park + g.gen_in(0..1_000),
+                    (_, Some(p)) => p + g.gen_in(0..2 * park),
+                };
+                c.push(t, g.gen_in(0..8) as u32, 2);
+            }
+        }
+        c.drain();
+    });
 }
 
 /// A randomized program: each rank performs a schedule of sleeps and

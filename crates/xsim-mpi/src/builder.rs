@@ -606,6 +606,12 @@ impl SimBuilder {
             );
             m.set
                 .add(metric_ids::ENGINE_QUEUE_BUCKET_HWM, p.queue_bucket_hwm);
+            m.set
+                .add(metric_ids::ENGINE_QUEUE_RING_HWM, p.queue_ring_hwm);
+            m.set
+                .add(metric_ids::ENGINE_QUEUE_EMPTY_STEPS, p.queue_empty_steps);
+            m.set
+                .add(metric_ids::ENGINE_QUEUE_REBUILDS, p.queue_rebuilds);
             // What fault-aware routing fell back to (detour-memo traffic
             // and BFS runs), read back from the shared fault table.
             // Volatile: shards can race to fill the same entry, so the

@@ -301,6 +301,15 @@ pub mod ids {
     /// or every dead-link query with `XSIM_NET_ROUTE_CACHE=off`
     /// (volatile, see `NET_ROUTE_CACHE_HITS`).
     pub const NET_ROUTE_BFS_RUNS: usize = 61;
+    /// Largest calendar-queue ring of any shard, in buckets (volatile,
+    /// like the rest of the queue-shape gauges).
+    pub const ENGINE_QUEUE_RING_HWM: usize = 62;
+    /// Empty buckets the calendar queues stepped over looking for the
+    /// next event (volatile).
+    pub const ENGINE_QUEUE_EMPTY_STEPS: usize = 63;
+    /// Bulk redistribution passes of the calendar queues: width splits
+    /// and lane migrations (volatile).
+    pub const ENGINE_QUEUE_REBUILDS: usize = 64;
 }
 
 /// The metric schema, indexed by [`ids`].
@@ -376,6 +385,9 @@ pub const SPEC: &[MetricDef] = &[
     MetricDef::counter("ckpt.mode.diff_writes", Unit::Count),
     MetricDef::histogram("ckpt.mode.restore_chain", Unit::Count, CHAIN_BUCKETS),
     MetricDef::counter("net.route_bfs_runs", Unit::Count).volatile(),
+    MetricDef::gauge("engine.queue.ring_hwm", Unit::Count).volatile(),
+    MetricDef::gauge("engine.queue.empty_steps", Unit::Count).volatile(),
+    MetricDef::gauge("engine.queue.rebuilds", Unit::Count).volatile(),
 ];
 
 /// A filled histogram.
@@ -584,7 +596,7 @@ mod tests {
 
     #[test]
     fn spec_ids_line_up() {
-        assert_eq!(SPEC.len(), ids::NET_ROUTE_BFS_RUNS + 1);
+        assert_eq!(SPEC.len(), ids::ENGINE_QUEUE_REBUILDS + 1);
         assert_eq!(SPEC[ids::NET_MSGS_EAGER].name, "net.msgs_eager");
         assert_eq!(SPEC[ids::MPI_UNEXPECTED_HWM].kind, MetricKind::Gauge);
         assert_eq!(SPEC[ids::FS_WRITE_NS].kind, MetricKind::Histogram);
@@ -626,6 +638,14 @@ mod tests {
             "ckpt.mode.restore_chain"
         );
         assert_eq!(SPEC[ids::NET_ROUTE_BFS_RUNS].name, "net.route_bfs_runs");
+        assert_eq!(
+            SPEC[ids::ENGINE_QUEUE_RING_HWM].name,
+            "engine.queue.ring_hwm"
+        );
+        assert_eq!(
+            SPEC[ids::ENGINE_QUEUE_REBUILDS].name,
+            "engine.queue.rebuilds"
+        );
         // Exactly the execution-shape metrics (engine profile + route
         // cache occupancy + event-core pool/queue shape) are volatile;
         // payload accounting is part of the deterministic snapshot.
@@ -633,7 +653,7 @@ mod tests {
             let expect_volatile = (ids::ENGINE_WINDOWS..=ids::NET_ROUTE_CACHE_EVICTIONS)
                 .contains(&id)
                 || (ids::ENGINE_INGEST_SKIPS..=ids::ENGINE_QUEUE_BUCKET_HWM).contains(&id)
-                || id == ids::NET_ROUTE_BFS_RUNS;
+                || id >= ids::NET_ROUTE_BFS_RUNS;
             assert_eq!(def.volatile, expect_volatile, "volatility of {}", def.name);
         }
         // Names are unique.
