@@ -11,9 +11,8 @@
 //! Exits non-zero if the calendar queue falls below 1.0× the heap at any
 //! tier (the `ckpt_scaling` regression-gate pattern): the calendar is
 //! kept only because it beats the heap, and CI smokes this so a hot-path
-//! or per-instance regression fails the build instead of only
-//! discoloring `BENCH_engine.json`. `--quick` trims the timed span for
-//! CI; the tiers and the gate stay the same.
+//! or per-instance regression fails the build. `--quick` trims the timed
+//! span for CI; the tiers and the gate stay the same.
 
 use xsim_bench::{peak_rss_kib, run_queue_tier, QUEUE_TIERS};
 

@@ -8,10 +8,6 @@
 //! cargo run --release -p xsim-bench --bin scalability [--workers N]
 //! ```
 //!
-//! With `--bench-engine` it instead runs the parallel-engine worker
-//! scaling sweep (4k and 64k VPs × 1/2/4/8 workers) and writes the
-//! measured events/s and speedups to `BENCH_engine.json`.
-//!
 //! With `--bench-msgpath` it runs a fault-active point-to-point storm
 //! on the paper's 32³ torus with the epoch-keyed route cache enabled
 //! vs. disabled and writes the wall times, per-message means and
@@ -34,167 +30,6 @@ fn torus_for(n: usize) -> Topology {
     Topology::Torus3d {
         dims: [1 << a, 1 << b, 1 << c],
     }
-}
-
-/// The `--bench-engine` sweep: a bulk-synchronous compute/allreduce
-/// workload at 4k and 64k VPs across 1/2/4/8 workers, reported as
-/// events/s and speedup relative to the 1-worker parallel engine. Every
-/// number in the JSON is a live measurement from this host.
-fn bench_engine() {
-    let cpus = std::thread::available_parallelism().map_or(0, |p| p.get());
-    let mut json = String::new();
-    json.push_str("{\"schema\":\"xsim-bench-engine-v3\"");
-    let _ = write!(
-        json,
-        ",\"workload\":\"compute_allreduce(rounds=4,elems=64,compute=1ms)\",\"host_cpus\":{cpus}",
-    );
-    if cpus <= 1 {
-        // Make single-core results impossible to misread as a scaling
-        // regression: every worker>1 row only adds synchronization cost
-        // when there is one CPU to run on.
-        let warning = "host_cpus == 1: worker speedups are meaningless on this host \
-                       (no parallelism exists); regenerate on a multi-core machine";
-        eprintln!("WARNING: {warning}");
-        let _ = write!(json, ",\"warning\":\"{warning}\"");
-    }
-    json.push_str(",\"results\":[");
-    let mut first = true;
-    println!(
-        "{:>10} {:>8} {:>10} {:>12} {:>12} {:>8}",
-        "vps", "workers", "wall", "events", "events/s", "speedup"
-    );
-    for n in [4096usize, 65536] {
-        let mut net = NetModel::paper_machine();
-        net.topology = torus_for(n);
-        let mut base_evps = 0.0f64;
-        for workers in [1usize, 2, 4, 8] {
-            let t = std::time::Instant::now();
-            let report = SimBuilder::new(n)
-                .net(net.clone())
-                .workers(workers)
-                .engine(xsim_mpi::EngineKind::Parallel)
-                .run(kernels::compute_allreduce(4, 64, SimTime::from_millis(1)))
-                .expect("bench-engine run");
-            let wall = t.elapsed();
-            let evps = report.sim.events_processed as f64 / wall.as_secs_f64();
-            if workers == 1 {
-                base_evps = evps;
-            }
-            let speedup = evps / base_evps;
-            println!(
-                "{:>10} {:>8} {:>10.2?} {:>12} {:>12.0} {:>8.2}",
-                n, workers, wall, report.sim.events_processed, evps, speedup
-            );
-            if !first {
-                json.push(',');
-            }
-            first = false;
-            let _ = write!(
-                json,
-                "{{\"vps\":{},\"workers\":{},\"events\":{},\"wall_us\":{},\
-                 \"events_per_sec\":{:.0},\"speedup_vs_1\":{:.3}}}",
-                n,
-                workers,
-                report.sim.events_processed,
-                wall.as_micros(),
-                evps,
-                speedup
-            );
-        }
-    }
-    json.push(']');
-
-    // Event-queue microbench: hold-model churn, calendar vs. a binary
-    // heap over the keys, across pending-set sizes and delta shapes. The
-    // calendar's O(1) pops are what the worker sweep above rides on.
-    // The self-gating `queue_bench` bin runs the same tiers and fails CI
-    // when the calendar drops below 1.0x at any of them. Measured
-    // *before* the VP-scaling ladder: tens of gigabytes of churn leave
-    // the allocator in a state that slows the calendar's bucket
-    // management (the heap barely allocates), which would discolor the
-    // comparison with a cost no fresh process pays.
-    json.push_str(",\"queue_bench\":[");
-    println!(
-        "\n{:>10} {:>9} {:>14} {:>14} {:>8}",
-        "pending", "shape", "heap ns/op", "calendar ns/op", "speedup"
-    );
-    for (i, (pending, shape)) in xsim_bench::QUEUE_TIERS.into_iter().enumerate() {
-        let tier = xsim_bench::run_queue_tier(pending, shape, 200_000);
-        let shape = shape.name();
-        println!(
-            "{:>10} {:>9} {:>14.1} {:>14.1} {:>7.2}x",
-            tier.pending,
-            shape,
-            tier.heap_ns_per_op,
-            tier.calendar_ns_per_op,
-            tier.speedup()
-        );
-        if i > 0 {
-            json.push(',');
-        }
-        let _ = write!(
-            json,
-            "{{\"pending\":{},\"shape\":\"{shape}\",\"ops\":{},\"heap_ns_per_op\":{:.1},\
-             \"calendar_ns_per_op\":{:.1},\"speedup\":{:.3}}}",
-            tier.pending,
-            tier.ops,
-            tier.heap_ns_per_op,
-            tier.calendar_ns_per_op,
-            tier.speedup()
-        );
-    }
-    json.push(']');
-
-    // The VP-scaling ladder (engine-level ring-of-wakes workload, see
-    // the `vp_scaling` bin): raw event-core throughput, host cost per
-    // event and peak RSS from 2^20 up to the paper's headline 2^27 VPs.
-    // Ascending order keeps the monotone VmHWM readable as per-rung
-    // peaks; the free-memory gate skips rungs that would not fit.
-    json.push_str(",\"vp_scaling\":[");
-    println!(
-        "\n{:>12} {:>10} {:>14} {:>12} {:>14} {:>12}",
-        "vps", "wall", "events", "events/s", "host µs/event", "peakRSS MiB"
-    );
-    let gate = xsim_bench::vp_mem_gate().unwrap_or(usize::MAX);
-    let mut first = true;
-    for exp in 20u32..=27 {
-        let vps = 1usize << exp;
-        if vps > gate {
-            println!("{vps:>12}  skipped (above the memory gate)");
-            continue;
-        }
-        let row = xsim_bench::run_vp_scaling_rung(vps, 1, 2);
-        println!(
-            "{:>12} {:>10.2?} {:>14} {:>12.0} {:>14.3} {:>12.1}",
-            row.vps,
-            row.wall,
-            row.events,
-            row.events_per_sec,
-            row.host_us_per_event,
-            row.peak_rss_kib as f64 / 1024.0
-        );
-        if !first {
-            json.push(',');
-        }
-        first = false;
-        let _ = write!(
-            json,
-            "{{\"vps\":{},\"workers\":{},\"rounds\":{},\"events\":{},\"wall_us\":{},\
-             \"events_per_sec\":{:.0},\"host_us_per_event\":{:.3},\"peak_rss_kib\":{}}}",
-            row.vps,
-            row.workers,
-            row.rounds,
-            row.events,
-            row.wall.as_micros(),
-            row.events_per_sec,
-            row.host_us_per_event,
-            row.peak_rss_kib
-        );
-    }
-    json.push(']');
-    let _ = write!(json, ",\"peak_rss_kib\":{}}}", peak_rss_kib().unwrap_or(0));
-    std::fs::write("BENCH_engine.json", &json).expect("write BENCH_engine.json");
-    println!("\nwrote BENCH_engine.json");
 }
 
 /// The `--bench-msgpath` sweep: a point-to-point storm on the paper's
@@ -318,10 +153,6 @@ fn bench_msgpath(workers: usize) {
 
 fn main() {
     let flags = parse_flags();
-    if flags.bench_engine {
-        bench_engine();
-        return;
-    }
     if flags.bench_msgpath {
         bench_msgpath(flags.workers);
         return;

@@ -313,7 +313,6 @@ pub fn parse_flags() -> Flags {
         match a.as_str() {
             "--quick" => flags.scale = Scale::Quick,
             "--net-faults" => flags.net_faults = true,
-            "--bench-engine" => flags.bench_engine = true,
             "--bench-msgpath" => flags.bench_msgpath = true,
             "--workers" => {
                 flags.workers = args
@@ -344,9 +343,8 @@ pub fn parse_flags() -> Flags {
             }
             other => {
                 eprintln!(
-                    "unknown flag {other}; known: --quick --net-faults --bench-engine \
-                     --bench-msgpath --workers N --seed N --profile out.json \
-                     --protection SPEC --fit F"
+                    "unknown flag {other}; known: --quick --net-faults --bench-msgpath \
+                     --workers N --seed N --profile out.json --protection SPEC --fit F"
                 );
                 std::process::exit(2);
             }
@@ -362,9 +360,6 @@ pub struct Flags {
     pub scale: Scale,
     /// Run the network-fault sweep sections (`--net-faults`).
     pub net_faults: bool,
-    /// Run the parallel-engine scaling sweep and emit
-    /// `BENCH_engine.json` (`--bench-engine`, `scalability` bin only).
-    pub bench_engine: bool,
     /// Run the message-path sweep (fault-active p2p storm, route cache
     /// on vs. off) and emit `BENCH_msgpath.json` (`--bench-msgpath`,
     /// `scalability` bin only).
@@ -389,7 +384,6 @@ impl Default for Flags {
         Flags {
             scale: Scale::Paper,
             net_faults: false,
-            bench_engine: false,
             bench_msgpath: false,
             workers: 1,
             // Default chosen so both MTTF groups of Table II experience
@@ -452,11 +446,11 @@ pub fn heat_program(cfg: &HeatConfig) -> Arc<dyn xsim_core::vp::VpProgram> {
     heat3d::program(cfg.clone())
 }
 
-/// The engine-level oversubscription workload (`million_vp` bin and the
-/// 1M-VP row of `BENCH_engine.json`): each VP alternates timer sleeps
-/// with a lookahead-respecting wake of its ring successor, exercising
-/// the event core — calendar queue, inline `Call` storage, SoA VP table,
-/// cross-shard exchange — without any MPI-layer machinery on top.
+/// The engine-level oversubscription workload (`vp_scaling` bin): each
+/// VP alternates timer sleeps with a lookahead-respecting wake of its
+/// ring successor, exercising the event core — calendar queue, inline
+/// `Call` storage, SoA VP table, cross-shard exchange — without any
+/// MPI-layer machinery on top.
 pub fn million_vp_program(n_ranks: usize, rounds: u32) -> Arc<dyn xsim_core::vp::VpProgram> {
     use xsim_core::vp::VpExit;
     use xsim_core::{ctx, Rank};
@@ -529,8 +523,7 @@ pub fn vp_mem_gate() -> Option<usize> {
     Some((avail / 10 * 8 / VP_SCALING_BYTES_PER_VP) as usize)
 }
 
-/// One rung of the VP-scaling ladder (`vp_scaling` bin and the
-/// `vp_scaling` section of `BENCH_engine.json` v3).
+/// One rung of the VP-scaling ladder (`vp_scaling` bin).
 #[derive(Debug, Clone)]
 pub struct VpScalingRow {
     /// Simulated VPs.
@@ -585,7 +578,7 @@ pub enum QueueShape {
 }
 
 impl QueueShape {
-    /// Name of the shape in tables and `BENCH_engine.json`.
+    /// Name of the shape in tables.
     pub fn name(self) -> &'static str {
         match self {
             QueueShape::Uniform => "uniform",

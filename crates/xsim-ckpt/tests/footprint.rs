@@ -13,33 +13,41 @@
 //! and everything else on these paths is names, headers and handles.
 
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
-use std::sync::{Mutex, PoisonError};
 use xsim_ckpt::{Checkpoint, CheckpointManager, ModeWriter};
 use xsim_core::Bytes;
 use xsim_mpi::{CkptMode, SimBuilder};
 
 struct Counting;
 
-/// Allocation calls so far (a `realloc` counts as one).
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
-/// Calls asking for at least [`BIG`] bytes, and the bytes they asked for.
-static BIG_ALLOCS: AtomicU64 = AtomicU64::new(0);
-static BIG_BYTES: AtomicU64 = AtomicU64::new(0);
+// Per thread (as `xsim-core/tests/queue_footprint.rs`), so that the
+// tests — one thread each, the one-rank run included — neither need a
+// lock nor see the harness's own allocations. Const-initialised and
+// without destructors: touching them from inside the allocator can
+// neither allocate nor hit a torn-down slot.
+thread_local! {
+    /// Allocation calls so far (a `realloc` counts as one).
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+    /// Calls asking for at least [`BIG`] bytes, and the bytes they
+    /// asked for.
+    static BIG_ALLOCS: Cell<u64> = const { Cell::new(0) };
+    static BIG_BYTES: Cell<u64> = const { Cell::new(0) };
+}
 
 const BIG: usize = 32 * 1024;
 const GRID_BYTES: usize = 18 * 18 * 18 * 8;
 
 fn note(size: usize) {
-    ALLOCS.fetch_add(1, Relaxed);
+    ALLOCS.set(ALLOCS.get() + 1);
     if size >= BIG {
-        BIG_ALLOCS.fetch_add(1, Relaxed);
-        BIG_BYTES.fetch_add(size as u64, Relaxed);
+        BIG_ALLOCS.set(BIG_ALLOCS.get() + 1);
+        BIG_BYTES.set(BIG_BYTES.get() + size as u64);
     }
 }
 
 // SAFETY: every call is forwarded unchanged to `System`; the counters
-// are plain statistics and publish no other data.
+// are plain thread-local statistics.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         note(layout.size());
@@ -59,11 +67,7 @@ unsafe impl GlobalAlloc for Counting {
 #[global_allocator]
 static GLOBAL: Counting = Counting;
 
-/// The counters are process-wide and the test harness runs tests on
-/// parallel threads: every measuring test holds this lock.
-static MEASURING: Mutex<()> = Mutex::new(());
-
-/// What `f` allocated.
+/// What `f` allocated on this thread.
 #[derive(Debug, PartialEq, Eq)]
 struct Cost {
     allocs: u64,
@@ -72,16 +76,12 @@ struct Cost {
 }
 
 fn measure<T>(f: impl FnOnce() -> T) -> (T, Cost) {
-    let before = (
-        ALLOCS.load(Relaxed),
-        BIG_ALLOCS.load(Relaxed),
-        BIG_BYTES.load(Relaxed),
-    );
+    let before = (ALLOCS.get(), BIG_ALLOCS.get(), BIG_BYTES.get());
     let out = f();
     let cost = Cost {
-        allocs: ALLOCS.load(Relaxed) - before.0,
-        big_allocs: BIG_ALLOCS.load(Relaxed) - before.1,
-        big_bytes: BIG_BYTES.load(Relaxed) - before.2,
+        allocs: ALLOCS.get() - before.0,
+        big_allocs: BIG_ALLOCS.get() - before.1,
+        big_bytes: BIG_BYTES.get() - before.2,
     };
     (out, cost)
 }
@@ -100,7 +100,6 @@ fn grid_checkpoint(iteration: u64) -> Checkpoint {
 
 #[test]
 fn encode_fills_one_buffer_of_the_encoded_length() {
-    let _guard = MEASURING.lock().unwrap_or_else(PoisonError::into_inner);
     let ckpt = grid_checkpoint(4);
     let (enc, cost) = measure(|| ckpt.encode());
     assert_eq!(enc.len(), ckpt.encoded_len());
@@ -115,7 +114,6 @@ fn encode_fills_one_buffer_of_the_encoded_length() {
 
 #[test]
 fn verify_allocates_nothing() {
-    let _guard = MEASURING.lock().unwrap_or_else(PoisonError::into_inner);
     let enc = grid_checkpoint(4).encode();
     let (result, cost) = measure(|| Checkpoint::verify(&enc));
     assert_eq!(result, Ok(()));
@@ -124,7 +122,6 @@ fn verify_allocates_nothing() {
 
 #[test]
 fn decode_bytes_shares_the_input_buffer() {
-    let _guard = MEASURING.lock().unwrap_or_else(PoisonError::into_inner);
     let ckpt = grid_checkpoint(4);
     let enc = ckpt.encode();
     let (shared, cost) = measure(|| Checkpoint::decode_bytes(&enc).expect("valid"));
@@ -148,7 +145,6 @@ fn decode_bytes_shares_the_input_buffer() {
 
 #[test]
 fn incremental_full_generation_encodes_once() {
-    let _guard = MEASURING.lock().unwrap_or_else(PoisonError::into_inner);
     static BIG_SEEN: AtomicU64 = AtomicU64::new(0);
     static BYTES_SEEN: AtomicU64 = AtomicU64::new(0);
     let builder = SimBuilder::new(1);
@@ -158,10 +154,10 @@ fn incremental_full_generation_encodes_once() {
             let mode = CkptMode::Incremental { full_every: 4 };
             let mut writer = ModeWriter::new(CheckpointManager::new("gate"), mode);
             let ckpt = grid_checkpoint(4);
-            let before = (BIG_ALLOCS.load(Relaxed), BIG_BYTES.load(Relaxed));
+            let before = (BIG_ALLOCS.get(), BIG_BYTES.get());
             writer.write(&mpi, &ckpt, None).await?;
-            BIG_SEEN.store(BIG_ALLOCS.load(Relaxed) - before.0, Relaxed);
-            BYTES_SEEN.store(BIG_BYTES.load(Relaxed) - before.1, Relaxed);
+            BIG_SEEN.store(BIG_ALLOCS.get() - before.0, Relaxed);
+            BYTES_SEEN.store(BIG_BYTES.get() - before.1, Relaxed);
             mpi.finalize();
             Ok(())
         })

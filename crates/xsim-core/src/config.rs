@@ -2,7 +2,6 @@
 
 use crate::error::SimError;
 use crate::time::SimTime;
-use std::sync::Arc;
 
 /// Which event-processing engine executes the run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -20,41 +19,15 @@ pub enum EngineKind {
     Parallel,
 }
 
-/// A dynamic lookahead source queried once per synchronization window.
-///
-/// The closure maps the window's lower bound (the LBTS) to a *lower
-/// bound on the virtual delay of any cross-shard event scheduled at or
-/// after that time*. The engine takes the max of this value and the
-/// static `CoreConfig::lookahead`, so a provider can only ever widen
-/// windows — conservativeness of the static floor is preserved by
-/// construction, and a provider that returns garbage below the floor is
-/// simply ignored.
-#[derive(Clone)]
-pub struct LookaheadProvider(Arc<dyn Fn(SimTime) -> SimTime + Send + Sync>);
-
-impl LookaheadProvider {
-    /// Wrap a dynamic lookahead function.
-    pub fn new(f: impl Fn(SimTime) -> SimTime + Send + Sync + 'static) -> Self {
-        LookaheadProvider(Arc::new(f))
-    }
-
-    /// A provider that always returns `la` (mostly for tests).
-    pub fn constant(la: SimTime) -> Self {
-        LookaheadProvider::new(move |_| la)
-    }
-
-    /// Query the provider at window lower bound `lbts`.
-    #[inline]
-    pub fn at(&self, lbts: SimTime) -> SimTime {
-        (self.0)(lbts)
-    }
-}
-
-impl std::fmt::Debug for LookaheadProvider {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str("LookaheadProvider(..)")
-    }
-}
+/// Shards per parallel-engine worker thread. A constant, not an option:
+/// with one shard per worker the 2²⁰-VP raw-core ring ran ≈ 20 % slower
+/// on the 2-vCPU reference host (unverified explanation: a same-time
+/// flood of 131 k events sorts in cache, one of 524 k does not) while
+/// heat3d and the 64k-rank allreduce did not care, and four keeps
+/// `EngineKind::Parallel` + `workers(1)` a *multi-shard* single-thread
+/// run — the differential suites' middle leg still crosses shard
+/// boundaries without concurrency.
+pub(crate) const SHARDS_PER_WORKER: usize = 4;
 
 /// Core engine configuration, independent of any machine model.
 #[derive(Debug, Clone)]
@@ -65,16 +38,6 @@ pub struct CoreConfig {
     pub workers: usize,
     /// Which engine runs the simulation (see [`EngineKind`]).
     pub engine: EngineKind,
-    /// Shard oversubscription factor: the parallel engine partitions
-    /// ranks into up to `workers * shard_factor` shards so the
-    /// work-stealing pool has more tasks than threads and an idle worker
-    /// can drain a hot shard's window instead of waiting at the barrier.
-    /// `1` restores one shard per worker.
-    pub shard_factor: usize,
-    /// Capacity hint (in events) for the per-(src,dst) cross-shard
-    /// exchange buffers. `0` lets the buffers grow organically; they are
-    /// recycled between windows either way.
-    pub batch_hint: usize,
     /// Initial virtual clock of every VP. Nonzero when a run continues the
     /// virtual timeline of a previous aborted run (paper §IV-E:
     /// "continuous virtual timing after an abort and a following restart").
@@ -82,14 +45,10 @@ pub struct CoreConfig {
     /// Master seed for all deterministic randomness in the simulation.
     pub seed: u64,
     /// Conservative lookahead: the minimum virtual delay of any
-    /// cross-rank event. Set by the machine layer from the minimum link
-    /// latency. Must be positive when the parallel engine can run.
+    /// cross-shard event, and the width of the parallel engine's
+    /// windows. Set by the machine layer from the link latencies. Must
+    /// be positive when the parallel engine can run.
     pub lookahead: SimTime,
-    /// Optional dynamic lookahead, queried once per window; the engine
-    /// uses `max(lookahead, lookahead_fn(lbts))`, so this can only widen
-    /// windows (fewer global synchronizations), never narrow them below
-    /// the static floor.
-    pub lookahead_fn: Option<LookaheadProvider>,
     /// If `true`, a scheduled process failure also activates while the VP
     /// is blocked on communication (an *eager* extension). The paper's
     /// strict semantics (`false`) activate a failure only when the VP's
@@ -111,12 +70,9 @@ impl Default for CoreConfig {
             n_ranks: 1,
             workers: 1,
             engine: EngineKind::Auto,
-            shard_factor: 4,
-            batch_hint: 0,
             start_time: SimTime::ZERO,
             seed: 0x5eed_cafe_f00d_beef,
             lookahead: SimTime::from_nanos(1),
-            lookahead_fn: None,
             fail_blocked: false,
             max_events: u64::MAX,
             verbose: false,
@@ -159,11 +115,11 @@ impl CoreConfig {
         self.n_ranks.div_ceil(self.n_shards())
     }
 
-    /// Effective number of shards: never more than ranks, up to
-    /// `workers * shard_factor` so the stealing pool is oversubscribed.
+    /// Effective number of shards: `SHARDS_PER_WORKER` (4) per worker,
+    /// never more than ranks. The last shards own nothing when the
+    /// ranks do not fill them.
     pub fn n_shards(&self) -> usize {
-        self.n_ranks
-            .min(self.workers.max(1) * self.shard_factor.max(1))
+        self.n_ranks.min(self.workers.max(1) * SHARDS_PER_WORKER)
     }
 
     /// The shard owning `rank`.
@@ -249,24 +205,34 @@ mod tests {
     fn shard_partitioning_covers_all_ranks() {
         let c = CoreConfig {
             n_ranks: 10,
-            workers: 4,
-            shard_factor: 1,
+            workers: 1,
             ..Default::default()
         };
         assert_eq!(c.ranks_per_shard(), 3);
         assert_eq!(c.n_shards(), 4);
         let shards: Vec<usize> = (0..10).map(|r| c.shard_of(r)).collect();
         assert_eq!(shards, vec![0, 0, 0, 1, 1, 1, 2, 2, 2, 3]);
+        // Ragged tail: 9 ranks over 2 workers make 8 shards of 2, so
+        // rank 8 sits alone on shard 4 and shards 5..8 own nothing.
+        let c = CoreConfig {
+            n_ranks: 9,
+            workers: 2,
+            ..Default::default()
+        };
+        assert_eq!((c.n_shards(), c.ranks_per_shard()), (8, 2));
+        let shards: Vec<usize> = (0..9).map(|r| c.shard_of(r)).collect();
+        assert_eq!(shards, vec![0, 0, 1, 1, 2, 2, 3, 3, 4]);
     }
 
     #[test]
     fn oversubscription_creates_more_shards_than_workers() {
+        assert_eq!(SHARDS_PER_WORKER, 4);
         let c = CoreConfig {
             n_ranks: 64,
             workers: 4,
             ..Default::default()
         };
-        // shard_factor defaults to 4 → 16 shards of 4 ranks each.
+        // 4 workers × 4 shards of 4 ranks each.
         assert_eq!(c.n_shards(), 16);
         assert_eq!(c.ranks_per_shard(), 4);
         // Every rank maps to a valid shard, in nondecreasing order.
@@ -285,13 +251,5 @@ mod tests {
         assert_eq!(c.n_shards(), 2);
         assert_eq!(c.shard_of(0), 0);
         assert_eq!(c.shard_of(1), 1);
-    }
-
-    #[test]
-    fn lookahead_provider_is_cloneable_and_callable() {
-        let p = LookaheadProvider::constant(SimTime::from_nanos(5));
-        let q = p.clone();
-        assert_eq!(p.at(SimTime::ZERO), SimTime::from_nanos(5));
-        assert_eq!(q.at(SimTime::from_secs(1)), SimTime::from_nanos(5));
     }
 }

@@ -81,13 +81,10 @@ pub fn now() -> SimTime {
     with_kernel(|k, r| k.vp(r).clock())
 }
 
-/// The static lookahead floor of the current run: the minimum virtual
-/// delay any cross-rank event must carry. Programs scheduling raw
-/// cross-rank events (tests, custom services) can use this to stay
-/// inside the parallel engine's conservative window contract. Note the
-/// engine may *widen* windows beyond this floor per window (adaptive
-/// lookahead) — delays of at least `max(lookahead, notify_delay)` as
-/// configured by the machine layer are always safe.
+/// The lookahead of the current run: the minimum virtual delay any
+/// cross-shard event must carry. Programs scheduling raw cross-rank
+/// events (tests, custom services) can use this to stay inside the
+/// parallel engine's conservative window contract.
 pub fn lookahead() -> SimTime {
     with_kernel(|k, _| k.cfg.lookahead)
 }

@@ -6,9 +6,9 @@
 //! * [`run_sequential`] processes events in global key order — the
 //!   reference implementation.
 //! * [`run_parallel`] is a conservative, window-synchronized PDES over
-//!   a work-stealing pool of native worker threads, the shared-memory
-//!   analogue of xSim running as a parallel MPI program with
-//!   conservative synchronization (paper §II-A, §IV-A).
+//!   native worker threads that each own a fixed block of shards, the
+//!   shared-memory analogue of xSim running as a parallel MPI program
+//!   with conservative synchronization (paper §II-A, §IV-A).
 //!
 //! [`run`] dispatches on `cfg.use_parallel()` (engine kind + workers).
 

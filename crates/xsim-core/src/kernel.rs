@@ -2,9 +2,9 @@
 //!
 //! A kernel owns a contiguous block of VPs (a SoA [`VpTable`]), their
 //! pending-event queue and the per-shard services of upper layers. The
-//! sequential engine uses a single kernel; the parallel engine runs one
-//! kernel per worker thread and exchanges cross-shard events at
-//! conservative window boundaries.
+//! sequential engine uses a single kernel; the parallel engine gives
+//! every worker thread a fixed block of kernels and exchanges
+//! cross-shard events at conservative window boundaries.
 //!
 //! ## Determinism contract
 //!
@@ -105,9 +105,7 @@ impl Kernel {
         program: Arc<dyn VpProgram>,
     ) -> Self {
         let n_shards = cfg.n_shards();
-        let outbox = (0..n_shards)
-            .map(|_| Vec::with_capacity(cfg.batch_hint))
-            .collect();
+        let outbox = (0..n_shards).map(|_| Vec::new()).collect();
         Kernel {
             shard_id,
             vps: VpTable::new(owned.clone(), cfg.start_time),

@@ -54,7 +54,7 @@ pub mod service;
 pub mod time;
 pub mod vp;
 
-pub use config::{CoreConfig, EngineKind, LookaheadProvider};
+pub use config::{CoreConfig, EngineKind};
 pub use ctx::{block, current_rank, now, sleep, with_kernel, yield_now};
 pub use error::SimError;
 pub use event::{Action, CallFn, EventKey, EventRec};

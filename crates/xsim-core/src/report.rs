@@ -73,19 +73,20 @@ pub struct ShardStats {
 }
 
 /// Parallel-engine execution profile: how the run was carved into
-/// synchronization windows and how the work-stealing pool behaved.
+/// synchronization windows and what the barriers and queues cost.
 ///
 /// All of these are *execution-shape* counters, not simulation results:
 /// they vary with worker count, shard count and wall-clock scheduling
-/// (barrier waits and steals are inherently timing-dependent), so they
-/// are excluded from determinism comparisons. The sequential engine
-/// reports all-zero.
+/// (barrier waits are inherently timing-dependent), so they are
+/// excluded from determinism comparisons. The sequential engine reports
+/// all-zero.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct EngineProfile {
     /// Synchronization windows executed.
     pub windows: u64,
-    /// Shard window-tasks executed by a worker other than the shard's
-    /// home worker (work-stealing pool activity).
+    /// Always 0: shard ownership is static. Kept only because the frozen
+    /// `perf/` harness reads it; the next `benchmark` PR drops
+    /// `core.engine.steals` and then this field.
     pub steals: u64,
     /// Total wall-clock nanoseconds all workers spent waiting at window
     /// barriers.
@@ -94,12 +95,10 @@ pub struct EngineProfile {
     pub batched_events: u64,
     /// Largest single (src,dst) exchange batch observed.
     pub batch_max_events: u64,
-    /// Windows whose ingest phase (and its barrier) was skipped because
-    /// the previous window exchanged no cross-shard events.
+    /// Always 0: every window ingests. Kept only because the frozen
+    /// `perf/` harness reads it; the next `benchmark` PR drops
+    /// `core.engine.ingest_skips` and then this field.
     pub ingest_skips: u64,
-    /// Largest number of stolen shard-tasks any single worker executed
-    /// in one window (burstiness of the work-stealing pool).
-    pub window_steal_hwm: u64,
     /// Longest single barrier wait by any worker, in nanoseconds.
     pub window_barrier_hwm_ns: u64,
     /// Events pushed into the pending-event queues (all shards).
@@ -127,12 +126,9 @@ impl EngineProfile {
     /// merge by max; the rest are true totals.
     pub fn merge(&mut self, other: &EngineProfile) {
         self.windows = self.windows.max(other.windows);
-        self.steals += other.steals;
         self.barrier_wait_ns += other.barrier_wait_ns;
         self.batched_events += other.batched_events;
         self.batch_max_events = self.batch_max_events.max(other.batch_max_events);
-        self.ingest_skips = self.ingest_skips.max(other.ingest_skips);
-        self.window_steal_hwm = self.window_steal_hwm.max(other.window_steal_hwm);
         self.window_barrier_hwm_ns = self.window_barrier_hwm_ns.max(other.window_barrier_hwm_ns);
         self.pool_pushes += other.pool_pushes;
         self.pool_reused += other.pool_reused;
@@ -241,10 +237,7 @@ impl SimReport {
                 None => String::new(),
             }
         ) + &if self.profile.windows > 0 {
-            format!(
-                "; {} window(s) ({} ingest-skipped), {} steal(s)",
-                self.profile.windows, self.profile.ingest_skips, self.profile.steals
-            )
+            format!("; {} window(s)", self.profile.windows)
         } else {
             String::new()
         }
@@ -276,12 +269,9 @@ mod tests {
     fn profile_merge_semantics() {
         let mut a = EngineProfile {
             windows: 10,
-            steals: 2,
             barrier_wait_ns: 100,
             batched_events: 7,
             batch_max_events: 4,
-            ingest_skips: 3,
-            window_steal_hwm: 2,
             window_barrier_hwm_ns: 40,
             pool_pushes: 100,
             pool_reused: 90,
@@ -289,15 +279,13 @@ mod tests {
             queue_ring_hwm: 256,
             queue_empty_steps: 30,
             queue_rebuilds: 2,
+            ..Default::default()
         };
         let b = EngineProfile {
             windows: 10,
-            steals: 1,
             barrier_wait_ns: 50,
             batched_events: 3,
             batch_max_events: 6,
-            ingest_skips: 3,
-            window_steal_hwm: 1,
             window_barrier_hwm_ns: 70,
             pool_pushes: 50,
             pool_reused: 10,
@@ -305,15 +293,13 @@ mod tests {
             queue_ring_hwm: 1024,
             queue_empty_steps: 12,
             queue_rebuilds: 1,
+            ..Default::default()
         };
         a.merge(&b);
         assert_eq!(a.windows, 10); // same global window sequence: max
-        assert_eq!(a.steals, 3);
         assert_eq!(a.barrier_wait_ns, 150);
         assert_eq!(a.batched_events, 10);
         assert_eq!(a.batch_max_events, 6);
-        assert_eq!(a.ingest_skips, 3); // same global sequence: max
-        assert_eq!(a.window_steal_hwm, 2);
         assert_eq!(a.window_barrier_hwm_ns, 70);
         assert_eq!(a.pool_pushes, 150);
         assert_eq!(a.pool_reused, 100);

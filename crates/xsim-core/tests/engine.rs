@@ -6,9 +6,7 @@ use std::sync::{Arc, Mutex};
 use xsim_core::engine;
 use xsim_core::event::Action;
 use xsim_core::vp::{VpExit, VpFuture, WaitClass};
-use xsim_core::{
-    ctx, CoreConfig, EngineKind, ExitKind, Kernel, LookaheadProvider, Rank, SimError, SimTime,
-};
+use xsim_core::{ctx, CoreConfig, EngineKind, ExitKind, Kernel, Rank, SimError, SimTime};
 
 fn cfg(n: usize, workers: usize) -> CoreConfig {
     CoreConfig {
@@ -129,6 +127,7 @@ fn forced_parallel_single_worker_matches_sequential() {
     assert_eq!(par.context_switches, seq.context_switches);
     assert_eq!(par.exit, seq.exit);
     assert!(par.profile.windows > 0, "parallel path actually ran");
+    assert_eq!(par.shards.len(), 4, "the middle leg is multi-shard");
     assert_eq!(seq.profile.windows, 0, "sequential profile is empty");
 }
 
@@ -190,14 +189,14 @@ fn colliding_timestamps_across_shards_keep_tie_order() {
 
 #[test]
 fn adaptive_lookahead_reduces_windows_preserving_results() {
-    // sleepy_program's wakes are spread 1 ms apart; with the static 1 µs
+    // sleepy_program's wakes are spread 1 ms apart; with a 1 µs
     // lookahead every distinct wake time needs its own window, while a
-    // 5 ms provider lets one window swallow several. Results must not
-    // change — the provider only widens windows.
+    // 5 ms lookahead lets one window swallow several. Results must not
+    // change — a larger (still safe) lookahead only widens windows.
     let n = 8;
     let static_run = engine::run(cfg(n, 4), Arc::new(sleepy_program), &no_setup).unwrap();
     let adaptive = CoreConfig {
-        lookahead_fn: Some(LookaheadProvider::constant(SimTime::from_millis(5))),
+        lookahead: SimTime::from_millis(5),
         ..cfg(n, 4)
     };
     let adaptive_run = engine::run(adaptive, Arc::new(sleepy_program), &no_setup).unwrap();
@@ -214,13 +213,13 @@ fn adaptive_lookahead_reduces_windows_preserving_results() {
 
 #[test]
 fn adaptive_lookahead_handles_events_on_the_window_bound() {
-    // Relay hop (5 µs) exactly equals the provided lookahead: every
+    // Relay hop (5 µs) exactly equals the lookahead: every
     // cross-shard event lands precisely on the receiver's exclusive
     // window bound — the off-by-one edge of the conservative argument.
     let n = 16;
     let seq = engine::run(cfg(n, 1), Arc::new(relay_program(n)), &no_setup).unwrap();
     let c = CoreConfig {
-        lookahead_fn: Some(LookaheadProvider::constant(SimTime::from_micros(5))),
+        lookahead: SimTime::from_micros(5),
         ..cfg(n, 4)
     };
     let par = engine::run(c, Arc::new(relay_program(n)), &no_setup).unwrap();
@@ -388,6 +387,48 @@ fn event_budget_is_enforced() {
     c.max_events = 1000;
     let err = engine::run(c, Arc::new(program), &no_setup).unwrap_err();
     assert!(matches!(err, SimError::EventBudgetExceeded { .. }));
+}
+
+/// A panic inside a worker's phase must come out of `engine::run` as
+/// that panic, not strand the other workers at a window barrier. Runs
+/// on a helper thread so that a hang is a test failure, not a stuck job.
+/// Covers both phases: a VP panics while its shard executes (Phase B),
+/// and a setup hook panics on first touch (Phase A).
+#[test]
+fn panic_in_a_parallel_worker_unwinds_instead_of_hanging() {
+    for (workers, in_setup) in [1, 2, 4].into_iter().flat_map(|w| [(w, false), (w, true)]) {
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let program = move |rank: Rank| -> VpFuture {
+                Box::pin(async move {
+                    ctx::sleep(SimTime::from_micros(10)).await;
+                    if rank.idx() == 0 && !in_setup {
+                        panic!("rank 0 blew up");
+                    }
+                    ctx::sleep(SimTime::from_millis(1)).await;
+                    VpExit::Finished
+                })
+            };
+            let setup = move |k: &mut Kernel| {
+                if in_setup && k.owns(Rank::new(0)) {
+                    panic!("rank 0 blew up");
+                }
+            };
+            let c = CoreConfig {
+                engine: EngineKind::Parallel,
+                ..cfg(16, workers)
+            };
+            let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                engine::run(c, Arc::new(program), &setup).map(|_| ())
+            }));
+            let _ = tx.send(outcome.map_err(|p| p.downcast_ref::<&str>().map(|m| m.to_string())));
+        });
+        match rx.recv_timeout(std::time::Duration::from_secs(60)) {
+            Ok(Err(Some(msg))) => assert_eq!(msg, "rank 0 blew up"),
+            Ok(other) => panic!("workers={workers} in_setup={in_setup}: got {other:?}"),
+            Err(_) => panic!("workers={workers} in_setup={in_setup}: engine::run hung"),
+        }
+    }
 }
 
 #[test]

@@ -11,7 +11,7 @@ use xsim_core::event::{Action, EventKey, EventRec};
 use xsim_core::queue::EventQueue;
 use xsim_core::rng::for_each_case;
 use xsim_core::vp::{VpExit, VpFuture};
-use xsim_core::{ctx, CoreConfig, DetRng, EngineKind, Kernel, LookaheadProvider, Rank, SimTime};
+use xsim_core::{ctx, CoreConfig, DetRng, EngineKind, Kernel, Rank, SimTime};
 
 const SEED: u64 = 0xC0DE_0001;
 const CASES: u64 = 64;
@@ -475,16 +475,18 @@ fn engines_agree_on_single_rank_self_wake() {
     assert_engines_agree(Arc::new(vec![vec![46], vec![], vec![]]), 1);
 }
 
-/// Window-bound safety: every static lookahead no larger than the
-/// minimum cross-rank delay (2µs in [`random_program`]) is a safe
-/// window bound — the parallel engine must reproduce the sequential
-/// oracle exactly for *any* such bound, not just the default.
+/// Window-bound safety: with cross-rank wakes arriving after
+/// `delay_us`, every lookahead in `1..=delay_us` is a safe window bound
+/// — the parallel engine must reproduce the sequential oracle exactly
+/// for *any* such bound, from the narrowest to the one every cross-shard
+/// event lands exactly on.
 #[test]
 fn any_safe_static_lookahead_reproduces_the_oracle() {
     for_each_case(SEED, ENGINE_CASES, |g| {
         let opcodes = arb_opcodes(g, 1..4, 10);
         let n_ranks = g.gen_in(2..16) as usize;
-        let la_us = g.gen_in(1..3);
+        let delay_us = g.gen_in(2..8);
+        let la_us = g.gen_in(1..delay_us + 1);
         let workers = g.gen_in(2..6) as usize;
         let run = |workers: usize, engine_kind: EngineKind| {
             let cfg = CoreConfig {
@@ -492,46 +494,6 @@ fn any_safe_static_lookahead_reproduces_the_oracle() {
                 workers,
                 engine: engine_kind,
                 lookahead: SimTime::from_micros(la_us),
-                ..Default::default()
-            };
-            let setup = |_: &mut Kernel| {};
-            engine::run(
-                cfg,
-                Arc::new(random_program(opcodes.clone(), n_ranks)),
-                &setup,
-            )
-            .unwrap()
-        };
-        let seq = run(1, EngineKind::Sequential);
-        let par = run(workers, EngineKind::Parallel);
-        assert_eq!(&par.final_clocks, &seq.final_clocks);
-        assert_eq!(par.events_processed, seq.events_processed);
-        assert_eq!(par.context_switches, seq.context_switches);
-    });
-}
-
-/// Adaptive-lookahead conservativeness: with cross-rank wakes
-/// arriving after `delay_us`, any adaptive provider returning a
-/// value in `1..=delay_us` only *widens* windows relative to the
-/// 1µs static floor and must never change results vs the
-/// sequential oracle.
-#[test]
-fn adaptive_lookahead_is_conservative_vs_static_oracle() {
-    for_each_case(SEED, ENGINE_CASES, |g| {
-        let opcodes = arb_opcodes(g, 1..4, 10);
-        let n_ranks = g.gen_in(2..16) as usize;
-        let delay_us = g.gen_in(2..8);
-        let adaptive_frac = g.gen_in(1..101);
-        let workers = g.gen_in(2..6) as usize;
-        // Provider value in 1..=delay_us, derived deterministically.
-        let adaptive_us = 1 + (adaptive_frac * delay_us.saturating_sub(1)) / 100;
-        let run = |workers: usize, engine_kind: EngineKind, provider: Option<LookaheadProvider>| {
-            let cfg = CoreConfig {
-                n_ranks,
-                workers,
-                engine: engine_kind,
-                lookahead: SimTime::from_micros(1),
-                lookahead_fn: provider,
                 ..Default::default()
             };
             let setup = |_: &mut Kernel| {};
@@ -546,19 +508,13 @@ fn adaptive_lookahead_is_conservative_vs_static_oracle() {
             )
             .unwrap()
         };
-        let seq = run(1, EngineKind::Sequential, None);
-        let adaptive = run(
-            workers,
-            EngineKind::Parallel,
-            Some(LookaheadProvider::constant(SimTime::from_micros(
-                adaptive_us,
-            ))),
-        );
+        let seq = run(1, EngineKind::Sequential);
+        let par = run(workers, EngineKind::Parallel);
         assert_eq!(
-            &adaptive.final_clocks, &seq.final_clocks,
-            "delay={delay_us}us adaptive={adaptive_us}us"
+            &par.final_clocks, &seq.final_clocks,
+            "delay={delay_us}us lookahead={la_us}us"
         );
-        assert_eq!(adaptive.events_processed, seq.events_processed);
-        assert_eq!(adaptive.context_switches, seq.context_switches);
+        assert_eq!(par.events_processed, seq.events_processed);
+        assert_eq!(par.context_switches, seq.context_switches);
     });
 }

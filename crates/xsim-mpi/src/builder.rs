@@ -13,9 +13,7 @@ use crate::trace::{Trace, TraceEvent, TraceService};
 use std::future::Future;
 use std::sync::{Arc, Mutex};
 use xsim_core::vp::VpProgram;
-use xsim_core::{
-    engine, CoreConfig, EngineKind, Kernel, LookaheadProvider, Rank, SimError, SimReport, SimTime,
-};
+use xsim_core::{engine, CoreConfig, EngineKind, Kernel, Rank, SimError, SimReport, SimTime};
 use xsim_fs::{FsModel, FsService, FsStore};
 use xsim_net::{LinkStateTable, NetFault, NetModel};
 use xsim_obs::{ids as metric_ids, ChromeTraceWriter, ObsReport, ObsService, ObsSink};
@@ -126,8 +124,6 @@ pub struct SimBuilder {
     n_ranks: usize,
     workers: usize,
     engine: EngineKind,
-    batch_hint: usize,
-    adaptive_lookahead: bool,
     seed: u64,
     start_time: SimTime,
     verbose: bool,
@@ -159,8 +155,6 @@ impl SimBuilder {
             n_ranks,
             workers: 1,
             engine: EngineKind::Auto,
-            batch_hint: 0,
-            adaptive_lookahead: true,
             seed: 0xD5_1A_B0_75,
             start_time: SimTime::ZERO,
             verbose: false,
@@ -228,25 +222,6 @@ impl SimBuilder {
     /// of the sequential/parallel differential tests.
     pub fn engine(mut self, kind: EngineKind) -> Self {
         self.engine = kind;
-        self
-    }
-
-    /// Capacity hint (events) for the parallel engine's per-(src,dst)
-    /// cross-shard exchange buffers. Purely a performance knob — the
-    /// buffers grow as needed and are recycled between windows.
-    pub fn batch_hint(mut self, events: usize) -> Self {
-        self.batch_hint = events;
-        self
-    }
-
-    /// Let the parallel engine widen synchronization windows using the
-    /// network model's cross-shard lookahead (on by default). When shard
-    /// blocks align with compute nodes, cross-shard traffic is
-    /// system-class and the window can grow from the global minimum
-    /// latency to the system link latency — fewer barriers, identical
-    /// results. Disable to pin windows to the static minimum.
-    pub fn adaptive_lookahead(mut self, enabled: bool) -> Self {
-        self.adaptive_lookahead = enabled;
         self
     }
 
@@ -443,14 +418,12 @@ impl SimBuilder {
             n_ranks: self.n_ranks,
             workers: self.workers,
             engine: self.engine,
-            batch_hint: self.batch_hint,
             start_time: self.start_time,
             seed: self.seed,
             lookahead,
             fail_blocked: self.fail_blocked,
             max_events: self.max_events,
             verbose: self.verbose,
-            ..CoreConfig::default()
         };
 
         let world = Arc::new(MpiWorld {
@@ -466,35 +439,21 @@ impl SimBuilder {
             verbose: self.verbose,
         });
 
-        if self.adaptive_lookahead && cfg.use_parallel() {
+        if cfg.use_parallel() {
             // Everything crossing a shard boundary is either application
             // traffic (delayed by at least the network's cross-shard
-            // latency for this partition) or a simulator-internal
-            // notification (delayed by notify_delay), so their minimum
-            // bounds the delay of *any* cross-shard event. Only install
-            // the provider when that beats the static floor; the engine
-            // takes max(lookahead, provider) per window either way.
-            let rps = cfg.ranks_per_shard();
-            // PFS server traffic is only delayed by the transit time, so
-            // it clamps the adaptive bound alongside notify_delay.
-            let pfs_transit = self.fs_model.pfs.map(|p| p.transit).unwrap_or(SimTime::MAX);
+            // latency for this partition: system-class when shard blocks
+            // align with compute nodes, and faults only lengthen routes),
+            // a simulator-internal notification (notify_delay) or PFS
+            // server traffic (transit), so their minimum bounds the delay
+            // of *any* cross-shard event: the window can be that wide.
+            let pfs_transit = self.fs_model.pfs.map_or(SimTime::MAX, |p| p.transit);
             let cross = world
                 .net
-                .cross_shard_lookahead(rps)
+                .cross_shard_lookahead(cfg.ranks_per_shard())
                 .min(notify_delay)
                 .min(pfs_transit);
-            if cross > lookahead {
-                let world = world.clone();
-                cfg.lookahead_fn = Some(LookaheadProvider::new(move |_lbts| {
-                    // Queried each window against the live model: faults
-                    // only lengthen routes, so this stays conservative.
-                    world
-                        .net
-                        .cross_shard_lookahead(rps)
-                        .min(world.notify_delay)
-                        .min(pfs_transit)
-                }));
-            }
+            cfg.lookahead = cfg.lookahead.max(cross);
         }
         let stats_sink = Arc::new(Mutex::new(MpiStats::default()));
         let fs_store = self.fs_store;
@@ -586,18 +545,15 @@ impl SimBuilder {
         let mut metrics = metrics_enabled.then(|| ObsReport::assemble(&obs_sink));
         if let Some(m) = metrics.as_mut() {
             // Surface the engine execution profile as (volatile) metrics
-            // so perf investigations see windows/steals/batches next to
+            // so perf investigations see windows/batches/waits next to
             // the subsystem counters.
             let p = sim.profile;
             m.set.add(metric_ids::ENGINE_WINDOWS, p.windows);
-            m.set.add(metric_ids::ENGINE_STEALS, p.steals);
             m.set
                 .add(metric_ids::ENGINE_BARRIER_WAIT_NS, p.barrier_wait_ns);
             m.set
                 .add(metric_ids::ENGINE_BATCHED_EVENTS, p.batched_events);
             m.set.add(metric_ids::ENGINE_BATCH_MAX, p.batch_max_events);
-            m.set.add(metric_ids::ENGINE_INGEST_SKIPS, p.ingest_skips);
-            m.set.add(metric_ids::ENGINE_STEAL_HWM, p.window_steal_hwm);
             m.set
                 .add(metric_ids::ENGINE_BARRIER_HWM_NS, p.window_barrier_hwm_ns);
             m.set.add(

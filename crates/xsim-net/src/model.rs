@@ -338,9 +338,9 @@ impl NetModel {
     /// to the global minimum.
     ///
     /// Faults keep this conservative: rerouting never shortens a route
-    /// and degradation never raises bandwidth, so per-window queries
-    /// against a live [`LinkStateTable`] can only return delays at or
-    /// above this bound.
+    /// and degradation never raises bandwidth, so a live
+    /// [`LinkStateTable`] can only produce delays at or above this
+    /// bound.
     pub fn cross_shard_lookahead(&self, ranks_per_shard: usize) -> SimTime {
         let rpn = self.ranks_per_node.max(1);
         let aligned = match ranks_per_shard {

@@ -55,10 +55,10 @@ pub struct MetricDef {
     /// bucket is added implicitly. Empty for counters/gauges.
     pub buckets: &'static [u64],
     /// Execution-shape metric: its value depends on worker count,
-    /// scheduling or wall-clock timing (engine windows, steals, barrier
-    /// waits…) rather than on the simulation alone. Volatile metrics
-    /// are excluded from deterministic snapshots (`to_json(None)`) and
-    /// from cross-engine equality assertions.
+    /// scheduling or wall-clock timing (engine windows, barrier waits…)
+    /// rather than on the simulation alone. Volatile metrics are
+    /// excluded from deterministic snapshots (`to_json(None)`) and from
+    /// cross-engine equality assertions.
     pub volatile: bool,
 }
 
@@ -206,110 +206,100 @@ pub mod ids {
     /// Messages discarded because a lossy link corrupted the payload.
     pub const NET_CORRUPT_DROPS: usize = 29;
     /// Synchronization windows the parallel engine executed (volatile:
-    /// depends on worker/shard count and adaptive lookahead).
+    /// depends on worker/shard count and the partition's lookahead).
     pub const ENGINE_WINDOWS: usize = 30;
-    /// Shard window-tasks executed by a non-home worker (volatile:
-    /// work-stealing is scheduling-dependent).
-    pub const ENGINE_STEALS: usize = 31;
     /// Wall-clock nanoseconds spent waiting at window barriers
     /// (volatile: wall-clock).
-    pub const ENGINE_BARRIER_WAIT_NS: usize = 32;
+    pub const ENGINE_BARRIER_WAIT_NS: usize = 31;
     /// Cross-shard events delivered through the batched exchange
     /// (volatile: depends on the shard partition).
-    pub const ENGINE_BATCHED_EVENTS: usize = 33;
+    pub const ENGINE_BATCHED_EVENTS: usize = 32;
     /// Largest single (src,dst) exchange batch (volatile).
-    pub const ENGINE_BATCH_MAX: usize = 34;
+    pub const ENGINE_BATCH_MAX: usize = 33;
     /// Fault-aware route queries answered by the epoch-keyed detour
     /// memo. Only queries whose dimension-ordered path crosses a dead
     /// link reach the memo; the rest are answered by the walk and
     /// counted nowhere. (Volatile: parallel shards race to fill entries,
     /// so the counts — never the routes — vary with scheduling.)
-    pub const NET_ROUTE_CACHE_HITS: usize = 35;
+    pub const NET_ROUTE_CACHE_HITS: usize = 34;
     /// Fault-aware route queries that missed the detour memo, ran the
     /// BFS and filled an entry (volatile, see `NET_ROUTE_CACHE_HITS`).
-    pub const NET_ROUTE_CACHE_MISSES: usize = 36;
+    pub const NET_ROUTE_CACHE_MISSES: usize = 35;
     /// Route-cache entries discarded at a shard capacity bound
     /// (volatile, see `NET_ROUTE_CACHE_HITS`).
-    pub const NET_ROUTE_CACHE_EVICTIONS: usize = 37;
+    pub const NET_ROUTE_CACHE_EVICTIONS: usize = 36;
     /// Cheap reference-count payload clones on the message path
     /// (collective fan-outs sharing one buffer instead of copying it).
-    pub const MPI_PAYLOAD_CLONES: usize = 38;
+    pub const MPI_PAYLOAD_CLONES: usize = 37;
     /// Bytes actually copied host-side on the message path (collective
     /// packing and typed reduce decode — the copies that remain).
-    pub const MPI_PAYLOAD_COPY_BYTES: usize = 39;
+    pub const MPI_PAYLOAD_COPY_BYTES: usize = 38;
     /// Heartbeat messages modeled by the replication layer's failure
     /// detector (team-internal, accounted at finalize from virtual time).
-    pub const REP_HEARTBEATS: usize = 40;
+    pub const REP_HEARTBEATS: usize = 39;
     /// Replica deaths detected by the heartbeat detector (one per
     /// observer × dead replica pair).
-    pub const REP_DETECTIONS: usize = 41;
+    pub const REP_DETECTIONS: usize = 40;
     /// Leader failovers: a rank routed a logical channel around a dead
     /// replica that had been its designated copy source.
-    pub const REP_FAILOVERS: usize = 42;
+    pub const REP_FAILOVERS: usize = 41;
     /// Failover latency distribution (virtual ns between a replica's
     /// time of failure and the moment a peer routed around it).
-    pub const REP_FAILOVER_NS: usize = 43;
+    pub const REP_FAILOVER_NS: usize = 42;
     /// Logical messages sent through the replication layer.
-    pub const REP_MSGS: usize = 44;
+    pub const REP_MSGS: usize = 43;
     /// Physical copies injected for those logical messages (the
     /// replication protocol's message amplification).
-    pub const REP_COPIES: usize = 45;
-    /// Windows where the parallel engine skipped the ingest phase (and
-    /// its barrier) because nothing was exchanged (volatile: depends on
-    /// worker/shard count).
-    pub const ENGINE_INGEST_SKIPS: usize = 46;
-    /// Largest number of stolen shard-tasks any single window saw
-    /// (volatile: work-stealing is scheduling-dependent).
-    pub const ENGINE_STEAL_HWM: usize = 47;
+    pub const REP_COPIES: usize = 44;
     /// Longest single barrier wait of the run, wall-clock nanoseconds
     /// (volatile: wall-clock).
-    pub const ENGINE_BARRIER_HWM_NS: usize = 48;
+    pub const ENGINE_BARRIER_HWM_NS: usize = 45;
     /// Event-storage reuse ratio of the calendar queue's bucket arena,
     /// in permille (pushes landing in already-allocated capacity per
     /// 1000 pushes; 1000 = zero steady-state allocation). Volatile:
     /// occupancy history depends on the shard partition and windowing.
-    pub const ENGINE_POOL_REUSE_RATIO: usize = 49;
+    pub const ENGINE_POOL_REUSE_RATIO: usize = 46;
     /// High-water mark of a single calendar-queue bucket (volatile:
     /// bucket occupancy depends on the shard partition).
-    pub const ENGINE_QUEUE_BUCKET_HWM: usize = 50;
+    pub const ENGINE_QUEUE_BUCKET_HWM: usize = 47;
     /// Stripe requests served by the simulated PFS I/O nodes (one per
     /// involved node per striped transfer).
-    pub const FS_STRIPE_REQS: usize = 51;
+    pub const FS_STRIPE_REQS: usize = 48;
     /// Bytes landed on PFS I/O nodes by striped transfers.
-    pub const FS_STRIPE_BYTES: usize = 52;
+    pub const FS_STRIPE_BYTES: usize = 49;
     /// Per-request queueing delay at a PFS I/O node before service
     /// starts (virtual ns) — the visible face of I/O contention.
-    pub const FS_STRIPE_QUEUE_NS: usize = 53;
+    pub const FS_STRIPE_QUEUE_NS: usize = 50;
     /// Group gathers performed by aggregated-checkpoint aggregators
     /// (one per container file written).
-    pub const CKPT_AGG_GATHERS: usize = 54;
+    pub const CKPT_AGG_GATHERS: usize = 51;
     /// Bytes checkpoint group members forwarded to their aggregator.
-    pub const CKPT_AGG_FORWARD_BYTES: usize = 55;
+    pub const CKPT_AGG_FORWARD_BYTES: usize = 52;
     /// Partner copies stored in the node-local tier by buddy
     /// checkpointing.
-    pub const CKPT_BUDDY_COPIES: usize = 56;
+    pub const CKPT_BUDDY_COPIES: usize = 53;
     /// Buddy checkpoints spilled to the PFS (partnerless rank).
-    pub const CKPT_BUDDY_SPILLS: usize = 57;
+    pub const CKPT_BUDDY_SPILLS: usize = 54;
     /// Dirty blocks carried by incremental (diff) checkpoints.
-    pub const CKPT_DIFF_BLOCKS: usize = 58;
+    pub const CKPT_DIFF_BLOCKS: usize = 55;
     /// Incremental (diff) checkpoint generations written.
-    pub const CKPT_DIFF_WRITES: usize = 59;
+    pub const CKPT_DIFF_WRITES: usize = 56;
     /// Restore-chain length distribution: files replayed per restored
     /// rank state (1 = plain full checkpoint, k+1 = full + k diffs).
-    pub const CKPT_RESTORE_CHAIN: usize = 60;
+    pub const CKPT_RESTORE_CHAIN: usize = 57;
     /// Breadth-first route searches the fault table ran: memo misses,
     /// or every dead-link query with `XSIM_NET_ROUTE_CACHE=off`
     /// (volatile, see `NET_ROUTE_CACHE_HITS`).
-    pub const NET_ROUTE_BFS_RUNS: usize = 61;
+    pub const NET_ROUTE_BFS_RUNS: usize = 58;
     /// Largest calendar-queue ring of any shard, in buckets (volatile,
     /// like the rest of the queue-shape gauges).
-    pub const ENGINE_QUEUE_RING_HWM: usize = 62;
+    pub const ENGINE_QUEUE_RING_HWM: usize = 59;
     /// Empty buckets the calendar queues stepped over looking for the
     /// next event (volatile).
-    pub const ENGINE_QUEUE_EMPTY_STEPS: usize = 63;
+    pub const ENGINE_QUEUE_EMPTY_STEPS: usize = 60;
     /// Bulk redistribution passes of the calendar queues: width splits
     /// and lane migrations (volatile).
-    pub const ENGINE_QUEUE_REBUILDS: usize = 64;
+    pub const ENGINE_QUEUE_REBUILDS: usize = 61;
 }
 
 /// The metric schema, indexed by [`ids`].
@@ -347,7 +337,6 @@ pub const SPEC: &[MetricDef] = &[
     // Engine execution-shape gauges, set once post-run from the
     // SimReport's EngineProfile — volatile by nature (see MetricDef).
     MetricDef::gauge("engine.windows", Unit::Count).volatile(),
-    MetricDef::gauge("engine.steals", Unit::Count).volatile(),
     MetricDef::gauge("engine.barrier_wait_ns", Unit::Nanos).volatile(),
     MetricDef::gauge("engine.batched_events", Unit::Count).volatile(),
     MetricDef::gauge("engine.batch_max_events", Unit::Count).volatile(),
@@ -365,8 +354,6 @@ pub const SPEC: &[MetricDef] = &[
     // Data-oriented event-core gauges, set once post-run from the
     // EngineProfile — execution-shape data, volatile like the rest of
     // the engine.* family.
-    MetricDef::gauge("engine.ingest_skips", Unit::Count).volatile(),
-    MetricDef::gauge("engine.window.steal_hwm", Unit::Count).volatile(),
     MetricDef::gauge("engine.window.barrier_wait_hwm_ns", Unit::Nanos).volatile(),
     MetricDef::gauge("engine.pool.reuse_ratio", Unit::Count).volatile(),
     MetricDef::gauge("engine.queue.bucket_hwm", Unit::Count).volatile(),
@@ -612,8 +599,6 @@ mod tests {
         assert_eq!(SPEC[ids::REP_HEARTBEATS].name, "rep.heartbeats");
         assert_eq!(SPEC[ids::REP_FAILOVER_NS].kind, MetricKind::Histogram);
         assert_eq!(SPEC[ids::REP_COPIES].name, "rep.copies");
-        assert_eq!(SPEC[ids::ENGINE_INGEST_SKIPS].name, "engine.ingest_skips");
-        assert_eq!(SPEC[ids::ENGINE_STEAL_HWM].name, "engine.window.steal_hwm");
         assert_eq!(
             SPEC[ids::ENGINE_BARRIER_HWM_NS].name,
             "engine.window.barrier_wait_hwm_ns"
@@ -652,7 +637,7 @@ mod tests {
         for (id, def) in SPEC.iter().enumerate() {
             let expect_volatile = (ids::ENGINE_WINDOWS..=ids::NET_ROUTE_CACHE_EVICTIONS)
                 .contains(&id)
-                || (ids::ENGINE_INGEST_SKIPS..=ids::ENGINE_QUEUE_BUCKET_HWM).contains(&id)
+                || (ids::ENGINE_BARRIER_HWM_NS..=ids::ENGINE_QUEUE_BUCKET_HWM).contains(&id)
                 || id >= ids::NET_ROUTE_BFS_RUNS;
             assert_eq!(def.volatile, expect_volatile, "volatility of {}", def.name);
         }

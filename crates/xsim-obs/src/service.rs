@@ -162,14 +162,13 @@ impl ObsReport {
             let _ = write!(
                 out,
                 ",\"engine\":{{\"events_processed\":{},\"context_switches\":{},\"wall_us\":{},\
-                 \"load_imbalance\":{:.4},\"windows\":{},\"steals\":{},\"barrier_wait_ns\":{},\
+                 \"load_imbalance\":{:.4},\"windows\":{},\"barrier_wait_ns\":{},\
                  \"batched_events\":{},\"batch_max_events\":{},\"shards\":[",
                 r.events_processed,
                 r.context_switches,
                 r.wall.as_micros(),
                 r.load_imbalance(),
                 r.profile.windows,
-                r.profile.steals,
                 r.profile.barrier_wait_ns,
                 r.profile.batched_events,
                 r.profile.batch_max_events
