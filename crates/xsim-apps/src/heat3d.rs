@@ -382,9 +382,11 @@ async fn halo_exchange(
         if let Some(nb) = nb {
             let payload = match state {
                 State::Real(g) => g.pack_face(dir),
-                State::Modeled { .. } => Bytes::from(vec![0u8; faces[dir / 2] * 8]),
+                State::Modeled { .. } => Bytes::zeroed(faces[dir / 2] * 8),
             };
-            let _ = mpi.isend(w, *nb, dir as u32, payload).await?;
+            // Fire and forget: the halo completes on the receive side.
+            let sreq = mpi.isend(w, *nb, dir as u32, payload).await?;
+            mpi.request_free(w, sreq)?;
         }
     }
     let reqs: Vec<_> = recvs.iter().map(|(_, _, r)| *r).collect();

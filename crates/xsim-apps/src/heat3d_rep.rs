@@ -111,7 +111,7 @@ async fn halo_exchange(rep: &mut Replicated, cfg: &HeatConfig) -> Result<(), Mpi
     }
     for (dir, nb) in neighbors.iter().enumerate() {
         if let Some(nb) = nb {
-            let payload = Bytes::from(vec![0u8; face_bytes[dir / 2]]);
+            let payload = Bytes::zeroed(face_bytes[dir / 2]);
             reqs.push(rep.isend_logical(*nb, dir as u32, payload).await?);
         }
     }

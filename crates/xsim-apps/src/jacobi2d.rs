@@ -102,13 +102,15 @@ pub fn program(
                 let mut reqs = Vec::new();
                 if let Some(up) = up {
                     reqs.push((0usize, mpi.irecv(w, Some(up), Some(1))?));
-                    let _ = mpi.isend(w, up, 0, pack_f64s(&u[nx..2 * nx])).await?;
+                    let sreq = mpi.isend(w, up, 0, pack_f64s(&u[nx..2 * nx])).await?;
+                    mpi.request_free(w, sreq)?;
                 }
                 if let Some(down) = down {
                     reqs.push((1usize, mpi.irecv(w, Some(down), Some(0))?));
-                    let _ = mpi
+                    let sreq = mpi
                         .isend(w, down, 1, pack_f64s(&u[rows * nx..(rows + 1) * nx]))
                         .await?;
+                    mpi.request_free(w, sreq)?;
                 }
                 let ids: Vec<_> = reqs.iter().map(|(_, r)| *r).collect();
                 let outs = mpi.waitall(w, &ids).await?;

@@ -20,8 +20,7 @@ pub fn ring(laps: u32, payload: usize) -> Arc<dyn VpProgram> {
         let left = (mpi.rank + mpi.size - 1) % mpi.size;
         for lap in 0..laps {
             if mpi.rank == 0 {
-                mpi.send(w, right, lap, Bytes::from(vec![0u8; payload]))
-                    .await?;
+                mpi.send(w, right, lap, Bytes::zeroed(payload)).await?;
                 mpi.recv(w, Some(left), Some(lap)).await?;
             } else {
                 let msg = mpi.recv(w, Some(left), Some(lap)).await?;
@@ -62,7 +61,7 @@ pub fn pingpong(rounds: u32, payload: usize) -> Arc<dyn VpProgram> {
         match mpi.rank {
             0 => {
                 for i in 0..rounds {
-                    mpi.send(w, 1, i, Bytes::from(vec![0u8; payload])).await?;
+                    mpi.send(w, 1, i, Bytes::zeroed(payload)).await?;
                     mpi.recv(w, Some(1), Some(i)).await?;
                 }
             }
@@ -96,9 +95,9 @@ pub fn p2p_storm(rounds: u32, strides: Vec<usize>, payload: usize) -> Arc<dyn Vp
                 .map(|s| s % mpi.size)
                 .filter(|&s| s != 0)
                 .collect();
-            // One shared payload for the whole storm: sends clone the
-            // refcounted handle, never the bytes.
-            let payload = Bytes::from(vec![0u8; payload]);
+            // One payload for the whole storm: sends clone the handle,
+            // never the bytes.
+            let payload = Bytes::zeroed(payload);
             for round in 0..rounds {
                 for &s in &strides {
                     let to = (mpi.rank + s) % mpi.size;

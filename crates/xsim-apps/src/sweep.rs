@@ -101,15 +101,10 @@ pub fn program(cfg: SweepConfig) -> Arc<dyn VpProgram> {
                     mpi.compute(Work::native_time(cfg.per_plane)).await;
                     // Forward downstream; nonblocking so the next plane's
                     // receives can overlap the neighbours' compute.
-                    if let Some(east) = east {
-                        let _ = mpi
-                            .isend(w, east, tag, Bytes::from(vec![0u8; cfg.face_bytes]))
-                            .await?;
-                    }
-                    if let Some(south) = south {
-                        let _ = mpi
-                            .isend(w, south, tag, Bytes::from(vec![0u8; cfg.face_bytes]))
-                            .await?;
+                    for dst in [east, south].into_iter().flatten() {
+                        let face = Bytes::zeroed(cfg.face_bytes);
+                        let sreq = mpi.isend(w, dst, tag, face).await?;
+                        mpi.request_free(w, sreq)?;
                     }
                 }
             }

@@ -1,13 +1,16 @@
 //! Application-level integration tests: Jacobi convergence, heat
 //! determinism across engines and modes, kernel apps.
 
+use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
 use std::sync::{Arc, Mutex};
 use xsim_apps::heat3d::{self, HeatConfig};
 use xsim_apps::jacobi2d::{self, JacobiConfig, JacobiOutcome};
-use xsim_apps::kernels;
 use xsim_apps::ComputeMode;
-use xsim_core::{ExitKind, SimTime};
-use xsim_mpi::SimBuilder;
+use xsim_apps::{kernels, sweep};
+use xsim_core::vp::VpProgram;
+use xsim_core::{ExitKind, Kernel, Rank, SimTime};
+use xsim_mpi::state::MpiService;
+use xsim_mpi::{CkptMode, SimBuilder};
 use xsim_net::NetModel;
 
 #[test]
@@ -112,6 +115,52 @@ fn heat_timing_scales_linearly_with_iterations() {
     assert!(
         (ratio - 2.0).abs() < 0.01,
         "compute term should scale linearly: {ratio}"
+    );
+}
+
+/// Requests left in the request tables of all ranks when the engine
+/// shuts down after a completed run of `program` on `n` ranks.
+fn requests_left_at_shutdown(n: usize, program: Arc<dyn VpProgram>) -> usize {
+    let left = Arc::new(AtomicUsize::new(0));
+    let sink = left.clone();
+    let report = SimBuilder::new(n)
+        .net(NetModel::small(n))
+        .setup_hook(move |k| {
+            let sink = sink.clone();
+            k.add_shutdown_hook(Arc::new(move |k: &mut Kernel| {
+                let svc = k.service::<MpiService>();
+                let live: usize = svc.owned().map(|r| svc.rank(Rank::new(r)).reqs.len()).sum();
+                sink.fetch_add(live, Relaxed);
+            }));
+        })
+        .run(program)
+        .unwrap();
+    assert_eq!(report.sim.exit, ExitKind::Completed);
+    left.load(Relaxed)
+}
+
+#[test]
+fn fire_and_forget_sends_are_freed_by_every_app() {
+    let mut heat = HeatConfig::small();
+    for mode in [ComputeMode::Real, ComputeMode::Modeled] {
+        heat.mode = mode;
+        let n = heat.n_ranks();
+        assert_eq!(
+            requests_left_at_shutdown(n, heat3d::program(heat.clone())),
+            0
+        );
+    }
+    // Aggregated checkpoints forward each member's state with a freed
+    // send.
+    heat.ckpt_mode = CkptMode::Aggregated { group: 4 };
+    let n = heat.n_ranks();
+    assert_eq!(requests_left_at_shutdown(n, heat3d::program(heat)), 0);
+    let jacobi = jacobi2d::program(JacobiConfig::small(), None);
+    assert_eq!(requests_left_at_shutdown(4, jacobi), 0);
+    let cfg = sweep::SweepConfig::small();
+    assert_eq!(
+        requests_left_at_shutdown(cfg.n_ranks(), sweep::program(cfg)),
+        0
     );
 }
 

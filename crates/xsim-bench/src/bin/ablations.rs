@@ -64,8 +64,7 @@ fn section_collectives() {
         (
             "bcast 64K",
             mpi_program(|mpi: MpiCtx| async move {
-                mpi.bcast(mpi.world(), 0, Bytes::from(vec![0u8; 64 * 1024]))
-                    .await?;
+                mpi.bcast(mpi.world(), 0, Bytes::zeroed(64 * 1024)).await?;
                 mpi.finalize();
                 Ok(())
             }),
@@ -82,8 +81,7 @@ fn section_collectives() {
         (
             "allgather 1K",
             mpi_program(|mpi: MpiCtx| async move {
-                mpi.allgather(mpi.world(), Bytes::from(vec![0u8; 1024]))
-                    .await?;
+                mpi.allgather(mpi.world(), Bytes::zeroed(1024)).await?;
                 mpi.finalize();
                 Ok(())
             }),
@@ -127,7 +125,7 @@ fn section_eager_threshold() {
             let w = mpi.world();
             if mpi.rank == 0 {
                 let t0 = mpi.now();
-                mpi.send(w, 1, 0, Bytes::from(vec![0u8; payload])).await?;
+                mpi.send(w, 1, 0, Bytes::zeroed(payload)).await?;
                 let blocked = mpi.now() - t0;
                 mpi.recv(w, Some(1), Some(1)).await?;
                 println!(
@@ -332,15 +330,8 @@ fn torus_exchange(
         for round in 0..4u32 {
             let dst = (mpi.rank + 1) % mpi.size;
             let src = (mpi.rank + mpi.size - 1) % mpi.size;
-            mpi.sendrecv(
-                w,
-                dst,
-                round,
-                Bytes::from(vec![0u8; 4096]),
-                Some(src),
-                Some(round),
-            )
-            .await?;
+            mpi.sendrecv(w, dst, round, Bytes::zeroed(4096), Some(src), Some(round))
+                .await?;
         }
         mpi.finalize();
         Ok(())

@@ -523,7 +523,8 @@ impl ModeWriter {
         if mpi.rank != g0 {
             let framed = frame(&enc, model_bytes);
             let nbytes = framed.len() as u64;
-            let _ = mpi.isend(w, g0, CKPT_TAG, framed).await?;
+            let sreq = mpi.isend(w, g0, CKPT_TAG, framed).await?;
+            mpi.request_free(w, sreq)?;
             ctx::with_kernel(|k, _| obs::record(k, ids::CKPT_AGG_FORWARD_BYTES, nbytes));
             return Ok(());
         }

@@ -10,6 +10,9 @@
 //!   redundancy envelopes, sub-eager payloads) allocates nothing; this
 //!   is the zero-allocation small-message fast path the MPI layer rides.
 //! * **Static** — `from_static` borrows the `'static` slice, no copy.
+//!   [`Bytes::zeroed`] is a view of one static zero buffer: the
+//!   surrogate payloads of modeled applications (halo faces nobody
+//!   reads) cost neither an allocation nor a memset.
 //! * **Shared** — an `Arc<Vec<u8>>` plus a view range: clones and
 //!   slices of large payloads share one refcounted allocation.
 //!
@@ -17,6 +20,15 @@
 
 use std::ops::{Bound, Deref, RangeBounds};
 use std::sync::Arc;
+
+/// Longest payload [`Bytes::zeroed`] serves from [`ZEROS`]. A fixed
+/// size, not a knob: 64 KiB covers every modeled halo face and message
+/// of the bundled applications and costs nothing until touched (the
+/// buffer lives in `.bss`).
+const ZEROED_CAP: usize = 64 * 1024;
+
+/// The shared all-zero buffer behind [`Bytes::zeroed`].
+static ZEROS: [u8; ZEROED_CAP] = [0; ZEROED_CAP];
 
 #[derive(Clone)]
 enum Repr {
@@ -78,11 +90,29 @@ impl Bytes {
         }
     }
 
+    /// `len` zero bytes — the same content as a zero-filled `Vec`
+    /// converted with `.into()`, but up to 64 KiB it is a static view
+    /// that allocates and writes nothing. Longer payloads fall back to
+    /// one heap buffer.
+    pub fn zeroed(len: usize) -> Self {
+        if len <= ZEROED_CAP {
+            Bytes(Repr::Static(&ZEROS[..len]))
+        } else {
+            vec![0u8; len].into()
+        }
+    }
+
     /// Whether the payload is stored without a heap allocation (inline
     /// or static).
     #[cfg(test)]
     fn is_inline(&self) -> bool {
         !matches!(self.0, Repr::Shared { .. })
+    }
+
+    /// Whether the payload is a view of static memory.
+    #[cfg(test)]
+    fn is_static(&self) -> bool {
+        matches!(self.0, Repr::Static(_))
     }
 
     #[inline]
@@ -204,6 +234,32 @@ mod tests {
         assert_eq!(&stat[..], b"bcd");
         let inl = Bytes::copy_from_slice(b"0123456789").slice(2..5);
         assert_eq!(&inl[..], b"234");
+    }
+
+    #[test]
+    fn zeroed_is_static_up_to_the_cap_and_heap_above() {
+        for len in [0, 1, Bytes::INLINE_CAP, 2048, ZEROED_CAP - 1, ZEROED_CAP] {
+            let z = Bytes::zeroed(len);
+            assert!(z.is_static(), "{len} B");
+            assert_eq!(z, Bytes::from(vec![0; len]), "{len} B");
+            assert_eq!(z.len(), len);
+        }
+        let big = Bytes::zeroed(ZEROED_CAP + 1);
+        assert!(!big.is_inline(), "above the cap: one heap buffer");
+        assert_eq!(big, Bytes::from(vec![0; ZEROED_CAP + 1]));
+        // Every static view borrows the one buffer.
+        assert_eq!(Bytes::zeroed(16).as_ptr(), Bytes::zeroed(4096).as_ptr());
+    }
+
+    #[test]
+    fn a_slice_of_zeroed_stays_a_static_view() {
+        let z = Bytes::zeroed(ZEROED_CAP);
+        let s = z.slice(100..4196);
+        assert!(s.is_static());
+        assert_eq!(s.len(), 4096);
+        assert_eq!(s.as_ptr(), z[100..].as_ptr(), "no copy");
+        assert!(s.clone().is_static());
+        assert!(s.iter().all(|&b| b == 0));
     }
 
     #[test]

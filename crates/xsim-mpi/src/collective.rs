@@ -235,7 +235,10 @@ pub async fn alltoall(comm: CommId, parts: Vec<Bytes>) -> Result<Vec<Bytes>, Mpi
         if r != me {
             // Sends drain on their own: eager sends complete locally,
             // rendezvous sends complete with the matching receives.
-            let _ = p2p::isend_raw(comm, r, tag, part.clone()).await?;
+            // Nobody waits on them, so they are freed, not left behind
+            // in the request table.
+            let sreq = p2p::isend_raw(comm, r, tag, part.clone()).await?;
+            p2p::request_free_raw(sreq)?;
         }
     }
     let mut out: Vec<Bytes> = vec![Bytes::new(); size];
@@ -608,8 +611,10 @@ pub async fn allgather_ring(comm: CommId, data: Bytes) -> Result<Vec<Bytes>, Mpi
         let send_idx = (me + size - step) % size;
         let recv_idx = (me + size - step - 1) % size;
         // The send drains on its own (eager locally, rendezvous with the
-        // neighbour's matching receive) — same pattern as `alltoall`.
-        let _ = p2p::isend_raw(comm, right, tag, parts[send_idx].clone()).await?;
+        // neighbour's matching receive) and is freed — same pattern as
+        // `alltoall`.
+        let sreq = p2p::isend_raw(comm, right, tag, parts[send_idx].clone()).await?;
+        p2p::request_free_raw(sreq)?;
         parts[recv_idx] = p2p::recv_raw(comm, Some(left), Some(tag)).await?.data;
     }
     Ok(parts)

@@ -276,6 +276,18 @@ impl MpiCtx {
         self.apply(comm, r)
     }
 
+    /// Release a request that will never be waited on
+    /// (`MPI_Request_free`) — the fire-and-forget `isend` idiom. A
+    /// completed request leaves this rank's request table at once; a
+    /// pending one when it completes (until then a peer failure still
+    /// completes it with an error, exactly as if it were held). Virtual
+    /// time, events and results are the same as for a dropped handle;
+    /// only the host memory differs.
+    pub fn request_free(&self, comm: Comm, req: ReqId) -> Result<(), MpiError> {
+        let r = p2p::request_free_raw(req);
+        self.apply(comm, r)
+    }
+
     /// Nonblocking completion test (`MPI_Test`).
     pub fn test(&self, comm: Comm, req: ReqId) -> Result<Option<Option<RecvOut>>, MpiError> {
         match p2p::test_raw(req) {

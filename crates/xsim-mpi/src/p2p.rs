@@ -45,7 +45,10 @@ use xsim_obs::service as obs;
 
 /// Run `f` with the MPI service temporarily detached from the kernel, so
 /// both can be borrowed mutably. Standard pattern for upper-layer code
-/// that schedules events while mutating its own state.
+/// that schedules events while mutating its own state. The detach moves
+/// the box out of its registry slot and the re-attach moves it back:
+/// MPI is the first service installed, so each is one `TypeId`
+/// comparison.
 pub(crate) fn with_mpi<R>(k: &mut Kernel, f: impl FnOnce(&mut Kernel, &mut MpiService) -> R) -> R {
     let mut svc = k.take_service::<MpiService>();
     let r = f(k, &mut svc);
@@ -495,6 +498,22 @@ pub fn test_raw(req: ReqId) -> Option<ReqResult> {
         WaitStep::Ready(r) => Some(r),
         WaitStep::Pending => None,
     }
+}
+
+/// Release a request the caller will not wait on (`MPI_Request_free`).
+/// See [`RequestTable::free`](crate::request::RequestTable::free): done
+/// requests leave the table now, pending ones when they complete, and
+/// the simulation cannot tell a freed request from a held one. Local
+/// and immediate; the only error is an unknown (or already consumed) id.
+pub(crate) fn request_free_raw(req: ReqId) -> Result<(), MpiError> {
+    ctx::with_kernel(|k, me| {
+        let svc = k.service_mut::<MpiService>();
+        if svc.rank_mut(me).reqs.free(req) {
+            Ok(())
+        } else {
+            Err(MpiError::Invalid("unknown or consumed request"))
+        }
+    })
 }
 
 /// Drain the completion feed into `ids`. Entries for requests the

@@ -52,6 +52,9 @@ pub struct Request {
     pub tag: u32,
     /// Virtual time the request was posted.
     pub posted_at: SimTime,
+    /// Released by its owner (`MPI_Request_free`) while still pending:
+    /// nobody will collect it, so it leaves the table when it completes.
+    freed: bool,
     state: ReqState,
 }
 
@@ -91,10 +94,27 @@ impl RequestTable {
                 peer,
                 tag,
                 posted_at,
+                freed: false,
                 state: ReqState::Pending,
             },
         );
         ReqId(id)
+    }
+
+    /// Release a request its owner will never wait on
+    /// (`MPI_Request_free`). A completed request leaves the table at
+    /// once. A pending one stays — the failure and revoke paths must
+    /// still find it and complete it exactly as if it were held — and
+    /// leaves when it completes. Returns `false` for an unknown id.
+    pub(crate) fn free(&mut self, id: ReqId) -> bool {
+        match self.map.get_mut(&id.0) {
+            None => false,
+            Some(r) if r.is_pending() => {
+                r.freed = true;
+                true
+            }
+            Some(_) => self.map.remove(&id.0).is_some(),
+        }
     }
 
     /// Number of live (pending or uncollected) requests.
@@ -115,11 +135,17 @@ impl RequestTable {
     /// Complete a pending request at virtual time `at`. Returns `false`
     /// (and changes nothing) if the request is unknown or already done —
     /// completion races (message arrival vs. failure timeout) resolve to
-    /// whichever event fires first.
+    /// whichever event fires first. A request freed while pending
+    /// (`MPI_Request_free`) completes the same way (the return value, and so every wake and
+    /// counter that follows it, is unchanged) and leaves the table.
     pub fn complete(&mut self, id: ReqId, at: SimTime, result: ReqResult) -> bool {
         match self.map.get_mut(&id.0) {
             Some(r) if r.is_pending() => {
-                r.state = ReqState::Done { at, result };
+                if r.freed {
+                    self.map.remove(&id.0);
+                } else {
+                    r.state = ReqState::Done { at, result };
+                }
                 true
             }
             _ => false,
@@ -236,6 +262,42 @@ mod tests {
         assert!(!t.complete(ReqId(99), SimTime(0), Ok(None)));
         assert!(t.try_take(ReqId(99), SimTime(0)).is_none());
         assert!(!t.remove(ReqId(99)));
+        assert!(!t.free(ReqId(99)));
+    }
+
+    #[test]
+    fn free_removes_a_done_request_at_once() {
+        let mut t = table();
+        let id = t.create(ReqKind::Send, CommId(0), SrcSel::Of(Rank(1)), 0, SimTime(0));
+        assert!(t.complete(id, SimTime(5), Ok(None)));
+        // Freed before its completion time is reached: still gone.
+        assert!(t.free(id));
+        assert!(t.is_empty());
+        assert!(!t.free(id), "a freed id is unknown");
+        assert!(t.try_take(id, SimTime(9)).is_none());
+    }
+
+    #[test]
+    fn a_freed_pending_request_stays_until_it_completes() {
+        let mut t = table();
+        let id = t.create(ReqKind::Send, CommId(0), SrcSel::Of(Rank(3)), 0, SimTime(2));
+        let kept = t.create(ReqKind::Send, CommId(0), SrcSel::Of(Rank(3)), 0, SimTime(4));
+        assert!(t.free(id));
+        assert_eq!(t.len(), 2);
+        // The failure path still sees it, with its post time.
+        assert_eq!(
+            t.pending_involving(Rank(3), false),
+            vec![(id, SimTime(2)), (kept, SimTime(4))]
+        );
+        assert_eq!(t.pending_on_comm(CommId(0)).len(), 2);
+        // Its completion reports success like any other, then drops it.
+        assert!(t.complete(id, SimTime(7), Err(MpiError::Revoked)));
+        assert!(t.get(id).is_none());
+        assert!(!t.complete(id, SimTime(8), Ok(None)), "already gone");
+        assert_eq!(t.len(), 1);
+        assert!(t.complete(kept, SimTime(7), Ok(None)));
+        assert!(t.try_take(kept, SimTime(7)).is_some());
+        assert!(t.is_empty());
     }
 
     #[test]
