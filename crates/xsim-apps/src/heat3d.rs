@@ -25,12 +25,12 @@
 //!   §V-C). Used at the paper's 32,768-rank scale.
 
 use crate::{pack_f64s, unpack_f64s};
+use std::future::Future;
 use std::sync::Arc;
 use xsim_ckpt::{Checkpoint, CheckpointManager, ModeWriter};
 use xsim_core::vp::VpProgram;
 use xsim_core::{Bytes, SimTime};
-use xsim_fs::FsService;
-use xsim_mpi::{mpi_program, CkptMode, Comm, MpiCtx, MpiError, ReduceOp};
+use xsim_mpi::{mpi_program, CkptMode, MpiCtx, MpiError, ReduceOp};
 use xsim_proc::Work;
 
 /// How the computation phase is performed.
@@ -186,13 +186,32 @@ impl HeatConfig {
 }
 
 /// Local solver state.
-enum State {
+pub(crate) enum State {
     Real(Grid),
     Modeled { token: u64 },
 }
 
+impl State {
+    /// The cold-start state of `rank`.
+    fn new(cfg: &HeatConfig, rank: usize) -> Self {
+        match cfg.mode {
+            ComputeMode::Real => State::Real(Grid::new(cfg, rank)),
+            ComputeMode::Modeled => State::Modeled { token: 0 },
+        }
+    }
+
+    /// The outgoing halo face toward direction `dir`: the packed
+    /// interior layer, or in modeled compute a zero surrogate of its size.
+    pub(crate) fn face(&self, cfg: &HeatConfig, dir: usize) -> Bytes {
+        match self {
+            State::Real(g) => g.pack_face(dir),
+            State::Modeled { .. } => Bytes::zeroed(cfg.face_points()[dir / 2] * 8),
+        }
+    }
+}
+
 /// A local grid block with one halo layer.
-struct Grid {
+pub(crate) struct Grid {
     l: [usize; 3],
     data: Vec<f64>,
     /// Two z-planes of scratch for [`step`](Self::step): the pre-sweep
@@ -303,16 +322,6 @@ impl Grid {
             inner: (self.l[inner], strides[inner]),
         }
     }
-
-    /// Checksum-friendly digest of the interior (diagnostics).
-    fn digest(&self) -> u64 {
-        let mut h = 0xcbf2_9ce4_8422_2325u64;
-        for v in &self.data {
-            h ^= v.to_bits();
-            h = h.wrapping_mul(0x1000_0000_01b3);
-        }
-        h
-    }
 }
 
 /// One face of a [`Grid`]: the points `base + o·outer.1 + i·inner.1` for
@@ -336,7 +345,7 @@ impl Face {
     }
 }
 
-pub(crate) fn mix_token(token: u64, it: u64, rank: u64) -> u64 {
+fn mix_token(token: u64, it: u64, rank: u64) -> u64 {
     let mut z = token ^ it.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ rank.rotate_left(32);
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z ^ (z >> 31)
@@ -364,50 +373,104 @@ pub(crate) fn config_fingerprint(cfg: &HeatConfig) -> Bytes {
     b.into()
 }
 
-async fn halo_exchange(
-    mpi: &MpiCtx,
-    w: Comm,
-    cfg: &HeatConfig,
-    state: &mut State,
-) -> Result<(), MpiError> {
-    let neighbors = cfg.neighbors(mpi.rank);
-    let faces = cfg.face_points();
-    let mut recvs = Vec::new();
-    for (dir, nb) in neighbors.iter().enumerate() {
-        if let Some(nb) = nb {
-            recvs.push((dir, *nb, mpi.irecv(w, Some(*nb), Some(dir as u32 ^ 1))?));
-        }
+/// The message layer the solver runs over, with two implementations:
+/// the world communicator of an [`MpiCtx`] (below) and a replica team,
+/// [`xsim_mpi::replication::Replicated`] (in [`crate::heat3d_rep`]).
+/// [`solve`] is monomorphised per layer, so the world instantiation
+/// carries no replication state.
+pub(crate) trait Layer: Send {
+    /// The rank the solver computes, exchanges and checkpoints as.
+    fn rank(&self) -> usize;
+
+    /// This process's MPI context (compute charges, checkpoint I/O).
+    fn mpi(&self) -> &MpiCtx;
+
+    /// Exchange halo faces with the mesh neighbours of [`Self::rank`].
+    fn halo(
+        &mut self,
+        cfg: &HeatConfig,
+        state: &mut State,
+    ) -> impl Future<Output = Result<(), MpiError>> + Send;
+
+    /// Element-wise maximum of `vals` over all ranks.
+    fn max_u64(&mut self, vals: &[u64]) -> impl Future<Output = Result<Vec<u64>, MpiError>> + Send;
+
+    /// Synchronise all ranks (the barrier between a checkpoint and the
+    /// deletion of its predecessor).
+    fn barrier(&mut self) -> impl Future<Output = Result<(), MpiError>> + Send;
+
+    /// Leave after the last iteration: `MPI_Finalize`, plus whatever the
+    /// layer owes before it.
+    fn finish(
+        &mut self,
+        cfg: &HeatConfig,
+        state: &State,
+    ) -> impl Future<Output = Result<(), MpiError>> + Send;
+}
+
+/// The world layer: real or modeled faces, fire-and-forget sends.
+impl Layer for MpiCtx {
+    fn rank(&self) -> usize {
+        self.rank
     }
-    for (dir, nb) in neighbors.iter().enumerate() {
-        if let Some(nb) = nb {
-            let payload = match state {
-                State::Real(g) => g.pack_face(dir),
-                State::Modeled { .. } => Bytes::zeroed(faces[dir / 2] * 8),
-            };
-            // Fire and forget: the halo completes on the receive side.
-            let sreq = mpi.isend(w, *nb, dir as u32, payload).await?;
-            mpi.request_free(w, sreq)?;
-        }
+
+    fn mpi(&self) -> &MpiCtx {
+        self
     }
-    let reqs: Vec<_> = recvs.iter().map(|(_, _, r)| *r).collect();
-    let outs = mpi.waitall(w, &reqs).await?;
-    if let State::Real(g) = state {
-        for ((dir, _, _), out) in recvs.iter().zip(outs) {
-            let msg = out.expect("halo receives carry payloads");
-            g.unpack_halo(*dir, &msg.data);
+
+    async fn halo(&mut self, cfg: &HeatConfig, state: &mut State) -> Result<(), MpiError> {
+        let w = self.world();
+        let neighbors = cfg.neighbors(self.rank);
+        let mut recvs = Vec::new();
+        for (dir, nb) in neighbors.iter().enumerate() {
+            if let Some(nb) = nb {
+                recvs.push((dir, self.irecv(w, Some(*nb), Some(dir as u32 ^ 1))?));
+            }
         }
+        for (dir, nb) in neighbors.iter().enumerate() {
+            if let Some(nb) = nb {
+                // Fire and forget: the halo completes on the receive side.
+                let sreq = self.isend(w, *nb, dir as u32, state.face(cfg, dir)).await?;
+                self.request_free(w, sreq)?;
+            }
+        }
+        let reqs: Vec<_> = recvs.iter().map(|(_, r)| *r).collect();
+        let outs = self.waitall(w, &reqs).await?;
+        if let State::Real(g) = state {
+            for ((dir, _), out) in recvs.iter().zip(outs) {
+                let msg = out.expect("halo receives carry payloads");
+                g.unpack_halo(*dir, &msg.data);
+            }
+        }
+        Ok(())
     }
-    Ok(())
+
+    fn max_u64(&mut self, vals: &[u64]) -> impl Future<Output = Result<Vec<u64>, MpiError>> + Send {
+        self.allreduce_u64(self.world(), vals, ReduceOp::Max)
+    }
+
+    fn barrier(&mut self) -> impl Future<Output = Result<(), MpiError>> + Send {
+        MpiCtx::barrier(self, self.world())
+    }
+
+    fn finish(
+        &mut self,
+        _: &HeatConfig,
+        _: &State,
+    ) -> impl Future<Output = Result<(), MpiError>> + Send {
+        self.finalize();
+        std::future::ready(Ok(()))
+    }
 }
 
 async fn write_checkpoint(
-    mpi: &MpiCtx,
+    layer: &impl Layer,
     cfg: &HeatConfig,
     writer: &mut ModeWriter,
     state: &State,
     it: u64,
 ) -> Result<(), MpiError> {
-    let mut ckpt = Checkpoint::new(mpi.rank as u32, it)
+    let mut ckpt = Checkpoint::new(layer.rank() as u32, it)
         .with_section(sections::CONFIG, config_fingerprint(cfg));
     ckpt = match state {
         State::Real(g) => ckpt.with_section(sections::GRID, pack_f64s(&g.data)),
@@ -419,9 +482,11 @@ async fn write_checkpoint(
     // charges the I/O/network volume the real grid would have cost
     // (free under the paper's Table II file system model).
     let model_bytes = matches!(state, State::Modeled { .. }).then(|| cfg.points_per_rank() * 8);
-    writer.write(mpi, &ckpt, model_bytes).await
+    writer.write(layer.mpi(), &ckpt, model_bytes).await
 }
 
+/// The solver state a checkpoint restores, and its iteration; `None`
+/// when the checkpoint is not one this configuration wrote.
 fn restore_state(cfg: &HeatConfig, ckpt: &Checkpoint, rank: usize) -> Option<(State, u64)> {
     if ckpt.section(sections::CONFIG)? != &config_fingerprint(cfg) {
         return None;
@@ -436,110 +501,114 @@ fn restore_state(cfg: &HeatConfig, ckpt: &Checkpoint, rank: usize) -> Option<(St
             unpack_f64s(raw, &mut g.data);
             State::Real(g)
         }
-        ComputeMode::Modeled => {
-            let raw = ckpt.section(sections::TOKEN)?;
-            State::Modeled {
-                token: u64::from_le_bytes(raw[..8].try_into().ok()?),
-            }
-        }
+        ComputeMode::Modeled => State::Modeled {
+            token: u64::from_le_bytes(*ckpt.section(sections::TOKEN)?.first_chunk()?),
+        },
     };
     Some((state, ckpt.iteration))
+}
+
+/// The heat solver over any [`Layer`]: restart load and iteration
+/// agreement, the compute / halo / checkpoint cadence, checkpoint →
+/// barrier → retire, then the layer's finish. With `checkpoints` off
+/// nothing is loaded or written.
+///
+/// An async block, not an `async fn`: the block's captures are the only
+/// copy of the arguments in the rank future (an `async fn` keeps a
+/// second, 32 B larger here).
+#[allow(clippy::manual_async_fn)]
+pub(crate) fn solve<L: Layer>(
+    mut layer: L,
+    cfg: Arc<HeatConfig>,
+    checkpoints: bool,
+) -> impl Future<Output = Result<(), MpiError>> {
+    async move {
+        let mut writer = ModeWriter::new(CheckpointManager::new(&cfg.prefix), cfg.ckpt_mode);
+
+        // Restart path: load the newest valid checkpoint, deleting
+        // corrupted ones (paper §V-B); agree on the restart iteration (the
+        // campaign's cleanup guarantees a consistent latest generation —
+        // this reduction asserts it).
+        let loaded = if checkpoints {
+            writer.load_latest(layer.mpi(), layer.rank() as u32).await
+        } else {
+            None
+        };
+        let (mut state, mut it) = match loaded.map(|c| restore_state(&cfg, &c, layer.rank())) {
+            Some(Some(restored)) => restored,
+            Some(None) => return Err(MpiError::Io("incompatible checkpoint".into())),
+            None => (State::new(&cfg, layer.rank()), 0),
+        };
+        // One reduction: max(it) and max(!it) = !min(it) together.
+        let agreed = layer.max_u64(&[it, !it]).await?;
+        let (max_it, min_it) = (agreed[0], !agreed[1]);
+        if max_it != min_it {
+            return Err(MpiError::Io(format!(
+                "inconsistent restart iterations: {min_it} vs {max_it}"
+            )));
+        }
+
+        let mut last_ckpt: Option<u64> = (it > 0).then_some(it);
+        while it < cfg.iterations {
+            let next_halo = ((it / cfg.halo_interval) + 1) * cfg.halo_interval;
+            let next_ckpt = ((it / cfg.ckpt_interval) + 1) * cfg.ckpt_interval;
+            let next = next_halo.min(next_ckpt).min(cfg.iterations);
+            let steps = next - it;
+
+            // Computation phase: real sweeps and/or the modeled time charge
+            // for the same work.
+            match &mut state {
+                State::Real(g) => {
+                    for _ in 0..steps {
+                        g.step();
+                    }
+                }
+                State::Modeled { token } => {
+                    for s in 1..=steps {
+                        *token = mix_token(*token, it + s, layer.rank() as u64);
+                    }
+                }
+            }
+            let work_ns = cfg
+                .per_point
+                .as_nanos()
+                .saturating_mul(cfg.points_per_rank())
+                .saturating_mul(steps);
+            layer
+                .mpi()
+                .compute(Work::native_time(SimTime(work_ns)))
+                .await;
+            it = next;
+
+            // Halo exchange phase ("right before a checkpoint").
+            if it.is_multiple_of(cfg.halo_interval) || it == cfg.iterations {
+                layer.halo(&cfg, &mut state).await?;
+            }
+
+            // Checkpoint phase: write, barrier, delete previous.
+            if checkpoints && (it.is_multiple_of(cfg.ckpt_interval) || it == cfg.iterations) {
+                write_checkpoint(&layer, &cfg, &mut writer, &state, it).await?;
+                layer.barrier().await?;
+                if let Some(prev) = last_ckpt.take() {
+                    if prev != it {
+                        writer
+                            .retire(layer.mpi(), layer.rank() as u32, prev)
+                            .await?;
+                    }
+                }
+                last_ckpt = Some(it);
+            }
+        }
+
+        layer.finish(&cfg, &state).await
+    }
 }
 
 /// Build the heat application as a [`VpProgram`].
 pub fn program(cfg: HeatConfig) -> Arc<dyn VpProgram> {
     cfg.validate().expect("invalid heat configuration");
     let cfg = Arc::new(cfg);
-    mpi_program(move |mpi: MpiCtx| {
-        let cfg = cfg.clone();
-        async move {
-            let w = mpi.world();
-            let mut writer = ModeWriter::new(CheckpointManager::new(&cfg.prefix), cfg.ckpt_mode);
-            let store = xsim_core::ctx::with_kernel(|k, _| k.service::<FsService>().store.clone());
-
-            // Restart path: load the newest valid checkpoint, deleting
-            // corrupted ones (paper §V-B); agree on the restart
-            // iteration (the orchestrator's cleanup guarantees a
-            // consistent latest generation — this allreduce asserts it).
-            let mut it: u64 = 0;
-            let mut state = match writer.load_latest(&mpi, &store).await {
-                Some(ckpt) => match restore_state(&cfg, &ckpt, mpi.rank) {
-                    Some((s, iter)) => {
-                        it = iter;
-                        s
-                    }
-                    None => return Err(MpiError::Io("incompatible checkpoint".into())),
-                },
-                None => match cfg.mode {
-                    ComputeMode::Real => State::Real(Grid::new(&cfg, mpi.rank)),
-                    ComputeMode::Modeled => State::Modeled { token: 0 },
-                },
-            };
-            // One collective: max(it) and max(!it) = !min(it) together.
-            let agreed = mpi.allreduce_u64(w, &[it, !it], ReduceOp::Max).await?;
-            let (max_it, min_it) = (agreed[0], !agreed[1]);
-            if max_it != min_it {
-                return Err(MpiError::Io(format!(
-                    "inconsistent restart iterations: {min_it} vs {max_it}"
-                )));
-            }
-
-            let mut last_ckpt: Option<u64> = (it > 0).then_some(it);
-            while it < cfg.iterations {
-                let next_halo = ((it / cfg.halo_interval) + 1) * cfg.halo_interval;
-                let next_ckpt = ((it / cfg.ckpt_interval) + 1) * cfg.ckpt_interval;
-                let next = next_halo.min(next_ckpt).min(cfg.iterations);
-                let steps = next - it;
-
-                // Computation phase: real sweeps and/or the modeled time
-                // charge for the same work.
-                match &mut state {
-                    State::Real(g) => {
-                        for _ in 0..steps {
-                            g.step();
-                        }
-                    }
-                    State::Modeled { token } => {
-                        for s in 1..=steps {
-                            *token = mix_token(*token, it + s, mpi.rank as u64);
-                        }
-                    }
-                }
-                let work_ns = cfg
-                    .per_point
-                    .as_nanos()
-                    .saturating_mul(cfg.points_per_rank())
-                    .saturating_mul(steps);
-                mpi.compute(Work::native_time(SimTime(work_ns))).await;
-                it = next;
-
-                // Halo exchange phase ("right before a checkpoint").
-                if it.is_multiple_of(cfg.halo_interval) || it == cfg.iterations {
-                    halo_exchange(&mpi, w, &cfg, &mut state).await?;
-                }
-
-                // Checkpoint phase: write, barrier, delete previous.
-                if it.is_multiple_of(cfg.ckpt_interval) || it == cfg.iterations {
-                    write_checkpoint(&mpi, &cfg, &mut writer, &state, it).await?;
-                    mpi.barrier(w).await?;
-                    if let Some(prev) = last_ckpt.take() {
-                        if prev != it {
-                            writer.retire(&mpi, prev).await?;
-                        }
-                    }
-                    last_ckpt = Some(it);
-                }
-            }
-
-            if let State::Real(g) = &state {
-                // Keep the digest computation alive in real mode; it is
-                // also exposed through the final checkpoint for tests.
-                let _ = g.digest();
-            }
-            mpi.finalize();
-            Ok(())
-        }
-    })
+    mpi_program(move |mpi: MpiCtx| solve(mpi, cfg.clone(), true))
 }
 
 #[cfg(test)]

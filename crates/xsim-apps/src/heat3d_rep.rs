@@ -1,10 +1,10 @@
 //! The heat3d workload under replication-based protection.
 //!
-//! Same decomposition, compute/halo/checkpoint cadence and state-token
-//! evolution as [`crate::heat3d`], but the application runs on *logical*
-//! ranks served by replica teams ([`xsim_mpi::replication`]): halo
-//! exchanges and the restart-agreement/barrier collectives go through
-//! the replicated message layer, so replica deaths fail over without an
+//! The solver is [`crate::heat3d`]'s, unchanged, run over a replica team
+//! ([`xsim_mpi::replication`]) instead of the world communicator: the
+//! application runs on *logical* ranks, and its halo exchanges and
+//! restart-agreement/barrier collectives go through the replicated
+//! message layer, so replica deaths fail over without an
 //! application-visible error. This is the workload behind the
 //! FIT × protection-scheme ablation (crossover between checkpoint
 //! overhead and replication overhead).
@@ -29,20 +29,20 @@
 //! this sidesteps the window where a dead leader has not yet crossed the
 //! heartbeat detection bound on the surviving replica (a leader-only
 //! discipline could silently skip a generation there, losing the only
-//! complete checkpoint chain).
+//! complete checkpoint chain). Checkpoint files are named by the
+//! logical rank.
 //!
-//! Modeled compute only: replication targets the paper-scale ablation,
-//! where real grids would be pointless weight.
+//! Modeled compute and [`CkptMode::Full`] checkpoints only: replication
+//! targets the paper-scale ablation, where real grids would be pointless
+//! weight, and the other checkpoint modes exchange state with *world*
+//! peers.
 
-use crate::heat3d::{config_fingerprint, mix_token, sections, ComputeMode, HeatConfig};
+use crate::heat3d::{self, ComputeMode, HeatConfig, Layer, State};
+use std::future::Future;
 use std::sync::Arc;
-use xsim_ckpt::{Checkpoint, CheckpointManager};
 use xsim_core::vp::VpProgram;
-use xsim_core::{Bytes, SimTime};
-use xsim_fs::FsService;
 use xsim_mpi::replication::{HeartbeatConfig, ProtectionScheme, ReplicaMap, Replicated};
-use xsim_mpi::{mpi_program, MpiCtx, MpiError};
-use xsim_proc::Work;
+use xsim_mpi::{mpi_program, CkptMode, MpiCtx, MpiError};
 
 /// Replicated-heat configuration: the logical workload plus the
 /// protection layout.
@@ -67,21 +67,29 @@ impl RepHeatConfig {
         if self.heat.mode != ComputeMode::Modeled {
             return Err("replicated heat supports modeled compute only".into());
         }
-        if matches!(self.scheme, ProtectionScheme::Partial { .. }) && !self.ckpt {
-            return Err("partial replication requires the checkpoint fallback".into());
+        if self.heat.ckpt_mode != CkptMode::Full {
+            return Err(format!(
+                "replicated heat checkpoints in full mode only, not '{}'",
+                self.heat.ckpt_mode
+            ));
         }
-        ReplicaMap::from_scheme(&self.scheme, self.heat.n_ranks())
-            .ok_or_else(|| format!("scheme '{}' does not replicate", self.scheme))
+        let n = self.heat.n_ranks();
+        let map = match &self.scheme {
+            ProtectionScheme::Replication { degree } => ReplicaMap::full(n, *degree),
+            ProtectionScheme::Partial { degree, critical } => {
+                if !self.ckpt {
+                    return Err("partial replication requires the checkpoint fallback".into());
+                }
+                ReplicaMap::partial(n, *degree, critical.clone())
+            }
+            other => return Err(format!("scheme '{other}' does not replicate")),
+        };
+        map.map_err(|e| format!("scheme '{}' on {n} ranks: {e}", self.scheme))
     }
 
     /// Physical world size the simulation must be built with.
     pub fn physical_size(&self) -> usize {
         self.map().expect("valid config").physical_size()
-    }
-
-    /// Whether the run writes checkpoints.
-    pub fn checkpoints(&self) -> bool {
-        self.ckpt
     }
 
     /// Store name of the completion marker — written by logical rank 0's
@@ -90,168 +98,97 @@ impl RepHeatConfig {
     /// exit is still `FailedOnly` when teammates died) from a genuine
     /// failure.
     pub fn done_marker(&self) -> String {
-        format!("{}/rep_done", self.heat.prefix)
+        done_marker(&self.heat)
     }
 }
 
-/// Byte length of the completion marker (two digest words).
-const DONE_DIGEST_LEN: usize = 16;
-
-async fn halo_exchange(rep: &mut Replicated, cfg: &HeatConfig) -> Result<(), MpiError> {
-    let neighbors = cfg.neighbors(rep.logical_rank);
-    let l = cfg.local();
-    let face_bytes = [l[1] * l[2] * 8, l[0] * l[2] * 8, l[0] * l[1] * 8];
-    // Post all receives, then all sends, then drain — the same schedule
-    // as the unreplicated solver, one logical channel per neighbor.
-    let mut reqs = Vec::new();
-    for (dir, nb) in neighbors.iter().enumerate() {
-        if let Some(nb) = nb {
-            reqs.push(rep.irecv_logical(*nb, dir as u32 ^ 1)?);
-        }
-    }
-    for (dir, nb) in neighbors.iter().enumerate() {
-        if let Some(nb) = nb {
-            let payload = Bytes::zeroed(face_bytes[dir / 2]);
-            reqs.push(rep.isend_logical(*nb, dir as u32, payload).await?);
-        }
-    }
-    rep.waitall_logical(reqs).await?;
-    Ok(())
+fn done_marker(heat: &HeatConfig) -> String {
+    format!("{}/rep_done", heat.prefix)
 }
 
-async fn write_checkpoint(
-    cfg: &HeatConfig,
-    mgr: &CheckpointManager,
-    logical: usize,
-    token: u64,
-    it: u64,
-) -> Result<(), MpiError> {
-    let ckpt = Checkpoint::new(logical as u32, it)
-        .with_section(sections::CONFIG, config_fingerprint(cfg))
-        .with_section(sections::TOKEN, Bytes::from(token.to_le_bytes().to_vec()));
-    // Charge the I/O of the grid a real run would persist (cf. heat3d's
-    // modeled mode); each replica persists its own copy.
-    xsim_fs::charge_write(cfg.points_per_rank() as usize * 8).await;
-    mgr.write(&ckpt)
-        .await
-        .map_err(|e| MpiError::Io(e.to_string()))
+/// The replica-team layer: logical halos that wait on their send copies,
+/// linear logical agreement and barrier, and a completion marker before
+/// `finalize`.
+impl Layer for Replicated {
+    fn rank(&self) -> usize {
+        self.logical_rank
+    }
+
+    fn mpi(&self) -> &MpiCtx {
+        &self.mpi
+    }
+
+    async fn halo(&mut self, cfg: &HeatConfig, state: &mut State) -> Result<(), MpiError> {
+        let neighbors = cfg.neighbors(self.logical_rank);
+        // Post all receives, then all sends, then drain — the world
+        // layer's schedule, one logical channel per neighbor.
+        let mut reqs = Vec::new();
+        for (dir, nb) in neighbors.iter().enumerate() {
+            if let Some(nb) = nb {
+                reqs.push(self.irecv_logical(*nb, dir as u32 ^ 1)?);
+            }
+        }
+        for (dir, nb) in neighbors.iter().enumerate() {
+            if let Some(nb) = nb {
+                let face = state.face(cfg, dir);
+                reqs.push(self.isend_logical(*nb, dir as u32, face).await?);
+            }
+        }
+        self.waitall_logical(reqs).await?;
+        Ok(())
+    }
+
+    fn max_u64(&mut self, vals: &[u64]) -> impl Future<Output = Result<Vec<u64>, MpiError>> + Send {
+        self.allreduce_u64_max(vals)
+    }
+
+    fn barrier(&mut self) -> impl Future<Output = Result<(), MpiError>> + Send {
+        Replicated::barrier(self)
+    }
+
+    async fn finish(&mut self, cfg: &HeatConfig, state: &State) -> Result<(), MpiError> {
+        // Cross-rank completion digest: fold every logical rank's final
+        // token into one value all ranks agree on (modeled compute only,
+        // see `RepHeatConfig::map`).
+        let token = match state {
+            State::Modeled { token } => *token,
+            State::Real(_) => 0,
+        };
+        let digest = self.allreduce_u64_max(&[token, !token]).await?;
+        if self.logical_rank == 0 {
+            // Every live replica of logical 0 writes the (identical)
+            // marker: idempotent, and immune to leader-detection lag.
+            let marker = [digest[0].to_le_bytes(), digest[1].to_le_bytes()].concat();
+            xsim_fs::write(&done_marker(cfg), marker.into())
+                .await
+                .map_err(|e| MpiError::Io(e.to_string()))?;
+        }
+        self.finalize();
+        Ok(())
+    }
 }
 
 /// Build the replicated heat application as a [`VpProgram`]. Run it on a
 /// world of [`RepHeatConfig::physical_size`] ranks.
 pub fn program(cfg: RepHeatConfig) -> Arc<dyn VpProgram> {
     let map = cfg.map().expect("invalid replicated heat configuration");
-    let cfg = Arc::new(cfg);
+    let (hb, checkpoints) = (cfg.hb, cfg.ckpt);
+    let heat = Arc::new(cfg.heat);
     mpi_program(move |mpi: MpiCtx| {
-        let cfg = cfg.clone();
-        let map = map.clone();
-        async move {
-            let mut rep = Replicated::attach(mpi, map, cfg.hb)?;
-            let heat = &cfg.heat;
-            let logical = rep.logical_rank;
-            let with_ckpt = cfg.checkpoints();
-            let mgr = CheckpointManager::new(&heat.prefix);
-            let store = xsim_core::ctx::with_kernel(|k, _| k.service::<FsService>().store.clone());
-
-            // Restart path (checkpointing schemes only): load the newest
-            // valid checkpoint of the *logical* rank — every replica
-            // loads the same file — then agree on the restart iteration.
-            let mut it: u64 = 0;
-            let mut token: u64 = 0;
-            if with_ckpt {
-                if let Some(ckpt) = mgr.load_latest(&store, logical as u32).await {
-                    let valid = ckpt
-                        .section(sections::CONFIG)
-                        .is_some_and(|f| f == &config_fingerprint(heat));
-                    let raw = ckpt.section(sections::TOKEN);
-                    match (valid, raw) {
-                        (true, Some(raw)) if raw.len() >= 8 => {
-                            token = u64::from_le_bytes(raw[..8].try_into().expect("8 bytes"));
-                            it = ckpt.iteration;
-                        }
-                        _ => return Err(MpiError::Io("incompatible checkpoint".into())),
-                    }
-                }
-            }
-            let agreed = rep.allreduce_u64_max(&[it, !it]).await?;
-            let (max_it, min_it) = (agreed[0], !agreed[1]);
-            if max_it != min_it {
-                return Err(MpiError::Io(format!(
-                    "inconsistent restart iterations: {min_it} vs {max_it}"
-                )));
-            }
-
-            let mut last_ckpt: Option<u64> = (it > 0).then_some(it);
-            while it < heat.iterations {
-                let next_halo = ((it / heat.halo_interval) + 1) * heat.halo_interval;
-                let next_ckpt = ((it / heat.ckpt_interval) + 1) * heat.ckpt_interval;
-                let next = next_halo.min(next_ckpt).min(heat.iterations);
-                let steps = next - it;
-
-                for s in 1..=steps {
-                    token = mix_token(token, it + s, logical as u64);
-                }
-                let work_ns = heat
-                    .per_point
-                    .as_nanos()
-                    .saturating_mul(heat.points_per_rank())
-                    .saturating_mul(steps);
-                rep.compute(Work::native_time(SimTime(work_ns))).await;
-                it = next;
-
-                if it.is_multiple_of(heat.halo_interval) || it == heat.iterations {
-                    halo_exchange(&mut rep, heat).await?;
-                }
-
-                if with_ckpt && (it.is_multiple_of(heat.ckpt_interval) || it == heat.iterations) {
-                    write_checkpoint(heat, &mgr, logical, token, it).await?;
-                    rep.barrier().await?;
-                    if let Some(prev) = last_ckpt.take() {
-                        if prev != it {
-                            mgr.delete_generation(prev, logical as u32)
-                                .await
-                                .map_err(|e| MpiError::Io(e.to_string()))?;
-                        }
-                    }
-                    last_ckpt = Some(it);
-                }
-            }
-
-            // Cross-rank completion digest: fold every logical rank's
-            // final token into one value all ranks agree on.
-            let digest = rep.allreduce_u64_max(&[token, !token]).await?;
-            if logical == 0 {
-                // Every live replica of logical 0 writes the (identical)
-                // marker: idempotent, and immune to leader-detection lag.
-                let mut b = Vec::with_capacity(DONE_DIGEST_LEN);
-                b.extend_from_slice(&digest[0].to_le_bytes());
-                b.extend_from_slice(&digest[1].to_le_bytes());
-                xsim_fs::write(&cfg.done_marker(), b.into())
-                    .await
-                    .map_err(|e| MpiError::Io(e.to_string()))?;
-            }
-
-            rep.finalize();
-            Ok(())
-        }
+        let (map, heat) = (map.clone(), heat.clone());
+        async move { heat3d::solve(Replicated::attach(mpi, map, hb)?, heat, checkpoints).await }
     })
-}
-
-/// Decode a completion marker written by [`program`] back into its two
-/// digest words (diagnostics / campaign verification).
-pub fn decode_done_marker(data: &[u8]) -> Option<(u64, u64)> {
-    if data.len() != DONE_DIGEST_LEN {
-        return None;
-    }
-    Some((
-        u64::from_le_bytes(data[..8].try_into().expect("8 bytes")),
-        u64::from_le_bytes(data[8..].try_into().expect("8 bytes")),
-    ))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::heat3d::{config_fingerprint, sections};
+    use std::sync::Mutex;
+    use xsim_ckpt::{Checkpoint, CheckpointManager};
+    use xsim_core::Bytes;
+    use xsim_fs::FsStore;
+    use xsim_mpi::SimBuilder;
 
     fn small_rep() -> RepHeatConfig {
         RepHeatConfig {
@@ -269,7 +206,6 @@ mod tests {
     fn layout_follows_scheme() {
         let cfg = small_rep();
         assert_eq!(cfg.physical_size(), 16); // 8 logical × 2
-        assert!(!cfg.checkpoints());
 
         let partial = RepHeatConfig {
             scheme: ProtectionScheme::Partial {
@@ -280,7 +216,6 @@ mod tests {
             ..small_rep()
         };
         assert_eq!(partial.physical_size(), 10); // 8 + 2 shadows
-        assert!(partial.checkpoints());
     }
 
     #[test]
@@ -307,11 +242,67 @@ mod tests {
     }
 
     #[test]
-    fn done_marker_round_trips() {
-        let mut b = Vec::new();
-        b.extend_from_slice(&7u64.to_le_bytes());
-        b.extend_from_slice(&13u64.to_le_bytes());
-        assert_eq!(decode_done_marker(&b), Some((7, 13)));
-        assert_eq!(decode_done_marker(&[0u8; 3]), None);
+    fn rejects_non_full_checkpoint_modes() {
+        let mut cfg = small_rep();
+        cfg.heat.ckpt_mode = CkptMode::Buddy;
+        assert!(cfg.map().unwrap_err().contains("full mode only"));
+    }
+
+    #[test]
+    fn out_of_range_critical_set_is_an_error() {
+        let mut cfg = small_rep();
+        (cfg.scheme, cfg.ckpt) = ("partial:2:99".parse().unwrap(), true);
+        assert!(cfg.map().unwrap_err().contains("out of range"));
+    }
+
+    /// A CRC-valid checkpoint of the right configuration whose token
+    /// section is 3 bytes long is an incompatible checkpoint — a typed
+    /// error, not a panic — through the world and the replica-team layer.
+    #[test]
+    fn short_token_section_is_an_incompatible_checkpoint_in_both_layers() {
+        let cfg = small_rep();
+        let heat = Arc::new(cfg.heat.clone());
+        let world = heat.clone();
+        assert_incompatible(&heat, 8, move |mpi| heat3d::solve(mpi, world.clone(), true));
+        let map = cfg.map().unwrap();
+        assert_incompatible(&cfg.heat, 16, move |mpi| {
+            let (map, heat) = (map.clone(), heat.clone());
+            async move { heat3d::solve(Replicated::attach(mpi, map, cfg.hb)?, heat, true).await }
+        });
+    }
+
+    /// Run `rank_main` on `n` ranks over a store holding, for every rank
+    /// of `heat`, such a checkpoint; every rank must return the error.
+    fn assert_incompatible<Fut>(
+        heat: &HeatConfig,
+        n: usize,
+        rank_main: impl Fn(MpiCtx) -> Fut + Send + Sync + 'static,
+    ) where
+        Fut: Future<Output = Result<(), MpiError>> + Send + 'static,
+    {
+        let (store, mgr) = (FsStore::new(), CheckpointManager::new(&heat.prefix));
+        for rank in 0..heat.n_ranks() as u32 {
+            let ckpt = Checkpoint::new(rank, 5)
+                .with_section(sections::CONFIG, config_fingerprint(heat))
+                .with_section(sections::TOKEN, Bytes::from_static(&[1, 2, 3]));
+            store.put(&mgr.file_name(5, rank), ckpt.encode());
+        }
+        let errors = Arc::new(Mutex::new(Vec::new()));
+        let sink = errors.clone();
+        let run = SimBuilder::new(n).fs_store(store).run_app(move |mpi| {
+            let (sink, run) = (sink.clone(), rank_main(mpi));
+            async move {
+                run.await
+                    .inspect_err(|e| sink.lock().unwrap().push(e.clone()))
+            }
+        });
+        run.expect("run");
+        let errors = errors.lock().unwrap();
+        let incompatible =
+            |e: &MpiError| matches!(e, MpiError::Io(m) if m == "incompatible checkpoint");
+        assert!(
+            errors.len() == n && errors.iter().all(incompatible),
+            "{errors:?}"
+        );
     }
 }

@@ -4,11 +4,15 @@
 use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
 use std::sync::{Arc, Mutex};
 use xsim_apps::heat3d::{self, HeatConfig};
+use xsim_apps::heat3d_rep::{self, RepHeatConfig};
 use xsim_apps::jacobi2d::{self, JacobiConfig, JacobiOutcome};
 use xsim_apps::ComputeMode;
 use xsim_apps::{kernels, sweep};
+use xsim_ckpt::{Checkpoint, CheckpointManager};
 use xsim_core::vp::VpProgram;
-use xsim_core::{ExitKind, Kernel, Rank, SimTime};
+use xsim_core::{Bytes, ExitKind, Kernel, Rank, SimTime};
+use xsim_fs::FsStore;
+use xsim_mpi::replication::{HeartbeatConfig, ProtectionScheme};
 use xsim_mpi::state::MpiService;
 use xsim_mpi::{CkptMode, SimBuilder};
 use xsim_net::NetModel;
@@ -120,6 +124,59 @@ fn heat_timing_scales_linearly_with_iterations() {
 
 /// Requests left in the request tables of all ranks when the engine
 /// shuts down after a completed run of `program` on `n` ranks.
+/// Replication with no failure is unprotected heat on application
+/// results: the one solver over a `replication:2` team writes, for every
+/// logical rank, the final token the world solver writes for that rank.
+#[test]
+fn failure_free_replication_matches_unprotected_tokens() {
+    let heat = HeatConfig {
+        mode: ComputeMode::Modeled,
+        ..HeatConfig::small()
+    };
+    let final_tokens = |store: &FsStore| -> Vec<Bytes> {
+        let mgr = CheckpointManager::new(&heat.prefix);
+        (0..heat.n_ranks() as u32)
+            .map(|rank| {
+                let file = store
+                    .get(&mgr.file_name(heat.iterations, rank))
+                    .expect("final generation kept");
+                let ckpt = Checkpoint::decode_bytes(file.bytes()).expect("valid checkpoint");
+                ckpt.section(heat3d::sections::TOKEN)
+                    .expect("token section")
+                    .clone()
+            })
+            .collect()
+    };
+
+    let plain = FsStore::new();
+    let report = SimBuilder::new(heat.n_ranks())
+        .fs_store(plain.clone())
+        .run(heat3d::program(heat.clone()))
+        .unwrap();
+    assert_eq!(report.sim.exit, ExitKind::Completed);
+
+    let rep = RepHeatConfig {
+        heat: heat.clone(),
+        scheme: ProtectionScheme::Replication { degree: 2 },
+        hb: HeartbeatConfig::default(),
+        ckpt: true,
+    };
+    let replicated = FsStore::new();
+    let report = SimBuilder::new(rep.physical_size())
+        .fs_store(replicated.clone())
+        .detector(rep.hb.detector())
+        .run(heat3d_rep::program(rep))
+        .unwrap();
+    assert_eq!(report.sim.exit, ExitKind::Completed);
+
+    let tokens = final_tokens(&plain);
+    assert!(
+        tokens.windows(2).any(|w| w[0] != w[1]),
+        "tokens depend on the rank"
+    );
+    assert_eq!(final_tokens(&replicated), tokens);
+}
+
 fn requests_left_at_shutdown(n: usize, program: Arc<dyn VpProgram>) -> usize {
     let left = Arc::new(AtomicUsize::new(0));
     let sink = left.clone();

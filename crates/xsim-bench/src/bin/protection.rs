@@ -136,9 +136,12 @@ fn main() {
     let mut cells: Vec<ProtectionCell> = Vec::new();
     for &fit in &fits {
         for scheme in &schemes {
-            let cell =
-                run_protection_cell(&heat, scheme, fit, horizon, 100, flags.workers, flags.seed)
-                    .expect("protection cell");
+            let run =
+                run_protection_cell(&heat, scheme, fit, horizon, 100, flags.workers, flags.seed);
+            let cell = run.unwrap_or_else(|e| {
+                eprintln!("protection: {e}");
+                std::process::exit(2)
+            });
             println!(
                 "{:>10.0e} {:>16} {:>6} {:>5} {:>9} {:>10} {:>12} {:>16}",
                 cell.fit_per_node,

@@ -25,7 +25,7 @@ use xsim_fault::{
     Component, FailureModel, FailureSchedule, FaultSchedule, NodeReliability, SystemReliability,
 };
 use xsim_fs::{FsModel, FsStore};
-use xsim_mpi::{HeartbeatConfig, ProtectionScheme, ReplicaMap, RunReport, SimBuilder};
+use xsim_mpi::{HeartbeatConfig, ProtectionScheme, RunReport, SimBuilder};
 use xsim_net::{NetFault, NetModel};
 use xsim_proc::ProcModel;
 
@@ -227,30 +227,21 @@ pub fn run_protection_cell(
     seed: u64,
 ) -> Result<ProtectionCell, SimError> {
     let logical = heat.n_ranks();
-    let physical = ReplicaMap::from_scheme(scheme, logical)
-        .map(|m| m.physical_size())
-        .unwrap_or(logical);
-    let schedule = if fit_per_node > 0.0 {
-        let node = NodeReliability::new().with(Component::new("node", fit_per_node), 1);
-        SystemReliability::new(node, physical).generate_schedule(horizon, seed)
-    } else {
-        FailureSchedule::new()
-    };
-
     let hb = HeartbeatConfig::default();
-    let (program, done_marker): (Arc<dyn VpProgram>, Option<String>) = match scheme {
+    let (program, done_marker, physical): (Arc<dyn VpProgram>, Option<String>, usize) = match scheme
+    {
         ProtectionScheme::None => {
             // Unprotected baseline: no mid-run checkpoints (the solver
             // still persists its final state, a negligible write), so a
             // failure restarts the whole solve.
             let mut cfg = heat.clone();
             cfg.ckpt_interval = cfg.iterations;
-            (heat3d::program(cfg), None)
+            (heat3d::program(cfg), None, logical)
         }
         ProtectionScheme::CheckpointRestart { mode } => {
             let mut cfg = heat.clone();
             cfg.ckpt_mode = *mode;
-            (heat3d::program(cfg), None)
+            (heat3d::program(cfg), None, logical)
         }
         _ => {
             let cfg = RepHeatConfig {
@@ -259,9 +250,16 @@ pub fn run_protection_cell(
                 hb,
                 ckpt: true,
             };
+            let physical = cfg.map().map_err(SimError::Config)?.physical_size();
             let marker = cfg.done_marker();
-            (heat3d_rep::program(cfg), Some(marker))
+            (heat3d_rep::program(cfg), Some(marker), physical)
         }
+    };
+    let schedule = if fit_per_node > 0.0 {
+        let node = NodeReliability::new().with(Component::new("node", fit_per_node), 1);
+        SystemReliability::new(node, physical).generate_schedule(horizon, seed)
+    } else {
+        FailureSchedule::new()
     };
 
     let campaign = ProtectionCampaign {
@@ -439,11 +437,6 @@ pub fn peak_rss_kib() -> Option<u64> {
         }
     }
     None
-}
-
-/// Convenience: an `Arc`ed heat program for repeated runs.
-pub fn heat_program(cfg: &HeatConfig) -> Arc<dyn xsim_core::vp::VpProgram> {
-    heat3d::program(cfg.clone())
 }
 
 /// The engine-level oversubscription workload (`vp_scaling` bin): each

@@ -15,19 +15,18 @@
 //! * [`daly`] — Young/Daly optimal checkpoint-interval estimates (the
 //!   paper's reference model \[31\] for checkpoint optimization, §II-B),
 //!   so simulated interval sweeps can be validated analytically.
-//! * [`orchestrator`] — the run → abort → cleanup → restart loop with
-//!   continuous virtual timing and per-run random failure injection,
-//!   which is exactly the procedure behind Table II.
-//! * [`protection`] — the schedule-driven generalization of that loop,
-//!   scheme-agnostic so checkpoint/restart and replication compose in
-//!   the FIT × protection-scheme ablation.
+//! * [`orchestrator`] — the one run → abort → cleanup → restart loop
+//!   with continuous virtual timing, and its two front ends: per-run random
+//!   failure injection ([`Orchestrator`], exactly the procedure behind
+//!   Table II) and a shared failure schedule plus completion marker
+//!   ([`ProtectionCampaign`], so checkpoint/restart and replication
+//!   compose in the FIT × protection-scheme ablation).
 
 pub mod codec;
 pub mod daly;
 pub mod manager;
 pub mod modes;
 pub mod orchestrator;
-pub mod protection;
 
 pub use codec::{crc32, Checkpoint, CodecError, Crc32};
 pub use daly::{
@@ -39,5 +38,4 @@ pub use modes::{
     apply_diff, block_diff, decode_diff, encode_diff, member_section, resolve_latest, DiffFile,
     ModeWriter, ResolvedCheckpoint, CKPT_TAG, DIFF_BLOCK,
 };
-pub use orchestrator::{CampaignResult, Orchestrator};
-pub use protection::ProtectionCampaign;
+pub use orchestrator::{CampaignResult, Orchestrator, ProtectionCampaign};

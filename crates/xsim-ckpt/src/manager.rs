@@ -50,16 +50,9 @@ impl CheckpointManager {
         format!("{}rank{rank:07}", self.generation_prefix(iteration))
     }
 
-    /// Write this rank's checkpoint (simulated I/O, charged by the FS
-    /// cost model). Call from within a VP.
-    pub async fn write(&self, ckpt: &Checkpoint) -> Result<(), FsError> {
-        let name = self.file_name(ckpt.iteration, ckpt.rank);
-        self.write_at(&name, ckpt).await
-    }
-
-    /// Write a checkpoint under an explicit name (aggregated containers,
-    /// diff files), with the same metrics/span accounting as
-    /// [`write`](Self::write). Call from within a VP.
+    /// Write a checkpoint under `name` (simulated I/O, charged by the FS
+    /// cost model), recording the checkpoint metrics and commit span.
+    /// Call from within a VP.
     pub async fn write_at(&self, name: &str, ckpt: &Checkpoint) -> Result<(), FsError> {
         self.write_encoded(name, ckpt.encode()).await
     }

@@ -444,6 +444,14 @@ impl CheckpointManager {
 
 /// Per-rank checkpoint writer implementing the selected [`CkptMode`]
 /// over a [`CheckpointManager`]. Call from within the owning VP.
+///
+/// Rank files are named by the rank the writer checkpoints *for* — the
+/// checkpoint's own `rank` on a write, the `rank` argument of
+/// [`load_latest`](Self::load_latest) and [`retire`](Self::retire). That
+/// is `mpi.rank`, except under replication, where every replica of a
+/// logical rank writes, loads and retires the logical rank's files.
+/// `Aggregated` and `Buddy` exchange state with world peers and so
+/// name by `mpi.rank`; replicated runs use `Full`.
 pub struct ModeWriter {
     /// Naming and PFS persistence.
     pub mgr: CheckpointManager,
@@ -490,7 +498,7 @@ impl ModeWriter {
             CkptMode::Aggregated { group } => self.write_agg(mpi, ckpt, model_bytes, group).await,
             CkptMode::Buddy => self.write_buddy(mpi, ckpt, model_bytes).await,
             CkptMode::Incremental { full_every } => {
-                self.write_incr(mpi, ckpt, model_bytes, full_every).await
+                self.write_incr(ckpt, model_bytes, full_every).await
             }
         }
     }
@@ -590,7 +598,6 @@ impl ModeWriter {
 
     async fn write_incr(
         &mut self,
-        mpi: &MpiCtx,
         ckpt: &Checkpoint,
         model_bytes: Option<u64>,
         full_every: u64,
@@ -602,7 +609,7 @@ impl ModeWriter {
             self.write_full(ckpt, enc.clone(), model_bytes).await?;
         } else {
             let (base_gen, base) = self.prev.as_ref().expect("diff requires a base");
-            let diff = encode_diff(mpi.rank as u32, gen, *base_gen, base, &enc);
+            let diff = encode_diff(ckpt.rank, gen, *base_gen, base, &enc);
             let n_blocks = diff
                 .section(diff_sections::BLOCKS)
                 .map(|b| (b.len() / 4) as u64)
@@ -615,7 +622,7 @@ impl ModeWriter {
                 // Modeled dirty fraction: ~25% of the state per interval.
                 fs::charge_write((b as usize / 4).max(1)).await;
             }
-            let name = self.mgr.file_name(gen, mpi.rank as u32);
+            let name = self.mgr.file_name(gen, ckpt.rank);
             self.mgr.write_at(&name, &diff).await.map_err(io_err)?;
         }
         self.prev = Some((gen, enc));
@@ -625,38 +632,25 @@ impl ModeWriter {
     }
 
     /// Retire a superseded generation after the post-write barrier (the
-    /// paper's delete-previous step). Incremental mode defers deletions
-    /// of generations the live diff chain still needs.
-    pub async fn retire(&mut self, mpi: &MpiCtx, prev_gen: u64) -> Result<(), MpiError> {
+    /// paper's delete-previous step) of the rank the writer checkpoints
+    /// for. Incremental mode defers deletions of generations the live
+    /// diff chain still needs.
+    pub async fn retire(&mut self, mpi: &MpiCtx, rank: u32, prev_gen: u64) -> Result<(), MpiError> {
         match self.mode {
-            CkptMode::Full | CkptMode::Aggregated { .. } => {
-                // Aggregated: the aggregator deletes the group container;
-                // members have nothing on the PFS.
-                match self.mode {
-                    CkptMode::Aggregated { group } if !mpi.rank.is_multiple_of(group) => Ok(()),
-                    CkptMode::Aggregated { group } => {
-                        let name = self.mgr.agg_file_name(prev_gen, (mpi.rank / group) as u32);
-                        fs::delete(&name).await.map_err(io_err)?;
-                        ctx::with_kernel(|k, _| obs::record(k, ids::CKPT_DELETES, 1));
-                        Ok(())
-                    }
-                    _ => self
-                        .mgr
-                        .delete_generation(prev_gen, mpi.rank as u32)
-                        .await
-                        .map(|_| ())
-                        .map_err(io_err),
-                }
+            CkptMode::Full => self.delete_rank_file(rank, prev_gen).await,
+            // The aggregator deletes the group container; members have
+            // nothing on the PFS.
+            CkptMode::Aggregated { group } if !mpi.rank.is_multiple_of(group) => Ok(()),
+            CkptMode::Aggregated { group } => {
+                let name = self.mgr.agg_file_name(prev_gen, (mpi.rank / group) as u32);
+                fs::delete(&name).await.map_err(io_err)?;
+                ctx::with_kernel(|k, _| obs::record(k, ids::CKPT_DELETES, 1));
+                Ok(())
             }
             CkptMode::Buddy => {
                 let partner = mpi.rank ^ 1;
                 if partner >= mpi.size {
-                    return self
-                        .mgr
-                        .delete_generation(prev_gen, mpi.rank as u32)
-                        .await
-                        .map(|_| ())
-                        .map_err(io_err);
+                    return self.delete_rank_file(mpi.rank as u32, prev_gen).await;
                 }
                 // Node-local memory: free direct deletes of the two
                 // copies this rank holds.
@@ -680,10 +674,7 @@ impl ModeWriter {
                     let mut gens = std::mem::take(&mut self.retained);
                     gens.push(prev_gen);
                     for g in gens {
-                        self.mgr
-                            .delete_generation(g, mpi.rank as u32)
-                            .await
-                            .map_err(io_err)?;
+                        self.delete_rank_file(rank, g).await?;
                     }
                 } else {
                     // The live chain still replays through prev_gen.
@@ -694,19 +685,29 @@ impl ModeWriter {
         }
     }
 
-    /// Load the newest restorable checkpoint under the configured mode,
-    /// priming the writer's chain state. Call from within the VP before
-    /// the first write of a run.
-    pub async fn load_latest(&mut self, mpi: &MpiCtx, store: &Arc<FsStore>) -> Option<Checkpoint> {
+    async fn delete_rank_file(&self, rank: u32, generation: u64) -> Result<(), MpiError> {
+        self.mgr
+            .delete_generation(generation, rank)
+            .await
+            .map(|_| ())
+            .map_err(io_err)
+    }
+
+    /// Load the newest restorable checkpoint of `rank` (the rank the
+    /// writer checkpoints for) under the configured mode, priming the
+    /// writer's chain state. Call from within the VP before the first
+    /// write of a run.
+    pub async fn load_latest(&mut self, mpi: &MpiCtx, rank: u32) -> Option<Checkpoint> {
+        let store = &vp_store();
         match self.mode {
             CkptMode::Full => {
-                let c = self.mgr.load_latest(store, mpi.rank as u32).await?;
+                let c = self.mgr.load_latest(store, rank).await?;
                 record_restore_chain(1);
                 Some(c)
             }
             CkptMode::Aggregated { group } => self.load_agg(mpi, store, group).await,
             CkptMode::Buddy => self.load_buddy(mpi, store).await,
-            CkptMode::Incremental { full_every } => self.load_incr(mpi, store, full_every).await,
+            CkptMode::Incremental { full_every } => self.load_incr(rank, store, full_every).await,
         }
     }
 
@@ -775,11 +776,10 @@ impl ModeWriter {
 
     async fn load_incr(
         &mut self,
-        mpi: &MpiCtx,
+        rank: u32,
         store: &Arc<FsStore>,
         full_every: u64,
     ) -> Option<Checkpoint> {
-        let rank = mpi.rank as u32;
         'candidates: for generation in self.mgr.generations_for(store, rank) {
             // Walk the ibase chain down to the full checkpoint.
             let mut frames: Vec<DiffFile> = Vec::new();

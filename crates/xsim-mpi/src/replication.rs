@@ -57,7 +57,6 @@ use std::fmt;
 use std::str::FromStr;
 use xsim_core::{ctx, Bytes, DetRng, Rank, SimTime};
 use xsim_obs::{ids, service as obs};
-use xsim_proc::Work;
 
 /// Tag space reserved for replication-layer traffic: below
 /// `COLL_TAG_BASE` (1 << 30), disjoint from plain application tags by
@@ -535,15 +534,17 @@ impl ReplicaMap {
         })
     }
 
-    /// Build the map a scheme implies; `None` for unreplicated schemes.
+    /// Build the map a scheme implies; `None` for unreplicated schemes
+    /// and for layouts [`full`](Self::full) / [`partial`](Self::partial)
+    /// reject (call those for the error).
     pub fn from_scheme(scheme: &ProtectionScheme, logical_size: usize) -> Option<Self> {
         match scheme {
             ProtectionScheme::Replication { degree } => {
-                Some(ReplicaMap::full(logical_size, *degree).expect("valid scheme"))
+                ReplicaMap::full(logical_size, *degree).ok()
             }
-            ProtectionScheme::Partial { degree, critical } => Some(
-                ReplicaMap::partial(logical_size, *degree, critical.clone()).expect("valid scheme"),
-            ),
+            ProtectionScheme::Partial { degree, critical } => {
+                ReplicaMap::partial(logical_size, *degree, critical.clone()).ok()
+            }
             _ => None,
         }
     }
@@ -702,11 +703,6 @@ impl Replicated {
         self.mpi.now()
     }
 
-    /// Compute-phase passthrough.
-    pub async fn compute(&self, work: Work) {
-        self.mpi.compute(work).await;
-    }
-
     /// The world communicator (for escalation paths: revoke/shrink).
     pub fn world(&self) -> Comm {
         self.mpi.world()
@@ -723,21 +719,6 @@ impl Replicated {
             .find(|(r, _)| r.idx() == phys)
             .map(|(_, tof)| tof)
             .filter(|&tof| now >= self.hb.detection_time(self.mpi.rank, phys, tof))
-    }
-
-    /// Whether this replica currently leads its team (lowest believed-
-    /// live replica index). Leaders perform team-external side effects
-    /// (checkpoint writes, completion markers).
-    pub fn is_leader(&self) -> bool {
-        for phys in self.map.replicas(self.logical_rank) {
-            if phys == self.mpi.rank {
-                return true;
-            }
-            if self.believed_failed(phys).is_none() {
-                return false;
-            }
-        }
-        false
     }
 
     /// Record a detection and (if the dead replica was a copy source we
@@ -1190,6 +1171,8 @@ mod tests {
         assert_eq!(m.degree_of(0), 1);
         assert_eq!(m.degree_of(3), 2);
         assert!(ReplicaMap::partial(4, 2, BTreeSet::from([9])).is_err());
+        let out_of_range = "partial:2:9".parse().unwrap();
+        assert_eq!(ReplicaMap::from_scheme(&out_of_range, 4), None, "no panic");
     }
 
     #[test]
