@@ -45,7 +45,7 @@ pub enum ComputeMode {
 /// Heat application configuration (the paper's four parameters, §V-B:
 /// problem size, total iteration count, halo-exchange interval,
 /// checkpoint interval — plus the decomposition and compute mode).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct HeatConfig {
     /// Global grid points per dimension (paper: 512×512×512).
     pub global: [usize; 3],

@@ -11,11 +11,14 @@
 //!   dominated, unlike the bulk-synchronous apps).
 //! * [`kernels`] — ring / compute+allreduce / ping-pong / noop
 //!   microbenchmark programs for tests, examples and ablations.
+//! * [`scenario`] — the run inputs every front end reads from its
+//!   command line and environment, through one parser.
 
 pub mod heat3d;
 pub mod heat3d_rep;
 pub mod jacobi2d;
 pub mod kernels;
+pub mod scenario;
 pub mod sweep;
 
 pub use heat3d::{ComputeMode, HeatConfig};

@@ -3,12 +3,17 @@
 //! reproduction makes, so its effect on the Table II regime is visible.
 //!
 //! ```text
-//! cargo run --release -p xsim-bench --bin ablations
+//! cargo run --release -p xsim-bench --bin ablations [--net-faults] [--seed N] \
+//!     [--failures SPEC] [--profile FILE]
 //! ```
+//!
+//! The collective and eager-threshold sections run under the scenario's
+//! faults (`--failures`, `XSIM_FAILURES`, `XSIM_NET_FAULTS`).
 
 use std::sync::Arc;
 use xsim_apps::heat3d::{self, HeatConfig};
-use xsim_bench::{apply_env_faults, paper_builder};
+use xsim_apps::scenario::{Cli, Scenario};
+use xsim_bench::paper_builder;
 use xsim_core::vp::VpProgram;
 use xsim_core::{Bytes, SimTime};
 use xsim_fs::FsModel;
@@ -18,8 +23,8 @@ use xsim_mpi::{
 use xsim_net::{LinkFaultKind, NetFault, NetModel, Topology};
 use xsim_obs::ids;
 
-fn run_virtual(n: usize, program: Arc<dyn VpProgram>) -> SimTime {
-    apply_env_faults(SimBuilder::new(n).net(NetModel::small(n)))
+fn run_virtual(sc: &Scenario, n: usize, program: Arc<dyn VpProgram>) -> SimTime {
+    sc.inject(SimBuilder::new(n).net(NetModel::small(n)))
         .run(program)
         .unwrap()
         .exit_time()
@@ -27,23 +32,22 @@ fn run_virtual(n: usize, program: Arc<dyn VpProgram>) -> SimTime {
 
 /// One metered collective run: returns the virtual time, simulated
 /// message count and mean host wall-time per message (µs).
-fn coll_run(n: usize, algo: CollAlgo, program: Arc<dyn VpProgram>) -> (SimTime, u64, f64) {
+fn coll_run(sc: &Scenario, n: usize, algo: CollAlgo, p: Arc<dyn VpProgram>) -> (SimTime, u64, f64) {
     let t = std::time::Instant::now();
-    let report = apply_env_faults(
-        SimBuilder::new(n)
-            .net(NetModel::small(n))
-            .collectives(algo)
-            .metrics(true),
-    )
-    .run(program)
-    .unwrap();
+    let report = sc
+        .inject(SimBuilder::new(n))
+        .net(NetModel::small(n))
+        .collectives(algo)
+        .metrics(true)
+        .run(p)
+        .unwrap();
     let wall = t.elapsed();
     let msgs = xsim_bench::messages_moved(&report).unwrap_or(0);
     let per_us = xsim_bench::per_message_wall(&report, wall).map_or(0.0, |s| s * 1e6);
     (report.exit_time(), msgs, per_us)
 }
 
-fn section_collectives() {
+fn section_collectives(sc: &Scenario) {
     println!(
         "## Linear vs log-P collective schedules (one op: virtual time, simulated \
          messages, mean host µs/message)"
@@ -89,8 +93,8 @@ fn section_collectives() {
     ];
     for (label, program) in ops {
         for n in [64usize, 512, 4096] {
-            let (lin_vt, lin_msgs, lin_us) = coll_run(n, CollAlgo::Linear, program.clone());
-            let (tree_vt, tree_msgs, tree_us) = coll_run(n, CollAlgo::Tree, program.clone());
+            let (lin_vt, lin_msgs, lin_us) = coll_run(sc, n, CollAlgo::Linear, program.clone());
+            let (tree_vt, tree_msgs, tree_us) = coll_run(sc, n, CollAlgo::Tree, program.clone());
             println!(
                 "{label:>14} {n:>6} {lin_vt:>14} {tree_vt:>14} {:>6.1}x {:>14} {:>16}",
                 lin_vt.as_secs_f64() / tree_vt.as_secs_f64().max(1e-12),
@@ -107,7 +111,7 @@ fn section_collectives() {
     println!();
 }
 
-fn section_eager_threshold() {
+fn section_eager_threshold(sc: &Scenario) {
     println!("## Eager/rendezvous crossover (virtual round-trip, receiver posts late)");
     println!(
         "{:>12} {:>18} {:>18}",
@@ -144,7 +148,7 @@ fn section_eager_threshold() {
             mpi.finalize();
             Ok(())
         });
-        run_virtual(2, program);
+        run_virtual(sc, 2, program);
     }
     println!();
 }
@@ -419,8 +423,10 @@ fn section_net_faults(seed: u64) {
 }
 
 fn main() {
-    let flags = xsim_bench::parse_flags();
-    if let Some(p) = &flags.profile {
+    let cli = Cli::from_main(std::env::args(), "seed profile net-faults failures", |k| {
+        std::env::var(k).ok()
+    });
+    if let Some(p) = &cli.profile {
         // Profile one representative configuration: a 64-rank barrier on
         // the small machine, traced and metered.
         let report = SimBuilder::new(64)
@@ -435,11 +441,11 @@ fn main() {
             .expect("profile run");
         xsim_bench::write_profile(&report, p);
     }
-    if flags.net_faults {
-        section_net_faults(flags.seed);
+    if cli.net_faults {
+        section_net_faults(cli.scenario.seed);
     }
-    section_collectives();
-    section_eager_threshold();
+    section_collectives(&cli.scenario);
+    section_eager_threshold(&cli.scenario);
     section_detectors();
     section_engines();
     section_fs_cost();

@@ -31,8 +31,9 @@
 
 use std::fmt::Write as _;
 use xsim_apps::heat3d::{self, HeatConfig};
+use xsim_apps::scenario::Cli;
 use xsim_apps::ComputeMode;
-use xsim_bench::{paper_builder, parse_flags, Scale};
+use xsim_bench::paper_builder;
 use xsim_core::SimTime;
 use xsim_fs::FsModel;
 use xsim_mpi::CkptMode;
@@ -65,17 +66,19 @@ fn run(cfg: &HeatConfig, fs: FsModel, workers: usize, seed: u64) -> (SimTime, u1
 }
 
 fn main() {
-    let flags = parse_flags();
+    let cli = Cli::from_main(std::env::args(), "quick workers seed", |k| {
+        std::env::var(k).ok()
+    });
+    let (workers, seed) = (cli.scenario.workers, cli.scenario.seed);
     let cpus = std::thread::available_parallelism().map_or(0, |p| p.get());
     let mut json = String::new();
     json.push_str("{\"schema\":\"xsim-bench-ckpt-v1\"");
     let _ = write!(
         json,
         ",\"workload\":\"heat3d(16^3 points/rank, 20 iters, ckpt every 5)\
-         \",\"io_nodes\":{IO_NODES},\"host_cpus\":{cpus},\"workers\":{}",
-        flags.workers
+         \",\"io_nodes\":{IO_NODES},\"host_cpus\":{cpus},\"workers\":{workers}"
     );
-    if cpus <= 1 && flags.workers > 1 {
+    if cpus <= 1 && workers > 1 {
         let warning = "host_cpus == 1: wall_us columns reflect a serialized host; \
                        simulated times are unaffected";
         eprintln!("WARNING: {warning}");
@@ -84,7 +87,7 @@ fn main() {
     json.push_str(",\"results\":[");
 
     let mut scales: Vec<[usize; 3]> = vec![[4, 4, 4], [8, 8, 4]];
-    if flags.scale == Scale::Paper {
+    if !cli.quick {
         scales.push([8, 8, 8]);
     }
     let modes = [
@@ -105,11 +108,11 @@ fn main() {
         // Baseline: the same run over the free (Table II) file system —
         // zero checkpoint I/O cost, identical compute and communication.
         let base_cfg = config(dims, CkptMode::Full);
-        let (base, _) = run(&base_cfg, FsModel::free(), flags.workers, flags.seed);
+        let (base, _) = run(&base_cfg, FsModel::free(), workers, seed);
         let mut full_overhead = f64::MAX;
         for mode in modes {
             let cfg = config(dims, mode);
-            let (e1, wall_us) = run(&cfg, FsModel::striped(IO_NODES), flags.workers, flags.seed);
+            let (e1, wall_us) = run(&cfg, FsModel::striped(IO_NODES), workers, seed);
             let overhead = (e1 - base).as_secs_f64();
             let frac = overhead / base.as_secs_f64();
             let beats_full = if mode == CkptMode::Full {

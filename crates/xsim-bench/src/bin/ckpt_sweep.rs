@@ -13,15 +13,17 @@
 //! ```
 
 use xsim_apps::heat3d::{self, HeatConfig};
+use xsim_apps::scenario::Cli;
 use xsim_apps::ComputeMode;
-use xsim_bench::{paper_builder, parse_flags};
+use xsim_bench::paper_builder;
 use xsim_ckpt::{daly_interval, expected_runtime, CheckpointManager, Orchestrator};
 use xsim_core::SimTime;
 use xsim_fault::FailureModel;
 use xsim_fs::{FsModel, FsStore};
 
 fn main() {
-    let flags = parse_flags();
+    let cli = Cli::from_main(std::env::args(), "workers seed", |k| std::env::var(k).ok());
+    let (workers, seed) = (cli.scenario.workers, cli.scenario.seed);
     // 512 ranks, 16³ points each → the paper's per-rank load, 1000
     // iterations, E1 ≈ 5243 s.
     let base = HeatConfig {
@@ -58,14 +60,14 @@ fn main() {
         "C", "E1", "E2 (avg)", "F (avg)", "Daly E[T]"
     );
 
-    let seeds: Vec<u64> = (0..6).map(|i| flags.seed ^ (0x9E37 * (i + 1))).collect();
+    let seeds: Vec<u64> = (0..6).map(|i| seed ^ (0x9E37 * (i + 1))).collect();
     let mut best: Option<(u64, f64)> = None;
     for c in [16u64, 32, 64, 125, 250, 500] {
         let mut cfg = base.clone();
         cfg.ckpt_interval = c;
         cfg.halo_interval = c;
 
-        let e1 = paper_builder(&cfg, flags.workers, flags.seed)
+        let e1 = paper_builder(&cfg, workers, seed)
             .fs_model(fs)
             .run(heat3d::program(cfg.clone()))
             .expect("E1 run")
@@ -86,7 +88,7 @@ fn main() {
                     store,
                     heat3d::program(cfg.clone()),
                     cfg.n_ranks(),
-                    move || paper_builder(&cfg2, flags.workers, seed).fs_model(fs),
+                    move || paper_builder(&cfg2, workers, seed).fs_model(fs),
                 )
                 .expect("campaign");
             assert!(result.completed);

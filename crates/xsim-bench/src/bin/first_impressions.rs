@@ -10,14 +10,17 @@
 //! free) so injections can land inside them.
 //!
 //! ```text
-//! cargo run --release -p xsim-bench --bin first_impressions [--quick] [--seed N]
+//! cargo run --release -p xsim-bench --bin first_impressions [--quick] [--seed N] \
+//!     [--workers N] [--failures SPEC] [--profile FILE]
 //! ```
+//!
+//! `--quick` runs the 4,096-rank configuration instead of the paper's
+//! 32,768 ranks. `--failures` (or `XSIM_FAILURES` / `XSIM_NET_FAULTS`)
+//! perturbs the clean run.
 
 use xsim_apps::heat3d::{self, HeatConfig};
-use xsim_bench::{
-    apply_env_faults, messages_moved, paper_builder, parse_flags, per_message_wall, table2_config,
-    write_profile, Scale,
-};
+use xsim_apps::scenario::Cli;
+use xsim_bench::{messages_moved, paper_builder, per_message_wall, table2_config, write_profile};
 use xsim_ckpt::CheckpointManager;
 use xsim_core::{ExitKind, SimTime};
 use xsim_fs::FsModel;
@@ -46,11 +49,13 @@ fn run_injection(
 }
 
 fn main() {
-    let mut flags = parse_flags();
-    if std::env::args().count() == 1 {
-        flags.scale = Scale::Quick;
-    }
-    let mut cfg = table2_config(flags.scale, 250);
+    let cli = Cli::from_main(
+        std::env::args(),
+        "quick workers seed profile failures",
+        |k| std::env::var(k).ok(),
+    );
+    let (workers, seed) = (cli.scenario.workers, cli.scenario.seed);
+    let mut cfg = table2_config(cli.quick, 250);
     cfg.iterations = 1000;
     let io = SimTime::from_secs(20);
     let fs_model = FsModel {
@@ -60,14 +65,15 @@ fn main() {
         pfs: None,
     };
 
-    // The "clean" run honors XSIM_FAILURES / XSIM_NET_FAULTS so the
-    // narrative can be perturbed from the environment.
+    // The "clean" run takes the scenario's faults so the narrative can be
+    // perturbed from the command line or the environment.
     // Metrics stay on for the clean run so its per-message host cost can
     // be reported (deterministic counters don't perturb virtual time).
-    let mut builder =
-        apply_env_faults(paper_builder(&cfg, flags.workers, flags.seed).fs_model(fs_model))
-            .metrics(true);
-    if flags.profile.is_some() {
+    let mut builder = cli
+        .scenario
+        .inject(paper_builder(&cfg, workers, seed).fs_model(fs_model))
+        .metrics(true);
+    if cli.profile.is_some() {
         builder = builder.trace(true);
     }
     let wall_t = std::time::Instant::now();
@@ -76,7 +82,7 @@ fn main() {
         .expect("clean run");
     let wall = wall_t.elapsed();
     assert_eq!(clean.sim.exit, ExitKind::Completed);
-    if let Some(p) = &flags.profile {
+    if let Some(p) = &cli.profile {
         write_profile(&clean, p);
     }
     let compute =
@@ -100,13 +106,7 @@ fn main() {
 
     // Probe: a mid-compute failure in period 1 activates exactly at the
     // period's compute end (paper §IV-B) — this anchors the timeline.
-    let (a1, ab1, latest1, rem1) = run_injection(
-        &cfg,
-        fs_model,
-        flags.workers,
-        flags.seed,
-        compute.scale(0.5),
-    );
+    let (a1, ab1, latest1, rem1) = run_injection(&cfg, fs_model, workers, seed, compute.scale(0.5));
     println!("failure during COMPUTATION (injected mid-compute of period 1):");
     println!(
         "    activated at {a1} = end of the compute phase; detected in the halo \
@@ -125,21 +125,10 @@ fn main() {
     // Period 2 anchors: compute end of period 2 ≈ a1 + write + barrier +
     // compute. Probe again for exactness.
     let s2_guess = a1 + io + compute;
-    let (a2, _, _, _) = run_injection(
-        &cfg,
-        fs_model,
-        flags.workers,
-        flags.seed,
-        s2_guess - compute.scale(0.3),
-    );
+    let (a2, _, _, _) = run_injection(&cfg, fs_model, workers, seed, s2_guess - compute.scale(0.3));
     // Failure inside the checkpoint WRITE of period 2.
-    let (a3, ab3, latest3, rem3) = run_injection(
-        &cfg,
-        fs_model,
-        flags.workers,
-        flags.seed,
-        a2 + SimTime::from_secs(5),
-    );
+    let (a3, ab3, latest3, rem3) =
+        run_injection(&cfg, fs_model, workers, seed, a2 + SimTime::from_secs(5));
     println!();
     println!("failure during CHECKPOINTING (injected 5 s into period 2's write):");
     println!(
@@ -161,8 +150,8 @@ fn main() {
     let (a4, ab4, latest4, rem4) = run_injection(
         &cfg,
         fs_model,
-        flags.workers,
-        flags.seed,
+        workers,
+        seed,
         a2 + io + SimTime::from_secs(5),
     );
     println!();

@@ -20,7 +20,7 @@
 //!     [--seed N] [--workers N] [--protection SPEC] [--fit F]
 //! ```
 //!
-//! `--protection` / `--fit` (or `XSIM_PROTECTION`) restrict the grid to
+//! `--protection` (or `XSIM_PROTECTION`) / `--fit` restrict the grid to
 //! one scheme / one rung — the CI smoke runs
 //! `--quick --protection replication --fit 2e9`, a cell whose replica
 //! teams absorb ~70 failures with transparent failovers. Emits
@@ -28,21 +28,21 @@
 
 use std::collections::BTreeSet;
 use xsim_apps::heat3d::{self, HeatConfig};
+use xsim_apps::scenario::Cli;
 use xsim_apps::ComputeMode;
-use xsim_bench::{
-    env_protection, parse_flags, protection_builder, run_protection_cell, ProtectionCell, Scale,
-};
+use xsim_bench::{protection_builder, run_protection_cell, ProtectionCell};
 use xsim_core::SimTime;
 use xsim_fs::FsModel;
 use xsim_mpi::ProtectionScheme;
 
-/// Logical heat problem per scale: the paper's per-rank load (16³ points
-/// per rank) on a machine small enough that a multi-restart campaign
-/// grid stays tractable.
-fn base_config(scale: Scale) -> HeatConfig {
-    let (ranks, global, iterations) = match scale {
-        Scale::Quick => ([4, 4, 2], [64, 64, 32], 120),
-        Scale::Paper => ([8, 8, 4], [128, 128, 64], 400),
+/// Logical heat problem, `quick` or full: the paper's per-rank load
+/// (16³ points per rank) on a machine small enough that a multi-restart
+/// campaign grid stays tractable.
+fn base_config(quick: bool) -> HeatConfig {
+    let (ranks, global, iterations) = if quick {
+        ([4, 4, 2], [64, 64, 32], 120)
+    } else {
+        ([8, 8, 4], [128, 128, 64], 400)
     };
     HeatConfig {
         global,
@@ -99,15 +99,18 @@ fn cell_json(c: &ProtectionCell) -> String {
 }
 
 fn main() {
-    let flags = parse_flags();
-    let heat = base_config(flags.scale);
+    let cli = Cli::from_main(std::env::args(), "quick workers seed protection fit", |k| {
+        std::env::var(k).ok()
+    });
+    let (workers, seed) = (cli.scenario.workers, cli.scenario.seed);
+    let heat = base_config(cli.quick);
     let logical = heat.n_ranks();
 
     // Failure-free reference of the unprotected solver: sizes the
     // schedule horizon so even a thrashing campaign stays covered.
     let mut bare = heat.clone();
     bare.ckpt_interval = bare.iterations;
-    let e1 = protection_builder(logical, flags.workers, flags.seed)
+    let e1 = protection_builder(logical, workers, seed)
         .fs_model(FsModel::typical_pfs())
         .run(heat3d::program(bare))
         .expect("failure-free baseline")
@@ -119,12 +122,12 @@ fn main() {
         e1.as_secs_f64()
     );
 
-    let scheme_filter = flags.protection.clone().or_else(env_protection);
+    let scheme_filter = cli.scenario.protection;
     let schemes: Vec<ProtectionScheme> = match &scheme_filter {
         Some(s) => vec![s.clone()],
         None => scheme_axis(logical),
     };
-    let fits: Vec<f64> = match flags.fit {
+    let fits: Vec<f64> = match cli.fit {
         Some(f) => vec![f],
         None => FIT_AXIS.to_vec(),
     };
@@ -136,8 +139,7 @@ fn main() {
     let mut cells: Vec<ProtectionCell> = Vec::new();
     for &fit in &fits {
         for scheme in &schemes {
-            let run =
-                run_protection_cell(&heat, scheme, fit, horizon, 100, flags.workers, flags.seed);
+            let run = run_protection_cell(&heat, scheme, fit, horizon, 100, workers, seed);
             let cell = run.unwrap_or_else(|e| {
                 eprintln!("protection: {e}");
                 std::process::exit(2)
@@ -205,7 +207,7 @@ fn main() {
          \"cells\": [\n    {}\n  ]\n}}\n",
         e1.as_secs_f64(),
         logical,
-        flags.seed,
+        seed,
         rows.join(",\n    ")
     );
     std::fs::write("BENCH_protection.json", json).expect("write BENCH_protection.json");

@@ -14,23 +14,13 @@
 //! or per-instance regression fails the build. `--quick` trims the timed
 //! span for CI; the tiers and the gate stay the same.
 
+use xsim_apps::scenario::Cli;
 use xsim_bench::{peak_rss_kib, run_queue_tier, QUEUE_TIERS};
 
 fn main() {
-    let mut ops = 200_000usize;
-    let mut args = std::env::args().skip(1);
-    while let Some(a) = args.next() {
-        match a.as_str() {
-            "--quick" => ops = 50_000,
-            "--ops" => {
-                ops = args.next().and_then(|v| v.parse().ok()).expect("--ops N");
-            }
-            other => {
-                eprintln!("unknown flag {other}; known: --quick --ops N");
-                std::process::exit(2);
-            }
-        }
-    }
+    let cli = Cli::from_main(std::env::args(), "quick ops", |k| std::env::var(k).ok());
+    let quick_ops = if cli.quick { 50_000 } else { 200_000 };
+    let ops = cli.ops.unwrap_or(quick_ops);
 
     println!(
         "{:>10} {:>9} {:>10} {:>14} {:>16} {:>8}",

@@ -9,7 +9,7 @@
 //! cargo run --release -p xsim-bench --bin table1 [--seed N]
 //! ```
 
-use xsim_bench::parse_flags;
+use xsim_apps::scenario::Cli;
 use xsim_fault::bitflip::{run_campaign, CampaignStats, VictimLayout};
 
 struct PaperRow {
@@ -62,12 +62,13 @@ const PAPER: &[PaperRow] = &[
 ];
 
 fn main() {
-    let flags = parse_flags();
+    let cli = Cli::from_main(std::env::args(), "seed", |k| std::env::var(k).ok());
+    let seed = cli.scenario.seed;
     let layout = VictimLayout::default();
     // The paper capped each victim at 100 injections; with the default
     // layout (p ≈ 1/21.3) a tiny fraction of victims survive the cap —
     // match the paper's protocol and report only crashed victims.
-    let counts = run_campaign(100, 100, layout, flags.seed);
+    let counts = run_campaign(100, 100, layout, seed);
     let s = CampaignStats::from_counts(&counts).expect("campaign produced failures");
 
     println!("Table I — fault (bit flip) injection results");
@@ -75,7 +76,7 @@ fn main() {
         "victim image: {} KiB, {:.2}% crash-sensitive; cap 100 injections; seed {}",
         layout.total_bytes() / 1024,
         layout.crash_probability() * 100.0,
-        flags.seed
+        seed
     );
     println!();
     println!(

@@ -14,7 +14,8 @@
 //! cargo run --release -p xsim-bench --bin table2 [--quick] [--workers N] [--seed N]
 //! ```
 
-use xsim_bench::{parse_flags, run_heat_baseline, run_heat_campaign, table2_config, Scale};
+use xsim_apps::scenario::Cli;
+use xsim_bench::{run_heat_baseline, run_heat_campaign, table2_config};
 use xsim_core::SimTime;
 use xsim_fault::FailureModel;
 
@@ -23,21 +24,19 @@ fn fmt_s(t: SimTime) -> String {
 }
 
 fn main() {
-    let flags = parse_flags();
+    let cli = Cli::from_main(std::env::args(), "quick workers seed", |k| {
+        std::env::var(k).ok()
+    });
+    let (quick, workers, seed) = (cli.quick, cli.scenario.workers, cli.scenario.seed);
     let iters = 1000u64;
     let intervals = [iters / 2, iters / 4, iters / 8]; // 500, 250, 125
     let mttfs = [SimTime::from_secs(6000), SimTime::from_secs(3000)];
 
     println!("Table II — varying the checkpoint interval and system MTTF");
-    match flags.scale {
-        Scale::Paper => println!(
-            "scale: paper (32,768 ranks, 512^3 grid, 32^3 torus); seed {}",
-            flags.seed
-        ),
-        Scale::Quick => println!(
-            "scale: quick (4,096 ranks, 256^3 grid, 16^3 torus); seed {}",
-            flags.seed
-        ),
+    if quick {
+        println!("scale: quick (4,096 ranks, 256^3 grid, 16^3 torus); seed {seed}");
+    } else {
+        println!("scale: paper (32,768 ranks, 512^3 grid, 32^3 torus); seed {seed}");
     }
     println!();
     println!(
@@ -46,9 +45,9 @@ fn main() {
     );
 
     // Baseline row: no failures, single checkpoint at the end.
-    let base_cfg = table2_config(flags.scale, iters);
+    let base_cfg = table2_config(quick, iters);
     let wall = std::time::Instant::now();
-    let e1 = run_heat_baseline(&base_cfg, flags.workers, flags.seed).expect("baseline");
+    let e1 = run_heat_baseline(&base_cfg, workers, seed).expect("baseline");
     eprintln!("[baseline C={iters} done in {:.1?}]", wall.elapsed());
     println!(
         "{:>8} {:>6} {:>10} {:>10} {:>4} {:>10}",
@@ -63,28 +62,28 @@ fn main() {
     // E1 depends only on C; compute once per interval.
     let mut e1_by_c = std::collections::HashMap::new();
     for &c in &intervals {
-        let cfg = table2_config(flags.scale, c);
+        let cfg = table2_config(quick, c);
         let wall = std::time::Instant::now();
-        let e1 = run_heat_baseline(&cfg, flags.workers, flags.seed).expect("E1");
+        let e1 = run_heat_baseline(&cfg, workers, seed).expect("E1");
         eprintln!("[E1 for C={c} done in {:.1?}]", wall.elapsed());
         e1_by_c.insert(c, e1);
     }
 
     for mttf in mttfs {
         for &c in &intervals {
-            let cfg = table2_config(flags.scale, c);
+            let cfg = table2_config(quick, c);
             let wall = std::time::Instant::now();
             let e1 = e1_by_c[&c];
             let result = run_heat_campaign(
                 &cfg,
                 FailureModel::UniformTwiceMttf { mttf },
-                flags.workers,
+                workers,
                 // One draw stream per MTTF group: the initial failure
                 // lands at the same virtual time for every checkpoint
                 // interval, so the E2 differences across rows isolate
                 // the lost-work effect of C (the paper's groups likewise
                 // hold F constant across C).
-                flags.seed ^ mttf.as_nanos(),
+                seed ^ mttf.as_nanos(),
             )
             .expect("campaign");
             assert!(result.completed, "campaign exhausted its restart budget");

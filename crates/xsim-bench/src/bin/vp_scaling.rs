@@ -15,45 +15,18 @@
 //! explicitly and composes with the gate (the smaller bound wins).
 //! `--quick` runs the single 2¹⁶ rung for CI smokes.
 
+use xsim_apps::scenario::Cli;
 use xsim_bench::{run_vp_scaling_rung, vp_mem_gate, VP_SCALING_BYTES_PER_VP};
 
 fn main() {
-    let mut quick = false;
-    let mut workers = 1usize;
-    let mut rounds = 2u32;
-    let mut max_vps = usize::MAX;
-    let mut args = std::env::args().skip(1);
-    while let Some(a) = args.next() {
-        match a.as_str() {
-            "--quick" => quick = true,
-            "--workers" => {
-                workers = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .expect("--workers N");
-            }
-            "--rounds" => {
-                rounds = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .expect("--rounds N");
-            }
-            "--max-vps" => {
-                max_vps = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .expect("--max-vps N");
-            }
-            other => {
-                eprintln!(
-                    "unknown flag {other}; known: --quick --workers N --rounds N --max-vps N"
-                );
-                std::process::exit(2);
-            }
-        }
-    }
+    let cli = Cli::from_main(std::env::args(), "quick workers rounds max-vps", |k| {
+        std::env::var(k).ok()
+    });
+    let workers = cli.scenario.workers;
+    let rounds = cli.rounds.unwrap_or(2);
+    let max_vps = cli.max_vps.unwrap_or(usize::MAX);
 
-    let rungs: Vec<usize> = if quick {
+    let rungs: Vec<usize> = if cli.quick {
         vec![1 << 16]
     } else {
         (20..=27).map(|e| 1usize << e).collect()

@@ -21,12 +21,10 @@ use xsim_ckpt::{CampaignResult, CheckpointManager, Orchestrator, ProtectionCampa
 use xsim_core::event::{Action, EventKey, EventRec};
 use xsim_core::vp::VpProgram;
 use xsim_core::{Rank, SimError, SimTime};
-use xsim_fault::{
-    Component, FailureModel, FailureSchedule, FaultSchedule, NodeReliability, SystemReliability,
-};
+use xsim_fault::{Component, FailureModel, FailureSchedule, NodeReliability, SystemReliability};
 use xsim_fs::{FsModel, FsStore};
 use xsim_mpi::{HeartbeatConfig, ProtectionScheme, RunReport, SimBuilder};
-use xsim_net::{NetFault, NetModel};
+use xsim_net::NetModel;
 use xsim_proc::ProcModel;
 
 /// Builder configured like the paper's simulated system (§V-C): 32³
@@ -73,95 +71,16 @@ pub fn run_heat_baseline(cfg: &HeatConfig, workers: usize, seed: u64) -> Result<
     Ok(report.exit_time())
 }
 
-/// Scale description for the Table II harness.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Scale {
-    /// The paper's full 32,768-rank configuration.
-    Paper,
-    /// A reduced 4,096-rank configuration for CI / quick runs (16³
-    /// ranks, proportionally scaled problem).
-    Quick,
-}
-
-/// Build the heat configuration for a Table II row at a scale.
-pub fn table2_config(scale: Scale, ckpt_interval: u64) -> HeatConfig {
-    match scale {
-        Scale::Paper => HeatConfig::paper(ckpt_interval),
-        Scale::Quick => {
-            let mut cfg = HeatConfig::paper(ckpt_interval);
-            cfg.ranks = [16, 16, 16];
-            cfg.global = [256, 256, 256]; // keeps 16³ points per rank
-            cfg
-        }
+/// Build the heat configuration for a Table II row: the paper's
+/// 32,768-rank configuration, or with `quick` a 4,096-rank one for CI /
+/// quick runs (16³ ranks, proportionally scaled problem).
+pub fn table2_config(quick: bool, ckpt_interval: u64) -> HeatConfig {
+    let mut cfg = HeatConfig::paper(ckpt_interval);
+    if quick {
+        cfg.ranks = [16, 16, 16];
+        cfg.global = [256, 256, 256]; // keeps 16³ points per rank
     }
-}
-
-/// The environment-variable fault schedules every harness binary honors
-/// (xSim's env-var injection path, paper §IV-B, extended to the network
-/// fault surface): `XSIM_FAILURES` (`rank:seconds,...`) and
-/// `XSIM_NET_FAULTS` (`rank:R:SECS`, `link:NODE:DIR:SECS[:kind]`,
-/// `switch:NODE:SECS[:kind]`). Rank entries of `XSIM_NET_FAULTS` merge
-/// into the process-failure half. `XSIM_PROTECTION` is validated here
-/// too, so a malformed protection spec fails fast in every binary, not
-/// just the ones that act on it. Exits with a diagnostic on a malformed
-/// schedule.
-pub fn env_fault_schedules() -> (FailureSchedule, Vec<NetFault>) {
-    let _ = env_protection();
-    let mut failures = match FailureSchedule::from_env() {
-        Ok(s) => s.unwrap_or_default(),
-        Err(e) => {
-            eprintln!("XSIM_FAILURES: {e}");
-            std::process::exit(2);
-        }
-    };
-    let mut net = Vec::new();
-    match FaultSchedule::from_env() {
-        Ok(Some(s)) => {
-            for (rank, at) in s.rank_failures().iter() {
-                failures.push(rank, at);
-            }
-            net = s.net_faults();
-        }
-        Ok(None) => {}
-        Err(e) => {
-            eprintln!("XSIM_NET_FAULTS: {e}");
-            std::process::exit(2);
-        }
-    }
-    (failures, net)
-}
-
-/// Apply the environment fault schedules to a builder (no-op when
-/// neither variable is set). Harness binaries pass every builder they
-/// construct through this, so a user can perturb any table or sweep
-/// without recompiling.
-pub fn apply_env_faults(builder: SimBuilder) -> SimBuilder {
-    let (failures, net) = env_fault_schedules();
-    let mut b = builder;
-    if !failures.is_empty() {
-        b = b.inject_failures(failures.iter());
-    }
-    if !net.is_empty() {
-        b = b.net_faults(net);
-    }
-    b
-}
-
-/// Read the protection scheme from `XSIM_PROTECTION`, if set —
-/// the resilience counterpart of [`env_fault_schedules`]'s injection
-/// variables. Format: `none`, `cr[:MODE]` with `MODE` one of `full`,
-/// `agg[:G]`, `buddy`, `incr[:K]`, `replication[:DEGREE]`, or
-/// `partial[:DEGREE[:SET]]` with `SET` a `+`-separated list of ranks
-/// and `A-B` ranges (e.g. `partial:2:0-3+8`). Exits with a diagnostic
-/// on a malformed spec.
-pub fn env_protection() -> Option<ProtectionScheme> {
-    match ProtectionScheme::from_env() {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("XSIM_PROTECTION: {e}");
-            std::process::exit(2);
-        }
-    }
+    cfg
 }
 
 /// Builder for protection-ablation worlds: the link parameters, node
@@ -301,98 +220,6 @@ pub fn run_protection_cell(
         finish_time: result.finish_time,
         node_seconds: result.finish_time.as_secs_f64() * physical as f64,
     })
-}
-
-/// Parse common CLI flags of the harness binaries.
-pub fn parse_flags() -> Flags {
-    let mut flags = Flags::default();
-    let mut args = std::env::args().skip(1);
-    while let Some(a) = args.next() {
-        match a.as_str() {
-            "--quick" => flags.scale = Scale::Quick,
-            "--net-faults" => flags.net_faults = true,
-            "--bench-msgpath" => flags.bench_msgpath = true,
-            "--workers" => {
-                flags.workers = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .expect("--workers N");
-            }
-            "--seed" => {
-                flags.seed = args.next().and_then(|v| v.parse().ok()).expect("--seed N");
-            }
-            "--profile" => {
-                flags.profile = Some(args.next().expect("--profile out.json"));
-            }
-            "--protection" => {
-                let spec = args.next().expect("--protection SPEC");
-                flags.protection = Some(spec.parse().unwrap_or_else(|e| {
-                    eprintln!("--protection: {e}");
-                    std::process::exit(2);
-                }));
-            }
-            "--fit" => {
-                let fit: f64 = args.next().and_then(|v| v.parse().ok()).expect("--fit F");
-                if !fit.is_finite() || fit < 0.0 {
-                    eprintln!("--fit: rate must be a non-negative finite FIT value");
-                    std::process::exit(2);
-                }
-                flags.fit = Some(fit);
-            }
-            other => {
-                eprintln!(
-                    "unknown flag {other}; known: --quick --net-faults --bench-msgpath \
-                     --workers N --seed N --profile out.json --protection SPEC --fit F"
-                );
-                std::process::exit(2);
-            }
-        }
-    }
-    flags
-}
-
-/// Parsed harness flags.
-#[derive(Debug, Clone)]
-pub struct Flags {
-    /// Scale selection.
-    pub scale: Scale,
-    /// Run the network-fault sweep sections (`--net-faults`).
-    pub net_faults: bool,
-    /// Run the message-path sweep (fault-active p2p storm, route cache
-    /// on vs. off) and emit `BENCH_msgpath.json` (`--bench-msgpath`,
-    /// `scalability` bin only).
-    pub bench_msgpath: bool,
-    /// Native worker threads.
-    pub workers: usize,
-    /// Master seed.
-    pub seed: u64,
-    /// Write a Chrome trace (plus `*.metrics.json` snapshot) of one
-    /// representative run to this path.
-    pub profile: Option<String>,
-    /// Restrict the protection ablation to one scheme (`--protection`);
-    /// `XSIM_PROTECTION` is the environment-variable equivalent.
-    pub protection: Option<ProtectionScheme>,
-    /// Restrict the protection ablation to one per-node FIT rung
-    /// (`--fit`).
-    pub fit: Option<f64>,
-}
-
-impl Default for Flags {
-    fn default() -> Self {
-        Flags {
-            scale: Scale::Paper,
-            net_faults: false,
-            bench_msgpath: false,
-            workers: 1,
-            // Default chosen so both MTTF groups of Table II experience
-            // failures in their first run (any seed is valid; the runs
-            // are deterministic per seed).
-            seed: 17,
-            profile: None,
-            protection: None,
-            fit: None,
-        }
-    }
 }
 
 /// Total simulated messages moved by a metered run (eager +

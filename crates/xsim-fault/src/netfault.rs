@@ -6,13 +6,14 @@
 //! surface of the co-design tool: a fault is anchored at a
 //! [`FaultComponent`] (rank, link or switch) and carries a
 //! [`FaultKind`] (permanent, transient with a repair time, or degraded
-//! bandwidth). Schedules parse from a textual format (env var
-//! `XSIM_NET_FAULTS`), convert into the process-failure and link-fault
+//! bandwidth). Schedules parse from a textual format (a front end's
+//! `--failures` value or `XSIM_NET_FAULTS`, see
+//! `xsim_apps::scenario`), convert into the process-failure and link-fault
 //! halves consumed by the builder, and can be generated deterministically
 //! from [`NetReliability`] FIT rates — the network counterpart of
 //! [`SystemReliability`](crate::SystemReliability).
 
-use crate::schedule::{FailureSchedule, ParseError};
+use crate::schedule::{parse_secs, FailureSchedule, ParseError};
 use std::fmt;
 use std::str::FromStr;
 use xsim_core::{DetRng, SimTime};
@@ -59,8 +60,8 @@ pub struct Fault {
 ///
 /// Textual format: comma-separated entries, fields colon-separated.
 ///
-/// * `rank:R:SECS` — process failure (equivalent to a
-///   [`FailureSchedule`] pair).
+/// * `rank:R:SECS`, or the bare [`FailureSchedule`] pair `R:SECS` —
+///   process failure.
 /// * `link:NODE:DIR:SECS[:perm|:down:SECS|:degraded:FACTOR]` — link
 ///   fault; `DIR` is one of `+x -x +y -y +z -z`.
 /// * `switch:NODE:SECS[:perm|:down:SECS|:degraded:FACTOR]` — switch
@@ -119,15 +120,6 @@ impl FaultSchedule {
         self.faults.is_empty()
     }
 
-    /// Read a schedule from the `XSIM_NET_FAULTS` environment variable,
-    /// if set (same convention as `XSIM_FAILURES`).
-    pub fn from_env() -> Result<Option<Self>, ParseError> {
-        match std::env::var("XSIM_NET_FAULTS") {
-            Ok(s) if !s.trim().is_empty() => s.parse().map(Some),
-            _ => Ok(None),
-        }
-    }
-
     /// The process-failure half: every `rank:` entry as a
     /// [`FailureSchedule`] for `SimBuilder::inject_failures`. Transient
     /// and degraded kinds on ranks degenerate to plain failures (a
@@ -179,19 +171,6 @@ fn parse_dir(s: &str) -> Result<usize, ParseError> {
         .ok_or_else(|| ParseError(format!("bad direction '{s}' (want +x -x +y -y +z -z)")))
 }
 
-fn parse_secs(s: &str, item: &str) -> Result<SimTime, ParseError> {
-    let secs: f64 = s
-        .trim()
-        .parse()
-        .map_err(|_| ParseError(format!("bad time in '{item}'")))?;
-    if !secs.is_finite() || secs < 0.0 {
-        return Err(ParseError(format!(
-            "negative or non-finite time in '{item}'"
-        )));
-    }
-    Ok(SimTime::from_secs_f64(secs))
-}
-
 fn parse_kind(tail: &[&str], item: &str) -> Result<FaultKind, ParseError> {
     match tail {
         [] | ["perm"] => Ok(FaultKind::Permanent),
@@ -226,7 +205,7 @@ impl FromStr for FaultSchedule {
             }
             let parts: Vec<&str> = item.split(':').map(str::trim).collect();
             match parts.as_slice() {
-                ["rank", r, t] => {
+                ["rank", r, t] | [r, t] => {
                     let rank: usize = r
                         .parse()
                         .map_err(|_| ParseError(format!("bad rank in '{item}'")))?;
@@ -436,6 +415,12 @@ mod tests {
         assert_eq!(
             s.entries()[3].component,
             FaultComponent::Link { node: 7, dir: 5 }
+        );
+        let bare: FaultSchedule = "3:10".parse().unwrap();
+        assert_eq!(
+            bare.entries(),
+            &s.entries()[..1],
+            "bare R:SECS is a rank entry"
         );
     }
 

@@ -94,15 +94,6 @@ impl FailureSchedule {
         }
     }
 
-    /// Read a schedule from the `XSIM_FAILURES` environment variable, if
-    /// set (xSim's environment-variable injection path, §IV-B).
-    pub fn from_env() -> Result<Option<Self>, ParseError> {
-        match std::env::var("XSIM_FAILURES") {
-            Ok(s) if !s.trim().is_empty() => s.parse().map(Some),
-            _ => Ok(None),
-        }
-    }
-
     /// Iterate as `(rank, time)` pairs suitable for
     /// `SimBuilder::inject_failures`.
     pub fn iter(&self) -> impl Iterator<Item = (usize, SimTime)> + '_ {
@@ -129,19 +120,28 @@ impl FromStr for FailureSchedule {
                 .trim()
                 .parse()
                 .map_err(|_| ParseError(format!("bad rank in '{item}'")))?;
-            let secs: f64 = time_s
-                .trim()
-                .parse()
-                .map_err(|_| ParseError(format!("bad time in '{item}'")))?;
-            if !secs.is_finite() || secs < 0.0 {
-                return Err(ParseError(format!(
-                    "negative or non-finite time in '{item}'"
-                )));
-            }
-            out.push(rank, SimTime::from_secs_f64(secs));
+            out.push(rank, parse_secs(time_s, item)?);
         }
         Ok(out)
     }
+}
+
+/// The time field of both schedule formats: non-negative, finite
+/// seconds, rounded to the nearest nanosecond. Rounding (where
+/// [`SimTime::from_secs_f64`] truncates) is what makes `Display` →
+/// `FromStr` exact: 15 ns prints as `0.000000015`, which is 14.99… ns
+/// once multiplied back in `f64`.
+pub(crate) fn parse_secs(s: &str, item: &str) -> Result<SimTime, ParseError> {
+    let secs: f64 = s
+        .trim()
+        .parse()
+        .map_err(|_| ParseError(format!("bad time in '{item}'")))?;
+    if !secs.is_finite() || secs < 0.0 {
+        return Err(ParseError(format!(
+            "negative or non-finite time in '{item}'"
+        )));
+    }
+    Ok(SimTime((secs * 1e9).round() as u64))
 }
 
 impl fmt::Display for FailureSchedule {
@@ -192,6 +192,9 @@ mod tests {
         let s: FailureSchedule = "3:1.5,4:2".parse().unwrap();
         let t: FailureSchedule = s.to_string().parse().unwrap();
         assert_eq!(s, t);
+        // 15 ns is 14.99… ns after the f64 trip; the parser rounds.
+        let s = FailureSchedule::new().with(1, SimTime(15));
+        assert_eq!(s.to_string().parse::<FailureSchedule>().unwrap(), s);
     }
 
     #[test]

@@ -191,16 +191,6 @@ impl ProtectionScheme {
             _ => CkptMode::Full,
         }
     }
-
-    /// Read the scheme from the `XSIM_PROTECTION` environment variable,
-    /// if set (parsed alongside `XSIM_FAILURES`/`XSIM_NET_FAULTS` by the
-    /// bench harnesses).
-    pub fn from_env() -> Result<Option<Self>, ProtectionParseError> {
-        match std::env::var("XSIM_PROTECTION") {
-            Ok(s) if !s.trim().is_empty() => s.parse().map(Some),
-            _ => Ok(None),
-        }
-    }
 }
 
 /// Parse a critical-set expression: comma-free list of `N` and `A-B`

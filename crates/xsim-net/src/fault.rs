@@ -149,8 +149,7 @@ pub struct RouteCacheStats {
     /// Entries discarded when a shard hit its capacity bound.
     pub evictions: u64,
     /// Breadth-first searches run, by [`LinkStateTable::route`] (memo
-    /// misses, or every fallback with the memo disabled) and by
-    /// [`LinkStateTable::route_uncached`].
+    /// misses) and by [`LinkStateTable::route_uncached`].
     pub bfs_runs: u64,
 }
 
@@ -205,10 +204,6 @@ impl BfsScratch {
 /// `Arc<LinkStateTable>`, hence the internal locking; counters are
 /// atomics so a memo hit never takes more than one shard lock.
 struct RouteCache {
-    /// `XSIM_NET_ROUTE_CACHE=off|0|false` disables the memo (every
-    /// query the walk cannot answer runs the BFS) — the escape hatch
-    /// differential tests use.
-    enabled: bool,
     shards: Vec<RouteShard>,
     /// Idle BFS working sets, one per thread that ever searched at the
     /// same time as another; allocated on the first search.
@@ -221,12 +216,7 @@ struct RouteCache {
 
 impl RouteCache {
     fn new() -> Self {
-        let enabled = !matches!(
-            std::env::var("XSIM_NET_ROUTE_CACHE").as_deref(),
-            Ok("off") | Ok("0") | Ok("false")
-        );
         RouteCache {
-            enabled,
             shards: (0..CACHE_SHARDS)
                 .map(|_| Mutex::new(HashMap::new()))
                 .collect(),
@@ -286,17 +276,13 @@ impl RouteCache {
 /// to the fault schedule it memoizes.
 impl Clone for RouteCache {
     fn clone(&self) -> Self {
-        RouteCache {
-            enabled: self.enabled,
-            ..RouteCache::new()
-        }
+        RouteCache::new()
     }
 }
 
 impl std::fmt::Debug for RouteCache {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("RouteCache")
-            .field("enabled", &self.enabled)
             .field("stats", &self.stats())
             .finish()
     }
@@ -478,12 +464,6 @@ impl LinkStateTable {
         self.cache.stats()
     }
 
-    /// Whether the detour memo is consulted (`XSIM_NET_ROUTE_CACHE=off`
-    /// at table construction disables it).
-    pub fn route_cache_enabled(&self) -> bool {
-        self.cache.enabled
-    }
-
     /// Whether any fault window is active at `t` — a binary search over
     /// the precomputed epoch index.
     pub fn any_active(&self, t: SimTime) -> bool {
@@ -536,9 +516,6 @@ impl LinkStateTable {
         };
         if let Some(live) = self.walk(&grid, src, dst, epoch) {
             return Some(live);
-        }
-        if !self.cache.enabled {
-            return self.route_bfs(&grid, src, dst, epoch);
         }
         if let Some(cached) = self.cache.get(src, dst, epoch) {
             return cached;
@@ -830,12 +807,10 @@ mod tests {
                 assert_eq!(tbl.route(a, b, at), fresh, "second (cached) query");
             }
         }
-        if tbl.route_cache_enabled() {
-            let s = tbl.route_cache_stats();
-            assert!(s.hits > 0, "repeat queries hit: {s:?}");
-            assert!(s.misses > 0, "first queries miss: {s:?}");
-            assert_eq!(s.evictions, 0);
-        }
+        let s = tbl.route_cache_stats();
+        assert!(s.hits > 0, "repeat queries hit: {s:?}");
+        assert!(s.misses > 0, "first queries miss: {s:?}");
+        assert_eq!(s.evictions, 0);
     }
 
     #[test]

@@ -406,11 +406,7 @@ fn live_paths_bypass_the_memo_and_dead_ones_search_once() {
         assert_eq!(tbl.hops_at(a, b, SimTime::ZERO), Some(5), "detour: +2 hops");
     }
     let s = tbl.route_cache_stats();
-    if tbl.route_cache_enabled() {
-        assert_eq!((s.misses, s.hits, s.bfs_runs), (1, 2, 1), "{s:?}");
-    } else {
-        assert_eq!((s.misses, s.hits, s.bfs_runs), (0, 0, 3), "{s:?}");
-    }
+    assert_eq!((s.misses, s.hits, s.bfs_runs), (1, 2, 1), "{s:?}");
 }
 
 /// A switch fault isolates its node completely: routing to or from

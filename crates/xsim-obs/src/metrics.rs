@@ -287,9 +287,8 @@ pub mod ids {
     /// Restore-chain length distribution: files replayed per restored
     /// rank state (1 = plain full checkpoint, k+1 = full + k diffs).
     pub const CKPT_RESTORE_CHAIN: usize = 57;
-    /// Breadth-first route searches the fault table ran: memo misses,
-    /// or every dead-link query with `XSIM_NET_ROUTE_CACHE=off`
-    /// (volatile, see `NET_ROUTE_CACHE_HITS`).
+    /// Breadth-first route searches the fault table ran, one per memo
+    /// miss (volatile, see `NET_ROUTE_CACHE_HITS`).
     pub const NET_ROUTE_BFS_RUNS: usize = 58;
     /// Largest calendar-queue ring of any shard, in buckets (volatile,
     /// like the rest of the queue-shape gauges).

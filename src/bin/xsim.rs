@@ -7,133 +7,49 @@
 //!
 //! ```text
 //! xsim heat  --ranks 4x4x4 --global 64x64x64 --iters 200 --ckpt 25 \
-//!            [--mttf SECONDS] [--failures "r:t,r:t"] [--seed N]
-//!            [--workers N] [--slowdown F] [--power] [--trace FILE.csv]
-//! xsim ring  --ranks N [--laps N] [--payload BYTES]
+//!            [--halo N] [--mttf SECONDS] [--failures "r:t,r:t"] [--seed N]
+//!            [--workers N] [--slowdown F] [--per-point-ns N] [--power]
+//!            [--trace FILE.csv]
+//! xsim ring  --ranks N [--laps N] [--payload BYTES] [--workers N]
+//!            [--failures "r:t,r:t"]
 //! ```
 //!
-//! The `XSIM_FAILURES` environment variable is honored as an additional
-//! failure schedule.
+//! `--failures` takes `rank:seconds` pairs and the `rank:`/`link:`/
+//! `switch:` entries of `XSIM_NET_FAULTS`; the `XSIM_FAILURES` and
+//! `XSIM_NET_FAULTS` environment variables add to it. The first line of
+//! output is the `scenario:` line that replays the run.
 
-use std::collections::HashMap;
 use std::process::exit;
 use xsim::apps::heat3d::{self, HeatConfig};
 use xsim::apps::kernels;
-use xsim::apps::ComputeMode;
+use xsim::apps::scenario::{App, Cli, Scenario};
 use xsim::prelude::*;
 use xsim_proc::PowerModel;
 
+/// Keys of `xsim heat` and of `xsim ring`.
+const HEAT: &str = "heat ranks global iters ckpt halo workers seed failures mttf slowdown \
+    per-point-ns power trace";
+const RING: &str = "ring ranks laps payload workers failures";
+
 fn usage() -> ! {
     eprintln!(
-        "usage:\n  xsim heat --ranks AxBxC --global XxYxZ --iters N --ckpt N \\\n    \
-         [--halo N] [--mttf SECONDS] [--failures \"r:t,r:t\"] [--seed N] \\\n    \
-         [--workers N] [--slowdown F] [--per-point-ns N] [--power] [--trace FILE]\n  \
-         xsim ring --ranks N [--laps N] [--payload BYTES] [--workers N]\n\n\
-         XSIM_FAILURES=\"rank:seconds,...\" adds failures (paper §IV-B)."
+        "usage:\n  xsim heat [--ranks AxBxC] [--global XxYxZ] [--iters N] [--ckpt N] [--halo N] \\\n    \
+         [--mttf SECONDS] [--failures \"r:t,r:t\"] [--seed N] [--workers N] \\\n    \
+         [--slowdown F] [--per-point-ns N] [--power] [--trace FILE]\n  \
+         xsim ring [--ranks N] [--laps N] [--payload BYTES] [--workers N] [--failures \"r:t\"]\n\n\
+         XSIM_FAILURES=\"rank:seconds,...\" and XSIM_NET_FAULTS add faults (paper §IV-B)."
     );
     exit(2)
 }
 
-fn parse_triple(s: &str) -> Option<[usize; 3]> {
-    let parts: Vec<usize> = s
-        .split('x')
-        .map(|p| p.parse().ok())
-        .collect::<Option<_>>()?;
-    (parts.len() == 3).then(|| [parts[0], parts[1], parts[2]])
-}
-
-fn parse_args(args: &[String]) -> HashMap<String, String> {
-    let mut map = HashMap::new();
-    let mut i = 0;
-    while i < args.len() {
-        let Some(key) = args[i].strip_prefix("--") else {
-            eprintln!("unexpected argument: {}", args[i]);
-            usage()
-        };
-        if matches!(key, "power") {
-            map.insert(key.to_string(), "true".to_string());
-            i += 1;
-        } else {
-            let Some(val) = args.get(i + 1) else {
-                eprintln!("--{key} needs a value");
-                usage()
-            };
-            map.insert(key.to_string(), val.clone());
-            i += 2;
-        }
-    }
-    map
-}
-
-fn get<T: std::str::FromStr>(map: &HashMap<String, String>, key: &str, default: T) -> T {
-    match map.get(key) {
-        Some(v) => v.parse().unwrap_or_else(|_| {
-            eprintln!("invalid value for --{key}: {v}");
-            usage()
-        }),
-        None => default,
-    }
-}
-
-fn gather_failures(map: &HashMap<String, String>) -> FailureSchedule {
-    let mut schedule = match map.get("failures") {
-        Some(s) => s.parse().unwrap_or_else(|e| {
-            eprintln!("{e}");
-            usage()
-        }),
-        None => FailureSchedule::new(),
-    };
-    match FailureSchedule::from_env() {
-        Ok(Some(env)) => {
-            for (r, t) in env.iter() {
-                schedule.push(r, t);
-            }
-        }
-        Ok(None) => {}
-        Err(e) => {
-            eprintln!("XSIM_FAILURES: {e}");
-            usage()
-        }
-    }
-    schedule
-}
-
-fn cmd_heat(map: HashMap<String, String>) {
-    let ranks = map
-        .get("ranks")
-        .and_then(|s| parse_triple(s))
-        .unwrap_or([2, 2, 2]);
-    let global = map.get("global").and_then(|s| parse_triple(s)).unwrap_or([
-        ranks[0] * 8,
-        ranks[1] * 8,
-        ranks[2] * 8,
-    ]);
-    let iters: u64 = get(&map, "iters", 100);
-    let ckpt: u64 = get(&map, "ckpt", iters / 4);
-    let halo: u64 = get(&map, "halo", ckpt);
-    let seed: u64 = get(&map, "seed", 17);
-    let workers: usize = get(&map, "workers", 1);
-    let slowdown: f64 = get(&map, "slowdown", 1000.0);
-    let per_point_ns: u64 = get(&map, "per-point-ns", 1280);
-    let power = map.contains_key("power");
-
-    let cfg = HeatConfig {
-        global,
-        ranks,
-        iterations: iters,
-        halo_interval: halo.max(1),
-        ckpt_interval: ckpt.max(1),
-        mode: ComputeMode::Modeled,
-        per_point: SimTime::from_nanos(per_point_ns),
-        prefix: "heat".into(),
-        ckpt_mode: Default::default(),
-    };
-    if let Err(e) = cfg.validate() {
-        eprintln!("invalid heat configuration: {e}");
-        exit(2);
+fn cmd_heat(cli: &Cli, cfg: &HeatConfig) {
+    let sc = &cli.scenario;
+    let mut cfg = cfg.clone();
+    if let Some(ns) = cli.per_point_ns {
+        cfg.per_point = SimTime::from_nanos(ns);
     }
     let n = cfg.n_ranks();
-    let schedule = gather_failures(&map);
+    let slowdown = cli.slowdown.unwrap_or(1000.0);
 
     let make_builder = || {
         let mut net = NetModel::paper_machine();
@@ -141,17 +57,17 @@ fn cmd_heat(map: HashMap<String, String>) {
         let mut b = SimBuilder::new(n)
             .net(net)
             .proc(ProcModel::with_slowdown(slowdown))
-            .workers(workers)
-            .seed(seed);
-        if power {
+            .workers(sc.workers)
+            .seed(sc.seed);
+        if cli.power {
             b = b.power(PowerModel::typical_node());
         }
         b
     };
 
     // Baseline (E1).
-    let baseline = make_builder()
-        .inject_failures(schedule.iter())
+    let baseline = sc
+        .inject(make_builder())
         .run(heat3d::program(cfg.clone()))
         .unwrap_or_else(|e| {
             eprintln!("simulation failed: {e}");
@@ -177,15 +93,12 @@ fn cmd_heat(map: HashMap<String, String>) {
     }
 
     // Optional MTTF-driven campaign.
-    if let Some(mttf_s) = map.get("mttf") {
-        let mttf = SimTime::from_secs_f64(mttf_s.parse().unwrap_or_else(|_| {
-            eprintln!("invalid --mttf");
-            usage()
-        }));
+    if let Some(mttf_s) = cli.mttf {
+        let mttf = SimTime::from_secs_f64(mttf_s);
         let store = FsStore::new();
         let orch = Orchestrator::new(
             FailureModel::UniformTwiceMttf { mttf },
-            seed,
+            sc.seed,
             CheckpointManager::new(&cfg.prefix),
         );
         let result = orch
@@ -207,7 +120,7 @@ fn cmd_heat(map: HashMap<String, String>) {
     }
 
     // Optional trace of the (failure-free) run.
-    if let Some(path) = map.get("trace") {
+    if let Some(path) = &cli.trace {
         let traced = make_builder()
             .trace(true)
             .run(heat3d::program(cfg.clone()))
@@ -228,15 +141,13 @@ fn cmd_heat(map: HashMap<String, String>) {
     }
 }
 
-fn cmd_ring(map: HashMap<String, String>) {
-    let n: usize = get(&map, "ranks", 64);
-    let laps: u32 = get(&map, "laps", 3);
-    let payload: usize = get(&map, "payload", 1024);
-    let workers: usize = get(&map, "workers", 1);
-    let report = SimBuilder::new(n)
-        .net(NetModel::small(n))
-        .workers(workers)
-        .inject_failures(gather_failures(&map).iter())
+fn cmd_ring(sc: &Scenario, n: usize, laps: u32, payload: usize) {
+    let report = sc
+        .inject(
+            SimBuilder::new(n)
+                .net(NetModel::small(n))
+                .workers(sc.workers),
+        )
         .run(kernels::ring(laps, payload))
         .unwrap_or_else(|e| {
             eprintln!("simulation failed: {e}");
@@ -252,10 +163,19 @@ fn cmd_ring(map: HashMap<String, String>) {
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    match args.first().map(String::as_str) {
-        Some("heat") => cmd_heat(parse_args(&args[1..])),
-        Some("ring") => cmd_ring(parse_args(&args[1..])),
+    let keys = match std::env::args().nth(1).as_deref() {
+        Some("heat") => HEAT,
+        Some("ring") => RING,
         _ => usage(),
+    };
+    let cli = Cli::from_main(std::env::args(), keys, |k| std::env::var(k).ok());
+    match &cli.scenario.app {
+        App::Heat(cfg) => cmd_heat(&cli, cfg),
+        App::Ring {
+            ranks,
+            laps,
+            payload,
+        } => cmd_ring(&cli.scenario, *ranks, *laps, *payload),
+        App::None => usage(),
     }
 }

@@ -12,6 +12,7 @@
 
 use xsim::apps::heat3d::{self, HeatConfig};
 use xsim::apps::jacobi2d::{self, JacobiConfig};
+use xsim::apps::scenario::Cli;
 use xsim::prelude::*;
 
 /// The deterministic metrics snapshot (no engine section).
@@ -145,35 +146,30 @@ fn lossy_ring_is_engine_invariant() {
 }
 
 /// Environment-driven fault schedules (`XSIM_FAILURES` +
-/// `XSIM_NET_FAULTS`) parsed exactly as an operator would supply them,
-/// then injected through the builder: process failures activate and a
-/// degraded link stretches transfers identically on every engine.
+/// `XSIM_NET_FAULTS`) read through the front ends' one parser exactly
+/// as an operator would supply them, then injected through the builder:
+/// process failures activate and a degraded link stretches transfers
+/// identically on every engine.
 #[test]
 fn env_fault_schedules_are_engine_invariant() {
-    // Parse through the documented env-var path, then clear the vars
-    // immediately so no other test observes them.
-    std::env::set_var("XSIM_FAILURES", "2:0.5");
-    std::env::set_var("XSIM_NET_FAULTS", "rank:5:1.5,link:0:+x:0:degraded:0.25");
-    let failures = FailureSchedule::from_env()
-        .expect("parse XSIM_FAILURES")
-        .expect("XSIM_FAILURES set");
-    let faults = FaultSchedule::from_env()
-        .expect("parse XSIM_NET_FAULTS")
-        .expect("XSIM_NET_FAULTS set");
-    std::env::remove_var("XSIM_FAILURES");
-    std::env::remove_var("XSIM_NET_FAULTS");
+    let env = |var: &str| match var {
+        "XSIM_FAILURES" => Some("2:0.5".to_string()),
+        "XSIM_NET_FAULTS" => Some("rank:5:1.5,link:0:+x:0:degraded:0.25".to_string()),
+        _ => None,
+    };
+    let sc = Cli::parse(Vec::<String>::new(), "failures", env)
+        .expect("parse the fault variables")
+        .scenario;
 
     assert_engine_invariant("env-faults", |workers, engine| {
         let mut net = NetModel::paper_machine();
         net.topology = Topology::Torus3d { dims: [2, 2, 2] };
-        SimBuilder::new(8)
+        sc.inject(SimBuilder::new(8))
             .net(net)
             .workers(workers)
             .engine(engine)
             .errhandler(ErrHandler::Return)
             .metrics(true)
-            .inject_failures(failures.iter().chain(faults.rank_failures().iter()))
-            .net_faults(faults.net_faults())
             .run_app(|mpi| async move {
                 let w = mpi.world();
                 // One ring exchange across the faulted torus, then idle
@@ -192,15 +188,14 @@ fn env_fault_schedules_are_engine_invariant() {
     });
 
     // The schedules really activated: both scheduled ranks died.
-    let report = SimBuilder::new(8)
+    let report = sc
+        .inject(SimBuilder::new(8))
         .net({
             let mut net = NetModel::paper_machine();
             net.topology = Topology::Torus3d { dims: [2, 2, 2] };
             net
         })
         .errhandler(ErrHandler::Return)
-        .inject_failures(failures.iter().chain(faults.rank_failures().iter()))
-        .net_faults(faults.net_faults())
         .run_app(|mpi| async move {
             mpi.sleep(SimTime::from_secs(2)).await;
             mpi.finalize();
