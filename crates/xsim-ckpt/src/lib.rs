@@ -9,9 +9,12 @@
 //!
 //! * [`codec`] — a checksummed checkpoint format, so *corrupted*
 //!   checkpoints (exist but incomplete, §V-B) are detectable.
-//! * [`manager`] — naming, simulated-I/O write/load/delete, the
+//! * [`manager`] — naming, simulated-I/O write/delete, the
 //!   barrier-then-delete protocol helpers, incomplete-set cleanup, and
 //!   the exit-time persistence of paper §IV-E.
+//! * [`modes`] — the full / aggregated / buddy / incremental write
+//!   strategies and the one restore walk per mode behind the
+//!   in-simulation loader, [`resolve_latest`] and mode-aware cleanup.
 //! * [`daly`] — Young/Daly optimal checkpoint-interval estimates (the
 //!   paper's reference model \[31\] for checkpoint optimization, §II-B),
 //!   so simulated interval sweeps can be validated analytically.

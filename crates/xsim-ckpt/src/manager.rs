@@ -1,4 +1,5 @@
-//! Checkpoint naming, writing, loading and cleanup.
+//! Checkpoint naming, writing and cleanup (loading walks each mode's
+//! layout, in [`crate::modes`]).
 //!
 //! The application protocol of the paper (§V-B): a checkpoint is written
 //! every C iterations; "after writing out a checkpoint, a global barrier
@@ -9,7 +10,6 @@
 //! before writing) are removed between runs by a cleanup step.
 
 use crate::codec::Checkpoint;
-use std::sync::Arc;
 use xsim_core::{ctx, Bytes, SimTime};
 use xsim_fs::{self as fs, FileState, FsError, FsStore};
 use xsim_obs::service as obs;
@@ -94,28 +94,9 @@ impl CheckpointManager {
         Ok(existed)
     }
 
-    /// Checkpoint generations present on storage, newest first. Iterates
-    /// generation *prefixes* (O(generations · log files)) instead of the
-    /// whole listing, so 32k ranks restarting concurrently stay O(P).
+    /// Checkpoint generations present on storage, newest first.
     pub fn generations(&self, store: &FsStore) -> Vec<u64> {
-        let prefix = format!("{}/ckpt/", self.prefix);
-        let mut gens = Vec::new();
-        let mut cursor = prefix.clone();
-        while let Some(key) = store.first_key_at_or_after(&cursor) {
-            let Some(rest) = key.strip_prefix(&prefix) else {
-                break;
-            };
-            let Some((gen_s, _)) = rest.split_once('/') else {
-                break;
-            };
-            let Ok(g) = gen_s.parse::<u64>() else { break };
-            gens.push(g);
-            // Skip past every file of this generation ('\u{7f}' sorts
-            // after the rank file names' ASCII).
-            cursor = format!("{prefix}{gen_s}/\u{7f}");
-        }
-        gens.reverse();
-        gens
+        generations_under(store, &format!("{}/ckpt/", self.prefix))
     }
 
     /// Iterations for which this rank has a file on storage, newest
@@ -125,36 +106,6 @@ impl CheckpointManager {
             .into_iter()
             .filter(|&g| store.exists(&self.file_name(g, rank)))
             .collect()
-    }
-
-    /// Load the newest valid checkpoint for `rank`, deleting corrupted
-    /// ones on the way (paper §V-B). Returns `None` when no valid
-    /// checkpoint exists (cold start). Call from within a VP.
-    pub async fn load_latest(&self, store: &Arc<FsStore>, rank: u32) -> Option<Checkpoint> {
-        for generation in self.generations_for(store, rank) {
-            let name = self.file_name(generation, rank);
-            match fs::read(&name).await {
-                Ok(FileState::Complete(data)) => match Checkpoint::decode_bytes(&data) {
-                    Ok(c) => {
-                        ctx::with_kernel(|k, _| obs::record(k, ids::CKPT_LOADS, 1));
-                        return Some(c);
-                    }
-                    Err(_) => {
-                        // Corrupted checkpoint: delete and fall back.
-                        ctx::with_kernel(|k, _| obs::record(k, ids::CKPT_CORRUPT_DISCARDED, 1));
-                        let _ = fs::delete(&name).await;
-                    }
-                },
-                Ok(FileState::Partial(_)) => {
-                    // Exists but incomplete — also "corrupted" per the
-                    // paper's definition.
-                    ctx::with_kernel(|k, _| obs::record(k, ids::CKPT_CORRUPT_DISCARDED, 1));
-                    let _ = fs::delete(&name).await;
-                }
-                Err(_) => {}
-            }
-        }
-        None
     }
 
     /// Remove checkpoint generations that are missing files ("incomplete
@@ -201,6 +152,30 @@ impl CheckpointManager {
             })
         })
     }
+}
+
+/// Generations stored under `prefix` (keys `prefix<generation>/…`),
+/// newest first. Iterates generation *prefixes* (O(generations · log
+/// files)) instead of the whole listing, so 32k ranks restarting
+/// concurrently stay O(P).
+pub(crate) fn generations_under(store: &FsStore, prefix: &str) -> Vec<u64> {
+    let mut gens = Vec::new();
+    let mut cursor = prefix.to_string();
+    while let Some(key) = store.first_key_at_or_after(&cursor) {
+        let Some(rest) = key.strip_prefix(prefix) else {
+            break;
+        };
+        let Some((gen_s, _)) = rest.split_once('/') else {
+            break;
+        };
+        let Ok(g) = gen_s.parse::<u64>() else { break };
+        gens.push(g);
+        // Skip past every file of this generation ('\u{7f}' sorts
+        // after the file names' ASCII).
+        cursor = format!("{prefix}{gen_s}/\u{7f}");
+    }
+    gens.reverse();
+    gens
 }
 
 /// Persist the virtual exit time of an aborted run (paper §IV-E).

@@ -26,10 +26,22 @@
 //! explicit (no wildcards), node-local memory operations touch only
 //! rank-private keys during a run, and every PFS transfer goes through
 //! the striped-I/O event protocol of `xsim-fs`.
+//!
+//! Each mode's restore layout — which files and copies hold a rank's
+//! state for a generation, and in which order they are tried — is
+//! written once, in `restore_at` (section "Restore layout" below). The
+//! in-simulation loader [`ModeWriter::load_latest`], the offline
+//! [`resolve_latest`] and [`CheckpointManager::cleanup_between_runs`]
+//! all walk it, reading either through the simulated file system or
+//! directly from the store.
 
 use crate::codec::Checkpoint;
-use crate::manager::CheckpointManager;
-use std::sync::Arc;
+use crate::manager::{generations_under, CheckpointManager};
+use std::collections::BTreeMap;
+use std::future::Future;
+use std::pin::pin;
+use std::sync::{Arc, Mutex};
+use std::task::{Context, Poll, Waker};
 use xsim_core::{ctx, Bytes};
 use xsim_fs::{self as fs, FileState, FsService, FsStore};
 use xsim_mpi::{CkptMode, MpiCtx, MpiError};
@@ -277,12 +289,12 @@ fn vp_store() -> Arc<FsStore> {
 
 impl CheckpointManager {
     /// Path of one group's aggregated container within a generation.
-    pub fn agg_file_name(&self, iteration: u64, group: u32) -> String {
+    pub(crate) fn agg_file_name(&self, iteration: u64, group: u32) -> String {
         format!("{}agg{group:07}", self.generation_prefix(iteration))
     }
 
     /// Node-local memory-tier prefix (buddy copies).
-    pub fn mem_prefix(&self) -> String {
+    pub(crate) fn mem_prefix(&self) -> String {
         format!("{}/mem/", self.prefix)
     }
 
@@ -295,30 +307,17 @@ impl CheckpointManager {
     }
 
     /// Memory-tier generations present, newest first.
-    pub fn mem_generations(&self, store: &FsStore) -> Vec<u64> {
-        let prefix = self.mem_prefix();
-        let mut gens = Vec::new();
-        let mut cursor = prefix.clone();
-        while let Some(key) = store.first_key_at_or_after(&cursor) {
-            let Some(rest) = key.strip_prefix(&prefix) else {
-                break;
-            };
-            let Some((gen_s, _)) = rest.split_once('/') else {
-                break;
-            };
-            let Ok(g) = gen_s.parse::<u64>() else { break };
-            gens.push(g);
-            cursor = format!("{prefix}{gen_s}/\u{7f}");
-        }
-        gens.reverse();
-        gens
+    pub(crate) fn mem_generations(&self, store: &FsStore) -> Vec<u64> {
+        generations_under(store, &self.mem_prefix())
     }
 
     /// Mode-aware between-run cleanup (the generalization of
-    /// [`CheckpointManager::cleanup_incomplete`]): removes generations a
-    /// restart could not restore from, accounting for the mode's file
-    /// layout, for diff chains, and — for buddy — for the node memories
-    /// lost with `failed` ranks. Returns the generations removed.
+    /// [`CheckpointManager::cleanup_incomplete`], which `Full` uses):
+    /// removes every generation some rank could not restore from under
+    /// the mode's layout — a missing or corrupt file, container or diff
+    /// chain, and for buddy the node memories lost with `failed` ranks.
+    /// Checks copies with [`Checkpoint::verify`] and replays no chain.
+    /// Returns the generations removed, oldest first.
     pub fn cleanup_between_runs(
         &self,
         store: &FsStore,
@@ -326,114 +325,38 @@ impl CheckpointManager {
         mode: CkptMode,
         failed: &[u32],
     ) -> Vec<u64> {
-        match mode {
-            CkptMode::Full => self.cleanup_incomplete(store, n_ranks),
-            CkptMode::Aggregated { group } => self.cleanup_agg(store, n_ranks, group as u32),
-            CkptMode::Buddy => self.cleanup_buddy(store, n_ranks, failed),
-            CkptMode::Incremental { .. } => self.cleanup_incremental(store, n_ranks),
-        }
-    }
-
-    fn cleanup_agg(&self, store: &FsStore, n_ranks: u32, group: u32) -> Vec<u64> {
-        let n_groups = n_ranks.div_ceil(group.max(1));
-        let mut removed = Vec::new();
-        for generation in self.generations(store) {
-            let complete = (0..n_groups).all(|g| {
-                let Some(FileState::Complete(data)) = store.get(&self.agg_file_name(generation, g))
-                else {
-                    return false;
-                };
-                let Ok(container) = Checkpoint::decode_bytes(&data) else {
-                    return false;
-                };
-                let lo = g * group;
-                let hi = (lo + group).min(n_ranks);
-                (lo..hi).all(|r| {
-                    container
-                        .section(&member_section(r))
-                        .is_some_and(|d| Checkpoint::verify(d).is_ok())
-                })
-            });
-            if !complete {
-                store.delete_prefix(&self.generation_prefix(generation));
-                removed.push(generation);
+        let mut gens = match mode {
+            CkptMode::Full => return self.cleanup_incomplete(store, n_ranks),
+            CkptMode::Aggregated { .. } | CkptMode::Incremental { .. } => self.generations(store),
+            CkptMode::Buddy => {
+                // The failed ranks' node memories died with their nodes.
+                for key in store.list_prefix(&self.mem_prefix()) {
+                    if failed.iter().any(|f| key.ends_with(&format!("@h{f:07}"))) {
+                        store.delete(&key);
+                    }
+                }
+                let mut gens = self.mem_generations(store);
+                gens.extend(self.generations(store));
+                gens
             }
-        }
-        removed.sort_unstable();
-        removed
-    }
-
-    fn cleanup_buddy(&self, store: &FsStore, n_ranks: u32, failed: &[u32]) -> Vec<u64> {
-        // The failed ranks' node memories died with their nodes.
-        for key in store.list_prefix(&self.mem_prefix()) {
-            let lost = failed.iter().any(|f| key.ends_with(&format!("@h{f:07}")));
-            if lost {
-                store.delete(&key);
-            }
-        }
-        // A generation is restorable when every rank still has a memory
-        // copy (own or partner's) or, for a partnerless rank, a valid
-        // spill file on the PFS.
-        let mut gens: Vec<u64> = self.mem_generations(store);
-        for g in self.generations(store) {
-            if !gens.contains(&g) {
-                gens.push(g);
-            }
-        }
-        gens.sort_unstable();
-        let valid_mem = |g: u64, owner: u32, holder: u32| {
-            matches!(store.get(&self.mem_file_name(g, owner, holder)),
-                Some(FileState::Complete(d)) if Checkpoint::verify(&d).is_ok())
         };
+        // Oldest first: a diff chain's base is settled (and deleted if
+        // broken) before the generations that replay it are checked.
+        gens.sort_unstable();
+        gens.dedup();
+        let decoded = Decoded::default();
+        let src = Source::Direct(store, &decoded);
         let mut removed = Vec::new();
         for generation in gens {
-            let complete = (0..n_ranks).all(|r| {
-                let partner = r ^ 1;
-                if partner >= n_ranks {
-                    matches!(store.get(&self.file_name(generation, r)),
-                        Some(FileState::Complete(d)) if Checkpoint::verify(&d).is_ok())
-                } else {
-                    valid_mem(generation, r, r) || valid_mem(generation, r, partner)
-                }
+            let restorable = (0..n_ranks).all(|rank| {
+                direct(restore_at::<()>(src, self, mode, rank, n_ranks, generation)).is_some()
             });
-            if !complete {
+            if !restorable {
                 store.delete_prefix(&self.generation_prefix(generation));
                 store.delete_prefix(&format!("{}{generation:020}/", self.mem_prefix()));
                 removed.push(generation);
             }
         }
-        removed
-    }
-
-    fn cleanup_incremental(&self, store: &FsStore, n_ranks: u32) -> Vec<u64> {
-        // First pass: drop generations with missing/corrupt rank files.
-        let mut removed = self.cleanup_incomplete(store, n_ranks);
-        // Second pass: drop generations whose diff chain is broken. All
-        // ranks write the same generation kinds, so rank 0's file
-        // determines the structure.
-        let mut gens = self.generations(store);
-        gens.sort_unstable();
-        let mut valid: Vec<u64> = Vec::new();
-        for generation in gens {
-            let ok = match store.get(&self.file_name(generation, 0)) {
-                Some(FileState::Complete(d)) => match Checkpoint::decode_bytes(&d) {
-                    Ok(c) => match decode_diff(&c) {
-                        Some(diff) => valid.contains(&diff.base_gen),
-                        None => true,
-                    },
-                    Err(_) => false,
-                },
-                _ => false,
-            };
-            if ok {
-                valid.push(generation);
-            } else {
-                store.delete_prefix(&self.generation_prefix(generation));
-                removed.push(generation);
-            }
-        }
-        removed.sort_unstable();
-        removed.dedup();
         removed
     }
 }
@@ -694,137 +617,241 @@ impl ModeWriter {
     }
 
     /// Load the newest restorable checkpoint of `rank` (the rank the
-    /// writer checkpoints for) under the configured mode, priming the
+    /// writer checkpoints for) under the configured mode, deleting
+    /// corrupt full-style files on the way (paper §V-B), and prime the
     /// writer's chain state. Call from within the VP before the first
     /// write of a run.
     pub async fn load_latest(&mut self, mpi: &MpiCtx, rank: u32) -> Option<Checkpoint> {
-        let store = &vp_store();
-        match self.mode {
-            CkptMode::Full => {
-                let c = self.mgr.load_latest(store, rank).await?;
-                record_restore_chain(1);
-                Some(c)
-            }
-            CkptMode::Aggregated { group } => self.load_agg(mpi, store, group).await,
-            CkptMode::Buddy => self.load_buddy(mpi, store).await,
-            CkptMode::Incremental { full_every } => self.load_incr(rank, store, full_every).await,
-        }
-    }
-
-    async fn load_agg(
-        &self,
-        mpi: &MpiCtx,
-        store: &Arc<FsStore>,
-        group: usize,
-    ) -> Option<Checkpoint> {
-        let g = (mpi.rank / group) as u32;
-        for generation in self.mgr.generations(store) {
-            let name = self.mgr.agg_file_name(generation, g);
-            match fs::read(&name).await {
-                Ok(FileState::Complete(data)) => {
-                    let inner = Checkpoint::decode_bytes(&data).ok().and_then(|container| {
-                        container
-                            .section(&member_section(mpi.rank as u32))
-                            .and_then(|d| Checkpoint::decode_bytes(d).ok())
-                    });
-                    match inner {
-                        Some(c) => {
-                            ctx::with_kernel(|k, _| obs::record(k, ids::CKPT_LOADS, 1));
-                            record_restore_chain(1);
-                            return Some(c);
-                        }
-                        None => {
-                            ctx::with_kernel(|k, _| obs::record(k, ids::CKPT_CORRUPT_DISCARDED, 1));
-                            let _ = fs::delete(&name).await;
-                        }
-                    }
-                }
-                Ok(FileState::Partial(_)) => {
-                    ctx::with_kernel(|k, _| obs::record(k, ids::CKPT_CORRUPT_DISCARDED, 1));
-                    let _ = fs::delete(&name).await;
-                }
-                Err(_) => {}
-            }
-        }
-        None
-    }
-
-    async fn load_buddy(&self, mpi: &MpiCtx, store: &Arc<FsStore>) -> Option<Checkpoint> {
-        let rank = mpi.rank as u32;
-        let partner = mpi.rank ^ 1;
-        if partner >= mpi.size {
-            let c = self.mgr.load_latest(store, rank).await?;
-            record_restore_chain(1);
-            return Some(c);
-        }
-        for generation in self.mgr.mem_generations(store) {
-            // Node-local memory reads are free: own copy first, then the
-            // partner's surviving copy.
-            for holder in [rank, partner as u32] {
-                let name = self.mgr.mem_file_name(generation, rank, holder);
-                if let Some(FileState::Complete(data)) = store.get(&name) {
-                    if let Ok(c) = Checkpoint::decode_bytes(&data) {
-                        ctx::with_kernel(|k, _| obs::record(k, ids::CKPT_LOADS, 1));
-                        record_restore_chain(1);
-                        return Some(c);
-                    }
-                }
-            }
-        }
-        None
-    }
-
-    async fn load_incr(
-        &mut self,
-        rank: u32,
-        store: &Arc<FsStore>,
-        full_every: u64,
-    ) -> Option<Checkpoint> {
-        'candidates: for generation in self.mgr.generations_for(store, rank) {
-            // Walk the ibase chain down to the full checkpoint.
-            let mut frames: Vec<DiffFile> = Vec::new();
-            let mut chain = vec![generation];
-            let mut cur_gen = generation;
-            let base = loop {
-                let raw = match fs::read(&self.mgr.file_name(cur_gen, rank)).await {
-                    Ok(FileState::Complete(d)) => d,
-                    _ => continue 'candidates,
-                };
-                let Ok(c) = Checkpoint::decode_bytes(&raw) else {
-                    continue 'candidates;
-                };
-                match decode_diff(&c) {
-                    Some(diff) => {
-                        cur_gen = diff.base_gen;
-                        frames.push(diff);
-                        chain.push(cur_gen);
-                    }
-                    None => break (raw, c),
-                }
-            };
-            let Some((bytes, c)) = restore_chain(base, &frames) else {
-                continue 'candidates;
-            };
-            ctx::with_kernel(|k, _| obs::record(k, ids::CKPT_LOADS, 1));
-            record_restore_chain(chain.len() as u64);
+        let store = vp_store();
+        let src = Source::Sim(&store);
+        let (generation, bytes, ckpt, older) =
+            locate(src, &self.mgr, self.mode, rank, mpi.size as u32).await?;
+        let chain_len = 1 + older.len() as u64;
+        ctx::with_kernel(|k, _| {
+            obs::record(k, ids::CKPT_LOADS, 1);
+            obs::record(k, ids::CKPT_RESTORE_CHAIN, chain_len);
+        });
+        if let CkptMode::Incremental { full_every } = self.mode {
             // Prime the chain state so the next writes continue it.
             self.prev = Some((generation, bytes));
-            self.pos = chain.len() as u64 % full_every.max(1);
-            self.last_was_full = chain.len() == 1;
-            self.retained = chain[1..].to_vec();
-            return Some(c);
+            self.pos = chain_len % full_every.max(1);
+            self.last_was_full = older.is_empty();
+            self.retained = older;
         }
-        None
+        Some(ckpt)
     }
 }
 
-fn record_restore_chain(len: u64) {
-    ctx::with_kernel(|k, _| obs::record(k, ids::CKPT_RESTORE_CHAIN, len));
+// ----------------------------------------------------------------------
+// Restore layout: one walk per mode, over a simulated or a direct source
+// ----------------------------------------------------------------------
+
+/// Where a restore walk reads a rank's copies from.
+#[derive(Clone, Copy)]
+enum Source<'a> {
+    /// Inside the simulation (call from within a VP): PFS files through
+    /// the charged `fs::read`, and a full-style file that is partial or
+    /// holds no valid copy is recorded as `ckpt.corrupt_discarded` and
+    /// deleted.
+    Sim(&'a FsStore),
+    /// Outside it: [`FsStore::get`], which charges and deletes nothing,
+    /// and each container or chain file is decoded once however many
+    /// walks pass it (cleanup walks every rank of every generation).
+    Direct(&'a FsStore, &'a Decoded),
 }
 
-// ----------------------------------------------------------------------
-// Offline resolution (tests/benches, outside the simulation)
-// ----------------------------------------------------------------------
+/// The files a direct source has decoded, by name (behind a `Mutex`
+/// only so that [`Source`], and with it the loader's future, is `Send`).
+type Decoded = Mutex<BTreeMap<String, Option<Checkpoint>>>;
+
+impl<'a> Source<'a> {
+    /// The store generations are listed in. Node-memory copies are read
+    /// from it directly in either source: the memory tier is free.
+    fn store(self) -> &'a FsStore {
+        match self {
+            Source::Sim(store) | Source::Direct(store, _) => store,
+        }
+    }
+
+    /// A PFS file, `None` when there is nothing to read.
+    async fn read(self, name: &str) -> Option<FileState> {
+        match self {
+            Source::Sim(_) => fs::read(name).await.ok(),
+            Source::Direct(store, _) => store.get(name),
+        }
+    }
+
+    /// `data`, the bytes of file `name`, decoded.
+    fn decode(self, name: &str, data: &Bytes) -> Option<Checkpoint> {
+        let Source::Direct(_, decoded) = self else {
+            return Checkpoint::decode_bytes(data).ok();
+        };
+        let decode = || Checkpoint::decode_bytes(data).ok();
+        let mut decoded = decoded.lock().expect("decode memo poisoned");
+        decoded
+            .entry(name.to_string())
+            .or_insert_with(decode)
+            .clone()
+    }
+
+    /// Drop a full-style PFS file that did not restore.
+    async fn discard(self, name: &str) {
+        if let Source::Sim(_) = self {
+            ctx::with_kernel(|k, _| obs::record(k, ids::CKPT_CORRUPT_DISCARDED, 1));
+            let _ = fs::delete(name).await;
+        }
+    }
+}
+
+/// What a walk makes of a rank's copy: a restore decodes it, cleanup
+/// only checks it.
+trait Take: Sized {
+    /// From an encoded checkpoint; `None` when it is corrupt.
+    fn copy(bytes: &Bytes) -> Option<Self>;
+    /// From a full checkpoint and the diffs (newest first) that replay
+    /// onto it.
+    fn chain(base: (Bytes, Checkpoint), frames: &[DiffFile]) -> Option<Self>;
+}
+
+/// Restoring: the encoded bytes and their decoding.
+impl Take for (Bytes, Checkpoint) {
+    fn copy(bytes: &Bytes) -> Option<Self> {
+        let ckpt = Checkpoint::decode_bytes(bytes).ok()?;
+        Some((bytes.clone(), ckpt))
+    }
+
+    fn chain(base: (Bytes, Checkpoint), frames: &[DiffFile]) -> Option<Self> {
+        restore_chain(base, frames)
+    }
+}
+
+/// Checking: one `verify` pass per copy, no chain replay.
+impl Take for () {
+    fn copy(bytes: &Bytes) -> Option<()> {
+        Checkpoint::verify(bytes).ok()
+    }
+
+    fn chain(_: (Bytes, Checkpoint), _: &[DiffFile]) -> Option<()> {
+        Some(())
+    }
+}
+
+/// `rank`'s state at `generation` under `mode` — each mode's restore
+/// layout, written once:
+///
+/// * `full`: the rank file;
+/// * `agg:G`: the rank's [`member_section`] of its group's container;
+/// * `buddy`: the rank's own node-memory copy, then its partner's; a
+///   partnerless rank's spill file;
+/// * `incr:K`: the `ibase` chain down to a full rank file, every base
+///   strictly older than the generation naming it (so a cycle is a
+///   corrupt candidate, not an endless walk).
+///
+/// Returns it with the older generations its chain replays (none
+/// except for incremental diffs).
+async fn restore_at<T: Take>(
+    src: Source<'_>,
+    mgr: &CheckpointManager,
+    mode: CkptMode,
+    rank: u32,
+    n_ranks: u32,
+    generation: u64,
+) -> Option<(T, Vec<u64>)> {
+    let copy = match mode {
+        CkptMode::Aggregated { group } => {
+            let name = mgr.agg_file_name(generation, rank / group.max(1) as u32);
+            full_style(src, &name, |data| {
+                let container = src.decode(&name, data)?;
+                T::copy(container.section(&member_section(rank))?)
+            })
+            .await
+        }
+        CkptMode::Buddy if rank ^ 1 < n_ranks => [rank, rank ^ 1].into_iter().find_map(|holder| {
+            let name = mgr.mem_file_name(generation, rank, holder);
+            match src.store().get(&name)? {
+                FileState::Complete(data) => T::copy(&data),
+                FileState::Partial(_) => None,
+            }
+        }),
+        CkptMode::Full | CkptMode::Buddy => {
+            full_style(src, &mgr.file_name(generation, rank), T::copy).await
+        }
+        CkptMode::Incremental { .. } => {
+            let (mut frames, mut older) = (Vec::new(), Vec::new());
+            let mut cur = generation;
+            let base = loop {
+                let name = mgr.file_name(cur, rank);
+                let Some(FileState::Complete(raw)) = src.read(&name).await else {
+                    return None;
+                };
+                let ckpt = src.decode(&name, &raw)?;
+                let Some(diff) = decode_diff(&ckpt) else {
+                    break (raw, ckpt);
+                };
+                if diff.base_gen >= cur {
+                    return None;
+                }
+                cur = diff.base_gen;
+                older.push(cur);
+                frames.push(diff);
+            };
+            return Some((T::chain(base, &frames)?, older));
+        }
+    };
+    Some((copy?, Vec::new()))
+}
+
+/// A full-style PFS file — a rank file, a spill or an `agg` container —
+/// and the rank's copy `pick` finds in its bytes. A file that is
+/// partial or yields no copy is discarded.
+async fn full_style<T>(
+    src: Source<'_>,
+    name: &str,
+    pick: impl FnOnce(&Bytes) -> Option<T>,
+) -> Option<T> {
+    if let FileState::Complete(data) = src.read(name).await? {
+        if let Some(copy) = pick(&data) {
+            return Some(copy);
+        }
+    }
+    src.discard(name).await;
+    None
+}
+
+/// `rank`'s newest restorable checkpoint under `mode`: the mode's
+/// candidate generations, newest first, through [`restore_at`]. Returns
+/// the generation, its encoded bytes and decoding, and the older
+/// generations its chain replays.
+async fn locate(
+    src: Source<'_>,
+    mgr: &CheckpointManager,
+    mode: CkptMode,
+    rank: u32,
+    n_ranks: u32,
+) -> Option<(u64, Bytes, Checkpoint, Vec<u64>)> {
+    let candidates = match mode {
+        CkptMode::Aggregated { .. } => mgr.generations(src.store()),
+        CkptMode::Buddy if rank ^ 1 < n_ranks => mgr.mem_generations(src.store()),
+        CkptMode::Full | CkptMode::Buddy | CkptMode::Incremental { .. } => {
+            mgr.generations_for(src.store(), rank)
+        }
+    };
+    for generation in candidates {
+        let found = restore_at(src, mgr, mode, rank, n_ranks, generation).await;
+        if let Some(((bytes, ckpt), older)) = found {
+            return Some((generation, bytes, ckpt, older));
+        }
+    }
+    None
+}
+
+/// Run a walk over [`Source::Direct`], which never pends, to its end.
+fn direct<T>(walk: impl Future<Output = T>) -> T {
+    match pin!(walk).poll(&mut Context::from_waker(Waker::noop())) {
+        Poll::Ready(out) => out,
+        Poll::Pending => unreachable!("direct store reads never pend"),
+    }
+}
 
 /// A checkpoint resolved from the store without simulated I/O.
 pub struct ResolvedCheckpoint {
@@ -837,7 +864,8 @@ pub struct ResolvedCheckpoint {
 }
 
 /// Resolve `rank`'s newest restorable checkpoint directly from the
-/// store, mirroring the in-simulation loaders — usable from tests and
+/// store: the walk [`ModeWriter::load_latest`] makes in the simulation,
+/// over reads that charge and delete nothing — usable from tests and
 /// benches to inspect final state regardless of mode.
 pub fn resolve_latest(
     store: &FsStore,
@@ -846,99 +874,14 @@ pub fn resolve_latest(
     rank: u32,
     n_ranks: u32,
 ) -> Option<ResolvedCheckpoint> {
-    let read_valid = |name: &str| match store.get(name) {
-        Some(FileState::Complete(d)) => Some(d),
-        _ => None,
-    };
-    match mode {
-        CkptMode::Full => {
-            for generation in mgr.generations_for(store, rank) {
-                if let Some(d) = read_valid(&mgr.file_name(generation, rank)) {
-                    if let Ok(ckpt) = Checkpoint::decode_bytes(&d) {
-                        return Some(ResolvedCheckpoint {
-                            ckpt,
-                            generation,
-                            chain_len: 1,
-                        });
-                    }
-                }
-            }
-            None
-        }
-        CkptMode::Aggregated { group } => {
-            let g = rank / group as u32;
-            for generation in mgr.generations(store) {
-                let Some(d) = read_valid(&mgr.agg_file_name(generation, g)) else {
-                    continue;
-                };
-                let inner = Checkpoint::decode_bytes(&d).ok().and_then(|container| {
-                    container
-                        .section(&member_section(rank))
-                        .and_then(|b| Checkpoint::decode_bytes(b).ok())
-                });
-                if let Some(ckpt) = inner {
-                    return Some(ResolvedCheckpoint {
-                        ckpt,
-                        generation,
-                        chain_len: 1,
-                    });
-                }
-            }
-            None
-        }
-        CkptMode::Buddy => {
-            let partner = rank ^ 1;
-            if partner >= n_ranks {
-                return resolve_latest(store, mgr, CkptMode::Full, rank, n_ranks);
-            }
-            for generation in mgr.mem_generations(store) {
-                for holder in [rank, partner] {
-                    if let Some(d) = read_valid(&mgr.mem_file_name(generation, rank, holder)) {
-                        if let Ok(ckpt) = Checkpoint::decode_bytes(&d) {
-                            return Some(ResolvedCheckpoint {
-                                ckpt,
-                                generation,
-                                chain_len: 1,
-                            });
-                        }
-                    }
-                }
-            }
-            None
-        }
-        CkptMode::Incremental { .. } => {
-            'candidates: for generation in mgr.generations_for(store, rank) {
-                let mut frames: Vec<DiffFile> = Vec::new();
-                let mut chain_len = 1usize;
-                let mut cur_gen = generation;
-                let base = loop {
-                    let Some(raw) = read_valid(&mgr.file_name(cur_gen, rank)) else {
-                        continue 'candidates;
-                    };
-                    let Ok(c) = Checkpoint::decode_bytes(&raw) else {
-                        continue 'candidates;
-                    };
-                    match decode_diff(&c) {
-                        Some(diff) => {
-                            cur_gen = diff.base_gen;
-                            chain_len += 1;
-                            frames.push(diff);
-                        }
-                        None => break (raw, c),
-                    }
-                };
-                let Some((_, ckpt)) = restore_chain(base, &frames) else {
-                    continue 'candidates;
-                };
-                return Some(ResolvedCheckpoint {
-                    ckpt,
-                    generation,
-                    chain_len,
-                });
-            }
-            None
-        }
-    }
+    let decoded = Decoded::default();
+    let src = Source::Direct(store, &decoded);
+    let (generation, _, ckpt, older) = direct(locate(src, mgr, mode, rank, n_ranks))?;
+    Some(ResolvedCheckpoint {
+        ckpt,
+        generation,
+        chain_len: 1 + older.len(),
+    })
 }
 
 #[cfg(test)]
