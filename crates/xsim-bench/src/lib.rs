@@ -1,6 +1,6 @@
 //! # xsim-bench — evaluation harnesses
 //!
-//! One binary per paper artifact (see DESIGN.md §3):
+//! One binary per artifact (see DESIGN.md §3):
 //!
 //! * `table1` — fault (bit-flip) injection campaign statistics.
 //! * `table2` — varying the checkpoint interval and system MTTF with the
@@ -9,8 +9,16 @@
 //! * `scalability` — VP capacity/oversubscription sweep (§II-A claims).
 //! * `ablations` — design-choice sweeps from DESIGN.md §4 (engines,
 //!   eager/rendezvous threshold, linear vs tree collectives, detectors).
+//! * `ckpt_sweep` — checkpoint-interval sweep against the Daly optimum.
+//! * `ckpt_scaling` — the four checkpoint modes over the striped PFS as
+//!   the rank count grows (`BENCH_ckpt.json`).
+//! * `protection` — FIT × protection-scheme ablation, checkpoint/restart
+//!   vs. replication (`BENCH_protection.json`).
+//! * `queue_bench` — calendar queue vs. a binary heap, self-gating.
+//! * `vp_scaling` — the raw-core VP ladder from 2²⁰ toward 2²⁷ VPs.
 //!
-//! Criterion micro-benchmarks live under `benches/`.
+//! There are no Criterion benches; the end-to-end benchmark is the
+//! standalone `perf/` package.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;

@@ -12,10 +12,10 @@
 use crate::codec::Checkpoint;
 use xsim_core::{ctx, Bytes, SimTime};
 use xsim_fs::{self as fs, FileState, FsError, FsStore};
+use xsim_obs::ids;
 use xsim_obs::service as obs;
-use xsim_obs::{ids, ObsSpan};
 
-/// Virtual clock of the current VP if metrics are enabled, else `None`.
+/// Virtual clock of the current VP if observation is on, else `None`.
 fn obs_clock() -> Option<SimTime> {
     ctx::with_kernel(|k, rank| obs::enabled(k).then(|| k.vp(rank).clock()))
 }
@@ -51,8 +51,8 @@ impl CheckpointManager {
     }
 
     /// Write a checkpoint under `name` (simulated I/O, charged by the FS
-    /// cost model), recording the checkpoint metrics and commit span.
-    /// Call from within a VP.
+    /// cost model), recording the checkpoint metrics; its trace span is
+    /// the write's own `FileIo` interval. Call from within a VP.
     pub async fn write_at(&self, name: &str, ckpt: &Checkpoint) -> Result<(), FsError> {
         self.write_encoded(name, ckpt.encode()).await
     }
@@ -70,17 +70,6 @@ impl CheckpointManager {
                 obs::record(k, ids::CKPT_WRITES, 1);
                 obs::record(k, ids::CKPT_BYTES_WRITTEN, nbytes);
                 obs::record(k, ids::CKPT_COMMIT_NS, (t1 - t0).as_nanos());
-                obs::span(
-                    k,
-                    ObsSpan {
-                        name: "ckpt.commit",
-                        cat: "ckpt",
-                        rank,
-                        start: t0,
-                        end: t1,
-                        bytes: nbytes,
-                    },
-                );
             });
         }
         Ok(())

@@ -3,9 +3,9 @@
 //! The fault-injection surface of the toolkit (paper §III/IV plus the
 //! Finject/RedMPI lineage of §II-C):
 //!
-//! * [`schedule`] — MPI process-failure schedules as rank/time pairs,
-//!   parseable from strings ("the typical method for injecting failures",
-//!   §IV-B).
+//! * [`schedule`] — MPI process-failure schedules as rank/time pairs
+//!   ("the typical method for injecting failures", §IV-B); their text
+//!   form parses through [`FaultSchedule`].
 //! * [`random`] — MTTF-driven random injection: "a random MPI rank …
 //!   and a random time within 2·MTTF_s … applies to each application run
 //!   separately" (§V-C), plus an exponential variant.

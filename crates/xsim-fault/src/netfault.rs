@@ -1,7 +1,8 @@
 //! Component-addressed fault schedules: processes, links and switches.
 //!
 //! [`FailureSchedule`](crate::FailureSchedule) covers the paper's
-//! surface — MPI *process* failures as rank/time pairs (§IV-B).
+//! surface — MPI *process* failures as rank/time pairs (§IV-B) — and is
+//! parsed as the `rank:` subset of this grammar.
 //! [`FaultSchedule`] generalizes the same idea to the network fault
 //! surface of the co-design tool: a fault is anchored at a
 //! [`FaultComponent`] (rank, link or switch) and carries a
@@ -422,6 +423,20 @@ mod tests {
             &s.entries()[..1],
             "bare R:SECS is a rank entry"
         );
+        let pairs: FaultSchedule = "12:3500.5, 99:120".parse().unwrap();
+        assert_eq!(
+            pairs.rank_failures().entries(),
+            &[
+                (12, SimTime::from_secs_f64(3500.5)),
+                (99, SimTime::from_secs(120))
+            ]
+        );
+    }
+
+    #[test]
+    fn skips_empty_entries() {
+        assert!("".parse::<FaultSchedule>().unwrap().is_empty());
+        assert_eq!("1:2,,".parse::<FaultSchedule>().unwrap().len(), 1);
     }
 
     #[test]
@@ -435,6 +450,10 @@ mod tests {
             "switch:x:5",
             "router:0:5",
             "rank:1:-2",
+            "12",
+            "a:1",
+            "1:x",
+            "1:inf",
         ] {
             assert!(bad.parse::<FaultSchedule>().is_err(), "accepted '{bad}'");
         }

@@ -3,11 +3,11 @@
 //! xSim accepts "a simulated MPI process failure schedule in the form of
 //! rank/time pairs on the command line or via an environment variable"
 //! (paper §IV-B). [`FailureSchedule`] is the same concept: a list of
-//! `(rank, earliest failure time)` pairs with a textual format
-//! `rank:seconds[,rank:seconds...]`.
+//! `(rank, earliest failure time)` pairs. Its text form
+//! `rank:seconds[,rank:seconds...]` is the process-failure subset of the
+//! [`FaultSchedule`](crate::FaultSchedule) grammar, which parses it.
 
 use std::fmt;
-use std::str::FromStr;
 use xsim_core::SimTime;
 
 /// A failure schedule: `(rank, scheduled time)` pairs. The scheduled
@@ -15,12 +15,13 @@ use xsim_core::SimTime;
 /// paper's clock-update rule (§IV-B).
 ///
 /// ```
-/// use xsim_fault::FailureSchedule;
+/// use xsim_fault::FaultSchedule;
 /// use xsim_core::SimTime;
 ///
-/// let schedule: FailureSchedule = "12:3500.5,99:120".parse().unwrap();
+/// let schedule = "12:3500.5,99:120".parse::<FaultSchedule>()?.rank_failures();
 /// assert_eq!(schedule.len(), 2);
 /// assert_eq!(schedule.entries()[0], (12, SimTime::from_secs_f64(3500.5)));
+/// # Ok::<(), xsim_fault::schedule::ParseError>(())
 /// ```
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct FailureSchedule {
@@ -101,32 +102,7 @@ impl FailureSchedule {
     }
 }
 
-impl FromStr for FailureSchedule {
-    type Err = ParseError;
-
-    /// Parse `rank:seconds[,rank:seconds...]`, e.g. `"12:3500.5,99:120"`.
-    /// Whitespace around entries is ignored; seconds may be fractional.
-    fn from_str(s: &str) -> Result<Self, ParseError> {
-        let mut out = FailureSchedule::new();
-        for item in s.split(',') {
-            let item = item.trim();
-            if item.is_empty() {
-                continue;
-            }
-            let (rank_s, time_s) = item
-                .split_once(':')
-                .ok_or_else(|| ParseError(format!("missing ':' in '{item}'")))?;
-            let rank: usize = rank_s
-                .trim()
-                .parse()
-                .map_err(|_| ParseError(format!("bad rank in '{item}'")))?;
-            out.push(rank, parse_secs(time_s, item)?);
-        }
-        Ok(out)
-    }
-}
-
-/// The time field of both schedule formats: non-negative, finite
+/// The time field of the schedule grammar: non-negative, finite
 /// seconds, rounded to the nearest nanosecond. Rounding (where
 /// [`SimTime::from_secs_f64`] truncates) is what makes `Display` →
 /// `FromStr` exact: 15 ns prints as `0.000000015`, which is 14.99… ns
@@ -144,58 +120,9 @@ pub(crate) fn parse_secs(s: &str, item: &str) -> Result<SimTime, ParseError> {
     Ok(SimTime((secs * 1e9).round() as u64))
 }
 
-impl fmt::Display for FailureSchedule {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let mut first = true;
-        for (r, t) in &self.entries {
-            if !first {
-                write!(f, ",")?;
-            }
-            first = false;
-            write!(f, "{r}:{}", t.as_secs_f64())?;
-        }
-        Ok(())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn parses_pairs() {
-        let s: FailureSchedule = "12:3500.5, 99:120".parse().unwrap();
-        assert_eq!(s.len(), 2);
-        assert_eq!(s.entries()[0], (12, SimTime::from_secs_f64(3500.5)));
-        assert_eq!(s.entries()[1], (99, SimTime::from_secs(120)));
-    }
-
-    #[test]
-    fn parses_empty_and_trailing_commas() {
-        let s: FailureSchedule = "".parse().unwrap();
-        assert!(s.is_empty());
-        let s: FailureSchedule = "1:2,,".parse().unwrap();
-        assert_eq!(s.len(), 1);
-    }
-
-    #[test]
-    fn rejects_malformed() {
-        assert!("12".parse::<FailureSchedule>().is_err());
-        assert!("a:1".parse::<FailureSchedule>().is_err());
-        assert!("1:x".parse::<FailureSchedule>().is_err());
-        assert!("1:-5".parse::<FailureSchedule>().is_err());
-        assert!("1:inf".parse::<FailureSchedule>().is_err());
-    }
-
-    #[test]
-    fn display_round_trips() {
-        let s: FailureSchedule = "3:1.5,4:2".parse().unwrap();
-        let t: FailureSchedule = s.to_string().parse().unwrap();
-        assert_eq!(s, t);
-        // 15 ns is 14.99… ns after the f64 trip; the parser rounds.
-        let s = FailureSchedule::new().with(1, SimTime(15));
-        assert_eq!(s.to_string().parse::<FailureSchedule>().unwrap(), s);
-    }
 
     #[test]
     fn offset_shifts_times() {

@@ -32,7 +32,7 @@ use std::sync::{Arc, Mutex, MutexGuard};
 use xsim_core::vp::WaitClass;
 use xsim_core::{ctx, Bytes, Rank, SimTime};
 use xsim_obs::service as obs;
-use xsim_obs::{ids, ObsSpan};
+use xsim_obs::{ids, ObsService, ObsSpan, PhaseKind};
 
 pub mod pfs;
 
@@ -432,7 +432,6 @@ pub async fn write(name: &str, data: Bytes) -> Result<(), FsError> {
         ids::FS_WRITES,
         ids::FS_WRITE_BYTES,
         ids::FS_WRITE_NS,
-        "fs.write",
         nbytes,
     );
     Ok(())
@@ -472,7 +471,6 @@ pub async fn read(name: &str) -> Result<FileState, FsError> {
         ids::FS_READS,
         ids::FS_READ_BYTES,
         ids::FS_READ_NS,
-        "fs.read",
         nbytes,
     );
     Ok(state)
@@ -531,7 +529,6 @@ pub async fn charge_write(bytes: usize) {
         ids::FS_WRITES,
         ids::FS_WRITE_BYTES,
         ids::FS_WRITE_NS,
-        "fs.write",
         bytes as u64,
     );
 }
@@ -564,7 +561,6 @@ pub async fn charge_read(bytes: usize) {
         ids::FS_READS,
         ids::FS_READ_BYTES,
         ids::FS_READ_NS,
-        "fs.read",
         bytes as u64,
     );
 }
@@ -582,33 +578,27 @@ pub async fn exists(name: &str) -> bool {
 }
 
 /// Account a finished I/O operation: counters, size/latency histograms
-/// and a timeline span. `t0` is `None` when metrics are disabled, making
-/// the whole function (including the kernel access) a no-op.
-fn note_io(
-    t0: Option<SimTime>,
-    n_id: usize,
-    bytes_id: usize,
-    ns_id: usize,
-    name: &'static str,
-    nbytes: u64,
-) {
+/// and a `FileIo` span for the trace. `t0` is `None` when observation is
+/// disabled, making the whole function (including the kernel access) a
+/// no-op.
+fn note_io(t0: Option<SimTime>, n_id: usize, bytes_id: usize, ns_id: usize, nbytes: u64) {
     let Some(t0) = t0 else { return };
     ctx::with_kernel(|k, rank| {
         let t1 = k.vp(rank).clock();
-        obs::record(k, n_id, 1);
-        obs::record(k, bytes_id, nbytes);
-        obs::record(k, ns_id, (t1 - t0).as_nanos());
-        obs::span(
-            k,
-            ObsSpan {
-                name,
-                cat: "fs",
-                rank,
-                start: t0,
-                end: t1,
-                bytes: nbytes,
-            },
-        );
+        let Some(obs) = k.try_service_mut::<ObsService>() else {
+            return;
+        };
+        obs.record(n_id, 1);
+        obs.record(bytes_id, nbytes);
+        obs.record(ns_id, (t1 - t0).as_nanos());
+        obs.span(ObsSpan {
+            rank,
+            kind: PhaseKind::FileIo,
+            start: t0,
+            end: t1,
+            peer: None,
+            bytes: nbytes,
+        });
     });
 }
 

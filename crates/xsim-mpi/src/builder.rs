@@ -9,14 +9,15 @@ use crate::state::{
     install_failure_hook, CollAlgo, Detector, LossyTransport, MpiService, MpiStats, MpiWorld,
     PowerService,
 };
-use crate::trace::{Trace, TraceEvent, TraceService};
 use std::future::Future;
 use std::sync::{Arc, Mutex};
 use xsim_core::vp::VpProgram;
 use xsim_core::{engine, CoreConfig, EngineKind, Kernel, Rank, SimError, SimReport, SimTime};
 use xsim_fs::{FsModel, FsService, FsStore};
 use xsim_net::{LinkStateTable, NetFault, NetModel};
-use xsim_obs::{ids as metric_ids, ChromeTraceWriter, ObsReport, ObsService, ObsSink};
+use xsim_obs::{
+    ids as metric_ids, ChromeTraceWriter, ObsReport, ObsService, ObsSink, PhaseKind, Trace,
+};
 use xsim_proc::{PowerModel, PowerReport, ProcModel};
 
 /// The sinks are read only after `engine::run` returned, which
@@ -38,10 +39,10 @@ pub struct RunReport {
     /// Energy accounting, when a power model was configured (paper
     /// §III-A item (4)).
     pub power: Option<PowerReport>,
-    /// Execution trace, when tracing was enabled.
+    /// The run's timeline (MPI phases and file I/O), when tracing was
+    /// enabled.
     pub trace: Option<Trace>,
-    /// Observability data (metrics registry + subsystem spans), when
-    /// metrics were enabled.
+    /// The metrics registry, when metrics were enabled.
     pub metrics: Option<ObsReport>,
 }
 
@@ -52,48 +53,42 @@ impl RunReport {
         self.sim.exit_time()
     }
 
-    /// Stream the merged Chrome trace-event JSON (Perfetto-viewable):
-    /// MPI phases on each rank's lane 0, subsystem spans (file I/O,
-    /// checkpoint commits) on lane 1. Emits an empty-but-valid document
-    /// when neither tracing nor metrics were enabled.
+    /// Stream the trace as Chrome trace-event JSON (Perfetto-viewable):
+    /// MPI phases on each rank's lane 0, file I/O on lane 1. Emits an
+    /// empty-but-valid document when tracing was off.
     pub fn write_chrome_trace<W: std::io::Write>(&self, w: W) -> std::io::Result<()> {
         let mut out = ChromeTraceWriter::new(w)?;
-        if let Some(trace) = &self.trace {
-            for e in &trace.events {
-                let name = e.kind.to_string();
-                let mut args: Vec<(&str, u64)> = Vec::with_capacity(2);
-                if e.bytes != 0 {
-                    args.push(("bytes", e.bytes));
-                }
-                if let Some(p) = e.peer {
-                    args.push(("peer", p.0 as u64));
-                }
-                out.complete(
-                    &name,
-                    "mpi",
-                    e.rank.0,
-                    0,
-                    e.start.as_nanos(),
-                    e.end.as_nanos(),
-                    &args,
-                )?;
+        let mut args = Vec::with_capacity(2);
+        for e in self.trace.iter().flat_map(|t| &t.events) {
+            let (cat, lane) = match e.kind {
+                PhaseKind::FileIo => ("fs", 1),
+                _ => ("mpi", 0),
+            };
+            args.clear();
+            if e.bytes != 0 {
+                args.push(("bytes", e.bytes));
             }
-        }
-        if let Some(obs) = &self.metrics {
-            for s in &obs.spans {
-                out.span(s)?;
+            if let Some(p) = e.peer {
+                args.push(("peer", p.0 as u64));
             }
+            out.complete(
+                e.kind.as_str(),
+                cat,
+                e.rank.0,
+                lane,
+                e.start.as_nanos(),
+                e.end.as_nanos(),
+                &args,
+            )?;
         }
         out.finish()?;
         Ok(())
     }
 
-    /// The merged Chrome trace as an in-memory JSON string; `None` when
-    /// neither tracing nor metrics were enabled.
+    /// The Chrome trace as an in-memory JSON string; `None` when tracing
+    /// was off.
     pub fn chrome_trace_json(&self) -> Option<String> {
-        if self.trace.is_none() && self.metrics.is_none() {
-            return None;
-        }
+        self.trace.as_ref()?;
         let mut buf = Vec::new();
         self.write_chrome_trace(&mut buf)
             .expect("writing to a Vec cannot fail");
@@ -334,17 +329,19 @@ impl SimBuilder {
         self
     }
 
-    /// Record an execution trace (per-rank compute/communication phase
-    /// intervals); retrieve it from `RunReport::trace`.
+    /// Record the run's timeline: every rank's compute, point-to-point,
+    /// wait and collective phases and its file I/O, as virtual-time
+    /// spans; retrieve it from `RunReport::trace`.
     pub fn trace(mut self, enabled: bool) -> Self {
         self.trace = enabled;
         self
     }
 
-    /// Collect subsystem metrics (network, file system, checkpoint,
-    /// fault counters and histograms) and subsystem spans; retrieve them
-    /// from `RunReport::metrics`. Off by default: with metrics disabled
-    /// no registry exists and every instrumentation site is a no-op.
+    /// Collect the metrics registry (network, file system, checkpoint,
+    /// fault counters and histograms); retrieve it from
+    /// `RunReport::metrics`. Off by default: with metrics and tracing
+    /// both disabled no observability service exists and every
+    /// instrumentation site is a no-op.
     pub fn metrics(mut self, enabled: bool) -> Self {
         self.metrics = enabled;
         self
@@ -465,7 +462,6 @@ impl SimBuilder {
         let power_model = self.power;
         let busy_sink: Arc<Mutex<Vec<SimTime>>> = Arc::new(Mutex::new(Vec::new()));
         let trace_enabled = self.trace;
-        let trace_sink: Arc<Mutex<Vec<TraceEvent>>> = Arc::new(Mutex::new(Vec::new()));
         let metrics_enabled = self.metrics;
         let obs_sink: Arc<Mutex<ObsSink>> = Arc::new(Mutex::new(ObsSink::default()));
 
@@ -473,7 +469,6 @@ impl SimBuilder {
             let world = world.clone();
             let stats_sink = stats_sink.clone();
             let busy_sink = busy_sink.clone();
-            let trace_sink = trace_sink.clone();
             let obs_sink = obs_sink.clone();
             move |k: &mut Kernel| {
                 let owned = k.owned_ranks();
@@ -490,18 +485,12 @@ impl SimBuilder {
                 if power_model.is_some() {
                     k.install_service(PowerService::new(owned.clone(), busy_sink.clone()));
                 }
-                if trace_enabled {
-                    k.install_service(TraceService::new(trace_sink.clone()));
+                if metrics_enabled || trace_enabled {
+                    k.install_service(ObsService::new(obs_sink.clone(), trace_enabled));
                 }
-                if metrics_enabled {
-                    k.install_service(ObsService::new(obs_sink.clone()));
-                }
-                // Flush trace/metric buffers deterministically at engine
+                // Flush span/metric buffers deterministically at engine
                 // shutdown instead of relying on service Drop order.
                 k.add_shutdown_hook(Arc::new(|k: &mut Kernel| {
-                    if let Some(tr) = k.try_service_mut::<TraceService>() {
-                        tr.flush();
-                    }
                     // Land the MPI layer's batched hot-path counters
                     // before the metric set is flushed into the sink.
                     let batch = k
@@ -542,7 +531,9 @@ impl SimBuilder {
                 mpi.bytes_sent,
             )
         });
-        let mut metrics = metrics_enabled.then(|| ObsReport::assemble(&obs_sink));
+        let (obs, trace) = ObsSink::drain(&obs_sink);
+        let trace = trace_enabled.then_some(trace);
+        let mut metrics = metrics_enabled.then_some(obs);
         if let Some(m) = metrics.as_mut() {
             // Surface the engine execution profile as (volatile) metrics
             // so perf investigations see windows/batches/waits next to
@@ -581,28 +572,6 @@ impl SimBuilder {
                 m.set.add(metric_ids::NET_ROUTE_BFS_RUNS, s.bfs_runs);
             }
         }
-        let trace = trace_enabled.then(|| {
-            let mut events: Vec<TraceEvent> =
-                std::mem::take(&mut trace_sink.lock().expect(SINK_POISONED));
-            // Surface file-system spans as FileIo phases so the MPI
-            // trace covers I/O even though xsim-fs sits below this layer.
-            if let Some(obs) = &metrics {
-                events.extend(
-                    obs.spans
-                        .iter()
-                        .filter(|s| s.cat == "fs")
-                        .map(|s| TraceEvent {
-                            rank: s.rank,
-                            kind: crate::trace::PhaseKind::FileIo,
-                            start: s.start,
-                            end: s.end,
-                            peer: None,
-                            bytes: s.bytes,
-                        }),
-                );
-            }
-            Trace::assemble(events)
-        });
         Ok(RunReport {
             sim,
             mpi,

@@ -39,7 +39,6 @@ pub mod replication;
 pub mod request;
 mod smallmap;
 pub mod state;
-pub mod trace;
 pub mod ulfm;
 
 pub use builder::{RunReport, SimBuilder};
@@ -54,5 +53,5 @@ pub use replication::{
 };
 pub use request::{RecvOut, ReqId};
 pub use state::{CollAlgo, Detector, LossyTransport, MpiStats, MpiWorld, TxOutcome};
-pub use trace::{PhaseKind, Trace, TraceEvent};
 pub use xsim_core::EngineKind;
+pub use xsim_obs::{PhaseKind, Trace};

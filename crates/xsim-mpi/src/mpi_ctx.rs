@@ -14,12 +14,13 @@ use crate::error::{ErrHandler, MpiError};
 use crate::p2p;
 use crate::request::{RecvOut, ReqId};
 use crate::state::MpiService;
-use crate::trace;
 use crate::ulfm;
 use std::future::Future;
 use std::sync::Arc;
 use xsim_core::vp::{VpExit, VpFuture, VpProgram};
 use xsim_core::{ctx, Bytes, Rank, SimTime};
+use xsim_obs::service as obs;
+use xsim_obs::{ObsSpan, PhaseKind};
 use xsim_proc::Work;
 
 /// Handle to the simulated MPI world for one application process.
@@ -41,7 +42,7 @@ impl MpiCtx {
             MpiCtx {
                 rank: me.idx(),
                 size: svc.world.n_ranks,
-                traced: k.try_service::<trace::TraceService>().is_some(),
+                traced: obs::tracing(k),
             }
         })
     }
@@ -52,9 +53,22 @@ impl MpiCtx {
     }
 
     #[inline]
-    fn rec(&self, kind: trace::PhaseKind, t0: Option<SimTime>, peer: Option<Rank>, bytes: u64) {
+    fn rec(&self, kind: PhaseKind, t0: Option<SimTime>, peer: Option<Rank>, bytes: u64) {
         if let Some(start) = t0 {
-            trace::record(kind, start, ctx::now(), peer, bytes);
+            ctx::with_kernel(|k, rank| {
+                let end = k.vp(rank).clock();
+                obs::span(
+                    k,
+                    ObsSpan {
+                        rank,
+                        kind,
+                        start,
+                        end,
+                        peer,
+                        bytes,
+                    },
+                );
+            });
         }
     }
 
@@ -108,7 +122,7 @@ impl MpiCtx {
         if d > SimTime::ZERO {
             ctx::sleep(d).await;
         }
-        self.rec(trace::PhaseKind::Compute, t0, None, 0);
+        self.rec(PhaseKind::Compute, t0, None, 0);
     }
 
     /// Advance virtual time without modeling work (testing/debug).
@@ -160,7 +174,7 @@ impl MpiCtx {
         let t0 = self.t0();
         let bytes = data.len() as u64;
         let r = p2p::send_raw(comm.id, dst, tag, data).await;
-        self.rec(trace::PhaseKind::Send, t0, Some(Rank(dst as u32)), bytes);
+        self.rec(PhaseKind::Send, t0, Some(Rank(dst as u32)), bytes);
         self.apply(comm, r)
     }
 
@@ -177,7 +191,7 @@ impl MpiCtx {
             Ok(out) => (Some(out.src), out.data.len() as u64),
             Err(_) => (src.map(|s| Rank(s as u32)), 0),
         };
-        self.rec(trace::PhaseKind::Recv, t0, peer, bytes);
+        self.rec(PhaseKind::Recv, t0, peer, bytes);
         self.apply(comm, r)
     }
 
@@ -208,7 +222,7 @@ impl MpiCtx {
     pub async fn wait(&self, comm: Comm, req: ReqId) -> Result<Option<RecvOut>, MpiError> {
         let t0 = self.t0();
         let r = p2p::wait_raw(req).await;
-        self.rec(trace::PhaseKind::Wait, t0, None, 0);
+        self.rec(PhaseKind::Wait, t0, None, 0);
         self.apply(comm, r)
     }
 
@@ -220,7 +234,7 @@ impl MpiCtx {
     ) -> Result<Vec<Option<RecvOut>>, MpiError> {
         let t0 = self.t0();
         let r = p2p::waitall_raw(reqs).await;
-        self.rec(trace::PhaseKind::Wait, t0, None, 0);
+        self.rec(PhaseKind::Wait, t0, None, 0);
         self.apply(comm, r)
     }
 
@@ -248,7 +262,7 @@ impl MpiCtx {
         let t0 = self.t0();
         let bytes = data.len() as u64;
         let r = p2p::sendrecv_raw(comm.id, dst, send_tag, data, src, recv_tag).await;
-        self.rec(trace::PhaseKind::Send, t0, Some(Rank(dst as u32)), bytes);
+        self.rec(PhaseKind::Send, t0, Some(Rank(dst as u32)), bytes);
         self.apply(comm, r)
     }
 
@@ -313,7 +327,7 @@ impl MpiCtx {
             crate::state::CollAlgo::Linear => collective::barrier(comm.id).await,
             crate::state::CollAlgo::Tree => collective::barrier_tree(comm.id).await,
         };
-        self.rec(trace::PhaseKind::Collective, t0, None, 0);
+        self.rec(PhaseKind::Collective, t0, None, 0);
         self.apply(comm, r)
     }
 
@@ -325,12 +339,7 @@ impl MpiCtx {
             crate::state::CollAlgo::Linear => collective::bcast(comm.id, root, data).await,
             crate::state::CollAlgo::Tree => collective::bcast_tree(comm.id, root, data).await,
         };
-        self.rec(
-            trace::PhaseKind::Collective,
-            t0,
-            Some(Rank(root as u32)),
-            bytes,
-        );
+        self.rec(PhaseKind::Collective, t0, Some(Rank(root as u32)), bytes);
         self.apply(comm, r)
     }
 
@@ -406,12 +415,7 @@ impl MpiCtx {
             crate::state::CollAlgo::Linear => collective::allreduce_f64(comm.id, data, op).await,
             crate::state::CollAlgo::Tree => collective::allreduce_f64_tree(comm.id, data, op).await,
         };
-        self.rec(
-            trace::PhaseKind::Collective,
-            t0,
-            None,
-            (data.len() * 8) as u64,
-        );
+        self.rec(PhaseKind::Collective, t0, None, (data.len() * 8) as u64);
         self.apply(comm, r)
     }
 

@@ -9,7 +9,6 @@
 //! [Trace Event Format]: https://docs.google.com/document/d/1CvAClvFfyA5R-PhYUmn5OOQtYMH4h6I0nSsKchNAySU
 
 use crate::json;
-use crate::service::ObsSpan;
 use std::io::{self, Write};
 
 /// Streaming writer producing one `{"traceEvents":[...]}` document.
@@ -46,7 +45,7 @@ impl<W: Write> ChromeTraceWriter<W> {
 
     /// Emit one complete ("X") duration event. Times are virtual
     /// nanoseconds; `pid` is the simulated rank, `tid` distinguishes
-    /// lanes within a rank (0 = MPI phases, 1 = subsystem spans).
+    /// lanes within a rank (0 = MPI phases, 1 = file I/O).
     /// `args` become the event's `args` object (u64 values).
     #[allow(clippy::too_many_arguments)] // mirrors the trace-event field list
     pub fn complete(
@@ -88,20 +87,6 @@ impl<W: Write> ChromeTraceWriter<W> {
         self.w.write_all(self.buf.as_bytes())
     }
 
-    /// Emit a subsystem span on the rank's subsystem lane (`tid` 1).
-    pub fn span(&mut self, s: &ObsSpan) -> io::Result<()> {
-        let args: &[(&str, u64)] = &[("bytes", s.bytes)];
-        self.complete(
-            s.name,
-            s.cat,
-            s.rank.0,
-            1,
-            s.start.as_nanos(),
-            s.end.as_nanos(),
-            if s.bytes != 0 { args } else { &[] },
-        )
-    }
-
     /// Emit a `process_name` metadata event labeling `pid` in the viewer.
     pub fn process_name(&mut self, pid: u32, name: &str) -> io::Result<()> {
         self.sep()?;
@@ -127,7 +112,6 @@ impl<W: Write> ChromeTraceWriter<W> {
 mod tests {
     use super::*;
     use crate::json::Json;
-    use xsim_core::{Rank, SimTime};
 
     #[test]
     fn emits_valid_perfetto_json() {
@@ -143,15 +127,8 @@ mod tests {
             &[("bytes", 128), ("peer", 1)],
         )
         .unwrap();
-        w.span(&ObsSpan {
-            name: "fs.write",
-            cat: "fs",
-            rank: Rank(2),
-            start: SimTime(10_000),
-            end: SimTime(30_000),
-            bytes: 4096,
-        })
-        .unwrap();
+        w.complete("file-io", "fs", 2, 1, 10_000, 30_000, &[("bytes", 4096)])
+            .unwrap();
         let bytes = w.finish().unwrap();
         let doc = Json::parse(std::str::from_utf8(&bytes).unwrap()).expect("valid JSON");
         let evs = doc.get("traceEvents").unwrap().as_arr().unwrap();

@@ -10,13 +10,15 @@
 //!   metric handles are `const` indices ([`ids`]), so the hot path is a
 //!   bounds-checked array access with **no allocation and no hashing**.
 //! * [`ObsService`] — the per-shard kernel service carrying one
-//!   `MetricSet` plus a buffer of subsystem [`ObsSpan`]s (file I/O,
-//!   checkpoint commits…). Installed by `SimBuilder::metrics(true)`;
-//!   when absent, every instrumentation site reduces to one failed
-//!   `TypeId` lookup — near-zero cost when disabled.
+//!   `MetricSet` plus a buffer of [`ObsSpan`]s. Installed when
+//!   `SimBuilder::metrics(true)` (the registry) or `SimBuilder::trace(true)`
+//!   (the spans) is on; when absent, every instrumentation site reduces
+//!   to one failed `TypeId` lookup — near-zero cost when disabled.
+//! * [`trace`] — the run's one timeline: every MPI phase and file-I/O
+//!   interval as an [`ObsSpan`], assembled into a [`Trace`] (per-kind
+//!   totals, compute fraction, streaming CSV).
 //! * [`chrome`] — a streaming Chrome trace-event JSON writer
-//!   (Perfetto-viewable) that the MPI layer uses to merge its phase
-//!   trace with the subsystem spans recorded here.
+//!   (Perfetto-viewable) that the MPI layer exports the trace through.
 //! * [`json`] — a dependency-free JSON value/parser used by the
 //!   exporters and by tests that parse the emitted artifacts back.
 //!
@@ -27,8 +29,10 @@ pub mod chrome;
 pub mod json;
 pub mod metrics;
 pub mod service;
+pub mod trace;
 
 pub use chrome::ChromeTraceWriter;
 pub use json::Json;
 pub use metrics::{ids, Hist, MetricDef, MetricKind, MetricSet, Unit, SPEC};
-pub use service::{ObsReport, ObsService, ObsSink, ObsSpan};
+pub use service::{ObsReport, ObsService, ObsSink};
+pub use trace::{ObsSpan, PhaseKind, Trace};

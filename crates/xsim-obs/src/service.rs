@@ -1,61 +1,55 @@
 //! The per-shard observability service and its end-of-run report.
 //!
-//! Mirrors the `TraceService` pattern of the MPI layer: each kernel
-//! shard carries one [`ObsService`] holding a [`MetricSet`] plus a
-//! buffer of subsystem [`ObsSpan`]s; at engine shutdown every shard
-//! flushes into a shared [`ObsSink`], which the builder drains into an
-//! [`ObsReport`] after the run.
+//! Each kernel shard carries one [`ObsService`] holding a [`MetricSet`]
+//! plus a buffer of [`ObsSpan`]s; at engine shutdown every shard flushes
+//! into a shared [`ObsSink`], which the builder drains into an
+//! [`ObsReport`] and a [`Trace`] after the run.
 
 use crate::metrics::MetricSet;
+use crate::trace::{ObsSpan, Trace};
 use std::fmt::Write as _;
 use std::sync::{Arc, Mutex, PoisonError};
-use xsim_core::{Kernel, Rank, SimReport, SimTime};
-
-/// One timed subsystem interval (a file-system transfer, a checkpoint
-/// commit…), destined for the Chrome trace exporter alongside the MPI
-/// phase trace.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ObsSpan {
-    /// Event name shown in the viewer (e.g. `"fs.write"`).
-    pub name: &'static str,
-    /// Trace category (e.g. `"fs"`, `"ckpt"`).
-    pub cat: &'static str,
-    /// Rank the interval belongs to.
-    pub rank: Rank,
-    /// Interval start (virtual time).
-    pub start: SimTime,
-    /// Interval end (virtual time).
-    pub end: SimTime,
-    /// Bytes moved, if meaningful (0 otherwise).
-    pub bytes: u64,
-}
+use xsim_core::{Kernel, SimReport};
 
 /// Shared sink the per-shard services flush into.
 #[derive(Default)]
 pub struct ObsSink {
-    /// Merged metric storage.
-    pub set: MetricSet,
-    /// Concatenated subsystem spans (unsorted until assembly).
-    pub spans: Vec<ObsSpan>,
+    set: MetricSet,
+    spans: Vec<ObsSpan>,
 }
 
-/// Per-shard observability state, installed as a kernel service by
-/// `SimBuilder::metrics(true)`.
+impl ObsSink {
+    /// Drain the sink after the run: the merged metrics and the trace
+    /// (spans in deterministic order).
+    pub fn drain(sink: &Mutex<ObsSink>) -> (ObsReport, Trace) {
+        let inner = std::mem::take(
+            &mut *sink
+                .lock()
+                .expect("an ObsService panicked while flushing into the sink"),
+        );
+        (ObsReport { set: inner.set }, Trace::assemble(inner.spans))
+    }
+}
+
+/// Per-shard observability state, installed as a kernel service when
+/// `SimBuilder::metrics` or `SimBuilder::trace` is on.
 pub struct ObsService {
     /// This shard's metric storage. Public so instrumentation sites that
     /// already hold `&mut ObsService` can record without indirection.
     pub set: MetricSet,
-    /// This shard's span buffer.
-    pub spans: Vec<ObsSpan>,
+    spans: Vec<ObsSpan>,
+    tracing: bool,
     sink: Arc<Mutex<ObsSink>>,
 }
 
 impl ObsService {
-    /// New per-shard service flushing into `sink`.
-    pub fn new(sink: Arc<Mutex<ObsSink>>) -> Self {
+    /// New per-shard service flushing into `sink`; it keeps spans only
+    /// when `tracing`.
+    pub fn new(sink: Arc<Mutex<ObsSink>>, tracing: bool) -> Self {
         ObsService {
             set: MetricSet::new(),
             spans: Vec::new(),
+            tracing,
             sink,
         }
     }
@@ -67,10 +61,12 @@ impl ObsService {
         self.set.add(id, v);
     }
 
-    /// Buffer a subsystem span for the trace exporters.
+    /// Buffer a span for the trace; dropped unless tracing is on.
     #[inline]
     pub fn span(&mut self, span: ObsSpan) {
-        self.spans.push(span);
+        if self.tracing {
+            self.spans.push(span);
+        }
     }
 
     /// Flush this shard's metrics and spans into the shared sink. Called
@@ -94,7 +90,7 @@ impl Drop for ObsService {
     }
 }
 
-/// Record against a kernel's [`ObsService`], a no-op when metrics are
+/// Record against a kernel's [`ObsService`], a no-op when observation is
 /// disabled. For use inside kernel closures that already hold
 /// `&mut Kernel` — when disabled this is one pass over the shard's few
 /// service slots comparing `TypeId`s (no hashing), no allocation.
@@ -105,50 +101,38 @@ pub fn record(k: &mut Kernel, id: usize, v: u64) {
     }
 }
 
-/// Buffer a span on a kernel's [`ObsService`]; no-op when disabled.
+/// Buffer a span on a kernel's [`ObsService`]; no-op unless tracing.
 #[inline]
 pub fn span(k: &mut Kernel, s: ObsSpan) {
     if let Some(obs) = k.try_service_mut::<ObsService>() {
-        obs.spans.push(s);
+        obs.span(s);
     }
 }
 
-/// Whether metrics are enabled on this shard. Lets async instrumentation
-/// sites skip span bookkeeping (clock reads, extra `with_kernel` trips)
-/// entirely when disabled. Costs the same slot scan as [`record`]: the
-/// obs service is installed last, so a disabled check compares every
-/// installed `TypeId` once.
+/// Whether metrics or tracing is on for this shard. Lets async
+/// instrumentation sites skip interval bookkeeping (clock reads, extra
+/// `with_kernel` trips) entirely when disabled. Costs the same slot scan
+/// as [`record`]: the obs service is installed last, so a disabled check
+/// compares every installed `TypeId` once.
 #[inline]
 pub fn enabled(k: &Kernel) -> bool {
     k.try_service::<ObsService>().is_some()
 }
 
-/// The merged observability data of one run.
+/// Whether this shard keeps spans (`SimBuilder::trace`).
+#[inline]
+pub fn tracing(k: &Kernel) -> bool {
+    k.try_service::<ObsService>().is_some_and(|obs| obs.tracing)
+}
+
+/// The merged metrics of one run.
 #[derive(Default)]
 pub struct ObsReport {
     /// Merged metrics across shards.
     pub set: MetricSet,
-    /// All subsystem spans, sorted by `(start, rank, end, name)` for
-    /// deterministic output.
-    pub spans: Vec<ObsSpan>,
 }
 
 impl ObsReport {
-    /// Drain the shared sink into a report (deterministic span order).
-    pub fn assemble(sink: &Mutex<ObsSink>) -> Self {
-        let inner = std::mem::take(
-            &mut *sink
-                .lock()
-                .expect("an ObsService panicked while flushing into the sink"),
-        );
-        let mut spans = inner.spans;
-        spans.sort_by_key(|s| (s.start, s.rank, s.end, s.name));
-        ObsReport {
-            set: inner.set,
-            spans,
-        }
-    }
-
     /// Render the machine-readable metrics snapshot. Pass the engine
     /// report to include the engine section (events, context switches,
     /// per-shard stats, load imbalance, parallel-engine profile).
@@ -190,7 +174,7 @@ impl ObsReport {
         }
         out.push_str(",\"metrics\":");
         self.set.write_json(&mut out, sim.is_some());
-        let _ = write!(out, ",\"span_count\":{}}}", self.spans.len());
+        out.push('}');
         out
     }
 }
@@ -198,7 +182,6 @@ impl ObsReport {
 impl std::fmt::Debug for ObsReport {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ObsReport")
-            .field("spans", &self.spans.len())
             .field("any_activity", &self.set.any_activity())
             .finish()
     }
@@ -208,60 +191,60 @@ impl std::fmt::Debug for ObsReport {
 mod tests {
     use super::*;
     use crate::metrics::ids;
+    use crate::trace::PhaseKind;
+    use xsim_core::{Rank, SimTime};
+
+    fn io(rank: u32, start: u64) -> ObsSpan {
+        ObsSpan {
+            rank: Rank(rank),
+            kind: PhaseKind::FileIo,
+            start: SimTime(start),
+            end: SimTime(start + 1),
+            peer: None,
+            bytes: 64,
+        }
+    }
 
     #[test]
     fn flush_merges_and_drains() {
         let sink = Arc::new(Mutex::new(ObsSink::default()));
-        let mut a = ObsService::new(sink.clone());
-        let mut b = ObsService::new(sink.clone());
+        let mut a = ObsService::new(sink.clone(), true);
+        let mut b = ObsService::new(sink.clone(), true);
         a.record(ids::FS_WRITES, 2);
         b.record(ids::FS_WRITES, 3);
-        b.span(ObsSpan {
-            name: "fs.write",
-            cat: "fs",
-            rank: Rank(1),
-            start: SimTime(5),
-            end: SimTime(9),
-            bytes: 64,
-        });
+        b.span(io(1, 5));
         a.flush();
         a.flush(); // idempotent
         drop(a);
         drop(b); // Drop backstop flushes b
-        let rep = ObsReport::assemble(&sink);
+        let (rep, trace) = ObsSink::drain(&sink);
         assert_eq!(rep.set.value(ids::FS_WRITES), 5);
-        assert_eq!(rep.spans.len(), 1);
-        assert_eq!(rep.spans[0].name, "fs.write");
+        assert_eq!(trace.events, vec![io(1, 5)]);
     }
 
     #[test]
-    fn spans_sorted_deterministically() {
+    fn spans_need_tracing_and_sort_deterministically() {
         let sink = Arc::new(Mutex::new(ObsSink::default()));
-        let mut s = ObsService::new(sink.clone());
-        let sp = |rank, start| ObsSpan {
-            name: "x",
-            cat: "t",
-            rank: Rank(rank),
-            start: SimTime(start),
-            end: SimTime(start + 1),
-            bytes: 0,
-        };
-        s.span(sp(2, 10));
-        s.span(sp(0, 10));
-        s.span(sp(1, 3));
+        let mut metrics_only = ObsService::new(sink.clone(), false);
+        metrics_only.span(io(9, 0));
+        let mut s = ObsService::new(sink.clone(), true);
+        s.span(io(2, 10));
+        s.span(io(0, 10));
+        s.span(io(1, 3));
         s.flush();
-        let rep = ObsReport::assemble(&sink);
-        let order: Vec<_> = rep.spans.iter().map(|s| (s.start.0, s.rank.0)).collect();
+        metrics_only.flush();
+        let (_, trace) = ObsSink::drain(&sink);
+        let order: Vec<_> = trace.events.iter().map(|s| (s.start.0, s.rank.0)).collect();
         assert_eq!(order, vec![(3, 1), (10, 0), (10, 2)]);
     }
 
     #[test]
     fn snapshot_json_parses_without_engine() {
         let sink = Arc::new(Mutex::new(ObsSink::default()));
-        let mut s = ObsService::new(sink.clone());
+        let mut s = ObsService::new(sink.clone(), false);
         s.record(ids::CKPT_WRITES, 1);
         s.flush();
-        let rep = ObsReport::assemble(&sink);
+        let (rep, _) = ObsSink::drain(&sink);
         let doc = crate::json::Json::parse(&rep.to_json(None)).expect("valid JSON");
         assert_eq!(doc.get("schema").unwrap().as_str(), Some("xsim-metrics-v1"));
         assert_eq!(
@@ -272,5 +255,6 @@ mod tests {
             Some(1)
         );
         assert!(doc.get("engine").is_none());
+        assert!(doc.get("span_count").is_none());
     }
 }

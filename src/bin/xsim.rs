@@ -19,6 +19,7 @@
 //! `XSIM_NET_FAULTS` environment variables add to it. The first line of
 //! output is the `scenario:` line that replays the run.
 
+use std::io::Write as _;
 use std::process::exit;
 use xsim::apps::heat3d::{self, HeatConfig};
 use xsim::apps::kernels;
@@ -129,10 +130,16 @@ fn cmd_heat(cli: &Cli, cfg: &HeatConfig) {
                 exit(1)
             });
         let trace = traced.trace.expect("tracing enabled");
-        std::fs::write(path, trace.to_csv()).unwrap_or_else(|e| {
-            eprintln!("cannot write {path}: {e}");
-            exit(1)
-        });
+        std::fs::File::create(path)
+            .and_then(|f| {
+                let mut w = std::io::BufWriter::new(f);
+                trace.write_csv(&mut w)?;
+                w.flush()
+            })
+            .unwrap_or_else(|e| {
+                eprintln!("cannot write {path}: {e}");
+                exit(1)
+            });
         println!(
             "trace: {} events written to {path} (compute fraction {:.1}%)",
             trace.events.len(),

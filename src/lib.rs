@@ -24,8 +24,8 @@
 //! * [`ckpt`] — checksummed application-level checkpoint/restart and the
 //!   run→abort→restart orchestrator with continuous virtual timing.
 //! * [`obs`] — observability: metrics registry (counters, gauges,
-//!   histograms) across every subsystem and Chrome/Perfetto trace
-//!   export.
+//!   histograms) across every subsystem, the run's span timeline (MPI
+//!   phases and file I/O) and its Chrome/Perfetto export.
 //! * [`apps`] — the paper's 3-D heat application and companions.
 //!
 //! ## Quickstart

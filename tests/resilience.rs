@@ -10,7 +10,7 @@ use xsim_fs::{IoFaultKind, IoFaultRule};
 
 #[test]
 fn failure_schedule_string_drives_injection() {
-    let schedule: FailureSchedule = "2:0.5".parse().unwrap();
+    let schedule = "2:0.5".parse::<FaultSchedule>().unwrap().rank_failures();
     let report = SimBuilder::new(4)
         .net(NetModel::small(4))
         .inject_failures(schedule.iter())

@@ -1,5 +1,7 @@
 //! Execution-trace integration tests.
 
+use std::collections::HashSet;
+use xsim::apps::heat3d::{self, HeatConfig};
 use xsim::mpi::{PhaseKind, Trace};
 use xsim::prelude::*;
 
@@ -129,7 +131,10 @@ fn trace_is_deterministic_and_engine_independent() {
     let b = run(3).trace.unwrap();
     assert_eq!(a.events, b.events, "trace must not depend on the engine");
     // CSV renders one line per event plus header.
-    assert_eq!(a.to_csv().lines().count(), a.events.len() + 1);
+    let mut csv = Vec::new();
+    a.write_csv(&mut csv).unwrap();
+    let csv = String::from_utf8(csv).unwrap();
+    assert_eq!(csv.lines().count(), a.events.len() + 1);
 }
 
 #[test]
@@ -145,4 +150,39 @@ fn empty_run_yields_empty_trace() {
     let t: Trace = report.trace.unwrap();
     assert!(t.events.is_empty());
     assert_eq!(t.compute_fraction(), 0.0);
+}
+
+/// `.trace(true)` alone records the file I/O of a checkpointing heat3d:
+/// the timeline needs no `.metrics(true)`, and each fs interval appears
+/// once.
+#[test]
+fn trace_only_run_records_file_io_once() {
+    let cfg = HeatConfig::small();
+    let report = SimBuilder::new(cfg.n_ranks())
+        .net(NetModel::small(cfg.n_ranks()))
+        .fs_model(FsModel::typical_pfs())
+        .trace(true)
+        .run(heat3d::program(cfg.clone()))
+        .expect("heat3d run");
+    assert_eq!(report.sim.exit, ExitKind::Completed);
+    assert!(
+        report.metrics.is_none(),
+        "tracing keeps no metrics registry"
+    );
+    let trace = report.trace.expect("tracing enabled");
+    let io: Vec<_> = trace
+        .events
+        .iter()
+        .filter(|e| e.kind == PhaseKind::FileIo)
+        .collect();
+    assert!(!io.is_empty(), "file I/O traced without metrics");
+    let io_time = trace
+        .totals()
+        .into_iter()
+        .find(|(k, _)| *k == PhaseKind::FileIo)
+        .unwrap()
+        .1;
+    assert!(io_time > SimTime::ZERO, "file I/O takes virtual time");
+    let distinct: HashSet<_> = io.iter().map(|e| (e.rank, e.start, e.end)).collect();
+    assert_eq!(distinct.len(), io.len(), "an fs interval appears twice");
 }
