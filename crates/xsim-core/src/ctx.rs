@@ -176,25 +176,49 @@ impl Future for PrearmedFuture {
 /// failure-activation rule applies at the end: if a failure (or abort)
 /// was scheduled for a time the clock has now reached, the VP terminates
 /// there (§IV-B).
-pub async fn sleep(d: SimTime) {
-    let (deadline, token) = with_kernel(|k, rank| {
-        let deadline = k.vp(rank).clock() + d;
-        let token = k.vp_mut(rank).begin_wait(WaitClass::Compute, "compute");
-        k.schedule_at(deadline, rank, crate::event::Action::WakeToken(token));
-        (deadline, token)
-    });
-    loop {
-        let now = block_prearmed(token).await;
-        if now >= deadline {
-            return;
-        }
-        // Spurious wake (e.g. released by an upper layer); re-block on
-        // the same token — the original wake event is still scheduled.
-        with_kernel(|k, rank| {
-            // Re-block on the same token: the scheduled wake stays valid.
-            k.vp_mut(rank)
-                .rearm_wait(WaitClass::Compute, "compute", token);
-        });
+///
+/// Like an `async fn`, it schedules nothing until its first poll. The
+/// future is 24 bytes: a parked rank's compute phase costs no more.
+pub fn sleep(d: SimTime) -> impl Future<Output = ()> + Send {
+    Sleep::Start(d)
+}
+
+/// The poll state of [`sleep`]: the duration until the first poll arms
+/// the wait, then the deadline and token of the scheduled wake.
+enum Sleep {
+    Start(SimTime),
+    Armed { deadline: SimTime, token: WaitToken },
+}
+
+impl Future for Sleep {
+    type Output = ();
+
+    fn poll(self: Pin<&mut Self>, _cx: &mut Context<'_>) -> Poll<()> {
+        let this = self.get_mut();
+        with_kernel(|k, rank| match *this {
+            Sleep::Start(d) => {
+                let deadline = k.vp(rank).clock() + d;
+                let token = k.vp_mut(rank).begin_wait(WaitClass::Compute, "compute");
+                k.schedule_at(deadline, rank, crate::event::Action::WakeToken(token));
+                *this = Sleep::Armed { deadline, token };
+                Poll::Pending
+            }
+            Sleep::Armed { deadline, token } => {
+                let mut vp = k.vp_mut(rank);
+                debug_assert_eq!(vp.wait_token(), token, "wait token mismatch");
+                if !vp.take_woken() {
+                    vp.set_state(crate::vp::VpState::Blocked);
+                    Poll::Pending
+                } else if vp.clock() >= deadline {
+                    Poll::Ready(())
+                } else {
+                    // Released early (an upper layer woke this VP): re-block
+                    // on the same token, so the scheduled wake stays valid.
+                    vp.rearm_wait(WaitClass::Compute, "compute", token);
+                    Poll::Pending
+                }
+            }
+        })
     }
 }
 

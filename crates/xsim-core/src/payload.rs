@@ -153,6 +153,18 @@ impl Bytes {
             }),
         }
     }
+
+    /// The payload as an owned `Vec`. The sole, full view of a heap
+    /// buffer hands back that buffer without a copy (a receiver that
+    /// folds into the bytes it forwards); any other value is copied.
+    pub fn into_vec(self) -> Vec<u8> {
+        match self.0 {
+            Repr::Shared { buf, start: 0, end } if end == buf.len() => {
+                Arc::try_unwrap(buf).unwrap_or_else(|shared| shared.to_vec())
+            }
+            _ => self.to_vec(),
+        }
+    }
 }
 
 impl Deref for Bytes {
@@ -260,6 +272,38 @@ mod tests {
         assert_eq!(s.as_ptr(), z[100..].as_ptr(), "no copy");
         assert!(s.clone().is_static());
         assert!(s.iter().all(|&b| b == 0));
+    }
+
+    #[test]
+    fn into_vec_unwraps_only_the_sole_full_view() {
+        let v = vec![5u8; 64];
+        let ptr = v.as_ptr();
+        let out = Bytes::from(v).into_vec();
+        assert_eq!(out.as_ptr(), ptr, "sole full view: no copy");
+
+        let shared = Bytes::from(vec![6u8; 64]);
+        let ptr = shared.as_ptr();
+        let clone = shared.clone();
+        let out = clone.into_vec();
+        assert_ne!(out.as_ptr(), ptr, "a clone is still shared: copy");
+        assert_eq!(out, vec![6u8; 64]);
+        let out = shared.slice(..).into_vec();
+        assert_ne!(out.as_ptr(), ptr, "a full slice is a clone");
+        let part = shared.slice(8..);
+        drop(shared);
+        let out = part.into_vec();
+        assert_ne!(out.as_ptr(), ptr, "a partial view: copy");
+        assert_eq!(out, vec![6u8; 56]);
+
+        let inline = Bytes::copy_from_slice(b"tiny");
+        let ptr = inline.as_ptr();
+        let out = inline.into_vec();
+        assert_eq!(out, b"tiny");
+        assert_ne!(out.as_ptr(), ptr);
+        let stat = Bytes::from_static(b"a static payload longer than thirty bytes");
+        let out = stat.clone().into_vec();
+        assert_eq!(&out[..], &stat[..]);
+        assert_ne!(out.as_ptr(), stat.as_ptr());
     }
 
     #[test]

@@ -575,6 +575,44 @@ fn stale_wake_tokens_are_ignored() {
 }
 
 #[test]
+fn early_released_sleep_reblocks_on_its_token_until_the_deadline() {
+    // Two `Call`s wake a 10 ms sleep early, at 3 and 5 ms. Each time the
+    // sleep must re-block as a compute wait under the same token (so the
+    // wake scheduled for its deadline still matches) and finally resume
+    // exactly at 10 ms.
+    let waits = Arc::new(Mutex::new(Vec::new()));
+    let seen = waits.clone();
+    let program = move |_r: Rank| -> VpFuture {
+        let seen = seen.clone();
+        Box::pin(async move {
+            ctx::with_kernel(|k, me| {
+                for at in [SimTime::from_millis(3), SimTime::from_millis(5)] {
+                    let seen = seen.clone();
+                    let release = move |k: &mut Kernel| {
+                        let vp = k.vp(me);
+                        seen.lock()
+                            .unwrap()
+                            .push((vp.wait_class(), vp.wait_token()));
+                        k.wake(me, at);
+                    };
+                    k.schedule_at(at, me, Action::call(release));
+                }
+            });
+            ctx::sleep(SimTime::from_millis(10)).await;
+            assert_eq!(ctx::now(), SimTime::from_millis(10));
+            VpExit::Finished
+        })
+    };
+    let report = engine::run(cfg(1, 1), Arc::new(program), &no_setup).unwrap();
+    assert_eq!(report.exit, ExitKind::Completed);
+    assert_eq!(report.final_clocks[0], SimTime::from_millis(10));
+    let waits = waits.lock().unwrap();
+    assert_eq!(waits.len(), 2);
+    assert_eq!(waits[0].0, WaitClass::Compute);
+    assert_eq!(waits[0], waits[1], "the re-blocked sleep kept its token");
+}
+
+#[test]
 fn report_summary_mentions_key_facts() {
     let report = engine::run(cfg(2, 1), Arc::new(sleepy_program), &no_setup).unwrap();
     let s = report.summary();

@@ -9,11 +9,17 @@
 //! they inherit its failure-detection semantics — this is what produces
 //! the paper's observation that "a failure during the checkpoint phase is
 //! detected in the following barrier" (§V-D).
+//!
+//! Each collective is a `fn` returning an `async move` block, not an
+//! `async fn`: the block's captures are the only copy of the arguments
+//! in the rank future (an `async fn` keeps a second).
+#![allow(clippy::manual_async_fn)]
 
 use crate::comm::CommId;
 use crate::error::MpiError;
 use crate::p2p;
-use crate::state::MpiService;
+use crate::state::{CollAlgo, MpiService};
+use std::future::Future;
 use xsim_core::{ctx, Bytes};
 use xsim_obs::ids as metric_ids;
 use xsim_obs::service as obs;
@@ -78,13 +84,9 @@ fn coll_begin(comm: CommId) -> Result<(usize, usize, u32), MpiError> {
     coll_begin_counted(comm, true)
 }
 
-/// `coll_begin` for the inner phase of a composite collective (the tree
-/// barrier's release broadcast): takes a fresh tag but does not count an
-/// extra user-facing operation.
-fn coll_begin_nested(comm: CommId) -> Result<(usize, usize, u32), MpiError> {
-    coll_begin_counted(comm, false)
-}
-
+/// `count = false` is for the inner phase of a composite collective (the
+/// tree barrier's release broadcast): it takes a fresh tag but does not
+/// count an extra user-facing operation.
 fn coll_begin_counted(comm: CommId, count: bool) -> Result<(usize, usize, u32), MpiError> {
     ctx::with_kernel(|k, me| {
         let svc = k.service_mut::<MpiService>();
@@ -100,265 +102,448 @@ fn coll_begin_counted(comm: CommId, count: bool) -> Result<(usize, usize, u32), 
     })
 }
 
+/// Where a member sits in a rooted collective: the members it receives
+/// from (its children, in fold order) and the one it sends to (its
+/// parent). Broadcasts run the shape top-down, reductions bottom-up.
+///
+/// * Linear: the root's children are every other member in rank order.
+/// * Tree: a binomial tree over virtual ranks (the root is virtual rank
+///   0); a node's children differ from it in one bit below its lowest
+///   set bit, in increasing bit order, and its parent clears that bit.
+#[derive(Debug, Clone, Copy)]
+struct Shape {
+    algo: CollAlgo,
+    /// This member's rank relative to the root: `(me − root) mod size`.
+    vrank: usize,
+    root: usize,
+    size: usize,
+}
+
+impl Shape {
+    fn new(algo: CollAlgo, me: usize, root: usize, size: usize) -> Self {
+        Shape {
+            algo,
+            vrank: (me + size - root) % size,
+            root,
+            size,
+        }
+    }
+
+    /// The children, in fold order.
+    fn children(self) -> impl Iterator<Item = usize> {
+        (0..).map_while(move |i| self.child(i))
+    }
+
+    fn child(self, i: usize) -> Option<usize> {
+        match self.algo {
+            CollAlgo::Linear => {
+                let r = if i < self.root { i } else { i + 1 };
+                (self.vrank == 0 && r < self.size).then_some(r)
+            }
+            CollAlgo::Tree => {
+                let bit = 1usize.checked_shl(i as u32)?;
+                if bit >= lowbit(self.vrank, self.size) {
+                    return None;
+                }
+                // Below the lowest set bit, `vrank | bit` is `vrank + bit`.
+                let v = self.vrank + bit;
+                (v < self.size).then(|| (v + self.root) % self.size)
+            }
+        }
+    }
+
+    fn parent(self) -> Option<usize> {
+        let v = self.vrank;
+        let parent_v = match self.algo {
+            CollAlgo::Linear => 0,
+            CollAlgo::Tree => v & v.wrapping_sub(1),
+        };
+        (v != 0).then(|| (parent_v + self.root) % self.size)
+    }
+}
+
+/// The lowest set bit of `vrank`; the tree root (0) gets the next power
+/// of two ≥ `size`, so every other member is one of its descendants.
+fn lowbit(vrank: usize, size: usize) -> usize {
+    if vrank == 0 {
+        size.next_power_of_two()
+    } else {
+        vrank & vrank.wrapping_neg()
+    }
+}
+
 /// Linear barrier: gather-to-root of empty messages, then a linear
 /// release fan-out.
-pub async fn barrier(comm: CommId) -> Result<(), MpiError> {
-    let (me, size, tag) = coll_begin(comm)?;
-    if size <= 1 {
-        return Ok(());
-    }
-    if me == 0 {
-        let mut reqs = Vec::with_capacity(size - 1);
-        for r in 1..size {
-            reqs.push(p2p::irecv_raw(comm, Some(r), Some(tag))?);
+pub fn barrier(comm: CommId) -> impl Future<Output = Result<(), MpiError>> {
+    async move {
+        let (me, size, tag) = coll_begin(comm)?;
+        if size <= 1 {
+            return Ok(());
         }
-        p2p::waitall_raw(&reqs).await?;
-        for r in 1..size {
-            p2p::send_raw(comm, r, tag, Bytes::new()).await?;
+        if me == 0 {
+            let mut reqs = Vec::with_capacity(size - 1);
+            for r in 1..size {
+                reqs.push(p2p::irecv_raw(comm, Some(r), Some(tag))?);
+            }
+            p2p::waitall_raw(&reqs).await?;
+            for r in 1..size {
+                p2p::send_raw(comm, r, tag, Bytes::new()).await?;
+            }
+        } else {
+            p2p::send_raw(comm, 0, tag, Bytes::new()).await?;
+            p2p::recv_raw(comm, Some(0), Some(tag)).await?;
         }
-    } else {
-        p2p::send_raw(comm, 0, tag, Bytes::new()).await?;
-        p2p::recv_raw(comm, Some(0), Some(tag)).await?;
+        Ok(())
     }
-    Ok(())
+}
+
+/// Broadcast from `root` over `algo`'s shape: receive from the parent,
+/// then send to each child in order. Returns the payload on every
+/// member (the root passes it in; others pass anything). `count` as in
+/// [`coll_begin_counted`].
+pub(crate) fn broadcast(
+    algo: CollAlgo,
+    comm: CommId,
+    root: usize,
+    mut data: Bytes,
+    count: bool,
+) -> impl Future<Output = Result<Bytes, MpiError>> {
+    async move {
+        let (me, size, tag) = coll_begin_counted(comm, count)?;
+        if size <= 1 {
+            return Ok(data);
+        }
+        let shape = Shape::new(algo, me, root, size);
+        if let Some(parent) = shape.parent() {
+            data = p2p::recv_raw(comm, Some(parent), Some(tag)).await?.data;
+        }
+        note_payload(shape.children().count() as u64, 0);
+        for child in shape.children() {
+            p2p::send_raw(comm, child, tag, data.clone()).await?;
+        }
+        Ok(data)
+    }
 }
 
 /// Linear broadcast from `root`: the root sends to every other member in
 /// rank order; members receive. Returns the broadcast payload on every
 /// member (the root passes it in; others pass anything).
-pub async fn bcast(comm: CommId, root: usize, data: Bytes) -> Result<Bytes, MpiError> {
-    let (me, size, tag) = coll_begin(comm)?;
-    if size <= 1 {
-        return Ok(data);
-    }
-    if me == root {
-        note_payload(size as u64 - 1, 0);
-        for r in 0..size {
-            if r != root {
-                p2p::send_raw(comm, r, tag, data.clone()).await?;
-            }
-        }
-        Ok(data)
-    } else {
-        Ok(p2p::recv_raw(comm, Some(root), Some(tag)).await?.data)
-    }
+pub fn bcast(
+    comm: CommId,
+    root: usize,
+    data: Bytes,
+) -> impl Future<Output = Result<Bytes, MpiError>> {
+    broadcast(CollAlgo::Linear, comm, root, data, true)
 }
 
 /// Linear gather to `root`: returns `Some(parts)` (in communicator rank
 /// order) at the root, `None` elsewhere.
-pub async fn gather(
+pub fn gather(
     comm: CommId,
     root: usize,
     data: Bytes,
-) -> Result<Option<Vec<Bytes>>, MpiError> {
-    let (me, size, tag) = coll_begin(comm)?;
-    if me == root {
-        let mut parts: Vec<Bytes> = vec![Bytes::new(); size];
-        let mut reqs = Vec::with_capacity(size - 1);
-        let mut idxs = Vec::with_capacity(size - 1);
-        for r in 0..size {
-            if r != root {
-                reqs.push(p2p::irecv_raw(comm, Some(r), Some(tag))?);
-                idxs.push(r);
+) -> impl Future<Output = Result<Option<Vec<Bytes>>, MpiError>> {
+    async move {
+        let (me, size, tag) = coll_begin(comm)?;
+        if me == root {
+            let mut parts: Vec<Bytes> = vec![Bytes::new(); size];
+            let mut reqs = Vec::with_capacity(size - 1);
+            let mut idxs = Vec::with_capacity(size - 1);
+            for r in 0..size {
+                if r != root {
+                    reqs.push(p2p::irecv_raw(comm, Some(r), Some(tag))?);
+                    idxs.push(r);
+                }
             }
+            parts[root] = data; // the root's own contribution moves in
+            let outs = p2p::waitall_raw(&reqs).await?;
+            for (i, out) in idxs.into_iter().zip(outs) {
+                parts[i] = out.expect("gather receives carry payloads").data;
+            }
+            Ok(Some(parts))
+        } else {
+            p2p::send_raw(comm, root, tag, data).await?;
+            Ok(None)
         }
-        parts[root] = data; // the root's own contribution moves in
-        let outs = p2p::waitall_raw(&reqs).await?;
-        for (i, out) in idxs.into_iter().zip(outs) {
-            parts[i] = out.expect("gather receives carry payloads").data;
-        }
-        Ok(Some(parts))
-    } else {
-        p2p::send_raw(comm, root, tag, data).await?;
-        Ok(None)
     }
 }
 
 /// Linear scatter from `root`: the root provides one payload per member
 /// (in communicator rank order) and each member receives its own.
-pub async fn scatter(
+pub fn scatter(
     comm: CommId,
     root: usize,
     parts: Option<Vec<Bytes>>,
-) -> Result<Bytes, MpiError> {
-    let (me, size, tag) = coll_begin(comm)?;
-    if me == root {
-        let mut parts = parts.ok_or(MpiError::Invalid("scatter root must provide parts"))?;
-        if parts.len() != size {
-            return Err(MpiError::Invalid("scatter parts must match comm size"));
-        }
-        note_payload(size as u64 - 1, 0);
-        for (r, part) in parts.iter().enumerate() {
-            if r != root {
-                p2p::send_raw(comm, r, tag, part.clone()).await?;
+) -> impl Future<Output = Result<Bytes, MpiError>> {
+    async move {
+        let (me, size, tag) = coll_begin(comm)?;
+        if me == root {
+            let mut parts = parts.ok_or(MpiError::Invalid("scatter root must provide parts"))?;
+            if parts.len() != size {
+                return Err(MpiError::Invalid("scatter parts must match comm size"));
             }
+            note_payload(size as u64 - 1, 0);
+            for (r, part) in parts.iter().enumerate() {
+                if r != root {
+                    p2p::send_raw(comm, r, tag, part.clone()).await?;
+                }
+            }
+            // The root's own part moves out — no residual clone.
+            Ok(parts.swap_remove(root))
+        } else {
+            Ok(p2p::recv_raw(comm, Some(root), Some(tag)).await?.data)
         }
-        // The root's own part moves out — no residual clone.
-        Ok(parts.swap_remove(root))
-    } else {
-        Ok(p2p::recv_raw(comm, Some(root), Some(tag)).await?.data)
     }
 }
 
 /// Allgather: linear gather to rank 0, then broadcast of the packed
 /// parts. Returns the parts in communicator rank order everywhere.
-pub async fn allgather(comm: CommId, data: Bytes) -> Result<Vec<Bytes>, MpiError> {
-    let gathered = gather(comm, 0, data).await?;
-    let packed = match gathered {
-        Some(parts) => {
-            let packed = encode_multi(&parts);
-            note_payload(0, packed.len() as u64); // pack = the one real copy
-            packed
-        }
-        None => Bytes::new(),
-    };
-    let packed = bcast(comm, 0, packed).await?;
-    decode_multi(&packed).ok_or(MpiError::Invalid("corrupt allgather payload"))
+pub fn allgather(comm: CommId, data: Bytes) -> impl Future<Output = Result<Vec<Bytes>, MpiError>> {
+    async move {
+        let gathered = gather(comm, 0, data).await?;
+        let packed = match gathered {
+            Some(parts) => {
+                let packed = encode_multi(&parts);
+                note_payload(0, packed.len() as u64); // pack = the one real copy
+                packed
+            }
+            None => Bytes::new(),
+        };
+        let packed = bcast(comm, 0, packed).await?;
+        decode_multi(&packed).ok_or(MpiError::Invalid("corrupt allgather payload"))
+    }
 }
 
 /// All-to-all personalized exchange: member `i` sends `parts[j]` to
 /// member `j`; returns the payloads received from each member in rank
 /// order.
-pub async fn alltoall(comm: CommId, parts: Vec<Bytes>) -> Result<Vec<Bytes>, MpiError> {
-    let (me, size, tag) = coll_begin(comm)?;
-    if parts.len() != size {
-        return Err(MpiError::Invalid("alltoall parts must match comm size"));
-    }
-    let mut recv_reqs = Vec::with_capacity(size);
-    for r in 0..size {
-        if r != me {
-            recv_reqs.push((r, p2p::irecv_raw(comm, Some(r), Some(tag))?));
+pub fn alltoall(
+    comm: CommId,
+    parts: Vec<Bytes>,
+) -> impl Future<Output = Result<Vec<Bytes>, MpiError>> {
+    async move {
+        let (me, size, tag) = coll_begin(comm)?;
+        if parts.len() != size {
+            return Err(MpiError::Invalid("alltoall parts must match comm size"));
         }
-    }
-    note_payload(size as u64, 0); // size-1 sends + the local self-part, all shared
-    for (r, part) in parts.iter().enumerate() {
-        if r != me {
-            // Sends drain on their own: eager sends complete locally,
-            // rendezvous sends complete with the matching receives.
-            // Nobody waits on them, so they are freed, not left behind
-            // in the request table.
-            let sreq = p2p::isend_raw(comm, r, tag, part.clone()).await?;
-            p2p::request_free_raw(sreq)?;
+        let mut recv_reqs = Vec::with_capacity(size);
+        for r in 0..size {
+            if r != me {
+                recv_reqs.push((r, p2p::irecv_raw(comm, Some(r), Some(tag))?));
+            }
         }
+        note_payload(size as u64, 0); // size-1 sends + the local self-part, all shared
+        for (r, part) in parts.iter().enumerate() {
+            if r != me {
+                // Sends drain on their own: eager sends complete locally,
+                // rendezvous sends complete with the matching receives.
+                // Nobody waits on them, so they are freed, not left behind
+                // in the request table.
+                let sreq = p2p::isend_raw(comm, r, tag, part.clone()).await?;
+                p2p::request_free_raw(sreq)?;
+            }
+        }
+        let mut out: Vec<Bytes> = vec![Bytes::new(); size];
+        out[me] = parts[me].clone();
+        let reqs: Vec<_> = recv_reqs.iter().map(|(_, q)| *q).collect();
+        let outs = p2p::waitall_raw(&reqs).await?;
+        for ((r, _), o) in recv_reqs.into_iter().zip(outs) {
+            out[r] = o.expect("alltoall receives carry payloads").data;
+        }
+        Ok(out)
     }
-    let mut out: Vec<Bytes> = vec![Bytes::new(); size];
-    out[me] = parts[me].clone();
-    let reqs: Vec<_> = recv_reqs.iter().map(|(_, q)| *q).collect();
-    let outs = p2p::waitall_raw(&reqs).await?;
-    for ((r, _), o) in recv_reqs.into_iter().zip(outs) {
-        out[r] = o.expect("alltoall receives carry payloads").data;
-    }
-    Ok(out)
 }
 
-/// Linear reduce of `f64` vectors to `root` (elementwise). Returns
-/// `Some(result)` at the root.
-pub async fn reduce_f64(
+// ----------------------------------------------------------------------
+// Reductions: one fold over little-endian wire bytes
+// ----------------------------------------------------------------------
+
+/// An element the typed reductions carry: 8 bytes, little-endian on the
+/// wire.
+pub(crate) trait Wire: Copy {
+    fn from_le(chunk: &[u8]) -> Self;
+    fn to_le(self) -> [u8; 8];
+    fn fold(op: ReduceOp, a: Self, b: Self) -> Self;
+}
+
+impl Wire for f64 {
+    fn from_le(chunk: &[u8]) -> Self {
+        f64::from_le_bytes(chunk.try_into().expect("chunk of 8"))
+    }
+
+    fn to_le(self) -> [u8; 8] {
+        self.to_le_bytes()
+    }
+
+    fn fold(op: ReduceOp, a: f64, b: f64) -> f64 {
+        op.fold_f64(a, b)
+    }
+}
+
+impl Wire for u64 {
+    fn from_le(chunk: &[u8]) -> Self {
+        u64::from_le_bytes(chunk.try_into().expect("chunk of 8"))
+    }
+
+    fn to_le(self) -> [u8; 8] {
+        self.to_le_bytes()
+    }
+
+    fn fold(op: ReduceOp, a: u64, b: u64) -> u64 {
+        op.fold_u64(a, b)
+    }
+}
+
+fn to_wire<T: Wire>(v: &[T]) -> Bytes {
+    let mut buf = Vec::with_capacity(v.len() * 8);
+    for x in v {
+        buf.extend_from_slice(&x.to_le());
+    }
+    buf.into()
+}
+
+fn from_wire<T: Wire>(data: &[u8]) -> Option<Vec<T>> {
+    if !data.len().is_multiple_of(8) {
+        return None;
+    }
+    Some(data.chunks_exact(8).map(T::from_le).collect())
+}
+
+/// Fold `other` into the wire bytes `acc`, element by element:
+/// `acc ← op(other, acc)` when `other` comes first in the fold order (a
+/// member's own data), else `acc ← op(acc, other)`.
+fn fold_wire<T: Wire>(
+    op: ReduceOp,
+    acc: &mut [u8],
+    other: impl Iterator<Item = T>,
+    other_first: bool,
+) {
+    for (a, o) in acc.chunks_exact_mut(8).zip(other) {
+        let x = T::from_le(a);
+        let r = if other_first {
+            T::fold(op, o, x)
+        } else {
+            T::fold(op, x, o)
+        };
+        a.copy_from_slice(&r.to_le());
+    }
+}
+
+/// The one reduction, over `algo`'s shape: fold the children's wire
+/// bytes, in order, into the bytes this member sends on, and return them
+/// at the root (`None` elsewhere).
+///
+/// The fold order is the member's own data, then its children in
+/// [`Shape`] order, so the `f64` result is deterministic for a given
+/// communicator regardless of arrival order — each receive blocks on its
+/// specific `(source, tag)` pair. The first child's buffer becomes the
+/// accumulator without a copy when the receive holds its only reference,
+/// and the others fold into it in place: a node decodes nothing.
+fn reduce_wire<T: Wire>(
+    algo: CollAlgo,
     comm: CommId,
     root: usize,
-    data: &[f64],
+    data: &[T],
     op: ReduceOp,
-) -> Result<Option<Vec<f64>>, MpiError> {
-    let (me, size, tag) = coll_begin(comm)?;
-    if me == root {
-        // The accumulator reuses the first received decode in place of a
-        // `data.to_vec()` copy; the combine order is the same linear
-        // rank order 0..size as before (fold(acc, next)), so the f64
-        // result is bit-identical to the copying implementation.
-        let mut acc: Option<Vec<f64>> = None;
-        for r in 0..size {
-            if r == root {
-                continue;
+) -> impl Future<Output = Result<Option<Bytes>, MpiError>> + '_ {
+    async move {
+        let (me, size, tag) = coll_begin(comm)?;
+        let shape = Shape::new(algo, me, root, size);
+        let mut acc: Option<Vec<u8>> = None;
+        for child in shape.children() {
+            let wire = p2p::recv_raw(comm, Some(child), Some(tag)).await?.data;
+            if !wire.len().is_multiple_of(8) {
+                return Err(MpiError::Invalid("reduce payload size mismatch"));
             }
-            let msg = p2p::recv_raw(comm, Some(r), Some(tag)).await?;
-            let mut other =
-                bytes_to_f64(&msg.data).ok_or(MpiError::Invalid("reduce payload size mismatch"))?;
-            if other.len() != data.len() {
+            if wire.len() / 8 != data.len() {
                 return Err(MpiError::Invalid("reduce payload length mismatch"));
             }
-            match acc.as_mut() {
+            match &mut acc {
                 None => {
-                    for (o, d) in other.iter_mut().zip(data) {
-                        *o = op.fold_f64(*d, *o);
-                    }
-                    acc = Some(other);
+                    let mut buf = wire.into_vec();
+                    fold_wire(op, &mut buf, data.iter().copied(), true);
+                    acc = Some(buf);
                 }
-                Some(a) => {
-                    for (x, o) in a.iter_mut().zip(other) {
-                        *x = op.fold_f64(*x, o);
-                    }
-                }
+                Some(buf) => fold_wire(op, buf, wire.chunks_exact(8).map(T::from_le), false),
             }
         }
-        Ok(Some(acc.unwrap_or_else(|| data.to_vec())))
-    } else {
-        p2p::send_raw(comm, root, tag, f64_to_bytes(data)).await?;
-        Ok(None)
+        let wire = acc.map_or_else(|| to_wire(data), Bytes::from);
+        match shape.parent() {
+            Some(parent) => {
+                p2p::send_raw(comm, parent, tag, wire).await?;
+                Ok(None)
+            }
+            None => Ok(Some(wire)),
+        }
     }
+}
+
+/// Elementwise reduce to `root` over `algo`: `Some(result)` at the root.
+pub(crate) fn reduce<T: Wire>(
+    algo: CollAlgo,
+    comm: CommId,
+    root: usize,
+    data: &[T],
+    op: ReduceOp,
+) -> impl Future<Output = Result<Option<Vec<T>>, MpiError>> + '_ {
+    async move {
+        let wire = reduce_wire(algo, comm, root, data, op).await?;
+        Ok(wire.map(|w| from_wire(&w).expect("whole elements")))
+    }
+}
+
+/// Elementwise allreduce over `algo`: reduce to rank 0, whose wire bytes
+/// are the broadcast payload, and decode once at the end.
+pub(crate) fn allreduce<T: Wire>(
+    algo: CollAlgo,
+    comm: CommId,
+    data: &[T],
+    op: ReduceOp,
+) -> impl Future<Output = Result<Vec<T>, MpiError>> + '_ {
+    async move {
+        let wire = reduce_wire(algo, comm, 0, data, op).await?;
+        let wire = broadcast(algo, comm, 0, wire.unwrap_or_default(), true).await?;
+        from_wire(&wire).ok_or(MpiError::Invalid("corrupt allreduce payload"))
+    }
+}
+
+/// Linear reduce of `f64` vectors to `root` (elementwise, in rank
+/// order). Returns `Some(result)` at the root.
+pub fn reduce_f64<'a>(
+    comm: CommId,
+    root: usize,
+    data: &'a [f64],
+    op: ReduceOp,
+) -> impl Future<Output = Result<Option<Vec<f64>>, MpiError>> + 'a {
+    reduce(CollAlgo::Linear, comm, root, data, op)
 }
 
 /// Allreduce of `f64` vectors: linear reduce to rank 0, then broadcast.
-pub async fn allreduce_f64(comm: CommId, data: &[f64], op: ReduceOp) -> Result<Vec<f64>, MpiError> {
-    let reduced = reduce_f64(comm, 0, data, op).await?;
-    let packed = match reduced {
-        Some(v) => f64_to_bytes(&v),
-        None => Bytes::new(),
-    };
-    let packed = bcast(comm, 0, packed).await?;
-    bytes_to_f64(&packed).ok_or(MpiError::Invalid("corrupt allreduce payload"))
+pub fn allreduce_f64(
+    comm: CommId,
+    data: &[f64],
+    op: ReduceOp,
+) -> impl Future<Output = Result<Vec<f64>, MpiError>> + '_ {
+    allreduce(CollAlgo::Linear, comm, data, op)
 }
 
 /// Linear reduce of `u64` vectors to `root` (elementwise).
-pub async fn reduce_u64(
+pub fn reduce_u64<'a>(
     comm: CommId,
     root: usize,
-    data: &[u64],
+    data: &'a [u64],
     op: ReduceOp,
-) -> Result<Option<Vec<u64>>, MpiError> {
-    let (me, size, tag) = coll_begin(comm)?;
-    if me == root {
-        // Same copy-free accumulator as `reduce_f64`.
-        let mut acc: Option<Vec<u64>> = None;
-        for r in 0..size {
-            if r == root {
-                continue;
-            }
-            let msg = p2p::recv_raw(comm, Some(r), Some(tag)).await?;
-            let mut other =
-                bytes_to_u64(&msg.data).ok_or(MpiError::Invalid("reduce payload size mismatch"))?;
-            if other.len() != data.len() {
-                return Err(MpiError::Invalid("reduce payload length mismatch"));
-            }
-            match acc.as_mut() {
-                None => {
-                    for (o, d) in other.iter_mut().zip(data) {
-                        *o = op.fold_u64(*d, *o);
-                    }
-                    acc = Some(other);
-                }
-                Some(a) => {
-                    for (x, o) in a.iter_mut().zip(other) {
-                        *x = op.fold_u64(*x, o);
-                    }
-                }
-            }
-        }
-        Ok(Some(acc.unwrap_or_else(|| data.to_vec())))
-    } else {
-        p2p::send_raw(comm, root, tag, u64_to_bytes(data)).await?;
-        Ok(None)
-    }
+) -> impl Future<Output = Result<Option<Vec<u64>>, MpiError>> + 'a {
+    reduce(CollAlgo::Linear, comm, root, data, op)
 }
 
 /// Allreduce of `u64` vectors.
-pub async fn allreduce_u64(comm: CommId, data: &[u64], op: ReduceOp) -> Result<Vec<u64>, MpiError> {
-    let reduced = reduce_u64(comm, 0, data, op).await?;
-    let packed = match reduced {
-        Some(v) => u64_to_bytes(&v),
-        None => Bytes::new(),
-    };
-    let packed = bcast(comm, 0, packed).await?;
-    bytes_to_u64(&packed).ok_or(MpiError::Invalid("corrupt allreduce payload"))
+pub fn allreduce_u64(
+    comm: CommId,
+    data: &[u64],
+    op: ReduceOp,
+) -> impl Future<Output = Result<Vec<u64>, MpiError>> + '_ {
+    allreduce(CollAlgo::Linear, comm, data, op)
 }
 
 // ----------------------------------------------------------------------
@@ -367,226 +552,77 @@ pub async fn allreduce_u64(comm: CommId, data: &[u64], op: ReduceOp) -> Result<V
 
 /// Binomial-tree broadcast from `root`. O(log P) rounds instead of the
 /// linear algorithm's O(P) serialized sends at the root.
-pub async fn bcast_tree(comm: CommId, root: usize, data: Bytes) -> Result<Bytes, MpiError> {
-    let (me, size, tag) = coll_begin(comm)?;
-    bcast_tree_rounds(comm, root, data, me, size, tag).await
-}
-
-async fn bcast_tree_rounds(
+pub fn bcast_tree(
     comm: CommId,
     root: usize,
     data: Bytes,
-    me: usize,
-    size: usize,
-    tag: u32,
-) -> Result<Bytes, MpiError> {
-    if size <= 1 {
-        return Ok(data);
-    }
-    // Re-index so the root is virtual rank 0.
-    let vrank = (me + size - root) % size;
-    let mut data = data;
-    if vrank != 0 {
-        // Receive from parent: clear the lowest set bit of vrank.
-        let parent_v = vrank & (vrank - 1);
-        let parent = (parent_v + root) % size;
-        data = p2p::recv_raw(comm, Some(parent), Some(tag)).await?.data;
-    }
-    // Forward to children: set bits above the lowest set bit.
-    let lowbit = if vrank == 0 {
-        size.next_power_of_two()
-    } else {
-        vrank & vrank.wrapping_neg()
-    };
-    note_payload(tree_children(vrank, size) as u64, 0);
-    let mut bit = 1;
-    while bit < lowbit && bit < size {
-        let child_v = vrank | bit;
-        if child_v != vrank && child_v < size {
-            let child = (child_v + root) % size;
-            p2p::send_raw(comm, child, tag, data.clone()).await?;
-        }
-        bit <<= 1;
-    }
-    Ok(data)
+) -> impl Future<Output = Result<Bytes, MpiError>> {
+    broadcast(CollAlgo::Tree, comm, root, data, true)
 }
 
 /// Binomial-tree barrier: tree-reduce of empty messages followed by a
 /// tree broadcast.
-pub async fn barrier_tree(comm: CommId) -> Result<(), MpiError> {
-    let (me, size, tag) = coll_begin(comm)?;
-    if size <= 1 {
-        return Ok(());
-    }
-    // Reduce phase (children → parent).
-    let mut bit = 1;
-    while bit < size {
-        if me & bit != 0 {
-            let parent = me & !bit;
-            p2p::send_raw(comm, parent, tag, Bytes::new()).await?;
-            break;
-        } else {
-            let child = me | bit;
-            if child < size {
-                p2p::recv_raw(comm, Some(child), Some(tag)).await?;
-            }
+pub fn barrier_tree(comm: CommId) -> impl Future<Output = Result<(), MpiError>> {
+    async move {
+        let (me, size, tag) = coll_begin(comm)?;
+        if size <= 1 {
+            return Ok(());
         }
-        bit <<= 1;
+        // Reduce phase (children → parent).
+        let shape = Shape::new(CollAlgo::Tree, me, 0, size);
+        for child in shape.children() {
+            p2p::recv_raw(comm, Some(child), Some(tag)).await?;
+        }
+        if let Some(parent) = shape.parent() {
+            p2p::send_raw(comm, parent, tag, Bytes::new()).await?;
+        }
+        // Release phase with a fresh tag. The phase is internal to this
+        // barrier, so it does not count as a second collective (a tree
+        // barrier must tally like a linear one).
+        broadcast(CollAlgo::Tree, comm, 0, Bytes::new(), false).await?;
+        Ok(())
     }
-    // Release phase: reuse the tree bcast shape with a fresh tag. The
-    // phase is internal to this barrier, so it does not count as a
-    // second collective (a tree barrier must tally like a linear one).
-    let (me, size, tag) = coll_begin_nested(comm)?;
-    bcast_tree_rounds(comm, 0, Bytes::new(), me, size, tag).await?;
-    Ok(())
 }
 
 /// Binomial-tree reduce of `f64` vectors to `root`. O(log P) rounds; the
 /// combine order at every node is fixed (own data, then children in
-/// increasing bit order), so for a given communicator the result is
-/// deterministic regardless of message arrival order — each receive
-/// blocks on its specific `(source, tag)` pair.
-pub async fn reduce_f64_tree(
+/// increasing bit order).
+pub fn reduce_f64_tree<'a>(
     comm: CommId,
     root: usize,
-    data: &[f64],
+    data: &'a [f64],
     op: ReduceOp,
-) -> Result<Option<Vec<f64>>, MpiError> {
-    let (me, size, tag) = coll_begin(comm)?;
-    let vrank = (me + size - root) % size;
-    let mut acc: Option<Vec<f64>> = None;
-    let lowbit = if vrank == 0 {
-        size.next_power_of_two()
-    } else {
-        vrank & vrank.wrapping_neg()
-    };
-    let mut bit = 1;
-    while bit < lowbit && bit < size {
-        let child_v = vrank | bit;
-        if child_v < size {
-            let child = (child_v + root) % size;
-            let msg = p2p::recv_raw(comm, Some(child), Some(tag)).await?;
-            let mut other =
-                bytes_to_f64(&msg.data).ok_or(MpiError::Invalid("reduce payload size mismatch"))?;
-            if other.len() != data.len() {
-                return Err(MpiError::Invalid("reduce payload length mismatch"));
-            }
-            match acc.as_mut() {
-                None => {
-                    for (o, d) in other.iter_mut().zip(data) {
-                        *o = op.fold_f64(*d, *o);
-                    }
-                    acc = Some(other);
-                }
-                Some(a) => {
-                    for (x, o) in a.iter_mut().zip(other) {
-                        *x = op.fold_f64(*x, o);
-                    }
-                }
-            }
-        }
-        bit <<= 1;
-    }
-    if vrank == 0 {
-        Ok(Some(acc.unwrap_or_else(|| data.to_vec())))
-    } else {
-        let parent_v = vrank & (vrank - 1);
-        let parent = (parent_v + root) % size;
-        let packed = match &acc {
-            Some(a) => f64_to_bytes(a),
-            None => f64_to_bytes(data),
-        };
-        p2p::send_raw(comm, parent, tag, packed).await?;
-        Ok(None)
-    }
+) -> impl Future<Output = Result<Option<Vec<f64>>, MpiError>> + 'a {
+    reduce(CollAlgo::Tree, comm, root, data, op)
 }
 
-/// Binomial-tree reduce of `u64` vectors to `root`. See
-/// [`reduce_f64_tree`] for the schedule and determinism notes.
-pub async fn reduce_u64_tree(
+/// Binomial-tree reduce of `u64` vectors to `root`.
+pub fn reduce_u64_tree<'a>(
     comm: CommId,
     root: usize,
-    data: &[u64],
+    data: &'a [u64],
     op: ReduceOp,
-) -> Result<Option<Vec<u64>>, MpiError> {
-    let (me, size, tag) = coll_begin(comm)?;
-    let vrank = (me + size - root) % size;
-    let mut acc: Option<Vec<u64>> = None;
-    let lowbit = if vrank == 0 {
-        size.next_power_of_two()
-    } else {
-        vrank & vrank.wrapping_neg()
-    };
-    let mut bit = 1;
-    while bit < lowbit && bit < size {
-        let child_v = vrank | bit;
-        if child_v < size {
-            let child = (child_v + root) % size;
-            let msg = p2p::recv_raw(comm, Some(child), Some(tag)).await?;
-            let mut other =
-                bytes_to_u64(&msg.data).ok_or(MpiError::Invalid("reduce payload size mismatch"))?;
-            if other.len() != data.len() {
-                return Err(MpiError::Invalid("reduce payload length mismatch"));
-            }
-            match acc.as_mut() {
-                None => {
-                    for (o, d) in other.iter_mut().zip(data) {
-                        *o = op.fold_u64(*d, *o);
-                    }
-                    acc = Some(other);
-                }
-                Some(a) => {
-                    for (x, o) in a.iter_mut().zip(other) {
-                        *x = op.fold_u64(*x, o);
-                    }
-                }
-            }
-        }
-        bit <<= 1;
-    }
-    if vrank == 0 {
-        Ok(Some(acc.unwrap_or_else(|| data.to_vec())))
-    } else {
-        let parent_v = vrank & (vrank - 1);
-        let parent = (parent_v + root) % size;
-        let packed = match &acc {
-            Some(a) => u64_to_bytes(a),
-            None => u64_to_bytes(data),
-        };
-        p2p::send_raw(comm, parent, tag, packed).await?;
-        Ok(None)
-    }
+) -> impl Future<Output = Result<Option<Vec<u64>>, MpiError>> + 'a {
+    reduce(CollAlgo::Tree, comm, root, data, op)
 }
 
 /// Tree allreduce of `f64` vectors: binomial reduce to rank 0, then
 /// binomial broadcast. 2·⌈log₂ P⌉ rounds.
-pub async fn allreduce_f64_tree(
+pub fn allreduce_f64_tree(
     comm: CommId,
     data: &[f64],
     op: ReduceOp,
-) -> Result<Vec<f64>, MpiError> {
-    let reduced = reduce_f64_tree(comm, 0, data, op).await?;
-    let packed = match reduced {
-        Some(v) => f64_to_bytes(&v),
-        None => Bytes::new(),
-    };
-    let packed = bcast_tree(comm, 0, packed).await?;
-    bytes_to_f64(&packed).ok_or(MpiError::Invalid("corrupt allreduce payload"))
+) -> impl Future<Output = Result<Vec<f64>, MpiError>> + '_ {
+    allreduce(CollAlgo::Tree, comm, data, op)
 }
 
 /// Tree allreduce of `u64` vectors.
-pub async fn allreduce_u64_tree(
+pub fn allreduce_u64_tree(
     comm: CommId,
     data: &[u64],
     op: ReduceOp,
-) -> Result<Vec<u64>, MpiError> {
-    let reduced = reduce_u64_tree(comm, 0, data, op).await?;
-    let packed = match reduced {
-        Some(v) => u64_to_bytes(&v),
-        None => Bytes::new(),
-    };
-    let packed = bcast_tree(comm, 0, packed).await?;
-    bytes_to_u64(&packed).ok_or(MpiError::Invalid("corrupt allreduce payload"))
+) -> impl Future<Output = Result<Vec<u64>, MpiError>> + '_ {
+    allreduce(CollAlgo::Tree, comm, data, op)
 }
 
 /// Ring allgather: P−1 rounds; in round `s` every member forwards the
@@ -597,27 +633,32 @@ pub async fn allreduce_u64_tree(
 ///
 /// Receives match FIFO by sequence number per `(source, tag)`, so
 /// reusing one tag across all rounds cannot mis-order blocks.
-pub async fn allgather_ring(comm: CommId, data: Bytes) -> Result<Vec<Bytes>, MpiError> {
-    let (me, size, tag) = coll_begin(comm)?;
-    let mut parts: Vec<Bytes> = vec![Bytes::new(); size];
-    parts[me] = data;
-    if size <= 1 {
-        return Ok(parts);
+pub fn allgather_ring(
+    comm: CommId,
+    data: Bytes,
+) -> impl Future<Output = Result<Vec<Bytes>, MpiError>> {
+    async move {
+        let (me, size, tag) = coll_begin(comm)?;
+        let mut parts: Vec<Bytes> = vec![Bytes::new(); size];
+        parts[me] = data;
+        if size <= 1 {
+            return Ok(parts);
+        }
+        let right = (me + 1) % size;
+        let left = (me + size - 1) % size;
+        note_payload(size as u64 - 1, 0);
+        for step in 0..size - 1 {
+            let send_idx = (me + size - step) % size;
+            let recv_idx = (me + size - step - 1) % size;
+            // The send drains on its own (eager locally, rendezvous with
+            // the neighbour's matching receive) and is freed — same
+            // pattern as `alltoall`.
+            let sreq = p2p::isend_raw(comm, right, tag, parts[send_idx].clone()).await?;
+            p2p::request_free_raw(sreq)?;
+            parts[recv_idx] = p2p::recv_raw(comm, Some(left), Some(tag)).await?.data;
+        }
+        Ok(parts)
     }
-    let right = (me + 1) % size;
-    let left = (me + size - 1) % size;
-    note_payload(size as u64 - 1, 0);
-    for step in 0..size - 1 {
-        let send_idx = (me + size - step) % size;
-        let recv_idx = (me + size - step - 1) % size;
-        // The send drains on its own (eager locally, rendezvous with the
-        // neighbour's matching receive) and is freed — same pattern as
-        // `alltoall`.
-        let sreq = p2p::isend_raw(comm, right, tag, parts[send_idx].clone()).await?;
-        p2p::request_free_raw(sreq)?;
-        parts[recv_idx] = p2p::recv_raw(comm, Some(left), Some(tag)).await?.data;
-    }
-    Ok(parts)
 }
 
 // ----------------------------------------------------------------------
@@ -627,20 +668,9 @@ pub async fn allgather_ring(comm: CommId, data: Bytes) -> Result<Vec<Bytes>, Mpi
 /// Number of children of virtual rank `vrank` in a binomial tree over
 /// `size` members rooted at virtual rank 0.
 pub fn tree_children(vrank: usize, size: usize) -> usize {
-    let lowbit = if vrank == 0 {
-        size.next_power_of_two()
-    } else {
-        vrank & vrank.wrapping_neg()
-    };
-    let mut n = 0;
-    let mut bit = 1;
-    while bit < lowbit && bit < size {
-        if (vrank | bit) < size {
-            n += 1;
-        }
-        bit <<= 1;
-    }
-    n
+    Shape::new(CollAlgo::Tree, vrank, 0, size)
+        .children()
+        .count()
 }
 
 /// Depth of virtual rank `vrank` in the binomial tree (rounds before its
@@ -713,44 +743,22 @@ pub fn decode_multi(data: &Bytes) -> Option<Vec<Bytes>> {
 
 /// Serialize an `f64` slice (little-endian).
 pub fn f64_to_bytes(v: &[f64]) -> Bytes {
-    let mut buf = Vec::with_capacity(v.len() * 8);
-    for x in v {
-        buf.extend_from_slice(&x.to_le_bytes());
-    }
-    buf.into()
+    to_wire(v)
 }
 
 /// Deserialize an `f64` slice; `None` if the length is not a multiple of 8.
 pub fn bytes_to_f64(data: &[u8]) -> Option<Vec<f64>> {
-    if !data.len().is_multiple_of(8) {
-        return None;
-    }
-    Some(
-        data.chunks_exact(8)
-            .map(|c| f64::from_le_bytes(c.try_into().expect("chunk of 8")))
-            .collect(),
-    )
+    from_wire(data)
 }
 
 /// Serialize a `u64` slice (little-endian).
 pub fn u64_to_bytes(v: &[u64]) -> Bytes {
-    let mut buf = Vec::with_capacity(v.len() * 8);
-    for x in v {
-        buf.extend_from_slice(&x.to_le_bytes());
-    }
-    buf.into()
+    to_wire(v)
 }
 
 /// Deserialize a `u64` slice; `None` if the length is not a multiple of 8.
 pub fn bytes_to_u64(data: &[u8]) -> Option<Vec<u64>> {
-    if !data.len().is_multiple_of(8) {
-        return None;
-    }
-    Some(
-        data.chunks_exact(8)
-            .map(|c| u64::from_le_bytes(c.try_into().expect("chunk of 8")))
-            .collect(),
-    )
+    from_wire(data)
 }
 
 #[cfg(test)]
@@ -834,11 +842,68 @@ mod tests {
     }
 
     #[test]
+    fn shapes_match_the_bit_loops_they_replace() {
+        // The schedules the linear and binomial collectives were written
+        // as: the children and parent of `me` for a given root.
+        fn linear(me: usize, root: usize, size: usize) -> (Vec<usize>, Option<usize>) {
+            if me == root {
+                ((0..size).filter(|&r| r != root).collect(), None)
+            } else {
+                (Vec::new(), Some(root))
+            }
+        }
+        fn tree(me: usize, root: usize, size: usize) -> (Vec<usize>, Option<usize>) {
+            let vrank = (me + size - root) % size;
+            let mut children = Vec::new();
+            let mut bit = 1;
+            while bit < lowbit(vrank, size) && bit < size {
+                let child_v = vrank | bit;
+                if child_v < size {
+                    children.push((child_v + root) % size);
+                }
+                bit <<= 1;
+            }
+            let parent = (vrank != 0).then(|| ((vrank & (vrank - 1)) + root) % size);
+            (children, parent)
+        }
+        for size in [1usize, 2, 3, 5, 7, 12, 33, 64, 100] {
+            for root in [0, size / 2, size - 1] {
+                for me in 0..size {
+                    for (algo, want) in [
+                        (CollAlgo::Linear, linear(me, root, size)),
+                        (CollAlgo::Tree, tree(me, root, size)),
+                    ] {
+                        let shape = Shape::new(algo, me, root, size);
+                        let got = (shape.children().collect::<Vec<_>>(), shape.parent());
+                        assert_eq!(got, want, "{algo:?} size {size} root {root} me {me}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
     fn reduce_op_folds() {
         assert_eq!(ReduceOp::Sum.fold_f64(2.0, 3.0), 5.0);
         assert_eq!(ReduceOp::Min.fold_f64(2.0, 3.0), 2.0);
         assert_eq!(ReduceOp::Max.fold_f64(2.0, 3.0), 3.0);
         assert_eq!(ReduceOp::Prod.fold_f64(2.0, 3.0), 6.0);
         assert_eq!(ReduceOp::Sum.fold_u64(u64::MAX, 1), 0, "wrapping");
+    }
+
+    #[test]
+    fn wire_fold_puts_the_own_data_first() {
+        let own = [1e16, 1.0];
+        let mut acc = f64_to_bytes(&[1.0, -1e16]).to_vec();
+        fold_wire(ReduceOp::Sum, &mut acc, own.iter().copied(), true);
+        let next = f64_to_bytes(&[-1e16, 1e16]);
+        fold_wire(
+            ReduceOp::Sum,
+            &mut acc,
+            next.chunks_exact(8).map(f64::from_le),
+            false,
+        );
+        let want = [(1e16 + 1.0) + -1e16, (1.0 + -1e16) + 1e16];
+        assert_eq!(bytes_to_f64(&acc).unwrap(), want);
     }
 }

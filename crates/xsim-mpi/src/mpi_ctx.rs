@@ -6,6 +6,11 @@
 //! I/O, virtual time, and failure injection hooks. It corresponds to the
 //! MPI + simulator-internal API surface a native application sees under
 //! xSim's PMPI interposition (paper §IV-A).
+//!
+//! The operations a rank spends its run in are `fn`s returning an
+//! `async move` block rather than `async fn`s, so the rank future holds
+//! one copy of their arguments, not two.
+#![allow(clippy::manual_async_fn)]
 
 use crate::abort::initiate_abort_here;
 use crate::collective::{self, ReduceOp};
@@ -13,7 +18,7 @@ use crate::comm::{split_groups, Comm};
 use crate::error::{ErrHandler, MpiError};
 use crate::p2p;
 use crate::request::{RecvOut, ReqId};
-use crate::state::MpiService;
+use crate::state::{CollAlgo, MpiService};
 use crate::ulfm;
 use std::future::Future;
 use std::sync::Arc;
@@ -109,25 +114,27 @@ impl MpiCtx {
     /// Run a compute phase: charges the processor model's virtual time
     /// for `work` on this rank's node. The clock update at the end is a
     /// failure/abort activation point (paper §IV-B).
-    pub async fn compute(&self, work: Work) {
-        let t0 = self.t0();
-        let d = ctx::with_kernel(|k, me| {
-            let svc = k.service::<MpiService>();
-            let d = svc.world.proc.virtual_time(me, work);
-            if let Some(power) = k.try_service_mut::<crate::state::PowerService>() {
-                power.add_busy(me, d);
+    pub fn compute(&self, work: Work) -> impl Future<Output = ()> + '_ {
+        async move {
+            let t0 = self.t0();
+            let d = ctx::with_kernel(|k, me| {
+                let svc = k.service::<MpiService>();
+                let d = svc.world.proc.virtual_time(me, work);
+                if let Some(power) = k.try_service_mut::<crate::state::PowerService>() {
+                    power.add_busy(me, d);
+                }
+                d
+            });
+            if d > SimTime::ZERO {
+                ctx::sleep(d).await;
             }
-            d
-        });
-        if d > SimTime::ZERO {
-            ctx::sleep(d).await;
+            self.rec(PhaseKind::Compute, t0, None, 0);
         }
-        self.rec(PhaseKind::Compute, t0, None, 0);
     }
 
     /// Advance virtual time without modeling work (testing/debug).
-    pub async fn sleep(&self, d: SimTime) {
-        ctx::sleep(d).await;
+    pub fn sleep(&self, d: SimTime) -> impl Future<Output = ()> + Send {
+        ctx::sleep(d)
     }
 
     // ------------------------------------------------------------------
@@ -164,47 +171,53 @@ impl MpiCtx {
     // ------------------------------------------------------------------
 
     /// Blocking send (`MPI_Send`).
-    pub async fn send(
+    pub fn send(
         &self,
         comm: Comm,
         dst: usize,
         tag: u32,
         data: Bytes,
-    ) -> Result<(), MpiError> {
-        let t0 = self.t0();
-        let bytes = data.len() as u64;
-        let r = p2p::send_raw(comm.id, dst, tag, data).await;
-        self.rec(PhaseKind::Send, t0, Some(Rank(dst as u32)), bytes);
-        self.apply(comm, r)
+    ) -> impl Future<Output = Result<(), MpiError>> + '_ {
+        async move {
+            let t0 = self.t0();
+            let bytes = data.len() as u64;
+            let r = p2p::send_raw(comm.id, dst, tag, data).await;
+            self.rec(PhaseKind::Send, t0, Some(Rank(dst as u32)), bytes);
+            self.apply(comm, r)
+        }
     }
 
     /// Blocking receive (`MPI_Recv`). `src`/`tag` `None` = wildcard.
-    pub async fn recv(
+    pub fn recv(
         &self,
         comm: Comm,
         src: Option<usize>,
         tag: Option<u32>,
-    ) -> Result<RecvOut, MpiError> {
-        let t0 = self.t0();
-        let r = p2p::recv_raw(comm.id, src, tag).await;
-        let (peer, bytes) = match &r {
-            Ok(out) => (Some(out.src), out.data.len() as u64),
-            Err(_) => (src.map(|s| Rank(s as u32)), 0),
-        };
-        self.rec(PhaseKind::Recv, t0, peer, bytes);
-        self.apply(comm, r)
+    ) -> impl Future<Output = Result<RecvOut, MpiError>> + '_ {
+        async move {
+            let t0 = self.t0();
+            let r = p2p::recv_raw(comm.id, src, tag).await;
+            let (peer, bytes) = match &r {
+                Ok(out) => (Some(out.src), out.data.len() as u64),
+                Err(_) => (src.map(|s| Rank(s as u32)), 0),
+            };
+            self.rec(PhaseKind::Recv, t0, peer, bytes);
+            self.apply(comm, r)
+        }
     }
 
     /// Nonblocking send (`MPI_Isend`).
-    pub async fn isend(
+    pub fn isend(
         &self,
         comm: Comm,
         dst: usize,
         tag: u32,
         data: Bytes,
-    ) -> Result<ReqId, MpiError> {
-        let r = p2p::isend_raw(comm.id, dst, tag, data).await;
-        self.apply(comm, r)
+    ) -> impl Future<Output = Result<ReqId, MpiError>> + '_ {
+        async move {
+            let r = p2p::isend_raw(comm.id, dst, tag, data).await;
+            self.apply(comm, r)
+        }
     }
 
     /// Nonblocking receive (`MPI_Irecv`).
@@ -219,33 +232,43 @@ impl MpiCtx {
     }
 
     /// Wait for a request (`MPI_Wait`); returns the payload for receives.
-    pub async fn wait(&self, comm: Comm, req: ReqId) -> Result<Option<RecvOut>, MpiError> {
-        let t0 = self.t0();
-        let r = p2p::wait_raw(req).await;
-        self.rec(PhaseKind::Wait, t0, None, 0);
-        self.apply(comm, r)
+    pub fn wait(
+        &self,
+        comm: Comm,
+        req: ReqId,
+    ) -> impl Future<Output = Result<Option<RecvOut>, MpiError>> + '_ {
+        async move {
+            let t0 = self.t0();
+            let r = p2p::wait_raw(req).await;
+            self.rec(PhaseKind::Wait, t0, None, 0);
+            self.apply(comm, r)
+        }
     }
 
     /// Wait for all requests (`MPI_Waitall`).
-    pub async fn waitall(
-        &self,
+    pub fn waitall<'s, 'd>(
+        &'s self,
         comm: Comm,
-        reqs: &[ReqId],
-    ) -> Result<Vec<Option<RecvOut>>, MpiError> {
-        let t0 = self.t0();
-        let r = p2p::waitall_raw(reqs).await;
-        self.rec(PhaseKind::Wait, t0, None, 0);
-        self.apply(comm, r)
+        reqs: &'d [ReqId],
+    ) -> impl Future<Output = Result<Vec<Option<RecvOut>>, MpiError>> + use<'s, 'd> {
+        async move {
+            let t0 = self.t0();
+            let r = p2p::waitall_raw(reqs).await;
+            self.rec(PhaseKind::Wait, t0, None, 0);
+            self.apply(comm, r)
+        }
     }
 
     /// Wait for any request (`MPI_Waitany`).
-    pub async fn waitany(
-        &self,
+    pub fn waitany<'s, 'd>(
+        &'s self,
         comm: Comm,
-        reqs: &[ReqId],
-    ) -> Result<(usize, Option<RecvOut>), MpiError> {
-        let (i, r) = p2p::waitany_raw(reqs).await;
-        self.apply(comm, r).map(|v| (i, v))
+        reqs: &'d [ReqId],
+    ) -> impl Future<Output = Result<(usize, Option<RecvOut>), MpiError>> + use<'s, 'd> {
+        async move {
+            let (i, r) = p2p::waitany_raw(reqs).await;
+            self.apply(comm, r).map(|v| (i, v))
+        }
     }
 
     /// Combined send+receive (`MPI_Sendrecv`) — deadlock-free symmetric
@@ -315,32 +338,39 @@ impl MpiCtx {
     // paper's simulated system uses the linear ones, §V-C)
     // ------------------------------------------------------------------
 
-    fn coll_algo(&self) -> crate::state::CollAlgo {
+    fn coll_algo(&self) -> CollAlgo {
         ctx::with_kernel(|k, _| k.service::<MpiService>().world.coll_algo)
     }
 
     /// Barrier (`MPI_Barrier`) using the configured algorithm (linear by
     /// default, per the paper's §V-C).
-    pub async fn barrier(&self, comm: Comm) -> Result<(), MpiError> {
-        let t0 = self.t0();
-        let r = match self.coll_algo() {
-            crate::state::CollAlgo::Linear => collective::barrier(comm.id).await,
-            crate::state::CollAlgo::Tree => collective::barrier_tree(comm.id).await,
-        };
-        self.rec(PhaseKind::Collective, t0, None, 0);
-        self.apply(comm, r)
+    pub fn barrier(&self, comm: Comm) -> impl Future<Output = Result<(), MpiError>> + '_ {
+        async move {
+            let t0 = self.t0();
+            let r = match self.coll_algo() {
+                CollAlgo::Linear => collective::barrier(comm.id).await,
+                CollAlgo::Tree => collective::barrier_tree(comm.id).await,
+            };
+            self.rec(PhaseKind::Collective, t0, None, 0);
+            self.apply(comm, r)
+        }
     }
 
     /// Broadcast (`MPI_Bcast`) using the configured algorithm.
-    pub async fn bcast(&self, comm: Comm, root: usize, data: Bytes) -> Result<Bytes, MpiError> {
-        let t0 = self.t0();
-        let bytes = data.len() as u64;
-        let r = match self.coll_algo() {
-            crate::state::CollAlgo::Linear => collective::bcast(comm.id, root, data).await,
-            crate::state::CollAlgo::Tree => collective::bcast_tree(comm.id, root, data).await,
-        };
-        self.rec(PhaseKind::Collective, t0, Some(Rank(root as u32)), bytes);
-        self.apply(comm, r)
+    pub fn bcast(
+        &self,
+        comm: Comm,
+        root: usize,
+        data: Bytes,
+    ) -> impl Future<Output = Result<Bytes, MpiError>> + '_ {
+        async move {
+            let t0 = self.t0();
+            let bytes = data.len() as u64;
+            let algo = self.coll_algo();
+            let r = collective::broadcast(algo, comm.id, root, data, true).await;
+            self.rec(PhaseKind::Collective, t0, Some(Rank(root as u32)), bytes);
+            self.apply(comm, r)
+        }
     }
 
     /// Gather to root (`MPI_Gather`, linear).
@@ -370,8 +400,8 @@ impl MpiCtx {
     /// [`CollAlgo::Tree`](crate::state::CollAlgo).
     pub async fn allgather(&self, comm: Comm, data: Bytes) -> Result<Vec<Bytes>, MpiError> {
         let r = match self.coll_algo() {
-            crate::state::CollAlgo::Linear => collective::allgather(comm.id, data).await,
-            crate::state::CollAlgo::Tree => collective::allgather_ring(comm.id, data).await,
+            CollAlgo::Linear => collective::allgather(comm.id, data).await,
+            CollAlgo::Tree => collective::allgather_ring(comm.id, data).await,
         };
         self.apply(comm, r)
     }
@@ -386,52 +416,50 @@ impl MpiCtx {
     /// the configured algorithm. Note the combine order (and so the
     /// floating-point result for non-associative ops) depends on the
     /// algorithm, but is deterministic within each.
-    pub async fn reduce_f64(
-        &self,
+    pub fn reduce_f64<'s, 'd>(
+        &'s self,
         comm: Comm,
         root: usize,
-        data: &[f64],
+        data: &'d [f64],
         op: ReduceOp,
-    ) -> Result<Option<Vec<f64>>, MpiError> {
-        let r = match self.coll_algo() {
-            crate::state::CollAlgo::Linear => collective::reduce_f64(comm.id, root, data, op).await,
-            crate::state::CollAlgo::Tree => {
-                collective::reduce_f64_tree(comm.id, root, data, op).await
-            }
-        };
-        self.apply(comm, r)
+    ) -> impl Future<Output = Result<Option<Vec<f64>>, MpiError>> + use<'s, 'd> {
+        async move {
+            let algo = self.coll_algo();
+            let r = collective::reduce(algo, comm.id, root, data, op).await;
+            self.apply(comm, r)
+        }
     }
 
     /// Elementwise allreduce of `f64` vectors (`MPI_Allreduce`) using
     /// the configured algorithm.
-    pub async fn allreduce_f64(
-        &self,
+    pub fn allreduce_f64<'s, 'd>(
+        &'s self,
         comm: Comm,
-        data: &[f64],
+        data: &'d [f64],
         op: ReduceOp,
-    ) -> Result<Vec<f64>, MpiError> {
-        let t0 = self.t0();
-        let r = match self.coll_algo() {
-            crate::state::CollAlgo::Linear => collective::allreduce_f64(comm.id, data, op).await,
-            crate::state::CollAlgo::Tree => collective::allreduce_f64_tree(comm.id, data, op).await,
-        };
-        self.rec(PhaseKind::Collective, t0, None, (data.len() * 8) as u64);
-        self.apply(comm, r)
+    ) -> impl Future<Output = Result<Vec<f64>, MpiError>> + use<'s, 'd> {
+        async move {
+            let t0 = self.t0();
+            let algo = self.coll_algo();
+            let r = collective::allreduce(algo, comm.id, data, op).await;
+            self.rec(PhaseKind::Collective, t0, None, (data.len() * 8) as u64);
+            self.apply(comm, r)
+        }
     }
 
     /// Elementwise allreduce of `u64` vectors using the configured
     /// algorithm.
-    pub async fn allreduce_u64(
-        &self,
+    pub fn allreduce_u64<'s, 'd>(
+        &'s self,
         comm: Comm,
-        data: &[u64],
+        data: &'d [u64],
         op: ReduceOp,
-    ) -> Result<Vec<u64>, MpiError> {
-        let r = match self.coll_algo() {
-            crate::state::CollAlgo::Linear => collective::allreduce_u64(comm.id, data, op).await,
-            crate::state::CollAlgo::Tree => collective::allreduce_u64_tree(comm.id, data, op).await,
-        };
-        self.apply(comm, r)
+    ) -> impl Future<Output = Result<Vec<u64>, MpiError>> + use<'s, 'd> {
+        async move {
+            let algo = self.coll_algo();
+            let r = collective::allreduce(algo, comm.id, data, op).await;
+            self.apply(comm, r)
+        }
     }
 
     // ------------------------------------------------------------------

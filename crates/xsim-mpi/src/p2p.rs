@@ -36,8 +36,12 @@ use crate::request::{RecvOut, ReqId, ReqKind, ReqResult};
 use crate::state::{
     escalate_unreachable, schedule_request_failure, MpiService, RankMpi, TxOutcome,
 };
+use std::future::{poll_fn, Future};
+use std::mem;
+use std::pin::Pin;
+use std::task::{ready, Context, Poll};
 use xsim_core::event::Action;
-use xsim_core::vp::WaitClass;
+use xsim_core::vp::{VpState, WaitClass};
 use xsim_core::{ctx, Bytes, Kernel, Rank, SimTime};
 use xsim_net::NetClass;
 use xsim_obs::ids;
@@ -81,22 +85,151 @@ pub(crate) fn entry_checks(rm: &RankMpi, comm: CommId) -> Result<(), MpiError> {
     entry_checks_ex(rm, comm, false)
 }
 
+// ----------------------------------------------------------------------
+// The awaitables a rank parks in. Each is a small poll-state machine
+// rather than an `async fn`, whose state would keep its arguments next to
+// every future nested inside it: this state *is* a simulated rank's
+// stack. Like an `async fn`, none posts anything before its first poll.
+// ----------------------------------------------------------------------
+
+/// What a send posts on its first poll.
+struct SendArgs {
+    comm: CommId,
+    dst: usize,
+    tag: u32,
+    data: Bytes,
+    /// Exempt from the revoked-communicator check (ULFM recovery).
+    allow_revoked: bool,
+    /// Wait for the request after the overhead (`MPI_Send`) instead of
+    /// returning it (`MPI_Isend`).
+    blocking: bool,
+}
+
+/// A send: post, sleep the sender-side overhead, and (blocking sends)
+/// wait for the request. `F` is the zero-sized sleep constructor and
+/// `S` the future it returns, because `ctx::sleep`'s type has no name.
+struct SendFuture<F, S> {
+    sleep: F,
+    step: SendStep<S>,
+}
+
+enum SendStep<S> {
+    Start(SendArgs),
+    /// Posted; the sender-side overhead, if any, elapses.
+    Overhead {
+        req: ReqId,
+        sleep: Option<S>,
+        blocking: bool,
+    },
+    Wait(WaitReq),
+    Done,
+}
+
+impl<F, S> Future for SendFuture<F, S>
+where
+    F: Fn(SimTime) -> S + Unpin,
+    S: Future<Output = ()> + Unpin,
+{
+    type Output = Result<ReqId, MpiError>;
+
+    fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<Self::Output> {
+        let this = self.get_mut();
+        loop {
+            match &mut this.step {
+                SendStep::Start(_) => {
+                    let SendStep::Start(args) = mem::replace(&mut this.step, SendStep::Done) else {
+                        unreachable!()
+                    };
+                    let blocking = args.blocking;
+                    let (req, overhead) = post_send(args)?;
+                    let sleep = (overhead > SimTime::ZERO).then(|| (this.sleep)(overhead));
+                    this.step = SendStep::Overhead {
+                        req,
+                        sleep,
+                        blocking,
+                    };
+                }
+                SendStep::Overhead {
+                    req,
+                    sleep,
+                    blocking,
+                } => {
+                    if let Some(sleep) = sleep {
+                        ready!(Pin::new(sleep).poll(cx));
+                    }
+                    let req = *req;
+                    if !*blocking {
+                        this.step = SendStep::Done;
+                        return Poll::Ready(Ok(req));
+                    }
+                    this.step = SendStep::Wait(WaitReq::new(req));
+                }
+                SendStep::Wait(wait) => {
+                    let req = wait.req;
+                    ready!(Pin::new(wait).poll(cx))?;
+                    this.step = SendStep::Done;
+                    return Poll::Ready(Ok(req));
+                }
+                SendStep::Done => panic!("send polled after completion"),
+            }
+        }
+    }
+}
+
+fn send_future(args: SendArgs) -> impl Future<Output = Result<ReqId, MpiError>> + Send + Unpin {
+    SendFuture {
+        sleep: ctx::sleep,
+        step: SendStep::Start(args),
+    }
+}
+
+/// A blocking send (`MPI_Send`): post, sleep the overhead, wait.
+fn blocking_send(args: SendArgs) -> impl Future<Output = Result<(), MpiError>> + Send {
+    let mut send = send_future(args);
+    poll_fn(move |cx| Pin::new(&mut send).poll(cx).map_ok(|_| ()))
+}
+
 /// Post a nonblocking send of `data` to communicator rank `dst` with
 /// `tag`. Charges the sender-side software overhead.
-pub async fn isend_raw(comm: CommId, dst: usize, tag: u32, data: Bytes) -> Result<ReqId, MpiError> {
-    isend_ex(comm, dst, tag, data, false).await
+pub fn isend_raw(
+    comm: CommId,
+    dst: usize,
+    tag: u32,
+    data: Bytes,
+) -> impl Future<Output = Result<ReqId, MpiError>> + Send {
+    isend_ex(comm, dst, tag, data, false)
 }
 
 /// Like [`isend_raw`] but optionally exempt from the revoked-communicator
 /// check (ULFM recovery traffic must flow on revoked communicators).
-pub(crate) async fn isend_ex(
+pub(crate) fn isend_ex(
     comm: CommId,
     dst: usize,
     tag: u32,
     data: Bytes,
     allow_revoked: bool,
-) -> Result<ReqId, MpiError> {
-    let (req, overhead) = ctx::with_kernel(|k, me| {
+) -> impl Future<Output = Result<ReqId, MpiError>> + Send {
+    send_future(SendArgs {
+        comm,
+        dst,
+        tag,
+        data,
+        allow_revoked,
+        blocking: false,
+    })
+}
+
+/// Post a send and return `(request, sender-side overhead)`.
+fn post_send(args: SendArgs) -> Result<(ReqId, SimTime), MpiError> {
+    let SendArgs {
+        comm,
+        dst,
+        tag,
+        data,
+        allow_revoked,
+        ..
+    } = args;
+    ctx::with_kernel(|k, me| {
         with_mpi(k, |k, svc| {
             let now = k.vp(me).clock();
             let rm = svc.rank_mut(me);
@@ -255,11 +388,7 @@ pub(crate) async fn isend_ex(
             }
             Ok((req, send_overhead))
         })
-    })?;
-    if overhead > SimTime::ZERO {
-        ctx::sleep(overhead).await;
-    }
-    Ok(req)
+    })
 }
 
 /// Post a nonblocking receive. `src`/`tag` of `None` are the
@@ -453,50 +582,84 @@ fn finish_request(k: &mut Kernel, owner: Rank, req: ReqId, at: SimTime, result: 
     }
 }
 
-enum WaitStep {
-    Ready(ReqResult),
-    Pending,
+/// Check one request: `Ready` with its result (taking it out of the
+/// table) once complete or when the rank has aborted, else `Pending`.
+fn poll_request(k: &mut Kernel, me: Rank, req: ReqId) -> Poll<ReqResult> {
+    let now = k.vp(me).clock();
+    let rm = k.service_mut::<MpiService>().rank_mut(me);
+    if let Some(t) = rm.aborted {
+        return Poll::Ready(Err(MpiError::Aborted { time: t }));
+    }
+    match rm.reqs.try_take(req, now) {
+        Some((_, result)) => Poll::Ready(result),
+        None if rm.reqs.get(req).is_none() => {
+            Poll::Ready(Err(MpiError::Invalid("unknown or consumed request")))
+        }
+        None => Poll::Pending,
+    }
 }
 
-fn poll_request(req: ReqId) -> WaitStep {
-    ctx::with_kernel(|k, me| {
-        let now = k.vp(me).clock();
-        let svc = k.service_mut::<MpiService>();
-        let rm = svc.rank_mut(me);
-        if let Some(t) = rm.aborted {
-            return WaitStep::Ready(Err(MpiError::Aborted { time: t }));
-        }
-        match rm.reqs.try_take(req, now) {
-            Some((_, result)) => WaitStep::Ready(result),
-            None => {
-                if rm.reqs.get(req).is_none() {
-                    WaitStep::Ready(Err(MpiError::Invalid("unknown or consumed request")))
-                } else {
-                    WaitStep::Pending
-                }
+/// Park the calling VP on a message-class wait.
+fn block_on_messages(k: &mut Kernel, me: Rank, desc: &'static str) {
+    k.vp_mut(me).begin_wait(WaitClass::Message, desc);
+}
+
+/// Whether the re-poll of an armed wait follows a wake. Without one
+/// (the kernel never polls that way, but it is harmless) the VP stays
+/// blocked.
+fn woken(k: &mut Kernel, me: Rank) -> bool {
+    let mut vp = k.vp_mut(me);
+    let woken = vp.take_woken();
+    if !woken {
+        vp.set_state(VpState::Blocked);
+    }
+    woken
+}
+
+/// `MPI_Wait` on one request: check it and, while it is pending, park
+/// on a message wait (`armed`) until a wake says to check again. Wakes
+/// may be spurious (a message for another request); the check repeats.
+struct WaitReq {
+    req: ReqId,
+    armed: bool,
+}
+
+impl WaitReq {
+    fn new(req: ReqId) -> Self {
+        WaitReq { req, armed: false }
+    }
+}
+
+impl Future for WaitReq {
+    type Output = ReqResult;
+
+    fn poll(self: Pin<&mut Self>, _cx: &mut Context<'_>) -> Poll<ReqResult> {
+        let this = self.get_mut();
+        ctx::with_kernel(|k, me| {
+            if this.armed && !woken(k, me) {
+                return Poll::Pending;
             }
-        }
-    })
+            let step = poll_request(k, me, this.req);
+            if step.is_pending() {
+                this.armed = true;
+                block_on_messages(k, me, "MPI wait");
+            }
+            step
+        })
+    }
 }
 
 /// Wait for one request (`MPI_Wait`). Returns the receive payload for
 /// receives, `None` for sends.
-pub async fn wait_raw(req: ReqId) -> ReqResult {
-    loop {
-        match poll_request(req) {
-            WaitStep::Ready(r) => return r,
-            WaitStep::Pending => {
-                ctx::block(WaitClass::Message, "MPI wait").await;
-            }
-        }
-    }
+pub fn wait_raw(req: ReqId) -> impl Future<Output = ReqResult> + Send {
+    WaitReq::new(req)
 }
 
 /// Nonblocking completion check (`MPI_Test`).
 pub fn test_raw(req: ReqId) -> Option<ReqResult> {
-    match poll_request(req) {
-        WaitStep::Ready(r) => Some(r),
-        WaitStep::Pending => None,
+    match ctx::with_kernel(|k, me| poll_request(k, me, req)) {
+        Poll::Ready(r) => Some(r),
+        Poll::Pending => None,
     }
 }
 
@@ -516,24 +679,9 @@ pub(crate) fn request_free_raw(req: ReqId) -> Result<(), MpiError> {
     })
 }
 
-/// Drain the completion feed into `ids`. Entries for requests the
-/// caller does not hold are safe to drop: a fresh wait always performs
-/// an initial full scan that catches pre-completed requests.
-fn drain_completion_feed(ids: &mut Vec<u64>) {
-    ctx::with_kernel(|k, me| {
-        let svc = k.service_mut::<MpiService>();
-        svc.rank_mut(me).drain_completions(ids);
-    })
-}
-
-/// Turn the calling rank's completion feed on or off. A `waitall`/
-/// `waitany` watches from its initial scan to its return; outside that
-/// window nobody reads the feed and nothing is recorded.
-fn watch_completions(on: bool) {
-    ctx::with_kernel(|k, me| {
-        let svc = k.service_mut::<MpiService>();
-        svc.rank_mut(me).watch_completions(on);
-    })
+/// The calling rank's MPI state.
+fn rank_mpi(k: &mut Kernel, me: Rank) -> &mut RankMpi {
+    k.service_mut::<MpiService>().rank_mut(me)
 }
 
 /// The requests a `waitall`/`waitany` still waits on, as `(request id,
@@ -543,92 +691,160 @@ fn waiting_position(waiting: &[(u64, usize)], id: u64) -> Option<usize> {
     Some(waiting[at].1)
 }
 
-/// Wait for all requests (`MPI_Waitall`). On error, the first failing
-/// request's error (among those known complete) is returned.
-///
-/// After an initial scan, each wakeup re-checks only requests named in
-/// the per-rank completion feed, keeping a P-receive wait (a linear
-/// collective root) at O(P log P) total instead of O(P²).
-pub async fn waitall_raw(reqs: &[ReqId]) -> Result<Vec<Option<RecvOut>>, MpiError> {
-    let mut out: Vec<Option<Option<RecvOut>>> = vec![None; reqs.len()];
-    let mut waiting: Vec<(u64, usize)> = Vec::new();
-    for (i, &req) in reqs.iter().enumerate() {
-        match poll_request(req) {
-            WaitStep::Ready(Ok(v)) => out[i] = Some(v),
-            WaitStep::Ready(Err(e)) => return Err(e),
-            WaitStep::Pending => waiting.push((req.0, i)),
-        }
-    }
-    if !waiting.is_empty() {
-        waiting.sort_unstable();
-        watch_completions(true);
-        let waited = wait_for_rest(&waiting, &mut out).await;
-        watch_completions(false);
-        waited?;
-    }
-    Ok(out.into_iter().map(|v| v.expect("all done")).collect())
+/// `MPI_Waitall`. The first poll scans every request and, if some are
+/// pending, turns on the rank's completion feed; each wake after that
+/// re-checks only the requests the feed names, keeping a P-receive wait
+/// (a linear collective root) at O(P log P) total instead of O(P²).
+struct WaitAll<'a> {
+    reqs: &'a [ReqId],
+    /// Results by position in `reqs`; `None` while pending.
+    out: Vec<Option<Option<RecvOut>>>,
+    waiting: Vec<(u64, usize)>,
+    /// The feed's latest ids; it and the feed trade buffers per drain.
+    fresh: Vec<u64>,
+    remaining: usize,
+    armed: bool,
 }
 
-/// The blocking part of [`waitall_raw`]: fill `out` for every request
-/// in `waiting` as the completion feed names it.
-async fn wait_for_rest(
-    waiting: &[(u64, usize)],
-    out: &mut [Option<Option<RecvOut>>],
-) -> Result<(), MpiError> {
-    let mut remaining = waiting.len();
-    let mut fresh = Vec::new();
-    while remaining > 0 {
-        ctx::block(WaitClass::Message, "MPI waitall").await;
-        drain_completion_feed(&mut fresh);
-        for &id in &fresh {
-            let Some(i) = waiting_position(waiting, id) else {
-                continue;
-            };
-            if out[i].is_some() {
-                continue;
-            }
-            match poll_request(ReqId(id)) {
-                WaitStep::Ready(Ok(v)) => {
-                    out[i] = Some(v);
-                    remaining -= 1;
-                }
-                WaitStep::Ready(Err(e)) => return Err(e),
-                WaitStep::Pending => {}
-            }
-        }
+impl WaitAll<'_> {
+    fn results(&mut self) -> Vec<Option<RecvOut>> {
+        mem::take(&mut self.out)
+            .into_iter()
+            .map(|v| v.expect("all done"))
+            .collect()
     }
-    Ok(())
+}
+
+impl Future for WaitAll<'_> {
+    type Output = Result<Vec<Option<RecvOut>>, MpiError>;
+
+    fn poll(self: Pin<&mut Self>, _cx: &mut Context<'_>) -> Poll<Self::Output> {
+        let this = self.get_mut();
+        ctx::with_kernel(|k, me| {
+            if !this.armed {
+                this.out = vec![None; this.reqs.len()];
+                for (i, &req) in this.reqs.iter().enumerate() {
+                    match poll_request(k, me, req) {
+                        Poll::Ready(Ok(v)) => this.out[i] = Some(v),
+                        Poll::Ready(Err(e)) => return Poll::Ready(Err(e)),
+                        Poll::Pending => this.waiting.push((req.0, i)),
+                    }
+                }
+                if this.waiting.is_empty() {
+                    return Poll::Ready(Ok(this.results()));
+                }
+                this.waiting.sort_unstable();
+                this.remaining = this.waiting.len();
+                rank_mpi(k, me).watch_completions(true);
+            } else {
+                if !woken(k, me) {
+                    return Poll::Pending;
+                }
+                rank_mpi(k, me).drain_completions(&mut this.fresh);
+                for &id in &this.fresh {
+                    let Some(i) = waiting_position(&this.waiting, id) else {
+                        continue;
+                    };
+                    if this.out[i].is_some() {
+                        continue;
+                    }
+                    match poll_request(k, me, ReqId(id)) {
+                        Poll::Ready(Ok(v)) => {
+                            this.out[i] = Some(v);
+                            this.remaining -= 1;
+                        }
+                        Poll::Ready(Err(e)) => {
+                            rank_mpi(k, me).watch_completions(false);
+                            return Poll::Ready(Err(e));
+                        }
+                        Poll::Pending => {}
+                    }
+                }
+                if this.remaining == 0 {
+                    rank_mpi(k, me).watch_completions(false);
+                    return Poll::Ready(Ok(this.results()));
+                }
+            }
+            this.armed = true;
+            block_on_messages(k, me, "MPI waitall");
+            Poll::Pending
+        })
+    }
+}
+
+/// Wait for all requests (`MPI_Waitall`). On error, the first failing
+/// request's error (among those known complete) is returned.
+pub fn waitall_raw(
+    reqs: &[ReqId],
+) -> impl Future<Output = Result<Vec<Option<RecvOut>>, MpiError>> + Send + '_ {
+    WaitAll {
+        reqs,
+        out: Vec::new(),
+        waiting: Vec::new(),
+        fresh: Vec::new(),
+        remaining: 0,
+        armed: false,
+    }
+}
+
+/// `MPI_Waitany`: the same scan-then-feed shape as [`WaitAll`], done at
+/// the first completion.
+struct WaitAny<'a> {
+    reqs: &'a [ReqId],
+    waiting: Vec<(u64, usize)>,
+    fresh: Vec<u64>,
+    armed: bool,
+}
+
+impl Future for WaitAny<'_> {
+    type Output = (usize, ReqResult);
+
+    fn poll(self: Pin<&mut Self>, _cx: &mut Context<'_>) -> Poll<Self::Output> {
+        let this = self.get_mut();
+        ctx::with_kernel(|k, me| {
+            if !this.armed {
+                this.waiting = Vec::with_capacity(this.reqs.len());
+                for (i, &req) in this.reqs.iter().enumerate() {
+                    match poll_request(k, me, req) {
+                        Poll::Ready(r) => return Poll::Ready((i, r)),
+                        Poll::Pending => this.waiting.push((req.0, i)),
+                    }
+                }
+                this.waiting.sort_unstable();
+                rank_mpi(k, me).watch_completions(true);
+            } else {
+                if !woken(k, me) {
+                    return Poll::Pending;
+                }
+                rank_mpi(k, me).drain_completions(&mut this.fresh);
+                let hit = this.fresh.iter().find_map(|&id| {
+                    let i = waiting_position(&this.waiting, id)?;
+                    match poll_request(k, me, ReqId(id)) {
+                        Poll::Ready(r) => Some((i, r)),
+                        Poll::Pending => None,
+                    }
+                });
+                if let Some(hit) = hit {
+                    rank_mpi(k, me).watch_completions(false);
+                    return Poll::Ready(hit);
+                }
+            }
+            this.armed = true;
+            block_on_messages(k, me, "MPI waitany");
+            Poll::Pending
+        })
+    }
 }
 
 /// Wait for any one of the requests (`MPI_Waitany`): returns the index
 /// of the completed request and its result.
-pub async fn waitany_raw(reqs: &[ReqId]) -> (usize, ReqResult) {
-    let mut waiting: Vec<(u64, usize)> = Vec::with_capacity(reqs.len());
-    for (i, &req) in reqs.iter().enumerate() {
-        match poll_request(req) {
-            WaitStep::Ready(r) => return (i, r),
-            WaitStep::Pending => waiting.push((req.0, i)),
-        }
+pub fn waitany_raw(reqs: &[ReqId]) -> impl Future<Output = (usize, ReqResult)> + Send + '_ {
+    WaitAny {
+        reqs,
+        waiting: Vec::new(),
+        fresh: Vec::new(),
+        armed: false,
     }
-    waiting.sort_unstable();
-    watch_completions(true);
-    let mut fresh = Vec::new();
-    let done = loop {
-        ctx::block(WaitClass::Message, "MPI waitany").await;
-        drain_completion_feed(&mut fresh);
-        let hit = fresh.iter().find_map(|&id| {
-            let i = waiting_position(&waiting, id)?;
-            match poll_request(ReqId(id)) {
-                WaitStep::Ready(r) => Some((i, r)),
-                WaitStep::Pending => None,
-            }
-        });
-        if let Some(hit) = hit {
-            break hit;
-        }
-    };
-    watch_completions(false);
-    done
 }
 
 /// Nonblocking probe (`MPI_Iprobe`): report the earliest matching
@@ -719,41 +935,99 @@ pub async fn sendrecv_raw(
 }
 
 /// Blocking send (`MPI_Send`): post and wait.
-pub async fn send_raw(comm: CommId, dst: usize, tag: u32, data: Bytes) -> Result<(), MpiError> {
-    let req = isend_raw(comm, dst, tag, data).await?;
-    wait_raw(req).await.map(|_| ())
-}
-
-/// Blocking send that is exempt from the revoked-communicator check
-/// (ULFM recovery traffic, e.g. shrink).
-pub(crate) async fn send_system(
+pub fn send_raw(
     comm: CommId,
     dst: usize,
     tag: u32,
     data: Bytes,
-) -> Result<(), MpiError> {
-    let req = isend_ex(comm, dst, tag, data, true).await?;
-    wait_raw(req).await.map(|_| ())
+) -> impl Future<Output = Result<(), MpiError>> + Send {
+    blocking_send(SendArgs {
+        comm,
+        dst,
+        tag,
+        data,
+        allow_revoked: false,
+        blocking: true,
+    })
+}
+
+/// Blocking send that is exempt from the revoked-communicator check
+/// (ULFM recovery traffic, e.g. shrink).
+pub(crate) fn send_system(
+    comm: CommId,
+    dst: usize,
+    tag: u32,
+    data: Bytes,
+) -> impl Future<Output = Result<(), MpiError>> + Send {
+    blocking_send(SendArgs {
+        comm,
+        dst,
+        tag,
+        data,
+        allow_revoked: true,
+        blocking: true,
+    })
+}
+
+/// A blocking receive: post on the first poll, then wait.
+enum RecvFuture {
+    Start {
+        comm: CommId,
+        src: Option<usize>,
+        tag: Option<u32>,
+        allow_revoked: bool,
+    },
+    Wait(WaitReq),
+}
+
+impl Future for RecvFuture {
+    type Output = Result<RecvOut, MpiError>;
+
+    fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<Self::Output> {
+        let this = self.get_mut();
+        if let RecvFuture::Start {
+            comm,
+            src,
+            tag,
+            allow_revoked,
+        } = *this
+        {
+            *this = RecvFuture::Wait(WaitReq::new(irecv_ex(comm, src, tag, allow_revoked)?));
+        }
+        let RecvFuture::Wait(wait) = this else {
+            unreachable!("posted above")
+        };
+        match ready!(Pin::new(wait).poll(cx))? {
+            Some(out) => Poll::Ready(Ok(out)),
+            None => Poll::Ready(Err(MpiError::Invalid("receive completed without payload"))),
+        }
+    }
 }
 
 /// Blocking receive that is exempt from the revoked-communicator check.
-pub(crate) async fn recv_system(comm: CommId, src: usize, tag: u32) -> Result<RecvOut, MpiError> {
-    let req = irecv_ex(comm, Some(src), Some(tag), true)?;
-    match wait_raw(req).await? {
-        Some(out) => Ok(out),
-        None => Err(MpiError::Invalid("receive completed without payload")),
+pub(crate) fn recv_system(
+    comm: CommId,
+    src: usize,
+    tag: u32,
+) -> impl Future<Output = Result<RecvOut, MpiError>> + Send {
+    RecvFuture::Start {
+        comm,
+        src: Some(src),
+        tag: Some(tag),
+        allow_revoked: true,
     }
 }
 
 /// Blocking receive (`MPI_Recv`): post and wait.
-pub async fn recv_raw(
+pub fn recv_raw(
     comm: CommId,
     src: Option<usize>,
     tag: Option<u32>,
-) -> Result<RecvOut, MpiError> {
-    let req = irecv_raw(comm, src, tag)?;
-    match wait_raw(req).await? {
-        Some(out) => Ok(out),
-        None => Err(MpiError::Invalid("receive completed without payload")),
+) -> impl Future<Output = Result<RecvOut, MpiError>> + Send {
+    RecvFuture::Start {
+        comm,
+        src,
+        tag,
+        allow_revoked: false,
     }
 }

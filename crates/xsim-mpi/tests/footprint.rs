@@ -11,14 +11,25 @@
 //!   world;
 //! * a modeled heat3d halo exchange allocates no payload block (its
 //!   surrogate faces are `Bytes::zeroed` views) and leaves no request
-//!   behind (its fire-and-forget sends are freed).
+//!   behind (its fire-and-forget sends are freed);
+//! * the awaitables a rank parks in, and the rank futures of the bundled
+//!   kernels, stay within their byte budgets (a rank future is a
+//!   simulated process's stack), and so does a rank's peak live memory
+//!   through a tree allreduce;
+//! * a tree reduction decodes no child's payload: it folds into the
+//!   bytes it forwards.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
+use std::mem::size_of_val;
 use std::sync::{Arc, Mutex};
+use xsim_apps::{heat3d, kernels};
+use xsim_core::vp::VpProgram;
 use xsim_core::{ctx, Bytes, Rank, SimTime};
+use xsim_mpi::collective::{self, ReduceOp};
+use xsim_mpi::p2p;
 use xsim_mpi::state::{MpiService, MpiStats, MpiWorld};
-use xsim_mpi::{CollAlgo, Detector, ErrHandler, MpiCtx, MpiError, SimBuilder};
+use xsim_mpi::{CollAlgo, CommId, Detector, ErrHandler, MpiCtx, MpiError, ReqId, SimBuilder};
 use xsim_net::NetModel;
 use xsim_proc::ProcModel;
 
@@ -38,12 +49,31 @@ thread_local! {
     /// Allocation calls asking for exactly [`FACE`] bytes: the payload
     /// block a heap-built surrogate halo face would cost.
     static FACE_BLOCKS: Cell<u64> = const { Cell::new(0) };
+    /// Allocation calls asking for exactly [`WIRE`] bytes: one reduce
+    /// payload, encoded or decoded.
+    static WIRE_BLOCKS: Cell<u64> = const { Cell::new(0) };
+    /// High-water mark of [`LIVE`] since the last [`reset_peak`].
+    static PEAK: Cell<u64> = const { Cell::new(0) };
 }
 
 fn resized(from: usize, to: usize) {
     ALLOCS.set(ALLOCS.get() + (to > 0) as u64);
     FACE_BLOCKS.set(FACE_BLOCKS.get() + (to == FACE) as u64);
-    LIVE.set(LIVE.get().wrapping_add(to as u64).wrapping_sub(from as u64));
+    WIRE_BLOCKS.set(WIRE_BLOCKS.get() + (to == WIRE) as u64);
+    let live = LIVE.get().wrapping_add(to as u64).wrapping_sub(from as u64);
+    LIVE.set(live);
+    // Signed: a thread may free memory another thread allocated.
+    if live as i64 > PEAK.get() as i64 {
+        PEAK.set(live);
+    }
+}
+
+/// Restart the high-water mark at the current live bytes, and return
+/// them.
+fn reset_peak() -> u64 {
+    let live = LIVE.get();
+    PEAK.set(live);
+    live
 }
 
 // SAFETY: every call is forwarded unchanged to `System`; the counters
@@ -245,4 +275,147 @@ fn modeled_halos_allocate_no_payload_blocks() {
 fn modeled_halos_leave_no_live_requests() {
     let (_, live) = run_modeled_halos();
     assert_eq!(live, 0, "a rank held {live} requests at finalize");
+}
+
+// ----------------------------------------------------------------------
+// Rank futures. A simulated rank's stack is its boxed coroutine, so the
+// awaitables it parks in are poll-state machines with byte budgets, and
+// so are the rank futures of the bundled kernels. Futures are sized
+// before their first poll, which posts nothing.
+// ----------------------------------------------------------------------
+
+/// Budgets are the sizes measured with rustc 1.95 on x86-64; the
+/// `async fn`s these replaced were 48 / 88 / 192 / 248 / 120 / 200 /
+/// 96 B.
+#[test]
+fn awaitables_fit_their_poll_state() {
+    let w = CommId::WORLD;
+    let reqs = [ReqId(0); 4];
+    let sizes = [
+        ("ctx::sleep", size_of_val(&ctx::sleep(SimTime::ZERO)), 24),
+        ("wait_raw", size_of_val(&p2p::wait_raw(ReqId(0))), 16),
+        (
+            "isend_raw",
+            size_of_val(&p2p::isend_raw(w, 1, 0, Bytes::new())),
+            56,
+        ),
+        (
+            "send_raw",
+            size_of_val(&p2p::send_raw(w, 1, 0, Bytes::new())),
+            56,
+        ),
+        (
+            "recv_raw",
+            size_of_val(&p2p::recv_raw(w, Some(1), Some(0))),
+            32,
+        ),
+        ("waitall_raw", size_of_val(&p2p::waitall_raw(&reqs)), 104),
+        ("waitany_raw", size_of_val(&p2p::waitany_raw(&reqs)), 72),
+    ];
+    for (name, size, budget) in sizes {
+        eprintln!("{name}: {size} B (budget {budget})");
+        assert!(size <= budget, "{name} is {size} B, budget {budget}");
+    }
+}
+
+/// `size_of_val` of the future `program` spawns for one rank.
+fn rank_future(program: Arc<dyn VpProgram>) -> usize {
+    size_of_val(&*program.spawn(Rank::new(0)))
+}
+
+/// Budgets as above; over `async fn` awaitables these rank futures were
+/// 128 / 512 / 688 / 1,176 B. heat3d's largest state is not an MPI
+/// call's, so it did not move.
+#[test]
+fn kernel_rank_futures_fit_their_budgets() {
+    let ms = SimTime::from_millis(1);
+    let sizes = [
+        ("noop", rank_future(kernels::noop(ms)), 80),
+        ("ring", rank_future(kernels::ring(1, 8)), 272),
+        (
+            "compute_allreduce",
+            rank_future(kernels::compute_allreduce(1, 64, ms)),
+            360,
+        ),
+        (
+            "heat3d (world layer)",
+            rank_future(heat3d::program(heat3d::HeatConfig::small())),
+            1176,
+        ),
+    ];
+    for (name, size, budget) in sizes {
+        eprintln!("{name}: {size} B (budget {budget})");
+        assert!(
+            size <= budget,
+            "{name} rank future is {size} B, budget {budget}"
+        );
+    }
+}
+
+/// Peak live bytes per rank of `compute_allreduce(1, 64, 1 ms)` on
+/// [`RANKS`] ranks with tree collectives: spawn wave, compute phase and
+/// the allreduce, every rank's future and MPI state alive at once.
+/// 2,449 B over `async fn` awaitables and decoding reductions; 1,993 B
+/// now.
+#[test]
+fn tree_allreduce_peak_live_bytes_per_rank() {
+    let live0 = reset_peak();
+    SimBuilder::new(RANKS)
+        .net(NetModel::small(RANKS))
+        .collectives(CollAlgo::Tree)
+        .run(kernels::compute_allreduce(1, 64, SimTime::from_millis(1)))
+        .expect("allreduce run");
+    let peak = PEAK.get().wrapping_sub(live0) as f64 / RANKS as f64;
+    eprintln!("peak live bytes/rank, tree allreduce: {peak:.0}");
+    assert!(peak <= 2200.0, "{peak:.0} B/rank at peak");
+}
+
+// ----------------------------------------------------------------------
+// Byte-fold reductions: a tree reduce forwards the bytes it folded into,
+// so the only [`WIRE`]-sized blocks are the leaves' encodings and the
+// decodes of the result (rank data lives in arrays, not vectors).
+// ----------------------------------------------------------------------
+
+/// Elements per reduce payload: 8·53 = 424 B, a size nothing else in
+/// the run allocates.
+const ELEMS: usize = 53;
+const WIRE: usize = ELEMS * 8;
+
+/// `(blocks of [`WIRE`] bytes allocated, members without children)` of
+/// one tree reduce (`all` = allreduce) over `n` ranks.
+fn tree_reduce_blocks(n: usize, all: bool) -> (u64, u64) {
+    let blocks0 = WIRE_BLOCKS.get();
+    SimBuilder::new(n)
+        .net(NetModel::small(n))
+        .run_app(move |mpi| async move {
+            let data = [mpi.rank as f64; ELEMS];
+            let expect = (n * (n - 1) / 2) as f64;
+            let out = if all {
+                Some(collective::allreduce_f64_tree(CommId::WORLD, &data, ReduceOp::Sum).await?)
+            } else {
+                collective::reduce_f64_tree(CommId::WORLD, 0, &data, ReduceOp::Sum).await?
+            };
+            if out.is_some_and(|v| v != [expect; ELEMS]) {
+                return Err(MpiError::Invalid("wrong reduction"));
+            }
+            mpi.finalize();
+            Ok(())
+        })
+        .expect("reduce run");
+    let leaves = (0..n)
+        .filter(|&v| collective::tree_children(v, n) == 0)
+        .count() as u64;
+    (WIRE_BLOCKS.get() - blocks0, leaves)
+}
+
+#[test]
+fn tree_reduce_decodes_no_child_payload() {
+    for n in [2, 7, 64, 1000] {
+        let (blocks, leaves) = tree_reduce_blocks(n, false);
+        // One encoding per leaf, one decode at the root.
+        assert_eq!(blocks, leaves + 1, "reduce over {n} ranks");
+        let (blocks, leaves) = tree_reduce_blocks(n, true);
+        // ... and the allreduce decodes once per rank, at the end.
+        assert_eq!(blocks, leaves + n as u64, "allreduce over {n} ranks");
+    }
 }
