@@ -337,9 +337,10 @@ pub fn mem_available_kib() -> Option<u64> {
 
 /// Conservative resident-cost estimate for one VP of the scaling-ladder
 /// workload: ~34 B of SoA table columns, a boxed ring future plus its
-/// allocator slack, and this VP's share of the in-flight 40-byte event
+/// allocator slack, and this VP's share of the in-flight 32-byte event
 /// records. Deliberately pessimistic — the gate must fail *before* the
-/// allocation does.
+/// allocation does: the ladder measures ≈ 181 B/VP at 2²² VPs
+/// (EXPERIMENTS.md §II-A), well under this estimate.
 pub const VP_SCALING_BYTES_PER_VP: u64 = 512;
 
 /// Largest VP count the free-memory gate admits for the scaling ladder

@@ -31,16 +31,20 @@
 //!
 //! ## Compact records and the call slab
 //!
-//! Resident events are stored as a 40-byte [`CompactRec`] — the 24-byte
-//! key plus a 16-byte action word — instead of the full [`EventRec`],
+//! Resident events are stored as a 32-byte [`CompactRec`] — the 24-byte
+//! key plus an 8-byte action word — instead of the full [`EventRec`],
 //! whose inline [`CallFn`] buffer makes it ~176 bytes. `Call` closures
 //! park in a queue-owned slab ([`CallSlab`]) and the record carries
 //! only the slot index; slots are recycled through a free list, so the
 //! 112-byte closure buffer is paid once per *in-flight* `Call`, not per
 //! resident event. At the paper's 2²⁷-VP scale the initial spawn wave
-//! alone is ~134 M resident events: 40 B/event keeps that to ~5 GiB
+//! alone is ~134 M resident events: 32 B/event keeps that to ~4 GiB
 //! where full records would need ~24 GiB. Dropping the queue drops the
 //! slab, releasing unfired closures' captures (abort teardown).
+//!
+//! A bucket that grew past [`TRIM_CAP`] gives its memory back while it
+//! drains, not only once it is empty: a draining spawn wave does not
+//! stay resident next to the waves it is filling.
 //!
 //! ## Tie-breaking audit
 //!
@@ -59,7 +63,7 @@
 
 use crate::event::{Action, CallFn, EventKey, EventRec};
 use crate::time::SimTime;
-use crate::vp::WaitToken;
+use crate::vp::{WaitToken, WAIT_TOKEN_BITS};
 
 /// Allocation/occupancy counters of one queue, folded into the engine
 /// profile at shutdown. Execution-shape data, never part of determinism
@@ -85,15 +89,37 @@ pub struct QueueStats {
 }
 
 /// The action word of a resident event: [`Action`] with the `Call`
-/// closure swapped for its [`CallSlab`] slot index.
-enum CompactAction {
-    Spawn,
-    WakeToken(WaitToken),
-    WakeMessage,
-    Call(u32),
+/// closure swapped for its [`CallSlab`] slot index, packed into one
+/// `u64`. The top two bits are the variant, the low 62 its payload — a
+/// [`WaitToken`] or a slot index. Tokens are bounded to 62 bits where
+/// they are minted (`VpMut::begin_wait`), so pushes do not check them.
+#[derive(Clone, Copy)]
+struct CompactAction(u64);
+
+impl CompactAction {
+    const SPAWN: u64 = 0;
+    const WAKE_TOKEN: u64 = 1;
+    const WAKE_MESSAGE: u64 = 2;
+    const CALL: u64 = 3;
+    const PAYLOAD: u64 = (1 << WAIT_TOKEN_BITS) - 1;
+
+    #[inline]
+    fn pack(tag: u64, payload: u64) -> Self {
+        debug_assert!(
+            payload <= Self::PAYLOAD,
+            "payload {payload} exceeds {WAIT_TOKEN_BITS} bits"
+        );
+        CompactAction(tag << WAIT_TOKEN_BITS | payload)
+    }
+
+    /// `(tag, payload)`.
+    #[inline]
+    fn unpack(self) -> (u64, u64) {
+        (self.0 >> WAIT_TOKEN_BITS, self.0 & Self::PAYLOAD)
+    }
 }
 
-/// A resident event: 24-byte key + 16-byte action = 40 bytes.
+/// A resident event: 24-byte key + 8-byte action word = 32 bytes.
 struct CompactRec {
     key: EventKey,
     action: CompactAction,
@@ -161,7 +187,7 @@ const SPARE_BUFFERS: usize = 32;
 /// Ordered-insertion memmove bound: an insertion that would shift more
 /// than this many records appends + dirties the bucket instead,
 /// deferring to one sort when the bucket reaches the window head. This
-/// caps the per-push cost at a ~2.5 KiB memmove while turning the two
+/// caps the per-push cost at a 2 KiB memmove while turning the two
 /// degenerate fills — ascending-key floods into one slice, and dense
 /// same-time ties whose order is decided by `(dst, src, seq)` alone —
 /// into one O(n log n) sort instead of O(n²) memmoves.
@@ -173,10 +199,15 @@ const INSERT_MOVE_CAP: usize = 64;
 /// (`storm_faulted`: ≈ 100 events per clump, arriving in rank order)
 /// otherwise memmove a kilobyte or two per push.
 const DEFER_MOVE_CAP: usize = 16;
-/// Shrink a bucket's buffer back to this capacity when it empties.
-/// One-shot giants (the initial spawn wave parks ~n events in a single
-/// unsplittable same-time bucket) would otherwise pin their peak
-/// allocation for the rest of the run.
+/// Floor of the drain rule: a bucket whose capacity is above this
+/// shrinks, once its length falls to half its capacity, to 1.5× its
+/// length (never below this). One-shot giants (the initial spawn wave
+/// parks ~n events in a single unsplittable same-time bucket) would
+/// otherwise pin their peak allocation while the waves they feed fill
+/// up, and for the rest of the run. A shrink at length `L` puts the
+/// next shrink `L/4` pops away and the next growth `L/2` pushes away,
+/// so alternating push/pop at the threshold cannot thrash and the
+/// shrinks cost amortized O(1) per pop.
 const TRIM_CAP: usize = 1 << 16;
 
 /// The one rule for the bucket count: a function of the population,
@@ -269,10 +300,12 @@ impl EventQueue {
         let ev = CompactRec {
             key: ev.key,
             action: match ev.action {
-                Action::Spawn => CompactAction::Spawn,
-                Action::WakeToken(t) => CompactAction::WakeToken(t),
-                Action::WakeMessage => CompactAction::WakeMessage,
-                Action::Call(f) => CompactAction::Call(self.calls.insert(f)),
+                Action::Spawn => CompactAction::pack(CompactAction::SPAWN, 0),
+                Action::WakeToken(t) => CompactAction::pack(CompactAction::WAKE_TOKEN, t.0),
+                Action::WakeMessage => CompactAction::pack(CompactAction::WAKE_MESSAGE, 0),
+                Action::Call(f) => {
+                    CompactAction::pack(CompactAction::CALL, self.calls.insert(f).into())
+                }
             },
         };
         self.stats.pushes += 1;
@@ -538,18 +571,21 @@ impl EventQueue {
         let b = self.settle()?;
         let bucket = &mut self.ring[b];
         let rec = bucket.pop()?;
-        if bucket.is_empty() && bucket.capacity() > TRIM_CAP {
-            bucket.shrink_to(TRIM_CAP);
+        // The drain rule — see `TRIM_CAP`.
+        if bucket.capacity() > TRIM_CAP && bucket.len() <= bucket.capacity() / 2 {
+            bucket.shrink_to(TRIM_CAP.max(bucket.len() + bucket.len() / 2));
         }
         self.ring_len -= 1;
         self.len -= 1;
+        let (tag, payload) = rec.action.unpack();
         Some(EventRec {
             key: rec.key,
-            action: match rec.action {
-                CompactAction::Spawn => Action::Spawn,
-                CompactAction::WakeToken(t) => Action::WakeToken(t),
-                CompactAction::WakeMessage => Action::WakeMessage,
-                CompactAction::Call(slot) => Action::Call(self.calls.remove(slot)),
+            action: match tag {
+                CompactAction::SPAWN => Action::Spawn,
+                CompactAction::WAKE_TOKEN => Action::WakeToken(WaitToken(payload)),
+                CompactAction::WAKE_MESSAGE => Action::WakeMessage,
+                // A slot index was packed from a `u32`.
+                _ => Action::Call(self.calls.remove(payload as u32)),
             },
         })
     }
@@ -893,10 +929,88 @@ mod tests {
         );
     }
 
-    /// The resident record must stay at 40 bytes (24-byte key + 16-byte
+    /// The resident record must stay at 32 bytes (24-byte key + 8-byte
     /// action word): the 2²⁷-VP memory budget is sized to it.
     #[test]
-    fn compact_rec_is_40_bytes() {
-        assert_eq!(std::mem::size_of::<CompactRec>(), 40);
+    fn compact_rec_is_32_bytes() {
+        assert_eq!(std::mem::size_of::<CompactRec>(), 32);
+    }
+
+    /// The largest token `begin_wait` can mint.
+    fn max_minted_token() -> WaitToken {
+        use crate::vp::{VpState, VpTable, WaitClass};
+        let mut t = VpTable::new(0..1, SimTime::ZERO);
+        let mut vp = t.get_mut(Rank(0));
+        vp.rearm_wait(WaitClass::Compute, "wait", WaitToken((1 << 62) - 2));
+        vp.set_state(VpState::Running);
+        vp.begin_wait(WaitClass::Compute, "wait")
+    }
+
+    /// Every action variant survives the 8-byte word at its payload
+    /// extremes: tokens 0 and `2^62 − 1`, and call slots 0 through the
+    /// top of a 4,096-call slab, each popped with its own closure; the
+    /// tag bits cannot bleed into a payload and back.
+    #[test]
+    fn every_action_round_trips_at_its_payload_extremes() {
+        use std::sync::{Arc, Mutex};
+        let top = max_minted_token();
+        assert_eq!(top, WaitToken((1 << 62) - 1));
+        // A closure's capture logs its id when dropped: the popped
+        // `Call`s, dropped in pop order, must log 0, 1, 2, ….
+        struct Tag(u64, Arc<Mutex<Vec<u64>>>);
+        impl Drop for Tag {
+            fn drop(&mut self) {
+                self.1.lock().unwrap().push(self.0);
+            }
+        }
+        let log = Arc::new(Mutex::new(Vec::new()));
+        let mut q = EventQueue::new();
+        let at = |t: u64, action| EventRec {
+            key: key(t, 0, 0, t),
+            action,
+        };
+        const CALLS: u64 = 4_096;
+        for i in 0..CALLS {
+            let tag = Tag(i, log.clone());
+            q.push(at(10 + i, Action::call(move |_k| drop(tag))));
+        }
+        q.push(at(1, Action::WakeToken(WaitToken(0))));
+        q.push(at(2, Action::WakeToken(top)));
+        q.push(at(3, Action::Spawn));
+        q.push(at(4, Action::WakeMessage));
+        assert_eq!(q.calls.slots.len() as u64, CALLS);
+        let mut popped = std::iter::from_fn(|| q.pop()).map(|e| e.action);
+        assert!(matches!(
+            popped.next(),
+            Some(Action::WakeToken(WaitToken(0)))
+        ));
+        assert!(matches!(popped.next(), Some(Action::WakeToken(t)) if t == top));
+        assert!(matches!(popped.next(), Some(Action::Spawn)));
+        assert!(matches!(popped.next(), Some(Action::WakeMessage)));
+        for a in popped {
+            assert!(matches!(a, Action::Call(_)));
+        }
+        assert_eq!(*log.lock().unwrap(), (0..CALLS).collect::<Vec<_>>());
+        assert_eq!(q.calls.free.len() as u64, CALLS, "every slot came back");
+
+        // The largest slot index a `u32` slab can hand out.
+        let word = CompactAction::pack(CompactAction::CALL, u32::MAX.into());
+        assert_eq!(word.unpack(), (CompactAction::CALL, u32::MAX.into()));
+        for tag in [CompactAction::SPAWN, CompactAction::WAKE_MESSAGE] {
+            assert_eq!(CompactAction::pack(tag, 0).unpack(), (tag, 0));
+        }
+    }
+
+    /// A token at `2^62` would overwrite the tag bits, so it is refused
+    /// where it is minted.
+    #[test]
+    #[should_panic(expected = "bound of the event queue's action word")]
+    fn token_at_two_pow_62_is_refused_where_minted() {
+        use crate::vp::{VpState, VpTable, WaitClass};
+        let mut t = VpTable::new(0..1, SimTime::ZERO);
+        let mut vp = t.get_mut(Rank(0));
+        vp.rearm_wait(WaitClass::Compute, "wait", max_minted_token());
+        vp.set_state(VpState::Running);
+        vp.begin_wait(WaitClass::Compute, "wait");
     }
 }

@@ -90,6 +90,11 @@ where
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct WaitToken(pub u64);
 
+/// Width of a wait token: the event queue packs a token into the low
+/// 62 bits of a resident event's action word, so
+/// [`VpMut::begin_wait`] mints none at or above `2^62`.
+pub(crate) const WAIT_TOKEN_BITS: u32 = 62;
+
 /// What kind of event can legitimately wake a blocked VP.
 ///
 /// The distinction matters for failure semantics: xSim releases *message*
@@ -454,9 +459,19 @@ impl VpMut<'_> {
 
     /// Begin a new wait: bump the token, record the class and description.
     /// Returns the token the wakeup must carry.
+    ///
+    /// # Panics
+    ///
+    /// If the token would reach `2^62` (after 4.6·10¹⁸ waits of one VP):
+    /// the event queue stores tokens in 62 bits.
     pub fn begin_wait(&mut self, class: WaitClass, desc: &'static str) -> WaitToken {
         debug_assert_eq!(dec_state(self.t.flags[self.i]), VpState::Running);
         let tok = WaitToken(self.t.wait_token[self.i].0 + 1);
+        assert!(
+            tok.0 >> WAIT_TOKEN_BITS == 0,
+            "wait token {} reached the 2^{WAIT_TOKEN_BITS} bound of the event queue's action word",
+            tok.0
+        );
         self.t.wait_token[self.i] = tok;
         self.t.wait_desc[self.i] = self.t.intern(desc);
         let f = &mut self.t.flags[self.i];

@@ -28,8 +28,12 @@ thread_local! {
 
 fn resized(from: usize, to: usize) {
     ALLOCS.set(ALLOCS.get() + (to > 0) as u64);
-    // Both blocks of a `realloc` are live while the contents move.
-    PEAK.set(PEAK.get().max(LIVE.get().wrapping_add(to as u64)));
+    // Both blocks of a growing `realloc` are live while the contents
+    // move. A shrinking one trims the block in place (glibc splits the
+    // chunk or `mremap`s it) and never raises the peak.
+    if to > from {
+        PEAK.set(PEAK.get().max(LIVE.get().wrapping_add(to as u64)));
+    }
     LIVE.set(LIVE.get().wrapping_add(to as u64).wrapping_sub(from as u64));
 }
 
@@ -144,6 +148,9 @@ fn campaign_hold_trace_walks_few_empty_buckets() {
     assert!(per_pop <= 4.0, "{per_pop:.2} empty steps per pop");
 }
 
+/// Bytes of one resident event record.
+const REC: u64 = 32;
+
 /// A spawn wave: 2¹⁸ events at one instant, ascending `dst`. It cannot
 /// be spread over slices, so it must never be re-bucketed or copied:
 /// the peak is the one doubling `realloc` of the buffer it sits in.
@@ -158,17 +165,82 @@ fn same_time_flood_is_never_copied() {
         drain(q)
     });
     eprintln!(
-        "flood: peak {:.2} x 40 B x n, {} buckets, {} rebuilds",
-        peak as f64 / (40 * N) as f64,
+        "flood: peak {:.2} x {REC} B x n, {} buckets, {} rebuilds",
+        peak as f64 / (REC * N) as f64,
         stats.ring_hwm,
         stats.rebuilds
     );
     assert_eq!(stats.rebuilds, 0, "a same-time flood was redistributed");
     assert_eq!(stats.bucket_hwm, N);
     assert!(
-        peak <= 40 * N * 16 / 10 + 64 * KIB,
-        "peak {peak} B for {N} resident 40 B events"
+        peak <= REC * N * 16 / 10 + 64 * KIB,
+        "peak {peak} B for {N} resident {REC} B events"
     );
+}
+
+/// The raw-core ring as a queue: a 2¹⁸-event wave at t = 0, each of
+/// whose pops pushes one event 2 µs and one 10 µs out, drained to the
+/// end. While the wave drains, its bucket must give memory back to the
+/// two it is filling: holding all three at full size costs ≈ 146 B × n.
+#[test]
+fn draining_wave_gives_its_pages_back() {
+    const N: u64 = 1 << 18;
+    let (stats, _, peak) = measured(|| {
+        let mut q = EventQueue::new();
+        for i in 0..N {
+            q.push(ev(0, i as u32, 0));
+        }
+        let mut seq = 1;
+        let mut last = None;
+        while let Some(e) = q.pop() {
+            assert!(last < Some(e.key), "popped out of order");
+            last = Some(e.key);
+            if e.key.time == SimTime::ZERO {
+                for dt in [2_000, 10_000] {
+                    q.push(ev(dt, e.key.dst.0, seq));
+                    seq += 1;
+                }
+            }
+        }
+        q.stats()
+    });
+    eprintln!(
+        "drain wave: peak {:.1} B x n, {} buckets, bucket hwm {}",
+        peak as f64 / N as f64,
+        stats.ring_hwm,
+        stats.bucket_hwm
+    );
+    assert_eq!(stats.pushes, 3 * N);
+    assert!(peak <= 120 * N, "peak {peak} B for a {N}-event wave");
+}
+
+/// Alternating push/pop right at the drain threshold of a giant head
+/// bucket: a shrink must not be undone by the next push and redone by
+/// the next pop.
+#[test]
+fn drain_shrink_does_not_thrash() {
+    const N: u64 = 1 << 18;
+    const OPS: u64 = 100_000;
+    let mut q = EventQueue::new();
+    // Keys above every alternating push below, so each push is the new
+    // minimum: an O(1) append, popped right back.
+    for i in 0..N {
+        q.push(ev(0, (OPS + i) as u32, 0));
+    }
+    // The wave's buffer holds exactly n records; stop one pop short of
+    // half of it.
+    for _ in 0..N / 2 - 1 {
+        q.pop();
+    }
+    let ((), allocs, _) = measured(|| {
+        for i in 0..OPS {
+            q.pop();
+            q.push(ev(0, i as u32, 1));
+        }
+    });
+    eprintln!("no-thrash: {allocs} allocation calls over {OPS} pop/push pairs");
+    assert!(allocs <= 8, "{allocs} allocation calls");
+    assert_eq!(q.len() as u64, N / 2 + 1);
 }
 
 /// An unused queue is free, and a 128-rank spawn wave costs a ring of
