@@ -6,8 +6,8 @@
 //! the `xsim` CLI and the `xsim-bench` harnesses — hands its argv and an
 //! environment lookup to [`Cli::parse`], the one place either is read:
 //!
-//! * `--key value` tokens, plus the bare flags `--quick`, `--power` and
-//!   `--net-faults`. A binary names the keys it reads; any other key is
+//! * `--key value` tokens, plus the bare flags `--quick`, `--mpi`,
+//!   `--power` and `--net-faults`. A binary names the keys it reads; any other key is
 //!   an error that lists them.
 //! * For a binary that reads `--failures`: `XSIM_FAILURES`
 //!   (`rank:seconds,...`) and `XSIM_NET_FAULTS` (`rank:`/`link:`/
@@ -30,7 +30,7 @@ use xsim_mpi::{CkptMode, ProtectionScheme, SimBuilder};
 /// Every subcommand and key any front end reads, space-separated: what
 /// [`FromStr`] accepts.
 const ALL_KEYS: &str = "heat ring ranks global iters ckpt halo laps payload \
-    workers seed failures protection quick net-faults power ops rounds max-vps fit mttf \
+    workers seed failures protection quick mpi net-faults power ops rounds max-vps fit mttf \
     slowdown per-point-ns profile trace";
 /// Keys owned by a subcommand: `heat`'s, `ring`'s, and both.
 const HEAT_KEYS: &str = "ranks global iters ckpt halo";
@@ -38,9 +38,9 @@ const RING_KEYS: &str = "ranks laps payload";
 const APP_KEYS: &str = "ranks global iters ckpt halo laps payload";
 /// The keys of a binary's own knobs (see [`Cli`]), and those of them that
 /// take no value.
-const KNOBS: &str = "quick net-faults power ops rounds max-vps fit mttf slowdown per-point-ns \
-    profile trace";
-const FLAGS: &str = "quick net-faults power";
+const KNOBS: &str = "quick mpi net-faults power ops rounds max-vps fit mttf slowdown \
+    per-point-ns profile trace";
+const FLAGS: &str = "quick mpi net-faults power";
 
 /// Whether the space-separated `list` holds `word`.
 fn has(list: &str, word: &str) -> bool {
@@ -113,6 +113,9 @@ pub struct Cli {
     pub scenario: Scenario,
     /// `--quick`: the reduced scale of a harness.
     pub quick: bool,
+    /// `--mpi`: run the MPI rungs instead of the raw-core ones
+    /// (`vp_scaling`).
+    pub mpi: bool,
     /// `--net-faults`: run the network-fault sections (`ablations`).
     pub net_faults: bool,
     /// `--power`: attach the node power model (`xsim heat`).
@@ -334,6 +337,7 @@ impl Cli {
         Ok(Cli {
             scenario,
             quick: given.flag("quick"),
+            mpi: given.flag("mpi"),
             net_faults: given.flag("net-faults"),
             power: given.flag("power"),
             ops: given.get("ops", num)?,

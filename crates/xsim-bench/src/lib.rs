@@ -6,7 +6,6 @@
 //! * `table2` — varying the checkpoint interval and system MTTF with the
 //!   heat application on the simulated 32,768-node torus.
 //! * `first_impressions` — the failure-mode narrative of §V-D.
-//! * `scalability` — VP capacity/oversubscription sweep (§II-A claims).
 //! * `ablations` — design-choice sweeps from DESIGN.md §4 (engines,
 //!   eager/rendezvous threshold, linear vs tree collectives, detectors).
 //! * `ckpt_sweep` — checkpoint-interval sweep against the Daly optimum.
@@ -15,7 +14,8 @@
 //! * `protection` — FIT × protection-scheme ablation, checkpoint/restart
 //!   vs. replication (`BENCH_protection.json`).
 //! * `queue_bench` — calendar queue vs. a binary heap, self-gating.
-//! * `vp_scaling` — the raw-core VP ladder from 2²⁰ toward 2²⁷ VPs.
+//! * `vp_scaling` — the VP ladder toward the paper's 2²⁷ (§II-A): raw
+//!   core from 2²⁰, or (`--mpi`) a tree allreduce from 2¹⁶ ranks.
 //!
 //! There are no Criterion benches; the end-to-end benchmark is the
 //! standalone `perf/` package.
@@ -25,6 +25,7 @@ use std::collections::BinaryHeap;
 use std::sync::Arc;
 use xsim_apps::heat3d::{self, HeatConfig};
 use xsim_apps::heat3d_rep::{self, RepHeatConfig};
+use xsim_apps::kernels;
 use xsim_ckpt::{CampaignResult, CheckpointManager, Orchestrator, ProtectionCampaign};
 use xsim_core::event::{Action, EventKey, EventRec};
 use xsim_core::vp::VpProgram;
@@ -343,13 +344,19 @@ pub fn mem_available_kib() -> Option<u64> {
 /// (EXPERIMENTS.md §II-A), well under this estimate.
 pub const VP_SCALING_BYTES_PER_VP: u64 = 512;
 
-/// Largest VP count the free-memory gate admits for the scaling ladder
-/// (80% of `MemAvailable` over [`VP_SCALING_BYTES_PER_VP`]), or `None`
-/// when `/proc/meminfo` is unreadable and the gate cannot protect the
-/// host.
-pub fn vp_mem_gate() -> Option<usize> {
+/// The same estimate for one rank of the MPI rungs (`vp_scaling --mpi`):
+/// the rank's future, VP slot and MPI state, its share of the in-flight
+/// events, envelopes and payloads, and allocator slack. The rungs
+/// measure ≈ 1.8 KiB per rank over the whole process (EXPERIMENTS.md
+/// §II-A), under this estimate.
+pub const MPI_SCALING_BYTES_PER_RANK: u64 = 3072;
+
+/// Largest VP count the free-memory gate admits for a ladder costing
+/// `bytes_per_vp` (80% of `MemAvailable` over it), or `None` when
+/// `/proc/meminfo` is unreadable and the gate cannot protect the host.
+pub fn vp_mem_gate(bytes_per_vp: u64) -> Option<usize> {
     let avail = mem_available_kib()? * 1024;
-    Some((avail / 10 * 8 / VP_SCALING_BYTES_PER_VP) as usize)
+    Some((avail / 10 * 8 / bytes_per_vp) as usize)
 }
 
 /// One rung of the VP-scaling ladder (`vp_scaling` bin).
@@ -363,6 +370,8 @@ pub struct VpScalingRow {
     pub rounds: u32,
     /// Events processed.
     pub events: u64,
+    /// Point-to-point messages sent (0 on the raw-core rungs).
+    pub messages: u64,
     /// End-to-end wall time.
     pub wall: std::time::Duration,
     /// Event throughput.
@@ -380,13 +389,52 @@ pub struct VpScalingRow {
 /// an arbitrary scale).
 pub fn run_vp_scaling_rung(vps: usize, workers: usize, rounds: u32) -> VpScalingRow {
     let (report, wall) = run_million_vp(vps, workers, rounds);
-    let events = report.events_processed;
+    scaling_row(vps, workers, rounds, report.events_processed, 0, wall)
+}
+
+/// One MPI rung of the ladder: `compute_allreduce(rounds, 64, 1 ms)`
+/// with tree collectives over `ranks` simulated MPI processes on the
+/// paper machine, its 3-D torus sized to the rank count.
+pub fn run_mpi_scaling_rung(ranks: usize, workers: usize, rounds: u32) -> VpScalingRow {
+    // `ranks` is a power of two: split the exponent across the three
+    // torus dimensions.
+    let e = ranks.trailing_zeros() as usize;
+    let (a, b) = (e / 3, (e - e / 3) / 2);
+    let mut net = NetModel::paper_machine();
+    net.topology = xsim_net::Topology::Torus3d {
+        dims: [1 << a, 1 << b, 1 << (e - a - b)],
+    };
+    let t = std::time::Instant::now();
+    let report = SimBuilder::new(ranks)
+        .net(net)
+        .workers(workers)
+        .collectives(xsim_mpi::CollAlgo::Tree)
+        .run(kernels::compute_allreduce(
+            rounds,
+            64,
+            SimTime::from_millis(1),
+        ))
+        .expect("MPI rung");
+    let wall = t.elapsed();
+    let events = report.sim.events_processed;
+    scaling_row(ranks, workers, rounds, events, report.mpi.sends, wall)
+}
+
+fn scaling_row(
+    vps: usize,
+    workers: usize,
+    rounds: u32,
+    events: u64,
+    messages: u64,
+    wall: std::time::Duration,
+) -> VpScalingRow {
     let secs = wall.as_secs_f64();
     VpScalingRow {
         vps,
         workers,
         rounds,
         events,
+        messages,
         wall,
         events_per_sec: events as f64 / secs,
         host_us_per_event: secs * 1e6 / events as f64,

@@ -58,6 +58,7 @@ pub(crate) fn assemble_report(
     let mut failures = Vec::new();
     let mut abort_time: Option<SimTime> = None;
     let mut events_processed = 0;
+    let mut digest = 0u64;
     let mut context_switches = 0;
     let mut shard_stats = Vec::with_capacity(shards.len());
 
@@ -88,6 +89,7 @@ pub(crate) fn assemble_report(
             (a, b) => a.or(b),
         };
         events_processed += shard.events_processed;
+        digest = digest.wrapping_add(shard.digest);
         context_switches += shard.context_switches;
         shard_stats.push(ShardStats {
             shard_id: shard.shard_id,
@@ -128,6 +130,7 @@ pub(crate) fn assemble_report(
         failures,
         abort_time,
         events_processed,
+        digest,
         context_switches,
         shards: shard_stats,
         profile,

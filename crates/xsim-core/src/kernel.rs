@@ -43,6 +43,23 @@ pub type FailHook = Arc<dyn Fn(&mut Kernel, Rank, SimTime) + Send + Sync>;
 /// `Drop` order.
 pub type ShutdownHook = Arc<dyn Fn(&mut Kernel) + Send + Sync>;
 
+/// One executed event's share of the run digest: its key and action
+/// kind (0 spawn, 1 token wake, 2 message wake, 3 call), folded into one
+/// word and finished with the splitmix64 mixer, so any change to any
+/// field moves the term. Neither the key nor the kind depends on the
+/// engine or the shard layout, and the digest is a wrapping sum of
+/// terms, so it does not depend on the order shards process events.
+#[inline]
+fn digest_term(key: &EventKey, kind: u64) -> u64 {
+    let ranks = (u64::from(key.dst.0) << 32) | u64::from(key.src.0);
+    let mut x = key.time.as_nanos().wrapping_mul(0x9E37_79B9_7F4A_7C15)
+        ^ ranks.wrapping_mul(0xC2B2_AE3D_27D4_EB4F)
+        ^ (key.seq << 2 | kind).wrapping_mul(0x1656_67B1_9E37_79F9);
+    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    x ^ (x >> 31)
+}
+
 /// One shard of the simulation.
 pub struct Kernel {
     /// Index of this shard.
@@ -90,6 +107,9 @@ pub struct Kernel {
     pub(crate) abort_time: Option<SimTime>,
     /// Events processed by this shard.
     pub(crate) events_processed: u64,
+    /// Wrapping sum of [`digest_term`] over the events this shard
+    /// processed (see [`SimReport::digest`](crate::SimReport::digest)).
+    pub(crate) digest: u64,
     /// VP resumes performed by this shard.
     pub(crate) context_switches: u64,
     /// High-water mark of this shard's pending-event queue.
@@ -124,6 +144,7 @@ impl Kernel {
             failures: Vec::new(),
             abort_time: None,
             events_processed: 0,
+            digest: 0,
             context_switches: 0,
             queue_depth_hwm: 0,
         }
@@ -322,6 +343,13 @@ impl Kernel {
     /// in non-decreasing key order per destination rank.
     pub fn process(&mut self, ev: EventRec) {
         self.events_processed += 1;
+        let kind = match ev.action {
+            Action::Spawn => 0,
+            Action::WakeToken(_) => 1,
+            Action::WakeMessage => 2,
+            Action::Call(_) => 3,
+        };
+        self.digest = self.digest.wrapping_add(digest_term(&ev.key, kind));
         let dst = ev.key.dst;
         let prev_attrib = self.attrib;
         self.attrib = Some(dst);

@@ -167,6 +167,12 @@ pub struct SimReport {
     pub abort_time: Option<SimTime>,
     /// Total number of events processed.
     pub events_processed: u64,
+    /// Run digest: the wrapping sum, over every executed event, of a
+    /// 64-bit mix of its key `(time, dst, src, seq)` and its action kind.
+    /// Equal digests mean the same multiset of events ran, whatever the
+    /// engine, worker count or shard layout; one event moved, added or
+    /// dropped changes it. It does not see payload bytes.
+    pub digest: u64,
     /// Total number of VP resumes (context switches into VPs).
     pub context_switches: u64,
     /// Per-shard engine counters (one entry for the sequential engine).

@@ -25,10 +25,10 @@ pub fn initiate_abort_here() -> MpiError {
             let delay = svc.world.notify_delay;
             let verbose = svc.world.verbose;
             let rm = svc.rank_mut(me);
-            if let Some(t) = rm.aborted {
+            if let Some(t) = rm.aborted() {
                 return MpiError::Aborted { time: t };
             }
-            rm.aborted = Some(now);
+            rm.note_abort(now);
             if verbose {
                 eprintln!("xsim-mpi: MPI_Abort invoked at rank {me} at time {now}");
             }
@@ -62,15 +62,7 @@ fn abort_notice(k: &mut Kernel, me: Rank, t_abort: SimTime) {
     // Two racing aborts deliver two notices; `me` must activate at the
     // *earliest* abort time, not at whichever notice arrives last — so
     // arm the clock activation and the wakeup with the min.
-    let t_min = with_mpi(k, |_k, svc| {
-        let rm = svc.rank_mut(me);
-        let t = match rm.aborted {
-            Some(t) => t.min(t_abort),
-            None => t_abort,
-        };
-        rm.aborted = Some(t);
-        t
-    });
+    let t_min = with_mpi(k, |_k, svc| svc.rank_mut(me).note_abort(t_abort));
     k.set_abort_at(me, t_min);
     k.wake_if_message_blocked(me, t_min);
 }

@@ -90,15 +90,12 @@ fn coll_begin(comm: CommId) -> Result<(usize, usize, u32), MpiError> {
 fn coll_begin_counted(comm: CommId, count: bool) -> Result<(usize, usize, u32), MpiError> {
     ctx::with_kernel(|k, me| {
         let svc = k.service_mut::<MpiService>();
-        let rm = svc.rank_mut(me);
-        p2p::entry_checks(rm, comm)?;
-        if count {
-            rm.stats.collectives += 1;
-        }
-        let view = rm.comms.view_mut(comm).expect("checked");
-        view.coll_seq += 1;
-        let tag = COLL_TAG_BASE + (view.coll_seq as u32 & (COLL_TAG_BASE - 1));
-        Ok((view.my_rank, view.size(), tag))
+        let view = p2p::entry_checks(svc, me, comm)?;
+        let (my_rank, size) = (view.my_rank, view.size());
+        svc.stats.collectives += u64::from(count);
+        let seq = svc.rank_mut(me).next_coll_seq(comm).expect("checked");
+        let tag = COLL_TAG_BASE + (seq as u32 & (COLL_TAG_BASE - 1));
+        Ok((my_rank, size, tag))
     })
 }
 

@@ -86,9 +86,7 @@ impl MpiCtx {
     pub fn comm_rank(&self, comm: Comm) -> Result<usize, MpiError> {
         ctx::with_kernel(|k, me| {
             let svc = k.service::<MpiService>();
-            svc.rank(me)
-                .comms
-                .view(comm.id)
+            svc.view(me, comm.id)
                 .map(|v| v.my_rank)
                 .ok_or(MpiError::Invalid("unknown communicator"))
         })
@@ -98,9 +96,7 @@ impl MpiCtx {
     pub fn comm_size(&self, comm: Comm) -> Result<usize, MpiError> {
         ctx::with_kernel(|k, me| {
             let svc = k.service::<MpiService>();
-            svc.rank(me)
-                .comms
-                .view(comm.id)
+            svc.view(me, comm.id)
                 .map(|v| v.size())
                 .ok_or(MpiError::Invalid("unknown communicator"))
         })
@@ -148,9 +144,7 @@ impl MpiCtx {
             Err(e) => {
                 let handler = ctx::with_kernel(|k, me| {
                     let svc = k.service::<MpiService>();
-                    svc.rank(me)
-                        .comms
-                        .view(comm.id)
+                    svc.view(me, comm.id)
                         .map(|v| v.errhandler.clone())
                         .unwrap_or(ErrHandler::Fatal)
                 });
@@ -471,13 +465,11 @@ impl MpiCtx {
     pub fn comm_dup(&self, comm: Comm) -> Result<Comm, MpiError> {
         ctx::with_kernel(|k, me| {
             let svc = k.service_mut::<MpiService>();
-            let rm = svc.rank_mut(me);
-            p2p::entry_checks(rm, comm.id)?;
             let (members, handler) = {
-                let v = rm.comms.view(comm.id).expect("checked");
+                let v = p2p::entry_checks(svc, me, comm.id)?;
                 (v.members.clone(), v.errhandler.clone())
             };
-            let id = rm.comms.install(members, me, handler);
+            let id = svc.rank_mut(me).comms_mut().install(members, me, handler);
             Ok(Comm { id })
         })
     }
@@ -501,11 +493,8 @@ impl MpiCtx {
         let members = ctx::with_kernel(|k, me| {
             let svc = k.service::<MpiService>();
             let view = svc
-                .rank(me)
-                .comms
-                .view(comm.id)
+                .view(me, comm.id)
                 .ok_or(MpiError::Invalid("unknown communicator"))?;
-            let _ = me;
             Ok::<_, MpiError>(view.members.clone())
         })?;
 
@@ -525,14 +514,14 @@ impl MpiCtx {
         ctx::with_kernel(|k, me| {
             let svc = k.service_mut::<MpiService>();
             let handler = svc.world.default_errhandler.clone();
-            let rm = svc.rank_mut(me);
+            let comms = svc.rank_mut(me).comms_mut();
             match mine {
                 Some((_, group)) => {
-                    let id = rm.comms.install(Arc::new(group), me, handler);
+                    let id = comms.install(Arc::new(group), me, handler);
                     Ok(Some(Comm { id }))
                 }
                 None => {
-                    rm.comms.skip_id();
+                    comms.skip_id();
                     Ok(None)
                 }
             }

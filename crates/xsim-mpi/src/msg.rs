@@ -91,7 +91,8 @@ pub struct Envelope {
     pub tag: u32,
     /// Payload.
     pub data: Bytes,
-    /// Per-(src → dst) send sequence number (diagnostic).
+    /// Per-(src → dst) send sequence number under a lossy transport
+    /// (the key of its loss draws); 0 on the reliable one.
     pub seq: u64,
     /// Virtual time the header arrived at the receiver.
     pub header_arrival: SimTime,
@@ -120,23 +121,6 @@ impl Envelope {
     }
 }
 
-/// A posted receive awaiting a match.
-#[derive(Debug, Clone)]
-pub struct PostedRecv {
-    /// Receive request id (receiver-local, unique).
-    pub req: u64,
-    /// Communicator.
-    pub comm: CommId,
-    /// Source selector.
-    pub src: SrcSel,
-    /// Tag selector.
-    pub tag: TagSel,
-    /// Virtual time the receive was posted.
-    pub posted_at: SimTime,
-    /// Post-order stamp, assigned by the queue (earlier = matched first).
-    pub post_seq: u64,
-}
-
 /// Where an item queues: `(communicator, source, tag)`, `None` standing
 /// for a wildcard selector (only posted receives have those).
 type Bucket = (CommId, Option<Rank>, Option<u32>);
@@ -154,12 +138,16 @@ fn key_range(bucket: Bucket) -> (MatchKey, MatchKey) {
     (stamped(bucket, 0), stamped(bucket, u64::MAX))
 }
 
+/// One matching entry. Its key already says where it queues and when,
+/// so the entry carries only what the key cannot: a posted receive's
+/// request id, or an unexpected message in the transport box it arrived
+/// in: 48 B a slot, key included.
 #[derive(Debug)]
 enum Item {
     /// An unexpected message (always in an exact bucket).
-    Env(Envelope),
-    /// A posted, unmatched receive.
-    Recv(PostedRecv),
+    Env(Box<Envelope>),
+    /// A posted, unmatched receive: its request id.
+    Recv(u64),
 }
 
 /// The matching state of one receiver: unexpected messages and posted
@@ -204,9 +192,10 @@ impl MatchQueues {
     }
 
     /// Deliver an arrived envelope: match it against the earliest-posted
-    /// fitting receive, or queue it as unexpected. Returns the matched
-    /// receive and the envelope when a match happened.
-    pub fn deliver(&mut self, env: Envelope) -> Option<(PostedRecv, Envelope)> {
+    /// fitting receive, or queue it (box and all) as unexpected. Returns
+    /// the matched receive's request id and the envelope when a match
+    /// happened.
+    pub fn deliver(&mut self, env: Box<Envelope>) -> Option<(u64, Box<Envelope>)> {
         let (src, tag) = (Some(env.src), Some(env.tag));
         let exact = (env.comm, src, tag);
         let mut best: Option<MatchKey> = None;
@@ -227,10 +216,10 @@ impl MatchQueues {
         }
         match best {
             Some(key) => {
-                let Some(Item::Recv(posted)) = self.items.remove(&key) else {
+                let Some(Item::Recv(req)) = self.items.remove(&key) else {
                     unreachable!("candidate is a posted receive");
                 };
-                Some((posted, env))
+                Some((req, env))
             }
             None => {
                 let stamp = self.next_stamp();
@@ -271,20 +260,26 @@ impl MatchQueues {
         }
     }
 
-    /// Post a receive: match it against the earliest-delivered fitting
-    /// unexpected message, or queue it. Returns the matched envelope.
-    pub fn post(&mut self, mut recv: PostedRecv) -> Option<Envelope> {
-        if let Some((key, _)) = self.earliest_unexpected(recv.comm, recv.src, recv.tag) {
+    /// Post receive request `req` on `comm` with selectors `src`/`tag`:
+    /// match it against the earliest-delivered fitting unexpected
+    /// message, or queue it. Returns the matched envelope.
+    pub fn post(
+        &mut self,
+        req: u64,
+        comm: CommId,
+        src: SrcSel,
+        tag: TagSel,
+    ) -> Option<Box<Envelope>> {
+        if let Some((key, _)) = self.earliest_unexpected(comm, src, tag) {
             let Some(Item::Env(env)) = self.items.remove(&key) else {
                 unreachable!("found above");
             };
             self.n_unexpected -= 1;
             return Some(env);
         }
-        recv.post_seq = self.next_stamp();
-        let bucket = (recv.comm, recv.src.rank(), recv.tag.tag());
-        self.items
-            .insert(stamped(bucket, recv.post_seq), Item::Recv(recv));
+        let stamp = self.next_stamp();
+        let bucket = (comm, src.rank(), tag.tag());
+        self.items.insert(stamped(bucket, stamp), Item::Recv(req));
         None
     }
 
@@ -305,7 +300,7 @@ impl MatchQueues {
         let found = self
             .items
             .range(lo, hi)
-            .find(|(_, item)| matches!(item, Item::Recv(p) if p.req == req))
+            .find(|(_, item)| matches!(item, Item::Recv(r) if *r == req))
             .map(|(key, _)| key);
         found.is_some_and(|key| self.items.remove(&key).is_some())
     }
@@ -315,8 +310,8 @@ impl MatchQueues {
 mod tests {
     use super::*;
 
-    fn env(src: u32, tag: u32, seq: u64, arrival_ns: u64) -> Envelope {
-        Envelope {
+    fn env(src: u32, tag: u32, seq: u64, arrival_ns: u64) -> Box<Envelope> {
+        Box::new(Envelope {
             src: Rank(src),
             comm: CommId(0),
             tag,
@@ -325,18 +320,23 @@ mod tests {
             header_arrival: SimTime(arrival_ns),
             payload_ready: Some(SimTime(arrival_ns)),
             send_req: None,
+        })
+    }
+
+    /// A receive on communicator 0: request id and selectors.
+    fn recv(req: u64, src: SrcSel, tag: TagSel) -> (u64, SrcSel, TagSel) {
+        (req, src, tag)
+    }
+
+    impl MatchQueues {
+        fn post_recv(&mut self, (req, src, tag): (u64, SrcSel, TagSel)) -> Option<Box<Envelope>> {
+            self.post(req, CommId(0), src, tag)
         }
     }
 
-    fn recv(req: u64, src: SrcSel, tag: TagSel) -> PostedRecv {
-        PostedRecv {
-            req,
-            comm: CommId(0),
-            src,
-            tag,
-            posted_at: SimTime(0),
-            post_seq: 0,
-        }
+    #[test]
+    fn a_matching_slot_holds_a_key_and_a_word() {
+        assert!(size_of::<(MatchKey, Item)>() <= 56);
     }
 
     #[test]
@@ -344,7 +344,9 @@ mod tests {
         let mut q = MatchQueues::default();
         assert!(q.deliver(env(1, 7, 0, 10)).is_none());
         assert_eq!(q.unexpected_len(), 1);
-        let m = q.post(recv(0, SrcSel::Of(Rank(1)), TagSel::Of(7))).unwrap();
+        let m = q
+            .post_recv(recv(0, SrcSel::Of(Rank(1)), TagSel::Of(7)))
+            .unwrap();
         assert_eq!(m.src, Rank(1));
         assert_eq!(q.unexpected_len(), 0);
     }
@@ -352,9 +354,9 @@ mod tests {
     #[test]
     fn post_then_deliver_matches() {
         let mut q = MatchQueues::default();
-        assert!(q.post(recv(0, SrcSel::Any, TagSel::Any)).is_none());
+        assert!(q.post_recv(recv(0, SrcSel::Any, TagSel::Any)).is_none());
         let (r, e) = q.deliver(env(3, 9, 0, 5)).unwrap();
-        assert_eq!(r.req, 0);
+        assert_eq!(r, 0);
         assert_eq!(e.src, Rank(3));
         assert_eq!(q.posted_len(), 0);
     }
@@ -365,9 +367,13 @@ mod tests {
         // Headers arrive in send order (same pair, same latency).
         q.deliver(env(1, 7, 0, 10));
         q.deliver(env(1, 7, 1, 11));
-        let m = q.post(recv(0, SrcSel::Of(Rank(1)), TagSel::Of(7))).unwrap();
+        let m = q
+            .post_recv(recv(0, SrcSel::Of(Rank(1)), TagSel::Of(7)))
+            .unwrap();
         assert_eq!(m.seq, 0, "first-sent must match first");
-        let m2 = q.post(recv(1, SrcSel::Of(Rank(1)), TagSel::Of(7))).unwrap();
+        let m2 = q
+            .post_recv(recv(1, SrcSel::Of(Rank(1)), TagSel::Of(7)))
+            .unwrap();
         assert_eq!(m2.seq, 1);
     }
 
@@ -376,9 +382,9 @@ mod tests {
         let mut q = MatchQueues::default();
         q.deliver(env(1, 7, 0, 10));
         q.deliver(env(2, 7, 0, 20));
-        let m = q.post(recv(0, SrcSel::Any, TagSel::Of(7))).unwrap();
+        let m = q.post_recv(recv(0, SrcSel::Any, TagSel::Of(7))).unwrap();
         assert_eq!(m.src, Rank(1), "earliest delivered wins");
-        let m2 = q.post(recv(1, SrcSel::Any, TagSel::Of(7))).unwrap();
+        let m2 = q.post_recv(recv(1, SrcSel::Any, TagSel::Of(7))).unwrap();
         assert_eq!(m2.src, Rank(2));
     }
 
@@ -387,12 +393,12 @@ mod tests {
         let mut q = MatchQueues::default();
         q.deliver(env(1, 7, 0, 10));
         assert!(q
-            .post(recv(0, SrcSel::Of(Rank(1)), TagSel::Of(8)))
+            .post_recv(recv(0, SrcSel::Of(Rank(1)), TagSel::Of(8)))
             .is_none());
         assert_eq!(q.posted_len(), 1);
         assert!(q.deliver(env(1, 9, 1, 12)).is_none());
         let (r, _) = q.deliver(env(1, 8, 2, 13)).unwrap();
-        assert_eq!(r.req, 0);
+        assert_eq!(r, 0);
     }
 
     #[test]
@@ -401,7 +407,7 @@ mod tests {
         let mut e = env(1, 7, 0, 10);
         e.comm = CommId(5);
         q.deliver(e);
-        assert!(q.post(recv(0, SrcSel::Any, TagSel::Any)).is_none());
+        assert!(q.post_recv(recv(0, SrcSel::Any, TagSel::Any)).is_none());
         assert_eq!(q.posted_len(), 1);
         assert_eq!(q.unexpected_len(), 1);
     }
@@ -409,29 +415,29 @@ mod tests {
     #[test]
     fn fifo_among_posted_recvs() {
         let mut q = MatchQueues::default();
-        q.post(recv(0, SrcSel::Any, TagSel::Any));
-        q.post(recv(1, SrcSel::Any, TagSel::Any));
+        q.post_recv(recv(0, SrcSel::Any, TagSel::Any));
+        q.post_recv(recv(1, SrcSel::Any, TagSel::Any));
         let (r, _) = q.deliver(env(5, 1, 0, 3)).unwrap();
-        assert_eq!(r.req, 0, "oldest posted recv matches first");
+        assert_eq!(r, 0, "oldest posted recv matches first");
     }
 
     #[test]
     fn earlier_wildcard_beats_later_specific() {
         let mut q = MatchQueues::default();
-        q.post(recv(0, SrcSel::Any, TagSel::Any));
-        q.post(recv(1, SrcSel::Of(Rank(5)), TagSel::Of(1)));
+        q.post_recv(recv(0, SrcSel::Any, TagSel::Any));
+        q.post_recv(recv(1, SrcSel::Of(Rank(5)), TagSel::Of(1)));
         let (r, _) = q.deliver(env(5, 1, 0, 3)).unwrap();
-        assert_eq!(r.req, 0, "posting order decides, not specificity");
+        assert_eq!(r, 0, "posting order decides, not specificity");
         let (r2, _) = q.deliver(env(5, 1, 1, 4)).unwrap();
-        assert_eq!(r2.req, 1);
+        assert_eq!(r2, 1);
     }
 
     #[test]
     fn cancel_posted_removes_the_entry() {
         let mut q = MatchQueues::default();
-        q.post(recv(7, SrcSel::Any, TagSel::Any));
-        q.post(recv(8, SrcSel::Any, TagSel::Any));
-        q.post(recv(9, SrcSel::Of(Rank(1)), TagSel::Of(1)));
+        q.post_recv(recv(7, SrcSel::Any, TagSel::Any));
+        q.post_recv(recv(8, SrcSel::Any, TagSel::Any));
+        q.post_recv(recv(9, SrcSel::Of(Rank(1)), TagSel::Of(1)));
         assert!(q.cancel_posted(7, CommId(0), SrcSel::Any));
         assert!(!q.cancel_posted(7, CommId(0), SrcSel::Any));
         assert!(
@@ -441,7 +447,7 @@ mod tests {
         assert_eq!(q.posted_len(), 2);
         // The delivery matches 8, the earliest receive still posted.
         let (r, _) = q.deliver(env(1, 1, 0, 1)).unwrap();
-        assert_eq!(r.req, 8);
+        assert_eq!(r, 8);
         assert!(q.cancel_posted(9, CommId(0), SrcSel::Of(Rank(1))));
         assert_eq!(q.posted_len(), 0);
         assert_eq!(q.retained_entries(), 0);
@@ -474,11 +480,11 @@ mod tests {
         let mut q = MatchQueues::default();
         let n = 10_000u32;
         for i in 0..n {
-            q.post(recv(i as u64, SrcSel::Of(Rank(i)), TagSel::Of(42)));
+            q.post_recv(recv(i as u64, SrcSel::Of(Rank(i)), TagSel::Of(42)));
         }
         for i in (0..n).rev() {
             let (r, _) = q.deliver(env(i, 42, 0, i as u64)).unwrap();
-            assert_eq!(r.req, i as u64);
+            assert_eq!(r, i as u64);
         }
         assert_eq!(q.posted_len(), 0);
     }

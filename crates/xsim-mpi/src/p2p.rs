@@ -29,9 +29,9 @@
 //!
 //! [`LossyTransport`]: crate::state::LossyTransport
 
-use crate::comm::CommId;
+use crate::comm::{CommId, CommView};
 use crate::error::MpiError;
-use crate::msg::{Envelope, PostedRecv, SrcSel, TagSel};
+use crate::msg::{Envelope, SrcSel, TagSel};
 use crate::request::{RecvOut, ReqId, ReqKind, ReqResult};
 use crate::state::{
     escalate_unreachable, schedule_request_failure, MpiService, RankMpi, TxOutcome,
@@ -60,29 +60,34 @@ pub(crate) fn with_mpi<R>(k: &mut Kernel, f: impl FnOnce(&mut Kernel, &mut MpiSe
     r
 }
 
-/// Common operation entry checks: abort observed? communicator known and
-/// (unless exempted, as for ULFM shrink traffic) not revoked?
+/// Common operation entry checks at `me`: abort observed? communicator
+/// known and (unless exempted, as for ULFM shrink traffic) not revoked?
+/// Returns the rank's view of the communicator.
 pub(crate) fn entry_checks_ex(
-    rm: &RankMpi,
+    svc: &MpiService,
+    me: Rank,
     comm: CommId,
     allow_revoked: bool,
-) -> Result<(), MpiError> {
-    if let Some(t) = rm.aborted {
+) -> Result<CommView<'_>, MpiError> {
+    if let Some(t) = svc.rank(me).aborted() {
         return Err(MpiError::Aborted { time: t });
     }
-    let view = rm
-        .comms
-        .view(comm)
+    let view = svc
+        .view(me, comm)
         .ok_or(MpiError::Invalid("unknown communicator"))?;
     if !allow_revoked && view.revoked.is_some() {
         return Err(MpiError::Revoked);
     }
-    Ok(())
+    Ok(view)
 }
 
 /// Entry checks with the standard revoke semantics.
-pub(crate) fn entry_checks(rm: &RankMpi, comm: CommId) -> Result<(), MpiError> {
-    entry_checks_ex(rm, comm, false)
+pub(crate) fn entry_checks(
+    svc: &MpiService,
+    me: Rank,
+    comm: CommId,
+) -> Result<CommView<'_>, MpiError> {
+    entry_checks_ex(svc, me, comm, false)
 }
 
 // ----------------------------------------------------------------------
@@ -232,19 +237,23 @@ fn post_send(args: SendArgs) -> Result<(ReqId, SimTime), MpiError> {
     ctx::with_kernel(|k, me| {
         with_mpi(k, |k, svc| {
             let now = k.vp(me).clock();
-            let rm = svc.rank_mut(me);
-            entry_checks_ex(rm, comm, allow_revoked)?;
-            let view = rm.comms.view(comm).expect("checked");
-            let dst_world = view
+            let dst_world = entry_checks_ex(svc, me, comm, allow_revoked)?
                 .world_rank(dst)
                 .ok_or(MpiError::Invalid("destination rank out of range"))?;
-            rm.stats.sends += 1;
-            rm.stats.bytes_sent += data.len() as u64;
-            let seq = rm.next_send_seq(dst_world);
+            svc.stats.sends += 1;
+            svc.stats.bytes_sent += data.len() as u64;
+            let lossy = svc.world.lossy.is_some();
+            let rm = svc.rank_mut(me);
+            // Only the loss draws read the per-pair counter.
+            let seq = if lossy {
+                rm.next_send_seq(dst_world)
+            } else {
+                0
+            };
             let req = rm
                 .reqs
                 .create(ReqKind::Send, comm, SrcSel::Of(dst_world), tag, now);
-            let known_failed = rm.failed.get(dst_world);
+            let known_failed = rm.failed().get(dst_world);
 
             // The shared configuration is borrowed, not cloned: the
             // refcount is one cache line every worker would hammer.
@@ -408,9 +417,7 @@ pub(crate) fn irecv_ex(
     ctx::with_kernel(|k, me| {
         with_mpi(k, |k, svc| {
             let now = k.vp(me).clock();
-            let rm = svc.rank_mut(me);
-            entry_checks_ex(rm, comm, allow_revoked)?;
-            let view = rm.comms.view(comm).expect("checked");
+            let view = entry_checks_ex(svc, me, comm, allow_revoked)?;
             let src_sel = match src {
                 Some(cr) => SrcSel::Of(
                     view.world_rank(cr)
@@ -423,17 +430,18 @@ pub(crate) fn irecv_ex(
                 None => TagSel::Any,
             };
 
-            rm.stats.recvs += 1;
+            svc.stats.recvs += 1;
+            let rm = svc.rank_mut(me);
             let req = rm
                 .reqs
                 .create(ReqKind::Recv, comm, src_sel, tag.unwrap_or(0), now);
 
             // Failure interactions (paper §IV-C).
             let failure = match src_sel {
-                SrcSel::Of(s) => rm.failed.get(s).map(|tof| (s, tof)),
+                SrcSel::Of(s) => rm.failed().get(s).map(|tof| (s, tof)),
                 // Wildcard receives fail while an unacknowledged failure
                 // exists — unless a message matches first.
-                SrcSel::Any => rm.failed.first_unacked(),
+                SrcSel::Any => rm.failed().first_unacked(),
             };
             if let Some((dead, tof)) = failure {
                 let at = svc.world.failure_error_time(me, dead, now, tof);
@@ -443,15 +451,8 @@ pub(crate) fn irecv_ex(
                 }
             }
 
-            let posted = PostedRecv {
-                req: req.0,
-                comm,
-                src: src_sel,
-                tag: tag_sel,
-                posted_at: now,
-                post_seq: 0,
-            };
-            if let Some(env) = svc.rank_mut(me).queues.post(posted) {
+            let queues = &mut svc.rank_mut(me).queues;
+            if let Some(env) = queues.post(req.0, comm, src_sel, tag_sel) {
                 complete_match(k, svc, me, req, env, now);
             }
             Ok(req)
@@ -468,13 +469,11 @@ fn deliver(k: &mut Kernel, dst: Rank, env: Box<Envelope>) {
         return;
     }
     let queued_at = with_mpi(k, |k, svc| {
-        // Recycle the transport box into this (destination) shard's
-        // pool; the envelope continues by value.
-        let env = svc.env_unbox(env);
         let t_match = env.header_arrival;
+        // An unexpected message waits in its transport box.
         match svc.rank_mut(dst).queues.deliver(env) {
-            Some((posted, env)) => {
-                complete_match(k, svc, dst, ReqId(posted.req), env, t_match);
+            Some((req, env)) => {
+                complete_match(k, svc, dst, ReqId(req), env, t_match);
                 None
             }
             // Queued as unexpected: a blocked prober may be waiting for
@@ -500,9 +499,12 @@ fn complete_match(
     svc: &mut MpiService,
     dst: Rank,
     req: ReqId,
-    env: Envelope,
+    env: Box<Envelope>,
     t_match: SimTime,
 ) {
+    // Recycle the transport box into this (destination) shard's pool;
+    // the envelope continues by value.
+    let env = svc.env_unbox(env);
     let recv_ov = svc.world.net.recv_overhead;
     let (base, send_finish) = match env.payload_ready {
         Some(ready) => (t_match.max(ready), None),
@@ -532,10 +534,7 @@ fn complete_match(
         // Drain contention: completions at this rank serialize at
         // recv_overhead spacing (receiver-local state, so both engines
         // order them identically).
-        let rm = svc.rank_mut(dst);
-        let at = base.max(rm.recv_free) + recv_ov;
-        rm.recv_free = at;
-        at
+        svc.rank_mut(dst).drain_recv(base, recv_ov)
     } else {
         base + recv_ov
     };
@@ -587,7 +586,7 @@ fn finish_request(k: &mut Kernel, owner: Rank, req: ReqId, at: SimTime, result: 
 fn poll_request(k: &mut Kernel, me: Rank, req: ReqId) -> Poll<ReqResult> {
     let now = k.vp(me).clock();
     let rm = k.service_mut::<MpiService>().rank_mut(me);
-    if let Some(t) = rm.aborted {
+    if let Some(t) = rm.aborted() {
         return Poll::Ready(Err(MpiError::Aborted { time: t }));
     }
     match rm.reqs.try_take(req, now) {
@@ -857,9 +856,7 @@ pub fn iprobe_raw(
 ) -> Result<Option<(Rank, u32, usize)>, MpiError> {
     ctx::with_kernel(|k, me| {
         let svc = k.service::<MpiService>();
-        let rm = svc.rank(me);
-        entry_checks(rm, comm)?;
-        let view = rm.comms.view(comm).expect("checked");
+        let view = entry_checks(svc, me, comm)?;
         let src_sel = match src {
             Some(cr) => SrcSel::Of(
                 view.world_rank(cr)
@@ -871,7 +868,7 @@ pub fn iprobe_raw(
             Some(t) => TagSel::Of(t),
             None => TagSel::Any,
         };
-        Ok(rm.queues.peek(comm, src_sel, tag_sel))
+        Ok(svc.rank(me).queues.peek(comm, src_sel, tag_sel))
     })
 }
 
@@ -891,23 +888,19 @@ pub async fn probe_raw(
         // failure interactions by checking the failed list directly.
         let failed: Option<MpiError> = ctx::with_kernel(|k, me| {
             let svc = k.service::<MpiService>();
-            let rm = svc.rank(me);
-            let view = rm.comms.view(comm)?;
+            let failed = svc.rank(me).failed();
             match src {
                 Some(cr) => {
-                    let s = view.world_rank(cr)?;
-                    rm.failed.get(s).map(|tof| MpiError::ProcFailed {
+                    let s = svc.view(me, comm)?.world_rank(cr)?;
+                    failed.get(s).map(|tof| MpiError::ProcFailed {
                         rank: s,
                         time_of_failure: tof,
                     })
                 }
-                None => rm
-                    .failed
-                    .first_unacked()
-                    .map(|(r, tof)| MpiError::ProcFailed {
-                        rank: r,
-                        time_of_failure: tof,
-                    }),
+                None => failed.first_unacked().map(|(r, tof)| MpiError::ProcFailed {
+                    rank: r,
+                    time_of_failure: tof,
+                }),
             }
         });
         if let Some(e) = failed {

@@ -24,6 +24,13 @@ pub(crate) enum SmallMap<K, V> {
 
 impl<K, V> Default for SmallMap<K, V> {
     fn default() -> Self {
+        Self::new()
+    }
+}
+
+impl<K, V> SmallMap<K, V> {
+    /// An empty map (no heap).
+    pub(crate) const fn new() -> Self {
         SmallMap::Few(Vec::new())
     }
 }

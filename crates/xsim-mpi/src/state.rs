@@ -1,7 +1,7 @@
 //! Per-rank MPI state, the kernel service holding it, and the
 //! failure-notification machinery (paper §IV-B/C).
 
-use crate::comm::CommTable;
+use crate::comm::{CommId, CommTable, CommView};
 use crate::error::{ErrHandler, MpiError};
 use crate::msg::{Envelope, MatchQueues};
 use crate::request::{ReqId, ReqKind, RequestTable};
@@ -200,7 +200,7 @@ impl MpiWorld {
     }
 }
 
-/// Counters aggregated across ranks and shards, surfaced in
+/// Counters aggregated across shards, surfaced in
 /// [`crate::builder::RunReport`].
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct MpiStats {
@@ -290,32 +290,26 @@ impl FailedList {
 
 /// The MPI state of one simulated rank.
 ///
-/// Everything here is inline or unallocated until used: a rank that
-/// never communicates owns no heap besides the shared world group, and
-/// the containers give their memory back when they drain (DESIGN.md
-/// §2.5 has the budget).
+/// Inline is only what a communicating rank touches on every operation:
+/// its matching queues and requests, the world communicator's collective
+/// counter and the completion feed. Fault-path and configuration-gated
+/// state lives in one cold record boxed on first use, so a rank that
+/// never meets a failure, an abort, a revoke, a derived communicator, an
+/// error-handler override, `serialize_recv` or a lossy transport pays a
+/// null pointer for all of it. The containers give their memory back
+/// when they drain (DESIGN.md §2.5 has the budget).
 pub struct RankMpi {
     /// This rank.
     pub me: Rank,
+    /// Whether `finalize` was called.
+    pub finalized: bool,
     /// Matching queues (posted receives / unexpected messages).
     pub queues: MatchQueues,
     /// Outstanding requests.
     pub reqs: RequestTable,
-    /// Communicator table.
-    pub comms: CommTable,
-    /// This rank's list of known-failed processes.
-    pub failed: FailedList,
-    /// Set when this rank has observed (or initiated) an abort.
-    pub aborted: Option<SimTime>,
-    /// Whether `finalize` was called.
-    pub finalized: bool,
-    /// Per-destination send sequence numbers (non-overtaking bookkeeping
-    /// and the key of the lossy-transport draws).
-    send_seq: SmallMap<Rank, u64>,
-    /// Receiver-NIC drain horizon for the optional contention model
-    /// (`NetModel::serialize_recv`): no message completion at this rank
-    /// may precede it.
-    pub recv_free: SimTime,
+    /// Collectives started on `MPI_COMM_WORLD` (a derived communicator
+    /// counts in its [`CommTable`] entry).
+    world_coll_seq: u64,
     /// Request ids completed since the owning VP last drained the feed;
     /// `Some` only while a `waitall`/`waitany` of this rank is watching.
     /// Lets those re-check only fresh completions instead of rescanning
@@ -326,36 +320,124 @@ pub struct RankMpi {
     /// idle rank pays for.
     #[allow(clippy::box_collection)]
     completion_feed: Option<Box<Vec<u64>>>,
-    /// Local statistics.
-    pub stats: MpiStats,
+    /// Everything else; `None` until first written.
+    cold: Option<Box<RankCold>>,
 }
 
+/// The part of a rank's MPI state that most ranks never write.
+#[derive(Debug)]
+struct RankCold {
+    /// This rank's list of known-failed processes.
+    failed: FailedList,
+    /// Set when this rank has observed (or initiated) an abort.
+    aborted: Option<SimTime>,
+    /// World revoke and handler override, derived communicators.
+    comms: CommTable,
+    /// Receiver-NIC drain horizon for the optional contention model
+    /// (`NetModel::serialize_recv`): no message completion at this rank
+    /// may precede it.
+    recv_free: SimTime,
+    /// Per-destination send sequence numbers, counted only under a lossy
+    /// transport, whose draws they key.
+    send_seq: SmallMap<Rank, u64>,
+}
+
+impl RankCold {
+    const EMPTY: RankCold = RankCold {
+        failed: FailedList(Vec::new()),
+        aborted: None,
+        comms: CommTable::new(),
+        recv_free: SimTime::ZERO,
+        send_seq: SmallMap::new(),
+    };
+}
+
+/// What a rank without a cold record reads.
+static NO_COLD: RankCold = RankCold::EMPTY;
+
 impl RankMpi {
-    fn new(me: Rank, world_members: Arc<Vec<Rank>>, default_handler: ErrHandler) -> Self {
+    fn new(me: Rank) -> Self {
         RankMpi {
             me,
+            finalized: false,
             queues: MatchQueues::default(),
             reqs: RequestTable::default(),
-            comms: CommTable::new_world_shared(world_members, me, default_handler),
-            failed: FailedList::default(),
-            aborted: None,
-            finalized: false,
-            send_seq: SmallMap::default(),
-            recv_free: SimTime::ZERO,
+            world_coll_seq: 0,
             completion_feed: None,
-            stats: MpiStats::default(),
+            cold: None,
         }
     }
 
-    /// Next send sequence number towards `dst`.
+    fn cold(&self) -> &RankCold {
+        self.cold.as_deref().unwrap_or(&NO_COLD)
+    }
+
+    fn cold_mut(&mut self) -> &mut RankCold {
+        self.cold.get_or_insert_with(|| Box::new(RankCold::EMPTY))
+    }
+
+    /// This rank's list of known-failed processes.
+    pub(crate) fn failed(&self) -> &FailedList {
+        &self.cold().failed
+    }
+
+    pub(crate) fn failed_mut(&mut self) -> &mut FailedList {
+        &mut self.cold_mut().failed
+    }
+
+    /// When this rank observed (or initiated) an abort.
+    pub(crate) fn aborted(&self) -> Option<SimTime> {
+        self.cold().aborted
+    }
+
+    /// Record an abort at `t`, keeping the earliest; returns it.
+    pub(crate) fn note_abort(&mut self, t: SimTime) -> SimTime {
+        let cold = self.cold_mut();
+        let t = cold.aborted.map_or(t, |a| a.min(t));
+        cold.aborted = Some(t);
+        t
+    }
+
+    /// This rank's communicator table.
+    pub(crate) fn comms(&self) -> &CommTable {
+        &self.cold().comms
+    }
+
+    pub(crate) fn comms_mut(&mut self) -> &mut CommTable {
+        &mut self.cold_mut().comms
+    }
+
+    /// Advance communicator `id`'s collective counter; `None` for an id
+    /// this rank does not know.
+    pub(crate) fn next_coll_seq(&mut self, id: CommId) -> Option<u64> {
+        let seq = if id == CommId::WORLD {
+            &mut self.world_coll_seq
+        } else {
+            self.cold.as_mut()?.comms.coll_seq_mut(id)?
+        };
+        *seq += 1;
+        Some(*seq)
+    }
+
+    /// Serialize a receive completion behind this rank's previous one
+    /// (`NetModel::serialize_recv`): it lands `overhead` after the later
+    /// of `base` and the drain horizon, which moves there.
+    pub(crate) fn drain_recv(&mut self, base: SimTime, overhead: SimTime) -> SimTime {
+        let cold = self.cold_mut();
+        cold.recv_free = base.max(cold.recv_free) + overhead;
+        cold.recv_free
+    }
+
+    /// Next send sequence number towards `dst` (lossy transport only).
     pub fn next_send_seq(&mut self, dst: Rank) -> u64 {
-        match self.send_seq.get_mut(&dst) {
+        let send_seq = &mut self.cold_mut().send_seq;
+        match send_seq.get_mut(&dst) {
             Some(next) => {
                 *next += 1;
                 *next - 1
             }
             None => {
-                self.send_seq.insert(dst, 1);
+                send_seq.insert(dst, 1);
                 0
             }
         }
@@ -536,7 +618,10 @@ pub struct MpiService {
     /// per-shard memory is O(owned ranks), never O(world).
     ranks: Vec<RankMpi>,
     owned: Range<usize>,
-    /// Cross-shard statistics sink, flushed on drop.
+    /// This shard's counters (they are only ever summed), flushed into
+    /// `stats_sink` on drop.
+    pub(crate) stats: MpiStats,
+    /// Cross-shard statistics sink.
     stats_sink: Arc<Mutex<MpiStats>>,
     /// Recycled transport boxes: injection draws here, delivery returns
     /// here, so steady-state messaging performs no envelope allocation.
@@ -555,20 +640,12 @@ impl MpiService {
         owned: Range<usize>,
         stats_sink: Arc<Mutex<MpiStats>>,
     ) -> Self {
-        let ranks = owned
-            .clone()
-            .map(|r| {
-                RankMpi::new(
-                    Rank::new(r),
-                    world.members.clone(),
-                    world.default_errhandler.clone(),
-                )
-            })
-            .collect();
+        let ranks = owned.clone().map(|r| RankMpi::new(Rank::new(r))).collect();
         MpiService {
             world,
             ranks,
             owned,
+            stats: MpiStats::default(),
             stats_sink,
             env_pool: Vec::new(),
             net_batch: NetBatch::default(),
@@ -617,19 +694,23 @@ impl MpiService {
     pub fn owned(&self) -> Range<usize> {
         self.owned.clone()
     }
+
+    /// Owned rank `me`'s view of communicator `id`.
+    pub(crate) fn view(&self, me: Rank, id: CommId) -> Option<CommView<'_>> {
+        let world = &*self.world;
+        self.rank(me)
+            .comms()
+            .view(&world.members, &world.default_errhandler, me, id)
+    }
 }
 
 impl Drop for MpiService {
     fn drop(&mut self) {
-        let mut agg = MpiStats::default();
-        for rm in &self.ranks {
-            agg.merge(&rm.stats);
-        }
         // As for `PowerService`: never panic in `Drop`.
         self.stats_sink
             .lock()
             .unwrap_or_else(PoisonError::into_inner)
-            .merge(&agg);
+            .merge(&self.stats);
     }
 }
 
@@ -676,7 +757,7 @@ fn on_failure_notice(k: &mut Kernel, me: Rank, dead: Rank, tof: SimTime) {
     let releases: Vec<(ReqId, SimTime)> = {
         let svc = k.service_mut::<MpiService>();
         let rm = svc.rank_mut(me);
-        if !rm.failed.insert(dead, tof) {
+        if !rm.failed_mut().insert(dead, tof) {
             return;
         }
         // Release unmatched receives from the dead peer and — per the
@@ -734,8 +815,7 @@ pub fn schedule_request_failure(
             }
             let completed = {
                 let svc = k.service_mut::<MpiService>();
-                let rm = svc.rank_mut(me);
-                let done = rm.fail_request(
+                let done = svc.rank_mut(me).fail_request(
                     id,
                     at,
                     MpiError::ProcFailed {
@@ -743,9 +823,7 @@ pub fn schedule_request_failure(
                         time_of_failure: tof,
                     },
                 );
-                if done {
-                    rm.stats.proc_failed_errors += 1;
-                }
+                svc.stats.proc_failed_errors += u64::from(done);
                 done
             };
             if completed {
@@ -813,10 +891,11 @@ mod tests {
     fn stats_flush_on_drop() {
         let sink = Arc::new(Mutex::new(MpiStats::default()));
         {
-            let mut svc = MpiService::new(world(4), 0..4, sink.clone());
-            svc.rank_mut(Rank(0)).stats.sends = 3;
-            svc.rank_mut(Rank(2)).stats.sends = 4;
-            svc.rank_mut(Rank(2)).stats.bytes_sent = 100;
+            let mut lo = MpiService::new(world(4), 0..2, sink.clone());
+            let mut hi = MpiService::new(world(4), 2..4, sink.clone());
+            lo.stats.sends = 3;
+            hi.stats.sends = 4;
+            hi.stats.bytes_sent = 100;
         }
         let agg = *sink.lock().unwrap();
         assert_eq!(agg.sends, 7);
@@ -837,7 +916,7 @@ mod tests {
     fn first_unacked_failure_respects_acks() {
         let sink = Arc::new(Mutex::new(MpiStats::default()));
         let mut svc = MpiService::new(world(4), 0..4, sink);
-        let failed = &mut svc.rank_mut(Rank(0)).failed;
+        let failed = svc.rank_mut(Rank(0)).failed_mut();
         assert!(failed.first_unacked().is_none());
         assert!(failed.insert(Rank(2), SimTime(10)));
         assert!(!failed.insert(Rank(2), SimTime(99)), "first notice wins");

@@ -31,13 +31,11 @@ pub fn comm_revoke(comm: CommId) -> Result<(), MpiError> {
         with_mpi(k, |k, svc| {
             let now = k.vp(me).clock();
             let delay = svc.world.notify_delay;
-            let rm = svc.rank_mut(me);
-            if let Some(t) = rm.aborted {
+            if let Some(t) = svc.rank(me).aborted() {
                 return Err(MpiError::Aborted { time: t });
             }
-            let view = rm
-                .comms
-                .view(comm)
+            let view = svc
+                .view(me, comm)
                 .ok_or(MpiError::Invalid("unknown communicator"))?;
             let members: Vec<Rank> = view.members.as_ref().clone();
             // Mark locally at once (the caller is running, so no wake is
@@ -73,11 +71,11 @@ pub fn comm_revoke(comm: CommId) -> Result<(), MpiError> {
 /// Returns whether any request was released (the caller must then wake
 /// the rank — after re-installing the service).
 fn apply_revoke(svc: &mut MpiService, rank: Rank, comm: CommId, at: SimTime) -> bool {
-    let rm = svc.rank_mut(rank);
-    if rm.comms.view(comm).is_some_and(|v| v.revoked.is_some()) {
+    if svc.view(rank, comm).is_some_and(|v| v.revoked.is_some()) {
         return false;
     }
-    rm.comms.revoke(comm, at);
+    let rm = svc.rank_mut(rank);
+    rm.comms_mut().revoke(comm, at);
     let pending = rm.reqs.pending_on_comm(comm);
     let mut any = false;
     for (id, _) in pending {
@@ -99,10 +97,10 @@ pub fn failure_ack() -> Result<(), MpiError> {
     ctx::with_kernel(|k, me| {
         let svc = k.service_mut::<MpiService>();
         let rm = svc.rank_mut(me);
-        if let Some(t) = rm.aborted {
+        if let Some(t) = rm.aborted() {
             return Err(MpiError::Aborted { time: t });
         }
-        rm.failed.ack_all();
+        rm.failed_mut().ack_all();
         Ok(())
     })
 }
@@ -112,7 +110,7 @@ pub fn failure_ack() -> Result<(), MpiError> {
 pub fn failure_get_acked() -> Vec<Rank> {
     ctx::with_kernel(|k, me| {
         let svc = k.service::<MpiService>();
-        svc.rank(me).failed.acked().collect()
+        svc.rank(me).failed().acked().collect()
     })
 }
 
@@ -121,7 +119,7 @@ pub fn failure_get_acked() -> Vec<Rank> {
 pub fn known_failures() -> Vec<(Rank, SimTime)> {
     ctx::with_kernel(|k, me| {
         let svc = k.service::<MpiService>();
-        svc.rank(me).failed.iter().collect()
+        svc.rank(me).failed().iter().collect()
     })
 }
 
@@ -142,17 +140,16 @@ pub async fn comm_shrink(comm: CommId) -> Result<Comm, MpiError> {
         ctx::with_kernel(|k, me| {
             let svc = k.service::<MpiService>();
             let rm = svc.rank(me);
-            if let Some(t) = rm.aborted {
+            if let Some(t) = rm.aborted() {
                 return Err(MpiError::Aborted { time: t });
             }
-            let view = rm
-                .comms
-                .view(comm)
+            let view = svc
+                .view(me, comm)
                 .ok_or(MpiError::Invalid("unknown communicator"))?;
             let failed: Vec<Rank> = view
                 .members
                 .iter()
-                .filter(|m| rm.failed.get(**m).is_some())
+                .filter(|m| rm.failed().get(**m).is_some())
                 .copied()
                 .collect();
             Ok((me, view.members.clone(), failed))
@@ -218,8 +215,8 @@ pub async fn comm_shrink(comm: CommId) -> Result<Comm, MpiError> {
     ctx::with_kernel(|k, me| {
         let svc = k.service_mut::<MpiService>();
         let handler = svc.world.default_errhandler.clone();
-        let rm = svc.rank_mut(me);
-        let id = rm.comms.install(Arc::new(survivors.clone()), me, handler);
+        let comms = svc.rank_mut(me).comms_mut();
+        let id = comms.install(Arc::new(survivors.clone()), me, handler);
         Ok(Comm { id })
     })
 }
@@ -229,12 +226,10 @@ pub async fn comm_shrink(comm: CommId) -> Result<Comm, MpiError> {
 pub fn set_errhandler(comm: CommId, handler: ErrHandler) -> Result<(), MpiError> {
     ctx::with_kernel(|k, me| {
         let svc = k.service_mut::<MpiService>();
-        let rm = svc.rank_mut(me);
-        let view = rm
-            .comms
-            .view_mut(comm)
-            .ok_or(MpiError::Invalid("unknown communicator"))?;
-        view.errhandler = handler;
+        if svc.view(me, comm).is_none() {
+            return Err(MpiError::Invalid("unknown communicator"));
+        }
+        svc.rank_mut(me).comms_mut().set_errhandler(comm, handler);
         Ok(())
     })
 }

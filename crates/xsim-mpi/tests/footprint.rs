@@ -178,10 +178,15 @@ fn shard_service_is_sized_by_owned_ranks() {
     );
 }
 
+/// 312 B while the world view, the statistics and the fault-path state
+/// were inline; now the world view is assembled from `MpiWorld`, the
+/// statistics count per shard and the fault-path state is boxed on first
+/// use.
 #[test]
 fn rank_state_fits_its_inline_budget() {
     let size = std::mem::size_of::<xsim_mpi::state::RankMpi>();
-    assert!(size <= 320, "RankMpi is {size} B");
+    eprintln!("RankMpi: {size} B");
+    assert!(size <= 160, "RankMpi is {size} B");
 }
 
 #[test]
@@ -356,7 +361,8 @@ fn kernel_rank_futures_fit_their_budgets() {
 /// [`RANKS`] ranks with tree collectives: spawn wave, compute phase and
 /// the allreduce, every rank's future and MPI state alive at once.
 /// 2,449 B over `async fn` awaitables and decoding reductions; 1,993 B
-/// now.
+/// with the fault-path state and an envelope per matching slot inline;
+/// 1,671 B now.
 #[test]
 fn tree_allreduce_peak_live_bytes_per_rank() {
     let live0 = reset_peak();
@@ -367,7 +373,7 @@ fn tree_allreduce_peak_live_bytes_per_rank() {
         .expect("allreduce run");
     let peak = PEAK.get().wrapping_sub(live0) as f64 / RANKS as f64;
     eprintln!("peak live bytes/rank, tree allreduce: {peak:.0}");
-    assert!(peak <= 2200.0, "{peak:.0} B/rank at peak");
+    assert!(peak <= 1800.0, "{peak:.0} B/rank at peak");
 }
 
 // ----------------------------------------------------------------------

@@ -5,7 +5,7 @@
 
 use xsim_core::rng::for_each_case;
 use xsim_core::{Bytes, DetRng, Rank, SimTime};
-use xsim_mpi::msg::{Envelope, MatchQueues, PostedRecv, SrcSel, TagSel};
+use xsim_mpi::msg::{Envelope, MatchQueues, SrcSel, TagSel};
 use xsim_mpi::CommId;
 
 /// The operations exercised against both implementations.
@@ -78,6 +78,13 @@ fn arb_op(g: &mut DetRng, shape: Shape, tag_base: u32) -> Op {
     }
 }
 
+/// A posted receive: request id and selectors.
+struct PostedRecv {
+    req: u64,
+    src: SrcSel,
+    tag: TagSel,
+}
+
 /// Naive reference: linear scans in post/delivery order.
 #[derive(Default)]
 struct NaiveQueues {
@@ -137,14 +144,11 @@ fn env(comm: u32, src: u32, tag: u32, seq: u64) -> Envelope {
     }
 }
 
-fn recv(req: u64, comm: u32, src: Option<u32>, tag: Option<u32>) -> PostedRecv {
+fn recv(req: u64, src: Option<u32>, tag: Option<u32>) -> PostedRecv {
     PostedRecv {
         req,
-        comm: CommId(comm),
         src: src.map_or(SrcSel::Any, |s| SrcSel::Of(Rank(s))),
         tag: tag.map_or(TagSel::Any, TagSel::Of),
-        posted_at: SimTime(0),
-        post_seq: 0,
     }
 }
 
@@ -175,8 +179,8 @@ impl Pair {
         self.seq += 1;
         let fast = self
             .fast
-            .deliver(env(comm, src, tag, self.seq))
-            .map(|(p, _)| p.req);
+            .deliver(Box::new(env(comm, src, tag, self.seq)))
+            .map(|(req, _)| req);
         let naive = self.naive[comm as usize].deliver(env(comm, src, tag, self.seq));
         assert_eq!(fast, naive, "deliver diverged");
         if let Some(req) = fast {
@@ -188,11 +192,12 @@ impl Pair {
 
     fn post(&mut self, comm: u32, src: Option<u32>, tag: Option<u32>) -> Option<(Rank, u32, u64)> {
         self.req += 1;
+        let r = recv(self.req, src, tag);
         let fast = self
             .fast
-            .post(recv(self.req, comm, src, tag))
+            .post(r.req, CommId(comm), r.src, r.tag)
             .map(|e| (e.src, e.tag, e.seq));
-        let naive = self.naive[comm as usize].post(recv(self.req, comm, src, tag));
+        let naive = self.naive[comm as usize].post(r);
         assert_eq!(fast, naive, "post diverged");
         if fast.is_none() {
             self.posted.push((self.req, comm, src));

@@ -17,7 +17,8 @@
 //! `--failures` takes `rank:seconds` pairs and the `rank:`/`link:`/
 //! `switch:` entries of `XSIM_NET_FAULTS`; the `XSIM_FAILURES` and
 //! `XSIM_NET_FAULTS` environment variables add to it. The first line of
-//! output is the `scenario:` line that replays the run.
+//! output is the `scenario:` line that replays the run; the next is the
+//! run's `digest:` (`SimReport::digest`), equal for equal simulations.
 
 use std::io::Write as _;
 use std::process::exit;
@@ -74,6 +75,7 @@ fn cmd_heat(cli: &Cli, cfg: &HeatConfig) {
             eprintln!("simulation failed: {e}");
             exit(1)
         });
+    println!("digest: {:#018x}", baseline.sim.digest);
     println!(
         "run: {:?} at {} ({} failures, {} events, wall {:.2?})",
         baseline.sim.exit,
@@ -160,6 +162,7 @@ fn cmd_ring(sc: &Scenario, n: usize, laps: u32, payload: usize) {
             eprintln!("simulation failed: {e}");
             exit(1)
         });
+    println!("digest: {:#018x}", report.sim.digest);
     println!(
         "ring({laps} laps, {payload} B, {n} ranks): {:?} at {}; {} sends, wall {:.2?}",
         report.sim.exit,

@@ -62,13 +62,16 @@ fn snapshot(report: &RunReport) -> String {
         .to_json(None)
 }
 
-/// Engine-independent scalars of one run.
-fn scalars(report: &RunReport) -> (ExitKind, Vec<SimTime>, u64, usize) {
+/// Engine-independent scalars of one run, the run digest last.
+type Scalars = (ExitKind, Vec<SimTime>, u64, usize, u64);
+
+fn scalars(report: &RunReport) -> Scalars {
     (
         report.sim.exit,
         report.sim.final_clocks.clone(),
         report.sim.events_processed,
         report.sim.failures.len(),
+        report.sim.digest,
     )
 }
 
@@ -101,7 +104,7 @@ struct Campaign {
     /// Per-run metrics snapshots, execution order (aborted run first).
     snapshots: Vec<String>,
     /// Per-run engine-independent scalars.
-    scalars: Vec<(ExitKind, Vec<SimTime>, u64, usize)>,
+    scalars: Vec<Scalars>,
     /// Final virtual completion time.
     finish_time: SimTime,
     /// Final per-rank grid bytes.

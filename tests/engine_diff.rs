@@ -61,6 +61,7 @@ fn assert_engine_invariant(name: &str, run: impl Fn(usize, EngineKind) -> RunRep
             par.sim.failures, seq.sim.failures,
             "{name}/{label}: activated failures"
         );
+        assert_eq!(par.sim.digest, seq.sim.digest, "{name}/{label}: run digest");
     }
 }
 
@@ -143,6 +144,37 @@ fn lossy_ring_is_engine_invariant() {
             })
             .expect("lossy ring run")
     });
+}
+
+/// The digest sees a perturbation the run scalars can miss: one rank
+/// pays 1 ns more before a send, and nothing else changes. The event
+/// count stays the same, the digest moves, and undoing the perturbation
+/// restores it.
+#[test]
+fn digest_sees_a_one_nanosecond_send_overhead() {
+    let run = |slow: Option<usize>| {
+        SimBuilder::new(8)
+            .net(NetModel::small(8))
+            .run_app(move |mpi| async move {
+                let w = mpi.world();
+                let extra = u64::from(slow == Some(mpi.rank));
+                mpi.sleep(SimTime::from_micros(5) + SimTime::from_nanos(extra))
+                    .await;
+                let dst = (mpi.rank + 1) % mpi.size;
+                let src = (mpi.rank + mpi.size - 1) % mpi.size;
+                mpi.sendrecv(w, dst, 0, Bytes::from(vec![1u8; 64]), Some(src), Some(0))
+                    .await?;
+                mpi.finalize();
+                Ok(())
+            })
+            .expect("ring run")
+            .sim
+    };
+    let base = run(None);
+    let perturbed = run(Some(3));
+    assert_eq!(base.events_processed, perturbed.events_processed);
+    assert_ne!(base.digest, perturbed.digest, "a 1 ns shift went unseen");
+    assert_eq!(run(None).digest, base.digest, "the digest repeats");
 }
 
 /// Environment-driven fault schedules (`XSIM_FAILURES` +

@@ -78,6 +78,42 @@ fn lossy_ring_completes_and_is_deterministic() {
     );
 }
 
+/// The loss draws are keyed by each pair's send counter, so the counts
+/// and the run digest of the lossy ring are pinned: a counter that
+/// skipped or repeated a number would redraw the losses.
+#[test]
+fn lossy_ring_draws_are_pinned() {
+    let report = SimBuilder::new(8)
+        .net(NetModel::small(8))
+        .seed(7)
+        .metrics(true)
+        .lossy(LossyTransport {
+            drop_prob: 0.3,
+            corrupt_prob: 0.05,
+            ..LossyTransport::default()
+        })
+        .run_app(|mpi| async move {
+            let w = mpi.world();
+            for round in 0..4u32 {
+                let dst = (mpi.rank + 1) % mpi.size;
+                let src = (mpi.rank + mpi.size - 1) % mpi.size;
+                let payload = Bytes::from(vec![round as u8; 512]);
+                mpi.sendrecv(w, dst, round, payload, Some(src), Some(round))
+                    .await?;
+            }
+            mpi.finalize();
+            Ok(())
+        })
+        .unwrap();
+    let got = (
+        metric(&report, ids::NET_DROPS),
+        metric(&report, ids::NET_CORRUPT_DROPS),
+        metric(&report, ids::NET_RETRANSMITS),
+        report.sim.digest,
+    );
+    assert_eq!(got, (21, 3, 24, 0xbc17_fc9b_4ea1_c58e));
+}
+
 /// When the retry budget towards one victim is exhausted, the sender
 /// sees `MPI_ERR_PROC_FAILED` and the survivors shrink the communicator
 /// around the victim — the lossy transport composes with ULFM.

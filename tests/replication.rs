@@ -129,6 +129,7 @@ fn replicated_run_is_engine_invariant() {
             par.sim.events_processed, seq.sim.events_processed,
             "{label}: events"
         );
+        assert_eq!(par.sim.digest, seq.sim.digest, "{label}: run digest");
     }
 }
 

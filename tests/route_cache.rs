@@ -126,6 +126,10 @@ fn cached_and_uncached_runs_are_byte_identical() {
 
     assert_eq!(report.sim.exit, ExitKind::Completed);
     assert_eq!(report.sim.events_processed, 1024, "event schedule moved");
+    assert_eq!(
+        report.sim.digest, 0x94a9_8523_81e2_0ffe,
+        "event schedule moved"
+    );
     // The outage delays the ranks whose exchange crossed the detour.
     let extra_us = |r: usize| match r {
         3 => 3,
