@@ -515,7 +515,10 @@ fn restore_state(cfg: &HeatConfig, ckpt: &Checkpoint, rank: usize) -> Option<(St
 ///
 /// An async block, not an `async fn`: the block's captures are the only
 /// copy of the arguments in the rank future (an `async fn` keeps a
-/// second, 32 B larger here).
+/// second, 32 B larger here). The cold phases — the restart load and the
+/// checkpoint write, whose states are the largest — are boxed while they
+/// run, so a rank parked in a halo or a compute phase does not carry
+/// their space.
 #[allow(clippy::manual_async_fn)]
 pub(crate) fn solve<L: Layer>(
     mut layer: L,
@@ -530,7 +533,7 @@ pub(crate) fn solve<L: Layer>(
         // campaign's cleanup guarantees a consistent latest generation —
         // this reduction asserts it).
         let loaded = if checkpoints {
-            writer.load_latest(layer.mpi(), layer.rank() as u32).await
+            Box::pin(writer.load_latest(layer.mpi(), layer.rank() as u32)).await
         } else {
             None
         };
@@ -587,7 +590,7 @@ pub(crate) fn solve<L: Layer>(
 
             // Checkpoint phase: write, barrier, delete previous.
             if checkpoints && (it.is_multiple_of(cfg.ckpt_interval) || it == cfg.iterations) {
-                write_checkpoint(&layer, &cfg, &mut writer, &state, it).await?;
+                Box::pin(write_checkpoint(&layer, &cfg, &mut writer, &state, it)).await?;
                 layer.barrier().await?;
                 if let Some(prev) = last_ckpt.take() {
                     if prev != it {

@@ -179,13 +179,18 @@ impl Future for PrearmedFuture {
 ///
 /// Like an `async fn`, it schedules nothing until its first poll. The
 /// future is 24 bytes: a parked rank's compute phase costs no more.
-pub fn sleep(d: SimTime) -> impl Future<Output = ()> + Send {
-    Sleep::Start(d)
+pub fn sleep(d: SimTime) -> Sleep {
+    Sleep(SleepState::Start(d))
 }
 
-/// The poll state of [`sleep`]: the duration until the first poll arms
-/// the wait, then the deadline and token of the scheduled wake.
-enum Sleep {
+/// The future [`sleep`] returns. Named, so an upper layer's poll-state
+/// machine can hold one in a field.
+#[must_use = "futures do nothing unless polled"]
+pub struct Sleep(SleepState);
+
+/// The duration until the first poll arms the wait, then the deadline
+/// and token of the scheduled wake.
+enum SleepState {
     Start(SimTime),
     Armed { deadline: SimTime, token: WaitToken },
 }
@@ -194,16 +199,16 @@ impl Future for Sleep {
     type Output = ();
 
     fn poll(self: Pin<&mut Self>, _cx: &mut Context<'_>) -> Poll<()> {
-        let this = self.get_mut();
+        let this = &mut self.get_mut().0;
         with_kernel(|k, rank| match *this {
-            Sleep::Start(d) => {
+            SleepState::Start(d) => {
                 let deadline = k.vp(rank).clock() + d;
                 let token = k.vp_mut(rank).begin_wait(WaitClass::Compute, "compute");
                 k.schedule_at(deadline, rank, crate::event::Action::WakeToken(token));
-                *this = Sleep::Armed { deadline, token };
+                *this = SleepState::Armed { deadline, token };
                 Poll::Pending
             }
-            Sleep::Armed { deadline, token } => {
+            SleepState::Armed { deadline, token } => {
                 let mut vp = k.vp_mut(rank);
                 debug_assert_eq!(vp.wait_token(), token, "wait token mismatch");
                 if !vp.take_woken() {

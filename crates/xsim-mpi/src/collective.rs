@@ -10,16 +10,26 @@
 //! the paper's observation that "a failure during the checkpoint phase is
 //! detected in the following barrier" (§V-D).
 //!
-//! Each collective is a `fn` returning an `async move` block, not an
-//! `async fn`: the block's captures are the only copy of the arguments
-//! in the rank future (an `async fn` keeps a second).
+//! The rooted collectives — broadcast, reduce, allreduce and the tree
+//! barrier — are one hand-written poll-state machine, `Rooted`, over
+//! one `Shape`: a rank parked in a collective holds its arguments, one
+//! accumulator and the one operation in flight, not a stack of nested
+//! async states. The rest (linear barrier, gather, scatter, allgather,
+//! alltoall) are `fn`s returning an `async move` block, not `async fn`s:
+//! the block's captures are the only copy of the arguments in the rank
+//! future (an `async fn` keeps a second).
 #![allow(clippy::manual_async_fn)]
 
 use crate::comm::CommId;
 use crate::error::MpiError;
-use crate::p2p;
+use crate::p2p::{self, WaitReq};
+use crate::request::ReqId;
 use crate::state::{CollAlgo, MpiService};
-use std::future::Future;
+use std::future::{poll_fn, Future};
+use std::mem;
+use std::ops::ControlFlow;
+use std::pin::Pin;
+use std::task::{ready, Context, Poll};
 use xsim_core::{ctx, Bytes};
 use xsim_obs::ids as metric_ids;
 use xsim_obs::service as obs;
@@ -79,14 +89,18 @@ impl ReduceOp {
     }
 }
 
+/// The collective algorithms this run is configured with.
+pub(crate) fn configured_algo() -> CollAlgo {
+    ctx::with_kernel(|k, _| k.service::<MpiService>().world.coll_algo)
+}
+
 /// `(my communicator rank, communicator size, next collective tag)`.
 fn coll_begin(comm: CommId) -> Result<(usize, usize, u32), MpiError> {
     coll_begin_counted(comm, true)
 }
 
-/// `count = false` is for the inner phase of a composite collective (the
-/// tree barrier's release broadcast): it takes a fresh tag but does not
-/// count an extra user-facing operation.
+/// `count = false` is for the release phase of the tree barrier: it
+/// takes a fresh tag but does not count an extra user-facing operation.
 fn coll_begin_counted(comm: CommId, count: bool) -> Result<(usize, usize, u32), MpiError> {
     ctx::with_kernel(|k, me| {
         let svc = k.service_mut::<MpiService>();
@@ -107,22 +121,36 @@ fn coll_begin_counted(comm: CommId, count: bool) -> Result<(usize, usize, u32), 
 /// * Tree: a binomial tree over virtual ranks (the root is virtual rank
 ///   0); a node's children differ from it in one bit below its lowest
 ///   set bit, in increasing bit order, and its parent clears that bit.
+///
+/// Communicator ranks fit a `u32` (world ranks are [`xsim_core::Rank`]s),
+/// so the shape is 16 bytes of a parked rank's state.
 #[derive(Debug, Clone, Copy)]
 struct Shape {
     algo: CollAlgo,
     /// This member's rank relative to the root: `(me − root) mod size`.
-    vrank: usize,
-    root: usize,
-    size: usize,
+    vrank: u32,
+    root: u32,
+    size: u32,
 }
 
 impl Shape {
     fn new(algo: CollAlgo, me: usize, root: usize, size: usize) -> Self {
         Shape {
             algo,
-            vrank: (me + size - root) % size,
-            root,
-            size,
+            vrank: ((me + size - root) % size) as u32,
+            root: root as u32,
+            size: size as u32,
+        }
+    }
+
+    /// Before `coll_begin`: only the algorithm and the root are known. A
+    /// root beyond `u32` saturates, so the range check sees it.
+    fn unplaced(algo: CollAlgo, root: usize) -> Self {
+        Shape {
+            algo,
+            vrank: 0,
+            root: u32::try_from(root).unwrap_or(u32::MAX),
+            size: 0,
         }
     }
 
@@ -132,30 +160,36 @@ impl Shape {
     }
 
     fn child(self, i: usize) -> Option<usize> {
+        let (vrank, root, size) = self.widths();
         match self.algo {
             CollAlgo::Linear => {
-                let r = if i < self.root { i } else { i + 1 };
-                (self.vrank == 0 && r < self.size).then_some(r)
+                let r = if i < root { i } else { i + 1 };
+                (vrank == 0 && r < size).then_some(r)
             }
             CollAlgo::Tree => {
                 let bit = 1usize.checked_shl(i as u32)?;
-                if bit >= lowbit(self.vrank, self.size) {
+                if bit >= lowbit(vrank, size) {
                     return None;
                 }
                 // Below the lowest set bit, `vrank | bit` is `vrank + bit`.
-                let v = self.vrank + bit;
-                (v < self.size).then(|| (v + self.root) % self.size)
+                let v = vrank + bit;
+                (v < size).then(|| (v + root) % size)
             }
         }
     }
 
     fn parent(self) -> Option<usize> {
-        let v = self.vrank;
+        let (v, root, size) = self.widths();
         let parent_v = match self.algo {
             CollAlgo::Linear => 0,
             CollAlgo::Tree => v & v.wrapping_sub(1),
         };
-        (v != 0).then(|| (parent_v + self.root) % self.size)
+        (v != 0).then(|| (parent_v + root) % size)
+    }
+
+    /// `(vrank, root, size)` as `usize`s.
+    fn widths(self) -> (usize, usize, usize) {
+        (self.vrank as usize, self.root as usize, self.size as usize)
     }
 }
 
@@ -194,34 +228,6 @@ pub fn barrier(comm: CommId) -> impl Future<Output = Result<(), MpiError>> {
     }
 }
 
-/// Broadcast from `root` over `algo`'s shape: receive from the parent,
-/// then send to each child in order. Returns the payload on every
-/// member (the root passes it in; others pass anything). `count` as in
-/// [`coll_begin_counted`].
-pub(crate) fn broadcast(
-    algo: CollAlgo,
-    comm: CommId,
-    root: usize,
-    mut data: Bytes,
-    count: bool,
-) -> impl Future<Output = Result<Bytes, MpiError>> {
-    async move {
-        let (me, size, tag) = coll_begin_counted(comm, count)?;
-        if size <= 1 {
-            return Ok(data);
-        }
-        let shape = Shape::new(algo, me, root, size);
-        if let Some(parent) = shape.parent() {
-            data = p2p::recv_raw(comm, Some(parent), Some(tag)).await?.data;
-        }
-        note_payload(shape.children().count() as u64, 0);
-        for child in shape.children() {
-            p2p::send_raw(comm, child, tag, data.clone()).await?;
-        }
-        Ok(data)
-    }
-}
-
 /// Linear broadcast from `root`: the root sends to every other member in
 /// rank order; members receive. Returns the broadcast payload on every
 /// member (the root passes it in; others pass anything).
@@ -229,8 +235,8 @@ pub fn bcast(
     comm: CommId,
     root: usize,
     data: Bytes,
-) -> impl Future<Output = Result<Bytes, MpiError>> {
-    broadcast(CollAlgo::Linear, comm, root, data, true)
+) -> impl Future<Output = Result<Bytes, MpiError>> + Unpin {
+    broadcast(Some(CollAlgo::Linear), comm, root, data)
 }
 
 /// Linear gather to `root`: returns `Some(parts)` (in communicator rank
@@ -426,82 +432,353 @@ fn fold_wire<T: Wire>(
     }
 }
 
-/// The one reduction, over `algo`'s shape: fold the children's wire
-/// bytes, in order, into the bytes this member sends on, and return them
-/// at the root (`None` elsewhere).
+// ----------------------------------------------------------------------
+// Rooted collectives: one poll-state machine over a `Shape`
+// ----------------------------------------------------------------------
+
+/// Which rooted collective a [`Rooted`] machine runs.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Kind {
+    /// Receive the payload from the parent, send it to each child.
+    Bcast,
+    /// Fold the children's wire bytes into this member's and send them to
+    /// the parent; the root keeps them.
+    Reduce,
+    /// A reduce to rank 0, then a broadcast of its bytes.
+    Allreduce,
+    /// The tree barrier: an empty-payload reduce that neither checks nor
+    /// folds, then an uncounted broadcast.
+    Barrier,
+}
+
+/// Where a [`Rooted`] machine is in its schedule.
+#[derive(Debug, Clone, Copy)]
+enum Phase {
+    /// Not polled yet, nothing posted. `configured`: the algorithm is the
+    /// run's, read at the first poll.
+    Begin { configured: bool },
+    /// Receiving from child `cursor` and folding (reduce phase).
+    Gather,
+    /// Sending the folded bytes to the parent (reduce phase).
+    Up,
+    /// The broadcast phase's own `coll_begin` (allreduce, tree barrier).
+    Release,
+    /// Receiving the payload from the parent (broadcast phase).
+    Down,
+    /// Sending the payload to child `cursor` (broadcast phase).
+    Fanout,
+}
+
+/// The one operation a [`Rooted`] machine has in flight.
+enum Step {
+    /// None: the phase posts the next one.
+    Idle,
+    /// A posted receive.
+    Recv(WaitReq),
+    /// A posted send's sender-side overhead.
+    Overhead(ReqId, Option<ctx::Sleep>),
+    /// A posted send, after its overhead.
+    Send(WaitReq),
+}
+
+/// The one accumulator of a [`Rooted`] machine.
+enum Acc {
+    /// Reduce phase: the bytes folded so far, `None` before the first
+    /// child's arrive.
+    Fold(Option<Vec<u8>>),
+    /// Broadcast phase: the payload.
+    Payload(Bytes),
+}
+
+/// A rooted collective as one poll-state machine. It posts what the
+/// composed `recv_raw` / `send_raw` futures would — every `coll_begin`,
+/// post, overhead sleep and `note_payload` in the same order and at the
+/// same poll — but holds only its arguments, one accumulator and one
+/// [`Step`]. Like an `async fn`, it posts nothing before its first poll.
+///
+/// Resolves to the bytes it ends with: the payload of a broadcast, an
+/// allreduce or a barrier's release (empty), and the result at the root
+/// of a reduce (`None` elsewhere).
+pub(crate) struct Rooted<'a, T> {
+    /// This member's contribution (reductions; empty otherwise).
+    data: &'a [T],
+    acc: Acc,
+    step: Step,
+    shape: Shape,
+    comm: CommId,
+    tag: u32,
+    /// The next child to receive from (reduce) or send to (broadcast).
+    cursor: u32,
+    op: ReduceOp,
+    kind: Kind,
+    phase: Phase,
+}
+
+impl<'a, T: Wire> Rooted<'a, T> {
+    /// `algo = None`: the run's configured algorithm.
+    fn new(
+        kind: Kind,
+        algo: Option<CollAlgo>,
+        comm: CommId,
+        root: usize,
+        data: &'a [T],
+        op: ReduceOp,
+        acc: Acc,
+    ) -> Self {
+        Rooted {
+            data,
+            acc,
+            step: Step::Idle,
+            shape: Shape::unplaced(algo.unwrap_or(CollAlgo::Linear), root),
+            comm,
+            tag: 0,
+            cursor: 0,
+            op,
+            kind,
+            phase: Phase::Begin {
+                configured: algo.is_none(),
+            },
+        }
+    }
+
+    /// Run phases until one posts an operation (`Continue`) or the
+    /// collective ends (`Break` with its bytes). `got` is the payload of
+    /// the receive that just completed, if one did.
+    fn advance(&mut self, mut got: Option<Bytes>) -> Result<ControlFlow<Option<Bytes>>, MpiError> {
+        loop {
+            match self.phase {
+                Phase::Begin { configured } => {
+                    let (me, size, tag) = coll_begin(self.comm)?;
+                    if self.shape.root as usize >= size {
+                        return Err(MpiError::Invalid("root out of range"));
+                    }
+                    let algo = if configured {
+                        configured_algo()
+                    } else {
+                        self.shape.algo
+                    };
+                    self.shape = Shape::new(algo, me, self.shape.root as usize, size);
+                    self.tag = tag;
+                    if size <= 1 && matches!(self.kind, Kind::Bcast | Kind::Barrier) {
+                        return Ok(ControlFlow::Break(self.finish()));
+                    }
+                    self.phase = match self.kind {
+                        Kind::Bcast => Phase::Down,
+                        _ => Phase::Gather,
+                    };
+                }
+                Phase::Gather => {
+                    if let Some(wire) = got.take() {
+                        self.fold(wire)?;
+                        self.cursor += 1;
+                    }
+                    if let Some(child) = self.shape.child(self.cursor as usize) {
+                        self.recv(child)?;
+                        return Ok(ControlFlow::Continue(()));
+                    }
+                    let wire = match mem::replace(&mut self.acc, Acc::Fold(None)) {
+                        Acc::Fold(acc) => acc.map_or_else(|| to_wire(self.data), Bytes::from),
+                        Acc::Payload(_) => unreachable!("the reduce phase comes first"),
+                    };
+                    match self.shape.parent() {
+                        Some(parent) => {
+                            self.phase = Phase::Up;
+                            self.send(parent, wire)?;
+                            return Ok(ControlFlow::Continue(()));
+                        }
+                        None if self.kind == Kind::Reduce => {
+                            return Ok(ControlFlow::Break(Some(wire)));
+                        }
+                        None => self.release(wire),
+                    }
+                }
+                Phase::Up if self.kind == Kind::Reduce => return Ok(ControlFlow::Break(None)),
+                Phase::Up => self.release(Bytes::new()),
+                Phase::Release => {
+                    let count = self.kind == Kind::Allreduce;
+                    let (_, size, tag) = coll_begin_counted(self.comm, count)?;
+                    self.tag = tag;
+                    if size <= 1 {
+                        return Ok(ControlFlow::Break(self.finish()));
+                    }
+                    self.phase = Phase::Down;
+                }
+                Phase::Down => {
+                    match got.take() {
+                        Some(data) => self.acc = Acc::Payload(data),
+                        None => {
+                            if let Some(parent) = self.shape.parent() {
+                                self.recv(parent)?;
+                                return Ok(ControlFlow::Continue(()));
+                            }
+                        }
+                    }
+                    note_payload(self.shape.children().count() as u64, 0);
+                    self.cursor = 0;
+                    self.phase = Phase::Fanout;
+                }
+                Phase::Fanout => {
+                    let Some(child) = self.shape.child(self.cursor as usize) else {
+                        return Ok(ControlFlow::Break(self.finish()));
+                    };
+                    self.cursor += 1;
+                    let Acc::Payload(data) = &self.acc else {
+                        unreachable!("the broadcast phase holds its payload")
+                    };
+                    self.send(child, data.clone())?;
+                    return Ok(ControlFlow::Continue(()));
+                }
+            }
+        }
+    }
+
+    /// Fold a child's wire bytes into the accumulator, in fold order.
+    /// The first child's buffer becomes the accumulator without a copy
+    /// when the receive holds its only reference, so a node decodes
+    /// nothing.
+    fn fold(&mut self, wire: Bytes) -> Result<(), MpiError> {
+        if self.kind == Kind::Barrier {
+            return Ok(());
+        }
+        if !wire.len().is_multiple_of(8) {
+            return Err(MpiError::Invalid("reduce payload size mismatch"));
+        }
+        if wire.len() / 8 != self.data.len() {
+            return Err(MpiError::Invalid("reduce payload length mismatch"));
+        }
+        let (op, data) = (self.op, self.data);
+        match &mut self.acc {
+            Acc::Fold(Some(buf)) => fold_wire(op, buf, wire.chunks_exact(8).map(T::from_le), false),
+            Acc::Fold(acc) => {
+                let mut buf = wire.into_vec();
+                fold_wire(op, &mut buf, data.iter().copied(), true);
+                *acc = Some(buf);
+            }
+            Acc::Payload(_) => unreachable!("the reduce phase comes first"),
+        }
+        Ok(())
+    }
+
+    /// The reduce phase of an allreduce or a tree barrier is over: its
+    /// bytes (the result at the root, empty elsewhere) are the payload
+    /// the broadcast phase starts from.
+    fn release(&mut self, payload: Bytes) {
+        self.acc = Acc::Payload(payload);
+        self.phase = Phase::Release;
+    }
+
+    /// The bytes a finished collective resolves to: its payload, if it
+    /// got to one.
+    fn finish(&mut self) -> Option<Bytes> {
+        match mem::replace(&mut self.acc, Acc::Fold(None)) {
+            Acc::Payload(data) => Some(data),
+            Acc::Fold(_) => None,
+        }
+    }
+
+    fn recv(&mut self, src: usize) -> Result<(), MpiError> {
+        let req = p2p::irecv_ex(self.comm, Some(src), Some(self.tag), false)?;
+        self.step = Step::Recv(WaitReq::new(req));
+        Ok(())
+    }
+
+    fn send(&mut self, dst: usize, data: Bytes) -> Result<(), MpiError> {
+        let (req, overhead) = p2p::post_send(self.comm, dst, self.tag, data, false)?;
+        self.step = Step::Overhead(req, p2p::overhead_sleep(overhead));
+        Ok(())
+    }
+}
+
+impl<T: Wire> Future for Rooted<'_, T> {
+    type Output = Result<Option<Bytes>, MpiError>;
+
+    fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<Self::Output> {
+        let this = self.get_mut();
+        loop {
+            let got = match &mut this.step {
+                Step::Idle => None,
+                Step::Recv(wait) => {
+                    let out = ready!(Pin::new(wait).poll(cx))?
+                        .ok_or(MpiError::Invalid("receive completed without payload"))?;
+                    Some(out.data)
+                }
+                Step::Overhead(req, sleep) => {
+                    if let Some(sleep) = sleep {
+                        ready!(Pin::new(sleep).poll(cx));
+                    }
+                    this.step = Step::Send(WaitReq::new(*req));
+                    continue;
+                }
+                Step::Send(wait) => {
+                    ready!(Pin::new(wait).poll(cx))?;
+                    None
+                }
+            };
+            this.step = Step::Idle;
+            if let ControlFlow::Break(out) = this.advance(got)? {
+                return Poll::Ready(Ok(out));
+            }
+        }
+    }
+}
+
+/// Broadcast from `root` over `algo`'s shape (`None`: the run's):
+/// receive from the parent, then send to each child in order. Returns
+/// the payload on every member (the root passes it in; others pass
+/// anything).
+pub(crate) fn broadcast(
+    algo: Option<CollAlgo>,
+    comm: CommId,
+    root: usize,
+    data: Bytes,
+) -> impl Future<Output = Result<Bytes, MpiError>> + Unpin {
+    let payload = Acc::Payload(data);
+    let mut coll = Rooted::<u64>::new(Kind::Bcast, algo, comm, root, &[], ReduceOp::Sum, payload);
+    poll_fn(move |cx| {
+        Pin::new(&mut coll)
+            .poll(cx)
+            .map_ok(|out| out.expect("a broadcast ends with its payload"))
+    })
+}
+
+/// Elementwise reduce to `root` over `algo` (`None`: the run's):
+/// `Some(result)` at the root.
 ///
 /// The fold order is the member's own data, then its children in
 /// [`Shape`] order, so the `f64` result is deterministic for a given
 /// communicator regardless of arrival order — each receive blocks on its
-/// specific `(source, tag)` pair. The first child's buffer becomes the
-/// accumulator without a copy when the receive holds its only reference,
-/// and the others fold into it in place: a node decodes nothing.
-fn reduce_wire<T: Wire>(
-    algo: CollAlgo,
-    comm: CommId,
-    root: usize,
-    data: &[T],
-    op: ReduceOp,
-) -> impl Future<Output = Result<Option<Bytes>, MpiError>> + '_ {
-    async move {
-        let (me, size, tag) = coll_begin(comm)?;
-        let shape = Shape::new(algo, me, root, size);
-        let mut acc: Option<Vec<u8>> = None;
-        for child in shape.children() {
-            let wire = p2p::recv_raw(comm, Some(child), Some(tag)).await?.data;
-            if !wire.len().is_multiple_of(8) {
-                return Err(MpiError::Invalid("reduce payload size mismatch"));
-            }
-            if wire.len() / 8 != data.len() {
-                return Err(MpiError::Invalid("reduce payload length mismatch"));
-            }
-            match &mut acc {
-                None => {
-                    let mut buf = wire.into_vec();
-                    fold_wire(op, &mut buf, data.iter().copied(), true);
-                    acc = Some(buf);
-                }
-                Some(buf) => fold_wire(op, buf, wire.chunks_exact(8).map(T::from_le), false),
-            }
-        }
-        let wire = acc.map_or_else(|| to_wire(data), Bytes::from);
-        match shape.parent() {
-            Some(parent) => {
-                p2p::send_raw(comm, parent, tag, wire).await?;
-                Ok(None)
-            }
-            None => Ok(Some(wire)),
-        }
-    }
-}
-
-/// Elementwise reduce to `root` over `algo`: `Some(result)` at the root.
+/// specific `(source, tag)` pair.
 pub(crate) fn reduce<T: Wire>(
-    algo: CollAlgo,
+    algo: Option<CollAlgo>,
     comm: CommId,
     root: usize,
     data: &[T],
     op: ReduceOp,
-) -> impl Future<Output = Result<Option<Vec<T>>, MpiError>> + '_ {
-    async move {
-        let wire = reduce_wire(algo, comm, root, data, op).await?;
-        Ok(wire.map(|w| from_wire(&w).expect("whole elements")))
-    }
+) -> impl Future<Output = Result<Option<Vec<T>>, MpiError>> + Unpin + '_ {
+    let mut coll = Rooted::new(Kind::Reduce, algo, comm, root, data, op, Acc::Fold(None));
+    poll_fn(move |cx| {
+        Pin::new(&mut coll)
+            .poll(cx)
+            .map_ok(|wire| wire.map(|w| from_wire(&w).expect("whole elements")))
+    })
 }
 
-/// Elementwise allreduce over `algo`: reduce to rank 0, whose wire bytes
-/// are the broadcast payload, and decode once at the end.
+/// Elementwise allreduce over `algo` (`None`: the run's): reduce to rank
+/// 0, whose wire bytes are the broadcast payload, and decode once at the
+/// end.
 pub(crate) fn allreduce<T: Wire>(
-    algo: CollAlgo,
+    algo: Option<CollAlgo>,
     comm: CommId,
     data: &[T],
     op: ReduceOp,
-) -> impl Future<Output = Result<Vec<T>, MpiError>> + '_ {
-    async move {
-        let wire = reduce_wire(algo, comm, 0, data, op).await?;
-        let wire = broadcast(algo, comm, 0, wire.unwrap_or_default(), true).await?;
-        from_wire(&wire).ok_or(MpiError::Invalid("corrupt allreduce payload"))
-    }
+) -> impl Future<Output = Result<Vec<T>, MpiError>> + Unpin + '_ {
+    let mut coll = Rooted::new(Kind::Allreduce, algo, comm, 0, data, op, Acc::Fold(None));
+    poll_fn(move |cx| {
+        Pin::new(&mut coll).poll(cx).map(|r| {
+            let wire = r?.expect("an allreduce ends with its payload");
+            from_wire(&wire).ok_or(MpiError::Invalid("corrupt allreduce payload"))
+        })
+    })
 }
 
 /// Linear reduce of `f64` vectors to `root` (elementwise, in rank
@@ -512,7 +789,7 @@ pub fn reduce_f64<'a>(
     data: &'a [f64],
     op: ReduceOp,
 ) -> impl Future<Output = Result<Option<Vec<f64>>, MpiError>> + 'a {
-    reduce(CollAlgo::Linear, comm, root, data, op)
+    reduce(Some(CollAlgo::Linear), comm, root, data, op)
 }
 
 /// Allreduce of `f64` vectors: linear reduce to rank 0, then broadcast.
@@ -521,7 +798,7 @@ pub fn allreduce_f64(
     data: &[f64],
     op: ReduceOp,
 ) -> impl Future<Output = Result<Vec<f64>, MpiError>> + '_ {
-    allreduce(CollAlgo::Linear, comm, data, op)
+    allreduce(Some(CollAlgo::Linear), comm, data, op)
 }
 
 /// Linear reduce of `u64` vectors to `root` (elementwise).
@@ -531,7 +808,7 @@ pub fn reduce_u64<'a>(
     data: &'a [u64],
     op: ReduceOp,
 ) -> impl Future<Output = Result<Option<Vec<u64>>, MpiError>> + 'a {
-    reduce(CollAlgo::Linear, comm, root, data, op)
+    reduce(Some(CollAlgo::Linear), comm, root, data, op)
 }
 
 /// Allreduce of `u64` vectors.
@@ -540,7 +817,7 @@ pub fn allreduce_u64(
     data: &[u64],
     op: ReduceOp,
 ) -> impl Future<Output = Result<Vec<u64>, MpiError>> + '_ {
-    allreduce(CollAlgo::Linear, comm, data, op)
+    allreduce(Some(CollAlgo::Linear), comm, data, op)
 }
 
 // ----------------------------------------------------------------------
@@ -553,32 +830,26 @@ pub fn bcast_tree(
     comm: CommId,
     root: usize,
     data: Bytes,
-) -> impl Future<Output = Result<Bytes, MpiError>> {
-    broadcast(CollAlgo::Tree, comm, root, data, true)
+) -> impl Future<Output = Result<Bytes, MpiError>> + Unpin {
+    broadcast(Some(CollAlgo::Tree), comm, root, data)
 }
 
 /// Binomial-tree barrier: tree-reduce of empty messages followed by a
-/// tree broadcast.
-pub fn barrier_tree(comm: CommId) -> impl Future<Output = Result<(), MpiError>> {
-    async move {
-        let (me, size, tag) = coll_begin(comm)?;
-        if size <= 1 {
-            return Ok(());
-        }
-        // Reduce phase (children → parent).
-        let shape = Shape::new(CollAlgo::Tree, me, 0, size);
-        for child in shape.children() {
-            p2p::recv_raw(comm, Some(child), Some(tag)).await?;
-        }
-        if let Some(parent) = shape.parent() {
-            p2p::send_raw(comm, parent, tag, Bytes::new()).await?;
-        }
-        // Release phase with a fresh tag. The phase is internal to this
-        // barrier, so it does not count as a second collective (a tree
-        // barrier must tally like a linear one).
-        broadcast(CollAlgo::Tree, comm, 0, Bytes::new(), false).await?;
-        Ok(())
-    }
+/// tree broadcast with a fresh tag. The broadcast is internal to the
+/// barrier, so it does not count as a second collective (a tree barrier
+/// must tally like a linear one).
+pub fn barrier_tree(comm: CommId) -> impl Future<Output = Result<(), MpiError>> + Unpin {
+    let none = Acc::Fold(None);
+    let mut coll = Rooted::<u64>::new(
+        Kind::Barrier,
+        Some(CollAlgo::Tree),
+        comm,
+        0,
+        &[],
+        ReduceOp::Sum,
+        none,
+    );
+    poll_fn(move |cx| Pin::new(&mut coll).poll(cx).map_ok(|_| ()))
 }
 
 /// Binomial-tree reduce of `f64` vectors to `root`. O(log P) rounds; the
@@ -590,7 +861,7 @@ pub fn reduce_f64_tree<'a>(
     data: &'a [f64],
     op: ReduceOp,
 ) -> impl Future<Output = Result<Option<Vec<f64>>, MpiError>> + 'a {
-    reduce(CollAlgo::Tree, comm, root, data, op)
+    reduce(Some(CollAlgo::Tree), comm, root, data, op)
 }
 
 /// Binomial-tree reduce of `u64` vectors to `root`.
@@ -600,7 +871,7 @@ pub fn reduce_u64_tree<'a>(
     data: &'a [u64],
     op: ReduceOp,
 ) -> impl Future<Output = Result<Option<Vec<u64>>, MpiError>> + 'a {
-    reduce(CollAlgo::Tree, comm, root, data, op)
+    reduce(Some(CollAlgo::Tree), comm, root, data, op)
 }
 
 /// Tree allreduce of `f64` vectors: binomial reduce to rank 0, then
@@ -610,7 +881,7 @@ pub fn allreduce_f64_tree(
     data: &[f64],
     op: ReduceOp,
 ) -> impl Future<Output = Result<Vec<f64>, MpiError>> + '_ {
-    allreduce(CollAlgo::Tree, comm, data, op)
+    allreduce(Some(CollAlgo::Tree), comm, data, op)
 }
 
 /// Tree allreduce of `u64` vectors.
@@ -619,7 +890,7 @@ pub fn allreduce_u64_tree(
     data: &[u64],
     op: ReduceOp,
 ) -> impl Future<Output = Result<Vec<u64>, MpiError>> + '_ {
-    allreduce(CollAlgo::Tree, comm, data, op)
+    allreduce(Some(CollAlgo::Tree), comm, data, op)
 }
 
 /// Ring allgather: P−1 rounds; in round `s` every member forwards the

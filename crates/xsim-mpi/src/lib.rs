@@ -9,8 +9,8 @@
 //!   to the network/processor models.
 //! * **Point-to-point and collectives**: send/recv/isend/irecv with
 //!   `MPI_ANY_SOURCE`/`MPI_ANY_TAG`, wait/test/waitall/waitany, and
-//!   linear-algorithm collectives (§V-C) plus binomial-tree ablation
-//!   variants.
+//!   collectives: binomial-tree ones by default, and the paper's
+//!   linear algorithms (§V-C) when a run pins them.
 //! * **Failure injection/propagation/detection/notification** (§IV-B/C):
 //!   scheduled process failures activate on clock updates; a
 //!   simulator-internal notification is broadcast; pending operations

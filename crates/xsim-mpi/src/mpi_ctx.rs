@@ -9,7 +9,8 @@
 //!
 //! The operations a rank spends its run in are `fn`s returning an
 //! `async move` block rather than `async fn`s, so the rank future holds
-//! one copy of their arguments, not two.
+//! one copy of their arguments, not two; the rooted collectives return
+//! their poll-state machine, wrapped in a `Traced` tail.
 #![allow(clippy::manual_async_fn)]
 
 use crate::abort::initiate_abort_here;
@@ -21,7 +22,9 @@ use crate::request::{RecvOut, ReqId};
 use crate::state::{CollAlgo, MpiService};
 use crate::ulfm;
 use std::future::Future;
+use std::pin::Pin;
 use std::sync::Arc;
+use std::task::{ready, Context, Poll};
 use xsim_core::vp::{VpExit, VpFuture, VpProgram};
 use xsim_core::{ctx, Bytes, Rank, SimTime};
 use xsim_obs::service as obs;
@@ -58,7 +61,7 @@ impl MpiCtx {
     }
 
     #[inline]
-    fn rec(&self, kind: PhaseKind, t0: Option<SimTime>, peer: Option<Rank>, bytes: u64) {
+    fn rec(kind: PhaseKind, t0: Option<SimTime>, peer: Option<Rank>, bytes: u64) {
         if let Some(start) = t0 {
             ctx::with_kernel(|k, rank| {
                 let end = k.vp(rank).clock();
@@ -124,7 +127,7 @@ impl MpiCtx {
             if d > SimTime::ZERO {
                 ctx::sleep(d).await;
             }
-            self.rec(PhaseKind::Compute, t0, None, 0);
+            Self::rec(PhaseKind::Compute, t0, None, 0);
         }
     }
 
@@ -137,7 +140,7 @@ impl MpiCtx {
     // Error-handler plumbing
     // ------------------------------------------------------------------
 
-    fn apply<T>(&self, comm: Comm, r: Result<T, MpiError>) -> Result<T, MpiError> {
+    fn apply<T>(comm: Comm, r: Result<T, MpiError>) -> Result<T, MpiError> {
         match r {
             Ok(v) => Ok(v),
             Err(e) if e.is_fatal() => Err(e),
@@ -176,8 +179,8 @@ impl MpiCtx {
             let t0 = self.t0();
             let bytes = data.len() as u64;
             let r = p2p::send_raw(comm.id, dst, tag, data).await;
-            self.rec(PhaseKind::Send, t0, Some(Rank(dst as u32)), bytes);
-            self.apply(comm, r)
+            Self::rec(PhaseKind::Send, t0, Some(Rank(dst as u32)), bytes);
+            Self::apply(comm, r)
         }
     }
 
@@ -195,8 +198,8 @@ impl MpiCtx {
                 Ok(out) => (Some(out.src), out.data.len() as u64),
                 Err(_) => (src.map(|s| Rank(s as u32)), 0),
             };
-            self.rec(PhaseKind::Recv, t0, peer, bytes);
-            self.apply(comm, r)
+            Self::rec(PhaseKind::Recv, t0, peer, bytes);
+            Self::apply(comm, r)
         }
     }
 
@@ -210,7 +213,7 @@ impl MpiCtx {
     ) -> impl Future<Output = Result<ReqId, MpiError>> + '_ {
         async move {
             let r = p2p::isend_raw(comm.id, dst, tag, data).await;
-            self.apply(comm, r)
+            Self::apply(comm, r)
         }
     }
 
@@ -222,7 +225,7 @@ impl MpiCtx {
         tag: Option<u32>,
     ) -> Result<ReqId, MpiError> {
         let r = p2p::irecv_raw(comm.id, src, tag);
-        self.apply(comm, r)
+        Self::apply(comm, r)
     }
 
     /// Wait for a request (`MPI_Wait`); returns the payload for receives.
@@ -234,8 +237,8 @@ impl MpiCtx {
         async move {
             let t0 = self.t0();
             let r = p2p::wait_raw(req).await;
-            self.rec(PhaseKind::Wait, t0, None, 0);
-            self.apply(comm, r)
+            Self::rec(PhaseKind::Wait, t0, None, 0);
+            Self::apply(comm, r)
         }
     }
 
@@ -248,8 +251,8 @@ impl MpiCtx {
         async move {
             let t0 = self.t0();
             let r = p2p::waitall_raw(reqs).await;
-            self.rec(PhaseKind::Wait, t0, None, 0);
-            self.apply(comm, r)
+            Self::rec(PhaseKind::Wait, t0, None, 0);
+            Self::apply(comm, r)
         }
     }
 
@@ -261,7 +264,7 @@ impl MpiCtx {
     ) -> impl Future<Output = Result<(usize, Option<RecvOut>), MpiError>> + use<'s, 'd> {
         async move {
             let (i, r) = p2p::waitany_raw(reqs).await;
-            self.apply(comm, r).map(|v| (i, v))
+            Self::apply(comm, r).map(|v| (i, v))
         }
     }
 
@@ -279,8 +282,8 @@ impl MpiCtx {
         let t0 = self.t0();
         let bytes = data.len() as u64;
         let r = p2p::sendrecv_raw(comm.id, dst, send_tag, data, src, recv_tag).await;
-        self.rec(PhaseKind::Send, t0, Some(Rank(dst as u32)), bytes);
-        self.apply(comm, r)
+        Self::rec(PhaseKind::Send, t0, Some(Rank(dst as u32)), bytes);
+        Self::apply(comm, r)
     }
 
     /// Blocking probe (`MPI_Probe`): wait for a matching message and
@@ -293,7 +296,7 @@ impl MpiCtx {
         tag: Option<u32>,
     ) -> Result<(Rank, u32, usize), MpiError> {
         let r = p2p::probe_raw(comm.id, src, tag).await;
-        self.apply(comm, r)
+        Self::apply(comm, r)
     }
 
     /// Nonblocking probe (`MPI_Iprobe`).
@@ -304,7 +307,7 @@ impl MpiCtx {
         tag: Option<u32>,
     ) -> Result<Option<(Rank, u32, usize)>, MpiError> {
         let r = p2p::iprobe_raw(comm.id, src, tag);
-        self.apply(comm, r)
+        Self::apply(comm, r)
     }
 
     /// Release a request that will never be waited on
@@ -316,37 +319,37 @@ impl MpiCtx {
     /// only the host memory differs.
     pub fn request_free(&self, comm: Comm, req: ReqId) -> Result<(), MpiError> {
         let r = p2p::request_free_raw(req);
-        self.apply(comm, r)
+        Self::apply(comm, r)
     }
 
     /// Nonblocking completion test (`MPI_Test`).
     pub fn test(&self, comm: Comm, req: ReqId) -> Result<Option<Option<RecvOut>>, MpiError> {
         match p2p::test_raw(req) {
             None => Ok(None),
-            Some(r) => self.apply(comm, r).map(Some),
+            Some(r) => Self::apply(comm, r).map(Some),
         }
     }
 
     // ------------------------------------------------------------------
-    // Collectives (algorithm selected by `SimBuilder::collectives`; the
-    // paper's simulated system uses the linear ones, §V-C)
+    // Collectives. `SimBuilder::collectives` selects the algorithms; the
+    // default is `CollAlgo::Tree` (binomial trees, ring allgather). The
+    // paper's simulated system uses the linear ones (§V-C), so the
+    // paper-fidelity benchmarks pin `CollAlgo::Linear`.
     // ------------------------------------------------------------------
 
-    fn coll_algo(&self) -> CollAlgo {
-        ctx::with_kernel(|k, _| k.service::<MpiService>().world.coll_algo)
-    }
-
-    /// Barrier (`MPI_Barrier`) using the configured algorithm (linear by
-    /// default, per the paper's §V-C).
+    /// Barrier (`MPI_Barrier`) using the configured algorithm: a
+    /// binomial-tree reduce and release by default, the linear gather
+    /// and release when the run pins [`CollAlgo::Linear`] (the paper's
+    /// §V-C configuration).
     pub fn barrier(&self, comm: Comm) -> impl Future<Output = Result<(), MpiError>> + '_ {
         async move {
             let t0 = self.t0();
-            let r = match self.coll_algo() {
+            let r = match collective::configured_algo() {
                 CollAlgo::Linear => collective::barrier(comm.id).await,
                 CollAlgo::Tree => collective::barrier_tree(comm.id).await,
             };
-            self.rec(PhaseKind::Collective, t0, None, 0);
-            self.apply(comm, r)
+            Self::rec(PhaseKind::Collective, t0, None, 0);
+            Self::apply(comm, r)
         }
     }
 
@@ -357,14 +360,12 @@ impl MpiCtx {
         root: usize,
         data: Bytes,
     ) -> impl Future<Output = Result<Bytes, MpiError>> + '_ {
-        async move {
-            let t0 = self.t0();
-            let bytes = data.len() as u64;
-            let algo = self.coll_algo();
-            let r = collective::broadcast(algo, comm.id, root, data, true).await;
-            self.rec(PhaseKind::Collective, t0, Some(Rank(root as u32)), bytes);
-            self.apply(comm, r)
-        }
+        let (peer, bytes) = (Some(Rank(root as u32)), data.len() as u64);
+        Traced::new(comm, collective::broadcast(None, comm.id, root, data)).spanned(
+            self.traced,
+            peer,
+            bytes,
+        )
     }
 
     /// Gather to root (`MPI_Gather`, linear).
@@ -375,7 +376,7 @@ impl MpiCtx {
         data: Bytes,
     ) -> Result<Option<Vec<Bytes>>, MpiError> {
         let r = collective::gather(comm.id, root, data).await;
-        self.apply(comm, r)
+        Self::apply(comm, r)
     }
 
     /// Scatter from root (`MPI_Scatter`, linear).
@@ -386,24 +387,24 @@ impl MpiCtx {
         parts: Option<Vec<Bytes>>,
     ) -> Result<Bytes, MpiError> {
         let r = collective::scatter(comm.id, root, parts).await;
-        self.apply(comm, r)
+        Self::apply(comm, r)
     }
 
     /// Allgather (`MPI_Allgather`) using the configured algorithm:
     /// linear gather + bcast, or the ring schedule under
     /// [`CollAlgo::Tree`](crate::state::CollAlgo).
     pub async fn allgather(&self, comm: Comm, data: Bytes) -> Result<Vec<Bytes>, MpiError> {
-        let r = match self.coll_algo() {
+        let r = match collective::configured_algo() {
             CollAlgo::Linear => collective::allgather(comm.id, data).await,
             CollAlgo::Tree => collective::allgather_ring(comm.id, data).await,
         };
-        self.apply(comm, r)
+        Self::apply(comm, r)
     }
 
     /// All-to-all personalized exchange (`MPI_Alltoall`).
     pub async fn alltoall(&self, comm: Comm, parts: Vec<Bytes>) -> Result<Vec<Bytes>, MpiError> {
         let r = collective::alltoall(comm.id, parts).await;
-        self.apply(comm, r)
+        Self::apply(comm, r)
     }
 
     /// Elementwise reduce of `f64` vectors to root (`MPI_Reduce`) using
@@ -417,11 +418,7 @@ impl MpiCtx {
         data: &'d [f64],
         op: ReduceOp,
     ) -> impl Future<Output = Result<Option<Vec<f64>>, MpiError>> + use<'s, 'd> {
-        async move {
-            let algo = self.coll_algo();
-            let r = collective::reduce(algo, comm.id, root, data, op).await;
-            self.apply(comm, r)
-        }
+        Traced::new(comm, collective::reduce(None, comm.id, root, data, op))
     }
 
     /// Elementwise allreduce of `f64` vectors (`MPI_Allreduce`) using
@@ -432,13 +429,12 @@ impl MpiCtx {
         data: &'d [f64],
         op: ReduceOp,
     ) -> impl Future<Output = Result<Vec<f64>, MpiError>> + use<'s, 'd> {
-        async move {
-            let t0 = self.t0();
-            let algo = self.coll_algo();
-            let r = collective::allreduce(algo, comm.id, data, op).await;
-            self.rec(PhaseKind::Collective, t0, None, (data.len() * 8) as u64);
-            self.apply(comm, r)
-        }
+        let bytes = (data.len() * 8) as u64;
+        Traced::new(comm, collective::allreduce(None, comm.id, data, op)).spanned(
+            self.traced,
+            None,
+            bytes,
+        )
     }
 
     /// Elementwise allreduce of `u64` vectors using the configured
@@ -449,11 +445,7 @@ impl MpiCtx {
         data: &'d [u64],
         op: ReduceOp,
     ) -> impl Future<Output = Result<Vec<u64>, MpiError>> + use<'s, 'd> {
-        async move {
-            let algo = self.coll_algo();
-            let r = collective::allreduce(algo, comm.id, data, op).await;
-            self.apply(comm, r)
-        }
+        Traced::new(comm, collective::allreduce(None, comm.id, data, op))
     }
 
     // ------------------------------------------------------------------
@@ -586,6 +578,70 @@ impl MpiCtx {
     /// internal function, paper §IV-B). Never returns.
     pub async fn fail_now(&self) -> ! {
         ctx::fail_now().await
+    }
+}
+
+/// When a [`Traced`] collective's span started.
+enum Span {
+    /// Not recorded.
+    Off,
+    /// Recorded from the first poll, which has not come yet.
+    Armed,
+    /// Recorded from this virtual time.
+    Since(SimTime),
+}
+
+/// A collective machine and `MpiCtx`'s tail: the span recorded and the
+/// error handler applied when it resolves. Polls the machine directly,
+/// so the rank future holds one state machine, not three nested ones.
+struct Traced<F> {
+    coll: F,
+    span: Span,
+    comm: Comm,
+    peer: Option<Rank>,
+    bytes: u64,
+}
+
+impl<F> Traced<F> {
+    /// `coll` with the error-handler tail only.
+    fn new(comm: Comm, coll: F) -> Self {
+        Traced {
+            coll,
+            span: Span::Off,
+            comm,
+            peer: None,
+            bytes: 0,
+        }
+    }
+
+    /// Also record the call's phase span, from its first poll, when the
+    /// run is traced.
+    fn spanned(self, traced: bool, peer: Option<Rank>, bytes: u64) -> Self {
+        Traced {
+            span: if traced { Span::Armed } else { Span::Off },
+            peer,
+            bytes,
+            ..self
+        }
+    }
+}
+
+impl<F, T> Future for Traced<F>
+where
+    F: Future<Output = Result<T, MpiError>> + Unpin,
+{
+    type Output = Result<T, MpiError>;
+
+    fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<Self::Output> {
+        let this = self.get_mut();
+        if let Span::Armed = this.span {
+            this.span = Span::Since(ctx::now());
+        }
+        let r = ready!(Pin::new(&mut this.coll).poll(cx));
+        if let Span::Since(t0) = this.span {
+            MpiCtx::rec(PhaseKind::Collective, Some(t0), this.peer, this.bytes);
+        }
+        Poll::Ready(MpiCtx::apply(this.comm, r))
     }
 }
 

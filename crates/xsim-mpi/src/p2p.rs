@@ -111,50 +111,46 @@ struct SendArgs {
 }
 
 /// A send: post, sleep the sender-side overhead, and (blocking sends)
-/// wait for the request. `F` is the zero-sized sleep constructor and
-/// `S` the future it returns, because `ctx::sleep`'s type has no name.
-struct SendFuture<F, S> {
-    sleep: F,
-    step: SendStep<S>,
-}
-
-enum SendStep<S> {
+/// wait for the request.
+enum SendFuture {
     Start(SendArgs),
     /// Posted; the sender-side overhead, if any, elapses.
     Overhead {
         req: ReqId,
-        sleep: Option<S>,
+        sleep: Option<ctx::Sleep>,
         blocking: bool,
     },
     Wait(WaitReq),
     Done,
 }
 
-impl<F, S> Future for SendFuture<F, S>
-where
-    F: Fn(SimTime) -> S + Unpin,
-    S: Future<Output = ()> + Unpin,
-{
+impl Future for SendFuture {
     type Output = Result<ReqId, MpiError>;
 
     fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<Self::Output> {
         let this = self.get_mut();
         loop {
-            match &mut this.step {
-                SendStep::Start(_) => {
-                    let SendStep::Start(args) = mem::replace(&mut this.step, SendStep::Done) else {
+            match this {
+                SendFuture::Start(_) => {
+                    let SendFuture::Start(args) = mem::replace(this, SendFuture::Done) else {
                         unreachable!()
                     };
-                    let blocking = args.blocking;
-                    let (req, overhead) = post_send(args)?;
-                    let sleep = (overhead > SimTime::ZERO).then(|| (this.sleep)(overhead));
-                    this.step = SendStep::Overhead {
+                    let SendArgs {
+                        comm,
+                        dst,
+                        tag,
+                        data,
+                        allow_revoked,
+                        blocking,
+                    } = args;
+                    let (req, overhead) = post_send(comm, dst, tag, data, allow_revoked)?;
+                    *this = SendFuture::Overhead {
                         req,
-                        sleep,
+                        sleep: overhead_sleep(overhead),
                         blocking,
                     };
                 }
-                SendStep::Overhead {
+                SendFuture::Overhead {
                     req,
                     sleep,
                     blocking,
@@ -164,33 +160,32 @@ where
                     }
                     let req = *req;
                     if !*blocking {
-                        this.step = SendStep::Done;
+                        *this = SendFuture::Done;
                         return Poll::Ready(Ok(req));
                     }
-                    this.step = SendStep::Wait(WaitReq::new(req));
+                    *this = SendFuture::Wait(WaitReq::new(req));
                 }
-                SendStep::Wait(wait) => {
+                SendFuture::Wait(wait) => {
                     let req = wait.req;
                     ready!(Pin::new(wait).poll(cx))?;
-                    this.step = SendStep::Done;
+                    *this = SendFuture::Done;
                     return Poll::Ready(Ok(req));
                 }
-                SendStep::Done => panic!("send polled after completion"),
+                SendFuture::Done => panic!("send polled after completion"),
             }
         }
     }
 }
 
-fn send_future(args: SendArgs) -> impl Future<Output = Result<ReqId, MpiError>> + Send + Unpin {
-    SendFuture {
-        sleep: ctx::sleep,
-        step: SendStep::Start(args),
-    }
+/// The sleep a posted send's sender-side overhead costs; none when it is
+/// zero.
+pub(crate) fn overhead_sleep(overhead: SimTime) -> Option<ctx::Sleep> {
+    (overhead > SimTime::ZERO).then(|| ctx::sleep(overhead))
 }
 
 /// A blocking send (`MPI_Send`): post, sleep the overhead, wait.
 fn blocking_send(args: SendArgs) -> impl Future<Output = Result<(), MpiError>> + Send {
-    let mut send = send_future(args);
+    let mut send = SendFuture::Start(args);
     poll_fn(move |cx| Pin::new(&mut send).poll(cx).map_ok(|_| ()))
 }
 
@@ -214,7 +209,7 @@ pub(crate) fn isend_ex(
     data: Bytes,
     allow_revoked: bool,
 ) -> impl Future<Output = Result<ReqId, MpiError>> + Send {
-    send_future(SendArgs {
+    SendFuture::Start(SendArgs {
         comm,
         dst,
         tag,
@@ -225,15 +220,13 @@ pub(crate) fn isend_ex(
 }
 
 /// Post a send and return `(request, sender-side overhead)`.
-fn post_send(args: SendArgs) -> Result<(ReqId, SimTime), MpiError> {
-    let SendArgs {
-        comm,
-        dst,
-        tag,
-        data,
-        allow_revoked,
-        ..
-    } = args;
+pub(crate) fn post_send(
+    comm: CommId,
+    dst: usize,
+    tag: u32,
+    data: Bytes,
+    allow_revoked: bool,
+) -> Result<(ReqId, SimTime), MpiError> {
     ctx::with_kernel(|k, me| {
         with_mpi(k, |k, svc| {
             let now = k.vp(me).clock();
@@ -618,13 +611,13 @@ fn woken(k: &mut Kernel, me: Rank) -> bool {
 /// `MPI_Wait` on one request: check it and, while it is pending, park
 /// on a message wait (`armed`) until a wake says to check again. Wakes
 /// may be spurious (a message for another request); the check repeats.
-struct WaitReq {
+pub(crate) struct WaitReq {
     req: ReqId,
     armed: bool,
 }
 
 impl WaitReq {
-    fn new(req: ReqId) -> Self {
+    pub(crate) fn new(req: ReqId) -> Self {
         WaitReq { req, armed: false }
     }
 }

@@ -33,15 +33,26 @@ pub enum ReqKind {
 /// Completion payload: `None` for sends, `Some` for receives.
 pub type ReqResult = Result<Option<RecvOut>, MpiError>;
 
+/// One request: what a pending one is matched, failed and revoked by,
+/// or — once complete — only its result, until its owner collects it.
+/// No completed-request path reads the pending fields, so a slot holds
+/// one or the other.
 #[derive(Debug)]
-enum ReqState {
-    Pending,
-    Done { at: SimTime, result: ReqResult },
+pub enum Request {
+    /// Not completed yet.
+    Pending(Pending),
+    /// Completed at virtual time `at`.
+    Done {
+        /// Completion time; the owner sees it once its clock gets there.
+        at: SimTime,
+        /// The payload (receives) or `None` (sends), or the error.
+        result: ReqResult,
+    },
 }
 
-/// One outstanding request.
-#[derive(Debug)]
-pub struct Request {
+/// The fields of a pending request.
+#[derive(Debug, Clone, Copy)]
+pub struct Pending {
     /// Kind (send/recv).
     pub kind: ReqKind,
     /// Communicator.
@@ -55,13 +66,20 @@ pub struct Request {
     /// Released by its owner (`MPI_Request_free`) while still pending:
     /// nobody will collect it, so it leaves the table when it completes.
     freed: bool,
-    state: ReqState,
 }
 
 impl Request {
     /// Whether the request has not completed yet.
     pub fn is_pending(&self) -> bool {
-        matches!(self.state, ReqState::Pending)
+        matches!(self, Request::Pending(_))
+    }
+
+    /// The pending fields; `None` once complete.
+    pub fn pending(&self) -> Option<&Pending> {
+        match self {
+            Request::Pending(p) => Some(p),
+            Request::Done { .. } => None,
+        }
     }
 }
 
@@ -88,15 +106,14 @@ impl RequestTable {
         self.next += 1;
         self.map.insert(
             id,
-            Request {
+            Request::Pending(Pending {
                 kind,
                 comm,
                 peer,
                 tag,
                 posted_at,
                 freed: false,
-                state: ReqState::Pending,
-            },
+            }),
         );
         ReqId(id)
     }
@@ -109,11 +126,11 @@ impl RequestTable {
     pub(crate) fn free(&mut self, id: ReqId) -> bool {
         match self.map.get_mut(&id.0) {
             None => false,
-            Some(r) if r.is_pending() => {
-                r.freed = true;
+            Some(Request::Pending(p)) => {
+                p.freed = true;
                 true
             }
-            Some(_) => self.map.remove(&id.0).is_some(),
+            Some(Request::Done { .. }) => self.map.remove(&id.0).is_some(),
         }
     }
 
@@ -140,12 +157,12 @@ impl RequestTable {
     /// counter that follows it, is unchanged) and leaves the table.
     pub fn complete(&mut self, id: ReqId, at: SimTime, result: ReqResult) -> bool {
         match self.map.get_mut(&id.0) {
-            Some(r) if r.is_pending() => {
-                if r.freed {
-                    self.map.remove(&id.0);
-                } else {
-                    r.state = ReqState::Done { at, result };
-                }
+            Some(Request::Pending(p)) if p.freed => {
+                self.map.remove(&id.0);
+                true
+            }
+            Some(r @ Request::Pending(_)) => {
+                *r = Request::Done { at, result };
                 true
             }
             _ => false,
@@ -158,22 +175,16 @@ impl RequestTable {
         if !self.is_done(id, now) {
             return None;
         }
-        match self.map.remove(&id.0)?.state {
-            ReqState::Done { at, result } => Some((at, result)),
-            ReqState::Pending => unreachable!("checked done above"),
+        match self.map.remove(&id.0)? {
+            Request::Done { at, result } => Some((at, result)),
+            Request::Pending(_) => unreachable!("checked done above"),
         }
     }
 
     /// Whether `id` is complete from the perspective of a caller at
     /// `now` (used by `MPI_Test`).
     pub fn is_done(&self, id: ReqId, now: SimTime) -> bool {
-        matches!(
-            self.map.get(&id.0),
-            Some(Request {
-                state: ReqState::Done { at, .. },
-                ..
-            }) if *at <= now
-        )
+        matches!(self.map.get(&id.0), Some(Request::Done { at, .. }) if *at <= now)
     }
 
     /// Ids of pending requests whose peer is `dead` (specific), plus —
@@ -189,12 +200,13 @@ impl RequestTable {
 
     /// Ids and post times of the pending requests `fits` accepts, in id
     /// order.
-    fn pending_where(&self, fits: impl Fn(&Request) -> bool) -> Vec<(ReqId, SimTime)> {
+    fn pending_where(&self, fits: impl Fn(&Pending) -> bool) -> Vec<(ReqId, SimTime)> {
         let mut v: Vec<(ReqId, SimTime)> = self
             .map
             .iter()
-            .filter(|(_, r)| r.is_pending() && fits(r))
-            .map(|(id, r)| (ReqId(id), r.posted_at))
+            .filter_map(|(id, r)| Some((ReqId(id), r.pending()?)))
+            .filter(|(_, p)| fits(p))
+            .map(|(id, p)| (id, p.posted_at))
             .collect();
         v.sort_by_key(|(id, _)| id.0);
         v
@@ -218,6 +230,15 @@ mod tests {
 
     fn table() -> RequestTable {
         RequestTable::default()
+    }
+
+    /// A slot is a request id and the request: 88 B while a completed
+    /// request's result sat next to its pending fields.
+    #[test]
+    fn a_request_slot_fits_its_budget() {
+        let size = std::mem::size_of::<(u64, Request)>();
+        eprintln!("(u64, Request): {size} B");
+        assert!(size <= 56, "(u64, Request) is {size} B");
     }
 
     #[test]

@@ -4,7 +4,7 @@
 use crate::comm::{CommId, CommTable, CommView};
 use crate::error::{ErrHandler, MpiError};
 use crate::msg::{Envelope, MatchQueues};
-use crate::request::{ReqId, ReqKind, RequestTable};
+use crate::request::{Pending, ReqId, ReqKind, Request, RequestTable};
 use crate::smallmap::SmallMap;
 use std::ops::Range;
 use std::sync::{Arc, Mutex, PoisonError};
@@ -448,10 +448,12 @@ impl RankMpi {
     /// `waitall`/`waitany` is told. Returns `false` (and changes
     /// nothing) if the request is unknown or already complete.
     pub(crate) fn fail_request(&mut self, id: ReqId, at: SimTime, err: MpiError) -> bool {
-        let Some(req) = self.reqs.get(id) else {
+        let Some(&Pending {
+            kind, comm, peer, ..
+        }) = self.reqs.get(id).and_then(Request::pending)
+        else {
             return false;
         };
-        let (kind, comm, peer) = (req.kind, req.comm, req.peer);
         if !self.reqs.complete(id, at, Err(err)) {
             return false;
         }

@@ -11,6 +11,7 @@ use crate::collective::COLL_TAG_BASE;
 use crate::comm::{Comm, CommId};
 use crate::error::{ErrHandler, MpiError};
 use crate::p2p::{self, with_mpi};
+use crate::request::Request;
 use crate::state::MpiService;
 use std::sync::Arc;
 use xsim_core::event::Action;
@@ -83,7 +84,12 @@ fn apply_revoke(svc: &mut MpiService, rank: Rank, comm: CommId, at: SimTime) -> 
         // comm_shrink when the revoke notice lands must not have its
         // report/survivor-list exchange released, or the shrink itself
         // would fail with Revoked.
-        if rm.reqs.get(id).is_some_and(|r| r.tag >= SHRINK_TAG) {
+        if rm
+            .reqs
+            .get(id)
+            .and_then(Request::pending)
+            .is_some_and(|p| p.tag >= SHRINK_TAG)
+        {
             continue;
         }
         any |= rm.fail_request(id, at, MpiError::Revoked);

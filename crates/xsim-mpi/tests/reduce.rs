@@ -4,11 +4,17 @@
 //! other member in rank order, in a binomial tree the children in
 //! increasing bit order. The `f64` values (1e16, 1, −1e16) make a sum
 //! depend on that order, and the `u64` values wrap.
+//!
+//! Every run also yields its [`Timing`] — run digest, event count and
+//! exit time — and `collective_schedules_are_pinned` holds broadcast,
+//! reduce, allreduce and barrier to the values the composed
+//! `recv`/`send` futures produced, so a reordered post, overhead sleep or
+//! `coll_begin` fails here, not only in the benchmark's golden file.
 
 use std::sync::{Arc, Mutex};
-use xsim_core::Bytes;
+use xsim_core::{Bytes, SimTime};
 use xsim_mpi::collective::{self, ReduceOp, COLL_TAG_BASE};
-use xsim_mpi::{p2p, CollAlgo, CommId, MpiError, SimBuilder};
+use xsim_mpi::{p2p, CollAlgo, CommId, MpiError, RunReport, SimBuilder};
 use xsim_net::NetModel;
 
 const SIZES: [usize; 8] = [1, 2, 3, 5, 7, 12, 33, 64];
@@ -89,19 +95,27 @@ fn reference<T: Copy>(
     acc
 }
 
-/// One result row: `(rank, op index, f64 bits or u64 values)`.
-type Rows = Arc<Mutex<Vec<(usize, usize, Vec<u64>, Vec<u64>)>>>;
+/// One result row: `(rank, op index, f64 bits, u64 values)`.
+type Row = (usize, usize, Vec<u64>, Vec<u64>);
+
+/// What a run's schedule leaves behind: `(run digest, events executed,
+/// exit time in ns)`.
+type Timing = (u64, u64, u64);
+
+fn timing(report: &RunReport) -> Timing {
+    (
+        report.sim.digest,
+        report.sim.events_processed,
+        report.exit_time().as_nanos(),
+    )
+}
 
 /// Every op's reduce to `root` (`root = None`: allreduce) on `size`
 /// ranks, through the `algo` variants of the free functions.
-fn run(
-    algo: CollAlgo,
-    size: usize,
-    root: Option<usize>,
-) -> Vec<(usize, usize, Vec<u64>, Vec<u64>)> {
-    let rows: Rows = Arc::default();
+fn run(algo: CollAlgo, size: usize, root: Option<usize>) -> (Vec<Row>, Timing) {
+    let rows: Arc<Mutex<Vec<Row>>> = Arc::default();
     let sink = rows.clone();
-    SimBuilder::new(size)
+    let report = SimBuilder::new(size)
         .net(NetModel::small(size))
         .run_app(move |mpi| {
             let sink = sink.clone();
@@ -140,11 +154,11 @@ fn run(
         .expect("reduce run");
     let mut rows = std::mem::take(&mut *rows.lock().unwrap());
     rows.sort();
-    rows
+    (rows, timing(&report))
 }
 
-fn check(algo: CollAlgo, size: usize, root: Option<usize>) {
-    let rows = run(algo, size, root);
+fn check(algo: CollAlgo, size: usize, root: Option<usize>) -> Timing {
+    let (rows, timing) = run(algo, size, root);
     let holders: Vec<usize> = match root {
         Some(r) => vec![r],
         None => (0..size).collect(),
@@ -171,6 +185,7 @@ fn check(algo: CollAlgo, size: usize, root: Option<usize>) {
             "u64 {op:?} {algo:?} size {size} root {root:?} rank {rank}"
         );
     }
+    timing
 }
 
 #[test]
@@ -273,4 +288,149 @@ fn malformed_payloads_keep_their_typed_errors() {
             "{algo:?}: {e:?}"
         );
     }
+}
+
+#[test]
+fn an_out_of_range_root_is_an_invalid_argument() {
+    let errors: Arc<Mutex<Vec<MpiError>>> = Arc::default();
+    let sink = errors.clone();
+    SimBuilder::new(4)
+        .net(NetModel::small(4))
+        .run_app(move |mpi| {
+            let sink = sink.clone();
+            async move {
+                let w = CommId::WORLD;
+                let data = u64_data(mpi.rank);
+                let bcast = collective::bcast(w, 4, Bytes::new()).await.err();
+                let reduce = collective::reduce_u64_tree(w, usize::MAX, &data, ReduceOp::Sum)
+                    .await
+                    .err();
+                sink.lock().unwrap().extend(bcast.into_iter().chain(reduce));
+                mpi.finalize();
+                Ok(())
+            }
+        })
+        .expect("collective run");
+    let errors = errors.lock().unwrap();
+    assert_eq!(errors.len(), 8, "{errors:?}");
+    for e in errors.iter() {
+        assert!(matches!(e, MpiError::Invalid("root out of range")), "{e:?}");
+    }
+}
+
+/// A collective [`MpiCtx`](xsim_mpi::MpiCtx) runs with the run's
+/// configured algorithm.
+#[derive(Debug, Clone, Copy)]
+enum CtxCase {
+    /// An eager and a rendezvous broadcast from the last rank.
+    Bcast,
+    /// Three barriers after rank-skewed compute.
+    Barrier,
+}
+
+fn run_ctx(case: CtxCase, algo: CollAlgo, size: usize) -> Timing {
+    let report = SimBuilder::new(size)
+        .net(NetModel::small(size))
+        .collectives(algo)
+        .run_app(move |mpi| async move {
+            let w = mpi.world();
+            match case {
+                CtxCase::Bcast => {
+                    let root = size - 1;
+                    // Below and above the 256 kB eager threshold.
+                    for len in [24, 300 * 1024] {
+                        let data = if mpi.rank == root {
+                            Bytes::zeroed(len)
+                        } else {
+                            Bytes::new()
+                        };
+                        let got = mpi.bcast(w, root, data).await?;
+                        if got.len() != len {
+                            return Err(MpiError::Invalid("wrong broadcast payload"));
+                        }
+                    }
+                }
+                CtxCase::Barrier => {
+                    for round in 0..3u64 {
+                        let skew = (mpi.rank as u64 * 7 + round * 3) % 11;
+                        mpi.sleep(SimTime::from_micros(skew)).await;
+                        mpi.barrier(w).await?;
+                    }
+                }
+            }
+            mpi.finalize();
+            Ok(())
+        })
+        .expect("collective run");
+    timing(&report)
+}
+
+/// `(collective, algorithm, ranks, run digest, events, exit ns)`,
+/// recorded over the composed `recv_raw`/`send_raw` collectives. The
+/// reduce is to the last rank and the allreduce runs every op on `f64`
+/// and `u64` data, as in [`check`].
+const PINNED: [(&str, CollAlgo, usize, u64, u64, u64); 32] = {
+    use CollAlgo::{Linear, Tree};
+    [
+        ("bcast", Linear, 1, 0x0000000000000000, 1, 0),
+        ("reduce", Linear, 1, 0x0000000000000000, 1, 0),
+        ("allreduce", Linear, 1, 0x0000000000000000, 1, 0),
+        ("barrier", Linear, 1, 0xd60b7dd2f5bff1a4, 4, 9000),
+        ("bcast", Linear, 2, 0x95bab829984133ff, 9, 15600),
+        ("reduce", Linear, 2, 0xfcefa8c2d4d28c8d, 26, 10000),
+        ("allreduce", Linear, 2, 0xd2903fc449f039d4, 50, 48000),
+        ("barrier", Linear, 2, 0x1ca1d03798604594, 26, 37000),
+        ("bcast", Linear, 7, 0xb9edc4bcef14c3dc, 49, 88600),
+        ("reduce", Linear, 7, 0x537242ad786a86c4, 151, 50000),
+        ("allreduce", Linear, 7, 0xb47121d27383bda5, 295, 100000),
+        ("barrier", Linear, 7, 0xbcc7c08c3a9f0901, 136, 57000),
+        ("bcast", Linear, 64, 0xeb2ea7a1a1a816ce, 505, 920800),
+        ("reduce", Linear, 64, 0x0f622ec0b0d661c9, 1576, 506000),
+        ("allreduce", Linear, 64, 0xf6c24cfd21e4bf00, 3088, 1012000),
+        ("barrier", Linear, 64, 0xeeca5a973e223843, 1390, 228000),
+        ("bcast", Tree, 1, 0x0000000000000000, 1, 0),
+        ("reduce", Tree, 1, 0x0000000000000000, 1, 0),
+        ("allreduce", Tree, 1, 0x0000000000000000, 1, 0),
+        ("barrier", Tree, 1, 0xd60b7dd2f5bff1a4, 4, 9000),
+        ("bcast", Tree, 2, 0x95bab829984133ff, 9, 15600),
+        ("reduce", Tree, 2, 0xfcefa8c2d4d28c8d, 26, 10000),
+        ("allreduce", Tree, 2, 0xd2903fc449f039d4, 50, 48000),
+        ("barrier", Tree, 2, 0x1ca1d03798604594, 26, 37000),
+        ("bcast", Tree, 7, 0xe2c5321b35d904de, 49, 73000),
+        ("reduce", Tree, 7, 0x8d9e6ad32cdfcf7c, 151, 28000),
+        ("allreduce", Tree, 7, 0xcfa32b98907796d8, 295, 121000),
+        ("barrier", Tree, 7, 0x2f73881d25ed3445, 136, 70000),
+        ("bcast", Tree, 64, 0x39398c8efe0199f1, 505, 297600),
+        ("reduce", Tree, 64, 0xd93a1cdc23d79ce4, 1576, 60000),
+        ("allreduce", Tree, 64, 0xcf6fbab9292f07e6, 3088, 408000),
+        ("barrier", Tree, 64, 0xf37d2d19726350e6, 1390, 172000),
+    ]
+};
+
+#[test]
+fn collective_schedules_are_pinned() {
+    use CollAlgo::{Linear, Tree};
+    let mut got = Vec::new();
+    for algo in [Linear, Tree] {
+        for size in [1, 2, 7, 64] {
+            let cases = [
+                ("bcast", run_ctx(CtxCase::Bcast, algo, size)),
+                ("reduce", check(algo, size, Some(size - 1))),
+                ("allreduce", check(algo, size, None)),
+                ("barrier", run_ctx(CtxCase::Barrier, algo, size)),
+            ];
+            for (name, (digest, events, exit_ns)) in cases {
+                got.push((name, algo, size, digest, events, exit_ns));
+            }
+        }
+    }
+    let table: Vec<String> = got
+        .iter()
+        .map(|(n, a, s, d, e, x)| format!("    (\"{n}\", {a:?}, {s}, {d:#018x}, {e}, {x}),"))
+        .collect();
+    assert!(
+        got == PINNED,
+        "collective timing moved; measured:\n{}",
+        table.join("\n")
+    );
 }
