@@ -14,6 +14,8 @@
 //! * [`scenario`] — the run inputs every front end reads from its
 //!   command line and environment, through one parser.
 
+#![forbid(unsafe_code)]
+
 pub mod heat3d;
 pub mod heat3d_rep;
 pub mod jacobi2d;

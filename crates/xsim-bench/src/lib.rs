@@ -20,6 +20,8 @@
 //! There are no Criterion benches; the end-to-end benchmark is the
 //! standalone `perf/` package.
 
+#![forbid(unsafe_code)]
+
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::sync::Arc;

@@ -25,6 +25,8 @@
 //!   ([`ProtectionCampaign`], so checkpoint/restart and replication
 //!   compose in the FIT × protection-scheme ablation).
 
+#![forbid(unsafe_code)]
+
 pub mod codec;
 pub mod daly;
 pub mod manager;

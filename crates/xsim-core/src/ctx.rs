@@ -44,6 +44,7 @@ pub(crate) fn enter<R>(k: &mut Kernel, f: impl FnOnce() -> R) -> R {
 
 /// Access the kernel and the rank currently being polled. Panics when
 /// called outside a VP poll or reentrantly.
+#[allow(unsafe_code)]
 pub fn with_kernel<R>(f: impl FnOnce(&mut Kernel, Rank) -> R) -> R {
     let ptr = CURRENT.with(|c| c.get());
     assert!(
@@ -61,9 +62,16 @@ pub fn with_kernel<R>(f: impl FnOnce(&mut Kernel, Rank) -> R) -> R {
         }
     }
     let _u = Unborrow;
-    // SAFETY: `ptr` was installed by `enter` from a live `&mut Kernel`
-    // for the duration of the poll; the runtime flag above guarantees no
-    // overlapping reborrow.
+    // SAFETY: `k` is the only live reference derived from the engine's
+    // `&mut Kernel`, held by two runtime guards:
+    // 1. Outside a poll, `ptr` is null and the first assert panics.
+    //    `enter` installs it from the engine's live `&mut Kernel` for the
+    //    dynamic extent of one VP poll only and restores the previous
+    //    value on return and on unwind; the engine does not touch the
+    //    kernel while the poll runs.
+    // 2. A nested call finds `BORROWED` set and the second assert panics
+    //    before deriving a second reference. `Unborrow` clears the flag
+    //    only when `k`'s scope ends, on return and on unwind.
     let k = unsafe { &mut *ptr };
     let rank = k.attributed_rank();
     f(k, rank)
@@ -263,9 +271,30 @@ pub async fn fail_now() -> ! {
 
 #[cfg(test)]
 mod tests {
+    use super::with_kernel;
+    use crate::vp::{VpExit, VpFuture};
+    use crate::{engine, CoreConfig, Kernel, Rank};
+    use std::sync::Arc;
+
     #[test]
     #[should_panic(expected = "outside of a virtual process context")]
     fn with_kernel_outside_poll_panics() {
-        super::with_kernel(|_, _| ());
+        with_kernel(|_, _| ());
+    }
+
+    #[test]
+    #[should_panic(expected = "reentrant simulator call")]
+    fn nested_with_kernel_panics() {
+        let program = |_: Rank| -> VpFuture {
+            Box::pin(async {
+                with_kernel(|_, _| with_kernel(|_, _| ()));
+                VpExit::Finished
+            })
+        };
+        let cfg = CoreConfig {
+            n_ranks: 1,
+            ..Default::default()
+        };
+        let _ = engine::run(cfg, Arc::new(program), &|_: &mut Kernel| {});
     }
 }

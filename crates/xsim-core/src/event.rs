@@ -2,9 +2,12 @@
 //!
 //! The event payload ([`Action`]) is data-oriented: the dominant engine
 //! kinds (spawn, timer fire, message wake) are plain enum variants, and
-//! upper-layer closures ride in a [`CallFn`] that stores small closures
-//! *inline* in the event record instead of behind a `Box` — steady-state
-//! dispatch of the common event mix performs zero heap allocations.
+//! every upper-layer event is one boxed [`Call`] that owns its state. A
+//! message is its own event: the MPI layer's pooled envelope box is the
+//! `Call` of its delivery and of its receive completion, so steady-state
+//! messaging allocates nothing; closures ([`Action::call`]) serve the
+//! fault, abort and file-system paths at one allocation each. An
+//! [`EventRec`] is 48 bytes.
 
 use crate::kernel::Kernel;
 use crate::rank::Rank;
@@ -12,7 +15,6 @@ use crate::time::SimTime;
 use crate::vp::WaitToken;
 use std::cmp::Ordering;
 use std::fmt;
-use std::mem::{align_of, size_of, ManuallyDrop, MaybeUninit};
 
 /// The deterministic sort key of an event.
 ///
@@ -61,95 +63,24 @@ impl fmt::Debug for EventKey {
     }
 }
 
-/// Inline capacity of a [`CallFn`] in bytes. Sized so the MPI layer's
-/// message-deliver closure (an `Envelope` plus the destination rank)
-/// fits without spilling; closures larger than this fall back to one
-/// `Box` allocation, preserving semantics.
-pub const CALL_INLINE_BYTES: usize = 112;
-
-const INLINE_WORDS: usize = CALL_INLINE_BYTES / 16;
-
-type BoxedCall = Box<dyn FnOnce(&mut Kernel) + Send>;
-
-/// An owned `FnOnce(&mut Kernel)` with small-closure optimization.
-///
-/// Closures whose size and alignment fit the inline buffer are stored
-/// directly in the event record (no allocation); larger ones are boxed.
-/// Either way the closure runs exactly once — on [`CallFn::invoke`] or,
-/// if the event is dropped unfired (abort teardown), on `Drop`.
-pub struct CallFn {
-    /// Inline storage, 16-byte aligned via `u128`.
-    data: MaybeUninit<[u128; INLINE_WORDS]>,
-    /// Consumes the closure at `*data`: runs it when given a kernel,
-    /// drops it in place otherwise.
-    dispatch: unsafe fn(*mut u8, Option<&mut Kernel>),
-    /// Whether the payload lives inline (false: a `BoxedCall` is stored
-    /// in the buffer instead). Exposed for pool/bench accounting.
-    inline: bool,
+/// A simulator-internal event that owns its state: it runs once at its
+/// destination when the event fires, or is dropped unfired (abort
+/// teardown). Upper layers implement it on the record a hot event
+/// already travels in — the MPI layer's pooled message envelope is its
+/// own delivery and completion event — and wrap everything else in
+/// [`Action::call`].
+pub trait Call: Send {
+    /// Fire the event at the kernel that owns its destination rank.
+    fn call(self: Box<Self>, k: &mut Kernel);
 }
 
-/// Monomorphic consume shim: `F` is either the user closure (inline
-/// case) or a `BoxedCall` (spilled case) — both are `FnOnce(&mut Kernel)`.
-unsafe fn dispatch_as<F: FnOnce(&mut Kernel)>(p: *mut u8, k: Option<&mut Kernel>) {
-    let p = p as *mut F;
-    match k {
-        Some(k) => (p.read())(k),
-        None => std::ptr::drop_in_place(p),
-    }
-}
+/// An `FnOnce(&mut Kernel)` as a [`Call`].
+struct Closure<F>(F);
 
-impl CallFn {
-    /// Wrap a closure, inlining it when it fits.
-    pub fn new<F: FnOnce(&mut Kernel) + Send + 'static>(f: F) -> Self {
-        let mut data = MaybeUninit::<[u128; INLINE_WORDS]>::uninit();
-        if size_of::<F>() <= CALL_INLINE_BYTES && align_of::<F>() <= align_of::<u128>() {
-            unsafe { (data.as_mut_ptr() as *mut F).write(f) };
-            CallFn {
-                data,
-                dispatch: dispatch_as::<F>,
-                inline: true,
-            }
-        } else {
-            let boxed: BoxedCall = Box::new(f);
-            unsafe { (data.as_mut_ptr() as *mut BoxedCall).write(boxed) };
-            CallFn {
-                data,
-                dispatch: dispatch_as::<BoxedCall>,
-                inline: false,
-            }
-        }
-    }
-
-    /// Whether the closure is stored inline (no heap allocation).
+impl<F: FnOnce(&mut Kernel) + Send> Call for Closure<F> {
     #[inline]
-    pub fn is_inline(&self) -> bool {
-        self.inline
-    }
-
-    /// Run the closure, consuming the slot.
-    #[inline]
-    pub fn invoke(self, k: &mut Kernel) {
-        let mut this = ManuallyDrop::new(self);
-        // SAFETY: `data` holds a live closure written by `new`; wrapping
-        // in ManuallyDrop guarantees Drop does not run it a second time.
-        unsafe { (this.dispatch)(this.data.as_mut_ptr() as *mut u8, Some(k)) }
-    }
-}
-
-impl Drop for CallFn {
-    fn drop(&mut self) {
-        // SAFETY: only reachable when `invoke` never consumed the slot.
-        unsafe { (self.dispatch)(self.data.as_mut_ptr() as *mut u8, None) }
-    }
-}
-
-// SAFETY: `new` requires `F: Send` (and BoxedCall is Send); no shared
-// interior mutability.
-unsafe impl Send for CallFn {}
-
-impl<F: FnOnce(&mut Kernel) + Send + 'static> From<F> for CallFn {
-    fn from(f: F) -> Self {
-        CallFn::new(f)
+    fn call(self: Box<Self>, k: &mut Kernel) {
+        (self.0)(k)
     }
 }
 
@@ -164,18 +95,18 @@ pub enum Action {
     /// Wake the destination VP if it is blocked on any message-class wait.
     /// Used by upper layers after delivering data that may satisfy a wait.
     WakeMessage,
-    /// Run an arbitrary simulator-internal action at the destination rank.
-    /// This is how upper layers (MPI matching, failure notification,
-    /// abort propagation, file system completions) hook into the engine.
-    /// Construct with [`Action::call`] — small closures store inline.
-    Call(CallFn),
+    /// Run a simulator-internal action at the destination rank. This is
+    /// how upper layers (MPI matching, failure notification, abort
+    /// propagation, file system completions) hook into the engine.
+    Call(Box<dyn Call>),
 }
 
 impl Action {
-    /// A `Call` action; the closure is stored inline when it fits.
+    /// A `Call` action running `f` (one allocation, none for a closure
+    /// that captures nothing).
     #[inline]
     pub fn call<F: FnOnce(&mut Kernel) + Send + 'static>(f: F) -> Self {
-        Action::Call(CallFn::new(f))
+        Action::Call(Box::new(Closure(f)))
     }
 }
 
@@ -185,11 +116,7 @@ impl fmt::Debug for Action {
             Action::Spawn => write!(f, "Spawn"),
             Action::WakeToken(t) => write!(f, "WakeToken({t:?})"),
             Action::WakeMessage => write!(f, "WakeMessage"),
-            Action::Call(c) => write!(
-                f,
-                "Call({})",
-                if c.is_inline() { "inline" } else { "boxed" }
-            ),
+            Action::Call(_) => write!(f, "Call"),
         }
     }
 }
@@ -227,21 +154,18 @@ mod tests {
         assert_eq!(key(1, 1, 1, 1), key(1, 1, 1, 1));
     }
 
+    /// A fat `Box<dyn Call>` plus the variant tag: an event record is
+    /// the 24-byte key and a 24-byte action.
     #[test]
-    fn small_closures_inline_large_ones_spill() {
-        let small = CallFn::new(move |_k: &mut Kernel| {});
-        assert!(small.is_inline());
-        let payload = [1u8; CALL_INLINE_BYTES + 1];
-        let large = CallFn::new(move |_k: &mut Kernel| {
-            assert_eq!(payload[0], 1);
-        });
-        assert!(!large.is_inline());
+    fn event_records_stay_small() {
+        assert!(std::mem::size_of::<Action>() <= 24);
+        assert!(std::mem::size_of::<EventRec>() <= 48);
     }
 
     #[test]
     fn dropping_an_unfired_call_releases_captures() {
-        // Both the inline and the spilled path must run the capture's
-        // destructor exactly once when the event is dropped unfired.
+        // The capture's destructor runs exactly once when the event is
+        // dropped unfired.
         let counter = Arc::new(AtomicU32::new(0));
         struct Bump(Arc<AtomicU32>);
         impl Drop for Bump {
@@ -250,20 +174,11 @@ mod tests {
             }
         }
         let b = Bump(counter.clone());
-        let inline = CallFn::new(move |_k: &mut Kernel| {
+        let unfired = Action::call(move |_k: &mut Kernel| {
             let _ = &b;
         });
-        assert!(inline.is_inline());
-        drop(inline);
+        assert_eq!(counter.load(AtomicOrdering::SeqCst), 0);
+        drop(unfired);
         assert_eq!(counter.load(AtomicOrdering::SeqCst), 1);
-
-        let b = Bump(counter.clone());
-        let pad = [0u8; CALL_INLINE_BYTES + 1];
-        let spilled = CallFn::new(move |_k: &mut Kernel| {
-            let _ = (&b, &pad);
-        });
-        assert!(!spilled.is_inline());
-        drop(spilled);
-        assert_eq!(counter.load(AtomicOrdering::SeqCst), 2);
     }
 }

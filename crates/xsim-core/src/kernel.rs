@@ -375,7 +375,7 @@ impl Kernel {
                     self.wake(dst, ev.key.time);
                 }
             }
-            Action::Call(f) => f.invoke(self),
+            Action::Call(f) => f.call(self),
         }
         self.attrib = prev_attrib;
     }

@@ -38,6 +38,8 @@
 //!   conservative windowed parallel engine (lookahead = minimum cross-rank
 //!   event delay). Both produce bit-identical virtual-time results.
 
+#![deny(unsafe_code)]
+
 pub mod config;
 pub mod ctx;
 pub mod deadlock;
@@ -57,7 +59,7 @@ pub mod vp;
 pub use config::{CoreConfig, EngineKind};
 pub use ctx::{block, current_rank, now, sleep, with_kernel, yield_now};
 pub use error::SimError;
-pub use event::{Action, CallFn, EventKey, EventRec};
+pub use event::{Action, Call, EventKey, EventRec};
 pub use kernel::Kernel;
 pub use payload::Bytes;
 pub use queue::{EventQueue, QueueStats};

@@ -32,15 +32,15 @@
 //! ## Compact records and the call slab
 //!
 //! Resident events are stored as a 32-byte [`CompactRec`] — the 24-byte
-//! key plus an 8-byte action word — instead of the full [`EventRec`],
-//! whose inline [`CallFn`] buffer makes it ~176 bytes. `Call` closures
-//! park in a queue-owned slab ([`CallSlab`]) and the record carries
-//! only the slot index; slots are recycled through a free list, so the
-//! 112-byte closure buffer is paid once per *in-flight* `Call`, not per
-//! resident event. At the paper's 2²⁷-VP scale the initial spawn wave
-//! alone is ~134 M resident events: 32 B/event keeps that to ~4 GiB
-//! where full records would need ~24 GiB. Dropping the queue drops the
-//! slab, releasing unfired closures' captures (abort teardown).
+//! key plus an 8-byte action word — instead of the 48-byte
+//! [`EventRec`]. A `Call`'s box parks in a queue-owned slab
+//! ([`CallSlab`]) and the record carries only the slot index; slots
+//! are 16 bytes (the fat box pointer) and recycled through a free list,
+//! so a slot is paid once per *in-flight* `Call`, not per resident
+//! event. At the paper's 2²⁷-VP scale the initial spawn wave alone is
+//! ~134 M resident events: 32 B/event keeps that to ~4 GiB. Dropping
+//! the queue drops the slab, releasing unfired calls' state (abort
+//! teardown).
 //!
 //! A bucket that grew past [`TRIM_CAP`] gives its memory back while it
 //! drains, not only once it is empty: a draining spawn wave does not
@@ -61,7 +61,7 @@
 //! the colliding-timestamp regression tests in `tests/engine.rs` pin
 //! down.
 
-use crate::event::{Action, CallFn, EventKey, EventRec};
+use crate::event::{Action, Call, EventKey, EventRec};
 use crate::time::SimTime;
 use crate::vp::{WaitToken, WAIT_TOKEN_BITS};
 
@@ -89,7 +89,7 @@ pub struct QueueStats {
 }
 
 /// The action word of a resident event: [`Action`] with the `Call`
-/// closure swapped for its [`CallSlab`] slot index, packed into one
+/// box swapped for its [`CallSlab`] slot index, packed into one
 /// `u64`. The top two bits are the variant, the low 62 its payload — a
 /// [`WaitToken`] or a slot index. Tokens are bounded to 62 bits where
 /// they are minted (`VpMut::begin_wait`), so pushes do not check them.
@@ -132,18 +132,18 @@ impl CompactRec {
     }
 }
 
-/// Parking lot for in-flight `Call` closures. Slots are recycled
-/// through a free list, so steady-state `Call` traffic allocates
-/// nothing once the slab has grown to the in-flight high-water mark.
+/// Parking lot for in-flight `Call` boxes. Slots are recycled through a
+/// free list, so steady-state `Call` traffic allocates no slab memory
+/// once the slab has grown to the in-flight high-water mark.
 #[derive(Default)]
 struct CallSlab {
-    slots: Vec<Option<CallFn>>,
+    slots: Vec<Option<Box<dyn Call>>>,
     free: Vec<u32>,
 }
 
 impl CallSlab {
     #[inline]
-    fn insert(&mut self, f: CallFn) -> u32 {
+    fn insert(&mut self, f: Box<dyn Call>) -> u32 {
         match self.free.pop() {
             Some(i) => {
                 self.slots[i as usize] = Some(f);
@@ -157,7 +157,7 @@ impl CallSlab {
     }
 
     #[inline]
-    fn remove(&mut self, slot: u32) -> CallFn {
+    fn remove(&mut self, slot: u32) -> Box<dyn Call> {
         let f = self.slots[slot as usize].take().expect("live call slot");
         self.free.push(slot);
         f
@@ -257,7 +257,7 @@ pub struct EventQueue {
     len: usize,
     /// Recycled bucket buffers — see [`SPARE_BUFFERS`].
     spare: Vec<Vec<CompactRec>>,
-    /// In-flight `Call` closures; resident records carry slot indices.
+    /// In-flight `Call` boxes; resident records carry slot indices.
     calls: CallSlab,
     stats: QueueStats,
 }
@@ -292,7 +292,7 @@ impl EventQueue {
         self.stats
     }
 
-    /// Insert an event. `Call` closures park in the slab and the
+    /// Insert an event. `Call` boxes park in the slab and the
     /// resident record carries only the slot index — see the module
     /// docs.
     #[inline]
@@ -934,6 +934,12 @@ mod tests {
     #[test]
     fn compact_rec_is_32_bytes() {
         assert_eq!(std::mem::size_of::<CompactRec>(), 32);
+    }
+
+    /// An in-flight `Call` costs the slab one fat box pointer.
+    #[test]
+    fn call_slab_slot_is_a_box_pointer() {
+        assert!(std::mem::size_of::<Option<Box<dyn Call>>>() <= 16);
     }
 
     /// The largest token `begin_wait` can mint.

@@ -23,6 +23,8 @@
 //!   conclusion announces ("tracking of dynamic memory allocation …
 //!   the last piece needed to develop a soft error injector", §VI).
 
+#![forbid(unsafe_code)]
+
 pub mod bitflip;
 pub mod netfault;
 pub mod random;

@@ -26,6 +26,8 @@
 //! checkpoint layer does), otherwise parallel-engine runs may order
 //! same-name commits differently than sequential runs.
 
+#![forbid(unsafe_code)]
+
 use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::{Arc, Mutex, MutexGuard};

@@ -26,6 +26,8 @@
 //! Applications use [`MpiCtx`]; runs are configured through
 //! [`SimBuilder`].
 
+#![forbid(unsafe_code)]
+
 pub mod abort;
 pub mod builder;
 pub mod collective;

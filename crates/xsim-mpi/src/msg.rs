@@ -16,6 +16,7 @@
 //! root holds P−1 of them, paper §V-C).
 
 use crate::comm::CommId;
+use crate::request::ReqId;
 use crate::smallmap::SmallMap;
 use xsim_core::{Bytes, Rank, SimTime};
 
@@ -102,11 +103,18 @@ pub struct Envelope {
     /// For rendezvous: the sender-side `(world rank, request id)` to
     /// complete when the transfer finishes.
     pub send_req: Option<(Rank, u64)>,
+    /// Receiving world rank.
+    pub dst: Rank,
+    /// Once matched: the receive request and the virtual time it
+    /// completes. The transport box is the message's event — its
+    /// delivery while this is `None`, its receive completion after.
+    pub matched: Option<(ReqId, SimTime)>,
 }
 
 impl Envelope {
-    /// A contentless placeholder left behind when a transport box is
-    /// recycled. Allocation-free (the empty payload stores inline).
+    /// A contentless envelope. Allocation-free (the empty payload
+    /// stores inline).
+    #[cfg(test)]
     pub(crate) fn blank() -> Self {
         Envelope {
             src: Rank(0),
@@ -117,6 +125,8 @@ impl Envelope {
             header_arrival: SimTime::ZERO,
             payload_ready: None,
             send_req: None,
+            dst: Rank(0),
+            matched: None,
         }
     }
 }
@@ -320,6 +330,8 @@ mod tests {
             header_arrival: SimTime(arrival_ns),
             payload_ready: Some(SimTime(arrival_ns)),
             send_req: None,
+            dst: Rank(1),
+            matched: None,
         })
     }
 

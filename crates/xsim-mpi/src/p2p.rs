@@ -40,7 +40,7 @@ use std::future::{poll_fn, Future};
 use std::mem;
 use std::pin::Pin;
 use std::task::{ready, Context, Poll};
-use xsim_core::event::Action;
+use xsim_core::event::{Action, Call};
 use xsim_core::vp::{VpState, WaitClass};
 use xsim_core::{ctx, Bytes, Kernel, Rank, SimTime};
 use xsim_net::NetClass;
@@ -363,10 +363,10 @@ pub(crate) fn post_send(
             }
 
             let header_arrival = now + send_overhead + backoff_total + timing.latency;
-            // Boxed transport envelope: the delivery closure captures 16
-            // bytes (rank + pointer) instead of the ~100-byte envelope,
-            // and the box itself is drawn from / returned to the service
-            // pool, so steady-state messaging allocates nothing here.
+            // The message is its own event: the transport box, drawn from
+            // the service pool, fires as the delivery (and later the
+            // receive completion), so steady-state messaging allocates
+            // nothing here.
             let env = svc.env_box(Envelope {
                 src: me,
                 comm,
@@ -376,12 +376,10 @@ pub(crate) fn post_send(
                 header_arrival,
                 payload_ready: timing.eager.then(|| header_arrival + timing.transfer),
                 send_req: (!timing.eager).then_some((me, req.0)),
+                dst: dst_world,
+                matched: None,
             });
-            k.schedule_at(
-                header_arrival,
-                dst_world,
-                Action::call(move |k: &mut Kernel| deliver(k, dst_world, env)),
-            );
+            k.schedule_at(header_arrival, dst_world, Action::Call(env));
             if timing.eager {
                 // Eager sends complete locally once injected.
                 svc.rank_mut(me)
@@ -446,16 +444,28 @@ pub(crate) fn irecv_ex(
 
             let queues = &mut svc.rank_mut(me).queues;
             if let Some(env) = queues.post(req.0, comm, src_sel, tag_sel) {
-                complete_match(k, svc, me, req, env, now);
+                complete_match(k, svc, req, env, now);
             }
             Ok(req)
         })
     })
 }
 
-/// Deliver an envelope at its destination (runs as a scheduled event at
-/// header-arrival time).
-fn deliver(k: &mut Kernel, dst: Rank, env: Box<Envelope>) {
+/// A message is its own event: its transport box fires at the
+/// destination once as the delivery at header arrival and, once
+/// matched, once more as the receive completion.
+impl Call for Envelope {
+    fn call(self: Box<Self>, k: &mut Kernel) {
+        match self.matched {
+            None => deliver(k, self),
+            Some((req, at)) => complete_recv(k, self, req, at),
+        }
+    }
+}
+
+/// Deliver an envelope at its destination (header-arrival time).
+fn deliver(k: &mut Kernel, env: Box<Envelope>) {
+    let dst = env.dst;
     // "Once a simulated MPI process fails ... all messages directed to
     // this simulated MPI process are deleted" (paper §IV-B).
     if k.vp(dst).is_done() {
@@ -466,7 +476,7 @@ fn deliver(k: &mut Kernel, dst: Rank, env: Box<Envelope>) {
         // An unexpected message waits in its transport box.
         match svc.rank_mut(dst).queues.deliver(env) {
             Some((req, env)) => {
-                complete_match(k, svc, dst, ReqId(req), env, t_match);
+                complete_match(k, svc, ReqId(req), env, t_match);
                 None
             }
             // Queued as unexpected: a blocked prober may be waiting for
@@ -485,19 +495,17 @@ fn deliver(k: &mut Kernel, dst: Rank, env: Box<Envelope>) {
     }
 }
 
-/// A receive matched an envelope at `t_match`: schedule the completion
-/// of the receive (and, for rendezvous, of the sender's request).
+/// A receive matched an envelope at `t_match`: reschedule its box as
+/// the completion of the receive (and, for rendezvous, schedule that of
+/// the sender's request).
 fn complete_match(
     k: &mut Kernel,
     svc: &mut MpiService,
-    dst: Rank,
     req: ReqId,
-    env: Box<Envelope>,
+    mut env: Box<Envelope>,
     t_match: SimTime,
 ) {
-    // Recycle the transport box into this (destination) shard's pool;
-    // the envelope continues by value.
-    let env = svc.env_unbox(env);
+    let dst = env.dst;
     let recv_ov = svc.world.net.recv_overhead;
     let (base, send_finish) = match env.payload_ready {
         Some(ready) => (t_match.max(ready), None),
@@ -531,18 +539,8 @@ fn complete_match(
     } else {
         base + recv_ov
     };
-    let out = RecvOut {
-        data: env.data,
-        src: env.src,
-        tag: env.tag,
-    };
-    k.schedule_at(
-        recv_at,
-        dst,
-        Action::call(move |k: &mut Kernel| {
-            finish_request(k, dst, req, recv_at, Ok(Some(out)));
-        }),
-    );
+    env.matched = Some((req, recv_at));
+    k.schedule_at(recv_at, dst, Action::Call(env));
     if let Some(((src, sreq), at)) = send_finish {
         k.schedule_at(
             at,
@@ -552,6 +550,18 @@ fn complete_match(
             }),
         );
     }
+}
+
+/// A matched message's receive completion: hand its payload to the
+/// request, then return the box to this shard's pool.
+fn complete_recv(k: &mut Kernel, mut env: Box<Envelope>, req: ReqId, at: SimTime) {
+    let out = RecvOut {
+        data: mem::take(&mut env.data),
+        src: env.src,
+        tag: env.tag,
+    };
+    finish_request(k, env.dst, req, at, Ok(Some(out)));
+    k.service_mut::<MpiService>().env_recycle(env);
 }
 
 /// Complete a request at `at` and wake its owner if it is blocked on a

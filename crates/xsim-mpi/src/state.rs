@@ -625,10 +625,11 @@ pub struct MpiService {
     pub(crate) stats: MpiStats,
     /// Cross-shard statistics sink.
     stats_sink: Arc<Mutex<MpiStats>>,
-    /// Recycled transport boxes: injection draws here, delivery returns
-    /// here, so steady-state messaging performs no envelope allocation.
-    /// The boxes themselves are the pooled resource (delivery closures
-    /// capture `Box<Envelope>` to stay pointer-sized), hence `Vec<Box<_>>`.
+    /// Recycled transport boxes: injection draws here, the receive
+    /// completion returns here, so steady-state messaging performs no
+    /// envelope allocation. The boxes themselves are the pooled resource
+    /// (each is its message's event, `impl Call for Envelope`), hence
+    /// `Vec<Box<_>>`.
     #[allow(clippy::vec_box)]
     env_pool: Vec<Box<Envelope>>,
     /// Batched hot-path counters, flushed at engine shutdown.
@@ -666,14 +667,12 @@ impl MpiService {
         }
     }
 
-    /// Take the envelope out of a transport box and return the emptied
-    /// box to the pool (dropped instead once the pool is full).
-    pub(crate) fn env_unbox(&mut self, mut b: Box<Envelope>) -> Envelope {
-        let env = std::mem::replace(&mut *b, Envelope::blank());
+    /// Return a spent transport box to the pool (dropped instead once
+    /// the pool is full).
+    pub(crate) fn env_recycle(&mut self, b: Box<Envelope>) {
         if self.env_pool.len() < ENV_POOL_CAP {
             self.env_pool.push(b);
         }
-        env
     }
 
     /// The MPI state of an owned rank.
@@ -1013,10 +1012,46 @@ mod tests {
         let mut svc = MpiService::new(world(2), 0..2, sink);
         let b = svc.env_box(Envelope::blank());
         let addr = &*b as *const Envelope;
-        let _ = svc.env_unbox(b);
+        svc.env_recycle(b);
         let b2 = svc.env_box(Envelope::blank());
         assert_eq!(addr, &*b2 as *const Envelope, "allocation is reused");
-        let _ = svc.env_unbox(b2);
+        svc.env_recycle(b2);
+    }
+
+    /// Abort teardown drops the queue with messages in flight: a
+    /// delivery and a receive completion, both envelope events, release
+    /// their payloads unfired.
+    #[test]
+    fn dropping_unfired_envelope_events_releases_their_payloads() {
+        use xsim_core::{Bytes, EventKey, EventQueue, EventRec};
+        let payloads: Vec<Bytes> = (0..2).map(|i| Bytes::from(vec![i; 4096])).collect();
+        let mut q = EventQueue::new();
+        for (seq, (data, matched)) in payloads
+            .iter()
+            .zip([None, Some((ReqId(3), SimTime(9)))])
+            .enumerate()
+        {
+            let env = Box::new(Envelope {
+                data: data.clone(),
+                matched,
+                ..Envelope::blank()
+            });
+            q.push(EventRec {
+                key: EventKey {
+                    time: SimTime(5),
+                    dst: Rank(1),
+                    src: Rank(0),
+                    seq: seq as u64,
+                },
+                action: Action::Call(env),
+            });
+        }
+        drop(q);
+        for p in payloads {
+            let at = p.as_ptr();
+            let sole = p.into_vec();
+            assert_eq!(sole.as_ptr(), at, "the event kept a reference");
+        }
     }
 
     #[test]

@@ -233,6 +233,11 @@ fn first_barrier_costs_a_bounded_number_of_allocations() {
     let (allocs, _) = run_barriers(1);
     eprintln!("allocations/rank, sleep + 1 barrier: {allocs:.2}");
     assert!(allocs <= 6.0, "{allocs:.2} allocations per rank");
+    // Steady state allocates nothing: a message is its own pooled
+    // event, so barriers 2..8 cost not one allocation more.
+    let (allocs8, _) = run_barriers(8);
+    eprintln!("allocations/rank, sleep + 8 barriers: {allocs8:.3}");
+    assert_eq!(allocs8, allocs, "barriers after the first allocated");
 }
 
 #[test]

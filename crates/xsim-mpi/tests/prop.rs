@@ -141,6 +141,8 @@ fn env(comm: u32, src: u32, tag: u32, seq: u64) -> Envelope {
         header_arrival: SimTime(seq),
         payload_ready: Some(SimTime(seq)),
         send_req: None,
+        dst: Rank(0),
+        matched: None,
     }
 }
 

@@ -19,6 +19,8 @@
 //!   reroute around dead links (hop inflation), degraded-link bandwidth,
 //!   and true-partition detection ([`NetModel::p2p_at`]).
 
+#![forbid(unsafe_code)]
+
 pub mod fault;
 pub mod model;
 pub mod topology;

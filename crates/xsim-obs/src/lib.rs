@@ -25,6 +25,8 @@
 //! Layering: this crate depends only on `xsim-core`, so every other
 //! subsystem (net, fs, ckpt, fault, mpi) can record into it.
 
+#![forbid(unsafe_code)]
+
 pub mod chrome;
 pub mod json;
 pub mod metrics;

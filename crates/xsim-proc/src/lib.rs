@@ -19,6 +19,8 @@
 //! and divides by per-node speed overrides, supporting heterogeneous
 //! simulated machines.
 
+#![forbid(unsafe_code)]
+
 pub mod power;
 
 pub use power::{PowerModel, PowerReport};

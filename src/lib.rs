@@ -50,6 +50,8 @@
 //! assert_eq!(report.sim.exit, ExitKind::Completed);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub use xsim_apps as apps;
 pub use xsim_ckpt as ckpt;
 pub use xsim_core as core;
