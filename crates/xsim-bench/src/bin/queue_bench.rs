@@ -2,7 +2,9 @@
 //! heap over the keys: uniform hold-model churn on a long-lived queue at
 //! the standard pending tiers (1k / 100k / 1M), and the campaign shape —
 //! far timers behind a nanosecond front, a fresh queue per short run
-//! with construction and drop on the clock — at 256 and 16,384 pending.
+//! with construction and drop on the clock — at 256 and 16,384 pending,
+//! and the flood shape: the raw-core ring of wakes on 2²⁰ VPs, whose
+//! lock-step waves each arrive in ascending rank order.
 //!
 //! ```text
 //! cargo run --release -p xsim-bench --bin queue_bench [-- --quick | --ops N]
@@ -12,7 +14,8 @@
 //! tier (the `ckpt_scaling` regression-gate pattern): the calendar is
 //! kept only because it beats the heap, and CI smokes this so a hot-path
 //! or per-instance regression fails the build. `--quick` trims the timed
-//! span for CI; the tiers and the gate stay the same.
+//! span for CI (the flood tier always runs its whole program); the
+//! tiers and the gate stay the same.
 
 use xsim_apps::scenario::Cli;
 use xsim_bench::{peak_rss_kib, run_queue_tier, QUEUE_TIERS};

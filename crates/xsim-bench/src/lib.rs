@@ -454,6 +454,13 @@ pub enum QueueShape {
     /// (log-uniform), the rest land 1 – 4,096 ns ahead; a fresh queue
     /// per trial, construction, drain and drop inside the timed span.
     Campaign,
+    /// The raw-core ring of wakes ([`million_vp_program`]) as queue
+    /// traffic, `pending` VPs: a spawn wave pushed in descending rank
+    /// order, then every VP sleeps 10 µs and wakes its ring successor
+    /// 2 µs later, twice — four lock-step waves that each arrive in
+    /// ascending rank order. Construction, every wave and the drop are
+    /// timed; an op is one event popped.
+    Flood,
 }
 
 impl QueueShape {
@@ -462,19 +469,25 @@ impl QueueShape {
         match self {
             QueueShape::Uniform => "uniform",
             QueueShape::Campaign => "campaign",
+            QueueShape::Flood => "flood",
         }
     }
 }
 
 /// Tiers of the event-queue churn comparison (calendar queue vs. a
 /// binary heap over the keys): pending population and delta shape.
-pub const QUEUE_TIERS: [(usize, QueueShape); 5] = [
+pub const QUEUE_TIERS: [(usize, QueueShape); 6] = [
     (1_000, QueueShape::Uniform),
     (100_000, QueueShape::Uniform),
     (1_000_000, QueueShape::Uniform),
     (256, QueueShape::Campaign),
     (16_384, QueueShape::Campaign),
+    (1 << 20, QueueShape::Flood),
 ];
+
+/// Events per VP of the [`QueueShape::Flood`] tier: the spawn and two
+/// rounds of a sleep completion and a successor's wake.
+const FLOOD_EVENTS_PER_VP: usize = 5;
 
 /// One tier of the calendar-vs-heap churn comparison.
 #[derive(Debug, Clone, Copy)]
@@ -503,8 +516,13 @@ pub const QUEUE_TRIALS: usize = 5;
 
 /// Time one churn tier for the calendar queue and the heap oracle,
 /// best-of-[`QUEUE_TRIALS`], interleaving the two so ambient load
-/// perturbs them evenly.
+/// perturbs them evenly. The flood tier's op count is its event count,
+/// not `ops`.
 pub fn run_queue_tier(pending: usize, shape: QueueShape, ops: usize) -> QueueTier {
+    let ops = match shape {
+        QueueShape::Flood => FLOOD_EVENTS_PER_VP * pending,
+        _ => ops,
+    };
     let mut heap_ns_per_op = f64::INFINITY;
     let mut calendar_ns_per_op = f64::INFINITY;
     for _ in 0..QUEUE_TRIALS {
@@ -576,6 +594,7 @@ impl Churn {
                 let octave = 1_000_000u64 << ((r >> 8) % 16);
                 octave + self.next() % octave
             }
+            QueueShape::Flood => unreachable!("the flood tier draws no deltas"),
         }
     }
 
@@ -602,6 +621,44 @@ impl Churn {
     }
 }
 
+/// The queue traffic of [`million_vp_program`] on `vps` VPs, in the
+/// keys the kernel gives it; drains the queue.
+fn ring_of_wakes<Q: HoldQueue>(q: &mut Q, vps: usize) {
+    const SLEEP: u64 = 10_000;
+    const WAKE: u64 = 2_000;
+    const ROUNDS: u64 = 2;
+    let push = |q: &mut Q, time: u64, dst: usize, src: usize, seq: u64| {
+        q.push(EventRec {
+            key: EventKey {
+                time: SimTime(time),
+                dst: Rank::new(dst),
+                src: Rank::new(src),
+                seq,
+            },
+            action: Action::Spawn,
+        })
+    };
+    for r in (0..vps).rev() {
+        push(q, 0, r, r, 0);
+    }
+    let mut popped = 0;
+    while let Some(k) = q.pop() {
+        popped += 1;
+        let (t, r) = (k.time.as_nanos(), k.dst.idx());
+        // A spawn or a sleep completion: wake the successor, sleep on.
+        if t % SLEEP == 0 {
+            let round = t / SLEEP;
+            if round > 0 {
+                push(q, t + WAKE, (r + 1) % vps, r, k.seq + 1);
+            }
+            if round < ROUNDS {
+                push(q, t + SLEEP, r, r, k.seq + 2);
+            }
+        }
+    }
+    assert_eq!(popped, FLOOD_EVENTS_PER_VP * vps);
+}
+
 /// Churn cost of a queue in nanoseconds per hold operation.
 ///
 /// [`QueueShape::Uniform`] prefills `pending` events, conditions with
@@ -615,6 +672,8 @@ impl Churn {
 /// clock covers construction, the prefill, `ops` hold operations, the
 /// drain and the drop, so whatever a queue costs per *instance* — a
 /// ring sized to the timers' span, say — is in the number.
+///
+/// [`QueueShape::Flood`] times one [`ring_of_wakes`] the same way.
 fn churn_ns_per_op<Q: HoldQueue>(pending: usize, shape: QueueShape, ops: usize) -> f64 {
     let mut c = Churn {
         rng: 0x9e3779b97f4a7c15,
@@ -623,23 +682,29 @@ fn churn_ns_per_op<Q: HoldQueue>(pending: usize, shape: QueueShape, ops: usize) 
     };
     let created = std::time::Instant::now();
     let mut queue = Q::default();
-    for _ in 0..pending {
-        let t = match shape {
-            QueueShape::Uniform => c.next() % 1_000_000,
-            QueueShape::Campaign => c.delta(),
-        };
-        c.push_at(&mut queue, t);
-    }
     let elapsed = match shape {
         QueueShape::Uniform => {
+            for _ in 0..pending {
+                let t = c.next() % 1_000_000;
+                c.push_at(&mut queue, t);
+            }
             c.hold(&mut queue, ops);
             let conditioned = std::time::Instant::now();
             c.hold(&mut queue, ops);
             conditioned.elapsed()
         }
         QueueShape::Campaign => {
+            for _ in 0..pending {
+                let t = c.delta();
+                c.push_at(&mut queue, t);
+            }
             c.hold(&mut queue, ops);
             while queue.pop().is_some() {}
+            drop(queue);
+            created.elapsed()
+        }
+        QueueShape::Flood => {
+            ring_of_wakes(&mut queue, pending);
             drop(queue);
             created.elapsed()
         }

@@ -78,6 +78,7 @@ pub(crate) fn assemble_report(
         profile.queue_ring_hwm = profile.queue_ring_hwm.max(qs.ring_hwm);
         profile.queue_empty_steps += qs.empty_steps;
         profile.queue_rebuilds += qs.rebuilds;
+        profile.queue_sorted += qs.sorted;
         blocked.extend(shard.blocked_summary());
         for (r, clock, term) in shard.drain_results() {
             final_clocks[r] = clock;

@@ -312,11 +312,13 @@ impl Kernel {
     /// Schedule the initial spawn events for every owned rank.
     ///
     /// Ranks are pushed in *descending* order: spawn keys share one
-    /// timestamp, so descending ranks mean descending keys, and every
-    /// push lands on the calendar bucket's append fast path — the spawn
-    /// wave stays sorted without a single deferred sort even at 2²⁷
-    /// VPs. Pop order is push-order independent (key uniqueness; pinned
-    /// by `queue_order_is_push_order_independent`), so this is purely a
+    /// timestamp, so descending ranks mean descending keys — the order
+    /// a bucket pops in. The wave waits in the queue's overflow lane
+    /// until the first pop hands the whole lane to one bucket, marked
+    /// dirty; settling that bucket is one scan that finds a single
+    /// descending run, with no reverse and no sort, even at 2²⁷ VPs.
+    /// Pop order is push-order independent (key uniqueness; pinned by
+    /// `queue_order_is_push_order_independent`), so this is purely a
     /// host-side optimization.
     pub fn schedule_spawns(&mut self) {
         let t0 = self.cfg.start_time;

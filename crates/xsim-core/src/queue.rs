@@ -6,10 +6,22 @@
 //! else waits in an unsorted overflow lane, the earlier part of which
 //! moves into the ring whenever the ring drains. Buckets are kept
 //! sorted (descending by key, so `Vec::pop` yields the minimum) by
-//! binary-search ordered insertion; a dirty flag defers the sort to the
-//! window head for bulk redistribution and for the bounded-memmove
-//! fallback below. Bucket and lane buffers keep their capacity across
-//! the run, so steady-state push/pop performs zero allocations.
+//! binary-search ordered insertion; a dirty flag defers ordering the
+//! bucket to the window head for bulk redistribution and for the
+//! bounded-memmove fallback below. Bucket and lane buffers keep their
+//! capacity across the run, so steady-state push/pop performs zero
+//! allocations.
+//!
+//! ## Settling a dirty bucket
+//!
+//! A dirty bucket is rarely unordered: a lock-step wave arrives in
+//! ascending rank order behind a short in-order prefix, and a spawn
+//! wave is one run. `settle_bucket` scans for maximal monotone runs,
+//! moves the longest to the front in descending order, sorts the few
+//! records outside it in a fixed stack array and merges them in from
+//! the back — linear time, no allocation, no change of capacity. Only
+//! a bucket with more than [`MAX_RUNS`] runs or [`STRAY_CAP`] strays,
+//! or one below [`MERGE_MIN_LEN`], takes the comparison sort.
 //!
 //! ## Geometry
 //!
@@ -86,6 +98,10 @@ pub struct QueueStats {
     /// that re-bucket events one by one (a single-slice lane is handed
     /// over whole and not counted).
     pub rebuilds: u64,
+    /// Records the window head put through a comparison sort: whole
+    /// dirty buckets the run merge could not settle, and the strays of
+    /// those it did (see `settle_bucket`).
+    pub sorted: u64,
 }
 
 /// The action word of a resident event: [`Action`] with the `Call`
@@ -120,6 +136,7 @@ impl CompactAction {
 }
 
 /// A resident event: 24-byte key + 8-byte action word = 32 bytes.
+#[derive(Clone, Copy)]
 struct CompactRec {
     key: EventKey,
     action: CompactAction,
@@ -186,19 +203,33 @@ const SPLIT_TARGET_OCCUPANCY: usize = 8;
 const SPARE_BUFFERS: usize = 32;
 /// Ordered-insertion memmove bound: an insertion that would shift more
 /// than this many records appends + dirties the bucket instead,
-/// deferring to one sort when the bucket reaches the window head. This
-/// caps the per-push cost at a 2 KiB memmove while turning the two
-/// degenerate fills — ascending-key floods into one slice, and dense
-/// same-time ties whose order is decided by `(dst, src, seq)` alone —
-/// into one O(n log n) sort instead of O(n²) memmoves.
+/// deferring to one settle when the bucket reaches the window head.
+/// This caps the per-push cost at a 2 KiB memmove while turning the two
+/// degenerate fills into one pass instead of O(n²) memmoves: an
+/// ascending-key flood into one slice settles as a run merge in linear
+/// time (see `settle_bucket`), and dense same-time ties in no order
+/// but `(dst, src, seq)` take one O(n log n) sort.
 const INSERT_MOVE_CAP: usize = 64;
 /// The same bound for a bucket that is not at the window head. There
-/// the deferred sort is not an extra cost paid at the very next pop but
-/// the one sort the bucket gets when the window reaches it, so only a
-/// shallow insertion is worth a memmove now: lock-step message waves
-/// (`storm_faulted`: ≈ 100 events per clump, arriving in rank order)
-/// otherwise memmove a kilobyte or two per push.
+/// the deferred settle is not an extra cost paid at the very next pop
+/// but the one settle the bucket gets when the window reaches it, so
+/// only a shallow insertion is worth a memmove now: lock-step message
+/// waves (`storm_faulted`: ≈ 100 events per clump; `rawcore_1m`: 2²⁰,
+/// arriving in rank order) otherwise memmove a kilobyte or two per
+/// push. Such a wave settles as one ascending run plus this prefix.
 const DEFER_MOVE_CAP: usize = 16;
+/// Most records outside a dirty bucket's longest run that the run merge
+/// takes (`settle_bucket`). They wait in a stack array, so settling
+/// allocates nothing; a lock-step wave has `DEFER_MOVE_CAP + 2`.
+const STRAY_CAP: usize = 2 * INSERT_MOVE_CAP;
+/// Smallest dirty bucket the run scan is tried on; a smaller one is
+/// sorted outright, since its sort costs about what a scan and merge
+/// would.
+const MERGE_MIN_LEN: usize = 2 * INSERT_MOVE_CAP;
+/// Most maximal monotone runs a dirty bucket may have for the run
+/// merge; past this it is treated as unordered and sorted, having cost
+/// the scan a few dozen comparisons.
+const MAX_RUNS: usize = 8;
 /// Floor of the drain rule: a bucket whose capacity is above this
 /// shrinks, once its length falls to half its capacity, to 1.5× its
 /// length (never below this). One-shot giants (the initial spawn wave
@@ -218,6 +249,77 @@ fn ring_size(len: usize) -> usize {
         .clamp(INITIAL_BUCKETS, MAX_BUCKETS)
 }
 
+/// Order a dirty bucket descending by key, so `Vec::pop` yields the
+/// minimum, in place and without allocating; returns the records that
+/// went through a comparison sort. Keys are unique, so every correct
+/// order is *the* order and neither path can change a pop.
+///
+/// The longest maximal monotone run is the backbone, moved to the front
+/// in descending order: one reverse if it ascends, else a memmove. The
+/// at most [`STRAY_CAP`] records outside it are copied to a stack array
+/// first, sorted, and merged in from the back; the write index
+/// `i + j - 1` never passes an unread backbone record. A single run
+/// costs the scan and at most a reverse.
+fn settle_bucket(bucket: &mut [CompactRec]) -> usize {
+    let n = bucket.len();
+    let run = (n >= MERGE_MIN_LEN).then(|| longest_run(bucket)).flatten();
+    let Some((start, end, ascending)) = run.filter(|(s, e, _)| n - (e - s) <= STRAY_CAP) else {
+        bucket.sort_unstable_by_key(|x| std::cmp::Reverse(x.key));
+        return n;
+    };
+    let k = n - (end - start);
+    let mut strays = [bucket[0]; STRAY_CAP];
+    strays[..start].copy_from_slice(&bucket[..start]);
+    strays[start..k].copy_from_slice(&bucket[end..]);
+    let strays = &mut strays[..k];
+    if ascending {
+        // Reversing `..end` puts the backbone in front, descending; the
+        // strays it moves behind were copied out above.
+        bucket[..end].reverse();
+    } else if start > 0 {
+        bucket.copy_within(start..end, 0);
+    }
+    strays.sort_unstable_by_key(|x| std::cmp::Reverse(x.key));
+    // `bucket[..i]` holds the unread backbone, `strays[..j]` the
+    // unmerged strays; the smaller of their last records goes last.
+    let (mut i, mut j) = (end - start, k);
+    while j > 0 {
+        if i > 0 && bucket[i - 1].key < strays[j - 1].key {
+            bucket[i + j - 1] = bucket[i - 1];
+            i -= 1;
+        } else {
+            bucket[i + j - 1] = strays[j - 1];
+            j -= 1;
+        }
+    }
+    k
+}
+
+/// The longest maximal monotone run of `b` as `(start, end, ascending)`,
+/// or `None` once `b` turns out to have more than [`MAX_RUNS`] runs.
+/// Keys are unique, so every adjacent pair is strictly ordered and the
+/// runs partition `b`.
+fn longest_run(b: &[CompactRec]) -> Option<(usize, usize, bool)> {
+    let mut best = (0, 0, false);
+    let mut start = 0;
+    for _ in 0..MAX_RUNS {
+        let rest = &b[start..];
+        let ascending = rest.len() > 1 && rest[0].key < rest[1].key;
+        let len = rest
+            .windows(2)
+            .position(|w| (w[0].key < w[1].key) != ascending)
+            .map_or(rest.len(), |p| p + 1);
+        if len > best.1 - best.0 {
+            best = (start, start + len, ascending);
+        }
+        start += len;
+        if start == b.len() {
+            return Some(best);
+        }
+    }
+    None
+}
+
 /// Min-queue of pending events with deterministic tie-breaking.
 pub struct EventQueue {
     /// Ring of buckets, unallocated until the first migration; bucket
@@ -226,9 +328,9 @@ pub struct EventQueue {
     /// `[cur_slice, cur_slice + nb)`. Clean buckets are sorted
     /// descending by key, so `Vec::pop` yields the minimum.
     ring: Vec<Vec<CompactRec>>,
-    /// Per-bucket deferred-sort flag: set only by bulk redistribution
+    /// Per-bucket deferred-order flag: set only by bulk redistribution
     /// and the bounded-memmove fallback (ordinary pushes insert in
-    /// order), cleared after the bucket is sorted at the window head.
+    /// order), cleared after the bucket is settled at the window head.
     /// An empty bucket is always clean.
     dirty: Vec<bool>,
     /// `log2` of the bucket width in nanoseconds.
@@ -237,7 +339,7 @@ pub struct EventQueue {
     /// advance it past empty buckets, so every resident event's slice
     /// is `>= cur_slice`.
     cur_slice: u64,
-    /// Whether the bucket at `cur_slice` has already been sorted at the
+    /// Whether the bucket at `cur_slice` has already been settled at the
     /// window head — see `settle`.
     head_sorted: bool,
     /// The unsorted lane: every event that did not fit the window (or
@@ -251,10 +353,8 @@ pub struct EventQueue {
     /// window as `cur_slice` advances, and a later push may then land in
     /// the ring at a later time yet pop first.
     overflow_min_ns: u64,
-    /// Events resident in the ring.
+    /// Events resident in the ring; the rest are in `overflow`.
     ring_len: usize,
-    /// Total events (ring + overflow).
-    len: usize,
     /// Recycled bucket buffers — see [`SPARE_BUFFERS`].
     spare: Vec<Vec<CompactRec>>,
     /// In-flight `Call` boxes; resident records carry slot indices.
@@ -280,7 +380,6 @@ impl EventQueue {
             overflow: Vec::new(),
             overflow_min_ns: u64::MAX,
             ring_len: 0,
-            len: 0,
             spare: Vec::new(),
             calls: CallSlab::default(),
             stats: QueueStats::default(),
@@ -309,7 +408,6 @@ impl EventQueue {
             },
         };
         self.stats.pushes += 1;
-        self.len += 1;
         // Clamp below-window pushes into the current bucket: ordered
         // insertion still pops them first, preserving pop-min semantics.
         // (The engines never schedule into the popped past, but a
@@ -335,7 +433,7 @@ impl EventQueue {
             }
             if self.dirty[b] || bucket.last().is_none_or(|l| ev.key < l.key) {
                 // Dirty buckets collect appends until their deferred
-                // sort; clean buckets append when the event is the new
+                // settle; clean buckets append when the event is the new
                 // bucket minimum — the common hold-model case, O(1).
                 bucket.push(ev);
             } else {
@@ -351,7 +449,7 @@ impl EventQueue {
                 };
                 if bucket.len() - pos > cap {
                     // Bounded-memmove fallback: a deep insertion appends
-                    // and dirties the bucket; the deferred sort at the
+                    // and dirties the bucket; the deferred settle at the
                     // window head pays once — see `INSERT_MOVE_CAP` and
                     // `DEFER_MOVE_CAP`.
                     bucket.push(ev);
@@ -388,10 +486,10 @@ impl EventQueue {
     }
 
     /// Position `cur_slice` at the bucket holding the minimum key and
-    /// sort it if it is dirty. Returns the bucket index, or `None` when
+    /// settle it if it is dirty. Returns the bucket index, or `None` when
     /// the queue is empty.
     fn settle(&mut self) -> Option<usize> {
-        if self.len == 0 {
+        if self.is_empty() {
             return None;
         }
         // The outer loop re-settles after a split re-fits the geometry;
@@ -427,7 +525,7 @@ impl EventQueue {
                 self.head_sorted = false;
             }
             if self.dirty[b] {
-                // A second sort of the same head slice means deep
+                // A second settle of the same head slice means deep
                 // inserts keep landing in the bucket being popped: the
                 // slices are too wide for the cluster at the front.
                 if self.head_sorted {
@@ -436,9 +534,7 @@ impl EventQueue {
                         continue;
                     }
                 }
-                // Descending by key: `Vec::pop` then yields the minimum.
-                // Keys are unique, so unstable sorting is deterministic.
-                self.ring[b].sort_unstable_by_key(|x| std::cmp::Reverse(x.key));
+                self.stats.sorted += settle_bucket(&mut self.ring[b]) as u64;
                 self.dirty[b] = false;
                 self.head_sorted = true;
             }
@@ -461,7 +557,7 @@ impl EventQueue {
         let target = (bucket.len() / SPLIT_TARGET_OCCUPANCY) as u64;
         let mut shift = self.shift;
         // A span of zero walks `shift` to 0 and fails the test below:
-        // the flood cannot be spread, it simply sorts.
+        // the flood cannot be spread, it simply settles.
         while shift > 0 && ((max_ns - min_ns) >> shift) < target {
             shift -= 1;
         }
@@ -476,7 +572,7 @@ impl EventQueue {
     /// than every event already parked, so the overflow gate holds.
     fn split(&mut self, shift: u32, min_ns: u64) {
         self.stats.rebuilds += 1;
-        let nb = ring_size(self.len);
+        let nb = ring_size(self.len());
         self.stats.ring_hwm = self.stats.ring_hwm.max(nb as u64);
         let mut old = std::mem::replace(&mut self.ring, (0..nb).map(|_| Vec::new()).collect());
         self.dirty.clear();
@@ -515,7 +611,7 @@ impl EventQueue {
     /// moves every time, so the O(lane) pass is O(1) per pop.
     fn migrate(&mut self) {
         let n = self.overflow.len();
-        debug_assert!(n > 0 && n == self.len);
+        debug_assert!(n > 0 && self.ring_len == 0);
         let nb = ring_size(n);
         if self.ring.len() != nb {
             self.ring.resize_with(nb, Vec::new);
@@ -576,7 +672,6 @@ impl EventQueue {
             bucket.shrink_to(TRIM_CAP.max(bucket.len() + bucket.len() / 2));
         }
         self.ring_len -= 1;
-        self.len -= 1;
         let (tag, payload) = rec.action.unpack();
         Some(EventRec {
             key: rec.key,
@@ -617,13 +712,13 @@ impl EventQueue {
     /// Number of pending events.
     #[inline]
     pub fn len(&self) -> usize {
-        self.len
+        self.ring_len + self.overflow.len()
     }
 
     /// Whether no events are pending.
     #[inline]
     pub fn is_empty(&self) -> bool {
-        self.len == 0
+        self.ring_len == 0 && self.overflow.is_empty()
     }
 }
 
@@ -879,6 +974,147 @@ mod tests {
                 0,
                 "a same-time flood is never re-bucketed"
             );
+        }
+    }
+
+    /// Push `order` — same-instant keys `tie(j)`, one per index — into
+    /// a new queue: the first pop hands the lane to one bucket exactly as
+    /// pushed. Drain it against the oracle and return the records the
+    /// settle put through the comparison sort.
+    fn settle_as_pushed(order: &[u64]) -> u64 {
+        let mut c = Checked::default();
+        for &j in order {
+            c.push(key(500, j as u32, 0, j));
+        }
+        c.drain();
+        assert_eq!(c.q.stats().rebuilds, 0, "the bucket was re-bucketed");
+        c.q.stats().sorted
+    }
+
+    /// The `n` keys `0..n` as an ascending backbone with `k` strays taken
+    /// from inside its range, half in front and half behind it, each
+    /// half ascending. For `k ≥ 4` every boundary breaks a run (the
+    /// front's last stray is above the backbone's first key, 0; the
+    /// first stray behind is below its last, `n − 1`), so there are
+    /// exactly three runs and exactly `k` strays.
+    fn backbone_with_strays(n: u64, k: u64) -> Vec<u64> {
+        let strays: Vec<u64> = (0..k).map(|i| 1 + i * (n - 2) / k).collect();
+        let backbone = (0..n).filter(|j| !strays.contains(j));
+        let (front, back) = strays.split_at(k as usize / 2);
+        let order: Vec<u64> = front
+            .iter()
+            .copied()
+            .chain(backbone)
+            .chain(back.iter().copied())
+            .collect();
+        assert_eq!(order.len() as u64, n);
+        order
+    }
+
+    /// The maximal monotone runs of `order` and the records outside the
+    /// longest one, counted without the queue's scan.
+    fn runs_and_strays(order: &[u64]) -> (usize, usize) {
+        let (mut runs, mut longest, mut i) = (0, 0, 0);
+        while i < order.len() {
+            let start = i;
+            let ascending = order.get(i + 1).is_some_and(|&x| order[i] < x);
+            i += 1;
+            while i < order.len() && (order[i - 1] < order[i]) == ascending {
+                i += 1;
+            }
+            runs += 1;
+            longest = longest.max(i - start);
+        }
+        (runs, order.len() - longest)
+    }
+
+    /// The `rawcore_1m` wave through the real push path: an ascending
+    /// same-time flood into a bucket off the window head keeps a
+    /// `DEFER_MOVE_CAP + 1`-record in-order prefix and appends the rest;
+    /// the ring's wrap record to rank 0 arrives last. It settles with
+    /// `DEFER_MOVE_CAP + 2` strays sorted, in its own capacity.
+    #[test]
+    fn lock_step_wave_settles_as_a_run_merge() {
+        const N: u64 = 1 << 12;
+        let mut c = Checked::default();
+        c.push(key(0, 0, 0, 0));
+        c.pop();
+        for r in 1..N {
+            c.push(key(100, r as u32, r as u32 - 1, 1));
+        }
+        c.push(key(100, 0, N as u32 - 1, 1));
+        let b = 100 & (c.q.ring.len() - 1);
+        assert!(
+            c.q.dirty[b],
+            "the wave must have overflowed the memmove bound"
+        );
+        let dsts: Vec<u64> = c.q.ring[b].iter().map(|r| r.key.dst.0.into()).collect();
+        assert_eq!(runs_and_strays(&dsts), (3, DEFER_MOVE_CAP + 2));
+        let (cap, sorted) = (c.q.ring[b].capacity(), c.q.stats().sorted);
+        c.q.next_key();
+        assert_eq!(c.q.ring[b].capacity(), cap, "settling changed the capacity");
+        assert_eq!(c.q.stats().sorted - sorted, DEFER_MOVE_CAP as u64 + 2);
+        c.drain();
+    }
+
+    /// A spawn wave pushed descending is already in pop order: the
+    /// scan, no sort; pushed ascending it costs one reverse.
+    #[test]
+    fn single_run_waves_are_never_sorted() {
+        let n = 4 * STRAY_CAP as u64;
+        let descending: Vec<u64> = (0..n).rev().collect();
+        assert_eq!(settle_as_pushed(&descending), 0);
+        let ascending: Vec<u64> = (0..n).collect();
+        assert_eq!(settle_as_pushed(&ascending), 0);
+    }
+
+    /// Both backbone directions take exactly `STRAY_CAP` strays through
+    /// the merge; one more sorts the whole bucket.
+    #[test]
+    fn strays_up_to_the_cap_are_merged() {
+        let n = 8 * STRAY_CAP as u64;
+        for k in [4, STRAY_CAP as u64, STRAY_CAP as u64 + 1] {
+            let ascending = backbone_with_strays(n, k);
+            assert_eq!(runs_and_strays(&ascending), (3, k as usize));
+            // The mirror image: a descending backbone, descending strays.
+            let descending: Vec<u64> = ascending.iter().rev().map(|j| n - 1 - j).collect();
+            assert_eq!(runs_and_strays(&descending), (3, k as usize));
+            let want = if k <= STRAY_CAP as u64 { k } else { n };
+            assert_eq!(settle_as_pushed(&ascending), want, "ascending, {k} strays");
+            assert_eq!(
+                settle_as_pushed(&descending),
+                want,
+                "descending, {k} strays"
+            );
+        }
+    }
+
+    /// `runs − 1` stray pairs, each ascending and each above the next,
+    /// in front of an ascending backbone: `MAX_RUNS` runs merge, one
+    /// more sorts the whole bucket.
+    #[test]
+    fn runs_up_to_the_limit_are_merged() {
+        let n = 8 * STRAY_CAP as u64;
+        for runs in [MAX_RUNS, MAX_RUNS + 1] {
+            let pairs = runs as u64 - 1;
+            let strays: Vec<u64> = (0..2 * pairs).map(|i| 1 + 5 * i).collect();
+            let mut order: Vec<u64> = strays.rchunks(2).flatten().copied().collect();
+            order.extend((0..n).filter(|j| !strays.contains(j)));
+            assert_eq!(runs_and_strays(&order).0, runs);
+            let want = if runs <= MAX_RUNS { 2 * pairs } else { n };
+            assert_eq!(settle_as_pushed(&order), want, "{runs} runs");
+        }
+    }
+
+    /// One stray behind an ascending backbone: a bucket just below
+    /// `MERGE_MIN_LEN` is sorted whole, one at or above it merges.
+    #[test]
+    fn small_buckets_are_sorted() {
+        let threshold = MERGE_MIN_LEN as u64;
+        for n in [threshold - 1, threshold, threshold + 1] {
+            let order = backbone_with_strays(n, 1);
+            let want = if n < threshold { n } else { 1 };
+            assert_eq!(settle_as_pushed(&order), want, "{n} records");
         }
     }
 

@@ -118,6 +118,9 @@ pub struct EngineProfile {
     /// Bulk redistribution passes of the queues (all shards) — see
     /// [`crate::queue::QueueStats::rebuilds`].
     pub queue_rebuilds: u64,
+    /// Records the queues put through a comparison sort (all shards) —
+    /// see [`crate::queue::QueueStats::sorted`].
+    pub queue_sorted: u64,
 }
 
 impl EngineProfile {
@@ -136,6 +139,7 @@ impl EngineProfile {
         self.queue_ring_hwm = self.queue_ring_hwm.max(other.queue_ring_hwm);
         self.queue_empty_steps += other.queue_empty_steps;
         self.queue_rebuilds += other.queue_rebuilds;
+        self.queue_sorted += other.queue_sorted;
     }
 
     /// Fraction of queue pushes served without allocating (0.0 when no
@@ -285,6 +289,7 @@ mod tests {
             queue_ring_hwm: 256,
             queue_empty_steps: 30,
             queue_rebuilds: 2,
+            queue_sorted: 18,
             ..Default::default()
         };
         let b = EngineProfile {
@@ -299,6 +304,7 @@ mod tests {
             queue_ring_hwm: 1024,
             queue_empty_steps: 12,
             queue_rebuilds: 1,
+            queue_sorted: 70,
             ..Default::default()
         };
         a.merge(&b);
@@ -313,6 +319,7 @@ mod tests {
         assert_eq!(a.queue_ring_hwm, 1024);
         assert_eq!(a.queue_empty_steps, 42);
         assert_eq!(a.queue_rebuilds, 3);
+        assert_eq!(a.queue_sorted, 88);
         assert!((a.pool_reuse_ratio() - 100.0 / 150.0).abs() < 1e-12);
     }
 

@@ -638,3 +638,31 @@ fn start_time_failure_schedule_interacts() {
     let report = engine::run(c, Arc::new(program), &setup).unwrap();
     assert_eq!(report.failures[0].actual, SimTime::from_secs(100));
 }
+
+/// The raw-core ring of wakes (`xsim_bench::million_vp_program`): every
+/// VP sleeps 10 µs, then wakes its ring successor 2 µs later, twice.
+/// Its four 2¹⁶-event waves each arrive in ascending rank order behind
+/// a short in-order prefix, the two wake waves with the wrap record to
+/// rank 0 last, and the spawn wave is one run: the queue settles all
+/// of them by run merge and sorts only the strays — 17 per sleep wave,
+/// 18 per wake wave, where a whole-bucket sort took 4 × 2¹⁶.
+#[test]
+fn lock_step_waves_sort_only_their_strays() {
+    const VPS: usize = 1 << 16;
+    let program = |rank: Rank| -> VpFuture {
+        Box::pin(async move {
+            for _ in 0..2 {
+                ctx::sleep(SimTime::from_micros(10)).await;
+                let peer = Rank::new((rank.idx() + 1) % VPS);
+                ctx::with_kernel(|k, me| {
+                    let t = k.vp(me).clock() + SimTime::from_micros(2);
+                    k.schedule_at(t, peer, Action::WakeMessage);
+                });
+            }
+            VpExit::Finished
+        })
+    };
+    let report = engine::run(cfg(VPS, 1), Arc::new(program), &no_setup).unwrap();
+    assert_eq!(report.events_processed, 5 * VPS as u64);
+    assert_eq!(report.profile.queue_sorted, 2 * 17 + 2 * 18);
+}

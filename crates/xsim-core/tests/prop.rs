@@ -289,24 +289,45 @@ fn queue_matches_oracle_on_campaign_shapes() {
 }
 
 /// Floods: waves of identical timestamps whose order is decided by
-/// `(dst, src, seq)` alone, pushed ascending, descending or shuffled,
-/// with pops between the waves. A flood cannot be spread over slices;
-/// it must sort once and pop in key order.
+/// `(dst, src, seq)` alone, pushed ascending, descending, shuffled or
+/// run-shaped, with pops between the waves. A flood cannot be spread
+/// over slices; it must settle once and pop in key order. Run-shaped
+/// waves are the run merge's input on both sides of its limits: up to
+/// a dozen monotone runs of random length and direction, then up to
+/// 200 strays moved to random positions.
 #[test]
 fn queue_matches_oracle_on_same_time_floods() {
-    for_each_case(SEED, 24, |g| {
+    for_each_case(SEED, 48, |g| {
         let mut c = Checked::default();
         let gap = [0, 1, 1_000, 1_000_000_000][g.gen_index(4)];
         let mut seq = 0;
         for wave in 0..g.gen_in(1..6) {
             let n = g.gen_in(1..3_000);
             let mut order: Vec<u64> = (0..n).collect();
-            match g.gen_in(0..3) {
+            match g.gen_in(0..4) {
                 0 => {}
                 1 => order.reverse(),
-                _ => (1..order.len())
+                2 => (1..order.len())
                     .rev()
                     .for_each(|i| order.swap(i, g.gen_index(i + 1))),
+                _ => {
+                    let mut cuts: Vec<usize> = (0..g.gen_in(0..12))
+                        .map(|_| g.gen_index(order.len() + 1))
+                        .collect();
+                    cuts.sort_unstable();
+                    cuts.push(order.len());
+                    let mut start = 0;
+                    for end in cuts {
+                        if g.gen_in(0..2) == 1 {
+                            order[start..end].reverse();
+                        }
+                        start = end;
+                    }
+                    for _ in 0..g.gen_in(0..200) {
+                        let x = order.remove(g.gen_index(order.len()));
+                        order.insert(g.gen_index(order.len() + 1), x);
+                    }
+                }
             }
             for j in order {
                 c.push_key(EventKey {

@@ -261,3 +261,40 @@ fn small_queues_cost_what_they_hold() {
     assert_eq!(stats.pushes, 128);
     assert!(peak <= 16 * KIB, "{peak} B live for 128 events");
 }
+
+/// A lock-step wave as the push path leaves it: 2¹⁸ same-time events in
+/// ascending rank order into a bucket off the window head (a 17-record
+/// in-order prefix, then appends) and the ring's wrap record to rank 0
+/// last — 18 strays around one ascending run. Settling it is a run
+/// merge in the bucket's own buffer: no allocation call, no byte more
+/// or less live, 18 records sorted.
+#[test]
+fn settling_a_lock_step_wave_allocates_nothing() {
+    const N: u64 = 1 << 18;
+    let mut q = EventQueue::new();
+    // Two primers: a 256-slice ring at 1 ns, and a window head that has
+    // already recycled a drained bucket, so the spare list exists.
+    q.push(ev(0, 0, 0));
+    q.pop();
+    q.push(ev(50, 0, 1));
+    q.pop();
+    for r in 1..N {
+        q.push(ev(100, r as u32, 2));
+    }
+    q.push(ev(100, 0, 3));
+    let sorted = q.stats().sorted;
+    let ((first, grown), allocs, _) = measured(|| {
+        let live = LIVE.get();
+        let first = q.next_key();
+        (first, LIVE.get().wrapping_sub(live))
+    });
+    let sorted = q.stats().sorted - sorted;
+    eprintln!(
+        "lock-step settle: {allocs} allocation calls, {grown} B grown, {sorted} records sorted"
+    );
+    assert_eq!(first.map(|k| k.dst), Some(Rank(0)));
+    assert_eq!(allocs, 0, "settling allocated");
+    assert_eq!(grown, 0, "settling resized a buffer");
+    assert_eq!(sorted, 18, "only the strays are sorted");
+    drain(q);
+}
