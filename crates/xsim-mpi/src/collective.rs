@@ -364,43 +364,49 @@ pub fn alltoall(
 /// An element the typed reductions carry: 8 bytes, little-endian on the
 /// wire.
 pub(crate) trait Wire: Copy {
-    fn from_le(chunk: &[u8]) -> Self;
+    fn from_le(lane: &[u8]) -> Self;
     fn to_le(self) -> [u8; 8];
     fn fold(op: ReduceOp, a: Self, b: Self) -> Self;
 }
 
 impl Wire for f64 {
-    fn from_le(chunk: &[u8]) -> Self {
-        f64::from_le_bytes(chunk.try_into().expect("chunk of 8"))
+    #[inline]
+    fn from_le(lane: &[u8]) -> Self {
+        f64::from_le_bytes(lane.try_into().expect("lane of 8"))
     }
 
+    #[inline]
     fn to_le(self) -> [u8; 8] {
         self.to_le_bytes()
     }
 
+    #[inline]
     fn fold(op: ReduceOp, a: f64, b: f64) -> f64 {
         op.fold_f64(a, b)
     }
 }
 
 impl Wire for u64 {
-    fn from_le(chunk: &[u8]) -> Self {
-        u64::from_le_bytes(chunk.try_into().expect("chunk of 8"))
+    #[inline]
+    fn from_le(lane: &[u8]) -> Self {
+        u64::from_le_bytes(lane.try_into().expect("lane of 8"))
     }
 
+    #[inline]
     fn to_le(self) -> [u8; 8] {
         self.to_le_bytes()
     }
 
+    #[inline]
     fn fold(op: ReduceOp, a: u64, b: u64) -> u64 {
         op.fold_u64(a, b)
     }
 }
 
 fn to_wire<T: Wire>(v: &[T]) -> Bytes {
-    let mut buf = Vec::with_capacity(v.len() * 8);
-    for x in v {
-        buf.extend_from_slice(&x.to_le());
+    let mut buf = vec![0; v.len() * 8];
+    for (lane, x) in buf.chunks_exact_mut(8).zip(v) {
+        lane.copy_from_slice(&x.to_le());
     }
     buf.into()
 }
@@ -412,23 +418,43 @@ fn from_wire<T: Wire>(data: &[u8]) -> Option<Vec<T>> {
     Some(data.chunks_exact(8).map(T::from_le).collect())
 }
 
-/// Fold `other` into the wire bytes `acc`, element by element:
+/// Fold `other` into the wire bytes `acc`, lane by lane:
 /// `acc ← op(other, acc)` when `other` comes first in the fold order (a
-/// member's own data), else `acc ← op(acc, other)`.
+/// member's own data), else `acc ← op(acc, other)`. The operator and the
+/// order are chosen once, so each loop folds with one inlined operation.
 fn fold_wire<T: Wire>(
     op: ReduceOp,
     acc: &mut [u8],
     other: impl Iterator<Item = T>,
     other_first: bool,
 ) {
-    for (a, o) in acc.chunks_exact_mut(8).zip(other) {
-        let x = T::from_le(a);
-        let r = if other_first {
-            T::fold(op, o, x)
-        } else {
-            T::fold(op, x, o)
-        };
-        a.copy_from_slice(&r.to_le());
+    match op {
+        ReduceOp::Sum => fold_lanes(acc, other, other_first, |a, b| T::fold(ReduceOp::Sum, a, b)),
+        ReduceOp::Min => fold_lanes(acc, other, other_first, |a, b| T::fold(ReduceOp::Min, a, b)),
+        ReduceOp::Max => fold_lanes(acc, other, other_first, |a, b| T::fold(ReduceOp::Max, a, b)),
+        ReduceOp::Prod => fold_lanes(acc, other, other_first, |a, b| {
+            T::fold(ReduceOp::Prod, a, b)
+        }),
+    }
+}
+
+/// [`fold_wire`] for one operator `f`.
+#[inline(always)]
+fn fold_lanes<T: Wire>(
+    acc: &mut [u8],
+    other: impl Iterator<Item = T>,
+    other_first: bool,
+    f: impl Fn(T, T) -> T,
+) {
+    let lanes = acc.chunks_exact_mut(8).zip(other);
+    if other_first {
+        for (lane, o) in lanes {
+            lane.copy_from_slice(&f(o, T::from_le(lane)).to_le());
+        }
+    } else {
+        for (lane, o) in lanes {
+            lane.copy_from_slice(&f(T::from_le(lane), o).to_le());
+        }
     }
 }
 

@@ -9,11 +9,12 @@
 //!   share latency and therefore arrive (and are delivered) in send order.
 //!
 //! The queues live in one [`SmallMap`] ordered by `(comm, src, tag,
-//! stamp)`: a flat scan for the handful of entries a rank usually has,
-//! an ordered tree at depth, so the dominant specific-source/specific-tag
-//! match stays O(log n) even with tens of thousands of outstanding
-//! receives or unexpected messages (a linear-algorithm collective at the
-//! root holds P−1 of them, paper §V-C).
+//! stamp)`: the one entry a blocking operation leaves inline, a flat
+//! scan for the handful of entries a rank usually has, an ordered tree
+//! at depth, so the dominant specific-source/specific-tag match stays
+//! O(log n) even with tens of thousands of outstanding receives or
+//! unexpected messages (a linear-algorithm collective at the root holds
+//! P−1 of them, paper §V-C).
 
 use crate::comm::CommId;
 use crate::request::ReqId;

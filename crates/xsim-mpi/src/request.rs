@@ -84,8 +84,8 @@ impl Request {
 }
 
 /// The per-rank request table. Ids are handed out in program order;
-/// the table holds no heap until the first request and gives all but
-/// one slot back whenever it drains.
+/// the table holds its first request inline (a blocking operation has
+/// no second) and gives its heap back whenever it drains.
 #[derive(Debug, Default)]
 pub struct RequestTable {
     map: SmallMap<u64, Request>,

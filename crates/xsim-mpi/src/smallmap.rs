@@ -3,22 +3,35 @@
 //! A simulated rank usually has a handful of operations outstanding — a
 //! blocking collective has one request and one queued message or posted
 //! receive at a time — but a linear-collective root has tens of
-//! thousands. [`SmallMap`] holds nothing on the heap while empty, a flat
-//! unsorted `Vec` (linear scan, no hashing) up to [`FEW_MAX`] entries
-//! and a `BTreeMap` beyond, so lookups and ordered range queries stay
-//! O(log n) at depth. Both forms give their memory back when the map
-//! drains: the tree frees its nodes as it empties, and the flat form
-//! retains at most one slot (so alternating insert/remove — a blocking
-//! send or receive — does not allocate each time).
+//! thousands. [`SmallMap`] holds its first entry inline, in the rank's
+//! own record, so posting, matching, completing and taking that entry
+//! follow no pointer. A second entry moves the map to a flat unsorted
+//! `Vec` of [`FEW_MAX`] slots (one allocation, linear scan, no hashing),
+//! and a map beyond that to a `BTreeMap`, so lookups and ordered range
+//! queries stay O(log n) at depth. Every form gives its memory back
+//! when the map drains: it returns to the empty form, which holds no
+//! heap.
+//!
+//! The flat forms iterate in insertion order, except that a removal
+//! moves the last entry into the hole (`swap_remove`). The failure paths
+//! schedule events in iteration order, so that order is part of a run's
+//! digest.
 
 use std::collections::BTreeMap;
+use std::mem;
 
-/// Largest entry count held in the flat form.
+/// Largest entry count held in the flat forms.
 pub(crate) const FEW_MAX: usize = 8;
 
 #[derive(Debug)]
 pub(crate) enum SmallMap<K, V> {
+    /// No entries, no heap.
+    Empty,
+    /// One entry, inline.
+    One((K, V)),
+    /// Two to [`FEW_MAX`] entries in one block of [`FEW_MAX`] slots.
     Few(Vec<(K, V)>),
+    /// More than [`FEW_MAX`] entries (until the map drains).
     Many(BTreeMap<K, V>),
 }
 
@@ -31,120 +44,142 @@ impl<K, V> Default for SmallMap<K, V> {
 impl<K, V> SmallMap<K, V> {
     /// An empty map (no heap).
     pub(crate) const fn new() -> Self {
-        SmallMap::Few(Vec::new())
+        SmallMap::Empty
+    }
+
+    /// The entries of a flat form; empty for the tree.
+    fn flat(&self) -> &[(K, V)] {
+        match self {
+            SmallMap::Empty | SmallMap::Many(_) => &[],
+            SmallMap::One(entry) => std::slice::from_ref(entry),
+            SmallMap::Few(v) => v,
+        }
     }
 }
 
 impl<K: Ord + Copy, V> SmallMap<K, V> {
     pub(crate) fn len(&self) -> usize {
         match self {
-            SmallMap::Few(v) => v.len(),
             SmallMap::Many(m) => m.len(),
+            _ => self.flat().len(),
         }
     }
 
     pub(crate) fn is_empty(&self) -> bool {
-        self.len() == 0
+        matches!(self, SmallMap::Empty)
     }
 
     pub(crate) fn get(&self, key: &K) -> Option<&V> {
         match self {
-            SmallMap::Few(v) => v.iter().find(|(k, _)| k == key).map(|(_, val)| val),
             SmallMap::Many(m) => m.get(key),
+            _ => self.flat().iter().find(|(k, _)| k == key).map(|(_, v)| v),
         }
     }
 
     pub(crate) fn get_mut(&mut self, key: &K) -> Option<&mut V> {
-        match self {
-            SmallMap::Few(v) => v.iter_mut().find(|(k, _)| k == key).map(|(_, val)| val),
-            SmallMap::Many(m) => m.get_mut(key),
-        }
+        let flat = match self {
+            SmallMap::Empty => return None,
+            SmallMap::One(entry) => std::slice::from_mut(entry),
+            SmallMap::Few(v) => v.as_mut_slice(),
+            SmallMap::Many(m) => return m.get_mut(key),
+        };
+        flat.iter_mut().find(|(k, _)| k == key).map(|(_, v)| v)
     }
 
     /// Insert an entry. `key` must not be present (every user's keys are
     /// unique by construction: request ids, stamped match keys).
     pub(crate) fn insert(&mut self, key: K, val: V) {
         debug_assert!(self.get(&key).is_none(), "duplicate SmallMap key");
-        if let SmallMap::Few(v) = self {
-            if v.len() < FEW_MAX {
-                if v.capacity() == 0 {
-                    // One slot, not `Vec`'s default four: most ranks
-                    // never hold a second entry.
-                    v.reserve_exact(1);
-                }
+        match self {
+            SmallMap::Empty => *self = SmallMap::One((key, val)),
+            SmallMap::One(_) => {
+                let SmallMap::One(first) = mem::take(self) else {
+                    unreachable!("matched above");
+                };
+                let mut v = Vec::with_capacity(FEW_MAX);
+                v.push(first);
                 v.push((key, val));
-                return;
+                *self = SmallMap::Few(v);
             }
-            *self = SmallMap::Many(std::mem::take(v).into_iter().collect());
-        }
-        if let SmallMap::Many(m) = self {
-            m.insert(key, val);
+            SmallMap::Few(v) if v.len() < FEW_MAX => v.push((key, val)),
+            SmallMap::Few(v) => {
+                let mut m: BTreeMap<K, V> = mem::take(v).into_iter().collect();
+                m.insert(key, val);
+                *self = SmallMap::Many(m);
+            }
+            SmallMap::Many(m) => {
+                m.insert(key, val);
+            }
         }
     }
 
     pub(crate) fn remove(&mut self, key: &K) -> Option<V> {
-        match self {
+        let (val, drained) = match self {
+            SmallMap::Empty => return None,
+            SmallMap::One((k, _)) if k != key => return None,
+            SmallMap::One(_) => {
+                let SmallMap::One((_, val)) = mem::take(self) else {
+                    unreachable!("matched above");
+                };
+                return Some(val);
+            }
             SmallMap::Few(v) => {
                 let i = v.iter().position(|(k, _)| k == key)?;
-                let (_, val) = v.swap_remove(i);
-                if v.is_empty() && v.capacity() > 1 {
-                    *v = Vec::new();
-                }
-                Some(val)
+                (v.swap_remove(i).1, v.is_empty())
             }
-            SmallMap::Many(m) => {
-                let val = m.remove(key)?;
-                if m.is_empty() {
-                    *self = SmallMap::default();
-                }
-                Some(val)
-            }
+            SmallMap::Many(m) => (m.remove(key)?, m.is_empty()),
+        };
+        if drained {
+            *self = SmallMap::Empty;
         }
+        Some(val)
     }
 
     /// The entry with the smallest key in `lo..=hi`.
     pub(crate) fn first_in(&self, lo: K, hi: K) -> Option<(K, &V)> {
         match self {
-            SmallMap::Few(v) => v
+            SmallMap::Many(m) => m.range(lo..=hi).next().map(|(k, v)| (*k, v)),
+            _ => self
+                .flat()
                 .iter()
                 .filter(|(k, _)| lo <= *k && *k <= hi)
                 .min_by_key(|(k, _)| *k)
-                .map(|(k, val)| (*k, val)),
-            SmallMap::Many(m) => m.range(lo..=hi).next().map(|(k, val)| (*k, val)),
+                .map(|(k, v)| (*k, v)),
         }
     }
 
     /// Every entry, in unspecified (but run-to-run identical) order.
     pub(crate) fn iter(&self) -> impl Iterator<Item = (K, &V)> {
-        let (few, many) = match self {
-            SmallMap::Few(v) => (Some(v), None),
-            SmallMap::Many(m) => (None, Some(m)),
+        let many = match self {
+            SmallMap::Many(m) => Some(m),
+            _ => None,
         };
-        few.into_iter()
-            .flatten()
-            .map(|(k, val)| (*k, val))
-            .chain(many.into_iter().flatten().map(|(k, val)| (*k, val)))
+        self.flat()
+            .iter()
+            .map(|(k, v)| (*k, v))
+            .chain(many.into_iter().flatten().map(|(k, v)| (*k, v)))
     }
 
     /// Every entry with a key in `lo..=hi`, in unspecified order.
     pub(crate) fn range(&self, lo: K, hi: K) -> impl Iterator<Item = (K, &V)> {
-        let (few, many) = match self {
-            SmallMap::Few(v) => (Some(v), None),
-            SmallMap::Many(m) => (None, Some(m.range(lo..=hi))),
+        let many = match self {
+            SmallMap::Many(m) => Some(m.range(lo..=hi)),
+            _ => None,
         };
-        few.into_iter()
-            .flatten()
+        self.flat()
+            .iter()
             .filter(move |(k, _)| lo <= *k && *k <= hi)
-            .map(|(k, val)| (*k, val))
-            .chain(many.into_iter().flatten().map(|(k, val)| (*k, val)))
+            .map(|(k, v)| (*k, v))
+            .chain(many.into_iter().flatten().map(|(k, v)| (*k, v)))
     }
 
     /// Entry slots currently held on the heap (flat capacity, or tree
-    /// entries): zero for a map that never held anything, at most one
-    /// after a drain.
+    /// entries): zero for the empty and inline forms, so zero once the
+    /// map has drained.
     #[cfg(test)]
     fn retained(&self) -> usize {
         match self {
+            SmallMap::Empty | SmallMap::One(_) => 0,
             SmallMap::Few(v) => v.capacity(),
             SmallMap::Many(m) => m.len(),
         }
@@ -154,15 +189,21 @@ impl<K: Ord + Copy, V> SmallMap<K, V> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use xsim_core::rng::{for_each_case, DetRng};
 
     #[test]
     fn spills_to_the_tree_and_returns_when_drained() {
         let mut m: SmallMap<u64, u64> = SmallMap::default();
+        assert!(matches!(m, SmallMap::Empty));
         assert_eq!(m.retained(), 0, "an empty map holds no heap");
-        for i in 0..FEW_MAX as u64 {
+        m.insert(0, 0);
+        assert!(matches!(m, SmallMap::One(_)));
+        assert_eq!(m.retained(), 0, "the first entry is inline");
+        for i in 1..FEW_MAX as u64 {
             m.insert(i, i * 10);
+            assert!(matches!(m, SmallMap::Few(_)));
+            assert_eq!(m.retained(), FEW_MAX, "one block, never re-grown");
         }
-        assert!(matches!(m, SmallMap::Few(_)));
         m.insert(100, 1000);
         assert!(matches!(m, SmallMap::Many(_)));
         assert_eq!(m.len(), FEW_MAX + 1);
@@ -177,26 +218,95 @@ mod tests {
             "no switch back while in use"
         );
         assert_eq!(m.remove(&100), Some(1000));
-        assert!(matches!(m, SmallMap::Few(_)));
+        assert!(matches!(m, SmallMap::Empty));
         assert_eq!(m.retained(), 0);
     }
 
     #[test]
-    fn flat_form_retains_one_slot_at_most() {
+    fn drained_flat_forms_return_to_empty() {
         let mut m: SmallMap<u64, u64> = SmallMap::default();
         m.insert(1, 1);
-        assert_eq!(m.retained(), 1);
+        assert_eq!(m.remove(&2), None, "a miss leaves the inline entry");
         assert_eq!(m.remove(&1), Some(1));
-        assert_eq!(m.retained(), 1, "a single slot survives the drain");
+        assert!(matches!(m, SmallMap::Empty));
         m.insert(2, 2);
         m.insert(3, 3);
         assert_eq!(m.first_in(0, 9).map(|(k, _)| k), Some(2));
         *m.get_mut(&3).unwrap() += 1;
         assert_eq!(m.iter().map(|(_, v)| *v).sum::<u64>(), 6);
         m.remove(&2);
+        assert!(
+            matches!(m, SmallMap::Few(_)),
+            "one entry left: the block stays until the drain"
+        );
         m.remove(&3);
-        assert!(m.is_empty());
-        assert_eq!(m.retained(), 0, "a grown buffer is given back");
+        assert!(matches!(m, SmallMap::Empty));
+        assert_eq!(m.retained(), 0, "the block is given back");
         assert_eq!(m.remove(&3), None);
+    }
+
+    /// Random operations against a `BTreeMap` oracle. Each case fills the
+    /// map towards a random target (so it passes through the inline,
+    /// flat and tree forms), churns it, and drains it; every result is
+    /// compared, and a drained map must hold no heap.
+    #[test]
+    fn matches_a_btreemap_oracle() {
+        fn check(m: &SmallMap<u64, u64>, oracle: &BTreeMap<u64, u64>, g: &mut DetRng) {
+            assert_eq!(m.len(), oracle.len());
+            assert_eq!(m.is_empty(), oracle.is_empty());
+            let (a, b) = (g.gen_range_u64(64), g.gen_range_u64(64));
+            let (lo, hi) = (a.min(b), a.max(b));
+            let want = oracle.range(lo..=hi).next().map(|(k, v)| (*k, v));
+            assert_eq!(m.first_in(lo, hi), want, "first_in({lo}, {hi})");
+            let mut got: Vec<_> = m.range(lo, hi).map(|(k, v)| (k, *v)).collect();
+            got.sort_unstable();
+            let want: Vec<_> = oracle.range(lo..=hi).map(|(k, v)| (*k, *v)).collect();
+            assert_eq!(got, want, "range({lo}, {hi})");
+            let mut all: Vec<_> = m.iter().map(|(k, v)| (k, *v)).collect();
+            all.sort_unstable();
+            let want: Vec<_> = oracle.iter().map(|(k, v)| (*k, *v)).collect();
+            assert_eq!(all, want);
+        }
+
+        for_each_case(0x5a11_3a90, 200, |g| {
+            let mut m: SmallMap<u64, u64> = SmallMap::new();
+            let mut oracle = BTreeMap::new();
+            let target = 1 + g.gen_index(3 * FEW_MAX);
+            for step in 0..8 * target {
+                let key = g.gen_range_u64(64);
+                // Mostly growing until the target is reached, then
+                // mostly shrinking.
+                let grow = g.gen_index(4) != 0;
+                let grow = if oracle.len() < target { grow } else { !grow };
+                match g.gen_index(3) {
+                    0 => {
+                        assert_eq!(m.get(&key), oracle.get(&key));
+                        if let Some(v) = m.get_mut(&key) {
+                            *v += 1;
+                            *oracle.get_mut(&key).unwrap() += 1;
+                        }
+                    }
+                    _ if grow && !oracle.contains_key(&key) => {
+                        m.insert(key, step as u64);
+                        oracle.insert(key, step as u64);
+                    }
+                    _ => assert_eq!(m.remove(&key), oracle.remove(&key)),
+                }
+                match oracle.len() {
+                    0 => assert!(matches!(m, SmallMap::Empty)),
+                    1 => assert!(!matches!(m, SmallMap::Empty)),
+                    n if n > FEW_MAX => assert!(matches!(m, SmallMap::Many(_))),
+                    _ => assert!(matches!(m, SmallMap::Few(_) | SmallMap::Many(_))),
+                }
+                check(&m, &oracle, g);
+            }
+            let keys: Vec<u64> = oracle.keys().copied().collect();
+            for key in keys {
+                assert_eq!(m.remove(&key), oracle.remove(&key));
+                check(&m, &oracle, g);
+            }
+            assert!(matches!(m, SmallMap::Empty));
+            assert_eq!(m.retained(), 0, "a drained map holds no heap");
+        });
     }
 }

@@ -291,13 +291,15 @@ impl FailedList {
 /// The MPI state of one simulated rank.
 ///
 /// Inline is only what a communicating rank touches on every operation:
-/// its matching queues and requests, the world communicator's collective
-/// counter and the completion feed. Fault-path and configuration-gated
-/// state lives in one cold record boxed on first use, so a rank that
-/// never meets a failure, an abort, a revoke, a derived communicator, an
-/// error-handler override, `serialize_recv` or a lossy transport pays a
-/// null pointer for all of it. The containers give their memory back
-/// when they drain (DESIGN.md §2.5 has the budget).
+/// its matching queues and requests (each with room for its first
+/// entry, so a blocking operation follows no pointer), the world
+/// communicator's collective counter and the completion feed.
+/// Fault-path and configuration-gated state lives in one cold record
+/// boxed on first use, so a rank that never meets a failure, an abort, a
+/// revoke, a derived communicator, an error-handler override,
+/// `serialize_recv` or a lossy transport pays a null pointer for all of
+/// it. The containers give their memory back when they drain (DESIGN.md
+/// §2.5 has the budget).
 pub struct RankMpi {
     /// This rank.
     pub me: Rank,

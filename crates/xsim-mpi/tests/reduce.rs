@@ -3,7 +3,9 @@
 //! member's own data first, then its children — at a linear root every
 //! other member in rank order, in a binomial tree the children in
 //! increasing bit order. The `f64` values (1e16, 1, −1e16) make a sum
-//! depend on that order, and the `u64` values wrap.
+//! depend on that order, and the `u64` values wrap; signed zeros and
+//! NaNs make `f64` `Min` and `Max` depend on the argument order inside
+//! each fold step.
 //!
 //! Every run also yields its [`Timing`] — run digest, event count and
 //! exit time — and `collective_schedules_are_pinned` holds broadcast,
@@ -218,6 +220,96 @@ fn the_order_matters_for_these_values() {
     let linear = reference(CollAlgo::Linear, 0, 0, 12, &f64_data, &sum);
     let tree = reference(CollAlgo::Tree, 0, 0, 12, &f64_data, &sum);
     assert_ne!(linear, tree);
+}
+
+/// Signed zeros and NaNs of either sign and two payloads. For these
+/// pairs `f64` `Min` and `Max` return one operand or the other by
+/// position, so only a fold that keeps `op(own, acc)` for a member's own
+/// data and `op(acc, child)` for each further child matches the
+/// reference bit for bit.
+const EDGE: [f64; 5] = [
+    0.0,
+    -0.0,
+    f64::NAN,
+    -f64::NAN,
+    f64::from_bits(0x7ff8_0000_0000_0001),
+];
+
+fn edge_data(rank: usize) -> Vec<f64> {
+    (0..EDGE.len())
+        .map(|j| EDGE[(rank + j) % EDGE.len()])
+        .collect()
+}
+
+fn to_bits(v: &[f64]) -> Vec<u64> {
+    v.iter().map(|x| x.to_bits()).collect()
+}
+
+/// A member and the bits of the result it holds.
+type EdgeRow = (usize, Vec<u64>);
+
+/// The [`EdgeRow`] of every member holding a result of one `f64` reduce
+/// to `root` (`None`: allreduce) of [`edge_data`].
+fn run_edge(algo: CollAlgo, size: usize, root: Option<usize>, op: ReduceOp) -> Vec<EdgeRow> {
+    let rows: Arc<Mutex<Vec<EdgeRow>>> = Arc::default();
+    let sink = rows.clone();
+    SimBuilder::new(size)
+        .net(NetModel::small(size))
+        .run_app(move |mpi| {
+            let sink = sink.clone();
+            async move {
+                let (w, data) = (CommId::WORLD, edge_data(mpi.rank));
+                let out = match (algo, root) {
+                    (CollAlgo::Linear, Some(root)) => {
+                        collective::reduce_f64(w, root, &data, op).await?
+                    }
+                    (CollAlgo::Tree, Some(root)) => {
+                        collective::reduce_f64_tree(w, root, &data, op).await?
+                    }
+                    (CollAlgo::Linear, None) => {
+                        Some(collective::allreduce_f64(w, &data, op).await?)
+                    }
+                    (CollAlgo::Tree, None) => {
+                        Some(collective::allreduce_f64_tree(w, &data, op).await?)
+                    }
+                };
+                if let Some(out) = out {
+                    sink.lock().unwrap().push((mpi.rank, to_bits(&out)));
+                }
+                mpi.finalize();
+                Ok(())
+            }
+        })
+        .expect("reduce run");
+    let mut rows = std::mem::take(&mut *rows.lock().unwrap());
+    rows.sort();
+    rows
+}
+
+#[test]
+fn min_max_keep_the_fold_order_on_signed_zeros_and_nans() {
+    for op in [ReduceOp::Min, ReduceOp::Max] {
+        let fold = |a, b| fold_f64(op, a, b);
+        let swapped = |a, b| fold_f64(op, b, a);
+        for algo in [CollAlgo::Linear, CollAlgo::Tree] {
+            // From 3 members on, a node has a second child: both the
+            // own-first and the child-first fold run.
+            for size in [2, 3, 4, 5] {
+                for root in [Some(size - 1), None] {
+                    let at = root.unwrap_or(0);
+                    let want = to_bits(&reference(algo, at, at, size, &edge_data, &fold));
+                    let other = to_bits(&reference(algo, at, at, size, &edge_data, &swapped));
+                    let case = format!("{op:?} {algo:?} size {size} root {root:?}");
+                    assert_ne!(want, other, "{case}: the order must matter");
+                    let rows = run_edge(algo, size, root, op);
+                    assert_eq!(rows.len(), if root.is_some() { 1 } else { size }, "{case}");
+                    for (rank, bits) in rows {
+                        assert_eq!(bits, want, "{case} rank {rank}");
+                    }
+                }
+            }
+        }
+    }
 }
 
 /// The root's error from a reduce in which rank 1 misbehaves as
