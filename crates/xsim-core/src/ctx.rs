@@ -1,85 +1,102 @@
 //! Execution context for VP coroutines.
 //!
-//! While the kernel polls a VP future, a scoped thread-local holds a
-//! pointer to the kernel so the future's simulator calls (`now`, `sleep`,
-//! MPI operations in upper layers) can reach it. This mirrors how xSim's
+//! A VP's simulator calls (`now`, `sleep`, MPI operations in upper
+//! layers) reach the kernel through a per-thread slot, as xSim's
 //! simulated processes trap into the simulator for every timing, MPI or
 //! file system function (paper §IV-A).
 //!
-//! ## Safety
+//! ## The slot
 //!
-//! The raw pointer is derived from the `&mut Kernel` the engine holds and
-//! is only dereferenced *inside* the dynamic extent of the poll, one
-//! access at a time ([`with_kernel`] is non-reentrant, enforced at
-//! runtime). The engine does not touch the kernel while the poll runs, so
-//! no two live mutable references exist.
+//! An engine [`lend`]s a shard's [`Kernel`] to its thread, for the run
+//! (sequential) or for one shard's window (parallel). [`Lent::drain`]
+//! processes each event inside a borrow of the slot and, if the event
+//! made its destination runnable, polls that VP with the slot released.
+//! [`with_kernel`] is therefore a plain `RefCell` borrow: a call outside
+//! a poll finds the slot empty or borrowed and panics.
 
+use crate::event::EventRec;
 use crate::kernel::Kernel;
 use crate::rank::Rank;
 use crate::time::SimTime;
 use crate::vp::{WaitClass, WaitToken};
-use std::cell::Cell;
+use std::cell::RefCell;
 use std::future::Future;
+use std::mem::ManuallyDrop;
 use std::pin::Pin;
-use std::task::{Context, Poll};
+use std::task::{Context, Poll, Waker};
 
 thread_local! {
-    static CURRENT: Cell<*mut Kernel> = const { Cell::new(std::ptr::null_mut()) };
-    static BORROWED: Cell<bool> = const { Cell::new(false) };
+    /// The kernel lent to this thread. `ManuallyDrop`: no drop glue, so no
+    /// destructor registration; [`Lent`] empties it on return and unwind.
+    static SLOT: RefCell<ManuallyDrop<Option<Kernel>>> =
+        const { RefCell::new(ManuallyDrop::new(None)) };
 }
 
-/// Run `f` with the thread-local kernel pointer installed. Called by the
-/// kernel around each VP poll.
-pub(crate) fn enter<R>(k: &mut Kernel, f: impl FnOnce() -> R) -> R {
-    struct Reset(*mut Kernel);
-    impl Drop for Reset {
-        fn drop(&mut self) {
-            CURRENT.with(|c| c.set(self.0));
-        }
+const LENT: &str = "the lent kernel left its slot";
+
+/// Put `k` in this thread's slot until the returned guard drops.
+pub(crate) fn lend(k: Kernel) -> Lent {
+    let prev = SLOT.with(|s| s.borrow_mut().replace(k));
+    Lent { prev }
+}
+
+/// A kernel lent to this thread's slot. Dropping the guard, on unwind
+/// too, drops the kernel unless [`take`](Self::take) moved it out and
+/// restores what an enclosing run had lent.
+pub(crate) struct Lent {
+    prev: Option<Kernel>,
+}
+
+impl Lent {
+    /// Process the events `pop` hands out until it returns `None`. After
+    /// each event, if it made its destination runnable, poll that VP
+    /// once with the slot released.
+    pub(crate) fn drain(&self, mut pop: impl FnMut(&mut Kernel) -> Option<EventRec>) {
+        SLOT.with(|slot| loop {
+            let (rank, mut fut) = {
+                let mut k = slot.borrow_mut();
+                let k = k.as_mut().expect(LENT);
+                let Some(ev) = pop(k) else { return };
+                let dst = ev.key.dst;
+                k.process(ev);
+                match k.begin_poll(dst) {
+                    Some(fut) => (dst, fut),
+                    None => continue,
+                }
+            };
+            let poll = fut.as_mut().poll(&mut Context::from_waker(Waker::noop()));
+            let mut k = slot.borrow_mut();
+            k.as_mut().expect(LENT).end_poll(rank, fut, poll);
+        })
     }
-    let prev = CURRENT.with(|c| c.replace(k as *mut Kernel));
-    let _reset = Reset(prev);
-    f()
+
+    /// Move the kernel out of the slot.
+    pub(crate) fn take(self) -> Kernel {
+        SLOT.with(|s| s.borrow_mut().take()).expect(LENT)
+    }
+}
+
+impl Drop for Lent {
+    fn drop(&mut self) {
+        let lent = SLOT.with(|s| std::mem::replace(&mut **s.borrow_mut(), self.prev.take()));
+        drop(lent);
+    }
 }
 
 /// Access the kernel and the rank currently being polled. Panics when
 /// called outside a VP poll or reentrantly.
-#[allow(unsafe_code)]
 pub fn with_kernel<R>(f: impl FnOnce(&mut Kernel, Rank) -> R) -> R {
-    let ptr = CURRENT.with(|c| c.get());
-    assert!(
-        !ptr.is_null(),
-        "simulator call outside of a virtual process context"
-    );
-    BORROWED.with(|b| {
-        assert!(!b.get(), "reentrant simulator call");
-        b.set(true);
-    });
-    struct Unborrow;
-    impl Drop for Unborrow {
-        fn drop(&mut self) {
-            BORROWED.with(|b| b.set(false));
-        }
-    }
-    let _u = Unborrow;
-    // SAFETY: `k` is the only live reference derived from the engine's
-    // `&mut Kernel`, held by two runtime guards:
-    // 1. Outside a poll, `ptr` is null and the first assert panics.
-    //    `enter` installs it from the engine's live `&mut Kernel` for the
-    //    dynamic extent of one VP poll only and restores the previous
-    //    value on return and on unwind; the engine does not touch the
-    //    kernel while the poll runs.
-    // 2. A nested call finds `BORROWED` set and the second assert panics
-    //    before deriving a second reference. `Unborrow` clears the flag
-    //    only when `k`'s scope ends, on return and on unwind.
-    let k = unsafe { &mut *ptr };
-    let rank = k.attributed_rank();
-    f(k, rank)
-}
-
-/// The rank of the VP currently executing.
-pub fn current_rank() -> Rank {
-    with_kernel(|_, r| r)
+    // `try_with` is `#[inline]`, `with` is not: from another codegen unit,
+    // `with` costs a call and an indirect lookup, ≈ 10 % of an MPI message.
+    SLOT.try_with(|s| {
+        let mut k = s.try_borrow_mut().expect("reentrant simulator call");
+        let k = k
+            .as_mut()
+            .expect("simulator call outside of a virtual process context");
+        let rank = k.attributed_rank();
+        f(k, rank)
+    })
+    .expect("simulator call outside of a virtual process context")
 }
 
 /// The virtual clock of the VP currently executing. Corresponds to the
@@ -276,12 +293,14 @@ mod tests {
     use crate::{engine, CoreConfig, Kernel, Rank};
     use std::sync::Arc;
 
+    /// No engine has lent a kernel: the slot is empty.
     #[test]
     #[should_panic(expected = "outside of a virtual process context")]
     fn with_kernel_outside_poll_panics() {
         with_kernel(|_, _| ());
     }
 
+    /// The outer call holds the slot's borrow.
     #[test]
     #[should_panic(expected = "reentrant simulator call")]
     fn nested_with_kernel_panics() {

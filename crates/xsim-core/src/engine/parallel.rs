@@ -64,6 +64,7 @@
 
 use super::{assemble_report, SetupFn};
 use crate::config::{CoreConfig, SHARDS_PER_WORKER};
+use crate::ctx;
 use crate::error::SimError;
 use crate::event::EventRec;
 use crate::kernel::Kernel;
@@ -114,13 +115,14 @@ pub fn run_parallel(
     let cfg = Arc::new(cfg);
     let n_shards = cfg.n_shards();
     let per = cfg.ranks_per_shard();
-    let mut kernels: Vec<Kernel> = (0..n_shards)
+    // In an `Option`, so a worker can lend its shard to its thread's slot.
+    let mut kernels: Vec<Option<Kernel>> = (0..n_shards)
         .map(|s| {
             let lo = s * per;
             let hi = ((s + 1) * per).min(cfg.n_ranks);
             let mut k = Kernel::new(s, cfg.clone(), lo..hi, program.clone());
             k.schedule_spawns();
-            k
+            Some(k)
         })
         .collect();
     let shared = Shared {
@@ -152,6 +154,7 @@ pub fn run_parallel(
             processed: shared.events.load(Ordering::Relaxed),
         });
     }
+    let kernels = kernels.into_iter().flatten().collect();
     assemble_report(&cfg, kernels, profile, start.elapsed())
 }
 
@@ -164,7 +167,7 @@ fn note_barrier_wait(prof: &mut EngineProfile, since: Instant) {
 /// One worker's run over the shards it owns. A panic caught in a phase
 /// is re-raised after the loop and reaches [`run_parallel`] via `join`.
 fn worker_loop(
-    mine: &mut [Kernel],
+    mine: &mut [Option<Kernel>],
     shared: &Shared,
     cfg: &CoreConfig,
     setup: SetupFn<'_>,
@@ -178,7 +181,7 @@ fn worker_loop(
         // ---- Phase A: ingest exchanged batches, publish bounds.
         if caught.is_none() {
             caught = catch_unwind(AssertUnwindSafe(|| {
-                for k in mine.iter_mut() {
+                for k in mine.iter_mut().flatten() {
                     if window == 0 {
                         // First touch: install services and injections.
                         setup(k);
@@ -261,15 +264,17 @@ fn ingest(k: &mut Kernel, shared: &Shared, prof: &mut EngineProfile) {
     shared.next_times[k.shard_id].store(next, Ordering::SeqCst);
 }
 
-/// Phase B for one shard: process its window, flush its outbox lanes.
+/// Phase B for one shard: lend it to this thread's slot, process its
+/// window, take it back and flush its outbox lanes.
 fn execute(
-    k: &mut Kernel,
+    shard: &mut Option<Kernel>,
     shared: &Shared,
     cfg: &CoreConfig,
     window: u64,
     min1: u64,
     sole_active: bool,
 ) {
+    let k = shard.take().expect("a shard left its worker");
     let s = k.shard_id;
     let la = cfg.lookahead.as_nanos();
     // The sole shard with pending work drains unboundedly, under the
@@ -280,31 +285,32 @@ fn execute(
     let budget_limited = cfg.max_events != u64::MAX;
     let base = shared.events.load(Ordering::Relaxed);
     let mut processed = 0u64;
-    loop {
-        // Re-clamped every iteration: a later emission can carry an
-        // *earlier* arrival time. The clamp never cuts below the current
-        // processing point (an emission from time `t` arrives ≥ `t + la`,
-        // putting the clamp ≥ `t + 2·la`).
-        let eff = bound.min(k.outbox_min.saturating_add(la));
-        let Some(ev) = k.queue.pop_before(SimTime(eff)) else {
-            break;
-        };
-        debug_assert!(
-            ev.key.time.as_nanos() >= min1,
-            "event below the window's lower bound"
-        );
-        k.process(ev);
-        processed += 1;
-        // In-loop check: in an unclamped exclusive drain a runaway
-        // program would otherwise never leave this loop.
+    let lent = ctx::lend(k);
+    lent.drain(|k| {
+        // Checked before every pop after the first: in an unclamped
+        // exclusive drain a runaway program would otherwise never stop.
         if budget_limited
+            && processed > 0
             && (base + processed > cfg.max_events
                 || shared.budget_window.load(Ordering::Relaxed) != u64::MAX)
         {
             shared.budget_window.fetch_min(window, Ordering::Relaxed);
-            break;
+            return None;
         }
-    }
+        // Re-clamped every pop: a later emission can carry an *earlier*
+        // arrival time. The clamp never cuts below the current
+        // processing point (an emission from time `t` arrives ≥ `t + la`,
+        // putting the clamp ≥ `t + 2·la`).
+        let eff = bound.min(k.outbox_min.saturating_add(la));
+        let ev = k.queue.pop_before(SimTime(eff))?;
+        debug_assert!(
+            ev.key.time.as_nanos() >= min1,
+            "event below the window's lower bound"
+        );
+        processed += 1;
+        Some(ev)
+    });
+    let k = shard.insert(lent.take());
     let total = shared.events.fetch_add(processed, Ordering::Relaxed) + processed;
     if total > cfg.max_events {
         shared.budget_window.fetch_min(window, Ordering::Relaxed);

@@ -2,6 +2,7 @@
 
 use super::{assemble_report, SetupFn};
 use crate::config::CoreConfig;
+use crate::ctx;
 use crate::error::SimError;
 use crate::kernel::Kernel;
 use crate::report::{EngineProfile, SimReport};
@@ -22,13 +23,18 @@ pub fn run_sequential(
     kernel.schedule_spawns();
     setup(&mut kernel);
 
-    while let Some(ev) = kernel.queue.pop() {
-        kernel.process(ev);
-        if kernel.events_processed > cfg.max_events {
-            return Err(SimError::EventBudgetExceeded {
-                processed: kernel.events_processed,
-            });
+    let lent = ctx::lend(kernel);
+    lent.drain(|k| {
+        if k.events_processed > cfg.max_events {
+            return None;
         }
+        k.queue.pop()
+    });
+    let kernel = lent.take();
+    if kernel.events_processed > cfg.max_events {
+        return Err(SimError::EventBudgetExceeded {
+            processed: kernel.events_processed,
+        });
     }
     debug_assert!(
         kernel.outbox.iter().all(|lane| lane.is_empty()),

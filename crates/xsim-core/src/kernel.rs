@@ -18,7 +18,6 @@
 //!   shard-local processing equivalent to global-order processing.
 
 use crate::config::CoreConfig;
-use crate::ctx;
 use crate::error::{FailureRecord, Termination};
 use crate::event::{Action, EventKey, EventRec};
 use crate::queue::EventQueue;
@@ -26,11 +25,11 @@ use crate::rank::Rank;
 use crate::rng::DetRng;
 use crate::service::{Service, ServiceMap};
 use crate::time::SimTime;
-use crate::vp::{VpExit, VpMut, VpProgram, VpRef, VpState, VpTable, WaitClass};
+use crate::vp::{VpExit, VpFuture, VpMut, VpProgram, VpRef, VpState, VpTable, WaitClass};
 use std::collections::BTreeMap;
 use std::ops::Range;
 use std::sync::Arc;
-use std::task::{Context, Poll, Waker};
+use std::task::Poll;
 
 /// Hook invoked after a VP has been failed (by injection activation or by
 /// its program reporting a failure). The MPI layer registers one to
@@ -99,8 +98,6 @@ pub struct Kernel {
     /// Rank currently attributed for scheduling (being polled, or dst of
     /// the event being processed).
     attrib: Option<Rank>,
-    /// Number of owned VPs that have terminated.
-    done: usize,
     /// Failures activated on this shard.
     pub(crate) failures: Vec<FailureRecord>,
     /// Earliest abort observed on this shard.
@@ -118,7 +115,7 @@ pub struct Kernel {
 
 impl Kernel {
     /// Create a shard owning `owned` and install its VPs.
-    pub fn new(
+    pub(crate) fn new(
         shard_id: usize,
         cfg: Arc<CoreConfig>,
         owned: Range<usize>,
@@ -140,7 +137,6 @@ impl Kernel {
             fail_hooks: Vec::new(),
             shutdown_hooks: Vec::new(),
             attrib: None,
-            done: 0,
             failures: Vec::new(),
             abort_time: None,
             events_processed: 0,
@@ -161,16 +157,6 @@ impl Kernel {
         self.vps.contains(rank)
     }
 
-    /// Number of owned VPs that have terminated.
-    pub fn done_count(&self) -> usize {
-        self.done
-    }
-
-    /// Whether every owned VP has terminated.
-    pub fn all_done(&self) -> bool {
-        self.done == self.vps.len()
-    }
-
     /// Shared view of an owned VP.
     #[inline]
     pub fn vp(&self, rank: Rank) -> VpRef<'_> {
@@ -185,14 +171,8 @@ impl Kernel {
 
     /// The rank currently being executed or processed.
     #[inline]
-    pub fn attributed_rank(&self) -> Rank {
+    pub(crate) fn attributed_rank(&self) -> Rank {
         self.attrib.expect("no rank in execution context")
-    }
-
-    /// Virtual clock of the attributed rank.
-    #[inline]
-    pub fn now(&self) -> SimTime {
-        self.vp(self.attributed_rank()).clock()
     }
 
     /// Register a failure hook (MPI layer notification broadcast).
@@ -342,8 +322,9 @@ impl Kernel {
     // ------------------------------------------------------------------
 
     /// Fire one event. The caller (engine loop) guarantees events arrive
-    /// in non-decreasing key order per destination rank.
-    pub fn process(&mut self, ev: EventRec) {
+    /// in non-decreasing key order per destination rank, and polls a VP
+    /// the event made runnable once this returns.
+    pub(crate) fn process(&mut self, ev: EventRec) {
         self.events_processed += 1;
         let kind = match ev.action {
             Action::Spawn => 0,
@@ -353,7 +334,6 @@ impl Kernel {
         };
         self.digest = self.digest.wrapping_add(digest_term(&ev.key, kind));
         let dst = ev.key.dst;
-        let prev_attrib = self.attrib;
         self.attrib = Some(dst);
         match ev.action {
             Action::Spawn => {
@@ -362,7 +342,6 @@ impl Kernel {
                     let mut vp = self.vps.get_mut(dst);
                     vp.put_future(fut);
                     vp.deliver_wake();
-                    self.resume(dst);
                 }
             }
             Action::WakeToken(token) => {
@@ -379,24 +358,29 @@ impl Kernel {
             }
             Action::Call(f) => f.call(self),
         }
-        self.attrib = prev_attrib;
     }
 
     /// Wake a blocked VP at virtual time `time` (clock advances to at
-    /// least `time`) and run it until it blocks again or terminates.
+    /// least `time`); the engine polls it when this event returns. Only
+    /// the destination of the event being processed can be woken.
     pub fn wake(&mut self, rank: Rank, time: SimTime) {
         let mut vp = self.vps.get_mut(rank);
         if vp.state() != VpState::Blocked {
             return;
         }
+        debug_assert_eq!(
+            self.attrib,
+            Some(rank),
+            "a wake must target the event's destination"
+        );
         vp.deliver_wake();
         vp.advance_clock(time);
-        self.resume(rank);
     }
 
     /// Wake a VP blocked on a message-class wait, if it is. Returns
-    /// whether a wake happened. Upper layers call this after delivering
-    /// data that may satisfy the wait.
+    /// whether a wake happened; the engine polls the VP when this event
+    /// returns. Upper layers call this after delivering data that may
+    /// satisfy the wait.
     pub fn wake_if_message_blocked(&mut self, rank: Rank, time: SimTime) -> bool {
         let vp = self.vps.get(rank);
         if vp.state() == VpState::Blocked
@@ -409,42 +393,40 @@ impl Kernel {
         }
     }
 
-    /// Poll a runnable VP. Applies the failure/abort activation rules of
-    /// the paper before handing control to the VP: the VP clock has just
-    /// been updated, so if it reached or passed the scheduled time of
-    /// failure (or abort), the VP is terminated instead of resumed.
-    fn resume(&mut self, rank: Rank) {
+    /// First half of a VP poll: if `rank` is runnable and survives the
+    /// failure/abort activation rules of the paper, applied to its
+    /// just-updated clock, mark it running and hand out its future.
+    pub(crate) fn begin_poll(&mut self, rank: Rank) -> Option<VpFuture> {
         // Activation checks (paper §IV-B: "the simulated process is
         // failed with the simulated process time the simulator regains
         // control when it has reached or passed the time of failure").
         let vp = self.vps.get(rank);
-        debug_assert_eq!(vp.state(), VpState::Runnable);
+        if vp.state() != VpState::Runnable {
+            return None;
+        }
         let clock = vp.clock();
         if let Some(tof) = vp.time_of_failure() {
             if clock >= tof {
                 self.kill_failed(rank, tof, clock);
-                return;
+                return None;
             }
         }
         if let Some(ab) = vp.abort_at() {
             if clock >= ab {
                 self.terminate_aborted(rank, clock);
-                return;
+                return None;
             }
         }
 
         self.context_switches += 1;
         let mut vp = self.vps.get_mut(rank);
         vp.set_state(VpState::Running);
-        let mut fut = vp.take_future().expect("runnable VP must have a future");
+        Some(vp.take_future().expect("runnable VP must have a future"))
+    }
 
-        let waker = Waker::noop();
-        let mut cx = Context::from_waker(waker);
-        let prev_attrib = self.attrib;
-        self.attrib = Some(rank);
-        let poll = ctx::enter(self, || fut.as_mut().poll(&mut cx));
-        self.attrib = prev_attrib;
-
+    /// Second half of a VP poll: park the future of a VP that blocked,
+    /// or retire a VP whose program returned.
+    pub(crate) fn end_poll(&mut self, rank: Rank, fut: VpFuture, poll: Poll<VpExit>) {
         match poll {
             Poll::Pending => {
                 let mut vp = self.vps.get_mut(rank);
@@ -463,7 +445,6 @@ impl Kernel {
                         let mut vp = self.vps.get_mut(rank);
                         vp.set_state(VpState::Done);
                         vp.set_termination(Termination::Finished);
-                        self.done += 1;
                     }
                     VpExit::Failed => {
                         // Program-reported failure (e.g. returning from
@@ -472,7 +453,6 @@ impl Kernel {
                         let mut vp = self.vps.get_mut(rank);
                         vp.set_state(VpState::Done);
                         vp.set_termination(Termination::Failed(clock));
-                        self.done += 1;
                         self.record_failure(rank, clock, clock);
                         self.run_fail_hooks(rank, clock);
                     }
@@ -481,7 +461,6 @@ impl Kernel {
                         let mut vp = self.vps.get_mut(rank);
                         vp.set_state(VpState::Done);
                         vp.set_termination(Termination::Aborted(clock));
-                        self.done += 1;
                     }
                 }
             }
@@ -503,7 +482,6 @@ impl Kernel {
         vp.set_state(VpState::Done);
         let actual = vp.advance_clock(actual);
         vp.set_termination(Termination::Failed(actual));
-        self.done += 1;
         if self.cfg.verbose {
             eprintln!("xsim: process failure injected at rank {rank} at time {actual}");
         }
@@ -522,7 +500,6 @@ impl Kernel {
         vp.set_state(VpState::Done);
         let t = vp.advance_clock(time);
         vp.set_termination(Termination::Aborted(t));
-        self.done += 1;
         self.note_abort(t);
     }
 

@@ -38,7 +38,7 @@
 //!   conservative windowed parallel engine (lookahead = minimum cross-rank
 //!   event delay). Both produce bit-identical virtual-time results.
 
-#![deny(unsafe_code)]
+#![forbid(unsafe_code)]
 
 pub mod config;
 pub mod ctx;
@@ -57,7 +57,7 @@ pub mod time;
 pub mod vp;
 
 pub use config::{CoreConfig, EngineKind};
-pub use ctx::{block, current_rank, now, sleep, with_kernel, yield_now};
+pub use ctx::{block, now, sleep, with_kernel, yield_now};
 pub use error::SimError;
 pub use event::{Action, Call, EventKey, EventRec};
 pub use kernel::Kernel;

