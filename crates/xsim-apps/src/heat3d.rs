@@ -30,7 +30,7 @@ use std::sync::Arc;
 use xsim_ckpt::{Checkpoint, CheckpointManager, ModeWriter};
 use xsim_core::vp::VpProgram;
 use xsim_core::{Bytes, SimTime};
-use xsim_mpi::{mpi_program, CkptMode, MpiCtx, MpiError, ReduceOp};
+use xsim_mpi::{mpi_program, CkptMode, MpiCtx, MpiError, ReduceOp, ReqId};
 use xsim_proc::Work;
 
 /// How the computation phase is performed.
@@ -361,16 +361,33 @@ pub mod sections {
     pub const TOKEN: &str = "token";
 }
 
-pub(crate) fn config_fingerprint(cfg: &HeatConfig) -> Bytes {
-    let mut b = Vec::new();
-    for d in 0..3 {
-        b.extend_from_slice(&(cfg.global[d] as u64).to_le_bytes());
-        b.extend_from_slice(&(cfg.ranks[d] as u64).to_le_bytes());
+/// The `config` section of a checkpoint of `cfg`: what a restore must
+/// match.
+pub(crate) fn config_fingerprint(cfg: &HeatConfig) -> Vec<u8> {
+    let dims = (0..3).flat_map(|d| [cfg.global[d] as u64, cfg.ranks[d] as u64]);
+    dims.chain([cfg.iterations, cfg.halo_interval, cfg.ckpt_interval])
+        .flat_map(u64::to_le_bytes)
+        .collect()
+}
+
+/// What every rank of one heat program shares by refcount: the
+/// configuration, its checkpoint fingerprint (built once, written into
+/// every checkpoint and compared on every restore) and the checkpoint
+/// naming.
+pub(crate) struct Heat {
+    pub(crate) cfg: HeatConfig,
+    fingerprint: Box<[u8]>,
+    ckpt: CheckpointManager,
+}
+
+impl Heat {
+    pub(crate) fn new(cfg: HeatConfig) -> Arc<Self> {
+        Arc::new(Heat {
+            fingerprint: config_fingerprint(&cfg).into(),
+            ckpt: CheckpointManager::new(&cfg.prefix),
+            cfg,
+        })
     }
-    b.extend_from_slice(&cfg.iterations.to_le_bytes());
-    b.extend_from_slice(&cfg.halo_interval.to_le_bytes());
-    b.extend_from_slice(&cfg.ckpt_interval.to_le_bytes());
-    b.into()
 }
 
 /// The message layer the solver runs over, with two implementations:
@@ -421,10 +438,14 @@ impl Layer for MpiCtx {
     async fn halo(&mut self, cfg: &HeatConfig, state: &mut State) -> Result<(), MpiError> {
         let w = self.world();
         let neighbors = cfg.neighbors(self.rank);
-        let mut recvs = Vec::new();
+        // At most six receives, held in the rank future: their ids in
+        // post order, and the direction each one fills.
+        let (mut reqs, mut dirs, mut posted) = ([ReqId(0); 6], [0u8; 6], 0);
         for (dir, nb) in neighbors.iter().enumerate() {
             if let Some(nb) = nb {
-                recvs.push((dir, self.irecv(w, Some(*nb), Some(dir as u32 ^ 1))?));
+                reqs[posted] = self.irecv(w, Some(*nb), Some(dir as u32 ^ 1))?;
+                dirs[posted] = dir as u8;
+                posted += 1;
             }
         }
         for (dir, nb) in neighbors.iter().enumerate() {
@@ -434,12 +455,11 @@ impl Layer for MpiCtx {
                 self.request_free(w, sreq)?;
             }
         }
-        let reqs: Vec<_> = recvs.iter().map(|(_, r)| *r).collect();
-        let outs = self.waitall(w, &reqs).await?;
+        let outs = self.waitall(w, &reqs[..posted]).await?;
         if let State::Real(g) = state {
-            for ((dir, _), out) in recvs.iter().zip(outs) {
+            for (&dir, out) in dirs.iter().zip(outs) {
                 let msg = out.expect("halo receives carry payloads");
-                g.unpack_halo(*dir, &msg.data);
+                g.unpack_halo(dir as usize, &msg.data);
             }
         }
         Ok(())
@@ -463,32 +483,45 @@ impl Layer for MpiCtx {
     }
 }
 
+/// Encode and write this rank's checkpoint of iteration `it`: the
+/// `config` and state sections are borrowed into the one encoded buffer.
 async fn write_checkpoint(
     layer: &impl Layer,
-    cfg: &HeatConfig,
+    heat: &Heat,
     writer: &mut ModeWriter,
     state: &State,
     it: u64,
 ) -> Result<(), MpiError> {
-    let mut ckpt = Checkpoint::new(layer.rank() as u32, it)
-        .with_section(sections::CONFIG, config_fingerprint(cfg));
-    ckpt = match state {
-        State::Real(g) => ckpt.with_section(sections::GRID, pack_f64s(&g.data)),
-        State::Modeled { token } => {
-            ckpt.with_section(sections::TOKEN, Bytes::from(token.to_le_bytes().to_vec()))
-        }
+    let rank = layer.rank() as u32;
+    let enc = {
+        let (grid, token);
+        let section: (&str, &[u8]) = match state {
+            State::Real(g) => {
+                grid = pack_f64s(&g.data);
+                (sections::GRID, &grid)
+            }
+            State::Modeled { token: t } => {
+                token = t.to_le_bytes();
+                (sections::TOKEN, &token)
+            }
+        };
+        Checkpoint::encode_from(rank, it, [(sections::CONFIG, &*heat.fingerprint), section])
     };
     // In modeled compute the checkpoint is a tiny surrogate; the writer
     // charges the I/O/network volume the real grid would have cost
     // (free under the paper's Table II file system model).
-    let model_bytes = matches!(state, State::Modeled { .. }).then(|| cfg.points_per_rank() * 8);
-    writer.write(layer.mpi(), &ckpt, model_bytes).await
+    let model_bytes =
+        matches!(state, State::Modeled { .. }).then(|| heat.cfg.points_per_rank() * 8);
+    writer
+        .write_encoded(layer.mpi(), rank, it, enc, model_bytes)
+        .await
 }
 
 /// The solver state a checkpoint restores, and its iteration; `None`
 /// when the checkpoint is not one this configuration wrote.
-fn restore_state(cfg: &HeatConfig, ckpt: &Checkpoint, rank: usize) -> Option<(State, u64)> {
-    if ckpt.section(sections::CONFIG)? != &config_fingerprint(cfg) {
+fn restore_state(heat: &Heat, ckpt: &Checkpoint, rank: usize) -> Option<(State, u64)> {
+    let cfg = &heat.cfg;
+    if **ckpt.section(sections::CONFIG)? != *heat.fingerprint {
         return None;
     }
     let state = match cfg.mode {
@@ -522,11 +555,12 @@ fn restore_state(cfg: &HeatConfig, ckpt: &Checkpoint, rank: usize) -> Option<(St
 #[allow(clippy::manual_async_fn)]
 pub(crate) fn solve<L: Layer>(
     mut layer: L,
-    cfg: Arc<HeatConfig>,
+    heat: Arc<Heat>,
     checkpoints: bool,
 ) -> impl Future<Output = Result<(), MpiError>> {
     async move {
-        let mut writer = ModeWriter::new(CheckpointManager::new(&cfg.prefix), cfg.ckpt_mode);
+        let cfg = &heat.cfg;
+        let mut writer = ModeWriter::new(heat.ckpt.clone(), cfg.ckpt_mode);
 
         // Restart path: load the newest valid checkpoint, deleting
         // corrupted ones (paper §V-B); agree on the restart iteration (the
@@ -537,10 +571,10 @@ pub(crate) fn solve<L: Layer>(
         } else {
             None
         };
-        let (mut state, mut it) = match loaded.map(|c| restore_state(&cfg, &c, layer.rank())) {
+        let (mut state, mut it) = match loaded.map(|c| restore_state(&heat, &c, layer.rank())) {
             Some(Some(restored)) => restored,
             Some(None) => return Err(MpiError::Io("incompatible checkpoint".into())),
-            None => (State::new(&cfg, layer.rank()), 0),
+            None => (State::new(cfg, layer.rank()), 0),
         };
         // One reduction: max(it) and max(!it) = !min(it) together.
         let agreed = layer.max_u64(&[it, !it]).await?;
@@ -585,12 +619,12 @@ pub(crate) fn solve<L: Layer>(
 
             // Halo exchange phase ("right before a checkpoint").
             if it.is_multiple_of(cfg.halo_interval) || it == cfg.iterations {
-                layer.halo(&cfg, &mut state).await?;
+                layer.halo(cfg, &mut state).await?;
             }
 
             // Checkpoint phase: write, barrier, delete previous.
             if checkpoints && (it.is_multiple_of(cfg.ckpt_interval) || it == cfg.iterations) {
-                Box::pin(write_checkpoint(&layer, &cfg, &mut writer, &state, it)).await?;
+                Box::pin(write_checkpoint(&layer, &heat, &mut writer, &state, it)).await?;
                 layer.barrier().await?;
                 if let Some(prev) = last_ckpt.take() {
                     if prev != it {
@@ -603,15 +637,15 @@ pub(crate) fn solve<L: Layer>(
             }
         }
 
-        layer.finish(&cfg, &state).await
+        layer.finish(cfg, &state).await
     }
 }
 
 /// Build the heat application as a [`VpProgram`].
 pub fn program(cfg: HeatConfig) -> Arc<dyn VpProgram> {
     cfg.validate().expect("invalid heat configuration");
-    let cfg = Arc::new(cfg);
-    mpi_program(move |mpi: MpiCtx| solve(mpi, cfg.clone(), true))
+    let heat = Heat::new(cfg);
+    mpi_program(move |mpi: MpiCtx| solve(mpi, heat.clone(), true))
 }
 
 #[cfg(test)]

@@ -173,7 +173,7 @@ impl Layer for Replicated {
 pub fn program(cfg: RepHeatConfig) -> Arc<dyn VpProgram> {
     let map = cfg.map().expect("invalid replicated heat configuration");
     let (hb, checkpoints) = (cfg.hb, cfg.ckpt);
-    let heat = Arc::new(cfg.heat);
+    let heat = heat3d::Heat::new(cfg.heat);
     mpi_program(move |mpi: MpiCtx| {
         let (map, heat) = (map.clone(), heat.clone());
         async move { heat3d::solve(Replicated::attach(mpi, map, hb)?, heat, checkpoints).await }
@@ -261,9 +261,11 @@ mod tests {
     #[test]
     fn short_token_section_is_an_incompatible_checkpoint_in_both_layers() {
         let cfg = small_rep();
-        let heat = Arc::new(cfg.heat.clone());
+        let heat = heat3d::Heat::new(cfg.heat.clone());
         let world = heat.clone();
-        assert_incompatible(&heat, 8, move |mpi| heat3d::solve(mpi, world.clone(), true));
+        assert_incompatible(&heat.cfg, 8, move |mpi| {
+            heat3d::solve(mpi, world.clone(), true)
+        });
         let map = cfg.map().unwrap();
         assert_incompatible(&cfg.heat, 16, move |mpi| {
             let (map, heat) = (map.clone(), heat.clone());
@@ -283,9 +285,9 @@ mod tests {
         let (store, mgr) = (FsStore::new(), CheckpointManager::new(&heat.prefix));
         for rank in 0..heat.n_ranks() as u32 {
             let ckpt = Checkpoint::new(rank, 5)
-                .with_section(sections::CONFIG, config_fingerprint(heat))
+                .with_section(sections::CONFIG, config_fingerprint(heat).into())
                 .with_section(sections::TOKEN, Bytes::from_static(&[1, 2, 3]));
-            store.put(&mgr.file_name(5, rank), ckpt.encode());
+            store.put(mgr.file_name(5, rank), ckpt.encode());
         }
         let errors = Arc::new(Mutex::new(Vec::new()));
         let sink = errors.clone();

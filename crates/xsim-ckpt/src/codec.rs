@@ -8,6 +8,7 @@
 //! over the header and every section, so truncation (a writer that
 //! failed mid-checkpoint) and bit damage are both detected.
 
+use std::borrow::Cow;
 use std::fmt;
 use std::ops::Range;
 use xsim_core::Bytes;
@@ -218,6 +219,14 @@ fn parse(
     Ok((rank, iteration))
 }
 
+/// Exact encoded length of a checkpoint with these sections.
+fn encoded_len<'a>(sections: impl Iterator<Item = (&'a str, &'a [u8])>) -> usize {
+    sections
+        .map(|(name, data)| SECTION_OVERHEAD + name.len() + data.len())
+        .sum::<usize>()
+        + HEADER_LEN
+}
+
 /// A decoded checkpoint: identification plus named data sections (the
 /// paper's checkpoints contain "the application's configuration and the
 /// current iteration's data", §V-B).
@@ -238,8 +247,9 @@ pub struct Checkpoint {
     pub rank: u32,
     /// Application iteration the checkpoint captures.
     pub iteration: u64,
-    /// Named data sections.
-    pub sections: Vec<(String, Bytes)>,
+    /// Named data sections. A constant name is borrowed, not copied;
+    /// names decoded from a file are owned.
+    pub sections: Vec<(Cow<'static, str>, Bytes)>,
 }
 
 impl Checkpoint {
@@ -252,9 +262,9 @@ impl Checkpoint {
         }
     }
 
-    /// Add a named section.
-    pub fn with_section(mut self, name: &str, data: Bytes) -> Self {
-        self.sections.push((name.to_string(), data));
+    /// Add a named section (a `&'static str` name is kept by reference).
+    pub fn with_section(mut self, name: impl Into<Cow<'static, str>>, data: Bytes) -> Self {
+        self.sections.push((name.into(), data));
         self
     }
 
@@ -268,27 +278,36 @@ impl Checkpoint {
 
     /// Exact length of [`encode`](Self::encode)'s output.
     pub fn encoded_len(&self) -> usize {
-        self.sections
-            .iter()
-            .map(|(name, data)| SECTION_OVERHEAD + name.len() + data.len())
-            .sum::<usize>()
-            + HEADER_LEN
+        encoded_len(self.parts())
     }
 
     /// Serialize with checksums: one buffer of exactly
     /// [`encoded_len`](Self::encoded_len) bytes, each payload byte copied
     /// once and checksummed once.
     pub fn encode(&self) -> Bytes {
-        let len = self.encoded_len();
+        Self::encode_from(self.rank, self.iteration, self.parts())
+    }
+
+    /// The bytes [`encode`](Self::encode) writes for a checkpoint of
+    /// `rank`, `iteration` and `sections`, from borrowed sections: a
+    /// writer that only encodes builds no `Checkpoint` (and no section
+    /// list) first. Allocates the one buffer.
+    pub fn encode_from<'a, I>(rank: u32, iteration: u64, sections: I) -> Bytes
+    where
+        I: IntoIterator<Item = (&'a str, &'a [u8])>,
+        I::IntoIter: Clone,
+    {
+        let sections = sections.into_iter();
+        let len = encoded_len(sections.clone());
         let mut buf = Vec::with_capacity(len);
         buf.extend_from_slice(MAGIC);
         buf.extend_from_slice(&VERSION.to_le_bytes());
-        buf.extend_from_slice(&self.rank.to_le_bytes());
-        buf.extend_from_slice(&self.iteration.to_le_bytes());
-        buf.extend_from_slice(&(self.sections.len() as u32).to_le_bytes());
+        buf.extend_from_slice(&rank.to_le_bytes());
+        buf.extend_from_slice(&iteration.to_le_bytes());
+        buf.extend_from_slice(&(sections.clone().count() as u32).to_le_bytes());
         let header_crc = crc32(&buf);
         buf.extend_from_slice(&header_crc.to_le_bytes());
-        for (name, data) in &self.sections {
+        for (name, data) in sections {
             let name_b = name.as_bytes();
             buf.extend_from_slice(&(name_b.len() as u32).to_le_bytes());
             buf.extend_from_slice(name_b);
@@ -299,6 +318,11 @@ impl Checkpoint {
         }
         debug_assert_eq!(buf.len(), len);
         buf.into()
+    }
+
+    /// The sections as borrowed `(name, data)` pairs.
+    fn parts(&self) -> impl Iterator<Item = (&str, &[u8])> + Clone {
+        self.sections.iter().map(|(name, data)| (&**name, &**data))
     }
 
     /// Run every check of [`decode`](Self::decode) — header, section
@@ -330,7 +354,7 @@ impl Checkpoint {
     ) -> Result<Checkpoint, CodecError> {
         let mut sections = Vec::new();
         let (rank, iteration) = parse(data, |name, body| {
-            sections.push((name.to_string(), section(body)));
+            sections.push((Cow::Owned(name.to_string()), section(body)));
         })?;
         Ok(Checkpoint {
             rank,

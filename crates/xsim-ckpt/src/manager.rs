@@ -10,6 +10,7 @@
 //! before writing) are removed between runs by a cleanup step.
 
 use crate::codec::Checkpoint;
+use std::sync::Arc;
 use xsim_core::{ctx, Bytes, SimTime};
 use xsim_fs::{self as fs, FileState, FsError, FsStore};
 use xsim_obs::ids;
@@ -26,41 +27,144 @@ fn obs_clock() -> Option<SimTime> {
 pub const EXIT_TIME_FILE: &str = "xsim/exit_time";
 
 /// Naming and persistence of one application's checkpoints.
+///
+/// Every key it names — a rank file, an `agg` container, a buddy
+/// memory copy, a generation's directory — comes from one formatter,
+/// [`write_key`](Self::write_key): `{prefix}/{tier}/{generation:020}/{leaf}`,
+/// built at its exact length. A clone shares the prefix by refcount.
 #[derive(Debug, Clone)]
 pub struct CheckpointManager {
     /// Job-unique prefix separating this application's checkpoints.
-    pub prefix: String,
+    pub prefix: Arc<str>,
+}
+
+/// The tier of the PFS checkpoint files.
+pub(crate) const PFS_TIER: &str = "ckpt";
+/// The tier of the node-local memory copies (buddy mode).
+pub(crate) const MEM_TIER: &str = "mem";
+
+/// The file a checkpoint key names within its generation.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Leaf {
+    /// None: the generation's directory prefix (ends in `/`).
+    Dir,
+    /// `rank{rank:07}`: one rank's file.
+    Rank(u32),
+    /// `agg{group:07}`: one group's aggregated container.
+    Agg(u32),
+    /// `r{owner:07}@h{holder:07}`: `owner`'s state in `holder`'s memory.
+    Mem {
+        /// Whose state.
+        owner: u32,
+        /// Whose node memory.
+        holder: u32,
+    },
+}
+
+/// Characters of `{v:07}`.
+fn padded7(v: u32) -> usize {
+    (v.checked_ilog10().unwrap_or(0) as usize + 1).max(7)
+}
+
+/// Append `v` in decimal, zero-padded to `width` ≤ 20 digits: what
+/// `write!(out, "{v:0width$}")` appends, without the formatter's
+/// per-character padding.
+fn push_padded(out: &mut String, mut v: u64, width: usize) {
+    let mut digits = [b'0'; 20];
+    let mut start = digits.len();
+    loop {
+        start -= 1;
+        digits[start] = b'0' + (v % 10) as u8;
+        v /= 10;
+        if v == 0 {
+            break;
+        }
+    }
+    let start = start.min(digits.len() - width);
+    out.push_str(std::str::from_utf8(&digits[start..]).expect("ASCII digits"));
+}
+
+impl Leaf {
+    /// Characters the leaf adds after the generation's `/`.
+    fn len(self) -> usize {
+        match self {
+            Leaf::Dir => 0,
+            Leaf::Rank(rank) => "rank".len() + padded7(rank),
+            Leaf::Agg(group) => "agg".len() + padded7(group),
+            Leaf::Mem { owner, holder } => "r@h".len() + padded7(owner) + padded7(holder),
+        }
+    }
 }
 
 impl CheckpointManager {
     /// Manager for a job prefix (e.g. `"heat"`).
     pub fn new(prefix: &str) -> Self {
         CheckpointManager {
-            prefix: prefix.to_string(),
+            prefix: prefix.into(),
         }
+    }
+
+    /// Append the key of `leaf` in `generation` of `tier` to `out`: the
+    /// one formatter of checkpoint names.
+    pub(crate) fn write_key(&self, out: &mut String, tier: &str, generation: u64, leaf: Leaf) {
+        out.push_str(&self.prefix);
+        out.push('/');
+        out.push_str(tier);
+        out.push('/');
+        push_padded(out, generation, 20);
+        out.push('/');
+        match leaf {
+            Leaf::Dir => {}
+            Leaf::Rank(rank) => {
+                out.push_str("rank");
+                push_padded(out, rank.into(), 7);
+            }
+            Leaf::Agg(group) => {
+                out.push_str("agg");
+                push_padded(out, group.into(), 7);
+            }
+            Leaf::Mem { owner, holder } => {
+                out.push('r');
+                push_padded(out, owner.into(), 7);
+                out.push_str("@h");
+                push_padded(out, holder.into(), 7);
+            }
+        }
+    }
+
+    /// The key of `leaf` in `generation` of `tier`, allocated once at its
+    /// exact length.
+    pub(crate) fn key(&self, tier: &str, generation: u64, leaf: Leaf) -> String {
+        // `/{tier}/`, the 20 generation digits and their `/`.
+        let len = self.prefix.len() + tier.len() + 23 + leaf.len();
+        let mut key = String::with_capacity(len);
+        self.write_key(&mut key, tier, generation, leaf);
+        debug_assert_eq!(key.len(), len);
+        key
     }
 
     /// Path prefix of one checkpoint generation.
     pub fn generation_prefix(&self, iteration: u64) -> String {
-        format!("{}/ckpt/{iteration:020}/", self.prefix)
+        self.key(PFS_TIER, iteration, Leaf::Dir)
     }
 
     /// Path of one rank's file within a generation.
     pub fn file_name(&self, iteration: u64, rank: u32) -> String {
-        format!("{}rank{rank:07}", self.generation_prefix(iteration))
+        self.key(PFS_TIER, iteration, Leaf::Rank(rank))
     }
 
     /// Write a checkpoint under `name` (simulated I/O, charged by the FS
     /// cost model), recording the checkpoint metrics; its trace span is
     /// the write's own `FileIo` interval. Call from within a VP.
-    pub async fn write_at(&self, name: &str, ckpt: &Checkpoint) -> Result<(), FsError> {
+    pub async fn write_at(&self, name: String, ckpt: &Checkpoint) -> Result<(), FsError> {
         self.write_encoded(name, ckpt.encode()).await
     }
 
     /// [`write_at`](Self::write_at) for a checkpoint the caller has
     /// already encoded (the incremental writer keeps the encoded bytes
-    /// as its diff base, so it encodes once and hands them over).
-    pub async fn write_encoded(&self, name: &str, data: Bytes) -> Result<(), FsError> {
+    /// as its diff base, so it encodes once and hands them over). The
+    /// store keeps `name` as the file's key.
+    pub async fn write_encoded(&self, name: String, data: Bytes) -> Result<(), FsError> {
         let nbytes = data.len() as u64;
         let t0 = obs_clock();
         fs::write(name, data).await?;
@@ -85,16 +189,55 @@ impl CheckpointManager {
 
     /// Checkpoint generations present on storage, newest first.
     pub fn generations(&self, store: &FsStore) -> Vec<u64> {
-        generations_under(store, &format!("{}/ckpt/", self.prefix))
+        self.generations_in(store, PFS_TIER, Leaf::Dir)
     }
 
     /// Iterations for which this rank has a file on storage, newest
     /// first (direct store access — also usable outside the simulation).
     pub fn generations_for(&self, store: &FsStore, rank: u32) -> Vec<u64> {
-        self.generations(store)
-            .into_iter()
-            .filter(|&g| store.exists(&self.file_name(g, rank)))
-            .collect()
+        self.generations_in(store, PFS_TIER, Leaf::Rank(rank))
+    }
+
+    /// Generations stored under `tier` (keys `{prefix}/{tier}/<generation>/…`)
+    /// that hold `leaf`, newest first ([`Leaf::Dir`]: every one). One
+    /// walk under one store lock, over generation *prefixes* (O(generations
+    /// · log files), not the whole listing, so 32k ranks restarting
+    /// concurrently stay O(P)); the cursor and the probed key are
+    /// rewritten in one buffer, and the listed names are borrowed.
+    pub(crate) fn generations_in(&self, store: &FsStore, tier: &str, leaf: Leaf) -> Vec<u64> {
+        let dir_len = self.prefix.len() + tier.len() + 2;
+        // Room for the longer of a probed key and a cursor.
+        let mut buf = String::with_capacity(dir_len + 22 + leaf.len());
+        self.write_key(&mut buf, tier, 0, Leaf::Dir);
+        buf.truncate(dir_len);
+        let mut gens = Vec::new();
+        store.names(|names| {
+            while let Some(key) = names.first_at_or_after(&buf) {
+                let Some(rest) = key.strip_prefix(&buf[..dir_len]) else {
+                    break;
+                };
+                let Some((gen_s, _)) = rest.split_once('/') else {
+                    break;
+                };
+                let Ok(g) = gen_s.parse::<u64>() else { break };
+                if let Leaf::Dir = leaf {
+                    gens.push(g);
+                } else {
+                    buf.clear();
+                    self.write_key(&mut buf, tier, g, leaf);
+                    if names.contains(&buf) {
+                        gens.push(g);
+                    }
+                }
+                // Skip past every file of this generation ('\u{7f}' sorts
+                // after the file names' ASCII).
+                buf.truncate(dir_len);
+                buf.push_str(gen_s);
+                buf.push_str("/\u{7f}");
+            }
+        });
+        gens.reverse();
+        gens
     }
 
     /// Remove checkpoint generations that are missing files ("incomplete
@@ -104,7 +247,7 @@ impl CheckpointManager {
     /// between an abort and the restart. Returns the generations
     /// removed.
     pub fn cleanup_incomplete(&self, store: &FsStore, n_ranks: u32) -> Vec<u64> {
-        let prefix = format!("{}/ckpt/", self.prefix);
+        let prefix = format!("{}/{PFS_TIER}/", self.prefix);
         let mut by_gen: std::collections::BTreeMap<u64, Vec<String>> = Default::default();
         for name in store.list_prefix(&prefix) {
             if let Some(rest) = name.strip_prefix(&prefix) {
@@ -143,35 +286,11 @@ impl CheckpointManager {
     }
 }
 
-/// Generations stored under `prefix` (keys `prefix<generation>/…`),
-/// newest first. Iterates generation *prefixes* (O(generations · log
-/// files)) instead of the whole listing, so 32k ranks restarting
-/// concurrently stay O(P).
-pub(crate) fn generations_under(store: &FsStore, prefix: &str) -> Vec<u64> {
-    let mut gens = Vec::new();
-    let mut cursor = prefix.to_string();
-    while let Some(key) = store.first_key_at_or_after(&cursor) {
-        let Some(rest) = key.strip_prefix(prefix) else {
-            break;
-        };
-        let Some((gen_s, _)) = rest.split_once('/') else {
-            break;
-        };
-        let Ok(g) = gen_s.parse::<u64>() else { break };
-        gens.push(g);
-        // Skip past every file of this generation ('\u{7f}' sorts
-        // after the file names' ASCII).
-        cursor = format!("{prefix}{gen_s}/\u{7f}");
-    }
-    gens.reverse();
-    gens
-}
-
 /// Persist the virtual exit time of an aborted run (paper §IV-E).
 pub fn write_exit_time(store: &FsStore, t: xsim_core::SimTime) {
     store.put(
         EXIT_TIME_FILE,
-        Bytes::from(t.as_nanos().to_le_bytes().to_vec()),
+        Bytes::copy_from_slice(&t.as_nanos().to_le_bytes()),
     );
 }
 
@@ -191,7 +310,43 @@ mod tests {
 
     fn put_valid(store: &FsStore, m: &CheckpointManager, generation: u64, rank: u32) {
         let c = Checkpoint::new(rank, generation).with_section("d", Bytes::from_static(b"x"));
-        store.put(&m.file_name(generation, rank), c.encode());
+        store.put(m.file_name(generation, rank), c.encode());
+    }
+
+    #[test]
+    fn keys_match_the_format_strings() {
+        for v in [0, 7, 1_234_567, 12_345_678, u32::MAX as u64, u64::MAX] {
+            let mut out = String::new();
+            push_padded(&mut out, v, 20);
+            assert_eq!(out, format!("{v:020}"));
+            if let Ok(v) = u32::try_from(v) {
+                let mut out = String::new();
+                push_padded(&mut out, v.into(), 7);
+                assert_eq!(out, format!("{v:07}"));
+                assert_eq!(out.len(), padded7(v));
+            }
+        }
+        let m = CheckpointManager::new("job");
+        assert_eq!(
+            m.file_name(250, 12),
+            "job/ckpt/00000000000000000250/rank0000012"
+        );
+        assert_eq!(m.generation_prefix(5), "job/ckpt/00000000000000000005/");
+        assert_eq!(
+            m.key(
+                MEM_TIER,
+                3,
+                Leaf::Mem {
+                    owner: 1,
+                    holder: 12_345_678
+                }
+            ),
+            "job/mem/00000000000000000003/r0000001@h12345678"
+        );
+        assert_eq!(
+            m.key(PFS_TIER, u64::MAX, Leaf::Agg(u32::MAX)),
+            format!("job/ckpt/{:020}/agg{:07}", u64::MAX, u32::MAX)
+        );
     }
 
     #[test]
@@ -230,7 +385,7 @@ mod tests {
         let store = FsStore::new();
         let m = CheckpointManager::new("job");
         put_valid(&store, &m, 1, 0);
-        store.put(&m.file_name(1, 1), Bytes::from_static(b"garbage"));
+        store.put(m.file_name(1, 1), Bytes::from_static(b"garbage"));
         assert_eq!(m.cleanup_incomplete(&store, 2), vec![1]);
         assert!(m.latest_complete(&store, 2).is_none());
     }

@@ -36,7 +36,7 @@
 //! directly from the store.
 
 use crate::codec::Checkpoint;
-use crate::manager::{generations_under, CheckpointManager};
+use crate::manager::{CheckpointManager, Leaf, MEM_TIER, PFS_TIER};
 use std::collections::BTreeMap;
 use std::future::Future;
 use std::pin::pin;
@@ -167,13 +167,13 @@ pub fn encode_diff(
     Checkpoint::new(rank, generation)
         .with_section(
             diff_sections::BASE,
-            Bytes::from(base_gen.to_le_bytes().to_vec()),
+            Bytes::copy_from_slice(&base_gen.to_le_bytes()),
         )
         .with_section(diff_sections::BLOCKS, idx.into())
         .with_section(diff_sections::DATA, data)
         .with_section(
             diff_sections::LEN,
-            Bytes::from((cur.len() as u64).to_le_bytes().to_vec()),
+            Bytes::copy_from_slice(&(cur.len() as u64).to_le_bytes()),
         )
 }
 
@@ -290,25 +290,22 @@ fn vp_store() -> Arc<FsStore> {
 impl CheckpointManager {
     /// Path of one group's aggregated container within a generation.
     pub(crate) fn agg_file_name(&self, iteration: u64, group: u32) -> String {
-        format!("{}agg{group:07}", self.generation_prefix(iteration))
+        self.key(PFS_TIER, iteration, Leaf::Agg(group))
     }
 
     /// Node-local memory-tier prefix (buddy copies).
     pub(crate) fn mem_prefix(&self) -> String {
-        format!("{}/mem/", self.prefix)
+        format!("{}/{MEM_TIER}/", self.prefix)
     }
 
     /// Key of `owner`'s state held in `holder`'s node memory.
     pub fn mem_file_name(&self, iteration: u64, owner: u32, holder: u32) -> String {
-        format!(
-            "{}{iteration:020}/r{owner:07}@h{holder:07}",
-            self.mem_prefix()
-        )
+        self.key(MEM_TIER, iteration, Leaf::Mem { owner, holder })
     }
 
     /// Memory-tier generations present, newest first.
     pub(crate) fn mem_generations(&self, store: &FsStore) -> Vec<u64> {
-        generations_under(store, &self.mem_prefix())
+        self.generations_in(store, MEM_TIER, Leaf::Dir)
     }
 
     /// Mode-aware between-run cleanup (the generalization of
@@ -330,8 +327,9 @@ impl CheckpointManager {
             CkptMode::Aggregated { .. } | CkptMode::Incremental { .. } => self.generations(store),
             CkptMode::Buddy => {
                 // The failed ranks' node memories died with their nodes.
+                let holders: Vec<String> = failed.iter().map(|f| format!("@h{f:07}")).collect();
                 for key in store.list_prefix(&self.mem_prefix()) {
-                    if failed.iter().any(|f| key.ends_with(&format!("@h{f:07}"))) {
+                    if holders.iter().any(|h| key.ends_with(h.as_str())) {
                         store.delete(&key);
                     }
                 }
@@ -353,7 +351,7 @@ impl CheckpointManager {
             });
             if !restorable {
                 store.delete_prefix(&self.generation_prefix(generation));
-                store.delete_prefix(&format!("{}{generation:020}/", self.mem_prefix()));
+                store.delete_prefix(&self.key(MEM_TIER, generation, Leaf::Dir));
                 removed.push(generation);
             }
         }
@@ -410,47 +408,70 @@ impl ModeWriter {
     /// stands in for (`None` in real-compute runs, where the checkpoint
     /// itself carries the state): it sizes the surrogate network frames
     /// and PFS charges.
-    pub async fn write(
+    pub fn write<'a>(
+        &'a mut self,
+        mpi: &'a MpiCtx,
+        ckpt: &Checkpoint,
+        model_bytes: Option<u64>,
+    ) -> impl Future<Output = Result<(), MpiError>> + 'a {
+        self.write_encoded(mpi, ckpt.rank, ckpt.iteration, ckpt.encode(), model_bytes)
+    }
+
+    /// [`write`](Self::write) for a checkpoint of `rank` at `iteration`
+    /// that the caller has encoded (with [`Checkpoint::encode_from`]).
+    /// The encoded buffer and its file's key are all a `Full` write
+    /// allocates.
+    pub async fn write_encoded(
         &mut self,
         mpi: &MpiCtx,
-        ckpt: &Checkpoint,
+        rank: u32,
+        iteration: u64,
+        enc: Bytes,
         model_bytes: Option<u64>,
     ) -> Result<(), MpiError> {
         match self.mode {
-            CkptMode::Full => self.write_full(ckpt, ckpt.encode(), model_bytes).await,
-            CkptMode::Aggregated { group } => self.write_agg(mpi, ckpt, model_bytes, group).await,
-            CkptMode::Buddy => self.write_buddy(mpi, ckpt, model_bytes).await,
+            CkptMode::Full => self.write_full(rank, iteration, enc, model_bytes).await,
+            CkptMode::Aggregated { group } => {
+                self.write_agg(mpi, iteration, enc, model_bytes, group)
+                    .await
+            }
+            CkptMode::Buddy => {
+                self.write_buddy(mpi, rank, iteration, enc, model_bytes)
+                    .await
+            }
             CkptMode::Incremental { full_every } => {
-                self.write_incr(ckpt, model_bytes, full_every).await
+                self.write_incr(rank, iteration, enc, model_bytes, full_every)
+                    .await
             }
         }
     }
 
-    /// Write `ckpt`'s rank file from its already-encoded bytes.
+    /// Write a rank file from its encoded bytes.
     async fn write_full(
         &self,
-        ckpt: &Checkpoint,
+        rank: u32,
+        iteration: u64,
         enc: Bytes,
         model_bytes: Option<u64>,
     ) -> Result<(), MpiError> {
         if let Some(b) = model_bytes {
             fs::charge_write(b as usize).await;
         }
-        let name = self.mgr.file_name(ckpt.iteration, ckpt.rank);
-        self.mgr.write_encoded(&name, enc).await.map_err(io_err)
+        let name = self.mgr.file_name(iteration, rank);
+        self.mgr.write_encoded(name, enc).await.map_err(io_err)
     }
 
     async fn write_agg(
         &self,
         mpi: &MpiCtx,
-        ckpt: &Checkpoint,
+        iteration: u64,
+        enc: Bytes,
         model_bytes: Option<u64>,
         group: usize,
     ) -> Result<(), MpiError> {
         let w = mpi.world();
         let g0 = (mpi.rank / group) * group;
         let hi = (g0 + group).min(mpi.size);
-        let enc = ckpt.encode();
         if mpi.rank != g0 {
             let framed = frame(&enc, model_bytes);
             let nbytes = framed.len() as u64;
@@ -462,8 +483,8 @@ impl ModeWriter {
         // Aggregator: gather the group's checkpoints (explicit sources,
         // deterministic order), coalesce into one container file whose
         // sections hold the members' bytes by refcount until the encode.
-        let mut container = Checkpoint::new(mpi.rank as u32, ckpt.iteration)
-            .with_section(&member_section(mpi.rank as u32), enc);
+        let mut container = Checkpoint::new(mpi.rank as u32, iteration)
+            .with_section(member_section(mpi.rank as u32), enc);
         let mut reqs = Vec::new();
         for m in (g0 + 1)..hi {
             reqs.push(mpi.irecv(w, Some(m), Some(CKPT_TAG))?);
@@ -471,33 +492,32 @@ impl ModeWriter {
         let outs = mpi.waitall(w, &reqs).await?;
         for (m, out) in ((g0 + 1)..hi).zip(outs) {
             let msg = out.ok_or_else(|| MpiError::Io("aggregation gather lost".into()))?;
-            container = container.with_section(&member_section(m as u32), unframe(&msg.data)?);
+            container = container.with_section(member_section(m as u32), unframe(&msg.data)?);
             ctx::with_kernel(|k, _| obs::record(k, ids::CKPT_AGG_GATHERS, 1));
         }
         if let Some(b) = model_bytes {
             // One coalesced charge for the whole group's state volume.
             fs::charge_write(b as usize * container.sections.len()).await;
         }
-        let name = self
-            .mgr
-            .agg_file_name(ckpt.iteration, (mpi.rank / group) as u32);
-        self.mgr.write_at(&name, &container).await.map_err(io_err)
+        let name = self.mgr.agg_file_name(iteration, (mpi.rank / group) as u32);
+        self.mgr.write_at(name, &container).await.map_err(io_err)
     }
 
     async fn write_buddy(
         &self,
         mpi: &MpiCtx,
-        ckpt: &Checkpoint,
+        rank: u32,
+        iteration: u64,
+        enc: Bytes,
         model_bytes: Option<u64>,
     ) -> Result<(), MpiError> {
         let partner = mpi.rank ^ 1;
         if partner >= mpi.size {
             // Partnerless rank: spill to the PFS on demand.
             ctx::with_kernel(|k, _| obs::record(k, ids::CKPT_BUDDY_SPILLS, 1));
-            return self.write_full(ckpt, ckpt.encode(), model_bytes).await;
+            return self.write_full(rank, iteration, enc, model_bytes).await;
         }
         let w = mpi.world();
-        let enc = ckpt.encode();
         let framed = frame(&enc, model_bytes);
         let out = mpi
             .sendrecv(w, partner, CKPT_TAG, framed, Some(partner), Some(CKPT_TAG))
@@ -505,14 +525,9 @@ impl ModeWriter {
         let theirs = unframe(&out.data)?;
         // Node-local memory tier: free direct puts of both copies.
         let store = vp_store();
+        store.put(self.mgr.mem_file_name(iteration, rank, rank), enc);
         store.put(
-            &self.mgr.mem_file_name(ckpt.iteration, ckpt.rank, ckpt.rank),
-            enc,
-        );
-        store.put(
-            &self
-                .mgr
-                .mem_file_name(ckpt.iteration, partner as u32, ckpt.rank),
+            self.mgr.mem_file_name(iteration, partner as u32, rank),
             theirs,
         );
         ctx::with_kernel(|k, _| obs::record(k, ids::CKPT_BUDDY_COPIES, 1));
@@ -521,18 +536,18 @@ impl ModeWriter {
 
     async fn write_incr(
         &mut self,
-        ckpt: &Checkpoint,
+        rank: u32,
+        gen: u64,
+        enc: Bytes,
         model_bytes: Option<u64>,
         full_every: u64,
     ) -> Result<(), MpiError> {
-        let enc = ckpt.encode();
-        let gen = ckpt.iteration;
         let full = self.prev.is_none() || self.pos == 0;
         if full {
-            self.write_full(ckpt, enc.clone(), model_bytes).await?;
+            self.write_full(rank, gen, enc.clone(), model_bytes).await?;
         } else {
             let (base_gen, base) = self.prev.as_ref().expect("diff requires a base");
-            let diff = encode_diff(ckpt.rank, gen, *base_gen, base, &enc);
+            let diff = encode_diff(rank, gen, *base_gen, base, &enc);
             let n_blocks = diff
                 .section(diff_sections::BLOCKS)
                 .map(|b| (b.len() / 4) as u64)
@@ -545,8 +560,8 @@ impl ModeWriter {
                 // Modeled dirty fraction: ~25% of the state per interval.
                 fs::charge_write((b as usize / 4).max(1)).await;
             }
-            let name = self.mgr.file_name(gen, ckpt.rank);
-            self.mgr.write_at(&name, &diff).await.map_err(io_err)?;
+            let name = self.mgr.file_name(gen, rank);
+            self.mgr.write_at(name, &diff).await.map_err(io_err)?;
         }
         self.prev = Some((gen, enc));
         self.last_was_full = full;
@@ -1015,9 +1030,9 @@ mod tests {
         let member = |r: u32| Checkpoint::new(r, 5).encode();
         // Generation 5: group 0 present, group 1 missing (4 ranks, G=2).
         let c0 = Checkpoint::new(0, 5)
-            .with_section(&member_section(0), member(0))
-            .with_section(&member_section(1), member(1));
-        store.put(&mgr.agg_file_name(5, 0), c0.encode());
+            .with_section(member_section(0), member(0))
+            .with_section(member_section(1), member(1));
+        store.put(mgr.agg_file_name(5, 0), c0.encode());
         let removed = mgr.cleanup_between_runs(&store, 4, CkptMode::Aggregated { group: 2 }, &[]);
         assert_eq!(removed, vec![5]);
         assert!(!store.exists(&mgr.agg_file_name(5, 0)));
@@ -1031,7 +1046,7 @@ mod tests {
         // 2 ranks, both hold both copies.
         for holder in 0..2u32 {
             for owner in 0..2u32 {
-                store.put(&mgr.mem_file_name(3, owner, holder), enc(owner));
+                store.put(mgr.mem_file_name(3, owner, holder), enc(owner));
             }
         }
         // Rank 1's node died: its held copies vanish, but rank 0 still
@@ -1047,7 +1062,7 @@ mod tests {
         assert!(resolve_latest(&store, &mgr, CkptMode::Buddy, 0, 2).is_none());
         // A generation that is enumerable but missing one rank's copies
         // is torn down wholesale.
-        store.put(&mgr.mem_file_name(4, 0, 0), enc(0));
+        store.put(mgr.mem_file_name(4, 0, 0), enc(0));
         let removed = mgr.cleanup_between_runs(&store, 2, CkptMode::Buddy, &[]);
         assert_eq!(removed, vec![4]);
     }
@@ -1058,17 +1073,17 @@ mod tests {
         let mgr = CheckpointManager::new("job");
         let full = Checkpoint::new(0, 10).with_section("s", Bytes::from_static(b"abc"));
         let full_enc = full.encode();
-        store.put(&mgr.file_name(10, 0), full_enc.clone());
+        store.put(mgr.file_name(10, 0), full_enc.clone());
         let cur = Checkpoint::new(0, 20)
             .with_section("s", Bytes::from_static(b"xyz"))
             .encode();
         store.put(
-            &mgr.file_name(20, 0),
+            mgr.file_name(20, 0),
             encode_diff(0, 20, 10, &full_enc, &cur).encode(),
         );
         // A diff whose base generation is gone.
         store.put(
-            &mgr.file_name(30, 0),
+            mgr.file_name(30, 0),
             encode_diff(0, 30, 25, &full_enc, &cur).encode(),
         );
         let removed =

@@ -173,8 +173,8 @@ fn mangled_diffs_never_panic_the_loader() {
             .with_section("ilen", Bytes::copy_from_slice(&new_len.to_le_bytes()));
         let store = FsStore::new();
         let mgr = CheckpointManager::new("prop");
-        store.put(&mgr.file_name(10, 0), full.clone());
-        store.put(&mgr.file_name(20, 0), mangled.encode());
+        store.put(mgr.file_name(10, 0), full.clone());
+        store.put(mgr.file_name(20, 0), mangled.encode());
         let mode = CkptMode::Incremental { full_every: 4 };
         let r = resolve_latest(&store, &mgr, mode, 0, 1).expect("the full generation restores");
         let restores = applied.is_some_and(|out| Checkpoint::verify(&out).is_ok());
@@ -202,11 +202,11 @@ fn incremental_chain_restores_like_full() {
             .collect();
         // Generation 10 is full; every later generation diffs against
         // its predecessor's reconstructed bytes.
-        store.put(&mgr.file_name(10, 0), encs[0].clone());
+        store.put(mgr.file_name(10, 0), encs[0].clone());
         for i in 1..encs.len() {
             let generation = (i as u64 + 1) * 10;
             let diff = encode_diff(0, generation, i as u64 * 10, &encs[i - 1], &encs[i]);
-            store.put(&mgr.file_name(generation, 0), diff.encode());
+            store.put(mgr.file_name(generation, 0), diff.encode());
         }
         let mode = CkptMode::Incremental { full_every: 4 };
         let resolved = resolve_latest(&store, &mgr, mode, 0, 1).expect("chain resolves");
@@ -230,14 +230,14 @@ fn buddy_copies_and_spills_are_lossless() {
         let enc = ckpt.encode();
         // Partnered pair (ranks 0/1): rank 0's state lives in both node
         // memories; losing either single copy must not lose the state.
-        store.put(&mgr.mem_file_name(7, 0, 0), enc.clone());
-        store.put(&mgr.mem_file_name(7, 0, 1), enc.clone());
+        store.put(mgr.mem_file_name(7, 0, 0), enc.clone());
+        store.put(mgr.mem_file_name(7, 0, 1), enc.clone());
         store.delete(&mgr.mem_file_name(7, 0, if lose_own { 0 } else { 1 }));
         let r = resolve_latest(&store, &mgr, CkptMode::Buddy, 0, 2).expect("buddy resolves");
         assert_eq!(&r.ckpt, &ckpt);
         // Partnerless rank (2 of 3): the spill file on the PFS.
         let spill = Checkpoint::new(2, 7).with_section("s", Bytes::from(payload));
-        store.put(&mgr.file_name(7, 2), spill.encode());
+        store.put(mgr.file_name(7, 2), spill.encode());
         let r = resolve_latest(&store, &mgr, CkptMode::Buddy, 2, 3).expect("spill resolves");
         assert_eq!(r.ckpt, spill);
     });
@@ -285,8 +285,8 @@ fn mangled_diffs_restore_alike_in_and_out_of_the_simulation() {
             .with_section("ilen", Bytes::copy_from_slice(&new_len.to_le_bytes()));
         let store = FsStore::new();
         let mgr = CheckpointManager::new(PREFIX);
-        store.put(&mgr.file_name(10, 0), full);
-        store.put(&mgr.file_name(20, 0), mangled.encode());
+        store.put(mgr.file_name(10, 0), full);
+        store.put(mgr.file_name(20, 0), mangled.encode());
         let mode = CkptMode::Incremental { full_every: 4 };
         let expect = if restores { 20 } else { 10 };
         assert_eq!(restore_both_ways(&store, mode, 1), [Some(expect)]);
@@ -327,7 +327,7 @@ fn damaged_agg_containers_restore_alike_in_and_out_of_the_simulation() {
                 let mut garbled = Checkpoint::new(container.rank, 20);
                 for r in 0..n_ranks {
                     let member = container.section(&member_section(r)).expect("member");
-                    garbled = garbled.with_section(&member_section(r), garble(g, member));
+                    garbled = garbled.with_section(member_section(r), garble(g, member));
                 }
                 Some(garbled.encode())
             }
@@ -366,7 +366,7 @@ fn garbled_buddy_copies_restore_alike_in_and_out_of_the_simulation() {
                     } else {
                         enc.clone()
                     };
-                    store.put(&mgr.mem_file_name(gen, rank, holder), copy);
+                    store.put(mgr.mem_file_name(gen, rank, holder), copy);
                 }
                 if gen == 9 {
                     expect.push(Some(if own && partner { 7 } else { 9 }));
@@ -388,10 +388,10 @@ fn non_descending_chain_falls_back(links: &'static [(u64, u64)]) {
         let full = Checkpoint::new(0, 10)
             .with_section("s", Bytes::from_static(b"state"))
             .encode();
-        store.put(&mgr.file_name(10, 0), full.clone());
+        store.put(mgr.file_name(10, 0), full.clone());
         for &(gen, base) in links {
             let diff = encode_diff(0, gen, base, &full, &full);
-            store.put(&mgr.file_name(gen, 0), diff.encode());
+            store.put(mgr.file_name(gen, 0), diff.encode());
         }
         let mode = CkptMode::Incremental { full_every: 4 };
         assert_eq!(restore_both_ways(&store, mode, 1), [Some(10)]);

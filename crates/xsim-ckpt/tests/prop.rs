@@ -20,7 +20,7 @@ fn arb_checkpoint(g: &mut DetRng) -> Checkpoint {
         let name: String = (0..g.gen_in(0..13))
             .map(|_| (b'a' + g.gen_in(0..26) as u8) as char)
             .collect();
-        c = c.with_section(&name, Bytes::from(g.gen_bytes(0..200)));
+        c = c.with_section(name, Bytes::from(g.gen_bytes(0..200)));
     }
     c
 }

@@ -30,6 +30,7 @@
 
 use std::collections::BTreeMap;
 use std::fmt;
+use std::ops::Bound;
 use std::sync::{Arc, Mutex, MutexGuard};
 use xsim_core::vp::WaitClass;
 use xsim_core::{ctx, Bytes, Rank, SimTime};
@@ -126,6 +127,33 @@ struct StoreInner {
     bytes_read: u64,
 }
 
+/// A read-only view of a store's file names, lent by [`FsStore::names`].
+#[derive(Clone, Copy)]
+pub struct Names<'a>(&'a BTreeMap<String, FileState>);
+
+impl<'a> Names<'a> {
+    /// The first name at or after `cursor` (lexicographic).
+    pub fn first_at_or_after(self, cursor: &str) -> Option<&'a str> {
+        self.0
+            .range::<str, _>((Bound::Included(cursor), Bound::Unbounded))
+            .next()
+            .map(|(k, _)| k.as_str())
+    }
+
+    /// The names that start with `prefix`, sorted.
+    pub fn with_prefix(self, prefix: &'a str) -> impl Iterator<Item = &'a str> {
+        self.0
+            .range::<str, _>((Bound::Included(prefix), Bound::Unbounded))
+            .map(|(k, _)| k.as_str())
+            .take_while(move |k| k.starts_with(prefix))
+    }
+
+    /// Whether a file of this name exists (complete or partial).
+    pub fn contains(self, name: &str) -> bool {
+        self.0.contains_key(name)
+    }
+}
+
 /// Aggregate I/O statistics of a store.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct FsStats {
@@ -185,19 +213,18 @@ impl FsStore {
             .insert(name.to_string(), FileState::Partial(Bytes::new()));
     }
 
-    /// Commit a write begun with [`begin_write`](Self::begin_write).
-    pub fn commit_write(&self, name: &str, data: Bytes) {
+    /// Commit a write begun with [`begin_write`](Self::begin_write). An
+    /// owned `name` becomes a new file's key without a copy.
+    pub fn commit_write(&self, name: impl Into<String>, data: Bytes) {
         let mut inner = self.lock();
         inner.writes += 1;
         inner.bytes_written += data.len() as u64;
-        inner
-            .files
-            .insert(name.to_string(), FileState::Complete(data));
+        inner.files.insert(name.into(), FileState::Complete(data));
     }
 
     /// Atomically write a complete file (used by the free cost model,
     /// where there is no mid-transfer window).
-    pub fn put(&self, name: &str, data: Bytes) {
+    pub fn put(&self, name: impl Into<String>, data: Bytes) {
         self.commit_write(name, data);
     }
 
@@ -226,21 +253,20 @@ impl FsStore {
     /// Enables O(log n) directory-style iteration without cloning whole
     /// listings.
     pub fn first_key_at_or_after(&self, cursor: &str) -> Option<String> {
-        self.lock()
-            .files
-            .range(cursor.to_string()..)
-            .next()
-            .map(|(k, _)| k.clone())
+        self.names(|names| names.first_at_or_after(cursor).map(str::to_string))
     }
 
     /// All file names with the given prefix, sorted.
     pub fn list_prefix(&self, prefix: &str) -> Vec<String> {
-        self.lock()
-            .files
-            .range(prefix.to_string()..)
-            .take_while(|(k, _)| k.starts_with(prefix))
-            .map(|(k, _)| k.clone())
-            .collect()
+        self.names(|names| names.with_prefix(prefix).map(str::to_string).collect())
+    }
+
+    /// Run `f` over the stored names under one lock acquisition: a walk
+    /// of many lookups borrows its keys and bounds instead of cloning
+    /// them out one lock at a time. `f` must not call back into the
+    /// store.
+    pub fn names<R>(&self, f: impl FnOnce(Names<'_>) -> R) -> R {
+        f(Names(&self.lock().files))
     }
 
     /// Delete every file with the given prefix; returns how many were
@@ -248,12 +274,10 @@ impl FsStore {
     /// shell script ("incomplete checkpoints … are deleted using a shell
     /// script", §V-B).
     pub fn delete_prefix(&self, prefix: &str) -> usize {
-        let names = self.list_prefix(prefix);
         let mut inner = self.lock();
-        for n in &names {
-            inner.files.remove(n);
-        }
-        names.len()
+        let before = inner.files.len();
+        inner.files.retain(|name, _| !name.starts_with(prefix));
+        before - inner.files.len()
     }
 
     /// Number of stored files.
@@ -400,10 +424,12 @@ impl FsService {
 
 /// Write a file from the current VP, charging the cost model. A process
 /// failure during the transfer leaves the file in a partial (corrupted)
-/// state.
-pub async fn write(name: &str, data: Bytes) -> Result<(), FsError> {
+/// state. An owned `name` is kept as the stored key (see
+/// [`FsStore::commit_write`]).
+pub async fn write(name: impl AsRef<str> + Into<String>, data: Bytes) -> Result<(), FsError> {
     let nbytes = data.len() as u64;
     let (cost, striped, store, t0) = ctx::with_kernel(|k, rank| {
+        let name = name.as_ref();
         let svc = k.service::<FsService>();
         let striped = svc.model.pfs;
         let cost = if striped.is_some() {
@@ -426,7 +452,7 @@ pub async fn write(name: &str, data: Bytes) -> Result<(), FsError> {
         fs_sleep(cost).await;
     }
     if let Some(p) = striped {
-        pfs::transfer(p, nbytes, file_hash(name), true).await;
+        pfs::transfer(p, nbytes, file_hash(name.as_ref()), true).await;
     }
     store.commit_write(name, data);
     note_io(

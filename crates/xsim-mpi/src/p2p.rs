@@ -681,24 +681,39 @@ fn rank_mpi(k: &mut Kernel, me: Rank) -> &mut RankMpi {
     k.service_mut::<MpiService>().rank_mut(me)
 }
 
-/// The requests a `waitall`/`waitany` still waits on, as `(request id,
-/// position in the caller's slice)` sorted by id.
-fn waiting_position(waiting: &[(u64, usize)], id: u64) -> Option<usize> {
+/// Wait on at most this many requests and a `waitall`/`waitany` finds a
+/// completed id's position by scanning the caller's slice; above it, in
+/// a sorted `(request id, position)` list built once.
+const SCAN_MAX: usize = 8;
+
+/// The position in `reqs` of request `id`, through `waiting` (the
+/// requests still waited on, sorted by id) when `reqs` is longer than
+/// [`SCAN_MAX`].
+fn position(reqs: &[ReqId], waiting: &[(u64, usize)], id: u64) -> Option<usize> {
+    if reqs.len() <= SCAN_MAX {
+        return reqs.iter().position(|r| r.0 == id);
+    }
     let at = waiting.binary_search_by_key(&id, |(id, _)| *id).ok()?;
     Some(waiting[at].1)
 }
 
+/// Start (or stop) `me`'s completion feed.
+fn watch(k: &mut Kernel, me: Rank, on: bool) {
+    k.service_mut::<MpiService>().watch_completions(me, on);
+}
+
 /// `MPI_Waitall`. The first poll scans every request and, if some are
 /// pending, turns on the rank's completion feed; each wake after that
-/// re-checks only the requests the feed names, keeping a P-receive wait
-/// (a linear collective root) at O(P log P) total instead of O(P²).
+/// re-checks only the requests the feed names, in completion order,
+/// keeping a P-receive wait (a linear collective root) at O(P log P)
+/// total instead of O(P²). The feed is pooled per shard; the result is
+/// the one allocation a short wait makes.
 struct WaitAll<'a> {
     reqs: &'a [ReqId],
     /// Results by position in `reqs`; `None` while pending.
     out: Vec<Option<Option<RecvOut>>>,
+    /// Above [`SCAN_MAX`] requests: the pending ones, sorted by id.
     waiting: Vec<(u64, usize)>,
-    /// The feed's latest ids; it and the feed trade buffers per drain.
-    fresh: Vec<u64>,
     remaining: usize,
     armed: bool,
 }
@@ -724,22 +739,31 @@ impl Future for WaitAll<'_> {
                     match poll_request(k, me, req) {
                         Poll::Ready(Ok(v)) => this.out[i] = Some(v),
                         Poll::Ready(Err(e)) => return Poll::Ready(Err(e)),
-                        Poll::Pending => this.waiting.push((req.0, i)),
+                        Poll::Pending => this.remaining += 1,
                     }
                 }
-                if this.waiting.is_empty() {
+                if this.remaining == 0 {
                     return Poll::Ready(Ok(this.results()));
                 }
-                this.waiting.sort_unstable();
-                this.remaining = this.waiting.len();
-                rank_mpi(k, me).watch_completions(true);
+                if this.reqs.len() > SCAN_MAX {
+                    this.waiting.reserve_exact(this.remaining);
+                    let pending = this.reqs.iter().zip(&this.out).enumerate();
+                    this.waiting.extend(
+                        pending
+                            .filter(|(_, (_, out))| out.is_none())
+                            .map(|(i, (req, _))| (req.0, i)),
+                    );
+                    this.waiting.sort_unstable();
+                }
+                watch(k, me, true);
             } else {
                 if !woken(k, me) {
                     return Poll::Pending;
                 }
-                rank_mpi(k, me).drain_completions(&mut this.fresh);
-                for &id in &this.fresh {
-                    let Some(i) = waiting_position(&this.waiting, id) else {
+                let mut seen = 0;
+                while let Some(id) = rank_mpi(k, me).completion(seen) {
+                    seen += 1;
+                    let Some(i) = position(this.reqs, &this.waiting, id) else {
                         continue;
                     };
                     if this.out[i].is_some() {
@@ -751,16 +775,17 @@ impl Future for WaitAll<'_> {
                             this.remaining -= 1;
                         }
                         Poll::Ready(Err(e)) => {
-                            rank_mpi(k, me).watch_completions(false);
+                            watch(k, me, false);
                             return Poll::Ready(Err(e));
                         }
                         Poll::Pending => {}
                     }
                 }
                 if this.remaining == 0 {
-                    rank_mpi(k, me).watch_completions(false);
+                    watch(k, me, false);
                     return Poll::Ready(Ok(this.results()));
                 }
+                rank_mpi(k, me).clear_completions();
             }
             this.armed = true;
             block_on_messages(k, me, "MPI waitall");
@@ -778,7 +803,6 @@ pub fn waitall_raw(
         reqs,
         out: Vec::new(),
         waiting: Vec::new(),
-        fresh: Vec::new(),
         remaining: 0,
         armed: false,
     }
@@ -788,8 +812,8 @@ pub fn waitall_raw(
 /// the first completion.
 struct WaitAny<'a> {
     reqs: &'a [ReqId],
+    /// Above [`SCAN_MAX`] requests: all of them, sorted by id.
     waiting: Vec<(u64, usize)>,
-    fresh: Vec<u64>,
     armed: bool,
 }
 
@@ -800,31 +824,33 @@ impl Future for WaitAny<'_> {
         let this = self.get_mut();
         ctx::with_kernel(|k, me| {
             if !this.armed {
-                this.waiting = Vec::with_capacity(this.reqs.len());
                 for (i, &req) in this.reqs.iter().enumerate() {
-                    match poll_request(k, me, req) {
-                        Poll::Ready(r) => return Poll::Ready((i, r)),
-                        Poll::Pending => this.waiting.push((req.0, i)),
+                    if let Poll::Ready(r) = poll_request(k, me, req) {
+                        return Poll::Ready((i, r));
                     }
                 }
-                this.waiting.sort_unstable();
-                rank_mpi(k, me).watch_completions(true);
+                if this.reqs.len() > SCAN_MAX {
+                    let all = this.reqs.iter().enumerate();
+                    this.waiting = all.map(|(i, req)| (req.0, i)).collect();
+                    this.waiting.sort_unstable();
+                }
+                watch(k, me, true);
             } else {
                 if !woken(k, me) {
                     return Poll::Pending;
                 }
-                rank_mpi(k, me).drain_completions(&mut this.fresh);
-                let hit = this.fresh.iter().find_map(|&id| {
-                    let i = waiting_position(&this.waiting, id)?;
-                    match poll_request(k, me, ReqId(id)) {
-                        Poll::Ready(r) => Some((i, r)),
-                        Poll::Pending => None,
+                let mut seen = 0;
+                while let Some(id) = rank_mpi(k, me).completion(seen) {
+                    seen += 1;
+                    let Some(i) = position(this.reqs, &this.waiting, id) else {
+                        continue;
+                    };
+                    if let Poll::Ready(r) = poll_request(k, me, ReqId(id)) {
+                        watch(k, me, false);
+                        return Poll::Ready((i, r));
                     }
-                });
-                if let Some(hit) = hit {
-                    rank_mpi(k, me).watch_completions(false);
-                    return Poll::Ready(hit);
                 }
+                rank_mpi(k, me).clear_completions();
             }
             this.armed = true;
             block_on_messages(k, me, "MPI waitany");
@@ -839,7 +865,6 @@ pub fn waitany_raw(reqs: &[ReqId]) -> impl Future<Output = (usize, ReqResult)> +
     WaitAny {
         reqs,
         waiting: Vec::new(),
-        fresh: Vec::new(),
         armed: false,
     }
 }

@@ -312,14 +312,16 @@ pub struct RankMpi {
     /// Collectives started on `MPI_COMM_WORLD` (a derived communicator
     /// counts in its [`CommTable`] entry).
     world_coll_seq: u64,
-    /// Request ids completed since the owning VP last drained the feed;
+    /// Request ids completed since the owning VP last cleared the feed;
     /// `Some` only while a `waitall`/`waitany` of this rank is watching.
     /// Lets those re-check only fresh completions instead of rescanning
     /// every outstanding request (O(P²) at a linear collective root
     /// otherwise); a program that only ever blocks in `wait` records
     /// nothing. Boxed on purpose: 8 inline bytes instead of 24 for
     /// state that exists only during such a wait, in a struct every
-    /// idle rank pays for.
+    /// idle rank pays for. The box is lent by the shard's pool
+    /// ([`MpiService::watch_completions`]) and returned when the wait
+    /// ends.
     #[allow(clippy::box_collection)]
     completion_feed: Option<Box<Vec<u64>>>,
     /// Everything else; `None` until first written.
@@ -466,13 +468,6 @@ impl RankMpi {
         true
     }
 
-    /// Start (or stop) recording completed request ids. A watcher turns
-    /// the feed on after its own full scan of the requests it holds, so
-    /// completions before that point need no record.
-    pub(crate) fn watch_completions(&mut self, on: bool) {
-        self.completion_feed = on.then(Box::default);
-    }
-
     /// Record a completed request id, if a `waitall`/`waitany` watches.
     pub fn push_completion(&mut self, id: u64) {
         if let Some(feed) = &mut self.completion_feed {
@@ -480,13 +475,16 @@ impl RankMpi {
         }
     }
 
-    /// Move the ids recorded since the last drain into `into`
-    /// (replacing its contents; the buffers trade places, so a long wait
-    /// allocates two, not one per wakeup).
-    pub(crate) fn drain_completions(&mut self, into: &mut Vec<u64>) {
-        into.clear();
+    /// The `i`-th id recorded since the feed was last cleared, in
+    /// completion order.
+    pub(crate) fn completion(&self, i: usize) -> Option<u64> {
+        self.completion_feed.as_ref()?.get(i).copied()
+    }
+
+    /// Forget the recorded ids, keeping the feed on and its buffer.
+    pub(crate) fn clear_completions(&mut self) {
         if let Some(feed) = &mut self.completion_feed {
-            std::mem::swap(&mut **feed, into);
+            feed.clear();
         }
     }
 }
@@ -634,6 +632,13 @@ pub struct MpiService {
     /// `Vec<Box<_>>`.
     #[allow(clippy::vec_box)]
     env_pool: Vec<Box<Envelope>>,
+    /// Completion feeds of finished `waitall`/`waitany` waits, cleared,
+    /// for the next wait of any owned rank. A feed is either lent to a
+    /// watching rank or here, so the pool holds at most as many as the
+    /// shard's ranks ever watched at once. Kept boxed, as a rank holds
+    /// its feed, so lending one moves a pointer and allocates nothing.
+    #[allow(clippy::vec_box)]
+    feed_pool: Vec<Box<Vec<u64>>>,
     /// Batched hot-path counters, flushed at engine shutdown.
     pub net_batch: NetBatch,
 }
@@ -653,6 +658,7 @@ impl MpiService {
             stats: MpiStats::default(),
             stats_sink,
             env_pool: Vec::new(),
+            feed_pool: Vec::new(),
             net_batch: NetBatch::default(),
         }
     }
@@ -674,6 +680,26 @@ impl MpiService {
     pub(crate) fn env_recycle(&mut self, b: Box<Envelope>) {
         if self.env_pool.len() < ENV_POOL_CAP {
             self.env_pool.push(b);
+        }
+    }
+
+    /// Start (or stop) recording `me`'s completed request ids. A
+    /// watcher turns the feed on after its own full scan of the requests
+    /// it holds, so completions before that point need no record. The
+    /// feed is lent from this shard's pool and given back cleared, so a
+    /// repeated wait allocates no feed.
+    pub(crate) fn watch_completions(&mut self, me: Rank, on: bool) {
+        let i = me.idx().wrapping_sub(self.owned.start);
+        let slot = &mut self.ranks[i].completion_feed;
+        if on {
+            // A feed left on by a wait that was dropped starts over empty.
+            match slot {
+                Some(feed) => feed.clear(),
+                None => *slot = Some(self.feed_pool.pop().unwrap_or_default()),
+            }
+        } else if let Some(mut feed) = slot.take() {
+            feed.clear();
+            self.feed_pool.push(feed);
         }
     }
 
@@ -940,22 +966,29 @@ mod tests {
     fn completions_are_recorded_only_while_watched() {
         let sink = Arc::new(Mutex::new(MpiStats::default()));
         let mut svc = MpiService::new(world(2), 0..2, sink);
-        let rm = svc.rank_mut(Rank(0));
-        let mut ids = vec![9];
-        rm.push_completion(1);
-        rm.drain_completions(&mut ids);
-        assert!(ids.is_empty(), "nobody is watching");
-        rm.watch_completions(true);
-        rm.push_completion(2);
-        rm.push_completion(3);
-        rm.drain_completions(&mut ids);
-        assert_eq!(ids, vec![2, 3]);
-        rm.drain_completions(&mut ids);
-        assert!(ids.is_empty());
-        rm.watch_completions(false);
-        rm.push_completion(4);
-        rm.drain_completions(&mut ids);
-        assert!(ids.is_empty());
+        let fed = |svc: &MpiService| {
+            let rm = svc.rank(Rank(0));
+            (0..).map_while(|i| rm.completion(i)).collect::<Vec<_>>()
+        };
+        svc.rank_mut(Rank(0)).push_completion(1);
+        assert!(fed(&svc).is_empty(), "nobody is watching");
+        svc.watch_completions(Rank(0), true);
+        svc.rank_mut(Rank(0)).push_completion(2);
+        svc.rank_mut(Rank(0)).push_completion(3);
+        assert_eq!(fed(&svc), vec![2, 3]);
+        svc.rank_mut(Rank(0)).clear_completions();
+        assert!(fed(&svc).is_empty());
+        svc.rank_mut(Rank(0)).push_completion(4);
+        let buf = svc.rank(Rank(0)).completion_feed.as_ref().unwrap().as_ptr();
+        svc.watch_completions(Rank(0), false);
+        svc.rank_mut(Rank(0)).push_completion(5);
+        assert!(fed(&svc).is_empty());
+        // The next watch, by any rank of the shard, gets the pooled feed
+        // back empty, with its buffer.
+        svc.watch_completions(Rank(1), true);
+        let feed = svc.rank(Rank(1)).completion_feed.as_ref().unwrap();
+        assert!(feed.is_empty());
+        assert_eq!(feed.as_ptr(), buf);
     }
 
     #[test]
