@@ -1,10 +1,13 @@
 //! Conservative windowed parallel engine with static shard ownership.
 //!
-//! The rank space is partitioned into contiguous shards and every worker
-//! thread owns a fixed, contiguous block of them for the whole run — the
-//! shared-memory analogue of xSim's native processes each owning a block
-//! of simulated ranks (paper §II-A, §IV-A). Every worker runs one loop,
-//! one iteration per global window:
+//! The rank space is partitioned into contiguous shards, and every worker
+//! thread owns a fixed, interleaved set of them for the whole run: with
+//! `W` workers, worker `w` owns shards `w, w + W, w + 2W, …` — the
+//! shared-memory analogue of xSim's native processes each owning
+//! simulated ranks (paper §II-A, §IV-A). Interleaving spreads a
+//! collective's phases over the workers: with contiguous blocks a tree's
+//! up-sweep runs on one worker while its down-sweep waits on the other.
+//! Every worker runs one loop, one iteration per global window:
 //!
 //! * **Phase A:** drain each owned shard's inbound exchange slots into
 //!   its queue and publish its next pending event time.
@@ -16,11 +19,20 @@
 //!   buffers recycled between windows).
 //! * **Barrier 2**, then the next window.
 //!
+//! Both crossings use one [`WindowBarrier`]: a generation counter that a
+//! waiter spins on for a bounded time before it parks, and parks at once
+//! when there are more workers than cores.
+//!
 //! Every write of shared state is separated from every read of it by a
 //! barrier: bounds and the panic flag are written in Phase A and read
 //! between the barriers; exchange slots are filled in Phase B and
-//! drained in Phase A. All workers therefore derive identical window
-//! parameters and leave the loop in the same iteration.
+//! drained in Phase A; per-worker window event counts are written in
+//! Phase B and read after barrier 2. All workers therefore derive
+//! identical window parameters and leave the loop in the same iteration.
+//!
+//! Each shard spawns its ranks through its own program handle
+//! ([`VpProgram::shard_handle`]), so a rank's spawn and exit touch no
+//! refcount that another worker touches too.
 //!
 //! ## Window-bound safety
 //!
@@ -62,6 +74,7 @@
 //! everyone leaves together. [`run_parallel`] then resumes the first
 //! payload on the calling thread, as the sequential engine would have.
 
+use super::barrier::WindowBarrier;
 use super::{assemble_report, SetupFn};
 use crate::config::{CoreConfig, SHARDS_PER_WORKER};
 use crate::ctx;
@@ -73,7 +86,7 @@ use crate::time::SimTime;
 use crate::vp::VpProgram;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Barrier, Mutex};
+use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 /// A poisoned slot lock means a worker panicked mid-swap: propagate.
@@ -91,7 +104,10 @@ struct Shared {
     /// contended: a barrier separates the two phases.
     slots: Vec<Vec<Mutex<Vec<EventRec>>>>,
     /// Window barrier (two crossings per window).
-    barrier: Barrier,
+    barrier: WindowBarrier,
+    /// Events each worker processed in the current window. Written in
+    /// Phase B, read by worker 0 after barrier 2.
+    window_events: Vec<AtomicU64>,
     /// Aggregate processed-event counter for the budget check.
     events: AtomicU64,
     /// Window index during which the event budget first tripped
@@ -103,8 +119,8 @@ struct Shared {
     panicked: AtomicBool,
 }
 
-/// Run the simulation on one worker thread per block of
-/// `SHARDS_PER_WORKER` shards.
+/// Run the simulation on one worker thread per `SHARDS_PER_WORKER`
+/// shards, each worker owning an interleaved set of them.
 pub fn run_parallel(
     cfg: CoreConfig,
     program: Arc<dyn VpProgram>,
@@ -115,32 +131,38 @@ pub fn run_parallel(
     let cfg = Arc::new(cfg);
     let n_shards = cfg.n_shards();
     let per = cfg.ranks_per_shard();
+    let n_workers = n_shards.div_ceil(SHARDS_PER_WORKER);
+    // Worker `w` owns shards `w, w + n_workers, …`, in ascending order.
     // In an `Option`, so a worker can lend its shard to its thread's slot.
-    let mut kernels: Vec<Option<Kernel>> = (0..n_shards)
-        .map(|s| {
-            let lo = s * per;
-            let hi = ((s + 1) * per).min(cfg.n_ranks);
-            let mut k = Kernel::new(s, cfg.clone(), lo..hi, program.clone());
-            k.schedule_spawns();
-            Some(k)
-        })
+    let mut owned: Vec<Vec<Option<Kernel>>> = (0..n_workers)
+        .map(|_| Vec::with_capacity(SHARDS_PER_WORKER))
         .collect();
+    for s in 0..n_shards {
+        let lo = s * per;
+        let hi = ((s + 1) * per).min(cfg.n_ranks);
+        let handle = program.shard_handle().unwrap_or_else(|| program.clone());
+        let mut k = Kernel::new(s, cfg.clone(), lo..hi, handle);
+        k.schedule_spawns();
+        owned[s % n_workers].push(Some(k));
+    }
     let shared = Shared {
         next_times: (0..n_shards).map(|_| AtomicU64::new(u64::MAX)).collect(),
         slots: (0..n_shards)
             .map(|_| (0..n_shards).map(|_| Mutex::new(Vec::new())).collect())
             .collect(),
-        barrier: Barrier::new(n_shards.div_ceil(SHARDS_PER_WORKER)),
+        barrier: WindowBarrier::new(n_workers),
+        window_events: (0..n_workers).map(|_| AtomicU64::new(0)).collect(),
         events: AtomicU64::new(0),
         budget_window: AtomicU64::new(u64::MAX),
         panicked: AtomicBool::new(false),
     };
     let outcomes: Vec<std::thread::Result<EngineProfile>> = std::thread::scope(|scope| {
-        let workers: Vec<_> = kernels
-            .chunks_mut(SHARDS_PER_WORKER)
-            .map(|mine| {
+        let workers: Vec<_> = owned
+            .iter_mut()
+            .enumerate()
+            .map(|(w, mine)| {
                 let (shared, cfg) = (&shared, &*cfg);
-                scope.spawn(move || worker_loop(mine, shared, cfg, setup))
+                scope.spawn(move || worker_loop(w, mine, shared, cfg, setup))
             })
             .collect();
         workers.into_iter().map(|w| w.join()).collect()
@@ -154,7 +176,16 @@ pub fn run_parallel(
             processed: shared.events.load(Ordering::Relaxed),
         });
     }
-    let kernels = kernels.into_iter().flatten().collect();
+    // Back into shard order: shard `s` is worker `s % n_workers`'s next.
+    let mut owned: Vec<_> = owned.into_iter().map(Vec::into_iter).collect();
+    let kernels = (0..n_shards)
+        .map(|s| {
+            owned[s % n_workers]
+                .next()
+                .flatten()
+                .expect("a shard left its worker")
+        })
+        .collect();
     assemble_report(&cfg, kernels, profile, start.elapsed())
 }
 
@@ -167,6 +198,7 @@ fn note_barrier_wait(prof: &mut EngineProfile, since: Instant) {
 /// One worker's run over the shards it owns. A panic caught in a phase
 /// is re-raised after the loop and reaches [`run_parallel`] via `join`.
 fn worker_loop(
+    me: usize,
     mine: &mut [Option<Kernel>],
     shared: &Shared,
     cfg: &CoreConfig,
@@ -177,6 +209,7 @@ fn worker_loop(
     // these kernels again — the run ends and the payload is re-raised.
     let mut caught = None;
     let mut window: u64 = 0;
+    let mut busy_ns = 0u64;
     loop {
         // ---- Phase A: ingest exchanged batches, publish bounds.
         if caught.is_none() {
@@ -229,20 +262,33 @@ fn worker_loop(
         // ---- Phase B: execute each shard's window, flush its batches.
         // (Nobody holds a panic here, or the check above had fired.)
         let sole_active = min2 == u64::MAX && min1_count == 1;
+        let began = Instant::now();
+        let mut processed = 0;
         caught = catch_unwind(AssertUnwindSafe(|| {
             for k in mine.iter_mut() {
-                execute(k, shared, cfg, window, min1, sole_active);
+                processed += execute(k, shared, cfg, window, min1, sole_active);
             }
         }))
         .err();
+        shared.window_events[me].store(processed, Ordering::Relaxed);
         let arrived = Instant::now();
+        busy_ns += arrived.duration_since(began).as_nanos() as u64;
         shared.barrier.wait();
         note_barrier_wait(&mut prof, arrived);
+        if me == 0 {
+            prof.window_critical_events += shared
+                .window_events
+                .iter()
+                .map(|n| n.load(Ordering::Relaxed))
+                .max()
+                .unwrap_or(0);
+        }
         window += 1;
     }
     if let Some(payload) = caught {
         resume_unwind(payload);
     }
+    prof.worker_busy_ns = vec![busy_ns];
     prof
 }
 
@@ -265,7 +311,8 @@ fn ingest(k: &mut Kernel, shared: &Shared, prof: &mut EngineProfile) {
 }
 
 /// Phase B for one shard: lend it to this thread's slot, process its
-/// window, take it back and flush its outbox lanes.
+/// window, take it back and flush its outbox lanes. Returns the number
+/// of events it processed.
 fn execute(
     shard: &mut Option<Kernel>,
     shared: &Shared,
@@ -273,7 +320,7 @@ fn execute(
     window: u64,
     min1: u64,
     sole_active: bool,
-) {
+) -> u64 {
     let k = shard.take().expect("a shard left its worker");
     let s = k.shard_id;
     let la = cfg.lookahead.as_nanos();
@@ -332,4 +379,5 @@ fn execute(
         std::mem::swap(&mut *slot, lane);
     }
     k.outbox_min = u64::MAX;
+    processed
 }

@@ -3,7 +3,7 @@
 //! A kernel owns a contiguous block of VPs (a SoA [`VpTable`]), their
 //! pending-event queue and the per-shard services of upper layers. The
 //! sequential engine uses a single kernel; the parallel engine gives
-//! every worker thread a fixed block of kernels and exchanges
+//! every worker thread a fixed, interleaved set of kernels and exchanges
 //! cross-shard events at conservative window boundaries.
 //!
 //! ## Determinism contract
@@ -338,7 +338,7 @@ impl Kernel {
         match ev.action {
             Action::Spawn => {
                 if self.vps.get(dst).state() == VpState::Fresh {
-                    let fut = self.program.clone().spawn(dst);
+                    let fut = self.program.spawn(dst);
                     let mut vp = self.vps.get_mut(dst);
                     vp.put_future(fut);
                     vp.deliver_wake();

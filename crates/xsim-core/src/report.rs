@@ -80,7 +80,7 @@ pub struct ShardStats {
 /// (barrier waits are inherently timing-dependent), so they are
 /// excluded from determinism comparisons. The sequential engine reports
 /// all-zero.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct EngineProfile {
     /// Synchronization windows executed.
     pub windows: u64,
@@ -91,6 +91,13 @@ pub struct EngineProfile {
     /// Total wall-clock nanoseconds all workers spent waiting at window
     /// barriers.
     pub barrier_wait_ns: u64,
+    /// Wall-clock nanoseconds each worker spent in Phase B (processing
+    /// its shards' windows), in worker order.
+    pub worker_busy_ns: Vec<u64>,
+    /// The sum, over windows, of the busiest worker's event count: the
+    /// events a run would take with every window's slowest worker as its
+    /// only clock. Deterministic for a fixed worker count.
+    pub window_critical_events: u64,
     /// Cross-shard events delivered through the batched exchange.
     pub batched_events: u64,
     /// Largest single (src,dst) exchange batch observed.
@@ -126,10 +133,13 @@ pub struct EngineProfile {
 impl EngineProfile {
     /// Fold another worker's profile into this one. Window counts are
     /// per-worker views of the same global window sequence, so they
-    /// merge by max; the rest are true totals.
+    /// merge by max; busy times append, in the order workers merge; the
+    /// rest are true totals.
     pub fn merge(&mut self, other: &EngineProfile) {
         self.windows = self.windows.max(other.windows);
         self.barrier_wait_ns += other.barrier_wait_ns;
+        self.worker_busy_ns.extend_from_slice(&other.worker_busy_ns);
+        self.window_critical_events += other.window_critical_events;
         self.batched_events += other.batched_events;
         self.batch_max_events = self.batch_max_events.max(other.batch_max_events);
         self.window_barrier_hwm_ns = self.window_barrier_hwm_ns.max(other.window_barrier_hwm_ns);
@@ -217,6 +227,21 @@ impl SimReport {
         }
     }
 
+    /// How evenly a parallel run's windows split their events across
+    /// workers: events ÷ (workers × [`EngineProfile::window_critical_events`]).
+    /// 1.0 means every window gave every worker the same count; returns
+    /// 1.0 for a sequential run. Unlike [`SimReport::load_imbalance`],
+    /// a run whose workers take turns being busy reads low here.
+    pub fn window_balance(&self) -> f64 {
+        let critical = self.profile.window_critical_events;
+        let workers = self.profile.worker_busy_ns.len();
+        if critical == 0 || workers == 0 {
+            1.0
+        } else {
+            self.events_processed as f64 / (workers as f64 * critical as f64)
+        }
+    }
+
     /// Largest per-shard pending-event-queue high-water mark.
     pub fn queue_depth_hwm(&self) -> u64 {
         self.shards
@@ -280,6 +305,8 @@ mod tests {
         let mut a = EngineProfile {
             windows: 10,
             barrier_wait_ns: 100,
+            worker_busy_ns: vec![400],
+            window_critical_events: 12,
             batched_events: 7,
             batch_max_events: 4,
             window_barrier_hwm_ns: 40,
@@ -295,6 +322,7 @@ mod tests {
         let b = EngineProfile {
             windows: 10,
             barrier_wait_ns: 50,
+            worker_busy_ns: vec![300],
             batched_events: 3,
             batch_max_events: 6,
             window_barrier_hwm_ns: 70,
@@ -310,6 +338,8 @@ mod tests {
         a.merge(&b);
         assert_eq!(a.windows, 10); // same global window sequence: max
         assert_eq!(a.barrier_wait_ns, 150);
+        assert_eq!(a.worker_busy_ns, [400, 300]); // worker order
+        assert_eq!(a.window_critical_events, 12);
         assert_eq!(a.batched_events, 10);
         assert_eq!(a.batch_max_events, 6);
         assert_eq!(a.window_barrier_hwm_ns, 70);

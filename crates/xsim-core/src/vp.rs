@@ -43,6 +43,7 @@ use std::fmt;
 use std::future::Future;
 use std::ops::Range;
 use std::pin::Pin;
+use std::sync::Arc;
 
 /// The outcome a VP program reports when it returns.
 ///
@@ -72,6 +73,16 @@ pub trait VpProgram: Send + Sync {
     /// (and APIs layered on them), and only while being polled by the
     /// engine.
     fn spawn(&self, rank: Rank) -> VpFuture;
+
+    /// A handle for one shard of a parallel run, or `None` (the default)
+    /// to share this program as is. The parallel engine asks once per
+    /// shard, at construction, and spawns that shard's ranks through the
+    /// answer. A program whose rank futures clone and drop a refcount
+    /// answers with a fresh `Arc` around it, so that traffic touches only
+    /// the owning worker's count, never one every worker shares.
+    fn shard_handle(&self) -> Option<Arc<dyn VpProgram>> {
+        None
+    }
 }
 
 impl<F> VpProgram for F

@@ -2,10 +2,10 @@
 //! API the way upper layers (xsim-mpi et al.) do.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, Weak};
 use xsim_core::engine;
 use xsim_core::event::Action;
-use xsim_core::vp::{VpExit, VpFuture, WaitClass};
+use xsim_core::vp::{VpExit, VpFuture, VpProgram, WaitClass};
 use xsim_core::{ctx, CoreConfig, EngineKind, ExitKind, Kernel, Rank, SimError, SimTime};
 
 fn cfg(n: usize, workers: usize) -> CoreConfig {
@@ -748,4 +748,50 @@ fn lock_step_waves_sort_only_their_strays() {
     let report = engine::run(cfg(VPS, 1), Arc::new(program), &no_setup).unwrap();
     assert_eq!(report.events_processed, 5 * VPS as u64);
     assert_eq!(report.profile.queue_sorted, 2 * 17 + 2 * 18);
+}
+
+/// Records, from inside `spawn`, how many strong handles on it exist.
+struct CountingProgram {
+    me: Weak<CountingProgram>,
+    seen: Mutex<Vec<usize>>,
+}
+
+impl VpProgram for CountingProgram {
+    fn spawn(&self, _rank: Rank) -> VpFuture {
+        self.seen.lock().unwrap().push(self.me.strong_count());
+        Box::pin(async {
+            ctx::sleep(SimTime::from_micros(1)).await;
+            VpExit::Finished
+        })
+    }
+}
+
+/// A spawn clones no handle on the program: seen from inside `spawn`,
+/// its strong count is the count at run start plus one handle per shard
+/// (a program without its own [`VpProgram::shard_handle`] is shared),
+/// for every rank, and never one more.
+#[test]
+fn a_spawn_adds_no_refcount_traffic() {
+    const N: usize = 64;
+    for (workers, engine_kind) in [(1, EngineKind::Sequential), (2, EngineKind::Parallel)] {
+        let program = Arc::new_cyclic(|me| CountingProgram {
+            me: me.clone(),
+            seen: Mutex::default(),
+        });
+        let handle: Arc<dyn VpProgram> = program.clone();
+        let at_start = Arc::strong_count(&program);
+        let c = CoreConfig {
+            engine: engine_kind,
+            ..cfg(N, workers)
+        };
+        let shard_handles = if c.use_parallel() { c.n_shards() } else { 0 };
+        engine::run(c, handle, &no_setup).unwrap();
+        let seen = program.seen.lock().unwrap();
+        assert_eq!(seen.len(), N);
+        assert!(
+            seen.iter().all(|&n| n == at_start + shard_handles),
+            "workers={workers}: strong counts {seen:?}, want {} each",
+            at_start + shard_handles
+        );
+    }
 }

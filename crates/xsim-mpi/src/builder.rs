@@ -538,7 +538,7 @@ impl SimBuilder {
             // Surface the engine execution profile as (volatile) metrics
             // so perf investigations see windows/batches/waits next to
             // the subsystem counters.
-            let p = sim.profile;
+            let p = &sim.profile;
             m.set.add(metric_ids::ENGINE_WINDOWS, p.windows);
             m.set
                 .add(metric_ids::ENGINE_BARRIER_WAIT_NS, p.barrier_wait_ns);

@@ -645,8 +645,14 @@ where
     }
 }
 
+/// One shard's handle on the application closure every shard shares.
+struct AppHandle<F>(Arc<F>);
+
 struct MpiProgram<F> {
-    f: Arc<F>,
+    /// A rank future clones and drops only this outer `Arc`, and each
+    /// shard of a parallel run gets its own (`shard_handle`), so that
+    /// traffic stays on the owning worker.
+    f: Arc<AppHandle<F>>,
 }
 
 impl<F, Fut> VpProgram for MpiProgram<F>
@@ -658,7 +664,7 @@ where
         let f = self.f.clone();
         Box::pin(async move {
             let mctx = MpiCtx::attach();
-            let result = f(mctx).await;
+            let result = (f.0)(mctx).await;
             let finalized = ctx::with_kernel(|k, me| {
                 let svc = k.service::<MpiService>();
                 svc.rank(me).finalized
@@ -674,6 +680,12 @@ where
             }
         })
     }
+
+    fn shard_handle(&self) -> Option<Arc<dyn VpProgram>> {
+        Some(Arc::new(MpiProgram {
+            f: Arc::new(AppHandle(Arc::clone(&self.f.0))),
+        }))
+    }
 }
 
 /// Wrap an async application function into a [`VpProgram`]. The function
@@ -683,5 +695,72 @@ where
     F: Fn(MpiCtx) -> Fut + Send + Sync + 'static,
     Fut: Future<Output = Result<(), MpiError>> + Send + 'static,
 {
-    Arc::new(MpiProgram { f: Arc::new(f) })
+    Arc::new(MpiProgram {
+        f: Arc::new(AppHandle(Arc::new(f))),
+    })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::builder::SimBuilder;
+    use std::any::Any;
+    use std::sync::{Mutex, OnceLock, Weak};
+    use xsim_core::{CoreConfig, EngineKind, SimTime};
+
+    /// A rank future clones no handle every worker shares: seen from
+    /// inside the application closure, the closure's strong count is
+    /// the count at run start plus one per shard handle, for every rank,
+    /// not one more per live rank.
+    #[test]
+    fn a_rank_future_shares_no_refcount_across_workers() {
+        const N: usize = 64;
+        for (workers, engine) in [(1, EngineKind::Sequential), (2, EngineKind::Parallel)] {
+            let me: Arc<OnceLock<Weak<dyn Any + Send + Sync>>> = Arc::default();
+            let seen = Arc::new(Mutex::new(Vec::new()));
+            let app = {
+                let (me, seen) = (me.clone(), seen.clone());
+                move |mpi: MpiCtx| {
+                    let count = me.get().expect("probe set").strong_count();
+                    seen.lock().unwrap().push(count);
+                    async move {
+                        // Alive while the other ranks spawn.
+                        mpi.sleep(SimTime::from_micros(1)).await;
+                        mpi.finalize();
+                        Ok(())
+                    }
+                }
+            };
+            let app = Arc::new(app);
+            let weak: Weak<dyn Any + Send + Sync> = Arc::downgrade(&app) as _;
+            me.set(weak).expect("probe set once");
+            let at_start = Arc::strong_count(&app);
+            let program: Arc<dyn VpProgram> = Arc::new(MpiProgram {
+                f: Arc::new(AppHandle(app)),
+            });
+            let core = CoreConfig {
+                n_ranks: N,
+                workers,
+                engine,
+                ..Default::default()
+            };
+            let shard_handles = if core.use_parallel() {
+                core.n_shards()
+            } else {
+                0
+            };
+            SimBuilder::new(N)
+                .workers(workers)
+                .engine(engine)
+                .run(program)
+                .expect("probe run");
+            let seen = seen.lock().unwrap();
+            assert_eq!(seen.len(), N);
+            assert!(
+                seen.iter().all(|&c| c == at_start + shard_handles),
+                "workers={workers}: strong counts {seen:?}, want {} each",
+                at_start + shard_handles
+            );
+        }
+    }
 }

@@ -135,7 +135,8 @@ pub struct ObsReport {
 impl ObsReport {
     /// Render the machine-readable metrics snapshot. Pass the engine
     /// report to include the engine section (events, context switches,
-    /// per-shard stats, load imbalance, parallel-engine profile).
+    /// per-shard stats, load imbalance, parallel-engine profile with each
+    /// worker's Phase-B busy time and the per-window balance).
     ///
     /// Without an engine report (`to_json(None)`) the snapshot is the
     /// *deterministic surface*: volatile (execution-shape) metrics are
@@ -149,13 +150,18 @@ impl ObsReport {
                 out,
                 ",\"engine\":{{\"events_processed\":{},\"context_switches\":{},\"wall_us\":{},\
                  \"load_imbalance\":{:.4},\"windows\":{},\"barrier_wait_ns\":{},\
-                 \"batched_events\":{},\"batch_max_events\":{},\"shards\":[",
+                 \"worker_busy_ns\":{:?},\"window_critical_events\":{},\
+                 \"window_balance\":{:.4},\"batched_events\":{},\"batch_max_events\":{},\
+                 \"shards\":[",
                 r.events_processed,
                 r.context_switches,
                 r.wall.as_micros(),
                 r.load_imbalance(),
                 r.profile.windows,
                 r.profile.barrier_wait_ns,
+                r.profile.worker_busy_ns,
+                r.profile.window_critical_events,
+                r.window_balance(),
                 r.profile.batched_events,
                 r.profile.batch_max_events
             );

@@ -13,6 +13,7 @@
 use xsim::apps::heat3d::{self, HeatConfig};
 use xsim::apps::jacobi2d::{self, JacobiConfig};
 use xsim::apps::scenario::Cli;
+use xsim::mpi::CollAlgo;
 use xsim::prelude::*;
 
 /// The deterministic metrics snapshot (no engine section).
@@ -237,4 +238,53 @@ fn env_fault_schedules_are_engine_invariant() {
     let mut failed: Vec<usize> = report.sim.failures.iter().map(|f| f.rank.idx()).collect();
     failed.sort_unstable();
     assert_eq!(failed, vec![2, 5], "both env-scheduled failures activate");
+}
+
+/// Worlds too small or too ragged for the shard layout: fewer ranks
+/// than `4 × workers` shards (every shard one rank, some workers short of
+/// shards), and a rank count that 8 shards do not divide (the last shard
+/// empty). Each worker owns an interleaved set of shards; a ring
+/// exchange, a tree allreduce and a barrier must give the sequential
+/// result on 2 and 4 workers alike.
+#[test]
+fn small_and_ragged_worlds_are_engine_invariant() {
+    for n in [5usize, 3, 13] {
+        let run = |workers: usize, engine: EngineKind| {
+            SimBuilder::new(n)
+                .net(NetModel::small(n))
+                .workers(workers)
+                .engine(engine)
+                .collectives(CollAlgo::Tree)
+                .metrics(true)
+                .run_app(|mpi| async move {
+                    let w = mpi.world();
+                    let dst = (mpi.rank + 1) % mpi.size;
+                    let src = (mpi.rank + mpi.size - 1) % mpi.size;
+                    mpi.sleep(SimTime::from_micros(1 + mpi.rank as u64)).await;
+                    let payload = Bytes::from(vec![mpi.rank as u8; 256]);
+                    let got = mpi.sendrecv(w, dst, 0, payload, Some(src), Some(0)).await?;
+                    assert_eq!(got.data[0], src as u8);
+                    let sum = mpi
+                        .allreduce_f64(w, &[mpi.rank as f64], ReduceOp::Sum)
+                        .await?;
+                    assert_eq!(sum, [(mpi.size * (mpi.size - 1) / 2) as f64]);
+                    mpi.barrier(w).await?;
+                    mpi.finalize();
+                    Ok(())
+                })
+                .expect("ragged world run")
+        };
+        let seq = run(1, EngineKind::Sequential);
+        for workers in [2, 4] {
+            let par = run(workers, EngineKind::Parallel);
+            let leg = format!("{n} ranks on {workers} workers");
+            assert_eq!(snapshot(&par), snapshot(&seq), "{leg}: metrics snapshot");
+            assert_eq!(par.sim.digest, seq.sim.digest, "{leg}: run digest");
+            assert_eq!(par.sim.final_clocks, seq.sim.final_clocks, "{leg}: clocks");
+            assert_eq!(
+                par.sim.events_processed, seq.sim.events_processed,
+                "{leg}: events processed"
+            );
+        }
+    }
 }
