@@ -41,7 +41,7 @@ use crate::heat3d::{self, ComputeMode, HeatConfig, Layer, State};
 use std::future::Future;
 use std::sync::Arc;
 use xsim_core::vp::VpProgram;
-use xsim_mpi::replication::{HeartbeatConfig, ProtectionScheme, ReplicaMap, Replicated};
+use xsim_mpi::replication::{HeartbeatConfig, ProtectionScheme, RepReq, ReplicaMap, Replicated};
 use xsim_mpi::{mpi_program, CkptMode, MpiCtx, MpiError};
 
 /// Replicated-heat configuration: the logical workload plus the
@@ -119,22 +119,28 @@ impl Layer for Replicated {
     }
 
     async fn halo(&mut self, cfg: &HeatConfig, state: &mut State) -> Result<(), MpiError> {
-        let neighbors = cfg.neighbors(self.logical_rank);
-        // Post all receives, then all sends, then drain — the world
-        // layer's schedule, one logical channel per neighbor.
-        let mut reqs = Vec::new();
-        for (dir, nb) in neighbors.iter().enumerate() {
+        // Post all receives, then all sends, then drain them in that
+        // order — the world layer's schedule, one logical channel per
+        // neighbor. At most six of each, held in the rank future (the
+        // neighbours are recomputed rather than held across the sends).
+        let mut reqs: [RepReq; 12] = Default::default();
+        let mut posted = 0;
+        for (dir, nb) in cfg.neighbors(self.logical_rank).into_iter().enumerate() {
             if let Some(nb) = nb {
-                reqs.push(self.irecv_logical(*nb, dir as u32 ^ 1)?);
+                reqs[posted] = self.irecv_logical(nb, dir as u32 ^ 1)?;
+                posted += 1;
             }
         }
-        for (dir, nb) in neighbors.iter().enumerate() {
-            if let Some(nb) = nb {
+        for dir in 0..6 {
+            if let Some(nb) = cfg.neighbors(self.logical_rank)[dir] {
                 let face = state.face(cfg, dir);
-                reqs.push(self.isend_logical(*nb, dir as u32, face).await?);
+                reqs[posted] = self.isend_logical(nb, dir as u32, face).await?;
+                posted += 1;
             }
         }
-        self.waitall_logical(reqs).await?;
+        for req in &mut reqs[..posted] {
+            self.wait_logical(std::mem::take(req)).await?;
+        }
         Ok(())
     }
 
@@ -171,7 +177,7 @@ impl Layer for Replicated {
 /// Build the replicated heat application as a [`VpProgram`]. Run it on a
 /// world of [`RepHeatConfig::physical_size`] ranks.
 pub fn program(cfg: RepHeatConfig) -> Arc<dyn VpProgram> {
-    let map = cfg.map().expect("invalid replicated heat configuration");
+    let map = Arc::new(cfg.map().expect("invalid replicated heat configuration"));
     let (hb, checkpoints) = (cfg.hb, cfg.ckpt);
     let heat = heat3d::Heat::new(cfg.heat);
     mpi_program(move |mpi: MpiCtx| {

@@ -14,14 +14,19 @@
 //! * a heat3d checkpoint cycle (write, barrier, retire) costs the write,
 //!   the retire and the box the solver parks the write in;
 //! * a repeated blocking `waitall` allocates no completion feed after the
-//!   first: only its result.
+//!   first: only its result;
+//! * a failure-free replicated halo allocates, per physical rank, the
+//!   frames of its logical sends and the growth of its request and
+//!   matching blocks — nothing per copy.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use xsim_apps::heat3d::{self, ComputeMode, HeatConfig};
+use xsim_apps::heat3d_rep::{self, RepHeatConfig};
 use xsim_ckpt::{Checkpoint, CheckpointManager, ModeWriter};
 use xsim_core::{ctx, Bytes, SimTime};
 use xsim_fs::FsModel;
+use xsim_mpi::replication::{HeartbeatConfig, ProtectionScheme};
 use xsim_mpi::{CkptMode, MpiError, ReqId, SimBuilder};
 use xsim_net::NetModel;
 
@@ -204,6 +209,54 @@ fn heat3d_checkpoint_cycle_allocates_write_retire_and_its_box() {
     assert!(
         per_rank <= 5.1,
         "{per_rank:.3} allocations per rank per write + barrier + retire"
+    );
+}
+
+/// Allocation calls of one failure-free `replication:2` run of `cfg`
+/// (no checkpoints), less the event queue's own, and its physical rank
+/// count.
+fn replicated_run_allocs(cfg: HeatConfig) -> (u64, usize) {
+    let cfg = RepHeatConfig {
+        heat: cfg,
+        scheme: ProtectionScheme::Replication { degree: 2 },
+        hb: HeartbeatConfig::default(),
+        ckpt: false,
+    };
+    let ranks = cfg.physical_size();
+    let builder = SimBuilder::new(ranks)
+        .net(NetModel::small(ranks))
+        .fs_model(FsModel::free())
+        .detector(cfg.hb.detector());
+    let (report, n) = allocs(|| {
+        builder
+            .run(heat3d_rep::program(cfg))
+            .expect("replicated run")
+    });
+    assert_eq!(report.sim.exit, xsim_core::ExitKind::Completed);
+    let queue = report.sim.profile.pool_pushes - report.sim.profile.pool_reused;
+    (n - queue, ranks)
+}
+
+/// A physical rank of a degree-2 team with `n` mesh neighbours has `2n`
+/// receive copies and `2n` send copies of a halo outstanding at once.
+/// By construction it allocates each logical send's frame (its buffer
+/// and the buffer's refcount: `2n`), its request block (8 slots, grown
+/// in place to 16 and, past 16 copies, to 32) and its posted-receive
+/// block (8 slots, 16 past 8 receives): on the 4³ cube, where `n` is
+/// 3 to 6, 9 + 2.5 + 1.5 = 13.0 on average. 13.19 measured; 45.68 before
+/// the replica layer stopped allocating per copy (replica lists, request
+/// vectors, each wait's result vector, and the request and matching
+/// maps spilling to trees past 8 entries).
+#[test]
+fn failure_free_replicated_halo_allocates_nothing_per_copy() {
+    // 4 and 8 halos, no checkpoints.
+    let (short, ranks) = replicated_run_allocs(heat(20, 1000));
+    let (long, _) = replicated_run_allocs(heat(40, 1000));
+    let per_rank = (long - short) as f64 / (4 * ranks) as f64;
+    eprintln!("allocations per physical rank per replicated halo: {per_rank:.3}");
+    assert!(
+        per_rank <= 13.5,
+        "{per_rank:.3} allocations per physical rank per replicated halo"
     );
 }
 

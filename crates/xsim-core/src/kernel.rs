@@ -522,10 +522,15 @@ impl Kernel {
         });
     }
 
+    /// The failure path, kept out of line of the hot `end_poll`. One hook
+    /// handle at a time: a refcount bump, not a copy of the list per
+    /// failure.
+    #[cold]
+    #[inline(never)]
     fn run_fail_hooks(&mut self, rank: Rank, time: SimTime) {
-        let hooks = self.fail_hooks.clone();
-        for h in hooks {
-            h(self, rank, time);
+        for i in 0..self.fail_hooks.len() {
+            let hook = self.fail_hooks[i].clone();
+            hook(self, rank, time);
         }
     }
 

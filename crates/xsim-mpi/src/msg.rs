@@ -10,11 +10,13 @@
 //!
 //! The queues live in one [`SmallMap`] ordered by `(comm, src, tag,
 //! stamp)`: the one entry a blocking operation leaves inline, a flat
-//! scan for the handful of entries a rank usually has, an ordered tree
+//! block for the few dozen entries a rank usually has, an ordered tree
 //! at depth, so the dominant specific-source/specific-tag match stays
 //! O(log n) even with tens of thousands of outstanding receives or
 //! unexpected messages (a linear-algorithm collective at the root holds
-//! P−1 of them, paper §V-C).
+//! P−1 of them, paper §V-C). A count of posted wildcard receives lets a
+//! delivery probe only its exact bucket while there are none, which is
+//! almost always.
 
 use crate::comm::CommId;
 use crate::request::ReqId;
@@ -175,18 +177,23 @@ pub struct MatchQueues {
     stamp: u64,
     /// How many of `items` are unexpected messages (the rest are posted
     /// receives).
-    n_unexpected: usize,
+    n_unexpected: u32,
+    /// How many of `items` are posted receives with a wildcard selector.
+    /// While it is zero a delivery probes only its exact bucket. Two
+    /// `u32`s share the word one `usize` count took, so `RankMpi` keeps
+    /// its size.
+    n_wildcard: u32,
 }
 
 impl MatchQueues {
     /// Number of unexpected messages queued.
     pub fn unexpected_len(&self) -> usize {
-        self.n_unexpected
+        self.n_unexpected as usize
     }
 
     /// Number of posted unmatched receives.
     pub fn posted_len(&self) -> usize {
-        self.items.len() - self.n_unexpected
+        self.items.len() - self.unexpected_len()
     }
 
     /// Entries physically held (messages, receives and whatever indexes
@@ -209,19 +216,19 @@ impl MatchQueues {
     pub fn deliver(&mut self, env: Box<Envelope>) -> Option<(u64, Box<Envelope>)> {
         let (src, tag) = (Some(env.src), Some(env.tag));
         let exact = (env.comm, src, tag);
-        let mut best: Option<MatchKey> = None;
-        for bucket in [
-            exact,
-            (env.comm, None, tag),
-            (env.comm, src, None),
-            (env.comm, None, None),
-        ] {
-            let (lo, hi) = key_range(bucket);
-            // The exact bucket may hold earlier unexpected messages
-            // instead of receives: then it offers no candidate.
-            if let Some((key, Item::Recv(_))) = self.items.first_in(lo, hi) {
-                if best.is_none_or(|b| key.3 < b.3) {
-                    best = Some(key);
+        let mut best = self.posted_in(exact);
+        // The wildcard buckets can hold a candidate only while a
+        // wildcard receive is posted.
+        if self.n_wildcard != 0 {
+            for bucket in [
+                (env.comm, None, tag),
+                (env.comm, src, None),
+                (env.comm, None, None),
+            ] {
+                if let Some(key) = self.posted_in(bucket) {
+                    if best.is_none_or(|b| key.3 < b.3) {
+                        best = Some(key);
+                    }
                 }
             }
         }
@@ -230,6 +237,7 @@ impl MatchQueues {
                 let Some(Item::Recv(req)) = self.items.remove(&key) else {
                     unreachable!("candidate is a posted receive");
                 };
+                self.forget_wildcard(key);
                 Some((req, env))
             }
             None => {
@@ -238,6 +246,23 @@ impl MatchQueues {
                 self.items.insert(stamped(exact, stamp), Item::Env(env));
                 None
             }
+        }
+    }
+
+    /// The key of the earliest posted receive queued in `bucket`, unless
+    /// the bucket holds earlier unexpected messages instead.
+    fn posted_in(&self, bucket: Bucket) -> Option<MatchKey> {
+        let (lo, hi) = key_range(bucket);
+        match self.items.first_in(lo, hi) {
+            Some((key, Item::Recv(_))) => Some(key),
+            _ => None,
+        }
+    }
+
+    /// Account the removal of the posted receive queued under `key`.
+    fn forget_wildcard(&mut self, key: MatchKey) {
+        if key.1.is_none() || key.2.is_none() {
+            self.n_wildcard -= 1;
         }
     }
 
@@ -290,6 +315,9 @@ impl MatchQueues {
         }
         let stamp = self.next_stamp();
         let bucket = (comm, src.rank(), tag.tag());
+        if bucket.1.is_none() || bucket.2.is_none() {
+            self.n_wildcard += 1;
+        }
         self.items.insert(stamped(bucket, stamp), Item::Recv(req));
         None
     }
@@ -313,7 +341,12 @@ impl MatchQueues {
             .range(lo, hi)
             .find(|(_, item)| matches!(item, Item::Recv(r) if *r == req))
             .map(|(key, _)| key);
-        found.is_some_and(|key| self.items.remove(&key).is_some())
+        let Some(key) = found else {
+            return false;
+        };
+        self.items.remove(&key);
+        self.forget_wildcard(key);
+        true
     }
 }
 
@@ -443,6 +476,24 @@ mod tests {
         assert_eq!(r, 0, "posting order decides, not specificity");
         let (r2, _) = q.deliver(env(5, 1, 1, 4)).unwrap();
         assert_eq!(r2, 1);
+    }
+
+    #[test]
+    fn wildcard_count_follows_posts_matches_and_cancels() {
+        let mut q = MatchQueues::default();
+        q.post_recv(recv(0, SrcSel::Any, TagSel::Of(1)));
+        q.post_recv(recv(1, SrcSel::Of(Rank(2)), TagSel::Any));
+        q.post_recv(recv(2, SrcSel::Of(Rank(2)), TagSel::Of(1)));
+        assert_eq!(q.n_wildcard, 2);
+        let (r, _) = q.deliver(env(2, 1, 0, 1)).unwrap();
+        assert_eq!((r, q.n_wildcard), (0, 1), "the wildcard was posted first");
+        assert!(q.cancel_posted(1, CommId(0), SrcSel::Of(Rank(2))));
+        assert_eq!(q.n_wildcard, 0);
+        // Only the exact bucket is probed now, and it holds receive 2.
+        let (r, _) = q.deliver(env(2, 1, 1, 2)).unwrap();
+        assert_eq!(r, 2);
+        assert!(q.deliver(env(2, 1, 2, 3)).is_none(), "queued as unexpected");
+        assert_eq!((q.posted_len(), q.unexpected_len()), (0, 1));
     }
 
     #[test]

@@ -51,10 +51,14 @@ use crate::error::MpiError;
 use crate::mpi_ctx::MpiCtx;
 use crate::p2p;
 use crate::request::ReqId;
+use crate::smallmap::SmallMap;
 use crate::state::Detector;
-use std::collections::{BTreeMap, BTreeSet};
+use crate::ulfm;
+use std::collections::BTreeSet;
 use std::fmt;
+use std::future::Future;
 use std::str::FromStr;
+use std::sync::Arc;
 use xsim_core::{ctx, Bytes, DetRng, Rank, SimTime};
 use xsim_obs::{ids, service as obs};
 
@@ -555,7 +559,7 @@ impl ReplicaMap {
     /// Whether a logical rank is replicated.
     pub fn is_protected(&self, logical: usize) -> bool {
         match &self.critical {
-            Some(c) => c.contains(&logical),
+            Some(_) => self.crit_order.binary_search(&logical).is_ok(),
             None => true,
         }
     }
@@ -572,17 +576,18 @@ impl ReplicaMap {
     /// Physical ranks of a logical rank's replicas, in replica order
     /// (index 0 = the primary).
     pub fn replicas(&self, logical: usize) -> Vec<usize> {
-        assert!(logical < self.logical_size, "logical rank out of range");
-        let mut out = vec![logical];
-        if self.is_protected(logical) {
-            for t in 1..self.degree {
-                out.push(self.shadow_phys(logical, t));
-            }
-        }
-        out
+        (0..self.degree_of(logical))
+            .map(|t| self.replica(logical, t))
+            .collect()
     }
 
-    fn shadow_phys(&self, logical: usize, t: usize) -> usize {
+    /// Physical rank of replica `t < degree_of(logical)` of a logical
+    /// rank (0 = the primary).
+    pub(crate) fn replica(&self, logical: usize, t: usize) -> usize {
+        assert!(logical < self.logical_size, "logical rank out of range");
+        if t == 0 {
+            return logical;
+        }
         match &self.critical {
             None => t * self.logical_size + logical,
             Some(_) => {
@@ -616,24 +621,79 @@ impl ReplicaMap {
 // The replicated runtime
 // ---------------------------------------------------------------------
 
-/// One posted logical receive: the physical copies awaited (the replicas
-/// believed dead at post time were already routed around).
+/// A logical (replicated) request handle, returned by
+/// [`Replicated::isend_logical`]/[`Replicated::irecv_logical`]: its
+/// outstanding physical copies, one per replica believed alive when it
+/// was posted, in replica order. A logical operation posts its copies
+/// back to back, so their request ids are consecutive: the handle keeps
+/// the first and the count, 24 B for a team of any degree. The default
+/// handle is a send with no copies.
 #[derive(Debug)]
-pub struct PendingRecv {
-    app_tag: u32,
+pub struct RepReq {
+    first: ReqId,
+    /// For a receive, the channel sequence number the winning copy's
+    /// frame must carry.
     seq: u64,
-    /// `(replica physical rank, posted request)` in replica order.
-    parts: Vec<(usize, ReqId)>,
+    copies: u32,
+    /// For a receive, the application tag the winning copy's frame must
+    /// carry; [`SEND`] for a send.
+    app_tag: u32,
 }
 
-/// A logical (replicated) request handle, returned by
-/// [`Replicated::isend_logical`]/[`Replicated::irecv_logical`].
-#[derive(Debug)]
-pub enum RepReq {
-    /// Outstanding physical send copies.
-    Send(Vec<ReqId>),
-    /// Outstanding logical receive.
-    Recv(PendingRecv),
+/// [`RepReq::app_tag`] of a send: no application tag (both logical
+/// posts refuse tags from [`REP_TAG_BASE`] up).
+const SEND: u32 = REP_TAG_BASE;
+
+impl Default for RepReq {
+    fn default() -> Self {
+        RepReq {
+            first: ReqId(0),
+            seq: 0,
+            copies: 0,
+            app_tag: SEND,
+        }
+    }
+}
+
+impl RepReq {
+    /// Count a copy posted as request `req`.
+    fn push(&mut self, req: ReqId) {
+        if self.copies == 0 {
+            self.first = req;
+        }
+        debug_assert_eq!(req.0, self.first.0 + u64::from(self.copies));
+        self.copies += 1;
+    }
+
+    /// The copies' request ids, in post order.
+    fn reqs(&self) -> impl Iterator<Item = ReqId> {
+        let first = self.first.0;
+        (0..u64::from(self.copies)).map(move |i| ReqId(first + i))
+    }
+}
+
+/// `v` as little-endian bytes; a payload that fits inline is built on
+/// the stack.
+fn encode_u64s(v: &[u64]) -> Bytes {
+    let mut small = [0u8; Bytes::INLINE_CAP];
+    let len = v.len() * 8;
+    if len <= small.len() {
+        for (chunk, x) in small.chunks_exact_mut(8).zip(v) {
+            chunk.copy_from_slice(&x.to_le_bytes());
+        }
+        return Bytes::copy_from_slice(&small[..len]);
+    }
+    let mut b = Vec::with_capacity(len);
+    for x in v {
+        b.extend_from_slice(&x.to_le_bytes());
+    }
+    b.into()
+}
+
+/// The little-endian `u64`s of `d` (whole chunks only).
+fn u64s(d: &[u8]) -> impl Iterator<Item = u64> + '_ {
+    d.chunks_exact(8)
+        .map(|c| u64::from_le_bytes(c.try_into().expect("chunk of 8")))
 }
 
 /// The application-facing replicated context: logical-rank communication
@@ -642,8 +702,8 @@ pub enum RepReq {
 pub struct Replicated {
     /// The physical MPI context.
     pub mpi: MpiCtx,
-    /// The logical↔physical layout.
-    pub map: ReplicaMap,
+    /// The logical↔physical layout, shared by every rank of a program.
+    pub map: Arc<ReplicaMap>,
     /// The heartbeat detector model.
     pub hb: HeartbeatConfig,
     /// This process's logical rank.
@@ -651,19 +711,23 @@ pub struct Replicated {
     /// This process's replica index within its team (0 = primary).
     pub replica: usize,
     /// Per-destination-logical send sequence numbers.
-    send_seq: BTreeMap<usize, u64>,
+    send_seq: SmallMap<usize, u64>,
     /// Per-source-logical receive sequence numbers.
-    recv_seq: BTreeMap<usize, u64>,
-    /// Physical replicas already counted as detections.
-    detected: BTreeSet<usize>,
-    /// Physical replicas already counted as failovers.
-    failed_over: BTreeSet<usize>,
+    recv_seq: SmallMap<usize, u64>,
+    /// Dead physical replicas already counted as a detection and a
+    /// failover, ascending.
+    routed_around: Vec<usize>,
 }
 
 impl Replicated {
     /// Attach to the current VP. The builder's world size must equal the
     /// map's physical size.
-    pub fn attach(mpi: MpiCtx, map: ReplicaMap, hb: HeartbeatConfig) -> Result<Self, MpiError> {
+    pub fn attach(
+        mpi: MpiCtx,
+        map: impl Into<Arc<ReplicaMap>>,
+        hb: HeartbeatConfig,
+    ) -> Result<Self, MpiError> {
+        let map = map.into();
         if mpi.size != map.physical_size() {
             return Err(MpiError::Invalid(
                 "world size does not match the replica map's physical size",
@@ -676,10 +740,9 @@ impl Replicated {
             hb,
             logical_rank,
             replica,
-            send_seq: BTreeMap::new(),
-            recv_seq: BTreeMap::new(),
-            detected: BTreeSet::new(),
-            failed_over: BTreeSet::new(),
+            send_seq: SmallMap::new(),
+            recv_seq: SmallMap::new(),
+            routed_around: Vec::new(),
         })
     }
 
@@ -702,13 +765,8 @@ impl Replicated {
     /// notification has arrived and the heartbeat detector's per-pair
     /// detection time has passed.
     fn believed_failed(&self, phys: usize) -> Option<SimTime> {
-        let now = self.now();
-        self.mpi
-            .known_failures()
-            .into_iter()
-            .find(|(r, _)| r.idx() == phys)
-            .map(|(_, tof)| tof)
-            .filter(|&tof| now >= self.hb.detection_time(self.mpi.rank, phys, tof))
+        let tof = ulfm::failure_time(Rank::new(phys))?;
+        (self.now() >= self.hb.detection_time(self.mpi.rank, phys, tof)).then_some(tof)
     }
 
     /// Record a detection and (if the dead replica was a copy source we
@@ -716,19 +774,13 @@ impl Replicated {
     /// sample. Deduplicated per dead physical rank.
     fn note_routed_around(&mut self, phys: usize, tof: SimTime) {
         let now = self.now();
-        let fresh_detect = self.detected.insert(phys);
-        let fresh_failover = self.failed_over.insert(phys);
-        if !(fresh_detect || fresh_failover) {
+        let Err(i) = self.routed_around.binary_search(&phys) else {
             return;
-        }
+        };
+        self.routed_around.insert(i, phys);
         ctx::with_kernel(|k, _me| {
-            if !obs::enabled(k) {
-                return;
-            }
-            if fresh_detect {
+            if obs::enabled(k) {
                 obs::record(k, ids::REP_DETECTIONS, 1);
-            }
-            if fresh_failover {
                 obs::record(k, ids::REP_FAILOVERS, 1);
                 obs::record(k, ids::REP_FAILOVER_NS, (now - tof).as_nanos());
             }
@@ -769,37 +821,38 @@ impl Replicated {
     // -----------------------------------------------------------------
 
     /// Post a logical send: one physical copy to every believed-live
-    /// replica of `dst_logical`.
-    pub async fn isend_logical(
+    /// replica of `dst_logical`. Like [`Self::wait_logical`], an `fn`
+    /// returning an `async move` block rather than an `async fn`, so a
+    /// halo awaiting it holds one copy of its arguments, not two.
+    #[allow(clippy::manual_async_fn)]
+    pub fn isend_logical(
         &mut self,
         dst_logical: usize,
         tag: u32,
         data: Bytes,
-    ) -> Result<RepReq, MpiError> {
-        if dst_logical >= self.map.logical_size {
-            return Err(MpiError::Invalid("logical destination out of range"));
-        }
-        if tag >= REP_TAG_BASE {
-            return Err(MpiError::Invalid("application tag in reserved range"));
-        }
-        let seq = {
-            let c = self.send_seq.entry(dst_logical).or_insert(0);
-            let s = *c;
-            *c += 1;
-            s
-        };
-        let framed = Self::frame(tag, seq, &data);
-        let world = self.mpi.world().id;
-        let mut reqs = Vec::new();
-        for phys in self.map.replicas(dst_logical) {
-            if let Some(tof) = self.believed_failed(phys) {
-                self.note_routed_around(phys, tof);
-                continue;
+    ) -> impl Future<Output = Result<RepReq, MpiError>> + Send + '_ {
+        async move {
+            if dst_logical >= self.map.logical_size {
+                return Err(MpiError::Invalid("logical destination out of range"));
             }
-            reqs.push(p2p::isend_raw(world, phys, rep_tag(seq), framed.clone()).await?);
+            if tag >= REP_TAG_BASE {
+                return Err(MpiError::Invalid("application tag in reserved range"));
+            }
+            let seq = self.send_seq.next(dst_logical);
+            let framed = Self::frame(tag, seq, &data);
+            let world = self.mpi.world().id;
+            let mut req = RepReq::default();
+            for t in 0..self.map.degree_of(dst_logical) {
+                let phys = self.map.replica(dst_logical, t);
+                if let Some(tof) = self.believed_failed(phys) {
+                    self.note_routed_around(phys, tof);
+                    continue;
+                }
+                req.push(p2p::isend_raw(world, phys, rep_tag(seq), framed.clone()).await?);
+            }
+            self.record_copies(1, u64::from(req.copies));
+            Ok(req)
         }
-        self.record_copies(1, reqs.len() as u64);
-        Ok(RepReq::Send(reqs))
     }
 
     /// Post a logical receive for the next message on the
@@ -808,22 +861,25 @@ impl Replicated {
         if src_logical >= self.map.logical_size {
             return Err(MpiError::Invalid("logical source out of range"));
         }
-        let seq = {
-            let c = self.recv_seq.entry(src_logical).or_insert(0);
-            let s = *c;
-            *c += 1;
-            s
-        };
+        if tag >= REP_TAG_BASE {
+            return Err(MpiError::Invalid("application tag in reserved range"));
+        }
+        let seq = self.recv_seq.next(src_logical);
         let world = self.mpi.world().id;
-        let mut parts = Vec::new();
-        for phys in self.map.replicas(src_logical) {
+        let mut req = RepReq {
+            seq,
+            app_tag: tag,
+            ..RepReq::default()
+        };
+        for t in 0..self.map.degree_of(src_logical) {
+            let phys = self.map.replica(src_logical, t);
             if let Some(tof) = self.believed_failed(phys) {
                 self.note_routed_around(phys, tof);
                 continue;
             }
-            parts.push((phys, p2p::irecv_raw(world, Some(phys), Some(rep_tag(seq)))?));
+            req.push(p2p::irecv_raw(world, Some(phys), Some(rep_tag(seq)))?);
         }
-        if parts.is_empty() {
+        if req.copies == 0 {
             // Every replica of the source is dead: the logical rank is
             // unrecoverable — surface the process failure (partial-mode
             // fallback to ULFM shrink + C/R).
@@ -833,22 +889,18 @@ impl Replicated {
                 time_of_failure: tof,
             });
         }
-        Ok(RepReq::Recv(PendingRecv {
-            app_tag: tag,
-            seq,
-            parts,
-        }))
+        Ok(req)
     }
 
     /// The highest-`tof` dead replica of a fully-dead logical rank (for
     /// error reporting).
     fn dead_team_witness(&self, logical: usize) -> (usize, SimTime) {
-        let failures = self.mpi.known_failures();
-        let mut best = (self.map.replicas(logical)[0], SimTime::ZERO);
-        for phys in self.map.replicas(logical) {
-            if let Some((_, tof)) = failures.iter().find(|(r, _)| r.idx() == phys) {
-                if *tof >= best.1 {
-                    best = (phys, *tof);
+        let mut best = (self.map.replica(logical, 0), SimTime::ZERO);
+        for t in 0..self.map.degree_of(logical) {
+            let phys = self.map.replica(logical, t);
+            if let Some(tof) = ulfm::failure_time(Rank::new(phys)) {
+                if tof >= best.1 {
+                    best = (phys, tof);
                 }
             }
         }
@@ -858,72 +910,48 @@ impl Replicated {
     /// Wait for one logical request. Sends complete when every copy is
     /// delivered (copies to replicas that died in flight are forgiven);
     /// receives complete with the lowest-replica-index surviving copy.
-    pub async fn wait_logical(&mut self, req: RepReq) -> Result<Option<Bytes>, MpiError> {
-        match req {
-            RepReq::Send(reqs) => {
-                for r in reqs {
-                    match p2p::wait_raw(r).await {
-                        Ok(_) => {}
-                        // The copy's target died: its loss is harmless —
-                        // the team-traffic exemption from the error-
-                        // handler escalation path.
-                        Err(MpiError::ProcFailed {
+    #[allow(clippy::manual_async_fn)]
+    pub fn wait_logical(
+        &mut self,
+        req: RepReq,
+    ) -> impl Future<Output = Result<Option<Bytes>, MpiError>> + Send + '_ {
+        async move {
+            let recv = req.app_tag != SEND;
+            let mut winner: Option<Bytes> = None;
+            let mut last_err: Option<MpiError> = None;
+            for r in req.reqs() {
+                match p2p::wait_raw(r).await {
+                    Ok(out) => {
+                        if recv && winner.is_none() {
+                            let msg = out.ok_or(MpiError::Invalid("recv without payload"))?;
+                            winner = Some(Self::unframe(req.app_tag, req.seq, &msg.data)?);
+                        }
+                    }
+                    // The copy's peer died (a receive's specific source
+                    // is the rank its error names). A send's loss is
+                    // harmless — the team-traffic exemption from the
+                    // error-handler escalation path.
+                    Err(MpiError::ProcFailed {
+                        rank,
+                        time_of_failure,
+                    }) => {
+                        self.note_routed_around(rank.idx(), time_of_failure);
+                        last_err = Some(MpiError::ProcFailed {
                             rank,
                             time_of_failure,
-                        }) => {
-                            self.note_routed_around(rank.idx(), time_of_failure);
-                        }
-                        Err(e) => return Err(e),
+                        });
                     }
-                }
-                Ok(None)
-            }
-            RepReq::Recv(pending) => {
-                let mut winner: Option<Bytes> = None;
-                let mut last_err: Option<MpiError> = None;
-                for (phys, r) in pending.parts {
-                    match p2p::wait_raw(r).await {
-                        Ok(out) => {
-                            if winner.is_none() {
-                                let msg = out.ok_or(MpiError::Invalid("recv without payload"))?;
-                                winner =
-                                    Some(Self::unframe(pending.app_tag, pending.seq, &msg.data)?);
-                            }
-                        }
-                        Err(MpiError::ProcFailed {
-                            rank: _,
-                            time_of_failure,
-                        }) => {
-                            self.note_routed_around(phys, time_of_failure);
-                            last_err = Some(MpiError::ProcFailed {
-                                rank: Rank::new(phys),
-                                time_of_failure,
-                            });
-                        }
-                        Err(e) => return Err(e),
-                    }
-                }
-                match winner {
-                    Some(data) => Ok(Some(data)),
-                    // All posted copies failed: the source team died
-                    // after post — surface the logical failure.
-                    None => Err(last_err.unwrap_or(MpiError::Invalid("empty logical recv"))),
+                    Err(e) => return Err(e),
                 }
             }
+            match winner {
+                _ if !recv => Ok(None),
+                Some(data) => Ok(Some(data)),
+                // All posted copies failed: the source team died after
+                // post — surface the logical failure.
+                None => Err(last_err.unwrap_or(MpiError::Invalid("empty logical recv"))),
+            }
         }
-    }
-
-    /// Wait for a batch of logical requests, in order. Returns the
-    /// received payloads (None for sends).
-    pub async fn waitall_logical(
-        &mut self,
-        reqs: Vec<RepReq>,
-    ) -> Result<Vec<Option<Bytes>>, MpiError> {
-        let mut out = Vec::with_capacity(reqs.len());
-        for r in reqs {
-            out.push(self.wait_logical(r).await?);
-        }
-        Ok(out)
     }
 
     /// Blocking logical send.
@@ -983,39 +1011,34 @@ impl Replicated {
     /// (the agreement collective the replicated heat solver needs).
     pub async fn allreduce_u64_max(&mut self, vals: &[u64]) -> Result<Vec<u64>, MpiError> {
         let n = self.logical_size();
-        let encode = |v: &[u64]| {
-            let mut b = Vec::with_capacity(v.len() * 8);
-            for x in v {
-                b.extend_from_slice(&x.to_le_bytes());
-            }
-            b.into()
-        };
-        let decode = |d: &Bytes| -> Result<Vec<u64>, MpiError> {
-            if !d.len().is_multiple_of(8) {
-                return Err(MpiError::Invalid("corrupt u64 reduce payload"));
-            }
-            Ok(d.chunks_exact(8)
-                .map(|c| u64::from_le_bytes(c.try_into().expect("chunk of 8")))
-                .collect())
-        };
         let reduced = if self.logical_rank == 0 {
             let mut acc = vals.to_vec();
             for src in 1..n {
-                let part = decode(&self.recv(src, REP_COLL_TAG).await?)?;
-                if part.len() != acc.len() {
+                let part = self.recv(src, REP_COLL_TAG).await?;
+                if !part.len().is_multiple_of(8) {
+                    return Err(MpiError::Invalid("corrupt u64 reduce payload"));
+                }
+                if part.len() != acc.len() * 8 {
                     return Err(MpiError::Invalid("reduce length mismatch"));
                 }
-                for (a, p) in acc.iter_mut().zip(part) {
+                for (a, p) in acc.iter_mut().zip(u64s(&part)) {
                     *a = (*a).max(p);
                 }
             }
             acc
         } else {
-            self.send(0, REP_COLL_TAG, encode(vals)).await?;
+            self.send(0, REP_COLL_TAG, encode_u64s(vals)).await?;
             Vec::new()
         };
-        let out = self.bcast(0, encode(&reduced)).await?;
-        decode(&out)
+        let out = self.bcast(0, encode_u64s(&reduced)).await?;
+        if self.logical_rank == 0 {
+            // The root broadcast what it holds.
+            return Ok(reduced);
+        }
+        if !out.len().is_multiple_of(8) {
+            return Err(MpiError::Invalid("corrupt u64 reduce payload"));
+        }
+        Ok(u64s(&out).collect())
     }
 
     // -----------------------------------------------------------------

@@ -2,26 +2,31 @@
 //!
 //! A simulated rank usually has a handful of operations outstanding — a
 //! blocking collective has one request and one queued message or posted
-//! receive at a time — but a linear-collective root has tens of
-//! thousands. [`SmallMap`] holds its first entry inline, in the rank's
-//! own record, so posting, matching, completing and taking that entry
-//! follow no pointer. A second entry moves the map to a flat unsorted
-//! `Vec` of [`FEW_MAX`] slots (one allocation, linear scan, no hashing),
-//! and a map beyond that to a `BTreeMap`, so lookups and ordered range
-//! queries stay O(log n) at depth. Every form gives its memory back
-//! when the map drains: it returns to the empty form, which holds no
-//! heap.
+//! receive at a time, a replicated halo a couple of dozen — but a
+//! linear-collective root has tens of thousands. [`SmallMap`] holds its
+//! first entry inline, in the rank's own record, so posting, matching,
+//! completing and taking that entry follow no pointer. A second entry
+//! moves the map to a flat unsorted `Vec` (linear scan, no hashing): one
+//! block of [`FEW_MIN`] slots, grown in place to 16 and then
+//! [`FEW_MAX`] slots, so only a map beyond [`FEW_MAX`] entries builds a
+//! `BTreeMap`, where lookups and ordered range queries stay O(log n) at
+//! depth. Every form gives its memory back when the map drains: it
+//! returns to the empty form, which holds no heap.
 //!
-//! The flat forms iterate in insertion order, except that a removal
-//! moves the last entry into the hole (`swap_remove`). The failure paths
-//! schedule events in iteration order, so that order is part of a run's
-//! digest.
+//! Iteration order is unspecified (the flat form's is insertion order,
+//! except that a removal moves the last entry into the hole), but
+//! run-to-run identical. No caller depends on it: the failure paths sort
+//! the requests they collect before they schedule anything.
 
 use std::collections::BTreeMap;
 use std::mem;
 
-/// Largest entry count held in the flat forms.
-pub(crate) const FEW_MAX: usize = 8;
+/// Slots of the flat block the second entry allocates.
+const FEW_MIN: usize = 8;
+
+/// Largest entry count held in the flat forms: the block doubles twice
+/// (8 → 16 → 32) before the map spills to the tree.
+pub(crate) const FEW_MAX: usize = 32;
 
 #[derive(Debug)]
 pub(crate) enum SmallMap<K, V> {
@@ -29,7 +34,7 @@ pub(crate) enum SmallMap<K, V> {
     Empty,
     /// One entry, inline.
     One((K, V)),
-    /// Two to [`FEW_MAX`] entries in one block of [`FEW_MAX`] slots.
+    /// Two to [`FEW_MAX`] entries in one block of 8, 16 or 32 slots.
     Few(Vec<(K, V)>),
     /// More than [`FEW_MAX`] entries (until the map drains).
     Many(BTreeMap<K, V>),
@@ -96,12 +101,18 @@ impl<K: Ord + Copy, V> SmallMap<K, V> {
                 let SmallMap::One(first) = mem::take(self) else {
                     unreachable!("matched above");
                 };
-                let mut v = Vec::with_capacity(FEW_MAX);
+                let mut v = Vec::with_capacity(FEW_MIN);
                 v.push(first);
                 v.push((key, val));
                 *self = SmallMap::Few(v);
             }
-            SmallMap::Few(v) if v.len() < FEW_MAX => v.push((key, val)),
+            SmallMap::Few(v) if v.len() < FEW_MAX => {
+                if v.len() == v.capacity() {
+                    // 8 → 16 → 32 slots: the block doubles in place.
+                    v.reserve_exact(v.len());
+                }
+                v.push((key, val));
+            }
             SmallMap::Few(v) => {
                 let mut m: BTreeMap<K, V> = mem::take(v).into_iter().collect();
                 m.insert(key, val);
@@ -186,13 +197,29 @@ impl<K: Ord + Copy, V> SmallMap<K, V> {
     }
 }
 
+impl<K: Ord + Copy> SmallMap<K, u64> {
+    /// The counter under `key` (0 if absent), which then counts one up.
+    pub(crate) fn next(&mut self, key: K) -> u64 {
+        match self.get_mut(&key) {
+            Some(next) => {
+                *next += 1;
+                *next - 1
+            }
+            None => {
+                self.insert(key, 1);
+                0
+            }
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use xsim_core::rng::{for_each_case, DetRng};
 
     #[test]
-    fn spills_to_the_tree_and_returns_when_drained() {
+    fn grows_in_place_then_spills_to_the_tree_and_returns_when_drained() {
         let mut m: SmallMap<u64, u64> = SmallMap::default();
         assert!(matches!(m, SmallMap::Empty));
         assert_eq!(m.retained(), 0, "an empty map holds no heap");
@@ -202,14 +229,16 @@ mod tests {
         for i in 1..FEW_MAX as u64 {
             m.insert(i, i * 10);
             assert!(matches!(m, SmallMap::Few(_)));
-            assert_eq!(m.retained(), FEW_MAX, "one block, never re-grown");
+            let n = i as usize + 1;
+            let slots = [FEW_MIN, 16, FEW_MAX].into_iter().find(|&s| n <= s);
+            assert_eq!(Some(m.retained()), slots, "{n} entries: one block");
         }
         m.insert(100, 1000);
-        assert!(matches!(m, SmallMap::Many(_)));
+        assert!(matches!(m, SmallMap::Many(_)), "the 33rd entry spills");
         assert_eq!(m.len(), FEW_MAX + 1);
         assert_eq!(m.get(&3), Some(&30));
         assert_eq!(m.first_in(4, 200).map(|(k, _)| k), Some(4));
-        assert_eq!(m.range(6, 200).count(), 3);
+        assert_eq!(m.range(FEW_MAX as u64 - 2, 200).count(), 3);
         for i in 0..FEW_MAX as u64 {
             assert_eq!(m.remove(&i), Some(i * 10));
         }
@@ -246,15 +275,18 @@ mod tests {
     }
 
     /// Random operations against a `BTreeMap` oracle. Each case fills the
-    /// map towards a random target (so it passes through the inline,
-    /// flat and tree forms), churns it, and drains it; every result is
-    /// compared, and a drained map must hold no heap.
+    /// map towards a random target of up to 96 entries (so it passes
+    /// through the inline, flat and tree forms: the block's 8 → 16 → 32
+    /// growth, the spill at the 33rd entry), churns it, and drains it;
+    /// every result is compared, the form and the block size follow the
+    /// most entries held since the last drain, and a drained map must
+    /// hold no heap.
     #[test]
     fn matches_a_btreemap_oracle() {
         fn check(m: &SmallMap<u64, u64>, oracle: &BTreeMap<u64, u64>, g: &mut DetRng) {
             assert_eq!(m.len(), oracle.len());
             assert_eq!(m.is_empty(), oracle.is_empty());
-            let (a, b) = (g.gen_range_u64(64), g.gen_range_u64(64));
+            let (a, b) = (g.gen_range_u64(160), g.gen_range_u64(160));
             let (lo, hi) = (a.min(b), a.max(b));
             let want = oracle.range(lo..=hi).next().map(|(k, v)| (*k, v));
             assert_eq!(m.first_in(lo, hi), want, "first_in({lo}, {hi})");
@@ -271,9 +303,10 @@ mod tests {
         for_each_case(0x5a11_3a90, 200, |g| {
             let mut m: SmallMap<u64, u64> = SmallMap::new();
             let mut oracle = BTreeMap::new();
+            let mut held = 0;
             let target = 1 + g.gen_index(3 * FEW_MAX);
             for step in 0..8 * target {
-                let key = g.gen_range_u64(64);
+                let key = g.gen_range_u64(160);
                 // Mostly growing until the target is reached, then
                 // mostly shrinking.
                 let grow = g.gen_index(4) != 0;
@@ -292,11 +325,22 @@ mod tests {
                     }
                     _ => assert_eq!(m.remove(&key), oracle.remove(&key)),
                 }
-                match oracle.len() {
-                    0 => assert!(matches!(m, SmallMap::Empty)),
-                    1 => assert!(!matches!(m, SmallMap::Empty)),
-                    n if n > FEW_MAX => assert!(matches!(m, SmallMap::Many(_))),
-                    _ => assert!(matches!(m, SmallMap::Few(_) | SmallMap::Many(_))),
+                // The most entries held since the map last drained
+                // decides its form and the size of its block.
+                held = if oracle.is_empty() {
+                    0
+                } else {
+                    held.max(oracle.len())
+                };
+                match (oracle.len(), held) {
+                    (0, _) => assert!(matches!(m, SmallMap::Empty)),
+                    (1, 1) => assert!(matches!(m, SmallMap::One(_))),
+                    (_, h) if h <= FEW_MAX => {
+                        assert!(matches!(m, SmallMap::Few(_)));
+                        let slots = [FEW_MIN, 16, FEW_MAX].into_iter().find(|&s| h <= s);
+                        assert_eq!(Some(m.retained()), slots, "block after {h} entries");
+                    }
+                    _ => assert!(matches!(m, SmallMap::Many(_))),
                 }
                 check(&m, &oracle, g);
             }

@@ -8,7 +8,7 @@ use crate::request::{Pending, ReqId, ReqKind, Request, RequestTable};
 use crate::smallmap::SmallMap;
 use std::ops::Range;
 use std::sync::{Arc, Mutex, PoisonError};
-use xsim_core::event::Action;
+use xsim_core::event::{Action, Call};
 use xsim_core::{DetRng, Kernel, Rank, SimTime};
 use xsim_net::{NetClass, NetModel};
 use xsim_obs::ids;
@@ -434,17 +434,7 @@ impl RankMpi {
 
     /// Next send sequence number towards `dst` (lossy transport only).
     pub fn next_send_seq(&mut self, dst: Rank) -> u64 {
-        let send_seq = &mut self.cold_mut().send_seq;
-        match send_seq.get_mut(&dst) {
-            Some(next) => {
-                *next += 1;
-                *next - 1
-            }
-            None => {
-                send_seq.insert(dst, 1);
-                0
-            }
-        }
+        self.cold_mut().send_seq.next(dst)
     }
 
     /// Complete the pending request `id` with `err` at `at`: its posted
@@ -608,9 +598,11 @@ impl NetBatch {
     }
 }
 
-/// Recycled-envelope pool bound: enough to cover the in-flight messages
-/// of a busy shard while keeping an idle pool small.
-const ENV_POOL_CAP: usize = 1024;
+/// Recycled envelopes a shard keeps per owned rank: a degree-2
+/// replicated 3-D halo has twelve copies in flight per rank. The pool
+/// never holds more boxes than were live at once; the bound only gives
+/// memory back after a burst.
+const ENV_POOL_PER_RANK: usize = 16;
 
 /// The kernel service owning the MPI state of this shard's ranks.
 pub struct MpiService {
@@ -629,9 +621,14 @@ pub struct MpiService {
     /// completion returns here, so steady-state messaging performs no
     /// envelope allocation. The boxes themselves are the pooled resource
     /// (each is its message's event, `impl Call for Envelope`), hence
-    /// `Vec<Box<_>>`.
+    /// `Vec<Box<_>>`; at most [`ENV_POOL_PER_RANK`] per owned rank.
     #[allow(clippy::vec_box)]
     env_pool: Vec<Box<Envelope>>,
+    /// Recycled failure-notice events, one per owned rank at most: a
+    /// failure fans out one notice per rank, drawn here by the dead
+    /// rank's shard and returned to the target's when it fires.
+    #[allow(clippy::vec_box)]
+    notice_pool: Vec<Box<FailureNotice>>,
     /// Completion feeds of finished `waitall`/`waitany` waits, cleared,
     /// for the next wait of any owned rank. A feed is either lent to a
     /// watching rank or here, so the pool holds at most as many as the
@@ -658,6 +655,7 @@ impl MpiService {
             stats: MpiStats::default(),
             stats_sink,
             env_pool: Vec::new(),
+            notice_pool: Vec::new(),
             feed_pool: Vec::new(),
             net_batch: NetBatch::default(),
         }
@@ -678,8 +676,20 @@ impl MpiService {
     /// Return a spent transport box to the pool (dropped instead once
     /// the pool is full).
     pub(crate) fn env_recycle(&mut self, b: Box<Envelope>) {
-        if self.env_pool.len() < ENV_POOL_CAP {
+        if self.env_pool.len() < ENV_POOL_PER_RANK * self.owned.len() {
             self.env_pool.push(b);
+        }
+    }
+
+    /// Box a failure notice, reusing a recycled allocation when one is
+    /// pooled.
+    fn notice_box(&mut self, notice: FailureNotice) -> Box<FailureNotice> {
+        match self.notice_pool.pop() {
+            Some(mut b) => {
+                *b = notice;
+                b
+            }
+            None => Box::new(notice),
         }
     }
 
@@ -765,15 +775,31 @@ pub fn install_failure_hook(k: &mut Kernel) {
             if target == dead {
                 continue;
             }
-            k.schedule_at(
-                when,
-                target,
-                Action::call(move |k: &mut Kernel| {
-                    on_failure_notice(k, target, dead, tof);
-                }),
-            );
+            let notice = FailureNotice { target, dead, tof };
+            let notice = k.service_mut::<MpiService>().notice_box(notice);
+            k.schedule_at(when, target, Action::Call(notice));
         }
     }));
+}
+
+/// The notification of one failure to one rank: its own pooled event,
+/// as a message's envelope is.
+#[derive(Debug)]
+struct FailureNotice {
+    target: Rank,
+    dead: Rank,
+    tof: SimTime,
+}
+
+impl Call for FailureNotice {
+    fn call(self: Box<Self>, k: &mut Kernel) {
+        let FailureNotice { target, dead, tof } = *self;
+        let svc = k.service_mut::<MpiService>();
+        if svc.notice_pool.len() < svc.owned.len() {
+            svc.notice_pool.push(self);
+        }
+        on_failure_notice(k, target, dead, tof);
+    }
 }
 
 /// Process a failure notification at `me`: record the failure and

@@ -127,6 +127,12 @@ pub fn known_failures() -> Vec<(Rank, SimTime)> {
     })
 }
 
+/// When `rank` failed, if this rank has been told: one entry of
+/// [`known_failures`], read in place.
+pub(crate) fn failure_time(rank: Rank) -> Option<SimTime> {
+    ctx::with_kernel(|k, me| k.service::<MpiService>().rank(me).failed().get(rank))
+}
+
 /// Shrink a (typically revoked) communicator (`MPI_Comm_shrink`):
 /// surviving members agree on the failed set and derive a new
 /// communicator containing only survivors, preserving rank order.

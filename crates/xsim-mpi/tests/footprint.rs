@@ -18,7 +18,9 @@
 //!   through a tree allreduce (printed by block size with
 //!   `--nocapture`);
 //! * a tree reduction decodes no child's payload: it folds into the
-//!   bytes it forwards.
+//!   bytes it forwards;
+//! * a failure after the first notifies every rank without allocating
+//!   per rank (its notices are pooled events).
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::{Cell, RefCell};
@@ -446,7 +448,10 @@ fn rank_future(program: Arc<dyn VpProgram>) -> usize {
 /// 128 / 512 / 688 / 1,176 B, and `compute_allreduce` 360 B over async
 /// collectives. heat3d's largest states were its checkpoint write and
 /// restart load (1,176 / 1,800 B with them inline); they are boxed while
-/// they run.
+/// they run. The replica layer's was 1,560 B while each rank held its
+/// own copy of the replica map and the logical send and wait were
+/// `async fn`s; its halo now holds its twelve 24-B logical requests
+/// inline and still takes less room than its vector of them did.
 #[test]
 fn kernel_rank_futures_fit_their_budgets() {
     let ms = SimTime::from_millis(1);
@@ -474,7 +479,7 @@ fn kernel_rank_futures_fit_their_budgets() {
                 hb: HeartbeatConfig::default(),
                 ckpt: true,
             })),
-            1560,
+            1296,
         ),
     ];
     for (name, size, budget) in sizes {
@@ -558,4 +563,42 @@ fn tree_reduce_decodes_no_child_payload() {
         // ... and the allreduce decodes once per rank, at the end.
         assert_eq!(blocks, leaves + n as u64, "allreduce over {n} ranks");
     }
+}
+
+// ----------------------------------------------------------------------
+// Failure notices: a failure tells every other rank through one event
+// each, a pooled box like a message's envelope, so only the first
+// failure of a run allocates them.
+// ----------------------------------------------------------------------
+
+/// Allocation calls of a run in which every rank sleeps 1 s in 20-ms
+/// steps (a failure activates when its rank wakes) and ranks 1, 2, …
+/// fail at `at_ms`, in turn.
+fn failure_run_allocs(at_ms: &[u64]) -> u64 {
+    let failures = (1..).zip(at_ms.iter().map(|&ms| SimTime::from_millis(ms)));
+    let allocs0 = ALLOCS.get();
+    let report = SimBuilder::new(RANKS)
+        .net(NetModel::small(RANKS))
+        .inject_failures(failures)
+        .run_app(|mpi| async move {
+            for _ in 0..50 {
+                mpi.sleep(SimTime::from_millis(20)).await;
+            }
+            mpi.finalize();
+            Ok(())
+        })
+        .expect("failure run");
+    assert_eq!(report.sim.failures.len(), at_ms.len());
+    ALLOCS.get() - allocs0
+}
+
+/// 0.011 measured (event-queue growth); 1.011 while each notice was a
+/// boxed closure.
+#[test]
+fn a_later_failure_notifies_every_rank_without_allocating_per_rank() {
+    let one = failure_run_allocs(&[110]);
+    let two = failure_run_allocs(&[110, 510]);
+    let per_rank = (two - one) as f64 / RANKS as f64;
+    eprintln!("allocations per rank for a second failure: {per_rank:.3}");
+    assert!(per_rank < 0.1, "{per_rank:.3} allocations per rank");
 }

@@ -321,3 +321,101 @@ fn deep_queues_match_naive_reference() {
         pair.drain();
     });
 }
+
+/// One operation of a rare-wildcard case: each selector of a post is a
+/// wildcard one time in 40, so at most one post in 20 has one, and the
+/// exact-bucket delivery path runs between the wildcards' arrivals and
+/// departures.
+fn rare_wildcard_op(g: &mut DetRng, comms: u64, tag_base: u32) -> Op {
+    let (srcs, tags) = (6, 4);
+    let comm = g.gen_in(0..comms) as u32;
+    let sel =
+        |g: &mut DetRng, bound: u64| (g.gen_in(0..40) != 0).then(|| g.gen_in(0..bound) as u32);
+    match g.gen_in(0..3) {
+        0 => Op::Deliver {
+            comm,
+            src: g.gen_in(0..srcs) as u32,
+            tag: tag_base + g.gen_in(0..tags) as u32,
+        },
+        1 => Op::Post {
+            comm,
+            src: sel(g, srcs),
+            tag: sel(g, tags).map(|t| tag_base + t),
+        },
+        _ => Op::Cancel {
+            nth_post: g.gen_in(0..20) as usize,
+        },
+    }
+}
+
+fn apply(pair: &mut Pair, op: Op) {
+    match op {
+        Op::Deliver { comm, src, tag } => {
+            pair.deliver(comm, src, tag);
+        }
+        Op::Post { comm, src, tag } => {
+            pair.post(comm, src, tag);
+        }
+        Op::Cancel { nth_post } => pair.cancel(nth_post),
+    }
+}
+
+/// Wildcards in at most 5 % of posts: a delivery mostly probes only its
+/// exact bucket, and must still find an earlier-posted wildcard while
+/// one is queued.
+#[test]
+fn rare_wildcards_match_naive_reference() {
+    for_each_case(0xC0DE_0006, 128, |g| {
+        let mut pair = Pair::new(2);
+        for i in 0..g.gen_in(0..400) {
+            apply(&mut pair, rare_wildcard_op(g, 2, (i / 50) as u32 * 4));
+        }
+        pair.drain();
+    });
+}
+
+/// Queues held between 9 and 32 resident entries — the depth of a
+/// replicated halo, where the flat block grows 8 → 16 → 32 slots — by
+/// adds on communicator 1 (fresh tags that nothing there matches) and
+/// removals of the oldest unexpected message or a posted receive,
+/// around random rare-wildcard traffic on communicator 0.
+#[test]
+fn mid_depth_queues_match_naive_reference() {
+    const LO: usize = 10;
+    const HI: usize = 32;
+    for_each_case(0xC0DE_0007, 64, |g| {
+        let mut pair = Pair::new(2);
+        let mut fresh = 1 << 20;
+        let mut reached = false;
+        for i in 0..600u64 {
+            let depth = pair.fast.retained_entries();
+            reached |= depth >= LO;
+            if reached {
+                assert!((LO - 1..=HI).contains(&depth), "depth {depth}");
+            }
+            if depth < LO {
+                fresh += 1;
+                if g.gen_bool() {
+                    assert_eq!(pair.deliver(1, g.gen_in(0..6) as u32, fresh), None);
+                } else {
+                    assert_eq!(pair.post(1, Some(g.gen_in(0..6) as u32), Some(fresh)), None);
+                }
+            } else if depth >= HI {
+                let oldest = (0..2).find_map(|c| {
+                    let e = pair.naive[c].unexpected.first()?;
+                    Some((c as u32, e.src.0, e.tag))
+                });
+                match oldest {
+                    Some((c, src, tag)) if g.gen_bool() || pair.posted.is_empty() => {
+                        assert!(pair.post(c, Some(src), Some(tag)).is_some());
+                    }
+                    _ => pair.cancel(g.gen_in(0..64) as usize),
+                }
+            } else {
+                apply(&mut pair, rare_wildcard_op(g, 1, (i / 50) as u32 * 4));
+            }
+        }
+        assert!(reached, "the case never reached mid depth");
+        pair.drain();
+    });
+}
