@@ -253,10 +253,17 @@ impl Grid {
     /// touched plane `k+1`. The operand order
     /// `((((x⁻+x⁺)+y⁻)+y⁺)+z⁻)+z⁺`, then `(c+sum)/7`, is part of the
     /// result: `perf/golden.json` pins the grid bits.
+    ///
+    /// Each interior row is computed from seven slices of one length,
+    /// `lx`: the row itself, its x-neighbours one point to either side,
+    /// and the rows beside it in y and z. The inner loop then carries no
+    /// bounds check and vectorizes across points, each lane keeping the
+    /// operand order above, so the bits do not move.
     fn step(&mut self) {
         let (lx, ly, lz) = (self.l[0], self.l[1], self.l[2]);
         let nx = lx + 2;
         let plane = nx * (ly + 2);
+        let row = |from: usize| from..from + lx;
         let (mut below, mut cur) = self.planes.split_at_mut(plane);
         below.copy_from_slice(&self.data[..plane]);
         for k in 1..=lz {
@@ -264,15 +271,14 @@ impl Grid {
             let out = &mut head[k * plane..];
             cur.copy_from_slice(out);
             for j in 1..=ly {
-                let row = j * nx..(j + 1) * nx;
-                let c = &cur[row.clone()];
-                let y_lo = &cur[row.start - nx..row.start];
-                let y_hi = &cur[row.end..row.end + nx];
-                let z_lo = &below[row.clone()];
-                let z_hi = &above[row.clone()];
-                let out = &mut out[row];
-                for i in 1..=lx {
-                    let sum = c[i - 1] + c[i + 1] + y_lo[i] + y_hi[i] + z_lo[i] + z_hi[i];
+                // The interior of row `j` starts one point into the row.
+                let at = j * nx + 1;
+                let out = &mut out[row(at)];
+                let (c, x_lo, x_hi) = (&cur[row(at)], &cur[row(at - 1)], &cur[row(at + 1)]);
+                let (y_lo, y_hi) = (&cur[row(at - nx)], &cur[row(at + nx)]);
+                let (z_lo, z_hi) = (&below[row(at)], &above[row(at)]);
+                for i in 0..lx {
+                    let sum = x_lo[i] + x_hi[i] + y_lo[i] + y_hi[i] + z_lo[i] + z_hi[i];
                     out[i] = (c[i] + sum) / 7.0;
                 }
             }
@@ -281,20 +287,37 @@ impl Grid {
     }
 
     /// Pack the interior face adjacent to direction `dir`
-    /// (0=+x, 1=−x, 2=+y, 3=−y, 4=+z, 5=−z).
+    /// (0=+x, 1=−x, 2=+y, 3=−y, 4=+z, 5=−z), row by row in wire order.
     fn pack_face(&self, dir: usize) -> Bytes {
         let face = self.face(dir, false);
-        let mut out = Vec::with_capacity(face.len() * 8);
-        for idx in face.indices() {
-            out.extend_from_slice(&self.data[idx].to_le_bytes());
+        let n = face.inner.0;
+        let le = |v: &f64| v.to_le_bytes();
+        let mut out = Vec::with_capacity(face.len());
+        for at in face.rows() {
+            let row = &self.data[at..];
+            match face.inner.1 {
+                1 => out.extend(row[..n].iter().map(le)),
+                stride => out.extend(row.iter().step_by(stride).take(n).map(le)),
+            }
         }
-        out.into()
+        out.into_flattened().into()
     }
 
-    /// Unpack received data into the halo layer of direction `dir`.
+    /// Unpack received data into the halo layer of direction `dir`, row
+    /// by row; stops at the shorter of the face and the payload.
     fn unpack_halo(&mut self, dir: usize, data: &[u8]) {
-        for (idx, chunk) in self.face(dir, true).indices().zip(data.chunks_exact(8)) {
-            self.data[idx] = f64::from_le_bytes(chunk.try_into().expect("chunk of 8"));
+        let face = self.face(dir, true);
+        let n = face.inner.0;
+        let put = |(slot, w): (&mut f64, &[u8])| {
+            *slot = f64::from_le_bytes(w.try_into().expect("chunk of 8"));
+        };
+        // One row's bytes at a time; a short payload ends in a short row.
+        for (at, src) in face.rows().zip(data.chunks(8 * n)) {
+            let (src, row) = (src.chunks_exact(8), &mut self.data[at..]);
+            match face.inner.1 {
+                1 => row[..n].iter_mut().zip(src).for_each(put),
+                stride => row.iter_mut().step_by(stride).zip(src).for_each(put),
+            }
         }
     }
 
@@ -326,7 +349,9 @@ impl Grid {
 
 /// One face of a [`Grid`]: the points `base + o·outer.1 + i·inner.1` for
 /// `o` in `1..=outer.0`, `i` in `1..=inner.0`, visited `i` fastest (the
-/// wire order of a halo message).
+/// wire order of a halo message). A row (one `o`) is contiguous on the
+/// y- and z-faces (`inner.1 == 1`) and strides by a grid row on the
+/// x-faces.
 struct Face {
     base: usize,
     outer: (usize, usize),
@@ -338,6 +363,14 @@ impl Face {
         self.outer.0 * self.inner.0
     }
 
+    /// The index of each row's first point (`i = 1`), in wire order.
+    fn rows(&self) -> impl Iterator<Item = usize> {
+        let (first, (n, stride)) = (self.base + self.inner.1, self.outer);
+        (1..=n).map(move |o| first + o * stride)
+    }
+
+    /// Every point, in wire order: the oracle of the row walks.
+    #[cfg(test)]
     fn indices(self) -> impl Iterator<Item = usize> {
         (1..=self.outer.0).flat_map(move |o| {
             (1..=self.inner.0).map(move |i| self.base + o * self.outer.1 + i * self.inner.1)
@@ -729,6 +762,27 @@ mod tests {
         next
     }
 
+    /// A one-rank grid of interior extent `local`, every cell (halos
+    /// included) drawn from mixed magnitudes, so a reassociated sum or a
+    /// misplaced point would round or read apart.
+    fn random_grid(local: [usize; 3], seed: u64) -> Grid {
+        let c = HeatConfig {
+            global: local,
+            ranks: [1, 1, 1],
+            ..HeatConfig::small()
+        };
+        let mut g = Grid::new(&c, 0);
+        let mut rng = xsim_core::DetRng::stream(seed, 0);
+        for v in g.data.iter_mut() {
+            *v = (rng.gen_f64() - 0.5) * 10f64.powi(rng.gen_in(0..12) as i32);
+        }
+        g
+    }
+
+    fn same_bits(a: &[f64], b: &[f64]) -> bool {
+        a.len() == b.len() && a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits())
+    }
+
     #[test]
     fn in_place_sweep_is_bit_identical_to_the_copying_sweep() {
         let c = HeatConfig {
@@ -751,6 +805,64 @@ mod tests {
                 .zip(&expect)
                 .all(|(a, b)| a.to_bits() == b.to_bits());
             assert!(same, "halo cells carry over, interior bits match");
+        }
+    }
+
+    /// Blocks whose extents differ, or are 1, so that an `nx` / `ly`
+    /// mix-up or an off-by-one in a row slice cannot hide behind a cube.
+    const SHAPES: [[usize; 3]; 4] = [[1, 1, 1], [3, 5, 2], [7, 1, 9], [16, 16, 16]];
+
+    #[test]
+    fn row_sliced_sweep_matches_the_copying_sweep_on_awkward_shapes() {
+        for (seed, local) in (7..).zip(SHAPES) {
+            let mut g = random_grid(local, seed);
+            for sweep in 0..4 {
+                let expect = step_reference(&g);
+                g.step();
+                assert!(
+                    same_bits(&g.data, &expect),
+                    "{local:?} sweep {sweep}: halo cells carry over, interior bits match"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn row_walks_match_the_point_by_point_faces() {
+        for (seed, local) in (31..).zip(SHAPES) {
+            let g = random_grid(local, seed);
+            let mut rng = xsim_core::DetRng::stream(seed, 1);
+            for dir in 0..6 {
+                let expect: Vec<u8> = g
+                    .face(dir, false)
+                    .indices()
+                    .flat_map(|idx| g.data[idx].to_le_bytes())
+                    .collect();
+                let packed = g.pack_face(dir);
+                assert_eq!(&packed[..], &expect[..], "{local:?} pack dir {dir}");
+
+                // Full, one value short, cut mid-value, empty, and longer
+                // than the face: unpack stops at the shorter.
+                let len = expect.len();
+                for cut in [len, len - 8, len / 2 + 3, 0, len + 20] {
+                    let payload: Vec<u8> = (0..cut).map(|_| rng.next_u64() as u8).collect();
+                    let mut want = g.data.clone();
+                    let halo = g.face(dir, true).indices();
+                    for (idx, chunk) in halo.zip(payload.chunks_exact(8)) {
+                        want[idx] = f64::from_le_bytes(chunk.try_into().unwrap());
+                    }
+                    let mut got = Grid {
+                        l: g.l,
+                        data: g.data.clone(),
+                        planes: Vec::new(),
+                    };
+                    got.unpack_halo(dir, &payload);
+                    assert!(
+                        same_bits(&got.data, &want),
+                        "{local:?} unpack dir {dir}, {cut} of {len} bytes"
+                    );
+                }
+            }
         }
     }
 

@@ -31,13 +31,11 @@ pub use sweep::SweepConfig;
 use xsim_core::Bytes;
 
 /// The little-endian bytes of `vals` (halo rows, checkpointed grids),
-/// built in one pass at their final size.
+/// built in one pass at their final size: a copy loop over 8-byte
+/// words, flattened into bytes without a second buffer.
 pub(crate) fn pack_f64s(vals: &[f64]) -> Bytes {
-    let mut b = Vec::with_capacity(vals.len() * 8);
-    for v in vals {
-        b.extend_from_slice(&v.to_le_bytes());
-    }
-    b.into()
+    let words: Vec<[u8; 8]> = vals.iter().map(|v| v.to_le_bytes()).collect();
+    words.into_flattened().into()
 }
 
 /// Inverse of [`pack_f64s`]; stops at the shorter of the two.
