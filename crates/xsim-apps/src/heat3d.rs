@@ -24,10 +24,10 @@
 //!   stay tiny ("the individual checkpoint files are extremely small",
 //!   §V-C). Used at the paper's 32,768-rank scale.
 
-use crate::{pack_f64s, unpack_f64s};
+use crate::unpack_f64s;
 use std::future::Future;
 use std::sync::Arc;
-use xsim_ckpt::{Checkpoint, CheckpointManager, ModeWriter};
+use xsim_ckpt::{Checkpoint, CheckpointManager, ModeWriter, Section};
 use xsim_core::vp::VpProgram;
 use xsim_core::{Bytes, SimTime};
 use xsim_mpi::{mpi_program, CkptMode, MpiCtx, MpiError, ReduceOp, ReqId};
@@ -517,7 +517,8 @@ impl Layer for MpiCtx {
 }
 
 /// Encode and write this rank's checkpoint of iteration `it`: the
-/// `config` and state sections are borrowed into the one encoded buffer.
+/// `config` and state sections are borrowed into the one encoded buffer,
+/// a real grid's words written there as bytes.
 async fn write_checkpoint(
     layer: &impl Layer,
     heat: &Heat,
@@ -527,18 +528,16 @@ async fn write_checkpoint(
 ) -> Result<(), MpiError> {
     let rank = layer.rank() as u32;
     let enc = {
-        let (grid, token);
-        let section: (&str, &[u8]) = match state {
-            State::Real(g) => {
-                grid = pack_f64s(&g.data);
-                (sections::GRID, &grid)
-            }
+        let token;
+        let section = match state {
+            State::Real(g) => (sections::GRID, Section::F64s(&g.data)),
             State::Modeled { token: t } => {
                 token = t.to_le_bytes();
-                (sections::TOKEN, &token)
+                (sections::TOKEN, Section::Bytes(&token))
             }
         };
-        Checkpoint::encode_from(rank, it, [(sections::CONFIG, &*heat.fingerprint), section])
+        let config = (sections::CONFIG, Section::Bytes(&heat.fingerprint));
+        Checkpoint::encode_from(rank, it, [config, section])
     };
     // In modeled compute the checkpoint is a tiny surrogate; the writer
     // charges the I/O/network volume the real grid would have cost

@@ -220,11 +220,53 @@ fn parse(
 }
 
 /// Exact encoded length of a checkpoint with these sections.
-fn encoded_len<'a>(sections: impl Iterator<Item = (&'a str, &'a [u8])>) -> usize {
+fn encoded_len<'a>(sections: impl Iterator<Item = (&'a str, Section<'a>)>) -> usize {
     sections
         .map(|(name, data)| SECTION_OVERHEAD + name.len() + data.len())
         .sum::<usize>()
         + HEADER_LEN
+}
+
+/// The data of one section [`Checkpoint::encode_from`] writes, borrowed
+/// in the form the writer holds it. A `&[u8]` converts into it.
+#[derive(Clone, Copy, Debug)]
+pub enum Section<'a> {
+    /// Bytes, stored as they are.
+    Bytes(&'a [u8]),
+    /// `f64` words, stored as their little-endian bytes (a solver's
+    /// grid): written straight into the encoded buffer, no byte copy of
+    /// the words first.
+    F64s(&'a [f64]),
+}
+
+impl Section<'_> {
+    /// Encoded length in bytes.
+    fn len(&self) -> usize {
+        match self {
+            Section::Bytes(b) => b.len(),
+            Section::F64s(w) => 8 * w.len(),
+        }
+    }
+
+    /// Append the encoded bytes to `buf`.
+    fn write_to(self, buf: &mut Vec<u8>) {
+        match self {
+            Section::Bytes(b) => buf.extend_from_slice(b),
+            Section::F64s(words) => {
+                let start = buf.len();
+                buf.resize(start + 8 * words.len(), 0);
+                for (out, w) in buf[start..].chunks_exact_mut(8).zip(words) {
+                    out.copy_from_slice(&w.to_le_bytes());
+                }
+            }
+        }
+    }
+}
+
+impl<'a> From<&'a [u8]> for Section<'a> {
+    fn from(bytes: &'a [u8]) -> Self {
+        Section::Bytes(bytes)
+    }
 }
 
 /// A decoded checkpoint: identification plus named data sections (the
@@ -278,7 +320,7 @@ impl Checkpoint {
 
     /// Exact length of [`encode`](Self::encode)'s output.
     pub fn encoded_len(&self) -> usize {
-        encoded_len(self.parts())
+        encoded_len(self.parts().map(|(name, data)| (name, data.into())))
     }
 
     /// Serialize with checksums: one buffer of exactly
@@ -291,13 +333,15 @@ impl Checkpoint {
     /// The bytes [`encode`](Self::encode) writes for a checkpoint of
     /// `rank`, `iteration` and `sections`, from borrowed sections: a
     /// writer that only encodes builds no `Checkpoint` (and no section
-    /// list) first. Allocates the one buffer.
-    pub fn encode_from<'a, I>(rank: u32, iteration: u64, sections: I) -> Bytes
+    /// list) first, and an `f64` section ([`Section::F64s`]) is encoded
+    /// in place. Allocates the one buffer.
+    pub fn encode_from<'a, I, S>(rank: u32, iteration: u64, sections: I) -> Bytes
     where
-        I: IntoIterator<Item = (&'a str, &'a [u8])>,
+        I: IntoIterator<Item = (&'a str, S)>,
         I::IntoIter: Clone,
+        S: Into<Section<'a>>,
     {
-        let sections = sections.into_iter();
+        let sections = sections.into_iter().map(|(name, data)| (name, data.into()));
         let len = encoded_len(sections.clone());
         let mut buf = Vec::with_capacity(len);
         buf.extend_from_slice(MAGIC);
@@ -312,8 +356,9 @@ impl Checkpoint {
             buf.extend_from_slice(&(name_b.len() as u32).to_le_bytes());
             buf.extend_from_slice(name_b);
             buf.extend_from_slice(&(data.len() as u64).to_le_bytes());
-            buf.extend_from_slice(data);
-            let crc = Crc32::new().update(name_b).update(data).finish();
+            let start = buf.len();
+            data.write_to(&mut buf);
+            let crc = Crc32::new().update(name_b).update(&buf[start..]).finish();
             buf.extend_from_slice(&crc.to_le_bytes());
         }
         debug_assert_eq!(buf.len(), len);
@@ -376,6 +421,23 @@ mod tests {
         assert_eq!(copied, shared);
         assert_eq!(Checkpoint::verify(data), copied.map(|_| ()));
         Checkpoint::verify(data).is_ok()
+    }
+
+    /// An `f64` section encodes to exactly the bytes of its words'
+    /// little-endian images passed as a byte section, signed zeros, NaN
+    /// and infinities included.
+    #[test]
+    fn f64_sections_encode_as_their_le_bytes() {
+        let words = [0.0, -0.0, 1.5, -2.25e-300, f64::NAN, f64::INFINITY, 7.0];
+        let bytes: Vec<u8> = words.iter().flat_map(|w| w.to_le_bytes()).collect();
+        for n in [0, 1, words.len()] {
+            let config = ("config", Section::Bytes(b"nx=7"));
+            let direct =
+                Checkpoint::encode_from(3, 9, [config, ("grid", Section::F64s(&words[..n]))]);
+            let packed =
+                Checkpoint::encode_from(3, 9, [config, ("grid", Section::Bytes(&bytes[..8 * n]))]);
+            assert_eq!(direct, packed, "{n} words");
+        }
     }
 
     #[test]

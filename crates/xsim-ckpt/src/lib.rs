@@ -33,7 +33,7 @@ pub mod manager;
 pub mod modes;
 pub mod orchestrator;
 
-pub use codec::{crc32, Checkpoint, CodecError, Crc32};
+pub use codec::{crc32, Checkpoint, CodecError, Crc32, Section};
 pub use daly::{
     compare_overhead, daly_interval, expected_runtime, predicted_overhead_fraction, young_interval,
     OverheadComparison,

@@ -81,7 +81,7 @@ pub(crate) fn assemble_report(
         profile.queue_rebuilds += qs.rebuilds;
         profile.queue_sorted += qs.sorted;
         blocked.extend(shard.blocked_summary());
-        for (r, clock, term) in shard.drain_results() {
+        for (r, clock, term) in shard.results() {
             final_clocks[r] = clock;
             terminations[r] = term;
         }

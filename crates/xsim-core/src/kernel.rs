@@ -566,16 +566,13 @@ impl Kernel {
         self.vps.get_mut(rank).note_abort_at(time);
     }
 
-    /// Snapshot of final clocks and terminations for owned ranks, used by
-    /// the engines to assemble the report.
-    pub(crate) fn drain_results(&mut self) -> Vec<(usize, SimTime, Termination)> {
-        self.vps
-            .iter()
-            .map(|(rank, vp)| {
-                let term = vp.termination().unwrap_or(Termination::Finished);
-                (rank.idx(), vp.clock(), term)
-            })
-            .collect()
+    /// Final clock and termination of each owned rank, read straight
+    /// off the VP table by the engines as they assemble the report.
+    pub(crate) fn results(&self) -> impl Iterator<Item = (usize, SimTime, Termination)> + '_ {
+        self.vps.iter().map(|(rank, vp)| {
+            let term = vp.termination().unwrap_or(Termination::Finished);
+            (rank.idx(), vp.clock(), term)
+        })
     }
 
     /// Blocked-VP diagnostics for deadlock reporting.

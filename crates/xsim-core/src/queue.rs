@@ -1,6 +1,6 @@
 //! The pending-event queue.
 //!
-//! [`EventQueue`] is a calendar queue over flat, recycled `Vec`
+//! [`EventQueue`] is a calendar queue over recycled, segmented `Vec`
 //! buckets. Pending events live in a ring of `nb` buckets, each
 //! covering one `2^shift`-nanosecond slice of virtual time; everything
 //! else waits in an unsorted overflow lane, the earlier part of which
@@ -54,9 +54,26 @@
 //! the queue drops the slab, releasing unfired calls' state (abort
 //! teardown).
 //!
-//! A bucket that grew past [`TRIM_CAP`] gives its memory back while it
-//! drains, not only once it is empty: a draining spawn wave does not
-//! stay resident next to the waves it is filling.
+//! ## Segmented buckets
+//!
+//! A bucket holds at most [`SEG`] records in one buffer, its *pop
+//! end* (`ring[b]`). A bucket that fills past [`SEG_FILL`] records
+//! grows a [`Chain`] of further segments of `SEG` records each, in
+//! ascending key ranges: a push above the bucket's largest key opens or
+//! extends the high end, any other push lands in the segment whose range
+//! holds its key. When the pop end empties, the next segment takes its
+//! place and is settled on its own; a segment filled only by appends
+//! above its largest key is one ascending run and is reversed, nothing
+//! more. So a lock-step wave of any size costs its records plus a
+//! fraction of a segment, never a doubling buffer, and its drained
+//! segments feed the waves its pops fill through the queue's pool (see
+//! [`Segments`]), never through the allocator.
+//!
+//! Only a buffer that arrived whole can exceed `SEG` records: the lane
+//! handed over as one bucket (a spawn wave) or a bucket filled by bulk
+//! redistribution. Such a giant gives its memory back while it drains
+//! (the drain rule in `pop`): a draining spawn wave does not stay
+//! resident next to the waves it is filling.
 //!
 //! ## Tie-breaking audit
 //!
@@ -76,6 +93,7 @@
 use crate::event::{Action, Call, EventKey, EventRec};
 use crate::time::SimTime;
 use crate::vp::{WaitToken, WAIT_TOKEN_BITS};
+use std::collections::VecDeque;
 
 /// Allocation/occupancy counters of one queue, folded into the engine
 /// profile at shutdown. Execution-shape data, never part of determinism
@@ -195,11 +213,12 @@ const SPLIT_OCCUPANCY: usize = 64;
 /// measurably lose at the dense tiers — the deeper per-insert memmove
 /// traffic outweighs the fewer header touches.
 const SPLIT_TARGET_OCCUPANCY: usize = 8;
-/// Spare bucket buffers kept for recycling. A sliding window marches
-/// over buckets that have never held an event (the ring wraps only
-/// every `nb` slices), so without recycling every few pushes pay a
-/// fresh allocation; the settle scan instead strips capacity from the
-/// drained buckets it passes and pushes install it into cold ones.
+/// Small bucket buffers (below [`SEG`] records) kept for recycling. A
+/// sliding window marches over buckets that have never held an event
+/// (the ring wraps only every `nb` slices), so without recycling every
+/// few pushes pay a fresh allocation; the settle scan instead strips
+/// capacity from the drained buckets it passes and pushes install it
+/// into cold ones. Full-size buffers go to the pool instead.
 const SPARE_BUFFERS: usize = 32;
 /// Ordered-insertion memmove bound: an insertion that would shift more
 /// than this many records appends + dirties the bucket instead,
@@ -230,16 +249,22 @@ const MERGE_MIN_LEN: usize = 2 * INSERT_MOVE_CAP;
 /// merge; past this it is treated as unordered and sorted, having cost
 /// the scan a few dozen comparisons.
 const MAX_RUNS: usize = 8;
-/// Floor of the drain rule: a bucket whose capacity is above this
-/// shrinks, once its length falls to half its capacity, to 1.5× its
-/// length (never below this). One-shot giants (the initial spawn wave
-/// parks ~n events in a single unsplittable same-time bucket) would
-/// otherwise pin their peak allocation while the waves they feed fill
-/// up, and for the rest of the run. A shrink at length `L` puts the
-/// next shrink `L/4` pops away and the next growth `L/2` pushes away,
-/// so alternating push/pop at the threshold cannot thrash and the
-/// shrinks cost amortized O(1) per pop.
-const TRIM_CAP: usize = 1 << 16;
+/// Records per bucket segment (64 KiB). A bucket's pop end grows to
+/// this by doubling at most; past [`SEG_FILL`] the bucket chains
+/// further segments of exactly this capacity (see [`Chain`]). It is
+/// also the floor of the drain rule: a buffer above this many records
+/// (one that arrived whole) shrinks, once its length falls to half its
+/// capacity, to 1.5× its length, never below `SEG`. A shrink at length
+/// `L` puts the next shrink `L/4` pops away and the next growth `L/2`
+/// pushes away, so alternating push/pop at the threshold cannot thrash
+/// and the shrinks cost amortized O(1) per pop.
+const SEG: usize = 1 << 11;
+/// Records a pop end takes before a push above the bucket's largest
+/// key opens the first higher segment (which then fills to `SEG`). The
+/// rest is headroom for records that arrive below the largest key later
+/// — a lock-step ring's wrap record to rank 0 — so that they join the
+/// pop end's one settle instead of splitting it.
+const SEG_FILL: usize = SEG - INSERT_MOVE_CAP;
 
 /// The one rule for the bucket count: a function of the population,
 /// never of the time it spans.
@@ -320,19 +345,127 @@ fn longest_run(b: &[CompactRec]) -> Option<(usize, usize, bool)> {
     None
 }
 
+/// How a chained segment's records are ordered.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Order {
+    /// Descending by key: in pop order.
+    Clean,
+    /// Appended out of order; settled when the segment reaches the pop
+    /// end.
+    Dirty,
+    /// Ascending by key, every push an append above the segment's
+    /// largest: one reverse puts it in pop order.
+    Rising,
+}
+
+/// One segment above a bucket's pop end.
+struct Seg {
+    /// Smallest key the segment takes: it holds the bucket's keys in
+    /// `[lo, the next segment's lo)`, and every key below it is in a
+    /// lower segment or the pop end.
+    lo: EventKey,
+    recs: Vec<CompactRec>,
+    order: Order,
+}
+
+/// The segments of one bucket above its pop end `ring[bucket]`, lowest
+/// key range first. A bucket is chained from the push that finds its
+/// pop end holding [`SEG_FILL`] records in at most [`SEG`] of capacity
+/// until it is empty again.
+struct Chain {
+    bucket: usize,
+    /// Largest key resident in the bucket. Pops take the smallest, so
+    /// only pushes move it.
+    hi: EventKey,
+    /// Records in `segs`; the bucket's population is this plus its
+    /// pop end's length.
+    len: usize,
+    segs: VecDeque<Seg>,
+}
+
+/// The queue's recycled buffers and its chained buckets, allocated
+/// when the first drained buffer is kept or the first bucket chains
+/// (out of line: the queue sits in every kernel, whose size the hot
+/// loop feels).
+///
+/// The pool rule: the pool holds at most one idle segment more than
+/// are live — chained, pop ends included. A drained full-size buffer
+/// ([`SEG`] records of capacity) goes back to it only within that
+/// bound, and each segment that stops being live frees an idle one
+/// above it. So the pool holds what the waves being filled can take, no
+/// more: the segments a draining wave empties refill the waves its pops
+/// feed. The one extra covers the draining wave's last segment, which
+/// comes back only after the waves it fills have opened theirs.
+#[derive(Default)]
+struct Segments {
+    /// Recycled small bucket buffers — see [`SPARE_BUFFERS`].
+    spare: Vec<Vec<CompactRec>>,
+    /// Idle buffers of capacity `SEG`.
+    pool: Vec<Vec<CompactRec>>,
+    /// Chained buckets, sorted by ring index.
+    chains: Vec<Chain>,
+    /// Segment lists of chains that emptied, kept for the next ones.
+    lists: Vec<VecDeque<Seg>>,
+    /// Live segments: each chain's high segments and its pop end.
+    live: usize,
+}
+
+impl Segments {
+    fn chain(&self, b: usize) -> Option<&Chain> {
+        let i = self.chains.binary_search_by_key(&b, |c| c.bucket).ok()?;
+        Some(&self.chains[i])
+    }
+}
+
+/// Per-bucket flag: the bucket's pop end awaits its deferred settle.
+const DIRTY: u8 = 1;
+/// Per-bucket flag: the bucket has a [`Chain`].
+const CHAINED: u8 = 2;
+
+/// Insert `ev` into a clean (descending) or dirty buffer: appended when
+/// the buffer is dirty or `ev` is its new minimum, else placed by binary
+/// search unless that would shift more than `move_cap` records, in which
+/// case it is appended and the buffer turns dirty. Returns whether the
+/// buffer is dirty afterwards.
+#[inline]
+fn insert(recs: &mut Vec<CompactRec>, dirty: bool, ev: CompactRec, move_cap: usize) -> bool {
+    if dirty || recs.last().is_none_or(|l| ev.key < l.key) {
+        // Dirty buffers collect appends until their deferred settle;
+        // clean ones append when the event is the new minimum — the
+        // common hold-model case, O(1).
+        recs.push(ev);
+        return dirty;
+    }
+    // `partition_point` finds the first entry not greater than the new
+    // key; keys are unique, so this is the exact insertion point.
+    let pos = recs.partition_point(|x| x.key > ev.key);
+    if recs.len() - pos > move_cap {
+        // Bounded-memmove fallback: a deep insertion appends and
+        // dirties the buffer; the deferred settle pays once — see
+        // `INSERT_MOVE_CAP` and `DEFER_MOVE_CAP`.
+        recs.push(ev);
+        true
+    } else {
+        recs.insert(pos, ev);
+        false
+    }
+}
+
 /// Min-queue of pending events with deterministic tie-breaking.
 pub struct EventQueue {
     /// Ring of buckets, unallocated until the first migration; bucket
     /// `i` holds the events of the one time slice `s` (`s = time >>
     /// shift`) with `s % nb == i` inside the current window
-    /// `[cur_slice, cur_slice + nb)`. Clean buckets are sorted
-    /// descending by key, so `Vec::pop` yields the minimum.
+    /// `[cur_slice, cur_slice + nb)`. Each entry is its bucket's pop
+    /// end: the bucket's smallest keys (all of them unless the bucket is
+    /// chained), descending when clean, so `Vec::pop` yields the
+    /// minimum. A chained bucket's pop end is never empty.
     ring: Vec<Vec<CompactRec>>,
-    /// Per-bucket deferred-order flag: set only by bulk redistribution
-    /// and the bounded-memmove fallback (ordinary pushes insert in
-    /// order), cleared after the bucket is settled at the window head.
-    /// An empty bucket is always clean.
-    dirty: Vec<bool>,
+    /// Per-bucket [`DIRTY`] and [`CHAINED`] flags. `DIRTY` is set only
+    /// by bulk redistribution and the bounded-memmove fallback
+    /// (ordinary pushes insert in order) and cleared after the pop end
+    /// is settled at the window head. An empty bucket is always clean.
+    flags: Vec<u8>,
     /// `log2` of the bucket width in nanoseconds.
     shift: u32,
     /// Lowest time slice the ring currently represents. Pops only
@@ -355,8 +488,8 @@ pub struct EventQueue {
     overflow_min_ns: u64,
     /// Events resident in the ring; the rest are in `overflow`.
     ring_len: usize,
-    /// Recycled bucket buffers — see [`SPARE_BUFFERS`].
-    spare: Vec<Vec<CompactRec>>,
+    /// Recycled buffers and chains, once there are any.
+    segs: Option<Box<Segments>>,
     /// In-flight `Call` boxes; resident records carry slot indices.
     calls: CallSlab,
     stats: QueueStats,
@@ -373,14 +506,14 @@ impl EventQueue {
     pub fn new() -> Self {
         EventQueue {
             ring: Vec::new(),
-            dirty: Vec::new(),
+            flags: Vec::new(),
             shift: 0,
             cur_slice: 0,
             head_sorted: false,
             overflow: Vec::new(),
             overflow_min_ns: u64::MAX,
             ring_len: 0,
-            spare: Vec::new(),
+            segs: None,
             calls: CallSlab::default(),
             stats: QueueStats::default(),
         }
@@ -420,45 +553,36 @@ impl EventQueue {
         // always the global minimum — see `overflow_min_ns`.
         if s - self.cur_slice < nb && ns < self.overflow_min_ns {
             let b = (s & (nb - 1)) as usize;
-            let bucket = &mut self.ring[b];
-            if bucket.capacity() == 0 {
-                // Cold bucket (never filled, or stripped by the settle
-                // scan): seed it with a recycled buffer.
-                if let Some(buf) = self.spare.pop() {
-                    *bucket = buf;
-                }
-            }
-            if bucket.len() < bucket.capacity() {
-                self.stats.reused += 1;
-            }
-            if self.dirty[b] || bucket.last().is_none_or(|l| ev.key < l.key) {
-                // Dirty buckets collect appends until their deferred
-                // settle; clean buckets append when the event is the new
-                // bucket minimum — the common hold-model case, O(1).
-                bucket.push(ev);
+            let cap = if s == self.cur_slice {
+                INSERT_MOVE_CAP
             } else {
-                // Binary-search ordered insertion into the descending
-                // bucket. `partition_point` finds the first entry not
-                // greater than the new key; keys are unique, so this is
-                // the exact insertion point.
-                let pos = bucket.partition_point(|x| x.key > ev.key);
-                let cap = if s == self.cur_slice {
-                    INSERT_MOVE_CAP
-                } else {
-                    DEFER_MOVE_CAP
-                };
-                if bucket.len() - pos > cap {
-                    // Bounded-memmove fallback: a deep insertion appends
-                    // and dirties the bucket; the deferred settle at the
-                    // window head pays once — see `INSERT_MOVE_CAP` and
-                    // `DEFER_MOVE_CAP`.
-                    bucket.push(ev);
-                    self.dirty[b] = true;
-                } else {
-                    bucket.insert(pos, ev);
+                DEFER_MOVE_CAP
+            };
+            let bucket = &mut self.ring[b];
+            if self.flags[b] & CHAINED != 0
+                || (bucket.len() >= SEG_FILL && bucket.capacity() <= SEG)
+            {
+                self.push_chained(b, ev, cap);
+            } else {
+                if bucket.capacity() == 0 {
+                    // Cold bucket (never filled, or stripped by the
+                    // settle scan): seed it with a recycled buffer.
+                    let recycled = self
+                        .segs
+                        .as_mut()
+                        .and_then(|g| g.spare.pop().or_else(|| g.pool.pop()));
+                    if let Some(buf) = recycled {
+                        *bucket = buf;
+                    }
                 }
+                if bucket.len() < bucket.capacity() {
+                    self.stats.reused += 1;
+                }
+                if insert(bucket, self.flags[b] & DIRTY != 0, ev, cap) {
+                    self.flags[b] |= DIRTY;
+                }
+                self.stats.bucket_hwm = self.stats.bucket_hwm.max(bucket.len() as u64);
             }
-            self.stats.bucket_hwm = self.stats.bucket_hwm.max(bucket.len() as u64);
             self.ring_len += 1;
         } else {
             if self.overflow.len() < self.overflow.capacity() {
@@ -469,16 +593,159 @@ impl EventQueue {
         }
     }
 
+    /// A push into a chained bucket, or into one whose pop end has
+    /// reached [`SEG_FILL`] records (which chains it). `cap` is the
+    /// memmove bound of the pop end; a higher segment, settled only once
+    /// it reaches the pop end, takes [`DEFER_MOVE_CAP`].
+    #[inline(never)]
+    fn push_chained(&mut self, b: usize, ev: CompactRec, cap: usize) {
+        let ci = self.chain_of(b);
+        loop {
+            let Segments {
+                pool, chains, live, ..
+            } = &mut **self.segs.as_mut().expect("chained");
+            let chain = &mut chains[ci];
+            // The segment whose range holds the key: 0 is the pop end,
+            // `t > 0` is `chain.segs[t - 1]`. A lock-step wave pushes
+            // above the largest key every time: no search.
+            let t = if ev.key > chain.hi {
+                chain.segs.len()
+            } else {
+                chain.segs.partition_point(|g| g.lo <= ev.key)
+            };
+            let len = match t {
+                0 => self.ring[b].len(),
+                _ => chain.segs[t - 1].recs.len(),
+            };
+            let fill = if t == 0 { SEG_FILL } else { SEG };
+            if ev.key > chain.hi && t == chain.segs.len() && len >= fill {
+                // Above the bucket's largest key, with the high end
+                // full: open the next segment.
+                let mut recs = pool.pop().unwrap_or_default();
+                self.stats.reused += (recs.capacity() == SEG) as u64;
+                recs.reserve_exact(SEG);
+                recs.push(ev);
+                chain.segs.push_back(Seg {
+                    lo: ev.key,
+                    recs,
+                    order: Order::Rising,
+                });
+                chain.len += 1;
+                *live += 1;
+            } else if len >= SEG {
+                self.split_segment(b, ci, t);
+                continue;
+            } else if t == 0 {
+                let recs = &mut self.ring[b];
+                self.stats.reused += (recs.len() < recs.capacity()) as u64;
+                if insert(recs, self.flags[b] & DIRTY != 0, ev, cap) {
+                    self.flags[b] |= DIRTY;
+                }
+            } else {
+                let g = &mut chain.segs[t - 1];
+                self.stats.reused += (g.recs.len() < g.recs.capacity()) as u64;
+                g.order = match g.order {
+                    Order::Rising => {
+                        let rising = g.recs.last().is_some_and(|l| l.key < ev.key);
+                        g.recs.push(ev);
+                        if rising {
+                            Order::Rising
+                        } else {
+                            Order::Dirty
+                        }
+                    }
+                    order => match insert(&mut g.recs, order == Order::Dirty, ev, DEFER_MOVE_CAP) {
+                        true => Order::Dirty,
+                        false => Order::Clean,
+                    },
+                };
+                chain.len += 1;
+            }
+            chain.hi = chain.hi.max(ev.key);
+            let population = self.ring[b].len() + chain.len;
+            self.stats.bucket_hwm = self.stats.bucket_hwm.max(population as u64);
+            return;
+        }
+    }
+
+    /// The index of bucket `b`'s chain, chaining it first if it has
+    /// none: its pop end becomes the chain's first segment.
+    fn chain_of(&mut self, b: usize) -> usize {
+        let segs = self.segs.get_or_insert_with(Box::default);
+        match segs.chains.binary_search_by_key(&b, |c| c.bucket) {
+            Ok(ci) => ci,
+            Err(ci) => {
+                let hi = self.ring[b].iter().map(|r| r.key).max();
+                let chain = Chain {
+                    bucket: b,
+                    hi: hi.expect("a pop end at its fill mark"),
+                    len: 0,
+                    segs: segs.lists.pop().unwrap_or_default(),
+                };
+                segs.chains.insert(ci, chain);
+                segs.live += 1;
+                self.flags[b] |= CHAINED;
+                ci
+            }
+        }
+    }
+
+    /// A push landed in segment `t` of bucket `b` (chain `ci`; 0 is the
+    /// pop end) with no room left: settle the segment and move its upper
+    /// half into a new segment right above it. A bucket whose pushes keep
+    /// landing below its largest key becomes a run of half-full sorted
+    /// segments, each insert bounded by one segment's memmove.
+    fn split_segment(&mut self, b: usize, ci: usize, t: usize) {
+        let Segments {
+            pool, chains, live, ..
+        } = &mut **self.segs.as_mut().expect("chained");
+        let chain = &mut chains[ci];
+        let recs = if t == 0 {
+            if self.flags[b] & DIRTY != 0 {
+                self.stats.sorted += settle_bucket(&mut self.ring[b]) as u64;
+                self.flags[b] &= !DIRTY;
+            }
+            &mut self.ring[b]
+        } else {
+            let g = &mut chain.segs[t - 1];
+            match g.order {
+                Order::Dirty => self.stats.sorted += settle_bucket(&mut g.recs) as u64,
+                Order::Rising => g.recs.reverse(),
+                Order::Clean => {}
+            }
+            g.order = Order::Clean;
+            &mut g.recs
+        };
+        let half = recs.len() / 2;
+        let mut upper = pool.pop().unwrap_or_default();
+        upper.reserve_exact(SEG);
+        upper.extend(recs.drain(..half));
+        if t == 0 {
+            chain.len += half;
+        }
+        let lo = upper[half - 1].key;
+        chain.segs.insert(
+            t,
+            Seg {
+                lo,
+                recs: upper,
+                order: Order::Clean,
+            },
+        );
+        *live += 1;
+    }
+
     /// Append one event to the bucket of slice `s` during a bulk
     /// redistribution, preserving a clean bucket's descending order
     /// when the arrival order allows (keys are unique, so
-    /// `last.key < ev.key` is exactly an order break).
+    /// `last.key < ev.key` is exactly an order break). The ring is fresh,
+    /// so no bucket is chained: a giant slice stays one buffer.
     #[inline]
     fn route_bulk(&mut self, s: u64, ev: CompactRec) {
         let b = (s & (self.ring.len() as u64 - 1)) as usize;
         let bucket = &mut self.ring[b];
         if bucket.last().is_some_and(|l| l.key < ev.key) {
-            self.dirty[b] = true;
+            self.flags[b] |= DIRTY;
         }
         bucket.push(ev);
         self.stats.bucket_hwm = self.stats.bucket_hwm.max(bucket.len() as u64);
@@ -510,8 +777,10 @@ impl EventQueue {
                 // passed exactly once per geometry, so this is O(1)
                 // amortized per pop.
                 let cap = self.ring[b].capacity();
-                if cap > 0 && cap <= TRIM_CAP && self.spare.len() < SPARE_BUFFERS {
-                    self.spare.push(std::mem::take(&mut self.ring[b]));
+                let spare = self.segs.as_ref().map_or(0, |g| g.spare.len());
+                if cap == SEG || (cap > 0 && cap < SEG && spare < SPARE_BUFFERS) {
+                    let buf = std::mem::take(&mut self.ring[b]);
+                    self.recycle(buf);
                 }
                 s += 1;
                 debug_assert!(
@@ -524,7 +793,7 @@ impl EventQueue {
                 self.cur_slice = s;
                 self.head_sorted = false;
             }
-            if self.dirty[b] {
+            if self.flags[b] & DIRTY != 0 {
                 // A second settle of the same head slice means deep
                 // inserts keep landing in the bucket being popped: the
                 // slices are too wide for the cluster at the front.
@@ -535,26 +804,90 @@ impl EventQueue {
                     }
                 }
                 self.stats.sorted += settle_bucket(&mut self.ring[b]) as u64;
-                self.dirty[b] = false;
+                self.flags[b] &= !DIRTY;
                 self.head_sorted = true;
             }
             return Some(b);
         }
     }
 
+    /// Give a drained buffer back: a full-size one to the pool within the
+    /// pool rule (else it is freed), a smaller one to the spare list
+    /// while that has room.
+    fn recycle(&mut self, buf: Vec<CompactRec>) {
+        debug_assert!(buf.is_empty());
+        let segs = self.segs.get_or_insert_with(Box::default);
+        if buf.capacity() == SEG {
+            if segs.pool.len() <= segs.live {
+                segs.pool.push(buf);
+            }
+        } else if buf.capacity() < SEG && segs.spare.len() < SPARE_BUFFERS {
+            segs.spare.push(buf);
+        }
+    }
+
+    /// The head bucket `b`'s pop end has just emptied and `b` is chained:
+    /// its next segment becomes the pop end, in pop order unless it is
+    /// dirty (settling it is not the deep-insert signal `settle` splits
+    /// on, so the head slice starts afresh), or, with no segment left,
+    /// the bucket leaves the chains. The drained buffer is recycled.
+    #[cold]
+    #[inline(never)]
+    fn promote(&mut self, b: usize) {
+        let segs = self.segs.as_mut().expect("chained");
+        let ci = segs
+            .chains
+            .binary_search_by_key(&b, |c| c.bucket)
+            .expect("chained bucket has a chain");
+        segs.live -= 1;
+        // The pool rule, as the live count drops.
+        segs.pool.truncate(segs.live);
+        let next = match segs.chains[ci].segs.pop_front() {
+            Some(mut g) => {
+                segs.chains[ci].len -= g.recs.len();
+                self.flags[b] = CHAINED;
+                match g.order {
+                    Order::Clean => {}
+                    Order::Rising => g.recs.reverse(),
+                    Order::Dirty => self.flags[b] |= DIRTY,
+                }
+                self.head_sorted = false;
+                g.recs
+            }
+            None => {
+                let chain = segs.chains.remove(ci);
+                segs.lists.push(chain.segs);
+                self.flags[b] = 0;
+                Vec::new()
+            }
+        };
+        // Recycled now, not when the settle scan passes the bucket: the
+        // waves this one's pops fill are taking segments meanwhile.
+        let drained = std::mem::replace(&mut self.ring[b], next);
+        self.recycle(drained);
+    }
+
     /// The narrower bucket width the (dirty) head bucket's cluster
     /// calls for, with the cluster's earliest time — or `None` when
     /// narrowing cannot help (small bucket, identical-time flood, 1 ns
-    /// slices).
+    /// slices). A chained bucket is judged on all its segments.
     fn cluster_shift(&self, b: usize) -> Option<(u32, u64)> {
-        let bucket = &self.ring[b];
-        if bucket.len() <= SPLIT_OCCUPANCY {
+        let chain = self.segs.as_ref().and_then(|g| g.chain(b));
+        let len = self.ring[b].len() + chain.map_or(0, |c| c.len);
+        if len <= SPLIT_OCCUPANCY {
             return None;
         }
-        let (min_ns, max_ns) = bucket.iter().fold((u64::MAX, 0), |(lo, hi), e| {
-            (lo.min(e.ns()), hi.max(e.ns()))
-        });
-        let target = (bucket.len() / SPLIT_TARGET_OCCUPANCY) as u64;
+        let upper = chain
+            .into_iter()
+            .flat_map(|c| &c.segs)
+            .flat_map(|g| &g.recs);
+        let (min_ns, max_ns) = self.ring[b]
+            .iter()
+            .chain(upper)
+            .fold((u64::MAX, 0), |(lo, hi), e| {
+                (lo.min(e.ns()), hi.max(e.ns()))
+            });
+        let target = (len / SPLIT_TARGET_OCCUPANCY) as u64;
         let mut shift = self.shift;
         // A span of zero walks `shift` to 0 and fails the test below:
         // the flood cannot be spread, it simply settles.
@@ -567,22 +900,32 @@ impl EventQueue {
     /// Narrow the bucket width to `2^shift` so the cluster at the head
     /// spreads across many slices. Old buckets are drained one at a time
     /// into a fresh ring anchored at the cluster's earliest time
-    /// `min_ns`; whatever the narrower window no longer covers goes back
-    /// to the lane. That tail is later than every event kept and earlier
-    /// than every event already parked, so the overflow gate holds.
+    /// `min_ns`, chained segments after their pop ends; whatever the
+    /// narrower window no longer covers goes back to the lane. That tail
+    /// is later than every event kept and earlier than every event
+    /// already parked, so the overflow gate holds.
     fn split(&mut self, shift: u32, min_ns: u64) {
         self.stats.rebuilds += 1;
         let nb = ring_size(self.len());
         self.stats.ring_hwm = self.stats.ring_hwm.max(nb as u64);
         let mut old = std::mem::replace(&mut self.ring, (0..nb).map(|_| Vec::new()).collect());
-        self.dirty.clear();
-        self.dirty.resize(nb, false);
+        self.flags.clear();
+        self.flags.resize(nb, 0);
         let mask = old.len() - 1;
         let start = self.cur_slice as usize & mask;
         self.shift = shift;
         self.cur_slice = min_ns >> shift;
         self.head_sorted = false;
-        let mut left = std::mem::take(&mut self.ring_len);
+        let chains = match self.segs.as_mut() {
+            Some(segs) => {
+                segs.live = 0;
+                segs.pool.clear();
+                std::mem::take(&mut segs.chains)
+            }
+            None => Vec::new(),
+        };
+        let chained: usize = chains.iter().map(|c| c.len).sum();
+        let mut left = std::mem::take(&mut self.ring_len) - chained;
         for i in 0..old.len() {
             if left == 0 {
                 break;
@@ -590,14 +933,26 @@ impl EventQueue {
             let bucket = &mut old[(start + i) & mask];
             left -= bucket.len();
             for ev in bucket.drain(..) {
-                let s = ev.ns() >> shift;
-                if s - self.cur_slice < nb as u64 {
-                    self.route_bulk(s, ev);
-                } else {
-                    self.overflow_min_ns = self.overflow_min_ns.min(ev.ns());
-                    self.overflow.push(ev);
-                }
+                self.rehome(ev);
             }
+        }
+        for g in chains.into_iter().flat_map(|c| c.segs) {
+            for ev in g.recs {
+                self.rehome(ev);
+            }
+        }
+    }
+
+    /// Route one event of a width split: into the new ring if its window
+    /// covers it, else back to the lane.
+    #[inline]
+    fn rehome(&mut self, ev: CompactRec) {
+        let s = ev.ns() >> self.shift;
+        if s - self.cur_slice < self.ring.len() as u64 {
+            self.route_bulk(s, ev);
+        } else {
+            self.overflow_min_ns = self.overflow_min_ns.min(ev.ns());
+            self.overflow.push(ev);
         }
     }
 
@@ -612,10 +967,11 @@ impl EventQueue {
     fn migrate(&mut self) {
         let n = self.overflow.len();
         debug_assert!(n > 0 && self.ring_len == 0);
+        debug_assert!(self.segs.as_ref().is_none_or(|g| g.chains.is_empty()));
         let nb = ring_size(n);
         if self.ring.len() != nb {
             self.ring.resize_with(nb, Vec::new);
-            self.dirty.resize(nb, false);
+            self.flags.resize(nb, 0);
             self.stats.ring_hwm = self.stats.ring_hwm.max(nb as u64);
         }
         let min_ns = self.overflow_min_ns;
@@ -642,7 +998,7 @@ impl EventQueue {
             // bucket as it stands, no second copy.
             let b = (self.cur_slice & (nb as u64 - 1)) as usize;
             std::mem::swap(&mut self.ring[b], &mut self.overflow);
-            self.dirty[b] = true;
+            self.flags[b] = DIRTY;
             self.ring_len = n;
             self.stats.bucket_hwm = self.stats.bucket_hwm.max(n as u64);
             return;
@@ -668,9 +1024,11 @@ impl EventQueue {
         let b = self.settle()?;
         let bucket = &mut self.ring[b];
         let rec = bucket.pop()?;
-        // The drain rule — see `TRIM_CAP`.
-        if bucket.capacity() > TRIM_CAP && bucket.len() <= bucket.capacity() / 2 {
-            bucket.shrink_to(TRIM_CAP.max(bucket.len() + bucket.len() / 2));
+        if bucket.is_empty() && self.flags[b] & CHAINED != 0 {
+            self.promote(b);
+        } else if bucket.capacity() > SEG && bucket.len() <= bucket.capacity() / 2 {
+            // The drain rule — see `SEG`.
+            bucket.shrink_to(SEG.max(bucket.len() + bucket.len() / 2));
         }
         self.ring_len -= 1;
         let (tag, payload) = rec.action.unpack();
@@ -1046,7 +1404,7 @@ mod tests {
         c.push(key(100, 0, N as u32 - 1, 1));
         let b = 100 & (c.q.ring.len() - 1);
         assert!(
-            c.q.dirty[b],
+            c.q.flags[b] & DIRTY != 0,
             "the wave must have overflowed the memmove bound"
         );
         let dsts: Vec<u64> = c.q.ring[b].iter().map(|r| r.key.dst.0.into()).collect();
@@ -1117,6 +1475,197 @@ mod tests {
             let want = if n < threshold { n } else { 1 };
             assert_eq!(settle_as_pushed(&order), want, "{n} records");
         }
+    }
+
+    /// Wave sizes one below, at and one above a segment, and across
+    /// several.
+    const WAVES: [u64; 4] = [
+        SEG as u64 - 1,
+        SEG as u64,
+        SEG as u64 + 1,
+        3 * SEG as u64 + 5,
+    ];
+
+    /// A checked queue with a 256-slice ring of 1-ns buckets anchored at
+    /// t = 0, so that pushes at t < 256 land in the ring.
+    fn primed() -> Checked {
+        let mut c = Checked::default();
+        c.push(key(0, 0, 0, 0));
+        c.pop();
+        c
+    }
+
+    /// Segments bucket `b` holds above its pop end.
+    fn segments(q: &EventQueue, b: usize) -> usize {
+        q.segs
+            .as_ref()
+            .and_then(|g| g.chain(b))
+            .map_or(0, |c| c.segs.len())
+    }
+
+    /// Waves around and across the segment size, pushed ascending,
+    /// descending (every push a new minimum: the pop end splits) and
+    /// as an ascending backbone with strays, off the window head and at
+    /// it; half drained, refilled above and below, drained.
+    #[test]
+    fn chained_waves_match_the_oracle() {
+        for n in WAVES {
+            let ascending: Vec<u64> = (0..n).collect();
+            let descending: Vec<u64> = (0..n).rev().collect();
+            for (order, name) in [
+                (ascending, "ascending"),
+                (descending, "descending"),
+                (backbone_with_strays(n, 24), "strayed"),
+            ] {
+                for t in [0, 100] {
+                    let mut c = primed();
+                    for &j in &order {
+                        c.push(key(t, j as u32, 1, j));
+                    }
+                    let b = t as usize & (c.q.ring.len() - 1);
+                    assert!(
+                        c.q.flags[b] & CHAINED != 0,
+                        "{n} {name} at {t}: not chained"
+                    );
+                    assert_eq!(c.q.stats().bucket_hwm, n, "{n} {name} at {t}");
+                    for _ in 0..n / 2 {
+                        c.pop();
+                    }
+                    for j in 0..n / 4 {
+                        c.push(key(t, (n + j) as u32, 1, j));
+                        c.push(key(t, (2 * j) as u32, 2, j));
+                    }
+                    c.drain();
+                }
+            }
+        }
+    }
+
+    /// Inserts between the keys of a middle segment: they dirty that
+    /// segment alone, and once it is full it splits in two.
+    #[test]
+    fn deep_inserts_into_a_middle_segment_match_the_oracle() {
+        let n = 3 * SEG as u64 + 5;
+        let mut c = primed();
+        for j in 0..n {
+            c.push(key(100, 2 * j as u32 + 1, 0, j));
+        }
+        let b = 100;
+        assert_eq!(segments(&c.q, b), 3);
+        let middle = |q: &EventQueue| {
+            let chain = q.segs.as_ref().and_then(|g| g.chain(b)).unwrap();
+            (chain.segs[0].recs.len(), chain.segs[0].order)
+        };
+        assert!(middle(&c.q) == (SEG, Order::Rising));
+        // Even `dst`s inside the first segment above the pop end.
+        let first = SEG_FILL as u64 + 5;
+        for j in first..first + 40 {
+            c.push(key(100, 2 * j as u32, 0, n + j));
+        }
+        assert_eq!(segments(&c.q, b), 4, "a full middle segment did not split");
+        for j in first + 1000..first + 1040 {
+            c.push(key(100, 2 * j as u32, 0, n + j));
+        }
+        assert!(c.q.segs.as_ref().unwrap().chain(b).unwrap().segs[1].order == Order::Dirty);
+        c.drain();
+    }
+
+    /// A pop end filled to its headroom's end holds `SEG` records; a new
+    /// minimum then splits it, and the wave still pops in key order.
+    #[test]
+    fn a_new_minimum_splits_a_full_pop_end() {
+        let mut c = primed();
+        let fill = SEG_FILL as u64;
+        for j in 0..fill {
+            c.push(key(100, 2 * j as u32 + 2, 0, j));
+        }
+        c.push(key(100, 2 * fill as u32 + 2, 0, fill));
+        assert_eq!(segments(&c.q, 100), 1);
+        // Odd `dst`s inside the pop end's range fill its headroom.
+        for j in 0..(SEG - SEG_FILL) as u64 {
+            c.push(key(100, 2 * j as u32 + 3, 0, j));
+        }
+        assert_eq!(c.q.ring[100].len(), SEG);
+        c.push(key(100, 0, 0, 0));
+        assert_eq!(segments(&c.q, 100), 2, "the full pop end did not split");
+        assert_eq!(c.q.ring[100].len(), SEG / 2 + 1);
+        c.drain();
+    }
+
+    /// A width split of a chained head bucket re-buckets every segment;
+    /// a lane migration moves a giant slice in whole, and that bucket
+    /// then grows as one buffer, never chained.
+    #[test]
+    fn split_and_migrate_of_chained_buckets_match_the_oracle() {
+        let mut c = Checked::default();
+        let mut seq = 0..;
+        let mut push = |c: &mut Checked, t: u64| {
+            let seq: u64 = seq.next().unwrap();
+            c.push(key(t, (seq % 7) as u32, (seq % 5) as u32, seq));
+        };
+        // Millisecond slices, then a 3·SEG-event cluster inside one.
+        for i in 0..300u64 {
+            push(&mut c, i * 1_000_000);
+        }
+        c.pop();
+        for i in 0..3 * SEG as u64 {
+            push(&mut c, 1_000_000 + (i * 37) % 4_096);
+        }
+        let b = (1_000_000u64 >> c.q.shift) as usize & (c.q.ring.len() - 1);
+        assert!(segments(&c.q, b) > 0, "the cluster did not chain");
+        let rebuilds = c.q.stats().rebuilds;
+        let mut state = 0x5eed_u64;
+        for _ in 0..2_000 {
+            let t = c.pop().unwrap().time.as_nanos() + 1 + xorshift(&mut state) % 64;
+            push(&mut c, t);
+        }
+        assert!(
+            c.q.stats().rebuilds > rebuilds,
+            "the chained head never split"
+        );
+        c.drain();
+
+        // A lane of two slices, one of them 3·SEG + 5 events.
+        let mut c = Checked::default();
+        let n = 3 * SEG as u64 + 5;
+        for j in 0..n {
+            c.push(key(5_000, j as u32, 0, j));
+        }
+        c.push(key(900_000, 0, 0, 0));
+        c.pop();
+        let b = (5_000u64 >> c.q.shift) as usize & (c.q.ring.len() - 1);
+        assert!(
+            c.q.ring[b].capacity() > SEG,
+            "the giant slice was not moved whole"
+        );
+        for j in 0..SEG as u64 {
+            c.push(key(5_000, (n + j) as u32, 0, j));
+        }
+        assert_eq!(segments(&c.q, b), 0, "a whole-moved bucket chained");
+        c.drain();
+    }
+
+    /// A hold model inside one same-time bucket: every pop takes the
+    /// minimum and every push lands above the maximum, so segments empty
+    /// at the pop end while the high end opens new ones. The queue keeps
+    /// its live segments and the pool's idle ones to the population.
+    #[test]
+    fn segments_drain_at_the_pop_end_while_the_high_end_refills() {
+        let mut c = primed();
+        let n = 3 * SEG as u64 + 5;
+        for j in 0..n {
+            c.push(key(100, j as u32, 0, j));
+        }
+        for j in n..n + 5 * SEG as u64 {
+            c.pop();
+            c.push(key(100, j as u32, 0, j));
+            let g = c.q.segs.as_ref().unwrap();
+            assert!(g.live <= n as usize / SEG + 2, "{} live segments", g.live);
+            assert!(g.pool.len() <= g.live + 1, "{} idle segments", g.pool.len());
+        }
+        c.drain();
+        let g = c.q.segs.as_ref().unwrap();
+        assert!(g.chains.is_empty() && g.live == 0 && g.pool.len() <= 1);
     }
 
     /// `Call` closures round-trip through the slab: popped events carry

@@ -346,6 +346,58 @@ fn queue_matches_oracle_on_same_time_floods() {
     });
 }
 
+/// Buckets past one segment (2,048 records): waves just around one
+/// segment and across several, pushed ascending, descending, with
+/// strays or shuffled, into the head slice or ahead of it, then churned
+/// by pops that empty segments at the pop end and pushes above the
+/// bucket's largest key (the high end), between its keys (deep inside a
+/// middle segment) and below its smallest.
+#[test]
+fn queue_matches_oracle_on_chained_buckets() {
+    for_each_case(SEED, 24, |g| {
+        let mut c = Checked::default();
+        // A 256-slice ring of 1-ns buckets anchored at t = 0.
+        c.push(0, 0, 0);
+        c.pop();
+        let n = [2_047, 2_048, 2_049, 3 * 2_048 + 5, g.gen_in(1..8_200)][g.gen_index(5)];
+        let t = [0, 1, 100][g.gen_index(3)];
+        let mut order: Vec<u64> = (0..n).collect();
+        match g.gen_in(0..4) {
+            0 => {}
+            1 => order.reverse(),
+            2 => {
+                for _ in 0..g.gen_in(1..200) {
+                    let x = order.remove(g.gen_index(order.len()));
+                    order.insert(g.gen_index(order.len() + 1), x);
+                }
+            }
+            _ => (1..order.len())
+                .rev()
+                .for_each(|i| order.swap(i, g.gen_index(i + 1))),
+        }
+        // Odd destinations for the wave, so that even ones fall between
+        // its keys.
+        for j in order {
+            c.push(t, 2 * j as u32 + 1, 0);
+        }
+        let mut top = 2 * n as u32;
+        for _ in 0..g.gen_in(0..2 * n) {
+            match g.gen_in(0..8) {
+                0..=3 => {
+                    c.pop();
+                }
+                4 | 5 => {
+                    top += 2;
+                    c.push(t, top, 0);
+                }
+                6 => c.push(t, 2 * g.gen_in(0..n) as u32, 0),
+                _ => c.push(t, 0, 0),
+            }
+        }
+        c.drain();
+    });
+}
+
 /// Lane overtaking (the PR 8 soundness bug): events parked beyond the
 /// window fall inside it as the window slides, while pushes keep
 /// landing between the window head and the earliest parked event —

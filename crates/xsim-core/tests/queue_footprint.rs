@@ -182,6 +182,10 @@ fn same_time_flood_is_never_copied() {
 /// whose pops pushes one event 2 µs and one 10 µs out, drained to the
 /// end. While the wave drains, its bucket must give memory back to the
 /// two it is filling: holding all three at full size costs ≈ 146 B × n.
+/// The two it fills grow in pooled segments, so the peak is the 64 B × n
+/// they end at, the drained wave's unreturned half-capacity before its
+/// last shrink and the ring: 71.1 B × n measured (≈ 110 when they grew by
+/// doubling).
 #[test]
 fn draining_wave_gives_its_pages_back() {
     const N: u64 = 1 << 18;
@@ -211,7 +215,71 @@ fn draining_wave_gives_its_pages_back() {
         stats.bucket_hwm
     );
     assert_eq!(stats.pushes, 3 * N);
-    assert!(peak <= 120 * N, "peak {peak} B for a {N}-event wave");
+    assert!(peak <= 74 * N, "peak {peak} B for a {N}-event wave");
+}
+
+/// The raw-core ring as queue traffic over three rounds: a spawn wave
+/// of 2¹⁸ events at t = 0, each of whose pops pushes a sleep 10 µs out;
+/// each sleep's pop pushes a wake of the next rank 2 µs out (the wrap
+/// record to rank 0 last) and, but in the last round, the next sleep
+/// 10 µs out. The first round (the spawn wave, the first sleep wave and
+/// the wake wave it fed) takes the queue to its peak population and its
+/// pool to its peak; from then on every wave fills from the segments
+/// the waves before it emptied: no allocation call at all. The peak live
+/// heap is the resident records plus the ring's headers and a few
+/// segments: no doubling slack, no drained wave kept beside the waves
+/// it fills.
+#[test]
+fn lock_step_ring_reuses_its_segments() {
+    const N: u64 = 1 << 18;
+    const ROUNDS: u64 = 3;
+    const SLEEP: u64 = 10_000;
+    const WAKE: u64 = 2_000;
+    let ((resident, allocs, stats), _, peak) = measured(|| {
+        let mut q = EventQueue::new();
+        let mut seq = 0;
+        let mut push = |q: &mut EventQueue, t: u64, dst: u64| {
+            q.push(ev(t, dst as u32, seq));
+            seq += 1;
+        };
+        for r in 0..N {
+            push(&mut q, 0, r);
+        }
+        let (mut resident, mut first_round_done) = (0, None);
+        let mut last = None;
+        while let Some(e) = q.pop() {
+            assert!(last < Some(e.key), "popped out of order");
+            last = Some(e.key);
+            let (t, r) = (e.key.time.as_nanos(), u64::from(e.key.dst.0));
+            if t == 2 * SLEEP && first_round_done.is_none() {
+                first_round_done = Some(ALLOCS.get());
+            }
+            if t == 0 {
+                push(&mut q, SLEEP, r);
+            } else if t % SLEEP == 0 {
+                push(&mut q, t + WAKE, (r + 1) % N);
+                if t / SLEEP < ROUNDS {
+                    push(&mut q, t + SLEEP, r);
+                }
+            }
+            resident = resident.max(q.len() as u64);
+        }
+        let allocs = ALLOCS.get() - first_round_done.expect("a second round");
+        (resident, allocs, q.stats())
+    });
+    // The ring's headers and flags: a `Vec` and a byte per bucket.
+    let ring = stats.ring_hwm * 25;
+    let over = peak as i64 - (REC * resident + ring) as i64;
+    eprintln!(
+        "lock-step ring: {allocs} allocation calls after the first round, peak {peak} B = \
+         {resident} resident x {REC} B + {ring} B of ring + {over} B"
+    );
+    assert_eq!(stats.pushes, N + (2 * ROUNDS - 1) * N + N);
+    assert_eq!(allocs, 0, "a round after the first allocated");
+    assert!(
+        over <= 4 * 64 * KIB as i64,
+        "peak {peak} B: {over} B above the resident records and the ring"
+    );
 }
 
 /// Alternating push/pop right at the drain threshold of a giant head
