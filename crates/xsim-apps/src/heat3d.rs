@@ -128,7 +128,7 @@ impl HeatConfig {
     }
 
     /// Validate divisibility and intervals.
-    pub fn validate(&self) -> Result<(), String> {
+    pub(crate) fn validate(&self) -> Result<(), String> {
         for d in 0..3 {
             if self.ranks[d] == 0 || self.global[d] == 0 {
                 return Err("zero extent".into());
@@ -139,6 +139,10 @@ impl HeatConfig {
                     self.global[d], self.ranks[d]
                 ));
             }
+        }
+        let product = |v: [usize; 3]| v.iter().try_fold(1usize, |n, &x| n.checked_mul(x));
+        if product(self.ranks).is_none() || product(self.global).is_none() {
+            return Err("rank or point count overflows usize".into());
         }
         if self.iterations == 0 || self.halo_interval == 0 || self.ckpt_interval == 0 {
             return Err("iterations and intervals must be positive".into());
@@ -160,7 +164,7 @@ impl HeatConfig {
 
     /// The six mesh neighbours (±x, ±y, ±z) of a rank; `None` at the
     /// global boundary (the heat problem is not periodic).
-    pub fn neighbors(&self, rank: usize) -> [Option<usize>; 6] {
+    pub(crate) fn neighbors(&self, rank: usize) -> [Option<usize>; 6] {
         let c = self.rank_coords(rank);
         let mut out = [None; 6];
         for dim in 0..3 {
@@ -387,9 +391,9 @@ fn mix_token(token: u64, it: u64, rank: u64) -> u64 {
 /// Section names used in heat checkpoints.
 pub mod sections {
     /// Configuration fingerprint.
-    pub const CONFIG: &str = "config";
+    pub(crate) const CONFIG: &str = "config";
     /// Real-mode grid payload.
-    pub const GRID: &str = "grid";
+    pub(crate) const GRID: &str = "grid";
     /// Modeled-mode state token.
     pub const TOKEN: &str = "token";
 }

@@ -43,7 +43,7 @@ impl JacobiConfig {
     }
 
     /// Validate against a rank count.
-    pub fn validate(&self, n_ranks: usize) -> Result<(), String> {
+    pub(crate) fn validate(&self, n_ranks: usize) -> Result<(), String> {
         if !self.ny.is_multiple_of(n_ranks) {
             return Err(format!("ny={} not divisible by {} ranks", self.ny, n_ranks));
         }

@@ -23,10 +23,7 @@ pub mod kernels;
 pub mod scenario;
 pub mod sweep;
 
-pub use heat3d::{ComputeMode, HeatConfig};
-pub use heat3d_rep::RepHeatConfig;
-pub use jacobi2d::{JacobiConfig, JacobiOutcome};
-pub use sweep::SweepConfig;
+pub use heat3d::ComputeMode;
 
 use xsim_core::Bytes;
 

@@ -290,8 +290,18 @@ impl Cli {
                 let ranks = given.get("ranks", dims)?.unwrap_or([2, 2, 2]);
                 let iterations = given.get("iters", num)?.unwrap_or(100);
                 let ckpt_interval = given.get("ckpt", num)?.unwrap_or((iterations / 4).max(1));
+                let global = match given.get("global", dims)? {
+                    Some(global) => global,
+                    None => {
+                        let [x, y, z] = ranks.map(|r| r.checked_mul(8));
+                        let eight = x.zip(y).zip(z).map(|((x, y), z)| [x, y, z]);
+                        eight.ok_or_else(|| {
+                            ScenarioError::InvalidHeat("8 points per rank overflow usize".into())
+                        })?
+                    }
+                };
                 let cfg = HeatConfig {
-                    global: given.get("global", dims)?.unwrap_or(ranks.map(|r| r * 8)),
+                    global,
                     ranks,
                     iterations,
                     halo_interval: given.get("halo", num)?.unwrap_or(ckpt_interval),
@@ -474,10 +484,24 @@ mod tests {
                 "{bad:?}"
             );
         }
-        assert!(matches!(
-            parse(&["heat", "--ranks", "3x3x3", "--global", "8x8x8"], HEAT),
-            Err(ScenarioError::InvalidHeat(_))
-        ));
+        for argv in [
+            &["heat", "--ranks", "3x3x3", "--global", "8x8x8"][..],
+            // The default global extent (8 points per rank) overflows.
+            &["heat", "--ranks", "4611686018427387904x1x1"],
+            // So does the rank count, with a global extent that divides.
+            &[
+                "heat",
+                "--ranks",
+                "4294967296x4294967296x1",
+                "--global",
+                "4294967296x4294967296x1",
+            ],
+        ] {
+            assert!(
+                matches!(parse(argv, HEAT), Err(ScenarioError::InvalidHeat(_))),
+                "{argv:?}"
+            );
+        }
         assert_eq!(
             parse(&["ring", "--ranks", "8", "--lapz", "5"], RING).unwrap_err(),
             ScenarioError::UnknownKey {

@@ -50,7 +50,7 @@ impl SweepConfig {
     }
 
     /// Validate against a world size.
-    pub fn validate(&self, n_ranks: usize) -> Result<(), String> {
+    pub(crate) fn validate(&self, n_ranks: usize) -> Result<(), String> {
         if self.n_ranks() != n_ranks {
             return Err(format!(
                 "grid {}x{} needs {} ranks, world has {n_ranks}",

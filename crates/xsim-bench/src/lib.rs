@@ -282,7 +282,7 @@ pub fn peak_rss_kib() -> Option<u64> {
 /// ring successor, exercising the event core — calendar queue, inline
 /// `Call` storage, SoA VP table, cross-shard exchange — without any
 /// MPI-layer machinery on top.
-pub fn million_vp_program(n_ranks: usize, rounds: u32) -> Arc<dyn xsim_core::vp::VpProgram> {
+pub(crate) fn million_vp_program(n_ranks: usize, rounds: u32) -> Arc<dyn xsim_core::vp::VpProgram> {
     use xsim_core::vp::VpExit;
     use xsim_core::{ctx, Rank};
     Arc::new(move |rank: Rank| {
@@ -304,7 +304,7 @@ pub fn million_vp_program(n_ranks: usize, rounds: u32) -> Arc<dyn xsim_core::vp:
 /// One timed `million_vp` leg on the core engine. Returns the report
 /// and the end-to-end wall time (spawn scheduling and report assembly
 /// included — this is a throughput number, not a profile).
-pub fn run_million_vp(
+pub(crate) fn run_million_vp(
     vps: usize,
     workers: usize,
     rounds: u32,
@@ -328,7 +328,7 @@ pub fn run_million_vp(
 }
 
 /// `MemAvailable` from `/proc/meminfo` in KiB (Linux), if readable.
-pub fn mem_available_kib() -> Option<u64> {
+pub(crate) fn mem_available_kib() -> Option<u64> {
     let meminfo = std::fs::read_to_string("/proc/meminfo").ok()?;
     for line in meminfo.lines() {
         if let Some(rest) = line.strip_prefix("MemAvailable:") {
@@ -454,7 +454,7 @@ pub enum QueueShape {
     /// (log-uniform), the rest land 1 – 4,096 ns ahead; a fresh queue
     /// per trial, construction, drain and drop inside the timed span.
     Campaign,
-    /// The raw-core ring of wakes ([`million_vp_program`]) as queue
+    /// The raw-core ring of wakes (`million_vp_program`) as queue
     /// traffic, `pending` VPs: a spawn wave pushed in descending rank
     /// order, then every VP sleeps 10 µs and wakes its ring successor
     /// 2 µs later, twice — four lock-step waves that each arrive in
@@ -512,10 +512,10 @@ impl QueueTier {
 /// Trials per implementation per tier; the reported cost is the
 /// minimum, which discards scheduler/cache noise (any single trial can
 /// only be *slowed* by interference, never sped up).
-pub const QUEUE_TRIALS: usize = 5;
+pub(crate) const QUEUE_TRIALS: usize = 5;
 
 /// Time one churn tier for the calendar queue and the heap oracle,
-/// best-of-[`QUEUE_TRIALS`], interleaving the two so ambient load
+/// best-of-`QUEUE_TRIALS`, interleaving the two so ambient load
 /// perturbs them evenly. The flood tier's op count is its event count,
 /// not `ops`.
 pub fn run_queue_tier(pending: usize, shape: QueueShape, ops: usize) -> QueueTier {

@@ -105,7 +105,7 @@ impl OverheadComparison {
 
 /// Failure-free predicted checkpoint-overhead fraction for checkpoint
 /// interval `tau` and per-checkpoint commit cost `delta`.
-pub fn predicted_overhead_fraction(tau: SimTime, delta: SimTime) -> f64 {
+pub(crate) fn predicted_overhead_fraction(tau: SimTime, delta: SimTime) -> f64 {
     let t = tau.as_secs_f64();
     let d = delta.as_secs_f64();
     if d <= 0.0 || t + d <= 0.0 {

@@ -33,14 +33,11 @@ pub mod manager;
 pub mod modes;
 pub mod orchestrator;
 
-pub use codec::{crc32, Checkpoint, CodecError, Crc32, Section};
-pub use daly::{
-    compare_overhead, daly_interval, expected_runtime, predicted_overhead_fraction, young_interval,
-    OverheadComparison,
-};
-pub use manager::{read_exit_time, write_exit_time, CheckpointManager, EXIT_TIME_FILE};
+pub use codec::{crc32, Checkpoint, Crc32, Section};
+pub use daly::{compare_overhead, daly_interval, expected_runtime, young_interval};
+pub use manager::{read_exit_time, write_exit_time, CheckpointManager};
 pub use modes::{
-    apply_diff, block_diff, decode_diff, encode_diff, member_section, resolve_latest, DiffFile,
-    ModeWriter, ResolvedCheckpoint, CKPT_TAG, DIFF_BLOCK,
+    apply_diff, block_diff, decode_diff, encode_diff, member_section, resolve_latest, ModeWriter,
+    DIFF_BLOCK,
 };
 pub use orchestrator::{CampaignResult, Orchestrator, ProtectionCampaign};

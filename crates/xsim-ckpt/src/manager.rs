@@ -24,13 +24,13 @@ fn obs_clock() -> Option<SimTime> {
 /// Name of the file carrying the virtual exit time across restarts
 /// (paper §IV-E: "xSim optionally writes out the simulated time of the
 /// application exit … to a file. This file can be read in upon restart").
-pub const EXIT_TIME_FILE: &str = "xsim/exit_time";
+pub(crate) const EXIT_TIME_FILE: &str = "xsim/exit_time";
 
 /// Naming and persistence of one application's checkpoints.
 ///
 /// Every key it names — a rank file, an `agg` container, a buddy
 /// memory copy, a generation's directory — comes from one formatter,
-/// [`write_key`](Self::write_key): `{prefix}/{tier}/{generation:020}/{leaf}`,
+/// `write_key`: `{prefix}/{tier}/{generation:020}/{leaf}`,
 /// built at its exact length. A clone shares the prefix by refcount.
 #[derive(Debug, Clone)]
 pub struct CheckpointManager {
@@ -156,7 +156,7 @@ impl CheckpointManager {
     /// Write a checkpoint under `name` (simulated I/O, charged by the FS
     /// cost model), recording the checkpoint metrics; its trace span is
     /// the write's own `FileIo` interval. Call from within a VP.
-    pub async fn write_at(&self, name: String, ckpt: &Checkpoint) -> Result<(), FsError> {
+    pub(crate) async fn write_at(&self, name: String, ckpt: &Checkpoint) -> Result<(), FsError> {
         self.write_encoded(name, ckpt.encode()).await
     }
 
@@ -164,7 +164,7 @@ impl CheckpointManager {
     /// already encoded (the incremental writer keeps the encoded bytes
     /// as its diff base, so it encodes once and hands them over). The
     /// store keeps `name` as the file's key.
-    pub async fn write_encoded(&self, name: String, data: Bytes) -> Result<(), FsError> {
+    pub(crate) async fn write_encoded(&self, name: String, data: Bytes) -> Result<(), FsError> {
         let nbytes = data.len() as u64;
         let t0 = obs_clock();
         fs::write(name, data).await?;
@@ -181,20 +181,24 @@ impl CheckpointManager {
 
     /// Delete this rank's file of an older generation (the post-barrier
     /// cleanup of the paper's protocol). Missing files are fine.
-    pub async fn delete_generation(&self, iteration: u64, rank: u32) -> Result<bool, FsError> {
+    pub(crate) async fn delete_generation(
+        &self,
+        iteration: u64,
+        rank: u32,
+    ) -> Result<bool, FsError> {
         let existed = fs::delete(&self.file_name(iteration, rank)).await?;
         ctx::with_kernel(|k, _| obs::record(k, ids::CKPT_DELETES, 1));
         Ok(existed)
     }
 
     /// Checkpoint generations present on storage, newest first.
-    pub fn generations(&self, store: &FsStore) -> Vec<u64> {
+    pub(crate) fn generations(&self, store: &FsStore) -> Vec<u64> {
         self.generations_in(store, PFS_TIER, Leaf::Dir)
     }
 
     /// Iterations for which this rank has a file on storage, newest
     /// first (direct store access — also usable outside the simulation).
-    pub fn generations_for(&self, store: &FsStore, rank: u32) -> Vec<u64> {
+    pub(crate) fn generations_for(&self, store: &FsStore, rank: u32) -> Vec<u64> {
         self.generations_in(store, PFS_TIER, Leaf::Rank(rank))
     }
 

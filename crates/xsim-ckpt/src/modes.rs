@@ -51,7 +51,7 @@ use xsim_obs::service as obs;
 /// Reserved tag for checkpoint-mode traffic (below the replication
 /// layer's `REP_TAG_BASE = 1 << 28`, above the applications' small
 /// tags).
-pub const CKPT_TAG: u32 = 0x0C4A_0000;
+pub(crate) const CKPT_TAG: u32 = 0x0C4A_0000;
 
 /// Block granularity of incremental diffs, in bytes.
 pub const DIFF_BLOCK: usize = 256;
@@ -60,13 +60,13 @@ pub const DIFF_BLOCK: usize = 256;
 /// [`Checkpoint`], so the manager's completeness checks keep working).
 pub mod diff_sections {
     /// Base generation number the diff applies to (8 bytes LE).
-    pub const BASE: &str = "ibase";
+    pub(crate) const BASE: &str = "ibase";
     /// Changed block indices (u32 LE each).
-    pub const BLOCKS: &str = "iblocks";
+    pub(crate) const BLOCKS: &str = "iblocks";
     /// Concatenated changed blocks (the last one may be short).
-    pub const DATA: &str = "idata";
+    pub(crate) const DATA: &str = "idata";
     /// Total length of the reconstructed bytes (8 bytes LE).
-    pub const LEN: &str = "ilen";
+    pub(crate) const LEN: &str = "ilen";
 }
 
 /// Container-section name of one member's checkpoint inside an

@@ -82,7 +82,7 @@ impl Default for CoreConfig {
 
 impl CoreConfig {
     /// Validate invariants the engines rely on.
-    pub fn validate(&self) -> Result<(), SimError> {
+    pub(crate) fn validate(&self) -> Result<(), SimError> {
         if self.n_ranks == 0 {
             return Err(SimError::Config("n_ranks must be > 0".into()));
         }
@@ -123,7 +123,7 @@ impl CoreConfig {
     }
 
     /// The shard owning `rank`.
-    pub fn shard_of(&self, rank: usize) -> usize {
+    pub(crate) fn shard_of(&self, rank: usize) -> usize {
         rank / self.ranks_per_shard()
     }
 }

@@ -7,8 +7,8 @@
 //!
 //! ## The slot
 //!
-//! An engine [`lend`]s a shard's [`Kernel`] to its thread, for the run
-//! (sequential) or for one shard's window (parallel). [`Lent::drain`]
+//! An engine lends (`lend`) a shard's [`Kernel`] to its thread, for the run
+//! (sequential) or for one shard's window (parallel). `Lent::drain`
 //! processes each event inside a borrow of the slot and, if the event
 //! made its destination runnable, polls that VP with the slot released.
 //! [`with_kernel`] is therefore a plain `RefCell` borrow: a call outside

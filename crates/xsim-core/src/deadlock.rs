@@ -13,7 +13,7 @@ const MAX_LISTED: usize = 16;
 
 /// Build a human-readable deadlock report from blocked-VP summaries
 /// gathered across shards.
-pub fn report(blocked: &[(Rank, SimTime, &'static str)], total_ranks: usize) -> String {
+pub(crate) fn report(blocked: &[(Rank, SimTime, &'static str)], total_ranks: usize) -> String {
     use std::fmt::Write;
     let mut out = String::new();
     let _ = writeln!(

@@ -3,9 +3,9 @@
 //! Two engines share the same kernel and produce bit-identical virtual
 //! time results:
 //!
-//! * [`run_sequential`] processes events in global key order — the
+//! * `run_sequential` processes events in global key order — the
 //!   reference implementation.
-//! * [`run_parallel`] is a conservative, window-synchronized PDES over
+//! * `run_parallel` is a conservative, window-synchronized PDES over
 //!   native worker threads that each own a fixed set of shards, the
 //!   shared-memory analogue of xSim running as a parallel MPI program
 //!   with conservative synchronization (paper §II-A, §IV-A).
@@ -16,8 +16,8 @@ mod barrier;
 mod parallel;
 mod sequential;
 
-pub use parallel::run_parallel;
-pub use sequential::run_sequential;
+pub(crate) use parallel::run_parallel;
+pub(crate) use sequential::run_sequential;
 
 use crate::config::CoreConfig;
 use crate::error::{SimError, Termination};
@@ -29,7 +29,7 @@ use std::sync::Arc;
 
 /// Per-shard setup hook: installs services, fail hooks and scheduled
 /// injections before the event loop starts. Runs once per shard.
-pub type SetupFn<'a> = &'a (dyn Fn(&mut Kernel) + Sync);
+pub(crate) type SetupFn<'a> = &'a (dyn Fn(&mut Kernel) + Sync);
 
 /// Run a simulation with the engine selected by `cfg.engine` /
 /// `cfg.workers` (see [`CoreConfig::use_parallel`]).

@@ -121,7 +121,7 @@ struct Shared {
 
 /// Run the simulation on one worker thread per `SHARDS_PER_WORKER`
 /// shards, each worker owning an interleaved set of them.
-pub fn run_parallel(
+pub(crate) fn run_parallel(
     cfg: CoreConfig,
     program: Arc<dyn VpProgram>,
     setup: SetupFn<'_>,

@@ -11,7 +11,7 @@ use std::sync::Arc;
 
 /// Run the simulation on the calling thread, processing events in global
 /// `(time, dst, src, seq)` order.
-pub fn run_sequential(
+pub(crate) fn run_sequential(
     cfg: CoreConfig,
     program: Arc<dyn VpProgram>,
     setup: SetupFn<'_>,

@@ -1,6 +1,6 @@
 //! The kernel: one shard of the simulation state.
 //!
-//! A kernel owns a contiguous block of VPs (a SoA [`VpTable`]), their
+//! A kernel owns a contiguous block of VPs (a SoA `VpTable`), their
 //! pending-event queue and the per-shard services of upper layers. The
 //! sequential engine uses a single kernel; the parallel engine gives
 //! every worker thread a fixed, interleaved set of kernels and exchanges
@@ -22,7 +22,6 @@ use crate::error::{FailureRecord, Termination};
 use crate::event::{Action, EventKey, EventRec};
 use crate::queue::EventQueue;
 use crate::rank::Rank;
-use crate::rng::DetRng;
 use crate::service::{Service, ServiceMap};
 use crate::time::SimTime;
 use crate::vp::{VpExit, VpFuture, VpMut, VpProgram, VpRef, VpState, VpTable, WaitClass};
@@ -34,13 +33,13 @@ use std::task::Poll;
 /// Hook invoked after a VP has been failed (by injection activation or by
 /// its program reporting a failure). The MPI layer registers one to
 /// broadcast the simulator-internal failure notification (paper §IV-B).
-pub type FailHook = Arc<dyn Fn(&mut Kernel, Rank, SimTime) + Send + Sync>;
+pub(crate) type FailHook = Arc<dyn Fn(&mut Kernel, Rank, SimTime) + Send + Sync>;
 
 /// Hook invoked once per shard at engine shutdown, before the report is
 /// assembled. Upper layers register these to flush per-shard state
 /// (trace buffers, metric sets) deterministically instead of relying on
 /// `Drop` order.
-pub type ShutdownHook = Arc<dyn Fn(&mut Kernel) + Send + Sync>;
+pub(crate) type ShutdownHook = Arc<dyn Fn(&mut Kernel) + Send + Sync>;
 
 /// One executed event's share of the run digest: its key and action
 /// kind (0 spawn, 1 token wake, 2 message wake, 3 call), folded into one
@@ -237,11 +236,6 @@ impl Kernel {
         self.services.put_back(svc);
     }
 
-    /// A deterministic RNG stream derived from the master seed.
-    pub fn rng(&self, stream_tag: u64) -> DetRng {
-        DetRng::stream(self.cfg.seed, stream_tag)
-    }
-
     // ------------------------------------------------------------------
     // Scheduling
     // ------------------------------------------------------------------
@@ -300,7 +294,7 @@ impl Kernel {
     /// Pop order is push-order independent (key uniqueness; pinned by
     /// `queue_order_is_push_order_independent`), so this is purely a
     /// host-side optimization.
-    pub fn schedule_spawns(&mut self) {
+    pub(crate) fn schedule_spawns(&mut self) {
         let t0 = self.cfg.start_time;
         for r in self.owned_ranks().rev() {
             let rank = Rank::new(r);
@@ -490,7 +484,7 @@ impl Kernel {
     }
 
     /// Terminate a VP due to (propagated) abort activation.
-    pub fn terminate_aborted(&mut self, rank: Rank, time: SimTime) {
+    pub(crate) fn terminate_aborted(&mut self, rank: Rank, time: SimTime) {
         let mut vp = self.vps.get_mut(rank);
         if vp.state() == VpState::Done {
             return;

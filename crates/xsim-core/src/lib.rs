@@ -32,7 +32,7 @@
 //!
 //! ## Engines
 //!
-//! * [`engine::run_sequential`] — reference engine, processes events in
+//! * `engine::run_sequential` — reference engine, processes events in
 //!   global `(time, dst, src, seq)` order.
 //! * [`engine::run`] — dispatches to the sequential engine or to a
 //!   conservative windowed parallel engine (lookahead = minimum cross-rank
@@ -57,15 +57,12 @@ pub mod time;
 pub mod vp;
 
 pub use config::{CoreConfig, EngineKind};
-pub use ctx::{block, now, sleep, with_kernel, yield_now};
 pub use error::SimError;
-pub use event::{Action, Call, EventKey, EventRec};
+pub use event::{EventKey, EventRec};
 pub use kernel::Kernel;
 pub use payload::Bytes;
 pub use queue::{EventQueue, QueueStats};
 pub use rank::Rank;
-pub use report::{EngineProfile, ExitKind, ShardStats, SimReport, VpTimingStats};
+pub use report::{EngineProfile, ExitKind, SimReport};
 pub use rng::DetRng;
-pub use service::Service;
 pub use time::SimTime;
-pub use vp::{VpExit, VpMut, VpProgram, VpRef, VpState, VpTable, WaitClass, WaitToken};

@@ -20,13 +20,13 @@
 //! moves the longest to the front in descending order, sorts the few
 //! records outside it in a fixed stack array and merges them in from
 //! the back — linear time, no allocation, no change of capacity. Only
-//! a bucket with more than [`MAX_RUNS`] runs or [`STRAY_CAP`] strays,
-//! or one below [`MERGE_MIN_LEN`], takes the comparison sort.
+//! a bucket with more than `MAX_RUNS` runs or `STRAY_CAP` strays,
+//! or one below `MERGE_MIN_LEN`, takes the comparison sort.
 //!
 //! ## Geometry
 //!
 //! The queue costs what it holds: the bucket count is a function of the
-//! *population* alone ([`ring_size`]), never of the virtual time the
+//! *population* alone (`ring_size`), never of the virtual time the
 //! population spans, so construction, drop and every redistribution are
 //! O(population high-water mark). The bucket *width* is set by the
 //! dense front of the population (`migrate`) and narrowed only when
@@ -43,10 +43,10 @@
 //!
 //! ## Compact records and the call slab
 //!
-//! Resident events are stored as a 32-byte [`CompactRec`] — the 24-byte
+//! Resident events are stored as a 32-byte `CompactRec` — the 24-byte
 //! key plus an 8-byte action word — instead of the 48-byte
 //! [`EventRec`]. A `Call`'s box parks in a queue-owned slab
-//! ([`CallSlab`]) and the record carries only the slot index; slots
+//! (`CallSlab`) and the record carries only the slot index; slots
 //! are 16 bytes (the fat box pointer) and recycled through a free list,
 //! so a slot is paid once per *in-flight* `Call`, not per resident
 //! event. At the paper's 2²⁷-VP scale the initial spawn wave alone is
@@ -56,9 +56,9 @@
 //!
 //! ## Segmented buckets
 //!
-//! A bucket holds at most [`SEG`] records in one buffer, its *pop
-//! end* (`ring[b]`). A bucket that fills past [`SEG_FILL`] records
-//! grows a [`Chain`] of further segments of `SEG` records each, in
+//! A bucket holds at most `SEG` records in one buffer, its *pop
+//! end* (`ring[b]`). A bucket that fills past `SEG_FILL` records
+//! grows a `Chain` of further segments of `SEG` records each, in
 //! ascending key ranges: a push above the bucket's largest key opens or
 //! extends the high end, any other push lands in the segment whose range
 //! holds its key. When the pop end empties, the next segment takes its
@@ -67,7 +67,7 @@
 //! more. So a lock-step wave of any size costs its records plus a
 //! fraction of a segment, never a doubling buffer, and its drained
 //! segments feed the waves its pops fill through the queue's pool (see
-//! [`Segments`]), never through the allocator.
+//! `Segments`), never through the allocator.
 //!
 //! Only a buffer that arrived whole can exceed `SEG` records: the lane
 //! handed over as one bucket (a spawn wave) or a bucket filled by bulk
@@ -1047,7 +1047,7 @@ impl EventQueue {
     /// Remove the earliest event only if it fires strictly before `bound`.
     /// This is the primitive the windowed parallel engine drains with.
     #[inline]
-    pub fn pop_before(&mut self, bound: SimTime) -> Option<EventRec> {
+    pub(crate) fn pop_before(&mut self, bound: SimTime) -> Option<EventRec> {
         if self.next_time()? < bound {
             self.pop()
         } else {
@@ -1057,7 +1057,7 @@ impl EventQueue {
 
     /// Time of the earliest pending event, if any.
     #[inline]
-    pub fn next_time(&mut self) -> Option<SimTime> {
+    pub(crate) fn next_time(&mut self) -> Option<SimTime> {
         self.next_key().map(|k| k.time)
     }
 

@@ -34,7 +34,7 @@ pub struct VpTimingStats {
 
 impl VpTimingStats {
     /// Compute stats from final clocks. Returns zeros for an empty slice.
-    pub fn from_clocks(clocks: &[SimTime]) -> Self {
+    pub(crate) fn from_clocks(clocks: &[SimTime]) -> Self {
         if clocks.is_empty() {
             return VpTimingStats {
                 min: SimTime::ZERO,
@@ -135,7 +135,7 @@ impl EngineProfile {
     /// per-worker views of the same global window sequence, so they
     /// merge by max; busy times append, in the order workers merge; the
     /// rest are true totals.
-    pub fn merge(&mut self, other: &EngineProfile) {
+    pub(crate) fn merge(&mut self, other: &EngineProfile) {
         self.windows = self.windows.max(other.windows);
         self.barrier_wait_ns += other.barrier_wait_ns;
         self.worker_busy_ns.extend_from_slice(&other.worker_busy_ns);
@@ -243,7 +243,7 @@ impl SimReport {
     }
 
     /// Largest per-shard pending-event-queue high-water mark.
-    pub fn queue_depth_hwm(&self) -> u64 {
+    pub(crate) fn queue_depth_hwm(&self) -> u64 {
         self.shards
             .iter()
             .map(|s| s.queue_depth_hwm)

@@ -41,8 +41,6 @@ impl DetRng {
 
     /// Stream tags for well-known consumers.
     pub const STREAM_FAILURES: u64 = 0xFA11;
-    /// Stream tag for application-visible randomness.
-    pub const STREAM_APP: u64 = 0xA44;
     /// Stream tag for fault-campaign victims.
     pub const STREAM_CAMPAIGN: u64 = 0xCA3B;
 

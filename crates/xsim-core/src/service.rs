@@ -9,10 +9,10 @@
 //! FS, power, trace, obs), and the MPI layer — the hottest client — is
 //! installed first. The registry is therefore a short `Vec` of
 //! `(TypeId, slot)` pairs scanned by `TypeId` equality: no hashing, and a
-//! lookup of the first service is one comparison. A service that is
-//! [`take`](ServiceMap::take)n leaves its slot empty (the type keeps its
-//! position) and [`put_back`](ServiceMap::put_back) refills that slot, so
-//! the detach / re-attach round trip of every MPI operation moves one
+//! lookup of the first service is one comparison. Taking a service out
+//! (`ServiceMap::take`) leaves its slot empty (the type keeps its
+//! position) and `ServiceMap::put_back` refills that slot, so the
+//! detach / re-attach round trip of every MPI operation moves one
 //! box pointer and nothing else.
 
 use std::any::{Any, TypeId};
@@ -23,7 +23,7 @@ impl<T: Any + Send> Service for T {}
 
 /// Type-indexed slots of the services installed on one kernel shard.
 #[derive(Default)]
-pub struct ServiceMap {
+pub(crate) struct ServiceMap {
     /// One slot per installed type, in install order; `None` while the
     /// service is taken.
     slots: Vec<(TypeId, Option<Box<dyn Any + Send>>)>,
@@ -31,7 +31,7 @@ pub struct ServiceMap {
 
 impl ServiceMap {
     /// Empty registry.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
@@ -51,19 +51,19 @@ impl ServiceMap {
     }
 
     /// Install (or replace, in its existing slot) the service of type `T`.
-    pub fn insert<T: Service>(&mut self, svc: T) {
+    pub(crate) fn insert<T: Service>(&mut self, svc: T) {
         self.put_back(Box::new(svc));
     }
 
     /// Shared access to the service of type `T`, if installed.
     #[inline]
-    pub fn get<T: Service>(&self) -> Option<&T> {
+    pub(crate) fn get<T: Service>(&self) -> Option<&T> {
         self.slot::<T>()?.as_ref()?.downcast_ref::<T>()
     }
 
     /// Mutable access to the service of type `T`, if installed.
     #[inline]
-    pub fn get_mut<T: Service>(&mut self) -> Option<&mut T> {
+    pub(crate) fn get_mut<T: Service>(&mut self) -> Option<&mut T> {
         self.slot_mut::<T>()?.as_mut()?.downcast_mut::<T>()
     }
 
@@ -72,14 +72,14 @@ impl ServiceMap {
     /// stays reserved and reads as absent until
     /// [`put_back`](Self::put_back).
     #[inline]
-    pub fn take<T: Service>(&mut self) -> Option<Box<T>> {
+    pub(crate) fn take<T: Service>(&mut self) -> Option<Box<T>> {
         self.slot_mut::<T>()?.take()?.downcast::<T>().ok()
     }
 
     /// Re-install a service previously [`take`](Self::take)n, into its
     /// own slot (a type seen for the first time gets a new one).
     #[inline]
-    pub fn put_back<T: Service>(&mut self, svc: Box<T>) {
+    pub(crate) fn put_back<T: Service>(&mut self, svc: Box<T>) {
         match self.slot_mut::<T>() {
             Some(slot) => *slot = Some(svc),
             None => self.slots.push((TypeId::of::<T>(), Some(svc))),

@@ -80,13 +80,13 @@ impl SimTime {
 
     /// Saturating addition.
     #[inline]
-    pub const fn saturating_add(self, rhs: SimTime) -> SimTime {
+    pub(crate) const fn saturating_add(self, rhs: SimTime) -> SimTime {
         SimTime(self.0.saturating_add(rhs.0))
     }
 
     /// Saturating subtraction (clamps at zero).
     #[inline]
-    pub const fn saturating_sub(self, rhs: SimTime) -> SimTime {
+    pub(crate) const fn saturating_sub(self, rhs: SimTime) -> SimTime {
         SimTime(self.0.saturating_sub(rhs.0))
     }
 
@@ -107,7 +107,7 @@ impl SimTime {
 
     /// The larger of two times.
     #[inline]
-    pub fn max(self, other: SimTime) -> SimTime {
+    pub(crate) fn max(self, other: SimTime) -> SimTime {
         if self.0 >= other.0 {
             self
         } else {
@@ -117,7 +117,7 @@ impl SimTime {
 
     /// The smaller of two times.
     #[inline]
-    pub fn min(self, other: SimTime) -> SimTime {
+    pub(crate) fn min(self, other: SimTime) -> SimTime {
         if self.0 <= other.0 {
             self
         } else {

@@ -2,7 +2,7 @@
 //!
 //! A VP is the simulated counterpart of one MPI process: a coroutine with
 //! its own virtual clock, suspended whenever it performs a simulator call
-//! (paper §IV-A). The kernel owns a [`VpTable`] and drives each VP's
+//! (paper §IV-A). The kernel owns a `VpTable` and drives each VP's
 //! future.
 //!
 //! ## Data-oriented layout
@@ -17,7 +17,7 @@
 //! * run state, wait class, the pending-wake flag and the termination
 //!   kind pack into one byte per VP (3+2+1+2 bits); the termination
 //!   *time* is always the VP's final clock (pinned by a debug assert in
-//!   [`VpMut::set_termination`]), so it is reconstructed from the clock
+//!   `VpMut::set_termination`), so it is reconstructed from the clock
 //!   column instead of stored;
 //! * wait descriptions are interned: the column holds a one-byte index
 //!   into a tiny per-table string table (the simulator has a handful of
@@ -200,7 +200,7 @@ fn dec_class(b: u8) -> WaitClass {
 const NO_TIME: u64 = u64::MAX;
 
 /// SoA table of the VPs one shard owns, indexed by `rank − base`.
-pub struct VpTable {
+pub(crate) struct VpTable {
     /// Ranks this table covers (`base..base+len`).
     owned: Range<usize>,
     // --- hot: touched on every wake check / dispatch ---
@@ -234,7 +234,7 @@ pub struct VpTable {
 
 impl VpTable {
     /// A table of fresh VPs for `owned`, clocks at `start`.
-    pub fn new(owned: Range<usize>, start: SimTime) -> Self {
+    pub(crate) fn new(owned: Range<usize>, start: SimTime) -> Self {
         let n = owned.len();
         VpTable {
             owned,
@@ -251,29 +251,24 @@ impl VpTable {
     }
 
     /// The ranks this table covers.
-    pub fn owned_ranks(&self) -> Range<usize> {
+    pub(crate) fn owned_ranks(&self) -> Range<usize> {
         self.owned.clone()
     }
 
     /// Number of VPs in the table.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.clock.len()
-    }
-
-    /// Whether the table is empty.
-    pub fn is_empty(&self) -> bool {
-        self.clock.is_empty()
     }
 
     /// Whether `rank` is in the table.
     #[inline]
-    pub fn contains(&self, rank: Rank) -> bool {
+    pub(crate) fn contains(&self, rank: Rank) -> bool {
         self.owned.contains(&rank.idx())
     }
 
     /// Shared handle to an owned VP. Panics if `rank` is foreign.
     #[inline]
-    pub fn get(&self, rank: Rank) -> VpRef<'_> {
+    pub(crate) fn get(&self, rank: Rank) -> VpRef<'_> {
         assert!(self.contains(rank), "VP not owned by this shard");
         VpRef {
             t: self,
@@ -283,14 +278,14 @@ impl VpTable {
 
     /// Mutable handle to an owned VP. Panics if `rank` is foreign.
     #[inline]
-    pub fn get_mut(&mut self, rank: Rank) -> VpMut<'_> {
+    pub(crate) fn get_mut(&mut self, rank: Rank) -> VpMut<'_> {
         assert!(self.contains(rank), "VP not owned by this shard");
         let i = rank.idx() - self.owned.start;
         VpMut { t: self, i }
     }
 
     /// Iterate `(rank, handle)` over every VP in the table.
-    pub fn iter(&self) -> impl Iterator<Item = (Rank, VpRef<'_>)> {
+    pub(crate) fn iter(&self) -> impl Iterator<Item = (Rank, VpRef<'_>)> {
         self.owned.clone().map(move |r| {
             (
                 Rank::new(r),
@@ -350,7 +345,7 @@ impl fmt::Debug for VpTable {
     }
 }
 
-/// Shared view of one VP in a [`VpTable`].
+/// Shared view of one VP in a `VpTable`.
 #[derive(Clone, Copy)]
 pub struct VpRef<'a> {
     t: &'a VpTable,
@@ -359,12 +354,6 @@ pub struct VpRef<'a> {
 
 macro_rules! vp_read_api {
     ($table:ident) => {
-        /// This VP's rank.
-        #[inline]
-        pub fn rank(&self) -> Rank {
-            Rank::new(self.$table.owned.start + self.i)
-        }
-
         /// The VP's virtual clock. Advances only at simulator calls.
         #[inline]
         pub fn clock(&self) -> SimTime {
@@ -389,62 +378,62 @@ macro_rules! vp_read_api {
             self.$table.wait_token[self.i]
         }
 
-        /// Description of the current wait, for diagnostics.
-        #[inline]
-        pub fn wait_desc(&self) -> &'static str {
-            self.$table.descs[self.$table.wait_desc[self.i] as usize]
-        }
-
-        /// Scheduled (earliest) time of failure, if any.
-        #[inline]
-        pub fn time_of_failure(&self) -> Option<SimTime> {
-            match self.$table.time_of_failure.get(self.i) {
-                Some(&ns) if ns != NO_TIME => Some(SimTime(ns)),
-                _ => None,
-            }
-        }
-
-        /// Earliest propagated-abort activation time, if any.
-        #[inline]
-        pub fn abort_at(&self) -> Option<SimTime> {
-            match self.$table.abort_at.get(self.i) {
-                Some(&ns) if ns != NO_TIME => Some(SimTime(ns)),
-                _ => None,
-            }
-        }
-
-        /// How the VP terminated (valid when [`VpState::Done`]). The
-        /// termination time is the VP's final clock — see
-        /// [`VpMut::set_termination`].
-        #[inline]
-        pub fn termination(&self) -> Option<Termination> {
-            match self.$table.flags[self.i] >> TERM_SHIFT {
-                0 => None,
-                1 => Some(Termination::Finished),
-                2 => Some(Termination::Failed(self.clock())),
-                _ => Some(Termination::Aborted(self.clock())),
-            }
-        }
-
         /// Whether the VP has terminated (finished, failed, or aborted).
         #[inline]
         pub fn is_done(&self) -> bool {
             dec_state(self.$table.flags[self.i]) == VpState::Done
-        }
-
-        /// Whether the VP terminated by injected failure.
-        #[inline]
-        pub fn is_failed(&self) -> bool {
-            self.$table.flags[self.i] >> TERM_SHIFT == 2
         }
     };
 }
 
 impl VpRef<'_> {
     vp_read_api!(t);
+
+    /// This VP's rank.
+    #[inline]
+    pub(crate) fn rank(&self) -> Rank {
+        Rank::new(self.t.owned.start + self.i)
+    }
+
+    /// Description of the current wait, for diagnostics.
+    #[inline]
+    pub(crate) fn wait_desc(&self) -> &'static str {
+        self.t.descs[self.t.wait_desc[self.i] as usize]
+    }
+
+    /// Scheduled (earliest) time of failure, if any.
+    #[inline]
+    pub(crate) fn time_of_failure(&self) -> Option<SimTime> {
+        match self.t.time_of_failure.get(self.i) {
+            Some(&ns) if ns != NO_TIME => Some(SimTime(ns)),
+            _ => None,
+        }
+    }
+
+    /// Earliest propagated-abort activation time, if any.
+    #[inline]
+    pub(crate) fn abort_at(&self) -> Option<SimTime> {
+        match self.t.abort_at.get(self.i) {
+            Some(&ns) if ns != NO_TIME => Some(SimTime(ns)),
+            _ => None,
+        }
+    }
+
+    /// How the VP terminated (valid when [`VpState::Done`]). The
+    /// termination time is the VP's final clock — see
+    /// [`VpMut::set_termination`].
+    #[inline]
+    pub(crate) fn termination(&self) -> Option<Termination> {
+        match self.t.flags[self.i] >> TERM_SHIFT {
+            0 => None,
+            1 => Some(Termination::Finished),
+            2 => Some(Termination::Failed(self.clock())),
+            _ => Some(Termination::Aborted(self.clock())),
+        }
+    }
 }
 
-/// Mutable view of one VP in a [`VpTable`].
+/// Mutable view of one VP in a `VpTable`.
 pub struct VpMut<'a> {
     t: &'a mut VpTable,
     i: usize,
@@ -462,7 +451,7 @@ impl VpMut<'_> {
 
     /// Advance the clock to at least `time` (clocks never move backward).
     #[inline]
-    pub fn advance_clock(&mut self, time: SimTime) -> SimTime {
+    pub(crate) fn advance_clock(&mut self, time: SimTime) -> SimTime {
         let c = &mut self.t.clock[self.i];
         *c = (*c).max(time);
         *c
@@ -507,7 +496,7 @@ impl VpMut<'_> {
 
     /// Deliver a wakeup: mark runnable with the pending-wake flag set.
     #[inline]
-    pub fn deliver_wake(&mut self) {
+    pub(crate) fn deliver_wake(&mut self) {
         let f = &mut self.t.flags[self.i];
         *f = (*f & !STATE_MASK) | enc_state(VpState::Runnable) | WOKEN_BIT;
     }
@@ -525,7 +514,7 @@ impl VpMut<'_> {
     /// Set the scheduled time of failure. Materializes the lazy column
     /// on a shard's first injection.
     #[inline]
-    pub fn set_time_of_failure(&mut self, tof: SimTime) {
+    pub(crate) fn set_time_of_failure(&mut self, tof: SimTime) {
         self.t.ensure_tof();
         self.t.time_of_failure[self.i] = tof.as_nanos();
     }
@@ -533,7 +522,7 @@ impl VpMut<'_> {
     /// Min-merge a propagated-abort activation time. Materializes the
     /// lazy column on a shard's first abort.
     #[inline]
-    pub fn note_abort_at(&mut self, time: SimTime) {
+    pub(crate) fn note_abort_at(&mut self, time: SimTime) {
         self.t.ensure_abort();
         let slot = &mut self.t.abort_at[self.i];
         *slot = (*slot).min(time.as_nanos());
@@ -544,7 +533,7 @@ impl VpMut<'_> {
     /// (it advances the clock first), so the time is reconstructed from
     /// the clock column — asserted here.
     #[inline]
-    pub fn set_termination(&mut self, term: Termination) {
+    pub(crate) fn set_termination(&mut self, term: Termination) {
         let kind = match term {
             Termination::Finished => 1u8,
             Termination::Failed(t) => {
@@ -562,20 +551,20 @@ impl VpMut<'_> {
 
     /// Move the coroutine out for polling (or teardown).
     #[inline]
-    pub fn take_future(&mut self) -> Option<VpFuture> {
+    pub(crate) fn take_future(&mut self) -> Option<VpFuture> {
         self.t.futures[self.i].take()
     }
 
     /// Put the coroutine back after a `Pending` poll (or install it at
     /// spawn).
     #[inline]
-    pub fn put_future(&mut self, fut: VpFuture) {
+    pub(crate) fn put_future(&mut self, fut: VpFuture) {
         self.t.futures[self.i] = Some(fut);
     }
 
     /// Drop the coroutine (force-terminate).
     #[inline]
-    pub fn drop_future(&mut self) {
+    pub(crate) fn drop_future(&mut self) {
         self.t.futures[self.i] = None;
     }
 }
@@ -635,7 +624,8 @@ mod tests {
         vp.set_state(VpState::Running);
         let t1 = vp.begin_wait(WaitClass::Compute, "compute");
         assert_eq!(vp.state(), VpState::Blocked);
-        assert_eq!(vp.wait_desc(), "compute");
+        assert_eq!(t.get(Rank(4)).wait_desc(), "compute");
+        let mut vp = t.get_mut(Rank(4));
         vp.set_state(VpState::Running);
         let t2 = vp.begin_wait(WaitClass::Message, "recv");
         assert_ne!(t1, t2);
@@ -709,20 +699,19 @@ mod tests {
     #[test]
     fn termination_kind_packs_and_time_is_the_clock() {
         let mut t = table();
+        assert_eq!(t.get(Rank(4)).termination(), None);
         let mut vp = t.get_mut(Rank(4));
-        assert_eq!(vp.termination(), None);
         vp.advance_clock(SimTime(77));
         vp.set_termination(Termination::Failed(SimTime(77)));
-        assert_eq!(vp.termination(), Some(Termination::Failed(SimTime(77))));
-        assert!(vp.is_failed());
+        let failed = Some(Termination::Failed(SimTime(77)));
+        assert_eq!(t.get(Rank(4)).termination(), failed);
         let mut vp = t.get_mut(Rank(5));
         vp.advance_clock(SimTime(9));
         vp.set_termination(Termination::Aborted(SimTime(9)));
-        assert_eq!(vp.termination(), Some(Termination::Aborted(SimTime(9))));
-        let mut vp = t.get_mut(Rank(6));
-        vp.set_termination(Termination::Finished);
-        assert_eq!(vp.termination(), Some(Termination::Finished));
-        assert!(!vp.is_failed());
+        let aborted = Some(Termination::Aborted(SimTime(9)));
+        assert_eq!(t.get(Rank(5)).termination(), aborted);
+        t.get_mut(Rank(6)).set_termination(Termination::Finished);
+        assert_eq!(t.get(Rank(6)).termination(), Some(Termination::Finished));
     }
 
     #[test]

@@ -57,7 +57,7 @@ impl VictimLayout {
 
 /// Outcome of one injected bit flip.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FlipOutcome {
+pub(crate) enum FlipOutcome {
     /// The victim crashed (detected failure; the campaign's detector
     /// "reports on its exit").
     Crashed,
@@ -71,7 +71,7 @@ pub enum FlipOutcome {
 
 /// A simulated victim process accepting bit-flip injections.
 #[derive(Debug)]
-pub struct Victim {
+pub(crate) struct Victim {
     layout: VictimLayout,
     injections: u32,
     corrupted: bool,
@@ -80,7 +80,7 @@ pub struct Victim {
 
 impl Victim {
     /// A fresh victim with the given memory layout.
-    pub fn new(layout: VictimLayout) -> Self {
+    pub(crate) fn new(layout: VictimLayout) -> Self {
         Victim {
             layout,
             injections: 0,
@@ -89,25 +89,10 @@ impl Victim {
         }
     }
 
-    /// Number of injections performed so far.
-    pub fn injections(&self) -> u32 {
-        self.injections
-    }
-
-    /// Whether any silent corruption accumulated.
-    pub fn is_corrupted(&self) -> bool {
-        self.corrupted
-    }
-
-    /// Whether the victim crashed.
-    pub fn is_crashed(&self) -> bool {
-        self.crashed
-    }
-
     /// Inject one uniformly placed bit flip (the ptrace(2) analogue).
     /// Panics if the victim already crashed (the real tool would fail to
     /// attach).
-    pub fn inject(&mut self, rng: &mut DetRng) -> FlipOutcome {
+    pub(crate) fn inject(&mut self, rng: &mut DetRng) -> FlipOutcome {
         assert!(!self.crashed, "cannot inject into a crashed victim");
         self.injections += 1;
         let total_bits = self.layout.total_bytes() as u64 * 8;
@@ -128,7 +113,7 @@ impl Victim {
 
     /// Inject until the victim crashes; returns the number of injections
     /// needed (the per-victim figure aggregated in Table I).
-    pub fn run_to_failure(&mut self, rng: &mut DetRng, max_injections: u32) -> Option<u32> {
+    pub(crate) fn run_to_failure(&mut self, rng: &mut DetRng, max_injections: u32) -> Option<u32> {
         while self.injections < max_injections {
             if self.inject(rng) == FlipOutcome::Crashed {
                 return Some(self.injections);
@@ -269,8 +254,6 @@ mod tests {
         });
         // Everything is text: first injection crashes.
         assert_eq!(v.inject(&mut rng), FlipOutcome::Crashed);
-        assert!(v.is_crashed());
-        assert_eq!(v.injections(), 1);
     }
 
     #[test]
@@ -297,8 +280,6 @@ mod tests {
             unused_bytes: 0,
         });
         assert_eq!(v.inject(&mut rng), FlipOutcome::SilentCorruption);
-        assert!(v.is_corrupted());
-        assert!(!v.is_crashed());
     }
 
     #[test]

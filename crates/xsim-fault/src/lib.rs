@@ -32,9 +32,7 @@ pub mod reliability;
 pub mod schedule;
 pub mod soft;
 
-pub use bitflip::{CampaignStats, FlipOutcome, Victim, VictimLayout};
-pub use netfault::{Fault, FaultComponent, FaultKind, FaultSchedule, NetReliability};
-pub use random::{FailureModel, RunDraw};
+pub use netfault::{FaultComponent, FaultKind, FaultSchedule};
+pub use random::FailureModel;
 pub use reliability::{Component, NodeReliability, SystemReliability};
 pub use schedule::FailureSchedule;
-pub use soft::{SoftErrorPlan, SoftErrorService};

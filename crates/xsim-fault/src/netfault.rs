@@ -1,8 +1,8 @@
 //! Component-addressed fault schedules: processes, links and switches.
 //!
-//! [`FailureSchedule`](crate::FailureSchedule) covers the paper's
-//! surface — MPI *process* failures as rank/time pairs (§IV-B) — and is
-//! parsed as the `rank:` subset of this grammar.
+//! [`FailureSchedule`] covers the paper's surface — MPI *process*
+//! failures as rank/time pairs (§IV-B) — and is parsed as the `rank:`
+//! subset of this grammar.
 //! [`FaultSchedule`] generalizes the same idea to the network fault
 //! surface of the co-design tool: a fault is anchored at a
 //! [`FaultComponent`] (rank, link or switch) and carries a
@@ -10,14 +10,12 @@
 //! bandwidth). Schedules parse from a textual format (a front end's
 //! `--failures` value or `XSIM_NET_FAULTS`, see
 //! `xsim_apps::scenario`), convert into the process-failure and link-fault
-//! halves consumed by the builder, and can be generated deterministically
-//! from [`NetReliability`] FIT rates — the network counterpart of
-//! [`SystemReliability`](crate::SystemReliability).
+//! halves consumed by the builder.
 
 use crate::schedule::{parse_secs, FailureSchedule, ParseError};
 use std::fmt;
 use std::str::FromStr;
-use xsim_core::{DetRng, SimTime};
+use xsim_core::SimTime;
 use xsim_net::{LinkFaultKind, NetFault, NodeId};
 
 /// Direction names in [`xsim_net::Topology::torus_neighbors`] order.
@@ -98,12 +96,6 @@ impl FaultSchedule {
             kind,
             at,
         });
-    }
-
-    /// Builder-style [`push`](Self::push).
-    pub fn with(mut self, component: FaultComponent, kind: FaultKind, at: SimTime) -> Self {
-        self.push(component, kind, at);
-        self
     }
 
     /// The scheduled faults.
@@ -281,101 +273,6 @@ impl fmt::Display for FaultSchedule {
     }
 }
 
-/// FIT-rate reliability model for the interconnect: the network
-/// counterpart of [`NodeReliability`](crate::NodeReliability),
-/// generating link/switch fault schedules instead of rank failures.
-#[derive(Debug, Clone, PartialEq)]
-pub struct NetReliability {
-    /// FIT rate of one link (cable + transceiver pair).
-    pub link: crate::Component,
-    /// FIT rate of one switch.
-    pub switch: crate::Component,
-    /// Fraction of faults that are transient (repaired after
-    /// [`transient_down`](Self::transient_down)) rather than permanent.
-    pub transient_fraction: f64,
-    /// Fraction of faults that only degrade bandwidth (factor drawn
-    /// uniformly from `[0.25, 0.75)`) instead of killing the component.
-    pub degraded_fraction: f64,
-    /// Repair time of a transient fault.
-    pub transient_down: SimTime,
-}
-
-impl NetReliability {
-    /// A representative fabric: optical links fail more often than the
-    /// (redundantly powered) switch ASICs; most faults are transient
-    /// (flapping links), a minority permanently degrade or die.
-    pub fn typical_fabric() -> Self {
-        NetReliability {
-            link: crate::Component::new("link", 150.0),
-            switch: crate::Component::new("switch", 500.0),
-            transient_fraction: 0.6,
-            degraded_fraction: 0.2,
-            transient_down: SimTime::from_secs(30),
-        }
-    }
-
-    fn draw_kind(&self, rng: &mut DetRng) -> FaultKind {
-        let u = rng.gen_f64();
-        if u < self.transient_fraction {
-            FaultKind::Transient {
-                down_for: self.transient_down,
-            }
-        } else if u < self.transient_fraction + self.degraded_fraction {
-            FaultKind::Degraded {
-                factor: 0.25 + 0.5 * rng.gen_f64(),
-            }
-        } else {
-            FaultKind::Permanent
-        }
-    }
-
-    /// Generate a concrete link/switch fault schedule over
-    /// `[0, horizon)` for an `n_nodes` machine: every switch and every
-    /// positively-directed link (`+x`, `+y`, `+z` — each physical link
-    /// is owned by exactly one endpoint) draws independent exponential
-    /// inter-failure times. Deterministic in `seed`, mirroring
-    /// [`SystemReliability::generate_schedule`](crate::SystemReliability::generate_schedule).
-    pub fn generate_schedule(&self, n_nodes: usize, horizon: SimTime, seed: u64) -> FaultSchedule {
-        let mut out = FaultSchedule::new();
-        let mut process = |component: FaultComponent, rate_per_hour: f64, tag: u64| {
-            if rate_per_hour <= 0.0 {
-                return;
-            }
-            let mean_secs = 3600.0 / rate_per_hour;
-            let mut rng = DetRng::stream(seed, 0x11F0_F4B1 ^ tag);
-            let mut t = 0.0f64;
-            loop {
-                t += rng.gen_exponential(mean_secs);
-                let at = SimTime::from_secs_f64(t);
-                if at >= horizon {
-                    break;
-                }
-                out.faults.push(Fault {
-                    component,
-                    kind: self.draw_kind(&mut rng),
-                    at,
-                });
-            }
-        };
-        for node in 0..n_nodes {
-            let base = (node as u64).rotate_left(17);
-            process(
-                FaultComponent::Switch(node),
-                self.switch.rate_per_hour(),
-                base,
-            );
-            for dir in [0usize, 2, 4] {
-                process(
-                    FaultComponent::Link { node, dir },
-                    self.link.rate_per_hour(),
-                    base ^ (0x51 + dir as u64).rotate_left(31),
-                );
-            }
-        }
-        out
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -485,39 +382,5 @@ mod tests {
         assert_eq!(nets[0].until, Some(SimTime::from_secs(35)));
         assert_eq!(nets[1].dir, None, "switch fault covers all links");
         assert_eq!(nets[1].until, None, "permanent");
-    }
-
-    #[test]
-    fn generation_is_deterministic_and_bounded() {
-        let rel = NetReliability::typical_fabric();
-        // 256 switches at 500 FIT + 768 links at 150 FIT over 100k hours
-        // ≈ 24 expected faults.
-        let horizon = SimTime::from_secs_f64(100_000.0 * 3600.0);
-        let a = rel.generate_schedule(256, horizon, 7);
-        let b = rel.generate_schedule(256, horizon, 7);
-        assert_eq!(a, b, "same seed, same schedule");
-        assert!(!a.is_empty(), "long horizon should see faults");
-        for f in a.entries() {
-            assert!(f.at < horizon);
-            assert!(matches!(
-                f.component,
-                FaultComponent::Switch(_) | FaultComponent::Link { .. }
-            ));
-            if let FaultKind::Degraded { factor } = f.kind {
-                assert!((0.25..0.75).contains(&factor));
-            }
-        }
-        let c = rel.generate_schedule(256, horizon, 8);
-        assert_ne!(a, c, "different seeds should differ");
-    }
-
-    #[test]
-    fn zero_rates_generate_nothing() {
-        let mut rel = NetReliability::typical_fabric();
-        rel.link = crate::Component::new("link", 0.0);
-        rel.switch = crate::Component::new("switch", 0.0);
-        assert!(rel
-            .generate_schedule(64, SimTime::from_secs(1_000_000), 1)
-            .is_empty());
     }
 }

@@ -34,7 +34,7 @@ impl Component {
     }
 
     /// Failure rate in failures/hour.
-    pub fn rate_per_hour(&self) -> f64 {
+    pub(crate) fn rate_per_hour(&self) -> f64 {
         self.fit / FIT_HOURS
     }
 }
@@ -68,28 +68,13 @@ impl NodeReliability {
             .with(Component::new("board+psu", 300.0), 1)
     }
 
-    /// The parts list.
-    pub fn parts(&self) -> &[(Component, u32)] {
-        &self.parts
-    }
-
     /// Aggregate node failure rate, failures/hour (series system: any
     /// component failure fails the node, rates add).
-    pub fn rate_per_hour(&self) -> f64 {
+    pub(crate) fn rate_per_hour(&self) -> f64 {
         self.parts
             .iter()
             .map(|(c, n)| c.rate_per_hour() * *n as f64)
             .sum()
-    }
-
-    /// Node mean time to failure.
-    pub fn mttf(&self) -> SimTime {
-        let r = self.rate_per_hour();
-        if r <= 0.0 {
-            SimTime::MAX
-        } else {
-            SimTime::from_secs_f64(3600.0 / r)
-        }
     }
 }
 
@@ -98,11 +83,14 @@ impl NodeReliability {
 /// paper §II-B).
 ///
 /// ```
+/// use xsim_core::SimTime;
 /// use xsim_fault::{NodeReliability, SystemReliability};
 ///
+/// // Typical parts on the paper's 32,768 nodes: a system MTTF of ~18 h,
+/// // so ten days see about thirteen failures.
 /// let machine = SystemReliability::new(NodeReliability::typical_node(), 32_768);
-/// let hours = machine.system_mttf().as_secs_f64() / 3600.0;
-/// assert!(hours > 10.0 && hours < 30.0); // ~18 h at paper scale
+/// let failures = machine.generate_schedule(SimTime::from_secs(10 * 86_400), 1);
+/// assert!(failures.len() > 5 && failures.len() < 25);
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct SystemReliability {
@@ -116,22 +104,6 @@ impl SystemReliability {
     /// Compose a system from identical nodes.
     pub fn new(node: NodeReliability, n_nodes: usize) -> Self {
         SystemReliability { node, n_nodes }
-    }
-
-    /// System failure rate, failures/hour.
-    pub fn rate_per_hour(&self) -> f64 {
-        self.node.rate_per_hour() * self.n_nodes as f64
-    }
-
-    /// System mean time to failure — the `MTTF_s` knob of Table II,
-    /// derived from component FITs instead of being asserted.
-    pub fn system_mttf(&self) -> SimTime {
-        let r = self.rate_per_hour();
-        if r <= 0.0 {
-            SimTime::MAX
-        } else {
-            SimTime::from_secs_f64(3600.0 / r)
-        }
     }
 
     /// Generate a concrete failure schedule over `[0, horizon)`: each
@@ -184,38 +156,18 @@ mod tests {
             .with(Component::new("b", 300.0), 1);
         // 2*100 + 300 = 500 FIT.
         assert!((node.rate_per_hour() - 500.0 / 1e9).abs() < 1e-18);
-        // MTTF = 1e9/500 hours = 2,000,000 h.
-        assert_eq!(node.mttf(), SimTime::from_secs_f64(2.0e6 * 3600.0));
     }
 
     #[test]
-    fn typical_node_mttf_is_hpc_plausible() {
+    fn typical_node_rate_is_hpc_plausible() {
         let node = NodeReliability::typical_node();
-        let mttf_hours = node.mttf().as_secs_f64() / 3600.0;
-        // 2*50 + 16*75 + 100 + 300 = 1700 FIT → ~588k hours ≈ 67 years.
-        assert!((mttf_hours - 1e9 / 1700.0).abs() < 1.0);
-    }
-
-    #[test]
-    fn system_mttf_scales_inversely_with_node_count() {
-        let node = NodeReliability::typical_node();
-        let one = SystemReliability::new(node.clone(), 1).system_mttf();
-        let many = SystemReliability::new(node, 32_768).system_mttf();
-        let ratio = one.as_secs_f64() / many.as_secs_f64();
-        assert!((ratio - 32_768.0).abs() < 1.0);
-        // The paper's simulated 32,768-node machine with typical parts:
-        // system MTTF ≈ 588k h / 32768 ≈ 18 h — the regime where
-        // checkpoint-interval tuning matters.
-        let hours = many.as_secs_f64() / 3600.0;
-        assert!(hours > 10.0 && hours < 30.0, "system MTTF {hours} h");
+        // 2*50 + 16*75 + 100 + 300 = 1700 FIT → MTTF ≈ 588k hours ≈ 67 years.
+        assert!((node.rate_per_hour() - 1700.0 / 1e9).abs() < 1e-18);
     }
 
     #[test]
     fn zero_rate_never_fails() {
-        let node = NodeReliability::new();
-        assert_eq!(node.mttf(), SimTime::MAX);
-        let sys = SystemReliability::new(node, 100);
-        assert_eq!(sys.system_mttf(), SimTime::MAX);
+        let sys = SystemReliability::new(NodeReliability::new(), 100);
         assert!(sys
             .generate_schedule(SimTime::from_secs(1_000_000), 1)
             .is_empty());

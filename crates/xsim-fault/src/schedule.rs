@@ -47,11 +47,11 @@ impl FailureSchedule {
     }
 
     /// Add one failure.
-    pub fn push(&mut self, rank: usize, at: SimTime) {
+    pub(crate) fn push(&mut self, rank: usize, at: SimTime) {
         self.entries.push((rank, at));
     }
 
-    /// Builder-style [`push`](Self::push).
+    /// Builder-style `push`.
     pub fn with(mut self, rank: usize, at: SimTime) -> Self {
         self.push(rank, at);
         self
@@ -70,19 +70,6 @@ impl FailureSchedule {
     /// Whether the schedule is empty.
     pub fn is_empty(&self) -> bool {
         self.entries.is_empty()
-    }
-
-    /// Shift every entry by `offset` (used when a schedule expressed
-    /// relative to a run start is applied to a continued virtual
-    /// timeline, paper §IV-E).
-    pub fn offset_by(&self, offset: SimTime) -> FailureSchedule {
-        FailureSchedule {
-            entries: self
-                .entries
-                .iter()
-                .map(|(r, t)| (*r, offset + *t))
-                .collect(),
-        }
     }
 
     /// Re-address every entry through a rank map (team-aware schedules:
@@ -125,13 +112,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn offset_shifts_times() {
-        let s = FailureSchedule::new().with(1, SimTime::from_secs(5));
-        let o = s.offset_by(SimTime::from_secs(100));
-        assert_eq!(o.entries()[0], (1, SimTime::from_secs(105)));
-    }
-
-    #[test]
     fn map_ranks_readdresses_entries() {
         let s = FailureSchedule::new()
             .with(0, SimTime::from_secs(5))
@@ -142,11 +122,6 @@ mod tests {
         assert_eq!(
             m.entries(),
             &[(4, SimTime::from_secs(5)), (7, SimTime::from_secs(7))]
-        );
-        // Times are untouched.
-        assert_eq!(
-            m.offset_by(SimTime::ZERO).entries()[1].1,
-            SimTime::from_secs(7)
         );
     }
 }

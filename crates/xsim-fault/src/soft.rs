@@ -44,16 +44,6 @@ impl SoftErrorPlan {
         self
     }
 
-    /// Number of scheduled flips.
-    pub fn len(&self) -> usize {
-        self.flips.len()
-    }
-
-    /// Whether the plan is empty.
-    pub fn is_empty(&self) -> bool {
-        self.flips.is_empty()
-    }
-
     /// Build a setup hook installing this plan on a kernel shard (pass
     /// to `SimBuilder::setup_hook`).
     pub fn install_hook(&self) -> impl Fn(&mut Kernel) + Send + Sync + 'static {
@@ -88,7 +78,7 @@ impl SoftErrorPlan {
 
 /// Kernel service buffering delivered-but-unconsumed flips per rank.
 #[derive(Debug, Default)]
-pub struct SoftErrorService {
+pub(crate) struct SoftErrorService {
     pending: HashMap<Rank, Vec<SoftFlip>>,
 }
 
@@ -126,8 +116,8 @@ mod tests {
         let p = SoftErrorPlan::new()
             .with_flip(0, SimTime::from_secs(1), 5)
             .with_flip(3, SimTime::from_secs(2), 9);
-        assert_eq!(p.len(), 2);
-        assert!(!p.is_empty());
+        assert_eq!(p.flips.len(), 2);
+        assert_eq!(p.flips[1].0, 3);
     }
 
     #[test]

@@ -39,7 +39,7 @@ use xsim_obs::{ids, ObsService, ObsSpan, PhaseKind};
 
 pub mod pfs;
 
-pub use pfs::{file_hash, PfsModel, PfsState};
+pub(crate) use pfs::{file_hash, PfsModel, PfsState};
 
 /// Errors surfaced by simulated file system operations.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -121,10 +121,6 @@ pub struct FsStore {
 struct StoreInner {
     files: BTreeMap<String, FileState>,
     faults: Vec<IoFaultRule>,
-    writes: u64,
-    reads: u64,
-    bytes_written: u64,
-    bytes_read: u64,
 }
 
 /// A read-only view of a store's file names, lent by [`FsStore::names`].
@@ -141,7 +137,7 @@ impl<'a> Names<'a> {
     }
 
     /// The names that start with `prefix`, sorted.
-    pub fn with_prefix(self, prefix: &'a str) -> impl Iterator<Item = &'a str> {
+    pub(crate) fn with_prefix(self, prefix: &'a str) -> impl Iterator<Item = &'a str> {
         self.0
             .range::<str, _>((Bound::Included(prefix), Bound::Unbounded))
             .map(|(k, _)| k.as_str())
@@ -152,19 +148,6 @@ impl<'a> Names<'a> {
     pub fn contains(self, name: &str) -> bool {
         self.0.contains_key(name)
     }
-}
-
-/// Aggregate I/O statistics of a store.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct FsStats {
-    /// Completed write operations.
-    pub writes: u64,
-    /// Completed read operations.
-    pub reads: u64,
-    /// Total bytes committed by writes.
-    pub bytes_written: u64,
-    /// Total bytes returned by reads.
-    pub bytes_read: u64,
 }
 
 impl FsStore {
@@ -182,11 +165,6 @@ impl FsStore {
     /// Install an I/O fault rule.
     pub fn inject_fault(&self, rule: IoFaultRule) {
         self.lock().faults.push(rule);
-    }
-
-    /// Remove all fault rules.
-    pub fn clear_faults(&self) {
-        self.lock().faults.clear();
     }
 
     fn check_fault(&self, name: &str, kind: IoFaultKind, rank: Rank) -> Result<(), FsError> {
@@ -215,11 +193,10 @@ impl FsStore {
 
     /// Commit a write begun with [`begin_write`](Self::begin_write). An
     /// owned `name` becomes a new file's key without a copy.
-    pub fn commit_write(&self, name: impl Into<String>, data: Bytes) {
-        let mut inner = self.lock();
-        inner.writes += 1;
-        inner.bytes_written += data.len() as u64;
-        inner.files.insert(name.into(), FileState::Complete(data));
+    pub(crate) fn commit_write(&self, name: impl Into<String>, data: Bytes) {
+        self.lock()
+            .files
+            .insert(name.into(), FileState::Complete(data));
     }
 
     /// Atomically write a complete file (used by the free cost model,
@@ -230,13 +207,7 @@ impl FsStore {
 
     /// Read a file's state (complete or partial).
     pub fn get(&self, name: &str) -> Option<FileState> {
-        let mut inner = self.lock();
-        let state = inner.files.get(name).cloned();
-        if let Some(s) = &state {
-            inner.reads += 1;
-            inner.bytes_read += s.bytes().len() as u64;
-        }
-        state
+        self.lock().files.get(name).cloned()
     }
 
     /// Whether a file exists (complete or partial).
@@ -247,13 +218,6 @@ impl FsStore {
     /// Delete a file; returns whether it existed.
     pub fn delete(&self, name: &str) -> bool {
         self.lock().files.remove(name).is_some()
-    }
-
-    /// The first stored file name at or after `cursor` (lexicographic).
-    /// Enables O(log n) directory-style iteration without cloning whole
-    /// listings.
-    pub fn first_key_at_or_after(&self, cursor: &str) -> Option<String> {
-        self.names(|names| names.first_at_or_after(cursor).map(str::to_string))
     }
 
     /// All file names with the given prefix, sorted.
@@ -281,24 +245,13 @@ impl FsStore {
     }
 
     /// Number of stored files.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.lock().files.len()
     }
 
     /// Whether the store is empty.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
-    }
-
-    /// Aggregate I/O statistics.
-    pub fn stats(&self) -> FsStats {
-        let inner = self.lock();
-        FsStats {
-            writes: inner.writes,
-            reads: inner.reads,
-            bytes_written: inner.bytes_written,
-            bytes_read: inner.bytes_read,
-        }
     }
 }
 
@@ -346,7 +299,7 @@ impl FsModel {
     }
 
     /// A contended, striped PFS: `io_nodes` simulated I/O servers with
-    /// [`PfsModel::typical`] per-node parameters, 50 µs client-side
+    /// `PfsModel::typical` per-node parameters, 50 µs client-side
     /// metadata latency. Transit is derived from the network model by
     /// the builder.
     pub fn striped(io_nodes: u32) -> Self {
@@ -356,14 +309,6 @@ impl FsModel {
             read_bw: f64::INFINITY,
             pfs: Some(PfsModel::typical(io_nodes)),
         }
-    }
-
-    /// Whether any operation costs virtual time.
-    pub fn is_free(&self) -> bool {
-        self.meta_latency == SimTime::ZERO
-            && self.write_bw.is_infinite()
-            && self.read_bw.is_infinite()
-            && self.pfs.is_none()
     }
 
     fn xfer(bytes: usize, bw: f64) -> SimTime {
@@ -380,7 +325,7 @@ impl FsModel {
     }
 
     /// Virtual time to read `bytes`.
-    pub fn read_time(&self, bytes: usize) -> SimTime {
+    pub(crate) fn read_time(&self, bytes: usize) -> SimTime {
         self.meta_latency + Self::xfer(bytes, self.read_bw)
     }
 }
@@ -400,15 +345,6 @@ pub struct FsService {
 }
 
 impl FsService {
-    /// Create a service over a shared store. Creates its own PFS server
-    /// state when the model calls for one — fine for single-shard runs;
-    /// multi-shard builders must share state via
-    /// [`with_pfs`](Self::with_pfs).
-    pub fn new(store: Arc<FsStore>, model: FsModel) -> Self {
-        let pfs = Self::shared_pfs(&model);
-        FsService { store, model, pfs }
-    }
-
     /// Create a service sharing pre-built PFS server state (one
     /// instance per run, cloned into every shard).
     pub fn with_pfs(store: Arc<FsStore>, model: FsModel, pfs: Option<Arc<PfsState>>) -> Self {
@@ -425,7 +361,7 @@ impl FsService {
 /// Write a file from the current VP, charging the cost model. A process
 /// failure during the transfer leaves the file in a partial (corrupted)
 /// state. An owned `name` is kept as the stored key (see
-/// [`FsStore::commit_write`]).
+/// `FsStore::commit_write`).
 pub async fn write(name: impl AsRef<str> + Into<String>, data: Bytes) -> Result<(), FsError> {
     let nbytes = data.len() as u64;
     let (cost, striped, store, t0) = ctx::with_kernel(|k, rank| {
@@ -732,34 +668,6 @@ mod tests {
             m.read_time(2_000_000_000),
             SimTime::from_micros(50) + SimTime::from_secs(1)
         );
-        assert!(FsModel::free().is_free());
         assert_eq!(FsModel::free().write_time(1 << 30), SimTime::ZERO);
-        assert!(!m.is_free());
-    }
-
-    #[test]
-    fn stats_accumulate() {
-        let s = FsStore::new();
-        s.put("a", Bytes::from_static(b"12345"));
-        let _ = s.get("a");
-        let st = s.stats();
-        assert_eq!(st.writes, 1);
-        assert_eq!(st.reads, 1);
-        assert_eq!(st.bytes_written, 5);
-        assert_eq!(st.bytes_read, 5);
-    }
-
-    #[test]
-    fn clear_faults_removes_rules() {
-        let s = FsStore::new();
-        s.inject_fault(IoFaultRule {
-            prefix: String::new(),
-            kind: IoFaultKind::Read,
-            rank: None,
-            remaining: u64::MAX,
-        });
-        assert!(s.check_fault("x", IoFaultKind::Read, Rank(0)).is_err());
-        s.clear_faults();
-        assert!(s.check_fault("x", IoFaultKind::Read, Rank(0)).is_ok());
     }
 }

@@ -72,7 +72,7 @@ impl PfsModel {
     /// A representative configuration: 1 MiB stripes, 1 GB/s write and
     /// 2 GB/s read per node, 50 µs request overhead, transit derived
     /// from the network model.
-    pub fn typical(io_nodes: u32) -> Self {
+    pub(crate) fn typical(io_nodes: u32) -> Self {
         PfsModel {
             io_nodes: io_nodes.max(1),
             stripe_block: 1 << 20,
@@ -85,7 +85,7 @@ impl PfsModel {
 
     /// The I/O node holding the first stripe block of a file whose name
     /// hashes to `hash`.
-    pub fn home_node(&self, hash: u32) -> u32 {
+    pub(crate) fn home_node(&self, hash: u32) -> u32 {
         hash % self.io_nodes
     }
 
@@ -96,7 +96,7 @@ impl PfsModel {
     /// hash leaves the low bits congruent to the rank's and any strided
     /// rank subset (e.g. the one-aggregator-per-group writers of
     /// aggregated checkpointing) would alias onto a single I/O node.
-    pub fn placement_hash(rank: u32) -> u32 {
+    pub(crate) fn placement_hash(rank: u32) -> u32 {
         // Murmur3 finalizer: full avalanche into the low bits.
         let mut h = rank.wrapping_mul(0x9E37_79B9);
         h ^= h >> 16;
@@ -105,11 +105,6 @@ impl PfsModel {
         h = h.wrapping_mul(0xC2B2_AE35);
         h ^= h >> 16;
         h
-    }
-
-    /// The I/O node serving stripe block `block` of the file.
-    pub fn node_of_block(&self, hash: u32, block: u64) -> u32 {
-        ((self.home_node(hash) as u64 + block) % self.io_nodes as u64) as u32
     }
 
     /// Split an `nbytes` transfer into per-node parts: whole stripe
@@ -146,7 +141,7 @@ impl PfsModel {
 
     /// The rank whose event stream owns I/O node `node` — server state
     /// is only ever mutated from events at this rank.
-    pub fn owner(node: u32, n_ranks: usize) -> Rank {
+    pub(crate) fn owner(node: u32, n_ranks: usize) -> Rank {
         Rank::new(node as usize % n_ranks)
     }
 
@@ -159,7 +154,7 @@ impl PfsModel {
     }
 
     /// FCFS service time of one `bytes`-sized request at a node.
-    pub fn service_time(&self, bytes: u64, write: bool) -> SimTime {
+    pub(crate) fn service_time(&self, bytes: u64, write: bool) -> SimTime {
         let bw = if write {
             self.node_write_bw
         } else {
@@ -170,7 +165,7 @@ impl PfsModel {
 }
 
 /// FNV-1a hash of a file name; determines stripe placement.
-pub fn file_hash(name: &str) -> u32 {
+pub(crate) fn file_hash(name: &str) -> u32 {
     let mut h: u32 = 0x811c_9dc5;
     for b in name.as_bytes() {
         h ^= *b as u32;
@@ -196,7 +191,7 @@ struct PfsInner {
 
 impl PfsState {
     /// Fresh server state for `model`.
-    pub fn new(model: PfsModel) -> Self {
+    pub(crate) fn new(model: PfsModel) -> Self {
         PfsState {
             inner: Mutex::new(PfsInner {
                 busy_until: vec![SimTime::ZERO; model.io_nodes as usize],
@@ -240,11 +235,6 @@ impl PfsState {
     fn op_pending(&self, rank: usize) -> bool {
         let inner = self.lock();
         inner.pending.get(rank).is_some_and(|p| *p > 0)
-    }
-
-    /// Per-node busy horizons (test/diagnostic view).
-    pub fn busy_until(&self) -> Vec<SimTime> {
-        self.lock().busy_until.clone()
     }
 }
 
@@ -326,6 +316,12 @@ pub(crate) async fn transfer(model: PfsModel, nbytes: u64, hash: u32, write: boo
 mod tests {
     use super::*;
 
+    /// The I/O node serving stripe block `block` of the file: the
+    /// block-by-block placement that `split` must agree with.
+    fn node_of_block(m: &PfsModel, hash: u32, block: u64) -> u32 {
+        ((m.home_node(hash) as u64 + block) % m.io_nodes as u64) as u32
+    }
+
     fn model(nodes: u32, block: u64) -> PfsModel {
         PfsModel {
             io_nodes: nodes,
@@ -342,9 +338,9 @@ mod tests {
         let m = model(4, 1024);
         let h = 7; // home node 3
         assert_eq!(m.home_node(h), 3);
-        assert_eq!(m.node_of_block(h, 0), 3);
-        assert_eq!(m.node_of_block(h, 1), 0);
-        assert_eq!(m.node_of_block(h, 4), 3);
+        assert_eq!(node_of_block(&m, h, 0), 3);
+        assert_eq!(node_of_block(&m, h, 1), 0);
+        assert_eq!(node_of_block(&m, h, 4), 3);
     }
 
     #[test]
@@ -387,7 +383,7 @@ mod tests {
             let blocks = nbytes.div_ceil(m.stripe_block);
             for b in 0..blocks {
                 let sz = (nbytes - b * m.stripe_block).min(m.stripe_block);
-                acc[m.node_of_block(hash, b) as usize] += sz;
+                acc[node_of_block(&m, hash, b) as usize] += sz;
             }
             for (node, bytes) in &parts {
                 assert_eq!(acc[*node as usize], *bytes, "hash {hash} nbytes {nbytes}");

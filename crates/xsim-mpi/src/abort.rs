@@ -17,7 +17,7 @@ use xsim_core::{ctx, Kernel, Rank, SimTime};
 /// clock. Returns the `Aborted` error the caller must propagate out of
 /// the application. Idempotent: a second initiation returns the original
 /// abort time.
-pub fn initiate_abort_here() -> MpiError {
+pub(crate) fn initiate_abort_here() -> MpiError {
     ctx::with_kernel(|k, me| {
         let now = k.vp(me).clock();
         with_mpi(k, |k, svc| {

@@ -56,7 +56,7 @@ impl RunReport {
     /// Stream the trace as Chrome trace-event JSON (Perfetto-viewable):
     /// MPI phases on each rank's lane 0, file I/O on lane 1. Emits an
     /// empty-but-valid document when tracing was off.
-    pub fn write_chrome_trace<W: std::io::Write>(&self, w: W) -> std::io::Result<()> {
+    pub(crate) fn write_chrome_trace<W: std::io::Write>(&self, w: W) -> std::io::Result<()> {
         let mut out = ChromeTraceWriter::new(w)?;
         let mut args = Vec::with_capacity(2);
         for e in self.trace.iter().flat_map(|t| &t.events) {
@@ -99,18 +99,6 @@ impl RunReport {
     /// section); `None` when metrics were not enabled.
     pub fn metrics_json(&self) -> Option<String> {
         self.metrics.as_ref().map(|m| m.to_json(Some(&self.sim)))
-    }
-
-    /// One-line human summary: the engine summary plus headline MPI
-    /// counters.
-    pub fn summary(&self) -> String {
-        format!(
-            "{}; mpi: {} sends / {} collectives / {} bytes",
-            self.sim.summary(),
-            self.mpi.sends,
-            self.mpi.collectives,
-            self.mpi.bytes_sent
-        )
     }
 }
 
@@ -381,7 +369,7 @@ impl SimBuilder {
             self.net.with_faults(table)
         };
         // The topology is final here: materialize the dense healthy hop
-        // table (small tori/meshes only) so the no-fault message path is
+        // table (small tori only) so the no-fault message path is
         // a pure lookup.
         net.precompute_hops();
         let lossy = self.lossy.map(|mut l| {

@@ -205,7 +205,7 @@ fn lowbit(vrank: usize, size: usize) -> usize {
 
 /// Linear barrier: gather-to-root of empty messages, then a linear
 /// release fan-out.
-pub fn barrier(comm: CommId) -> impl Future<Output = Result<(), MpiError>> {
+pub(crate) fn barrier(comm: CommId) -> impl Future<Output = Result<(), MpiError>> {
     async move {
         let (me, size, tag) = coll_begin(comm)?;
         if size <= 1 {
@@ -241,7 +241,7 @@ pub fn bcast(
 
 /// Linear gather to `root`: returns `Some(parts)` (in communicator rank
 /// order) at the root, `None` elsewhere.
-pub fn gather(
+pub(crate) fn gather(
     comm: CommId,
     root: usize,
     data: Bytes,
@@ -273,7 +273,7 @@ pub fn gather(
 
 /// Linear scatter from `root`: the root provides one payload per member
 /// (in communicator rank order) and each member receives its own.
-pub fn scatter(
+pub(crate) fn scatter(
     comm: CommId,
     root: usize,
     parts: Option<Vec<Bytes>>,
@@ -301,7 +301,10 @@ pub fn scatter(
 
 /// Allgather: linear gather to rank 0, then broadcast of the packed
 /// parts. Returns the parts in communicator rank order everywhere.
-pub fn allgather(comm: CommId, data: Bytes) -> impl Future<Output = Result<Vec<Bytes>, MpiError>> {
+pub(crate) fn allgather(
+    comm: CommId,
+    data: Bytes,
+) -> impl Future<Output = Result<Vec<Bytes>, MpiError>> {
     async move {
         let gathered = gather(comm, 0, data).await?;
         let packed = match gathered {
@@ -320,7 +323,7 @@ pub fn allgather(comm: CommId, data: Bytes) -> impl Future<Output = Result<Vec<B
 /// All-to-all personalized exchange: member `i` sends `parts[j]` to
 /// member `j`; returns the payloads received from each member in rank
 /// order.
-pub fn alltoall(
+pub(crate) fn alltoall(
     comm: CommId,
     parts: Vec<Bytes>,
 ) -> impl Future<Output = Result<Vec<Bytes>, MpiError>> {
@@ -362,8 +365,8 @@ pub fn alltoall(
 // ----------------------------------------------------------------------
 
 /// An element the typed reductions carry: 8 bytes, little-endian on the
-/// wire.
-pub(crate) trait Wire: Copy {
+/// wire. Implemented for `f64` and `u64`.
+pub trait Wire: Copy {
     fn from_le(lane: &[u8]) -> Self;
     fn to_le(self) -> [u8; 8];
     fn fold(op: ReduceOp, a: Self, b: Self) -> Self;
@@ -771,10 +774,10 @@ pub(crate) fn broadcast(
 /// `Some(result)` at the root.
 ///
 /// The fold order is the member's own data, then its children in
-/// [`Shape`] order, so the `f64` result is deterministic for a given
+/// `Shape` order, so the `f64` result is deterministic for a given
 /// communicator regardless of arrival order — each receive blocks on its
 /// specific `(source, tag)` pair.
-pub(crate) fn reduce<T: Wire>(
+pub fn reduce<T: Wire>(
     algo: Option<CollAlgo>,
     comm: CommId,
     root: usize,
@@ -792,7 +795,7 @@ pub(crate) fn reduce<T: Wire>(
 /// Elementwise allreduce over `algo` (`None`: the run's): reduce to rank
 /// 0, whose wire bytes are the broadcast payload, and decode once at the
 /// end.
-pub(crate) fn allreduce<T: Wire>(
+pub fn allreduce<T: Wire>(
     algo: Option<CollAlgo>,
     comm: CommId,
     data: &[T],
@@ -807,64 +810,15 @@ pub(crate) fn allreduce<T: Wire>(
     })
 }
 
-/// Linear reduce of `f64` vectors to `root` (elementwise, in rank
-/// order). Returns `Some(result)` at the root.
-pub fn reduce_f64<'a>(
-    comm: CommId,
-    root: usize,
-    data: &'a [f64],
-    op: ReduceOp,
-) -> impl Future<Output = Result<Option<Vec<f64>>, MpiError>> + 'a {
-    reduce(Some(CollAlgo::Linear), comm, root, data, op)
-}
-
-/// Allreduce of `f64` vectors: linear reduce to rank 0, then broadcast.
-pub fn allreduce_f64(
-    comm: CommId,
-    data: &[f64],
-    op: ReduceOp,
-) -> impl Future<Output = Result<Vec<f64>, MpiError>> + '_ {
-    allreduce(Some(CollAlgo::Linear), comm, data, op)
-}
-
-/// Linear reduce of `u64` vectors to `root` (elementwise).
-pub fn reduce_u64<'a>(
-    comm: CommId,
-    root: usize,
-    data: &'a [u64],
-    op: ReduceOp,
-) -> impl Future<Output = Result<Option<Vec<u64>>, MpiError>> + 'a {
-    reduce(Some(CollAlgo::Linear), comm, root, data, op)
-}
-
-/// Allreduce of `u64` vectors.
-pub fn allreduce_u64(
-    comm: CommId,
-    data: &[u64],
-    op: ReduceOp,
-) -> impl Future<Output = Result<Vec<u64>, MpiError>> + '_ {
-    allreduce(Some(CollAlgo::Linear), comm, data, op)
-}
-
 // ----------------------------------------------------------------------
 // Binomial-tree variants (ablation: linear vs. tree algorithms)
 // ----------------------------------------------------------------------
-
-/// Binomial-tree broadcast from `root`. O(log P) rounds instead of the
-/// linear algorithm's O(P) serialized sends at the root.
-pub fn bcast_tree(
-    comm: CommId,
-    root: usize,
-    data: Bytes,
-) -> impl Future<Output = Result<Bytes, MpiError>> + Unpin {
-    broadcast(Some(CollAlgo::Tree), comm, root, data)
-}
 
 /// Binomial-tree barrier: tree-reduce of empty messages followed by a
 /// tree broadcast with a fresh tag. The broadcast is internal to the
 /// barrier, so it does not count as a second collective (a tree barrier
 /// must tally like a linear one).
-pub fn barrier_tree(comm: CommId) -> impl Future<Output = Result<(), MpiError>> + Unpin {
+pub(crate) fn barrier_tree(comm: CommId) -> impl Future<Output = Result<(), MpiError>> + Unpin {
     let none = Acc::Fold(None);
     let mut coll = Rooted::<u64>::new(
         Kind::Barrier,
@@ -878,47 +832,6 @@ pub fn barrier_tree(comm: CommId) -> impl Future<Output = Result<(), MpiError>> 
     poll_fn(move |cx| Pin::new(&mut coll).poll(cx).map_ok(|_| ()))
 }
 
-/// Binomial-tree reduce of `f64` vectors to `root`. O(log P) rounds; the
-/// combine order at every node is fixed (own data, then children in
-/// increasing bit order).
-pub fn reduce_f64_tree<'a>(
-    comm: CommId,
-    root: usize,
-    data: &'a [f64],
-    op: ReduceOp,
-) -> impl Future<Output = Result<Option<Vec<f64>>, MpiError>> + 'a {
-    reduce(Some(CollAlgo::Tree), comm, root, data, op)
-}
-
-/// Binomial-tree reduce of `u64` vectors to `root`.
-pub fn reduce_u64_tree<'a>(
-    comm: CommId,
-    root: usize,
-    data: &'a [u64],
-    op: ReduceOp,
-) -> impl Future<Output = Result<Option<Vec<u64>>, MpiError>> + 'a {
-    reduce(Some(CollAlgo::Tree), comm, root, data, op)
-}
-
-/// Tree allreduce of `f64` vectors: binomial reduce to rank 0, then
-/// binomial broadcast. 2·⌈log₂ P⌉ rounds.
-pub fn allreduce_f64_tree(
-    comm: CommId,
-    data: &[f64],
-    op: ReduceOp,
-) -> impl Future<Output = Result<Vec<f64>, MpiError>> + '_ {
-    allreduce(Some(CollAlgo::Tree), comm, data, op)
-}
-
-/// Tree allreduce of `u64` vectors.
-pub fn allreduce_u64_tree(
-    comm: CommId,
-    data: &[u64],
-    op: ReduceOp,
-) -> impl Future<Output = Result<Vec<u64>, MpiError>> + '_ {
-    allreduce(Some(CollAlgo::Tree), comm, data, op)
-}
-
 /// Ring allgather: P−1 rounds; in round `s` every member forwards the
 /// block it received in round `s−1` to its right neighbour and receives
 /// a new block from its left neighbour. No packing — every block travels
@@ -927,7 +840,7 @@ pub fn allreduce_u64_tree(
 ///
 /// Receives match FIFO by sequence number per `(source, tag)`, so
 /// reusing one tag across all rounds cannot mis-order blocks.
-pub fn allgather_ring(
+pub(crate) fn allgather_ring(
     comm: CommId,
     data: Bytes,
 ) -> impl Future<Output = Result<Vec<Bytes>, MpiError>> {
@@ -967,39 +880,12 @@ pub fn tree_children(vrank: usize, size: usize) -> usize {
         .count()
 }
 
-/// Depth of virtual rank `vrank` in the binomial tree (rounds before its
-/// data can reach the root): the number of set bits, because each hop to
-/// the parent clears exactly the lowest one.
-pub fn tree_depth(vrank: usize) -> u32 {
-    vrank.count_ones()
-}
-
-/// Communication rounds for a binomial-tree collective over `size`
-/// members: ⌈log₂ size⌉.
-pub fn tree_rounds(size: usize) -> u32 {
-    if size <= 1 {
-        0
-    } else {
-        usize::BITS - (size - 1).leading_zeros()
-    }
-}
-
-/// Rounds for a linear root fan-out: P−1 serialized messages.
-pub fn linear_rounds(size: usize) -> u32 {
-    size.saturating_sub(1) as u32
-}
-
-/// Rounds for the ring allgather: P−1, each moving one block per member.
-pub fn ring_rounds(size: usize) -> u32 {
-    size.saturating_sub(1) as u32
-}
-
 // ----------------------------------------------------------------------
 // Payload packing helpers
 // ----------------------------------------------------------------------
 
 /// Pack multiple byte strings into one (length-prefixed).
-pub fn encode_multi(parts: &[Bytes]) -> Bytes {
+pub(crate) fn encode_multi(parts: &[Bytes]) -> Bytes {
     let total: usize = 4 + parts.iter().map(|p| 4 + p.len()).sum::<usize>();
     let mut buf = Vec::with_capacity(total);
     buf.extend_from_slice(&(parts.len() as u32).to_le_bytes());
@@ -1013,7 +899,7 @@ pub fn encode_multi(parts: &[Bytes]) -> Bytes {
 /// Unpack a [`encode_multi`] payload. Returns `None` on malformed input.
 /// The returned parts are zero-copy sub-slices sharing the packed
 /// buffer's allocation.
-pub fn decode_multi(data: &Bytes) -> Option<Vec<Bytes>> {
+pub(crate) fn decode_multi(data: &Bytes) -> Option<Vec<Bytes>> {
     if data.len() < 4 {
         return None;
     }
@@ -1033,26 +919,6 @@ pub fn decode_multi(data: &Bytes) -> Option<Vec<Bytes>> {
         off += len;
     }
     (off == data.len()).then_some(out)
-}
-
-/// Serialize an `f64` slice (little-endian).
-pub fn f64_to_bytes(v: &[f64]) -> Bytes {
-    to_wire(v)
-}
-
-/// Deserialize an `f64` slice; `None` if the length is not a multiple of 8.
-pub fn bytes_to_f64(data: &[u8]) -> Option<Vec<f64>> {
-    from_wire(data)
-}
-
-/// Serialize a `u64` slice (little-endian).
-pub fn u64_to_bytes(v: &[u64]) -> Bytes {
-    to_wire(v)
-}
-
-/// Deserialize a `u64` slice; `None` if the length is not a multiple of 8.
-pub fn bytes_to_u64(data: &[u8]) -> Option<Vec<u64>> {
-    from_wire(data)
 }
 
 #[cfg(test)]
@@ -1085,45 +951,38 @@ mod tests {
     #[test]
     fn f64_round_trip() {
         let v = vec![1.5, -2.25, 0.0, f64::MAX];
-        assert_eq!(bytes_to_f64(&f64_to_bytes(&v)).unwrap(), v);
-        assert!(bytes_to_f64(&[1, 2, 3]).is_none());
+        assert_eq!(from_wire::<f64>(&to_wire(&v)).unwrap(), v);
+        assert!(from_wire::<f64>(&[1, 2, 3]).is_none());
     }
 
     #[test]
     fn u64_round_trip() {
         let v = vec![0, 1, u64::MAX];
-        assert_eq!(bytes_to_u64(&u64_to_bytes(&v)).unwrap(), v);
-        assert!(bytes_to_u64(&[1]).is_none());
+        assert_eq!(from_wire::<u64>(&to_wire(&v)).unwrap(), v);
+        assert!(from_wire::<u64>(&[1]).is_none());
     }
 
     #[test]
     fn tree_schedules_are_logarithmic() {
-        for exp in 1..=14u32 {
-            let size = 1usize << exp;
-            // O(log P): the binomial tree finishes in exactly log2(P)
-            // rounds at powers of two, vs. P-1 for the linear fan-out.
-            assert_eq!(tree_rounds(size), exp);
-            assert_eq!(linear_rounds(size), size as u32 - 1);
-            assert_eq!(ring_rounds(size), size as u32 - 1);
-        }
-        // Non-powers of two round up.
-        assert_eq!(tree_rounds(1), 0);
-        assert_eq!(tree_rounds(3), 2);
-        assert_eq!(tree_rounds(5), 3);
-        assert_eq!(tree_rounds(1000), 10);
-
-        // Structural check: the deepest member of the tree is exactly
-        // tree_rounds levels from the root, and every member's depth is
-        // bounded by it — the whole reduce drains in O(log P) rounds.
+        // The deepest member of the tree is at most ⌈log₂ P⌉ parent
+        // hops from the root, exactly that at powers of two: the whole
+        // reduce drains in O(log P) rounds.
         for &size in &[2usize, 3, 5, 8, 17, 64, 1000, 4096] {
-            let max_depth = (0..size).map(tree_depth).max().unwrap();
+            let depth = |mut v: usize| {
+                let mut d = 0;
+                while let Some(p) = Shape::new(CollAlgo::Tree, v, 0, size).parent() {
+                    (v, d) = (p, d + 1);
+                }
+                d
+            };
+            let max_depth = (0..size).map(depth).max().unwrap();
+            let rounds = usize::BITS - (size - 1).leading_zeros();
             assert!(
-                max_depth <= tree_rounds(size),
-                "size {size}: depth {max_depth} > rounds {}",
-                tree_rounds(size)
+                max_depth <= rounds,
+                "size {size}: depth {max_depth} > {rounds}"
             );
             if size.is_power_of_two() {
-                assert_eq!(max_depth, tree_rounds(size), "size {size}");
+                assert_eq!(max_depth, rounds, "size {size}");
             }
         }
 
@@ -1188,9 +1047,9 @@ mod tests {
     #[test]
     fn wire_fold_puts_the_own_data_first() {
         let own = [1e16, 1.0];
-        let mut acc = f64_to_bytes(&[1.0, -1e16]).to_vec();
+        let mut acc = to_wire(&[1.0, -1e16]).to_vec();
         fold_wire(ReduceOp::Sum, &mut acc, own.iter().copied(), true);
-        let next = f64_to_bytes(&[-1e16, 1e16]);
+        let next = to_wire(&[-1e16, 1e16]);
         fold_wire(
             ReduceOp::Sum,
             &mut acc,
@@ -1198,6 +1057,6 @@ mod tests {
             false,
         );
         let want = [(1e16 + 1.0) + -1e16, (1.0 + -1e16) + 1e16];
-        assert_eq!(bytes_to_f64(&acc).unwrap(), want);
+        assert_eq!(from_wire::<f64>(&acc).unwrap(), want);
     }
 }

@@ -9,7 +9,7 @@
 //! `MPI_COMM_WORLD` is not stored per rank: its group and default error
 //! handler live once per run in [`MpiWorld`](crate::state::MpiWorld),
 //! its collective counter inline in the rank's state, and a revoke or a
-//! handler override in the rank's [`CommTable`].
+//! handler override in the rank's `CommTable`.
 
 use crate::error::ErrHandler;
 use std::collections::BTreeMap;
@@ -40,12 +40,13 @@ impl Comm {
 /// One rank's view of a communicator, borrowed from wherever its parts
 /// are kept.
 #[derive(Debug, Clone, Copy)]
-pub struct CommView<'a> {
+pub(crate) struct CommView<'a> {
     /// Members, as world ranks, in communicator rank order.
     pub members: &'a Arc<Vec<Rank>>,
     /// This process's rank within the communicator.
     pub my_rank: usize,
-    /// Error handler attached to the communicator.
+    /// The run's error handler (`SimBuilder::errhandler`), which every
+    /// communicator carries.
     pub errhandler: &'a ErrHandler,
     /// Set when `MPI_Comm_revoke` reached this rank, with the revoke time.
     pub revoked: Option<SimTime>,
@@ -53,18 +54,13 @@ pub struct CommView<'a> {
 
 impl CommView<'_> {
     /// Number of members.
-    pub fn size(&self) -> usize {
+    pub(crate) fn size(&self) -> usize {
         self.members.len()
     }
 
     /// Translate a communicator rank to a world rank.
-    pub fn world_rank(&self, comm_rank: usize) -> Option<Rank> {
+    pub(crate) fn world_rank(&self, comm_rank: usize) -> Option<Rank> {
         self.members.get(comm_rank).copied()
-    }
-
-    /// Translate a world rank to a communicator rank.
-    pub fn comm_rank(&self, world: Rank) -> Option<usize> {
-        self.members.iter().position(|r| *r == world)
     }
 }
 
@@ -73,7 +69,6 @@ impl CommView<'_> {
 struct Derived {
     members: Arc<Vec<Rank>>,
     my_rank: usize,
-    errhandler: ErrHandler,
     revoked: Option<SimTime>,
     /// Count of collective operations started on this communicator; used
     /// to derive per-collective internal tags.
@@ -81,17 +76,13 @@ struct Derived {
 }
 
 /// What one rank stores about its communicators beyond the world's
-/// collective counter: a world revoke, a world error-handler override
-/// and the derived communicators, indexed by the dense [`CommId`]. Every
-/// part is empty until the first revoke, `set_errhandler`, `comm_dup`,
-/// `comm_split` or `comm_shrink`.
+/// collective counter: a world revoke and the derived communicators,
+/// indexed by the dense [`CommId`]. Both parts are empty until the first
+/// revoke, `comm_dup`, `comm_split` or `comm_shrink`.
 #[derive(Debug)]
-pub struct CommTable {
+pub(crate) struct CommTable {
     /// When `MPI_Comm_revoke` reached this rank for `MPI_COMM_WORLD`.
     world_revoked: Option<SimTime>,
-    /// `MPI_Comm_set_errhandler` on `MPI_COMM_WORLD`; `None` keeps the
-    /// run's default.
-    world_errhandler: Option<ErrHandler>,
     /// Communicator `i + 1`; `None` where this rank skipped the id (not
     /// a member). The next id is `derived.len() + 1`.
     derived: Vec<Option<Derived>>,
@@ -102,7 +93,6 @@ impl CommTable {
     pub(crate) const fn new() -> Self {
         CommTable {
             world_revoked: None,
-            world_errhandler: None,
             derived: Vec::new(),
         }
     }
@@ -118,11 +108,11 @@ impl CommTable {
     }
 
     /// Rank `me`'s view of communicator `id`, the world's assembled from
-    /// its shared group and the run's default handler.
+    /// its shared group; every view carries the run's `handler`.
     pub(crate) fn view<'a>(
         &'a self,
         world_members: &'a Arc<Vec<Rank>>,
-        default_handler: &'a ErrHandler,
+        handler: &'a ErrHandler,
         me: Rank,
         id: CommId,
     ) -> Option<CommView<'a>> {
@@ -130,14 +120,14 @@ impl CommTable {
             return Some(CommView {
                 members: world_members,
                 my_rank: me.idx(),
-                errhandler: self.world_errhandler.as_ref().unwrap_or(default_handler),
+                errhandler: handler,
                 revoked: self.world_revoked,
             });
         }
         self.derived(id).map(|d| CommView {
             members: &d.members,
             my_rank: d.my_rank,
-            errhandler: &d.errhandler,
+            errhandler: handler,
             revoked: d.revoked,
         })
     }
@@ -151,7 +141,7 @@ impl CommTable {
     /// Install a derived communicator with the next deterministic id.
     /// Every member must perform the same installation sequence, so ids
     /// agree across ranks (MPI's collective-order requirement).
-    pub fn install(&mut self, members: Arc<Vec<Rank>>, me: Rank, handler: ErrHandler) -> CommId {
+    pub(crate) fn install(&mut self, members: Arc<Vec<Rank>>, me: Rank) -> CommId {
         let my_rank = members
             .iter()
             .position(|r| *r == me)
@@ -159,7 +149,6 @@ impl CommTable {
         self.push(Some(Derived {
             members,
             my_rank,
-            errhandler: handler,
             revoked: None,
             coll_seq: 0,
         }))
@@ -169,7 +158,7 @@ impl CommTable {
     /// that participate in a `comm_split` but receive `color = None`
     /// (undefined), so their next derived communicator id stays in sync
     /// with members'.
-    pub fn skip_id(&mut self) -> CommId {
+    pub(crate) fn skip_id(&mut self) -> CommId {
         self.push(None)
     }
 
@@ -180,7 +169,7 @@ impl CommTable {
 
     /// Mark a communicator revoked at `time` (idempotent, keeps the
     /// earliest time).
-    pub fn revoke(&mut self, id: CommId, time: SimTime) {
+    pub(crate) fn revoke(&mut self, id: CommId, time: SimTime) {
         let slot = if id == CommId::WORLD {
             &mut self.world_revoked
         } else {
@@ -191,29 +180,13 @@ impl CommTable {
         };
         *slot = Some(slot.map_or(time, |t| t.min(time)));
     }
-
-    /// Attach an error handler to a communicator. Returns `false` for an
-    /// unknown id.
-    pub(crate) fn set_errhandler(&mut self, id: CommId, handler: ErrHandler) -> bool {
-        if id == CommId::WORLD {
-            self.world_errhandler = Some(handler);
-            return true;
-        }
-        match self.derived_mut(id) {
-            Some(d) => {
-                d.errhandler = handler;
-                true
-            }
-            None => false,
-        }
-    }
 }
 
 /// Compute the deterministic groups of a `comm_split`: one group per
 /// color, members ordered by `(key, parent rank)`. Input is
 /// `(parent_rank, color, key)` per member, parent-rank-ordered. `None`
 /// colors (MPI_UNDEFINED) join no group.
-pub fn split_groups(entries: &[(Rank, Option<u32>, i64)]) -> Vec<(u32, Vec<Rank>)> {
+pub(crate) fn split_groups(entries: &[(Rank, Option<u32>, i64)]) -> Vec<(u32, Vec<Rank>)> {
     let mut by_color: BTreeMap<u32, Vec<(i64, Rank)>> = BTreeMap::new();
     for (rank, color, key) in entries {
         if let Some(c) = color {
@@ -246,7 +219,6 @@ mod tests {
         assert_eq!(w.size(), 4);
         assert_eq!(w.my_rank, 2);
         assert_eq!(w.world_rank(3), Some(Rank(3)));
-        assert_eq!(w.comm_rank(Rank(1)), Some(1));
         assert!(matches!(w.errhandler, ErrHandler::Fatal));
         assert!(Arc::ptr_eq(w.members, &members), "shared, not copied");
     }
@@ -254,17 +226,16 @@ mod tests {
     #[test]
     fn install_assigns_sequential_ids() {
         let (members, mut t) = (world(4), CommTable::new());
-        let id1 = t.install(
-            Arc::new(vec![Rank(0), Rank(1)]),
-            Rank(1),
-            ErrHandler::Return,
-        );
-        let id2 = t.install(Arc::new(vec![Rank(1), Rank(3)]), Rank(1), ErrHandler::Fatal);
+        let id1 = t.install(Arc::new(vec![Rank(0), Rank(1)]), Rank(1));
+        let id2 = t.install(Arc::new(vec![Rank(1), Rank(3)]), Rank(1));
         assert_eq!(id1, CommId(1));
         assert_eq!(id2, CommId(2));
-        let view = |id| t.view(&members, &ErrHandler::Fatal, Rank(1), id).unwrap();
+        let view = |id| t.view(&members, &ErrHandler::Return, Rank(1), id).unwrap();
         assert_eq!(view(id1).my_rank, 1);
-        assert!(matches!(view(id1).errhandler, ErrHandler::Return));
+        assert!(
+            matches!(view(id1).errhandler, ErrHandler::Return),
+            "the run's"
+        );
         assert_eq!(view(id2).my_rank, 0);
     }
 
@@ -272,7 +243,7 @@ mod tests {
     fn skip_id_keeps_counters_aligned() {
         let (members, mut t) = (world(2), CommTable::new());
         assert_eq!(t.skip_id(), CommId(1));
-        let id = t.install(Arc::new(vec![Rank(0)]), Rank(0), ErrHandler::Fatal);
+        let id = t.install(Arc::new(vec![Rank(0)]), Rank(0));
         assert_eq!(id, CommId(2));
         assert!(t
             .view(&members, &ErrHandler::Fatal, Rank(0), CommId(1))
@@ -293,23 +264,12 @@ mod tests {
         t.revoke(CommId::WORLD, SimTime(50));
         t.revoke(CommId::WORLD, SimTime(200));
         assert_eq!(revoked(&t, CommId::WORLD), Some(SimTime(50)));
-        let id = t.install(Arc::new(vec![Rank(0)]), Rank(0), ErrHandler::Fatal);
+        let id = t.install(Arc::new(vec![Rank(0)]), Rank(0));
         assert_eq!(revoked(&t, id), None);
         t.revoke(id, SimTime(7));
         t.revoke(CommId(9), SimTime(1)); // unknown: ignored
         assert_eq!(revoked(&t, id), Some(SimTime(7)));
         assert_eq!(revoked(&t, CommId(9)), None);
-    }
-
-    #[test]
-    fn errhandler_override_replaces_the_default() {
-        let (members, mut t) = (world(2), CommTable::new());
-        assert!(t.set_errhandler(CommId::WORLD, ErrHandler::Return));
-        assert!(!t.set_errhandler(CommId(3), ErrHandler::Return));
-        let w = t
-            .view(&members, &ErrHandler::Fatal, Rank(0), CommId::WORLD)
-            .unwrap();
-        assert!(matches!(w.errhandler, ErrHandler::Return));
     }
 
     #[test]

@@ -33,7 +33,7 @@ pub enum MpiError {
 impl MpiError {
     /// Whether this error means the whole job is going down and the
     /// application should unwind without further MPI calls.
-    pub fn is_fatal(&self) -> bool {
+    pub(crate) fn is_fatal(&self) -> bool {
         matches!(self, MpiError::Aborted { .. })
     }
 }

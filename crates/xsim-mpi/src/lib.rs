@@ -49,11 +49,8 @@ pub use comm::{Comm, CommId};
 pub use error::{ErrHandler, MpiError};
 pub use mpi_ctx::{mpi_program, MpiCtx};
 pub use redundancy::{Redundant, Verdict};
-pub use replication::{
-    CkptMode, HeartbeatConfig, ProtectionParseError, ProtectionScheme, RepReq, ReplicaMap,
-    Replicated,
-};
-pub use request::{RecvOut, ReqId};
-pub use state::{CollAlgo, Detector, LossyTransport, MpiStats, MpiWorld, TxOutcome};
+pub use replication::{CkptMode, HeartbeatConfig, ProtectionScheme, ReplicaMap, Replicated};
+pub use request::ReqId;
+pub use state::{CollAlgo, Detector, LossyTransport};
 pub use xsim_core::EngineKind;
 pub use xsim_obs::{PhaseKind, Trace};

@@ -44,7 +44,7 @@ pub struct MpiCtx {
 
 impl MpiCtx {
     /// Attach to the current VP (callable only while it executes).
-    pub fn attach() -> Self {
+    pub(crate) fn attach() -> Self {
         ctx::with_kernel(|k, me| {
             let svc = k.service::<MpiService>();
             MpiCtx {
@@ -407,20 +407,6 @@ impl MpiCtx {
         Self::apply(comm, r)
     }
 
-    /// Elementwise reduce of `f64` vectors to root (`MPI_Reduce`) using
-    /// the configured algorithm. Note the combine order (and so the
-    /// floating-point result for non-associative ops) depends on the
-    /// algorithm, but is deterministic within each.
-    pub fn reduce_f64<'s, 'd>(
-        &'s self,
-        comm: Comm,
-        root: usize,
-        data: &'d [f64],
-        op: ReduceOp,
-    ) -> impl Future<Output = Result<Option<Vec<f64>>, MpiError>> + use<'s, 'd> {
-        Traced::new(comm, collective::reduce(None, comm.id, root, data, op))
-    }
-
     /// Elementwise allreduce of `f64` vectors (`MPI_Allreduce`) using
     /// the configured algorithm.
     pub fn allreduce_f64<'s, 'd>(
@@ -457,11 +443,8 @@ impl MpiCtx {
     pub fn comm_dup(&self, comm: Comm) -> Result<Comm, MpiError> {
         ctx::with_kernel(|k, me| {
             let svc = k.service_mut::<MpiService>();
-            let (members, handler) = {
-                let v = p2p::entry_checks(svc, me, comm.id)?;
-                (v.members.clone(), v.errhandler.clone())
-            };
-            let id = svc.rank_mut(me).comms_mut().install(members, me, handler);
+            let members = p2p::entry_checks(svc, me, comm.id)?.members.clone();
+            let id = svc.rank_mut(me).comms_mut().install(members, me);
             Ok(Comm { id })
         })
     }
@@ -504,12 +487,10 @@ impl MpiCtx {
         let mine = color.and_then(|c| groups.iter().find(|(gc, _)| *gc == c).cloned());
 
         ctx::with_kernel(|k, me| {
-            let svc = k.service_mut::<MpiService>();
-            let handler = svc.world.default_errhandler.clone();
-            let comms = svc.rank_mut(me).comms_mut();
+            let comms = k.service_mut::<MpiService>().rank_mut(me).comms_mut();
             match mine {
                 Some((_, group)) => {
-                    let id = comms.install(Arc::new(group), me, handler);
+                    let id = comms.install(Arc::new(group), me);
                     Ok(Some(Comm { id }))
                 }
                 None => {
@@ -518,11 +499,6 @@ impl MpiCtx {
                 }
             }
         })
-    }
-
-    /// Set a communicator's error handler (`MPI_Comm_set_errhandler`).
-    pub fn set_errhandler(&self, comm: Comm, handler: ErrHandler) -> Result<(), MpiError> {
-        ulfm::set_errhandler(comm.id, handler)
     }
 
     // ------------------------------------------------------------------

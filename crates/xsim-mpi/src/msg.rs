@@ -8,7 +8,7 @@
 //! * non-overtaking holds because message *headers* between a given pair
 //!   share latency and therefore arrive (and are delivered) in send order.
 //!
-//! The queues live in one [`SmallMap`] ordered by `(comm, src, tag,
+//! The queues live in one `SmallMap` ordered by `(comm, src, tag,
 //! stamp)`: the one entry a blocking operation leaves inline, a flat
 //! block for the few dozen entries a rank usually has, an ordered tree
 //! at depth, so the dominant specific-source/specific-tag match stays
@@ -43,12 +43,12 @@ impl SrcSel {
     }
 
     /// Whether this selector is the wildcard.
-    pub fn is_any(self) -> bool {
+    pub(crate) fn is_any(self) -> bool {
         matches!(self, SrcSel::Any)
     }
 
     /// The specific rank, `None` for the wildcard.
-    pub fn rank(self) -> Option<Rank> {
+    pub(crate) fn rank(self) -> Option<Rank> {
         match self {
             SrcSel::Of(r) => Some(r),
             SrcSel::Any => None,
@@ -76,7 +76,7 @@ impl TagSel {
     }
 
     /// The specific tag, `None` for the wildcard.
-    pub fn tag(self) -> Option<u32> {
+    pub(crate) fn tag(self) -> Option<u32> {
         match self {
             TagSel::Of(t) => Some(t),
             TagSel::Any => None,
@@ -325,7 +325,12 @@ impl MatchQueues {
     /// Non-destructively find the earliest-delivered unexpected message
     /// matching the selectors (`MPI_Probe`/`MPI_Iprobe`): returns
     /// `(src, tag, payload bytes)`.
-    pub fn peek(&self, comm: CommId, src: SrcSel, tag: TagSel) -> Option<(Rank, u32, usize)> {
+    pub(crate) fn peek(
+        &self,
+        comm: CommId,
+        src: SrcSel,
+        tag: TagSel,
+    ) -> Option<(Rank, u32, usize)> {
         self.earliest_unexpected(comm, src, tag)
             .map(|(_, env)| (env.src, env.tag, env.data.len()))
     }

@@ -394,7 +394,11 @@ pub(crate) fn post_send(
 /// Post a nonblocking receive. `src`/`tag` of `None` are the
 /// `MPI_ANY_SOURCE`/`MPI_ANY_TAG` wildcards; `src` is a communicator
 /// rank.
-pub fn irecv_raw(comm: CommId, src: Option<usize>, tag: Option<u32>) -> Result<ReqId, MpiError> {
+pub(crate) fn irecv_raw(
+    comm: CommId,
+    src: Option<usize>,
+    tag: Option<u32>,
+) -> Result<ReqId, MpiError> {
     irecv_ex(comm, src, tag, false)
 }
 
@@ -653,7 +657,7 @@ pub fn wait_raw(req: ReqId) -> impl Future<Output = ReqResult> + Send {
 }
 
 /// Nonblocking completion check (`MPI_Test`).
-pub fn test_raw(req: ReqId) -> Option<ReqResult> {
+pub(crate) fn test_raw(req: ReqId) -> Option<ReqResult> {
     match ctx::with_kernel(|k, me| poll_request(k, me, req)) {
         Poll::Ready(r) => Some(r),
         Poll::Pending => None,
@@ -872,7 +876,7 @@ pub fn waitany_raw(reqs: &[ReqId]) -> impl Future<Output = (usize, ReqResult)> +
 /// Nonblocking probe (`MPI_Iprobe`): report the earliest matching
 /// unexpected message without consuming it, as `(source world rank,
 /// tag, payload bytes)`.
-pub fn iprobe_raw(
+pub(crate) fn iprobe_raw(
     comm: CommId,
     src: Option<usize>,
     tag: Option<u32>,
@@ -898,7 +902,7 @@ pub fn iprobe_raw(
 /// Blocking probe (`MPI_Probe`): wait until a matching message is
 /// available (or a failure releases the wait), then report it without
 /// consuming it.
-pub async fn probe_raw(
+pub(crate) async fn probe_raw(
     comm: CommId,
     src: Option<usize>,
     tag: Option<u32>,
@@ -935,7 +939,7 @@ pub async fn probe_raw(
 
 /// Combined send+receive (`MPI_Sendrecv`): posts both sides before
 /// waiting, so symmetric neighbor exchanges cannot deadlock.
-pub async fn sendrecv_raw(
+pub(crate) async fn sendrecv_raw(
     comm: CommId,
     dst: usize,
     send_tag: u32,

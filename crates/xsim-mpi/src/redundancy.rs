@@ -106,7 +106,11 @@ impl Redundant {
     /// This is the verification point a RedMPI-protected application
     /// hits on every message; here the application chooses where to
     /// place it (e.g. once per iteration on its state checksum).
-    pub async fn verify(&self, mpi: &MpiCtx, data: Bytes) -> Result<(Bytes, Verdict), MpiError> {
+    pub(crate) async fn verify(
+        &self,
+        mpi: &MpiCtx,
+        data: Bytes,
+    ) -> Result<(Bytes, Verdict), MpiError> {
         let (winner, verdict) = self.verify_detect(mpi, data).await?;
         if verdict == Verdict::Uncorrectable {
             // All replicas of this logical rank observe the same gathered
@@ -121,7 +125,7 @@ impl Redundant {
     /// disabled"): identical voting, but an uncorrectable divergence is
     /// reported to the caller instead of escalating to a process
     /// failure.
-    pub async fn verify_detect(
+    pub(crate) async fn verify_detect(
         &self,
         _mpi: &MpiCtx,
         data: Bytes,
@@ -156,7 +160,7 @@ impl Redundant {
     }
 
     /// Verify a `u64` state checksum (convenience over
-    /// [`Redundant::verify`] — escalates uncorrectable divergence).
+    /// `Redundant::verify` — escalates uncorrectable divergence).
     pub async fn verify_u64(&self, mpi: &MpiCtx, value: u64) -> Result<(u64, Verdict), MpiError> {
         let (bytes, verdict) = self
             .verify(mpi, Bytes::copy_from_slice(&value.to_le_bytes()))
@@ -165,7 +169,7 @@ impl Redundant {
     }
 
     /// Detection-only `u64` verification (convenience over
-    /// [`Redundant::verify_detect`]).
+    /// `Redundant::verify_detect`).
     pub async fn verify_u64_detect(
         &self,
         mpi: &MpiCtx,

@@ -66,7 +66,7 @@ use xsim_obs::{ids, service as obs};
 /// `COLL_TAG_BASE` (1 << 30), disjoint from plain application tags by
 /// convention (applications running under replication send through this
 /// layer, never raw tags in this range).
-pub const REP_TAG_BASE: u32 = 1 << 28;
+pub(crate) const REP_TAG_BASE: u32 = 1 << 28;
 const REP_SEQ_MASK: u32 = (1 << 28) - 1;
 
 /// Internal application-tag used by the logical collectives.
@@ -113,9 +113,9 @@ pub enum CkptMode {
 
 impl CkptMode {
     /// Default aggregation group size for `cr:agg`.
-    pub const DEFAULT_GROUP: usize = 8;
+    pub(crate) const DEFAULT_GROUP: usize = 8;
     /// Default full-checkpoint cadence for `cr:incr`.
-    pub const DEFAULT_FULL_EVERY: u64 = 4;
+    pub(crate) const DEFAULT_FULL_EVERY: u64 = 4;
 }
 
 impl fmt::Display for CkptMode {
@@ -174,16 +174,6 @@ impl ProtectionScheme {
             self,
             ProtectionScheme::Replication { .. } | ProtectionScheme::Partial { .. }
         )
-    }
-
-    /// The replication degree (1 for unreplicated schemes).
-    pub fn degree(&self) -> usize {
-        match self {
-            ProtectionScheme::Replication { degree } | ProtectionScheme::Partial { degree, .. } => {
-                *degree
-            }
-            _ => 1,
-        }
     }
 
     /// The checkpoint mode the scheme's C/R component uses
@@ -557,7 +547,7 @@ impl ReplicaMap {
     }
 
     /// Whether a logical rank is replicated.
-    pub fn is_protected(&self, logical: usize) -> bool {
+    pub(crate) fn is_protected(&self, logical: usize) -> bool {
         match &self.critical {
             Some(_) => self.crit_order.binary_search(&logical).is_ok(),
             None => true,
@@ -565,20 +555,12 @@ impl ReplicaMap {
     }
 
     /// Replication degree of one logical rank (1 if unprotected).
-    pub fn degree_of(&self, logical: usize) -> usize {
+    pub(crate) fn degree_of(&self, logical: usize) -> usize {
         if self.is_protected(logical) {
             self.degree
         } else {
             1
         }
-    }
-
-    /// Physical ranks of a logical rank's replicas, in replica order
-    /// (index 0 = the primary).
-    pub fn replicas(&self, logical: usize) -> Vec<usize> {
-        (0..self.degree_of(logical))
-            .map(|t| self.replica(logical, t))
-            .collect()
     }
 
     /// Physical rank of replica `t < degree_of(logical)` of a logical
@@ -601,7 +583,7 @@ impl ReplicaMap {
     }
 
     /// `(logical rank, replica index)` of a physical rank.
-    pub fn replica_of(&self, phys: usize) -> (usize, usize) {
+    pub(crate) fn replica_of(&self, phys: usize) -> (usize, usize) {
         assert!(phys < self.physical_size(), "physical rank out of range");
         if phys < self.logical_size {
             return (phys, 0);
@@ -747,12 +729,12 @@ impl Replicated {
     }
 
     /// The application's (logical) world size.
-    pub fn logical_size(&self) -> usize {
+    pub(crate) fn logical_size(&self) -> usize {
         self.map.logical_size
     }
 
     /// Current virtual time.
-    pub fn now(&self) -> SimTime {
+    pub(crate) fn now(&self) -> SimTime {
         self.mpi.now()
     }
 
@@ -995,7 +977,7 @@ impl Replicated {
     }
 
     /// Logical broadcast from logical `root`, linear.
-    pub async fn bcast(&mut self, root: usize, data: Bytes) -> Result<Bytes, MpiError> {
+    pub(crate) async fn bcast(&mut self, root: usize, data: Bytes) -> Result<Bytes, MpiError> {
         let n = self.logical_size();
         if self.logical_rank == root {
             for dst in (0..n).filter(|&d| d != root) {
@@ -1161,11 +1143,12 @@ mod tests {
     fn full_map_layout() {
         let m = ReplicaMap::full(4, 2).unwrap();
         assert_eq!(m.physical_size(), 8);
-        assert_eq!(m.replicas(0), vec![0, 4]);
-        assert_eq!(m.replicas(3), vec![3, 7]);
+        assert_eq!((m.replica(0, 0), m.replica(0, 1)), (0, 4));
+        assert_eq!((m.replica(3, 0), m.replica(3, 1)), (3, 7));
         for phys in 0..8 {
             let (l, t) = m.replica_of(phys);
-            assert_eq!(m.replicas(l)[t], phys);
+            assert!(t < m.degree_of(l));
+            assert_eq!(m.replica(l, t), phys);
         }
         assert!(m.is_protected(2));
         assert_eq!(m.degree_of(2), 2);
@@ -1175,9 +1158,9 @@ mod tests {
     fn partial_map_layout() {
         let m = ReplicaMap::partial(4, 2, BTreeSet::from([1, 3])).unwrap();
         assert_eq!(m.physical_size(), 6);
-        assert_eq!(m.replicas(0), vec![0]);
-        assert_eq!(m.replicas(1), vec![1, 4]);
-        assert_eq!(m.replicas(3), vec![3, 5]);
+        assert_eq!(m.replica(0, 0), 0);
+        assert_eq!((m.replica(1, 0), m.replica(1, 1)), (1, 4));
+        assert_eq!((m.replica(3, 0), m.replica(3, 1)), (3, 5));
         assert_eq!(m.replica_of(4), (1, 1));
         assert_eq!(m.replica_of(5), (3, 1));
         assert!(!m.is_protected(0));
@@ -1194,7 +1177,7 @@ mod tests {
         assert_eq!(m.physical_size(), 12);
         let mut seen = BTreeSet::new();
         for l in 0..6 {
-            for p in m.replicas(l) {
+            for p in (0..m.degree_of(l)).map(|t| m.replica(l, t)) {
                 assert!(seen.insert(p), "physical rank {p} assigned twice");
                 assert_eq!(m.replica_of(p).0, l);
             }

@@ -23,7 +23,7 @@ pub struct RecvOut {
 
 /// Send or receive.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ReqKind {
+pub(crate) enum ReqKind {
     /// A send request.
     Send,
     /// A receive request.
@@ -31,14 +31,14 @@ pub enum ReqKind {
 }
 
 /// Completion payload: `None` for sends, `Some` for receives.
-pub type ReqResult = Result<Option<RecvOut>, MpiError>;
+pub(crate) type ReqResult = Result<Option<RecvOut>, MpiError>;
 
 /// One request: what a pending one is matched, failed and revoked by,
 /// or — once complete — only its result, until its owner collects it.
 /// No completed-request path reads the pending fields, so a slot holds
 /// one or the other.
 #[derive(Debug)]
-pub enum Request {
+pub(crate) enum Request {
     /// Not completed yet.
     Pending(Pending),
     /// Completed at virtual time `at`.
@@ -52,7 +52,7 @@ pub enum Request {
 
 /// The fields of a pending request.
 #[derive(Debug, Clone, Copy)]
-pub struct Pending {
+pub(crate) struct Pending {
     /// Kind (send/recv).
     pub kind: ReqKind,
     /// Communicator.
@@ -69,13 +69,8 @@ pub struct Pending {
 }
 
 impl Request {
-    /// Whether the request has not completed yet.
-    pub fn is_pending(&self) -> bool {
-        matches!(self, Request::Pending(_))
-    }
-
     /// The pending fields; `None` once complete.
-    pub fn pending(&self) -> Option<&Pending> {
+    pub(crate) fn pending(&self) -> Option<&Pending> {
         match self {
             Request::Pending(p) => Some(p),
             Request::Done { .. } => None,
@@ -94,7 +89,7 @@ pub struct RequestTable {
 
 impl RequestTable {
     /// Register a new pending request; returns its id.
-    pub fn create(
+    pub(crate) fn create(
         &mut self,
         kind: ReqKind,
         comm: CommId,
@@ -145,7 +140,7 @@ impl RequestTable {
     }
 
     /// Look up a request.
-    pub fn get(&self, id: ReqId) -> Option<&Request> {
+    pub(crate) fn get(&self, id: ReqId) -> Option<&Request> {
         self.map.get(&id.0)
     }
 
@@ -155,7 +150,7 @@ impl RequestTable {
     /// whichever event fires first. A request freed while pending
     /// (`MPI_Request_free`) completes the same way (the return value, and so every wake and
     /// counter that follows it, is unchanged) and leaves the table.
-    pub fn complete(&mut self, id: ReqId, at: SimTime, result: ReqResult) -> bool {
+    pub(crate) fn complete(&mut self, id: ReqId, at: SimTime, result: ReqResult) -> bool {
         match self.map.get_mut(&id.0) {
             Some(Request::Pending(p)) if p.freed => {
                 self.map.remove(&id.0);
@@ -171,7 +166,7 @@ impl RequestTable {
 
     /// If `id` is done and its completion time has been reached by the
     /// caller's clock, remove it and return `(completion time, result)`.
-    pub fn try_take(&mut self, id: ReqId, now: SimTime) -> Option<(SimTime, ReqResult)> {
+    pub(crate) fn try_take(&mut self, id: ReqId, now: SimTime) -> Option<(SimTime, ReqResult)> {
         if !self.is_done(id, now) {
             return None;
         }
@@ -183,7 +178,7 @@ impl RequestTable {
 
     /// Whether `id` is complete from the perspective of a caller at
     /// `now` (used by `MPI_Test`).
-    pub fn is_done(&self, id: ReqId, now: SimTime) -> bool {
+    pub(crate) fn is_done(&self, id: ReqId, now: SimTime) -> bool {
         matches!(self.map.get(&id.0), Some(Request::Done { at, .. }) if *at <= now)
     }
 
@@ -191,7 +186,11 @@ impl RequestTable {
     /// when `include_any_source` — pending receives with a wildcard
     /// source. Returned with their post times so the caller can compute
     /// the paper's timeout-adjusted error completion times (§IV-C).
-    pub fn pending_involving(&self, dead: Rank, include_any_source: bool) -> Vec<(ReqId, SimTime)> {
+    pub(crate) fn pending_involving(
+        &self,
+        dead: Rank,
+        include_any_source: bool,
+    ) -> Vec<(ReqId, SimTime)> {
         self.pending_where(|r| match r.peer {
             SrcSel::Of(p) => p == dead,
             SrcSel::Any => include_any_source && r.kind == ReqKind::Recv,
@@ -214,13 +213,8 @@ impl RequestTable {
 
     /// Ids and post times of pending requests on a communicator, in id
     /// order. Used by `MPI_Comm_revoke` to release in-flight operations.
-    pub fn pending_on_comm(&self, comm: CommId) -> Vec<(ReqId, SimTime)> {
+    pub(crate) fn pending_on_comm(&self, comm: CommId) -> Vec<(ReqId, SimTime)> {
         self.pending_where(|r| r.comm == comm)
-    }
-
-    /// Drop a request outright (used on communicator teardown).
-    pub fn remove(&mut self, id: ReqId) -> bool {
-        self.map.remove(&id.0).is_some()
     }
 }
 
@@ -251,7 +245,7 @@ mod tests {
             5,
             SimTime(10),
         );
-        assert!(t.get(id).unwrap().is_pending());
+        assert!(t.get(id).unwrap().pending().is_some());
         assert!(t.complete(id, SimTime(20), Ok(None)));
         // Not observable before its completion time.
         assert!(t.try_take(id, SimTime(15)).is_none());
@@ -282,7 +276,6 @@ mod tests {
         let mut t = table();
         assert!(!t.complete(ReqId(99), SimTime(0), Ok(None)));
         assert!(t.try_take(ReqId(99), SimTime(0)).is_none());
-        assert!(!t.remove(ReqId(99)));
         assert!(!t.free(ReqId(99)));
     }
 

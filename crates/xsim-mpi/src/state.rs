@@ -48,7 +48,7 @@ pub enum CollAlgo {
 
 /// Outcome of one transmission attempt over a lossy transport.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TxOutcome {
+pub(crate) enum TxOutcome {
     /// The attempt reached the destination NIC intact.
     Delivered,
     /// The attempt was lost on the wire (no payload arrives).
@@ -107,23 +107,15 @@ impl Default for LossyTransport {
 const LOSSY_STREAM: u64 = 0x10_55_1E_57;
 
 impl LossyTransport {
-    /// A transport dropping each attempt with probability `drop_prob`.
-    pub fn with_drop_prob(drop_prob: f64) -> Self {
-        LossyTransport {
-            drop_prob,
-            ..Self::default()
-        }
-    }
-
     /// Whether loss applies to a message between `src` and `dst`.
-    pub fn applies(&self, src: Rank, dst: Rank) -> bool {
+    pub(crate) fn applies(&self, src: Rank, dst: Rank) -> bool {
         self.victim.is_none_or(|v| v == src || v == dst)
     }
 
     /// The fate of transmission attempt `attempt` of message `seq` from
     /// `src` to `dst` — a pure function of the seed and the identifying
     /// tuple, so both engines and any shard layout agree on it.
-    pub fn tx_outcome(&self, src: Rank, dst: Rank, seq: u64, attempt: u32) -> TxOutcome {
+    pub(crate) fn tx_outcome(&self, src: Rank, dst: Rank, seq: u64, attempt: u32) -> TxOutcome {
         if self.drop_prob <= 0.0 && self.corrupt_prob <= 0.0 {
             return TxOutcome::Delivered;
         }
@@ -144,7 +136,7 @@ impl LossyTransport {
     }
 
     /// Backoff delay preceding retransmission attempt `attempt + 1`.
-    pub fn backoff(&self, attempt: u32) -> SimTime {
+    pub(crate) fn backoff(&self, attempt: u32) -> SimTime {
         SimTime(
             self.backoff_base
                 .as_nanos()
@@ -183,7 +175,7 @@ pub struct MpiWorld {
 
 impl MpiWorld {
     /// When ranks learn of a failure that occurred at `tof`.
-    pub fn notification_time(&self, tof: SimTime) -> SimTime {
+    pub(crate) fn notification_time(&self, tof: SimTime) -> SimTime {
         match self.detector {
             Detector::Timeout => tof + self.notify_delay,
             Detector::Monitor { latency } => tof + latency.max(self.notify_delay),
@@ -192,7 +184,13 @@ impl MpiWorld {
 
     /// When a pending operation between `me` and the failed `dead`
     /// (posted at `post`) completes with `MPI_ERR_PROC_FAILED`.
-    pub fn failure_error_time(&self, me: Rank, dead: Rank, post: SimTime, tof: SimTime) -> SimTime {
+    pub(crate) fn failure_error_time(
+        &self,
+        me: Rank,
+        dead: Rank,
+        post: SimTime,
+        tof: SimTime,
+    ) -> SimTime {
         match self.detector {
             Detector::Timeout => post.max(tof) + self.net.timeout(me, dead),
             Detector::Monitor { .. } => post.max(self.notification_time(tof)),
@@ -241,7 +239,7 @@ struct FailedPeer {
 /// acknowledgement mark of each. Sorted by rank; empty (no heap) until
 /// the first failure notice.
 #[derive(Debug, Default)]
-pub struct FailedList(Vec<FailedPeer>);
+pub(crate) struct FailedList(Vec<FailedPeer>);
 
 impl FailedList {
     fn position(&self, rank: Rank) -> Result<usize, usize> {
@@ -249,13 +247,13 @@ impl FailedList {
     }
 
     /// Time of failure of `rank`, if it is known to have failed.
-    pub fn get(&self, rank: Rank) -> Option<SimTime> {
+    pub(crate) fn get(&self, rank: Rank) -> Option<SimTime> {
         self.position(rank).ok().map(|i| self.0[i].tof)
     }
 
     /// Record a failure. Returns `false` (and changes nothing) if the
     /// rank was already listed.
-    pub fn insert(&mut self, rank: Rank, tof: SimTime) -> bool {
+    pub(crate) fn insert(&mut self, rank: Rank, tof: SimTime) -> bool {
         match self.position(rank) {
             Ok(_) => false,
             Err(i) => {
@@ -267,23 +265,23 @@ impl FailedList {
     }
 
     /// Acknowledge every failure listed so far.
-    pub fn ack_all(&mut self) {
+    pub(crate) fn ack_all(&mut self) {
         self.0.iter_mut().for_each(|f| f.acked = true);
     }
 
     /// Known failures in ascending rank order.
-    pub fn iter(&self) -> impl Iterator<Item = (Rank, SimTime)> + '_ {
+    pub(crate) fn iter(&self) -> impl Iterator<Item = (Rank, SimTime)> + '_ {
         self.0.iter().map(|f| (f.rank, f.tof))
     }
 
     /// Acknowledged failures in ascending rank order.
-    pub fn acked(&self) -> impl Iterator<Item = Rank> + '_ {
+    pub(crate) fn acked(&self) -> impl Iterator<Item = Rank> + '_ {
         self.0.iter().filter(|f| f.acked).map(|f| f.rank)
     }
 
     /// The lowest-ranked failure not yet acknowledged (drives wildcard
     /// receive failures, paper §IV-C / ULFM semantics).
-    pub fn first_unacked(&self) -> Option<(Rank, SimTime)> {
+    pub(crate) fn first_unacked(&self) -> Option<(Rank, SimTime)> {
         self.0.iter().find(|f| !f.acked).map(|f| (f.rank, f.tof))
     }
 }
@@ -433,7 +431,7 @@ impl RankMpi {
     }
 
     /// Next send sequence number towards `dst` (lossy transport only).
-    pub fn next_send_seq(&mut self, dst: Rank) -> u64 {
+    pub(crate) fn next_send_seq(&mut self, dst: Rank) -> u64 {
         self.cold_mut().send_seq.next(dst)
     }
 
@@ -459,7 +457,7 @@ impl RankMpi {
     }
 
     /// Record a completed request id, if a `waitall`/`waitany` watches.
-    pub fn push_completion(&mut self, id: u64) {
+    pub(crate) fn push_completion(&mut self, id: u64) {
         if let Some(feed) = &mut self.completion_feed {
             feed.push(id);
         }
@@ -484,7 +482,7 @@ impl RankMpi {
 /// `MpiCtx::compute` adds each compute phase's duration. Flushes into a
 /// shared sink on drop so the builder can assemble the energy report.
 #[derive(Debug)]
-pub struct PowerService {
+pub(crate) struct PowerService {
     /// Busy virtual time of each owned rank, indexed `rank − base`.
     busy: Vec<SimTime>,
     /// First owned world rank.
@@ -495,7 +493,7 @@ pub struct PowerService {
 impl PowerService {
     /// Service for the shard owning `owned`, flushing into the
     /// world-rank-indexed `sink` on drop.
-    pub fn new(owned: Range<usize>, sink: Arc<Mutex<Vec<SimTime>>>) -> Self {
+    pub(crate) fn new(owned: Range<usize>, sink: Arc<Mutex<Vec<SimTime>>>) -> Self {
         PowerService {
             busy: vec![SimTime::ZERO; owned.len()],
             base: owned.start,
@@ -504,7 +502,7 @@ impl PowerService {
     }
 
     /// Add busy time to an owned rank.
-    pub fn add_busy(&mut self, rank: Rank, d: SimTime) {
+    pub(crate) fn add_busy(&mut self, rank: Rank, d: SimTime) {
         self.busy[rank.idx() - self.base] += d;
     }
 }
@@ -549,7 +547,7 @@ pub struct NetBatch {
 impl NetBatch {
     /// Account one injected message.
     #[inline]
-    pub fn observe(&mut self, eager: bool, class: NetClass, nbytes: u64) {
+    pub(crate) fn observe(&mut self, eager: bool, class: NetClass, nbytes: u64) {
         if eager {
             self.msgs_eager += 1;
         } else {
@@ -569,7 +567,7 @@ impl NetBatch {
     }
 
     /// Land the batch in a metric set.
-    pub fn flush_into(&self, set: &mut MetricSet) {
+    pub(crate) fn flush_into(&self, set: &mut MetricSet) {
         if self.msgs_eager > 0 {
             set.add(ids::NET_MSGS_EAGER, self.msgs_eager);
         }
@@ -723,7 +721,7 @@ impl MpiService {
     }
 
     /// The MPI state of an owned rank, mutably.
-    pub fn rank_mut(&mut self, r: Rank) -> &mut RankMpi {
+    pub(crate) fn rank_mut(&mut self, r: Rank) -> &mut RankMpi {
         self.ranks
             .get_mut(r.idx().wrapping_sub(self.owned.start))
             .expect("rank not on this shard")
@@ -756,7 +754,7 @@ impl Drop for MpiService {
 /// Install the failure hook on a kernel shard: when any VP fails, a
 /// simulator-internal message is broadcast to notify all simulated MPI
 /// processes of the failure and the time of failure (paper §IV-B).
-pub fn install_failure_hook(k: &mut Kernel) {
+pub(crate) fn install_failure_hook(k: &mut Kernel) {
     k.add_fail_hook(Arc::new(|k: &mut Kernel, dead: Rank, tof: SimTime| {
         let (n, when, verbose) = {
             let svc = k.service::<MpiService>();
@@ -838,7 +836,7 @@ fn on_failure_notice(k: &mut Kernel, me: Rank, dead: Rank, tof: SimTime) {
 /// Called by the lossy transport when the retransmission budget towards
 /// `peer` is exhausted, and on partition detection. `tof` must be at
 /// least one notification delay in the future (lookahead safety).
-pub fn escalate_unreachable(k: &mut Kernel, peer: Rank, tof: SimTime) {
+pub(crate) fn escalate_unreachable(k: &mut Kernel, peer: Rank, tof: SimTime) {
     k.schedule_at(
         tof,
         peer,
@@ -853,7 +851,7 @@ pub fn escalate_unreachable(k: &mut Kernel, peer: Rank, tof: SimTime) {
 /// Schedule the error completion of a request at `at` (unless something
 /// else completes it first — e.g. a message that matches a wildcard
 /// receive before the timeout expires).
-pub fn schedule_request_failure(
+pub(crate) fn schedule_request_failure(
     k: &mut Kernel,
     me: Rank,
     id: ReqId,

@@ -9,7 +9,7 @@
 
 use crate::collective::COLL_TAG_BASE;
 use crate::comm::{Comm, CommId};
-use crate::error::{ErrHandler, MpiError};
+use crate::error::MpiError;
 use crate::p2p::{self, with_mpi};
 use crate::request::Request;
 use crate::state::MpiService;
@@ -27,7 +27,7 @@ const SHRINK_TAG: u32 = COLL_TAG_BASE + (1 << 29);
 ///
 /// Like the real ULFM revoke, this is not collective — any member may
 /// call it — and it returns immediately.
-pub fn comm_revoke(comm: CommId) -> Result<(), MpiError> {
+pub(crate) fn comm_revoke(comm: CommId) -> Result<(), MpiError> {
     ctx::with_kernel(|k, me| {
         with_mpi(k, |k, svc| {
             let now = k.vp(me).clock();
@@ -97,7 +97,7 @@ fn apply_revoke(svc: &mut MpiService, rank: Rank, comm: CommId, at: SimTime) -> 
 
 /// Acknowledge all locally known failures (`MPI_Comm_failure_ack`):
 /// subsequently, wildcard receives are not failed by these processes.
-pub fn failure_ack() -> Result<(), MpiError> {
+pub(crate) fn failure_ack() -> Result<(), MpiError> {
     ctx::with_kernel(|k, me| {
         let svc = k.service_mut::<MpiService>();
         let rm = svc.rank_mut(me);
@@ -111,7 +111,7 @@ pub fn failure_ack() -> Result<(), MpiError> {
 
 /// The failures acknowledged so far (`MPI_Comm_failure_get_acked`), as
 /// world ranks in ascending order.
-pub fn failure_get_acked() -> Vec<Rank> {
+pub(crate) fn failure_get_acked() -> Vec<Rank> {
     ctx::with_kernel(|k, me| {
         let svc = k.service::<MpiService>();
         svc.rank(me).failed().acked().collect()
@@ -120,7 +120,7 @@ pub fn failure_get_acked() -> Vec<Rank> {
 
 /// This rank's current list of known-failed processes (world ranks with
 /// times of failure) — the per-process list of paper §IV-B.
-pub fn known_failures() -> Vec<(Rank, SimTime)> {
+pub(crate) fn known_failures() -> Vec<(Rank, SimTime)> {
     ctx::with_kernel(|k, me| {
         let svc = k.service::<MpiService>();
         svc.rank(me).failed().iter().collect()
@@ -145,7 +145,7 @@ pub(crate) fn failure_time(rank: Rank) -> Option<SimTime> {
 /// once the (global, equal-delay) failure notifications have been
 /// delivered, which is the case for shrinks triggered by a detected
 /// failure plus revoke.
-pub async fn comm_shrink(comm: CommId) -> Result<Comm, MpiError> {
+pub(crate) async fn comm_shrink(comm: CommId) -> Result<Comm, MpiError> {
     let (me_world, members, my_failed): (Rank, Arc<Vec<Rank>>, Vec<Rank>) =
         ctx::with_kernel(|k, me| {
             let svc = k.service::<MpiService>();
@@ -223,24 +223,9 @@ pub async fn comm_shrink(comm: CommId) -> Result<Comm, MpiError> {
     // Install the shrunken communicator (same deterministic id on every
     // survivor: each installs exactly once per shrink).
     ctx::with_kernel(|k, me| {
-        let svc = k.service_mut::<MpiService>();
-        let handler = svc.world.default_errhandler.clone();
-        let comms = svc.rank_mut(me).comms_mut();
-        let id = comms.install(Arc::new(survivors.clone()), me, handler);
+        let comms = k.service_mut::<MpiService>().rank_mut(me).comms_mut();
+        let id = comms.install(Arc::new(survivors.clone()), me);
         Ok(Comm { id })
-    })
-}
-
-/// Set the error handler of a communicator
-/// (`MPI_Comm_set_errhandler`).
-pub fn set_errhandler(comm: CommId, handler: ErrHandler) -> Result<(), MpiError> {
-    ctx::with_kernel(|k, me| {
-        let svc = k.service_mut::<MpiService>();
-        if svc.view(me, comm).is_none() {
-            return Err(MpiError::Invalid("unknown communicator"));
-        }
-        svc.rank_mut(me).comms_mut().set_errhandler(comm, handler);
-        Ok(())
     })
 }
 

@@ -535,10 +535,11 @@ fn tree_reduce_blocks(n: usize, all: bool) -> (u64, u64) {
         .run_app(move |mpi| async move {
             let data = [mpi.rank as f64; ELEMS];
             let expect = (n * (n - 1) / 2) as f64;
+            let (tree, w, sum) = (Some(CollAlgo::Tree), CommId::WORLD, ReduceOp::Sum);
             let out = if all {
-                Some(collective::allreduce_f64_tree(CommId::WORLD, &data, ReduceOp::Sum).await?)
+                Some(collective::allreduce(tree, w, &data, sum).await?)
             } else {
-                collective::reduce_f64_tree(CommId::WORLD, 0, &data, ReduceOp::Sum).await?
+                collective::reduce(tree, w, 0, &data, sum).await?
             };
             if out.is_some_and(|v| v != [expect; ELEMS]) {
                 return Err(MpiError::Invalid("wrong reduction"));

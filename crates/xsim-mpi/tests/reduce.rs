@@ -113,7 +113,7 @@ fn timing(report: &RunReport) -> Timing {
 }
 
 /// Every op's reduce to `root` (`root = None`: allreduce) on `size`
-/// ranks, through the `algo` variants of the free functions.
+/// ranks, through `collective::reduce` / `allreduce` with `Some(algo)`.
 fn run(algo: CollAlgo, size: usize, root: Option<usize>) -> (Vec<Row>, Timing) {
     let rows: Arc<Mutex<Vec<Row>>> = Arc::default();
     let sink = rows.clone();
@@ -125,22 +125,15 @@ fn run(algo: CollAlgo, size: usize, root: Option<usize>) -> (Vec<Row>, Timing) {
                 let w = CommId::WORLD;
                 let (fd, ud) = (f64_data(mpi.rank), u64_data(mpi.rank));
                 for (i, op) in OPS.into_iter().enumerate() {
-                    let (f, u) = match (algo, root) {
-                        (CollAlgo::Linear, Some(root)) => (
-                            collective::reduce_f64(w, root, &fd, op).await?,
-                            collective::reduce_u64(w, root, &ud, op).await?,
+                    let algo = Some(algo);
+                    let (f, u) = match root {
+                        Some(root) => (
+                            collective::reduce(algo, w, root, &fd, op).await?,
+                            collective::reduce(algo, w, root, &ud, op).await?,
                         ),
-                        (CollAlgo::Tree, Some(root)) => (
-                            collective::reduce_f64_tree(w, root, &fd, op).await?,
-                            collective::reduce_u64_tree(w, root, &ud, op).await?,
-                        ),
-                        (CollAlgo::Linear, None) => (
-                            Some(collective::allreduce_f64(w, &fd, op).await?),
-                            Some(collective::allreduce_u64(w, &ud, op).await?),
-                        ),
-                        (CollAlgo::Tree, None) => (
-                            Some(collective::allreduce_f64_tree(w, &fd, op).await?),
-                            Some(collective::allreduce_u64_tree(w, &ud, op).await?),
+                        None => (
+                            Some(collective::allreduce(algo, w, &fd, op).await?),
+                            Some(collective::allreduce(algo, w, &ud, op).await?),
                         ),
                     };
                     assert_eq!(f.is_some(), u.is_some());
@@ -259,19 +252,9 @@ fn run_edge(algo: CollAlgo, size: usize, root: Option<usize>, op: ReduceOp) -> V
             let sink = sink.clone();
             async move {
                 let (w, data) = (CommId::WORLD, edge_data(mpi.rank));
-                let out = match (algo, root) {
-                    (CollAlgo::Linear, Some(root)) => {
-                        collective::reduce_f64(w, root, &data, op).await?
-                    }
-                    (CollAlgo::Tree, Some(root)) => {
-                        collective::reduce_f64_tree(w, root, &data, op).await?
-                    }
-                    (CollAlgo::Linear, None) => {
-                        Some(collective::allreduce_f64(w, &data, op).await?)
-                    }
-                    (CollAlgo::Tree, None) => {
-                        Some(collective::allreduce_f64_tree(w, &data, op).await?)
-                    }
+                let out = match root {
+                    Some(root) => collective::reduce(Some(algo), w, root, &data, op).await?,
+                    None => Some(collective::allreduce(Some(algo), w, &data, op).await?),
                 };
                 if let Some(out) = out {
                     sink.lock().unwrap().push((mpi.rank, to_bits(&out)));
@@ -330,22 +313,10 @@ fn root_error(algo: CollAlgo, child: fn() -> ChildPayload) -> MpiError {
                         p2p::send_raw(w, 0, COLL_TAG_BASE + 1, bytes).await?;
                         Ok(None)
                     }
-                    (1, ChildPayload::Short) => match algo {
-                        CollAlgo::Linear => {
-                            collective::reduce_u64(w, 0, &data[1..], ReduceOp::Sum).await
-                        }
-                        CollAlgo::Tree => {
-                            collective::reduce_u64_tree(w, 0, &data[1..], ReduceOp::Sum).await
-                        }
-                    },
-                    _ => match algo {
-                        CollAlgo::Linear => {
-                            collective::reduce_u64(w, 0, &data, ReduceOp::Sum).await
-                        }
-                        CollAlgo::Tree => {
-                            collective::reduce_u64_tree(w, 0, &data, ReduceOp::Sum).await
-                        }
-                    },
+                    (1, ChildPayload::Short) => {
+                        collective::reduce(Some(algo), w, 0, &data[1..], ReduceOp::Sum).await
+                    }
+                    _ => collective::reduce(Some(algo), w, 0, &data, ReduceOp::Sum).await,
                 };
                 if let Err(e) = r {
                     *sink.lock().unwrap() = Some(e);
@@ -394,7 +365,8 @@ fn an_out_of_range_root_is_an_invalid_argument() {
                 let w = CommId::WORLD;
                 let data = u64_data(mpi.rank);
                 let bcast = collective::bcast(w, 4, Bytes::new()).await.err();
-                let reduce = collective::reduce_u64_tree(w, usize::MAX, &data, ReduceOp::Sum)
+                let tree = Some(CollAlgo::Tree);
+                let reduce = collective::reduce(tree, w, usize::MAX, &data, ReduceOp::Sum)
                     .await
                     .err();
                 sink.lock().unwrap().extend(bcast.into_iter().chain(reduce));

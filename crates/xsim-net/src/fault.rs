@@ -9,10 +9,10 @@
 //! route around dead links — inflating the hop count, carrying the worst
 //! bandwidth factor along the chosen path, and detecting true partitions.
 //!
-//! Link-level faults are modeled on the neighbor-addressable topologies
-//! ([`Topology::Torus3d`] and [`Topology::Mesh3d`], via
-//! [`Topology::torus_neighbors`]); on other topologies the table is
-//! inert and routing falls back to the fault-free [`Topology::hops`].
+//! Link-level faults are modeled on the neighbor-addressable
+//! [`Topology::Torus3d`] (via [`Topology::torus_neighbors`]); on a fully
+//! connected machine the table is inert and routing falls back to the
+//! fault-free [`Topology::hops`].
 
 use crate::topology::{Grid, NodeId, Topology};
 use std::collections::HashMap;
@@ -364,15 +364,15 @@ impl LinkStateTable {
     }
 
     /// Add a fault. Switch faults (`dir = None`) expand into faults on
-    /// all of the node's links; directions that do not exist (mesh
-    /// edges, non-neighbor topologies) are ignored.
+    /// all of the node's links; on a fully connected machine, which has
+    /// no neighbour links, faults are ignored.
     pub fn add(&mut self, f: NetFault) {
         self.extend([f]);
     }
 
     /// Add a batch of faults (each as [`add`](Self::add) would) and
     /// recompile the epoch index and link state once for the batch.
-    pub fn extend(&mut self, faults: impl IntoIterator<Item = NetFault>) {
+    pub(crate) fn extend(&mut self, faults: impl IntoIterator<Item = NetFault>) {
         for f in faults {
             let neighbors = self.topo.torus_neighbors(f.node);
             let dirs = match f.dir {
@@ -443,7 +443,7 @@ impl LinkStateTable {
     /// or before `t`. Every scheduled link/switch activation or repair
     /// bumps the epoch; within one epoch the live link state — and
     /// therefore every route — is constant.
-    pub fn epoch_at(&self, t: SimTime) -> u32 {
+    pub(crate) fn epoch_at(&self, t: SimTime) -> u32 {
         self.epoch_bounds.partition_point(|b| *b <= t) as u32
     }
 
@@ -570,20 +570,14 @@ impl LinkStateTable {
         let mut route = RouteInfo::EMPTY;
         for dim in 0..3 {
             let (mut c, extent) = (from[dim], grid.dims[dim]);
-            let plus = if grid.wrap {
-                let ahead = if to[dim] >= c {
-                    to[dim] - c
-                } else {
-                    to[dim] + extent - c
-                };
-                ahead <= extent - ahead
+            let ahead = if to[dim] >= c {
+                to[dim] - c
             } else {
-                to[dim] >= c
+                to[dim] + extent - c
             };
+            let plus = ahead <= extent - ahead;
             while c != to[dim] {
-                let (next, next_c) = grid
-                    .step(node, c, dim, plus)
-                    .expect("a minimal path stays on the grid");
+                let (next, next_c) = grid.step(node, c, dim, plus);
                 let factor = self.link_state(node, next, epoch);
                 if factor <= 0.0 {
                     return None;
@@ -612,9 +606,7 @@ impl LinkStateTable {
             let u = u as usize;
             let c = grid.coords(u);
             for dir in 0..6 {
-                let Some((v, _)) = grid.step(u, c[dir / 2], dir / 2, dir % 2 == 0) else {
-                    continue;
-                };
+                let (v, _) = grid.step(u, c[dir / 2], dir / 2, dir % 2 == 0);
                 if s.seen[v] == s.mark || self.link_state(u, v, epoch) <= 0.0 {
                     continue;
                 }

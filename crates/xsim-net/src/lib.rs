@@ -3,10 +3,9 @@
 //! xSim observes application performance "based on a processor and a
 //! network model" (paper §II-A). This crate implements the network half:
 //!
-//! * [`Topology`] — the simulated interconnect shape. The paper's
-//!   experiments use a 32×32×32 3-D wrapped torus (§V-C); meshes,
-//!   hypercubes, stars and fully-connected fabrics are provided for
-//!   co-design sweeps.
+//! * [`Topology`] — the simulated interconnect shape: the 3-D wrapped
+//!   torus of the paper's experiments (32×32×32, §V-C) or a
+//!   fully-connected crossbar for small test machines.
 //! * [`Link`] — per-hop latency, bandwidth, and the **communication
 //!   timeout** used by the simulated MPI process-failure detector: "each
 //!   simulated network, such as the on-chip, on-node, and system-wide
@@ -25,6 +24,6 @@ pub mod fault;
 pub mod model;
 pub mod topology;
 
-pub use fault::{LinkFaultKind, LinkStateTable, NetFault, RouteCacheStats, RouteInfo};
-pub use model::{Link, NetClass, NetModel, P2pRoute, P2pTiming};
-pub use topology::{HopTable, NodeId, Topology};
+pub use fault::{LinkFaultKind, LinkStateTable, NetFault};
+pub use model::{Link, NetClass, NetModel};
+pub use topology::{NodeId, Topology};

@@ -35,7 +35,7 @@ impl Link {
     /// The paper's system interconnect: 1 µs link latency, 32 GB/s link
     /// bandwidth (§V-C). The timeout is not given numerically in the
     /// paper ("configurable"); 1 s is a representative HPC RAS value.
-    pub fn paper_system() -> Self {
+    pub(crate) fn paper_system() -> Self {
         Link {
             latency: SimTime::from_micros(1),
             bandwidth_bps: 32.0e9,
@@ -44,7 +44,7 @@ impl Link {
     }
 
     /// Typical shared-memory on-node transport.
-    pub fn default_on_node() -> Self {
+    pub(crate) fn default_on_node() -> Self {
         Link {
             latency: SimTime::from_nanos(200),
             bandwidth_bps: 64.0e9,
@@ -53,7 +53,7 @@ impl Link {
     }
 
     /// Typical on-chip transport between cores.
-    pub fn default_on_chip() -> Self {
+    pub(crate) fn default_on_chip() -> Self {
         Link {
             latency: SimTime::from_nanos(40),
             bandwidth_bps: 128.0e9,
@@ -62,7 +62,7 @@ impl Link {
     }
 
     /// Pure serialization time of `bytes` at this link's bandwidth.
-    pub fn transfer_time(&self, bytes: usize) -> SimTime {
+    pub(crate) fn transfer_time(&self, bytes: usize) -> SimTime {
         if bytes == 0 || self.bandwidth_bps <= 0.0 {
             return SimTime::ZERO;
         }
@@ -84,24 +84,6 @@ pub struct P2pTiming {
     pub eager: bool,
     /// The class of network used, selecting the failure-detection timeout.
     pub class: NetClass,
-}
-
-impl P2pTiming {
-    /// Earliest possible arrival of the payload relative to injection
-    /// (eager) or relative to the rendezvous handshake completing.
-    pub fn wire_time(&self) -> SimTime {
-        self.latency + self.transfer
-    }
-
-    /// Duration of the rendezvous RTS/CTS handshake (one round trip of
-    /// control messages); zero for eager messages.
-    pub fn handshake(&self) -> SimTime {
-        if self.eager {
-            SimTime::ZERO
-        } else {
-            self.latency + self.latency
-        }
-    }
 }
 
 /// The complete network model: topology + link classes + protocol
@@ -188,9 +170,9 @@ impl NetModel {
     }
 
     /// Build the dense healthy-topology hop table when the topology
-    /// qualifies (see [`crate::topology::HopTable::build`]). Idempotent;
+    /// qualifies (see `HopTable::build`). Idempotent;
     /// the simulation builder calls this once the topology is final, so
-    /// per-message hop queries on small tori/meshes are a table load.
+    /// per-message hop queries on small tori are a table load.
     pub fn precompute_hops(&mut self) {
         if self.hop_table.is_none() {
             self.hop_table = self.topology.hop_table().map(Arc::new);
@@ -200,7 +182,7 @@ impl NetModel {
     /// Healthy-topology hop count between two *nodes*: the precomputed
     /// table when present, the closed form otherwise.
     #[inline]
-    pub fn node_hops(&self, a: usize, b: usize) -> u32 {
+    pub(crate) fn node_hops(&self, a: usize, b: usize) -> u32 {
         match &self.hop_table {
             Some(t) => t.get(a, b),
             None => self.topology.hops(a, b),
@@ -222,12 +204,12 @@ impl NetModel {
     }
 
     /// Total rank capacity of the machine.
-    pub fn max_ranks(&self) -> usize {
+    pub(crate) fn max_ranks(&self) -> usize {
         self.topology.nodes() * self.ranks_per_node.max(1)
     }
 
     /// The network class connecting two ranks.
-    pub fn class_of(&self, a: Rank, b: Rank) -> NetClass {
+    pub(crate) fn class_of(&self, a: Rank, b: Rank) -> NetClass {
         if self.node_of(a) == self.node_of(b) {
             NetClass::OnNode
         } else {
@@ -236,7 +218,7 @@ impl NetModel {
     }
 
     /// Link parameters of a class.
-    pub fn link(&self, class: NetClass) -> &Link {
+    pub(crate) fn link(&self, class: NetClass) -> &Link {
         match class {
             NetClass::OnChip => &self.on_chip,
             NetClass::OnNode => &self.on_node,
@@ -424,7 +406,6 @@ mod tests {
         assert!(m.p2p(Rank(0), Rank(1), 256 * 1024).eager);
         let r = m.p2p(Rank(0), Rank(1), 256 * 1024 + 1);
         assert!(!r.eager);
-        assert_eq!(r.handshake(), SimTime::from_micros(2));
     }
 
     #[test]

@@ -19,18 +19,12 @@ fn arb_dims(g: &mut DetRng) -> [usize; 3] {
 }
 
 fn arb_topology(g: &mut DetRng) -> Topology {
-    match g.gen_in(0..5) {
-        0 => Topology::Torus3d { dims: arb_dims(g) },
-        1 => Topology::Mesh3d { dims: arb_dims(g) },
-        2 => Topology::FullyConnected {
+    if g.gen_bool() {
+        Topology::Torus3d { dims: arb_dims(g) }
+    } else {
+        Topology::FullyConnected {
             nodes: g.gen_in(1..257) as usize,
-        },
-        3 => Topology::Star {
-            nodes: g.gen_in(1..257) as usize,
-        },
-        _ => Topology::Hypercube {
-            dim: g.gen_in(0..9) as u32,
-        },
+        }
     }
 }
 
@@ -59,25 +53,11 @@ fn torus_triangle_inequality() {
 }
 
 #[test]
-fn mesh_triangle_inequality() {
-    for_each_case(SEED, CASES, |g| {
-        let t = Topology::Mesh3d { dims: arb_dims(g) };
-        let n = t.nodes();
-        let [a, b, c] = [(); 3].map(|_| g.gen_in(0..4096) as usize % n);
-        assert!(t.hops(a, c) <= t.hops(a, b) + t.hops(b, c));
-    });
-}
-
-#[test]
 fn coords_round_trip() {
     for_each_case(SEED, CASES, |g| {
-        let dims = arb_dims(g);
-        let seed = arb_seed(g);
-        for topo in [Topology::Torus3d { dims }, Topology::Mesh3d { dims }] {
-            let n = topo.nodes();
-            let node = seed % n;
-            assert_eq!(topo.node_at(topo.coords(node)), node);
-        }
+        let topo = Topology::Torus3d { dims: arb_dims(g) };
+        let node = arb_seed(g) % topo.nodes();
+        assert_eq!(topo.node_at(topo.coords(node)), node);
     });
 }
 
@@ -234,15 +214,12 @@ fn routing_matches_oracle_under_arbitrary_cuts() {
     });
 }
 
-/// Either grid shape with extents 1..=5: degenerate rings (extent 1
-/// wraps onto itself, extent 2 has one link for both directions), odd
-/// extents, and even ones with a half-way tie.
+/// A torus with extents 1..=5: degenerate rings (extent 1 wraps onto
+/// itself, extent 2 has one link for both directions), odd extents, and
+/// even ones with a half-way tie.
 fn arb_grid(g: &mut DetRng) -> Topology {
-    let dims = [(); 3].map(|_| g.gen_in(1..6) as usize);
-    if g.gen_bool() {
-        Topology::Torus3d { dims }
-    } else {
-        Topology::Mesh3d { dims }
+    Topology::Torus3d {
+        dims: [(); 3].map(|_| g.gen_in(1..6) as usize),
     }
 }
 
@@ -263,7 +240,7 @@ fn arb_fault(g: &mut DetRng, nodes: usize) -> NetFault {
 }
 
 /// The walk and the detour memo are semantically invisible: on random
-/// tori *and meshes*, under random down/degraded/switch fault
+/// tori, under random down/degraded/switch fault
 /// schedules, [`LinkStateTable::route`] equals the plain-BFS
 /// [`LinkStateTable::route_uncached`] oracle — hops *and* worst factor
 /// — for **every** `(src, dst)` pair at every probe, taken on, just

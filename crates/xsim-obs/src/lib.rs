@@ -35,6 +35,6 @@ pub mod trace;
 
 pub use chrome::ChromeTraceWriter;
 pub use json::Json;
-pub use metrics::{ids, Hist, MetricDef, MetricKind, MetricSet, Unit, SPEC};
+pub use metrics::{ids, MetricSet, SPEC};
 pub use service::{ObsReport, ObsService, ObsSink};
 pub use trace::{ObsSpan, PhaseKind, Trace};

@@ -22,7 +22,7 @@ pub enum Unit {
 
 impl Unit {
     /// Snapshot-schema name.
-    pub fn name(self) -> &'static str {
+    pub(crate) fn name(self) -> &'static str {
         match self {
             Unit::Count => "count",
             Unit::Bytes => "bytes",
@@ -64,7 +64,7 @@ pub struct MetricDef {
 
 impl MetricDef {
     /// A monotonic counter.
-    pub const fn counter(name: &'static str, unit: Unit) -> Self {
+    pub(crate) const fn counter(name: &'static str, unit: Unit) -> Self {
         MetricDef {
             name,
             kind: MetricKind::Counter,
@@ -75,7 +75,7 @@ impl MetricDef {
     }
 
     /// A high-water-mark gauge.
-    pub const fn gauge(name: &'static str, unit: Unit) -> Self {
+    pub(crate) const fn gauge(name: &'static str, unit: Unit) -> Self {
         MetricDef {
             name,
             kind: MetricKind::Gauge,
@@ -86,7 +86,7 @@ impl MetricDef {
     }
 
     /// A fixed-bucket histogram.
-    pub const fn histogram(name: &'static str, unit: Unit, buckets: &'static [u64]) -> Self {
+    pub(crate) const fn histogram(name: &'static str, unit: Unit, buckets: &'static [u64]) -> Self {
         MetricDef {
             name,
             kind: MetricKind::Histogram,
@@ -97,7 +97,7 @@ impl MetricDef {
     }
 
     /// Mark the metric execution-shape-dependent (see the field docs).
-    pub const fn volatile(self) -> Self {
+    pub(crate) const fn volatile(self) -> Self {
         MetricDef {
             name: self.name,
             kind: self.kind,
@@ -124,10 +124,10 @@ pub const SIZE_BUCKETS: &[u64] = &[
 
 /// Restore-chain-length buckets: powers of two from 1 to 64 replayed
 /// files (a chain longer than 64 means a misconfigured full cadence).
-pub const CHAIN_BUCKETS: &[u64] = &[1, 2, 4, 8, 16, 32, 64];
+pub(crate) const CHAIN_BUCKETS: &[u64] = &[1, 2, 4, 8, 16, 32, 64];
 
 /// Latency buckets (virtual ns): decades from 1 µs to 100 s.
-pub const LATENCY_BUCKETS: &[u64] = &[
+pub(crate) const LATENCY_BUCKETS: &[u64] = &[
     1_000,
     10_000,
     100_000,
@@ -481,7 +481,7 @@ impl MetricSet {
 
     /// Merge another shard's storage into this one (counters sum,
     /// gauges max, histograms add elementwise), resetting `other`.
-    pub fn merge_from(&mut self, other: &mut MetricSet) {
+    pub(crate) fn merge_from(&mut self, other: &mut MetricSet) {
         for (mine, theirs) in self.slots.iter_mut().zip(other.slots.iter_mut()) {
             match (mine, theirs) {
                 (Slot::Counter(a), Slot::Counter(b)) => {
@@ -508,7 +508,7 @@ impl MetricSet {
     }
 
     /// Whether any metric recorded anything.
-    pub fn any_activity(&self) -> bool {
+    pub(crate) fn any_activity(&self) -> bool {
         self.slots.iter().any(|s| match s {
             Slot::Counter(v) | Slot::Gauge(v) => *v != 0,
             Slot::Hist(h) => h.count != 0,

@@ -89,7 +89,7 @@ impl Trace {
     /// VP, in program order, and the sort is stable, so ties within a
     /// rank keep that order: the result is the same for every engine
     /// and worker count.
-    pub fn assemble(mut events: Vec<ObsSpan>) -> Trace {
+    pub(crate) fn assemble(mut events: Vec<ObsSpan>) -> Trace {
         events.sort_by_key(|e| (e.start, e.rank, e.end));
         Trace { events }
     }

@@ -12,7 +12,7 @@
 //!
 //! * [`Work::native_time`] — "this phase takes t seconds on the reference
 //!   core" (the direct analogue of xSim's measured native time),
-//! * [`Work::flops`] / [`Work::mem_bytes`] — convenience units converted
+//! * [`Work::Flops`] / [`Work::MemBytes`] — convenience units converted
 //!   through the reference-core parameters.
 //!
 //! The conversion multiplies by the node [`ProcModel::slowdown`] factor
@@ -44,16 +44,6 @@ impl Work {
     /// Work expressed as native reference-core time.
     pub fn native_time(t: SimTime) -> Self {
         Work::NativeTime(t)
-    }
-
-    /// Work expressed in floating-point operations.
-    pub fn flops(n: u64) -> Self {
-        Work::Flops(n)
-    }
-
-    /// Work expressed in bytes of memory traffic.
-    pub fn mem_bytes(n: u64) -> Self {
-        Work::MemBytes(n)
     }
 }
 
@@ -128,12 +118,6 @@ impl ProcModel {
         }
     }
 
-    /// Set the reference core parameters.
-    pub fn ref_core(mut self, rc: RefCore) -> Self {
-        self.ref_core = rc;
-        self
-    }
-
     /// Override the relative speed of one simulated node. Speeds compose
     /// with the global slowdown: effective factor = `slowdown / speed`.
     pub fn override_speed(mut self, rank: Rank, speed: f64) -> Self {
@@ -144,7 +128,7 @@ impl ProcModel {
     }
 
     /// Relative speed of `rank` (1.0 unless overridden).
-    pub fn speed_of(&self, rank: Rank) -> f64 {
+    pub(crate) fn speed_of(&self, rank: Rank) -> f64 {
         self.overrides
             .iter()
             .find(|(r, _)| *r == rank)
@@ -153,7 +137,7 @@ impl ProcModel {
     }
 
     /// Native reference-core time for a quantity of work.
-    pub fn native_time(&self, work: Work) -> SimTime {
+    pub(crate) fn native_time(&self, work: Work) -> SimTime {
         match work {
             Work::NativeTime(t) => t,
             Work::Flops(n) => SimTime::from_secs_f64(n as f64 / self.ref_core.flops_per_sec),
@@ -190,16 +174,19 @@ mod tests {
 
     #[test]
     fn flops_convert_via_ref_core() {
-        let m = ProcModel::default().ref_core(RefCore {
-            flops_per_sec: 1e9,
-            mem_bytes_per_sec: 1e9,
-        });
+        let m = ProcModel {
+            ref_core: RefCore {
+                flops_per_sec: 1e9,
+                mem_bytes_per_sec: 1e9,
+            },
+            ..ProcModel::default()
+        };
         assert_eq!(
-            m.virtual_time(Rank(0), Work::flops(2_000_000_000)),
+            m.virtual_time(Rank(0), Work::Flops(2_000_000_000)),
             SimTime::from_secs(2)
         );
         assert_eq!(
-            m.virtual_time(Rank(0), Work::mem_bytes(500_000_000)),
+            m.virtual_time(Rank(0), Work::MemBytes(500_000_000)),
             SimTime::from_millis(500)
         );
     }
@@ -229,6 +216,6 @@ mod tests {
     #[test]
     fn zero_work_is_zero_time() {
         let m = ProcModel::with_slowdown(1000.0);
-        assert_eq!(m.virtual_time(Rank(0), Work::flops(0)), SimTime::ZERO);
+        assert_eq!(m.virtual_time(Rank(0), Work::Flops(0)), SimTime::ZERO);
     }
 }

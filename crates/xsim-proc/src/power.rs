@@ -38,16 +38,8 @@ impl PowerModel {
         }
     }
 
-    /// Energy of one node that was busy for `busy` out of `total`
-    /// virtual time, in joules.
-    pub fn node_energy(&self, busy: SimTime, total: SimTime) -> f64 {
-        let busy_s = busy.min(total).as_secs_f64();
-        let idle_s = (total - busy.min(total)).as_secs_f64();
-        self.active_watts * busy_s + self.idle_watts * idle_s
-    }
-
     /// Network energy for a traffic volume.
-    pub fn network_energy(&self, messages: u64, bytes: u64) -> f64 {
+    pub(crate) fn network_energy(&self, messages: u64, bytes: u64) -> f64 {
         self.joules_per_message * messages as f64 + self.joules_per_byte * bytes as f64
     }
 }
@@ -106,16 +98,6 @@ impl PowerReport {
             },
         }
     }
-
-    /// Average power of the run given its duration, watts.
-    pub fn average_watts(&self, duration: SimTime) -> f64 {
-        let s = duration.as_secs_f64();
-        if s <= 0.0 {
-            0.0
-        } else {
-            self.total_joules / s
-        }
-    }
 }
 
 #[cfg(test)]
@@ -129,21 +111,6 @@ mod tests {
             joules_per_message: 1e-6,
             joules_per_byte: 1e-9,
         }
-    }
-
-    #[test]
-    fn node_energy_splits_busy_idle() {
-        let m = model();
-        // 10 s total, 4 s busy: 4*200 + 6*100 = 1400 J.
-        assert_eq!(
-            m.node_energy(SimTime::from_secs(4), SimTime::from_secs(10)),
-            1400.0
-        );
-        // Busy clamped to total.
-        assert_eq!(
-            m.node_energy(SimTime::from_secs(20), SimTime::from_secs(10)),
-            2000.0
-        );
     }
 
     #[test]
@@ -163,7 +130,6 @@ mod tests {
         assert_eq!(r.idle_joules, 6.0 * 100.0);
         assert_eq!(r.total_joules, 3400.0);
         assert!((r.busy_fraction - 0.7).abs() < 1e-12);
-        assert_eq!(r.average_watts(SimTime::from_secs(10)), 340.0);
     }
 
     #[test]
@@ -181,6 +147,5 @@ mod tests {
         let r = PowerReport::assemble(&model(), &[], &[], SimTime::ZERO, 0, 0);
         assert_eq!(r.total_joules, 0.0);
         assert_eq!(r.busy_fraction, 0.0);
-        assert_eq!(r.average_watts(SimTime::ZERO), 0.0);
     }
 }

@@ -10,8 +10,8 @@
 //! * [`core`] — deterministic PDES engine with lightweight virtual
 //!   processes (sequential + conservative parallel).
 //! * [`proc`] — processor model (work → virtual time, slowdown factors).
-//! * [`net`] — network model (torus/mesh/hypercube topologies,
-//!   eager/rendezvous protocols, per-network failure-detection
+//! * [`net`] — network model (the 3-D torus and a fully-connected
+//!   crossbar, eager/rendezvous protocols, per-network failure-detection
 //!   timeouts, fault-aware routing around dead/degraded links).
 //! * [`fs`] — simulated parallel file system (shared across restarts,
 //!   two-phase writes, I/O fault injection).
@@ -70,7 +70,7 @@ pub mod prelude {
     pub use xsim_core::{
         Bytes, EngineKind, EngineProfile, ExitKind, Rank, SimError, SimReport, SimTime,
     };
-    pub use xsim_fault::{FailureModel, FailureSchedule, FaultSchedule, NetReliability};
+    pub use xsim_fault::{FailureModel, FailureSchedule, FaultSchedule};
     pub use xsim_fs::{FsModel, FsStore};
     pub use xsim_mpi::{
         Comm, Detector, ErrHandler, HeartbeatConfig, LossyTransport, MpiCtx, MpiError,
