@@ -489,10 +489,10 @@ impl Layer for MpiCtx {
             if let Some(nb) = nb {
                 // Fire and forget: the halo completes on the receive side.
                 let sreq = self.isend(w, *nb, dir as u32, state.face(cfg, dir)).await?;
-                self.request_free(w, sreq)?;
+                self.request_free(sreq)?;
             }
         }
-        let outs = self.waitall(w, &reqs[..posted]).await?;
+        let outs = self.waitall(&reqs[..posted]).await?;
         if let State::Real(g) = state {
             for (&dir, out) in dirs.iter().zip(outs) {
                 let msg = out.expect("halo receives carry payloads");

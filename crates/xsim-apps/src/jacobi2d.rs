@@ -103,17 +103,17 @@ pub fn program(
                 if let Some(up) = up {
                     reqs.push((0usize, mpi.irecv(w, Some(up), Some(1))?));
                     let sreq = mpi.isend(w, up, 0, pack_f64s(&u[nx..2 * nx])).await?;
-                    mpi.request_free(w, sreq)?;
+                    mpi.request_free(sreq)?;
                 }
                 if let Some(down) = down {
                     reqs.push((1usize, mpi.irecv(w, Some(down), Some(0))?));
                     let sreq = mpi
                         .isend(w, down, 1, pack_f64s(&u[rows * nx..(rows + 1) * nx]))
                         .await?;
-                    mpi.request_free(w, sreq)?;
+                    mpi.request_free(sreq)?;
                 }
                 let ids: Vec<_> = reqs.iter().map(|(_, r)| *r).collect();
-                let outs = mpi.waitall(w, &ids).await?;
+                let outs = mpi.waitall(&ids).await?;
                 for ((which, _), out) in reqs.iter().zip(outs) {
                     let msg = out.expect("halo payload");
                     match which {

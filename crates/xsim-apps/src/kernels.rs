@@ -104,7 +104,7 @@ pub fn p2p_storm(rounds: u32, strides: Vec<usize>, payload: usize) -> Arc<dyn Vp
                     let from = (mpi.rank + mpi.size - s) % mpi.size;
                     let rq = mpi.irecv(w, Some(from), Some(round))?;
                     mpi.send(w, to, round, payload.clone()).await?;
-                    mpi.wait(w, rq).await?;
+                    mpi.wait(rq).await?;
                 }
             }
             mpi.finalize();

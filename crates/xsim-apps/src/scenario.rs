@@ -6,9 +6,9 @@
 //! the `xsim` CLI and the `xsim-bench` harnesses — hands its argv and an
 //! environment lookup to [`Cli::parse`], the one place either is read:
 //!
-//! * `--key value` tokens, plus the bare flags `--quick`, `--mpi`,
-//!   `--power` and `--net-faults`. A binary names the keys it reads; any other key is
-//!   an error that lists them.
+//! * `--key value` tokens, plus the bare flags `--quick`, `--mpi` and
+//!   `--power`. A binary names the keys it reads; any other key is an
+//!   error that lists them.
 //! * For a binary that reads `--failures`: `XSIM_FAILURES`
 //!   (`rank:seconds,...`) and `XSIM_NET_FAULTS` (`rank:`/`link:`/
 //!   `switch:` entries), merged after `--failures` in that order.
@@ -30,7 +30,7 @@ use xsim_mpi::{CkptMode, ProtectionScheme, SimBuilder};
 /// Every subcommand and key any front end reads, space-separated: what
 /// [`FromStr`] accepts.
 const ALL_KEYS: &str = "heat ring ranks global iters ckpt halo laps payload \
-    workers seed failures protection quick mpi net-faults power ops rounds max-vps fit mttf \
+    workers seed failures protection quick mpi power ops rounds max-vps fit mttf \
     slowdown per-point-ns profile trace";
 /// Keys owned by a subcommand: `heat`'s, `ring`'s, and both.
 const HEAT_KEYS: &str = "ranks global iters ckpt halo";
@@ -38,9 +38,9 @@ const RING_KEYS: &str = "ranks laps payload";
 const APP_KEYS: &str = "ranks global iters ckpt halo laps payload";
 /// The keys of a binary's own knobs (see [`Cli`]), and those of them that
 /// take no value.
-const KNOBS: &str = "quick mpi net-faults power ops rounds max-vps fit mttf slowdown \
-    per-point-ns profile trace";
-const FLAGS: &str = "quick mpi net-faults power";
+const KNOBS: &str = "quick mpi power ops rounds max-vps fit mttf slowdown per-point-ns \
+    profile trace";
+const FLAGS: &str = "quick mpi power";
 
 /// Whether the space-separated `list` holds `word`.
 fn has(list: &str, word: &str) -> bool {
@@ -116,8 +116,6 @@ pub struct Cli {
     /// `--mpi`: run the MPI rungs instead of the raw-core ones
     /// (`vp_scaling`).
     pub mpi: bool,
-    /// `--net-faults`: run the network-fault sections (`ablations`).
-    pub net_faults: bool,
     /// `--power`: attach the node power model (`xsim heat`).
     pub power: bool,
     /// `--ops N`: timed churn operations per tier (`queue_bench`).
@@ -126,7 +124,7 @@ pub struct Cli {
     pub rounds: Option<u32>,
     /// `--max-vps N`: cap on the scaling ladder (`vp_scaling`).
     pub max_vps: Option<usize>,
-    /// `--fit F`: one per-node FIT rung (`protection`).
+    /// `--fit F`: one per-node FIT rung (`campaign protection`).
     pub fit: Option<f64>,
     /// `--mttf SECONDS`: run an MTTF-driven campaign (`xsim heat`).
     pub mttf: Option<f64>,
@@ -348,7 +346,6 @@ impl Cli {
             scenario,
             quick: given.flag("quick"),
             mpi: given.flag("mpi"),
-            net_faults: given.flag("net-faults"),
             power: given.flag("power"),
             ops: given.get("ops", num)?,
             rounds: given.get("rounds", num)?,

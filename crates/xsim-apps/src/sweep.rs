@@ -104,7 +104,7 @@ pub fn program(cfg: SweepConfig) -> Arc<dyn VpProgram> {
                     for dst in [east, south].into_iter().flatten() {
                         let face = Bytes::zeroed(cfg.face_bytes);
                         let sreq = mpi.isend(w, dst, tag, face).await?;
-                        mpi.request_free(w, sreq)?;
+                        mpi.request_free(sreq)?;
                     }
                 }
             }

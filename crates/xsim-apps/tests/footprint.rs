@@ -316,7 +316,7 @@ fn repeated_waitall_allocates_no_feed_after_the_first() {
                         *req = mpi.irecv(w, Some(1), Some(tag))?;
                     }
                     let before = SMALL.get();
-                    assert_eq!(mpi.waitall(w, &reqs).await?.len(), 4);
+                    assert_eq!(mpi.waitall(&reqs).await?.len(), 4);
                     small.push(SMALL.get() - before);
                 } else {
                     ctx::sleep(SimTime::from_millis(1)).await;

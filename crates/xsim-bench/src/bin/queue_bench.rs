@@ -11,7 +11,7 @@
 //! ```
 //!
 //! Exits non-zero if the calendar queue falls below 1.0× the heap at any
-//! tier (the `ckpt_scaling` regression-gate pattern): the calendar is
+//! tier (the `campaign ckpt-scaling` self-gate pattern): the calendar is
 //! kept only because it beats the heap, and CI smokes this so a hot-path
 //! or per-instance regression fails the build. `--quick` trims the timed
 //! span for CI (the flood tier always runs its whole program); the

@@ -18,6 +18,7 @@ use xsim_apps::scenario::Cli;
 use xsim_bench::{run_heat_baseline, run_heat_campaign, table2_config};
 use xsim_core::SimTime;
 use xsim_fault::FailureModel;
+use xsim_fs::FsModel;
 
 fn fmt_s(t: SimTime) -> String {
     format!("{:.0} s", t.as_secs_f64())
@@ -47,7 +48,7 @@ fn main() {
     // Baseline row: no failures, single checkpoint at the end.
     let base_cfg = table2_config(quick, iters);
     let wall = std::time::Instant::now();
-    let e1 = run_heat_baseline(&base_cfg, workers, seed).expect("baseline");
+    let e1 = run_heat_baseline(&base_cfg, FsModel::free(), workers, seed).expect("baseline");
     eprintln!("[baseline C={iters} done in {:.1?}]", wall.elapsed());
     println!(
         "{:>8} {:>6} {:>10} {:>10} {:>4} {:>10}",
@@ -64,7 +65,7 @@ fn main() {
     for &c in &intervals {
         let cfg = table2_config(quick, c);
         let wall = std::time::Instant::now();
-        let e1 = run_heat_baseline(&cfg, workers, seed).expect("E1");
+        let e1 = run_heat_baseline(&cfg, FsModel::free(), workers, seed).expect("E1");
         eprintln!("[E1 for C={c} done in {:.1?}]", wall.elapsed());
         e1_by_c.insert(c, e1);
     }
@@ -77,6 +78,7 @@ fn main() {
             let result = run_heat_campaign(
                 &cfg,
                 FailureModel::UniformTwiceMttf { mttf },
+                FsModel::free(),
                 workers,
                 // One draw stream per MTTF group: the initial failure
                 // lands at the same virtual time for every checkpoint

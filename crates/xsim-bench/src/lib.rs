@@ -1,18 +1,23 @@
 //! # xsim-bench — evaluation harnesses
 //!
-//! One binary per artifact (see DESIGN.md §3):
+//! Five binaries (see DESIGN.md §3):
 //!
+//! * `campaign NAME` — the co-design sweeps, one plain function each,
+//!   reported through the one writer, [`Report`] (human tables, then one
+//!   JSON line last on stdout; exit 1 if a self-gate failed, 2 on a bad
+//!   command line or an unknown name):
+//!   * `ablations` — design-choice sweeps from DESIGN.md §4 (engines,
+//!     eager/rendezvous threshold, linear vs tree collectives, detectors);
+//!   * `net-faults` — lossy transport and link/switch fault sweeps;
+//!   * `ckpt-sweep` — checkpoint-interval sweep against the Daly optimum;
+//!   * `ckpt-scaling` — the four checkpoint modes over the striped PFS as
+//!     the rank count grows (`BENCH_ckpt.json`);
+//!   * `protection` — FIT × protection-scheme ablation, checkpoint/restart
+//!     vs. replication (`BENCH_protection.json`);
+//!   * `first-impressions` — the failure-mode narrative of §V-D.
 //! * `table1` — fault (bit-flip) injection campaign statistics.
 //! * `table2` — varying the checkpoint interval and system MTTF with the
 //!   heat application on the simulated 32,768-node torus.
-//! * `first_impressions` — the failure-mode narrative of §V-D.
-//! * `ablations` — design-choice sweeps from DESIGN.md §4 (engines,
-//!   eager/rendezvous threshold, linear vs tree collectives, detectors).
-//! * `ckpt_sweep` — checkpoint-interval sweep against the Daly optimum.
-//! * `ckpt_scaling` — the four checkpoint modes over the striped PFS as
-//!   the rank count grows (`BENCH_ckpt.json`).
-//! * `protection` — FIT × protection-scheme ablation, checkpoint/restart
-//!   vs. replication (`BENCH_protection.json`).
 //! * `queue_bench` — calendar queue vs. a binary heap, self-gating.
 //! * `vp_scaling` — the VP ladder toward the paper's 2²⁷ (§II-A): raw
 //!   core from 2²⁰, or (`--mpi`) a tree allreduce from 2¹⁶ ranks.
@@ -21,6 +26,10 @@
 //! standalone `perf/` package.
 
 #![forbid(unsafe_code)]
+
+mod report;
+
+pub use report::{fixed, Report};
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -35,18 +44,16 @@ use xsim_core::{Rank, SimError, SimTime};
 use xsim_fault::{Component, FailureModel, FailureSchedule, NodeReliability, SystemReliability};
 use xsim_fs::{FsModel, FsStore};
 use xsim_mpi::{HeartbeatConfig, ProtectionScheme, RunReport, SimBuilder};
-use xsim_net::NetModel;
+use xsim_net::{NetModel, Topology};
 use xsim_proc::ProcModel;
 
-/// Builder configured like the paper's simulated system (§V-C): 32³
-/// wrapped torus (or a scaled-down torus), 1 µs / 32 GB/s links, 256 kB
-/// eager threshold, 1000× node slowdown, free checkpoint I/O.
-pub fn paper_builder(cfg: &HeatConfig, workers: usize, seed: u64) -> SimBuilder {
+/// The paper's simulated system (§V-C) with `ranks` nodes wired as
+/// `topology`: 1 µs / 32 GB/s links, 256 kB eager threshold, 1000× node
+/// slowdown, linear collectives, free checkpoint I/O.
+fn machine_builder(topology: Topology, ranks: usize, workers: usize, seed: u64) -> SimBuilder {
     let mut net = NetModel::paper_machine();
-    net.topology = xsim_net::Topology::Torus3d {
-        dims: [cfg.ranks[0], cfg.ranks[1], cfg.ranks[2]],
-    };
-    SimBuilder::new(cfg.n_ranks())
+    net.topology = topology;
+    SimBuilder::new(ranks)
         .net(net)
         .proc(ProcModel::with_slowdown(1000.0))
         // "MPI collectives utilize linear algorithms" (§V-C) — pinned
@@ -56,11 +63,46 @@ pub fn paper_builder(cfg: &HeatConfig, workers: usize, seed: u64) -> SimBuilder 
         .seed(seed)
 }
 
-/// One Table II cell: run the heat application to completion under the
-/// given failure model.
+/// The paper's machine as a wrapped torus shaped like the heat
+/// configuration's rank cube (32³ at paper scale).
+pub fn paper_builder(cfg: &HeatConfig, workers: usize, seed: u64) -> SimBuilder {
+    machine_builder(
+        Topology::Torus3d { dims: cfg.ranks },
+        cfg.n_ranks(),
+        workers,
+        seed,
+    )
+}
+
+/// The paper's machine, fully connected and sized to the *physical*
+/// world, for protection ablations: replicated layouts — partial ones
+/// especially — have ragged sizes no torus hosts, and pinning the
+/// topology across schemes keeps the FIT × scheme comparison
+/// apples-to-apples.
+pub fn protection_builder(physical_ranks: usize, workers: usize, seed: u64) -> SimBuilder {
+    let nodes = physical_ranks;
+    machine_builder(Topology::FullyConnected { nodes }, nodes, workers, seed)
+}
+
+/// The paper's per-rank load (§V-C: 16³ grid points per rank, 1.28 µs
+/// per point, modeled compute, `full` checkpoints) on a `ranks` cube.
+pub fn paper_load(ranks: [usize; 3], iterations: u64, halo: u64, ckpt: u64) -> HeatConfig {
+    HeatConfig {
+        global: ranks.map(|r| r * 16),
+        ranks,
+        iterations,
+        halo_interval: halo,
+        ..HeatConfig::paper(ckpt)
+    }
+}
+
+/// Run the heat application to completion under a failure model, with
+/// checkpoints charged by `fs` (one Table II cell over
+/// [`FsModel::free`]).
 pub fn run_heat_campaign(
     cfg: &HeatConfig,
     model: FailureModel,
+    fs: FsModel,
     workers: usize,
     seed: u64,
 ) -> Result<CampaignResult, SimError> {
@@ -72,45 +114,30 @@ pub fn run_heat_campaign(
         store,
         heat3d::program(cfg.clone()),
         cfg.n_ranks(),
-        move || paper_builder(&cfg2, workers, seed),
+        move || paper_builder(&cfg2, workers, seed).fs_model(fs),
     )
 }
 
-/// Failure-free execution time of a heat configuration (Table II's E1).
-pub fn run_heat_baseline(cfg: &HeatConfig, workers: usize, seed: u64) -> Result<SimTime, SimError> {
-    let report = paper_builder(cfg, workers, seed).run(heat3d::program(cfg.clone()))?;
-    Ok(report.exit_time())
+/// Failure-free execution time of a heat configuration with
+/// checkpoints charged by `fs` (Table II's E1 over [`FsModel::free`]).
+pub fn run_heat_baseline(
+    cfg: &HeatConfig,
+    fs: FsModel,
+    workers: usize,
+    seed: u64,
+) -> Result<SimTime, SimError> {
+    let builder = paper_builder(cfg, workers, seed).fs_model(fs);
+    Ok(builder.run(heat3d::program(cfg.clone()))?.exit_time())
 }
 
 /// Build the heat configuration for a Table II row: the paper's
 /// 32,768-rank configuration, or with `quick` a 4,096-rank one for CI /
-/// quick runs (16³ ranks, proportionally scaled problem).
+/// quick runs (16³ ranks, the same per-rank load).
 pub fn table2_config(quick: bool, ckpt_interval: u64) -> HeatConfig {
-    let mut cfg = HeatConfig::paper(ckpt_interval);
-    if quick {
-        cfg.ranks = [16, 16, 16];
-        cfg.global = [256, 256, 256]; // keeps 16³ points per rank
+    match quick {
+        true => paper_load([16; 3], 1000, ckpt_interval, ckpt_interval),
+        false => HeatConfig::paper(ckpt_interval),
     }
-    cfg
-}
-
-/// Builder for protection-ablation worlds: the link parameters, node
-/// slowdown and linear collectives of [`paper_builder`], but a
-/// fully-connected topology sized to the *physical* world. Replicated
-/// layouts — partial ones especially — have ragged sizes no torus
-/// hosts, and pinning the topology across schemes keeps the FIT ×
-/// scheme comparison apples-to-apples.
-pub fn protection_builder(physical_ranks: usize, workers: usize, seed: u64) -> SimBuilder {
-    let mut net = NetModel::paper_machine();
-    net.topology = xsim_net::Topology::FullyConnected {
-        nodes: physical_ranks,
-    };
-    SimBuilder::new(physical_ranks)
-        .net(net)
-        .proc(ProcModel::with_slowdown(1000.0))
-        .collectives(xsim_mpi::CollAlgo::Linear)
-        .workers(workers)
-        .seed(seed)
 }
 
 /// One cell of the FIT × protection-scheme ablation.
@@ -403,7 +430,7 @@ pub fn run_mpi_scaling_rung(ranks: usize, workers: usize, rounds: u32) -> VpScal
     let e = ranks.trailing_zeros() as usize;
     let (a, b) = (e / 3, (e - e / 3) / 2);
     let mut net = NetModel::paper_machine();
-    net.topology = xsim_net::Topology::Torus3d {
+    net.topology = Topology::Torus3d {
         dims: [1 << a, 1 << b, 1 << (e - a - b)],
     };
     let t = std::time::Instant::now();

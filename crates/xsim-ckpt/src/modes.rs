@@ -476,7 +476,7 @@ impl ModeWriter {
             let framed = frame(&enc, model_bytes);
             let nbytes = framed.len() as u64;
             let sreq = mpi.isend(w, g0, CKPT_TAG, framed).await?;
-            mpi.request_free(w, sreq)?;
+            mpi.request_free(sreq)?;
             ctx::with_kernel(|k, _| obs::record(k, ids::CKPT_AGG_FORWARD_BYTES, nbytes));
             return Ok(());
         }
@@ -489,7 +489,7 @@ impl ModeWriter {
         for m in (g0 + 1)..hi {
             reqs.push(mpi.irecv(w, Some(m), Some(CKPT_TAG))?);
         }
-        let outs = mpi.waitall(w, &reqs).await?;
+        let outs = mpi.waitall(&reqs).await?;
         for (m, out) in ((g0 + 1)..hi).zip(outs) {
             let msg = out.ok_or_else(|| MpiError::Io("aggregation gather lost".into()))?;
             container = container.with_section(member_section(m as u32), unframe(&msg.data)?);

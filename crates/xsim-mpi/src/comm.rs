@@ -6,12 +6,12 @@
 //! the property that keeps the parallel engine equivalent to the
 //! sequential one.
 //!
-//! `MPI_COMM_WORLD` is not stored per rank: its group and default error
-//! handler live once per run in [`MpiWorld`](crate::state::MpiWorld),
-//! its collective counter inline in the rank's state, and a revoke or a
-//! handler override in the rank's `CommTable`.
+//! `MPI_COMM_WORLD` is not stored per rank: its group lives once per run
+//! in [`MpiWorld`](crate::state::MpiWorld), its collective counter inline
+//! in the rank's state, and a revoke in the rank's `CommTable`. No
+//! communicator has an error handler of its own: every error goes to the
+//! run's (`MpiWorld::default_errhandler`).
 
-use crate::error::ErrHandler;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 use xsim_core::{Rank, SimTime};
@@ -45,9 +45,6 @@ pub(crate) struct CommView<'a> {
     pub members: &'a Arc<Vec<Rank>>,
     /// This process's rank within the communicator.
     pub my_rank: usize,
-    /// The run's error handler (`SimBuilder::errhandler`), which every
-    /// communicator carries.
-    pub errhandler: &'a ErrHandler,
     /// Set when `MPI_Comm_revoke` reached this rank, with the revoke time.
     pub revoked: Option<SimTime>,
 }
@@ -108,11 +105,10 @@ impl CommTable {
     }
 
     /// Rank `me`'s view of communicator `id`, the world's assembled from
-    /// its shared group; every view carries the run's `handler`.
+    /// its shared group.
     pub(crate) fn view<'a>(
         &'a self,
         world_members: &'a Arc<Vec<Rank>>,
-        handler: &'a ErrHandler,
         me: Rank,
         id: CommId,
     ) -> Option<CommView<'a>> {
@@ -120,14 +116,12 @@ impl CommTable {
             return Some(CommView {
                 members: world_members,
                 my_rank: me.idx(),
-                errhandler: handler,
                 revoked: self.world_revoked,
             });
         }
         self.derived(id).map(|d| CommView {
             members: &d.members,
             my_rank: d.my_rank,
-            errhandler: handler,
             revoked: d.revoked,
         })
     }
@@ -213,13 +207,10 @@ mod tests {
     #[test]
     fn world_view_is_assembled_from_the_shared_group() {
         let (members, t) = (world(4), CommTable::new());
-        let w = t
-            .view(&members, &ErrHandler::Fatal, Rank(2), CommId::WORLD)
-            .unwrap();
+        let w = t.view(&members, Rank(2), CommId::WORLD).unwrap();
         assert_eq!(w.size(), 4);
         assert_eq!(w.my_rank, 2);
         assert_eq!(w.world_rank(3), Some(Rank(3)));
-        assert!(matches!(w.errhandler, ErrHandler::Fatal));
         assert!(Arc::ptr_eq(w.members, &members), "shared, not copied");
     }
 
@@ -230,12 +221,8 @@ mod tests {
         let id2 = t.install(Arc::new(vec![Rank(1), Rank(3)]), Rank(1));
         assert_eq!(id1, CommId(1));
         assert_eq!(id2, CommId(2));
-        let view = |id| t.view(&members, &ErrHandler::Return, Rank(1), id).unwrap();
+        let view = |id| t.view(&members, Rank(1), id).unwrap();
         assert_eq!(view(id1).my_rank, 1);
-        assert!(
-            matches!(view(id1).errhandler, ErrHandler::Return),
-            "the run's"
-        );
         assert_eq!(view(id2).my_rank, 0);
     }
 
@@ -245,9 +232,7 @@ mod tests {
         assert_eq!(t.skip_id(), CommId(1));
         let id = t.install(Arc::new(vec![Rank(0)]), Rank(0));
         assert_eq!(id, CommId(2));
-        assert!(t
-            .view(&members, &ErrHandler::Fatal, Rank(0), CommId(1))
-            .is_none());
+        assert!(t.view(&members, Rank(0), CommId(1)).is_none());
         assert!(t.coll_seq_mut(CommId(1)).is_none());
         *t.coll_seq_mut(id).unwrap() += 1;
         assert_eq!(t.coll_seq_mut(id).copied(), Some(1));
@@ -256,10 +241,7 @@ mod tests {
     #[test]
     fn revoke_is_idempotent_min() {
         let (members, mut t) = (world(1), CommTable::new());
-        let revoked = |t: &CommTable, id| {
-            t.view(&members, &ErrHandler::Fatal, Rank(0), id)
-                .and_then(|v| v.revoked)
-        };
+        let revoked = |t: &CommTable, id| t.view(&members, Rank(0), id).and_then(|v| v.revoked);
         t.revoke(CommId::WORLD, SimTime(100));
         t.revoke(CommId::WORLD, SimTime(50));
         t.revoke(CommId::WORLD, SimTime(200));

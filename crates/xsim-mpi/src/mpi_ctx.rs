@@ -140,16 +140,16 @@ impl MpiCtx {
     // Error-handler plumbing
     // ------------------------------------------------------------------
 
-    fn apply<T>(comm: Comm, r: Result<T, MpiError>) -> Result<T, MpiError> {
+    fn apply<T>(r: Result<T, MpiError>) -> Result<T, MpiError> {
         match r {
             Ok(v) => Ok(v),
             Err(e) if e.is_fatal() => Err(e),
             Err(e) => {
-                let handler = ctx::with_kernel(|k, me| {
-                    let svc = k.service::<MpiService>();
-                    svc.view(me, comm.id)
-                        .map(|v| v.errhandler.clone())
-                        .unwrap_or(ErrHandler::Fatal)
+                // Every communicator uses the run's handler; an error on
+                // one the rank does not know goes there too, as MPI sends
+                // errors without a valid communicator to MPI_COMM_WORLD's.
+                let handler = ctx::with_kernel(|k, _| {
+                    k.service::<MpiService>().world.default_errhandler.clone()
                 });
                 match handler {
                     ErrHandler::Fatal => Err(initiate_abort_here()),
@@ -180,7 +180,7 @@ impl MpiCtx {
             let bytes = data.len() as u64;
             let r = p2p::send_raw(comm.id, dst, tag, data).await;
             Self::rec(PhaseKind::Send, t0, Some(Rank(dst as u32)), bytes);
-            Self::apply(comm, r)
+            Self::apply(r)
         }
     }
 
@@ -199,7 +199,7 @@ impl MpiCtx {
                 Err(_) => (src.map(|s| Rank(s as u32)), 0),
             };
             Self::rec(PhaseKind::Recv, t0, peer, bytes);
-            Self::apply(comm, r)
+            Self::apply(r)
         }
     }
 
@@ -213,7 +213,7 @@ impl MpiCtx {
     ) -> impl Future<Output = Result<ReqId, MpiError>> + '_ {
         async move {
             let r = p2p::isend_raw(comm.id, dst, tag, data).await;
-            Self::apply(comm, r)
+            Self::apply(r)
         }
     }
 
@@ -225,46 +225,40 @@ impl MpiCtx {
         tag: Option<u32>,
     ) -> Result<ReqId, MpiError> {
         let r = p2p::irecv_raw(comm.id, src, tag);
-        Self::apply(comm, r)
+        Self::apply(r)
     }
 
     /// Wait for a request (`MPI_Wait`); returns the payload for receives.
-    pub fn wait(
-        &self,
-        comm: Comm,
-        req: ReqId,
-    ) -> impl Future<Output = Result<Option<RecvOut>, MpiError>> + '_ {
+    pub fn wait(&self, req: ReqId) -> impl Future<Output = Result<Option<RecvOut>, MpiError>> + '_ {
         async move {
             let t0 = self.t0();
             let r = p2p::wait_raw(req).await;
             Self::rec(PhaseKind::Wait, t0, None, 0);
-            Self::apply(comm, r)
+            Self::apply(r)
         }
     }
 
     /// Wait for all requests (`MPI_Waitall`).
     pub fn waitall<'s, 'd>(
         &'s self,
-        comm: Comm,
         reqs: &'d [ReqId],
     ) -> impl Future<Output = Result<Vec<Option<RecvOut>>, MpiError>> + use<'s, 'd> {
         async move {
             let t0 = self.t0();
             let r = p2p::waitall_raw(reqs).await;
             Self::rec(PhaseKind::Wait, t0, None, 0);
-            Self::apply(comm, r)
+            Self::apply(r)
         }
     }
 
     /// Wait for any request (`MPI_Waitany`).
     pub fn waitany<'s, 'd>(
         &'s self,
-        comm: Comm,
         reqs: &'d [ReqId],
     ) -> impl Future<Output = Result<(usize, Option<RecvOut>), MpiError>> + use<'s, 'd> {
         async move {
             let (i, r) = p2p::waitany_raw(reqs).await;
-            Self::apply(comm, r).map(|v| (i, v))
+            Self::apply(r).map(|v| (i, v))
         }
     }
 
@@ -283,7 +277,7 @@ impl MpiCtx {
         let bytes = data.len() as u64;
         let r = p2p::sendrecv_raw(comm.id, dst, send_tag, data, src, recv_tag).await;
         Self::rec(PhaseKind::Send, t0, Some(Rank(dst as u32)), bytes);
-        Self::apply(comm, r)
+        Self::apply(r)
     }
 
     /// Blocking probe (`MPI_Probe`): wait for a matching message and
@@ -296,7 +290,7 @@ impl MpiCtx {
         tag: Option<u32>,
     ) -> Result<(Rank, u32, usize), MpiError> {
         let r = p2p::probe_raw(comm.id, src, tag).await;
-        Self::apply(comm, r)
+        Self::apply(r)
     }
 
     /// Nonblocking probe (`MPI_Iprobe`).
@@ -307,7 +301,7 @@ impl MpiCtx {
         tag: Option<u32>,
     ) -> Result<Option<(Rank, u32, usize)>, MpiError> {
         let r = p2p::iprobe_raw(comm.id, src, tag);
-        Self::apply(comm, r)
+        Self::apply(r)
     }
 
     /// Release a request that will never be waited on
@@ -317,16 +311,16 @@ impl MpiCtx {
     /// completes it with an error, exactly as if it were held). Virtual
     /// time, events and results are the same as for a dropped handle;
     /// only the host memory differs.
-    pub fn request_free(&self, comm: Comm, req: ReqId) -> Result<(), MpiError> {
+    pub fn request_free(&self, req: ReqId) -> Result<(), MpiError> {
         let r = p2p::request_free_raw(req);
-        Self::apply(comm, r)
+        Self::apply(r)
     }
 
     /// Nonblocking completion test (`MPI_Test`).
-    pub fn test(&self, comm: Comm, req: ReqId) -> Result<Option<Option<RecvOut>>, MpiError> {
+    pub fn test(&self, req: ReqId) -> Result<Option<Option<RecvOut>>, MpiError> {
         match p2p::test_raw(req) {
             None => Ok(None),
-            Some(r) => Self::apply(comm, r).map(Some),
+            Some(r) => Self::apply(r).map(Some),
         }
     }
 
@@ -349,7 +343,7 @@ impl MpiCtx {
                 CollAlgo::Tree => collective::barrier_tree(comm.id).await,
             };
             Self::rec(PhaseKind::Collective, t0, None, 0);
-            Self::apply(comm, r)
+            Self::apply(r)
         }
     }
 
@@ -361,7 +355,7 @@ impl MpiCtx {
         data: Bytes,
     ) -> impl Future<Output = Result<Bytes, MpiError>> + '_ {
         let (peer, bytes) = (Some(Rank(root as u32)), data.len() as u64);
-        Traced::new(comm, collective::broadcast(None, comm.id, root, data)).spanned(
+        Traced::new(collective::broadcast(None, comm.id, root, data)).spanned(
             self.traced,
             peer,
             bytes,
@@ -376,7 +370,7 @@ impl MpiCtx {
         data: Bytes,
     ) -> Result<Option<Vec<Bytes>>, MpiError> {
         let r = collective::gather(comm.id, root, data).await;
-        Self::apply(comm, r)
+        Self::apply(r)
     }
 
     /// Scatter from root (`MPI_Scatter`, linear).
@@ -387,7 +381,7 @@ impl MpiCtx {
         parts: Option<Vec<Bytes>>,
     ) -> Result<Bytes, MpiError> {
         let r = collective::scatter(comm.id, root, parts).await;
-        Self::apply(comm, r)
+        Self::apply(r)
     }
 
     /// Allgather (`MPI_Allgather`) using the configured algorithm:
@@ -398,13 +392,13 @@ impl MpiCtx {
             CollAlgo::Linear => collective::allgather(comm.id, data).await,
             CollAlgo::Tree => collective::allgather_ring(comm.id, data).await,
         };
-        Self::apply(comm, r)
+        Self::apply(r)
     }
 
     /// All-to-all personalized exchange (`MPI_Alltoall`).
     pub async fn alltoall(&self, comm: Comm, parts: Vec<Bytes>) -> Result<Vec<Bytes>, MpiError> {
         let r = collective::alltoall(comm.id, parts).await;
-        Self::apply(comm, r)
+        Self::apply(r)
     }
 
     /// Elementwise allreduce of `f64` vectors (`MPI_Allreduce`) using
@@ -416,7 +410,7 @@ impl MpiCtx {
         op: ReduceOp,
     ) -> impl Future<Output = Result<Vec<f64>, MpiError>> + use<'s, 'd> {
         let bytes = (data.len() * 8) as u64;
-        Traced::new(comm, collective::allreduce(None, comm.id, data, op)).spanned(
+        Traced::new(collective::allreduce(None, comm.id, data, op)).spanned(
             self.traced,
             None,
             bytes,
@@ -431,7 +425,7 @@ impl MpiCtx {
         data: &'d [u64],
         op: ReduceOp,
     ) -> impl Future<Output = Result<Vec<u64>, MpiError>> + use<'s, 'd> {
-        Traced::new(comm, collective::allreduce(None, comm.id, data, op))
+        Traced::new(collective::allreduce(None, comm.id, data, op))
     }
 
     // ------------------------------------------------------------------
@@ -573,18 +567,16 @@ enum Span {
 struct Traced<F> {
     coll: F,
     span: Span,
-    comm: Comm,
     peer: Option<Rank>,
     bytes: u64,
 }
 
 impl<F> Traced<F> {
     /// `coll` with the error-handler tail only.
-    fn new(comm: Comm, coll: F) -> Self {
+    fn new(coll: F) -> Self {
         Traced {
             coll,
             span: Span::Off,
-            comm,
             peer: None,
             bytes: 0,
         }
@@ -617,7 +609,7 @@ where
         if let Span::Since(t0) = this.span {
             MpiCtx::rec(PhaseKind::Collective, Some(t0), this.peer, this.bytes);
         }
-        Poll::Ready(MpiCtx::apply(this.comm, r))
+        Poll::Ready(MpiCtx::apply(r))
     }
 }
 

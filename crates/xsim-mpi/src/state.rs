@@ -735,9 +735,7 @@ impl MpiService {
     /// Owned rank `me`'s view of communicator `id`.
     pub(crate) fn view(&self, me: Rank, id: CommId) -> Option<CommView<'_>> {
         let world = &*self.world;
-        self.rank(me)
-            .comms()
-            .view(&world.members, &world.default_errhandler, me, id)
+        self.rank(me).comms().view(&world.members, me, id)
     }
 }
 

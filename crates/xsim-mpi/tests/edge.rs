@@ -4,7 +4,7 @@
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Arc;
 use xsim_core::{Bytes, ExitKind, SimTime};
-use xsim_mpi::{ErrHandler, MpiError, SimBuilder};
+use xsim_mpi::{Comm, CommId, ErrHandler, MpiError, SimBuilder};
 use xsim_net::NetModel;
 
 fn builder(n: usize) -> SimBuilder {
@@ -18,7 +18,7 @@ fn send_to_self_works_nonblocking() {
             let w = mpi.world();
             let r = mpi.irecv(w, Some(0), Some(3))?;
             mpi.send(w, 0, 3, Bytes::from_static(b"self")).await?;
-            let out = mpi.wait(w, r).await?.expect("payload");
+            let out = mpi.wait(r).await?.expect("payload");
             assert_eq!(&out.data[..], b"self");
             assert_eq!(out.src.idx(), 0);
             mpi.finalize();
@@ -247,13 +247,40 @@ fn two_failures_accumulate_in_failed_list() {
     assert_eq!(report.sim.failures.len(), 2);
 }
 
+/// No communicator has a handler of its own: an error on one the rank
+/// does not know goes to the run's handler, as MPI sends an error
+/// without a valid communicator to `MPI_COMM_WORLD`'s. Under `Return`
+/// the calls return it and the run completes instead of aborting.
+#[test]
+fn an_unknown_communicator_errs_through_the_runs_handler() {
+    let report = builder(2)
+        .errhandler(ErrHandler::Return)
+        .run_app(|mpi| async move {
+            let stray = Comm { id: CommId(7) };
+            let err = mpi.send(stray, 1, 0, Bytes::new()).await.unwrap_err();
+            assert!(matches!(err, MpiError::Invalid(_)), "{err:?}");
+            assert!(matches!(
+                mpi.irecv(stray, None, None),
+                Err(MpiError::Invalid(_))
+            ));
+            assert!(matches!(
+                mpi.barrier(stray).await,
+                Err(MpiError::Invalid(_))
+            ));
+            mpi.finalize();
+            Ok(())
+        })
+        .unwrap();
+    assert_eq!(report.sim.exit, ExitKind::Completed);
+    assert_eq!(report.sim.abort_time, None);
+}
+
 #[test]
 fn unknown_request_wait_is_an_error_not_a_hang() {
     let report = builder(1)
         .errhandler(ErrHandler::Return)
         .run_app(|mpi| async move {
-            let w = mpi.world();
-            let err = mpi.wait(w, xsim_mpi::ReqId(12345)).await.unwrap_err();
+            let err = mpi.wait(xsim_mpi::ReqId(12345)).await.unwrap_err();
             assert!(matches!(err, MpiError::Invalid(_)));
             mpi.finalize();
             Ok(())
@@ -277,7 +304,7 @@ fn drain_contention_serializes_completions() {
                 if mpi.rank == 0 {
                     let r1 = mpi.irecv(w, Some(1), Some(0))?;
                     let r2 = mpi.irecv(w, Some(2), Some(0))?;
-                    mpi.waitall(w, &[r1, r2]).await?;
+                    mpi.waitall(&[r1, r2]).await?;
                 } else {
                     mpi.send(w, 0, 0, Bytes::from(vec![0u8; 64])).await?;
                 }
@@ -307,7 +334,7 @@ fn drain_contention_preserves_engine_equivalence() {
                     let reqs: Vec<_> = (1..8)
                         .map(|r| mpi.irecv(w, Some(r), Some(0)))
                         .collect::<Result<_, _>>()?;
-                    mpi.waitall(w, &reqs).await?;
+                    mpi.waitall(&reqs).await?;
                 } else {
                     mpi.send(w, 0, 0, Bytes::from(vec![mpi.rank as u8])).await?;
                 }

@@ -334,9 +334,9 @@ async fn modeled_halo(mpi: &MpiCtx) -> Result<(), MpiError> {
     }
     for (dir, nb) in cube_neighbors(mpi.rank) {
         let sreq = mpi.isend(w, nb, dir, Bytes::zeroed(FACE)).await?;
-        mpi.request_free(w, sreq)?;
+        mpi.request_free(sreq)?;
     }
-    mpi.waitall(w, &recvs).await?;
+    mpi.waitall(&recvs).await?;
     Ok(())
 }
 

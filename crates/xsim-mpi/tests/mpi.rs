@@ -481,8 +481,8 @@ fn deterministic_across_engines_and_repeats() {
                     let rreq = mpi.irecv(w, Some(left), Some(it));
                     match (sreq, rreq) {
                         (Ok(s), Ok(r)) => {
-                            let _ = mpi.wait(w, s).await;
-                            let _ = mpi.wait(w, r).await;
+                            let _ = mpi.wait(s).await;
+                            let _ = mpi.wait(r).await;
                         }
                         _ => break,
                     }
@@ -513,13 +513,13 @@ fn waitany_returns_first_completion() {
             if mpi.rank == 0 {
                 let r1 = mpi.irecv(w, Some(1), Some(0))?;
                 let r2 = mpi.irecv(w, Some(2), Some(0))?;
-                let (i, out) = mpi.waitany(w, &[r1, r2]).await?;
+                let (i, out) = mpi.waitany(&[r1, r2]).await?;
                 // Rank 2 sends sooner.
                 assert_eq!(i, 1);
                 assert_eq!(out.unwrap().src.idx(), 2);
                 // A completed request is consumed (MPI_REQUEST_NULL);
                 // wait on the remaining one.
-                let out1 = mpi.wait(w, r1).await?;
+                let out1 = mpi.wait(r1).await?;
                 assert_eq!(out1.unwrap().src.idx(), 1);
             } else if mpi.rank == 1 {
                 mpi.sleep(SimTime::from_secs(1)).await;
@@ -541,9 +541,9 @@ fn test_reports_completion_without_blocking() {
             let w = mpi.world();
             if mpi.rank == 0 {
                 let r = mpi.irecv(w, Some(1), Some(0))?;
-                assert!(mpi.test(w, r)?.is_none(), "nothing sent yet");
+                assert!(mpi.test(r)?.is_none(), "nothing sent yet");
                 mpi.sleep(SimTime::from_secs(1)).await;
-                let done = mpi.test(w, r)?.expect("completed by now");
+                let done = mpi.test(r)?.expect("completed by now");
                 assert_eq!(&done.unwrap().data[..], b"hi");
             } else {
                 mpi.send(w, 0, 0, Bytes::from_static(b"hi")).await?;

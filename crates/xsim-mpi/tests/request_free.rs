@@ -87,8 +87,8 @@ fn fire_and_forget_ring_halos_leave_no_request_behind() {
         for halo in 0..10 {
             let rreq = mpi.irecv(w, Some(left), Some(halo))?;
             let sreq = mpi.isend(w, right, halo, Bytes::zeroed(256)).await?;
-            mpi.request_free(w, sreq)?;
-            mpi.wait(w, rreq).await?;
+            mpi.request_free(sreq)?;
+            mpi.wait(rreq).await?;
         }
         note_live();
         mpi.finalize();
@@ -106,12 +106,9 @@ fn freeing_a_consumed_request_is_an_error() {
             let peer = 1 - mpi.rank;
             let rreq = mpi.irecv(w, Some(peer), Some(0))?;
             let sreq = mpi.isend(w, peer, 0, Bytes::zeroed(8)).await?;
-            mpi.wait(w, sreq).await?;
-            assert!(matches!(
-                mpi.request_free(w, sreq),
-                Err(MpiError::Invalid(_))
-            ));
-            mpi.wait(w, rreq).await?;
+            mpi.wait(sreq).await?;
+            assert!(matches!(mpi.request_free(sreq), Err(MpiError::Invalid(_))));
+            mpi.wait(rreq).await?;
             mpi.finalize();
             Ok(())
         })
@@ -154,9 +151,9 @@ fn ring_run(free: bool) -> RunReport {
                 let rreq = mpi.irecv(w, Some(left), Some(round))?;
                 let sreq = mpi.isend(w, right, round, payload.clone()).await?;
                 if free {
-                    mpi.request_free(w, sreq)?;
+                    mpi.request_free(sreq)?;
                 }
-                if mpi.wait(w, rreq).await.is_err() {
+                if mpi.wait(rreq).await.is_err() {
                     RECV_ERRORS.set(RECV_ERRORS.get() + 1);
                 }
             }

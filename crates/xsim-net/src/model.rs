@@ -113,7 +113,7 @@ pub struct NetModel {
     /// Model receiver-side drain contention: message completions at one
     /// rank serialize at `recv_overhead` spacing (a single-NIC/CPU drain
     /// path). Off by default — the paper's latency/bandwidth model has
-    /// no contention; see the ablations harness for its effect on
+    /// no contention; see the `ablations` campaign for its effect on
     /// linear collectives.
     pub serialize_recv: bool,
     /// Live link/switch fault state, consulted by [`NetModel::p2p_at`]

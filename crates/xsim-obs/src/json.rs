@@ -1,7 +1,7 @@
-//! Minimal JSON support: string escaping for the emitters and a small
-//! recursive-descent parser so tests (and downstream tools) can parse
-//! the emitted artifacts back without external dependencies — the
-//! workspace deliberately carries no serde.
+//! Minimal JSON support: string escaping for the emitters, a compact
+//! printer (`Display`) and a small recursive-descent parser so tests
+//! (and downstream tools) can parse the emitted artifacts back without
+//! external dependencies — the workspace deliberately carries no serde.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -90,6 +90,78 @@ impl Json {
     pub fn as_u64(&self) -> Option<u64> {
         let n = self.as_f64()?;
         (n >= 0.0 && n.fract() == 0.0 && n <= u64::MAX as f64).then_some(n as u64)
+    }
+}
+
+/// Compact JSON text; a non-finite number prints as `null`.
+impl std::fmt::Display for Json {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let quoted = |f: &mut std::fmt::Formatter<'_>, s: &str| {
+            let mut out = String::from("\"");
+            escape(s, &mut out);
+            out.push('"');
+            f.write_str(&out)
+        };
+        match self {
+            Json::Null => f.write_str("null"),
+            Json::Bool(b) => write!(f, "{b}"),
+            Json::Num(n) if n.is_finite() => write!(f, "{n}"),
+            Json::Num(_) => f.write_str("null"),
+            Json::Str(s) => quoted(f, s),
+            Json::Arr(a) => {
+                f.write_str("[")?;
+                for (i, v) in a.iter().enumerate() {
+                    write!(f, "{}{v}", if i > 0 { "," } else { "" })?;
+                }
+                f.write_str("]")
+            }
+            Json::Obj(m) => {
+                f.write_str("{")?;
+                for (i, (k, v)) in m.iter().enumerate() {
+                    f.write_str(if i > 0 { "," } else { "" })?;
+                    quoted(f, k)?;
+                    write!(f, ":{v}")?;
+                }
+                f.write_str("}")
+            }
+        }
+    }
+}
+
+impl From<f64> for Json {
+    fn from(n: f64) -> Self {
+        Json::Num(n)
+    }
+}
+
+/// Exact up to 2⁵³, as every JSON number read as an `f64` is.
+impl From<u64> for Json {
+    fn from(n: u64) -> Self {
+        Json::Num(n as f64)
+    }
+}
+
+impl From<usize> for Json {
+    fn from(n: usize) -> Self {
+        Json::Num(n as f64)
+    }
+}
+
+impl From<bool> for Json {
+    fn from(b: bool) -> Self {
+        Json::Bool(b)
+    }
+}
+
+impl From<&str> for Json {
+    fn from(s: &str) -> Self {
+        Json::Str(s.into())
+    }
+}
+
+impl From<String> for Json {
+    fn from(s: String) -> Self {
+        Json::Str(s)
     }
 }
 
@@ -286,6 +358,15 @@ mod tests {
             Json::parse(&out).unwrap().as_str(),
             Some("a\"b\\c\nd\te\u{1}")
         );
+    }
+
+    #[test]
+    fn display_round_trips_through_parse() {
+        let text = r#"{"a":[1,2.5,-3,null,true],"b":{"c":"x\ny\"","d":false},"e":0.000086}"#;
+        let v = Json::parse(text).unwrap();
+        assert_eq!(v.to_string(), text);
+        assert_eq!(Json::Num(f64::NAN).to_string(), "null");
+        assert_eq!(Json::from(104_867_069u64).to_string(), "104867069");
     }
 
     #[test]

@@ -31,8 +31,8 @@ fn main() {
                 .isend(w, right, 0, Bytes::from(vec![mpi.rank as u8; 1024]))
                 .await?;
             let recv = mpi.irecv(w, Some(left), Some(0))?;
-            mpi.wait(w, send).await?;
-            let msg = mpi.wait(w, recv).await?.expect("payload");
+            mpi.wait(send).await?;
+            let msg = mpi.wait(recv).await?.expect("payload");
             assert_eq!(msg.data[0] as usize, left);
 
             // A global reduction.

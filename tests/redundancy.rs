@@ -122,7 +122,7 @@ fn replica_spheres_run_independent_applications() {
                 .isend(w, right, 7, Bytes::from(vec![red.replica as u8]))
                 .await?;
             let msg = mpi.recv(w, Some(left), Some(7)).await?;
-            mpi.wait(w, sreq).await?;
+            mpi.wait(sreq).await?;
             assert_eq!(
                 msg.data[0] as usize, red.replica,
                 "traffic crossed replica spheres"
