@@ -449,7 +449,7 @@ mod tests {
 
     #[test]
     fn malformed_command_lines_are_typed_errors() {
-        // table1 reads only --seed.
+        // `campaign table1` reads only --seed.
         assert!(matches!(
             parse(&["--workers", "abc"], "seed"),
             Err(ScenarioError::UnknownKey { key, known }) if key == "workers" && known == "--seed"

@@ -21,7 +21,7 @@ use xsim_net::{LinkFaultKind, NetFault, NetModel, Topology};
 use xsim_obs::ids;
 
 /// The `ablations` campaign.
-pub fn run(cli: &Cli) -> Report {
+pub(crate) fn run(cli: &Cli) -> Report {
     if let Some(p) = &cli.profile {
         // Profile one representative configuration: a 64-rank barrier on
         // the small machine, traced and metered.
@@ -299,12 +299,18 @@ fn drain_contention(r: &mut Report) {
         let run = |serialize: bool| {
             let mut net = NetModel::small(n);
             net.serialize_recv = serialize;
-            let report = SimBuilder::new(n).net(net).run(barrier());
-            report.unwrap().exit_time()
+            let builder = SimBuilder::new(n).net(net).collectives(CollAlgo::Linear);
+            builder.run(barrier()).unwrap().exit_time()
         };
         let (free, contended) = (run(false), run(true));
         let ratio = contended.as_secs_f64() / free.as_secs_f64().max(1e-12);
         r.row(vec![n.into(), secs(free), secs(contended), fixed(ratio, 1)]);
+        if n == 4096 {
+            r.gate(
+                "drain: contention at least 1.9x the free linear barrier at 4,096 ranks",
+                ratio >= 1.9,
+            );
+        }
     }
     r.note(
         "drain: the root of a linear collective drains P-1 completions; the contention \
@@ -343,7 +349,7 @@ fn metric(report: &RunReport, id: usize) -> u64 {
 }
 
 /// The `net-faults` campaign.
-pub fn net_faults(cli: &Cli) -> Report {
+pub(crate) fn net_faults(cli: &Cli) -> Report {
     let seed = cli.scenario.seed;
     let mut r = Report::default();
     r.table(

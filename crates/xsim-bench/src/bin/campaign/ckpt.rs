@@ -42,7 +42,7 @@ use xsim_fs::FsModel;
 use xsim_mpi::CkptMode;
 
 /// The `ckpt-sweep` campaign.
-pub fn sweep(cli: &Cli) -> Report {
+pub(crate) fn sweep(cli: &Cli) -> Report {
     let (workers, seed) = (cli.scenario.workers, cli.scenario.seed);
     // 512 ranks, 1000 iterations: E1 ≈ 5243 s.
     let base = HeatConfig {
@@ -127,7 +127,7 @@ pub fn sweep(cli: &Cli) -> Report {
 const IO_NODES: u32 = 4;
 
 /// The `ckpt-scaling` campaign.
-pub fn scaling(cli: &Cli) -> Report {
+pub(crate) fn scaling(cli: &Cli) -> Report {
     let (workers, seed) = (cli.scenario.workers, cli.scenario.seed);
     let mut r = Report::default();
     r.table(

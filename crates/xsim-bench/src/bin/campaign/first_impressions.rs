@@ -47,7 +47,7 @@ fn run_injection(
 }
 
 /// The `first-impressions` campaign.
-pub fn run(cli: &Cli) -> Report {
+pub(crate) fn run(cli: &Cli) -> Report {
     let (workers, seed) = (cli.scenario.workers, cli.scenario.seed);
     let mut cfg = table2_config(cli.quick, 250);
     cfg.iterations = 1000;

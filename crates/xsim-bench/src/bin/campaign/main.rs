@@ -1,5 +1,6 @@
-//! The co-design campaigns (paper §V): one application swept across
-//! failure rates, checkpoint strategies and resilience schemes.
+//! The paper's two tables and the co-design campaigns (paper §V): one
+//! application swept across failure rates, checkpoint strategies and
+//! resilience schemes.
 //!
 //! ```text
 //! cargo run --release -p xsim-bench --bin campaign -- NAME [flags]
@@ -13,6 +14,8 @@
 //! | `ckpt-scaling` | checkpoint modes over a striped PFS | `--quick --workers --seed` |
 //! | `protection` | FIT × protection scheme | `--quick --workers --seed --protection --fit` |
 //! | `first-impressions` | where a failure lands (§V-D) | `--quick --workers --seed --profile --failures` |
+//! | `table1` | the paper's Table I: bit flips to victim failure | `--seed` |
+//! | `table2` | the paper's Table II: checkpoint interval × MTTF | `--quick --workers --seed` |
 //!
 //! The first stdout line is `scenario: NAME FLAGS` (replay: pass it
 //! back), the last is the JSON form of the report (see
@@ -23,13 +26,15 @@ mod ablations;
 mod ckpt;
 mod first_impressions;
 mod protection;
+mod tables;
 
 use xsim_apps::scenario::Cli;
 use xsim_bench::{fixed, Report};
 use xsim_core::SimTime;
 use xsim_obs::Json;
 
-const NAMES: &str = "ablations net-faults ckpt-sweep ckpt-scaling protection first-impressions";
+const NAMES: &str =
+    "ablations net-faults ckpt-sweep ckpt-scaling protection first-impressions table1 table2";
 
 /// A simulated time in seconds, at the microsecond precision its
 /// `Display` shows.
@@ -50,6 +55,8 @@ fn main() {
             "quick workers seed profile failures",
             first_impressions::run,
         ),
+        "table1" => ("seed", tables::table1),
+        "table2" => ("quick workers seed", tables::table2),
         _ => {
             eprintln!("unknown campaign '{name}'; campaigns: {NAMES}");
             std::process::exit(2)

@@ -55,7 +55,7 @@ fn scheme_axis(logical: usize) -> Vec<ProtectionScheme> {
 const FIT_AXIS: [f64; 5] = [1.0e6, 1.0e8, 1.0e9, 2.0e9, 5.0e9];
 
 /// The `protection` campaign.
-pub fn run(cli: &Cli) -> Report {
+pub(crate) fn run(cli: &Cli) -> Report {
     let (workers, seed) = (cli.scenario.workers, cli.scenario.seed);
     // The paper's per-rank load on a machine small enough that a
     // multi-restart campaign grid stays tractable.

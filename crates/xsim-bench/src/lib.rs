@@ -1,11 +1,14 @@
 //! # xsim-bench — evaluation harnesses
 //!
-//! Five binaries (see DESIGN.md §3):
+//! Three binaries (see DESIGN.md §3):
 //!
-//! * `campaign NAME` — the co-design sweeps, one plain function each,
-//!   reported through the one writer, [`Report`] (human tables, then one
-//!   JSON line last on stdout; exit 1 if a self-gate failed, 2 on a bad
-//!   command line or an unknown name):
+//! * `campaign NAME` — the paper's tables and the co-design sweeps, one
+//!   plain function each, reported through the one writer, [`Report`]
+//!   (human tables, then one JSON line last on stdout; exit 1 if a
+//!   self-gate failed, 2 on a bad command line or an unknown name):
+//!   * `table1` — fault (bit-flip) injection campaign statistics;
+//!   * `table2` — varying the checkpoint interval and system MTTF with
+//!     the heat application on the simulated 32,768-node torus;
 //!   * `ablations` — design-choice sweeps from DESIGN.md §4 (engines,
 //!     eager/rendezvous threshold, linear vs tree collectives, detectors);
 //!   * `net-faults` — lossy transport and link/switch fault sweeps;
@@ -15,9 +18,6 @@
 //!   * `protection` — FIT × protection-scheme ablation, checkpoint/restart
 //!     vs. replication (`BENCH_protection.json`);
 //!   * `first-impressions` — the failure-mode narrative of §V-D.
-//! * `table1` — fault (bit-flip) injection campaign statistics.
-//! * `table2` — varying the checkpoint interval and system MTTF with the
-//!   heat application on the simulated 32,768-node torus.
 //! * `queue_bench` — calendar queue vs. a binary heap, self-gating.
 //! * `vp_scaling` — the VP ladder toward the paper's 2²⁷ (§II-A): raw
 //!   core from 2²⁰, or (`--mpi`) a tree allreduce from 2¹⁶ ranks.

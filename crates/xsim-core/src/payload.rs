@@ -7,7 +7,7 @@
 //!
 //! * **Inline** — payloads up to [`Bytes::INLINE_CAP`] (30) bytes live
 //!   directly in the value. Small-message creation (control frames,
-//!   redundancy envelopes, sub-eager payloads) allocates nothing; this
+//!   sub-eager payloads) allocates nothing; this
 //!   is the zero-allocation small-message fast path the MPI layer rides.
 //! * **Static** — `from_static` borrows the `'static` slice, no copy.
 //!   [`Bytes::zeroed`] is a view of one static zero buffer: the

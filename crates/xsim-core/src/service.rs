@@ -5,9 +5,9 @@
 //! kernel shard. Services are looked up by type, so layers stay decoupled:
 //! xsim-core never names them.
 //!
-//! A shard carries a handful of services (at most six: soft-error, MPI,
-//! FS, power, trace, obs), and the MPI layer — the hottest client — is
-//! installed first. The registry is therefore a short `Vec` of
+//! A shard carries a handful of services (MPI, FS, power and obs, plus
+//! whatever a setup hook adds), and the MPI layer — the hottest client —
+//! is installed first. The registry is therefore a short `Vec` of
 //! `(TypeId, slot)` pairs scanned by `TypeId` equality: no hashing, and a
 //! lookup of the first service is one comparison. Taking a service out
 //! (`ServiceMap::take`) leaves its slot empty (the type keeps its

@@ -1,7 +1,7 @@
 //! # xsim-fault — fault injection
 //!
 //! The fault-injection surface of the toolkit (paper §III/IV plus the
-//! Finject/RedMPI lineage of §II-C):
+//! Finject lineage of §II-C):
 //!
 //! * [`schedule`] — MPI process-failure schedules as rank/time pairs
 //!   ("the typical method for injecting failures", §IV-B); their text
@@ -18,10 +18,6 @@
 //! * [`netfault`] — component-addressed fault schedules generalizing
 //!   rank/time pairs to links and switches (permanent, transient,
 //!   degraded), with FIT-driven generation for the interconnect.
-//! * [`soft`] — a soft-error (silent data corruption) injector for
-//!   application-registered memory, the capability the paper's
-//!   conclusion announces ("tracking of dynamic memory allocation …
-//!   the last piece needed to develop a soft error injector", §VI).
 
 #![forbid(unsafe_code)]
 
@@ -30,7 +26,6 @@ pub mod netfault;
 pub mod random;
 pub mod reliability;
 pub mod schedule;
-pub mod soft;
 
 pub use netfault::{FaultComponent, FaultKind, FaultSchedule};
 pub use random::FailureModel;

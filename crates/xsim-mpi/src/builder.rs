@@ -336,9 +336,8 @@ impl SimBuilder {
     }
 
     /// Register an extra per-shard setup hook, run after the standard
-    /// services are installed. Extension layers (e.g. the soft-error
-    /// injector in xsim-fault) use this to attach their own services and
-    /// scheduled events.
+    /// services are installed. Extension layers use this to attach their
+    /// own services and scheduled events.
     pub fn setup_hook(mut self, f: impl Fn(&mut Kernel) + Send + Sync + 'static) -> Self {
         self.setup_hooks.push(Arc::new(f));
         self

@@ -36,7 +36,6 @@ pub mod error;
 pub mod mpi_ctx;
 pub mod msg;
 pub mod p2p;
-pub mod redundancy;
 pub mod replication;
 pub mod request;
 mod smallmap;
@@ -48,7 +47,6 @@ pub use collective::ReduceOp;
 pub use comm::{Comm, CommId};
 pub use error::{ErrHandler, MpiError};
 pub use mpi_ctx::{mpi_program, MpiCtx};
-pub use redundancy::{Redundant, Verdict};
 pub use replication::{CkptMode, HeartbeatConfig, ProtectionScheme, ReplicaMap, Replicated};
 pub use request::ReqId;
 pub use state::{CollAlgo, Detector, LossyTransport};

@@ -1,8 +1,8 @@
 //! Crash-tolerant rank replication (TeaMPI / PartRePer-MPI lineage,
 //! paper §II-C and §VI).
 //!
-//! Where [`crate::redundancy`] reproduces RedMPI's *soft-error* voting,
-//! this module makes replicas survive *crashes*: every logical rank is
+//! Where RedMPI (§II-C) votes replicas against *soft errors*, this
+//! module makes replicas survive *crashes*: every logical rank is
 //! backed by a team of physical replicas, replica deaths are detected by
 //! a deterministic virtual-time heartbeat protocol, and a surviving
 //! replica transparently assumes the dead leader's logical rank — the

@@ -190,115 +190,113 @@ pub mod ids {
     /// Process-failure notifications broadcast (fault activations seen
     /// by the MPI layer).
     pub const FAULT_ACTIVATIONS: usize = 22;
-    /// Soft-error bit flips delivered to applications.
-    pub const FAULT_SOFT_FLIPS: usize = 23;
     /// Messages dropped by lossy links (every failed transmission
     /// attempt counts once).
-    pub const NET_DROPS: usize = 24;
+    pub const NET_DROPS: usize = 23;
     /// Retransmissions performed by the resilient transport.
-    pub const NET_RETRANSMITS: usize = 25;
+    pub const NET_RETRANSMITS: usize = 24;
     /// Virtual time spent in retransmission backoff.
-    pub const NET_BACKOFF_NS: usize = 26;
+    pub const NET_BACKOFF_NS: usize = 25;
     /// Extra hops taken by fault-aware rerouting around dead links.
-    pub const NET_REROUTED_HOPS: usize = 27;
+    pub const NET_REROUTED_HOPS: usize = 26;
     /// Extra transfer time attributable to degraded-link bandwidth.
-    pub const NET_DEGRADED_NS: usize = 28;
+    pub const NET_DEGRADED_NS: usize = 27;
     /// Messages discarded because a lossy link corrupted the payload.
-    pub const NET_CORRUPT_DROPS: usize = 29;
+    pub const NET_CORRUPT_DROPS: usize = 28;
     /// Synchronization windows the parallel engine executed (volatile:
     /// depends on worker/shard count and the partition's lookahead).
-    pub const ENGINE_WINDOWS: usize = 30;
+    pub const ENGINE_WINDOWS: usize = 29;
     /// Wall-clock nanoseconds spent waiting at window barriers
     /// (volatile: wall-clock).
-    pub const ENGINE_BARRIER_WAIT_NS: usize = 31;
+    pub const ENGINE_BARRIER_WAIT_NS: usize = 30;
     /// Cross-shard events delivered through the batched exchange
     /// (volatile: depends on the shard partition).
-    pub const ENGINE_BATCHED_EVENTS: usize = 32;
+    pub const ENGINE_BATCHED_EVENTS: usize = 31;
     /// Largest single (src,dst) exchange batch (volatile).
-    pub const ENGINE_BATCH_MAX: usize = 33;
+    pub const ENGINE_BATCH_MAX: usize = 32;
     /// Fault-aware route queries answered by the epoch-keyed detour
     /// memo. Only queries whose dimension-ordered path crosses a dead
     /// link reach the memo; the rest are answered by the walk and
     /// counted nowhere. (Volatile: parallel shards race to fill entries,
     /// so the counts — never the routes — vary with scheduling.)
-    pub const NET_ROUTE_CACHE_HITS: usize = 34;
+    pub const NET_ROUTE_CACHE_HITS: usize = 33;
     /// Fault-aware route queries that missed the detour memo, ran the
     /// BFS and filled an entry (volatile, see `NET_ROUTE_CACHE_HITS`).
-    pub const NET_ROUTE_CACHE_MISSES: usize = 35;
+    pub const NET_ROUTE_CACHE_MISSES: usize = 34;
     /// Route-cache entries discarded at a shard capacity bound
     /// (volatile, see `NET_ROUTE_CACHE_HITS`).
-    pub const NET_ROUTE_CACHE_EVICTIONS: usize = 36;
+    pub const NET_ROUTE_CACHE_EVICTIONS: usize = 35;
     /// Cheap reference-count payload clones on the message path
     /// (collective fan-outs sharing one buffer instead of copying it).
-    pub const MPI_PAYLOAD_CLONES: usize = 37;
+    pub const MPI_PAYLOAD_CLONES: usize = 36;
     /// Bytes actually copied host-side on the message path (collective
     /// packing and typed reduce decode — the copies that remain).
-    pub const MPI_PAYLOAD_COPY_BYTES: usize = 38;
+    pub const MPI_PAYLOAD_COPY_BYTES: usize = 37;
     /// Heartbeat messages modeled by the replication layer's failure
     /// detector (team-internal, accounted at finalize from virtual time).
-    pub const REP_HEARTBEATS: usize = 39;
+    pub const REP_HEARTBEATS: usize = 38;
     /// Replica deaths detected by the heartbeat detector (one per
     /// observer × dead replica pair).
-    pub const REP_DETECTIONS: usize = 40;
+    pub const REP_DETECTIONS: usize = 39;
     /// Leader failovers: a rank routed a logical channel around a dead
     /// replica that had been its designated copy source.
-    pub const REP_FAILOVERS: usize = 41;
+    pub const REP_FAILOVERS: usize = 40;
     /// Failover latency distribution (virtual ns between a replica's
     /// time of failure and the moment a peer routed around it).
-    pub const REP_FAILOVER_NS: usize = 42;
+    pub const REP_FAILOVER_NS: usize = 41;
     /// Logical messages sent through the replication layer.
-    pub const REP_MSGS: usize = 43;
+    pub const REP_MSGS: usize = 42;
     /// Physical copies injected for those logical messages (the
     /// replication protocol's message amplification).
-    pub const REP_COPIES: usize = 44;
+    pub const REP_COPIES: usize = 43;
     /// Longest single barrier wait of the run, wall-clock nanoseconds
     /// (volatile: wall-clock).
-    pub const ENGINE_BARRIER_HWM_NS: usize = 45;
+    pub const ENGINE_BARRIER_HWM_NS: usize = 44;
     /// Event-storage reuse ratio of the calendar queue's bucket arena,
     /// in permille (pushes landing in already-allocated capacity per
     /// 1000 pushes; 1000 = zero steady-state allocation). Volatile:
     /// occupancy history depends on the shard partition and windowing.
-    pub const ENGINE_POOL_REUSE_RATIO: usize = 46;
+    pub const ENGINE_POOL_REUSE_RATIO: usize = 45;
     /// High-water mark of a single calendar-queue bucket (volatile:
     /// bucket occupancy depends on the shard partition).
-    pub const ENGINE_QUEUE_BUCKET_HWM: usize = 47;
+    pub const ENGINE_QUEUE_BUCKET_HWM: usize = 46;
     /// Stripe requests served by the simulated PFS I/O nodes (one per
     /// involved node per striped transfer).
-    pub const FS_STRIPE_REQS: usize = 48;
+    pub const FS_STRIPE_REQS: usize = 47;
     /// Bytes landed on PFS I/O nodes by striped transfers.
-    pub const FS_STRIPE_BYTES: usize = 49;
+    pub const FS_STRIPE_BYTES: usize = 48;
     /// Per-request queueing delay at a PFS I/O node before service
     /// starts (virtual ns) — the visible face of I/O contention.
-    pub const FS_STRIPE_QUEUE_NS: usize = 50;
+    pub const FS_STRIPE_QUEUE_NS: usize = 49;
     /// Group gathers performed by aggregated-checkpoint aggregators
     /// (one per container file written).
-    pub const CKPT_AGG_GATHERS: usize = 51;
+    pub const CKPT_AGG_GATHERS: usize = 50;
     /// Bytes checkpoint group members forwarded to their aggregator.
-    pub const CKPT_AGG_FORWARD_BYTES: usize = 52;
+    pub const CKPT_AGG_FORWARD_BYTES: usize = 51;
     /// Partner copies stored in the node-local tier by buddy
     /// checkpointing.
-    pub const CKPT_BUDDY_COPIES: usize = 53;
+    pub const CKPT_BUDDY_COPIES: usize = 52;
     /// Buddy checkpoints spilled to the PFS (partnerless rank).
-    pub const CKPT_BUDDY_SPILLS: usize = 54;
+    pub const CKPT_BUDDY_SPILLS: usize = 53;
     /// Dirty blocks carried by incremental (diff) checkpoints.
-    pub const CKPT_DIFF_BLOCKS: usize = 55;
+    pub const CKPT_DIFF_BLOCKS: usize = 54;
     /// Incremental (diff) checkpoint generations written.
-    pub const CKPT_DIFF_WRITES: usize = 56;
+    pub const CKPT_DIFF_WRITES: usize = 55;
     /// Restore-chain length distribution: files replayed per restored
     /// rank state (1 = plain full checkpoint, k+1 = full + k diffs).
-    pub const CKPT_RESTORE_CHAIN: usize = 57;
+    pub const CKPT_RESTORE_CHAIN: usize = 56;
     /// Breadth-first route searches the fault table ran, one per memo
     /// miss (volatile, see `NET_ROUTE_CACHE_HITS`).
-    pub const NET_ROUTE_BFS_RUNS: usize = 58;
+    pub const NET_ROUTE_BFS_RUNS: usize = 57;
     /// Largest calendar-queue ring of any shard, in buckets (volatile,
     /// like the rest of the queue-shape gauges).
-    pub const ENGINE_QUEUE_RING_HWM: usize = 59;
+    pub const ENGINE_QUEUE_RING_HWM: usize = 58;
     /// Empty buckets the calendar queues stepped over looking for the
     /// next event (volatile).
-    pub const ENGINE_QUEUE_EMPTY_STEPS: usize = 60;
+    pub const ENGINE_QUEUE_EMPTY_STEPS: usize = 59;
     /// Bulk redistribution passes of the calendar queues: width splits
     /// and lane migrations (volatile).
-    pub const ENGINE_QUEUE_REBUILDS: usize = 61;
+    pub const ENGINE_QUEUE_REBUILDS: usize = 60;
 }
 
 /// The metric schema, indexed by [`ids`].
@@ -326,7 +324,6 @@ pub const SPEC: &[MetricDef] = &[
     MetricDef::counter("ckpt.corrupt_discarded", Unit::Count),
     MetricDef::counter("ckpt.deletes", Unit::Count),
     MetricDef::counter("fault.activations", Unit::Count),
-    MetricDef::counter("fault.soft_flips", Unit::Count),
     MetricDef::counter("net.drops", Unit::Count),
     MetricDef::counter("net.retransmits", Unit::Count),
     MetricDef::counter("net.backoff_ns", Unit::Nanos),
@@ -586,7 +583,6 @@ mod tests {
         assert_eq!(SPEC[ids::NET_MSGS_EAGER].name, "net.msgs_eager");
         assert_eq!(SPEC[ids::MPI_UNEXPECTED_HWM].kind, MetricKind::Gauge);
         assert_eq!(SPEC[ids::FS_WRITE_NS].kind, MetricKind::Histogram);
-        assert_eq!(SPEC[ids::FAULT_SOFT_FLIPS].name, "fault.soft_flips");
         assert_eq!(SPEC[ids::NET_DROPS].name, "net.drops");
         assert_eq!(SPEC[ids::NET_BACKOFF_NS].unit, Unit::Nanos);
         assert_eq!(SPEC[ids::NET_CORRUPT_DROPS].name, "net.corrupt_drops");

@@ -20,7 +20,7 @@
 //!   lossy transport with retransmission + backoff).
 //! * [`fault`] — failure schedules, component-addressed network fault
 //!   schedules (links/switches), MTTF-driven random injection, bit-flip
-//!   campaigns, soft-error injection.
+//!   campaigns.
 //! * [`ckpt`] — checksummed application-level checkpoint/restart and the
 //!   run→abort→restart orchestrator with continuous virtual timing.
 //! * [`obs`] — observability: metrics registry (counters, gauges,

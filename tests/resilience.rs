@@ -1,11 +1,8 @@
-//! Resilience-feature integration tests across crates: soft errors,
-//! I/O fault injection, detector variants, failure schedules.
+//! Resilience-feature integration tests across crates: I/O fault
+//! injection, detector variants, failure schedules.
 
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
 use xsim::apps::kernels;
 use xsim::prelude::*;
-use xsim_fault::soft::{self, SoftErrorPlan};
 use xsim_fs::{IoFaultKind, IoFaultRule};
 
 #[test]
@@ -25,41 +22,6 @@ fn failure_schedule_string_drives_injection() {
     assert_eq!(report.sim.failures[0].rank.idx(), 2);
     assert_eq!(report.sim.failures[0].scheduled, SimTime::from_millis(500));
     assert_eq!(report.sim.failures[0].actual, SimTime::from_secs(1));
-}
-
-#[test]
-fn soft_errors_reach_the_application() {
-    // A bit flip scheduled at 0.5 s must be visible to the rank's next
-    // poll and corrupt its buffer — silently (no failure, no abort).
-    let plan = SoftErrorPlan::new().with_flip(1, SimTime::from_millis(500), 123);
-    let seen = Arc::new(AtomicU64::new(0));
-    let seen2 = seen.clone();
-    let report = SimBuilder::new(2)
-        .net(NetModel::small(2))
-        .setup_hook(plan.install_hook())
-        .run_app(move |mpi| {
-            let seen = seen2.clone();
-            async move {
-                let mut buf = vec![0u8; 64];
-                assert!(soft::poll_flips().is_empty(), "no flips before t=0.5s");
-                mpi.sleep(SimTime::from_secs(1)).await;
-                for flip in soft::poll_flips() {
-                    soft::apply_flip(&mut buf, flip);
-                    seen.fetch_add(1, Ordering::Relaxed);
-                }
-                if mpi.rank == 1 {
-                    let ones: u32 = buf.iter().map(|b| b.count_ones()).sum();
-                    assert_eq!(ones, 1, "exactly one bit flipped");
-                } else {
-                    assert!(buf.iter().all(|&b| b == 0));
-                }
-                mpi.finalize();
-                Ok(())
-            }
-        })
-        .unwrap();
-    assert_eq!(report.sim.exit, ExitKind::Completed);
-    assert_eq!(seen.load(Ordering::Relaxed), 1);
 }
 
 #[test]
