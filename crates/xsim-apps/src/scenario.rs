@@ -114,15 +114,15 @@ pub struct Cli {
     /// `--quick`: the reduced scale of a harness.
     pub quick: bool,
     /// `--mpi`: run the MPI rungs instead of the raw-core ones
-    /// (`vp_scaling`).
+    /// (`campaign vp-scaling`).
     pub mpi: bool,
     /// `--power`: attach the node power model (`xsim heat`).
     pub power: bool,
-    /// `--ops N`: timed churn operations per tier (`queue_bench`).
+    /// `--ops N`: timed churn operations per tier (`campaign queue`).
     pub ops: Option<usize>,
-    /// `--rounds N`: sleep/wake rounds per VP (`vp_scaling`).
+    /// `--rounds N`: sleep/wake rounds per VP (`campaign vp-scaling`).
     pub rounds: Option<u32>,
-    /// `--max-vps N`: cap on the scaling ladder (`vp_scaling`).
+    /// `--max-vps N`: cap on the scaling ladder (`campaign vp-scaling`).
     pub max_vps: Option<usize>,
     /// `--fit F`: one per-node FIT rung (`campaign protection`).
     pub fit: Option<f64>,

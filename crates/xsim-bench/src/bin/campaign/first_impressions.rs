@@ -21,6 +21,7 @@ use xsim_bench::{messages_moved, paper_builder, per_message_wall, table2_config,
 use xsim_ckpt::CheckpointManager;
 use xsim_core::{ExitKind, SimTime};
 use xsim_fs::FsModel;
+use xsim_mpi::CkptMode;
 use xsim_obs::Json;
 
 /// Run one injection; returns (activation, abort, surviving generation,
@@ -41,7 +42,9 @@ fn run_injection(
     let mgr = CheckpointManager::new(&cfg.prefix);
     let n = cfg.n_ranks() as u32;
     let latest = mgr.latest_complete(&store, n);
-    let removed = mgr.cleanup_incomplete(&store, n).len();
+    let removed = mgr
+        .cleanup_between_runs(&store, n, CkptMode::Full, &[])
+        .len();
     let act = report.sim.failures.first().expect("activated").actual;
     (act, report.sim.abort_time, latest, removed)
 }

@@ -1,6 +1,7 @@
 //! The paper's two tables and the co-design campaigns (paper §V): one
 //! application swept across failure rates, checkpoint strategies and
-//! resilience schemes.
+//! resilience schemes; and the two host-cost ladders of the event core
+//! (§II-A).
 //!
 //! ```text
 //! cargo run --release -p xsim-bench --bin campaign -- NAME [flags]
@@ -16,6 +17,8 @@
 //! | `first-impressions` | where a failure lands (§V-D) | `--quick --workers --seed --profile --failures` |
 //! | `table1` | the paper's Table I: bit flips to victim failure | `--seed` |
 //! | `table2` | the paper's Table II: checkpoint interval × MTTF | `--quick --workers --seed` |
+//! | `queue` | calendar queue vs. a binary heap, per pending tier | `--quick --ops` |
+//! | `vp-scaling` | host cost per VP / MPI rank up to 2²⁷ | `--quick --mpi --workers --rounds --max-vps` |
 //!
 //! The first stdout line is `scenario: NAME FLAGS` (replay: pass it
 //! back), the last is the JSON form of the report (see
@@ -25,6 +28,7 @@
 mod ablations;
 mod ckpt;
 mod first_impressions;
+mod ladders;
 mod protection;
 mod tables;
 
@@ -33,8 +37,8 @@ use xsim_bench::{fixed, Report};
 use xsim_core::SimTime;
 use xsim_obs::Json;
 
-const NAMES: &str =
-    "ablations net-faults ckpt-sweep ckpt-scaling protection first-impressions table1 table2";
+const NAMES: &str = "ablations net-faults ckpt-sweep ckpt-scaling protection first-impressions \
+    table1 table2 queue vp-scaling";
 
 /// A simulated time in seconds, at the microsecond precision its
 /// `Display` shows.
@@ -57,6 +61,8 @@ fn main() {
         ),
         "table1" => ("seed", tables::table1),
         "table2" => ("quick workers seed", tables::table2),
+        "queue" => ("quick ops", ladders::queue),
+        "vp-scaling" => ("quick mpi workers rounds max-vps", ladders::vp_scaling),
         _ => {
             eprintln!("unknown campaign '{name}'; campaigns: {NAMES}");
             std::process::exit(2)

@@ -123,7 +123,7 @@ impl Report {
         }
         let strs = |v: &[String]| Json::Arr(v.iter().map(|s| s.as_str().into()).collect());
         let cpus = std::thread::available_parallelism().map_or(0, |p| p.get());
-        let mem = crate::mem_available_kib().map_or(Json::Null, Json::from);
+        let mem = crate::proc_kib("/proc/meminfo", "MemAvailable").map_or(Json::Null, Json::from);
         let host = obj([
             ("available_parallelism", cpus.into()),
             ("mem_available_kib", mem),

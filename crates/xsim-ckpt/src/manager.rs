@@ -244,39 +244,6 @@ impl CheckpointManager {
         gens
     }
 
-    /// Remove checkpoint generations that are missing files ("incomplete
-    /// checkpoints (missing checkpoint files due to a failure during
-    /// checkpointing) are deleted using a shell script", §V-B) or that
-    /// contain partial/corrupt files. Runs *outside* the simulation,
-    /// between an abort and the restart. Returns the generations
-    /// removed.
-    pub fn cleanup_incomplete(&self, store: &FsStore, n_ranks: u32) -> Vec<u64> {
-        let prefix = format!("{}/{PFS_TIER}/", self.prefix);
-        let mut by_gen: std::collections::BTreeMap<u64, Vec<String>> = Default::default();
-        for name in store.list_prefix(&prefix) {
-            if let Some(rest) = name.strip_prefix(&prefix) {
-                if let Some((gen_s, _)) = rest.split_once('/') {
-                    if let Ok(g) = gen_s.parse::<u64>() {
-                        by_gen.entry(g).or_default().push(name);
-                    }
-                }
-            }
-        }
-        let mut removed = Vec::new();
-        for (generation, files) in by_gen {
-            let complete = files.len() as u32 == n_ranks
-                && files.iter().all(|f| {
-                    matches!(store.get(f), Some(FileState::Complete(data))
-                        if Checkpoint::verify(&data).is_ok())
-                });
-            if !complete {
-                store.delete_prefix(&self.generation_prefix(generation));
-                removed.push(generation);
-            }
-        }
-        removed
-    }
-
     /// Latest generation that is complete and valid across all ranks
     /// (direct store access).
     pub fn latest_complete(&self, store: &FsStore, n_ranks: u32) -> Option<u64> {
@@ -311,6 +278,7 @@ pub fn read_exit_time(store: &FsStore) -> Option<xsim_core::SimTime> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use xsim_mpi::CkptMode;
 
     fn put_valid(store: &FsStore, m: &CheckpointManager, generation: u64, rank: u32) {
         let c = Checkpoint::new(rank, generation).with_section("d", Bytes::from_static(b"x"));
@@ -379,7 +347,7 @@ mod tests {
         put_valid(&store, &m, 1, 0);
         put_valid(&store, &m, 1, 1);
         put_valid(&store, &m, 2, 0);
-        let removed = m.cleanup_incomplete(&store, 2);
+        let removed = m.cleanup_between_runs(&store, 2, CkptMode::Full, &[]);
         assert_eq!(removed, vec![2]);
         assert_eq!(m.latest_complete(&store, 2), Some(1));
     }
@@ -390,7 +358,10 @@ mod tests {
         let m = CheckpointManager::new("job");
         put_valid(&store, &m, 1, 0);
         store.put(m.file_name(1, 1), Bytes::from_static(b"garbage"));
-        assert_eq!(m.cleanup_incomplete(&store, 2), vec![1]);
+        assert_eq!(
+            m.cleanup_between_runs(&store, 2, CkptMode::Full, &[]),
+            vec![1]
+        );
         assert!(m.latest_complete(&store, 2).is_none());
     }
 
@@ -400,7 +371,10 @@ mod tests {
         let m = CheckpointManager::new("job");
         put_valid(&store, &m, 4, 0);
         store.begin_write(&m.file_name(4, 1)); // never committed
-        assert_eq!(m.cleanup_incomplete(&store, 2), vec![4]);
+        assert_eq!(
+            m.cleanup_between_runs(&store, 2, CkptMode::Full, &[]),
+            vec![4]
+        );
     }
 
     #[test]

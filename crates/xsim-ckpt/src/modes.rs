@@ -308,13 +308,17 @@ impl CheckpointManager {
         self.generations_in(store, MEM_TIER, Leaf::Dir)
     }
 
-    /// Mode-aware between-run cleanup (the generalization of
-    /// [`CheckpointManager::cleanup_incomplete`], which `Full` uses):
-    /// removes every generation some rank could not restore from under
-    /// the mode's layout — a missing or corrupt file, container or diff
-    /// chain, and for buddy the node memories lost with `failed` ranks.
-    /// Checks copies with [`Checkpoint::verify`] and replays no chain.
-    /// Returns the generations removed, oldest first.
+    /// The between-run cleanup ("incomplete checkpoints (missing
+    /// checkpoint files due to a failure during checkpointing) are
+    /// deleted using a shell script", §V-B), run *outside* the
+    /// simulation between an abort and the restart: removes every
+    /// generation some rank below `n_ranks` could not restore from
+    /// under the mode's layout — a missing, partial or corrupt file,
+    /// container or diff chain, and for buddy the node memories lost
+    /// with `failed` ranks. Files of ranks at or above `n_ranks` are
+    /// not looked at (no writer makes one). Checks copies with
+    /// [`Checkpoint::verify`] and replays no chain. Returns the
+    /// generations removed, oldest first.
     pub fn cleanup_between_runs(
         &self,
         store: &FsStore,
@@ -323,8 +327,9 @@ impl CheckpointManager {
         failed: &[u32],
     ) -> Vec<u64> {
         let mut gens = match mode {
-            CkptMode::Full => return self.cleanup_incomplete(store, n_ranks),
-            CkptMode::Aggregated { .. } | CkptMode::Incremental { .. } => self.generations(store),
+            CkptMode::Full | CkptMode::Aggregated { .. } | CkptMode::Incremental { .. } => {
+                self.generations(store)
+            }
             CkptMode::Buddy => {
                 // The failed ranks' node memories died with their nodes.
                 let holders: Vec<String> = failed.iter().map(|f| format!("@h{f:07}")).collect();

@@ -535,8 +535,8 @@ pub struct NetBatch {
     pub msgs_eager: u64,
     /// Rendezvous-protocol messages injected (`ids::NET_MSGS_RENDEZVOUS`).
     pub msgs_rendezvous: u64,
-    /// Payload bytes per network class: `[on-chip, on-node, system]`.
-    pub bytes_class: [u64; 3],
+    /// Payload bytes per network class: `[on-node, system]`.
+    pub bytes_class: [u64; 2],
     /// Local parts of the `net.msg_bytes` histogram (`SIZE_BUCKETS` plus
     /// the overflow bucket).
     pub msg_bytes_counts: Vec<u64>,
@@ -554,9 +554,8 @@ impl NetBatch {
             self.msgs_rendezvous += 1;
         }
         let ci = match class {
-            NetClass::OnChip => 0,
-            NetClass::OnNode => 1,
-            NetClass::System => 2,
+            NetClass::OnNode => 0,
+            NetClass::System => 1,
         };
         self.bytes_class[ci] += nbytes;
         if self.msg_bytes_counts.is_empty() {
@@ -574,13 +573,9 @@ impl NetBatch {
         if self.msgs_rendezvous > 0 {
             set.add(ids::NET_MSGS_RENDEZVOUS, self.msgs_rendezvous);
         }
-        for (ci, id) in [
-            ids::NET_BYTES_ONCHIP,
-            ids::NET_BYTES_ONNODE,
-            ids::NET_BYTES_SYSTEM,
-        ]
-        .into_iter()
-        .enumerate()
+        for (ci, id) in [ids::NET_BYTES_ONNODE, ids::NET_BYTES_SYSTEM]
+            .into_iter()
+            .enumerate()
         {
             if self.bytes_class[ci] > 0 {
                 set.add(id, self.bytes_class[ci]);
@@ -1032,8 +1027,7 @@ mod tests {
     #[test]
     fn net_batch_flush_matches_direct_records() {
         let mut batch = NetBatch::default();
-        let sends: [(bool, NetClass, u64); 5] = [
-            (true, NetClass::OnChip, 16),
+        let sends: [(bool, NetClass, u64); 4] = [
             (true, NetClass::OnNode, 64),
             (false, NetClass::System, 1 << 20),
             (true, NetClass::System, 300),
@@ -1051,7 +1045,6 @@ mod tests {
                 1,
             );
             let cid = match class {
-                NetClass::OnChip => ids::NET_BYTES_ONCHIP,
                 NetClass::OnNode => ids::NET_BYTES_ONNODE,
                 NetClass::System => ids::NET_BYTES_SYSTEM,
             };

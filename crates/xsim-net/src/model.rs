@@ -7,12 +7,12 @@ use xsim_core::{Rank, SimTime};
 
 /// The hierarchical network class a message travels on (paper §IV-C:
 /// "each simulated network, such as the on-chip, on-node, and system-wide
-/// network, has its own network communication timeout").
+/// network, has its own network communication timeout"). Ranks are
+/// placed per node, so a message is on-node or system-wide; a rank's
+/// message to itself is on-node.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum NetClass {
-    /// Between cores of one processor.
-    OnChip,
-    /// Between processors of one node.
+    /// Between ranks of one node.
     OnNode,
     /// Between nodes, across the interconnect topology.
     System,
@@ -52,15 +52,6 @@ impl Link {
         }
     }
 
-    /// Typical on-chip transport between cores.
-    pub(crate) fn default_on_chip() -> Self {
-        Link {
-            latency: SimTime::from_nanos(40),
-            bandwidth_bps: 128.0e9,
-            timeout: SimTime::from_millis(10),
-        }
-    }
-
     /// Pure serialization time of `bytes` at this link's bandwidth.
     pub(crate) fn transfer_time(&self, bytes: usize) -> SimTime {
         if bytes == 0 || self.bandwidth_bps <= 0.0 {
@@ -97,10 +88,9 @@ pub struct NetModel {
     pub ranks_per_node: usize,
     /// System (inter-node) link parameters.
     pub system: Link,
-    /// On-node link parameters (used when `ranks_per_node > 1`).
+    /// On-node link parameters: two ranks of one node (when
+    /// `ranks_per_node > 1`), or a rank and itself.
     pub on_node: Link,
-    /// On-chip link parameters (reserved for core-granularity placement).
-    pub on_chip: Link,
     /// Eager/rendezvous protocol threshold in bytes. The paper uses
     /// 256 kB (§V-C).
     pub eager_threshold: usize,
@@ -151,7 +141,6 @@ impl NetModel {
             ranks_per_node: 1,
             system: Link::paper_system(),
             on_node: Link::default_on_node(),
-            on_chip: Link::default_on_chip(),
             eager_threshold: 256 * 1024,
             send_overhead: SimTime::from_micros(1),
             recv_overhead: SimTime::from_micros(1),
@@ -220,7 +209,6 @@ impl NetModel {
     /// Link parameters of a class.
     pub(crate) fn link(&self, class: NetClass) -> &Link {
         match class {
-            NetClass::OnChip => &self.on_chip,
             NetClass::OnNode => &self.on_node,
             NetClass::System => &self.system,
         }
@@ -303,7 +291,7 @@ impl NetModel {
     pub fn min_latency(&self) -> SimTime {
         let mut m = self.system.latency;
         if self.ranks_per_node > 1 {
-            m = m.min(self.on_node.latency).min(self.on_chip.latency);
+            m = m.min(self.on_node.latency);
         }
         // Lookahead must be positive for the parallel engine; clamp to
         // 1 ns for degenerate zero-latency configurations.
@@ -313,8 +301,8 @@ impl NetModel {
     /// The minimum virtual delay of a message *crossing a shard
     /// boundary* when ranks are partitioned into contiguous blocks of
     /// `ranks_per_shard`. When shard blocks align with compute nodes
-    /// (every node's ranks live in one shard), no on-node/on-chip
-    /// message ever crosses shards, so the system-class latency — often
+    /// (every node's ranks live in one shard), no on-node message ever
+    /// crosses shards, so the system-class latency — often
     /// orders of magnitude above [`min_latency`](Self::min_latency) —
     /// is a valid, much larger lookahead. Misaligned blocks fall back
     /// to the global minimum.
@@ -350,11 +338,7 @@ impl NetModel {
                 self.ranks_per_node
             ));
         }
-        for (name, link) in [
-            ("system", &self.system),
-            ("on_node", &self.on_node),
-            ("on_chip", &self.on_chip),
-        ] {
+        for (name, link) in [("system", &self.system), ("on_node", &self.on_node)] {
             if link.timeout < self.min_latency() {
                 return Err(format!(
                     "{name} timeout {} below minimum latency {} — failure \
@@ -422,10 +406,9 @@ mod tests {
         let mut m = NetModel::paper_machine();
         assert_eq!(m.min_latency(), SimTime::from_micros(1));
         m.ranks_per_node = 2;
-        assert_eq!(m.min_latency(), SimTime::from_nanos(40));
+        assert_eq!(m.min_latency(), SimTime::from_nanos(200));
         m.system.latency = SimTime::ZERO;
         m.on_node.latency = SimTime::ZERO;
-        m.on_chip.latency = SimTime::ZERO;
         assert_eq!(m.min_latency(), SimTime::from_nanos(1));
     }
 

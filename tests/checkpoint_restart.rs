@@ -131,7 +131,7 @@ fn failure_restart_reproduces_failure_free_result() {
     // completion via the orchestrator (no further failures).
     xsim_ckpt::write_exit_time(&store, first.exit_time());
     orch.manager
-        .cleanup_incomplete(&store, cfg.n_ranks() as u32);
+        .cleanup_between_runs(&store, cfg.n_ranks() as u32, xsim::mpi::CkptMode::Full, &[]);
     let result = orch
         .run_to_completion(store.clone(), program, cfg.n_ranks(), || {
             make_builder(cfg.n_ranks())
@@ -316,7 +316,12 @@ fn failure_during_checkpoint_phase_leaves_incomplete_set() {
             continue;
         }
         let mgr = CheckpointManager::new(&cfgx.prefix);
-        let removed = mgr.cleanup_incomplete(&store, cfgx.n_ranks() as u32);
+        let removed = mgr.cleanup_between_runs(
+            &store,
+            cfgx.n_ranks() as u32,
+            xsim::mpi::CkptMode::Full,
+            &[],
+        );
         if !removed.is_empty() {
             hit_incomplete = true;
             break;
@@ -358,7 +363,7 @@ fn restart_reproduces_result_for_any_failure_time() {
         }
         xsim_ckpt::write_exit_time(&store, first.exit_time());
         let mgr = CheckpointManager::new(&cfg.prefix);
-        mgr.cleanup_incomplete(&store, cfg.n_ranks() as u32);
+        mgr.cleanup_between_runs(&store, cfg.n_ranks() as u32, xsim::mpi::CkptMode::Full, &[]);
         let orch = Orchestrator::new(FailureModel::None, 1, mgr);
         let result = orch
             .run_to_completion(store.clone(), program, cfg.n_ranks(), || {

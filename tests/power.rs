@@ -131,7 +131,8 @@ fn failures_cost_energy_through_recomputation() {
         .unwrap();
     assert_eq!(faulty.sim.exit, ExitKind::Aborted);
     xsim_ckpt::write_exit_time(&store, faulty.exit_time());
-    orch.manager.cleanup_incomplete(&store, n as u32);
+    orch.manager
+        .cleanup_between_runs(&store, n as u32, xsim::mpi::CkptMode::Full, &[]);
     let rerun = orch
         .run_to_completion(store, program, n, || {
             SimBuilder::new(n)
