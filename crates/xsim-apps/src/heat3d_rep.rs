@@ -165,9 +165,7 @@ impl Layer for Replicated {
             // Every live replica of logical 0 writes the (identical)
             // marker: idempotent, and immune to leader-detection lag.
             let marker = [digest[0].to_le_bytes(), digest[1].to_le_bytes()].concat();
-            xsim_fs::write(&done_marker(cfg), marker.into())
-                .await
-                .map_err(|e| MpiError::Io(e.to_string()))?;
+            xsim_fs::write(&done_marker(cfg), marker.into()).await;
         }
         self.finalize();
         Ok(())

@@ -31,15 +31,14 @@ use xsim_mpi::{CkptMode, ProtectionScheme, SimBuilder};
 /// [`FromStr`] accepts.
 const ALL_KEYS: &str = "heat ring ranks global iters ckpt halo laps payload \
     workers seed failures protection quick mpi power ops rounds max-vps fit mttf \
-    slowdown per-point-ns profile trace";
+    slowdown per-point-ns profile";
 /// Keys owned by a subcommand: `heat`'s, `ring`'s, and both.
 const HEAT_KEYS: &str = "ranks global iters ckpt halo";
 const RING_KEYS: &str = "ranks laps payload";
 const APP_KEYS: &str = "ranks global iters ckpt halo laps payload";
 /// The keys of a binary's own knobs (see [`Cli`]), and those of them that
 /// take no value.
-const KNOBS: &str = "quick mpi power ops rounds max-vps fit mttf slowdown per-point-ns \
-    profile trace";
+const KNOBS: &str = "quick mpi power ops rounds max-vps fit mttf slowdown per-point-ns profile";
 const FLAGS: &str = "quick mpi power";
 
 /// Whether the space-separated `list` holds `word`.
@@ -134,8 +133,6 @@ pub struct Cli {
     pub per_point_ns: Option<u64>,
     /// `--profile FILE`: write a Chrome trace and metrics snapshot.
     pub profile: Option<String>,
-    /// `--trace FILE`: write a CSV trace (`xsim heat`).
-    pub trace: Option<String>,
     /// The knob tokens as given, echoed by `Display`.
     knob_text: String,
 }
@@ -355,7 +352,6 @@ impl Cli {
             slowdown: given.get("slowdown", rate)?,
             per_point_ns: given.get("per-point-ns", num)?,
             profile: given.get("profile", num)?,
-            trace: given.get("trace", num)?,
             knob_text,
         })
     }

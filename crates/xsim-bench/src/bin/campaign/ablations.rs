@@ -31,7 +31,7 @@ pub(crate) fn run(cli: &Cli) -> Report {
             .metrics(true)
             .run(barrier())
             .expect("profile run");
-        xsim_bench::write_profile(&report, p);
+        report.write_profile(p).expect("write profile");
     }
     let mut r = Report::default();
     collectives(&mut r, &cli.scenario);

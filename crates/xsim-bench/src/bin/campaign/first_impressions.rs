@@ -17,7 +17,7 @@ use crate::secs;
 use xsim_apps::heat3d::{self, HeatConfig};
 use xsim_apps::scenario::Cli;
 use xsim_bench::{fixed, Report};
-use xsim_bench::{messages_moved, paper_builder, per_message_wall, table2_config, write_profile};
+use xsim_bench::{messages_moved, paper_builder, per_message_wall, table2_config};
 use xsim_ckpt::CheckpointManager;
 use xsim_core::{ExitKind, SimTime};
 use xsim_fs::FsModel;
@@ -78,7 +78,7 @@ pub(crate) fn run(cli: &Cli) -> Report {
     let wall = wall_t.elapsed();
     assert_eq!(clean.sim.exit, ExitKind::Completed);
     if let Some(p) = &cli.profile {
-        write_profile(&clean, p);
+        clean.write_profile(p).expect("write profile");
     }
     let compute =
         SimTime(cfg.per_point.as_nanos() * cfg.points_per_rank() * cfg.ckpt_interval).scale(1000.0);

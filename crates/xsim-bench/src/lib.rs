@@ -271,24 +271,6 @@ pub fn per_message_wall(report: &RunReport, wall: std::time::Duration) -> Option
     (msgs > 0).then(|| wall.as_secs_f64() / msgs as f64)
 }
 
-/// Write the profile of a traced+metered run: the merged Chrome trace to
-/// `path` (load it in `chrome://tracing` or Perfetto) and the metrics
-/// snapshot to a sibling `*.metrics.json`. Harness binaries call this
-/// when `--profile` is given.
-pub fn write_profile(report: &RunReport, path: &str) {
-    if let Some(json) = report.chrome_trace_json() {
-        std::fs::write(path, json).expect("write Chrome trace");
-    }
-    if let Some(json) = report.metrics_json() {
-        let mpath = match path.strip_suffix(".json") {
-            Some(stem) => format!("{stem}.metrics.json"),
-            None => format!("{path}.metrics.json"),
-        };
-        std::fs::write(&mpath, json).expect("write metrics snapshot");
-        eprintln!("profile: wrote {path} and {mpath}");
-    }
-}
-
 /// The `field:` value of a `/proc` file in KiB (Linux), if readable:
 /// `proc_kib("/proc/meminfo", "MemAvailable")`,
 /// `proc_kib("/proc/self/status", "VmHWM")` (this process's peak RSS).

@@ -74,28 +74,16 @@ impl Report {
     pub fn render(&self, scenario: &str, workers: usize) -> String {
         let mut out = String::new();
         for t in &self.tables {
-            // A column prints its numbers with as many decimals as the
-            // most precise of them holds.
-            let places = |c: &Json| match c {
-                Json::Num(_) => c.to_string().split_once('.').map_or(0, |(_, f)| f.len()),
-                _ => 0,
+            // A number prints its own JSON text, so a cell reads as the
+            // value the JSON line holds.
+            let text = |c: &Json| match c {
+                Json::Str(s) => s.clone(),
+                Json::Null => "-".into(),
+                c => c.to_string(),
             };
-            let columns = 0..t.columns.len();
-            let decimals: Vec<usize> = columns
-                .clone()
-                .map(|i| t.rows.iter().map(|r| places(&r[i])).max().unwrap_or(0))
-                .collect();
             let mut lines = vec![t.columns.clone()];
-            lines.extend(t.rows.iter().map(|row| {
-                let text = |(c, d): (&Json, &usize)| match c {
-                    Json::Str(s) => s.clone(),
-                    Json::Null => "-".into(),
-                    Json::Num(n) => format!("{n:.d$}"),
-                    c => c.to_string(),
-                };
-                row.iter().zip(&decimals).map(text).collect()
-            }));
-            let width: Vec<usize> = columns
+            lines.extend(t.rows.iter().map(|row| row.iter().map(text).collect()));
+            let width: Vec<usize> = (0..t.columns.len())
                 .map(|i| {
                     lines
                         .iter()
@@ -260,7 +248,31 @@ mod tests {
         let lines: Vec<&str> = text.lines().take(4).collect();
         assert_eq!(lines[0], "## modes");
         assert_eq!(lines[1], "ranks   mode      e1_us      frac  beats_full");
-        assert_eq!(lines[2], "   64   full  104867069  0.000330       false");
+        assert_eq!(lines[2], "   64   full  104867069   0.00033       false");
         assert_eq!(lines[3], "   64  agg:8  104863679  0.000086        true");
+    }
+
+    #[test]
+    fn a_column_of_counts_and_fractions_prints_each_as_its_json() {
+        let mut r = Report::default();
+        r.table("Table I", "statistic measured");
+        r.row(vec!["victims".into(), 99usize.into()]);
+        r.row(vec!["mean".into(), fixed(2026.456, 2)]);
+        r.row(vec!["mode".into(), fixed(3.0, 2)]);
+        let text = r.render("table1", 1);
+        let lines: Vec<&str> = text.lines().skip(2).take(3).collect();
+        assert_eq!(
+            lines,
+            [
+                "  victims        99",
+                "     mean   2026.46",
+                "     mode         3"
+            ]
+        );
+        let rows = last_line(&r).get("tables").unwrap().as_arr().unwrap()[0]
+            .get("rows")
+            .unwrap()
+            .to_string();
+        assert_eq!(rows, r#"[["victims",99],["mean",2026.46],["mode",3]]"#);
     }
 }

@@ -12,7 +12,7 @@
 use crate::codec::Checkpoint;
 use std::sync::Arc;
 use xsim_core::{ctx, Bytes, SimTime};
-use xsim_fs::{self as fs, FileState, FsError, FsStore};
+use xsim_fs::{self as fs, FileState, FsStore};
 use xsim_obs::ids;
 use xsim_obs::service as obs;
 
@@ -156,7 +156,7 @@ impl CheckpointManager {
     /// Write a checkpoint under `name` (simulated I/O, charged by the FS
     /// cost model), recording the checkpoint metrics; its trace span is
     /// the write's own `FileIo` interval. Call from within a VP.
-    pub(crate) async fn write_at(&self, name: String, ckpt: &Checkpoint) -> Result<(), FsError> {
+    pub(crate) async fn write_at(&self, name: String, ckpt: &Checkpoint) {
         self.write_encoded(name, ckpt.encode()).await
     }
 
@@ -164,10 +164,10 @@ impl CheckpointManager {
     /// already encoded (the incremental writer keeps the encoded bytes
     /// as its diff base, so it encodes once and hands them over). The
     /// store keeps `name` as the file's key.
-    pub(crate) async fn write_encoded(&self, name: String, data: Bytes) -> Result<(), FsError> {
+    pub(crate) async fn write_encoded(&self, name: String, data: Bytes) {
         let nbytes = data.len() as u64;
         let t0 = obs_clock();
-        fs::write(name, data).await?;
+        fs::write(name, data).await;
         if let Some(t0) = t0 {
             ctx::with_kernel(|k, rank| {
                 let t1 = k.vp(rank).clock();
@@ -176,19 +176,13 @@ impl CheckpointManager {
                 obs::record(k, ids::CKPT_COMMIT_NS, (t1 - t0).as_nanos());
             });
         }
-        Ok(())
     }
 
     /// Delete this rank's file of an older generation (the post-barrier
     /// cleanup of the paper's protocol). Missing files are fine.
-    pub(crate) async fn delete_generation(
-        &self,
-        iteration: u64,
-        rank: u32,
-    ) -> Result<bool, FsError> {
-        let existed = fs::delete(&self.file_name(iteration, rank)).await?;
+    pub(crate) async fn delete_generation(&self, iteration: u64, rank: u32) {
+        fs::delete(&self.file_name(iteration, rank)).await;
         ctx::with_kernel(|k, _| obs::record(k, ids::CKPT_DELETES, 1));
-        Ok(existed)
     }
 
     /// Checkpoint generations present on storage, newest first.

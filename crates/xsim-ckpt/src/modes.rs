@@ -275,10 +275,6 @@ fn unframe(data: &Bytes) -> Result<Bytes, MpiError> {
     })
 }
 
-fn io_err(e: impl std::fmt::Display) -> MpiError {
-    MpiError::Io(e.to_string())
-}
-
 fn vp_store() -> Arc<FsStore> {
     ctx::with_kernel(|k, _| k.service::<FsService>().store.clone())
 }
@@ -435,7 +431,10 @@ impl ModeWriter {
         model_bytes: Option<u64>,
     ) -> Result<(), MpiError> {
         match self.mode {
-            CkptMode::Full => self.write_full(rank, iteration, enc, model_bytes).await,
+            CkptMode::Full => {
+                self.write_full(rank, iteration, enc, model_bytes).await;
+                Ok(())
+            }
             CkptMode::Aggregated { group } => {
                 self.write_agg(mpi, iteration, enc, model_bytes, group)
                     .await
@@ -452,18 +451,12 @@ impl ModeWriter {
     }
 
     /// Write a rank file from its encoded bytes.
-    async fn write_full(
-        &self,
-        rank: u32,
-        iteration: u64,
-        enc: Bytes,
-        model_bytes: Option<u64>,
-    ) -> Result<(), MpiError> {
+    async fn write_full(&self, rank: u32, iteration: u64, enc: Bytes, model_bytes: Option<u64>) {
         if let Some(b) = model_bytes {
             fs::charge_write(b as usize).await;
         }
         let name = self.mgr.file_name(iteration, rank);
-        self.mgr.write_encoded(name, enc).await.map_err(io_err)
+        self.mgr.write_encoded(name, enc).await
     }
 
     async fn write_agg(
@@ -505,7 +498,8 @@ impl ModeWriter {
             fs::charge_write(b as usize * container.sections.len()).await;
         }
         let name = self.mgr.agg_file_name(iteration, (mpi.rank / group) as u32);
-        self.mgr.write_at(name, &container).await.map_err(io_err)
+        self.mgr.write_at(name, &container).await;
+        Ok(())
     }
 
     async fn write_buddy(
@@ -520,7 +514,8 @@ impl ModeWriter {
         if partner >= mpi.size {
             // Partnerless rank: spill to the PFS on demand.
             ctx::with_kernel(|k, _| obs::record(k, ids::CKPT_BUDDY_SPILLS, 1));
-            return self.write_full(rank, iteration, enc, model_bytes).await;
+            self.write_full(rank, iteration, enc, model_bytes).await;
+            return Ok(());
         }
         let w = mpi.world();
         let framed = frame(&enc, model_bytes);
@@ -549,7 +544,7 @@ impl ModeWriter {
     ) -> Result<(), MpiError> {
         let full = self.prev.is_none() || self.pos == 0;
         if full {
-            self.write_full(rank, gen, enc.clone(), model_bytes).await?;
+            self.write_full(rank, gen, enc.clone(), model_bytes).await;
         } else {
             let (base_gen, base) = self.prev.as_ref().expect("diff requires a base");
             let diff = encode_diff(rank, gen, *base_gen, base, &enc);
@@ -566,7 +561,7 @@ impl ModeWriter {
                 fs::charge_write((b as usize / 4).max(1)).await;
             }
             let name = self.mgr.file_name(gen, rank);
-            self.mgr.write_at(name, &diff).await.map_err(io_err)?;
+            self.mgr.write_at(name, &diff).await;
         }
         self.prev = Some((gen, enc));
         self.last_was_full = full;
@@ -580,20 +575,24 @@ impl ModeWriter {
     /// diff chain still needs.
     pub async fn retire(&mut self, mpi: &MpiCtx, rank: u32, prev_gen: u64) -> Result<(), MpiError> {
         match self.mode {
-            CkptMode::Full => self.delete_rank_file(rank, prev_gen).await,
+            CkptMode::Full => {
+                self.mgr.delete_generation(prev_gen, rank).await;
+                Ok(())
+            }
             // The aggregator deletes the group container; members have
             // nothing on the PFS.
             CkptMode::Aggregated { group } if !mpi.rank.is_multiple_of(group) => Ok(()),
             CkptMode::Aggregated { group } => {
                 let name = self.mgr.agg_file_name(prev_gen, (mpi.rank / group) as u32);
-                fs::delete(&name).await.map_err(io_err)?;
+                fs::delete(&name).await;
                 ctx::with_kernel(|k, _| obs::record(k, ids::CKPT_DELETES, 1));
                 Ok(())
             }
             CkptMode::Buddy => {
                 let partner = mpi.rank ^ 1;
                 if partner >= mpi.size {
-                    return self.delete_rank_file(mpi.rank as u32, prev_gen).await;
+                    self.mgr.delete_generation(prev_gen, mpi.rank as u32).await;
+                    return Ok(());
                 }
                 // Node-local memory: free direct deletes of the two
                 // copies this rank holds.
@@ -617,7 +616,7 @@ impl ModeWriter {
                     let mut gens = std::mem::take(&mut self.retained);
                     gens.push(prev_gen);
                     for g in gens {
-                        self.delete_rank_file(rank, g).await?;
+                        self.mgr.delete_generation(g, rank).await;
                     }
                 } else {
                     // The live chain still replays through prev_gen.
@@ -626,14 +625,6 @@ impl ModeWriter {
                 Ok(())
             }
         }
-    }
-
-    async fn delete_rank_file(&self, rank: u32, generation: u64) -> Result<(), MpiError> {
-        self.mgr
-            .delete_generation(generation, rank)
-            .await
-            .map(|_| ())
-            .map_err(io_err)
     }
 
     /// Load the newest restorable checkpoint of `rank` (the rank the
@@ -696,7 +687,7 @@ impl<'a> Source<'a> {
     /// A PFS file, `None` when there is nothing to read.
     async fn read(self, name: &str) -> Option<FileState> {
         match self {
-            Source::Sim(_) => fs::read(name).await.ok(),
+            Source::Sim(_) => fs::read(name).await,
             Source::Direct(store, _) => store.get(name),
         }
     }
@@ -718,7 +709,7 @@ impl<'a> Source<'a> {
     async fn discard(self, name: &str) {
         if let Source::Sim(_) = self {
             ctx::with_kernel(|k, _| obs::record(k, ids::CKPT_CORRUPT_DISCARDED, 1));
-            let _ = fs::delete(name).await;
+            fs::delete(name).await;
         }
     }
 }

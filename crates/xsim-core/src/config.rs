@@ -49,11 +49,6 @@ pub struct CoreConfig {
     /// windows. Set by the machine layer from the link latencies. Must
     /// be positive when the parallel engine can run.
     pub lookahead: SimTime,
-    /// If `true`, a scheduled process failure also activates while the VP
-    /// is blocked on communication (an *eager* extension). The paper's
-    /// strict semantics (`false`) activate a failure only when the VP's
-    /// clock is updated by its own execution (§IV-B).
-    pub fail_blocked: bool,
     /// Safety valve: abort the run with
     /// [`SimError::EventBudgetExceeded`] after this many events
     /// (`u64::MAX` = unlimited).
@@ -73,7 +68,6 @@ impl Default for CoreConfig {
             start_time: SimTime::ZERO,
             seed: 0x5eed_cafe_f00d_beef,
             lookahead: SimTime::from_nanos(1),
-            fail_blocked: false,
             max_events: u64::MAX,
             verbose: false,
         }
@@ -111,7 +105,7 @@ impl CoreConfig {
     /// Number of ranks each shard owns (the last shard may own fewer).
     /// Contiguous block partitioning keeps neighbour communication of
     /// typical decompositions shard-local.
-    pub fn ranks_per_shard(&self) -> usize {
+    pub(crate) fn ranks_per_shard(&self) -> usize {
         self.n_ranks.div_ceil(self.n_shards())
     }
 

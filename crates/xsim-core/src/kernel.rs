@@ -532,26 +532,11 @@ impl Kernel {
     // Failure injection API (used by xsim-fault)
     // ------------------------------------------------------------------
 
-    /// Set the scheduled (earliest) time of failure for an owned rank.
-    /// With `fail_blocked` configured, also schedules an eager activation
-    /// event at that time.
+    /// Set the scheduled (earliest) time of failure for an owned rank. It
+    /// activates only when the rank's own execution moves its clock past
+    /// `tof` (paper §IV-B).
     pub fn set_time_of_failure(&mut self, rank: Rank, tof: SimTime) {
         self.vps.get_mut(rank).set_time_of_failure(tof);
-        if self.cfg.fail_blocked {
-            self.schedule_at(
-                tof,
-                rank,
-                Action::call(move |k: &mut Kernel| {
-                    let vp = k.vp(rank);
-                    let releasable =
-                        vp.state() == VpState::Blocked && vp.wait_class() != WaitClass::Compute;
-                    let actual = vp.clock().max(tof);
-                    if releasable {
-                        k.kill_failed(rank, tof, actual);
-                    }
-                }),
-            );
-        }
     }
 
     /// Set the earliest time at which `rank` must observe a propagated

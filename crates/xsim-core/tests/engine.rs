@@ -463,59 +463,6 @@ fn resume_counts_are_reported() {
 }
 
 #[test]
-fn fail_blocked_mode_kills_blocked_vps() {
-    // Strict paper semantics: a VP blocked on communication never
-    // activates its failure (it would deadlock here). The eager
-    // extension (`fail_blocked`) activates it at the scheduled time.
-    let program = |rank: Rank| -> VpFuture {
-        Box::pin(async move {
-            if rank.idx() == 0 {
-                ctx::block(WaitClass::Message, "recv that never matches").await;
-            } else {
-                ctx::sleep(SimTime::from_secs(1)).await;
-            }
-            VpExit::Finished
-        })
-    };
-    // Strict mode: deadlock (rank 0 never dies, nobody wakes it).
-    let mut strict = cfg(2, 1);
-    strict.fail_blocked = false;
-    let setup = |k: &mut Kernel| {
-        k.set_time_of_failure(Rank::new(0), SimTime::from_millis(100));
-    };
-    let err = engine::run(strict, Arc::new(program), &setup).unwrap_err();
-    assert!(matches!(err, SimError::Deadlock(_)));
-
-    // Eager mode: the failure activates at its scheduled time even
-    // though the VP is blocked.
-    let mut eager = cfg(2, 1);
-    eager.fail_blocked = true;
-    let report = engine::run(eager, Arc::new(program), &setup).unwrap();
-    assert_eq!(report.failures.len(), 1);
-    assert_eq!(report.failures[0].actual, SimTime::from_millis(100));
-    assert_eq!(report.final_clocks[0], SimTime::from_millis(100));
-}
-
-#[test]
-fn fail_blocked_does_not_interrupt_compute() {
-    // Even in eager mode, a computing VP keeps the paper's activation
-    // rule: the failure lands at the end of the compute slice.
-    let program = |_r: Rank| -> VpFuture {
-        Box::pin(async move {
-            ctx::sleep(SimTime::from_secs(10)).await;
-            VpExit::Finished
-        })
-    };
-    let mut c = cfg(1, 1);
-    c.fail_blocked = true;
-    let setup = |k: &mut Kernel| {
-        k.set_time_of_failure(Rank::new(0), SimTime::from_secs(3));
-    };
-    let report = engine::run(c, Arc::new(program), &setup).unwrap();
-    assert_eq!(report.failures[0].actual, SimTime::from_secs(10));
-}
-
-#[test]
 fn yield_now_preserves_clock_and_interleaves() {
     let program = |_r: Rank| -> VpFuture {
         Box::pin(async move {

@@ -16,10 +16,9 @@
 //! * Two-phase writes — a file is registered (partial) when the write
 //!   starts and committed when the simulated transfer finishes, so a
 //!   process failure mid-write leaves a *corrupted* file ("checkpoint
-//!   file that exists, but misses some information", §V-B).
-//! * I/O error injection — "an error or failure of another component,
-//!   such as a file I/O error reported by the parallel file system" is
-//!   one of the paper's causes of MPI process failure (§III-B).
+//!   file that exists, but misses some information", §V-B). A "file
+//!   I/O error reported by the parallel file system" (§III-B) is
+//!   reproduced by injecting the process failure it causes.
 //!
 //! Determinism note: the store is shared mutable state. Simulated
 //! applications must keep concurrently written names rank-distinct (the
@@ -29,37 +28,16 @@
 #![forbid(unsafe_code)]
 
 use std::collections::BTreeMap;
-use std::fmt;
 use std::ops::Bound;
 use std::sync::{Arc, Mutex, MutexGuard};
 use xsim_core::vp::WaitClass;
-use xsim_core::{ctx, Bytes, Rank, SimTime};
+use xsim_core::{ctx, Bytes, SimTime};
 use xsim_obs::service as obs;
 use xsim_obs::{ids, ObsService, ObsSpan, PhaseKind};
 
 pub mod pfs;
 
 pub(crate) use pfs::{file_hash, PfsModel, PfsState};
-
-/// Errors surfaced by simulated file system operations.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum FsError {
-    /// The named file does not exist.
-    NotFound,
-    /// An injected I/O error fired for this operation.
-    Injected,
-}
-
-impl fmt::Display for FsError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            FsError::NotFound => write!(f, "file not found"),
-            FsError::Injected => write!(f, "injected I/O error"),
-        }
-    }
-}
-
-impl std::error::Error for FsError {}
 
 /// State of one stored file.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -85,42 +63,12 @@ impl FileState {
     }
 }
 
-/// Which operations an injected fault rule hits.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum IoFaultKind {
-    /// Fail write operations.
-    Write,
-    /// Fail read operations.
-    Read,
-}
-
-/// An injected I/O fault: operations of `kind` on names starting with
-/// `prefix` (optionally restricted to one rank) return [`FsError::Injected`].
-#[derive(Debug, Clone)]
-pub struct IoFaultRule {
-    /// Name prefix the rule applies to (empty = all files).
-    pub prefix: String,
-    /// Operation kind the rule applies to.
-    pub kind: IoFaultKind,
-    /// Restrict to a single rank, or `None` for all ranks.
-    pub rank: Option<Rank>,
-    /// Remaining number of operations to fail (decrements per hit;
-    /// `u64::MAX` ≈ permanent).
-    pub remaining: u64,
-}
-
 /// The shared object store. Clone the [`Arc`] and hand it to each run's
 /// setup; contents survive simulated application aborts and restarts,
 /// exactly like a real parallel file system outlives jobs.
 #[derive(Default)]
 pub struct FsStore {
-    inner: Mutex<StoreInner>,
-}
-
-#[derive(Default)]
-struct StoreInner {
-    files: BTreeMap<String, FileState>,
-    faults: Vec<IoFaultRule>,
+    files: Mutex<BTreeMap<String, FileState>>,
 }
 
 /// A read-only view of a store's file names, lent by [`FsStore::names`].
@@ -158,45 +106,21 @@ impl FsStore {
 
     /// No caller code runs under the lock, so poison can only mean a
     /// store operation itself panicked.
-    fn lock(&self) -> MutexGuard<'_, StoreInner> {
-        self.inner.lock().expect("FsStore operation panicked")
-    }
-
-    /// Install an I/O fault rule.
-    pub fn inject_fault(&self, rule: IoFaultRule) {
-        self.lock().faults.push(rule);
-    }
-
-    fn check_fault(&self, name: &str, kind: IoFaultKind, rank: Rank) -> Result<(), FsError> {
-        let mut inner = self.lock();
-        for rule in &mut inner.faults {
-            if rule.kind == kind
-                && rule.remaining > 0
-                && name.starts_with(&rule.prefix)
-                && rule.rank.is_none_or(|r| r == rank)
-            {
-                rule.remaining = rule.remaining.saturating_sub(1);
-                return Err(FsError::Injected);
-            }
-        }
-        Ok(())
+    fn lock(&self) -> MutexGuard<'_, BTreeMap<String, FileState>> {
+        self.files.lock().expect("FsStore operation panicked")
     }
 
     /// Begin a two-phase write: the name becomes visible as a partial
     /// file (its contents are not durable until commit).
     pub fn begin_write(&self, name: &str) {
-        let mut inner = self.lock();
-        inner
-            .files
+        self.lock()
             .insert(name.to_string(), FileState::Partial(Bytes::new()));
     }
 
     /// Commit a write begun with [`begin_write`](Self::begin_write). An
     /// owned `name` becomes a new file's key without a copy.
     pub(crate) fn commit_write(&self, name: impl Into<String>, data: Bytes) {
-        self.lock()
-            .files
-            .insert(name.into(), FileState::Complete(data));
+        self.lock().insert(name.into(), FileState::Complete(data));
     }
 
     /// Atomically write a complete file (used by the free cost model,
@@ -207,17 +131,17 @@ impl FsStore {
 
     /// Read a file's state (complete or partial).
     pub fn get(&self, name: &str) -> Option<FileState> {
-        self.lock().files.get(name).cloned()
+        self.lock().get(name).cloned()
     }
 
     /// Whether a file exists (complete or partial).
     pub fn exists(&self, name: &str) -> bool {
-        self.lock().files.contains_key(name)
+        self.lock().contains_key(name)
     }
 
     /// Delete a file; returns whether it existed.
     pub fn delete(&self, name: &str) -> bool {
-        self.lock().files.remove(name).is_some()
+        self.lock().remove(name).is_some()
     }
 
     /// All file names with the given prefix, sorted.
@@ -230,7 +154,7 @@ impl FsStore {
     /// them out one lock at a time. `f` must not call back into the
     /// store.
     pub fn names<R>(&self, f: impl FnOnce(Names<'_>) -> R) -> R {
-        f(Names(&self.lock().files))
+        f(Names(&self.lock()))
     }
 
     /// Delete every file with the given prefix; returns how many were
@@ -238,15 +162,15 @@ impl FsStore {
     /// shell script ("incomplete checkpoints … are deleted using a shell
     /// script", §V-B).
     pub fn delete_prefix(&self, prefix: &str) -> usize {
-        let mut inner = self.lock();
-        let before = inner.files.len();
-        inner.files.retain(|name, _| !name.starts_with(prefix));
-        before - inner.files.len()
+        let mut files = self.lock();
+        let before = files.len();
+        files.retain(|name, _| !name.starts_with(prefix));
+        before - files.len()
     }
 
     /// Number of stored files.
     pub(crate) fn len(&self) -> usize {
-        self.lock().files.len()
+        self.lock().len()
     }
 
     /// Whether the store is empty.
@@ -362,7 +286,7 @@ impl FsService {
 /// failure during the transfer leaves the file in a partial (corrupted)
 /// state. An owned `name` is kept as the stored key (see
 /// `FsStore::commit_write`).
-pub async fn write(name: impl AsRef<str> + Into<String>, data: Bytes) -> Result<(), FsError> {
+pub async fn write(name: impl AsRef<str> + Into<String>, data: Bytes) {
     let nbytes = data.len() as u64;
     let (cost, striped, store, t0) = ctx::with_kernel(|k, rank| {
         let name = name.as_ref();
@@ -375,15 +299,11 @@ pub async fn write(name: impl AsRef<str> + Into<String>, data: Bytes) -> Result<
         };
         let store = svc.store.clone();
         let t0 = obs::enabled(k).then(|| k.vp(rank).clock());
-        if let Err(e) = store.check_fault(name, IoFaultKind::Write, rank) {
-            obs::record(k, ids::FS_FAULTS_INJECTED, 1);
-            return Err(e);
-        }
         if cost > SimTime::ZERO || striped.is_some() {
             store.begin_write(name);
         }
-        Ok::<_, FsError>((cost, striped, store, t0))
-    })?;
+        (cost, striped, store, t0)
+    });
     if cost > SimTime::ZERO {
         fs_sleep(cost).await;
     }
@@ -398,30 +318,26 @@ pub async fn write(name: impl AsRef<str> + Into<String>, data: Bytes) -> Result<
         ids::FS_WRITE_NS,
         nbytes,
     );
-    Ok(())
 }
 
 /// Read a file from the current VP, charging the cost model. Partial
 /// (corrupted) files are returned as [`FileState::Partial`] so callers
-/// can implement corruption detection.
-pub async fn read(name: &str) -> Result<FileState, FsError> {
+/// can implement corruption detection. A missing file is `None` and
+/// charges nothing.
+pub async fn read(name: &str) -> Option<FileState> {
     let (state, cost, striped, t0) = ctx::with_kernel(|k, rank| {
         let svc = k.service::<FsService>();
         let store = svc.store.clone();
         let model = svc.model;
         let t0 = obs::enabled(k).then(|| k.vp(rank).clock());
-        if let Err(e) = store.check_fault(name, IoFaultKind::Read, rank) {
-            obs::record(k, ids::FS_FAULTS_INJECTED, 1);
-            return Err(e);
-        }
-        let state = store.get(name).ok_or(FsError::NotFound)?;
+        let state = store.get(name)?;
         let striped = model.pfs;
         let cost = if striped.is_some() {
             model.meta_latency
         } else {
             model.read_time(state.bytes().len())
         };
-        Ok::<_, FsError>((state, cost, striped, t0))
+        Some((state, cost, striped, t0))
     })?;
     if cost > SimTime::ZERO {
         fs_sleep(cost).await;
@@ -437,27 +353,22 @@ pub async fn read(name: &str) -> Result<FileState, FsError> {
         ids::FS_READ_NS,
         nbytes,
     );
-    Ok(state)
+    Some(state)
 }
 
 /// Delete a file from the current VP, charging metadata latency. Returns
 /// whether the file existed.
-pub async fn delete(name: &str) -> Result<bool, FsError> {
-    let (cost, store) = ctx::with_kernel(|k, rank| {
+pub async fn delete(name: &str) -> bool {
+    let (cost, store) = ctx::with_kernel(|k, _| {
         let svc = k.service::<FsService>();
-        let store = svc.store.clone();
-        let cost = svc.model.meta_latency;
-        if let Err(e) = store.check_fault(name, IoFaultKind::Write, rank) {
-            obs::record(k, ids::FS_FAULTS_INJECTED, 1);
-            return Err(e);
-        }
+        let out = (svc.model.meta_latency, svc.store.clone());
         obs::record(k, ids::FS_DELETES, 1);
-        Ok::<_, FsError>((cost, store))
-    })?;
+        out
+    });
     if cost > SimTime::ZERO {
         fs_sleep(cost).await;
     }
-    Ok(store.delete(name))
+    store.delete(name)
 }
 
 /// Charge the I/O time of writing `bytes` without storing anything.
@@ -628,33 +539,6 @@ mod tests {
         assert_eq!(s.list_prefix("ckpt/1/"), vec!["ckpt/1/r0", "ckpt/1/r1"]);
         assert_eq!(s.delete_prefix("ckpt/"), 3);
         assert_eq!(s.len(), 1);
-    }
-
-    #[test]
-    fn fault_rules_fire_and_decrement() {
-        let s = FsStore::new();
-        s.inject_fault(IoFaultRule {
-            prefix: "ckpt/".into(),
-            kind: IoFaultKind::Write,
-            rank: Some(Rank(3)),
-            remaining: 1,
-        });
-        assert_eq!(
-            s.check_fault("ckpt/x", IoFaultKind::Write, Rank(3)),
-            Err(FsError::Injected)
-        );
-        // Rule exhausted.
-        assert!(s.check_fault("ckpt/x", IoFaultKind::Write, Rank(3)).is_ok());
-        // Wrong rank / kind / prefix never fire.
-        s.inject_fault(IoFaultRule {
-            prefix: "ckpt/".into(),
-            kind: IoFaultKind::Write,
-            rank: Some(Rank(3)),
-            remaining: 5,
-        });
-        assert!(s.check_fault("ckpt/x", IoFaultKind::Write, Rank(4)).is_ok());
-        assert!(s.check_fault("ckpt/x", IoFaultKind::Read, Rank(3)).is_ok());
-        assert!(s.check_fault("data/x", IoFaultKind::Write, Rank(3)).is_ok());
     }
 
     #[test]

@@ -22,9 +22,7 @@ fn write_read_delete_charge_virtual_time() {
         .run_app(|mpi| async move {
             let t0 = mpi.now();
             // 1 MB write: 1 ms metadata + 1 s transfer.
-            xsim_fs::write("data", Bytes::from(vec![7u8; 1_000_000]))
-                .await
-                .unwrap();
+            xsim_fs::write("data", Bytes::from(vec![7u8; 1_000_000])).await;
             let t1 = mpi.now();
             assert_eq!(t1 - t0, SimTime::from_secs(1) + SimTime::from_millis(1));
 
@@ -36,7 +34,7 @@ fn write_read_delete_charge_virtual_time() {
             assert_eq!(t2 - t1, SimTime::from_millis(500) + SimTime::from_millis(1));
 
             // Delete: metadata only.
-            assert!(xsim_fs::delete("data").await.unwrap());
+            assert!(xsim_fs::delete("data").await);
             assert_eq!(mpi.now() - t2, SimTime::from_millis(1));
             mpi.finalize();
             Ok(())
@@ -59,17 +57,15 @@ fn failure_mid_write_leaves_partial_file() {
             read_bw: 1.0e9,
             pfs: None,
         })
-        // Fails 200 ms into the 1 s transfer. File I/O waits are
-        // clock-updating, so with the default strict semantics the
-        // failure activates at the end of the I/O slice; fail_blocked
-        // activates it inside the window.
-        .fail_blocked(true)
+        // Scheduled 200 ms into the 1 s transfer. The failure activates
+        // when the writer's own clock passes it, at the end of the I/O
+        // slice, before the write commits (paper §IV-B).
         .inject_failure(0, SimTime::from_millis(200));
     let store = builder.store();
     let report = builder
         .run_app(|mpi| async move {
             if mpi.rank == 0 {
-                let _ = xsim_fs::write("victim-file", Bytes::from(vec![1u8; 1_000_000])).await;
+                xsim_fs::write("victim-file", Bytes::from(vec![1u8; 1_000_000])).await;
                 unreachable!("rank 0 dies mid-write");
             }
             mpi.sleep(SimTime::from_secs(2)).await;
@@ -78,6 +74,10 @@ fn failure_mid_write_leaves_partial_file() {
         })
         .unwrap();
     assert_eq!(report.sim.failures.len(), 1);
+    assert_eq!(
+        report.sim.failures[0].actual,
+        SimTime::from_millis(1) + SimTime::from_secs(1)
+    );
     match store.get("victim-file") {
         Some(FileState::Partial(_)) => {}
         other => panic!("expected a partial file, found {other:?}"),
@@ -91,9 +91,7 @@ fn free_model_writes_are_atomic_and_instant() {
     let report = builder
         .run_app(|mpi| async move {
             let t0 = mpi.now();
-            xsim_fs::write("a", Bytes::from(vec![0u8; 10 << 20]))
-                .await
-                .unwrap();
+            xsim_fs::write("a", Bytes::from(vec![0u8; 10 << 20])).await;
             assert_eq!(mpi.now(), t0, "free model charges nothing");
             assert!(xsim_fs::exists("a").await);
             mpi.finalize();

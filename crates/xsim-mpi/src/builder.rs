@@ -100,6 +100,23 @@ impl RunReport {
     pub fn metrics_json(&self) -> Option<String> {
         self.metrics.as_ref().map(|m| m.to_json(Some(&self.sim)))
     }
+
+    /// Write the run's profile: the Chrome trace, streamed to `path`
+    /// (load it in `chrome://tracing` or Perfetto), and the metrics
+    /// snapshot to the sibling `*.metrics.json`. A part whose recording
+    /// was off is not written.
+    pub fn write_profile(&self, path: &str) -> std::io::Result<()> {
+        if self.trace.is_some() {
+            let mut w = std::io::BufWriter::new(std::fs::File::create(path)?);
+            self.write_chrome_trace(&mut w)?;
+            std::io::Write::flush(&mut w)?;
+        }
+        if let Some(json) = self.metrics_json() {
+            let stem = path.strip_suffix(".json").unwrap_or(path);
+            std::fs::write(format!("{stem}.metrics.json"), json)?;
+        }
+        Ok(())
+    }
 }
 
 /// Builder for a simulated MPI run.
@@ -110,7 +127,6 @@ pub struct SimBuilder {
     seed: u64,
     start_time: SimTime,
     verbose: bool,
-    fail_blocked: bool,
     max_events: u64,
     net: NetModel,
     proc: ProcModel,
@@ -120,7 +136,6 @@ pub struct SimBuilder {
     failures: Vec<(Rank, SimTime)>,
     net_faults: Vec<NetFault>,
     lossy: Option<LossyTransport>,
-    notify_delay: Option<SimTime>,
     detector: Detector,
     coll_algo: CollAlgo,
     power: Option<PowerModel>,
@@ -141,7 +156,6 @@ impl SimBuilder {
             seed: 0xD5_1A_B0_75,
             start_time: SimTime::ZERO,
             verbose: false,
-            fail_blocked: false,
             max_events: u64::MAX,
             net: NetModel::small(n_ranks.max(1)),
             proc: ProcModel::default(),
@@ -151,7 +165,6 @@ impl SimBuilder {
             failures: Vec::new(),
             net_faults: Vec::new(),
             lossy: None,
-            notify_delay: None,
             detector: Detector::Timeout,
             coll_algo: CollAlgo::Tree,
             power: None,
@@ -228,14 +241,6 @@ impl SimBuilder {
         self
     }
 
-    /// Activate scheduled failures even while the target is blocked on
-    /// communication (eager extension; the paper's strict activation
-    /// rule is the default — see `CoreConfig::fail_blocked`).
-    pub fn fail_blocked(mut self, v: bool) -> Self {
-        self.fail_blocked = v;
-        self
-    }
-
     /// Event budget safety valve.
     pub fn max_events(mut self, n: u64) -> Self {
         self.max_events = n;
@@ -282,13 +287,6 @@ impl SimBuilder {
     /// replaced by the run's master seed.
     pub fn lossy(mut self, l: LossyTransport) -> Self {
         self.lossy = Some(l);
-        self
-    }
-
-    /// Override the simulator-internal notification delay (default: the
-    /// network model's minimum latency).
-    pub fn notify_delay(mut self, d: SimTime) -> Self {
-        self.notify_delay = Some(d);
         self
     }
 
@@ -377,8 +375,10 @@ impl SimBuilder {
             }
             l
         });
+        // The one lookahead, and the simulator-internal notification
+        // delay: failure and abort notices cross shards, so they must
+        // clear the window bound too.
         let lookahead = net.min_latency();
-        let notify_delay = self.notify_delay.unwrap_or(lookahead).max(lookahead);
         let start_time = self.start_time;
 
         // Striped-PFS transit rides the interconnect: derive it from the
@@ -398,14 +398,13 @@ impl SimBuilder {
             }
         }
 
-        let mut cfg = CoreConfig {
+        let cfg = CoreConfig {
             n_ranks: self.n_ranks,
             workers: self.workers,
             engine: self.engine,
             start_time: self.start_time,
             seed: self.seed,
             lookahead,
-            fail_blocked: self.fail_blocked,
             max_events: self.max_events,
             verbose: self.verbose,
         };
@@ -415,7 +414,7 @@ impl SimBuilder {
             members: Arc::new((0..self.n_ranks).map(Rank::new).collect()),
             net,
             proc: self.proc,
-            notify_delay,
+            notify_delay: lookahead,
             default_errhandler: self.errhandler,
             detector: self.detector,
             coll_algo: self.coll_algo,
@@ -423,22 +422,6 @@ impl SimBuilder {
             verbose: self.verbose,
         });
 
-        if cfg.use_parallel() {
-            // Everything crossing a shard boundary is either application
-            // traffic (delayed by at least the network's cross-shard
-            // latency for this partition: system-class when shard blocks
-            // align with compute nodes, and faults only lengthen routes),
-            // a simulator-internal notification (notify_delay) or PFS
-            // server traffic (transit), so their minimum bounds the delay
-            // of *any* cross-shard event: the window can be that wide.
-            let pfs_transit = self.fs_model.pfs.map_or(SimTime::MAX, |p| p.transit);
-            let cross = world
-                .net
-                .cross_shard_lookahead(cfg.ranks_per_shard())
-                .min(notify_delay)
-                .min(pfs_transit);
-            cfg.lookahead = cfg.lookahead.max(cross);
-        }
         let stats_sink = Arc::new(Mutex::new(MpiStats::default()));
         let fs_store = self.fs_store;
         let fs_model = self.fs_model;

@@ -543,12 +543,6 @@ impl MpiCtx {
     pub fn abort(&self) -> MpiError {
         initiate_abort_here()
     }
-
-    /// Inject an immediate process failure into this process (simulator-
-    /// internal function, paper §IV-B). Never returns.
-    pub async fn fail_now(&self) -> ! {
-        ctx::fail_now().await
-    }
 }
 
 /// When a [`Traced`] collective's span started.

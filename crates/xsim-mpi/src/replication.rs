@@ -35,9 +35,9 @@
 //! Liveness beliefs come from the simulator's failure notifications
 //! gated by the heartbeat detector's per-pair detection time, so a
 //! replica is routed around only once its death would actually have been
-//! detected. Every quantity involved (time of failure, detection time,
-//! jitter draw) is a pure function of virtual time and the master seed,
-//! preserving byte-identical determinism across engines.
+//! detected. Every quantity involved (time of failure, detection time)
+//! is a pure function of virtual time, preserving byte-identical
+//! determinism across engines.
 //!
 //! Messages never match across sequence numbers: each logical channel
 //! carries a monotonically increasing sequence encoded in the physical
@@ -59,7 +59,7 @@ use std::fmt;
 use std::future::Future;
 use std::str::FromStr;
 use std::sync::Arc;
-use xsim_core::{ctx, Bytes, DetRng, Rank, SimTime};
+use xsim_core::{ctx, Bytes, Rank, SimTime};
 use xsim_obs::{ids, service as obs};
 
 /// Tag space reserved for replication-layer traffic: below
@@ -373,13 +373,13 @@ impl fmt::Display for ProtectionScheme {
 
 /// The simulated heartbeat protocol: every replica emits a heartbeat to
 /// its observers each `period`; a heartbeat's one-way delivery takes
-/// `latency` plus a deterministic per-(observer, target, beat) jitter in
-/// `[0, jitter_bound]`. An observer declares a target dead when a
-/// heartbeat has not arrived `timeout` past its worst-case arrival.
+/// `latency` plus a delivery jitter of at most `jitter_bound`. An
+/// observer declares a target dead when a heartbeat has not arrived
+/// `timeout` past its worst-case arrival.
 ///
-/// Everything is a pure function of virtual time and `seed` — no
-/// messages are exchanged; the protocol's timing *is* its simulation
-/// (the same modeling style as [`crate::state::LossyTransport`]).
+/// Everything is a pure function of virtual time — no messages are
+/// exchanged; the protocol's timing *is* its simulation (the same
+/// modeling style as [`crate::state::LossyTransport`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct HeartbeatConfig {
     /// Heartbeat emission period.
@@ -390,12 +390,7 @@ pub struct HeartbeatConfig {
     pub jitter_bound: SimTime,
     /// Base one-way heartbeat latency.
     pub latency: SimTime,
-    /// Seed for the jitter draws.
-    pub seed: u64,
 }
-
-/// Domain separator for heartbeat jitter draws.
-const HB_STREAM: u64 = 0x48EA_7B3A_7000_0000;
 
 impl Default for HeartbeatConfig {
     fn default() -> Self {
@@ -404,40 +399,22 @@ impl Default for HeartbeatConfig {
             timeout: SimTime::from_millis(200),
             jitter_bound: SimTime::from_millis(10),
             latency: SimTime::from_micros(10),
-            seed: 0x5EED_BEA7,
         }
     }
 }
 
 impl HeartbeatConfig {
-    /// The deterministic delivery jitter of heartbeat `k` from `target`
-    /// to `observer`, in `[0, jitter_bound]`.
-    pub fn jitter(&self, observer: usize, target: usize, k: u64) -> SimTime {
-        let tag = HB_STREAM
-            ^ (observer as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15)
-            ^ (target as u64).rotate_left(23)
-            ^ k.rotate_left(44);
-        let mut rng = DetRng::stream(self.seed, tag);
-        SimTime(rng.gen_range_u64(self.jitter_bound.as_nanos() + 1))
-    }
-
-    /// When heartbeat `k` (emitted at `k · period`) from a live `target`
-    /// arrives at `observer`.
-    pub fn arrival(&self, observer: usize, target: usize, k: u64) -> SimTime {
-        SimTime(k * self.period.as_nanos()) + self.latency + self.jitter(observer, target, k)
-    }
-
-    /// The deadline by which heartbeat `k` must have arrived before the
-    /// observer declares the target dead. By construction
-    /// `arrival(k) ≤ deadline(k)` for a live target — no false positives
-    /// as long as the jitter honors its declared bound.
-    pub fn deadline(&self, k: u64) -> SimTime {
+    /// The deadline by which heartbeat `k` (emitted at `k · period`)
+    /// must have arrived before the observer declares the target dead:
+    /// its worst-case arrival plus `timeout`, so a live target whose
+    /// jitter honors its declared bound is never accused.
+    fn deadline(&self, k: u64) -> SimTime {
         SimTime(k * self.period.as_nanos()) + self.latency + self.jitter_bound + self.timeout
     }
 
-    /// When `observer` detects that `target` died at `tof`: the deadline
-    /// of the first heartbeat the dead target failed to emit.
-    pub fn detection_time(&self, _observer: usize, _target: usize, tof: SimTime) -> SimTime {
+    /// When an observer detects that a target died at `tof`: the
+    /// deadline of the first heartbeat the dead target failed to emit.
+    pub fn detection_time(&self, tof: SimTime) -> SimTime {
         let k_miss = tof.as_nanos().div_ceil(self.period.as_nanos().max(1));
         self.deadline(k_miss)
     }
@@ -748,7 +725,7 @@ impl Replicated {
     /// detection time has passed.
     fn believed_failed(&self, phys: usize) -> Option<SimTime> {
         let tof = ulfm::failure_time(Rank::new(phys))?;
-        (self.now() >= self.hb.detection_time(self.mpi.rank, phys, tof)).then_some(tof)
+        (self.now() >= self.hb.detection_time(tof)).then_some(tof)
     }
 
     /// Record a detection and (if the dead replica was a copy source we
@@ -1188,14 +1165,10 @@ mod tests {
     #[test]
     fn heartbeat_detection_is_bounded_and_sound() {
         let hb = HeartbeatConfig::default();
-        // Live-target arrivals never cross their deadlines.
-        for k in 0..64 {
-            assert!(hb.arrival(3, 7, k) <= hb.deadline(k), "beat {k}");
-        }
         // Detection happens after death, within the bound.
         for tof_ms in [1u64, 49, 50, 51, 499, 1000] {
             let tof = SimTime::from_millis(tof_ms);
-            let d = hb.detection_time(0, 1, tof);
+            let d = hb.detection_time(tof);
             assert!(d >= tof + hb.timeout, "tof {tof_ms} ms: detected too early");
             assert!(d <= tof + hb.detection_bound(), "tof {tof_ms} ms: too late");
         }

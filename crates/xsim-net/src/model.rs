@@ -298,32 +298,6 @@ impl NetModel {
         m.max(SimTime::from_nanos(1))
     }
 
-    /// The minimum virtual delay of a message *crossing a shard
-    /// boundary* when ranks are partitioned into contiguous blocks of
-    /// `ranks_per_shard`. When shard blocks align with compute nodes
-    /// (every node's ranks live in one shard), no on-node message ever
-    /// crosses shards, so the system-class latency — often
-    /// orders of magnitude above [`min_latency`](Self::min_latency) —
-    /// is a valid, much larger lookahead. Misaligned blocks fall back
-    /// to the global minimum.
-    ///
-    /// Faults keep this conservative: rerouting never shortens a route
-    /// and degradation never raises bandwidth, so a live
-    /// [`LinkStateTable`] can only produce delays at or above this
-    /// bound.
-    pub fn cross_shard_lookahead(&self, ranks_per_shard: usize) -> SimTime {
-        let rpn = self.ranks_per_node.max(1);
-        let aligned = match ranks_per_shard {
-            0 => rpn == 1,
-            n => n % rpn == 0,
-        };
-        if aligned {
-            self.system.latency.max(SimTime::from_nanos(1))
-        } else {
-            self.min_latency()
-        }
-    }
-
     /// Validate model invariants the simulated MPI layer relies on.
     pub fn validate(&self, n_ranks: usize) -> Result<(), String> {
         if self.ranks_per_node == 0 {
@@ -410,20 +384,6 @@ mod tests {
         m.system.latency = SimTime::ZERO;
         m.on_node.latency = SimTime::ZERO;
         assert_eq!(m.min_latency(), SimTime::from_nanos(1));
-    }
-
-    #[test]
-    fn cross_shard_lookahead_exploits_node_alignment() {
-        let m = NetModel::paper_machine(); // 1 rank/node
-        assert_eq!(m.cross_shard_lookahead(7), m.system.latency);
-        let mut m = NetModel::small(16);
-        m.ranks_per_node = 4;
-        // Aligned blocks: only system-class traffic crosses shards.
-        assert_eq!(m.cross_shard_lookahead(4), m.system.latency);
-        assert_eq!(m.cross_shard_lookahead(8), m.system.latency);
-        // Misaligned blocks split a node across shards: fall back.
-        assert_eq!(m.cross_shard_lookahead(3), m.min_latency());
-        assert!(m.cross_shard_lookahead(4) > m.cross_shard_lookahead(3));
     }
 
     #[test]

@@ -163,138 +163,136 @@ pub mod ids {
     pub const FS_READS: usize = 8;
     /// File system delete operations.
     pub const FS_DELETES: usize = 9;
-    /// Injected I/O faults that fired.
-    pub const FS_FAULTS_INJECTED: usize = 10;
     /// Write size distribution.
-    pub const FS_WRITE_BYTES: usize = 11;
+    pub const FS_WRITE_BYTES: usize = 10;
     /// Read size distribution.
-    pub const FS_READ_BYTES: usize = 12;
+    pub const FS_READ_BYTES: usize = 11;
     /// Write latency distribution (virtual ns).
-    pub const FS_WRITE_NS: usize = 13;
+    pub const FS_WRITE_NS: usize = 12;
     /// Read latency distribution (virtual ns).
-    pub const FS_READ_NS: usize = 14;
+    pub const FS_READ_NS: usize = 13;
     /// Checkpoints written.
-    pub const CKPT_WRITES: usize = 15;
+    pub const CKPT_WRITES: usize = 14;
     /// Checkpoint bytes written.
-    pub const CKPT_BYTES_WRITTEN: usize = 16;
+    pub const CKPT_BYTES_WRITTEN: usize = 15;
     /// Checkpoint commit latency distribution (virtual ns).
-    pub const CKPT_COMMIT_NS: usize = 17;
+    pub const CKPT_COMMIT_NS: usize = 16;
     /// Checkpoints successfully loaded on restart.
-    pub const CKPT_LOADS: usize = 18;
+    pub const CKPT_LOADS: usize = 17;
     /// Corrupted/partial checkpoints discarded during load.
-    pub const CKPT_CORRUPT_DISCARDED: usize = 19;
+    pub const CKPT_CORRUPT_DISCARDED: usize = 18;
     /// Old checkpoint generations deleted (post-barrier cleanup).
-    pub const CKPT_DELETES: usize = 20;
+    pub const CKPT_DELETES: usize = 19;
     /// Process-failure notifications broadcast (fault activations seen
     /// by the MPI layer).
-    pub const FAULT_ACTIVATIONS: usize = 21;
+    pub const FAULT_ACTIVATIONS: usize = 20;
     /// Messages dropped by lossy links (every failed transmission
     /// attempt counts once).
-    pub const NET_DROPS: usize = 22;
+    pub const NET_DROPS: usize = 21;
     /// Retransmissions performed by the resilient transport.
-    pub const NET_RETRANSMITS: usize = 23;
+    pub const NET_RETRANSMITS: usize = 22;
     /// Virtual time spent in retransmission backoff.
-    pub const NET_BACKOFF_NS: usize = 24;
+    pub const NET_BACKOFF_NS: usize = 23;
     /// Extra hops taken by fault-aware rerouting around dead links.
-    pub const NET_REROUTED_HOPS: usize = 25;
+    pub const NET_REROUTED_HOPS: usize = 24;
     /// Extra transfer time attributable to degraded-link bandwidth.
-    pub const NET_DEGRADED_NS: usize = 26;
+    pub const NET_DEGRADED_NS: usize = 25;
     /// Messages discarded because a lossy link corrupted the payload.
-    pub const NET_CORRUPT_DROPS: usize = 27;
+    pub const NET_CORRUPT_DROPS: usize = 26;
     /// Synchronization windows the parallel engine executed (volatile:
     /// depends on worker/shard count and the partition's lookahead).
-    pub const ENGINE_WINDOWS: usize = 28;
+    pub const ENGINE_WINDOWS: usize = 27;
     /// Wall-clock nanoseconds spent waiting at window barriers
     /// (volatile: wall-clock).
-    pub const ENGINE_BARRIER_WAIT_NS: usize = 29;
+    pub const ENGINE_BARRIER_WAIT_NS: usize = 28;
     /// Cross-shard events delivered through the batched exchange
     /// (volatile: depends on the shard partition).
-    pub const ENGINE_BATCHED_EVENTS: usize = 30;
+    pub const ENGINE_BATCHED_EVENTS: usize = 29;
     /// Largest single (src,dst) exchange batch (volatile).
-    pub const ENGINE_BATCH_MAX: usize = 31;
+    pub const ENGINE_BATCH_MAX: usize = 30;
     /// Fault-aware route queries answered by the epoch-keyed detour
     /// memo. Only queries whose dimension-ordered path crosses a dead
     /// link reach the memo; the rest are answered by the walk and
     /// counted nowhere. (Volatile: parallel shards race to fill entries,
     /// so the counts — never the routes — vary with scheduling.)
-    pub const NET_ROUTE_CACHE_HITS: usize = 32;
+    pub const NET_ROUTE_CACHE_HITS: usize = 31;
     /// Fault-aware route queries that missed the detour memo, ran the
     /// BFS and filled an entry (volatile, see `NET_ROUTE_CACHE_HITS`).
-    pub const NET_ROUTE_CACHE_MISSES: usize = 33;
+    pub const NET_ROUTE_CACHE_MISSES: usize = 32;
     /// Route-cache entries discarded at a shard capacity bound
     /// (volatile, see `NET_ROUTE_CACHE_HITS`).
-    pub const NET_ROUTE_CACHE_EVICTIONS: usize = 34;
+    pub const NET_ROUTE_CACHE_EVICTIONS: usize = 33;
     /// Cheap reference-count payload clones on the message path
     /// (collective fan-outs sharing one buffer instead of copying it).
-    pub const MPI_PAYLOAD_CLONES: usize = 35;
+    pub const MPI_PAYLOAD_CLONES: usize = 34;
     /// Bytes actually copied host-side on the message path (collective
     /// packing and typed reduce decode — the copies that remain).
-    pub const MPI_PAYLOAD_COPY_BYTES: usize = 36;
+    pub const MPI_PAYLOAD_COPY_BYTES: usize = 35;
     /// Heartbeat messages modeled by the replication layer's failure
     /// detector (team-internal, accounted at finalize from virtual time).
-    pub const REP_HEARTBEATS: usize = 37;
+    pub const REP_HEARTBEATS: usize = 36;
     /// Replica deaths detected by the heartbeat detector (one per
     /// observer × dead replica pair).
-    pub const REP_DETECTIONS: usize = 38;
+    pub const REP_DETECTIONS: usize = 37;
     /// Leader failovers: a rank routed a logical channel around a dead
     /// replica that had been its designated copy source.
-    pub const REP_FAILOVERS: usize = 39;
+    pub const REP_FAILOVERS: usize = 38;
     /// Failover latency distribution (virtual ns between a replica's
     /// time of failure and the moment a peer routed around it).
-    pub const REP_FAILOVER_NS: usize = 40;
+    pub const REP_FAILOVER_NS: usize = 39;
     /// Logical messages sent through the replication layer.
-    pub const REP_MSGS: usize = 41;
+    pub const REP_MSGS: usize = 40;
     /// Physical copies injected for those logical messages (the
     /// replication protocol's message amplification).
-    pub const REP_COPIES: usize = 42;
+    pub const REP_COPIES: usize = 41;
     /// Longest single barrier wait of the run, wall-clock nanoseconds
     /// (volatile: wall-clock).
-    pub const ENGINE_BARRIER_HWM_NS: usize = 43;
+    pub const ENGINE_BARRIER_HWM_NS: usize = 42;
     /// Event-storage reuse ratio of the calendar queue's bucket arena,
     /// in permille (pushes landing in already-allocated capacity per
     /// 1000 pushes; 1000 = zero steady-state allocation). Volatile:
     /// occupancy history depends on the shard partition and windowing.
-    pub const ENGINE_POOL_REUSE_RATIO: usize = 44;
+    pub const ENGINE_POOL_REUSE_RATIO: usize = 43;
     /// High-water mark of a single calendar-queue bucket (volatile:
     /// bucket occupancy depends on the shard partition).
-    pub const ENGINE_QUEUE_BUCKET_HWM: usize = 45;
+    pub const ENGINE_QUEUE_BUCKET_HWM: usize = 44;
     /// Stripe requests served by the simulated PFS I/O nodes (one per
     /// involved node per striped transfer).
-    pub const FS_STRIPE_REQS: usize = 46;
+    pub const FS_STRIPE_REQS: usize = 45;
     /// Bytes landed on PFS I/O nodes by striped transfers.
-    pub const FS_STRIPE_BYTES: usize = 47;
+    pub const FS_STRIPE_BYTES: usize = 46;
     /// Per-request queueing delay at a PFS I/O node before service
     /// starts (virtual ns) — the visible face of I/O contention.
-    pub const FS_STRIPE_QUEUE_NS: usize = 48;
+    pub const FS_STRIPE_QUEUE_NS: usize = 47;
     /// Group gathers performed by aggregated-checkpoint aggregators
     /// (one per container file written).
-    pub const CKPT_AGG_GATHERS: usize = 49;
+    pub const CKPT_AGG_GATHERS: usize = 48;
     /// Bytes checkpoint group members forwarded to their aggregator.
-    pub const CKPT_AGG_FORWARD_BYTES: usize = 50;
+    pub const CKPT_AGG_FORWARD_BYTES: usize = 49;
     /// Partner copies stored in the node-local tier by buddy
     /// checkpointing.
-    pub const CKPT_BUDDY_COPIES: usize = 51;
+    pub const CKPT_BUDDY_COPIES: usize = 50;
     /// Buddy checkpoints spilled to the PFS (partnerless rank).
-    pub const CKPT_BUDDY_SPILLS: usize = 52;
+    pub const CKPT_BUDDY_SPILLS: usize = 51;
     /// Dirty blocks carried by incremental (diff) checkpoints.
-    pub const CKPT_DIFF_BLOCKS: usize = 53;
+    pub const CKPT_DIFF_BLOCKS: usize = 52;
     /// Incremental (diff) checkpoint generations written.
-    pub const CKPT_DIFF_WRITES: usize = 54;
+    pub const CKPT_DIFF_WRITES: usize = 53;
     /// Restore-chain length distribution: files replayed per restored
     /// rank state (1 = plain full checkpoint, k+1 = full + k diffs).
-    pub const CKPT_RESTORE_CHAIN: usize = 55;
+    pub const CKPT_RESTORE_CHAIN: usize = 54;
     /// Breadth-first route searches the fault table ran, one per memo
     /// miss (volatile, see `NET_ROUTE_CACHE_HITS`).
-    pub const NET_ROUTE_BFS_RUNS: usize = 56;
+    pub const NET_ROUTE_BFS_RUNS: usize = 55;
     /// Largest calendar-queue ring of any shard, in buckets (volatile,
     /// like the rest of the queue-shape gauges).
-    pub const ENGINE_QUEUE_RING_HWM: usize = 57;
+    pub const ENGINE_QUEUE_RING_HWM: usize = 56;
     /// Empty buckets the calendar queues stepped over looking for the
     /// next event (volatile).
-    pub const ENGINE_QUEUE_EMPTY_STEPS: usize = 58;
+    pub const ENGINE_QUEUE_EMPTY_STEPS: usize = 57;
     /// Bulk redistribution passes of the calendar queues: width splits
     /// and lane migrations (volatile).
-    pub const ENGINE_QUEUE_REBUILDS: usize = 59;
+    pub const ENGINE_QUEUE_REBUILDS: usize = 58;
 }
 
 /// The metric schema, indexed by [`ids`].
@@ -309,7 +307,6 @@ pub const SPEC: &[MetricDef] = &[
     MetricDef::counter("fs.writes", Unit::Count),
     MetricDef::counter("fs.reads", Unit::Count),
     MetricDef::counter("fs.deletes", Unit::Count),
-    MetricDef::counter("fs.faults_injected", Unit::Count),
     MetricDef::histogram("fs.write_bytes", Unit::Bytes, SIZE_BUCKETS),
     MetricDef::histogram("fs.read_bytes", Unit::Bytes, SIZE_BUCKETS),
     MetricDef::histogram("fs.write_ns", Unit::Nanos, LATENCY_BUCKETS),

@@ -10,8 +10,6 @@
 //! communication / I/O breakdown a performance investigation starts
 //! from. Enable with `SimBuilder::trace(true)`.
 
-use std::fmt;
-use std::io;
 use xsim_core::{Rank, SimTime};
 
 /// What a span describes.
@@ -42,12 +40,6 @@ impl PhaseKind {
             PhaseKind::Collective => "collective",
             PhaseKind::FileIo => "file-io",
         }
-    }
-}
-
-impl fmt::Display for PhaseKind {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.pad(self.as_str())
     }
 }
 
@@ -139,37 +131,6 @@ impl Trace {
             compute as f64 / total as f64
         }
     }
-
-    /// Stream as CSV (`rank,kind,start_ns,end_ns,peer,bytes`), suitable
-    /// for external timeline viewers. `peer` is empty when the span has
-    /// no single peer. Streaming keeps million-span traces off the heap.
-    pub fn write_csv<W: io::Write>(&self, mut w: W) -> io::Result<()> {
-        w.write_all(b"rank,kind,start_ns,end_ns,peer,bytes\n")?;
-        for e in &self.events {
-            match e.peer {
-                Some(p) => writeln!(
-                    w,
-                    "{},{},{},{},{},{}",
-                    e.rank,
-                    e.kind,
-                    e.start.as_nanos(),
-                    e.end.as_nanos(),
-                    p,
-                    e.bytes
-                )?,
-                None => writeln!(
-                    w,
-                    "{},{},{},{},,{}",
-                    e.rank,
-                    e.kind,
-                    e.start.as_nanos(),
-                    e.end.as_nanos(),
-                    e.bytes
-                )?,
-            }
-        }
-        Ok(())
-    }
 }
 
 #[cfg(test)]
@@ -215,30 +176,6 @@ mod tests {
             .1;
         assert_eq!(compute, SimTime(40));
         assert!((t.compute_fraction() - 0.8).abs() < 1e-12);
-    }
-
-    #[test]
-    fn csv_shape() {
-        let mut with_peer = ev(3, PhaseKind::Send, 2, 5);
-        with_peer.peer = Some(Rank(7));
-        with_peer.bytes = 64;
-        let t = Trace::assemble(vec![
-            ev(3, PhaseKind::Wait, 5, 9),
-            with_peer,
-            ev(4, PhaseKind::FileIo, 9, 11),
-        ]);
-        let mut csv = Vec::new();
-        t.write_csv(&mut csv).unwrap();
-        let csv = String::from_utf8(csv).unwrap();
-        let mut lines = csv.lines();
-        assert_eq!(
-            lines.next().unwrap(),
-            "rank,kind,start_ns,end_ns,peer,bytes"
-        );
-        assert_eq!(lines.next().unwrap(), "3,send,2,5,7,64");
-        assert_eq!(lines.next().unwrap(), "3,wait,5,9,,0");
-        assert_eq!(lines.next().unwrap(), "4,file-io,9,11,,0");
-        assert_eq!(lines.next(), None);
     }
 
     #[test]

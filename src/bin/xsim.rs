@@ -9,7 +9,7 @@
 //! xsim heat  --ranks 4x4x4 --global 64x64x64 --iters 200 --ckpt 25 \
 //!            [--halo N] [--mttf SECONDS] [--failures "r:t,r:t"] [--seed N]
 //!            [--workers N] [--slowdown F] [--per-point-ns N] [--power]
-//!            [--trace FILE.csv]
+//!            [--profile FILE.json]
 //! xsim ring  --ranks N [--laps N] [--payload BYTES] [--workers N]
 //!            [--failures "r:t,r:t"]
 //! ```
@@ -20,7 +20,6 @@
 //! output is the `scenario:` line that replays the run; the next is the
 //! run's `digest:` (`SimReport::digest`), equal for equal simulations.
 
-use std::io::Write as _;
 use std::process::exit;
 use xsim::apps::heat3d::{self, HeatConfig};
 use xsim::apps::kernels;
@@ -30,14 +29,14 @@ use xsim_proc::PowerModel;
 
 /// Keys of `xsim heat` and of `xsim ring`.
 const HEAT: &str = "heat ranks global iters ckpt halo workers seed failures mttf slowdown \
-    per-point-ns power trace";
+    per-point-ns power profile";
 const RING: &str = "ring ranks laps payload workers failures";
 
 fn usage() -> ! {
     eprintln!(
         "usage:\n  xsim heat [--ranks AxBxC] [--global XxYxZ] [--iters N] [--ckpt N] [--halo N] \\\n    \
          [--mttf SECONDS] [--failures \"r:t,r:t\"] [--seed N] [--workers N] \\\n    \
-         [--slowdown F] [--per-point-ns N] [--power] [--trace FILE]\n  \
+         [--slowdown F] [--per-point-ns N] [--power] [--profile FILE.json]\n  \
          xsim ring [--ranks N] [--laps N] [--payload BYTES] [--workers N] [--failures \"r:t\"]\n\n\
          XSIM_FAILURES=\"rank:seconds,...\" and XSIM_NET_FAULTS add faults (paper §IV-B)."
     );
@@ -122,28 +121,23 @@ fn cmd_heat(cli: &Cli, cfg: &HeatConfig) {
         }
     }
 
-    // Optional trace of the (failure-free) run.
-    if let Some(path) = &cli.trace {
-        let traced = make_builder()
+    // Optional profile of the (failure-free) run.
+    if let Some(path) = &cli.profile {
+        let profiled = make_builder()
             .trace(true)
+            .metrics(true)
             .run(heat3d::program(cfg.clone()))
             .unwrap_or_else(|e| {
-                eprintln!("trace run failed: {e}");
+                eprintln!("profile run failed: {e}");
                 exit(1)
             });
-        let trace = traced.trace.expect("tracing enabled");
-        std::fs::File::create(path)
-            .and_then(|f| {
-                let mut w = std::io::BufWriter::new(f);
-                trace.write_csv(&mut w)?;
-                w.flush()
-            })
-            .unwrap_or_else(|e| {
-                eprintln!("cannot write {path}: {e}");
-                exit(1)
-            });
+        profiled.write_profile(path).unwrap_or_else(|e| {
+            eprintln!("cannot write {path}: {e}");
+            exit(1)
+        });
+        let trace = profiled.trace.expect("tracing enabled");
         println!(
-            "trace: {} events written to {path} (compute fraction {:.1}%)",
+            "profile: {} trace events written to {path} (compute fraction {:.1}%)",
             trace.events.len(),
             trace.compute_fraction() * 100.0
         );

@@ -84,12 +84,11 @@ fn heat3d_is_engine_invariant() {
     });
 }
 
-/// Jacobi on a multi-rank-per-node machine with a raised notification
-/// delay: shard blocks align with compute nodes for some worker counts
-/// and not for others, so the adaptive lookahead provider picks
-/// *different* window bounds per leg — results must not move.
+/// Jacobi on a multi-rank-per-node machine: on-node and system-class
+/// messages both cross shards, and shard blocks align with compute nodes
+/// for some worker counts and not for others — results must not move.
 #[test]
-fn jacobi2d_is_engine_invariant_under_adaptive_lookahead() {
+fn jacobi2d_on_multi_rank_nodes_is_engine_invariant() {
     let cfg = JacobiConfig::small();
     assert_engine_invariant("jacobi2d", |workers, engine| {
         let mut net = NetModel::small(4);
@@ -98,7 +97,6 @@ fn jacobi2d_is_engine_invariant_under_adaptive_lookahead() {
             .net(net)
             .workers(workers)
             .engine(engine)
-            .notify_delay(SimTime::from_micros(50))
             .metrics(true)
             .run(jacobi2d::program(cfg.clone(), None))
             .expect("jacobi2d run")

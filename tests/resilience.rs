@@ -1,9 +1,8 @@
-//! Resilience-feature integration tests across crates: I/O fault
-//! injection, detector variants, failure schedules.
+//! Resilience-feature integration tests across crates: detector
+//! variants, failure schedules.
 
 use xsim::apps::kernels;
 use xsim::prelude::*;
-use xsim_fs::{IoFaultKind, IoFaultRule};
 
 #[test]
 fn failure_schedule_string_drives_injection() {
@@ -22,42 +21,6 @@ fn failure_schedule_string_drives_injection() {
     assert_eq!(report.sim.failures[0].rank.idx(), 2);
     assert_eq!(report.sim.failures[0].scheduled, SimTime::from_millis(500));
     assert_eq!(report.sim.failures[0].actual, SimTime::from_secs(1));
-}
-
-#[test]
-fn io_fault_causes_process_failure() {
-    // Paper §III-B: an MPI process failure can be caused by "a file I/O
-    // error reported by the parallel file system". The application
-    // treats an injected write error as fatal and self-destructs.
-    let builder = SimBuilder::new(2)
-        .net(NetModel::small(2))
-        .errhandler(ErrHandler::Return);
-    let store = builder.store();
-    store.inject_fault(IoFaultRule {
-        prefix: "data/".into(),
-        kind: IoFaultKind::Write,
-        rank: Some(Rank(1)),
-        remaining: 1,
-    });
-    let report = builder
-        .run_app(|mpi| async move {
-            mpi.sleep(SimTime::from_millis(1)).await;
-            let name = format!("data/rank{}", mpi.rank);
-            if xsim::fs::write(&name, Bytes::from_static(b"payload"))
-                .await
-                .is_err()
-            {
-                // Injected I/O error → process failure (never returns).
-                mpi.fail_now().await
-            }
-            mpi.finalize();
-            Ok(())
-        })
-        .unwrap();
-    assert_eq!(report.sim.failures.len(), 1);
-    assert_eq!(report.sim.failures[0].rank.idx(), 1);
-    assert!(store.exists("data/rank0"));
-    assert!(!store.exists("data/rank1"));
 }
 
 #[test]
