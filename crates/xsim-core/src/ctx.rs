@@ -265,27 +265,6 @@ pub async fn yield_now() {
     block_prearmed(token).await;
 }
 
-/// Inject an immediate process failure into the calling VP — the
-/// "simulator-internal function \[to\] trigger a process failure …
-/// immediately" of paper §IV-B. The VP never resumes.
-pub async fn fail_now() -> ! {
-    with_kernel(|k, rank| {
-        let now = k.vp(rank).clock();
-        k.vp_mut(rank).set_time_of_failure(now);
-        k.schedule_at(
-            now,
-            rank,
-            crate::event::Action::call(move |k: &mut Kernel| {
-                let clock = k.vp(rank).clock();
-                k.kill_failed(rank, now, clock);
-            }),
-        );
-    });
-    loop {
-        block(WaitClass::Doomed, "failed").await;
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::with_kernel;

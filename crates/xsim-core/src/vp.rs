@@ -124,9 +124,6 @@ pub enum WaitClass {
     Message,
     /// Blocked on a simulated file system operation.
     FileIo,
-    /// Blocked forever pending kernel-side termination (self-injected
-    /// failure).
-    Doomed,
 }
 
 /// Scheduling state of a VP.
@@ -182,7 +179,6 @@ fn enc_class(c: WaitClass) -> u8 {
         WaitClass::Compute => 0,
         WaitClass::Message => 1,
         WaitClass::FileIo => 2,
-        WaitClass::Doomed => 3,
     }
 }
 
@@ -191,8 +187,7 @@ fn dec_class(b: u8) -> WaitClass {
     match (b & CLASS_MASK) >> CLASS_SHIFT {
         0 => WaitClass::Compute,
         1 => WaitClass::Message,
-        2 => WaitClass::FileIo,
-        _ => WaitClass::Doomed,
+        _ => WaitClass::FileIo,
     }
 }
 
@@ -410,9 +405,11 @@ impl VpRef<'_> {
         }
     }
 
-    /// Earliest propagated-abort activation time, if any.
+    /// Earliest propagated-abort activation time, if any: the one
+    /// record of when this VP aborts, read by the MPI layer's entry
+    /// checks as well as by the activation rule.
     #[inline]
-    pub(crate) fn abort_at(&self) -> Option<SimTime> {
+    pub fn abort_at(&self) -> Option<SimTime> {
         match self.t.abort_at.get(self.i) {
             Some(&ns) if ns != NO_TIME => Some(SimTime(ns)),
             _ => None,
@@ -674,12 +671,7 @@ mod tests {
             VpState::Runnable,
             VpState::Done,
         ];
-        let classes = [
-            WaitClass::Compute,
-            WaitClass::Message,
-            WaitClass::FileIo,
-            WaitClass::Doomed,
-        ];
+        let classes = [WaitClass::Compute, WaitClass::Message, WaitClass::FileIo];
         for &s in &states {
             for &c in &classes {
                 let mut vp = t.get_mut(Rank(4));

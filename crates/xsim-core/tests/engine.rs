@@ -290,25 +290,6 @@ fn failure_at_time_zero_kills_at_spawn() {
 }
 
 #[test]
-fn fail_now_terminates_the_caller() {
-    let program = |rank: Rank| -> VpFuture {
-        Box::pin(async move {
-            ctx::sleep(SimTime::from_millis(5)).await;
-            if rank.idx() == 0 {
-                ctx::fail_now().await
-            }
-            ctx::sleep(SimTime::from_millis(5)).await;
-            VpExit::Finished
-        })
-    };
-    let report = engine::run(cfg(2, 1), Arc::new(program), &no_setup).unwrap();
-    assert_eq!(report.failures.len(), 1);
-    assert_eq!(report.failures[0].rank, Rank::new(0));
-    assert_eq!(report.failures[0].actual, SimTime::from_millis(5));
-    assert_eq!(report.final_clocks[1], SimTime::from_millis(10));
-}
-
-#[test]
 fn fail_hooks_observe_failures() {
     let seen = Arc::new(AtomicU64::new(0));
     let program = |rank: Rank| -> VpFuture {

@@ -17,7 +17,8 @@
 //!   future-work item (2) of §VI).
 //! * [`netfault`] — component-addressed fault schedules generalizing
 //!   rank/time pairs to links and switches (permanent, transient,
-//!   degraded), with FIT-driven generation for the interconnect.
+//!   degraded), with a text form (`XSIM_NET_FAULTS`) that splits into
+//!   rank failures and interconnect faults.
 
 #![forbid(unsafe_code)]
 

@@ -224,8 +224,8 @@ impl FsModel {
 
     /// A contended, striped PFS: `io_nodes` simulated I/O servers with
     /// `PfsModel::typical` per-node parameters, 50 µs client-side
-    /// metadata latency. Transit is derived from the network model by
-    /// the builder.
+    /// metadata latency. Client ↔ I/O-node transit is the engine
+    /// lookahead (see [`pfs`]).
     pub fn striped(io_nodes: u32) -> Self {
         FsModel {
             meta_latency: SimTime::from_micros(50),

@@ -22,7 +22,7 @@
 //! 1. the client splits the bytes into per-node parts (see
 //!    [`PfsModel::split`]), arms one FileIo wait and schedules an
 //!    *arrival* event at each involved node's owner rank at
-//!    `now + transit`;
+//!    `now + transit`, where `transit` is the engine lookahead;
 //! 2. each arrival serves FCFS: `start = max(arrival, busy_until)`,
 //!    `finish = start + request_overhead + bytes/bw`, advancing
 //!    `busy_until`, and schedules a *completion* event back at the
@@ -31,10 +31,10 @@
 //!    one that reaches zero wakes the client, whose clock then stands at
 //!    `max(finish) + transit` — the contended end-to-end latency.
 //!
-//! `transit` must be at least the engine lookahead (the builder derives
-//! it from the interconnect's minimum latency and rejects smaller
-//! values) so the cross-shard arrival/completion events always land
-//! beyond the conservative window bound.
+//! The one-way client ↔ I/O-node transit *is* the engine lookahead (the
+//! interconnect's minimum link latency, `CoreConfig::lookahead`), so the
+//! cross-shard arrival/completion events always land beyond the
+//! conservative window bound.
 
 use std::sync::{Mutex, MutexGuard};
 use xsim_core::event::Action;
@@ -62,16 +62,11 @@ pub struct PfsModel {
     /// requests more expensive than few large ones — the effect
     /// aggregated checkpointing exploits.
     pub request_overhead: SimTime,
-    /// One-way client ↔ I/O-node latency over the interconnect.
-    /// `SimTime::ZERO` means "derive from the network model": the
-    /// builder substitutes the interconnect's minimum link latency.
-    pub transit: SimTime,
 }
 
 impl PfsModel {
     /// A representative configuration: 1 MiB stripes, 1 GB/s write and
-    /// 2 GB/s read per node, 50 µs request overhead, transit derived
-    /// from the network model.
+    /// 2 GB/s read per node, 50 µs request overhead.
     pub(crate) fn typical(io_nodes: u32) -> Self {
         PfsModel {
             io_nodes: io_nodes.max(1),
@@ -79,7 +74,6 @@ impl PfsModel {
             node_write_bw: 1.0e9,
             node_read_bw: 2.0e9,
             request_overhead: SimTime::from_micros(50),
-            transit: SimTime::ZERO,
         }
     }
 
@@ -258,8 +252,8 @@ pub(crate) async fn transfer(model: PfsModel, nbytes: u64, hash: u32, write: boo
             .vp_mut(rank)
             .begin_wait(WaitClass::FileIo, "pfs striped I/O");
         state.op_begin(rank.idx(), parts.len() as u32);
-        let arrive = now + model.transit;
-        let transit = model.transit;
+        let transit = k.cfg.lookahead;
+        let arrive = now + transit;
         for (node, bytes) in parts {
             let service = model.service_time(bytes, write);
             let st = state.clone();
@@ -329,7 +323,6 @@ mod tests {
             node_write_bw: 1.0e9,
             node_read_bw: 2.0e9,
             request_overhead: SimTime::from_micros(50),
-            transit: SimTime::from_micros(1),
         }
     }
 

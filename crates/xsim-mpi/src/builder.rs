@@ -85,16 +85,6 @@ impl RunReport {
         Ok(())
     }
 
-    /// The Chrome trace as an in-memory JSON string; `None` when tracing
-    /// was off.
-    pub fn chrome_trace_json(&self) -> Option<String> {
-        self.trace.as_ref()?;
-        let mut buf = Vec::new();
-        self.write_chrome_trace(&mut buf)
-            .expect("writing to a Vec cannot fail");
-        Some(String::from_utf8(buf).expect("trace JSON is UTF-8"))
-    }
-
     /// The machine-readable metrics snapshot (includes the engine
     /// section); `None` when metrics were not enabled.
     pub fn metrics_json(&self) -> Option<String> {
@@ -283,8 +273,8 @@ impl SimBuilder {
     /// Make the transport lossy: transmission attempts drop/corrupt per
     /// the configured probabilities and are retransmitted with
     /// exponential backoff; an exhausted retry budget escalates the peer
-    /// into the process-failure path. A `LossyTransport` seed of 0 is
-    /// replaced by the run's master seed.
+    /// into the process-failure path. The loss draws are keyed by the
+    /// run's master seed.
     pub fn lossy(mut self, l: LossyTransport) -> Self {
         self.lossy = Some(l);
         self
@@ -351,7 +341,7 @@ impl SimBuilder {
     }
 
     /// Run an arbitrary [`VpProgram`].
-    pub fn run(mut self, program: Arc<dyn VpProgram>) -> Result<RunReport, SimError> {
+    pub fn run(self, program: Arc<dyn VpProgram>) -> Result<RunReport, SimError> {
         self.net.validate(self.n_ranks).map_err(SimError::Config)?;
         let mut net = if self.net_faults.is_empty() {
             self.net
@@ -369,57 +359,32 @@ impl SimBuilder {
         // table (small tori only) so the no-fault message path is
         // a pure lookup.
         net.precompute_hops();
-        let lossy = self.lossy.map(|mut l| {
-            if l.seed == 0 {
-                l.seed = self.seed;
-            }
-            l
-        });
-        // The one lookahead, and the simulator-internal notification
-        // delay: failure and abort notices cross shards, so they must
-        // clear the window bound too.
-        let lookahead = net.min_latency();
         let start_time = self.start_time;
 
-        // Striped-PFS transit rides the interconnect: derive it from the
-        // network model when unset, and reject anything below the engine
-        // lookahead — PFS arrival/completion events cross shards, so
-        // they must clear the conservative window bound.
-        if let Some(mut pfs) = self.fs_model.pfs {
-            if pfs.transit == SimTime::ZERO {
-                pfs.transit = lookahead;
-                self.fs_model.pfs = Some(pfs);
-            }
-            if pfs.transit < lookahead {
-                return Err(SimError::Config(format!(
-                    "PFS transit {:?} is below the network lookahead {:?}",
-                    pfs.transit, lookahead
-                )));
-            }
-        }
-
+        // The one lookahead. It is also the delay of every event that
+        // crosses shards without a message's own latency — failure,
+        // abort and revoke notices (`MpiWorld::notify_delay`) and
+        // striped-PFS transit (`xsim_fs::pfs`) — so each clears the
+        // window bound by construction.
         let cfg = CoreConfig {
             n_ranks: self.n_ranks,
             workers: self.workers,
             engine: self.engine,
             start_time: self.start_time,
             seed: self.seed,
-            lookahead,
+            lookahead: net.min_latency(),
             max_events: self.max_events,
             verbose: self.verbose,
         };
 
         let world = Arc::new(MpiWorld {
-            n_ranks: self.n_ranks,
             members: Arc::new((0..self.n_ranks).map(Rank::new).collect()),
             net,
             proc: self.proc,
-            notify_delay: lookahead,
             default_errhandler: self.errhandler,
             detector: self.detector,
             coll_algo: self.coll_algo,
-            lossy,
-            verbose: self.verbose,
+            lossy: self.lossy,
         });
 
         let stats_sink = Arc::new(Mutex::new(MpiStats::default()));

@@ -103,8 +103,9 @@ fn coll_begin(comm: CommId) -> Result<(usize, usize, u32), MpiError> {
 /// takes a fresh tag but does not count an extra user-facing operation.
 fn coll_begin_counted(comm: CommId, count: bool) -> Result<(usize, usize, u32), MpiError> {
     ctx::with_kernel(|k, me| {
+        let aborted = k.vp(me).abort_at();
         let svc = k.service_mut::<MpiService>();
-        let view = p2p::entry_checks(svc, me, comm)?;
+        let view = p2p::entry_checks(svc, aborted, me, comm)?;
         let (my_rank, size) = (view.my_rank, view.size());
         svc.stats.collectives += u64::from(count);
         let seq = svc.rank_mut(me).next_coll_seq(comm).expect("checked");

@@ -45,13 +45,10 @@ pub struct MpiCtx {
 impl MpiCtx {
     /// Attach to the current VP (callable only while it executes).
     pub(crate) fn attach() -> Self {
-        ctx::with_kernel(|k, me| {
-            let svc = k.service::<MpiService>();
-            MpiCtx {
-                rank: me.idx(),
-                size: svc.world.n_ranks,
-                traced: obs::tracing(k),
-            }
+        ctx::with_kernel(|k, me| MpiCtx {
+            rank: me.idx(),
+            size: k.cfg.n_ranks,
+            traced: obs::tracing(k),
         })
     }
 
@@ -436,8 +433,11 @@ impl MpiCtx {
     /// member must call it in the same order.
     pub fn comm_dup(&self, comm: Comm) -> Result<Comm, MpiError> {
         ctx::with_kernel(|k, me| {
+            let aborted = k.vp(me).abort_at();
             let svc = k.service_mut::<MpiService>();
-            let members = p2p::entry_checks(svc, me, comm.id)?.members.clone();
+            let members = p2p::entry_checks(svc, aborted, me, comm.id)?
+                .members
+                .clone();
             let id = svc.rank_mut(me).comms_mut().install(members, me);
             Ok(Comm { id })
         })

@@ -60,16 +60,18 @@ pub(crate) fn with_mpi<R>(k: &mut Kernel, f: impl FnOnce(&mut Kernel, &mut MpiSe
     r
 }
 
-/// Common operation entry checks at `me`: abort observed? communicator
-/// known and (unless exempted, as for ULFM shrink traffic) not revoked?
-/// Returns the rank's view of the communicator.
+/// Common operation entry checks at `me`: abort observed (`aborted`,
+/// the core's `VpRef::abort_at` of `me`)? communicator known and
+/// (unless exempted, as for ULFM shrink traffic) not revoked? Returns
+/// the rank's view of the communicator.
 pub(crate) fn entry_checks_ex(
     svc: &MpiService,
+    aborted: Option<SimTime>,
     me: Rank,
     comm: CommId,
     allow_revoked: bool,
 ) -> Result<CommView<'_>, MpiError> {
-    if let Some(t) = svc.rank(me).aborted() {
+    if let Some(t) = aborted {
         return Err(MpiError::Aborted { time: t });
     }
     let view = svc
@@ -84,10 +86,11 @@ pub(crate) fn entry_checks_ex(
 /// Entry checks with the standard revoke semantics.
 pub(crate) fn entry_checks(
     svc: &MpiService,
+    aborted: Option<SimTime>,
     me: Rank,
     comm: CommId,
 ) -> Result<CommView<'_>, MpiError> {
-    entry_checks_ex(svc, me, comm, false)
+    entry_checks_ex(svc, aborted, me, comm, false)
 }
 
 // ----------------------------------------------------------------------
@@ -229,8 +232,9 @@ pub(crate) fn post_send(
 ) -> Result<(ReqId, SimTime), MpiError> {
     ctx::with_kernel(|k, me| {
         with_mpi(k, |k, svc| {
-            let now = k.vp(me).clock();
-            let dst_world = entry_checks_ex(svc, me, comm, allow_revoked)?
+            let vp = k.vp(me);
+            let now = vp.clock();
+            let dst_world = entry_checks_ex(svc, vp.abort_at(), me, comm, allow_revoked)?
                 .world_rank(dst)
                 .ok_or(MpiError::Invalid("destination rank out of range"))?;
             svc.stats.sends += 1;
@@ -283,7 +287,7 @@ pub(crate) fn post_send(
                 // peer as unreachable — fail it one notification delay
                 // out and let the regular detection/notification path
                 // surface MPI_ERR_PROC_FAILED here and everywhere else.
-                let tof = now + world.notify_delay;
+                let tof = now + world.notify_delay();
                 escalate_unreachable(k, dst_world, tof);
                 let at = world.failure_error_time(me, dst_world, now, tof);
                 schedule_request_failure(k, me, req, at, dst_world, tof);
@@ -307,7 +311,7 @@ pub(crate) fn post_send(
             if let Some(lossy) = lossy_here {
                 let mut attempt = 0u32;
                 loop {
-                    match lossy.tx_outcome(me, dst_world, seq, attempt) {
+                    match lossy.tx_outcome(k.cfg.seed, me, dst_world, seq, attempt) {
                         TxOutcome::Delivered => break,
                         out => {
                             if out == TxOutcome::Corrupted {
@@ -355,7 +359,7 @@ pub(crate) fn post_send(
                 // as far as this NIC can tell. Escalate into the process
                 // failure path at the moment the last retry gave up.
                 let t_give_up = now + send_overhead + backoff_total;
-                let tof = t_give_up.max(now + world.notify_delay);
+                let tof = t_give_up.max(now + world.notify_delay());
                 escalate_unreachable(k, dst_world, tof);
                 let at = world.failure_error_time(me, dst_world, now, tof);
                 schedule_request_failure(k, me, req, at, dst_world, tof);
@@ -411,8 +415,9 @@ pub(crate) fn irecv_ex(
 ) -> Result<ReqId, MpiError> {
     ctx::with_kernel(|k, me| {
         with_mpi(k, |k, svc| {
-            let now = k.vp(me).clock();
-            let view = entry_checks_ex(svc, me, comm, allow_revoked)?;
+            let vp = k.vp(me);
+            let now = vp.clock();
+            let view = entry_checks_ex(svc, vp.abort_at(), me, comm, allow_revoked)?;
             let src_sel = match src {
                 Some(cr) => SrcSel::Of(
                     view.world_rank(cr)
@@ -586,11 +591,12 @@ fn finish_request(k: &mut Kernel, owner: Rank, req: ReqId, at: SimTime, result: 
 /// Check one request: `Ready` with its result (taking it out of the
 /// table) once complete or when the rank has aborted, else `Pending`.
 fn poll_request(k: &mut Kernel, me: Rank, req: ReqId) -> Poll<ReqResult> {
-    let now = k.vp(me).clock();
-    let rm = k.service_mut::<MpiService>().rank_mut(me);
-    if let Some(t) = rm.aborted() {
+    let vp = k.vp(me);
+    let now = vp.clock();
+    if let Some(t) = vp.abort_at() {
         return Poll::Ready(Err(MpiError::Aborted { time: t }));
     }
+    let rm = k.service_mut::<MpiService>().rank_mut(me);
     match rm.reqs.try_take(req, now) {
         Some((_, result)) => Poll::Ready(result),
         None if rm.reqs.get(req).is_none() => {
@@ -883,7 +889,7 @@ pub(crate) fn iprobe_raw(
 ) -> Result<Option<(Rank, u32, usize)>, MpiError> {
     ctx::with_kernel(|k, me| {
         let svc = k.service::<MpiService>();
-        let view = entry_checks(svc, me, comm)?;
+        let view = entry_checks(svc, k.vp(me).abort_at(), me, comm)?;
         let src_sel = match src {
             Some(cr) => SrcSel::Of(
                 view.world_rank(cr)

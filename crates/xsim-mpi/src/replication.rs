@@ -372,10 +372,10 @@ impl fmt::Display for ProtectionScheme {
 // ---------------------------------------------------------------------
 
 /// The simulated heartbeat protocol: every replica emits a heartbeat to
-/// its observers each `period`; a heartbeat's one-way delivery takes
-/// `latency` plus a delivery jitter of at most `jitter_bound`. An
-/// observer declares a target dead when a heartbeat has not arrived
-/// `timeout` past its worst-case arrival.
+/// its observers each `period`; an observer declares a target dead when
+/// a heartbeat has not arrived `grace` past its emission. The grace
+/// covers the worst-case delivery (one-way latency plus the declared
+/// jitter bound) and the timeout past it.
 ///
 /// Everything is a pure function of virtual time — no messages are
 /// exchanged; the protocol's timing *is* its simulation (the same
@@ -384,21 +384,19 @@ impl fmt::Display for ProtectionScheme {
 pub struct HeartbeatConfig {
     /// Heartbeat emission period.
     pub period: SimTime,
-    /// Grace period past the worst-case arrival before declaring death.
-    pub timeout: SimTime,
-    /// Declared bound on per-heartbeat delivery jitter.
-    pub jitter_bound: SimTime,
-    /// Base one-way heartbeat latency.
-    pub latency: SimTime,
+    /// How long past its emission a heartbeat may be missing before the
+    /// observer declares death.
+    pub grace: SimTime,
 }
 
 impl Default for HeartbeatConfig {
+    /// A 50-ms period and a 210.01-ms grace: 10 µs one-way latency,
+    /// 10 ms jitter bound and a 200-ms timeout past the worst-case
+    /// arrival.
     fn default() -> Self {
         HeartbeatConfig {
             period: SimTime::from_millis(50),
-            timeout: SimTime::from_millis(200),
-            jitter_bound: SimTime::from_millis(10),
-            latency: SimTime::from_micros(10),
+            grace: SimTime::from_micros(210_010),
         }
     }
 }
@@ -406,10 +404,10 @@ impl Default for HeartbeatConfig {
 impl HeartbeatConfig {
     /// The deadline by which heartbeat `k` (emitted at `k · period`)
     /// must have arrived before the observer declares the target dead:
-    /// its worst-case arrival plus `timeout`, so a live target whose
-    /// jitter honors its declared bound is never accused.
+    /// its emission plus `grace`, so a live target whose heartbeats
+    /// arrive within the grace is never accused.
     fn deadline(&self, k: u64) -> SimTime {
-        SimTime(k * self.period.as_nanos()) + self.latency + self.jitter_bound + self.timeout
+        SimTime(k * self.period.as_nanos()) + self.grace
     }
 
     /// When an observer detects that a target died at `tof`: the
@@ -420,9 +418,9 @@ impl HeartbeatConfig {
     }
 
     /// Worst-case detection latency: `detection_time(tof) - tof` never
-    /// exceeds this bound (and is at least `timeout`).
+    /// exceeds this bound (and is at least `grace`).
     pub fn detection_bound(&self) -> SimTime {
-        self.period + self.latency + self.jitter_bound + self.timeout
+        self.period + self.grace
     }
 
     /// The MPI-layer failure detector matching this protocol: pending
@@ -1169,7 +1167,7 @@ mod tests {
         for tof_ms in [1u64, 49, 50, 51, 499, 1000] {
             let tof = SimTime::from_millis(tof_ms);
             let d = hb.detection_time(tof);
-            assert!(d >= tof + hb.timeout, "tof {tof_ms} ms: detected too early");
+            assert!(d >= tof + hb.grace, "tof {tof_ms} ms: detected too early");
             assert!(d <= tof + hb.detection_bound(), "tof {tof_ms} ms: too late");
         }
     }

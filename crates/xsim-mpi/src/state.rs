@@ -67,8 +67,9 @@ pub(crate) enum TxOutcome {
 /// compose unchanged.
 ///
 /// All loss decisions are drawn from counter-based deterministic
-/// streams keyed by `(src, dst, seq, attempt)`: the same seed produces
-/// the same drops regardless of worker count or event interleaving.
+/// streams keyed by the run's seed and `(src, dst, seq, attempt)`: the
+/// same seed produces the same drops regardless of worker count or
+/// event interleaving.
 #[derive(Debug, Clone, Copy)]
 pub struct LossyTransport {
     /// Probability that one attempt is dropped in transit.
@@ -85,9 +86,6 @@ pub struct LossyTransport {
     /// every system-class message is lossy). Tests use this to keep
     /// recovery traffic between survivors reliable.
     pub victim: Option<Rank>,
-    /// Seed of the loss streams; `0` means "use the run's master seed"
-    /// (filled in by the builder).
-    pub seed: u64,
 }
 
 impl Default for LossyTransport {
@@ -98,7 +96,6 @@ impl Default for LossyTransport {
             max_retries: 8,
             backoff_base: SimTime::from_micros(10),
             victim: None,
-            seed: 0,
         }
     }
 }
@@ -113,9 +110,17 @@ impl LossyTransport {
     }
 
     /// The fate of transmission attempt `attempt` of message `seq` from
-    /// `src` to `dst` — a pure function of the seed and the identifying
-    /// tuple, so both engines and any shard layout agree on it.
-    pub(crate) fn tx_outcome(&self, src: Rank, dst: Rank, seq: u64, attempt: u32) -> TxOutcome {
+    /// `src` to `dst` — a pure function of the run's `seed` and the
+    /// identifying tuple, so both engines and any shard layout agree on
+    /// it.
+    pub(crate) fn tx_outcome(
+        &self,
+        seed: u64,
+        src: Rank,
+        dst: Rank,
+        seq: u64,
+        attempt: u32,
+    ) -> TxOutcome {
         if self.drop_prob <= 0.0 && self.corrupt_prob <= 0.0 {
             return TxOutcome::Delivered;
         }
@@ -125,7 +130,7 @@ impl LossyTransport {
             .wrapping_add(seq.wrapping_mul(0x1656_67B1_9E37_79F9))
             .wrapping_add(attempt as u64)
             ^ LOSSY_STREAM;
-        let u = DetRng::stream(self.seed, tag).gen_f64();
+        let u = DetRng::stream(seed, tag).gen_f64();
         if u < self.drop_prob {
             TxOutcome::Dropped
         } else if u < self.drop_prob + self.corrupt_prob {
@@ -145,10 +150,9 @@ impl LossyTransport {
     }
 }
 
-/// Immutable, shared configuration of the simulated MPI world.
+/// Immutable, shared configuration of the simulated MPI world. World
+/// size, seed and verbosity are the core's (`Kernel::cfg`).
 pub struct MpiWorld {
-    /// Number of ranks in `MPI_COMM_WORLD`.
-    pub n_ranks: usize,
     /// The world group, `Rank(0)..Rank(n_ranks)`: built once per run and
     /// shared by every rank's `MPI_COMM_WORLD` view on every shard.
     pub members: Arc<Vec<Rank>>,
@@ -156,9 +160,6 @@ pub struct MpiWorld {
     pub net: NetModel,
     /// The processor model.
     pub proc: ProcModel,
-    /// Virtual delay of simulator-internal broadcast notifications
-    /// (failure/abort/revoke). At least the engine lookahead.
-    pub notify_delay: SimTime,
     /// Default error handler for `MPI_COMM_WORLD` — the MPI default is
     /// `MPI_ERRORS_ARE_FATAL` (paper §IV-D).
     pub default_errhandler: ErrHandler,
@@ -169,16 +170,21 @@ pub struct MpiWorld {
     /// Lossy-transport configuration; `None` (the default) keeps the
     /// reliable transport with no retransmission machinery.
     pub lossy: Option<LossyTransport>,
-    /// Print simulator-internal informational messages.
-    pub verbose: bool,
 }
 
 impl MpiWorld {
+    /// Virtual delay of simulator-internal broadcast notifications
+    /// (failure/abort/revoke): the network's minimum link latency, which
+    /// is the engine lookahead, so every notice clears the window bound.
+    pub(crate) fn notify_delay(&self) -> SimTime {
+        self.net.min_latency()
+    }
+
     /// When ranks learn of a failure that occurred at `tof`.
     pub(crate) fn notification_time(&self, tof: SimTime) -> SimTime {
         match self.detector {
-            Detector::Timeout => tof + self.notify_delay,
-            Detector::Monitor { latency } => tof + latency.max(self.notify_delay),
+            Detector::Timeout => tof + self.notify_delay(),
+            Detector::Monitor { latency } => tof + latency.max(self.notify_delay()),
         }
     }
 
@@ -331,8 +337,6 @@ pub struct RankMpi {
 struct RankCold {
     /// This rank's list of known-failed processes.
     failed: FailedList,
-    /// Set when this rank has observed (or initiated) an abort.
-    aborted: Option<SimTime>,
     /// World revoke and handler override, derived communicators.
     comms: CommTable,
     /// Receiver-NIC drain horizon for the optional contention model
@@ -347,7 +351,6 @@ struct RankCold {
 impl RankCold {
     const EMPTY: RankCold = RankCold {
         failed: FailedList(Vec::new()),
-        aborted: None,
         comms: CommTable::new(),
         recv_free: SimTime::ZERO,
         send_seq: SmallMap::new(),
@@ -385,19 +388,6 @@ impl RankMpi {
 
     pub(crate) fn failed_mut(&mut self) -> &mut FailedList {
         &mut self.cold_mut().failed
-    }
-
-    /// When this rank observed (or initiated) an abort.
-    pub(crate) fn aborted(&self) -> Option<SimTime> {
-        self.cold().aborted
-    }
-
-    /// Record an abort at `t`, keeping the earliest; returns it.
-    pub(crate) fn note_abort(&mut self, t: SimTime) -> SimTime {
-        let cold = self.cold_mut();
-        let t = cold.aborted.map_or(t, |a| a.min(t));
-        cold.aborted = Some(t);
-        t
     }
 
     /// This rank's communicator table.
@@ -749,19 +739,12 @@ impl Drop for MpiService {
 /// processes of the failure and the time of failure (paper §IV-B).
 pub(crate) fn install_failure_hook(k: &mut Kernel) {
     k.add_fail_hook(Arc::new(|k: &mut Kernel, dead: Rank, tof: SimTime| {
-        let (n, when, verbose) = {
-            let svc = k.service::<MpiService>();
-            (
-                svc.world.n_ranks,
-                svc.world.notification_time(tof),
-                svc.world.verbose,
-            )
-        };
-        if verbose {
+        let when = k.service::<MpiService>().world.notification_time(tof);
+        if k.cfg.verbose {
             eprintln!("xsim-mpi: broadcasting failure of rank {dead} (tof {tof})");
         }
         xsim_obs::service::record(k, xsim_obs::ids::FAULT_ACTIVATIONS, 1);
-        for r in 0..n {
+        for r in 0..k.cfg.n_ranks {
             let target = Rank::new(r);
             if target == dead {
                 continue;
@@ -888,16 +871,13 @@ mod tests {
 
     fn world(n: usize) -> Arc<MpiWorld> {
         Arc::new(MpiWorld {
-            n_ranks: n,
             members: Arc::new((0..n).map(Rank::new).collect()),
             net: NetModel::small(n),
             proc: ProcModel::default(),
-            notify_delay: SimTime::from_micros(1),
             default_errhandler: ErrHandler::Fatal,
             detector: Detector::Timeout,
             coll_algo: CollAlgo::Linear,
             lossy: None,
-            verbose: false,
         })
     }
 
@@ -1109,13 +1089,12 @@ mod tests {
         let l = LossyTransport {
             drop_prob: 0.4,
             corrupt_prob: 0.1,
-            seed: 42,
             ..LossyTransport::default()
         };
         let mut seen = [0usize; 3];
         for seq in 0..400u64 {
-            let a = l.tx_outcome(Rank(1), Rank(2), seq, 0);
-            assert_eq!(a, l.tx_outcome(Rank(1), Rank(2), seq, 0));
+            let a = l.tx_outcome(42, Rank(1), Rank(2), seq, 0);
+            assert_eq!(a, l.tx_outcome(42, Rank(1), Rank(2), seq, 0));
             seen[match a {
                 TxOutcome::Delivered => 0,
                 TxOutcome::Dropped => 1,
@@ -1126,7 +1105,7 @@ mod tests {
         assert!(seen.iter().all(|&c| c > 0), "outcome mix {seen:?}");
         // A different attempt number redraws independently.
         assert!((0..400u64).any(|s| {
-            l.tx_outcome(Rank(1), Rank(2), s, 0) != l.tx_outcome(Rank(1), Rank(2), s, 1)
+            l.tx_outcome(42, Rank(1), Rank(2), s, 0) != l.tx_outcome(42, Rank(1), Rank(2), s, 1)
         }));
     }
 

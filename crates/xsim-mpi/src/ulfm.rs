@@ -29,12 +29,12 @@ const SHRINK_TAG: u32 = COLL_TAG_BASE + (1 << 29);
 /// call it — and it returns immediately.
 pub(crate) fn comm_revoke(comm: CommId) -> Result<(), MpiError> {
     ctx::with_kernel(|k, me| {
+        if let Some(t) = k.vp(me).abort_at() {
+            return Err(MpiError::Aborted { time: t });
+        }
         with_mpi(k, |k, svc| {
             let now = k.vp(me).clock();
-            let delay = svc.world.notify_delay;
-            if let Some(t) = svc.rank(me).aborted() {
-                return Err(MpiError::Aborted { time: t });
-            }
+            let delay = svc.world.notify_delay();
             let view = svc
                 .view(me, comm)
                 .ok_or(MpiError::Invalid("unknown communicator"))?;
@@ -99,11 +99,10 @@ fn apply_revoke(svc: &mut MpiService, rank: Rank, comm: CommId, at: SimTime) -> 
 /// subsequently, wildcard receives are not failed by these processes.
 pub(crate) fn failure_ack() -> Result<(), MpiError> {
     ctx::with_kernel(|k, me| {
-        let svc = k.service_mut::<MpiService>();
-        let rm = svc.rank_mut(me);
-        if let Some(t) = rm.aborted() {
+        if let Some(t) = k.vp(me).abort_at() {
             return Err(MpiError::Aborted { time: t });
         }
+        let rm = k.service_mut::<MpiService>().rank_mut(me);
         rm.failed_mut().ack_all();
         Ok(())
     })
@@ -148,11 +147,11 @@ pub(crate) fn failure_time(rank: Rank) -> Option<SimTime> {
 pub(crate) async fn comm_shrink(comm: CommId) -> Result<Comm, MpiError> {
     let (me_world, members, my_failed): (Rank, Arc<Vec<Rank>>, Vec<Rank>) =
         ctx::with_kernel(|k, me| {
-            let svc = k.service::<MpiService>();
-            let rm = svc.rank(me);
-            if let Some(t) = rm.aborted() {
+            if let Some(t) = k.vp(me).abort_at() {
                 return Err(MpiError::Aborted { time: t });
             }
+            let svc = k.service::<MpiService>();
+            let rm = svc.rank(me);
             let view = svc
                 .view(me, comm)
                 .ok_or(MpiError::Invalid("unknown communicator"))?;

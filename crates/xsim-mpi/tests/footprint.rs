@@ -248,16 +248,13 @@ fn first_barrier_costs_a_bounded_number_of_allocations() {
 fn shard_service_is_sized_by_owned_ranks() {
     let n = 1 << 20;
     let world = Arc::new(MpiWorld {
-        n_ranks: n,
         members: Arc::new((0..n).map(Rank::new).collect()),
         net: NetModel::small(n),
         proc: ProcModel::default(),
-        notify_delay: SimTime::from_micros(1),
         default_errhandler: ErrHandler::Fatal,
         detector: Detector::Timeout,
         coll_algo: CollAlgo::Tree,
         lossy: None,
-        verbose: false,
     });
     let sink = Arc::new(Mutex::new(MpiStats::default()));
     let live0 = LIVE.get();
@@ -452,7 +449,8 @@ fn rank_future(program: Arc<dyn VpProgram>) -> usize {
 /// own copy of the replica map and the logical send and wait were
 /// `async fn`s; its halo now holds its twelve 24-B logical requests
 /// inline and still takes less room than its vector of them did. It was
-/// 1,296 B while `HeartbeatConfig` carried a jitter seed.
+/// 1,296 B while `HeartbeatConfig` carried a jitter seed and 1,272 B
+/// while it kept latency, jitter bound and timeout apart from the grace.
 #[test]
 fn kernel_rank_futures_fit_their_budgets() {
     let ms = SimTime::from_millis(1);
@@ -480,7 +478,7 @@ fn kernel_rank_futures_fit_their_budgets() {
                 hb: HeartbeatConfig::default(),
                 ckpt: true,
             })),
-            1272,
+            1224,
         ),
     ];
     for (name, size, budget) in sizes {

@@ -11,20 +11,18 @@ const SEED: u64 = 0xC0DE_0004;
 const CASES: u64 = 64;
 
 /// Arbitrary-but-sane protocol parameters: periods from 1 ms to 10 s,
-/// timeouts and jitter bounds scaled off the period.
+/// graces from 1 to 8 periods plus up to 1 ms.
 fn arb_config(g: &mut DetRng) -> HeartbeatConfig {
     let period = g.gen_in(1_000_000..10_000_000_000); // 1 ms .. 10 s
     HeartbeatConfig {
         period: SimTime(period),
-        timeout: SimTime(period * g.gen_in(1..8)),
-        jitter_bound: SimTime(period * g.gen_in(0..101) / 100),
-        latency: SimTime(g.gen_in(0..1_000_000)),
+        grace: SimTime(period * g.gen_in(100..801) / 100 + g.gen_in(0..1_000_000)),
     }
 }
 
 /// Real deaths are always detected, and within the declared window:
-/// detection happens after the death (plus the timeout — a detector
-/// cannot fire before its grace period ends) and no later than
+/// detection happens after the death plus the grace (a detector cannot
+/// fire before its grace period ends) and no later than
 /// `detection_bound` past it.
 #[test]
 fn real_deaths_detected_within_bound() {
@@ -34,7 +32,7 @@ fn real_deaths_detected_within_bound() {
         let detect = cfg.detection_time(tof);
         assert!(detect >= tof, "detection precedes the death");
         assert!(
-            detect >= tof + cfg.timeout,
+            detect >= tof + cfg.grace,
             "detection fired inside the grace period"
         );
         assert!(

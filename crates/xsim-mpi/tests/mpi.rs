@@ -1,7 +1,8 @@
 //! End-to-end tests of the simulated MPI layer.
 
 use xsim_core::{Bytes, ExitKind, SimTime};
-use xsim_mpi::{ErrHandler, MpiError, ReduceOp, SimBuilder};
+use xsim_fs::FsModel;
+use xsim_mpi::{Detector, ErrHandler, MpiError, ReduceOp, SimBuilder};
 use xsim_net::NetModel;
 use xsim_proc::ProcModel;
 
@@ -663,4 +664,83 @@ fn ulfm_shrink_skips_dead_root() {
         })
         .unwrap();
     assert_eq!(report.sim.exit, ExitKind::FailedOnly);
+}
+
+/// Abort notices, failure notices and striped-PFS transit are the one
+/// lookahead, `net.min_latency()`: on a machine of system links only
+/// (1 µs) and on one with two ranks per node (the 200-ns on-node link)
+/// each lands exactly that long after its cause.
+#[test]
+fn notices_and_pfs_transit_land_one_lookahead_out() {
+    let t = SimTime::from_millis(1);
+    let mut shared_nodes = NetModel::small(2);
+    shared_nodes.ranks_per_node = 2;
+    for (net, want) in [
+        (NetModel::small(2), SimTime::from_micros(1)),
+        (shared_nodes, SimTime::from_nanos(200)),
+    ] {
+        let d = net.min_latency();
+        assert_eq!(d, want);
+
+        // Abort at `t` on rank 0; rank 1 steps its clock 1 ns at a time
+        // and is terminated at the first step that finds the notice.
+        let report = SimBuilder::new(2)
+            .net(net.clone())
+            .run_app(move |mpi| async move {
+                mpi.sleep(t).await;
+                if mpi.rank == 0 {
+                    return Err(mpi.abort());
+                }
+                loop {
+                    mpi.sleep(SimTime::from_nanos(1)).await;
+                }
+            })
+            .unwrap();
+        assert_eq!(report.sim.exit, ExitKind::Aborted);
+        assert_eq!(report.sim.final_clocks, vec![t, t + d], "abort notice");
+
+        // Rank 0 fails at `t`; rank 1's receive from it, posted at 0,
+        // errors when the zero-latency monitor's notice arrives.
+        let report = SimBuilder::new(2)
+            .net(net.clone())
+            .detector(Detector::Monitor {
+                latency: SimTime::ZERO,
+            })
+            .errhandler(ErrHandler::Return)
+            .inject_failure(0, t)
+            .run_app(move |mpi| async move {
+                if mpi.rank == 0 {
+                    mpi.sleep(t).await;
+                } else {
+                    let err = mpi.recv(mpi.world(), Some(0), None).await.unwrap_err();
+                    assert!(matches!(err, MpiError::ProcFailed { .. }));
+                    assert_eq!(mpi.now(), t + d, "failure notice");
+                }
+                mpi.finalize();
+                Ok(())
+            })
+            .unwrap();
+        assert_eq!(report.sim.failures.len(), 1);
+
+        // One uncontended striped write: metadata, then transit to the
+        // I/O node, its service, and transit back.
+        let fs = FsModel::striped(1);
+        let pfs = fs.pfs.unwrap();
+        let bytes = 4096;
+        let service =
+            pfs.request_overhead + SimTime::from_secs_f64(bytes as f64 / pfs.node_write_bw);
+        let report = SimBuilder::new(2)
+            .net(net)
+            .fs_model(fs)
+            .run_app(move |mpi| async move {
+                if mpi.rank == 0 {
+                    xsim_fs::charge_write(bytes).await;
+                }
+                mpi.finalize();
+                Ok(())
+            })
+            .unwrap();
+        let end_to_end = report.sim.final_clocks[0] - fs.meta_latency;
+        assert_eq!(end_to_end, service + d + d, "PFS transit");
+    }
 }

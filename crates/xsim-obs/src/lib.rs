@@ -15,8 +15,8 @@
 //!   (the spans) is on; when absent, every instrumentation site reduces
 //!   to one failed `TypeId` lookup — near-zero cost when disabled.
 //! * [`trace`] — the run's one timeline: every MPI phase and file-I/O
-//!   interval as an [`ObsSpan`], assembled into a [`Trace`] (per-kind
-//!   totals, compute fraction, streaming CSV).
+//!   interval as an [`ObsSpan`], assembled into a [`Trace`] (per-rank
+//!   views, per-kind totals, compute fraction).
 //! * [`chrome`] — a streaming Chrome trace-event JSON writer
 //!   (Perfetto-viewable) that the MPI layer exports the trace through.
 //! * [`json`] — a dependency-free JSON value/parser used by the

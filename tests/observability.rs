@@ -19,6 +19,20 @@ fn metered_run(cfg: &HeatConfig) -> RunReport {
         .expect("heat3d run")
 }
 
+/// The Chrome trace `RunReport::write_profile` streams to disk, read
+/// back (the temp files are removed); `None` when the run wrote none.
+fn profile_trace(report: &RunReport, name: &str) -> Option<String> {
+    let dir = std::env::temp_dir();
+    let stem = dir.join(format!("xsim-{name}-{}", std::process::id()));
+    let stem = stem.to_str().expect("UTF-8 temp path");
+    let path = format!("{stem}.json");
+    report.write_profile(&path).expect("write the profile");
+    let trace = std::fs::read_to_string(&path).ok();
+    let _ = std::fs::remove_file(&path);
+    let _ = std::fs::remove_file(format!("{stem}.metrics.json"));
+    trace
+}
+
 #[test]
 fn heat3d_produces_trace_events_and_metrics() {
     let cfg = HeatConfig::small();
@@ -53,7 +67,7 @@ fn heat3d_produces_trace_events_and_metrics() {
 fn chrome_trace_is_valid_json_with_expected_fields() {
     let cfg = HeatConfig::small();
     let report = metered_run(&cfg);
-    let json = report.chrome_trace_json().expect("trace+metrics enabled");
+    let json = profile_trace(&report, "chrome-trace").expect("trace+metrics enabled");
     let doc = Json::parse(&json).expect("valid JSON");
     let events = doc
         .get("traceEvents")
@@ -111,7 +125,7 @@ fn metrics_disabled_leaves_no_observability_state() {
         .expect("heat3d run");
     assert!(report.metrics.is_none());
     assert!(report.metrics_json().is_none());
-    assert!(report.chrome_trace_json().is_none());
+    assert!(profile_trace(&report, "no-obs").is_none());
 }
 
 #[test]

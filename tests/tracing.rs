@@ -6,6 +6,20 @@ use xsim::mpi::{PhaseKind, Trace};
 use xsim::obs::Json;
 use xsim::prelude::*;
 
+/// The Chrome trace `RunReport::write_profile` streams to disk, read
+/// back (the temp files are removed); `None` when the run wrote none.
+fn profile_trace(report: &RunReport, name: &str) -> Option<String> {
+    let dir = std::env::temp_dir();
+    let stem = dir.join(format!("xsim-{name}-{}", std::process::id()));
+    let stem = stem.to_str().expect("UTF-8 temp path");
+    let path = format!("{stem}.json");
+    report.write_profile(&path).expect("write the profile");
+    let trace = std::fs::read_to_string(&path).ok();
+    let _ = std::fs::remove_file(&path);
+    let _ = std::fs::remove_file(format!("{stem}.metrics.json"));
+    trace
+}
+
 #[test]
 fn trace_captures_phase_timeline() {
     let report = SimBuilder::new(2)
@@ -130,7 +144,7 @@ fn trace_is_deterministic_and_engine_independent() {
     };
     let a = run(1);
     let b = run(3).trace.unwrap();
-    let json = a.chrome_trace_json().unwrap();
+    let json = profile_trace(&a, "trace-engines").expect("tracing enabled");
     let a = a.trace.unwrap();
     assert_eq!(a.events, b.events, "trace must not depend on the engine");
     // The Chrome trace holds one event per span.
