@@ -198,6 +198,11 @@ fn rate(v: &str) -> Result<f64, String> {
     x.ok_or_else(|| "want a finite number >= 0".into())
 }
 
+fn factor(v: &str) -> Result<f64, String> {
+    let x = num(v).ok().filter(|x: &f64| x.is_finite() && *x > 0.0);
+    x.ok_or_else(|| "want a finite number > 0".into())
+}
+
 fn dims(v: &str) -> Result<[usize; 3], String> {
     let parts: Vec<usize> = v.split('x').map(num).collect::<Result<_, _>>()?;
     parts.try_into().map_err(|_| "want AxBxC".to_string())
@@ -344,12 +349,12 @@ impl Cli {
             quick: given.flag("quick"),
             mpi: given.flag("mpi"),
             power: given.flag("power"),
-            ops: given.get("ops", num)?,
+            ops: given.get("ops", count)?,
             rounds: given.get("rounds", num)?,
             max_vps: given.get("max-vps", num)?,
             fit: given.get("fit", rate)?,
             mttf: given.get("mttf", rate)?,
-            slowdown: given.get("slowdown", rate)?,
+            slowdown: given.get("slowdown", factor)?,
             per_point_ns: given.get("per-point-ns", num)?,
             profile: given.get("profile", num)?,
             knob_text,
@@ -470,6 +475,20 @@ mod tests {
             parse(&["--ops", "--quick"], "quick ops").unwrap_err(),
             ScenarioError::MissingValue("ops".into())
         );
+        // Zero operations time nothing; a zero slowdown is no machine.
+        assert!(matches!(
+            parse(&["--quick", "--ops", "0"], "quick ops"),
+            Err(ScenarioError::BadValue { key, .. }) if key == "--ops"
+        ));
+        for bad in ["0", "-1", "inf", "NaN"] {
+            assert!(
+                matches!(
+                    parse(&["heat", "--slowdown", bad], "heat slowdown"),
+                    Err(ScenarioError::BadValue { key, .. }) if key == "--slowdown"
+                ),
+                "--slowdown {bad}"
+            );
+        }
         for bad in [["--ranks", "2x2"], ["--global", "64x64"]] {
             let argv = ["heat", bad[0], bad[1]];
             assert!(

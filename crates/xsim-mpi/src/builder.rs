@@ -15,18 +15,38 @@ use xsim_core::vp::VpProgram;
 use xsim_core::{engine, CoreConfig, EngineKind, Kernel, Rank, SimError, SimReport, SimTime};
 use xsim_fs::{FsModel, FsService, FsStore};
 use xsim_net::{LinkStateTable, NetFault, NetModel};
-use xsim_obs::{
-    ids as metric_ids, ChromeTraceWriter, ObsReport, ObsService, ObsSink, PhaseKind, Trace,
-};
+use xsim_obs::{ids as metric_ids, ChromeTraceWriter, ObsReport, ObsService, PhaseKind, Trace};
 use xsim_proc::{PowerModel, PowerReport, ProcModel};
-
-/// The sinks are read only after `engine::run` returned, which
-/// propagates worker panics; poison then means a service panicked while
-/// flushing, and its totals cannot be trusted.
-const SINK_POISONED: &str = "a service panicked while flushing into its sink";
 
 /// A per-shard setup hook registered via [`SimBuilder::setup_hook`].
 type SetupHook = Arc<dyn Fn(&mut Kernel) + Send + Sync>;
+
+/// The run's totals. The one shutdown hook moves each shard's share
+/// here as the engine finishes it, in shard order, so no service has to
+/// outlive its kernel.
+#[derive(Default)]
+struct Totals {
+    mpi: MpiStats,
+    /// Busy time per world rank; empty without a power model.
+    busy: Vec<SimTime>,
+    /// Every shard's metrics and spans (the `net.*` batches included).
+    obs: ObsService,
+}
+
+impl Totals {
+    fn collect(&mut self, k: &mut Kernel) {
+        if let Some(mpi) = k.try_service::<MpiService>() {
+            self.mpi.merge(&mpi.stats);
+            mpi.net_batch.flush_into(&mut self.obs.set);
+        }
+        if let Some(power) = k.try_service::<PowerService>() {
+            power.add_into(&mut self.busy);
+        }
+        if let Some(obs) = k.try_service_mut::<ObsService>() {
+            self.obs.absorb(obs);
+        }
+    }
+}
 
 /// Result of one simulated run: the core engine report plus MPI-layer
 /// statistics.
@@ -387,7 +407,6 @@ impl SimBuilder {
             lossy: self.lossy,
         });
 
-        let stats_sink = Arc::new(Mutex::new(MpiStats::default()));
         let fs_store = self.fs_store;
         let fs_model = self.fs_model;
         // One I/O-server state per run, shared by every shard's service.
@@ -395,49 +414,38 @@ impl SimBuilder {
         let failures = self.failures;
         let setup_hooks = self.setup_hooks;
         let power_model = self.power;
-        let busy_sink: Arc<Mutex<Vec<SimTime>>> = Arc::new(Mutex::new(Vec::new()));
         let trace_enabled = self.trace;
         let metrics_enabled = self.metrics;
-        let obs_sink: Arc<Mutex<ObsSink>> = Arc::new(Mutex::new(ObsSink::default()));
+        let totals = Arc::new(Mutex::new(Totals {
+            busy: power_model.map_or(Vec::new(), |_| vec![SimTime::ZERO; self.n_ranks]),
+            ..Totals::default()
+        }));
 
         let setup = {
             let world = world.clone();
-            let stats_sink = stats_sink.clone();
-            let busy_sink = busy_sink.clone();
-            let obs_sink = obs_sink.clone();
+            let collect = {
+                let totals = totals.clone();
+                Arc::new(move |k: &mut Kernel| {
+                    // Hooks run on the thread that assembles the report,
+                    // one shard after another: the lock is never contended.
+                    totals.lock().expect("collecting run totals").collect(k)
+                })
+            };
             move |k: &mut Kernel| {
                 let owned = k.owned_ranks();
-                k.install_service(MpiService::new(
-                    world.clone(),
-                    owned.clone(),
-                    stats_sink.clone(),
-                ));
+                k.install_service(MpiService::new(world.clone(), owned.clone()));
                 k.install_service(FsService::with_pfs(
                     fs_store.clone(),
                     fs_model,
                     pfs_state.clone(),
                 ));
                 if power_model.is_some() {
-                    k.install_service(PowerService::new(owned.clone(), busy_sink.clone()));
+                    k.install_service(PowerService::new(owned.clone()));
                 }
                 if metrics_enabled || trace_enabled {
-                    k.install_service(ObsService::new(obs_sink.clone(), trace_enabled));
+                    k.install_service(ObsService::new(trace_enabled));
                 }
-                // Flush span/metric buffers deterministically at engine
-                // shutdown instead of relying on service Drop order.
-                k.add_shutdown_hook(Arc::new(|k: &mut Kernel| {
-                    // Land the MPI layer's batched hot-path counters
-                    // before the metric set is flushed into the sink.
-                    let batch = k
-                        .try_service_mut::<MpiService>()
-                        .map(|svc| std::mem::take(&mut svc.net_batch));
-                    if let Some(obs) = k.try_service_mut::<ObsService>() {
-                        if let Some(batch) = batch {
-                            batch.flush_into(&mut obs.set);
-                        }
-                        obs.flush();
-                    }
-                }));
+                k.add_shutdown_hook(collect.clone());
                 install_failure_hook(k);
                 for (rank, at) in &failures {
                     if owned.contains(&rank.idx()) {
@@ -451,49 +459,22 @@ impl SimBuilder {
         };
 
         let sim = engine::run(cfg, program, &setup)?;
-        // The setup closure (and the services it captured) is dropped by
-        // now, so the busy sink holds every shard's accounting.
-        drop(setup);
-        let mpi = *stats_sink.lock().expect(SINK_POISONED);
+        let totals = std::mem::take(&mut *totals.lock().expect("collecting run totals"));
+        let mpi = totals.mpi;
         let power = power_model.map(|model| {
-            let busy = busy_sink.lock().expect(SINK_POISONED);
             PowerReport::assemble(
                 &model,
-                &busy,
+                &totals.busy,
                 &sim.final_clocks,
                 start_time,
                 mpi.sends,
                 mpi.bytes_sent,
             )
         });
-        let (obs, trace) = ObsSink::drain(&obs_sink);
+        let (obs, trace) = totals.obs.finish();
         let trace = trace_enabled.then_some(trace);
         let mut metrics = metrics_enabled.then_some(obs);
         if let Some(m) = metrics.as_mut() {
-            // Surface the engine execution profile as (volatile) metrics
-            // so perf investigations see windows/batches/waits next to
-            // the subsystem counters.
-            let p = &sim.profile;
-            m.set.add(metric_ids::ENGINE_WINDOWS, p.windows);
-            m.set
-                .add(metric_ids::ENGINE_BARRIER_WAIT_NS, p.barrier_wait_ns);
-            m.set
-                .add(metric_ids::ENGINE_BATCHED_EVENTS, p.batched_events);
-            m.set.add(metric_ids::ENGINE_BATCH_MAX, p.batch_max_events);
-            m.set
-                .add(metric_ids::ENGINE_BARRIER_HWM_NS, p.window_barrier_hwm_ns);
-            m.set.add(
-                metric_ids::ENGINE_POOL_REUSE_RATIO,
-                (p.pool_reuse_ratio() * 1000.0) as u64,
-            );
-            m.set
-                .add(metric_ids::ENGINE_QUEUE_BUCKET_HWM, p.queue_bucket_hwm);
-            m.set
-                .add(metric_ids::ENGINE_QUEUE_RING_HWM, p.queue_ring_hwm);
-            m.set
-                .add(metric_ids::ENGINE_QUEUE_EMPTY_STEPS, p.queue_empty_steps);
-            m.set
-                .add(metric_ids::ENGINE_QUEUE_REBUILDS, p.queue_rebuilds);
             // What fault-aware routing fell back to (detour-memo traffic
             // and BFS runs), read back from the shared fault table.
             // Volatile: shards can race to fill the same entry, so the

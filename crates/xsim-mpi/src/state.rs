@@ -7,7 +7,7 @@ use crate::msg::{Envelope, MatchQueues};
 use crate::request::{Pending, ReqId, ReqKind, Request, RequestTable};
 use crate::smallmap::SmallMap;
 use std::ops::Range;
-use std::sync::{Arc, Mutex, PoisonError};
+use std::sync::Arc;
 use xsim_core::event::{Action, Call};
 use xsim_core::{DetRng, Kernel, Rank, SimTime};
 use xsim_net::{NetClass, NetModel};
@@ -221,7 +221,7 @@ pub struct MpiStats {
 }
 
 impl MpiStats {
-    fn merge(&mut self, o: &MpiStats) {
+    pub(crate) fn merge(&mut self, o: &MpiStats) {
         self.sends += o.sends;
         self.recvs += o.recvs;
         self.bytes_sent += o.bytes_sent;
@@ -469,25 +469,22 @@ impl RankMpi {
 
 /// Per-shard busy-time accounting for the power model (paper §III-A
 /// item (4)). Installed by the builder when a power model is configured;
-/// `MpiCtx::compute` adds each compute phase's duration. Flushes into a
-/// shared sink on drop so the builder can assemble the energy report.
+/// `MpiCtx::compute` adds each compute phase's duration, and the
+/// builder's shutdown hook copies the totals out.
 #[derive(Debug)]
 pub(crate) struct PowerService {
     /// Busy virtual time of each owned rank, indexed `rank − base`.
     busy: Vec<SimTime>,
     /// First owned world rank.
     base: usize,
-    sink: Arc<Mutex<Vec<SimTime>>>,
 }
 
 impl PowerService {
-    /// Service for the shard owning `owned`, flushing into the
-    /// world-rank-indexed `sink` on drop.
-    pub(crate) fn new(owned: Range<usize>, sink: Arc<Mutex<Vec<SimTime>>>) -> Self {
+    /// Service for the shard owning `owned`.
+    pub(crate) fn new(owned: Range<usize>) -> Self {
         PowerService {
             busy: vec![SimTime::ZERO; owned.len()],
             base: owned.start,
-            sink,
         }
     }
 
@@ -495,18 +492,11 @@ impl PowerService {
     pub(crate) fn add_busy(&mut self, rank: Rank, d: SimTime) {
         self.busy[rank.idx() - self.base] += d;
     }
-}
 
-impl Drop for PowerService {
-    fn drop(&mut self) {
-        // `Drop` may run mid-unwind and must not panic; the sink only
-        // accumulates, so a poisoned one is still consistent.
-        let mut sink = self.sink.lock().unwrap_or_else(PoisonError::into_inner);
-        let end = self.base + self.busy.len();
-        if sink.len() < end {
-            sink.resize(end, SimTime::ZERO);
-        }
-        for (slot, b) in sink[self.base..end].iter_mut().zip(&self.busy) {
+    /// Add the owned ranks' busy times into the world-rank-indexed
+    /// `total`.
+    pub(crate) fn add_into(&self, total: &mut [SimTime]) {
+        for (slot, b) in total[self.base..].iter_mut().zip(&self.busy) {
             *slot += *b;
         }
     }
@@ -595,11 +585,9 @@ pub struct MpiService {
     /// per-shard memory is O(owned ranks), never O(world).
     ranks: Vec<RankMpi>,
     owned: Range<usize>,
-    /// This shard's counters (they are only ever summed), flushed into
-    /// `stats_sink` on drop.
+    /// This shard's counters (they are only ever summed), copied out
+    /// by the builder's shutdown hook.
     pub(crate) stats: MpiStats,
-    /// Cross-shard statistics sink.
-    stats_sink: Arc<Mutex<MpiStats>>,
     /// Recycled transport boxes: injection draws here, the receive
     /// completion returns here, so steady-state messaging performs no
     /// envelope allocation. The boxes themselves are the pooled resource
@@ -619,24 +607,19 @@ pub struct MpiService {
     /// its feed, so lending one moves a pointer and allocates nothing.
     #[allow(clippy::vec_box)]
     feed_pool: Vec<Box<Vec<u64>>>,
-    /// Batched hot-path counters, flushed at engine shutdown.
-    pub net_batch: NetBatch,
+    /// Batched hot-path counters, copied out at engine shutdown.
+    pub(crate) net_batch: NetBatch,
 }
 
 impl MpiService {
     /// Create the service for one shard.
-    pub fn new(
-        world: Arc<MpiWorld>,
-        owned: Range<usize>,
-        stats_sink: Arc<Mutex<MpiStats>>,
-    ) -> Self {
+    pub fn new(world: Arc<MpiWorld>, owned: Range<usize>) -> Self {
         let ranks = owned.clone().map(|r| RankMpi::new(Rank::new(r))).collect();
         MpiService {
             world,
             ranks,
             owned,
             stats: MpiStats::default(),
-            stats_sink,
             env_pool: Vec::new(),
             notice_pool: Vec::new(),
             feed_pool: Vec::new(),
@@ -721,16 +704,6 @@ impl MpiService {
     pub(crate) fn view(&self, me: Rank, id: CommId) -> Option<CommView<'_>> {
         let world = &*self.world;
         self.rank(me).comms().view(&world.members, me, id)
-    }
-}
-
-impl Drop for MpiService {
-    fn drop(&mut self) {
-        // As for `PowerService`: never panic in `Drop`.
-        self.stats_sink
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .merge(&self.stats);
     }
 }
 
@@ -883,8 +856,7 @@ mod tests {
 
     #[test]
     fn service_owns_only_its_ranks() {
-        let sink = Arc::new(Mutex::new(MpiStats::default()));
-        let svc = MpiService::new(world(8), 2..5, sink);
+        let svc = MpiService::new(world(8), 2..5);
         assert_eq!(svc.rank(Rank(3)).me, Rank(3));
         assert_eq!(svc.owned(), 2..5);
     }
@@ -892,46 +864,40 @@ mod tests {
     #[test]
     #[should_panic(expected = "rank not on this shard")]
     fn foreign_rank_access_panics() {
-        let sink = Arc::new(Mutex::new(MpiStats::default()));
-        let svc = MpiService::new(world(8), 2..5, sink);
+        let svc = MpiService::new(world(8), 2..5);
         let _ = svc.rank(Rank(7));
     }
 
     #[test]
     #[should_panic(expected = "rank not on this shard")]
     fn foreign_rank_below_owned_panics() {
-        let sink = Arc::new(Mutex::new(MpiStats::default()));
-        let svc = MpiService::new(world(8), 2..5, sink);
+        let svc = MpiService::new(world(8), 2..5);
         let _ = svc.rank(Rank(1));
     }
 
     #[test]
     #[should_panic(expected = "rank not on this shard")]
     fn foreign_rank_above_owned_panics_mutably() {
-        let sink = Arc::new(Mutex::new(MpiStats::default()));
-        let mut svc = MpiService::new(world(8), 2..5, sink);
+        let mut svc = MpiService::new(world(8), 2..5);
         let _ = svc.rank_mut(Rank(5));
     }
 
     #[test]
-    fn stats_flush_on_drop() {
-        let sink = Arc::new(Mutex::new(MpiStats::default()));
-        {
-            let mut lo = MpiService::new(world(4), 0..2, sink.clone());
-            let mut hi = MpiService::new(world(4), 2..4, sink.clone());
-            lo.stats.sends = 3;
-            hi.stats.sends = 4;
-            hi.stats.bytes_sent = 100;
-        }
-        let agg = *sink.lock().unwrap();
-        assert_eq!(agg.sends, 7);
-        assert_eq!(agg.bytes_sent, 100);
+    fn shard_stats_merge_by_summing() {
+        let (mut lo, mut hi) = (MpiStats::default(), MpiStats::default());
+        lo.sends = 3;
+        hi.sends = 4;
+        hi.bytes_sent = 100;
+        let mut run = MpiStats::default();
+        run.merge(&lo);
+        run.merge(&hi);
+        assert_eq!(run.sends, 7);
+        assert_eq!(run.bytes_sent, 100);
     }
 
     #[test]
     fn send_seq_increments_per_destination() {
-        let sink = Arc::new(Mutex::new(MpiStats::default()));
-        let mut svc = MpiService::new(world(4), 0..4, sink);
+        let mut svc = MpiService::new(world(4), 0..4);
         let rm = svc.rank_mut(Rank(0));
         assert_eq!(rm.next_send_seq(Rank(1)), 0);
         assert_eq!(rm.next_send_seq(Rank(1)), 1);
@@ -940,8 +906,7 @@ mod tests {
 
     #[test]
     fn first_unacked_failure_respects_acks() {
-        let sink = Arc::new(Mutex::new(MpiStats::default()));
-        let mut svc = MpiService::new(world(4), 0..4, sink);
+        let mut svc = MpiService::new(world(4), 0..4);
         let failed = svc.rank_mut(Rank(0)).failed_mut();
         assert!(failed.first_unacked().is_none());
         assert!(failed.insert(Rank(2), SimTime(10)));
@@ -961,8 +926,7 @@ mod tests {
 
     #[test]
     fn completions_are_recorded_only_while_watched() {
-        let sink = Arc::new(Mutex::new(MpiStats::default()));
-        let mut svc = MpiService::new(world(2), 0..2, sink);
+        let mut svc = MpiService::new(world(2), 0..2);
         let fed = |svc: &MpiService| {
             let rm = svc.rank(Rank(0));
             (0..).map_while(|i| rm.completion(i)).collect::<Vec<_>>()
@@ -990,16 +954,14 @@ mod tests {
 
     #[test]
     fn power_service_covers_its_shard_only() {
-        let sink = Arc::new(Mutex::new(Vec::new()));
-        {
-            let mut hi = PowerService::new(6..8, sink.clone());
-            let mut lo = PowerService::new(2..4, sink.clone());
-            hi.add_busy(Rank(7), SimTime(5));
-            lo.add_busy(Rank(2), SimTime(3));
-            lo.add_busy(Rank(2), SimTime(1));
-        }
-        let busy = sink.lock().unwrap().clone();
-        assert_eq!(busy.len(), 8);
+        let mut hi = PowerService::new(6..8);
+        let mut lo = PowerService::new(2..4);
+        hi.add_busy(Rank(7), SimTime(5));
+        lo.add_busy(Rank(2), SimTime(3));
+        lo.add_busy(Rank(2), SimTime(1));
+        let mut busy = vec![SimTime::ZERO; 8];
+        hi.add_into(&mut busy);
+        lo.add_into(&mut busy);
         assert_eq!((busy[2], busy[7]), (SimTime(4), SimTime(5)));
         assert_eq!(busy.iter().map(|t| t.as_nanos()).sum::<u64>(), 9);
     }
@@ -1038,8 +1000,7 @@ mod tests {
 
     #[test]
     fn envelope_pool_recycles_boxes() {
-        let sink = Arc::new(Mutex::new(MpiStats::default()));
-        let mut svc = MpiService::new(world(2), 0..2, sink);
+        let mut svc = MpiService::new(world(2), 0..2);
         let b = svc.env_box(Envelope::blank());
         let addr = &*b as *const Envelope;
         svc.env_recycle(b);

@@ -25,13 +25,13 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::{Cell, RefCell};
 use std::mem::size_of_val;
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use xsim_apps::{heat3d, heat3d_rep, kernels};
 use xsim_core::vp::VpProgram;
 use xsim_core::{ctx, Bytes, Rank, SimTime};
 use xsim_mpi::collective::{self, ReduceOp};
 use xsim_mpi::p2p;
-use xsim_mpi::state::{MpiService, MpiStats, MpiWorld};
+use xsim_mpi::state::{MpiService, MpiWorld};
 use xsim_mpi::{
     CollAlgo, Comm, CommId, Detector, ErrHandler, HeartbeatConfig, MpiCtx, MpiError,
     ProtectionScheme, ReqId, SimBuilder,
@@ -256,9 +256,8 @@ fn shard_service_is_sized_by_owned_ranks() {
         coll_algo: CollAlgo::Tree,
         lossy: None,
     });
-    let sink = Arc::new(Mutex::new(MpiStats::default()));
     let live0 = LIVE.get();
-    let svc = MpiService::new(world, 0..4, sink);
+    let svc = MpiService::new(world, 0..4);
     let bytes = LIVE.get().wrapping_sub(live0);
     assert_eq!(svc.owned(), 0..4);
     assert!(

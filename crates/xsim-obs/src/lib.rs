@@ -36,5 +36,5 @@ pub mod trace;
 pub use chrome::ChromeTraceWriter;
 pub use json::Json;
 pub use metrics::{ids, MetricSet, SPEC};
-pub use service::{ObsReport, ObsService, ObsSink};
+pub use service::{ObsReport, ObsService};
 pub use trace::{ObsSpan, PhaseKind, Trace};

@@ -54,11 +54,11 @@ pub struct MetricDef {
     /// Upper bucket bounds (inclusive) for histograms; one overflow
     /// bucket is added implicitly. Empty for counters/gauges.
     pub buckets: &'static [u64],
-    /// Execution-shape metric: its value depends on worker count,
-    /// scheduling or wall-clock timing (engine windows, barrier waits…)
-    /// rather than on the simulation alone. Volatile metrics are
-    /// excluded from deterministic snapshots (`to_json(None)`) and from
-    /// cross-engine equality assertions.
+    /// Execution-shape metric: its value depends on worker count or
+    /// scheduling (the route memo's fill races) rather than on the
+    /// simulation alone. Volatile metrics are excluded from
+    /// deterministic snapshots (`to_json(None)`) and from cross-engine
+    /// equality assertions.
     pub volatile: bool,
 }
 
@@ -199,100 +199,69 @@ pub mod ids {
     pub const NET_DEGRADED_NS: usize = 25;
     /// Messages discarded because a lossy link corrupted the payload.
     pub const NET_CORRUPT_DROPS: usize = 26;
-    /// Synchronization windows the parallel engine executed (volatile:
-    /// depends on worker/shard count and the partition's lookahead).
-    pub const ENGINE_WINDOWS: usize = 27;
-    /// Wall-clock nanoseconds spent waiting at window barriers
-    /// (volatile: wall-clock).
-    pub const ENGINE_BARRIER_WAIT_NS: usize = 28;
-    /// Cross-shard events delivered through the batched exchange
-    /// (volatile: depends on the shard partition).
-    pub const ENGINE_BATCHED_EVENTS: usize = 29;
-    /// Largest single (src,dst) exchange batch (volatile).
-    pub const ENGINE_BATCH_MAX: usize = 30;
     /// Fault-aware route queries answered by the epoch-keyed detour
     /// memo. Only queries whose dimension-ordered path crosses a dead
     /// link reach the memo; the rest are answered by the walk and
     /// counted nowhere. (Volatile: parallel shards race to fill entries,
     /// so the counts — never the routes — vary with scheduling.)
-    pub const NET_ROUTE_CACHE_HITS: usize = 31;
+    pub const NET_ROUTE_CACHE_HITS: usize = 27;
     /// Fault-aware route queries that missed the detour memo, ran the
     /// BFS and filled an entry (volatile, see `NET_ROUTE_CACHE_HITS`).
-    pub const NET_ROUTE_CACHE_MISSES: usize = 32;
+    pub const NET_ROUTE_CACHE_MISSES: usize = 28;
     /// Route-cache entries discarded at a shard capacity bound
     /// (volatile, see `NET_ROUTE_CACHE_HITS`).
-    pub const NET_ROUTE_CACHE_EVICTIONS: usize = 33;
+    pub const NET_ROUTE_CACHE_EVICTIONS: usize = 29;
     /// Cheap reference-count payload clones on the message path
     /// (collective fan-outs sharing one buffer instead of copying it).
-    pub const MPI_PAYLOAD_CLONES: usize = 34;
+    pub const MPI_PAYLOAD_CLONES: usize = 30;
     /// Bytes actually copied host-side on the message path (collective
     /// packing and typed reduce decode — the copies that remain).
-    pub const MPI_PAYLOAD_COPY_BYTES: usize = 35;
+    pub const MPI_PAYLOAD_COPY_BYTES: usize = 31;
     /// Heartbeat messages modeled by the replication layer's failure
     /// detector (team-internal, accounted at finalize from virtual time).
-    pub const REP_HEARTBEATS: usize = 36;
+    pub const REP_HEARTBEATS: usize = 32;
     /// Replica deaths detected by the heartbeat detector (one per
     /// observer × dead replica pair).
-    pub const REP_DETECTIONS: usize = 37;
+    pub const REP_DETECTIONS: usize = 33;
     /// Leader failovers: a rank routed a logical channel around a dead
     /// replica that had been its designated copy source.
-    pub const REP_FAILOVERS: usize = 38;
+    pub const REP_FAILOVERS: usize = 34;
     /// Failover latency distribution (virtual ns between a replica's
     /// time of failure and the moment a peer routed around it).
-    pub const REP_FAILOVER_NS: usize = 39;
+    pub const REP_FAILOVER_NS: usize = 35;
     /// Logical messages sent through the replication layer.
-    pub const REP_MSGS: usize = 40;
+    pub const REP_MSGS: usize = 36;
     /// Physical copies injected for those logical messages (the
     /// replication protocol's message amplification).
-    pub const REP_COPIES: usize = 41;
-    /// Longest single barrier wait of the run, wall-clock nanoseconds
-    /// (volatile: wall-clock).
-    pub const ENGINE_BARRIER_HWM_NS: usize = 42;
-    /// Event-storage reuse ratio of the calendar queue's bucket arena,
-    /// in permille (pushes landing in already-allocated capacity per
-    /// 1000 pushes; 1000 = zero steady-state allocation). Volatile:
-    /// occupancy history depends on the shard partition and windowing.
-    pub const ENGINE_POOL_REUSE_RATIO: usize = 43;
-    /// High-water mark of a single calendar-queue bucket (volatile:
-    /// bucket occupancy depends on the shard partition).
-    pub const ENGINE_QUEUE_BUCKET_HWM: usize = 44;
+    pub const REP_COPIES: usize = 37;
     /// Stripe requests served by the simulated PFS I/O nodes (one per
     /// involved node per striped transfer).
-    pub const FS_STRIPE_REQS: usize = 45;
+    pub const FS_STRIPE_REQS: usize = 38;
     /// Bytes landed on PFS I/O nodes by striped transfers.
-    pub const FS_STRIPE_BYTES: usize = 46;
+    pub const FS_STRIPE_BYTES: usize = 39;
     /// Per-request queueing delay at a PFS I/O node before service
     /// starts (virtual ns) — the visible face of I/O contention.
-    pub const FS_STRIPE_QUEUE_NS: usize = 47;
+    pub const FS_STRIPE_QUEUE_NS: usize = 40;
     /// Group gathers performed by aggregated-checkpoint aggregators
     /// (one per container file written).
-    pub const CKPT_AGG_GATHERS: usize = 48;
+    pub const CKPT_AGG_GATHERS: usize = 41;
     /// Bytes checkpoint group members forwarded to their aggregator.
-    pub const CKPT_AGG_FORWARD_BYTES: usize = 49;
+    pub const CKPT_AGG_FORWARD_BYTES: usize = 42;
     /// Partner copies stored in the node-local tier by buddy
     /// checkpointing.
-    pub const CKPT_BUDDY_COPIES: usize = 50;
+    pub const CKPT_BUDDY_COPIES: usize = 43;
     /// Buddy checkpoints spilled to the PFS (partnerless rank).
-    pub const CKPT_BUDDY_SPILLS: usize = 51;
+    pub const CKPT_BUDDY_SPILLS: usize = 44;
     /// Dirty blocks carried by incremental (diff) checkpoints.
-    pub const CKPT_DIFF_BLOCKS: usize = 52;
+    pub const CKPT_DIFF_BLOCKS: usize = 45;
     /// Incremental (diff) checkpoint generations written.
-    pub const CKPT_DIFF_WRITES: usize = 53;
+    pub const CKPT_DIFF_WRITES: usize = 46;
     /// Restore-chain length distribution: files replayed per restored
     /// rank state (1 = plain full checkpoint, k+1 = full + k diffs).
-    pub const CKPT_RESTORE_CHAIN: usize = 54;
+    pub const CKPT_RESTORE_CHAIN: usize = 47;
     /// Breadth-first route searches the fault table ran, one per memo
     /// miss (volatile, see `NET_ROUTE_CACHE_HITS`).
-    pub const NET_ROUTE_BFS_RUNS: usize = 55;
-    /// Largest calendar-queue ring of any shard, in buckets (volatile,
-    /// like the rest of the queue-shape gauges).
-    pub const ENGINE_QUEUE_RING_HWM: usize = 56;
-    /// Empty buckets the calendar queues stepped over looking for the
-    /// next event (volatile).
-    pub const ENGINE_QUEUE_EMPTY_STEPS: usize = 57;
-    /// Bulk redistribution passes of the calendar queues: width splits
-    /// and lane migrations (volatile).
-    pub const ENGINE_QUEUE_REBUILDS: usize = 58;
+    pub const NET_ROUTE_BFS_RUNS: usize = 48;
 }
 
 /// The metric schema, indexed by [`ids`].
@@ -324,12 +293,6 @@ pub const SPEC: &[MetricDef] = &[
     MetricDef::counter("net.rerouted_hops", Unit::Count),
     MetricDef::counter("net.degraded_ns", Unit::Nanos),
     MetricDef::counter("net.corrupt_drops", Unit::Count),
-    // Engine execution-shape gauges, set once post-run from the
-    // SimReport's EngineProfile — volatile by nature (see MetricDef).
-    MetricDef::gauge("engine.windows", Unit::Count).volatile(),
-    MetricDef::gauge("engine.barrier_wait_ns", Unit::Nanos).volatile(),
-    MetricDef::gauge("engine.batched_events", Unit::Count).volatile(),
-    MetricDef::gauge("engine.batch_max_events", Unit::Count).volatile(),
     MetricDef::counter("net.route_cache_hits", Unit::Count).volatile(),
     MetricDef::counter("net.route_cache_misses", Unit::Count).volatile(),
     MetricDef::counter("net.route_cache_evictions", Unit::Count).volatile(),
@@ -341,12 +304,6 @@ pub const SPEC: &[MetricDef] = &[
     MetricDef::histogram("rep.failover_ns", Unit::Nanos, LATENCY_BUCKETS),
     MetricDef::counter("rep.logical_msgs", Unit::Count),
     MetricDef::counter("rep.copies", Unit::Count),
-    // Data-oriented event-core gauges, set once post-run from the
-    // EngineProfile — execution-shape data, volatile like the rest of
-    // the engine.* family.
-    MetricDef::gauge("engine.window.barrier_wait_hwm_ns", Unit::Nanos).volatile(),
-    MetricDef::gauge("engine.pool.reuse_ratio", Unit::Count).volatile(),
-    MetricDef::gauge("engine.queue.bucket_hwm", Unit::Count).volatile(),
     // PFS striping + checkpoint-mode metrics. All are deterministic
     // virtual-behavior counts (part of the to_json(None) surface): the
     // stripe queue delays are fixed by the FCFS event order, which the
@@ -362,9 +319,6 @@ pub const SPEC: &[MetricDef] = &[
     MetricDef::counter("ckpt.mode.diff_writes", Unit::Count),
     MetricDef::histogram("ckpt.mode.restore_chain", Unit::Count, CHAIN_BUCKETS),
     MetricDef::counter("net.route_bfs_runs", Unit::Count).volatile(),
-    MetricDef::gauge("engine.queue.ring_hwm", Unit::Count).volatile(),
-    MetricDef::gauge("engine.queue.empty_steps", Unit::Count).volatile(),
-    MetricDef::gauge("engine.queue.rebuilds", Unit::Count).volatile(),
 ];
 
 /// A filled histogram.
@@ -573,33 +527,19 @@ mod tests {
 
     #[test]
     fn spec_ids_line_up() {
-        assert_eq!(SPEC.len(), ids::ENGINE_QUEUE_REBUILDS + 1);
+        assert_eq!(SPEC.len(), ids::NET_ROUTE_BFS_RUNS + 1);
         assert_eq!(SPEC[ids::NET_MSGS_EAGER].name, "net.msgs_eager");
         assert_eq!(SPEC[ids::MPI_UNEXPECTED_HWM].kind, MetricKind::Gauge);
         assert_eq!(SPEC[ids::FS_WRITE_NS].kind, MetricKind::Histogram);
         assert_eq!(SPEC[ids::NET_DROPS].name, "net.drops");
         assert_eq!(SPEC[ids::NET_BACKOFF_NS].unit, Unit::Nanos);
         assert_eq!(SPEC[ids::NET_CORRUPT_DROPS].name, "net.corrupt_drops");
-        assert_eq!(SPEC[ids::ENGINE_WINDOWS].name, "engine.windows");
-        assert_eq!(SPEC[ids::ENGINE_BATCH_MAX].name, "engine.batch_max_events");
         assert_eq!(SPEC[ids::NET_ROUTE_CACHE_HITS].name, "net.route_cache_hits");
         assert_eq!(SPEC[ids::MPI_PAYLOAD_CLONES].name, "mpi.payload_clones");
         assert_eq!(SPEC[ids::MPI_PAYLOAD_COPY_BYTES].unit, Unit::Bytes);
         assert_eq!(SPEC[ids::REP_HEARTBEATS].name, "rep.heartbeats");
         assert_eq!(SPEC[ids::REP_FAILOVER_NS].kind, MetricKind::Histogram);
         assert_eq!(SPEC[ids::REP_COPIES].name, "rep.copies");
-        assert_eq!(
-            SPEC[ids::ENGINE_BARRIER_HWM_NS].name,
-            "engine.window.barrier_wait_hwm_ns"
-        );
-        assert_eq!(
-            SPEC[ids::ENGINE_POOL_REUSE_RATIO].name,
-            "engine.pool.reuse_ratio"
-        );
-        assert_eq!(
-            SPEC[ids::ENGINE_QUEUE_BUCKET_HWM].name,
-            "engine.queue.bucket_hwm"
-        );
         assert_eq!(SPEC[ids::FS_STRIPE_REQS].name, "fs.stripe.requests");
         assert_eq!(SPEC[ids::FS_STRIPE_BYTES].unit, Unit::Bytes);
         assert_eq!(SPEC[ids::FS_STRIPE_QUEUE_NS].kind, MetricKind::Histogram);
@@ -612,23 +552,15 @@ mod tests {
             "ckpt.mode.restore_chain"
         );
         assert_eq!(SPEC[ids::NET_ROUTE_BFS_RUNS].name, "net.route_bfs_runs");
-        assert_eq!(
-            SPEC[ids::ENGINE_QUEUE_RING_HWM].name,
-            "engine.queue.ring_hwm"
-        );
-        assert_eq!(
-            SPEC[ids::ENGINE_QUEUE_REBUILDS].name,
-            "engine.queue.rebuilds"
-        );
-        // Exactly the execution-shape metrics (engine profile + route
-        // cache occupancy + event-core pool/queue shape) are volatile;
+        // Exactly the route memo's occupancy counts are volatile (the
+        // engine's execution shape is the snapshot's engine section);
         // payload accounting is part of the deterministic snapshot.
         for (id, def) in SPEC.iter().enumerate() {
-            let expect_volatile = (ids::ENGINE_WINDOWS..=ids::NET_ROUTE_CACHE_EVICTIONS)
+            let expect_volatile = (ids::NET_ROUTE_CACHE_HITS..=ids::NET_ROUTE_CACHE_EVICTIONS)
                 .contains(&id)
-                || (ids::ENGINE_BARRIER_HWM_NS..=ids::ENGINE_QUEUE_BUCKET_HWM).contains(&id)
-                || id >= ids::NET_ROUTE_BFS_RUNS;
+                || id == ids::NET_ROUTE_BFS_RUNS;
             assert_eq!(def.volatile, expect_volatile, "volatility of {}", def.name);
+            assert!(!def.name.starts_with("engine."), "{}", def.name);
         }
         // Names are unique.
         let mut names: Vec<_> = SPEC.iter().map(|d| d.name).collect();
@@ -723,18 +655,21 @@ mod tests {
     #[test]
     fn volatile_metrics_are_gated_out_of_snapshots() {
         let mut m = MetricSet::new();
-        m.add(ids::ENGINE_WINDOWS, 12);
+        m.add(ids::NET_ROUTE_CACHE_HITS, 12);
         m.add(ids::CKPT_WRITES, 1);
         let mut without = String::new();
         m.write_json(&mut without, false);
         let v = crate::json::Json::parse(&without).expect("valid JSON");
-        assert!(v.get("engine.windows").is_none(), "volatile gated out");
+        assert!(
+            v.get("net.route_cache_hits").is_none(),
+            "volatile gated out"
+        );
         assert!(v.get("ckpt.writes").is_some());
         let mut with = String::new();
         m.write_json(&mut with, true);
         let v = crate::json::Json::parse(&with).expect("valid JSON");
         assert_eq!(
-            v.get("engine.windows")
+            v.get("net.route_cache_hits")
                 .and_then(|e| e.get("value"))
                 .and_then(|n| n.as_u64()),
             Some(12)

@@ -1,56 +1,34 @@
 //! The per-shard observability service and its end-of-run report.
 //!
 //! Each kernel shard carries one [`ObsService`] holding a [`MetricSet`]
-//! plus a buffer of [`ObsSpan`]s; at engine shutdown every shard flushes
-//! into a shared [`ObsSink`], which the builder drains into an
-//! [`ObsReport`] and a [`Trace`] after the run.
+//! plus a buffer of [`ObsSpan`]s. At engine shutdown the builder moves
+//! every shard's service, in shard order, into one collecting service,
+//! which [`finish`](ObsService::finish)es into an [`ObsReport`] and a
+//! [`Trace`].
 
 use crate::metrics::MetricSet;
 use crate::trace::{ObsSpan, Trace};
 use std::fmt::Write as _;
-use std::sync::{Arc, Mutex, PoisonError};
 use xsim_core::{Kernel, SimReport};
-
-/// Shared sink the per-shard services flush into.
-#[derive(Default)]
-pub struct ObsSink {
-    set: MetricSet,
-    spans: Vec<ObsSpan>,
-}
-
-impl ObsSink {
-    /// Drain the sink after the run: the merged metrics and the trace
-    /// (spans in deterministic order).
-    pub fn drain(sink: &Mutex<ObsSink>) -> (ObsReport, Trace) {
-        let inner = std::mem::take(
-            &mut *sink
-                .lock()
-                .expect("an ObsService panicked while flushing into the sink"),
-        );
-        (ObsReport { set: inner.set }, Trace::assemble(inner.spans))
-    }
-}
 
 /// Per-shard observability state, installed as a kernel service when
 /// `SimBuilder::metrics` or `SimBuilder::trace` is on.
+#[derive(Default)]
 pub struct ObsService {
     /// This shard's metric storage. Public so instrumentation sites that
     /// already hold `&mut ObsService` can record without indirection.
     pub set: MetricSet,
     spans: Vec<ObsSpan>,
     tracing: bool,
-    sink: Arc<Mutex<ObsSink>>,
 }
 
 impl ObsService {
-    /// New per-shard service flushing into `sink`; it keeps spans only
-    /// when `tracing`.
-    pub fn new(sink: Arc<Mutex<ObsSink>>, tracing: bool) -> Self {
+    /// New per-shard service; it keeps spans only when `tracing`.
+    pub fn new(tracing: bool) -> Self {
         ObsService {
             set: MetricSet::new(),
             spans: Vec::new(),
             tracing,
-            sink,
         }
     }
 
@@ -69,24 +47,18 @@ impl ObsService {
         }
     }
 
-    /// Flush this shard's metrics and spans into the shared sink. Called
-    /// explicitly at engine shutdown; idempotent (flushing drains the
-    /// local state), with `Drop` as a backstop.
-    pub fn flush(&mut self) {
-        if self.spans.is_empty() && !self.set.any_activity() {
-            return;
-        }
-        // Runs from `Drop`, possibly mid-unwind: never panic here. The
-        // sink only accumulates, so a poisoned one is still consistent.
-        let mut sink = self.sink.lock().unwrap_or_else(PoisonError::into_inner);
-        sink.set.merge_from(&mut self.set);
-        sink.spans.append(&mut self.spans);
+    /// Move `shard`'s metrics and spans into this service, leaving
+    /// `shard` empty: counters sum, gauges keep the maximum, histograms
+    /// add, and spans append in the order they are absorbed.
+    pub fn absorb(&mut self, shard: &mut ObsService) {
+        self.set.merge_from(&mut shard.set);
+        self.spans.append(&mut shard.spans);
     }
-}
 
-impl Drop for ObsService {
-    fn drop(&mut self) {
-        self.flush();
+    /// The absorbed metrics and the trace (spans in deterministic
+    /// order).
+    pub fn finish(self) -> (ObsReport, Trace) {
+        (ObsReport { set: self.set }, Trace::assemble(self.spans))
     }
 }
 
@@ -126,7 +98,6 @@ pub fn tracing(k: &Kernel) -> bool {
 }
 
 /// The merged metrics of one run.
-#[derive(Default)]
 pub struct ObsReport {
     /// Merged metrics across shards.
     pub set: MetricSet,
@@ -136,7 +107,8 @@ impl ObsReport {
     /// Render the machine-readable metrics snapshot. Pass the engine
     /// report to include the engine section (events, context switches,
     /// per-shard stats, load imbalance, parallel-engine profile with each
-    /// worker's Phase-B busy time and the per-window balance).
+    /// worker's Phase-B busy time and the per-window balance, and the
+    /// event queue's pool reuse and bucket shape).
     ///
     /// Without an engine report (`to_json(None)`) the snapshot is the
     /// *deterministic surface*: volatile (execution-shape) metrics are
@@ -152,7 +124,9 @@ impl ObsReport {
                  \"load_imbalance\":{:.4},\"windows\":{},\"barrier_wait_ns\":{},\
                  \"worker_busy_ns\":{:?},\"window_critical_events\":{},\
                  \"window_balance\":{:.4},\"batched_events\":{},\"batch_max_events\":{},\
-                 \"shards\":[",
+                 \"window_barrier_hwm_ns\":{},\"pool_reuse_ratio\":{:.4},\
+                 \"queue_bucket_hwm\":{},\"queue_ring_hwm\":{},\"queue_empty_steps\":{},\
+                 \"queue_rebuilds\":{},\"shards\":[",
                 r.events_processed,
                 r.context_switches,
                 r.wall.as_micros(),
@@ -163,7 +137,13 @@ impl ObsReport {
                 r.profile.window_critical_events,
                 r.window_balance(),
                 r.profile.batched_events,
-                r.profile.batch_max_events
+                r.profile.batch_max_events,
+                r.profile.window_barrier_hwm_ns,
+                r.profile.pool_reuse_ratio(),
+                r.profile.queue_bucket_hwm,
+                r.profile.queue_ring_hwm,
+                r.profile.queue_empty_steps,
+                r.profile.queue_rebuilds
             );
             for (i, s) in r.shards.iter().enumerate() {
                 if i > 0 {
@@ -212,45 +192,43 @@ mod tests {
     }
 
     #[test]
-    fn flush_merges_and_drains() {
-        let sink = Arc::new(Mutex::new(ObsSink::default()));
-        let mut a = ObsService::new(sink.clone(), true);
-        let mut b = ObsService::new(sink.clone(), true);
+    fn absorb_merges_and_drains_the_shard() {
+        let mut run = ObsService::new(false);
+        let mut a = ObsService::new(true);
+        let mut b = ObsService::new(true);
         a.record(ids::FS_WRITES, 2);
         b.record(ids::FS_WRITES, 3);
         b.span(io(1, 5));
-        a.flush();
-        a.flush(); // idempotent
-        drop(a);
-        drop(b); // Drop backstop flushes b
-        let (rep, trace) = ObsSink::drain(&sink);
+        run.absorb(&mut a);
+        run.absorb(&mut b);
+        assert!(!b.set.any_activity() && b.spans.is_empty(), "b is drained");
+        run.absorb(&mut b); // absorbing a drained shard adds nothing
+        let (rep, trace) = run.finish();
         assert_eq!(rep.set.value(ids::FS_WRITES), 5);
         assert_eq!(trace.events, vec![io(1, 5)]);
     }
 
     #[test]
     fn spans_need_tracing_and_sort_deterministically() {
-        let sink = Arc::new(Mutex::new(ObsSink::default()));
-        let mut metrics_only = ObsService::new(sink.clone(), false);
+        let mut run = ObsService::new(false);
+        let mut metrics_only = ObsService::new(false);
         metrics_only.span(io(9, 0));
-        let mut s = ObsService::new(sink.clone(), true);
+        let mut s = ObsService::new(true);
         s.span(io(2, 10));
         s.span(io(0, 10));
         s.span(io(1, 3));
-        s.flush();
-        metrics_only.flush();
-        let (_, trace) = ObsSink::drain(&sink);
+        run.absorb(&mut s);
+        run.absorb(&mut metrics_only);
+        let (_, trace) = run.finish();
         let order: Vec<_> = trace.events.iter().map(|s| (s.start.0, s.rank.0)).collect();
         assert_eq!(order, vec![(3, 1), (10, 0), (10, 2)]);
     }
 
     #[test]
     fn snapshot_json_parses_without_engine() {
-        let sink = Arc::new(Mutex::new(ObsSink::default()));
-        let mut s = ObsService::new(sink.clone(), false);
+        let mut s = ObsService::new(false);
         s.record(ids::CKPT_WRITES, 1);
-        s.flush();
-        let (rep, _) = ObsSink::drain(&sink);
+        let (rep, _) = s.finish();
         let doc = crate::json::Json::parse(&rep.to_json(None)).expect("valid JSON");
         assert_eq!(doc.get("schema").unwrap().as_str(), Some("xsim-metrics-v1"));
         assert_eq!(

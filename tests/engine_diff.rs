@@ -6,7 +6,8 @@
 //! The comparison surface is `ObsReport::to_json(None)` — the metrics
 //! snapshot without the engine section — plus the engine-independent
 //! scalars of `SimReport` (final clocks, exit kind, event and context
-//! switch totals, activated failures). Execution-shape data (per-shard
+//! switch totals, activated failures) and the totals every shard hands
+//! the builder at shutdown (`RunReport::mpi`, `RunReport::power`). Execution-shape data (per-shard
 //! stats, window/steal/barrier profile, wall clock) legitimately varies
 //! with the worker count and is excluded by construction.
 
@@ -15,6 +16,7 @@ use xsim::apps::jacobi2d::{self, JacobiConfig};
 use xsim::apps::scenario::Cli;
 use xsim::mpi::CollAlgo;
 use xsim::prelude::*;
+use xsim_proc::PowerModel;
 
 /// The deterministic metrics snapshot (no engine section).
 fn snapshot(report: &RunReport) -> String {
@@ -63,12 +65,14 @@ fn assert_engine_invariant(name: &str, run: impl Fn(usize, EngineKind) -> RunRep
             "{name}/{label}: activated failures"
         );
         assert_eq!(par.sim.digest, seq.sim.digest, "{name}/{label}: run digest");
+        assert_eq!(par.mpi, seq.mpi, "{name}/{label}: MPI statistics");
+        assert_eq!(par.power, seq.power, "{name}/{label}: energy accounting");
     }
 }
 
 /// The paper's 3-D heat application with checkpoints to a modeled PFS:
 /// compute + halo exchange + collectives + file I/O, all under one
-/// differential run.
+/// differential run, with the power model's per-rank busy times.
 #[test]
 fn heat3d_is_engine_invariant() {
     let cfg = HeatConfig::small();
@@ -76,6 +80,7 @@ fn heat3d_is_engine_invariant() {
         SimBuilder::new(cfg.n_ranks())
             .net(NetModel::small(cfg.n_ranks()))
             .fs_model(FsModel::typical_pfs())
+            .power(PowerModel::typical_node())
             .workers(workers)
             .engine(engine)
             .metrics(true)

@@ -109,11 +109,42 @@ fn metrics_snapshot_json_includes_engine_section() {
             .unwrap()
             > 0
     );
+    // The event queue's profile is printed here, once: the metrics
+    // section carries no copy of any engine number.
+    for key in [
+        "window_barrier_hwm_ns",
+        "pool_reuse_ratio",
+        "queue_bucket_hwm",
+        "queue_ring_hwm",
+        "queue_empty_steps",
+        "queue_rebuilds",
+    ] {
+        assert!(
+            engine.get(key).and_then(Json::as_f64).is_some(),
+            "engine.{key} present"
+        );
+    }
+    assert!(
+        engine
+            .get("queue_bucket_hwm")
+            .and_then(Json::as_u64)
+            .unwrap()
+            > 0
+    );
     let metrics = doc.get("metrics").expect("metrics section");
     assert!(
         metrics.get("fs.writes").is_some(),
         "per-metric entries present"
     );
+    let Json::Obj(metrics) = metrics else {
+        panic!("metrics section is an object")
+    };
+    for name in metrics.keys() {
+        assert!(
+            !name.starts_with("engine."),
+            "{name} copies the engine section"
+        );
+    }
 }
 
 #[test]
