@@ -67,7 +67,8 @@ pub enum App {
 pub struct Scenario {
     /// The application (the `xsim` subcommand; `None` for the harnesses).
     pub app: App,
-    /// Native worker threads (`--workers`).
+    /// Parallel-engine workers (`--workers`); a run starts at most one
+    /// thread per CPU.
     pub workers: usize,
     /// Master seed (`--seed`).
     pub seed: u64,
@@ -83,9 +84,9 @@ impl Default for Scenario {
         Scenario {
             app: App::None,
             workers: 1,
-            // Both MTTF groups of Table II see failures in their first
-            // run at this seed (any seed is valid; runs are
-            // deterministic per seed).
+            // Any seed is valid; runs are deterministic per seed. At this
+            // one Table II's MTTF 3000 s group sees a failure in its first
+            // run and the 6000 s group draws none.
             seed: 17,
             faults: FaultSchedule::new(),
             protection: None,

@@ -14,12 +14,13 @@ pub enum EngineKind {
     /// Force the reference sequential engine regardless of `workers`.
     Sequential,
     /// Force the conservative windowed parallel engine, even with a
-    /// single worker thread (useful for differential testing: the
-    /// parallel code path with no actual concurrency).
+    /// single worker (useful for differential testing: the parallel code
+    /// path over four shards on the calling thread, with no actual
+    /// concurrency).
     Parallel,
 }
 
-/// Shards per parallel-engine worker thread. A constant, not an option:
+/// Shards per requested parallel-engine worker. A constant, not an option:
 /// with one shard per worker the 2²⁰-VP raw-core ring ran ≈ 20 % slower
 /// on the 2-vCPU reference host (unverified explanation: a same-time
 /// flood of 131 k events sorts in cache, one of 524 k does not) while
@@ -34,7 +35,8 @@ pub(crate) const SHARDS_PER_WORKER: usize = 4;
 pub struct CoreConfig {
     /// Number of simulated virtual processes (MPI ranks).
     pub n_ranks: usize,
-    /// Number of native worker threads used by the parallel engine.
+    /// Workers of the parallel engine: the rank space is cut into four
+    /// shards per worker, run on at most one native thread per CPU.
     pub workers: usize,
     /// Which engine runs the simulation (see [`EngineKind`]).
     pub engine: EngineKind,

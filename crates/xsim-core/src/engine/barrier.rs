@@ -7,7 +7,9 @@
 //! only worth it while every worker has a core of its own: with more
 //! workers than the host's available parallelism a spinner would burn
 //! the timeslice of the very worker it waits for, so such a barrier
-//! parks at once.
+//! parks at once. The parallel engine never starts more threads than
+//! that, so only this module's own tests (eight threads on a host with
+//! fewer cores) reach the park-at-once rule.
 
 use std::hint::spin_loop;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};

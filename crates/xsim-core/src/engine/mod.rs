@@ -5,10 +5,11 @@
 //!
 //! * `run_sequential` processes events in global key order — the
 //!   reference implementation.
-//! * `run_parallel` is a conservative, window-synchronized PDES over
-//!   native worker threads that each own a fixed set of shards, the
-//!   shared-memory analogue of xSim running as a parallel MPI program
-//!   with conservative synchronization (paper §II-A, §IV-A).
+//! * `run_parallel` is a conservative, window-synchronized PDES over at
+//!   most one native thread per CPU, the calling thread first, each
+//!   owning a fixed set of shards, the shared-memory analogue of xSim
+//!   running as a parallel MPI program with conservative
+//!   synchronization (paper §II-A, §IV-A).
 //!
 //! [`run`] dispatches on `cfg.use_parallel()` (engine kind + workers).
 

@@ -1,17 +1,27 @@
 //! Conservative windowed parallel engine with static shard ownership.
 //!
-//! The rank space is partitioned into contiguous shards, and every worker
-//! thread owns a fixed, interleaved set of them for the whole run: with
-//! `W` workers, worker `w` owns shards `w, w + W, w + 2W, …` — the
-//! shared-memory analogue of xSim's native processes each owning
-//! simulated ranks (paper §II-A, §IV-A). Interleaving spreads a
-//! collective's phases over the workers: with contiguous blocks a tree's
-//! up-sweep runs on one worker while its down-sweep waits on the other.
-//! Every worker runs one loop, one iteration per global window:
+//! The rank space is partitioned into contiguous shards,
+//! `SHARDS_PER_WORKER` per requested worker, and every thread owns a
+//! fixed, interleaved set of them for the whole run: with `T` threads,
+//! thread `t` owns shards `t, t + T, t + 2T, …` — the shared-memory
+//! analogue of xSim's native processes each owning simulated ranks
+//! (paper §II-A, §IV-A). Interleaving spreads a collective's phases over
+//! the threads: with contiguous blocks a tree's up-sweep runs on one
+//! thread while its down-sweep waits on the other.
+//!
+//! `T` is the shard count over `SHARDS_PER_WORKER`, rounded up (the
+//! requested worker count, unless there are fewer ranks than that many
+//! shards), capped at the host's available parallelism: the shard
+//! layout, and with it every simulated value, depends on the request
+//! alone, while no thread waits for a core another thread holds.
+//! Thread 0 is the calling thread, so a one-thread run starts no thread.
+//! Every thread runs one loop, one iteration per global window:
 //!
 //! * **Phase A:** drain each owned shard's inbound exchange slots into
-//!   its queue and publish its next pending event time.
-//! * **Barrier 1**, after which every worker computes the two smallest
+//!   its queue and publish its next pending event time. The first
+//!   Phase A builds the thread's shards first, on the thread that runs
+//!   them, so each shard's memory comes from that thread's heap.
+//! * **Barrier 1**, after which every thread computes the two smallest
 //!   published times (`min1`, `min2`) and takes the same exit decision.
 //! * **Phase B:** process each owned shard's events below the window
 //!   bound (or under the clamped exclusive drain described below), then
@@ -20,19 +30,18 @@
 //! * **Barrier 2**, then the next window.
 //!
 //! Both crossings use one [`WindowBarrier`]: a generation counter that a
-//! waiter spins on for a bounded time before it parks, and parks at once
-//! when there are more workers than cores.
+//! waiter spins on for a bounded time before it parks.
 //!
 //! Every write of shared state is separated from every read of it by a
 //! barrier: bounds and the panic flag are written in Phase A and read
 //! between the barriers; exchange slots are filled in Phase B and
-//! drained in Phase A; per-worker window event counts are written in
-//! Phase B and read after barrier 2. All workers therefore derive
+//! drained in Phase A; per-thread window event counts are written in
+//! Phase B and read after barrier 2. All threads therefore derive
 //! identical window parameters and leave the loop in the same iteration.
 //!
 //! Each shard spawns its ranks through its own program handle
 //! ([`VpProgram::shard_handle`]), so a rank's spawn and exit touch no
-//! refcount that another worker touches too.
+//! refcount that another thread touches too.
 //!
 //! ## Window-bound safety
 //!
@@ -61,18 +70,19 @@
 //! anything. `Call` actions only mutate destination-rank state, and
 //! per-source `seq` counters advance on the source's owning shard alone
 //! — per-rank event histories, and therefore all virtual-time results,
-//! are identical to the sequential engine's for any worker count. Only
-//! the [`EngineProfile`] execution-shape counters vary.
+//! are identical to the sequential engine's for any worker or thread
+//! count. Only the [`EngineProfile`] execution-shape counters vary.
 //!
 //! ## Panic containment
 //!
-//! A worker that unwound out of the loop would leave the others blocked
-//! at a barrier forever, so both phases run under `catch_unwind`: a
-//! worker whose phase panicked keeps the payload, does no further work,
-//! keeps arriving at barriers and raises a shared flag in its next
-//! Phase A — like the bounds, the flag is stable when it is read, and
-//! everyone leaves together. [`run_parallel`] then resumes the first
-//! payload on the calling thread, as the sequential engine would have.
+//! A thread that unwound out of the loop would leave the others blocked
+//! at a barrier forever, so both phases — the shard build included —
+//! run under `catch_unwind`: a thread whose phase panicked keeps the
+//! payload, does no further work, keeps arriving at barriers and raises
+//! a shared flag in its next Phase A — like the bounds, the flag is
+//! stable when it is read, and everyone leaves together. [`run_parallel`]
+//! then resumes the first payload in thread order on the calling thread,
+//! as the sequential engine would have.
 
 use super::barrier::WindowBarrier;
 use super::{assemble_report, SetupFn};
@@ -89,8 +99,8 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
-/// A poisoned slot lock means a worker panicked mid-swap: propagate.
-const POISONED: &str = "a parallel-engine worker panicked while holding this lock";
+/// A poisoned slot lock means a thread panicked mid-swap: propagate.
+const POISONED: &str = "a parallel-engine thread panicked while holding this lock";
 
 /// Shared synchronization state of one parallel run.
 struct Shared {
@@ -105,22 +115,23 @@ struct Shared {
     slots: Vec<Vec<Mutex<Vec<EventRec>>>>,
     /// Window barrier (two crossings per window).
     barrier: WindowBarrier,
-    /// Events each worker processed in the current window. Written in
-    /// Phase B, read by worker 0 after barrier 2.
+    /// Events each thread processed in the current window. Written in
+    /// Phase B, read by thread 0 after barrier 2.
     window_events: Vec<AtomicU64>,
     /// Aggregate processed-event counter for the budget check.
     events: AtomicU64,
     /// Window index during which the event budget first tripped
     /// (u64::MAX: never). The exit check compares it against the
-    /// *current* window, so a trip during window `w` — which some workers
+    /// *current* window, so a trip during window `w` — which some threads
     /// may observe mid-scan and others not — halts everyone in `w + 1`.
     budget_window: AtomicU64,
-    /// Raised (in Phase A only) by a worker holding a panic payload.
+    /// Raised (in Phase A only) by a thread holding a panic payload.
     panicked: AtomicBool,
 }
 
-/// Run the simulation on one worker thread per `SHARDS_PER_WORKER`
-/// shards, each worker owning an interleaved set of them.
+/// Run the simulation on one thread per `SHARDS_PER_WORKER` shards, at
+/// most one per CPU, the calling thread first; each owns an interleaved
+/// set of shards.
 pub(crate) fn run_parallel(
     cfg: CoreConfig,
     program: Arc<dyn VpProgram>,
@@ -131,41 +142,50 @@ pub(crate) fn run_parallel(
     let cfg = Arc::new(cfg);
     let n_shards = cfg.n_shards();
     let per = cfg.ranks_per_shard();
-    let n_workers = n_shards.div_ceil(SHARDS_PER_WORKER);
-    // Worker `w` owns shards `w, w + n_workers, …`, in ascending order.
-    // In an `Option`, so a worker can lend its shard to its thread's slot.
-    let mut owned: Vec<Vec<Option<Kernel>>> = (0..n_workers)
-        .map(|_| Vec::with_capacity(SHARDS_PER_WORKER))
-        .collect();
-    for s in 0..n_shards {
+    let cores = std::thread::available_parallelism().map_or(1, |c| c.get());
+    let n_threads = n_shards.div_ceil(SHARDS_PER_WORKER).min(cores);
+    let build = |s: usize| {
         let lo = s * per;
         let hi = ((s + 1) * per).min(cfg.n_ranks);
         let handle = program.shard_handle().unwrap_or_else(|| program.clone());
         let mut k = Kernel::new(s, cfg.clone(), lo..hi, handle);
         k.schedule_spawns();
-        owned[s % n_workers].push(Some(k));
-    }
+        k
+    };
+    // Thread `t` builds and owns shards `t, t + n_threads, …`, in
+    // ascending order. In an `Option`, so a thread can lend its shard to
+    // its slot.
+    let mut owned: Vec<Vec<Option<Kernel>>> = (0..n_threads).map(|_| Vec::new()).collect();
     let shared = Shared {
         next_times: (0..n_shards).map(|_| AtomicU64::new(u64::MAX)).collect(),
         slots: (0..n_shards)
             .map(|_| (0..n_shards).map(|_| Mutex::new(Vec::new())).collect())
             .collect(),
-        barrier: WindowBarrier::new(n_workers),
-        window_events: (0..n_workers).map(|_| AtomicU64::new(0)).collect(),
+        barrier: WindowBarrier::new(n_threads),
+        window_events: (0..n_threads).map(|_| AtomicU64::new(0)).collect(),
         events: AtomicU64::new(0),
         budget_window: AtomicU64::new(u64::MAX),
         panicked: AtomicBool::new(false),
     };
     let outcomes: Vec<std::thread::Result<EngineProfile>> = std::thread::scope(|scope| {
-        let workers: Vec<_> = owned
+        let (shared, cfg, build) = (&shared, &*cfg, &build);
+        let (first, rest) = owned.split_first_mut().expect("a run has a shard");
+        let others: Vec<_> = rest
             .iter_mut()
             .enumerate()
-            .map(|(w, mine)| {
-                let (shared, cfg) = (&shared, &*cfg);
-                scope.spawn(move || worker_loop(w, mine, shared, cfg, setup))
+            .map(|(t, mine)| {
+                scope.spawn(move || worker_loop(t + 1, mine, shared, cfg, setup, build))
             })
             .collect();
-        workers.into_iter().map(|w| w.join()).collect()
+        // The caller is thread 0. Its loop re-raises a caught panic only
+        // after every thread has left the last window, so catching it
+        // here just puts it in line with the others' `join` results.
+        let caller = catch_unwind(AssertUnwindSafe(|| {
+            worker_loop(0, first, shared, cfg, setup, build)
+        }));
+        std::iter::once(caller)
+            .chain(others.into_iter().map(|t| t.join()))
+            .collect()
     });
     let mut profile = EngineProfile::default();
     for outcome in outcomes {
@@ -176,14 +196,14 @@ pub(crate) fn run_parallel(
             processed: shared.events.load(Ordering::Relaxed),
         });
     }
-    // Back into shard order: shard `s` is worker `s % n_workers`'s next.
+    // Back into shard order: shard `s` is thread `s % n_threads`'s next.
     let mut owned: Vec<_> = owned.into_iter().map(Vec::into_iter).collect();
     let kernels = (0..n_shards)
         .map(|s| {
-            owned[s % n_workers]
+            owned[s % n_threads]
                 .next()
                 .flatten()
-                .expect("a shard left its worker")
+                .expect("a shard left its thread")
         })
         .collect();
     assemble_report(&cfg, kernels, profile, start.elapsed())
@@ -195,16 +215,21 @@ fn note_barrier_wait(prof: &mut EngineProfile, since: Instant) {
     prof.window_barrier_hwm_ns = prof.window_barrier_hwm_ns.max(waited);
 }
 
-/// One worker's run over the shards it owns. A panic caught in a phase
-/// is re-raised after the loop and reaches [`run_parallel`] via `join`.
+/// One thread's run over the shards it owns, which it builds from shard
+/// indices with `build` in its first Phase A. A panic caught in a phase
+/// is re-raised after the loop and reaches [`run_parallel`] in the
+/// thread's outcome.
 fn worker_loop(
     me: usize,
-    mine: &mut [Option<Kernel>],
+    mine: &mut Vec<Option<Kernel>>,
     shared: &Shared,
     cfg: &CoreConfig,
     setup: SetupFn<'_>,
+    build: &(dyn Fn(usize) -> Kernel + Sync),
 ) -> EngineProfile {
     let mut prof = EngineProfile::default();
+    // One event count per thread, one bound per shard.
+    let (n_threads, n_shards) = (shared.window_events.len(), shared.next_times.len());
     // AssertUnwindSafe below: once a phase has panicked nobody touches
     // these kernels again — the run ends and the payload is re-raised.
     let mut caught = None;
@@ -214,11 +239,16 @@ fn worker_loop(
         // ---- Phase A: ingest exchanged batches, publish bounds.
         if caught.is_none() {
             caught = catch_unwind(AssertUnwindSafe(|| {
-                for k in mine.iter_mut().flatten() {
-                    if window == 0 {
-                        // First touch: install services and injections.
-                        setup(k);
+                if window == 0 {
+                    // First touch: build the shards on this thread, then
+                    // install their services and injections.
+                    for s in (me..n_shards).step_by(n_threads) {
+                        let mut k = build(s);
+                        setup(&mut k);
+                        mine.push(Some(k));
                     }
+                }
+                for k in mine.iter_mut().flatten() {
                     ingest(k, shared, &mut prof);
                 }
             }))
@@ -252,8 +282,8 @@ fn worker_loop(
             || shared.panicked.load(Ordering::SeqCst)
         {
             // No pending work, a budget trip in a *previous* window, or
-            // a held panic: over, for every worker alike. (A trip in this
-            // window, which a worker already in Phase B may cause while
+            // a held panic: over, for every thread alike. (A trip in this
+            // window, which a thread already in Phase B may cause while
             // another is still here, does not count yet: `w < w`.)
             break;
         }
@@ -321,7 +351,7 @@ fn execute(
     min1: u64,
     sole_active: bool,
 ) -> u64 {
-    let k = shard.take().expect("a shard left its worker");
+    let k = shard.take().expect("a shard left its thread");
     let s = k.shard_id;
     let la = cfg.lookahead.as_nanos();
     // The sole shard with pending work drains unboundedly, under the

@@ -3,7 +3,7 @@
 //! A kernel owns a contiguous block of VPs (a SoA `VpTable`), their
 //! pending-event queue and the per-shard services of upper layers. The
 //! sequential engine uses a single kernel; the parallel engine gives
-//! every worker thread a fixed, interleaved set of kernels and exchanges
+//! every thread a fixed, interleaved set of kernels and exchanges
 //! cross-shard events at conservative window boundaries.
 //!
 //! ## Determinism contract

@@ -76,10 +76,10 @@ pub struct ShardStats {
 /// synchronization windows and what the barriers and queues cost.
 ///
 /// All of these are *execution-shape* counters, not simulation results:
-/// they vary with worker count, shard count and wall-clock scheduling
-/// (barrier waits are inherently timing-dependent), so they are
-/// excluded from determinism comparisons. The sequential engine reports
-/// all-zero.
+/// they vary with worker and thread count, shard count and wall-clock
+/// scheduling (barrier waits are inherently timing-dependent), so they
+/// are excluded from determinism comparisons. The sequential engine
+/// reports all-zero.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct EngineProfile {
     /// Synchronization windows executed.
@@ -88,15 +88,16 @@ pub struct EngineProfile {
     /// `perf/` harness reads it; the next `benchmark` PR drops
     /// `core.engine.steals` and then this field.
     pub steals: u64,
-    /// Total wall-clock nanoseconds all workers spent waiting at window
+    /// Total wall-clock nanoseconds all threads spent waiting at window
     /// barriers.
     pub barrier_wait_ns: u64,
-    /// Wall-clock nanoseconds each worker spent in Phase B (processing
-    /// its shards' windows), in worker order.
+    /// Wall-clock nanoseconds each thread spent in Phase B (processing
+    /// its shards' windows), in thread order: its length is the run's
+    /// thread count, the requested workers capped at the host's CPUs.
     pub worker_busy_ns: Vec<u64>,
-    /// The sum, over windows, of the busiest worker's event count: the
-    /// events a run would take with every window's slowest worker as its
-    /// only clock. Deterministic for a fixed worker count.
+    /// The sum, over windows, of the busiest thread's event count: the
+    /// events a run would take with every window's slowest thread as its
+    /// only clock. Deterministic for a fixed thread count.
     pub window_critical_events: u64,
     /// Cross-shard events delivered through the batched exchange.
     pub batched_events: u64,
@@ -106,7 +107,7 @@ pub struct EngineProfile {
     /// `perf/` harness reads it; the next `benchmark` PR drops
     /// `core.engine.ingest_skips` and then this field.
     pub ingest_skips: u64,
-    /// Longest single barrier wait by any worker, in nanoseconds.
+    /// Longest single barrier wait by any thread, in nanoseconds.
     pub window_barrier_hwm_ns: u64,
     /// Events pushed into the pending-event queues (all shards).
     /// Filled from [`crate::queue::QueueStats`] at report assembly.
@@ -131,9 +132,9 @@ pub struct EngineProfile {
 }
 
 impl EngineProfile {
-    /// Fold another worker's profile into this one. Window counts are
-    /// per-worker views of the same global window sequence, so they
-    /// merge by max; busy times append, in the order workers merge; the
+    /// Fold another thread's profile into this one. Window counts are
+    /// per-thread views of the same global window sequence, so they
+    /// merge by max; busy times append, in the order threads merge; the
     /// rest are true totals.
     pub(crate) fn merge(&mut self, other: &EngineProfile) {
         self.windows = self.windows.max(other.windows);
@@ -228,17 +229,17 @@ impl SimReport {
     }
 
     /// How evenly a parallel run's windows split their events across
-    /// workers: events ÷ (workers × [`EngineProfile::window_critical_events`]).
-    /// 1.0 means every window gave every worker the same count; returns
+    /// threads: events ÷ (threads × [`EngineProfile::window_critical_events`]).
+    /// 1.0 means every window gave every thread the same count; returns
     /// 1.0 for a sequential run. Unlike [`SimReport::load_imbalance`],
-    /// a run whose workers take turns being busy reads low here.
+    /// a run whose threads take turns being busy reads low here.
     pub fn window_balance(&self) -> f64 {
         let critical = self.profile.window_critical_events;
-        let workers = self.profile.worker_busy_ns.len();
-        if critical == 0 || workers == 0 {
+        let threads = self.profile.worker_busy_ns.len();
+        if critical == 0 || threads == 0 {
             1.0
         } else {
-            self.events_processed as f64 / (workers as f64 * critical as f64)
+            self.events_processed as f64 / (threads as f64 * critical as f64)
         }
     }
 

@@ -131,6 +131,52 @@ fn forced_parallel_single_worker_matches_sequential() {
     assert_eq!(seq.profile.windows, 0, "sequential profile is empty");
 }
 
+/// The calling thread is the first of a parallel run's threads: rank 0,
+/// in shard 0, is polled on it.
+#[test]
+fn rank_0_is_polled_on_the_calling_thread() {
+    let polled_on = Arc::new(Mutex::new(None));
+    let log = polled_on.clone();
+    let program = move |rank: Rank| -> VpFuture {
+        let log = log.clone();
+        Box::pin(async move {
+            if rank.idx() == 0 {
+                *log.lock().unwrap() = Some(std::thread::current().id());
+            }
+            ctx::sleep(SimTime::from_micros(1)).await;
+            VpExit::Finished
+        })
+    };
+    let report = engine::run(cfg(16, 2), Arc::new(program), &no_setup).unwrap();
+    assert!(report.profile.windows > 0, "the parallel engine ran");
+    assert_eq!(
+        *polled_on.lock().unwrap(),
+        Some(std::thread::current().id())
+    );
+}
+
+/// Asking for more workers than the host has CPUs keeps the requested
+/// shard layout, and so every result, but starts no more threads than
+/// CPUs.
+#[test]
+fn a_run_starts_no_more_threads_than_cpus() {
+    let cpus = std::thread::available_parallelism().map_or(1, |c| c.get());
+    // Capped, so that a many-CPU host does not start many threads.
+    let workers = (cpus + 2).min(16);
+    let n = 64;
+    let seq = engine::run(cfg(n, 1), Arc::new(relay_program(n)), &no_setup).unwrap();
+    let par = engine::run(cfg(n, workers), Arc::new(relay_program(n)), &no_setup).unwrap();
+    assert_eq!(
+        par.shards.len(),
+        4 * workers,
+        "the shards follow the request"
+    );
+    let threads = par.profile.worker_busy_ns.len();
+    assert!(threads <= cpus, "{threads} threads on {cpus} CPUs");
+    assert_eq!(par.final_clocks, seq.final_clocks);
+    assert_eq!(par.digest, seq.digest);
+}
+
 /// Every rank > 0 schedules two `Call` events to rank 0, all at the
 /// *same* absolute virtual time, each appending its rank to a shared
 /// log. The log order observed on rank 0 is therefore purely the
@@ -370,44 +416,107 @@ fn event_budget_is_enforced() {
     assert!(matches!(err, SimError::EventBudgetExceeded { .. }));
 }
 
-/// A panic inside a worker's phase must come out of `engine::run` as
-/// that panic, not strand the other workers at a window barrier. Runs
+/// A panic payload's message, whether `panic!` made it a `&str` or a
+/// `String`.
+fn message(payload: Box<dyn std::any::Any + Send>) -> String {
+    match payload.downcast::<String>() {
+        Ok(m) => *m,
+        Err(p) => p.downcast_ref::<&str>().unwrap_or(&"").to_string(),
+    }
+}
+
+/// Where [`Bomb`] panics.
+#[derive(Clone, Copy, Debug, PartialEq)]
+enum Site {
+    /// Rank 0's poll: Phase B on the first thread, the caller.
+    FirstRank,
+    /// The last rank's poll: Phase B on the last thread.
+    LastRank,
+    /// The setup hook of rank 0's shard: the first Phase A.
+    Setup,
+    /// The last `shard_handle` call of the run: a shard build, in the
+    /// first Phase A of whichever thread asks last.
+    Build,
+}
+
+/// A program of `ranks` ranks that panics at `site`.
+struct Bomb {
+    site: Site,
+    ranks: usize,
+    shards: usize,
+    handles: AtomicU64,
+}
+
+impl Site {
+    fn message(self) -> &'static str {
+        match self {
+            Site::FirstRank => "rank 0 blew up",
+            Site::LastRank => "the last rank blew up",
+            Site::Setup => "rank 0's setup blew up",
+            Site::Build => "the last shard build blew up",
+        }
+    }
+}
+
+impl VpProgram for Bomb {
+    fn spawn(&self, rank: Rank) -> VpFuture {
+        let (site, last) = (self.site, rank.idx() + 1 == self.ranks);
+        Box::pin(async move {
+            ctx::sleep(SimTime::from_micros(10)).await;
+            if (site == Site::FirstRank && rank.idx() == 0) || (site == Site::LastRank && last) {
+                std::panic::panic_any(site.message());
+            }
+            ctx::sleep(SimTime::from_millis(1)).await;
+            VpExit::Finished
+        })
+    }
+
+    fn shard_handle(&self) -> Option<Arc<dyn VpProgram>> {
+        let asked = self.handles.fetch_add(1, Ordering::SeqCst) + 1;
+        if self.site == Site::Build && asked as usize == self.shards {
+            std::panic::panic_any(self.site.message());
+        }
+        None
+    }
+}
+
+/// A panic inside a thread's phase must come out of `engine::run` as
+/// that panic, not strand the other threads at a window barrier. Runs
 /// on a helper thread so that a hang is a test failure, not a stuck job.
-/// Covers both phases: a VP panics while its shard executes (Phase B),
-/// and a setup hook panics on first touch (Phase A).
+/// Covers both phases on the first thread (the caller) and the last: a
+/// VP panics while its shard executes (Phase B), a setup hook panics on
+/// first touch and a shard build panics (both in the first Phase A).
 #[test]
 fn panic_in_a_parallel_worker_unwinds_instead_of_hanging() {
-    for (workers, in_setup) in [1, 2, 4].into_iter().flat_map(|w| [(w, false), (w, true)]) {
+    const N: usize = 16;
+    let sites = [Site::FirstRank, Site::LastRank, Site::Setup, Site::Build];
+    for (workers, site) in [1, 2, 4].into_iter().flat_map(|w| sites.map(|s| (w, s))) {
         let (tx, rx) = std::sync::mpsc::channel();
         std::thread::spawn(move || {
-            let program = move |rank: Rank| -> VpFuture {
-                Box::pin(async move {
-                    ctx::sleep(SimTime::from_micros(10)).await;
-                    if rank.idx() == 0 && !in_setup {
-                        panic!("rank 0 blew up");
-                    }
-                    ctx::sleep(SimTime::from_millis(1)).await;
-                    VpExit::Finished
-                })
-            };
-            let setup = move |k: &mut Kernel| {
-                if in_setup && k.owns(Rank::new(0)) {
-                    panic!("rank 0 blew up");
-                }
-            };
             let c = CoreConfig {
                 engine: EngineKind::Parallel,
-                ..cfg(16, workers)
+                ..cfg(N, workers)
+            };
+            let program = Bomb {
+                site,
+                ranks: N,
+                shards: c.n_shards(),
+                handles: AtomicU64::new(0),
+            };
+            let setup = move |k: &mut Kernel| {
+                if site == Site::Setup && k.owns(Rank::new(0)) {
+                    std::panic::panic_any(site.message());
+                }
             };
             let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
                 engine::run(c, Arc::new(program), &setup).map(|_| ())
             }));
-            let _ = tx.send(outcome.map_err(|p| p.downcast_ref::<&str>().map(|m| m.to_string())));
+            let _ = tx.send(outcome.map_err(message));
         });
         match rx.recv_timeout(std::time::Duration::from_secs(60)) {
-            Ok(Err(Some(msg))) => assert_eq!(msg, "rank 0 blew up"),
-            Ok(other) => panic!("workers={workers} in_setup={in_setup}: got {other:?}"),
-            Err(_) => panic!("workers={workers} in_setup={in_setup}: engine::run hung"),
+            Ok(Err(msg)) => assert_eq!(msg, site.message(), "workers={workers}"),
+            Ok(other) => panic!("workers={workers} {site:?}: got {other:?}"),
+            Err(_) => panic!("workers={workers} {site:?}: engine::run hung"),
         }
     }
 }
@@ -578,18 +687,13 @@ fn a_woken_vp_sees_what_its_waking_call_did_after_the_wake() {
 }
 
 /// A panic that unwinds out of a run — from a VP poll, from inside a
-/// simulator call, or from a `Call` — releases the thread's kernel slot:
-/// the next run on the same thread succeeds, and a simulator call
-/// between runs finds no kernel.
+/// simulator call, or from a `Call`, on the sequential engine or on the
+/// calling thread of a two-thread parallel run — releases the thread's
+/// kernel slot: the next run on the same thread succeeds, and a
+/// simulator call between runs finds no kernel.
 #[test]
 fn a_caught_panic_leaves_the_thread_ready_for_the_next_run() {
-    fn message(payload: Box<dyn std::any::Any + Send>) -> String {
-        match payload.downcast::<String>() {
-            Ok(m) => *m,
-            Err(p) => p.downcast_ref::<&str>().unwrap_or(&"").to_string(),
-        }
-    }
-    for site in 0..3 {
+    for (site, workers) in (0..3).flat_map(|site| [(site, 1), (site, 2)]) {
         let program = move |_r: Rank| -> VpFuture {
             Box::pin(async move {
                 ctx::sleep(SimTime::from_micros(10)).await;
@@ -606,20 +710,22 @@ fn a_caught_panic_leaves_the_thread_ready_for_the_next_run() {
                 VpExit::Finished
             })
         };
-        let run = std::panic::catch_unwind(|| engine::run(cfg(2, 1), Arc::new(program), &no_setup));
-        assert!(
-            message(run.unwrap_err()).starts_with("blew up"),
-            "site {site}"
-        );
+        // Every rank panics, so the calling thread's shards do too.
+        let ranks = 8 * workers;
+        let run = std::panic::catch_unwind(|| {
+            engine::run(cfg(ranks, workers), Arc::new(program), &no_setup)
+        });
+        let case = format!("site {site}, workers={workers}");
+        assert!(message(run.unwrap_err()).starts_with("blew up"), "{case}");
         let outside = std::panic::catch_unwind(|| ctx::with_kernel(|_, _| ()));
         assert_eq!(
             message(outside.unwrap_err()),
             "simulator call outside of a virtual process context",
-            "site {site}"
+            "{case}"
         );
-        let report = engine::run(cfg(4, 1), Arc::new(sleepy_program), &no_setup).unwrap();
-        assert_eq!(report.exit, ExitKind::Completed, "site {site}");
-        assert_eq!(report.final_clocks[3], SimTime::from_millis(6));
+        let report = engine::run(cfg(4, workers), Arc::new(sleepy_program), &no_setup).unwrap();
+        assert_eq!(report.exit, ExitKind::Completed, "{case}");
+        assert_eq!(report.final_clocks[3], SimTime::from_millis(6), "{case}");
     }
 }
 

@@ -216,16 +216,20 @@ impl SimBuilder {
         self.fs_store.clone()
     }
 
-    /// Number of native worker threads (with the default
+    /// Number of parallel-engine workers (with the default
     /// [`EngineKind::Auto`], 1 selects the sequential reference engine).
+    /// The ranks are cut into four shards per worker, so the request
+    /// alone fixes the shard layout; the run starts at most one thread
+    /// per CPU (`available_parallelism`), the calling thread first.
     pub fn workers(mut self, w: usize) -> Self {
         self.workers = w;
         self
     }
 
     /// Force an engine kind. [`EngineKind::Parallel`] with `workers(1)`
-    /// runs the parallel code path without concurrency — the middle leg
-    /// of the sequential/parallel differential tests.
+    /// runs the parallel code path over four shards on the calling
+    /// thread, starting no thread — the middle leg of the
+    /// sequential/parallel differential tests.
     pub fn engine(mut self, kind: EngineKind) -> Self {
         self.engine = kind;
         self

@@ -14,7 +14,7 @@
 //!   crossbar, eager/rendezvous protocols, per-network failure-detection
 //!   timeouts, fault-aware routing around dead/degraded links).
 //! * [`fs`] — simulated parallel file system (shared across restarts,
-//!   two-phase writes, I/O fault injection).
+//!   two-phase writes).
 //! * [`mpi`] — simulated MPI layer (p2p, linear collectives, error
 //!   handlers, failure injection/detection/notification, abort, ULFM,
 //!   lossy transport with retransmission + backoff).
