@@ -67,11 +67,13 @@ enum QueueShape {
     /// per trial, construction, drain and drop inside the timed span.
     Campaign,
     /// The raw-core ring of wakes (`million_vp_program`) as queue
-    /// traffic, `pending` VPs: a spawn wave pushed in descending rank
-    /// order, then every VP sleeps 10 µs and wakes its ring successor
-    /// 2 µs later, twice — four lock-step waves that each arrive in
-    /// ascending rank order. Construction, every wave and the drop are
-    /// timed; an op is one event popped.
+    /// traffic, `pending` VPs: a same-instant wave of `pending` records
+    /// pushed in descending rank order (generic traffic here, pushed
+    /// into both queues alike: the engine's own spawn wave is a virtual
+    /// run, `EventQueue::push_spawns`), then every VP sleeps 10 µs and
+    /// wakes its ring successor 2 µs later, twice — four lock-step waves
+    /// that each arrive in ascending rank order. Construction, every
+    /// wave and the drop are timed; an op is one event popped.
     Flood,
 }
 

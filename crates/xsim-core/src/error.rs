@@ -17,8 +17,6 @@ pub enum SimError {
     /// Configuration was internally inconsistent (e.g. zero ranks, or a
     /// cross-rank event scheduled below the lookahead in parallel mode).
     Config(String),
-    /// A worker thread of the parallel engine panicked.
-    WorkerPanic(String),
 }
 
 impl fmt::Display for SimError {
@@ -29,7 +27,6 @@ impl fmt::Display for SimError {
                 write!(f, "event budget exceeded after {processed} events")
             }
             SimError::Config(msg) => write!(f, "invalid configuration: {msg}"),
-            SimError::WorkerPanic(msg) => write!(f, "parallel engine worker panicked: {msg}"),
         }
     }
 }

@@ -283,31 +283,15 @@ impl Kernel {
         }
     }
 
-    /// Schedule the initial spawn events for every owned rank.
-    ///
-    /// Ranks are pushed in *descending* order: spawn keys share one
-    /// timestamp, so descending ranks mean descending keys — the order
-    /// a bucket pops in. The wave waits in the queue's overflow lane
-    /// until the first pop hands the whole lane to one bucket, marked
-    /// dirty; settling that bucket is one scan that finds a single
-    /// descending run, with no reverse and no sort, even at 2²⁷ VPs.
-    /// Pop order is push-order independent (key uniqueness; pinned by
-    /// `queue_order_is_push_order_independent`), so this is purely a
-    /// host-side optimization.
+    /// Schedule the initial spawn events for every owned rank: one
+    /// `Spawn` per rank at the start time, keyed `(start, r, r, 0)`.
+    /// The queue holds the wave as one virtual run
+    /// ([`EventQueue::push_spawns`]) and yields its events in ascending
+    /// rank order, merged with whatever else is queued, so a spawn costs
+    /// no queue record, even at 2²⁷ VPs.
     pub(crate) fn schedule_spawns(&mut self) {
-        let t0 = self.cfg.start_time;
-        for r in self.owned_ranks().rev() {
-            let rank = Rank::new(r);
-            self.queue.push(EventRec {
-                key: EventKey {
-                    time: t0,
-                    dst: rank,
-                    src: rank,
-                    seq: 0,
-                },
-                action: Action::Spawn,
-            });
-        }
+        self.queue
+            .push_spawns(self.cfg.start_time, self.owned_ranks());
         self.note_queue_depth();
     }
 

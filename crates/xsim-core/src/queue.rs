@@ -15,8 +15,9 @@
 //! ## Settling a dirty bucket
 //!
 //! A dirty bucket is rarely unordered: a lock-step wave arrives in
-//! ascending rank order behind a short in-order prefix, and a spawn
-//! wave is one run. `settle_bucket` scans for maximal monotone runs,
+//! ascending rank order behind a short in-order prefix, and a
+//! same-instant flood pushed in key order is one run. `settle_bucket`
+//! scans for maximal monotone runs,
 //! moves the longest to the front in descending order, sorts the few
 //! records outside it in a fixed stack array and merges them in from
 //! the back — linear time, no allocation, no change of capacity. Only
@@ -49,10 +50,21 @@
 //! (`CallSlab`) and the record carries only the slot index; slots
 //! are 16 bytes (the fat box pointer) and recycled through a free list,
 //! so a slot is paid once per *in-flight* `Call`, not per resident
-//! event. At the paper's 2²⁷-VP scale the initial spawn wave alone is
-//! ~134 M resident events: 32 B/event keeps that to ~4 GiB. Dropping
-//! the queue drops the slab, releasing unfired calls' state (abort
-//! teardown).
+//! event. Dropping the queue drops the slab, releasing unfired calls'
+//! state (abort teardown).
+//!
+//! ## The spawn run
+//!
+//! A shard's initial spawn wave — one `Spawn` per owned rank at one
+//! instant, keyed `(at, r, r, 0)` — is no record at all:
+//! [`EventQueue::push_spawns`] keeps it as the pending rank range, so at
+//! the paper's 2²⁷-VP scale the ~134 M spawns cost two `u32`s instead of
+//! ~4 GiB of records. The ring takes the geometry a one-slice lane of as
+//! many records gets from `migrate` (shift 0, the window anchored at
+//! `at`), the run counts as resident, and the window head cannot leave
+//! its slice while it is pending, so every other push lands where it
+//! would land beside a record wave. `pop` and `next_key` take the
+//! smaller of the slice's real minimum and the next spawn.
 //!
 //! ## Segmented buckets
 //!
@@ -70,9 +82,9 @@
 //! `Segments`), never through the allocator.
 //!
 //! Only a buffer that arrived whole can exceed `SEG` records: the lane
-//! handed over as one bucket (a spawn wave) or a bucket filled by bulk
-//! redistribution. Such a giant gives its memory back while it drains
-//! (the drain rule in `pop`): a draining spawn wave does not stay
+//! handed over as one bucket (a same-instant flood) or a bucket filled
+//! by bulk redistribution. Such a giant gives its memory back while it
+//! drains (the drain rule in `pop`): a draining flood does not stay
 //! resident next to the waves it is filling.
 //!
 //! ## Tie-breaking audit
@@ -91,9 +103,11 @@
 //! down.
 
 use crate::event::{Action, Call, EventKey, EventRec};
+use crate::rank::Rank;
 use crate::time::SimTime;
 use crate::vp::{WaitToken, WAIT_TOKEN_BITS};
 use std::collections::VecDeque;
+use std::ops::Range;
 
 /// Allocation/occupancy counters of one queue, folded into the engine
 /// profile at shutdown. Execution-shape data, never part of determinism
@@ -461,11 +475,12 @@ pub struct EventQueue {
     /// chained), descending when clean, so `Vec::pop` yields the
     /// minimum. A chained bucket's pop end is never empty.
     ring: Vec<Vec<CompactRec>>,
-    /// Per-bucket [`DIRTY`] and [`CHAINED`] flags. `DIRTY` is set only
-    /// by bulk redistribution and the bounded-memmove fallback
-    /// (ordinary pushes insert in order) and cleared after the pop end
-    /// is settled at the window head. An empty bucket is always clean.
-    flags: Vec<u8>,
+    /// Per-bucket [`DIRTY`] and [`CHAINED`] flags, one per bucket of
+    /// `ring`. `DIRTY` is set only by bulk redistribution and the
+    /// bounded-memmove fallback (ordinary pushes insert in order) and
+    /// cleared after the pop end is settled at the window head. An empty
+    /// bucket is always clean, so an empty ring's flags are all 0.
+    flags: Box<[u8]>,
     /// `log2` of the bucket width in nanoseconds.
     shift: u32,
     /// Lowest time slice the ring currently represents. Pops only
@@ -486,8 +501,20 @@ pub struct EventQueue {
     /// window as `cur_slice` advances, and a later push may then land in
     /// the ring at a later time yet pop first.
     overflow_min_ns: u64,
-    /// Events resident in the ring; the rest are in `overflow`.
+    /// Events resident in the ring, the pending spawn run included; the
+    /// rest are in `overflow`.
     ring_len: usize,
+    /// The pending spawn run: ranks `spawn_lo..spawn_hi` still owe the
+    /// `Spawn` event keyed `(cur_slice, r, r, 0)` that [`push_spawns`]
+    /// stands in for. While it is pending the geometry stays as
+    /// `push_spawns` set it — `shift` is 0, so `cur_slice` is the spawn
+    /// time in nanoseconds: `ring_len` counts the run, so no migration
+    /// runs, and `settle` treats the head slice as occupied, so the
+    /// window never moves past it.
+    ///
+    /// [`push_spawns`]: EventQueue::push_spawns
+    spawn_lo: u32,
+    spawn_hi: u32,
     /// Recycled buffers and chains, once there are any.
     segs: Option<Box<Segments>>,
     /// In-flight `Call` boxes; resident records carry slot indices.
@@ -506,13 +533,15 @@ impl EventQueue {
     pub fn new() -> Self {
         EventQueue {
             ring: Vec::new(),
-            flags: Vec::new(),
+            flags: Box::default(),
             shift: 0,
             cur_slice: 0,
             head_sorted: false,
             overflow: Vec::new(),
             overflow_min_ns: u64::MAX,
             ring_len: 0,
+            spawn_lo: 0,
+            spawn_hi: 0,
             segs: None,
             calls: CallSlab::default(),
             stats: QueueStats::default(),
@@ -769,7 +798,9 @@ impl EventQueue {
             let mut s = self.cur_slice;
             let b = loop {
                 let b = (s & (nb - 1)) as usize;
-                if !self.ring[b].is_empty() {
+                // A pending spawn run occupies the head slice, where the
+                // scan starts.
+                if !self.ring[b].is_empty() || self.spawn_lo != self.spawn_hi {
                     break b;
                 }
                 // The window has drained past this slice; strip its
@@ -905,12 +936,17 @@ impl EventQueue {
     /// is later than every event kept and earlier than every event
     /// already parked, so the overflow gate holds.
     fn split(&mut self, shift: u32, min_ns: u64) {
+        // A pending spawn run keeps `shift` at 0, and a split only
+        // narrows: `cluster_shift` finds nothing to split it into.
+        assert_eq!(
+            self.spawn_lo, self.spawn_hi,
+            "width split with spawns pending"
+        );
         self.stats.rebuilds += 1;
         let nb = ring_size(self.len());
         self.stats.ring_hwm = self.stats.ring_hwm.max(nb as u64);
         let mut old = std::mem::replace(&mut self.ring, (0..nb).map(|_| Vec::new()).collect());
-        self.flags.clear();
-        self.flags.resize(nb, 0);
+        self.flags = vec![0; nb].into();
         let mask = old.len() - 1;
         let start = self.cur_slice as usize & mask;
         self.shift = shift;
@@ -969,11 +1005,7 @@ impl EventQueue {
         debug_assert!(n > 0 && self.ring_len == 0);
         debug_assert!(self.segs.as_ref().is_none_or(|g| g.chains.is_empty()));
         let nb = ring_size(n);
-        if self.ring.len() != nb {
-            self.ring.resize_with(nb, Vec::new);
-            self.flags.resize(nb, 0);
-            self.stats.ring_hwm = self.stats.ring_hwm.max(nb as u64);
-        }
+        self.resize_empty_ring(nb);
         let min_ns = self.overflow_min_ns;
         let max_ns = self.overflow.iter().map(CompactRec::ns).max().unwrap_or(0);
         let front = if max_ns == min_ns {
@@ -994,8 +1026,8 @@ impl EventQueue {
         self.head_sorted = false;
         self.overflow_min_ns = u64::MAX;
         if max_ns >> shift == self.cur_slice {
-            // The whole lane is one slice (a spawn wave): it becomes the
-            // bucket as it stands, no second copy.
+            // The whole lane is one slice (a same-instant flood): it
+            // becomes the bucket as it stands, no second copy.
             let b = (self.cur_slice & (nb as u64 - 1)) as usize;
             std::mem::swap(&mut self.ring[b], &mut self.overflow);
             self.flags[b] = DIRTY;
@@ -1017,11 +1049,87 @@ impl EventQueue {
         }
     }
 
+    /// Give the empty ring `nb` buckets. Drained buckets keep their
+    /// buffers; the flags of an empty ring are all 0.
+    fn resize_empty_ring(&mut self, nb: usize) {
+        if self.ring.len() != nb {
+            self.ring.resize_with(nb, Vec::new);
+            self.flags = vec![0; nb].into();
+            self.stats.ring_hwm = self.stats.ring_hwm.max(nb as u64);
+        }
+    }
+
+    /// Queue the spawn wave of `ranks` at `at` into an empty queue: one
+    /// `Spawn` event per rank, keyed `(at, r, r, 0)`, held as a virtual
+    /// run instead of records. The ring takes the geometry `migrate`
+    /// gives a one-slice lane of as many records — `ring_size(n)`
+    /// buckets of 1 ns, the window anchored at `at` — so every later
+    /// push lands in the bucket it would land in if the wave were
+    /// records. `pop` and `next_key` merge the run with the real
+    /// records of its slice in key order.
+    ///
+    /// # Panics
+    ///
+    /// If the queue is not empty, or a rank does not fit a [`Rank`].
+    ///
+    /// [`Rank`]: crate::Rank
+    pub fn push_spawns(&mut self, at: SimTime, ranks: Range<usize>) {
+        assert!(self.is_empty(), "a spawn run goes into an empty queue");
+        let n = ranks.len();
+        if n == 0 {
+            return;
+        }
+        let rank = |r: usize| u32::try_from(r).expect("spawned rank fits a u32");
+        (self.spawn_lo, self.spawn_hi) = (rank(ranks.start), rank(ranks.end));
+        self.resize_empty_ring(ring_size(n));
+        self.shift = 0;
+        self.cur_slice = at.as_nanos();
+        self.head_sorted = false;
+        self.ring_len = n;
+        // Every spawn is pushed and none allocates.
+        self.stats.pushes += n as u64;
+        self.stats.reused += n as u64;
+        self.stats.bucket_hwm = self.stats.bucket_hwm.max(n as u64);
+    }
+
+    /// Key of the pending run's next spawn.
+    #[inline]
+    fn spawn_key(&self) -> EventKey {
+        let r = Rank(self.spawn_lo);
+        EventKey {
+            time: SimTime(self.cur_slice),
+            dst: r,
+            src: r,
+            seq: 0,
+        }
+    }
+
+    /// A spawn is pending: take the next one unless the head bucket `b`,
+    /// the spawn slice's real records, holds a smaller key.
+    #[inline]
+    fn pop_spawn_before(&mut self, b: usize) -> Option<EventRec> {
+        let key = self.spawn_key();
+        if self.ring[b].last().is_some_and(|e| e.key < key) {
+            return None;
+        }
+        self.spawn_lo += 1;
+        self.ring_len -= 1;
+        Some(EventRec {
+            key,
+            action: Action::Spawn,
+        })
+    }
+
     /// Remove and return the earliest event (smallest key). Always
     /// inlined: out of line, the engines' drain loop ran ≈ 10 % slower.
     #[inline(always)]
     pub fn pop(&mut self) -> Option<EventRec> {
         let b = self.settle()?;
+        if self.spawn_lo != self.spawn_hi {
+            if let Some(spawn) = self.pop_spawn_before(b) {
+                return Some(spawn);
+            }
+        }
         let bucket = &mut self.ring[b];
         let rec = bucket.pop()?;
         if bucket.is_empty() && self.flags[b] & CHAINED != 0 {
@@ -1065,7 +1173,12 @@ impl EventQueue {
     #[inline]
     pub fn next_key(&mut self) -> Option<EventKey> {
         let b = self.settle()?;
-        self.ring[b].last().map(|e| e.key)
+        let real = self.ring[b].last().map(|e| e.key);
+        if self.spawn_lo == self.spawn_hi {
+            return real;
+        }
+        let spawn = self.spawn_key();
+        Some(real.map_or(spawn, |k| k.min(spawn)))
     }
 
     /// Number of pending events.
@@ -1084,7 +1197,6 @@ impl EventQueue {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::rank::Rank;
     use std::cmp::Reverse;
     use std::collections::BinaryHeap;
 
@@ -1119,6 +1231,16 @@ mod tests {
                 key,
                 action: Action::Spawn,
             });
+        }
+
+        /// The spawn run of `ranks` at `at`, as records on the oracle's
+        /// side.
+        fn spawns(&mut self, at: u64, ranks: Range<u32>) {
+            for r in ranks.clone() {
+                self.oracle.push(Reverse(key(at, r, r, 0)));
+            }
+            self.q
+                .push_spawns(SimTime(at), ranks.start as usize..ranks.end as usize);
         }
 
         fn pop(&mut self) -> Option<EventKey> {
@@ -1416,8 +1538,8 @@ mod tests {
         c.drain();
     }
 
-    /// A spawn wave pushed descending is already in pop order: the
-    /// scan, no sort; pushed ascending it costs one reverse.
+    /// A same-instant wave pushed descending is already in pop order:
+    /// the scan, no sort; pushed ascending it costs one reverse.
     #[test]
     fn single_run_waves_are_never_sorted() {
         let n = 4 * STRAY_CAP as u64;
@@ -1666,6 +1788,92 @@ mod tests {
         c.drain();
         let g = c.q.segs.as_ref().unwrap();
         assert!(g.chains.is_empty() && g.live == 0 && g.pool.len() <= 1);
+    }
+
+    /// A spawn run takes the geometry a one-slice lane of as many records
+    /// gets, allocates no record, and merges with the real records of
+    /// its slice in key order: an event `(at, 3, 3, 1)` pops after spawn
+    /// 3 and before spawn 4, a foreign-source event for rank 2 after
+    /// spawn 2 and before spawn 3, and an event before `at` first.
+    #[test]
+    fn a_spawn_run_merges_with_its_slice_in_key_order() {
+        const AT: u64 = 1_000;
+        let mut c = Checked::default();
+        c.spawns(AT, 0..2_000);
+        assert_eq!(c.q.ring.len(), ring_size(2_000));
+        assert_eq!((c.q.shift, c.q.cur_slice), (0, AT));
+        assert!(
+            c.q.ring.iter().all(|b| b.capacity() == 0),
+            "a record buffer"
+        );
+        assert_eq!((c.q.len(), c.q.is_empty()), (2_000, false));
+        assert_eq!(c.q.stats().bucket_hwm, 2_000);
+        c.push(key(AT, 3, 3, 1));
+        c.push(key(AT, 2, 7, 1));
+        c.push(key(AT - 5, 9, 9, 1));
+        c.push(key(AT + 1, 0, 0, 1));
+        assert_eq!(c.q.len(), 2_004);
+        assert_eq!(c.pop(), Some(key(AT - 5, 9, 9, 1)), "the clamped push");
+        let order: Vec<EventKey> = (0..7).filter_map(|_| c.pop()).collect();
+        assert_eq!(
+            order,
+            [
+                key(AT, 0, 0, 0),
+                key(AT, 1, 1, 0),
+                key(AT, 2, 2, 0),
+                key(AT, 2, 7, 1),
+                key(AT, 3, 3, 0),
+                key(AT, 3, 3, 1),
+                key(AT, 4, 4, 0),
+            ]
+        );
+        c.drain();
+        assert_eq!(c.q.stats().rebuilds, 0);
+    }
+
+    /// `pop_before` sees the run: its bound is exclusive at the spawn
+    /// time, and the run's last spawn leaves the queue empty.
+    #[test]
+    fn pop_before_counts_the_spawn_run() {
+        let mut q = EventQueue::new();
+        q.push_spawns(SimTime(50), 7..9);
+        assert!(q.pop_before(SimTime(50)).is_none());
+        assert_eq!(q.pop_before(SimTime(51)).unwrap().key, key(50, 7, 7, 0));
+        assert_eq!(q.next_key(), Some(key(50, 8, 8, 0)));
+        assert!(matches!(q.pop().unwrap().action, Action::Spawn));
+        assert!(q.is_empty() && q.pop().is_none() && q.next_key().is_none());
+    }
+
+    /// Pushes while the run is pending land where they would land behind
+    /// a record wave: deep inserts into the spawn slice keep it dirty, but
+    /// its 1-ns slices cannot narrow, so no width split runs; a push past
+    /// the window parks in the lane.
+    #[test]
+    fn a_pending_spawn_run_keeps_its_geometry() {
+        let mut c = Checked::default();
+        c.spawns(0, 0..4_096);
+        let nb = c.q.ring.len() as u64;
+        c.push(key(nb + 3, 1, 1, 1));
+        assert_eq!(c.q.overflow.len(), 1, "a push past the window");
+        for round in 0..8u32 {
+            // Ascending: every push lands deep, past the memmove bound.
+            for j in 0..4 * INSERT_MOVE_CAP as u32 {
+                c.push(key(0, 4_000 + j, round, 1 + u64::from(round)));
+            }
+            c.pop();
+            assert_eq!(c.q.shift, 0, "round {round}");
+        }
+        assert!(c.q.stats().sorted > 0, "the spawn slice never went dirty");
+        c.drain();
+        assert_eq!(c.q.stats().rebuilds, 0, "a redistribution");
+    }
+
+    #[test]
+    #[should_panic(expected = "a spawn run goes into an empty queue")]
+    fn a_spawn_run_needs_an_empty_queue() {
+        let mut q = EventQueue::new();
+        q.push(ev(1, 0, 0, 1));
+        q.push_spawns(SimTime(0), 0..4);
     }
 
     /// `Call` closures round-trip through the slab: popped events carry

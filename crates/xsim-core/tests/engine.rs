@@ -233,6 +233,62 @@ fn colliding_timestamps_across_shards_keep_tie_order() {
     }
 }
 
+/// A setup hook wakes a middle rank at the start time. Its event,
+/// keyed `(start, r, r, 1)`, queues beside the spawn run and must pop
+/// right after that rank's spawn, once the rank is blocked, on every
+/// engine and shard layout: the run finishes with equal digests and
+/// clocks, where a wake before the spawn would leave the rank blocked
+/// for good.
+#[test]
+fn a_setup_event_at_the_start_time_follows_its_ranks_spawn() {
+    const N: usize = 13;
+    const MID: usize = 6;
+    let start = SimTime::from_secs(100);
+    let program = |rank: Rank| -> VpFuture {
+        Box::pin(async move {
+            if rank.idx() == MID {
+                ctx::block(WaitClass::Message, "setup wake").await;
+            }
+            ctx::sleep(SimTime::from_millis(1 + rank.idx() as u64)).await;
+            VpExit::Finished
+        })
+    };
+    let setup = |k: &mut Kernel| {
+        let mid = Rank::new(MID);
+        if k.owns(mid) {
+            k.schedule_at(start, mid, Action::WakeMessage);
+        }
+    };
+    let run = |workers, engine| {
+        let c = CoreConfig {
+            engine,
+            start_time: start,
+            ..cfg(N, workers)
+        };
+        engine::run(c, Arc::new(program), &setup).unwrap()
+    };
+    let seq = run(1, EngineKind::Auto);
+    assert_eq!(seq.exit, ExitKind::Completed);
+    assert_eq!(seq.events_processed, 2 * N as u64 + 1);
+    let want: Vec<SimTime> = (0..N)
+        .map(|r| start + SimTime::from_millis(1 + r as u64))
+        .collect();
+    assert_eq!(seq.final_clocks, want);
+    for (workers, engine) in [
+        (1, EngineKind::Parallel),
+        (2, EngineKind::Auto),
+        (4, EngineKind::Auto),
+    ] {
+        let par = run(workers, engine);
+        assert_eq!(
+            par.digest, seq.digest,
+            "workers={workers} engine={engine:?}"
+        );
+        assert_eq!(par.final_clocks, seq.final_clocks, "workers={workers}");
+        assert_eq!(par.events_processed, seq.events_processed);
+    }
+}
+
 #[test]
 fn adaptive_lookahead_reduces_windows_preserving_results() {
     // sleepy_program's wakes are spread 1 ms apart; with a 1 µs

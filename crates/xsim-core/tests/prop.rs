@@ -174,6 +174,22 @@ impl Checked {
         self.len_hwm = self.len_hwm.max(self.oracle.len());
     }
 
+    /// The spawn run of `ranks` at `at` (`EventQueue::push_spawns`),
+    /// as records `(at, r, r, 0)` on the oracle's side.
+    fn spawns(&mut self, at: u64, ranks: std::ops::Range<u32>) {
+        for r in ranks.clone() {
+            self.oracle.push(Reverse(EventKey {
+                time: SimTime(at),
+                dst: Rank(r),
+                src: Rank(r),
+                seq: 0,
+            }));
+        }
+        self.q
+            .push_spawns(SimTime(at), ranks.start as usize..ranks.end as usize);
+        self.len_hwm = self.len_hwm.max(self.oracle.len());
+    }
+
     fn pop(&mut self) -> Option<EventKey> {
         let want = self.oracle.pop().map(|r| r.0);
         assert_eq!(self.q.next_key(), want, "next_key diverged from the oracle");
@@ -340,6 +356,47 @@ fn queue_matches_oracle_on_same_time_floods() {
             seq += n;
             for _ in 0..g.gen_in(0..n + 1) {
                 c.pop();
+            }
+        }
+        c.drain();
+    });
+}
+
+/// A spawn run against the oracle holding a random pending range of
+/// spawns as records: pushes into the spawn slice among the pending
+/// ranks (same-rank and foreign-source), before it (clamped into it),
+/// inside the window and past it, sometimes as a burst that chains the
+/// spawn slice's bucket, interleaved with pops, pop in the heap's order.
+#[test]
+fn queue_matches_oracle_with_a_spawn_run() {
+    for_each_case(SEED, CASES, |g| {
+        let mut c = Checked::default();
+        let at = g.gen_in(16..1 << 30);
+        let lo = g.gen_in(0..64) as u32;
+        let hi = lo + g.gen_in(1..5_000) as u32;
+        c.spawns(at, lo..hi);
+        // Spawn keys hold seq 0; every other key a higher one.
+        c.seq = 1;
+        let dst = |g: &mut DetRng| g.gen_in(u64::from(lo)..u64::from(hi) + 8) as u32;
+        for _ in 0..g.gen_in(1..600) {
+            match g.gen_in(0..12) {
+                0..=3 => {
+                    c.pop();
+                }
+                4 => {
+                    for _ in 0..g.gen_in(1..2_500) {
+                        let d = dst(g);
+                        c.push(at, d, d);
+                    }
+                }
+                5..=7 => {
+                    let d = dst(g);
+                    let src = if g.gen_bool() { d } else { dst(g) };
+                    c.push(at, d, src);
+                }
+                8 => c.push(at - g.gen_in(1..16), dst(g), 0),
+                9 | 10 => c.push(at + g.gen_in(1..4_096), dst(g), 0),
+                _ => c.push(at + (g.gen_in(1..512) << 20), dst(g), 0),
             }
         }
         c.drain();

@@ -151,9 +151,10 @@ fn campaign_hold_trace_walks_few_empty_buckets() {
 /// Bytes of one resident event record.
 const REC: u64 = 32;
 
-/// A spawn wave: 2¹⁸ events at one instant, ascending `dst`. It cannot
-/// be spread over slices, so it must never be re-bucketed or copied:
-/// the peak is the one doubling `realloc` of the buffer it sits in.
+/// A same-instant flood: 2¹⁸ records at one instant, ascending `dst`.
+/// It cannot be spread over slices, so it must never be re-bucketed or
+/// copied: the peak is the one doubling `realloc` of the buffer it sits
+/// in.
 #[test]
 fn same_time_flood_is_never_copied() {
     const N: u64 = 1 << 18;
@@ -176,6 +177,43 @@ fn same_time_flood_is_never_copied() {
         peak <= REC * N * 16 / 10 + 64 * KIB,
         "peak {peak} B for {N} resident {REC} B events"
     );
+}
+
+/// A spawn run of 2¹⁶ ranks (`EventQueue::push_spawns`) is no record
+/// buffer: the queue allocates its ring's headers and flags, sized as
+/// for 2¹⁶ records, and nothing else, and yields every spawn in rank
+/// order without one allocation call.
+#[test]
+fn pending_spawns_allocate_no_record_buffer() {
+    const N: u64 = 1 << 16;
+    let (q, allocs, peak) = measured(|| {
+        let mut q = EventQueue::new();
+        q.push_spawns(SimTime::ZERO, 0..N as usize);
+        q
+    });
+    // The ring's headers and flags: a `Vec` and a byte per bucket.
+    let ring = q.stats().ring_hwm * 25;
+    eprintln!("spawn run: {allocs} allocation calls, peak {peak} B, {ring} B of ring");
+    assert_eq!(q.len() as u64, N);
+    assert_eq!(allocs, 2, "not just the ring's headers and flags");
+    assert!(peak <= ring, "peak {peak} B above the ring's {ring} B");
+    let ((), allocs, _) = measured(move || {
+        let mut q = q;
+        for r in 0..N {
+            let e = q.pop().expect("a pending spawn");
+            let rank = Rank(r as u32);
+            let want = EventKey {
+                time: SimTime::ZERO,
+                dst: rank,
+                src: rank,
+                seq: 0,
+            };
+            assert_eq!(e.key, want);
+            assert!(matches!(e.action, Action::Spawn));
+        }
+        assert!(q.is_empty());
+    });
+    assert_eq!(allocs, 0, "yielding the spawns allocated");
 }
 
 /// The raw-core ring as a queue: a 2¹⁸-event wave at t = 0, each of
@@ -218,11 +256,11 @@ fn draining_wave_gives_its_pages_back() {
     assert!(peak <= 74 * N, "peak {peak} B for a {N}-event wave");
 }
 
-/// The raw-core ring as queue traffic over three rounds: a spawn wave
-/// of 2¹⁸ events at t = 0, each of whose pops pushes a sleep 10 µs out;
+/// The raw-core ring as queue traffic over three rounds: a wave of 2¹⁸
+/// records at t = 0, each of whose pops pushes a sleep 10 µs out;
 /// each sleep's pop pushes a wake of the next rank 2 µs out (the wrap
 /// record to rank 0 last) and, but in the last round, the next sleep
-/// 10 µs out. The first round (the spawn wave, the first sleep wave and
+/// 10 µs out. The first round (the first wave, the first sleep wave and
 /// the wake wave it fed) takes the queue to its peak population and its
 /// pool to its peak; from then on every wave fills from the segments
 /// the waves before it emptied: no allocation call at all. The peak live
@@ -311,8 +349,8 @@ fn drain_shrink_does_not_thrash() {
     assert_eq!(q.len() as u64, N / 2 + 1);
 }
 
-/// An unused queue is free, and a 128-rank spawn wave costs a ring of
-/// 256 headers plus the events.
+/// An unused queue is free, and a 128-record same-instant wave costs a
+/// ring of 256 headers plus the events.
 #[test]
 fn small_queues_cost_what_they_hold() {
     let ((), allocs, peak) = measured(|| drop(EventQueue::new()));
